@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench figures json wirebench fuzz chaos chaos-search durability membership livecheck shard ci
+.PHONY: build test verify bench bench-smoke flake figures json wirebench fuzz chaos chaos-search durability membership livecheck shard ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,21 @@ verify:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$'
+
+# The benchmark under benchmark/ is its own module, so `go build ./...` and
+# `go test ./...` never compile it: an interface change in the main module
+# (store.Replica gaining a method, say) can break its wrappers unnoticed.
+# This vets it and runs its own tests, which drive every workload -quick,
+# traced and untraced, with full verification.
+bench-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
+# Timing flakes hide at -count=1. Repeat the networked packages — real
+# sockets, child processes, goroutines racing test assertions — so a
+# 1-in-15 failure shows up in one run.
+flake:
+	$(GO) test -count=20 ./internal/cluster ./internal/durable ./cmd/served ./cmd/loadgen
 
 figures:
 	$(GO) run ./cmd/figures -all
@@ -120,5 +135,5 @@ chaos-search:
 # What CI runs: the verify gate (which includes the chaos batteries), then
 # regenerate the tracked JSON artifacts and fail if they drifted from what
 # the commit claims.
-ci: verify chaos chaos-search durability membership livecheck shard json
+ci: verify bench-smoke chaos chaos-search durability membership livecheck shard json
 	git diff --exit-code BENCH_FIGURES.json BENCH_MSGBOUND.json BENCH_CHAOS.json BENCH_WIRE.json BENCH_SYNC.json BENCH_LIVECHECK.json BENCH_SHARD.json

@@ -639,10 +639,13 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 			if len(us) == 0 {
 				break // ran dry; end was clamped above
 			}
+			// Count before the write: the joiner may finish, and a caller
+			// read this node's Stats, before this goroutine runs again.
+			n.syncServed.Add(int64(len(us)))
 			if !n.sendFrameComp(conn, comp, func(w *wire.Writer) { appendRangeResp(w, origin, us) }) {
+				n.syncServed.Add(-int64(len(us)))
 				return false
 			}
-			n.syncServed.Add(int64(len(us)))
 			idx = us[len(us)-1].Seq
 			inflight = append(inflight, idx)
 			if d := n.cfg.SyncChunkDelay; d > 0 {

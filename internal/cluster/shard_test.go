@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -17,6 +18,37 @@ import (
 // TestShardRouterDistribution: FNV-1a routing must be deterministic, stay
 // in range, and spread a large flat keyspace evenly enough that no shard
 // carries a pathological share.
+// TestShardRouterMatchesHashFNV pins the inlined FNV-1a loop to hash/fnv on
+// the key set BENCH_SHARD.json is drawn from (k000000..k999999, every shard
+// count the bench sweeps) plus keys that are not ASCII digits, and pins the
+// reason it was inlined: routing allocates nothing.
+func TestShardRouterMatchesHashFNV(t *testing.T) {
+	ref := func(obj model.ObjectID, shards uint32) int {
+		h := fnv.New32a()
+		h.Write([]byte(obj))
+		return int(h.Sum32() % shards)
+	}
+	routers := []*ShardRouter{NewShardRouter(2), NewShardRouter(4), NewShardRouter(8), NewShardRouter(7)}
+	check := func(obj model.ObjectID) {
+		for _, r := range routers {
+			if got, want := r.Route(obj), ref(obj, uint32(r.Shards())); got != want {
+				t.Fatalf("Route(%q) over %d shards = %d, hash/fnv says %d", obj, r.Shards(), got, want)
+			}
+		}
+	}
+	for i := 0; i < 1000000; i++ {
+		check(model.ObjectID(fmt.Sprintf("k%06d", i)))
+	}
+	for _, obj := range []model.ObjectID{"", "x", "obj0", "ключ", "\x00\xff\x80", "a much longer key than the bench ever draws"} {
+		check(obj)
+	}
+	r := NewShardRouter(8)
+	obj := model.ObjectID("k123456")
+	if allocs := testing.AllocsPerRun(1000, func() { r.Route(obj) }); allocs != 0 {
+		t.Fatalf("Route allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestShardRouterDistribution(t *testing.T) {
 	one := NewShardRouter(1)
 	if one.Route("anything") != 0 || one.Route("") != 0 {

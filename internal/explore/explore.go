@@ -322,10 +322,7 @@ func (s *liveState) apply(script Script, a action) error {
 		opIdx := s.programs[r][s.nextOp[r]]
 		op := script.Ops[opIdx]
 		s.nextOp[r]++
-		rep := s.replicas[r]
-		s.checkers[r].CheckDo(op.Object, op.Op, func() model.Response {
-			return rep.Do(op.Object, op.Op)
-		})
+		s.checkers[r].CheckDo(op.Object, op.Op)
 		// Deterministic broadcast after the operation, if pending. Sends go
 		// to every other replica's queue; the GSP sequencer may also have
 		// commits pending after deliveries, which broadcast on its next
@@ -338,8 +335,7 @@ func (s *liveState) apply(script Script, a action) error {
 		}
 		payload := s.queues[to][a.index]
 		s.queues[to] = append(s.queues[to][:a.index:a.index], s.queues[to][a.index+1:]...)
-		rep := s.replicas[to]
-		s.checkers[to].CheckReceive(payload, func() { rep.Receive(payload) })
+		s.checkers[to].CheckReceive(payload)
 		// Receives may create pending messages in non-op-driven stores
 		// (GSP); relay them so exploration terminates in drained states.
 		s.broadcast(model.ReplicaID(to))
@@ -355,7 +351,7 @@ func (s *liveState) broadcast(from model.ReplicaID) {
 		if payload == nil {
 			return
 		}
-		s.replicas[from].OnSend()
+		s.checkers[from].OnSend()
 		for to := 0; to < s.n; to++ {
 			if model.ReplicaID(to) != from {
 				p := make([]byte, len(payload))

@@ -11,6 +11,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -203,7 +204,29 @@ type Dot struct {
 }
 
 // String renders the dot as "(r2,5)".
-func (d Dot) String() string { return fmt.Sprintf("(r%d,%d)", d.Origin, d.Seq) }
+func (d Dot) String() string { return string(d.AppendTo(nil)) }
+
+// AppendTo appends the String rendering to dst without allocating beyond
+// dst's growth: the form the stores' state-digest renderers use.
+func (d Dot) AppendTo(dst []byte) []byte {
+	dst = append(dst, "(r"...)
+	dst = strconv.AppendInt(dst, int64(d.Origin), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendUint(dst, d.Seq, 10)
+	return append(dst, ')')
+}
+
+// AppendDots appends the fmt %v rendering of a dot slice, "[(r0,1) (r1,2)]".
+func AppendDots(dst []byte, ds []Dot) []byte {
+	dst = append(dst, '[')
+	for i, d := range ds {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = d.AppendTo(dst)
+	}
+	return append(dst, ']')
+}
 
 // Event is one event of a concrete execution (Definition 1). A do event
 // carries the object, operation, and response; send and receive events carry

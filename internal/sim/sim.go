@@ -145,7 +145,7 @@ func (c *Cluster) SetFaults(f Faults) { c.faults = f }
 // visibility, and returns the response.
 func (c *Cluster) Do(r model.ReplicaID, obj model.ObjectID, op model.Operation) model.Response {
 	rep := c.replicas[r]
-	resp := c.checkers[r].CheckDo(obj, op, func() model.Response { return rep.Do(obj, op) })
+	resp := c.checkers[r].CheckDo(obj, op)
 	e := c.exec.AppendDo(r, obj, op, resp)
 
 	var dot model.Dot
@@ -187,7 +187,7 @@ func (c *Cluster) Send(r model.ReplicaID) (int, bool) {
 		return 0, false
 	}
 	e := c.exec.AppendSend(r, payload)
-	c.replicas[r].OnSend()
+	c.checkers[r].OnSend()
 	if c.tap != nil {
 		c.tapSend(r, e.MsgID)
 	}
@@ -236,7 +236,7 @@ func (c *Cluster) deliverIndex(to model.ReplicaID, i int) {
 		panic(fmt.Sprintf("sim: queued unknown message m%d", m.msgID))
 	}
 	c.exec.AppendReceive(to, m.msgID)
-	c.checkers[to].CheckReceive(msg.Payload, func() { c.replicas[to].Receive(msg.Payload) })
+	c.checkers[to].CheckReceive(msg.Payload)
 	if c.tap != nil {
 		c.tapReceive(to, m.from, m.msgID)
 	}

@@ -22,9 +22,10 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -137,14 +138,21 @@ type Replica struct {
 	clock   vclock.VC
 	lamport uint64
 	objects map[model.ObjectID]*objState
-	buffer  []update // remote updates awaiting causal readiness
-	outbox  []update // local updates not yet broadcast
+	// sorted lists the keys of objects in ascending order, maintained by
+	// object() at insertion so the digest renderer need not sort per call.
+	sorted []model.ObjectID
+	buffer []update // remote updates awaiting causal readiness
+	outbox []update // local updates not yet broadcast
 
 	// applyLog records the local application order of updates:
 	// observational metadata (not part of the state digest) used by the
 	// total-order comparison experiments — write-propagating replicas apply
 	// concurrent updates in different orders, unlike a sequencer protocol.
 	applyLog []model.Dot
+
+	// list and dots are the digest renderer's scratch, not state.
+	list store.SortedList
+	dots []model.Dot
 }
 
 var (
@@ -181,6 +189,8 @@ func (r *Replica) object(id model.ObjectID) *objState {
 			st.adds = make(map[model.Value]map[model.Dot]bool)
 		}
 		r.objects[id] = st
+		i, _ := slices.BinarySearch(r.sorted, id)
+		r.sorted = slices.Insert(r.sorted, i, id)
 	}
 	return st
 }
@@ -372,48 +382,78 @@ func (r *Replica) OnSend() {
 	r.outbox = nil
 }
 
-// StateDigest implements store.Replica with a deterministic rendering of the
-// full state σ.
-func (r *Replica) StateDigest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "clock=%s lamport=%d\n", r.clock, r.lamport)
-	objIDs := make([]string, 0, len(r.objects))
-	for id := range r.objects {
-		objIDs = append(objIDs, string(id))
+// StateDigest implements store.Replica.
+func (r *Replica) StateDigest() string { return string(r.AppendStateDigest(nil)) }
+
+// AppendStateDigest implements store.Replica with a deterministic rendering
+// of the full state σ. Object order comes from r.sorted; the length guard
+// rebuilds it from the map so that an entry materialised behind object() —
+// the classic visible-read bug — still shows in the render.
+func (r *Replica) AppendStateDigest(dst []byte) []byte {
+	dst = append(dst, "clock="...)
+	dst = r.clock.AppendTo(dst)
+	dst = append(dst, " lamport="...)
+	dst = strconv.AppendUint(dst, r.lamport, 10)
+	dst = append(dst, '\n')
+	if len(r.sorted) != len(r.objects) {
+		r.sorted = r.sorted[:0]
+		for id := range r.objects {
+			r.sorted = append(r.sorted, id)
+		}
+		slices.Sort(r.sorted)
 	}
-	sort.Strings(objIDs)
-	for _, id := range objIDs {
-		st := r.objects[model.ObjectID(id)]
-		fmt.Fprintf(&b, "obj %s (%s):", id, st.typ)
+	for _, id := range r.sorted {
+		st := r.objects[id]
+		dst = append(dst, "obj "...)
+		dst = append(dst, id...)
+		dst = append(dst, " ("...)
+		dst = append(dst, st.typ.String()...)
+		dst = append(dst, "):"...)
 		switch st.typ {
 		case spec.TypeMVR:
-			vs := make([]string, 0, len(st.versions))
+			r.list.Reset()
 			for _, v := range st.versions {
-				vs = append(vs, fmt.Sprintf("%s@%s%s", v.Value, v.Dot, v.Deps))
+				b := append(r.list.Open(), v.Value...)
+				b = append(b, '@')
+				b = v.Dot.AppendTo(b)
+				r.list.Close(v.Deps.AppendTo(b))
 			}
-			sort.Strings(vs)
-			fmt.Fprintf(&b, " %v", vs)
+			dst = append(dst, ' ')
+			dst = r.list.AppendTo(dst)
 		case spec.TypeRegister:
-			fmt.Fprintf(&b, " %s ts=%d origin=%d set=%v", st.regValue, st.regTS, st.regOrigin, st.regSet)
+			dst = append(dst, ' ')
+			dst = append(dst, st.regValue...)
+			dst = append(dst, " ts="...)
+			dst = strconv.AppendUint(dst, st.regTS, 10)
+			dst = append(dst, " origin="...)
+			dst = strconv.AppendInt(dst, int64(st.regOrigin), 10)
+			dst = append(dst, " set="...)
+			dst = strconv.AppendBool(dst, st.regSet)
 		case spec.TypeORSet:
-			vals := make([]string, 0, len(st.adds))
+			r.list.Reset()
 			for v, dots := range st.adds {
-				ds := make([]model.Dot, 0, len(dots))
+				r.dots = r.dots[:0]
 				for d := range dots {
-					ds = append(ds, d)
+					r.dots = append(r.dots, d)
 				}
-				sortDots(ds)
-				vals = append(vals, fmt.Sprintf("%s:%v", v, ds))
+				sortDots(r.dots)
+				b := append(r.list.Open(), v...)
+				b = append(b, ':')
+				r.list.Close(model.AppendDots(b, r.dots))
 			}
-			sort.Strings(vals)
-			fmt.Fprintf(&b, " %v", vals)
+			dst = append(dst, ' ')
+			dst = r.list.AppendTo(dst)
 		case spec.TypeCounter:
-			fmt.Fprintf(&b, " %d", st.total)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, st.total, 10)
 		}
-		b.WriteByte('\n')
+		dst = append(dst, '\n')
 	}
-	fmt.Fprintf(&b, "buffer=%v\noutbox=%v\n", updateDots(r.buffer), updateDots(r.outbox))
-	return b.String()
+	dst = append(dst, "buffer="...)
+	dst = r.appendUpdateDots(dst, r.buffer)
+	dst = append(dst, "\noutbox="...)
+	dst = r.appendUpdateDots(dst, r.outbox)
+	return append(dst, '\n')
 }
 
 // BufferedUpdates returns the number of remote updates awaiting causal
@@ -430,20 +470,21 @@ func (r *Replica) ApplyOrder() []model.Dot {
 	return out
 }
 
-func updateDots(us []update) []model.Dot {
-	out := make([]model.Dot, len(us))
-	for i, u := range us {
-		out[i] = u.Dot
+// appendUpdateDots appends the updates' dots in model.AppendDots form.
+func (r *Replica) appendUpdateDots(dst []byte, us []update) []byte {
+	r.dots = r.dots[:0]
+	for _, u := range us {
+		r.dots = append(r.dots, u.Dot)
 	}
-	return out
+	return model.AppendDots(dst, r.dots)
 }
 
 func sortDots(ds []model.Dot) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].Origin != ds[j].Origin {
-			return ds[i].Origin < ds[j].Origin
+	slices.SortFunc(ds, func(a, b model.Dot) int {
+		if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+			return c
 		}
-		return ds[i].Seq < ds[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 }
 

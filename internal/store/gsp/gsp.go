@@ -27,8 +27,8 @@ package gsp
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -348,21 +348,43 @@ func decodePayload(payload []byte) ([]outRec, error) {
 }
 
 // StateDigest implements store.Replica.
-func (r *Replica) StateDigest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "confirmed=%d localSeq=%d nextSeq=%d\n", r.confirmedLen, r.localSeq, r.nextSeq)
-	fmt.Fprintf(&b, "log=%v\n", r.confirmedLog)
-	objIDs := make([]string, 0, len(r.confirmed))
+func (r *Replica) StateDigest() string { return string(r.AppendStateDigest(nil)) }
+
+// AppendStateDigest implements store.Replica.
+func (r *Replica) AppendStateDigest(dst []byte) []byte {
+	dst = append(dst, "confirmed="...)
+	dst = strconv.AppendUint(dst, r.confirmedLen, 10)
+	dst = append(dst, " localSeq="...)
+	dst = strconv.AppendUint(dst, r.localSeq, 10)
+	dst = append(dst, " nextSeq="...)
+	dst = strconv.AppendUint(dst, r.nextSeq, 10)
+	dst = append(dst, "\nlog="...)
+	dst = model.AppendDots(dst, r.confirmedLog)
+	dst = append(dst, '\n')
+	ids := make([]model.ObjectID, 0, len(r.confirmed))
 	for id := range r.confirmed {
-		objIDs = append(objIDs, string(id))
+		ids = append(ids, id)
 	}
-	sort.Strings(objIDs)
-	for _, id := range objIDs {
-		st := r.confirmed[model.ObjectID(id)]
-		fmt.Fprintf(&b, "obj %s: %s set=%v total=%d\n", id, st.value, st.set, st.total)
+	slices.Sort(ids)
+	for _, id := range ids {
+		st := r.confirmed[id]
+		dst = append(dst, "obj "...)
+		dst = append(dst, id...)
+		dst = append(dst, ": "...)
+		dst = append(dst, st.value...)
+		dst = append(dst, " set="...)
+		dst = strconv.AppendBool(dst, st.set)
+		dst = append(dst, " total="...)
+		dst = strconv.AppendInt(dst, st.total, 10)
+		dst = append(dst, '\n')
 	}
-	fmt.Fprintf(&b, "pending=%v bufferedCommits=%d outbox=%d\n", dots(r.pending), len(r.commitBuf), len(r.outbox))
-	return b.String()
+	dst = append(dst, "pending="...)
+	dst = model.AppendDots(dst, dots(r.pending))
+	dst = append(dst, " bufferedCommits="...)
+	dst = strconv.AppendInt(dst, int64(len(r.commitBuf)), 10)
+	dst = append(dst, " outbox="...)
+	dst = strconv.AppendInt(dst, int64(len(r.outbox)), 10)
+	return append(dst, '\n')
 }
 
 func dots(us []updateRec) []model.Dot {

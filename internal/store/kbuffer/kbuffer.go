@@ -14,6 +14,7 @@ package kbuffer
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -120,12 +121,21 @@ func (r *Replica) Receive(payload []byte) {
 // HeldMessages returns the number of withheld payloads (for tests).
 func (r *Replica) HeldMessages() int { return len(r.held) }
 
-// StateDigest implements store.Replica: inner state plus the withheld queue,
-// whose countdowns change on every read.
-func (r *Replica) StateDigest() string {
-	digest := r.inner.StateDigest()
+// StateDigest implements store.Replica.
+func (r *Replica) StateDigest() string { return string(r.AppendStateDigest(nil)) }
+
+// AppendStateDigest implements store.Replica: inner state plus the withheld
+// queue, whose countdowns change on every read.
+func (r *Replica) AppendStateDigest(dst []byte) []byte {
+	dst = r.inner.AppendStateDigest(dst)
 	for i, h := range r.held {
-		digest += fmt.Sprintf("held[%d]=%d bytes countdown=%d\n", i, len(h.payload), h.countdown)
+		dst = append(dst, "held["...)
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, "]="...)
+		dst = strconv.AppendInt(dst, int64(len(h.payload)), 10)
+		dst = append(dst, " bytes countdown="...)
+		dst = strconv.AppendInt(dst, int64(h.countdown), 10)
+		dst = append(dst, '\n')
 	}
-	return digest
+	return dst
 }

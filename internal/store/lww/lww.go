@@ -17,9 +17,8 @@
 package lww
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -201,23 +200,43 @@ func (r *Replica) Receive(payload []byte) {
 }
 
 // StateDigest implements store.Replica.
-func (r *Replica) StateDigest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "lamport=%d nextSeq=%d\n", r.lamport, r.nextSeq)
-	ids := make([]string, 0, len(r.objects))
+func (r *Replica) StateDigest() string { return string(r.AppendStateDigest(nil)) }
+
+// AppendStateDigest implements store.Replica.
+func (r *Replica) AppendStateDigest(dst []byte) []byte {
+	dst = append(dst, "lamport="...)
+	dst = strconv.AppendUint(dst, r.lamport, 10)
+	dst = append(dst, " nextSeq="...)
+	dst = strconv.AppendUint(dst, r.nextSeq, 10)
+	dst = append(dst, '\n')
+	ids := make([]model.ObjectID, 0, len(r.objects))
 	for id := range r.objects {
-		ids = append(ids, string(id))
+		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
-		st := r.objects[model.ObjectID(id)]
-		fmt.Fprintf(&b, "obj %s: %s ts=%d origin=%d set=%v\n", id, st.value, st.ts, st.origin, st.set)
+		st := r.objects[id]
+		dst = append(dst, "obj "...)
+		dst = append(dst, id...)
+		dst = append(dst, ": "...)
+		dst = append(dst, st.value...)
+		dst = append(dst, " ts="...)
+		dst = strconv.AppendUint(dst, st.ts, 10)
+		dst = append(dst, " origin="...)
+		dst = strconv.AppendInt(dst, int64(st.origin), 10)
+		dst = append(dst, " set="...)
+		dst = strconv.AppendBool(dst, st.set)
+		dst = append(dst, '\n')
 	}
-	dots := make([]string, 0, len(r.seen))
+	// The seen dots are ordered as rendered text ("(r0,10)" before
+	// "(r0,2)"), which is what the digest has always printed.
+	var seen store.SortedList
 	for d := range r.seen {
-		dots = append(dots, d.String())
+		seen.Close(d.AppendTo(seen.Open()))
 	}
-	sort.Strings(dots)
-	fmt.Fprintf(&b, "seen=%v outbox=%d\n", dots, len(r.outbox))
-	return b.String()
+	dst = append(dst, "seen="...)
+	dst = seen.AppendTo(dst)
+	dst = append(dst, " outbox="...)
+	dst = strconv.AppendInt(dst, int64(len(r.outbox)), 10)
+	return append(dst, '\n')
 }

@@ -23,7 +23,7 @@ package statesync
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -231,7 +231,7 @@ func (r *Replica) PendingMessage() []byte {
 	if !r.dirty {
 		return nil
 	}
-	return r.encode()
+	return r.appendState(nil)
 }
 
 // OnSend implements store.Replica.
@@ -347,9 +347,9 @@ type decoded struct {
 	objects map[model.ObjectID]*objState
 }
 
-// encode serializes the full replica state.
-func (r *Replica) encode() []byte {
-	w := wire.NewWriter()
+// appendState appends the serialized full replica state to dst.
+func (r *Replica) appendState(dst []byte) []byte {
+	w := wire.NewWriterTo(dst)
 	w.Uvarint(r.lamport)
 	w.VC(r.clock)
 	ids := make([]string, 0, len(r.objects))
@@ -480,11 +480,14 @@ func sortDots(ds []model.Dot) {
 	})
 }
 
-// StateDigest implements store.Replica: the canonical encoding plus the
-// dirty flag (broadcast obligations are replica state too).
-func (r *Replica) StateDigest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "dirty=%v\n", r.dirty)
-	b.Write(r.encode())
-	return b.String()
+// StateDigest implements store.Replica.
+func (r *Replica) StateDigest() string { return string(r.AppendStateDigest(nil)) }
+
+// AppendStateDigest implements store.Replica: the dirty flag (broadcast
+// obligations are replica state too) plus the canonical encoding.
+func (r *Replica) AppendStateDigest(dst []byte) []byte {
+	dst = append(dst, "dirty="...)
+	dst = strconv.AppendBool(dst, r.dirty)
+	dst = append(dst, '\n')
+	return r.appendState(dst)
 }

@@ -278,3 +278,19 @@ func TestMessageSizeGrowsWithState(t *testing.T) {
 		t.Fatalf("full-state message did not grow: %d vs %d bytes", small, large)
 	}
 }
+
+// TestStateDigestIsDirtyFlagPlusEncoding pins the digest's layout: the dirty
+// flag on its own line, then the canonical state encoding — the bytes a
+// dirty replica broadcasts.
+func TestStateDigestIsDirtyFlagPlusEncoding(t *testing.T) {
+	r0, _ := pair(t, spec.MVRTypes())
+	r0.Do("x", model.Write("a"))
+	payload := r0.PendingMessage()
+	if got, want := r0.StateDigest(), "dirty=true\n"+string(payload); got != want {
+		t.Fatalf("dirty digest = %q, want %q", got, want)
+	}
+	r0.OnSend()
+	if got, want := r0.StateDigest(), "dirty=false\n"+string(payload); got != want {
+		t.Fatalf("clean digest = %q, want %q", got, want)
+	}
+}

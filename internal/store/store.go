@@ -11,6 +11,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/model"
@@ -46,9 +47,15 @@ type Replica interface {
 	Receive(payload []byte)
 
 	// StateDigest returns a deterministic fingerprint of the full replica
-	// state σ, used by the invisible-reads checker (Definition 16) and by
-	// convergence checks (Lemma 3).
+	// state σ, used by convergence checks (Lemma 3) and as the explorer's
+	// visited-set key. It is string(AppendStateDigest(nil)).
 	StateDigest() string
+
+	// AppendStateDigest appends the StateDigest bytes to dst and returns the
+	// extended slice, rendering σ from scratch on every call. The
+	// invisible-reads checker (Definition 16) renders through it into
+	// buffers it reuses, so a warm render need not allocate.
+	AppendStateDigest(dst []byte) []byte
 }
 
 // Store is a data store D: a named factory of replicas sharing a
@@ -121,18 +128,32 @@ func (v *PropertyViolation) Error() string {
 	return fmt.Sprintf("store: %s violated at r%d: %s", v.Property, v.Replica, v.Detail)
 }
 
-// PropertyChecker observes a replica's transitions and reports violations of
-// the write-propagating store properties:
+// PropertyChecker drives a replica's three transitions and reports
+// violations of the write-propagating store properties:
 //
 //   - invisible reads (Definition 16): a read leaves the state unchanged;
 //   - op-driven messages (Definition 15): no message is pending initially,
 //     and receiving a message never creates a pending message where none
 //     existed.
 //
-// The simulator wires one checker around every replica it drives.
+// Every engine wires one checker around every replica it drives and makes
+// every do, receive and send through it. Because the checker sees every
+// transition, it knows when the state it rendered after one read is still
+// the state before the next: a read directly following a checked read
+// reuses that render as its "before" instead of rendering σ again. Any
+// other transition invalidates the render. If the replica changed between
+// the two reads anyway (a transition made behind the checker), the stale
+// "before" differs from the fresh "after" and the read is reported — reuse
+// can only flag more, never less.
 type PropertyChecker struct {
 	replica    Replica
 	violations []*PropertyViolation
+
+	// before and after are the two renders of the read being checked,
+	// swapped rather than reallocated. afterCurrent means after holds σ as
+	// rendered at the end of the previous transition, which was a read.
+	before, after []byte
+	afterCurrent  bool
 }
 
 // NewPropertyChecker wraps a freshly created replica and immediately checks
@@ -153,30 +174,43 @@ func (c *PropertyChecker) report(property, detail string) {
 	})
 }
 
-// BeforeDo/AfterDo bracket a do event; for reads they compare state digests
-// (Definition 16).
-func (c *PropertyChecker) CheckDo(obj model.ObjectID, op model.Operation, do func() model.Response) model.Response {
-	var before string
-	if op.Kind == model.OpRead {
-		before = c.replica.StateDigest()
+// CheckDo performs a do event on the replica; for reads it compares the
+// full state rendered before and after (Definition 16).
+func (c *PropertyChecker) CheckDo(obj model.ObjectID, op model.Operation) model.Response {
+	if op.Kind != model.OpRead {
+		c.afterCurrent = false
+		return c.replica.Do(obj, op)
 	}
-	resp := do()
-	if op.Kind == model.OpRead {
-		if after := c.replica.StateDigest(); after != before {
-			c.report("invisible reads", fmt.Sprintf("read of %s changed replica state", obj))
-		}
+	if c.afterCurrent {
+		c.before, c.after = c.after, c.before
+	} else {
+		c.before = c.replica.AppendStateDigest(c.before[:0])
+	}
+	resp := c.replica.Do(obj, op)
+	c.after = c.replica.AppendStateDigest(c.after[:0])
+	c.afterCurrent = true
+	if !bytes.Equal(c.before, c.after) {
+		c.report("invisible reads", fmt.Sprintf("read of %s changed replica state", obj))
 	}
 	return resp
 }
 
-// CheckReceive brackets a receive event, enforcing Definition 15(2): if no
-// message was pending before the receive, none may be pending after.
-func (c *PropertyChecker) CheckReceive(payload []byte, receive func()) {
+// CheckReceive performs a receive event on the replica, enforcing
+// Definition 15(2): if no message was pending before the receive, none may
+// be pending after.
+func (c *PropertyChecker) CheckReceive(payload []byte) {
+	c.afterCurrent = false
 	pendingBefore := c.replica.PendingMessage() != nil
-	receive()
+	c.replica.Receive(payload)
 	if !pendingBefore && c.replica.PendingMessage() != nil {
 		c.report("op-driven messages", "receive created a pending message")
 	}
+}
+
+// OnSend moves the replica past its send event.
+func (c *PropertyChecker) OnSend() {
+	c.afterCurrent = false
+	c.replica.OnSend()
 }
 
 // Violations returns all violations observed so far.

@@ -12,9 +12,10 @@ type fakeReplica struct {
 	id            model.ReplicaID
 	digest        string
 	pending       []byte
-	mutateOnRead  bool
+	mutateFromNth int // reads numbered from here on change the state (0: never)
 	pendOnReceive bool
 	reads         int
+	renders       int
 }
 
 func (f *fakeReplica) ID() model.ReplicaID { return f.id }
@@ -22,7 +23,7 @@ func (f *fakeReplica) ID() model.ReplicaID { return f.id }
 func (f *fakeReplica) Do(obj model.ObjectID, op model.Operation) model.Response {
 	if op.Kind == model.OpRead {
 		f.reads++
-		if f.mutateOnRead {
+		if f.mutateFromNth > 0 && f.reads >= f.mutateFromNth {
 			f.digest = "read" + strconv.Itoa(f.reads)
 		}
 		return model.ReadResponse(nil)
@@ -39,14 +40,18 @@ func (f *fakeReplica) Receive(payload []byte) {
 		f.pending = []byte{2}
 	}
 }
-func (f *fakeReplica) StateDigest() string { return f.digest }
+func (f *fakeReplica) StateDigest() string { return string(f.AppendStateDigest(nil)) }
+func (f *fakeReplica) AppendStateDigest(dst []byte) []byte {
+	f.renders++
+	return append(dst, f.digest...)
+}
 
 func TestCheckerCleanReplica(t *testing.T) {
 	f := &fakeReplica{id: 1}
 	c := NewPropertyChecker(f)
-	c.CheckDo("x", model.Write("a"), func() model.Response { return f.Do("x", model.Write("a")) })
-	c.CheckDo("x", model.Read(), func() model.Response { return f.Do("x", model.Read()) })
-	c.CheckReceive(nil, func() { f.Receive(nil) })
+	c.CheckDo("x", model.Write("a"))
+	c.CheckDo("x", model.Read())
+	c.CheckReceive(nil)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +69,9 @@ func TestCheckerFlagsInitialPending(t *testing.T) {
 }
 
 func TestCheckerFlagsVisibleRead(t *testing.T) {
-	f := &fakeReplica{id: 3, mutateOnRead: true}
+	f := &fakeReplica{id: 3, mutateFromNth: 1}
 	c := NewPropertyChecker(f)
-	c.CheckDo("x", model.Read(), func() model.Response { return f.Do("x", model.Read()) })
+	c.CheckDo("x", model.Read())
 	err := c.Err()
 	if err == nil {
 		t.Fatal("visible read undetected")
@@ -88,7 +93,7 @@ func asViolation(err error, target **PropertyViolation) bool {
 func TestCheckerIgnoresWriteStateChanges(t *testing.T) {
 	f := &fakeReplica{id: 4}
 	c := NewPropertyChecker(f)
-	c.CheckDo("x", model.Write("a"), func() model.Response { return f.Do("x", model.Write("a")) })
+	c.CheckDo("x", model.Write("a"))
 	if c.Err() != nil {
 		t.Fatal("writes may change state")
 	}
@@ -97,7 +102,7 @@ func TestCheckerIgnoresWriteStateChanges(t *testing.T) {
 func TestCheckerFlagsMessageDrivenMessages(t *testing.T) {
 	f := &fakeReplica{id: 5, pendOnReceive: true}
 	c := NewPropertyChecker(f)
-	c.CheckReceive([]byte{1}, func() { f.Receive([]byte{1}) })
+	c.CheckReceive([]byte{1})
 	err := c.Err()
 	if err == nil {
 		t.Fatal("message-driven message undetected")
@@ -114,9 +119,83 @@ func TestCheckerAllowsPendingThroughReceive(t *testing.T) {
 	f := &fakeReplica{id: 6, pendOnReceive: true}
 	c := NewPropertyChecker(f)
 	f.Do("x", model.Write("a")) // creates pending
-	c.CheckReceive([]byte{1}, func() { f.Receive([]byte{1}) })
+	c.CheckReceive([]byte{1})
 	if c.Err() != nil {
 		t.Fatalf("unexpected violation: %v", c.Err())
+	}
+}
+
+// TestCheckerReusesRenderBetweenReads pins the render-reuse invariant: a read
+// directly after a checked read costs one render (its "after"), and the
+// reused "before" still catches a replica that starts mutating on that read.
+func TestCheckerReusesRenderBetweenReads(t *testing.T) {
+	f := &fakeReplica{id: 8, mutateFromNth: 2}
+	c := NewPropertyChecker(f)
+	c.CheckDo("x", model.Read())
+	if f.renders != 2 || c.Err() != nil {
+		t.Fatalf("first read: %d renders, err %v; want 2 renders, clean", f.renders, c.Err())
+	}
+	c.CheckDo("x", model.Read())
+	if f.renders != 3 {
+		t.Fatalf("back-to-back read rendered %d times in total, want 3", f.renders)
+	}
+	if len(c.Violations()) != 1 {
+		t.Fatalf("replica mutating on its second consecutive read: %d violations, want 1", len(c.Violations()))
+	}
+	c.CheckDo("x", model.Read())
+	if len(c.Violations()) != 2 {
+		t.Fatalf("third consecutive mutating read: %d violations, want 2", len(c.Violations()))
+	}
+}
+
+// TestCheckerRendersAfreshAfterOtherTransitions: a write, a receive or a send
+// between two reads changes σ legitimately, so the second read must render
+// its own "before" and stay clean.
+func TestCheckerRendersAfreshAfterOtherTransitions(t *testing.T) {
+	transitions := map[string]func(c *PropertyChecker){
+		"write":   func(c *PropertyChecker) { c.CheckDo("x", model.Write("a")) },
+		"receive": func(c *PropertyChecker) { c.CheckReceive([]byte{1}) },
+		"send":    func(c *PropertyChecker) { c.OnSend() },
+	}
+	for name, step := range transitions {
+		f := &fakeReplica{id: 9}
+		c := NewPropertyChecker(f)
+		c.CheckDo("x", model.Read())
+		step(c)
+		f.digest += name // the transition moved σ
+		before := f.renders
+		c.CheckDo("x", model.Read())
+		if got := f.renders - before; got != 2 {
+			t.Errorf("read after a %s rendered %d times, want 2 (fresh before and after)", name, got)
+		}
+		if err := c.Err(); err != nil {
+			t.Errorf("read after a %s: %v", name, err)
+		}
+	}
+}
+
+// TestCheckerFlagsChangeBehindItsBack: reuse can only flag more. A state
+// change the checker did not drive, between two reads, makes the reused
+// "before" stale and the second read is reported.
+func TestCheckerFlagsChangeBehindItsBack(t *testing.T) {
+	f := &fakeReplica{id: 10}
+	c := NewPropertyChecker(f)
+	c.CheckDo("x", model.Read())
+	f.Do("x", model.Write("a"))
+	c.CheckDo("x", model.Read())
+	if len(c.Violations()) != 1 {
+		t.Fatalf("%d violations, want 1", len(c.Violations()))
+	}
+}
+
+// TestCheckerOnSendForwards: the checker is the entrance for sends too.
+func TestCheckerOnSendForwards(t *testing.T) {
+	f := &fakeReplica{id: 11}
+	c := NewPropertyChecker(f)
+	c.CheckDo("x", model.Write("a"))
+	c.OnSend()
+	if f.PendingMessage() != nil {
+		t.Fatal("OnSend did not reach the replica")
 	}
 }
 

@@ -158,10 +158,86 @@ func Run(t *testing.T, cfg Config) {
 			t.Fatal("identical histories produced different digests")
 		}
 	})
+	runAppendStateDigest(t, cfg)
 	if !cfg.SkipDuplicateIdempotence {
 		runDuplicateIdempotence(t, cfg)
 	}
 	runRest(t, cfg)
+}
+
+// DriveRandom drives the replicas of one population through a seeded
+// schedule. Each step picks a replica and either applies op's operation to
+// it (two steps in four), broadcasts its pending message, or delivers it
+// one in-flight payload from any queue position — one time in eight
+// leaving the payload queued, for a duplicate delivery later. after runs
+// at the end of every step with the replica that moved. Stores' digest
+// tests share it so that they all see reordering, duplication and
+// withheld messages.
+func DriveRandom(seed int64, reps []store.Replica, steps int,
+	op func(rng *rand.Rand, step int) (model.ObjectID, model.Operation),
+	after func(step int, r store.Replica)) {
+	rng := rand.New(rand.NewSource(seed))
+	inflight := make([][][]byte, len(reps))
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(len(reps))
+		r := reps[i]
+		switch rng.Intn(4) {
+		case 0, 1:
+			r.Do(op(rng, step))
+		case 2:
+			if p := r.PendingMessage(); p != nil {
+				p = append([]byte(nil), p...)
+				r.OnSend()
+				for to := range reps {
+					if to != i {
+						inflight[to] = append(inflight[to], p)
+					}
+				}
+			}
+		case 3:
+			if q := inflight[i]; len(q) > 0 {
+				k := rng.Intn(len(q))
+				r.Receive(q[k])
+				if rng.Intn(8) != 0 {
+					inflight[i] = append(q[:k], q[k+1:]...)
+				}
+			}
+		}
+		after(step, r)
+	}
+}
+
+// runAppendStateDigest holds the two digest methods to one renderer: along
+// a seeded schedule, AppendStateDigest(nil) is StateDigest, and appending
+// after a non-empty dst leaves dst's bytes alone — the checker hands it
+// recycled buffers.
+func runAppendStateDigest(t *testing.T, cfg Config) {
+	t.Run("AppendStateDigestMatchesStateDigest", func(t *testing.T) {
+		const n = 3
+		st := cfg.Factory()
+		var reps []store.Replica
+		for i := 0; i < n; i++ {
+			reps = append(reps, st.NewReplica(model.ReplicaID(i), n))
+		}
+		op := func(rng *rand.Rand, step int) (model.ObjectID, model.Operation) {
+			obj, op := cfg.Mutator(step)
+			if rng.Intn(3) == 0 {
+				op = model.Read()
+			}
+			return obj, op
+		}
+		DriveRandom(16, reps, 300, op, func(step int, r store.Replica) {
+			want := r.StateDigest()
+			if got := string(r.AppendStateDigest(nil)); got != want {
+				t.Fatalf("step %d: AppendStateDigest(nil) = %q, StateDigest() = %q", step, got, want)
+			}
+			const prefix = "recycled "
+			dst := append(make([]byte, 0, 4096), prefix...)
+			if got := string(r.AppendStateDigest(dst)); got != prefix+want {
+				t.Fatalf("step %d: AppendStateDigest after %q = %q, want the digest appended", step, prefix, got)
+			}
+		})
+	})
 }
 
 func runDuplicateIdempotence(t *testing.T, cfg Config) {

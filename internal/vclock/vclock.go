@@ -11,8 +11,7 @@
 package vclock
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/model"
 )
@@ -126,10 +125,17 @@ func (v VC) IsZero() bool {
 }
 
 // String renders the clock as "[1 0 3]".
-func (v VC) String() string {
-	parts := make([]string, len(v))
+func (v VC) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the String rendering to dst without allocating beyond
+// dst's growth: the form the stores' state-digest renderers use.
+func (v VC) AppendTo(dst []byte) []byte {
+	dst = append(dst, '[')
 	for i, x := range v {
-		parts[i] = fmt.Sprintf("%d", x)
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, x, 10)
 	}
-	return "[" + strings.Join(parts, " ") + "]"
+	return append(dst, ']')
 }

@@ -33,6 +33,10 @@ type Writer struct {
 // NewWriter returns an empty payload writer.
 func NewWriter() *Writer { return &Writer{frameOff: -1} }
 
+// NewWriterTo returns a writer that appends to dst; Bytes then returns dst
+// extended by everything written.
+func NewWriterTo(dst []byte) *Writer { return &Writer{buf: dst, frameOff: -1} }
+
 // Bytes returns the encoded payload.
 func (w *Writer) Bytes() []byte { return w.buf }
 
