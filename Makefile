@@ -16,16 +16,19 @@ verify:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench . -benchmem -run '^$$'
+	$(GO) test -bench . -benchmem -run '^$$' ./...
 
 # The benchmark under benchmark/ is its own module, so `go build ./...` and
 # `go test ./...` never compile it: an interface change in the main module
 # (store.Replica gaining a method, say) can break its wrappers unnoticed.
 # This vets it and runs its own tests, which drive every workload -quick,
-# traced and untraced, with full verification.
+# traced and untraced, with full verification. The per-layer Go benchmarks
+# next to the code are run by nothing else either, so each gets one
+# iteration here: enough to keep them compiling and passing their own checks.
 bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/...
 
 # Timing flakes hide at -count=1. Repeat the networked packages — real
 # sockets, child processes, goroutines racing test assertions — so a
@@ -67,7 +70,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeDigest -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecompressFrame -fuzztime 10s
 
-# The durability battery: the on-disk journal's torn-tail/compaction
+# The durability battery: the on-disk journal's torn-tail/torn-seal
 # regression suite, the disk-backed supervisor and chaos runs, and the
 # kill -9 harness (a real served child process SIGKILL'd mid-load and
 # restarted on the same -data-dir).

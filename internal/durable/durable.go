@@ -3,7 +3,8 @@
 // replay into a crash-surviving artifact: a served process can be kill -9'd
 // and restarted from its data directory alone.
 //
-// The design is a write-ahead log with periodic snapshot/compaction:
+// The design is a write-ahead log whose tail is periodically sealed onto an
+// append-only snapshot, so no step costs more than the tail it handles:
 //
 //   - wal.log is append-only. Each record frames one cluster.Event behind a
 //     4-byte length and a CRC-32C of the payload, and Append fsyncs before
@@ -12,13 +13,14 @@
 //     (or the client's response) leaves the process, so any event a peer
 //     holds an ack for is durable — the PR 4 crash-window invariant, now
 //     across process death.
-//   - snap.log is a whole-prefix snapshot: once the tail grows past
-//     SnapshotEvery records, the full event sequence so far is rewritten
-//     into a temp file, fsynced, renamed over snap.log, and the wal is
-//     truncated. The rename is atomic, so recovery never sees a torn
-//     snapshot; a crash between rename and truncation only leaves the wal
-//     overlapping the snapshot, which the per-record event index detects
-//     and skips.
+//   - snap.log holds the sealed prefix 0..k-1 in the same record format.
+//     Once the wal holds SnapshotEvery records, a seal appends exactly those
+//     records to snap.log, fsyncs it, and only then truncates the wal, so
+//     snapshot ∪ wal covers every acknowledged event at every instant. A
+//     crash between the fsync and the truncate leaves the wal overlapping
+//     the snapshot, which the per-record event index detects and skips.
+//     Sealed records are never rewritten: they keep the codec they were
+//     written in, and a seal costs O(tail) whatever the history's length.
 //   - Recovery (Open) loads the snapshot, then scans the wal tail. A torn
 //     or corrupted tail frame — short header, short payload, CRC mismatch,
 //     undecodable event — truncates the file at the last good record and
@@ -26,12 +28,21 @@
 //     never a fabrication. An index *gap* inside otherwise-valid records is
 //     different: it cannot result from a torn append, so it is reported as
 //     corruption instead of silently skipped.
+//   - A seal can tear too (the crash hit mid-append to snap.log). Because
+//     the wal is truncated only after the seal is on disk, a torn seal
+//     always sits beside a wal that still holds its records: recovery may
+//     stop at an unreadable snapshot record ONLY IF the wal supplies every
+//     event index from that record onward, truncates snap.log at the last
+//     good boundary, and finishes the seal from the wal before the first
+//     Append. Damage the wal does not cover — wal missing, empty, or
+//     starting past it — is corruption and fails recovery.
 //
 // The recovered history is exactly what cluster.Config.Restore replays, so
 // the restart path is the same code the in-process supervisor exercises.
 package durable
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,10 +78,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // would replay another replica's history into this one.
 var ErrMetaMismatch = errors.New("durable: data directory belongs to a different node configuration")
 
-// CorruptionError reports damage recovery must not repair by guessing: a
-// torn snapshot (which the atomic rename should make impossible) or an
-// event-index gap between otherwise valid records (which a torn tail
-// cannot produce).
+// CorruptionError reports damage recovery must not repair by guessing: an
+// unreadable snapshot record the wal no longer covers, or an event-index
+// gap between otherwise valid records (which a torn append cannot produce).
 type CorruptionError struct {
 	File   string
 	Offset int64
@@ -108,10 +118,9 @@ func (m Meta) canon() Meta {
 
 // Options tune the log.
 type Options struct {
-	// SnapshotEvery is how many wal records accumulate before the log
-	// compacts the whole event sequence into a fresh snapshot and
-	// truncates the wal. Zero means the default (1024); negative disables
-	// compaction.
+	// SnapshotEvery is the number of records between seals: once the wal
+	// holds this many, they are appended to the snapshot and the wal is
+	// truncated. Zero means the default (1024); negative disables sealing.
 	SnapshotEvery int
 	// NoSync skips the per-append fsync (tests that only exercise framing
 	// and recovery logic, not crash safety, run much faster without it).
@@ -127,8 +136,7 @@ type Options struct {
 	// "json" (the legacy format, debuggable with standard tools). Recovery
 	// reads both regardless, per record: the record body carries its own
 	// format tag, so a directory written by an old build — or one that
-	// changed codecs mid-life — replays unchanged, and compaction rewrites
-	// the whole prefix in the current codec as a side effect.
+	// changed codecs mid-life — replays unchanged.
 	Codec string
 }
 
@@ -145,6 +153,10 @@ func (o Options) withDefaults() Options {
 // Log is one node's open durable history. Append is called from the node's
 // event loop (one goroutine), but Close can arrive from a different
 // shutdown goroutine, so the mutex serializes them.
+//
+// The log holds no copy of the history: a count, and the framed bytes of
+// the unsealed wal tail — bounded by SnapshotEvery records — which are what
+// the next seal appends to the snapshot.
 type Log struct {
 	dir    string
 	meta   Meta
@@ -153,16 +165,21 @@ type Log struct {
 
 	mu       sync.Mutex
 	wal      *os.File
-	events   []cluster.Event // full recovered+appended sequence
-	walCount int             // records currently in the wal tail
+	snap     *os.File // snap.log, opened by the first seal
+	ckpt     *os.File // tree.ckpt, likewise
+	count    int      // events in the log, sealed and unsealed
+	walCount int      // records currently in the wal tail
+	tail     []byte   // those records as framed; unused when sealing is off
 	closed   bool
 
 	// tree is the Merkle forest over the journaled broadcast history,
 	// updated in the same Append that journals each send/receive. It is
 	// handed to the cluster node (cluster.Config.Tree) and read from the
 	// node's event loop — the same goroutine that calls Append — so the
-	// forest needs no locking of its own.
-	tree *membership.Forest
+	// forest needs no locking of its own. ckptCount is, per origin, how
+	// many of its update hashes tree.ckpt already holds.
+	tree      *membership.Forest
+	ckptCount []uint64
 }
 
 // Tree returns the log's Merkle forest over its broadcast history.
@@ -190,47 +207,53 @@ func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
 		return nil, nil, err
 	}
 
-	// Leftover temp files are snapshots whose rename never happened; the
-	// previous snapshot (or none) is still authoritative.
+	// Leftover temp files are renames that never happened (meta.json, or a
+	// snapshot rewrite by a build that still compacted that way); what they
+	// were to replace is still authoritative.
 	removeGlob(filepath.Join(dir, "*.tmp"))
 
-	events, err := readSnapshot(filepath.Join(dir, snapName))
+	events, err := readSnapshot(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	snapCount := len(events)
-	events, err = recoverWal(filepath.Join(dir, walName), events)
+	events, tail, overlap, err := recoverWal(filepath.Join(dir, walName), events, opts.SnapshotEvery > 0)
 	if err != nil {
 		return nil, nil, err
 	}
 
+	tree, ckptCount, err := buildTree(dir, meta.N, events)
+	if err != nil {
+		return nil, nil, err
+	}
 	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	tree, err := buildTree(dir, meta.N, events)
-	if err != nil {
-		wal.Close()
-		return nil, nil, err
+	l := &Log{
+		dir: dir, meta: meta, opts: opts, binary: binary,
+		wal: wal, count: len(events), walCount: len(events) - snapCount, tail: tail,
+		tree: tree, ckptCount: ckptCount,
 	}
-	l := &Log{dir: dir, meta: meta, opts: opts, binary: binary, wal: wal, events: events, tree: tree}
-	// The surviving tail record count drives compaction: everything beyond
-	// the snapshot prefix (a post-crash overlap only makes the next
-	// compaction run sooner — harmless).
-	l.walCount = len(events) - snapCount
+	if overlap {
+		// The wal repeats sealed records: a seal was interrupted after some
+		// or all of its records reached the snapshot. Finish it, so wal and
+		// snapshot are disjoint again before the first Append.
+		if err := l.seal(); err != nil {
+			l.closeFiles()
+			return nil, nil, err
+		}
+	}
 
 	var hist *cluster.History
 	if len(events) > 0 {
-		hist = &cluster.History{
-			Node: meta.Node, N: meta.N, Store: meta.Store,
-			Events: append([]cluster.Event(nil), events...),
-		}
+		hist = &cluster.History{Node: meta.Node, N: meta.N, Store: meta.Store, Events: events}
 	}
 	return l, hist, nil
 }
 
 // Len returns the number of events currently in the log.
-func (l *Log) Len() int { return len(l.events) }
+func (l *Log) Len() int { return l.count }
 
 // Append persists one event: frame, write, fsync. It must complete before
 // the event's effects are acknowledged to any peer or client — the node's
@@ -244,7 +267,7 @@ func (l *Log) Append(ev cluster.Event) error {
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	rec, err := encodeRecord(w, uint64(len(l.events)), ev, l.binary)
+	rec, err := encodeRecord(w, uint64(l.count), ev, l.binary)
 	if err != nil {
 		return err
 	}
@@ -264,7 +287,11 @@ func (l *Log) Append(ev cluster.Event) error {
 			return fmt.Errorf("durable: wal sync: %w", err)
 		}
 	}
-	l.events = append(l.events, ev)
+	sealing := l.opts.SnapshotEvery > 0
+	if sealing {
+		l.tail = append(l.tail, rec...)
+	}
+	l.count++
 	l.walCount++
 	if err := hashEvent(l.tree, ev); err != nil {
 		// The event is durable but the tree cannot describe it: a seq gap
@@ -272,59 +299,37 @@ func (l *Log) Append(ev cluster.Event) error {
 		// digests that would "prove" divergence to every joiner.
 		return err
 	}
-	if l.opts.SnapshotEvery > 0 && l.walCount >= l.opts.SnapshotEvery {
-		if err := l.compact(); err != nil {
-			return err
-		}
+	if sealing && l.walCount >= l.opts.SnapshotEvery {
+		return l.seal()
 	}
 	return nil
 }
 
-// testCrashCompact, when non-nil, runs inside compact between the snapshot
-// rename and the wal truncate / tree checkpoint write. Tests install a
-// panicking hook to simulate a kill -9 in exactly that window.
-var testCrashCompact func()
+// The points inside seal at which testCrashSeal is called.
+const (
+	crashSealed    = "sealed"    // snap.log fsynced, wal not yet truncated
+	crashTruncated = "truncated" // wal truncated, tree.ckpt not yet extended
+)
 
-// compact rewrites the full event sequence into a fresh snapshot and
-// truncates the wal. Ordering is what makes a crash at any point safe:
-// the snapshot becomes durable (tmp + fsync + rename + dir fsync) before
-// the wal shrinks, so the union of snapshot and wal always covers every
-// appended event; overlap is resolved by record index at recovery.
-func (l *Log) compact() error {
-	tmp := filepath.Join(l.dir, snapName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	for i, ev := range l.events {
-		rec, err := encodeRecord(w, uint64(i), ev, l.binary)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.Write(rec); err != nil {
-			f.Close()
-			return fmt.Errorf("durable: snapshot write: %w", err)
+// testCrashSeal, when non-nil, runs inside seal at each of the points above.
+// Tests install a panicking hook to simulate a kill -9 in exactly that
+// window.
+var testCrashSeal func(point string)
+
+// seal moves the wal tail onto the snapshot: append the tail's records to
+// snap.log, fsync, truncate the wal, extend the tree checkpoint. Ordering
+// is what makes a crash at any point safe: the records are durable in
+// snap.log before the wal shrinks, so the union of snapshot and wal always
+// covers every appended event; overlap is resolved by record index at
+// recovery, and so is a torn append to snap.log (see readSnapshot).
+func (l *Log) seal() error {
+	if len(l.tail) > 0 {
+		if err := l.appendDurably(&l.snap, snapName, l.tail); err != nil {
+			return fmt.Errorf("durable: snapshot: %w", err)
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
-		return fmt.Errorf("durable: snapshot rename: %w", err)
-	}
-	syncDir(l.dir)
-	if testCrashCompact != nil {
-		// Crash-injection point: the snapshot is renamed but the wal is not
-		// yet truncated and tree.ckpt not yet rewritten — the stale-
-		// checkpoint window the recovery verification exists for.
-		testCrashCompact()
+	if testCrashSeal != nil {
+		testCrashSeal(crashSealed)
 	}
 	if err := l.wal.Truncate(0); err != nil {
 		return fmt.Errorf("durable: wal truncate: %w", err)
@@ -335,9 +340,45 @@ func (l *Log) compact() error {
 		}
 	}
 	l.walCount = 0
-	// Checkpoint the Merkle forest beside the snapshot so the next Open
-	// skips rehashing the compacted prefix.
-	return writeTreeCkpt(l.dir, l.tree)
+	l.tail = l.tail[:0]
+	if testCrashSeal != nil {
+		testCrashSeal(crashTruncated)
+	}
+	// Checkpoint the hashes this seal added, so the next Open skips
+	// rehashing the sealed prefix.
+	return l.appendTreeCkpt()
+}
+
+// appendDurably appends data to the directory's file name through *f, which
+// it opens on first use, and fsyncs it — and the directory too when the
+// open created the file: a new entry needs that once.
+func (l *Log) appendDurably(f **os.File, name string, data []byte) error {
+	created := false
+	if *f == nil {
+		path := filepath.Join(l.dir, name)
+		file, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if os.IsNotExist(err) {
+			file, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			created = true
+		}
+		if err != nil {
+			return err
+		}
+		*f = file
+	}
+	if _, err := (*f).Write(data); err != nil {
+		return err
+	}
+	if l.opts.NoSync {
+		return nil
+	}
+	if err := (*f).Sync(); err != nil {
+		return err
+	}
+	if created {
+		syncDir(l.dir)
+	}
+	return nil
 }
 
 // Close syncs and closes the wal. Call after the node has shut down (no
@@ -349,11 +390,24 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if err := l.wal.Sync(); err != nil {
-		l.wal.Close()
+	err := l.wal.Sync()
+	l.closeFiles()
+	if err != nil {
 		return fmt.Errorf("durable: close sync: %w", err)
 	}
-	return l.wal.Close()
+	return nil
+}
+
+// closeFiles closes the log's descriptors. Everything written through them
+// was fsynced by the step that wrote it, so close errors carry no news.
+func (l *Log) closeFiles() {
+	l.wal.Close()
+	if l.snap != nil {
+		l.snap.Close()
+	}
+	if l.ckpt != nil {
+		l.ckpt.Close()
+	}
 }
 
 // checkMeta verifies (or initializes) the directory's identity file.
@@ -405,8 +459,8 @@ const journalBinaryTag = 0x01
 // tagged binary (the transport's event codec, compact) or raw event JSON
 // (the legacy format, debuggable with standard tools). The returned slice
 // aliases a pooled writer; the caller must finish with it before the next
-// encodeRecord call on any goroutine, which Append/compact satisfy by
-// writing it out immediately.
+// encodeRecord call on the same writer, which Append satisfies by writing it
+// out (and copying it onto the tail) immediately.
 func encodeRecord(w *wire.Writer, index uint64, ev cluster.Event, binary bool) ([]byte, error) {
 	w.Reset()
 	// Reserve the 8-byte header; the payload is framed in place behind it.
@@ -435,9 +489,15 @@ func encodeRecord(w *wire.Writer, index uint64, ev cluster.Event, binary bool) (
 	if len(payload) > maxRecord {
 		return nil, fmt.Errorf("durable: record of %d bytes exceeds limit %d", len(payload), maxRecord)
 	}
-	be32(rec[0:4], uint32(len(payload)))
-	be32(rec[4:8], crc32.Checksum(payload, castagnoli))
+	putFrameHeader(rec)
 	return rec, nil
+}
+
+// putFrameHeader fills the 8 bytes reserved at the front of a frame with
+// the length and CRC-32C of the payload behind them.
+func putFrameHeader(frame []byte) {
+	be32(frame[0:4], uint32(len(frame)-8))
+	be32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
 }
 
 func be32(b []byte, x uint32) {
@@ -448,35 +508,55 @@ func rd32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// readRecord reads one framed record from r. It returns io.EOF at a clean
-// record boundary and errTorn for every way a tail can be damaged.
+// errTorn marks every way a record can be damaged: short header, short
+// payload, implausible length, CRC mismatch, undecodable event.
 var errTorn = errors.New("durable: torn record")
 
-func readRecord(r io.Reader) (index uint64, ev cluster.Event, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// recordReader reads framed records through one buffer, so recovery costs
+// one read syscall per buffer-full rather than two per record, and one
+// payload buffer grown to the largest record rather than one per record.
+type recordReader struct {
+	r       *bufio.Reader
+	good    int64   // offset just past the last intact record
+	hdr     [8]byte // the last record read, as framed: header and
+	payload []byte  // payload, valid until the next call
+}
+
+func newRecordReader(f *os.File) *recordReader {
+	return &recordReader{r: bufio.NewReaderSize(f, 64<<10)}
+}
+
+// next reads one record. It returns io.EOF at a clean record boundary and
+// errTorn for damage; either way good is the last intact boundary.
+func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
+	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, ev, io.EOF
 		}
 		return 0, ev, errTorn // short header
 	}
-	size := rd32(hdr[0:4])
+	size := rd32(rr.hdr[0:4])
 	if size > maxRecord {
 		return 0, ev, errTorn // implausible length (corrupted prefix)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if cap(rr.payload) < int(size) {
+		rr.payload = make([]byte, size)
+	}
+	rr.payload = rr.payload[:size]
+	if _, err := io.ReadFull(rr.r, rr.payload); err != nil {
 		return 0, ev, errTorn // short payload
 	}
-	if crc32.Checksum(payload, castagnoli) != rd32(hdr[4:8]) {
+	if crc32.Checksum(rr.payload, castagnoli) != rd32(rr.hdr[4:8]) {
 		return 0, ev, errTorn // bit rot or a torn overwrite
 	}
-	rd := wire.NewReader(payload)
+	rd := wire.NewReader(rr.payload)
 	index = rd.Uvarint()
 	data := rd.Bytes()
 	if rd.Err() != nil || rd.Remaining() != 0 {
 		return 0, ev, errTorn
 	}
+	// Both decoders copy what they keep, so the payload buffer is free to
+	// be overwritten by the next record.
 	if len(data) > 0 && data[0] == journalBinaryTag {
 		er := wire.NewReader(data[1:])
 		ev, err = cluster.DecodeEventBinary(er)
@@ -484,16 +564,31 @@ func readRecord(r io.Reader) (index uint64, ev cluster.Event, err error) {
 			return 0, cluster.Event{}, errTorn
 		}
 	} else if err := json.Unmarshal(data, &ev); err != nil {
-		return 0, ev, errTorn
+		return 0, cluster.Event{}, errTorn
 	}
+	rr.good += int64(len(rr.hdr)) + int64(size)
 	return index, ev, nil
 }
 
-// readSnapshot loads snap.log, whose records must be the contiguous event
-// prefix 0..k-1. Snapshots are written atomically, so any damage here is
-// real corruption, not a torn tail — it fails loudly rather than truncating
-// away events the wal can no longer supply.
-func readSnapshot(path string) ([]cluster.Event, error) {
+// truncateAt cuts f at a record boundary and makes the cut durable.
+func truncateAt(f *os.File, off int64) error {
+	if err := f.Truncate(off); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// readSnapshot loads dir's snap.log, whose records must be the contiguous
+// event prefix 0..k-1. An index out of order is corruption. An unreadable
+// record is a torn seal if — and only if — wal.log still supplies every
+// event from that record onward: a seal truncates the wal only after its
+// records are fsynced here, so a wal whose first index is at or below the
+// damage holds everything the damaged region did. Then the snapshot is cut
+// back to its last good boundary and recovery continues from the wal. Any
+// other unreadable record fails loudly rather than truncating away events
+// nothing can supply.
+func readSnapshot(dir string) ([]cluster.Event, error) {
+	path := filepath.Join(dir, snapName)
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -503,75 +598,99 @@ func readSnapshot(path string) ([]cluster.Event, error) {
 	}
 	defer f.Close()
 	var events []cluster.Event
-	var off int64
+	rr := newRecordReader(f)
 	for {
-		index, ev, err := readRecord(f)
+		offset := rr.good
+		index, ev, err := rr.next()
 		if err == io.EOF {
 			return events, nil
 		}
 		if err != nil {
-			return nil, &CorruptionError{File: snapName, Offset: off, Reason: "unreadable record in atomically-written snapshot"}
+			first, ok := firstIndex(filepath.Join(dir, walName))
+			if !ok || first > uint64(len(events)) {
+				return nil, &CorruptionError{File: snapName, Offset: offset,
+					Reason: fmt.Sprintf("unreadable record at event %d, which the wal does not cover", len(events))}
+			}
+			// Only this repair writes to the snapshot; an intact one recovers
+			// from a read-only file.
+			w, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err == nil {
+				err = truncateAt(w, offset)
+				w.Close()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("durable: truncate torn seal: %w", err)
+			}
+			return events, nil
 		}
 		if index != uint64(len(events)) {
-			return nil, &CorruptionError{File: snapName, Offset: off, Reason: fmt.Sprintf("record index %d, want %d", index, len(events))}
+			return nil, &CorruptionError{File: snapName, Offset: offset, Reason: fmt.Sprintf("record index %d, want %d", index, len(events))}
 		}
 		events = append(events, ev)
-		off = currentOffset(f, off)
 	}
 }
 
-// recoverWal scans the wal tail after the snapshot prefix. Records whose
-// index precedes len(events) are overlap from a crash between snapshot
-// rename and wal truncation: skipped after verifying they are not from the
-// future. The first torn record truncates the file at the last good
-// boundary and ends recovery — a torn tail yields a prefix, never an
-// invention. A clean record whose index jumps past the expected next event
-// is corruption (an append can tear, it cannot skip), reported as such.
-func recoverWal(path string, events []cluster.Event) ([]cluster.Event, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if os.IsNotExist(err) {
-		return events, nil
-	}
+// firstIndex returns the event index of the first record in the file at
+// path, or false if it has no intact first record.
+func firstIndex(path string) (uint64, bool) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
+		return 0, false
 	}
 	defer f.Close()
-	var good int64 // offset of the last fully-valid record boundary
+	index, _, err := newRecordReader(f).next()
+	return index, err == nil
+}
+
+// recoverWal scans the wal tail after the snapshot prefix. Records whose
+// index precedes len(events) are overlap from a crash between a seal's
+// fsync and its wal truncation (reported, so Open finishes that seal):
+// skipped after verifying they are not from the future. The first torn
+// record truncates the file at the last good boundary and ends recovery — a
+// torn tail yields a prefix, never an invention. A clean record whose index
+// jumps past the expected next event is corruption (an append can tear, it
+// cannot skip), reported as such. tail is the framed bytes of the records
+// that extended events: what the next seal appends to the snapshot. It is
+// kept only if something will seal it — sealing is on (keepTail), or overlap
+// was seen and Open must finish that seal whatever the options say; overlap
+// records precede every extending one, so that is known in time. With
+// sealing off the wal is the whole history, not worth a second copy.
+func recoverWal(path string, events []cluster.Event, keepTail bool) (_ []cluster.Event, tail []byte, overlap bool, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if os.IsNotExist(err) {
+		return events, nil, false, nil
+	}
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("durable: %w", err)
+	}
+	defer f.Close()
+	rr := newRecordReader(f)
 	for {
-		index, ev, err := readRecord(f)
+		offset := rr.good
+		index, ev, err := rr.next()
 		if err == io.EOF {
-			return events, nil
+			return events, tail, overlap, nil
 		}
-		if errors.Is(err, errTorn) {
-			if err := f.Truncate(good); err != nil {
-				return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
+		if err != nil {
+			if err := truncateAt(f, rr.good); err != nil {
+				return nil, nil, false, fmt.Errorf("durable: truncate torn tail: %w", err)
 			}
-			if err := f.Sync(); err != nil {
-				return nil, fmt.Errorf("durable: sync truncated wal: %w", err)
-			}
-			return events, nil
+			return events, tail, overlap, nil
 		}
 		switch {
 		case index < uint64(len(events)):
 			// Overlap with the snapshot; the snapshot copy is authoritative.
+			overlap = true
 		case index == uint64(len(events)):
 			events = append(events, ev)
+			if keepTail || overlap {
+				tail = append(append(tail, rr.hdr[:]...), rr.payload...)
+			}
 		default:
-			return nil, &CorruptionError{File: walName, Offset: good,
+			return nil, nil, false, &CorruptionError{File: walName, Offset: offset,
 				Reason: fmt.Sprintf("record index %d skips past %d (gap cannot come from a torn append)", index, len(events))}
 		}
-		good = currentOffset(f, good)
 	}
-}
-
-// currentOffset returns f's read offset, falling back to prev on error (a
-// seek on a regular file we just read from cannot realistically fail).
-func currentOffset(f *os.File, prev int64) int64 {
-	off, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return prev
-	}
-	return off
 }
 
 // syncDir fsyncs a directory so renames and creations within it are

@@ -279,9 +279,9 @@ func TestIndexGapIsCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompaction drives the log past SnapshotEvery and checks that
-// the wal shrank, the snapshot took over, and recovery still returns the
-// complete history.
+// TestSnapshotCompaction drives the log past SnapshotEvery several times
+// and checks that the wal shrank, the snapshot took over, and recovery still
+// returns the complete history.
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(30)
@@ -308,9 +308,9 @@ func TestSnapshotCompaction(t *testing.T) {
 	eventsEqual(t, hist.Events, events)
 }
 
-// TestSnapshotWalOverlapRecovers simulates a crash between the snapshot
-// rename and the wal truncation: the wal still holds records the snapshot
-// already covers. Recovery must skip the overlap by index, not duplicate.
+// TestSnapshotWalOverlapRecovers simulates a crash between a seal's fsync
+// and its wal truncation: the wal still holds records the snapshot already
+// covers. Recovery must skip the overlap by index, not duplicate.
 func TestSnapshotWalOverlapRecovers(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(10)
@@ -333,6 +333,69 @@ func TestSnapshotWalOverlapRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eventsEqual(t, hist.Events, events)
+}
+
+// TestOverlapFinishedWithSealingOff: a directory left mid-seal can be opened
+// by a node that runs with sealing off. Open must still finish the
+// interrupted seal from the wal's unsealed records — truncating the wal
+// without them would drop acknowledged events — and the log must carry on.
+func TestOverlapFinishedWithSealingOff(t *testing.T) {
+	dir := t.TempDir()
+	events := sampleEvents(12)
+	off := Options{SnapshotEvery: -1, NoSync: true}
+	writeLog(t, dir, events[:10], off) // wal holds 0..9, no snapshot
+	var snap []byte
+	for i, ev := range events[:6] {
+		rec, err := encodeTestRecord(uint64(i), ev, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap = append(snap, rec...)
+	}
+	writeFiles(t, dir, map[string][]byte{snapName: snap})
+
+	l, hist, err := Open(dir, testMeta(), off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventsEqual(t, hist.Events, events[:10])
+	requireDisjoint(t, dir)
+	for _, ev := range events[10:] {
+		if err := l.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, hist, err = Open(dir, testMeta(), off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventsEqual(t, hist.Events, events)
+}
+
+// TestReadOnlySnapshotRecovers: recovery writes to snap.log only to repair a
+// torn seal, so an intact snapshot the process may not write (a restored
+// backup, a read-only mount opened for inspection) must still open.
+func TestReadOnlySnapshotRecovers(t *testing.T) {
+	dir := t.TempDir()
+	events := sampleEvents(20)
+	writeLog(t, dir, events, Options{SnapshotEvery: 8, NoSync: true})
+	path := filepath.Join(dir, snapName)
+	if err := os.Chmod(path, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := os.OpenFile(path, os.O_RDWR, 0); err == nil {
+		f.Close()
+		t.Skip("file modes do not bind this user (root)")
+	}
+	l, hist, err := Open(dir, testMeta(), Options{SnapshotEvery: -1, NoSync: true})
+	if err != nil {
+		t.Fatalf("open with a read-only snapshot: %v", err)
+	}
+	defer l.Close()
 	eventsEqual(t, hist.Events, events)
 }
 
@@ -359,8 +422,170 @@ func TestTornSnapshotIsCorruption(t *testing.T) {
 	}
 }
 
-// TestLeftoverTmpSnapshotIgnored: a crash mid-snapshot leaves snap.log.tmp;
-// recovery must ignore and remove it, trusting wal + previous snapshot.
+// recordBounds walks a file of length|crc|payload frames — journal records
+// or checkpoint frames — and returns their boundaries: frame i occupies
+// raw[b[i]:b[i+1]].
+func recordBounds(t *testing.T, raw []byte) []int {
+	t.Helper()
+	bounds := []int{0}
+	for off := 0; off < len(raw); {
+		if len(raw)-off < 8 {
+			t.Fatalf("file ends mid-header at %d of %d", off, len(raw))
+		}
+		off += 8 + int(rd32(raw[off:off+4]))
+		bounds = append(bounds, off)
+	}
+	if bounds[len(bounds)-1] != len(raw) {
+		t.Fatalf("frame walk ended at %d, file is %d", bounds[len(bounds)-1], len(raw))
+	}
+	return bounds
+}
+
+// requireDisjoint fails unless dir's wal is empty or starts exactly where its
+// snapshot ends.
+func requireDisjoint(t *testing.T, dir string) {
+	t.Helper()
+	snap, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := len(recordBounds(t, snap)) - 1
+	if first, ok := firstIndex(filepath.Join(dir, walName)); ok && first != uint64(sealed) {
+		t.Fatalf("the snapshot holds %d records and the wal starts at %d", sealed, first)
+	}
+}
+
+// writeFiles lays out a data directory from file contents; a nil content
+// leaves that file out.
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		if data == nil {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTornSealRepairedOnlyFromWal is the torn-seal sweep. A seal appends to
+// snap.log in place, so a crash can leave its last records half-written; the
+// wal is truncated only after the seal's fsync, so it still holds them. With
+// the wal intact, cutting snap.log at EVERY byte offset inside the last seal
+// must recover the full history, finish the seal (wal and snapshot disjoint
+// again), and leave a log that seals and recovers on. With the wal gone, or
+// starting past the damage, the same cut is damage nothing covers: recovery
+// must refuse, not truncate acknowledged events away.
+func TestTornSealRepairedOnlyFromWal(t *testing.T) {
+	const every = 8
+	events := sampleEvents(3 * every)
+	// The state a kill -9 leaves between the second seal's fsync and its wal
+	// truncate: snap.log holds 0..15, wal.log still holds 8..15.
+	master := t.TempDir()
+	crashDuringSeal(t, master, every, events, func(point string, appended int) bool {
+		return point == crashSealed && appended > every
+	})
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(master, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	snap, wal, meta := read(snapName), read(walName), read(metaName)
+	sb, wb := recordBounds(t, snap), recordBounds(t, wal)
+	if len(sb)-1 != 2*every || len(wb)-1 != every {
+		t.Fatalf("crash state holds %d sealed and %d wal records, want %d and %d", len(sb)-1, len(wb)-1, 2*every, every)
+	}
+	sealStart := sb[every]
+	intactBefore := func(cut int) int { // snapshot records wholly before cut
+		n := 0
+		for n+1 < len(sb) && sb[n+1] <= cut {
+			n++
+		}
+		return n
+	}
+
+	for cut := sealStart; cut < len(snap); cut++ {
+		// Wal intact: repaired.
+		dir := t.TempDir()
+		writeFiles(t, dir, map[string][]byte{metaName: meta, snapName: snap[:cut], walName: wal})
+		l, hist, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every})
+		if err != nil {
+			t.Fatalf("cut at %d, wal intact: %v", cut, err)
+		}
+		eventsEqual(t, hist.Events, events[:2*every])
+		// Disjoint again: the interrupted seal is finished and the wal empty,
+		// or — the cut fell inside the seal's first record, so no sealed
+		// record repeats in the wal — the wal starts where the snapshot ends.
+		requireDisjoint(t, dir)
+		for _, ev := range events[2*every:] {
+			if err := l.Append(ev); err != nil {
+				t.Fatalf("cut at %d: append after repair: %v", cut, err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, hist2, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every})
+		if err != nil {
+			t.Fatalf("cut at %d: reopen after a further seal: %v", cut, err)
+		}
+		eventsEqual(t, hist2.Events, events)
+		l2.Close()
+
+		// Wal gone, empty, or starting past the damage: corruption — unless
+		// the cut fell on a record boundary and the wal holds nothing, which
+		// is simply a shorter intact log.
+		pastDamage := wal[wb[intactBefore(cut)-every+1]:] // first index one past the torn record
+		for name, w := range map[string][]byte{"missing": nil, "empty": {}, "past the damage": pastDamage} {
+			dir := t.TempDir()
+			writeFiles(t, dir, map[string][]byte{metaName: meta, snapName: snap[:cut], walName: w})
+			_, hist, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every})
+			var ce *CorruptionError
+			switch {
+			case sb[intactBefore(cut)] == cut && len(w) == 0:
+				if err != nil {
+					t.Fatalf("cut at boundary %d, wal %s: %v", cut, name, err)
+				}
+				eventsEqual(t, hist.Events, events[:intactBefore(cut)])
+			case !errors.As(err, &ce):
+				t.Fatalf("cut at %d, wal %s: err = %v, want *CorruptionError", cut, name, err)
+			}
+		}
+	}
+}
+
+// TestDamagedSealedRecordIsCorruption flips a bit in a sealed record older
+// than anything the wal holds. No torn seal explains it and nothing can
+// supply the event, so recovery must refuse.
+func TestDamagedSealedRecordIsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	const every = 8
+	writeLog(t, dir, sampleEvents(2*every+3), Options{NoSync: true, SnapshotEvery: every})
+	path := filepath.Join(dir, snapName)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := recordBounds(t, snap)
+	snap[b[3]+10] ^= 0x04 // inside record 3's payload; the wal starts at 16
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptionError
+	if _, _, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every}); !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *CorruptionError", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || len(after) != len(snap) {
+		t.Fatalf("refused recovery changed snap.log: %d bytes, was %d (%v)", len(after), len(snap), err)
+	}
+}
+
+// TestLeftoverTmpSnapshotIgnored: a build that still rewrote its snapshot
+// through snap.log.tmp can have crashed mid-rewrite; recovery must ignore and
+// remove the leftover, trusting wal + previous snapshot.
 func TestLeftoverTmpSnapshotIgnored(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(5)

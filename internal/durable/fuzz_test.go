@@ -1,80 +1,95 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
 )
 
-// fuzzPrefix builds the fixed valid wal prefix every fuzz input is appended
-// to: three encoded records (indices 0..2). Deterministic, so corpus seeds
-// derived from it stay meaningful across runs.
-func fuzzPrefix(tb testing.TB) ([]byte, []cluster.Event) {
-	events := sampleEvents(3)
-	var buf []byte
+// fuzzLog builds the fixed valid part of every fuzz input's directory: a
+// six-event history, the first three sealed into snap.log and the rest in
+// wal.log — what a log at SnapshotEvery 3 holds just before its second seal.
+// Deterministic, so corpus seeds derived from it stay meaningful across runs.
+func fuzzLog(tb testing.TB) (snap, wal []byte, events []cluster.Event) {
+	events = sampleEvents(6)
 	for i, ev := range events {
 		rec, err := encodeTestRecord(uint64(i), ev, true)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		buf = append(buf, rec...)
-	}
-	return buf, events
-}
-
-// fuzzSeedTails returns the hand-picked tail shapes the fuzzer starts from:
-// clean boundary, a valid fourth record, torn cuts through it, a bit flip,
-// an index gap, an overlapping (already-seen) index, and plain garbage.
-func fuzzSeedTails(tb testing.TB) [][]byte {
-	events := sampleEvents(5)
-	rec3, err := encodeTestRecord(3, events[3], true)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	gap, err := encodeTestRecord(9, events[4], true)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	overlap, err := encodeTestRecord(0, events[4], true)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	flipped := append([]byte(nil), rec3...)
-	flipped[len(flipped)-2] ^= 0x40
-	return [][]byte{
-		{},                                   // clean EOF at a record boundary
-		rec3,                                 // one more intact record
-		rec3[:4],                             // torn inside the header
-		rec3[:len(rec3)/2],                   // torn inside the payload
-		rec3[:len(rec3)-1],                   // torn one byte short
-		flipped,                              // CRC mismatch
-		gap,                                  // index gap: must surface CorruptionError
-		overlap,                              // stale index: must be skipped, not duplicated
-		[]byte("garbage tail!"),              // arbitrary junk
-		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, // implausible length header
-	}
-}
-
-// FuzzRecoverTail appends arbitrary bytes after a valid wal prefix and
-// opens the log. Recovery must never panic, never fabricate or reorder the
-// valid prefix, fail only with CorruptionError, and be idempotent: a second
-// Open of the recovered (physically truncated) file sees exactly the same
-// events, and the log stays appendable.
-func FuzzRecoverTail(f *testing.F) {
-	for _, tail := range fuzzSeedTails(f) {
-		f.Add(tail)
-	}
-	f.Fuzz(func(t *testing.T, tail []byte) {
-		prefix, prefixEvents := fuzzPrefix(t)
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), append(append([]byte(nil), prefix...), tail...), 0o644); err != nil {
-			t.Fatal(err)
+		if i < 3 {
+			snap = append(snap, rec...)
+		} else {
+			wal = append(wal, rec...)
 		}
-		l, hist, err := Open(dir, testMeta(), Options{NoSync: true})
+	}
+	return snap, wal, events
+}
+
+// fuzzSeeds returns the hand-picked (wal tail, snapshot tail) shapes the
+// fuzzer starts from. Wal tails: clean boundary, a valid seventh record,
+// torn cuts through it, a bit flip, an index gap, an overlapping
+// (already-seen) index, plain garbage. Snapshot tails: the second seal
+// interrupted after one record, torn inside its second, complete but with
+// the wal not yet truncated, bit-flipped, out of order; and both at once.
+func fuzzSeeds(tb testing.TB) [][2][]byte {
+	events := sampleEvents(8)
+	rec := func(index uint64, ev cluster.Event) []byte {
+		r, err := encodeTestRecord(index, ev, true)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return r
+	}
+	rec6 := rec(6, events[6])
+	flipped := append([]byte(nil), rec6...)
+	flipped[len(flipped)-2] ^= 0x40
+	rec3, rec4, rec5 := rec(3, events[3]), rec(4, events[4]), rec(5, events[5])
+	flipped3 := append([]byte(nil), rec3...)
+	flipped3[len(flipped3)-2] ^= 0x40
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return [][2][]byte{
+		{{}, {}},                                   // clean EOF at a record boundary
+		{rec6, {}},                                 // one more intact record
+		{rec6[:4], {}},                             // torn inside the header
+		{rec6[:len(rec6)/2], {}},                   // torn inside the payload
+		{rec6[:len(rec6)-1], {}},                   // torn one byte short
+		{flipped, {}},                              // CRC mismatch
+		{rec(9, events[7]), {}},                    // index gap: must surface CorruptionError
+		{rec(0, events[7]), {}},                    // stale index: must be skipped, not duplicated
+		{[]byte("garbage tail!"), {}},              // arbitrary junk
+		{{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, {}}, // implausible length header
+		{{}, rec3},                                 // seal interrupted after its first record
+		{{}, join(rec3, rec4[:len(rec4)/2])},       // seal torn inside its second record
+		{{}, join(rec3, rec4, rec5)},               // seal complete, wal not yet truncated
+		{{}, flipped3},                             // damaged record the wal still covers
+		{{}, rec(7, events[7])},                    // index out of order inside the snapshot: CorruptionError
+		{rec6, []byte("garbage tail!")},            // both tails at once
+	}
+}
+
+// FuzzRecoverTail appends arbitrary bytes after a valid wal and after a
+// valid sealed snapshot, and opens the log. Recovery must never panic, never
+// lose or rewrite the sealed prefix nor lose what the intact wal holds, fail
+// only with CorruptionError, leave wal and snapshot disjoint, and be
+// idempotent: a second Open of the recovered (physically truncated) files
+// sees exactly the same events, and the log stays appendable.
+func FuzzRecoverTail(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, walTail, snapTail []byte) {
+		snap, wal, events := fuzzLog(t)
+		dir := t.TempDir()
+		writeFiles(t, dir, map[string][]byte{
+			snapName: append(snap, snapTail...),
+			walName:  append(wal, walTail...),
+		})
+		opts := Options{NoSync: true, SnapshotEvery: 3}
+		l, hist, err := Open(dir, testMeta(), opts)
 		if err != nil {
 			var ce *CorruptionError
 			if !errors.As(err, &ce) {
@@ -82,16 +97,17 @@ func FuzzRecoverTail(f *testing.F) {
 			}
 			return
 		}
-		if hist == nil || len(hist.Events) < len(prefixEvents) {
-			t.Fatalf("valid prefix lost: recovered %d events, prefix had %d", histLen(hist), len(prefixEvents))
+		if histLen(hist) < len(events) {
+			t.Fatalf("valid history lost: recovered %d events, the intact files held %d", histLen(hist), len(events))
 		}
-		for i, want := range prefixEvents {
+		for i, want := range events[:3] {
 			g, _ := json.Marshal(hist.Events[i])
 			w, _ := json.Marshal(want)
 			if string(g) != string(w) {
-				t.Fatalf("prefix event %d rewritten:\n got %s\nwant %s", i, g, w)
+				t.Fatalf("sealed event %d rewritten:\n got %s\nwant %s", i, g, w)
 			}
 		}
+		requireDisjoint(t, dir)
 		recovered := len(hist.Events)
 		if err := l.Append(sampleEvents(1)[0]); err != nil {
 			t.Fatalf("append after recovery: %v", err)
@@ -99,7 +115,7 @@ func FuzzRecoverTail(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, hist2, err := Open(dir, testMeta(), Options{NoSync: true})
+		l2, hist2, err := Open(dir, testMeta(), opts)
 		if err != nil {
 			t.Fatalf("reopen after recovery must be clean: %v", err)
 		}

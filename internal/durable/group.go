@@ -28,6 +28,7 @@ type GroupCommitter struct {
 	mu   sync.Mutex
 	cur  *commitRound // round accepting joiners, nil if none pending
 	busy bool         // a leader is flushing
+	free *commitRound // a finished round kept for reuse, so a lone Commit allocates nothing
 }
 
 // syncable is the slice of *os.File the committer needs. An interface so
@@ -37,11 +38,13 @@ type syncable interface {
 }
 
 // commitRound is one fsync batch: the distinct files its joiners dirtied,
-// and the completion signal they block on.
+// how many followers block on it, and the channel the leader hands each of
+// them the round's error on. Once every follower has been handed its error
+// nobody holds the round any more, which is what lets the leader recycle it.
 type commitRound struct {
-	files map[syncable]struct{}
-	done  chan struct{}
-	err   error
+	files     []syncable // at most one per log sharing the committer
+	followers int
+	done      chan error
 }
 
 // NewGroupCommitter returns an empty committer.
@@ -55,36 +58,63 @@ func NewGroupCommitter() *GroupCommitter {
 func (g *GroupCommitter) Commit(f syncable) error {
 	g.mu.Lock()
 	if g.cur == nil {
-		g.cur = &commitRound{files: make(map[syncable]struct{}), done: make(chan struct{})}
+		if g.cur, g.free = g.free, nil; g.cur == nil {
+			g.cur = &commitRound{done: make(chan error)}
+		}
 	}
 	r := g.cur
-	r.files[f] = struct{}{}
+	r.add(f)
 	if g.busy {
 		// Follower: the running leader will flush this round when its
 		// current one completes.
+		r.followers++
 		g.mu.Unlock()
-		<-r.done
-		return r.err
+		return <-r.done
 	}
 	// Leader: flush rounds until none accumulated while we worked. Later
 	// rounds belong to followers who joined during our flushes; there is no
 	// other leader to run them.
 	g.busy = true
-	for cur := r; ; {
+	var own error
+	for cur, first := r, true; ; first = false {
+		// Taking the round out of g.cur under the lock closes it to joiners:
+		// its files and follower count are final from here on.
 		g.cur = nil
 		g.mu.Unlock()
-		for f := range cur.files {
-			if err := f.Sync(); err != nil && cur.err == nil {
-				cur.err = err
+		var err error
+		for _, f := range cur.files {
+			if e := f.Sync(); e != nil && err == nil {
+				err = e
 			}
 		}
-		close(cur.done)
+		// Only the first flush is the leader's own. Not "cur == r": r is
+		// recycled below and can come back as a later round.
+		if first {
+			own = err
+		}
+		for ; cur.followers > 0; cur.followers-- {
+			cur.done <- err
+		}
+		clear(cur.files)
+		cur.files = cur.files[:0]
 		g.mu.Lock()
+		g.free = cur
 		if g.cur == nil {
 			g.busy = false
 			g.mu.Unlock()
-			return r.err
+			return own
 		}
 		cur = g.cur
 	}
+}
+
+// add records that the round must sync f. Rounds hold a handful of files, so
+// a linear scan beats a map — and allocates nothing.
+func (r *commitRound) add(f syncable) {
+	for _, have := range r.files {
+		if have == f {
+			return
+		}
+	}
+	r.files = append(r.files, f)
 }

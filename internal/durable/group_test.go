@@ -87,6 +87,24 @@ func TestGroupCommitSoloFlushesImmediately(t *testing.T) {
 	}
 }
 
+// TestGroupCommitSoloAllocatesNothing pins the common case on an idle or
+// single-shard committer: a Commit that is alone reuses the round the
+// previous one finished with.
+func TestGroupCommitSoloAllocatesNothing(t *testing.T) {
+	g := NewGroupCommitter()
+	f := &slowFile{}
+	if err := g.Commit(f); err != nil { // the first round is allocated
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := g.Commit(f); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("solo Commit allocates %.1f times", avg)
+	}
+}
+
 // TestGroupCommitErrorPropagates: a failing Sync must error every Commit of
 // its round (any of their appends may not be durable), and a later round
 // against a healed file must succeed — the committer itself carries no
@@ -115,6 +133,84 @@ func TestGroupCommitErrorPropagates(t *testing.T) {
 	f.fail.Store(false)
 	if err := g.Commit(f); err != nil {
 		t.Fatalf("commit after heal: %v", err)
+	}
+}
+
+// gatedFile hands each Sync to the test: it announces the call on entered
+// and returns whatever the test sends on release, so a test decides exactly
+// which round fails and who joins while it runs.
+type gatedFile struct {
+	entered chan struct{}
+	release chan error
+}
+
+func (f *gatedFile) Sync() error {
+	f.entered <- struct{}{}
+	return <-f.release
+}
+
+// TestGroupCommitErrorIsPerRound: a leader that goes on to flush later
+// rounds for its followers must still return its OWN round's result, and
+// each follower the result of the round it joined — even when a finished
+// round's struct is recycled into a later round of the same leader. Round 1
+// failing with rounds 2 and 3 healthy must not ack the leader's append;
+// round 3 failing must not fail it.
+func TestGroupCommitErrorIsPerRound(t *testing.T) {
+	bad := errors.New("injected sync failure")
+	for _, tc := range []struct {
+		name   string
+		rounds [3]error
+	}{
+		{"first round fails", [3]error{bad, nil, nil}},
+		{"last round fails", [3]error{nil, nil, bad}},
+		{"middle round fails", [3]error{nil, bad, nil}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGroupCommitter()
+			f := &gatedFile{entered: make(chan struct{}), release: make(chan error)}
+			// got[0] is the leader, got[i] the follower that joins during
+			// flush i and so rides round i+1.
+			var got [3]chan error
+			for i := range got {
+				got[i] = make(chan error, 1)
+			}
+			commit := func(i int) { got[i] <- g.Commit(f) }
+			joined := func() {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					g.mu.Lock()
+					ok := g.cur != nil && g.cur.followers == 1
+					g.mu.Unlock()
+					if ok {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("follower never joined the pending round")
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			go commit(0)
+			for round := 0; round < 3; round++ {
+				<-f.entered
+				if round < 2 {
+					go commit(round + 1)
+					joined()
+				}
+				f.release <- tc.rounds[round]
+			}
+			for i, want := range tc.rounds {
+				select {
+				case err := <-got[i]:
+					if err != want {
+						t.Errorf("commit of round %d returned %v, want %v", i+1, err, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("commit of round %d never returned", i+1)
+				}
+			}
+		})
 	}
 }
 

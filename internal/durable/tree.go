@@ -18,42 +18,41 @@ import (
 // anti-entropy digests against always describes exactly the on-disk log.
 //
 // The forest's whole state is the per-origin update-hash arrays, so it
-// checkpoints alongside snapshots: compact writes tree.ckpt (one CRC'd
-// frame: per origin, count, prefix root, then raw 32-byte hashes)
-// atomically, and Open reloads it to skip rehashing the snapshot prefix,
-// rehashing only the wal tail. The checkpoint is advisory — missing,
-// corrupt, ahead of the recovered events, or failing verification, it is
-// discarded and the forest rebuilds from the recovered payloads, which
-// recovery holds in memory anyway.
+// checkpoints alongside the snapshot, and like the snapshot it is
+// append-only: each seal appends one frame to tree.ckpt holding, per
+// origin, the hashes added since the previous frame and the root over all
+// of them so far. Open replays the frames to seed the forest and rehashes
+// only what lies beyond them. The checkpoint is advisory — missing, ahead
+// of the recovered events, or failing verification, it is discarded and
+// the forest rebuilds from the recovered payloads, which recovery holds in
+// memory anyway; the next seal then starts the file over with one frame
+// covering the whole forest.
 //
-// The checkpoint is also always potentially STALE: compact writes it after
-// the snapshot rename, so a crash in between leaves the previous
-// checkpoint next to the new snapshot. Staleness alone is benign (a
-// shorter honest prefix seeds fine), but it means the file's contents can
-// describe a history other than the one on disk — most plainly after a
-// torn-tail truncation made the node re-mint seqs with different payloads.
-// Verification therefore never trusts the hash arrays on CRC alone: the
-// stored prefix root must reproduce from the stored hashes (catching any
-// internal inconsistency the CRC happens to pass), and the stored hashes
-// must match the recovered payloads over the whole last leaf (catching a
-// divergent recent history, where the old last-hash-only spot check could
-// be fooled by a coincidentally-matching final event).
+// The checkpoint is also always potentially STALE: a seal extends it after
+// the snapshot, so a crash in between leaves it a frame short. Staleness
+// alone is benign (a shorter honest prefix seeds fine), but it means the
+// file's contents can describe a history other than the one on disk — most
+// plainly after a torn-tail truncation made the node re-mint seqs with
+// different payloads. Verification therefore never trusts the hashes on CRC
+// alone: every frame's stored root must reproduce from the hashes up to it
+// (catching any internal inconsistency the CRC happens to pass), and the
+// stored hashes must match the recovered payloads over the whole last leaf
+// (catching a divergent recent history, where a last-hash-only spot check
+// could be fooled by a coincidentally-matching final event).
 
 const treeName = "tree.ckpt"
 
-// treeCkptV2 marks the v2 checkpoint layout. It is written where v1 put
-// the origin count — which is always ≥ 1 — so a v1 file can never be
-// misread as v2. v1 files (no stored roots) are simply discarded: the
-// checkpoint is advisory, so the cost is one full rebuild on the first
-// open after an upgrade.
-const treeCkptV2 = 0
-
-// treeCkpt is one decoded checkpoint: per origin, the prefix root the
-// writer computed over its live forest, and the raw update-hash array.
-type treeCkpt struct {
-	roots  []membership.Hash
-	hashes [][]membership.Hash
-}
+// treeCkptV3 opens every frame's payload. The file is a sequence of frames,
+// each length | crc32c | payload like a journal record, with payload
+//
+//	uvarint version (3), uvarint origins,
+//	per origin: uvarint start, uvarint added, 32-byte root, added × 32-byte hashes
+//
+// where start is how many of the origin's hashes earlier frames hold and
+// root is its Merkle root over start+added. Files in the earlier whole-file
+// layouts do not parse as a frame and are discarded like any other damage:
+// the cost is one full rebuild on the first open after an upgrade.
+const treeCkptV3 = 3
 
 // hashEvent folds one journaled event into the forest; non-broadcast
 // events (ActDo) hash nothing. Gap errors mean the journal itself skipped
@@ -66,8 +65,10 @@ func hashEvent(tree *membership.Forest, ev cluster.Event) error {
 }
 
 // buildTree reconstructs the forest for a recovered event sequence, seeded
-// where possible by the checkpoint's hash arrays.
-func buildTree(dir string, n int, events []cluster.Event) (*membership.Forest, error) {
+// where possible by the checkpoint. It also returns, per origin, how many
+// hashes the checkpoint file holds once buildTree is done with it: the
+// seeded counts, or zeros after a discard.
+func buildTree(dir string, n int, events []cluster.Event) (*membership.Forest, []uint64, error) {
 	// Per-origin payloads in seq order, straight from the recovered events.
 	payloads := make([][][]byte, n)
 	for _, ev := range events {
@@ -76,161 +77,150 @@ func buildTree(dir string, n int, events []cluster.Event) (*membership.Forest, e
 		}
 		o := int(ev.Origin)
 		if o < 0 || o >= n {
-			return nil, &CorruptionError{File: walName, Reason: fmt.Sprintf("broadcast event from origin %d in a %d-replica log", o, n)}
+			return nil, nil, &CorruptionError{File: walName, Reason: fmt.Sprintf("broadcast event from origin %d in a %d-replica log", o, n)}
 		}
 		if ev.Seq != uint64(len(payloads[o]))+1 {
-			return nil, &CorruptionError{File: walName, Reason: fmt.Sprintf("origin %d broadcast seq %d, want %d", o, ev.Seq, len(payloads[o])+1)}
+			return nil, nil, &CorruptionError{File: walName, Reason: fmt.Sprintf("origin %d broadcast seq %d, want %d", o, ev.Seq, len(payloads[o])+1)}
 		}
 		payloads[o] = append(payloads[o], ev.Payload)
 	}
 
-	ckpt := readTreeCkpt(filepath.Join(dir, treeName), n)
-	tree := membership.NewForest(n)
+	path := filepath.Join(dir, treeName)
+	ckpt, _ := os.ReadFile(path) // missing or unreadable: nothing to seed from
+	tree, keep := replayTreeCkpt(ckpt, n)
+	if tree != nil && !ckptMatchesPayloads(tree, payloads) {
+		tree, keep = nil, 0
+	}
+	if tree == nil {
+		tree = membership.NewForest(n)
+	}
+	// Cut the file back to the frames that seeded the forest, so the next
+	// seal's frame chains onto them.
+	if keep < len(ckpt) {
+		if err := os.Truncate(path, int64(keep)); err != nil {
+			return nil, nil, fmt.Errorf("durable: tree checkpoint: %w", err)
+		}
+	}
+	ckptCount := make([]uint64, n)
 	for o := 0; o < n; o++ {
-		var prefix []membership.Hash
-		if ckpt != nil && uint64(len(ckpt.hashes[o])) <= uint64(len(payloads[o])) &&
-			verifyCkptOrigin(o, ckpt.roots[o], ckpt.hashes[o], payloads[o]) {
-			prefix = ckpt.hashes[o]
-		}
-		for _, h := range prefix {
-			if err := tree.AppendHash(o, h); err != nil {
-				return nil, err
-			}
-		}
-		for i := len(prefix); i < len(payloads[o]); i++ {
+		ckptCount[o] = tree.Count(o)
+		for i := int(ckptCount[o]); i < len(payloads[o]); i++ {
 			if err := tree.Append(o, uint64(i)+1, payloads[o][i]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
-	return tree, nil
+	return tree, ckptCount, nil
 }
 
-// verifyCkptOrigin decides whether one origin's checkpointed hash array may
-// seed the forest. Two independent checks, both required:
-//
-//   - The stored prefix root must reproduce from the stored hashes. The CRC
-//     already rejects bit rot, so what this really catches is a checkpoint
-//     whose parts disagree — spliced, truncated-and-extended, or written by
-//     a build with different hashing rules — without rehashing any payload.
-//   - The stored hashes must match the recovered payloads over the entire
-//     last leaf (up to LeafSpan trailing updates), not just the final one.
-//     A stale checkpoint from before a torn-tail truncation can describe
-//     re-minted recent history; checking one trailing event lets any
-//     divergence older than it through, and a forest seeded that way serves
-//     digests that "prove" divergence to every honest joiner.
-//
-// Interior Merkle hashing does not mix in the origin (only leaf update
-// hashes do), so the scratch forest recomputes the root from the hash array
-// alone.
-func verifyCkptOrigin(origin int, root membership.Hash, hashes []membership.Hash, payloads [][]byte) bool {
-	k := uint64(len(hashes))
-	if k == 0 {
-		return root == (membership.Hash{})
+// replayTreeCkpt replays the checkpoint file's frames into a fresh forest.
+// It reads frames until the first damaged one — a torn append — and returns
+// the forest with the offset the intact frames end at. A frame that is
+// intact but wrong discards everything (nil forest): one from another
+// layout or origin population, one that does not start where its
+// predecessors ended, or one whose stored root does not reproduce from the
+// hashes up to it. The CRC already rejects bit rot, so what the root check
+// really catches is a checkpoint whose parts disagree — spliced,
+// truncated-and-extended, or written by a build with different hashing
+// rules — without rehashing any payload.
+func replayTreeCkpt(buf []byte, n int) (*membership.Forest, int) {
+	tree := membership.NewForest(n)
+	off := 0
+	for len(buf)-off >= 8 {
+		size := int(rd32(buf[off : off+4]))
+		if size > len(buf)-off-8 {
+			break
+		}
+		payload := buf[off+8 : off+8+size]
+		if crc32.Checksum(payload, castagnoli) != rd32(buf[off+4:off+8]) {
+			break
+		}
+		r := wire.NewReader(payload)
+		if r.Uvarint() != treeCkptV3 || r.Uvarint() != uint64(n) {
+			return nil, 0
+		}
+		for o := 0; o < n; o++ {
+			start, added := r.Uvarint(), r.Uvarint()
+			root := r.Fixed(32)
+			if root == nil || start != tree.Count(o) || added > uint64(r.Remaining()/32) {
+				return nil, 0
+			}
+			for i := uint64(0); i < added; i++ {
+				if tree.AppendHash(o, membership.Hash(r.Fixed(32))) != nil {
+					return nil, 0
+				}
+			}
+			if tree.Root(o) != membership.Hash(root) {
+				return nil, 0
+			}
+		}
+		if r.Err() != nil || r.Remaining() != 0 {
+			return nil, 0
+		}
+		off += 8 + size
 	}
-	scratch := membership.NewForest(1)
-	for _, h := range hashes {
-		if scratch.AppendHash(0, h) != nil {
+	return tree, off
+}
+
+// ckptMatchesPayloads decides whether a forest replayed from the checkpoint
+// may seed the log's: for every origin it must not run ahead of the
+// recovered events, and its hashes must match the recovered payloads over
+// the entire last leaf (up to LeafSpan trailing updates), not just the final
+// one. A stale checkpoint from before a torn-tail truncation can describe
+// re-minted recent history; checking one trailing event lets any divergence
+// older than it through, and a forest seeded that way serves digests that
+// "prove" divergence to every honest joiner.
+func ckptMatchesPayloads(tree *membership.Forest, payloads [][][]byte) bool {
+	for o := range payloads {
+		k := tree.Count(o)
+		if k > uint64(len(payloads[o])) {
 			return false
 		}
-	}
-	if scratch.PrefixRoot(0, k) != root {
-		return false
-	}
-	lo := uint64(0)
-	if k > membership.LeafSpan {
-		lo = k - membership.LeafSpan
-	}
-	for i := lo; i < k; i++ {
-		if hashes[i] != membership.HashUpdate(origin, i+1, payloads[i]) {
-			return false
+		lo := uint64(0)
+		if k > membership.LeafSpan {
+			lo = k - membership.LeafSpan
+		}
+		for i := lo; i < k; i++ {
+			if tree.UpdateHash(o, i) != membership.HashUpdate(o, i+1, payloads[o][i]) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// writeTreeCkpt persists the forest atomically: tmp + fsync + rename, the
-// same discipline as snapshots, with one CRC over the whole payload.
-func writeTreeCkpt(dir string, tree *membership.Forest) error {
-	w := wire.NewWriter()
-	w.Raw([]byte{0, 0, 0, 0}) // CRC slot
-	w.Uvarint(treeCkptV2)
-	w.Uvarint(2) // layout version
-	w.Uvarint(uint64(tree.Origins()))
-	for o := 0; o < tree.Origins(); o++ {
-		count := tree.Count(o)
-		w.Uvarint(count)
-		root := tree.Root(o)
+// appendTreeCkpt appends one frame holding every update hash the forest has
+// gained since the last one. The frame is built in a pooled writer and is as
+// long as the sealed tail, not the history.
+func (l *Log) appendTreeCkpt() error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.Raw([]byte{0, 0, 0, 0, 0, 0, 0, 0}) // length and CRC slots
+	w.Uvarint(treeCkptV3)
+	w.Uvarint(uint64(l.tree.Origins()))
+	grew := false
+	for o, start := range l.ckptCount {
+		count := l.tree.Count(o)
+		grew = grew || count > start
+		w.Uvarint(start)
+		w.Uvarint(count - start)
+		root := l.tree.Root(o)
 		w.Raw(root[:])
-		for i := uint64(0); i < count; i++ {
-			h := tree.UpdateHash(o, i)
+		for i := start; i < count; i++ {
+			h := l.tree.UpdateHash(o, i)
 			w.Raw(h[:])
 		}
 	}
-	buf := w.Bytes()
-	be32(buf[0:4], crc32.Checksum(buf[4:], castagnoli))
-
-	tmp := filepath.Join(dir, treeName+".tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if !grew {
+		return nil
+	}
+	frame := w.Bytes()
+	putFrameHeader(frame)
+	if err := l.appendDurably(&l.ckpt, treeName, frame); err != nil {
 		return fmt.Errorf("durable: tree checkpoint: %w", err)
 	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
+	for o := range l.ckptCount {
+		l.ckptCount[o] = l.tree.Count(o)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, treeName)); err != nil {
-		return fmt.Errorf("durable: tree checkpoint rename: %w", err)
-	}
-	syncDir(dir)
 	return nil
-}
-
-// readTreeCkpt loads a checkpoint, or nil if the file is missing, damaged,
-// in the rootless v1 layout, or describes a different origin population —
-// all of which just mean "rebuild from the events".
-func readTreeCkpt(path string, n int) *treeCkpt {
-	buf, err := os.ReadFile(path)
-	if err != nil || len(buf) < 4 {
-		return nil
-	}
-	if crc32.Checksum(buf[4:], castagnoli) != rd32(buf[0:4]) {
-		return nil
-	}
-	r := wire.NewReader(buf[4:])
-	if r.Uvarint() != treeCkptV2 || r.Uvarint() != 2 {
-		return nil
-	}
-	if r.Uvarint() != uint64(n) {
-		return nil
-	}
-	c := &treeCkpt{
-		roots:  make([]membership.Hash, n),
-		hashes: make([][]membership.Hash, n),
-	}
-	for o := 0; o < n; o++ {
-		count := r.Uvarint()
-		if r.Err() != nil || count > uint64(r.Remaining()/32)+1 {
-			return nil
-		}
-		rb := r.Fixed(32)
-		if rb == nil {
-			return nil
-		}
-		copy(c.roots[o][:], rb)
-		c.hashes[o] = make([]membership.Hash, 0, count)
-		for i := uint64(0); i < count; i++ {
-			b := r.Fixed(32)
-			if b == nil {
-				return nil
-			}
-			var h membership.Hash
-			copy(h[:], b)
-			c.hashes[o] = append(c.hashes[o], h)
-		}
-	}
-	if r.Err() != nil || r.Remaining() != 0 {
-		return nil
-	}
-	return c
 }

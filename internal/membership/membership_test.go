@@ -64,10 +64,17 @@ func TestViewMergeConvergent(t *testing.T) {
 }
 
 // buildForest hashes k deterministic updates for origin 0.
-func buildForest(k int) *Forest {
+func buildForest(k int) *Forest { return buildForestExcept(k, 0) }
+
+// buildForestExcept is buildForest with a different payload at seq odd
+// (none when odd is 0).
+func buildForestExcept(k, odd int) *Forest {
 	f := NewForest(3)
 	for i := 1; i <= k; i++ {
 		payload := []byte(fmt.Sprintf("update-%d", i))
+		if i == odd {
+			payload = []byte("something else")
+		}
 		if err := f.Append(0, uint64(i), payload); err != nil {
 			panic(err)
 		}
@@ -92,9 +99,8 @@ func TestForestPrefixAgreement(t *testing.T) {
 
 func TestForestDetectsDivergence(t *testing.T) {
 	a := buildForest(100)
-	b := buildForest(100)
-	// Corrupt one update hash in the middle of b.
-	b.hashes[0][40][0] ^= 0xff
+	// b holds a different update in the middle: index 40 is seq 41.
+	b := buildForestExcept(100, 41)
 	if a.Root(0) == b.Root(0) {
 		t.Fatal("root blind to a corrupted update")
 	}

@@ -16,35 +16,47 @@ const LeafSpan = 32
 type Hash [32]byte
 
 // Forest holds one node's incremental Merkle summary of every origin's
-// broadcast history: per origin, the per-update hashes in seq order, from
-// which any leaf, interior node, or prefix root is derived on demand.
+// broadcast history: per origin, the per-update hashes in seq order plus
+// the hash of every complete tree node over them.
 //
-// Append is O(1); roots and node hashes are recomputed per query (O(k) for
-// a k-update origin), which keeps the structure trivially checkpointable —
-// the update-hash arrays ARE the whole state — at history sizes this
-// repository measures. The zero value is unusable; use NewForest.
+// A node is complete once every update it covers has been appended; its
+// hash never changes afterwards and does not depend on the prefix a query
+// asks about. Append fills that cache as nodes complete (amortized O(1),
+// no allocation beyond slice growth), so a root, prefix root or node hash
+// costs O(log k): complete nodes are looked up and only the incomplete
+// right spine is hashed. The cache is derived state — the update-hash
+// arrays are still all a checkpoint has to hold. The zero value is
+// unusable; use NewForest.
 //
 // The Forest is not internally locked: the cluster's event loop owns the
 // writes (Append runs in the same loop turn that journals the hashed
 // event) and readers go through the same loop.
 type Forest struct {
-	hashes [][]Hash
+	origins []originTree
+}
+
+// originTree is one origin's update hashes and complete-node cache:
+// nodes[level][index] is the hash of node (level, index), present exactly
+// when (index+1)·LeafSpan·2^level ≤ len(hashes).
+type originTree struct {
+	hashes []Hash
+	nodes  [][]Hash
 }
 
 // NewForest returns an empty forest for an n-origin cluster.
 func NewForest(n int) *Forest {
-	return &Forest{hashes: make([][]Hash, n)}
+	return &Forest{origins: make([]originTree, n)}
 }
 
 // Origins returns the origin population the forest was created for.
-func (f *Forest) Origins() int { return len(f.hashes) }
+func (f *Forest) Origins() int { return len(f.origins) }
 
 // Count returns how many of origin's updates the forest has hashed.
 func (f *Forest) Count(origin int) uint64 {
-	if origin < 0 || origin >= len(f.hashes) {
+	if origin < 0 || origin >= len(f.origins) {
 		return 0
 	}
-	return uint64(len(f.hashes[origin]))
+	return uint64(len(f.origins[origin].hashes))
 }
 
 // HashUpdate digests one broadcast update's identity and content: origin,
@@ -74,13 +86,13 @@ func HashUpdate(origin int, seq uint64, payload []byte) Hash {
 // else is a caller bug worth failing loudly over, since a silently
 // misaligned tree would "detect" divergence that is not there.
 func (f *Forest) Append(origin int, seq uint64, payload []byte) error {
-	if origin < 0 || origin >= len(f.hashes) {
-		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.hashes))
+	if origin < 0 || origin >= len(f.origins) {
+		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.origins))
 	}
-	if want := uint64(len(f.hashes[origin])) + 1; seq != want {
+	if want := uint64(len(f.origins[origin].hashes)) + 1; seq != want {
 		return fmt.Errorf("membership: origin %d hash append at seq %d, want %d", origin, seq, want)
 	}
-	f.hashes[origin] = append(f.hashes[origin], HashUpdate(origin, seq, payload))
+	f.origins[origin].push(HashUpdate(origin, seq, payload))
 	return nil
 }
 
@@ -88,16 +100,38 @@ func (f *Forest) Append(origin int, seq uint64, payload []byte) error {
 // path: internal/durable persists the raw hash arrays and reloads them
 // without re-reading payloads).
 func (f *Forest) AppendHash(origin int, h Hash) error {
-	if origin < 0 || origin >= len(f.hashes) {
-		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.hashes))
+	if origin < 0 || origin >= len(f.origins) {
+		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.origins))
 	}
-	f.hashes[origin] = append(f.hashes[origin], h)
+	f.origins[origin].push(h)
 	return nil
+}
+
+// push appends one update hash and caches every node it completes: the
+// leaf when a LeafSpan boundary is reached, then each ancestor whose right
+// child that just finished.
+func (t *originTree) push(h Hash) {
+	t.hashes = append(t.hashes, h)
+	if len(t.hashes)%LeafSpan != 0 {
+		return
+	}
+	node := leafHash(t.hashes[len(t.hashes)-LeafSpan:])
+	for level := 0; ; level++ {
+		if level == len(t.nodes) {
+			t.nodes = append(t.nodes, nil)
+		}
+		t.nodes[level] = append(t.nodes[level], node)
+		n := len(t.nodes[level])
+		if n%2 != 0 {
+			return
+		}
+		node = interiorHash(t.nodes[level][n-2], t.nodes[level][n-1])
+	}
 }
 
 // UpdateHash returns the hash of origin's i-th update (0-based).
 func (f *Forest) UpdateHash(origin int, i uint64) Hash {
-	return f.hashes[origin][i]
+	return f.origins[origin].hashes[i]
 }
 
 // TopLevel returns the level of the root node of a tree over k updates:
@@ -114,10 +148,31 @@ func TopLevel(k uint64) int {
 
 // Domain-separation prefixes: leaf and interior hashes can never collide
 // with each other or with raw update hashes.
-var (
-	leafTag     = []byte{0x00}
-	interiorTag = []byte{0x01}
+const (
+	leafTag     = 0x00
+	interiorTag = 0x01
 )
+
+// leafHash digests up to LeafSpan consecutive update hashes. The input is
+// assembled in a stack array so the call allocates nothing.
+func leafHash(hashes []Hash) Hash {
+	var buf [1 + LeafSpan*len(Hash{})]byte
+	buf[0] = leafTag
+	n := 1
+	for i := range hashes {
+		n += copy(buf[n:], hashes[i][:])
+	}
+	return sha256.Sum256(buf[:n])
+}
+
+// interiorHash digests a node's two children.
+func interiorHash(left, right Hash) Hash {
+	var buf [1 + 2*len(Hash{})]byte
+	buf[0] = interiorTag
+	copy(buf[1:], left[:])
+	copy(buf[1+len(left):], right[:])
+	return sha256.Sum256(buf[:])
+}
 
 // NodeHash returns the hash of node (level, index) in the Merkle tree over
 // the first prefix updates of origin, and whether that node exists (covers
@@ -127,47 +182,48 @@ var (
 // (the "lifted" convention), so the root over k updates is insensitive to
 // how the incomplete right spine is padded.
 func (f *Forest) NodeHash(origin int, prefix uint64, level int, index uint64) (Hash, bool) {
-	if origin < 0 || origin >= len(f.hashes) {
+	if origin < 0 || origin >= len(f.origins) {
 		return Hash{}, false
 	}
-	if prefix > uint64(len(f.hashes[origin])) {
+	t := &f.origins[origin]
+	if prefix > uint64(len(t.hashes)) {
 		return Hash{}, false
 	}
+	// Above the root every node is the lifted root (index 0) or empty, so
+	// the walk starts no higher than the top level whatever a peer asks for.
+	if top := TopLevel(prefix); level > top {
+		if index != 0 {
+			return Hash{}, false
+		}
+		level = top
+	}
+	return t.nodeHash(prefix, level, index)
+}
+
+// nodeHash is NodeHash for prefix ≤ len(t.hashes) and level ≤ TopLevel(prefix).
+func (t *originTree) nodeHash(prefix uint64, level int, index uint64) (Hash, bool) {
 	span := uint64(LeafSpan) << uint(level)
 	start := index * span
 	if start >= prefix || level < 0 {
 		return Hash{}, false
 	}
-	if level == 0 {
-		end := start + LeafSpan
-		if end > prefix {
-			end = prefix
-		}
-		h := sha256.New()
-		h.Write(leafTag)
-		for i := start; i < end; i++ {
-			hh := f.hashes[origin][i]
-			h.Write(hh[:])
-		}
-		var out Hash
-		h.Sum(out[:0])
-		return out, true
+	// A cached node is complete over the whole history; it is this prefix's
+	// node too when the prefix covers all of it.
+	if level < len(t.nodes) && index < uint64(len(t.nodes[level])) && start+span <= prefix {
+		return t.nodes[level][index], true
 	}
-	left, okL := f.NodeHash(origin, prefix, level-1, 2*index)
-	right, okR := f.NodeHash(origin, prefix, level-1, 2*index+1)
+	if level == 0 {
+		return leafHash(t.hashes[start:prefix]), true
+	}
+	left, okL := t.nodeHash(prefix, level-1, 2*index)
+	right, okR := t.nodeHash(prefix, level-1, 2*index+1)
 	if !okL {
 		return Hash{}, false
 	}
 	if !okR {
 		return left, true
 	}
-	h := sha256.New()
-	h.Write(interiorTag)
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out, true
+	return interiorHash(left, right), true
 }
 
 // PrefixRoot returns the Merkle root over the first k updates of origin
