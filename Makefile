@@ -62,6 +62,7 @@ wirebench:
 # run already replays.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReusedFrameBuffer -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReader -fuzztime 10s
 	$(GO) test ./internal/abstract -run '^$$' -fuzz FuzzUnmarshalExecution -fuzztime 10s
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzRecoverTail -fuzztime 10s

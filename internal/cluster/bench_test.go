@@ -1,0 +1,177 @@
+package cluster
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/wire"
+)
+
+// Per-layer benchmarks of the serving path inside a node, each on the
+// piece of the shard loop it names, with allocations. They run on a loose
+// shard (no sockets, no loop goroutine) unless the hand-off itself is the
+// subject.
+//
+//	go test ./internal/cluster -run '^$' -bench . -benchmem
+
+const benchValue = "0123456789abcdef"
+
+// fileJournal stands in for durable.Log under NoSync (importing
+// internal/durable here would be an import cycle; its own BenchmarkAppend
+// times the real one): encode the event in a pooled writer and write it to
+// a file, no fsync.
+func fileJournal(b *testing.B) func(Event) error {
+	f, err := os.Create(filepath.Join(b.TempDir(), "journal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { f.Close() })
+	return func(ev Event) error {
+		w := wire.GetWriter()
+		defer wire.PutWriter(w)
+		if err := AppendEventBinary(w, ev); err != nil {
+			return err
+		}
+		_, err := f.Write(w.Bytes())
+		return err
+	}
+}
+
+// BenchmarkDoInLoop is one client operation on the shard loop — checked
+// store.Do, frontier, record, broadcast — over 64 preloaded keys, in memory
+// and with a journal. A write records two events (do, send); a read one.
+func BenchmarkDoInLoop(b *testing.B) {
+	keys := make([]model.ObjectID, 64)
+	for i := range keys {
+		keys[i] = model.ObjectID(fmt.Sprintf("k%02d", i))
+	}
+	for _, op := range []model.Operation{model.Read(), model.Write(benchValue)} {
+		for _, journal := range []bool{false, true} {
+			name := fmt.Sprintf("%v/mem", op.Kind)
+			if journal {
+				name = fmt.Sprintf("%v/journal", op.Kind)
+			}
+			b.Run(name, func(b *testing.B) {
+				s := looseShard(b, "causal")
+				for _, k := range keys {
+					s.doInLoop(k, model.Write(benchValue))
+				}
+				if journal {
+					s.journal = fileJournal(b)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.doInLoop(keys[i%len(keys)], op)
+				}
+				if s.jerr != nil {
+					b.Fatal(s.jerr)
+				}
+			})
+		}
+	}
+}
+
+// benchUpdates mints n real updates at replica 0 of the causal store.
+func benchUpdates(b *testing.B, n int) []protoUpdate {
+	src := looseShard(b, "causal").n.cfg.Store.NewReplica(0, 3)
+	us := make([]protoUpdate, n)
+	for i := range us {
+		src.Do(model.ObjectID(fmt.Sprintf("k%02d", i%64)), model.Write(benchValue))
+		us[i] = protoUpdate{Origin: 0, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: append([]byte(nil), src.PendingMessage()...)}
+		src.OnSend()
+	}
+	return us
+}
+
+// BenchmarkApplyUpdate is one replicated update on the receiving shard's
+// loop: payload copy, checked store.Receive, record, index, hash. The
+// receiver is replaced (off the clock) each time it has applied the whole
+// minted stream.
+func BenchmarkApplyUpdate(b *testing.B) {
+	us := benchUpdates(b, 1<<14)
+	var s *shard
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(us) == 0 {
+			b.StopTimer()
+			s = looseShard(b, "causal")
+			b.StartTimer()
+		}
+		if _, ok := s.applyUpdate(us[i%len(us)]); !ok {
+			b.Fatal(s.jerr)
+		}
+	}
+}
+
+// BenchmarkLoopHandoff is one crossing into a running shard loop and back
+// with a reused function and done channel: what serveClient and
+// serveReplication pay per request and per batch.
+func BenchmarkLoopHandoff(b *testing.B) {
+	s := looseShard(b, "lww")
+	s.n.wg.Add(1)
+	go s.loop()
+	b.Cleanup(func() { close(s.n.done); s.n.wg.Wait() })
+	fn, done := func() {}, make(chan struct{}, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.handoff(fn, done); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecord records one event (with its update and hash, two times in
+// three) behind histories of different lengths: ns/op and B/op must not
+// depend on the length. The shard is rebuilt, off the clock, every 256 k
+// events so memory stays bounded however large b.N gets.
+func BenchmarkRecord(b *testing.B) {
+	payload := []byte(benchValue)
+	for _, behind := range []int{1 << 10, 1 << 18} {
+		b.Run(fmt.Sprintf("behind=%d", behind), func(b *testing.B) {
+			var s *shard
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%(1<<18) == 0 {
+					b.StopTimer()
+					s = looseShard(b, "lww")
+					for j := 0; j < behind; j++ {
+						recordStep(b, s, j, payload)
+					}
+					b.StartTimer()
+				}
+				recordStep(b, s, behind+i%(1<<18), payload)
+			}
+		})
+	}
+}
+
+// BenchmarkNextBatch builds one 64-update batch from the tail of a link's
+// unacked queue — a sender that has written almost everything and is
+// waiting for acks — at two queue depths.
+func BenchmarkNextBatch(b *testing.B) {
+	payload := []byte(benchValue)
+	for _, depth := range []int{64, 64 << 10} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			p := &peerSender{kick: make(chan struct{}, 1), queues: make([]peerQueue, 1)}
+			for i := 1; i <= depth; i++ {
+				p.enqueue(0, protoUpdate{Seq: uint64(i), Lamport: uint64(i), Payload: payload})
+			}
+			var us []protoUpdate
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				us, _ = p.nextBatch(0, uint64(depth-32), 64, 1<<20, us)
+			}
+			if len(us) != 32 {
+				b.Fatalf("batch of %d, want the 32 unsent updates", len(us))
+			}
+		})
+	}
+}

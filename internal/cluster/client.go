@@ -27,6 +27,12 @@ type Client struct {
 	nextReq   uint64
 	codec     wire.CodecID
 	opTimeout time.Duration
+	// buf receives Do's replies, one after another (decodeResponse copies
+	// the values out). Stats and History replies get a buffer per call: a
+	// history transfer can run to historyMaxFrame, too much to keep. r is
+	// the reader roundTrip hands back, reused the same way.
+	buf []byte
+	r   wire.Reader
 }
 
 // Dial connects a client to a node.
@@ -76,8 +82,9 @@ func (c *Client) Close() error {
 
 // roundTrip writes one frame and reads one reply whose type is in want,
 // returning the reply's reader positioned after the type tag plus the type
-// it got.
-func (c *Client) roundTrip(req []byte, replyMax int, want ...uint64) (*wire.Reader, uint64, error) {
+// it got. The reply is read into buf (see recvFrame; nil for a buffer of
+// its own); the reader is the client's own, good until the next roundTrip.
+func (c *Client) roundTrip(req []byte, replyMax int, buf *[]byte, want ...uint64) (*wire.Reader, uint64, error) {
 	if c.opTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
 		defer c.conn.SetDeadline(time.Time{})
@@ -85,11 +92,12 @@ func (c *Client) roundTrip(req []byte, replyMax int, want ...uint64) (*wire.Read
 	if _, err := wire.WriteFrame(c.conn, req, c.maxFrame); err != nil {
 		return nil, 0, fmt.Errorf("cluster: client write: %w", err)
 	}
-	b, err := recvFrame(c.conn, replyMax)
+	b, err := recvFrame(c.conn, replyMax, buf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: client read: %w", err)
 	}
-	r := wire.NewReader(b)
+	r := &c.r
+	r.Reset(b)
 	typ := r.Uvarint()
 	if r.Err() == nil {
 		for _, w := range want {
@@ -107,7 +115,7 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 	defer c.mu.Unlock()
 	c.nextReq++
 	id := c.nextReq
-	r, _, err := c.roundTrip(encodeRequest(id, obj, op), c.maxFrame, tResponse)
+	r, _, err := c.roundTrip(encodeRequest(id, obj, op), c.maxFrame, &c.buf, tResponse)
 	if err != nil {
 		return model.Response{}, err
 	}
@@ -125,7 +133,7 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 func (c *Client) Stats() (Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, typ, err := c.roundTrip(encodeStructuredReq(tStats, c.codec, wire.CompFlate), c.maxFrame, tStatsResp, tStatsRespB)
+	r, typ, err := c.roundTrip(encodeStructuredReq(tStats, c.codec, wire.CompFlate), c.maxFrame, nil, tStatsResp, tStatsRespB)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -160,7 +168,7 @@ func (c *Client) History() (History, error) {
 func (c *Client) ShardHistory(shard int) (History, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, typ, err := c.roundTrip(encodeStructuredReqShard(tHistory, c.codec, wire.CompFlate, uint64(shard)), historyMaxFrame, tHistoryResp, tHistoryRespB)
+	r, typ, err := c.roundTrip(encodeStructuredReqShard(tHistory, c.codec, wire.CompFlate, uint64(shard)), historyMaxFrame, nil, tHistoryResp, tHistoryRespB)
 	if err != nil {
 		return History{}, err
 	}

@@ -18,10 +18,12 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -316,8 +318,13 @@ type Node struct {
 	syncPulled atomic.Int64
 	syncServed atomic.Int64
 
-	peerMu sync.Mutex
-	peers  map[model.ReplicaID]*peerSender
+	// peers is written only by connectInLoop and disconnectPeer, under
+	// peerMu; each republishes peerList, the same senders in ID order, as an
+	// immutable snapshot the shard loops read per broadcast without locking
+	// or allocating (allPeers).
+	peerMu   sync.Mutex
+	peers    map[model.ReplicaID]*peerSender
+	peerList atomic.Pointer[[]*peerSender]
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // accepted connections
@@ -516,7 +523,7 @@ func (n *Node) connect(peers map[model.ReplicaID]string, skipLinked bool) error 
 		s := s
 		for _, p := range added {
 			p := p
-			if e := s.inLoop(func() { p.offerBacklog(s.idx, s.updates[n.cfg.ID]) }); e != nil {
+			if e := s.inLoop(func() { p.offerBacklog(s.idx, &s.updates[n.cfg.ID]) }); e != nil {
 				return e
 			}
 		}
@@ -525,11 +532,9 @@ func (n *Node) connect(peers map[model.ReplicaID]string, skipLinked bool) error 
 }
 
 // connectInLoop validates and starts the links on shard 0's event loop, so
-// shard 0's full-backlog offer and the peer-map insertion happen atomically
-// with respect to its broadcastPending. (It must not be called while
-// holding peerMu: the loop itself takes it via allPeers.) Returns the
-// newly started senders so the caller can offer the other shards'
-// backlogs.
+// shard 0's full-backlog offer and the peer-list publication happen
+// atomically with respect to its broadcastPending. Returns the newly
+// started senders so the caller can offer the other shards' backlogs.
 func (n *Node) connectInLoop(peers map[model.ReplicaID]string, skipLinked bool) ([]*peerSender, error) {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
@@ -551,25 +556,34 @@ func (n *Node) connectInLoop(peers map[model.ReplicaID]string, skipLinked bool) 
 		}
 		n.view.Merge(membership.Member{ID: int(id), Addr: addr})
 		p := newPeerSender(n, id, addr)
-		for _, u := range n.s0().updates[n.cfg.ID] {
-			p.enqueue(0, u)
-		}
+		p.offerBacklog(0, &n.s0().updates[n.cfg.ID])
 		n.peers[id] = p
 		added = append(added, p)
 		n.wg.Add(1)
 		go p.run()
 	}
+	n.publishPeers()
 	return added, nil
 }
 
-func (n *Node) allPeers() []*peerSender {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	out := make([]*peerSender, 0, len(n.peers))
+// publishPeers rebuilds the peerList snapshot from the peers map. Called
+// with peerMu held, by the map's two writers.
+func (n *Node) publishPeers() {
+	list := make([]*peerSender, 0, len(n.peers))
 	for _, p := range n.peers {
-		out = append(out, p)
+		list = append(list, p)
 	}
-	return out
+	slices.SortFunc(list, func(a, b *peerSender) int { return cmp.Compare(a.peer, b.peer) })
+	n.peerList.Store(&list)
+}
+
+// allPeers returns the current replication links in peer-ID order. The
+// slice is shared and immutable.
+func (n *Node) allPeers() []*peerSender {
+	if list := n.peerList.Load(); list != nil {
+		return *list
+	}
+	return nil
 }
 
 // inLoop runs fn on shard 0's event loop and waits for it to finish. It
@@ -598,19 +612,45 @@ func liveEvent(node model.ReplicaID, ev Event) livecheck.Event {
 // messages the operation made pending. Safe for concurrent use;
 // operations on different shards run concurrently.
 func (n *Node) Do(obj model.ObjectID, op model.Operation) (model.Response, error) {
-	s := n.shards[n.router.Route(obj)]
-	var resp model.Response
-	var jerr error
-	err := s.inLoop(func() {
-		resp = s.doInLoop(obj, op)
-		jerr = s.jerr
-	})
+	return newDoCall(n).do(obj, op)
+}
+
+// doCall is the slot one client operation at a time crosses into its
+// shard's loop through: arguments in, results out, and the closure and done
+// channel shard.handoff needs, built once. serveClient keeps one for the
+// life of its connection, so a request costs no allocation to hand over;
+// Node.Do uses a throw-away one. Not safe for concurrent use.
+type doCall struct {
+	n    *Node
+	done chan struct{}
+	run  func()
+
+	s    *shard
+	obj  model.ObjectID
+	op   model.Operation
+	resp model.Response
+	jerr error
+}
+
+func newDoCall(n *Node) *doCall {
+	c := &doCall{n: n, done: make(chan struct{}, 1)}
+	c.run = func() {
+		c.resp = c.s.doInLoop(c.obj, c.op)
+		c.jerr = c.s.jerr
+	}
+	return c
+}
+
+func (c *doCall) do(obj model.ObjectID, op model.Operation) (model.Response, error) {
+	c.s = c.n.shards[c.n.router.Route(obj)]
+	c.obj, c.op = obj, op
+	err := c.s.handoff(c.run, c.done)
 	if err == nil {
 		// A fail-stopping node must not confirm an operation whose event
 		// may never have reached the journal.
-		err = jerr
+		err = c.jerr
 	}
-	return resp, err
+	return c.resp, err
 }
 
 // Quiesced reports whether this node has nothing left to say: no pending
@@ -697,7 +737,7 @@ func (n *Node) Stats() Stats {
 			s.Ops += ops
 			s.Sends += sends
 			s.Receives += receives
-			s.Events += int64(len(sh.events))
+			s.Events += int64(sh.events.Len())
 			s.Violations += len(sh.checker.Violations())
 			if sh.replica.PendingMessage() != nil {
 				quiesced = false
@@ -706,7 +746,7 @@ func (n *Node) Stats() Stats {
 				s.ShardOps[i] = ops
 				s.ShardSends[i] = sends
 				s.ShardReceives[i] = receives
-				s.ShardEvents[i] = int64(len(sh.events))
+				s.ShardEvents[i] = int64(sh.events.Len())
 			}
 		})
 		if err != nil {
@@ -755,9 +795,13 @@ func (n *Node) Violations() []*store.PropertyViolation {
 }
 
 // History snapshots the node's recorded local history. On a sharded node
-// this is shard 0's history; use ShardHistory to audit every shard.
+// this is shard 0's history; use ShardHistory to audit every shard. On a
+// node that has been closed it returns a history with no events — it has
+// no error to say so with; ShardHistory reports ErrClosed, and FinalHistory
+// reads a closed node's frozen log.
 func (n *Node) History() History {
-	return n.s0().history()
+	h, _ := n.s0().history() // the error is ShardHistory's to report; see above
+	return h
 }
 
 // ShardHistory snapshots one shard's recorded local history. Histories of
@@ -767,7 +811,7 @@ func (n *Node) ShardHistory(shard int) (History, error) {
 	if shard < 0 || shard >= len(n.shards) {
 		return History{}, fmt.Errorf("cluster: shard %d outside node with %d shards", shard, len(n.shards))
 	}
-	return n.shards[shard].history(), nil
+	return n.shards[shard].history()
 }
 
 // FinalHistory returns the recorded history of a node that has been
@@ -787,7 +831,7 @@ func (n *Node) FinalHistory() History {
 	}
 	return History{
 		Node: n.cfg.ID, N: n.cfg.N, Store: n.cfg.Store.Name(),
-		Events: append([]Event(nil), n.s0().events...),
+		Events: n.s0().events.AppendTo(nil),
 	}
 }
 
@@ -876,16 +920,20 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrack(conn)
 	defer conn.Close()
-	first, err := recvFrame(conn, n.cfg.MaxFrame)
+	// buf is this connection's receive buffer: every frame the handler reads
+	// lands in it, overwriting the one before (recvFrame).
+	var buf []byte
+	first, err := recvFrame(conn, n.cfg.MaxFrame, &buf)
 	if err != nil {
 		return
 	}
-	r := wire.NewReader(first)
+	var r wire.Reader
+	r.Reset(first)
 	switch typ := r.Uvarint(); {
 	case r.Err() != nil:
 		return
 	case typ == tHello:
-		if h, err := decodeHello(r); err == nil {
+		if h, err := decodeHello(&r); err == nil {
 			// Wrap the accept side too: acks written back to this peer
 			// travel the reverse link, so an asymmetric cut of this→peer
 			// suppresses acknowledgements even while updates flow in.
@@ -924,29 +972,27 @@ func (n *Node) serveConn(conn net.Conn) {
 				}
 				chosen := negotiateCodec(n.codec.ID(), h.Codec)
 				chosenComp := negotiateComp(n.comp, h.Comp)
-				w := wire.GetWriter()
-				appendHelloAck(w, chosen, delivered, chosenComp, uint64(n.cfg.Shards), shardDelivered)
-				ok := n.writeFrame(conn, w.Bytes(), n.cfg.MaxFrame)
-				wire.PutWriter(w)
-				if !ok {
+				if !n.sendFrame(conn, func(w *wire.Writer) {
+					appendHelloAck(w, chosen, delivered, chosenComp, uint64(n.cfg.Shards), shardDelivered)
+				}) {
 					return
 				}
 			}
-			n.serveReplication(conn, shardMode)
+			n.serveReplication(conn, shardMode, &buf)
 		}
 		return
 	case typ == tJoin:
-		if j, err := decodeJoin(r); err == nil {
-			n.serveJoin(conn, j)
+		if j, err := decodeJoin(&r); err == nil {
+			n.serveJoin(conn, j, &buf)
 		}
 		return
 	case typ == tGossip:
-		if from, ms, err := decodeGossip(r, n.cfg.N); err == nil {
+		if from, ms, err := decodeGossip(&r, n.cfg.N); err == nil {
 			n.serveGossip(conn, from, ms)
 		}
 		return
 	}
-	n.serveClient(conn, first)
+	n.serveClient(conn, first, &buf)
 }
 
 // serveReplication applies a peer's update stream, answering each frame
@@ -959,75 +1005,89 @@ func (n *Node) serveConn(conn net.Conn) {
 // each earns a tShardAck; the classic frames are refused (and vice
 // versa), so a confused peer cannot slip one shard's updates into
 // another's counters.
-func (n *Node) serveReplication(conn net.Conn, shardMode bool) {
+func (n *Node) serveReplication(conn net.Conn, shardMode bool, buf *[]byte) {
+	// Everything a frame needs is built once per connection and reused: the
+	// receive buffer, the decoded batch (whose payloads alias that buffer —
+	// applyUpdate copies each before anything keeps it), the ack's writer,
+	// and the slot the batch crosses into its shard's loop through.
+	var (
+		r    wire.Reader
+		us   []protoUpdate
+		call struct {
+			sh      *shard
+			us      []protoUpdate
+			cum     uint64
+			ackable bool
+		}
+	)
+	apply := func() {
+		for _, u := range call.us {
+			call.cum, call.ackable = call.sh.applyUpdate(u)
+			if !call.ackable {
+				return
+			}
+		}
+	}
+	done := make(chan struct{}, 1)
+	enc := wire.GetWriter()
+	defer wire.PutWriter(enc)
 	for {
-		b, err := recvFrame(conn, n.cfg.MaxFrame)
+		b, err := recvFrame(conn, n.cfg.MaxFrame, buf)
 		if err != nil {
 			return
 		}
-		r := wire.NewReader(b)
-		var us []protoUpdate
+		r.Reset(b)
 		sh := n.s0()
 		switch r.Uvarint() {
 		case tUpdate:
 			if shardMode {
 				return
 			}
-			u, err := decodeUpdate(r)
+			u, err := decodeUpdate(&r)
 			if err != nil {
 				return
 			}
-			us = []protoUpdate{u}
+			us = append(us[:0], u)
 		case tBatch:
 			if shardMode {
 				return
 			}
-			if us, err = decodeBatch(r); err != nil || len(us) == 0 {
+			if us, err = decodeBatch(&r, us); err != nil || len(us) == 0 {
 				return
 			}
 		case tShardBatch:
 			if !shardMode {
 				return
 			}
-			shardIdx, sus, err := decodeShardBatch(r)
-			if err != nil || len(sus) == 0 || shardIdx >= uint64(len(n.shards)) {
+			var shardIdx uint64
+			if shardIdx, us, err = decodeShardBatch(&r, us); err != nil || len(us) == 0 || shardIdx >= uint64(len(n.shards)) {
 				return
 			}
 			sh = n.shards[shardIdx]
-			us = sus
 		default:
 			return
 		}
 		if int(us[0].Origin) < 0 || int(us[0].Origin) >= n.cfg.N {
 			return
 		}
-		var cum uint64
-		var ackable bool
-		if sh.inLoop(func() {
-			for _, u := range us {
-				cum, ackable = sh.applyUpdate(u)
-				if !ackable {
-					return
-				}
-			}
-		}) != nil {
+		call.sh, call.us = sh, us
+		if sh.handoff(apply, done) != nil {
 			return
 		}
-		if !ackable {
+		if !call.ackable {
 			// Journal failure: the node is fail-stopping and these updates'
 			// durability is unknown — drop the connection without acking so
 			// the sender keeps them queued for the next incarnation.
 			return
 		}
-		w := wire.GetWriter()
+		enc.Reset()
+		enc.BeginFrame()
 		if shardMode {
-			appendShardAck(w, uint64(sh.idx), cum)
+			appendShardAck(enc, uint64(sh.idx), call.cum)
 		} else {
-			appendAck(w, cum)
+			appendAck(enc, call.cum)
 		}
-		ok := n.writeFrame(conn, w.Bytes(), n.cfg.MaxFrame)
-		wire.PutWriter(w)
-		if !ok {
+		if n.writeEnc(conn, enc, n.cfg.MaxFrame, wire.CompNone) != nil {
 			return
 		}
 	}
@@ -1039,110 +1099,107 @@ func (n *Node) serveReplication(conn net.Conn, shardMode bool) {
 // anything else — including the bare v1 form — gets the JSON fallback. A
 // compression offer may trail the codec (v4): a binary history reply that
 // clears the floor then travels as a tCompressed envelope.
-func (n *Node) serveClient(conn net.Conn, first []byte) {
-	// reqMeta reads the optional trailing codec and compression fields of
-	// a structured request and resolves both against this node's own
-	// preferences.
-	reqMeta := func(r *wire.Reader) (wire.CodecID, uint64) {
-		if r.Remaining() == 0 {
-			return wire.CodecJSON, wire.CompNone
-		}
-		codec := negotiateCodec(n.codec.ID(), wire.CodecID(r.Uvarint()))
-		if r.Remaining() == 0 {
-			return codec, wire.CompNone
-		}
-		return codec, negotiateComp(n.comp, r.Uvarint())
-	}
+func (n *Node) serveClient(conn net.Conn, first []byte, buf *[]byte) {
+	// call is the slot this connection's requests cross into their shard's
+	// loop through, built once.
+	call := newDoCall(n)
 	frame := first
 	for {
-		r := wire.NewReader(frame)
-		typ := r.Uvarint()
-		if r.Err() != nil {
-			return
-		}
-		var reply []byte
-		maxFrame := n.cfg.MaxFrame
-		replyComp := wire.CompNone
-		w := wire.GetWriter()
-		switch typ {
-		case tRequest:
-			reqID, obj, op, err := decodeRequest(r)
-			if err != nil {
-				wire.PutWriter(w)
-				return
-			}
-			resp, err := n.Do(obj, op)
-			if err != nil {
-				wire.PutWriter(w)
-				return
-			}
-			reply = encodeResponse(reqID, resp)
-		case tStats:
-			if codec, _ := reqMeta(r); codec == wire.CodecBinary {
-				w.Uvarint(tStatsRespB)
-				appendStats(w, n.Stats())
-				reply = w.Bytes()
-			} else {
-				data, err := json.Marshal(n.Stats())
-				if err != nil {
-					wire.PutWriter(w)
-					return
-				}
-				reply = encodeJSON(tStatsResp, data)
-			}
-		case tHistory:
-			maxFrame = historyMaxFrame
-			codec, comp := reqMeta(r)
-			// A shard index may trail the compression offer (v5): serve
-			// that shard's projection. The bare form gets shard 0, which
-			// on an unsharded node is the whole history.
-			shard := 0
-			if r.Remaining() > 0 {
-				shard = int(r.Uvarint())
-			}
-			hist, herr := n.ShardHistory(shard)
-			if herr != nil {
-				wire.PutWriter(w)
-				return
-			}
-			if codec == wire.CodecBinary {
-				w.Uvarint(tHistoryRespB)
-				if appendHistory(w, hist) != nil {
-					wire.PutWriter(w)
-					return
-				}
-				reply = w.Bytes()
-				replyComp = comp
-			} else {
-				data, err := json.Marshal(hist)
-				if err != nil {
-					wire.PutWriter(w)
-					return
-				}
-				reply = encodeJSON(tHistoryResp, data)
-			}
-		default:
-			wire.PutWriter(w)
-			return
-		}
-		ok := n.writeFrameComp(conn, reply, maxFrame, replyComp)
-		wire.PutWriter(w)
-		if !ok {
+		if !n.answer(conn, frame, call) {
 			return
 		}
 		var err error
-		if frame, err = recvFrame(conn, n.cfg.MaxFrame); err != nil {
+		if frame, err = recvFrame(conn, n.cfg.MaxFrame, buf); err != nil {
 			return
 		}
 	}
 }
 
-func (n *Node) writeFrame(conn net.Conn, payload []byte, maxFrame int) bool {
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
-	nBytes, err := wire.WriteFrame(conn, payload, maxFrame)
-	n.bytesOut.Add(int64(nBytes))
-	n.framesOut.Add(1)
-	return err == nil
+// answer serves one client request frame; false means hang up. The reply
+// is built behind its frame header in one pooled writer, so it leaves in
+// one conn.Write and (a history transfer aside) allocates nothing.
+func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
+	var r wire.Reader
+	r.Reset(frame)
+	typ := r.Uvarint()
+	if r.Err() != nil {
+		return false
+	}
+	maxFrame := n.cfg.MaxFrame
+	replyComp := wire.CompNone
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.BeginFrame()
+	switch typ {
+	case tRequest:
+		reqID, obj, op, err := decodeRequest(&r)
+		if err != nil {
+			return false
+		}
+		resp, err := call.do(obj, op)
+		if err != nil {
+			return false
+		}
+		appendResponse(w, reqID, resp)
+	case tStats:
+		if codec, _ := n.reqMeta(&r); codec == wire.CodecBinary {
+			w.Uvarint(tStatsRespB)
+			appendStats(w, n.Stats())
+		} else {
+			data, err := json.Marshal(n.Stats())
+			if err != nil {
+				return false
+			}
+			appendJSON(w, tStatsResp, data)
+		}
+	case tHistory:
+		maxFrame = historyMaxFrame
+		codec, comp := n.reqMeta(&r)
+		// A shard index may trail the compression offer (v5): serve that
+		// shard's projection. The bare form gets shard 0, which on an
+		// unsharded node is the whole history.
+		shard := 0
+		if r.Remaining() > 0 {
+			shard = int(r.Uvarint())
+		}
+		// A node that is closing has no history to give: hang up, like
+		// every other failed request, rather than reply with an empty one
+		// an auditor would merge as "this node did nothing".
+		hist, err := n.ShardHistory(shard)
+		if err != nil {
+			return false
+		}
+		if codec == wire.CodecBinary {
+			w.Uvarint(tHistoryRespB)
+			if appendHistory(w, hist) != nil {
+				return false
+			}
+			replyComp = comp
+		} else {
+			data, err := json.Marshal(hist)
+			if err != nil {
+				return false
+			}
+			appendJSON(w, tHistoryResp, data)
+		}
+	default:
+		return false
+	}
+	return n.writeEnc(conn, w, maxFrame, replyComp) == nil
+}
+
+// reqMeta reads the optional trailing codec and compression fields of a
+// structured request and resolves both against this node's own
+// preferences.
+func (n *Node) reqMeta(r *wire.Reader) (wire.CodecID, uint64) {
+	if r.Remaining() == 0 {
+		return wire.CodecJSON, wire.CompNone
+	}
+	codec := negotiateCodec(n.codec.ID(), wire.CodecID(r.Uvarint()))
+	if r.Remaining() == 0 {
+		return codec, wire.CompNone
+	}
+	return codec, negotiateComp(n.comp, r.Uvarint())
 }
 
 // WaitQuiesced polls until every node reports quiescence twice in a row

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -69,59 +70,100 @@ func maybeCompressPayload(payload []byte, comp uint64) *wire.Writer {
 }
 
 // decompressFrame unwraps a tCompressed envelope; any other frame passes
-// through untouched. The declared inflated size obeys the same frame
-// limit as the connection's raw frames, so compression cannot smuggle an
-// oversized frame past ReadFrame's guard.
-func decompressFrame(b []byte, maxFrame int) ([]byte, error) {
-	r := wire.NewReader(b)
+// through untouched. The inflated frame is appended behind the envelope in
+// b's own storage (moving to a larger array when b has no room), so a
+// compressed frame lands in the same reusable buffer a raw one does; buf is
+// that storage as it now stands, for the caller to keep. The declared
+// inflated size obeys the same frame limit as the connection's raw frames,
+// so compression cannot smuggle an oversized frame past ReadFrame's guard.
+func decompressFrame(b []byte, maxFrame int) (frame, buf []byte, err error) {
+	var r wire.Reader
+	r.Reset(b)
 	if typ := r.Uvarint(); r.Err() != nil || typ != tCompressed {
-		return b, nil
+		return b, b, nil
 	}
 	algo := r.Uvarint()
 	rawLen := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, b, err
 	}
 	if algo != wire.CompFlate {
-		return nil, fmt.Errorf("cluster: unknown compression algorithm %d in envelope", algo)
+		return nil, b, fmt.Errorf("cluster: unknown compression algorithm %d in envelope", algo)
 	}
 	if maxFrame <= 0 {
 		maxFrame = wire.DefaultMaxFrame
 	}
 	if rawLen > uint64(maxFrame) {
-		return nil, &wire.FrameSizeError{Size: int(rawLen), Max: maxFrame}
+		return nil, b, &wire.FrameSizeError{Size: int(rawLen), Max: maxFrame}
 	}
-	return wire.Inflate(r.Fixed(r.Remaining()), int(rawLen))
+	buf, err = wire.InflateTo(b, r.Fixed(r.Remaining()), int(rawLen))
+	if err != nil {
+		return nil, b, err
+	}
+	return buf[len(b):], buf, nil
 }
 
 // recvFrame reads one length-prefixed frame and transparently unwraps the
-// compression envelope. This is the read-path replacement for
-// wire.ReadFrame everywhere a connection might carry compressed frames.
-func recvFrame(conn net.Conn, maxFrame int) ([]byte, error) {
-	b, err := wire.ReadFrame(conn, maxFrame)
+// compression envelope: the single receive entrance of the package, for
+// every connection that might carry compressed frames. The frame is read
+// (and inflated) into *buf, which the connection's handler owns and passes
+// to every read, so a steady stream of frames allocates nothing. The
+// returned frame — and every payload decoded zero-copy from it — is valid
+// only until the handler's next recvFrame on the same buf. A nil buf gives
+// the frame a buffer of its own, for a caller that keeps it.
+func recvFrame(conn net.Conn, maxFrame int, buf *[]byte) ([]byte, error) {
+	var own []byte
+	if buf == nil {
+		buf = &own
+	}
+	b, err := wire.ReadFrameInto(conn, maxFrame, *buf)
 	if err != nil {
 		return nil, err
 	}
-	return decompressFrame(b, maxFrame)
+	b, *buf, err = decompressFrame(b, maxFrame)
+	return b, err
 }
 
-// writeFrameComp is Node.writeFrame behind the compression gate: payloads
-// over the floor on a flate-negotiated connection travel as tCompressed
-// envelopes, everything else goes raw.
-func (n *Node) writeFrameComp(conn net.Conn, payload []byte, maxFrame int, comp uint64) bool {
-	if env := maybeCompressPayload(payload, comp); env != nil {
-		ok := n.writeFrame(conn, env.Bytes(), maxFrame)
-		wire.PutWriter(env)
-		return ok
+// writeEnc seals the frame open in enc and writes it with a write
+// deadline, counting wire bytes and frames: header and payload were built
+// contiguously (BeginFrame), so a raw frame leaves in one conn.Write. comp
+// gates the large-frame compression envelope (wire.CompNone bypasses it).
+// The error is returned rather than collapsed to a bool because a
+// *wire.FrameSizeError from EndFrame is a terminal condition — the frame
+// can never fit — which a sender must distinguish from ordinary connection
+// death.
+func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, comp uint64) error {
+	frame, err := enc.EndFrame(maxFrame)
+	if err != nil {
+		return err
 	}
-	return n.writeFrame(conn, payload, maxFrame)
+	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	if env := maybeCompressPayload(frame[4:], comp); env != nil {
+		// The envelope lives in its own pooled writer; it is returned to
+		// the pool only here, after the write, never inside
+		// maybeCompressPayload — enc (which frame aliases) is still checked
+		// out, and the same discipline keeps any future compressor from
+		// recycling a buffer a caller still reads. The compressed path goes
+		// through WriteFrame (header + payload, two writes).
+		nBytes, werr := wire.WriteFrame(conn, env.Bytes(), maxFrame)
+		wire.PutWriter(env)
+		n.bytesOut.Add(int64(nBytes))
+		n.framesOut.Add(1)
+		return werr
+	}
+	nBytes, werr := conn.Write(frame)
+	n.bytesOut.Add(int64(nBytes))
+	n.framesOut.Add(1)
+	return werr
 }
 
-// sendFrameComp is Node.sendFrame behind the same gate.
+// sendFrameComp builds one frame in a pooled writer and writes it behind
+// the compression gate.
 func (n *Node) sendFrameComp(conn net.Conn, comp uint64, build func(*wire.Writer)) bool {
 	w := wire.GetWriter()
+	w.BeginFrame()
 	build(w)
-	ok := n.writeFrameComp(conn, w.Bytes(), n.cfg.MaxFrame, comp)
+	err := n.writeEnc(conn, w, n.cfg.MaxFrame, comp)
 	wire.PutWriter(w)
-	return ok
+	return err == nil
 }

@@ -28,7 +28,7 @@ func TestMaybeCompressPayloadGates(t *testing.T) {
 	if env.Len() >= len(big) {
 		t.Fatalf("envelope %d bytes did not beat raw %d", env.Len(), len(big))
 	}
-	got, err := decompressFrame(append([]byte(nil), env.Bytes()...), 0)
+	got, _, err := decompressFrame(append([]byte(nil), env.Bytes()...), 0)
 	wire.PutWriter(env)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("envelope did not round-trip: err %v", err)
@@ -40,11 +40,11 @@ func TestMaybeCompressPayloadGates(t *testing.T) {
 func TestDecompressFramePassthrough(t *testing.T) {
 	w := wire.NewWriter()
 	appendAck(w, 42)
-	got, err := decompressFrame(w.Bytes(), 0)
+	got, _, err := decompressFrame(w.Bytes(), 0)
 	if err != nil || !bytes.Equal(got, w.Bytes()) {
 		t.Fatalf("passthrough mangled frame: %x err %v", got, err)
 	}
-	if got, err := decompressFrame(nil, 0); err != nil || len(got) != 0 {
+	if got, _, err := decompressFrame(nil, 0); err != nil || len(got) != 0 {
 		t.Fatalf("empty frame: %x err %v", got, err)
 	}
 }
@@ -59,24 +59,24 @@ func TestDecompressFrameHostileEnvelopes(t *testing.T) {
 		build(w)
 		return w.Bytes()
 	}
-	if _, err := decompressFrame(env(func(w *wire.Writer) { w.Uvarint(wire.CompFlate) }), 0); err == nil {
+	if _, _, err := decompressFrame(env(func(w *wire.Writer) { w.Uvarint(wire.CompFlate) }), 0); err == nil {
 		t.Fatal("truncated envelope header accepted")
 	}
-	if _, err := decompressFrame(env(func(w *wire.Writer) {
+	if _, _, err := decompressFrame(env(func(w *wire.Writer) {
 		w.Uvarint(99)
 		w.Uvarint(10)
 	}), 0); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	var fse *wire.FrameSizeError
-	_, err := decompressFrame(env(func(w *wire.Writer) {
+	_, _, err := decompressFrame(env(func(w *wire.Writer) {
 		w.Uvarint(wire.CompFlate)
 		w.Uvarint(1 << 40) // declared inflated size far past any frame limit
 	}), 1<<20)
 	if !errors.As(err, &fse) {
 		t.Fatalf("oversize declaration error = %v, want FrameSizeError", err)
 	}
-	if _, err := decompressFrame(env(func(w *wire.Writer) {
+	if _, _, err := decompressFrame(env(func(w *wire.Writer) {
 		w.Uvarint(wire.CompFlate)
 		w.Uvarint(16)
 		w.Raw([]byte{0xff, 0xff, 0xff}) // not a deflate stream
@@ -102,7 +102,7 @@ func FuzzDecompressFrame(f *testing.F) {
 	f.Add([]byte{tCompressed, 1, 4, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		const maxFrame = 1 << 16
-		got, err := decompressFrame(b, maxFrame)
+		got, _, err := decompressFrame(b, maxFrame)
 		if err != nil {
 			return
 		}
@@ -116,7 +116,7 @@ func FuzzDecompressFrame(f *testing.F) {
 		if typ := r.Uvarint(); r.Err() == nil && typ == tCompressed {
 			return
 		}
-		again, err := decompressFrame(got, maxFrame)
+		again, _, err := decompressFrame(got, maxFrame)
 		if err != nil || !bytes.Equal(again, got) {
 			t.Fatalf("unwrap not stable: err %v", err)
 		}

@@ -1,0 +1,416 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/membership"
+	"repro/internal/model"
+	"repro/internal/seglog"
+	"repro/internal/spec"
+	"repro/internal/store"
+	"repro/internal/wire"
+)
+
+// looseShard builds the one shard of a node that serves nothing — no
+// listener, no peers, no loop goroutine — so a test or benchmark can call
+// the loop-owned methods directly, from its own goroutine.
+func looseShard(tb testing.TB, storeName string) *shard {
+	tb.Helper()
+	st, err := store.Open(storeName, spec.MVRTypes(), store.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := &Node{
+		cfg:    Config{ID: 1, N: 3, Store: st}.withDefaults(),
+		router: NewShardRouter(1),
+		done:   make(chan struct{}),
+	}
+	s := newShard(n, 0)
+	s.tree, s.treeOwned = membership.NewForest(n.cfg.N), true
+	n.shards = []*shard{s}
+	return s
+}
+
+// allocBytes returns how many bytes the process allocates while fn runs.
+func allocBytes(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// recordStep records the i-th event of a synthetic history on a loose
+// shard: one do event in three, the rest receives — which also index an
+// update and hash it into the forest, as applyUpdate does.
+func recordStep(tb testing.TB, s *shard, i int, payload []byte) {
+	origin := model.ReplicaID(i % 3)
+	if origin == 0 {
+		s.record(Event{Kind: model.ActDo, Lamport: uint64(i), Object: "k", Op: model.Read()})
+		return
+	}
+	seq := uint64(s.updates[origin].Len()) + 1
+	s.record(Event{Kind: model.ActReceive, Lamport: uint64(i), Origin: origin, Seq: seq, Payload: payload})
+	if err := s.noteUpdate(origin, seq, uint64(i), payload); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// recordStepBytes is what one recordStep leaves behind on average: its
+// event, and for two steps in three an indexed update and its hash.
+const recordStepBytes = float64(unsafe.Sizeof(Event{})) +
+	2.0/3.0*float64(unsafe.Sizeof(protoUpdate{})+unsafe.Sizeof(membership.Hash{}))
+
+// TestRecordCostIndependentOfHistory is the RAM companion of durable's
+// TestAppendCostIndependentOfHistory. Recording 256 k events allocates
+// within 1.5× of what the events, updates and hashes occupy — an
+// append-doubled slice reads ≈5× — and no burst of 256 calls allocates more
+// than a segment for each log it appends to, where one unlucky append to a
+// slice that long allocates, and copies, tens of megabytes on the event
+// loop.
+func TestRecordCostIndependentOfHistory(t *testing.T) {
+	const total, burst = 256 << 10, 256
+	s := looseShard(t, "lww")
+	payload := []byte("0123456789abcdef")
+	var sum, worst float64
+	for i := 0; i < total; i += burst {
+		b := allocBytes(func() {
+			for j := i; j < i+burst; j++ {
+				recordStep(t, s, j, payload)
+			}
+		})
+		sum += b
+		worst = max(worst, b)
+	}
+	if got := s.events.Len(); got != total {
+		t.Fatalf("recorded %d events, want %d", got, total)
+	}
+	if occupied := total * recordStepBytes; sum > 1.5*occupied {
+		t.Errorf("recording %d events allocated %.0f B, %.2f× the %.0f B they occupy", total, sum, sum/occupied, occupied)
+	}
+	// The two origins advance in lockstep here, so every log's segment
+	// boundary can fall in one burst: the event log's, and per origin the
+	// update log's, the hash log's and those of a few node-cache levels.
+	perOrigin := unsafe.Sizeof(protoUpdate{}) + 4*unsafe.Sizeof(membership.Hash{})
+	if limit := float64(seglog.SegmentLen * (unsafe.Sizeof(Event{}) + 2*perOrigin)); worst > limit {
+		t.Errorf("one burst of %d calls allocated %.0f B, more than a segment per log (%.0f B)", burst, worst, limit)
+	}
+}
+
+// TestLoopHandoffAllocatesNothing: crossing into the shard loop with a
+// reused function and done channel is free.
+func TestLoopHandoffAllocatesNothing(t *testing.T) {
+	nd := bootNode(t, 0, 1, nil)
+	s, done, ran := nd.s0(), make(chan struct{}, 1), 0
+	fn := func() { ran++ }
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := s.handoff(fn, done); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("handoff allocates %.0f times per crossing", avg)
+	}
+	if ran != 1001 {
+		t.Fatalf("fn ran %d times, want 1001", ran)
+	}
+}
+
+// readNodeAndTwin boots a node holding one written key, and builds the
+// store's side of a read of it for comparison: a twin replica in the same
+// state behind its own checker, one read already checked (so the next is
+// steady-state).
+func readNodeAndTwin(t *testing.T) (*Node, *store.PropertyChecker) {
+	t.Helper()
+	nd := bootNode(t, 0, 3, nil)
+	if _, err := nd.Do("k", model.Write("0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	twin := nd.cfg.Store.NewReplica(0, 3)
+	twin.Do("k", model.Write("0123456789abcdef"))
+	checker := store.NewPropertyChecker(twin)
+	checker.CheckDo("k", model.Read())
+	return nd, checker
+}
+
+// TestServedReadAllocatesItsEventOnly: what serving a read costs on top of
+// the store's own work — routing, the loop hand-off, recording the event,
+// encoding the reply — allocates the event's storage and nothing else.
+func TestServedReadAllocatesItsEventOnly(t *testing.T) {
+	const reads = 4 * seglog.SegmentLen
+	nd, checker := readNodeAndTwin(t)
+	storeBytes := allocBytes(func() {
+		for i := 0; i < reads; i++ {
+			checker.CheckDo("k", model.Read())
+		}
+	}) / reads
+
+	call, w := newDoCall(nd), wire.NewWriter()
+	serve := func() {
+		resp, err := call.do("k", model.Read())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Reset()
+		w.BeginFrame()
+		appendResponse(w, 7, resp)
+	}
+	// Warm the writer's buffer and the shared frontier, and get past the
+	// history's first segment, which is still growing by doubling; after
+	// it, a whole number of segments' worth of reads allocates exactly
+	// that many segments.
+	for i := 0; i < seglog.SegmentLen; i++ {
+		serve()
+	}
+	served := allocBytes(func() {
+		for i := 0; i < reads; i++ {
+			serve()
+		}
+	}) / reads
+	// 8 B of slack covers the segment table and a stray runtime allocation.
+	if limit := storeBytes + float64(unsafe.Sizeof(Event{})) + 8; served > limit {
+		t.Fatalf("a served read allocates %.1f B: the store's own %.1f B + the %d B event + %.1f B nobody owns",
+			served, storeBytes, unsafe.Sizeof(Event{}), served-limit+8)
+	}
+}
+
+// rawRoundTrip writes one prebuilt frame and reads one reply frame into
+// buf, allocating nothing.
+func rawRoundTrip(conn net.Conn, frame, buf []byte) ([]byte, error) {
+	if _, err := conn.Write(frame); err != nil {
+		return nil, err
+	}
+	if _, err := io.ReadFull(conn, buf[:4]); err != nil {
+		return nil, err
+	}
+	reply := buf[:binary.BigEndian.Uint32(buf[:4])]
+	_, err := io.ReadFull(conn, reply)
+	return reply, err
+}
+
+// framed returns payload behind its 4-byte length header.
+func framed(payload []byte) []byte {
+	var b bytes.Buffer
+	if _, err := wire.WriteFrame(&b, payload, 0); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// TestReadOverTCPAllocatesOnlyWhatItKeeps drives steady-state reads through
+// a real client connection with a client that allocates nothing, so every
+// allocation counted is the node's. What is left is what a read keeps or
+// hands out: the store's own response and the decoded key string (a read
+// has no argument). The frame buffer, the reader, the loop hand-off, the
+// reply writer and the event's slot in its segment cost nothing per read.
+func TestReadOverTCPAllocatesOnlyWhatItKeeps(t *testing.T) {
+	nd, checker := readNodeAndTwin(t)
+	storeAllocs := testing.AllocsPerRun(200, func() { checker.CheckDo("k", model.Read()) })
+
+	conn, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	req, buf := framed(encodeRequest(9, "k", model.Read())), make([]byte, 256)
+	read := func() {
+		reply, err := rawRoundTrip(conn, req, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reply) == 0 || reply[0] != tResponse {
+			t.Fatalf("reply %x is not a tResponse", reply)
+		}
+	}
+	read() // warm the connection's buffer and the shared frontier
+	const keyString = 1
+	if got := testing.AllocsPerRun(2000, read); got > storeAllocs+keyString {
+		t.Fatalf("a read over TCP allocates %.0f times on the node; the store's response accounts for %.0f and the key string for %d",
+			got, storeAllocs, keyString)
+	}
+}
+
+// retainingStore wraps a store so that its replicas keep, uncopied, every
+// payload Receive is shown: the worst a store may do with memory it is
+// handed.
+type retainingStore struct {
+	store.Store
+	mu    sync.Mutex
+	shown [][]byte
+}
+
+func (s *retainingStore) NewReplica(id model.ReplicaID, n int) store.Replica {
+	return &retainingReplica{Replica: s.Store.NewReplica(id, n), st: s}
+}
+
+type retainingReplica struct {
+	store.Replica
+	st *retainingStore
+}
+
+func (r *retainingReplica) Receive(payload []byte) {
+	r.st.mu.Lock()
+	r.st.shown = append(r.st.shown, payload)
+	r.st.mu.Unlock()
+	r.Replica.Receive(payload)
+}
+
+// TestReplicationBuffersNeverReachTheHistory pushes two batches back to
+// back through one replication connection. They have the same shape and
+// different bytes, so the second lands exactly on top of the first in the
+// connection's reused frame buffer. Everything that kept a payload of the
+// first batch — the store, the recorded history, the journal, the update
+// index a range pull serves from — must still hold the original bytes.
+func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
+	const perBatch = 4
+	// Real payloads, minted by replica 0 of the same store.
+	src := openCausal(t).NewReplica(0, 2)
+	var payloads [][]byte
+	for i := 0; i < 2*perBatch; i++ {
+		src.Do("k", model.Write(model.Value(bytes.Repeat([]byte{'a' + byte(i)}, 24))))
+		payloads = append(payloads, append([]byte(nil), src.PendingMessage()...))
+		src.OnSend()
+	}
+	for i := range payloads[:perBatch] {
+		if a, b := payloads[i], payloads[i+perBatch]; len(a) != len(b) || bytes.Equal(a, b) {
+			t.Fatalf("payloads %d and %d must differ in bytes only (%d B, %d B)", i, i+perBatch, len(a), len(b))
+		}
+	}
+
+	st := &retainingStore{Store: openCausal(t)}
+	var journalMu sync.Mutex
+	var journaled []Event // payload slices kept as handed over, not copied
+	cfg := fastConfig(1, 2, st)
+	cfg.Journal = func(ev Event) error {
+		journalMu.Lock()
+		journaled = append(journaled, ev)
+		journalMu.Unlock()
+		return nil
+	}
+	nd, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+
+	conn, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := wire.WriteFrame(conn, encodeHello(0), 0); err != nil { // v1 hello: no ack to read
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	for b := 0; b < 2; b++ {
+		var us []protoUpdate
+		for i := 0; i < perBatch; i++ {
+			seq := uint64(b*perBatch + i + 1)
+			us = append(us, protoUpdate{Origin: 0, Seq: seq, Lamport: seq, Payload: payloads[seq-1]})
+		}
+		w := wire.NewWriter()
+		appendBatch(w, 0, us)
+		ack, err := rawRoundTrip(conn, framed(w.Bytes()), buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeAck(uint64((b + 1) * perBatch)); !bytes.Equal(ack, want) {
+			t.Fatalf("batch %d acked %x, want %x", b, ack, want)
+		}
+	}
+
+	check := func(where string, got [][]byte) {
+		t.Helper()
+		if len(got) != len(payloads) {
+			t.Fatalf("%s holds %d payloads, want %d", where, len(got), len(payloads))
+		}
+		for i, p := range got {
+			if !bytes.Equal(p, payloads[i]) {
+				t.Errorf("%s: payload of update %d is %q, sent %q", where, i+1, p, payloads[i])
+			}
+		}
+	}
+	st.mu.Lock()
+	check("store", st.shown)
+	st.mu.Unlock()
+	var recorded, logged [][]byte
+	for _, ev := range nd.History().Events {
+		recorded = append(recorded, ev.Payload)
+	}
+	check("history", recorded)
+	journalMu.Lock()
+	for _, ev := range journaled {
+		logged = append(logged, ev.Payload)
+	}
+	journalMu.Unlock()
+	check("journal", logged)
+
+	// The update index, read the way a joiner reads it: a range pull.
+	pull, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pull.Close()
+	pull.SetDeadline(time.Now().Add(30 * time.Second))
+	send := func(build func(*wire.Writer)) {
+		t.Helper()
+		w := wire.NewWriter()
+		build(w)
+		if _, err := wire.WriteFrame(pull, w.Bytes(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: 0, Codec: wire.CodecBinary}) })
+	if typ, _, err := readTyped(pull, 0, 0, nil); err != nil || typ != tJoinAck {
+		t.Fatalf("join answered with type %d, err %v", typ, err)
+	}
+	send(func(w *wire.Writer) { appendRangeReq(w, 0, 0, uint64(len(payloads)), 8) })
+	var pulled [][]byte
+	for len(pulled) < len(payloads) {
+		typ, r, err := readTyped(pull, 0, 0, nil)
+		if err != nil || typ != tRangeResp {
+			t.Fatalf("range pull answered with type %d, err %v", typ, err)
+		}
+		us, err := decodeRangeResp(r)
+		if err != nil || len(us) == 0 {
+			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
+		}
+		for _, u := range us {
+			pulled = append(pulled, u.Payload)
+		}
+		send(func(w *wire.Writer) { appendAck(w, us[len(us)-1].Seq) })
+	}
+	check("range pull", pulled)
+}
+
+// TestRequestBuffersNeverReachTheHistory is the client-connection half: two
+// requests of the same shape and different bytes on one connection; the
+// first recorded event still names the first request's object and
+// argument.
+func TestRequestBuffersNeverReachTheHistory(t *testing.T) {
+	nd := bootNode(t, 0, 1, nil)
+	c, err := Dial(nd.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do("first-key", model.Write("first-value")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Do("other-key", model.Write("other-value")); err != nil {
+		t.Fatal(err)
+	}
+	evs := nd.History().Events
+	if len(evs) < 3 || evs[0].Object != "first-key" || evs[0].Op.Arg != "first-value" {
+		t.Fatalf("first recorded event is %+v, want the first request's do", evs[0])
+	}
+}

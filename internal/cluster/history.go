@@ -64,6 +64,9 @@ type Event struct {
 	// It is the networked stand-in for the simulator's per-event visibility
 	// snapshot, exact for stores whose visibility is per-origin
 	// prefix-closed (all registered stores under this FIFO transport).
+	// Recorded frontiers are immutable, and a node relies on it: consecutive
+	// do events that saw the same frontier share one slice (as do the
+	// copies History hands out), so a consumer must not write through it.
 	Frontier []uint64 `json:"frontier,omitempty"`
 
 	// Send and receive events.

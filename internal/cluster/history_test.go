@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -83,5 +84,59 @@ func TestBuildAuditFrontierlessReads(t *testing.T) {
 	}
 	if audit.Abstract.Vis(0, 1) {
 		t.Fatal("containment edge derived against an absent frontier")
+	}
+}
+
+// TestHistoryOfClosedNodeIsAnError: a node whose loops are gone has no
+// snapshot to give, and must say so — a well-formed history with zero
+// events reads, to whoever merges it, as "this node did nothing".
+func TestHistoryOfClosedNodeIsAnError(t *testing.T) {
+	nd := bootNode(t, 0, 1, nil)
+	writeN(t, nd, 3, "w")
+	nd.Close()
+	if h, err := nd.ShardHistory(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ShardHistory on a closed node = %d events, err %v; want ErrClosed", len(h.Events), err)
+	}
+	if got := len(nd.FinalHistory().Events); got != 6 {
+		t.Fatalf("FinalHistory holds %d events, want the 3 writes' do and send", got)
+	}
+}
+
+// TestClientHistoryFailsWhenNodeClosesMidRequest holds a history request
+// at the node — its shard loop is kept busy — while the node closes. The
+// request must fail at the client; it used to be answered with an empty
+// history.
+func TestClientHistoryFailsWhenNodeClosesMidRequest(t *testing.T) {
+	nd := bootNode(t, 0, 1, nil)
+	writeN(t, nd, 3, "w")
+	c, err := Dial(nd.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Stats(); err != nil { // the connection is up and served
+		t.Fatal(err)
+	}
+
+	busy, release := make(chan struct{}), make(chan struct{})
+	go nd.inLoop(func() { close(busy); <-release })
+	<-busy
+	type result struct {
+		h   History
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		h, err := c.History()
+		got <- result{h, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the request reach the busy loop
+	closed := make(chan struct{})
+	go func() { nd.Close(); close(closed) }()
+	res := <-got
+	close(release)
+	<-closed
+	if res.err == nil {
+		t.Fatalf("History against a closing node decoded %d events without error", len(res.h.Events))
 	}
 }

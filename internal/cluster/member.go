@@ -116,7 +116,7 @@ func (n *Node) exchangeGossip(id int, addr string) bool {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendGossip(w, n.cfg.ID, n.view.Members()) }) {
 		return false
 	}
-	typ, r, err := readTyped(conn, n.cfg.MaxFrame, n.cfg.WriteTimeout)
+	typ, r, err := readTyped(conn, n.cfg.MaxFrame, n.cfg.WriteTimeout, nil)
 	if err != nil || typ != tGossipAck {
 		return false
 	}
@@ -178,6 +178,7 @@ func (n *Node) disconnectPeer(id model.ReplicaID) {
 	n.peerMu.Lock()
 	p := n.peers[id]
 	delete(n.peers, id)
+	n.publishPeers()
 	n.peerMu.Unlock()
 	if p != nil {
 		p.close()
@@ -271,13 +272,17 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	// Reads tolerate the donor's chunk pacing knob on top of the normal
 	// write budget.
 	readDeadline := n.cfg.WriteTimeout + 2*n.cfg.SyncChunkDelay
+	// Every reply of the conversation is read into one buffer; each is
+	// decoded into values of its own (hashes, strings) or, for range chunks,
+	// copied by applyUpdate, before the next read overwrites it.
+	var buf []byte
 
 	if !n.sendFrame(conn, func(w *wire.Writer) {
 		appendJoin(w, joinReq{From: n.cfg.ID, Epoch: n.epoch.Load(), Addr: n.Addr(), Codec: n.codec.ID(), Comp: n.comp})
 	}) {
 		return errors.New("cluster: join announce write failed")
 	}
-	typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline)
+	typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline, &buf)
 	if err != nil {
 		return err
 	}
@@ -310,7 +315,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, local) }) {
 		return errors.New("cluster: digest write failed")
 	}
-	typ, r, err = readTyped(conn, n.cfg.MaxFrame, readDeadline)
+	typ, r, err = readTyped(conn, n.cfg.MaxFrame, readDeadline, &buf)
 	if err != nil {
 		return err
 	}
@@ -332,7 +337,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 		}
 		if rd.Count == ld.Count {
 			if ld.Count > 0 && rd.Root != ld.Root {
-				return n.refuseDivergent(conn, ld.Origin, ld.Count, readDeadline)
+				return n.refuseDivergent(conn, ld.Origin, ld.Count, readDeadline, &buf)
 			}
 			continue
 		}
@@ -344,9 +349,9 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 				errJoinRefused, rd.Count, n.cfg.ID, ld.Count, n.cfg.ID)
 		}
 		if ld.Count > 0 && rd.PrefixRoot != ld.Root {
-			return n.refuseDivergent(conn, ld.Origin, ld.Count, readDeadline)
+			return n.refuseDivergent(conn, ld.Origin, ld.Count, readDeadline, &buf)
 		}
-		if err := n.pullRange(conn, ld.Origin, rd, readDeadline); err != nil {
+		if err := n.pullRange(conn, ld.Origin, rd, readDeadline, &buf); err != nil {
 			return err
 		}
 	}
@@ -361,7 +366,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 // stream that many chunks ahead of our cumulative acks, pipelining the
 // transfer across the ack round-trip, while this side's apply-and-journal-
 // before-ack turn is byte-for-byte the stop-and-wait one.
-func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest, readDeadline time.Duration) error {
+func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest, readDeadline time.Duration, buf *[]byte) error {
 	for {
 		var have uint64
 		if n.inLoop(func() { have = n.s0().delivered[origin] }) != nil {
@@ -376,7 +381,7 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 			return errors.New("cluster: range request write failed")
 		}
 		for have < rd.Count {
-			typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline)
+			typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
 			if err != nil {
 				return err
 			}
@@ -439,8 +444,8 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 // history for origin stops matching, then refuses the join permanently: a
 // divergent prefix means a corrupt log or one from a different cluster,
 // and no range pull can reconcile it.
-func (n *Node) refuseDivergent(conn net.Conn, origin model.ReplicaID, k uint64, readDeadline time.Duration) error {
-	lo, hi, err := n.walkDivergence(conn, origin, k, readDeadline)
+func (n *Node) refuseDivergent(conn net.Conn, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) error {
+	lo, hi, err := n.walkDivergence(conn, origin, k, readDeadline, buf)
 	if err != nil {
 		return fmt.Errorf("%w: origin r%d history diverges within its first %d updates (walk failed: %v)", errJoinRefused, origin, k, err)
 	}
@@ -450,7 +455,7 @@ func (n *Node) refuseDivergent(conn net.Conn, origin model.ReplicaID, k uint64, 
 // walkDivergence descends the Merkle tree over the first k updates of
 // origin, at each level following the first child whose hash disagrees
 // with the donor's, and returns the update range of the divergent leaf.
-func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, readDeadline time.Duration) (lo, hi uint64, err error) {
+func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) (lo, hi uint64, err error) {
 	level, index := membership.TopLevel(k), uint64(0)
 	for level > 0 {
 		found := false
@@ -464,7 +469,7 @@ func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, r
 			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeReq(w, origin, k, level-1, child) }) {
 				return 0, 0, errors.New("tree request write failed")
 			}
-			typ, r, rerr := readTyped(conn, n.cfg.MaxFrame, readDeadline)
+			typ, r, rerr := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
 			if rerr != nil {
 				return 0, 0, rerr
 			}
@@ -494,7 +499,7 @@ func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, r
 // admit the joiner into the view, link back so live updates flow during
 // the sync, then answer digest, tree-walk, and range requests until the
 // joiner hangs up.
-func (n *Node) serveJoin(conn net.Conn, j joinReq) {
+func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
 	}
@@ -512,7 +517,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq) {
 		return
 	}
 	for {
-		b, err := recvFrame(conn, n.cfg.MaxFrame)
+		b, err := recvFrame(conn, n.cfg.MaxFrame, buf)
 		if err != nil {
 			return
 		}
@@ -545,7 +550,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq) {
 			if err != nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
 				return
 			}
-			if !n.serveRange(conn, origin, from, count, window, chosen, chosenComp) {
+			if !n.serveRange(conn, origin, from, count, window, chosen, chosenComp, buf) {
 				return
 			}
 		default:
@@ -599,7 +604,7 @@ const serveRangeMaxWindow = 1024
 // trip over. The negotiated codec governs chunking exactly like live
 // batching: binary gets BatchMax-update chunks, the JSON floor one update
 // per frame.
-func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uint64, window uint64, chosen wire.CodecID, comp uint64) bool {
+func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uint64, window uint64, chosen wire.CodecID, comp uint64, buf *[]byte) bool {
 	if window < 1 {
 		window = 1
 	}
@@ -619,13 +624,13 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 		for idx < end && uint64(len(inflight)) < window {
 			var us []protoUpdate
 			if n.inLoop(func() {
-				all := n.s0().updates[origin]
-				if end > uint64(len(all)) {
-					end = uint64(len(all)) // donor holds less than promised
+				all := &n.s0().updates[origin]
+				if end > uint64(all.Len()) {
+					end = uint64(all.Len()) // donor holds less than promised
 				}
 				size := 0
 				for i := idx; i < end; i++ {
-					u := all[i]
+					u := all.At(int(i))
 					cost := len(u.Payload) + 32
 					if len(us) > 0 && (len(us) >= chunkMax || size+cost > n.cfg.MaxFrame-64) {
 						break
@@ -662,7 +667,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 			return acked >= end
 		}
 		// Retire the oldest in-flight chunk against its ack.
-		typ, r, err := readTyped(conn, n.cfg.MaxFrame, 0)
+		typ, r, err := readTyped(conn, n.cfg.MaxFrame, 0, buf)
 		if err != nil || typ != tAck {
 			return false
 		}
@@ -687,23 +692,19 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 // ---------------------------------------------------------------------------
 // Small conn helpers
 
-// sendFrame builds one frame with a pooled writer and writes it with the
-// node's frame accounting.
+// sendFrame builds one frame with a pooled writer and writes it raw, with
+// the node's frame accounting.
 func (n *Node) sendFrame(conn net.Conn, build func(*wire.Writer)) bool {
-	w := wire.GetWriter()
-	build(w)
-	ok := n.writeFrame(conn, w.Bytes(), n.cfg.MaxFrame)
-	wire.PutWriter(w)
-	return ok
+	return n.sendFrameComp(conn, wire.CompNone, build)
 }
 
-// readTyped reads one frame (with an optional read deadline) and peels its
-// type tag.
-func readTyped(conn net.Conn, maxFrame int, deadline time.Duration) (uint64, *wire.Reader, error) {
+// readTyped reads one frame (with an optional read deadline) into buf — see
+// recvFrame for its lifetime — and peels its type tag.
+func readTyped(conn net.Conn, maxFrame int, deadline time.Duration, buf *[]byte) (uint64, *wire.Reader, error) {
 	if deadline > 0 {
 		conn.SetReadDeadline(time.Now().Add(deadline))
 	}
-	b, err := recvFrame(conn, maxFrame)
+	b, err := recvFrame(conn, maxFrame, buf)
 	if err != nil {
 		return 0, nil, err
 	}

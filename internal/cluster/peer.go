@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/model"
+	"repro/internal/seglog"
 	"repro/internal/wire"
 )
 
@@ -20,9 +21,32 @@ import (
 // watermarks cannot be shared — a cumulative ack only means anything
 // within its shard.
 type peerQueue struct {
-	queue     []protoUpdate // unacked updates in seq order
-	lastAcked uint64        // peer's cumulative ack
-	maxSent   uint64        // highest seq ever written (retransmit accounting)
+	// queue[head:] holds the unacked updates in seq order, and they are
+	// seq-contiguous — queue[head+i].Seq == queue[head].Seq + i — because a
+	// shard mints consecutive seqs and enqueue, offerBacklog and ack each
+	// keep a run a run. So an update is found by index, not by scanning.
+	// queue[:head] are acked slots, already zeroed (their payloads are
+	// collectable) and reclaimed by ack once they outnumber the live ones.
+	queue     []protoUpdate
+	head      int
+	lastAcked uint64 // peer's cumulative ack
+	maxSent   uint64 // highest seq ever written (retransmit accounting)
+}
+
+// pending returns the unacked updates.
+func (q *peerQueue) pending() []protoUpdate { return q.queue[q.head:] }
+
+// indexAfter returns the index in pending() of the first update with a seq
+// beyond seq (len(pending()) when there is none).
+func (q *peerQueue) indexAfter(seq uint64) int {
+	pending := q.pending()
+	if len(pending) == 0 || seq < pending[0].Seq {
+		return 0
+	}
+	if d := seq - pending[0].Seq + 1; d < uint64(len(pending)) {
+		return int(d)
+	}
+	return len(pending)
 }
 
 // peerSender owns this node's half of one replication link: the connection
@@ -97,19 +121,21 @@ func (p *peerSender) enqueue(shard int, u protoUpdate) {
 }
 
 // offerBacklog replaces one shard's queue wholesale with the shard's full
-// self-backlog (Connect's full-backlog offer for shards beyond 0, whose
-// offers cannot ride the registration turn — each shard's backlog snapshot
-// must be taken in that shard's own loop turn). Updates the peer already
-// acknowledged are dropped on the way in. Called from the shard's event
-// loop with the backlog read in the same turn.
-func (p *peerSender) offerBacklog(shard int, us []protoUpdate) {
+// self-backlog: Connect's full-backlog offer (shard 0's rides the
+// registration turn; each further shard's backlog must be snapshotted in
+// that shard's own loop turn). Updates the peer already acknowledged are
+// dropped on the way in. Called from the shard's event loop with the
+// backlog read in the same turn.
+func (p *peerSender) offerBacklog(shard int, backlog *seglog.Log[protoUpdate]) {
 	p.mu.Lock()
 	q := &p.queues[shard]
-	q.queue = q.queue[:0]
-	for _, u := range us {
-		if u.Seq > q.lastAcked {
-			q.queue = append(q.queue, u)
-		}
+	q.queue, q.head = q.queue[:0], 0
+	// backlog.At(i).Seq == i+1, so the unacked suffix starts at lastAcked.
+	n := backlog.Len()
+	for i := int(min(q.lastAcked, uint64(n))); i < n; {
+		c := backlog.Chunk(i, n)
+		q.queue = append(q.queue, c...)
+		i += len(c)
 	}
 	p.mu.Unlock()
 	select {
@@ -124,7 +150,7 @@ func (p *peerSender) drained() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.queues {
-		if len(p.queues[i].queue) != 0 {
+		if len(p.queues[i].pending()) != 0 {
 			return false
 		}
 	}
@@ -132,11 +158,11 @@ func (p *peerSender) drained() bool {
 }
 
 // ack applies a cumulative acknowledgement to one shard's queue, pruning
-// it. Pruning compacts in place (copy-down) rather than re-slicing:
-// queue[1:] keeps the same backing array, whose dead head entries would
-// pin every acked payload in memory for as long as the link lives. The
-// vacated tail slots are zeroed so the payloads become collectable
-// immediately.
+// it. The acked slots are zeroed at once — a dead entry left in the backing
+// array would pin its payload for as long as the link lives — and the head
+// offset steps past them; the live tail is copied down only once the dead
+// prefix passes half the array, so draining a backlog of Q updates costs
+// O(Q) entry moves, not one copy of the remaining queue per ack.
 func (p *peerSender) ack(shard int, cum uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -144,35 +170,33 @@ func (p *peerSender) ack(shard int, cum uint64) {
 	if cum > q.lastAcked {
 		q.lastAcked = cum
 	}
-	n := 0
-	for n < len(q.queue) && q.queue[n].Seq <= q.lastAcked {
-		n++
+	n := q.indexAfter(q.lastAcked)
+	clear(q.queue[q.head : q.head+n])
+	q.head += n
+	switch {
+	case q.head == len(q.queue):
+		q.queue, q.head = q.queue[:0], 0
+	case q.head > cap(q.queue)/2:
+		m := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[m:])
+		q.queue, q.head = q.queue[:m], 0
 	}
-	if n == 0 {
-		return
-	}
-	m := copy(q.queue, q.queue[n:])
-	for i := m; i < len(q.queue); i++ {
-		q.queue[i] = protoUpdate{}
-	}
-	q.queue = q.queue[:m]
 }
 
-// nextBatch returns up to max queued updates of one shard beyond sent —
-// the next frame's worth of work — plus how many of them are
-// retransmissions (already written on some connection). sizeCap bounds the
-// summed payload bytes so the batch fits the frame limit; the first update
-// is always taken, so an oversized single payload still travels (and fails
-// the frame limit at write time, exactly as it did unbatched).
-func (p *peerSender) nextBatch(shard int, sent uint64, max, sizeCap int) (us []protoUpdate, retransmits int64) {
+// nextBatch appends to us[:0] up to max queued updates of one shard beyond
+// sent — the next frame's worth of work — and returns them plus how many
+// are retransmissions (already written on some connection). us is the
+// sender's own scratch, reused frame after frame. sizeCap bounds the summed
+// payload bytes so the batch fits the frame limit; the first update is
+// always taken, so an oversized single payload still travels (and fails the
+// frame limit at write time, exactly as it did unbatched).
+func (p *peerSender) nextBatch(shard int, sent uint64, max, sizeCap int, us []protoUpdate) (_ []protoUpdate, retransmits int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	q := &p.queues[shard]
+	us = us[:0]
 	size := 0
-	for _, u := range q.queue {
-		if u.Seq <= sent {
-			continue
-		}
+	for _, u := range q.pending()[q.indexAfter(sent):] {
 		// Per-update budget: payload plus generous varint headroom.
 		cost := len(u.Payload) + 32
 		if len(us) > 0 && (len(us) >= max || size+cost > sizeCap) {
@@ -332,7 +356,7 @@ func (p *peerSender) serve(conn net.Conn) {
 	enc.Reset()
 	enc.BeginFrame()
 	appendHello(enc, cfg.ID, p.node.codec.ID(), p.node.comp, uint64(cfg.Shards))
-	if p.writeEnc(conn, enc, wire.CompNone) != nil {
+	if p.node.writeEnc(conn, enc, cfg.MaxFrame, wire.CompNone) != nil {
 		return
 	}
 
@@ -351,12 +375,14 @@ func (p *peerSender) serve(conn net.Conn) {
 	go func() {
 		defer close(connDead)
 		acked := false
+		var buf []byte // this reader's receive buffer; acks decode to integers
+		var r wire.Reader
 		for {
-			b, err := recvFrame(conn, cfg.MaxFrame)
+			b, err := recvFrame(conn, cfg.MaxFrame, &buf)
 			if err != nil {
 				return
 			}
-			r := wire.NewReader(b)
+			r.Reset(b)
 			switch r.Uvarint() {
 			case tAck:
 				cum := r.Uvarint()
@@ -369,7 +395,7 @@ func (p *peerSender) serve(conn net.Conn) {
 				default:
 				}
 			case tShardAck:
-				shard, cum, err := decodeShardAck(r)
+				shard, cum, err := decodeShardAck(&r)
 				if err != nil || !shardMode || shard >= uint64(len(p.queues)) {
 					return
 				}
@@ -379,7 +405,7 @@ func (p *peerSender) serve(conn net.Conn) {
 				default:
 				}
 			case tHelloAck:
-				a, err := decodeHelloAck(r)
+				a, err := decodeHelloAck(&r)
 				if err != nil {
 					return
 				}
@@ -428,7 +454,7 @@ func (p *peerSender) serve(conn net.Conn) {
 	backlog := 0
 	for i := range p.queues {
 		sent[i] = p.queues[i].lastAcked
-		backlog += len(p.queues[i].queue)
+		backlog += len(p.queues[i].pending())
 	}
 	p.mu.Unlock()
 
@@ -468,6 +494,7 @@ func (p *peerSender) serve(conn net.Conn) {
 	rt := cfg.RetransmitMin
 	timer := time.NewTimer(rt)
 	defer timer.Stop()
+	var us []protoUpdate // nextBatch's scratch
 	for {
 		for si := range sent {
 			for {
@@ -479,7 +506,8 @@ func (p *peerSender) serve(conn net.Conn) {
 				}
 				// Headroom for the batch header and per-update varints;
 				// payload budgeting is in nextBatch.
-				us, re := p.nextBatch(si, sent[si], max, cfg.MaxFrame-64)
+				var re int64
+				us, re = p.nextBatch(si, sent[si], max, cfg.MaxFrame-64, us)
 				if len(us) == 0 {
 					break
 				}
@@ -508,7 +536,7 @@ func (p *peerSender) serve(conn net.Conn) {
 					appendBatch(enc, us[0].Origin, us)
 					frameComp = negComp.Load()
 				}
-				if err := p.writeEnc(conn, enc, frameComp); err != nil {
+				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, frameComp); err != nil {
 					var fse *wire.FrameSizeError
 					if errors.As(err, &fse) && len(us) == 1 {
 						// nextBatch always takes the first update alone when
@@ -557,7 +585,7 @@ func (p *peerSender) serve(conn net.Conn) {
 			outstanding := false
 			for si := range p.queues {
 				q := &p.queues[si]
-				if len(q.queue) > 0 && sent[si] > q.lastAcked {
+				if len(q.pending()) > 0 && sent[si] > q.lastAcked {
 					sent[si] = q.lastAcked // rewind: rewrite everything unacked
 					outstanding = true
 				}
@@ -570,36 +598,4 @@ func (p *peerSender) serve(conn net.Conn) {
 			}
 		}
 	}
-}
-
-// writeEnc seals the frame open in enc and writes it with a write
-// deadline, counting wire bytes and frames. comp gates the large-frame
-// compression envelope (wire.CompNone bypasses it and keeps the raw
-// path's single contiguous conn.Write). The error is returned rather than
-// collapsed to a bool because a *wire.FrameSizeError from EndFrame is a
-// terminal condition — the frame can never fit — which the caller must
-// distinguish from ordinary connection death.
-func (p *peerSender) writeEnc(conn net.Conn, enc *wire.Writer, comp uint64) error {
-	frame, err := enc.EndFrame(p.node.cfg.MaxFrame)
-	if err != nil {
-		return err
-	}
-	conn.SetWriteDeadline(time.Now().Add(p.node.cfg.WriteTimeout))
-	if env := maybeCompressPayload(frame[4:], comp); env != nil {
-		// The envelope lives in its own pooled writer; it is returned to
-		// the pool only here, after the write, never inside
-		// maybeCompressPayload — enc (which frame aliases) is still checked
-		// out, and the same discipline keeps any future compressor from
-		// recycling a buffer a caller still reads. The compressed path goes
-		// through WriteFrame (header + payload, two writes).
-		nBytes, werr := wire.WriteFrame(conn, env.Bytes(), p.node.cfg.MaxFrame)
-		wire.PutWriter(env)
-		p.node.bytesOut.Add(int64(nBytes))
-		p.node.framesOut.Add(1)
-		return werr
-	}
-	nBytes, werr := conn.Write(frame)
-	p.node.bytesOut.Add(int64(nBytes))
-	p.node.framesOut.Add(1)
-	return werr
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/seglog"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -18,8 +20,8 @@ import (
 
 // TestAckPruneReleasesPayloads is the regression for the queue[1:] pruning
 // bug: re-slicing kept the backing array, whose dead head entries pinned
-// every acked payload for as long as the link lived. Pruning must compact
-// and zero the vacated slots so acked payloads become collectable.
+// every acked payload for as long as the link lived. Pruning must zero the
+// acked slots so acked payloads become collectable.
 func TestAckPruneReleasesPayloads(t *testing.T) {
 	p := &peerSender{kick: make(chan struct{}, 1), queues: make([]peerQueue, 1)}
 	const n = 64
@@ -44,7 +46,7 @@ func TestAckPruneReleasesPayloads(t *testing.T) {
 	// The unacked tail must survive pruning intact.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if q := p.queues[0].queue; len(q) != 1 || q[0].Seq != n || q[0].Payload == nil {
+	if q := p.queues[0].pending(); len(q) != 1 || q[0].Seq != n || q[0].Payload == nil {
 		t.Fatalf("queue after prune = %+v, want the single unacked update", q)
 	}
 }
@@ -276,5 +278,126 @@ func TestClientOpTimeout(t *testing.T) {
 	c.SetOpTimeout(0)
 	if c.opTimeout != 0 {
 		t.Fatal("SetOpTimeout(0) did not clear the bound")
+	}
+}
+
+// refQueue is the peer queue as it was before it learnt that it is
+// seq-contiguous: nextBatch scans from the head past everything sent, ack
+// counts the acked prefix and copies the rest down. It is the reference the
+// indexed queue must match batch for batch.
+type refQueue struct {
+	queue     []protoUpdate
+	lastAcked uint64
+	maxSent   uint64
+}
+
+func (q *refQueue) offerBacklog(us []protoUpdate) {
+	q.queue = q.queue[:0]
+	for _, u := range us {
+		if u.Seq > q.lastAcked {
+			q.queue = append(q.queue, u)
+		}
+	}
+}
+
+func (q *refQueue) ack(cum uint64) {
+	if cum > q.lastAcked {
+		q.lastAcked = cum
+	}
+	n := 0
+	for n < len(q.queue) && q.queue[n].Seq <= q.lastAcked {
+		n++
+	}
+	q.queue = q.queue[:copy(q.queue, q.queue[n:])]
+}
+
+func (q *refQueue) nextBatch(sent uint64, max, sizeCap int) (us []protoUpdate, retransmits int64) {
+	size := 0
+	for _, u := range q.queue {
+		if u.Seq <= sent {
+			continue
+		}
+		cost := len(u.Payload) + 32
+		if len(us) > 0 && (len(us) >= max || size+cost > sizeCap) {
+			break
+		}
+		if u.Seq <= q.maxSent {
+			retransmits++
+		} else {
+			q.maxSent = u.Seq
+		}
+		size += cost
+		us = append(us, u)
+	}
+	return us, retransmits
+}
+
+// TestPeerQueueMatchesScanningReference drives the indexed queue and the
+// scanning one through the same seeded schedule of what a link does —
+// enqueue, drain in batches, cumulative acks (stale, current, and beyond
+// anything sent), retransmission rewinds, reconnects, full-backlog offers —
+// and compares every batch, every retransmit count and the queue itself,
+// checking after each step the invariant the index arithmetic rests on:
+// the unacked updates are seq-contiguous.
+func TestPeerQueueMatchesScanningReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := &peerSender{kick: make(chan struct{}, 1), queues: make([]peerQueue, 1)}
+		q, ref := &p.queues[0], &refQueue{}
+		var backlog seglog.Log[protoUpdate] // the shard's updates[self]
+		var scratch []protoUpdate
+		sent := uint64(0) // the serve loop's cursor, shared: both must consume it alike
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 45: // the shard broadcasts
+				u := protoUpdate{Seq: uint64(backlog.Len()) + 1, Payload: make([]byte, rng.Intn(200))}
+				backlog.Append(u)
+				p.enqueue(0, u)
+				ref.queue = append(ref.queue, u)
+			case r < 75: // the sender drains one frame
+				max, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
+				want, wantRe := ref.nextBatch(sent, max, sizeCap)
+				var re int64
+				scratch, re = p.nextBatch(0, sent, max, sizeCap, scratch)
+				if re != wantRe || len(scratch) != len(want) {
+					t.Fatalf("seed %d step %d: batch of %d (%d retransmits), reference %d (%d)", seed, step, len(scratch), re, len(want), wantRe)
+				}
+				for i := range want {
+					if scratch[i].Seq != want[i].Seq {
+						t.Fatalf("seed %d step %d: batch[%d] is seq %d, reference %d", seed, step, i, scratch[i].Seq, want[i].Seq)
+					}
+				}
+				if len(want) > 0 {
+					sent = want[len(want)-1].Seq
+				}
+			case r < 90: // an ack arrives: behind, at, or (a confused peer) beyond what was sent
+				cum := uint64(rng.Int63n(int64(sent) + 3))
+				p.ack(0, cum)
+				ref.ack(cum)
+			case r < 96: // retransmission timer, or a fresh connection: rewind
+				sent = ref.lastAcked
+			default: // Connect's full-backlog offer, taken in the shard's turn
+				p.offerBacklog(0, &backlog)
+				ref.offerBacklog(backlog.AppendTo(nil))
+			}
+			pending := q.pending()
+			if q.lastAcked != ref.lastAcked || q.maxSent != ref.maxSent || len(pending) != len(ref.queue) {
+				t.Fatalf("seed %d step %d: lastAcked %d maxSent %d len %d, reference %d %d %d",
+					seed, step, q.lastAcked, q.maxSent, len(pending), ref.lastAcked, ref.maxSent, len(ref.queue))
+			}
+			for i, u := range pending {
+				if u.Seq != ref.queue[i].Seq || u.Seq != pending[0].Seq+uint64(i) {
+					t.Fatalf("seed %d step %d: queue[%d] is seq %d, reference %d, head %d", seed, step, i, u.Seq, ref.queue[i].Seq, pending[0].Seq)
+				}
+			}
+			for _, dead := range q.queue[:q.head] {
+				if dead.Payload != nil || dead.Seq != 0 {
+					t.Fatalf("seed %d step %d: acked slot still holds seq %d", seed, step, dead.Seq)
+				}
+			}
+			if q.head > cap(q.queue)/2 {
+				t.Fatalf("seed %d step %d: dead prefix %d of a %d-slot array was not reclaimed", seed, step, q.head, cap(q.queue))
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/wire"
@@ -284,9 +285,10 @@ func appendBatch(w *wire.Writer, origin model.ReplicaID, us []protoUpdate) {
 	}
 }
 
-// decodeBatch decodes a tBatch body. Payloads alias the frame buffer, like
-// decodeUpdate's.
-func decodeBatch(r *wire.Reader) ([]protoUpdate, error) {
+// decodeBatch decodes a tBatch body into us[:0] — the receiving handler's
+// own scratch, reused frame after frame — and returns it. Payloads alias
+// the frame buffer, like decodeUpdate's.
+func decodeBatch(r *wire.Reader, us []protoUpdate) ([]protoUpdate, error) {
 	origin := model.ReplicaID(r.Uvarint())
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -298,7 +300,7 @@ func decodeBatch(r *wire.Reader) ([]protoUpdate, error) {
 	if n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("cluster: implausible batch count %d", n)
 	}
-	us := make([]protoUpdate, 0, n)
+	us = slices.Grow(us[:0], int(n))
 	for i := uint64(0); i < n; i++ {
 		u := protoUpdate{
 			Origin:  origin,
@@ -331,14 +333,13 @@ func appendShardBatch(w *wire.Writer, shard int, origin model.ReplicaID, us []pr
 	}
 }
 
-// decodeShardBatch decodes a tShardBatch body. Payloads alias the frame
-// buffer, like decodeBatch's.
-func decodeShardBatch(r *wire.Reader) (shard uint64, us []protoUpdate, err error) {
+// decodeShardBatch decodes a tShardBatch body into us[:0], like decodeBatch.
+func decodeShardBatch(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdate, err error) {
 	shard = r.Uvarint()
 	if err := r.Err(); err != nil {
 		return shard, nil, err
 	}
-	us, err = decodeBatch(r)
+	us, err = decodeBatch(r, us)
 	return shard, us, err
 }
 
@@ -385,8 +386,7 @@ func decodeRequest(r *wire.Reader) (reqID uint64, obj model.ObjectID, op model.O
 	return reqID, obj, op, r.Err()
 }
 
-func encodeResponse(reqID uint64, resp model.Response) []byte {
-	w := wire.NewWriter()
+func appendResponse(w *wire.Writer, reqID uint64, resp model.Response) {
 	w.Uvarint(tResponse)
 	w.Uvarint(reqID)
 	b := uint64(0)
@@ -404,7 +404,6 @@ func encodeResponse(reqID uint64, resp model.Response) []byte {
 			w.String(string(v))
 		}
 	}
-	return w.Bytes()
 }
 
 func decodeResponse(r *wire.Reader) (reqID uint64, resp model.Response, err error) {
@@ -468,10 +467,4 @@ func appendJSON(w *wire.Writer, typ uint64, data []byte) {
 	w.Uvarint(typ)
 	w.Uvarint(uint64(len(data)))
 	w.Raw(data)
-}
-
-func encodeJSON(typ uint64, data []byte) []byte {
-	w := wire.NewWriter()
-	appendJSON(w, typ, data)
-	return w.Bytes()
 }

@@ -136,7 +136,7 @@ func TestShardBatchRoundTrip(t *testing.T) {
 	if typ := r.Uvarint(); typ != tShardBatch {
 		t.Fatalf("type = %d, want tShardBatch", typ)
 	}
-	shard, got, err := decodeShardBatch(r)
+	shard, got, err := decodeShardBatch(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if typ := r.Uvarint(); typ != tBatch {
 		t.Fatalf("type = %d, want tBatch", typ)
 	}
-	got, err := decodeBatch(r)
+	got, err := decodeBatch(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestBatchImplausibleCountRejected(t *testing.T) {
 	w.Uvarint(3)       // origin
 	w.Uvarint(1 << 40) // absurd count
 	r := wire.NewReader(w.Bytes())
-	if us, err := decodeBatch(r); err == nil {
+	if us, err := decodeBatch(r, nil); err == nil {
 		t.Fatalf("decoded %d updates from implausible count", len(us))
 	}
 }
@@ -250,8 +250,9 @@ func TestResponseValueCountBoundary(t *testing.T) {
 	}
 
 	// The boundary itself must still work: n one-byte (empty) values.
-	ok := encodeResponse(7, model.Response{OK: true, Values: []model.Value{"", ""}})
-	r = wire.NewReader(ok)
+	ok := wire.NewWriter()
+	appendResponse(ok, 7, model.Response{OK: true, Values: []model.Value{"", ""}})
+	r = wire.NewReader(ok.Bytes())
 	r.Uvarint() // type
 	id, resp, err := decodeResponse(r)
 	if err != nil || id != 7 || len(resp.Values) != 2 {
@@ -492,7 +493,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		us, err := decodeBatch(wire.NewReader(b))
+		us, err := decodeBatch(wire.NewReader(b), nil)
 		if err != nil {
 			return
 		}
@@ -505,7 +506,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if typ := r.Uvarint(); typ != tBatch {
 			t.Fatalf("re-encode type = %d", typ)
 		}
-		again, err := decodeBatch(r)
+		again, err := decodeBatch(r, nil)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}

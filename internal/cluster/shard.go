@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/membership"
 	"repro/internal/model"
+	"repro/internal/seglog"
 	"repro/internal/store"
 )
 
@@ -60,7 +62,11 @@ type shard struct {
 	reportsVis bool
 	checker    *store.PropertyChecker
 
-	calls chan func()
+	// calls hands work to the loop. A call is a value — the function to run
+	// and the channel to signal when it has run — so a caller that keeps
+	// both (a connection handler does, for the life of its connection)
+	// crosses into the loop without allocating. See handoff.
+	calls chan loopCall
 
 	// journal, when non-nil, persists each recorded event before its ack or
 	// response leaves the node (Config.Journal for shard 0 of a single-shard
@@ -74,7 +80,15 @@ type shard struct {
 	seq       uint64   // this shard's broadcast sequence counter
 	delivered []uint64 // per-origin cumulative applied broadcast seq
 	frontier  []uint64 // per-origin visible store-dot prefix
-	events    []Event
+	// lastFrontier is the frontier most recently recorded on a do event.
+	// Recorded frontiers are immutable, so consecutive do events that saw
+	// the same frontier share this one slice instead of cloning it each.
+	lastFrontier []uint64
+	// events is the recorded history. It lives in a segment log: the node
+	// must keep all of it (it is the only input the checkers accept), but
+	// appending to it never re-copies what is already there, so recording
+	// an event costs the same behind a million events as behind ten.
+	events seglog.Log[Event]
 	// jerr latches the first journal failure. Once set, the node is
 	// fail-stopping: no further acks are written, operations error, and an
 	// async Close is already underway. One shard failing to persist stops
@@ -84,8 +98,9 @@ type shard struct {
 	// seq order (updates[o][i].Seq == i+1): its own live backlog — what
 	// Connect offers a new link — plus everything received, which is what
 	// anti-entropy range serving reads. Payloads are shared with the
-	// recorded events and immutable once appended. Loop-owned.
-	updates [][]protoUpdate
+	// recorded events and immutable once appended. Loop-owned, and
+	// segmented for the same reason events is.
+	updates []seglog.Log[protoUpdate]
 	// tree is the Merkle forest over updates, backing digest exchange with
 	// joiners. treeOwned means this shard appends each update's hash itself
 	// (in the same loop turn that records it); otherwise the durable layer
@@ -107,10 +122,10 @@ func newShard(n *Node, idx int) *shard {
 		replica:    replica,
 		reportsVis: reportsVis,
 		checker:    store.NewPropertyChecker(replica),
-		calls:      make(chan func()),
+		calls:      make(chan loopCall),
 		delivered:  make([]uint64, n.cfg.N),
 		frontier:   make([]uint64, n.cfg.N),
-		updates:    make([][]protoUpdate, n.cfg.N),
+		updates:    make([]seglog.Log[protoUpdate], n.cfg.N),
 	}
 }
 
@@ -121,27 +136,46 @@ func (s *shard) loop() {
 	defer s.n.wg.Done()
 	for {
 		select {
-		case fn := <-s.calls:
-			fn()
+		case c := <-s.calls:
+			c.fn()
+			c.done <- struct{}{}
 		case <-s.n.done:
 			return
 		}
 	}
 }
 
-// inLoop runs fn on the shard's event loop and waits for it to finish.
-// calls is unbuffered, so a successful send means the loop goroutine
-// received fn and is committed to running it — after that the only correct
-// move is to wait for completion.
-func (s *shard) inLoop(fn func()) error {
-	ran := make(chan struct{})
+// loopCall is one unit of work for a shard's event loop: the loop runs fn,
+// then signals done. done has capacity 1, so the loop never waits for its
+// caller to be scheduled.
+type loopCall struct {
+	fn   func()
+	done chan struct{}
+}
+
+// handoff runs fn on the shard's event loop and waits for it to finish,
+// signalling through the caller's done channel (capacity 1, empty, and not
+// shared with a concurrent handoff). It allocates nothing, so a caller that
+// reuses fn and done — reading its arguments from, and writing its results
+// to, a struct fn closes over — pays nothing per crossing. Whatever fn
+// wrote is visible to the caller once handoff returns: the receive on done
+// orders it. calls is unbuffered, so a successful send means the loop
+// goroutine received the call and is committed to running it — after that
+// the only correct move is to wait for completion.
+func (s *shard) handoff(fn func(), done chan struct{}) error {
 	select {
-	case s.calls <- func() { fn(); close(ran) }:
-		<-ran
+	case s.calls <- loopCall{fn, done}:
+		<-done
 		return nil
 	case <-s.n.done:
 		return ErrClosed
 	}
+}
+
+// inLoop is handoff with a throw-away done channel, for callers off the
+// serving path (Stats, History, Connect, membership).
+func (s *shard) inLoop(fn func()) error {
+	return s.handoff(fn, make(chan struct{}, 1))
 }
 
 // record appends one event to the shard's history and, when a journal is
@@ -150,10 +184,10 @@ func (s *shard) inLoop(fn func()) error {
 // acknowledged event is always durable. A journal failure fail-stops the
 // node. Runs on the shard's loop (or in restore, before the loop starts).
 func (s *shard) record(ev Event) {
-	s.events = append(s.events, ev)
+	s.events.Append(ev)
 	if s.journal != nil && s.jerr == nil {
 		if err := s.journal(ev); err != nil {
-			s.jerr = fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, len(s.events)-1, err)
+			s.jerr = fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, s.events.Len()-1, err)
 			go s.n.Close()
 		}
 	}
@@ -182,7 +216,10 @@ func (s *shard) doInLoop(obj model.ObjectID, op model.Operation) model.Response 
 	}
 	s.advanceFrontier()
 	if s.reportsVis {
-		ev.Frontier = append([]uint64(nil), s.frontier...)
+		if !slices.Equal(s.lastFrontier, s.frontier) {
+			s.lastFrontier = slices.Clone(s.frontier)
+		}
+		ev.Frontier = s.lastFrontier
 	}
 	// Stores without visibility reporting record no frontier at all: an
 	// all-zero frontier would claim "this read saw nothing", and BuildAudit
@@ -248,13 +285,18 @@ func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 		s.n.gapFrames.Add(1)
 		s.n.cfg.Observer.AddGapFrames(1)
 	default:
-		s.checker.CheckReceive(u.Payload)
+		// u.Payload aliases the receiving connection's frame buffer, which
+		// the next frame overwrites. The history-owned copy is made first
+		// and is the only slice anything below is shown, so whatever the
+		// store, the history, the update index or the journal retains, it
+		// is never connection memory.
+		payload := append([]byte(nil), u.Payload...)
+		s.checker.CheckReceive(payload)
 		s.delivered[u.Origin] = u.Seq
 		if u.Lamport > s.lamport {
 			s.lamport = u.Lamport
 		}
 		s.lamport++
-		payload := append([]byte(nil), u.Payload...)
 		s.record(Event{
 			Kind: model.ActReceive, Lamport: s.lamport,
 			Origin: u.Origin, Seq: u.Seq,
@@ -273,7 +315,7 @@ func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 // same turn the update's event is recorded, so backlog, forest, and
 // journal never disagree.
 func (s *shard) noteUpdate(origin model.ReplicaID, seq, lamport uint64, payload []byte) error {
-	s.updates[origin] = append(s.updates[origin], protoUpdate{Origin: origin, Seq: seq, Lamport: lamport, Payload: payload})
+	s.updates[origin].Append(protoUpdate{Origin: origin, Seq: seq, Lamport: lamport, Payload: payload})
 	if s.treeOwned {
 		if err := s.tree.Append(int(origin), seq, payload); err != nil {
 			return fmt.Errorf("cluster: r%d shard %d merkle append: %w", s.n.cfg.ID, s.idx, err)
@@ -336,7 +378,7 @@ func (s *shard) restore(h *History) error {
 		}
 		// Replayed events are appended verbatim, NOT via record: they came
 		// from the journal, and re-journaling them would duplicate the log.
-		s.events = append(s.events, ev)
+		s.events.Append(ev)
 	}
 	// A message pending at crash time was never recorded as sent: mint its
 	// send event now (the history stays well-formed — the send follows
@@ -365,12 +407,14 @@ func (s *shard) restore(h *History) error {
 	return nil
 }
 
-// history snapshots this shard's recorded history (one loop turn).
-func (s *shard) history() History {
+// history snapshots this shard's recorded history — a flat private copy,
+// taken in one loop turn. It fails with ErrClosed on a node that is closing:
+// an empty history would read as "this node did nothing".
+func (s *shard) history() (History, error) {
 	h := History{Node: s.n.cfg.ID, N: s.n.cfg.N, Store: s.n.cfg.Store.Name()}
 	if s.n.cfg.Shards > 1 {
 		h.Shard, h.Shards = s.idx, s.n.cfg.Shards
 	}
-	s.inLoop(func() { h.Events = append([]Event(nil), s.events...) })
-	return h
+	err := s.inLoop(func() { h.Events = s.events.AppendTo(nil) })
+	return h, err
 }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/seglog"
 )
 
 // LeafSpan is how many consecutive updates one Merkle leaf covers. Leaves
@@ -11,6 +13,10 @@ import (
 // walk) while bounding how much a walk over-fetches: a divergent prefix is
 // localized to within LeafSpan updates.
 const LeafSpan = 32
+
+// A leaf's update hashes are read as one contiguous run of the segmented
+// hash log, which holds only while segments are whole numbers of leaves.
+var _ = [1]struct{}{}[seglog.SegmentLen%LeafSpan]
 
 // Hash is one SHA-256 digest.
 type Hash [32]byte
@@ -22,7 +28,7 @@ type Hash [32]byte
 // A node is complete once every update it covers has been appended; its
 // hash never changes afterwards and does not depend on the prefix a query
 // asks about. Append fills that cache as nodes complete (amortized O(1),
-// no allocation beyond slice growth), so a root, prefix root or node hash
+// no allocation beyond log and cache growth), so a root, prefix root or node hash
 // costs O(log k): complete nodes are looked up and only the incomplete
 // right spine is hashed. The cache is derived state — the update-hash
 // arrays are still all a checkpoint has to hold. The zero value is
@@ -36,11 +42,13 @@ type Forest struct {
 }
 
 // originTree is one origin's update hashes and complete-node cache:
-// nodes[level][index] is the hash of node (level, index), present exactly
-// when (index+1)·LeafSpan·2^level ≤ len(hashes).
+// nodes[level].At(index) is the hash of node (level, index), present
+// exactly when (index+1)·LeafSpan·2^level ≤ hashes.Len(). Both grow with
+// the history — one hash per update, one cached node per LeafSpan/2 — so
+// both sit in segment logs: appending never re-copies what is there.
 type originTree struct {
-	hashes []Hash
-	nodes  [][]Hash
+	hashes seglog.Log[Hash]
+	nodes  []seglog.Log[Hash]
 }
 
 // NewForest returns an empty forest for an n-origin cluster.
@@ -56,7 +64,7 @@ func (f *Forest) Count(origin int) uint64 {
 	if origin < 0 || origin >= len(f.origins) {
 		return 0
 	}
-	return uint64(len(f.origins[origin].hashes))
+	return uint64(f.origins[origin].hashes.Len())
 }
 
 // HashUpdate digests one broadcast update's identity and content: origin,
@@ -89,7 +97,7 @@ func (f *Forest) Append(origin int, seq uint64, payload []byte) error {
 	if origin < 0 || origin >= len(f.origins) {
 		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.origins))
 	}
-	if want := uint64(len(f.origins[origin].hashes)) + 1; seq != want {
+	if want := uint64(f.origins[origin].hashes.Len()) + 1; seq != want {
 		return fmt.Errorf("membership: origin %d hash append at seq %d, want %d", origin, seq, want)
 	}
 	f.origins[origin].push(HashUpdate(origin, seq, payload))
@@ -111,27 +119,28 @@ func (f *Forest) AppendHash(origin int, h Hash) error {
 // leaf when a LeafSpan boundary is reached, then each ancestor whose right
 // child that just finished.
 func (t *originTree) push(h Hash) {
-	t.hashes = append(t.hashes, h)
-	if len(t.hashes)%LeafSpan != 0 {
+	t.hashes.Append(h)
+	k := t.hashes.Len()
+	if k%LeafSpan != 0 {
 		return
 	}
-	node := leafHash(t.hashes[len(t.hashes)-LeafSpan:])
+	node := leafHash(t.hashes.Chunk(k-LeafSpan, k))
 	for level := 0; ; level++ {
 		if level == len(t.nodes) {
-			t.nodes = append(t.nodes, nil)
+			t.nodes = append(t.nodes, seglog.Log[Hash]{})
 		}
-		t.nodes[level] = append(t.nodes[level], node)
-		n := len(t.nodes[level])
+		t.nodes[level].Append(node)
+		n := t.nodes[level].Len()
 		if n%2 != 0 {
 			return
 		}
-		node = interiorHash(t.nodes[level][n-2], t.nodes[level][n-1])
+		node = interiorHash(t.nodes[level].At(n-2), node)
 	}
 }
 
 // UpdateHash returns the hash of origin's i-th update (0-based).
 func (f *Forest) UpdateHash(origin int, i uint64) Hash {
-	return f.origins[origin].hashes[i]
+	return f.origins[origin].hashes.At(int(i))
 }
 
 // TopLevel returns the level of the root node of a tree over k updates:
@@ -186,7 +195,7 @@ func (f *Forest) NodeHash(origin int, prefix uint64, level int, index uint64) (H
 		return Hash{}, false
 	}
 	t := &f.origins[origin]
-	if prefix > uint64(len(t.hashes)) {
+	if prefix > uint64(t.hashes.Len()) {
 		return Hash{}, false
 	}
 	// Above the root every node is the lifted root (index 0) or empty, so
@@ -200,7 +209,7 @@ func (f *Forest) NodeHash(origin int, prefix uint64, level int, index uint64) (H
 	return t.nodeHash(prefix, level, index)
 }
 
-// nodeHash is NodeHash for prefix ≤ len(t.hashes) and level ≤ TopLevel(prefix).
+// nodeHash is NodeHash for prefix ≤ t.hashes.Len() and level ≤ TopLevel(prefix).
 func (t *originTree) nodeHash(prefix uint64, level int, index uint64) (Hash, bool) {
 	span := uint64(LeafSpan) << uint(level)
 	start := index * span
@@ -209,11 +218,13 @@ func (t *originTree) nodeHash(prefix uint64, level int, index uint64) (Hash, boo
 	}
 	// A cached node is complete over the whole history; it is this prefix's
 	// node too when the prefix covers all of it.
-	if level < len(t.nodes) && index < uint64(len(t.nodes[level])) && start+span <= prefix {
-		return t.nodes[level][index], true
+	if level < len(t.nodes) && index < uint64(t.nodes[level].Len()) && start+span <= prefix {
+		return t.nodes[level].At(int(index)), true
 	}
 	if level == 0 {
-		return leafHash(t.hashes[start:prefix]), true
+		// start is leaf-aligned and prefix < start+LeafSpan here (a complete
+		// leaf was answered from the cache), so the run is in one segment.
+		return leafHash(t.hashes.Chunk(int(start), int(prefix))), true
 	}
 	left, okL := t.nodeHash(prefix, level-1, 2*index)
 	right, okR := t.nodeHash(prefix, level-1, 2*index+1)

@@ -4,7 +4,11 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/seglog"
 )
 
 // refNodeHash is the recursive NodeHash the forest had before it cached
@@ -95,34 +99,53 @@ var forestBuilders = []struct {
 	}},
 }
 
-// TestNodeHashMatchesReference sweeps every (prefix, level, index) of a
-// small forest — several levels deep, its last leaf and right spine
-// incomplete — including nodes that do not exist and levels above the root.
+// TestNodeHashMatchesReference sweeps (prefix, level, index) over forests
+// several levels deep whose last leaf and right spine are incomplete —
+// including nodes that do not exist and levels above the root. The small
+// forest, inside the hash log's first segment, is swept at every prefix;
+// the two that cross one and two segment boundaries are swept at every
+// prefix within a leaf of a boundary or of the end, where a leaf read that
+// straddled two segments would show.
 func TestNodeHashMatchesReference(t *testing.T) {
-	const k = 6*LeafSpan*4 + 5
-	for _, b := range forestBuilders {
-		t.Run(b.name, func(t *testing.T) {
-			f := b.build(k)
-			hashes := f.origins[0].hashes
-			top := TopLevel(k)
-			for prefix := uint64(0); prefix <= k; prefix++ {
-				if got, want := f.PrefixRoot(0, prefix), refPrefixRoot(hashes, prefix); got != want {
-					t.Fatalf("PrefixRoot(%d) = %x, reference %x", prefix, got, want)
-				}
-				for level := 0; level <= top+2; level++ {
-					span := uint64(LeafSpan) << uint(level)
-					for index := uint64(0); index <= k/span+1; index++ {
-						got, ok := f.NodeHash(0, prefix, level, index)
-						want, wantOK := refNodeHash(hashes, prefix, level, index)
-						if ok != wantOK || got != want {
-							t.Fatalf("NodeHash(prefix %d, level %d, index %d) = %x/%v, reference %x/%v",
-								prefix, level, index, got, ok, want, wantOK)
-						}
+	near := func(p uint64, marks ...uint64) bool {
+		for _, m := range marks {
+			if p+LeafSpan+1 >= m && p <= m+LeafSpan+1 {
+				return true
+			}
+		}
+		return false
+	}
+	sizes := []uint64{6*LeafSpan*4 + 5, seglog.SegmentLen + LeafSpan + 5, 2*seglog.SegmentLen + 3*LeafSpan + 7}
+	sweep := func(t *testing.T, f *Forest, k uint64) {
+		hashes := f.origins[0].hashes.AppendTo(nil)
+		top := TopLevel(k)
+		for prefix := uint64(0); prefix <= k; prefix++ {
+			if k > seglog.SegmentLen && !near(prefix, seglog.SegmentLen, 2*seglog.SegmentLen, k) {
+				continue
+			}
+			if got, want := f.PrefixRoot(0, prefix), refPrefixRoot(hashes, prefix); got != want {
+				t.Fatalf("PrefixRoot(%d) = %x, reference %x", prefix, got, want)
+			}
+			for level := 0; level <= top+2; level++ {
+				span := uint64(LeafSpan) << uint(level)
+				for index := uint64(0); index <= k/span+1; index++ {
+					got, ok := f.NodeHash(0, prefix, level, index)
+					want, wantOK := refNodeHash(hashes, prefix, level, index)
+					if ok != wantOK || got != want {
+						t.Fatalf("NodeHash(prefix %d, level %d, index %d) = %x/%v, reference %x/%v",
+							prefix, level, index, got, ok, want, wantOK)
 					}
 				}
 			}
-			if _, ok := f.NodeHash(0, k+1, 0, 0); ok {
-				t.Fatal("node over a prefix longer than the history exists")
+		}
+		if _, ok := f.NodeHash(0, k+1, 0, 0); ok {
+			t.Fatal("node over a prefix longer than the history exists")
+		}
+	}
+	for _, b := range forestBuilders {
+		t.Run(b.name, func(t *testing.T) {
+			for _, k := range sizes {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { sweep(t, b.build(int(k)), k) })
 			}
 		})
 	}
@@ -136,7 +159,7 @@ func TestRootsMatchReferenceAtRandomSizes(t *testing.T) {
 	for _, b := range forestBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			f := b.build(k)
-			hashes := f.origins[0].hashes
+			hashes := f.origins[0].hashes.AppendTo(nil)
 			if got, want := f.Root(0), refPrefixRoot(hashes, k); got != want {
 				t.Fatalf("Root at %d = %x, reference %x", k, got, want)
 			}
@@ -149,16 +172,23 @@ func TestRootsMatchReferenceAtRandomSizes(t *testing.T) {
 		})
 	}
 	// Root as the history grows: the cache must be right at every size, not
-	// only at the end.
+	// only at the end — at random sizes, and on either side of the hash
+	// log's first two segment boundaries, with and without a whole last leaf.
+	const seg = seglog.SegmentLen
+	sizes := []int{seg - 1, seg, seg + 1, seg + LeafSpan + 3, 2*seg - LeafSpan, 2*seg - 1, 2 * seg, 2*seg + 1, 2*seg + 2*LeafSpan + 9}
+	for size := 1; size <= k; size += 1 + rng.Intn(9000) {
+		sizes = append(sizes, size)
+	}
+	slices.Sort(sizes)
 	f := NewForest(1)
 	next := 1
-	for size := 1; size <= k; size += 1 + rng.Intn(9000) {
+	for _, size := range sizes {
 		for ; next <= size; next++ {
 			if err := f.Append(0, uint64(next), []byte{byte(next), byte(next >> 8)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got, want := f.Root(0), refPrefixRoot(f.origins[0].hashes, uint64(size)); got != want {
+		if got, want := f.Root(0), refPrefixRoot(f.origins[0].hashes.AppendTo(nil), uint64(size)); got != want {
 			t.Fatalf("Root while growing, at %d = %x, reference %x", size, got, want)
 		}
 	}
@@ -166,23 +196,35 @@ func TestRootsMatchReferenceAtRandomSizes(t *testing.T) {
 
 // TestNodeCacheFillAllocatesNothing pins the claim the in-memory workloads
 // rest on: completing leaves and interior nodes costs Append no allocation
-// of its own (slice growth aside, which the preallocated forest here rules
-// out).
+// of its own. What does allocate is the logs growing — the hash log and
+// each level's node log, a segment at a time (the first by doubling) — so
+// the run is placed where none of them grows: after 34 segments of hashes
+// the hash log has just opened a segment the run exactly fills, and levels
+// 0–6 hold 1088, 544, 272, 136, 68, 34 and 17 nodes, each with room for the
+// 32, 16, 8, 4, 2, 1 and 0 the run adds. The count is read from the
+// allocator: testing.AllocsPerRun rounds an allocation per leaf down to 0.
 func TestNodeCacheFillAllocatesNothing(t *testing.T) {
-	const k = 4 * LeafSpan * 8
 	var tr originTree
-	tr.hashes = make([]Hash, 0, 2*k)
-	for level := 0; level < 8; level++ {
-		tr.nodes = append(tr.nodes, make([]Hash, 0, k))
-	}
 	var h Hash
-	if avg := testing.AllocsPerRun(k, func() {
+	for i := 0; i < 34*seglog.SegmentLen+1; i++ {
+		h[1]++
+		tr.push(h)
+	}
+	completed := tr.nodes[2].Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < seglog.SegmentLen; i++ {
 		h[0]++
 		tr.push(h)
-	}); avg != 0 {
-		t.Fatalf("push allocates %.2f times per update", avg)
 	}
-	if len(tr.nodes[2]) == 0 {
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d pushes inside one segment allocated %d times", seglog.SegmentLen-1, n)
+	}
+	if tr.hashes.Len()%seglog.SegmentLen != 0 {
+		t.Fatalf("run ended at %d hashes, off the segment boundary it was placed against", tr.hashes.Len())
+	}
+	if tr.nodes[2].Len() == completed {
 		t.Fatal("no interior node completed; the run did not exercise the cache fill")
 	}
 }

@@ -1,0 +1,196 @@
+package seglog
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// allocBytes returns how many bytes fn allocates (nothing else runs).
+func allocBytes(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// checkAgainst compares every read the log offers with a plain slice
+// holding the same elements.
+func checkAgainst(t *testing.T, l *Log[int], ref []int, rng *rand.Rand) {
+	t.Helper()
+	if l.Len() != len(ref) {
+		t.Fatalf("Len = %d, reference %d", l.Len(), len(ref))
+	}
+	if got := l.AppendTo(nil); !slices.Equal(got, ref) {
+		t.Fatalf("AppendTo(nil) differs from the reference at length %d", len(ref))
+	} else if (got == nil) != (len(ref) == 0) {
+		t.Fatalf("AppendTo(nil) nil-ness: got nil=%v at length %d", got == nil, len(ref))
+	}
+	prefix := []int{-1, -2}
+	if got := l.AppendTo(prefix); !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], ref) {
+		t.Fatalf("AppendTo(prefix) differs from the reference at length %d", len(ref))
+	}
+	for i := 0; i < 8 && len(ref) > 0; i++ {
+		j := rng.Intn(len(ref))
+		if got := l.At(j); got != ref[j] {
+			t.Fatalf("At(%d) = %d, reference %d", j, got, ref[j])
+		}
+	}
+	// Ranges: the whole log, empty ones at both ends, and random ones, each
+	// walked chunk by chunk.
+	ranges := [][2]int{{0, len(ref)}, {0, 0}, {len(ref), len(ref)}}
+	for i := 0; i < 8; i++ {
+		from := rng.Intn(len(ref) + 1)
+		ranges = append(ranges, [2]int{from, from + rng.Intn(len(ref)-from+1)})
+	}
+	for _, r := range ranges {
+		var got []int
+		for i := r[0]; i < r[1]; {
+			c := l.Chunk(i, r[1])
+			if len(c) == 0 {
+				t.Fatalf("Chunk(%d, %d) is empty inside a non-empty range", i, r[1])
+			}
+			if i>>segShift != (i+len(c)-1)>>segShift {
+				t.Fatalf("Chunk(%d, %d) spans two segments", i, r[1])
+			}
+			if end := min(r[1], (i>>segShift+1)<<segShift); i+len(c) != end {
+				t.Fatalf("Chunk(%d, %d) stops at %d, want %d", i, r[1], i+len(c), end)
+			}
+			got = append(got, c...)
+			i += len(c)
+		}
+		if !slices.Equal(got, ref[r[0]:r[1]]) {
+			t.Fatalf("range [%d,%d) differs from the reference", r[0], r[1])
+		}
+		if r[0] == r[1] && l.Chunk(r[0], r[1]) != nil {
+			t.Fatalf("Chunk(%d, %d) of an empty range is not nil", r[0], r[1])
+		}
+	}
+}
+
+// TestLogMatchesSliceReference grows a log next to a plain slice and
+// compares them at every length that matters: empty, one, each side of the
+// first segment's doublings, and each side of several segment boundaries.
+func TestLogMatchesSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	stops := map[int]bool{0: true, 1: true, firstCap - 1: true, firstCap: true, firstCap + 1: true}
+	for s := 1; s <= 4; s++ {
+		for d := -1; d <= 1; d++ {
+			stops[s*SegmentLen+d] = true
+		}
+	}
+	for i := 0; i < 40; i++ {
+		stops[rng.Intn(4*SegmentLen+2)] = true
+	}
+	var l Log[int]
+	var ref []int
+	for n := 0; n <= 4*SegmentLen+1; n++ {
+		if stops[n] {
+			checkAgainst(t, &l, ref, rng)
+		}
+		v := rng.Int()
+		l.Append(v)
+		ref = append(ref, v)
+	}
+}
+
+// TestChunkSurvivesAppends pins the aliasing contract: a chunk handed out
+// keeps its contents across later appends, including the ones that move the
+// still-growing first segment.
+func TestChunkSurvivesAppends(t *testing.T) {
+	var l Log[int]
+	for i := 0; i < firstCap; i++ {
+		l.Append(i)
+	}
+	early := l.Chunk(0, firstCap)
+	for i := firstCap; i < 2*SegmentLen; i++ {
+		l.Append(i)
+	}
+	late := l.Chunk(SegmentLen, SegmentLen+5)
+	for i := 0; i < SegmentLen; i++ {
+		l.Append(-1)
+	}
+	for i, v := range early {
+		if v != i {
+			t.Fatalf("early chunk[%d] = %d after appends", i, v)
+		}
+	}
+	for i, v := range late {
+		if v != SegmentLen+i {
+			t.Fatalf("late chunk[%d] = %d after appends", i, v)
+		}
+	}
+}
+
+func TestChunkOutOfRangePanics(t *testing.T) {
+	var l Log[int]
+	l.Append(1)
+	for _, r := range [][2]int{{-1, 0}, {1, 0}, {0, 2}, {2, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Chunk(%d, %d) on a 1-element log did not panic", r[0], r[1])
+				}
+			}()
+			l.Chunk(r[0], r[1])
+		}()
+	}
+}
+
+// TestAppendCostIndependentOfLength is the property the package exists for:
+// no append allocates more than one segment, and the total allocated stays
+// within a small factor of what the elements occupy, however long the log.
+func TestAppendCostIndependentOfLength(t *testing.T) {
+	type elem [64]byte
+	const n = 64 * SegmentLen
+	var l Log[elem]
+	var total, worst float64
+	for i := 0; i < n; i += SegmentLen / 2 {
+		// AllocsPerRun would average the spike away; bytes per half-segment
+		// burst is read from the allocator directly.
+		b := allocBytes(func() {
+			for j := 0; j < SegmentLen/2; j++ {
+				l.Append(elem{})
+			}
+		})
+		total += b
+		worst = max(worst, b)
+	}
+	const segBytes = SegmentLen * 64
+	if worst > 1.1*segBytes {
+		t.Errorf("one burst of %d appends allocated %.0f B, more than a segment (%d B)", SegmentLen/2, worst, segBytes)
+	}
+	if occupied := float64(n) * 64; total > 1.1*occupied {
+		t.Errorf("%d appends allocated %.0f B for %.0f B of elements", n, total, occupied)
+	}
+}
+
+var sink Log[[184]byte]
+
+// BenchmarkAppend appends an event-sized element behind logs of different
+// lengths: ns/op and B/op must not depend on the length. The log is cut
+// back to that length every 64 segments (dropping tail segments, which
+// costs nothing), so memory stays bounded however large b.N gets.
+//
+//	go test ./internal/seglog -run '^$' -bench Append -benchmem
+func BenchmarkAppend(b *testing.B) {
+	for _, behind := range []int{1 << 10, 1 << 18} {
+		b.Run(fmt.Sprintf("behind=%d", behind), func(b *testing.B) {
+			sink = Log[[184]byte]{}
+			for i := 0; i < behind; i++ {
+				sink.Append([184]byte{})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sink.n == behind+64*SegmentLen {
+					sink.segs, sink.n = sink.segs[:behind/SegmentLen], behind
+				}
+				sink.Append([184]byte{})
+			}
+		})
+	}
+}

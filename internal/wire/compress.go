@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -58,11 +59,19 @@ var flateReaders = sync.Pool{New: func() any {
 }}
 
 // Inflate decompresses a DEFLATE stream produced by DeflateTo into a fresh
-// buffer of exactly rawLen bytes. A stream that inflates short, long, or
-// corrupt is an error: the declared length is part of the envelope's
-// contract, and enforcing it before and during decode caps the allocation
-// a hostile frame can force.
+// buffer of exactly rawLen bytes: the allocate-per-call form of InflateTo.
 func Inflate(comp []byte, rawLen int) ([]byte, error) {
+	return InflateTo(nil, comp, rawLen)
+}
+
+// InflateTo decompresses a DEFLATE stream produced by DeflateTo, appends
+// its rawLen bytes to dst and returns the extended slice. comp may alias
+// dst[:len(dst)] — a receiver inflates a frame into the tail of the buffer
+// the frame arrived in. A stream that inflates short, long, or corrupt is
+// an error: the declared length is part of the envelope's contract, and
+// enforcing it before and during decode caps the allocation a hostile
+// frame can force.
+func InflateTo(dst, comp []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 {
 		return nil, fmt.Errorf("wire: negative inflated length %d", rawLen)
 	}
@@ -71,8 +80,9 @@ func Inflate(comp []byte, rawLen int) ([]byte, error) {
 	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
 		return nil, err
 	}
-	out := make([]byte, rawLen)
-	if _, err := io.ReadFull(fr, out); err != nil {
+	off := len(dst)
+	dst = slices.Grow(dst, rawLen)[:off+rawLen]
+	if _, err := io.ReadFull(fr, dst[off:]); err != nil {
 		return nil, fmt.Errorf("wire: inflate: %w", err)
 	}
 	// The stream must end exactly at rawLen: trailing decompressed data
@@ -81,5 +91,5 @@ func Inflate(comp []byte, rawLen int) ([]byte, error) {
 	if n, _ := fr.Read(tail[:]); n != 0 {
 		return nil, fmt.Errorf("wire: inflate: stream exceeds declared %d bytes", rawLen)
 	}
-	return out, nil
+	return dst, nil
 }

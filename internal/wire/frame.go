@@ -114,27 +114,48 @@ func PutWriter(w *Writer) {
 }
 
 // ReadFrame reads one length-delimited frame written by WriteFrame and
-// returns its payload. A declared length beyond max (DefaultMaxFrame when
-// max <= 0) returns a *FrameSizeError BEFORE any payload allocation: the
-// guard is what makes the framing safe against a hostile length prefix. A
-// clean close before the first header byte returns io.EOF; a header or
-// payload truncated mid-frame returns io.ErrUnexpectedEOF.
+// returns its payload in a buffer of its own: the allocate-per-call form of
+// ReadFrameInto, for callers that keep the payload.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
+	return ReadFrameInto(r, max, nil)
+}
+
+// ReadFrameInto reads one length-delimited frame written by WriteFrame into
+// buf's storage and returns its payload, which is buf resliced to the
+// frame's length when buf has the capacity and a new, larger buffer
+// otherwise. A connection handler that passes the returned slice back in
+// reads frame after frame without allocating. The payload is then only
+// valid until that next call, which overwrites it: whatever must outlive
+// the frame — and everything decoded zero-copy from it, see Reader.Bytes —
+// has to be copied first. buf's length is ignored; nil is a valid buf.
+//
+// A declared length beyond max (DefaultMaxFrame when max <= 0) returns a
+// *FrameSizeError BEFORE the buffer grows to hold it: the guard is what
+// makes the framing safe against a hostile length prefix. A clean close
+// before the first header byte returns io.EOF; a header or payload
+// truncated mid-frame returns io.ErrUnexpectedEOF.
+func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
+	// The header is read into the buffer it is about to describe (a local
+	// array would escape through the io.Reader call and cost an allocation
+	// per frame).
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(hdr)
 	if size > uint32(max) {
 		return nil, &FrameSizeError{Size: int(size), Max: max}
 	}
-	payload := make([]byte, size)
+	if uint32(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	payload := buf[:size]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			return nil, io.ErrUnexpectedEOF

@@ -131,3 +131,156 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestReadFrameIntoReusesBuffer pins what a connection handler relies on: a
+// frame that fits the buffer passed in lands in that buffer, one that does
+// not gets a larger one, a short frame after a long one is exactly its own
+// bytes, and reading into a warmed buffer allocates nothing.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	long, short := bytes.Repeat([]byte{0xCD}, 300), []byte("ok")
+	var stream bytes.Buffer
+	for _, p := range [][]byte{short, long, short, nil} {
+		if _, err := WriteFrame(&stream, p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bytes.NewReader(stream.Bytes())
+	buf := make([]byte, 16)
+	got, err := ReadFrameInto(r, 0, buf)
+	if err != nil || !bytes.Equal(got, short) || &got[0] != &buf[0] {
+		t.Fatalf("frame that fits: %q err %v (or it left the caller's buffer)", got, err)
+	}
+	grown, err := ReadFrameInto(r, 0, got)
+	if err != nil || !bytes.Equal(grown, long) {
+		t.Fatalf("frame beyond the buffer: %d bytes err %v", len(grown), err)
+	}
+	got, err = ReadFrameInto(r, 0, grown)
+	if err != nil || !bytes.Equal(got, short) || &got[0] != &grown[0] {
+		t.Fatalf("short frame after a long one: %q err %v", got, err)
+	}
+	if got, err = ReadFrameInto(r, 0, got); err != nil || len(got) != 0 {
+		t.Fatalf("empty frame: %q err %v", got, err)
+	}
+
+	frames := stream.Bytes()
+	if avg := testing.AllocsPerRun(100, func() {
+		r.Reset(frames)
+		for {
+			b, err := ReadFrameInto(r, 0, grown)
+			if err != nil {
+				return
+			}
+			grown = b
+		}
+	}); avg != 0 {
+		t.Fatalf("reading into a warmed buffer allocates %.0f times per stream", avg)
+	}
+}
+
+// TestReadFrameIntoGuardsBeforeGrowth: a hostile length prefix is refused
+// before the buffer grows to hold it.
+func TestReadFrameIntoGuardsBeforeGrowth(t *testing.T) {
+	stream := []byte{0x7F, 0xFF, 0xFF, 0xFF, 1, 2, 3}
+	hostile := bytes.NewReader(nil)
+	buf := make([]byte, 8)
+	var err error
+	if avg := testing.AllocsPerRun(10, func() {
+		hostile.Reset(stream)
+		_, err = ReadFrameInto(hostile, 64, buf)
+	}); avg > 1 { // the error value
+		t.Fatalf("refusing a hostile frame allocated %.0f times", avg)
+	}
+	var fse *FrameSizeError
+	if !errors.As(err, &fse) || fse.Size != 0x7FFFFFFF || fse.Max != 64 {
+		t.Fatalf("err = %v, want *FrameSizeError{0x7FFFFFFF, 64}", err)
+	}
+}
+
+// FuzzReusedFrameBuffer reads an arbitrary byte stream frame after frame
+// twice — through one buffer handed from call to call, as a connection
+// handler does, and through ReadFrame, which allocates per frame — and
+// demands the same payloads and the same errors from both. The reused
+// buffer starts dirty, so a frame that showed bytes it did not carry (the
+// tail of a longer predecessor) would differ from its fresh-buffer twin.
+func FuzzReusedFrameBuffer(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x00\x00\x05long!\x00\x00\x00\x02hi\x00\x00\x00\x00\x00\x00\x00\x01x"))
+	f.Add([]byte("\x00\x00\x00\x02hi\xff\xff\xff\xffboom"))
+	f.Add([]byte("\x00\x00\x00\x03abc\x00\x00\x00\x09short"))
+	f.Add([]byte("\x00\x00\x00\x01a\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const limit = 1 << 12
+		fresh, reused := bytes.NewReader(data), bytes.NewReader(data)
+		buf := bytes.Repeat([]byte{0xEE}, 8)
+		for {
+			want, wantErr := ReadFrame(fresh, limit)
+			before := buf[:cap(buf)]
+			got, gotErr := ReadFrameInto(reused, limit, buf)
+			var wantFSE, gotFSE *FrameSizeError
+			if errors.As(wantErr, &wantFSE) != errors.As(gotErr, &gotFSE) || (wantFSE != nil && *wantFSE != *gotFSE) {
+				t.Fatalf("size errors differ: fresh %v, reused %v", wantErr, gotErr)
+			}
+			if wantFSE == nil && wantErr != gotErr {
+				t.Fatalf("errors differ: fresh %v, reused %v", wantErr, gotErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("payloads differ: fresh %q, reused %q", want, got)
+			}
+			if len(got) > limit {
+				t.Fatalf("payload of %d bytes exceeds limit %d", len(got), limit)
+			}
+			if len(got) > 0 && len(got) <= len(before) && &got[0] != &before[0] {
+				t.Fatalf("a %d-byte frame left a %d-byte buffer", len(got), len(before))
+			}
+			if len(got) > 0 {
+				buf = got
+			}
+		}
+	})
+}
+
+var frameSink []byte
+
+// BenchmarkReadFrame reads a stream of small frames (the size of a client
+// request or a short batch) with a fresh buffer per frame and with one
+// reused buffer.
+//
+//	go test ./internal/wire -run '^$' -bench ReadFrame -benchmem
+func BenchmarkReadFrame(b *testing.B) {
+	var stream bytes.Buffer
+	for i := 0; i < 64; i++ {
+		if _, err := WriteFrame(&stream, bytes.Repeat([]byte{byte(i)}, 24+i), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frames := stream.Bytes()
+	for _, reuse := range []bool{false, true} {
+		name := "fresh"
+		if reuse {
+			name = "reused"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := bytes.NewReader(frames)
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					r.Reset(frames)
+				}
+				var err error
+				if reuse {
+					buf, err = ReadFrameInto(r, 0, buf)
+				} else {
+					buf, err = ReadFrame(r, 0)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			frameSink = buf
+		})
+	}
+}

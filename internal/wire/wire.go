@@ -132,6 +132,11 @@ type Reader struct {
 // NewReader wraps a payload for decoding.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
+// Reset points the Reader at a new payload and clears any decode error, so
+// a connection handler decodes frame after frame with one Reader value (the
+// zero Reader is ready to Reset).
+func (r *Reader) Reset(buf []byte) { *r = Reader{buf: buf} }
+
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
 
@@ -190,9 +195,11 @@ func (r *Reader) String() string {
 // Bytes decodes a length-prefixed byte field (the same layout String reads)
 // and returns it as a subslice of the underlying buffer — zero-copy, unlike
 // String, which materializes a fresh string. The returned slice aliases the
-// Reader's buffer: callers that retain it past the buffer's lifetime must
-// copy it themselves (the cluster's receive path does, when it records the
-// payload into its durable history).
+// Reader's buffer and lives exactly as long as that buffer's contents do:
+// for a frame read with ReadFrameInto, until the connection's next read
+// overwrites it. A caller that retains the bytes, or hands them to code
+// that may, copies them first (the cluster's receive path copies each
+// update's payload once, before its store or history sees it).
 func (r *Reader) Bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
