@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-smoke flake figures json wirebench fuzz chaos chaos-search durability membership livecheck shard ci
+.PHONY: build test verify bench bench-smoke flake figures json loc fuzz chaos chaos-search durability membership livecheck shard ci
 
 build:
 	$(GO) build ./...
@@ -51,11 +51,21 @@ json:
 	$(GO) run ./cmd/loadgen -livebench -seed 1 -ops 800 -json > BENCH_LIVECHECK.json
 	$(GO) run ./cmd/loadgen -shardbench -seed 1 -keys 1000000 -ops 200000 -shards 8 -json > BENCH_SHARD.json
 
-# Human-readable wire-codec comparison: the deterministic encode-path table
-# (what BENCH_WIRE.json tracks) plus a live loopback TCP run of both codecs
-# with wall-clock throughput and latency.
-wirebench:
-	$(GO) run ./cmd/loadgen -wirebench -store causal -seed 1 -ops 200
+# Go lines per package over the tracked files, non-test then test, the root
+# module and benchmark/ (its own module) apart: the before/after a
+# simplicity PR states.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		dir = $$2; if (!sub(/\/[^\/]*$$/, "", dir)) dir = "."; \
+		mod = (dir ~ /^benchmark(\/|$$)/) ? "benchmark" : "root"; \
+		kind = ($$2 ~ /_test\.go$$/) ? "test" : "code"; \
+		n[mod, dir, kind] += $$1; tot[mod, kind] += $$1; seen[mod "\t" dir] = 1 } \
+		END { printf "%-10s %-34s %8s %8s\n", "module", "package", "non-test", "test"; \
+		for (k in seen) { split(k, p, "\t"); \
+			printf "%-10s %-34s %8d %8d\n", p[1], p[2], n[p[1], p[2], "code"], n[p[1], p[2], "test"] | "sort" } \
+		close("sort"); \
+		for (m in tot) { split(m, p, SUBSEP); mods[p[1]] = 1 } \
+		for (m in mods) printf "%-10s %-34s %8d %8d\n", m, "TOTAL", tot[m, "code"], tot[m, "test"] | "sort -r"; }'
 
 # Brief coverage-guided runs of every fuzz target (decoders and replica
 # Receive paths), on top of the checked-in seed corpora the ordinary test
@@ -90,8 +100,8 @@ chaos:
 
 # The dynamic-membership battery: the Merkle forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence
-# refusal, codec negotiation during join), churned fault schedules through
-# the supervisor, the durable tree checkpoint round trip, and the kill -9
+# and version-mismatch refusal), churned fault schedules through the
+# supervisor, the durable tree checkpoint round trip, and the kill -9
 # mid-sync harness (a served child joining via -join, SIGKILL'd mid-pull,
 # restarted on the same -data-dir).
 membership:
@@ -116,7 +126,8 @@ livecheck:
 
 # The sharding battery: keyspace routing and the per-shard event loops —
 # the router and sharded-cluster convergence/audit suites, the shard-count
-# hello negotiation, the per-shard livecheck set, the group-commit fsync
+# mismatch refusal, the sharded supervisor crash/restart, the per-shard
+# livecheck set, the group-commit fsync
 # coordinator, the sharded conformance leg of every registered store, the
 # pool and compression regression tests that rode the sharding PR, and the
 # kill -9 mid-group-commit harness — all under the race detector, since

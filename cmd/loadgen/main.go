@@ -58,9 +58,8 @@ func main() {
 	storeName := cli.StoreFlag(flag.CommandLine, "causal")
 	chaosNodes := flag.Int("chaos-nodes", 3, "cluster size for -chaos runs")
 	chaosDataDir := flag.String("chaos-data-dir", "", "journal -chaos node histories to this directory; crash/restart directives then recover from disk (in-memory if empty)")
-	wirebench := flag.Bool("wirebench", false, "measure wire-codec costs: deterministic encode-path table (bytes/op, frames, allocs/op) for the JSON fallback vs the binary+batch codec; human mode adds a live TCP comparison")
-	wireBatch := flag.Int("wire-batch", 64, "tBatch coalescing cap for the -wirebench binary rows")
-	wireCodec := flag.String("wire-codec", "", "codec for structured replies in the live-cluster mode (json, binary; default binary)")
+	wirebench := flag.Bool("wirebench", false, "measure wire-format costs: deterministic encode-path table (bytes/op, frames, allocs/op) for batched updates, range chunks, history frames and journal records")
+	wireBatch := flag.Int("wire-batch", 64, "tBatch coalescing cap for the -wirebench rows")
 	conns := flag.Int("conns", 0, "pooled connections per node for the workload clients (0 = one dedicated connection per client)")
 	opTimeout := flag.Duration("op-timeout", 10*time.Second, "per-operation deadline for client round trips (0 = unbounded)")
 	syncbench := flag.Bool("syncbench", false, "measure Merkle anti-entropy catch-up costs: deterministic digest/range-pull table per joiner prefix")
@@ -129,15 +128,12 @@ func main() {
 
 	if *wirebench {
 		wcfg := wirebenchConfig{
-			store:          *storeName,
-			ops:            *ops,
-			batch:          *wireBatch,
-			seed:           *seed,
-			clients:        *clients,
-			objects:        *objects,
-			mutate:         *mutate,
-			quiesceTimeout: *quiesceTimeout,
-			jsonOut:        *jsonOut,
+			store:   *storeName,
+			ops:     *ops,
+			batch:   *wireBatch,
+			seed:    *seed,
+			objects: *objects,
+			jsonOut: *jsonOut,
 		}
 		if err := runWirebench(os.Stdout, wcfg); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -181,7 +177,6 @@ func main() {
 		audit:          *audit,
 		quiesceTimeout: *quiesceTimeout,
 		jsonOut:        *jsonOut,
-		wireCodec:      *wireCodec,
 		conns:          *conns,
 		opTimeout:      *opTimeout,
 	}
@@ -204,7 +199,6 @@ type config struct {
 	audit          bool
 	quiesceTimeout time.Duration
 	jsonOut        bool
-	wireCodec      string
 	conns          int
 	opTimeout      time.Duration
 }
@@ -244,11 +238,6 @@ func run(w io.Writer, cfg config) error {
 			return err
 		}
 		defer c.Close()
-		if cfg.wireCodec != "" {
-			if err := c.SetCodec(cfg.wireCodec); err != nil {
-				return err
-			}
-		}
 		c.SetOpTimeout(cfg.opTimeout)
 		control[i] = c
 	}
@@ -260,9 +249,7 @@ func run(w io.Writer, cfg config) error {
 	if cfg.conns > 0 {
 		pools = make([]*cluster.Pool, len(cfg.nodes))
 		for i, addr := range cfg.nodes {
-			p, err := cluster.NewPool(addr, cluster.PoolOptions{
-				Size: cfg.conns, OpTimeout: cfg.opTimeout, Codec: cfg.wireCodec,
-			})
+			p, err := cluster.NewPool(addr, cluster.PoolOptions{Size: cfg.conns, OpTimeout: cfg.opTimeout})
 			if err != nil {
 				return err
 			}
@@ -413,13 +400,7 @@ func run(w io.Writer, cfg config) error {
 	for s := 0; s < cfg.shards; s++ {
 		hists := make([]cluster.History, len(control))
 		for i, c := range control {
-			var h cluster.History
-			var err error
-			if cfg.shards > 1 {
-				h, err = c.ShardHistory(s)
-			} else {
-				h, err = c.History()
-			}
+			h, err := c.ShardHistory(s)
 			if err != nil {
 				return err
 			}

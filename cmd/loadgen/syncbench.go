@@ -28,8 +28,7 @@ type syncbenchConfig struct {
 var syncbenchPrefixes = []int{0, 25, 50, 90, 100}
 
 // syncbenchWindows are the pull credit windows measured: stop-and-wait
-// (the pre-v4 protocol, and Config.SyncWindow 1) against the default
-// window. Bytes are window-independent; the rtts column is what the
+// (Config.SyncWindow 1) against the default window. Bytes are window-independent; the rtts column is what the
 // window buys.
 var syncbenchWindows = []int{1, 8}
 

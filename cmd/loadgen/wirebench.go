@@ -7,10 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
@@ -23,18 +20,14 @@ import (
 )
 
 // wirebenchConfig parameterizes a -wirebench run: deterministic encode-path
-// measurements (the tracked table) plus, in human mode, a live TCP
-// comparison of the two codecs.
+// measurements, the tracked table.
 type wirebenchConfig struct {
-	store          string
-	ops            int
-	batch          int
-	seed           int64
-	clients        int
-	objects        int
-	mutate         float64
-	quiesceTimeout time.Duration
-	jsonOut        bool
+	store   string
+	ops     int
+	batch   int
+	seed    int64
+	objects int
+	jsonOut bool
 }
 
 // wirebenchWorkload drives one replica with a seeded write-heavy mix and
@@ -73,13 +66,13 @@ func wirebenchWorkload(st store.Store, ops int, objects int, seed int64) (payloa
 	return payloads, events
 }
 
-// journalBench appends the event sequence to a throwaway durable log in the
-// given codec and returns total on-disk bytes and allocations per append.
-// SnapshotEvery is disabled so the wal holds exactly one record per event.
-func journalBench(events []cluster.Event, codec string) (diskBytes int64, allocsPerOp float64, err error) {
+// journalBench appends the event sequence to a throwaway durable log and
+// returns total on-disk bytes and allocations per append. SnapshotEvery is
+// disabled so the wal holds exactly one record per event.
+func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64, err error) {
 	measure := func(dir string) (int64, error) {
 		l, _, err := durable.Open(dir, durable.Meta{Node: 0, N: 3, Store: "bench"},
-			durable.Options{NoSync: true, SnapshotEvery: -1, Codec: codec})
+			durable.Options{NoSync: true, SnapshotEvery: -1})
 		if err != nil {
 			return 0, err
 		}
@@ -109,7 +102,7 @@ func journalBench(events []cluster.Event, codec string) (diskBytes int64, allocs
 		return 0, 0, err
 	}
 	// Allocations: one full append pass per run, averaged, normalized per
-	// event. Disk writes ride along identically for both codecs.
+	// event.
 	runs := 0
 	total := testing.AllocsPerRun(3, func() {
 		sub := filepath.Join(dir, fmt.Sprintf("allocs%d", runs))
@@ -118,17 +111,14 @@ func journalBench(events []cluster.Event, codec string) (diskBytes int64, allocs
 			panic(err)
 		}
 	})
-	// Subtract nothing: Open/Close overhead is shared by both codec rows, so
-	// the comparison stays apples-to-apples even though the per-op figure
-	// includes a small fixed cost.
+	// Subtract nothing: the per-op figure includes Open/Close's small fixed
+	// cost.
 	allocsPerOp = total / float64(len(events))
 	return diskBytes, allocsPerOp, nil
 }
 
 // runWirebench emits the deterministic wire-cost table — the rows behind
-// the tracked BENCH_WIRE.json — and, in human (non-JSON) mode, follows it
-// with a live TCP comparison whose wall-clock numbers are informative but
-// deliberately kept out of the tracked artifact.
+// the tracked BENCH_WIRE.json.
 func runWirebench(w io.Writer, cfg wirebenchConfig) error {
 	if cfg.ops < 1 || cfg.batch < 1 || cfg.objects < 1 {
 		return fmt.Errorf("wirebench needs at least one op, object, and a positive batch")
@@ -146,16 +136,13 @@ func runWirebench(w io.Writer, cfg wirebenchConfig) error {
 	us := cluster.NewBenchUpdates(payloads)
 	nOps := float64(len(payloads))
 
-	// Updates: the v1 fallback (one tUpdate frame per update, fresh buffers)
-	// against the negotiated path (pooled writer, tBatch coalescing).
-	v1Bytes, v1Frames := us.EncodeV1()
-	v1Allocs := testing.AllocsPerRun(10, func() { us.EncodeV1() }) / nOps
+	// Updates: the replication send path (pooled writer, tBatch coalescing).
 	bBytes, bFrames := us.EncodeBatched(cfg.batch)
 	bAllocs := testing.AllocsPerRun(10, func() { us.EncodeBatched(cfg.batch) }) / nOps
 
-	// Bulk transfers: anti-entropy range chunks and the binary history
-	// download frame, raw versus wrapped in the negotiated v4 compression
-	// envelope. Same chunking either way — the envelope is the only delta.
+	// Bulk transfers: anti-entropy range chunks and the history download
+	// frame, as encoded versus as sent, wrapped in the compression envelope.
+	// Same chunking either way — the envelope is the only delta.
 	rBytes, rFrames := us.EncodeRange(cfg.batch, 0, false)
 	rAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cfg.batch, 0, false) }) / nOps
 	rcBytes, rcFrames := us.EncodeRange(cfg.batch, 0, true)
@@ -173,12 +160,8 @@ func runWirebench(w io.Writer, cfg wirebenchConfig) error {
 	hAllocs := testing.AllocsPerRun(10, func() { cluster.EncodeHistoryFrame(events, false) }) / nEv
 	hcAllocs := testing.AllocsPerRun(10, func() { cluster.EncodeHistoryFrame(events, true) }) / nEv
 
-	// Journal: the same recorded events in both on-disk codecs.
-	jJSONBytes, jJSONAllocs, err := journalBench(events, "json")
-	if err != nil {
-		return err
-	}
-	jBinBytes, jBinAllocs, err := journalBench(events, "binary")
+	// Journal: the same recorded events on disk.
+	jBinBytes, jBinAllocs, err := journalBench(events)
 	if err != nil {
 		return err
 	}
@@ -187,140 +170,11 @@ func runWirebench(w io.Writer, cfg wirebenchConfig) error {
 	t := bench.NewTable(
 		fmt.Sprintf("loadgen wirebench: %s, seed %d, %d updates, batch %d", st.Name(), cfg.seed, len(payloads), cfg.batch),
 		"path", "codec", "batch", "ops", "frames", "bytes/op", "allocs/op")
-	t.AddRow("updates", "json", 1, len(payloads), v1Frames, round(float64(v1Bytes)/nOps), round(v1Allocs))
 	t.AddRow("updates", "binary", cfg.batch, len(payloads), bFrames, round(float64(bBytes)/nOps), round(bAllocs))
 	t.AddRow("range", "binary", cfg.batch, len(payloads), rFrames, round(float64(rBytes)/nOps), round(rAllocs))
 	t.AddRow("range", "binary+flate", cfg.batch, len(payloads), rcFrames, round(float64(rcBytes)/nOps), round(rcAllocs))
 	t.AddRow("history", "binary", 1, len(events), int64(1), round(float64(hBytes)/nEv), round(hAllocs))
 	t.AddRow("history", "binary+flate", 1, len(events), int64(1), round(float64(hcBytes)/nEv), round(hcAllocs))
-	t.AddRow("journal", "json", 1, len(events), int64(len(events)), round(float64(jJSONBytes)/float64(len(events))), round(jJSONAllocs))
 	t.AddRow("journal", "binary", 1, len(events), int64(len(events)), round(float64(jBinBytes)/float64(len(events))), round(jBinAllocs))
-	if err := out.Emit(t); err != nil {
-		return err
-	}
-
-	if cfg.jsonOut {
-		// The tracked artifact ends here: everything below is wall-clock and
-		// would break the byte-identical drift gate.
-		return nil
-	}
-	return runWirebenchLive(w, cfg, out)
-}
-
-// runWirebenchLive self-hosts a 3-node loopback cluster once per codec and
-// drives the usual client mix through it, reporting throughput, latency,
-// and the transport counters. Wall-clock: human-mode output only.
-func runWirebenchLive(w io.Writer, cfg wirebenchConfig, out bench.Output) error {
-	t := bench.NewTable(
-		fmt.Sprintf("loadgen wirebench live: %s, %d clients x %d ops (wall-clock, untracked)", cfg.store, cfg.clients, cfg.ops),
-		"codec", "ops/sec", "p50 ms", "p99 ms", "wire KB", "frames", "bytes/frame")
-	for _, codec := range []string{"json", "binary"} {
-		row, err := wirebenchLiveRun(cfg, codec)
-		if err != nil {
-			return err
-		}
-		t.AddRow(codec, row.opsPerSec, row.p50, row.p99,
-			float64(row.bytes)/1024.0, row.frames, float64(row.bytes)/float64(row.frames))
-	}
 	return out.Emit(t)
-}
-
-type liveRow struct {
-	opsPerSec float64
-	p50, p99  float64
-	bytes     int64
-	frames    int64
-}
-
-func wirebenchLiveRun(cfg wirebenchConfig, codec string) (liveRow, error) {
-	st, err := cli.OpenStore(cfg.store, spec.MVRTypes(), store.Options{})
-	if err != nil {
-		return liveRow{}, err
-	}
-	const n = 3
-	nodes := make([]*cluster.Node, 0, n)
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
-	addrs := make(map[model.ReplicaID]string, n)
-	for i := 0; i < n; i++ {
-		nd, err := cluster.NewNode(cluster.Config{
-			ID: model.ReplicaID(i), N: n, Store: st,
-			Listen: "127.0.0.1:0", Seed: cfg.seed, Codec: codec,
-		})
-		if err != nil {
-			return liveRow{}, err
-		}
-		nodes = append(nodes, nd)
-		addrs[model.ReplicaID(i)] = nd.Addr()
-	}
-	for i, nd := range nodes {
-		peers := make(map[model.ReplicaID]string)
-		for id, a := range addrs {
-			if id != model.ReplicaID(i) {
-				peers[id] = a
-			}
-		}
-		if err := nd.Connect(peers); err != nil {
-			return liveRow{}, err
-		}
-	}
-
-	objs := make([]model.ObjectID, cfg.objects)
-	for i := range objs {
-		objs[i] = model.ObjectID(fmt.Sprintf("x%d", i))
-	}
-	lats := make([][]time.Duration, cfg.clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for ci := 0; ci < cfg.clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(gen.SplitSeed(cfg.seed, ci)))
-			c, err := cluster.Dial(nodes[ci%n].Addr(), 0)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			for i := 0; i < cfg.ops; i++ {
-				obj := objs[rng.Intn(len(objs))]
-				op := model.Read()
-				if rng.Float64() < cfg.mutate {
-					op = model.Write(model.Value(fmt.Sprintf("c%d.v%d", ci, i)))
-				}
-				t0 := time.Now()
-				if _, err := c.Do(obj, op); err == nil {
-					lats[ci] = append(lats[ci], time.Since(t0))
-				}
-			}
-		}(ci)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if !cluster.WaitQuiesced(nodes, cfg.quiesceTimeout) {
-		return liveRow{}, fmt.Errorf("wirebench live (%s): cluster did not quiesce within %v", codec, cfg.quiesceTimeout)
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return liveRow{}, fmt.Errorf("wirebench live (%s): every operation failed", codec)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	row := liveRow{
-		opsPerSec: float64(len(all)) / elapsed.Seconds(),
-		p50:       float64(percentile(all, 0.50).Microseconds()) / 1000.0,
-		p99:       float64(percentile(all, 0.99).Microseconds()) / 1000.0,
-	}
-	for _, nd := range nodes {
-		s := nd.Stats()
-		row.bytes += s.BytesOut
-		row.frames += s.FramesOut
-	}
-	return row, nil
 }

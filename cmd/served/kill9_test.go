@@ -269,8 +269,8 @@ func TestKill9Recovery(t *testing.T) {
 // origin's updates can only arrive via anti-entropy, which pins the whole
 // catch-up inside the kill window.
 //
-// The harness runs once per pull credit window: stop-and-wait (window 1,
-// the pre-v4 protocol) and the windowed default. Journal-before-ack holds
+// The harness runs once per pull credit window: stop-and-wait (window 1)
+// and the windowed default. Journal-before-ack holds
 // identically in both — the joiner applies and journals every chunk before
 // its ack leaves, the credit window only lets more unacked chunks be in
 // flight — so a kill -9 mid-pull must still resume from the partial
@@ -294,8 +294,11 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A frame limit two of the padded updates below cannot share: batches
+		// and range chunks carry one update each.
 		cfg := cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
+			MaxFrame:       512,
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
@@ -311,11 +314,9 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 		}
 		return nd
 	}
-	// Donor r0: JSON-pinned so range chunks carry one update each, with a
-	// chunk delay that stretches the 30-update pull across ~1.5s — a wide
-	// window for the kill.
+	// Donor r0: a chunk delay stretches the 30-chunk pull across ~1.5s — a
+	// wide window for the kill.
 	donor := mkNode(0, func(c *cluster.Config) {
-		c.Codec = "json"
 		c.SyncChunkDelay = 50 * time.Millisecond
 	})
 	defer donor.Close()
@@ -330,7 +331,7 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < writes; i++ {
-		if _, err := r2.Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i)))); err != nil {
+		if _, err := r2.Do("x", model.Write(model.Value(fmt.Sprintf("v%d.%s", i, strings.Repeat("-", 200))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,8 +429,8 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 		t.Fatalf("restarted joiner re-pulled the full log: donor served %d then %d more, want < %d", served1, pulled2, writes)
 	}
 	// Tight accounting: the second pull serves exactly the suffix the
-	// journal lacks (chunks are one update each under the JSON-pinned
-	// donor). Anything below writes-restored means journaled updates were
+	// journal lacks (chunks are one update each under the donor's frame
+	// limit). Anything below writes-restored means journaled updates were
 	// lost; anything above it plus the window means the restart re-pulled
 	// chunks the first incarnation already journaled and acked.
 	if min := int64(writes - restored); pulled2 < min || pulled2 > min+int64(window) {

@@ -73,11 +73,9 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 2, "K for the kbuffer store")
 	flag.IntVar(&cfg.shards, "shards", 1, "independent keyspace shards (event loops) inside this node; all nodes must agree")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the durable event journal (journaling disabled if empty)")
-	flag.StringVar(&cfg.wireCodec, "wire-codec", "", "preferred wire codec for replication links and the journal (json, binary; default: the store's own preference)")
 	flag.StringVar(&cfg.joinSpec, "join", "", "join a running cluster through these seed nodes (id=addr pairs like -peers; requires -n)")
 	flag.DurationVar(&cfg.syncDelay, "sync-delay", 0, "pause between anti-entropy chunks served to a joiner (test knob, 0 disables)")
 	flag.IntVar(&cfg.syncWindow, "sync-window", 0, "anti-entropy pull credit window in chunks (1 = stop-and-wait; default 8)")
-	flag.StringVar(&cfg.compress, "compress", "", "large-frame compression offered in negotiation (flate, none; default flate)")
 	flag.Parse()
 	cfg.store = *storeName
 
@@ -98,11 +96,9 @@ type serveConfig struct {
 	k          int
 	shards     int
 	dataDir    string
-	wireCodec  string
 	joinSpec   string
 	syncDelay  time.Duration
 	syncWindow int
-	compress   string
 }
 
 // checkPeerAddr rejects peer addresses a membership exchange could not
@@ -220,24 +216,17 @@ func run(cfg serveConfig) error {
 		Peers:          peers,
 		Join:           join,
 		Shards:         cfg.shards,
-		Codec:          cfg.wireCodec,
 		SyncChunkDelay: cfg.syncDelay,
 		SyncWindow:     cfg.syncWindow,
-		Compress:       cfg.compress,
 		Tap:            ck.Observe,
 	}
 	if cfg.dataDir != "" {
 		// Each shard journals to its own fsync'd log (data-dir itself when
-		// unsharded — the pre-sharding layout — or data-dir/shard-NNN/ per
-		// shard), opened by the node via the storage hook so recovery and
+		// unsharded, or data-dir/shard-NNN/ per shard), opened by the node via the storage hook so recovery and
 		// journaling follow each shard's event loop. Sharded logs share one
 		// group-commit coordinator: concurrent appends across shards ride a
 		// single fsync round, and acked ⇒ on-disk still holds per shard.
-		ncfg.Storage = &shardStorage{
-			dir:   cfg.dataDir,
-			codec: cfg.wireCodec,
-			group: durable.NewGroupCommitter(),
-		}
+		ncfg.Storage = &shardStorage{dir: cfg.dataDir, group: durable.NewGroupCommitter()}
 	}
 	node, err := cluster.NewNode(ncfg)
 	if err != nil {
@@ -279,19 +268,17 @@ func run(cfg serveConfig) error {
 }
 
 // shardStorage implements cluster.NodeStorage over the served data-dir
-// layout: the directory itself holds the single-shard log (byte-compatible
-// with directories written before sharding existed), and a sharded node
-// nests shard-NNN/ subdirectories, one log per shard, all sharing the
+// layout: the directory itself holds the single-shard log, and a sharded
+// node nests shard-NNN/ subdirectories, one log per shard, all sharing the
 // group-commit fsync coordinator.
 type shardStorage struct {
 	dir   string
-	codec string
 	group *durable.GroupCommitter
 }
 
 func (s *shardStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
 	dir := s.dir
-	opts := durable.Options{Codec: s.codec}
+	var opts durable.Options
 	if shards > 1 {
 		dir = filepath.Join(s.dir, fmt.Sprintf("shard-%03d", shard))
 		opts.Group = s.group

@@ -6,18 +6,16 @@ import (
 )
 
 // This file is the deterministic measurement surface behind cmd/loadgen
-// -wirebench. The interesting numbers of the codec work — wire bytes per
+// -wirebench. The interesting numbers of the wire format — wire bytes per
 // operation, frames per operation, allocations per operation — are pure
 // functions of the encoded workload, so they are measured here on the
 // encode paths alone, with no sockets or timers involved: the tracked
 // BENCH_WIRE.json must be byte-identical across runs of the same flags and
 // seed, which live TCP dynamics (retransmission timing, batching windows)
-// can never promise. Throughput and latency stay wall-clock measurements in
-// loadgen's live modes.
+// can never promise. Throughput and latency are benchmark/'s to measure.
 
 // BenchUpdates is a fixed sequence of synthetic updates for wire-path
-// benchmarking: the same payloads pushed through both encode paths a
-// replication link can take.
+// benchmarking.
 type BenchUpdates []protoUpdate
 
 // NewBenchUpdates wraps broadcast payloads as origin-0 updates with
@@ -34,24 +32,10 @@ func NewBenchUpdates(payloads [][]byte) BenchUpdates {
 	return us
 }
 
-// EncodeV1 runs the pre-negotiation fallback path: one tUpdate frame per
-// update, a fresh writer and payload slice per frame — byte-for-byte what a
-// JSON-codec connection writes, allocation-for-allocation what the code
-// before writer pooling did. Returns total wire bytes (headers included)
-// and frames.
-func (us BenchUpdates) EncodeV1() (bytes, frames int64) {
-	for _, u := range us {
-		b := encodeUpdate(u)
-		bytes += int64(len(b) + 4) // + frame header
-		frames++
-	}
-	return bytes, frames
-}
-
-// EncodeBatched runs the negotiated binary path: tBatch frames of up to
-// batch updates built in one pooled writer with the frame header patched in
-// place — byte-for-byte what a binary connection writes after its hello
-// ack, including the single-update tUpdate degenerate case.
+// EncodeBatched runs the replication send path: shard-0 tBatch frames of up
+// to batch updates built in one pooled writer with the frame header patched
+// in place — byte-for-byte what a link writes after its hello ack, before
+// compression. Returns total wire bytes (headers included) and frames.
 func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 	if batch < 1 {
 		batch = 1
@@ -65,11 +49,7 @@ func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 		}
 		enc.Reset()
 		enc.BeginFrame()
-		if end-off == 1 {
-			appendUpdate(enc, us[off])
-		} else {
-			appendBatch(enc, us[off].Origin, us[off:end])
-		}
+		appendBatch(enc, 0, us[off].Origin, us[off:end])
 		frame, err := enc.EndFrame(historyMaxFrame)
 		if err != nil {
 			return bytes, frames // unreachable for sane payloads
@@ -82,8 +62,8 @@ func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 }
 
 // EncodeRange runs the anti-entropy donor path: tRangeResp chunks of up to
-// chunkMax updates under serveRange's exact chunking rule, optionally
-// behind the tCompressed envelope a v4 connection negotiates (compress
+// chunkMax updates under serveRange's exact chunking rule, as encoded
+// (compress false) or as sent, behind the tCompressed envelope (compress
 // follows maybeCompressPayload's gates, so sub-floor or incompressible
 // chunks ship raw there too). Returns total wire bytes (headers included)
 // and frames.
@@ -93,10 +73,6 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 	}
 	if maxFrame <= 0 {
 		maxFrame = wire.DefaultMaxFrame
-	}
-	comp := wire.CompNone
-	if compress {
-		comp = wire.CompFlate
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
@@ -113,36 +89,34 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 		}
 		w.Reset()
 		appendRangeResp(w, 0, us[idx:end])
-		if env := maybeCompressPayload(w.Bytes(), comp); env != nil {
-			bytes += int64(env.Len() + 4)
-			wire.PutWriter(env)
-		} else {
-			bytes += int64(w.Len() + 4)
-		}
+		bytes += wireLen(w, compress)
 		frames++
 		idx = end
 	}
 	return bytes, frames
 }
 
-// EncodeHistoryFrame measures one binary history reply (tHistoryRespB)
-// holding the given events, optionally behind the compression envelope —
-// the client-download path's bulk frame. Returns the frame's wire length,
-// header included.
+// EncodeHistoryFrame measures one history reply (tHistoryResp) holding the
+// given events, as encoded or as sent — the client-download path's bulk
+// frame. Returns the frame's wire length, header included.
 func EncodeHistoryFrame(events []Event, compress bool) (int64, error) {
-	comp := wire.CompNone
-	if compress {
-		comp = wire.CompFlate
-	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	w.Uvarint(tHistoryRespB)
+	w.Uvarint(tHistoryResp)
 	if err := appendHistory(w, History{Node: 0, N: 1, Store: "bench", Events: events}); err != nil {
 		return 0, err
 	}
-	if env := maybeCompressPayload(w.Bytes(), comp); env != nil {
-		defer wire.PutWriter(env)
-		return int64(env.Len() + 4), nil
+	return wireLen(w, compress), nil
+}
+
+// wireLen is the wire length, header included, of the bulk frame whose
+// payload w holds: as encoded, or (compress) as writeEnc sends it.
+func wireLen(w *wire.Writer, compress bool) int64 {
+	if compress {
+		if env := maybeCompressPayload(w.Bytes()); env != nil {
+			defer wire.PutWriter(env)
+			return int64(env.Len() + 4)
+		}
 	}
-	return int64(w.Len() + 4), nil
+	return int64(w.Len() + 4)
 }

@@ -100,12 +100,13 @@ func TestMergeOrderValidatesSendBeforeReceive(t *testing.T) {
 }
 
 // TestNodeRestartRestoresHistory exercises the crash/restart path directly:
-// write at a node, crash it (capturing its history), restart it from that
-// history on the same address, and require the restarted node to still hold
+// write at a node, crash it, restart it from its storage on the same
+// address, and require the restarted node to still hold
 // its pre-crash state, resume its Lamport clock, and audit clean with its
 // peers after more traffic.
 func TestNodeRestartRestoresHistory(t *testing.T) {
-	nodes := startCluster(t, "causal", 3)
+	mem := &memStorage{}
+	nodes := startClusterWith(t, "causal", 3, func(cfg *Config) { cfg.Storage = mem })
 	for i := 0; i < 5; i++ {
 		if _, err := nodes[0].Do("x", model.Write(model.Value(fmt.Sprintf("pre%d", i)))); err != nil {
 			t.Fatal(err)
@@ -130,7 +131,7 @@ func TestNodeRestartRestoresHistory(t *testing.T) {
 	}
 	cfg := fastConfig(2, 3, st)
 	cfg.Listen = addr
-	cfg.Restore = &hist
+	cfg.Storage = mem
 	var reborn *Node
 	for attempt := 0; attempt < 50; attempt++ {
 		if reborn, err = NewNode(cfg); err == nil {
@@ -193,7 +194,7 @@ func TestNodeRestartRestoresHistory(t *testing.T) {
 }
 
 // TestRestoreResendLateConnectingPeer pins the late-connect contract: a
-// node restarted from its history must offer the FULL live backlog — not
+// node restarted from its storage must offer the FULL live backlog — not
 // just the restored prefix — to peers that connect only AFTER the restart.
 // A second restart re-offers the same (now entirely stale) backlog, and
 // the peer's delivered watermark on the hello ack prunes it before the
@@ -208,7 +209,10 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := NewNode(fastConfig(0, 2, st0))
+	mem := &memStorage{}
+	cfg0 := fastConfig(0, 2, st0)
+	cfg0.Storage = mem
+	r0, err := NewNode(cfg0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +241,7 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 	}
 
 	addr := r0.Addr()
-	restart := func(h History) *Node {
+	restart := func() *Node {
 		t.Helper()
 		st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
 		if err != nil {
@@ -245,7 +249,7 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 		}
 		cfg := fastConfig(0, 2, st)
 		cfg.Listen = addr
-		cfg.Restore = &h
+		cfg.Storage = mem
 		var nd *Node
 		for attempt := 0; attempt < 50; attempt++ {
 			if nd, err = NewNode(cfg); err == nil {
@@ -258,7 +262,7 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 	}
 
 	r0.Close()
-	r0 = restart(r0.FinalHistory())
+	r0 = restart()
 	// The peer connects late: only now does r0 learn r1's address, and the
 	// restored backlog must flow.
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
@@ -276,7 +280,7 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 	// the connection quiesces without shipping (or r1 deduplicating) a
 	// single stale frame.
 	r0.Close()
-	r0 = restart(r0.FinalHistory())
+	r0 = restart()
 	t.Cleanup(func() { r0.Close() })
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
 		t.Fatal(err)
@@ -404,5 +408,101 @@ func TestSupervisorScheduleAuditsClean(t *testing.T) {
 		if v := nd.Violations(); len(v) != 0 {
 			t.Fatalf("r%d property violations: %v", nd.ID(), v)
 		}
+	}
+}
+
+// TestSupervisorShardedCrashRestart is the check that the seams compose:
+// sharding × crash/restart × the storage seam, with no disk. A 3-node,
+// 2-shard cluster on the supervisor's in-memory storage runs a seeded
+// schedule with a crash/restart under load; every shard of the victim must
+// come back from its own journal, and every shard's histories must audit
+// clean.
+func TestSupervisorShardedCrashRestart(t *testing.T) {
+	const n, shards = 3, 2
+	em := fault.NewNetem(n)
+	base := Config{
+		Store: openCausal(t), Seed: 29, Shards: shards,
+		DialTimeout:    time.Second,
+		DialBackoffMin: 5 * time.Millisecond,
+		DialBackoffMax: 100 * time.Millisecond,
+		RetransmitMin:  25 * time.Millisecond,
+		RetransmitMax:  250 * time.Millisecond,
+	}
+	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	sched := fault.Generate(fault.Config{Seed: 29, N: n, Steps: 80, Partitions: 1, Crashes: 1, LinkFaults: 1})
+	objects := shardedObjects(t, shards, 6)
+
+	var wg sync.WaitGroup
+	schedErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		schedErr <- sup.RunSchedule(sched)
+	}()
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 60; i++ {
+				obj := objects[rng.Intn(len(objects))]
+				op := model.Read()
+				if rng.Intn(2) == 0 {
+					op = model.Write(model.Value(fmt.Sprintf("w%d.%d", w, i)))
+				}
+				// Downtime errors are expected while the victim is crashed.
+				_, _ = sup.Do(w, obj, op)
+				time.Sleep(2 * time.Millisecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := <-schedErr; err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	if crashes, restarts := sup.Crashes(); crashes != 1 || restarts != 1 {
+		t.Fatalf("crashes/restarts = %d/%d, want 1/1", crashes, restarts)
+	}
+
+	live := sup.Nodes()
+	if len(live) != n {
+		t.Fatalf("%d nodes live after schedule, want %d", len(live), n)
+	}
+	if !WaitQuiesced(live, 30*time.Second) {
+		for _, nd := range live {
+			t.Logf("r%d stats: %+v", nd.ID(), nd.Stats())
+		}
+		t.Fatal("sharded cluster did not quiesce after the schedule")
+	}
+	doers := make([]Doer, n)
+	for i := range doers {
+		doers[i] = sup.Doer(i)
+	}
+	if err := CheckConverged(doers, objects); err != nil {
+		t.Fatal(err)
+	}
+	restored := int64(0)
+	for s := 0; s < shards; s++ {
+		hists := make([]History, n)
+		for i, nd := range live {
+			if hists[i], err = nd.ShardHistory(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		auditClean(t, hists)
+	}
+	for _, nd := range live {
+		restored += nd.Restored()
+		if v := nd.Violations(); len(v) != 0 {
+			t.Fatalf("r%d property violations: %v", nd.ID(), v)
+		}
+	}
+	if restored == 0 {
+		t.Fatal("the restarted node restored nothing: its shards' journals did not survive the crash")
 	}
 }

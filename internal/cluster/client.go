@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -15,17 +14,11 @@ import (
 // history downloads over a single connection. Safe for concurrent use (the
 // protocol is strict request/response, so calls serialize on a mutex —
 // loadgen opens one Client per simulated client).
-//
-// Structured requests (Stats, History) carry the client's codec preference;
-// the node answers binary when both sides prefer it and JSON otherwise, and
-// the client accepts either reply form regardless of what it asked for — so
-// one client binary works against nodes of both protocol versions.
 type Client struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	maxFrame  int
 	nextReq   uint64
-	codec     wire.CodecID
 	opTimeout time.Duration
 	// buf receives Do's replies, one after another (decodeResponse copies
 	// the values out). Stats and History replies get a buffer per call: a
@@ -44,21 +37,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame, codec: wire.CodecBinary}, nil
-}
-
-// SetCodec sets the codec the client asks structured replies in. The
-// default is binary; "json" pins the v1 fallback (useful against old nodes
-// in tests, and for humans reading packet captures).
-func (c *Client) SetCodec(name string) error {
-	codec, ok := wire.CodecByName(name)
-	if !ok {
-		return fmt.Errorf("cluster: unknown wire codec %q (have %v)", name, wire.CodecNames())
-	}
-	c.mu.Lock()
-	c.codec = codec.ID()
-	c.mu.Unlock()
-	return nil
+	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame}, nil
 }
 
 // SetOpTimeout bounds each subsequent operation's full round trip (write
@@ -80,33 +59,28 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip writes one frame and reads one reply whose type is in want,
-// returning the reply's reader positioned after the type tag plus the type
-// it got. The reply is read into buf (see recvFrame; nil for a buffer of
-// its own); the reader is the client's own, good until the next roundTrip.
-func (c *Client) roundTrip(req []byte, replyMax int, buf *[]byte, want ...uint64) (*wire.Reader, uint64, error) {
+// roundTrip writes one frame and reads one reply of type want, returning the
+// reply's reader positioned after the type tag. The reply is read into buf
+// (see recvFrame; nil for a buffer of its own); the reader is the client's
+// own, good until the next roundTrip.
+func (c *Client) roundTrip(req []byte, replyMax int, buf *[]byte, want uint64) (*wire.Reader, error) {
 	if c.opTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
 	if _, err := wire.WriteFrame(c.conn, req, c.maxFrame); err != nil {
-		return nil, 0, fmt.Errorf("cluster: client write: %w", err)
+		return nil, fmt.Errorf("cluster: client write: %w", err)
 	}
 	b, err := recvFrame(c.conn, replyMax, buf)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: client read: %w", err)
+		return nil, fmt.Errorf("cluster: client read: %w", err)
 	}
 	r := &c.r
 	r.Reset(b)
-	typ := r.Uvarint()
-	if r.Err() == nil {
-		for _, w := range want {
-			if typ == w {
-				return r, typ, nil
-			}
-		}
+	if typ := r.Uvarint(); r.Err() != nil || typ != want {
+		return nil, fmt.Errorf("cluster: unexpected reply frame type %d (want %d)", typ, want)
 	}
-	return nil, 0, fmt.Errorf("cluster: unexpected reply frame type %d (want %v)", typ, want)
+	return r, nil
 }
 
 // Do performs one operation at the node and returns its response.
@@ -115,7 +89,7 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 	defer c.mu.Unlock()
 	c.nextReq++
 	id := c.nextReq
-	r, _, err := c.roundTrip(encodeRequest(id, obj, op), c.maxFrame, &c.buf, tResponse)
+	r, err := c.roundTrip(encodeRequest(id, obj, op), c.maxFrame, &c.buf, tResponse)
 	if err != nil {
 		return model.Response{}, err
 	}
@@ -133,24 +107,13 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 func (c *Client) Stats() (Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, typ, err := c.roundTrip(encodeStructuredReq(tStats, c.codec, wire.CompFlate), c.maxFrame, nil, tStatsResp, tStatsRespB)
+	r, err := c.roundTrip([]byte{tStats}, c.maxFrame, nil, tStatsResp)
 	if err != nil {
 		return Stats{}, err
 	}
-	if typ == tStatsRespB {
-		s, err := decodeStats(r)
-		if err != nil {
-			return Stats{}, fmt.Errorf("cluster: bad stats frame: %w", err)
-		}
-		return s, nil
-	}
-	var s Stats
-	data := r.String()
-	if err := r.Err(); err != nil {
+	s, err := decodeStats(r)
+	if err != nil {
 		return Stats{}, fmt.Errorf("cluster: bad stats frame: %w", err)
-	}
-	if err := json.Unmarshal([]byte(data), &s); err != nil {
-		return Stats{}, fmt.Errorf("cluster: decode stats: %w", err)
 	}
 	return s, nil
 }
@@ -161,31 +124,17 @@ func (c *Client) History() (History, error) {
 	return c.ShardHistory(0)
 }
 
-// ShardHistory downloads one shard's recorded local history. The shard
-// index trails the request's negotiation fields, so an old single-shard
-// node ignores it and answers its whole history — which is shard 0's
-// projection exactly.
+// ShardHistory downloads one shard's recorded local history.
 func (c *Client) ShardHistory(shard int) (History, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, typ, err := c.roundTrip(encodeStructuredReqShard(tHistory, c.codec, wire.CompFlate, uint64(shard)), historyMaxFrame, nil, tHistoryResp, tHistoryRespB)
+	r, err := c.roundTrip(encodeHistoryReq(shard), historyMaxFrame, nil, tHistoryResp)
 	if err != nil {
 		return History{}, err
 	}
-	if typ == tHistoryRespB {
-		h, err := decodeHistory(r)
-		if err != nil {
-			return History{}, fmt.Errorf("cluster: bad history frame: %w", err)
-		}
-		return h, nil
-	}
-	var h History
-	data := r.String()
-	if err := r.Err(); err != nil {
+	h, err := decodeHistory(r)
+	if err != nil {
 		return History{}, fmt.Errorf("cluster: bad history frame: %w", err)
-	}
-	if err := json.Unmarshal([]byte(data), &h); err != nil {
-		return History{}, fmt.Errorf("cluster: decode history: %w", err)
 	}
 	return h, nil
 }

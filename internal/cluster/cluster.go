@@ -15,11 +15,24 @@
 // that replay through execution.CheckWellFormed, consistency.CheckCausal,
 // and the §4 property checkers — the same audit pipeline the simulator
 // applies in-process, now spanning processes and machines.
+//
+// Contract:
+//
+//   - OWNS: the frame types and the one protocol version (proto.go,
+//     proto_member.go, compress.go), replication links and their queues, the
+//     per-shard event loops and recorded histories, membership over
+//     connections, and the NodeStorage seam durable state enters through.
+//   - MUST NOT: marshal JSON (the struct tags on Event, History and Stats
+//     serve the admin endpoint in cmd/served; wire and journal are binary),
+//     open a file, or keep a second way to do what a frame, a Config field
+//     or a code path here already does — a format change bumps
+//     protoVersion, it does not add a branch.
+//   - MUST NOT import: internal/durable (it imports this package for Event
+//     and NodeStorage), cmd/..., or the simulator.
 package cluster
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -63,32 +76,24 @@ type Config struct {
 	// and the accept side (acks), so the emulator's partitions, cuts, and
 	// per-link shaping windows apply to this node's links.
 	Faults *fault.Netem
-	// Restore, when non-nil, reloads a previous incarnation's recorded
-	// history before serving: the replica state is rebuilt by replaying
-	// the events, the Lamport clock and sequence counters resume where
-	// they left off, and every past broadcast is re-offered to the peers
-	// (receivers deduplicate by cumulative sequence number). This is the
-	// rejoin half of a fail-stop crash whose durable state is the local
-	// event log.
-	Restore *History
-	// Journal, when non-nil, is invoked on the event loop with each
-	// do/send/receive event as it is appended to the local history, and
-	// must make the event durable before returning (internal/durable
-	// fsyncs a CRC-framed record). Because the call happens in the same
-	// event-loop turn that records the event — before the update's
-	// acknowledgement or the client's response leaves the node — an event
-	// any peer holds an ack for is always in the journal. A Journal error
-	// fail-stops the node: it suppresses the pending ack, refuses further
-	// operations, and closes, because a replica that cannot persist must
-	// not promise delivery. Events replayed via Restore are NOT
-	// re-journaled (they came from the journal).
-	Journal func(Event) error
-	// Storage, when non-nil, supplies Journal and Restore for each
-	// incarnation from durable per-node storage (mutually exclusive with
-	// setting either directly): NewNode opens it before serving and closes
-	// it after the event loop exits. The Supervisor threads it through
-	// crash/restart directives, so chaos schedules exercise the on-disk
-	// recovery path instead of handing histories through memory.
+	// Storage, when non-nil, is the node's durable state: NewNode opens it
+	// once per shard before serving and closes each log after the event
+	// loops exit. What Open returns is the whole contract (see
+	// NodeStorage): the journal is invoked on the shard's event loop with
+	// each do/send/receive event as it is appended to the local history and
+	// must make it durable before returning — the call happens in the same
+	// loop turn that records the event, before the update's acknowledgement
+	// or the client's response leaves the node, so an event any peer holds
+	// an ack for is always in the journal. A journal error fail-stops the
+	// node: it suppresses the pending ack, refuses further operations, and
+	// closes, because a replica that cannot persist must not promise
+	// delivery. The restored history is replayed into the fresh replica
+	// before anything is served: the Lamport clock and sequence counters
+	// resume where they left off, and every past broadcast is re-offered to
+	// the peers (receivers deduplicate by cumulative sequence number).
+	// Replayed events are not re-journaled. The Supervisor threads Storage
+	// through crash/restart directives, so chaos schedules exercise
+	// recovery instead of handing histories through memory.
 	Storage NodeStorage
 	// Observer, when non-nil, receives transport-level chaos metrics
 	// (retransmits, reconnects, dup/gap frames) from this node; the
@@ -99,11 +104,11 @@ type Config struct {
 	// send, receive — in the same event-loop turn that records it,
 	// immediately after the journal (if any) accepted it, so the streamed
 	// prefix never runs ahead of the durable log and a restart can never
-	// regress the stream. The first argument is the recording shard's index
-	// (always 0 on an unsharded node); per-shard event streams have
-	// independent (Origin, Seq) domains, so a sharded consumer must keep
-	// one checker per shard (livecheck.ShardSet). Events replayed via
-	// Restore are not re-tapped (their first recording was); sends
+	// regress the stream. The first argument is the recording shard's index;
+	// per-shard event streams have independent (Origin, Seq) domains, so a
+	// sharded consumer must keep one checker per shard
+	// (livecheck.ShardSet). Events replayed from Storage are not re-tapped
+	// (their first recording was); sends
 	// re-minted during restore are new events and are. The callback runs on
 	// the recording shard's event loop: it must return quickly and must not
 	// call back into the node. Intended for internal/livecheck; the
@@ -115,12 +120,10 @@ type Config struct {
 	// event loops (default 1): a ShardRouter hashes each object key to one
 	// shard, which owns its own store replica, Lamport clock, broadcast
 	// sequence domain, recorded history, and (under Storage) its own
-	// durable log in a shard-NNN subdirectory. Replication links multiplex
-	// every shard over one connection (tShardBatch frames); all nodes of a
-	// cluster must agree on the count, and links to peers announcing a
-	// different count fail-stop. Sharded nodes require Storage (not direct
-	// Journal/Restore/Tree) when durable, and do not support dynamic
-	// membership (Join/Leave) yet.
+	// durable log. Replication links multiplex every shard over one
+	// connection; all nodes of a cluster must agree on the count, and links
+	// to peers announcing a different count fail-stop. Sharded nodes do not
+	// support dynamic membership (Join/Leave) yet.
 	Shards int
 
 	// Join, when non-nil, lists seed nodes (id → address) to join the
@@ -148,38 +151,11 @@ type Config struct {
 	SyncChunkDelay time.Duration
 	// SyncWindow is the credit window this node requests when pulling
 	// anti-entropy ranges as a joiner: how many unacked chunks the donor
-	// may keep in flight toward it (default 8; 1 is the old stop-and-wait,
-	// one round-trip per chunk). Every chunk is still applied and
+	// may keep in flight toward it (default 8; 1 is stop-and-wait, one
+	// round-trip per chunk). Every chunk is still applied and
 	// journaled before its ack leaves, whatever the window — the window
 	// pipelines the transfer, not the durability.
 	SyncWindow int
-	// Tree, when non-nil, is the Merkle forest the durable layer maintains
-	// over this node's journaled events (durable.Log hashes each update in
-	// the same turn that fsyncs it, and checkpoints the forest alongside
-	// snapshots). When nil, the node builds and maintains its own in-memory
-	// forest. Either way the forest backs digest exchange and range serving
-	// for joining peers. Storage supplies it together with Journal/Restore.
-	Tree *membership.Forest
-
-	// Codec names this node's preferred wire codec ("json", "binary").
-	// Empty means the store's own preference: stores implementing
-	// store.PayloadCodec get the compact binary codec, the rest the JSON
-	// fallback. The preference is an upper bound, not a demand — each
-	// replication connection negotiates down to what both ends speak via
-	// the hello exchange, so a cluster mixing codecs still interoperates.
-	Codec string
-	// BatchMax caps how many queued updates coalesce into one tBatch frame
-	// on a binary-codec connection (default 64; negative disables batching
-	// so every update travels as its own frame even on binary links).
-	BatchMax int
-	// Compress names this node's preferred per-frame compression for
-	// large transfers ("flate", "none"; empty means flate). Like Codec it
-	// is an offer, not a demand: each connection negotiates min-wins on
-	// the hello/join exchange, so a peer that never offers (or a pre-v4
-	// peer that cannot) pins the connection to none. Only bulk frames over
-	// a size floor are ever compressed — see compress.go.
-	Compress string
-
 	// MaxFrame bounds replication and request frames (wire.DefaultMaxFrame
 	// if zero); history transfers use the larger historyMaxFrame.
 	MaxFrame int
@@ -197,10 +173,13 @@ type Config struct {
 // recorded history (implemented by durable.Storage). Open is called once
 // per incarnation and shard, before the node serves anything: journal
 // persists each newly recorded event, restore is the recovered history of
-// the previous incarnation (nil on first boot), and closeLog is invoked
+// the previous incarnation (nil on first boot), tree is the Merkle forest
+// the storage maintains over the journaled broadcasts (hashing each update
+// in the same turn that persists it; nil leaves the shard to build and
+// maintain its own in memory — either way it backs digest exchange and
+// range serving for joining peers), and closeLog (nil for none) is invoked
 // after the event loop has exited. shard/shards name which of the node's
-// shard logs to open (0 of 1 for an unsharded node — implementations keep
-// that case's layout byte-compatible with the pre-sharding one).
+// shard logs to open.
 type NodeStorage interface {
 	Open(id model.ReplicaID, n int, storeName string, shard, shards int) (journal func(Event) error, restore *History, tree *membership.Forest, closeLog func() error, err error)
 }
@@ -211,9 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 64
 	}
 	def := func(d *time.Duration, v time.Duration) {
 		if *d == 0 {
@@ -245,7 +221,6 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Node        model.ReplicaID `json:"node"`
 	Store       string          `json:"store"`
-	Codec       string          `json:"codec,omitempty"`
 	Ops         int64           `json:"ops"`
 	Sends       int64           `json:"sends"`
 	Receives    int64           `json:"receives"`
@@ -285,18 +260,10 @@ type Stats struct {
 
 // Node is one replica of a TCP-backed cluster. Its keyspace is split
 // across cfg.Shards independent shards (see shard.go); an unsharded node
-// is simply the one-shard case, whose wire behavior and on-disk layout are
-// byte-compatible with the pre-sharding implementation.
+// is simply the one-shard case.
 type Node struct {
 	cfg Config
 	ln  net.Listener
-	// codec is this node's resolved codec preference (cfg.Codec, else the
-	// store's own declaration via store.PayloadCodec). Connections negotiate
-	// down from it, never up.
-	codec wire.Codec
-	// comp is this node's resolved compression preference (from
-	// cfg.Compress), negotiated down per connection the same way.
-	comp uint64
 
 	// router maps object keys to shards; shards holds one independent
 	// event loop + replica + history per shard. Both are immutable after
@@ -318,7 +285,7 @@ type Node struct {
 	syncPulled atomic.Int64
 	syncServed atomic.Int64
 
-	// peers is written only by connectInLoop and disconnectPeer, under
+	// peers is written only by registerPeers and disconnectPeer, under
 	// peerMu; each republishes peerList, the same senders in ID order, as an
 	// immutable snapshot the shard loops read per broadcast without locking
 	// or allocating (allPeers).
@@ -340,11 +307,6 @@ type Node struct {
 	closeOnce sync.Once
 }
 
-// s0 is the first shard — the whole node when unsharded. The membership
-// subsystem (member.go) addresses it directly: dynamic membership is
-// gated to single-shard nodes, where shard 0's history IS the node's.
-func (n *Node) s0() *shard { return n.shards[0] }
-
 // NewNode opens the listener, starts the per-shard event loops, and — if
 // cfg.Peers is set — starts the replication links. It does not block on
 // peers being up: links dial in the background and retry until the peer
@@ -363,37 +325,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: invalid shard count %d", cfg.Shards)
 	}
-	if cfg.Shards > 1 {
-		if cfg.Join != nil {
-			return nil, errors.New("cluster: dynamic membership (Config.Join) requires Shards == 1")
-		}
-		if cfg.Journal != nil || cfg.Restore != nil || cfg.Tree != nil {
-			return nil, errors.New("cluster: a sharded node takes durable state via Config.Storage, not Journal/Restore/Tree")
-		}
-	}
-	codecName := cfg.Codec
-	if codecName == "" {
-		codecName = store.PreferredWireCodec(cfg.Store)
-	}
-	codec, ok := wire.CodecByName(codecName)
-	if !ok {
-		if cfg.Codec != "" {
-			// An explicit misspelling is a config error; only a store's own
-			// unknown declaration degrades silently to the fallback.
-			return nil, fmt.Errorf("cluster: unknown wire codec %q (have %v)", cfg.Codec, wire.CodecNames())
-		}
-		codec = wire.JSON
-	}
-	comp := wire.CompFlate
-	switch cfg.Compress {
-	case "", "flate":
-	case "none":
-		comp = wire.CompNone
-	default:
-		return nil, fmt.Errorf("cluster: unknown compression %q (have none, flate)", cfg.Compress)
-	}
-	if cfg.Storage != nil && (cfg.Journal != nil || cfg.Restore != nil) {
-		return nil, errors.New("cluster: Config.Storage is mutually exclusive with Journal/Restore")
+	if cfg.Shards > 1 && cfg.Join != nil {
+		return nil, errors.New("cluster: dynamic membership (Config.Join) requires Shards == 1")
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -402,8 +335,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:    cfg,
 		ln:     ln,
-		codec:  codec,
-		comp:   comp,
 		router: NewShardRouter(cfg.Shards),
 		done:   make(chan struct{}),
 		peers:  make(map[model.ReplicaID]*peerSender),
@@ -426,31 +357,25 @@ func NewNode(cfg Config) (*Node, error) {
 	for i := range n.shards {
 		s := newShard(n, i)
 		n.shards[i] = s
-		restoreHist := cfg.Restore
+		var restored *History
 		if cfg.Storage != nil {
-			journal, restored, tree, closeLog, err := cfg.Storage.Open(cfg.ID, cfg.N, cfg.Store.Name(), i, cfg.Shards)
+			var err error
+			s.journal, restored, s.tree, s.closeJournal, err = cfg.Storage.Open(cfg.ID, cfg.N, cfg.Store.Name(), i, cfg.Shards)
 			if err != nil {
 				closeAll()
 				return nil, fmt.Errorf("cluster: open storage for r%d shard %d: %w", cfg.ID, i, err)
 			}
-			s.journal = journal
-			s.closeJournal = closeLog
-			s.tree = tree
-			restoreHist = restored
-		} else if i == 0 {
-			s.journal = cfg.Journal
-			s.tree = cfg.Tree
 		}
 		if s.tree == nil {
 			s.tree = membership.NewForest(cfg.N)
 			s.treeOwned = true
 		}
-		if restoreHist != nil {
-			if err := s.restore(restoreHist); err != nil {
+		if restored != nil {
+			if err := s.restore(restored); err != nil {
 				closeAll()
 				return nil, err
 			}
-			n.restored += int64(len(restoreHist.Events))
+			n.restored += int64(len(restored.Events))
 		}
 	}
 
@@ -497,45 +422,48 @@ func (n *Node) ID() model.ReplicaID { return n.cfg.ID }
 // still coming up. A new link is offered this node's full live backlog —
 // every broadcast it has ever recorded, not just what a restore left
 // unacked — so a peer connected after boot still receives the post-boot
-// writes. The offer is enqueued in one event-loop turn (no broadcast can
-// interleave), and costs little on reconnects: the peer's v3 hello ack
-// carries its delivered watermark, pruning the queue before the first
+// writes. The offer costs little on reconnects: the peer's hello ack
+// carries its delivered watermarks, pruning the queues before the first
 // send. Receivers deduplicate by cumulative seq regardless.
 func (n *Node) Connect(peers map[model.ReplicaID]string) error {
 	return n.connect(peers, false)
 }
 
 func (n *Node) connect(peers map[model.ReplicaID]string, skipLinked bool) error {
-	var err error
-	var added []*peerSender
-	if e := n.s0().inLoop(func() { added, err = n.connectInLoop(peers, skipLinked) }); e != nil {
-		return e
-	}
+	added, err := n.registerPeers(peers, skipLinked)
 	if err != nil {
 		return err
 	}
-	// Offer each remaining shard's backlog in that shard's own loop turn.
-	// The link is already registered, so the shard may have enqueued fresh
-	// broadcasts in between — offerBacklog replaces the queue wholesale
-	// with the full backlog snapshot taken in the shard's turn, which
-	// includes those broadcasts, so nothing is lost or duplicated.
-	for _, s := range n.shards[1:] {
+	// Offer each shard's backlog in that shard's own loop turn. The links
+	// are already published, so the shard may have enqueued fresh broadcasts
+	// in between — offerBacklog replaces the queue wholesale with the full
+	// backlog snapshot taken in the shard's turn, which includes those
+	// broadcasts, so nothing is lost or duplicated. The senders start in the
+	// last of these turns, behind every offer, so no link ships a fresh
+	// broadcast ahead of the backlog that precedes it — and inside a turn,
+	// where the loops are provably alive and Close cannot yet be waiting on
+	// the WaitGroup the senders join.
+	for _, s := range n.shards {
 		s := s
-		for _, p := range added {
-			p := p
-			if e := s.inLoop(func() { p.offerBacklog(s.idx, &s.updates[n.cfg.ID]) }); e != nil {
-				return e
+		if err := s.inLoop(func() {
+			for _, p := range added {
+				p.offerBacklog(s.idx, &s.updates[n.cfg.ID])
+				if s.idx == len(n.shards)-1 {
+					n.wg.Add(1)
+					go p.run()
+				}
 			}
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// connectInLoop validates and starts the links on shard 0's event loop, so
-// shard 0's full-backlog offer and the peer-list publication happen
-// atomically with respect to its broadcastPending. Returns the newly
-// started senders so the caller can offer the other shards' backlogs.
-func (n *Node) connectInLoop(peers map[model.ReplicaID]string, skipLinked bool) ([]*peerSender, error) {
+// registerPeers validates the peers and publishes a sender for each new one,
+// so every shard enqueues its broadcasts to it from now on. Returns the new
+// senders, not yet running.
+func (n *Node) registerPeers(peers map[model.ReplicaID]string, skipLinked bool) ([]*peerSender, error) {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
 	for id := range peers {
@@ -556,11 +484,8 @@ func (n *Node) connectInLoop(peers map[model.ReplicaID]string, skipLinked bool) 
 		}
 		n.view.Merge(membership.Member{ID: int(id), Addr: addr})
 		p := newPeerSender(n, id, addr)
-		p.offerBacklog(0, &n.s0().updates[n.cfg.ID])
 		n.peers[id] = p
 		added = append(added, p)
-		n.wg.Add(1)
-		go p.run()
 	}
 	n.publishPeers()
 	return added, nil
@@ -584,14 +509,6 @@ func (n *Node) allPeers() []*peerSender {
 		return *list
 	}
 	return nil
-}
-
-// inLoop runs fn on shard 0's event loop and waits for it to finish. It
-// exists for the membership subsystem (member.go), which is gated to
-// single-shard nodes — there, shard 0's loop is the node's only loop, so
-// this is exactly the pre-sharding inLoop.
-func (n *Node) inLoop(fn func()) error {
-	return n.s0().inLoop(fn)
 }
 
 // liveEvent converts a recorded event for the streaming checker: the
@@ -698,12 +615,11 @@ func (n *Node) viewLinked() bool {
 // is captured coherently in one of that shard's event-loop turns (counter,
 // event count, checker verdicts, and pending-message verdict move
 // together); the per-peer transport counters and quiescence composition
-// are read between turns. For an unsharded node this is the pre-sharding
-// single-turn snapshot exactly. The quiescence condition is evaluated
+// are read between turns. The quiescence condition is evaluated
 // inline — calling Quiesced() here would re-enter the event loops and
 // deadlock.
 func (n *Node) Stats() Stats {
-	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Codec: n.codec.Name()}
+	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name()}
 	sharded := n.cfg.Shards > 1
 	if sharded {
 		s.Shards = n.cfg.Shards
@@ -797,10 +713,9 @@ func (n *Node) Violations() []*store.PropertyViolation {
 // History snapshots the node's recorded local history. On a sharded node
 // this is shard 0's history; use ShardHistory to audit every shard. On a
 // node that has been closed it returns a history with no events — it has
-// no error to say so with; ShardHistory reports ErrClosed, and FinalHistory
-// reads a closed node's frozen log.
+// no error to say so with; ShardHistory reports ErrClosed.
 func (n *Node) History() History {
-	h, _ := n.s0().history() // the error is ShardHistory's to report; see above
+	h, _ := n.ShardHistory(0) // the error is ShardHistory's to report; see above
 	return h
 }
 
@@ -812,27 +727,6 @@ func (n *Node) ShardHistory(shard int) (History, error) {
 		return History{}, fmt.Errorf("cluster: shard %d outside node with %d shards", shard, len(n.shards))
 	}
 	return n.shards[shard].history()
-}
-
-// FinalHistory returns the recorded history of a node that has been
-// Closed: the event loops have exited, the log is frozen, and it can be
-// read without a loop turn. This is the durable state a fail-stop crash
-// leaves behind — capturing it only after Close means no update can be
-// applied (and acknowledged to its sender) after the snapshot, so an
-// acked update is always in the log that survives. On a sharded node this
-// is shard 0's history (the Supervisor, its only caller, runs single-shard
-// clusters). Calling it on a live node would race the loops; it panics
-// instead.
-func (n *Node) FinalHistory() History {
-	select {
-	case <-n.done:
-	default:
-		panic("cluster: FinalHistory called before Close")
-	}
-	return History{
-		Node: n.cfg.ID, N: n.cfg.N, Store: n.cfg.Store.Name(),
-		Events: n.s0().events.AppendTo(nil),
-	}
 }
 
 // BreakConnections closes every live dial-side replication connection,
@@ -914,8 +808,8 @@ func (n *Node) acceptLoop() {
 }
 
 // serveConn classifies an inbound connection by its first frame: a tHello
-// marks a peer's replication stream; anything else is a client speaking
-// request/response.
+// marks a peer's replication stream, tJoin and tGossip the membership
+// conversations; anything else is a client speaking request/response.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrack(conn)
@@ -934,51 +828,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		return
 	case typ == tHello:
 		if h, err := decodeHello(&r); err == nil {
-			// Wrap the accept side too: acks written back to this peer
-			// travel the reverse link, so an asymmetric cut of this→peer
-			// suppresses acknowledgements even while updates flow in.
-			if n.cfg.Faults != nil && int(h.From) < n.cfg.N {
-				conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(h.From))
-			}
-			// A replication link only works between nodes agreeing on the
-			// shard count: per-shard seq domains would cross-contaminate
-			// otherwise. A pre-v5 dialer announces (implicitly) one shard,
-			// so a sharded acceptor refuses it — "single-shard mode" means
-			// two single-shard nodes interoperate exactly as before, not
-			// that a sharded node degrades. The dialer observes the refusal
-			// (or our mismatching shard count in the hello ack) and
-			// fail-stops its side of the link.
-			if h.Shards != uint64(n.cfg.Shards) {
-				return
-			}
-			shardMode := n.cfg.Shards > 1
-			if h.Version >= 2 {
-				// Seal the negotiation before any update arrives: the dialer
-				// streams v1 frames until this ack lands, so an ack lost to a
-				// connection reset only ever costs compactness, not data.
-				// The delivered watermark lets a v3 dialer prune its
-				// full-backlog offer down to what we actually lack; in shard
-				// mode the ack carries one watermark per shard.
-				var delivered uint64
-				shardDelivered := make([]uint64, n.cfg.Shards)
-				if int(h.From) >= 0 && int(h.From) < n.cfg.N {
-					for _, sh := range n.shards {
-						sh := sh
-						if sh.inLoop(func() { shardDelivered[sh.idx] = sh.delivered[h.From] }) != nil {
-							return
-						}
-					}
-					delivered = shardDelivered[0]
-				}
-				chosen := negotiateCodec(n.codec.ID(), h.Codec)
-				chosenComp := negotiateComp(n.comp, h.Comp)
-				if !n.sendFrame(conn, func(w *wire.Writer) {
-					appendHelloAck(w, chosen, delivered, chosenComp, uint64(n.cfg.Shards), shardDelivered)
-				}) {
-					return
-				}
-			}
-			n.serveReplication(conn, shardMode, &buf)
+			n.serveHello(conn, h, &buf)
 		}
 		return
 	case typ == tJoin:
@@ -995,17 +845,51 @@ func (n *Node) serveConn(conn net.Conn) {
 	n.serveClient(conn, first, &buf)
 }
 
-// serveReplication applies a peer's update stream, answering each frame
-// with the cumulative ack for its origin. The ack is written only after
-// the owning shard's event loop applied (or deduplicated) the update — an
-// acked update is a delivered update. A tBatch frame applies all its
-// updates in one event-loop turn and answers with one cumulative ack —
-// the ack coalescing half of the batching win. In shard mode every frame
-// is a tShardBatch naming the shard whose seq domain it belongs to, and
-// each earns a tShardAck; the classic frames are refused (and vice
-// versa), so a confused peer cannot slip one shard's updates into
-// another's counters.
-func (n *Node) serveReplication(conn net.Conn, shardMode bool, buf *[]byte) {
+// serveHello answers a peer's hello and, if the two ends agree, serves its
+// update stream. A link only works between nodes speaking one protocol
+// version and one shard count (per-shard seq domains would
+// cross-contaminate otherwise), but a mismatching hello is still answered
+// before the connection closes: the hello ack carries this node's version
+// and shard count, so the dialer sees why it was refused and fail-stops its
+// side of the link instead of redialling.
+func (n *Node) serveHello(conn net.Conn, h hello, buf *[]byte) {
+	// A link carries its dialer's own broadcasts, so the dialer must be
+	// another member of the population.
+	if int(h.From) < 0 || int(h.From) >= n.cfg.N || h.From == n.cfg.ID {
+		return
+	}
+	// Wrap the accept side too: acks written back to this peer travel the
+	// reverse link, so an asymmetric cut of this→peer suppresses
+	// acknowledgements even while updates flow in.
+	if n.cfg.Faults != nil {
+		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(h.From))
+	}
+	// The delivered watermarks let the dialer prune its full-backlog offer
+	// down to what this node actually lacks.
+	delivered := make([]uint64, len(n.shards))
+	for _, sh := range n.shards {
+		sh := sh
+		if sh.inLoop(func() { delivered[sh.idx] = sh.delivered[h.From] }) != nil {
+			return
+		}
+	}
+	if !n.sendFrame(conn, func(w *wire.Writer) { appendHelloAck(w, delivered) }) {
+		return
+	}
+	if h.Version == protoVersion && h.Shards == uint64(len(n.shards)) {
+		n.serveReplication(conn, h.From, buf)
+	}
+}
+
+// serveReplication applies the update stream of the peer whose hello named
+// it from, answering each tBatch with the cumulative ack of the shard it
+// names. The ack is written only after the owning shard's event loop
+// applied (or deduplicated) the updates — an acked update is a delivered
+// update — and a batch applies in one loop turn and earns one ack, which is
+// the ack-coalescing half of the batching win. A batch for a shard this
+// node does not have, or of any origin but the dialer's own, hangs up: a
+// confused peer cannot slip updates into another seq domain.
+func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte) {
 	// Everything a frame needs is built once per connection and reused: the
 	// receive buffer, the decoded batch (whose payloads alias that buffer —
 	// applyUpdate copies each before anything keeps it), the ack's writer,
@@ -1037,41 +921,16 @@ func (n *Node) serveReplication(conn net.Conn, shardMode bool, buf *[]byte) {
 			return
 		}
 		r.Reset(b)
-		sh := n.s0()
-		switch r.Uvarint() {
-		case tUpdate:
-			if shardMode {
-				return
-			}
-			u, err := decodeUpdate(&r)
-			if err != nil {
-				return
-			}
-			us = append(us[:0], u)
-		case tBatch:
-			if shardMode {
-				return
-			}
-			if us, err = decodeBatch(&r, us); err != nil || len(us) == 0 {
-				return
-			}
-		case tShardBatch:
-			if !shardMode {
-				return
-			}
-			var shardIdx uint64
-			if shardIdx, us, err = decodeShardBatch(&r, us); err != nil || len(us) == 0 || shardIdx >= uint64(len(n.shards)) {
-				return
-			}
-			sh = n.shards[shardIdx]
-		default:
+		if r.Uvarint() != tBatch {
 			return
 		}
-		if int(us[0].Origin) < 0 || int(us[0].Origin) >= n.cfg.N {
+		var shard uint64
+		if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 ||
+			shard >= uint64(len(n.shards)) || us[0].Origin != from {
 			return
 		}
-		call.sh, call.us = sh, us
-		if sh.handoff(apply, done) != nil {
+		call.sh, call.us = n.shards[shard], us
+		if call.sh.handoff(apply, done) != nil {
 			return
 		}
 		if !call.ackable {
@@ -1082,23 +941,14 @@ func (n *Node) serveReplication(conn net.Conn, shardMode bool, buf *[]byte) {
 		}
 		enc.Reset()
 		enc.BeginFrame()
-		if shardMode {
-			appendShardAck(enc, uint64(sh.idx), call.cum)
-		} else {
-			appendAck(enc, call.cum)
-		}
-		if n.writeEnc(conn, enc, n.cfg.MaxFrame, wire.CompNone) != nil {
+		appendAck(enc, call.sh.idx, call.cum)
+		if n.writeEnc(conn, enc, n.cfg.MaxFrame, false) != nil {
 			return
 		}
 	}
 }
 
 // serveClient answers request/response frames from one client connection.
-// tStats/tHistory requests may trail a codec ID after the bare v1 request;
-// a binary-codec request earns a binary reply (tStatsRespB/tHistoryRespB),
-// anything else — including the bare v1 form — gets the JSON fallback. A
-// compression offer may trail the codec (v4): a binary history reply that
-// clears the floor then travels as a tCompressed envelope.
 func (n *Node) serveClient(conn net.Conn, first []byte, buf *[]byte) {
 	// call is the slot this connection's requests cross into their shard's
 	// loop through, built once.
@@ -1125,8 +975,7 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 	if r.Err() != nil {
 		return false
 	}
-	maxFrame := n.cfg.MaxFrame
-	replyComp := wire.CompNone
+	maxFrame, bulk := n.cfg.MaxFrame, false
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.BeginFrame()
@@ -1142,64 +991,32 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 		}
 		appendResponse(w, reqID, resp)
 	case tStats:
-		if codec, _ := n.reqMeta(&r); codec == wire.CodecBinary {
-			w.Uvarint(tStatsRespB)
-			appendStats(w, n.Stats())
-		} else {
-			data, err := json.Marshal(n.Stats())
-			if err != nil {
-				return false
-			}
-			appendJSON(w, tStatsResp, data)
+		if r.End() != nil {
+			return false
 		}
+		w.Uvarint(tStatsResp)
+		appendStats(w, n.Stats())
 	case tHistory:
-		maxFrame = historyMaxFrame
-		codec, comp := n.reqMeta(&r)
-		// A shard index may trail the compression offer (v5): serve that
-		// shard's projection. The bare form gets shard 0, which on an
-		// unsharded node is the whole history.
-		shard := 0
-		if r.Remaining() > 0 {
-			shard = int(r.Uvarint())
+		maxFrame, bulk = historyMaxFrame, true
+		shard, err := decodeHistoryReq(&r)
+		if err != nil || shard >= uint64(len(n.shards)) {
+			return false
 		}
 		// A node that is closing has no history to give: hang up, like
 		// every other failed request, rather than reply with an empty one
 		// an auditor would merge as "this node did nothing".
-		hist, err := n.ShardHistory(shard)
+		hist, err := n.shards[shard].history()
 		if err != nil {
 			return false
 		}
-		if codec == wire.CodecBinary {
-			w.Uvarint(tHistoryRespB)
-			if appendHistory(w, hist) != nil {
-				return false
-			}
-			replyComp = comp
-		} else {
-			data, err := json.Marshal(hist)
-			if err != nil {
-				return false
-			}
-			appendJSON(w, tHistoryResp, data)
+		w.Uvarint(tHistoryResp)
+		if appendHistory(w, hist) != nil {
+			return false
 		}
 	default:
 		return false
 	}
-	return n.writeEnc(conn, w, maxFrame, replyComp) == nil
-}
-
-// reqMeta reads the optional trailing codec and compression fields of a
-// structured request and resolves both against this node's own
-// preferences.
-func (n *Node) reqMeta(r *wire.Reader) (wire.CodecID, uint64) {
-	if r.Remaining() == 0 {
-		return wire.CodecJSON, wire.CompNone
-	}
-	codec := negotiateCodec(n.codec.ID(), wire.CodecID(r.Uvarint()))
-	if r.Remaining() == 0 {
-		return codec, wire.CompNone
-	}
-	return codec, negotiateComp(n.comp, r.Uvarint())
+	return n.writeEnc(conn, w, maxFrame, bulk) == nil
 }
 
 // WaitQuiesced polls until every node reports quiescence twice in a row

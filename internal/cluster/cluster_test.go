@@ -33,6 +33,12 @@ func fastConfig(id model.ReplicaID, n int, st store.Store) Config {
 // startCluster boots n nodes of the named store on loopback and wires the
 // full mesh once every listener is up.
 func startCluster(t *testing.T, storeName string, n int) []*Node {
+	return startClusterWith(t, storeName, n, nil)
+}
+
+// startClusterWith is startCluster with each node's config passed through
+// mut (nil for none) before it boots.
+func startClusterWith(t *testing.T, storeName string, n int, mut func(*Config)) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -40,7 +46,11 @@ func startCluster(t *testing.T, storeName string, n int) []*Node {
 		if err != nil {
 			t.Fatalf("open %q: %v", storeName, err)
 		}
-		nd, err := NewNode(fastConfig(model.ReplicaID(i), n, st))
+		cfg := fastConfig(model.ReplicaID(i), n, st)
+		if mut != nil {
+			mut(&cfg)
+		}
+		nd, err := NewNode(cfg)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}

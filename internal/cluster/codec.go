@@ -7,13 +7,10 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the binary (wire.Binary) encoding of the cluster's
-// structured records: events, histories, and stats snapshots. The JSON
-// encoding of the same records — the wire.JSON fallback — is whatever
-// encoding/json produces for the struct tags in history.go; the binary
-// form exists because JSON pays for field names on every record and
-// base64-expands every payload by a third, overhead that swamps the
-// metadata bytes Theorem 12 actually bounds.
+// This file is the encoding of the cluster's structured records — events,
+// histories, and stats snapshots — on the wire and in the journal. (The
+// struct tags in history.go are for the admin endpoint's JSON rendering of
+// the same records, which nothing reads back.)
 //
 // Layout (all integers varint/uvarint, strings and byte fields
 // length-prefixed):
@@ -26,9 +23,9 @@ import (
 //
 // rvalFlags packs presence bits (OK, Values non-nil); the frontier and
 // payload fields carry their own presence bits so nil round-trips as nil.
-// The encoding is versioned from outside: connections negotiate it via the
-// hello exchange and journal records tag it per record, so this layout
-// itself carries no version byte.
+// The encoding is versioned from outside — connections by protoVersion,
+// journal records by a tag byte per record — so this layout itself carries
+// no version byte.
 
 const (
 	rvalOK        = 1 << 0
@@ -36,8 +33,7 @@ const (
 )
 
 // AppendEventBinary appends ev's binary encoding to w. It is exported for
-// internal/durable, which stamps journal records with the same codec the
-// transport negotiates.
+// internal/durable, whose journal records hold events in this encoding.
 func AppendEventBinary(w *wire.Writer, ev Event) error {
 	w.Uvarint(uint64(ev.Kind))
 	w.Uvarint(ev.Lamport)
@@ -141,9 +137,7 @@ func DecodeEventBinary(r *wire.Reader) (Event, error) {
 }
 
 // appendHistory appends a history's binary encoding: identity, then the
-// event count, then each event, then (trailing, v5) the shard identity —
-// an old reader stops after the last event and sees the single-shard
-// fields it knows about.
+// event count, then each event, then the shard identity.
 func appendHistory(w *wire.Writer, h History) error {
 	w.Uvarint(uint64(h.Node))
 	w.Uvarint(uint64(h.N))
@@ -176,20 +170,17 @@ func decodeHistory(r *wire.Reader) (History, error) {
 		}
 		h.Events = append(h.Events, ev)
 	}
-	if r.Remaining() > 0 {
-		h.Shard = int(r.Uvarint())
-		h.Shards = int(r.Uvarint())
-	}
-	return h, r.Err()
+	h.Shard = int(r.Uvarint())
+	h.Shards = int(r.Uvarint())
+	return h, r.End()
 }
 
 // appendStats appends a stats snapshot's binary encoding, field by field in
 // declaration order. The layout changes when Stats changes; that is safe
-// because stats frames are negotiated per request and never persisted.
+// because stats frames are never persisted, and a change bumps protoVersion.
 func appendStats(w *wire.Writer, s Stats) {
 	w.Uvarint(uint64(s.Node))
 	w.String(s.Store)
-	w.String(s.Codec)
 	w.Varint(s.Ops)
 	w.Varint(s.Sends)
 	w.Varint(s.Receives)
@@ -206,13 +197,10 @@ func appendStats(w *wire.Writer, s Stats) {
 		q = 1
 	}
 	w.Uvarint(q)
-	// Membership fields trail the original layout so an older reader (which
-	// stops at Quiesced) still decodes everything it knows about.
 	w.Varint(int64(s.Members))
 	w.Varint(s.SyncPulled)
 	w.Varint(s.SyncServed)
 	w.Varint(s.FailedLinks)
-	// Shard fields trail the membership fields the same way (v5).
 	w.Varint(int64(s.Shards))
 	shardSlice := func(vs []int64) {
 		w.Uvarint(uint64(len(vs)))
@@ -231,7 +219,6 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	var s Stats
 	s.Node = model.ReplicaID(r.Uvarint())
 	s.Store = r.String()
-	s.Codec = r.String()
 	s.Ops = r.Varint()
 	s.Sends = r.Varint()
 	s.Receives = r.Varint()
@@ -244,43 +231,22 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.GapFrames = r.Varint()
 	s.Violations = int(r.Varint())
 	s.Quiesced = r.Uvarint() == 1
-	if r.Remaining() > 0 {
-		s.Members = int(r.Varint())
-		s.SyncPulled = r.Varint()
-		s.SyncServed = r.Varint()
-	}
-	if r.Remaining() > 0 {
-		s.FailedLinks = r.Varint()
-	}
-	if r.Remaining() > 0 {
-		s.Shards = int(r.Varint())
-		shardSlice := func() ([]int64, error) {
-			n := r.Uvarint()
-			if n > uint64(r.Remaining()) {
-				return nil, fmt.Errorf("cluster: implausible shard counter count %d", n)
-			}
-			if n == 0 {
-				return nil, r.Err()
-			}
-			vs := make([]int64, n)
-			for i := range vs {
-				vs[i] = r.Varint()
-			}
-			return vs, r.Err()
+	s.Members = int(r.Varint())
+	s.SyncPulled = r.Varint()
+	s.SyncServed = r.Varint()
+	s.FailedLinks = r.Varint()
+	s.Shards = int(r.Varint())
+	for _, vs := range []*[]int64{&s.ShardOps, &s.ShardSends, &s.ShardReceives, &s.ShardEvents} {
+		n := r.Uvarint()
+		if n > uint64(r.Remaining()) {
+			return s, fmt.Errorf("cluster: implausible shard counter count %d", n)
 		}
-		var err error
-		if s.ShardOps, err = shardSlice(); err != nil {
-			return s, err
+		if n > 0 {
+			*vs = make([]int64, n)
 		}
-		if s.ShardSends, err = shardSlice(); err != nil {
-			return s, err
-		}
-		if s.ShardReceives, err = shardSlice(); err != nil {
-			return s, err
-		}
-		if s.ShardEvents, err = shardSlice(); err != nil {
-			return s, err
+		for i := range *vs {
+			(*vs)[i] = r.Varint()
 		}
 	}
-	return s, r.Err()
+	return s, r.End()
 }

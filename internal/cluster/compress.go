@@ -8,23 +8,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Per-frame compression for large transfers (DESIGN.md §5.13). A frame
-// whose payload clears the size floor on a connection that negotiated
-// wire.CompFlate travels wrapped in a tCompressed envelope:
+// Per-frame compression for large transfers (DESIGN.md §5.13). A bulk
+// frame whose payload clears the size floor travels wrapped in a
+// tCompressed envelope:
 //
 //	tCompressed algo rawLen deflate-bytes
 //
-// The envelope is self-describing, so only the WRITE side is gated on the
-// negotiated algorithm — every read path unwraps unconditionally via
-// recvFrame/decompressFrame. That keeps the upgrade staged exactly like
-// codec negotiation: a sender never compresses until the peer's hello
-// ack (or join ack) proves the other end is v4+, and a pre-v4 reader
-// never receives an envelope because it never advertised one.
+// The envelope is self-describing: the write side decides frame by frame,
+// and every read path unwraps unconditionally via recvFrame/decompressFrame.
 
 // tCompressed is the compression envelope frame type. It continues the
 // numbering after proto_member.go's tRangeResp (23) and can wrap any other
-// frame type; only tBatch, tRangeResp, and tHistoryRespB are wrapped in
-// practice (the floor-clearing bulk-transfer frames).
+// frame type; only the bulk-transfer frames — multi-update tBatch,
+// tRangeResp and tHistoryResp — are ever offered to it.
 const tCompressed = 24
 
 // compressFloor is the smallest frame payload worth compressing. Below it
@@ -33,33 +29,19 @@ const tCompressed = 24
 // the compressor entirely.
 const compressFloor = 512
 
-// negotiateComp picks the connection's compression algorithm from the two
-// ends' preferences: minimum wins, mirroring negotiateCodec, so either
-// side can force CompNone and an unknown (newer) ID degrades to none.
-func negotiateComp(a, b uint64) uint64 {
-	chosen := a
-	if b < chosen {
-		chosen = b
-	}
-	if chosen != wire.CompFlate {
-		return wire.CompNone
-	}
-	return chosen
-}
-
 // maybeCompressPayload wraps a frame payload in a tCompressed envelope
-// when the negotiated algorithm, the size floor, and an actual size win
-// all agree; it returns a pooled writer holding the envelope — the caller
-// must PutWriter it after sending — or nil to send the payload raw. An
-// incompressible payload (the envelope would be no smaller) ships raw, so
-// compression never costs wire bytes.
-func maybeCompressPayload(payload []byte, comp uint64) *wire.Writer {
-	if comp != wire.CompFlate || len(payload) < compressFloor {
+// when it clears the size floor and the envelope is an actual size win; it
+// returns a pooled writer holding the envelope — the caller must PutWriter
+// it after sending — or nil to send the payload raw. An incompressible
+// payload (the envelope would be no smaller) ships raw, so compression
+// never costs wire bytes.
+func maybeCompressPayload(payload []byte) *wire.Writer {
+	if len(payload) < compressFloor {
 		return nil
 	}
 	w := wire.GetWriter()
 	w.Uvarint(tCompressed)
-	w.Uvarint(comp)
+	w.Uvarint(wire.CompFlate)
 	w.Uvarint(uint64(len(payload)))
 	wire.DeflateTo(w, payload)
 	if w.Len() >= len(payload) {
@@ -126,44 +108,47 @@ func recvFrame(conn net.Conn, maxFrame int, buf *[]byte) ([]byte, error) {
 
 // writeEnc seals the frame open in enc and writes it with a write
 // deadline, counting wire bytes and frames: header and payload were built
-// contiguously (BeginFrame), so a raw frame leaves in one conn.Write. comp
-// gates the large-frame compression envelope (wire.CompNone bypasses it).
-// The error is returned rather than collapsed to a bool because a
-// *wire.FrameSizeError from EndFrame is a terminal condition — the frame
-// can never fit — which a sender must distinguish from ordinary connection
-// death.
-func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, comp uint64) error {
+// contiguously (BeginFrame), so a raw frame leaves in one conn.Write. bulk
+// marks a bulk-transfer frame, which is offered to the compression
+// envelope; the small latency-sensitive frames (acks, hellos, single
+// updates, client replies) never touch the compressor. The error is
+// returned rather than collapsed to a bool because a *wire.FrameSizeError
+// from EndFrame is a terminal condition — the frame can never fit — which
+// a sender must distinguish from ordinary connection death.
+func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, bulk bool) error {
 	frame, err := enc.EndFrame(maxFrame)
 	if err != nil {
 		return err
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
-	if env := maybeCompressPayload(frame[4:], comp); env != nil {
+	var env *wire.Writer
+	if bulk {
+		env = maybeCompressPayload(frame[4:])
+	}
+	var nBytes int
+	if env != nil {
 		// The envelope lives in its own pooled writer; it is returned to
 		// the pool only here, after the write, never inside
 		// maybeCompressPayload — enc (which frame aliases) is still checked
 		// out, and the same discipline keeps any future compressor from
 		// recycling a buffer a caller still reads. The compressed path goes
 		// through WriteFrame (header + payload, two writes).
-		nBytes, werr := wire.WriteFrame(conn, env.Bytes(), maxFrame)
+		nBytes, err = wire.WriteFrame(conn, env.Bytes(), maxFrame)
 		wire.PutWriter(env)
-		n.bytesOut.Add(int64(nBytes))
-		n.framesOut.Add(1)
-		return werr
+	} else {
+		nBytes, err = conn.Write(frame)
 	}
-	nBytes, werr := conn.Write(frame)
 	n.bytesOut.Add(int64(nBytes))
 	n.framesOut.Add(1)
-	return werr
+	return err
 }
 
-// sendFrameComp builds one frame in a pooled writer and writes it behind
-// the compression gate.
-func (n *Node) sendFrameComp(conn net.Conn, comp uint64, build func(*wire.Writer)) bool {
+// sendFrame builds one small frame in a pooled writer and writes it raw.
+func (n *Node) sendFrame(conn net.Conn, build func(*wire.Writer)) bool {
 	w := wire.GetWriter()
 	w.BeginFrame()
 	build(w)
-	err := n.writeEnc(conn, w, n.cfg.MaxFrame, comp)
+	err := n.writeEnc(conn, w, n.cfg.MaxFrame, false)
 	wire.PutWriter(w)
 	return err == nil
 }

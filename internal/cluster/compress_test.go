@@ -8,20 +8,17 @@ import (
 	"repro/internal/wire"
 )
 
-// TestMaybeCompressPayloadGates pins the three write-side gates: negotiated
-// algorithm, size floor, and an actual size win. Only a floor-clearing
-// compressible payload on a flate connection gets the envelope.
+// TestMaybeCompressPayloadGates pins the two write-side gates: the size
+// floor and an actual size win (the incompressible case is
+// TestCompressShrinkFailKeepsCallerBuffer's). Only a floor-clearing
+// compressible payload gets the envelope.
 func TestMaybeCompressPayloadGates(t *testing.T) {
 	big := bytes.Repeat([]byte("abcdefgh"), 256) // 2 KiB, highly compressible
-	if env := maybeCompressPayload(big, wire.CompNone); env != nil {
-		wire.PutWriter(env)
-		t.Fatal("compressed on a CompNone connection")
-	}
-	if env := maybeCompressPayload(big[:compressFloor-1], wire.CompFlate); env != nil {
+	if env := maybeCompressPayload(big[:compressFloor-1]); env != nil {
 		wire.PutWriter(env)
 		t.Fatal("compressed a sub-floor payload")
 	}
-	env := maybeCompressPayload(big, wire.CompFlate)
+	env := maybeCompressPayload(big)
 	if env == nil {
 		t.Fatal("did not compress a floor-clearing compressible payload")
 	}
@@ -39,7 +36,7 @@ func TestMaybeCompressPayloadGates(t *testing.T) {
 // unchanged — every read path calls decompressFrame unconditionally.
 func TestDecompressFramePassthrough(t *testing.T) {
 	w := wire.NewWriter()
-	appendAck(w, 42)
+	appendAck(w, 0, 42)
 	got, _, err := decompressFrame(w.Bytes(), 0)
 	if err != nil || !bytes.Equal(got, w.Bytes()) {
 		t.Fatalf("passthrough mangled frame: %x err %v", got, err)
@@ -90,12 +87,12 @@ func TestDecompressFrameHostileEnvelopes(t *testing.T) {
 // passes through or inflates must be stable under a second call.
 func FuzzDecompressFrame(f *testing.F) {
 	big := bytes.Repeat([]byte("abcdefgh"), 256)
-	if env := maybeCompressPayload(big, wire.CompFlate); env != nil {
+	if env := maybeCompressPayload(big); env != nil {
 		f.Add(append([]byte(nil), env.Bytes()...))
 		wire.PutWriter(env)
 	}
 	w := wire.NewWriter()
-	appendAck(w, 7)
+	appendAck(w, 0, 7)
 	f.Add(append([]byte(nil), w.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{tCompressed})
@@ -151,7 +148,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		var enc *wire.Writer
 		for inner := target; inner > 0; inner-- {
 			w := wire.GetWriter()
-			appendBatch(w, 1, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}})
+			appendBatch(w, 0, 1, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}})
 			if w.Len() == target {
 				enc = w
 				break
@@ -164,7 +161,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		payload := enc.Bytes()
 		snapshot := append([]byte(nil), payload...)
 
-		env := maybeCompressPayload(payload, wire.CompFlate)
+		env := maybeCompressPayload(payload)
 		if env != nil {
 			wire.PutWriter(env)
 			if target < compressFloor {

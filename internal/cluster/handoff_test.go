@@ -286,15 +286,9 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 	}
 
 	st := &retainingStore{Store: openCausal(t)}
-	var journalMu sync.Mutex
-	var journaled []Event // payload slices kept as handed over, not copied
+	journal := &memStorage{} // keeps payload slices as handed over, not copied
 	cfg := fastConfig(1, 2, st)
-	cfg.Journal = func(ev Event) error {
-		journalMu.Lock()
-		journaled = append(journaled, ev)
-		journalMu.Unlock()
-		return nil
-	}
+	cfg.Storage = journal
 	nd, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -307,23 +301,26 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if _, err := wire.WriteFrame(conn, encodeHello(0), 0); err != nil { // v1 hello: no ack to read
-		t.Fatal(err)
+	frame := func(build func(*wire.Writer)) []byte {
+		w := wire.NewWriter()
+		build(w)
+		return framed(w.Bytes())
 	}
 	buf := make([]byte, 64)
+	if ack, err := rawRoundTrip(conn, frame(func(w *wire.Writer) { appendHello(w, 0, 1) }), buf); err != nil || ack[0] != tHelloAck {
+		t.Fatalf("hello answered %x, err %v", ack, err)
+	}
 	for b := 0; b < 2; b++ {
 		var us []protoUpdate
 		for i := 0; i < perBatch; i++ {
 			seq := uint64(b*perBatch + i + 1)
 			us = append(us, protoUpdate{Origin: 0, Seq: seq, Lamport: seq, Payload: payloads[seq-1]})
 		}
-		w := wire.NewWriter()
-		appendBatch(w, 0, us)
-		ack, err := rawRoundTrip(conn, framed(w.Bytes()), buf)
+		ack, err := rawRoundTrip(conn, frame(func(w *wire.Writer) { appendBatch(w, 0, 0, us) }), buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := encodeAck(uint64((b + 1) * perBatch)); !bytes.Equal(ack, want) {
+		if want := frame(func(w *wire.Writer) { appendAck(w, 0, uint64((b+1)*perBatch)) })[4:]; !bytes.Equal(ack, want) {
 			t.Fatalf("batch %d acked %x, want %x", b, ack, want)
 		}
 	}
@@ -347,11 +344,9 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 		recorded = append(recorded, ev.Payload)
 	}
 	check("history", recorded)
-	journalMu.Lock()
-	for _, ev := range journaled {
+	for _, ev := range journal.events(1, 0) {
 		logged = append(logged, ev.Payload)
 	}
-	journalMu.Unlock()
 	check("journal", logged)
 
 	// The update index, read the way a joiner reads it: a range pull.
@@ -369,7 +364,7 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: 0, Codec: wire.CodecBinary}) })
+	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: 0}) })
 	if typ, _, err := readTyped(pull, 0, 0, nil); err != nil || typ != tJoinAck {
 		t.Fatalf("join answered with type %d, err %v", typ, err)
 	}
@@ -380,14 +375,14 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 		if err != nil || typ != tRangeResp {
 			t.Fatalf("range pull answered with type %d, err %v", typ, err)
 		}
-		us, err := decodeRangeResp(r)
+		us, err := decodeUpdates(r, nil)
 		if err != nil || len(us) == 0 {
 			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
 		}
 		for _, u := range us {
 			pulled = append(pulled, u.Payload)
 		}
-		send(func(w *wire.Writer) { appendAck(w, us[len(us)-1].Seq) })
+		send(func(w *wire.Writer) { appendAck(w, 0, us[len(us)-1].Seq) })
 	}
 	check("range pull", pulled)
 }

@@ -75,7 +75,7 @@ type Event struct {
 	// Payload is recorded at send events (message-size accounting and the
 	// execution's message table) and at receive events (so a restarted
 	// node can rebuild its replica state from its own history alone —
-	// Config.Restore).
+	// Config.Storage).
 	Payload []byte `json:"payload,omitempty"`
 }
 
@@ -87,8 +87,8 @@ type History struct {
 	Store  string          `json:"store"`
 	Events []Event         `json:"events"`
 	// Shard/Shards identify which shard's projection this history is when
-	// the recording node was sharded (zero-valued on unsharded nodes for
-	// compatibility). Histories from different shards have independent
+	// the recording node was sharded (zero-valued on unsharded nodes).
+	// Histories from different shards have independent
 	// (Origin, Seq) domains and must never be merged together — each
 	// shard's histories merge and audit with their cross-node counterparts
 	// only, which Proposition 1's per-object projections make sound.

@@ -89,16 +89,18 @@ func TestBuildAuditFrontierlessReads(t *testing.T) {
 
 // TestHistoryOfClosedNodeIsAnError: a node whose loops are gone has no
 // snapshot to give, and must say so — a well-formed history with zero
-// events reads, to whoever merges it, as "this node did nothing".
+// events reads, to whoever merges it, as "this node did nothing". What the
+// node recorded is still in its storage.
 func TestHistoryOfClosedNodeIsAnError(t *testing.T) {
-	nd := bootNode(t, 0, 1, nil)
+	mem := &memStorage{}
+	nd := bootNode(t, 0, 1, func(cfg *Config) { cfg.Storage = mem })
 	writeN(t, nd, 3, "w")
 	nd.Close()
 	if h, err := nd.ShardHistory(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ShardHistory on a closed node = %d events, err %v; want ErrClosed", len(h.Events), err)
 	}
-	if got := len(nd.FinalHistory().Events); got != 6 {
-		t.Fatalf("FinalHistory holds %d events, want the 3 writes' do and send", got)
+	if got := len(mem.events(0, 0)); got != 6 {
+		t.Fatalf("storage holds %d events, want the 3 writes' do and send", got)
 	}
 }
 

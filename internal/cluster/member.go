@@ -25,9 +25,19 @@ import (
 // for any of this.
 
 // errJoinRefused marks permanent join failures — divergent or missing
-// history that retrying a different seed cannot fix. Everything else
-// (connection errors, timeouts) is transient and retried.
+// history, or a seed speaking another protocol version — that retrying a
+// different seed cannot fix. Everything else (connection errors, timeouts)
+// is transient and retried.
 var errJoinRefused = errors.New("cluster: join refused")
+
+// s0 is the first shard. Only this file may address it: dynamic membership
+// is gated to single-shard nodes, where shard 0's history IS the node's.
+func (n *Node) s0() *shard { return n.shards[0] }
+
+// inLoop runs fn on s0's event loop and waits for it to finish.
+func (n *Node) inLoop(fn func()) error {
+	return n.s0().inLoop(fn)
+}
 
 // Membership snapshots this node's membership view, sorted by replica ID.
 func (n *Node) Membership() []membership.Member {
@@ -278,7 +288,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	var buf []byte
 
 	if !n.sendFrame(conn, func(w *wire.Writer) {
-		appendJoin(w, joinReq{From: n.cfg.ID, Epoch: n.epoch.Load(), Addr: n.Addr(), Codec: n.codec.ID(), Comp: n.comp})
+		appendJoin(w, joinReq{From: n.cfg.ID, Epoch: n.epoch.Load(), Addr: n.Addr()})
 	}) {
 		return errors.New("cluster: join announce write failed")
 	}
@@ -289,11 +299,12 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	if typ != tJoinAck {
 		return fmt.Errorf("cluster: join answered with frame type %d", typ)
 	}
-	// The joiner only reads bulk frames (the envelope is self-describing),
-	// so the negotiated compression needs no state on this side.
-	_, ms, _, err := decodeJoinAck(r, n.cfg.N)
+	version, ms, err := decodeJoinAck(r, n.cfg.N)
 	if err != nil {
 		return err
+	}
+	if version != protoVersion {
+		return fmt.Errorf("%w: seed r%d speaks protocol version %d, this node %d", errJoinRefused, seedID, version, protoVersion)
 	}
 	n.view.MergeAll(ms)
 	// Auto-epoch: a record of us that is left, or alive at a higher epoch,
@@ -364,8 +375,8 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 // ack promised, and the restarted join pulls only what is still missing.
 // The request carries cfg.SyncWindow as its credit window: the donor may
 // stream that many chunks ahead of our cumulative acks, pipelining the
-// transfer across the ack round-trip, while this side's apply-and-journal-
-// before-ack turn is byte-for-byte the stop-and-wait one.
+// transfer across the ack round-trip; every chunk is still applied and
+// journaled before its ack leaves.
 func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest, readDeadline time.Duration, buf *[]byte) error {
 	for {
 		var have uint64
@@ -388,7 +399,7 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 			if typ != tRangeResp {
 				return fmt.Errorf("cluster: range pull answered with frame type %d", typ)
 			}
-			us, err := decodeRangeResp(r)
+			us, err := decodeUpdates(r, nil)
 			if err != nil {
 				return err
 			}
@@ -420,7 +431,7 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 			}
 			n.syncPulled.Add(applied)
 			n.cfg.Observer.AddSyncUpdates(applied)
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendAck(w, cum) }) {
+			if !n.sendFrame(conn, func(w *wire.Writer) { appendAck(w, 0, cum) }) {
 				return errors.New("cluster: sync ack write failed")
 			}
 			if cum > have {
@@ -506,14 +517,18 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	if n.cfg.Faults != nil {
 		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(j.From))
 	}
+	if j.Version != protoVersion {
+		// Answered, so the joiner learns our version, then refused — before
+		// it is admitted to the view.
+		n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, nil) })
+		return
+	}
 	if j.Addr != "" {
 		n.view.Merge(membership.Member{ID: int(j.From), Addr: j.Addr, Epoch: j.Epoch})
 	}
 	n.markDynamic()
 	n.ensureLinks()
-	chosen := negotiateCodec(n.codec.ID(), j.Codec)
-	chosenComp := negotiateComp(n.comp, j.Comp)
-	if !n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, chosen, n.view.Members(), chosenComp) }) {
+	if !n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, n.view.Members()) }) {
 		return
 	}
 	for {
@@ -550,7 +565,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 			if err != nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
 				return
 			}
-			if !n.serveRange(conn, origin, from, count, window, chosen, chosenComp, buf) {
+			if !n.serveRange(conn, origin, from, count, window, buf) {
 				return
 			}
 		default:
@@ -587,13 +602,12 @@ func (n *Node) digestResp(ds []originDigest) []originDigest {
 const serveRangeMaxWindow = 1024
 
 // serveRange streams one origin's updates [from, from+count) to a joiner
-// in codec-sized chunks under a credit-based sliding window: up to window
-// chunks may be in flight beyond the joiner's cumulative journal-backed
-// acks, so a transfer of c chunks costs about 1+⌈c/W⌉ round-trips instead
-// of stop-and-wait's 1+c. window comes from the joiner's tRangeReq (a
-// pre-v4 request decodes as 1, which IS stop-and-wait — one chunk out, one
-// ack back). Recoverability is untouched: the joiner still applies and
-// journals every chunk before acking it, so a kill -9 mid-sync loses at
+// in chunks of up to batchMax updates under a credit-based sliding window:
+// up to window chunks may be in flight beyond the joiner's cumulative
+// journal-backed acks, so a transfer of c chunks costs about 1+⌈c/W⌉
+// round-trips instead of stop-and-wait's 1+c. window comes from the
+// joiner's tRangeReq. Recoverability is untouched: the joiner still applies
+// and journals every chunk before acking it, so a kill -9 mid-sync loses at
 // most the unacked in-flight chunks, which the restarted join re-pulls.
 //
 // The joiner acks every chunk it consumes, in order, so the donor reads
@@ -601,24 +615,15 @@ const serveRangeMaxWindow = 1024
 // and each ack retires its head. That bookkeeping (rather than trusting
 // the cumulative value alone) also keeps the conversation aligned: no
 // acks are left unread in the socket for serveJoin's dispatch loop to
-// trip over. The negotiated codec governs chunking exactly like live
-// batching: binary gets BatchMax-update chunks, the JSON floor one update
-// per frame.
-func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uint64, window uint64, chosen wire.CodecID, comp uint64, buf *[]byte) bool {
-	if window < 1 {
-		window = 1
-	}
-	if window > serveRangeMaxWindow {
-		window = serveRangeMaxWindow
-	}
+// trip over.
+func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, window uint64, buf *[]byte) bool {
+	window = max(1, min(window, serveRangeMaxWindow))
 	end := from + count
-	chunkMax := 1
-	if chosen == wire.CodecBinary && n.cfg.BatchMax > 0 {
-		chunkMax = n.cfg.BatchMax
-	}
 	idx := from   // seq boundary of the next chunk to build
 	acked := from // watermark the joiner has journaled (or consumed past)
 	var inflight []uint64
+	enc := wire.GetWriter()
+	defer wire.PutWriter(enc)
 	for {
 		// Fill the window: send chunks while credit remains.
 		for idx < end && uint64(len(inflight)) < window {
@@ -632,7 +637,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 				for i := idx; i < end; i++ {
 					u := all.At(int(i))
 					cost := len(u.Payload) + 32
-					if len(us) > 0 && (len(us) >= chunkMax || size+cost > n.cfg.MaxFrame-64) {
+					if len(us) > 0 && (len(us) >= batchMax || size+cost > n.cfg.MaxFrame-64) {
 						break
 					}
 					size += cost
@@ -647,7 +652,10 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 			// Count before the write: the joiner may finish, and a caller
 			// read this node's Stats, before this goroutine runs again.
 			n.syncServed.Add(int64(len(us)))
-			if !n.sendFrameComp(conn, comp, func(w *wire.Writer) { appendRangeResp(w, origin, us) }) {
+			enc.Reset()
+			enc.BeginFrame()
+			appendRangeResp(enc, origin, us)
+			if n.writeEnc(conn, enc, n.cfg.MaxFrame, true) != nil { // a bulk frame
 				n.syncServed.Add(-int64(len(us)))
 				return false
 			}
@@ -671,8 +679,8 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 		if err != nil || typ != tAck {
 			return false
 		}
-		cum := r.Uvarint()
-		if r.Err() != nil {
+		shard, cum, err := decodeAck(r)
+		if err != nil || shard != 0 {
 			return false
 		}
 		head := inflight[0]
@@ -690,13 +698,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count uin
 }
 
 // ---------------------------------------------------------------------------
-// Small conn helpers
-
-// sendFrame builds one frame with a pooled writer and writes it raw, with
-// the node's frame accounting.
-func (n *Node) sendFrame(conn net.Conn, build func(*wire.Writer)) bool {
-	return n.sendFrameComp(conn, wire.CompNone, build)
-}
+// Small conn helpers (sendFrame and recvFrame are in compress.go)
 
 // readTyped reads one frame (with an optional read deadline) into buf — see
 // recvFrame for its lifetime — and peels its type tag.

@@ -40,6 +40,18 @@ func bootNode(t *testing.T, id model.ReplicaID, n int, mut func(*Config)) *Node 
 	return nd
 }
 
+// stored makes a node journal to mem, so that what it recorded outlives it:
+// a later incarnation booted with the same storage restores it, and
+// storedHistory reads it back for an audit.
+func stored(mem *memStorage) func(*Config) {
+	return func(cfg *Config) { cfg.Storage = mem }
+}
+
+// storedHistory is the history the (closed) node nd left in mem.
+func storedHistory(mem *memStorage, nd *Node) History {
+	return History{Node: nd.ID(), N: nd.cfg.N, Store: nd.cfg.Store.Name(), Events: mem.events(nd.ID(), 0)}
+}
+
 // writeN performs k distinct writes on nd, spread over objects, and
 // returns the object list.
 func writeN(t *testing.T, nd *Node, k int, tag string) []model.ObjectID {
@@ -78,8 +90,9 @@ func auditClean(t *testing.T, hists []History) {
 // retransmission slop in the stop-and-wait pull).
 func TestJoinPullsDepartedOriginFully(t *testing.T) {
 	const k = 60
+	mem := &memStorage{}
 	r0 := bootNode(t, 0, 3, nil)
-	r1 := bootNode(t, 1, 3, nil)
+	r1 := bootNode(t, 1, 3, stored(mem))
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +107,7 @@ func TestJoinPullsDepartedOriginFully(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.Close()
-	h1 := r1.FinalHistory()
+	h1 := storedHistory(mem, r1)
 
 	r2 := bootNode(t, 2, 3, func(cfg *Config) {
 		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
@@ -134,8 +147,9 @@ func TestJoinPullsDepartedOriginFully(t *testing.T) {
 // exchange proves the prefix matches and the range pull starts past it.
 func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 	const k1, k2 = 30, 45
+	mem := &memStorage{}
 	r0 := bootNode(t, 0, 3, nil)
-	r1 := bootNode(t, 1, 3, nil)
+	r1 := bootNode(t, 1, 3, stored(mem))
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +162,7 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 	}
 
 	r2 := bootNode(t, 2, 3, func(cfg *Config) {
+		cfg.Storage = mem
 		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
 	})
 	if got := r2.Stats().SyncPulled; got != k1 {
@@ -160,7 +175,6 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Close()
-	snap := r2.FinalHistory()
 
 	objects := writeN(t, r1, k2, "b")
 	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
@@ -170,10 +184,10 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.Close()
-	h1 := r1.FinalHistory()
+	h1 := storedHistory(mem, r1)
 
 	r2b := bootNode(t, 2, 3, func(cfg *Config) {
-		cfg.Restore = &snap
+		cfg.Storage = mem
 		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
 	})
 	if got := r2b.Stats().SyncPulled; got != k2 {
@@ -199,46 +213,6 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 	auditClean(t, []History{r0.History(), h1, r2b.History()})
 }
 
-// TestJoinJSONPinnedFromBinaryCluster covers codec negotiation during
-// join: a JSON-pinned joiner syncing from a binary-batching cluster must
-// negotiate down per-connection, catch up, and audit clean.
-func TestJoinJSONPinnedFromBinaryCluster(t *testing.T) {
-	const k = 40
-	binary := func(cfg *Config) { cfg.Codec = "binary"; cfg.BatchMax = 8 }
-	r0 := bootNode(t, 0, 3, binary)
-	r1 := bootNode(t, 1, 3, binary)
-	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	objects := writeN(t, r1, k, "bin")
-	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
-		t.Fatal("pair did not quiesce before the leave")
-	}
-	if err := r1.Leave(); err != nil {
-		t.Fatal(err)
-	}
-	r1.Close()
-	h1 := r1.FinalHistory()
-
-	r2 := bootNode(t, 2, 3, func(cfg *Config) {
-		cfg.Codec = "json"
-		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
-	})
-	if got := r2.Stats().SyncPulled; got != k {
-		t.Fatalf("JSON joiner pulled %d updates, want %d", got, k)
-	}
-	if !WaitQuiesced([]*Node{r0, r2}, 30*time.Second) {
-		t.Fatal("mixed-codec cluster did not quiesce after the join")
-	}
-	if err := CheckConverged([]Doer{r0, r2}, objects); err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, []History{r0.History(), h1, r2.History()})
-}
-
 // TestJoinRefusedOnDivergentHistory: a joiner whose log disagrees with the
 // donor about another origin's prefix must be refused permanently, with
 // the divergent leaf range named — silently merging two incompatible
@@ -247,21 +221,22 @@ func TestJoinRefusedOnDivergentHistory(t *testing.T) {
 	const k = 12
 	donorA := bootNode(t, 0, 2, nil)
 	writeN(t, donorA, k, "worldA")
+	mem := &memStorage{}
 	r1 := bootNode(t, 1, 2, func(cfg *Config) {
+		cfg.Storage = mem
 		cfg.Join = map[model.ReplicaID]string{0: donorA.Addr()}
 	})
 	if !WaitQuiesced([]*Node{donorA, r1}, 30*time.Second) {
 		t.Fatal("world A did not quiesce")
 	}
 	r1.Close()
-	snap := r1.FinalHistory()
 	donorA.Close()
 
 	donorB := bootNode(t, 0, 2, nil)
 	writeN(t, donorB, k, "worldB")
 	st := openCausal(t)
 	cfg := fastConfig(1, 2, st)
-	cfg.Restore = &snap
+	cfg.Storage = mem
 	cfg.Join = map[model.ReplicaID]string{0: donorB.Addr()}
 	nd, err := NewNode(cfg)
 	if err == nil {
@@ -306,7 +281,7 @@ func TestJoinRefusedWithoutOriginalLog(t *testing.T) {
 }
 
 // TestConnectOffersLiveBacklogToLateJoiner pins the late-connect contract
-// for a first-boot node (no Restore): updates recorded before the first
+// for a first-boot node (nothing restored): updates recorded before the first
 // Connect are part of the live backlog and must be offered to the late
 // peer — offering only restored events would strand them forever.
 func TestConnectOffersLiveBacklogToLateJoiner(t *testing.T) {

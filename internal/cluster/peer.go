@@ -56,8 +56,7 @@ func (q *peerQueue) indexAfter(seq uint64) int {
 // are retransmitted with exponential backoff while unacked, and survive
 // connection loss through a reconnect loop — the dial-side never gives up,
 // so any network that heals eventually delivers. All shards multiplex over
-// the one connection; frames name their shard (tShardBatch) once both ends
-// have sealed an equal shard count.
+// the one connection; every frame names its shard.
 type peerSender struct {
 	node *Node
 	peer model.ReplicaID
@@ -70,10 +69,10 @@ type peerSender struct {
 
 	// failed latches a terminal sender condition: the queue head can never
 	// travel (an update over the frame limit fails EndFrame identically on
-	// every future connection), or the peer announced a different shard
-	// count (no frame we send can ever be applied correctly). The run loop
-	// fail-stops instead of reconnecting forever; Node.Stats counts failed
-	// links so the condition is observable.
+	// every future connection), or the peer announced a different protocol
+	// version or shard count (no frame we send can ever be applied
+	// correctly). The run loop fail-stops instead of reconnecting forever;
+	// Node.Stats counts failed links so the condition is observable.
 	failed atomic.Bool
 
 	kick chan struct{} // cap 1: new updates enqueued
@@ -121,11 +120,9 @@ func (p *peerSender) enqueue(shard int, u protoUpdate) {
 }
 
 // offerBacklog replaces one shard's queue wholesale with the shard's full
-// self-backlog: Connect's full-backlog offer (shard 0's rides the
-// registration turn; each further shard's backlog must be snapshotted in
-// that shard's own loop turn). Updates the peer already acknowledged are
-// dropped on the way in. Called from the shard's event loop with the
-// backlog read in the same turn.
+// self-backlog: Connect's full-backlog offer. Updates the peer already
+// acknowledged are dropped on the way in. Called from the shard's event
+// loop with the backlog read in the same turn.
 func (p *peerSender) offerBacklog(shard int, backlog *seglog.Log[protoUpdate]) {
 	p.mu.Lock()
 	q := &p.queues[shard]
@@ -271,8 +268,11 @@ func (p *peerSender) sleep(d time.Duration) bool {
 	}
 }
 
-// run is the sender's goroutine: dial with exponential backoff, serve the
-// connection until it dies, repeat until closed.
+// run is the sender's goroutine: dial, serve the connection until it dies,
+// repeat until closed or failed. A connection the peer answered with its
+// hello ack resets the backoff and is redialled at once when it dies;
+// anything short of that — a refused dial, a cut link, a peer that accepts
+// and hangs up — waits out the backoff and doubles it.
 func (p *peerSender) run() {
 	defer p.node.wg.Done()
 	cfg := p.node.cfg
@@ -283,64 +283,56 @@ func (p *peerSender) run() {
 			return
 		default:
 		}
-		// A cut link fails fast without touching the network: dialing
-		// would only succeed at TCP and then die on the first shaped
-		// write. Backoff still applies, so a healed link is retried on
-		// the ordinary schedule.
-		if cfg.Faults != nil && cfg.Faults.Cut(int(cfg.ID), int(p.peer)) {
-			if !p.sleep(backoff) {
-				return
-			}
-			if backoff *= 2; backoff > cfg.DialBackoffMax {
-				backoff = cfg.DialBackoffMax
-			}
-			continue
-		}
-		conn, err := net.DialTimeout("tcp", p.addr, cfg.DialTimeout)
-		if err != nil {
-			if !p.sleep(backoff) {
-				return
-			}
-			if backoff *= 2; backoff > cfg.DialBackoffMax {
-				backoff = cfg.DialBackoffMax
-			}
-			continue
-		}
-		if cfg.Faults != nil {
-			conn = cfg.Faults.WrapConn(conn, int(cfg.ID), int(p.peer))
-		}
-		if p.dials.Add(1) > 1 {
-			p.reconnects.Add(1)
-			cfg.Observer.AddReconnects(1)
-		}
-		backoff = cfg.DialBackoffMin
-		p.serve(conn)
+		acked := p.dialAndServe()
 		if p.failed.Load() {
 			// Terminal sender error: reconnecting cannot help, the same
 			// frame fails the same way on every connection.
 			return
 		}
+		if acked {
+			backoff = cfg.DialBackoffMin
+			continue
+		}
+		if !p.sleep(backoff) {
+			return
+		}
+		backoff = min(2*backoff, cfg.DialBackoffMax)
 	}
 }
 
-// serve drives one live connection: announce ourselves, stream unacked
-// updates in seq order (per shard), and retransmit from the peer's
-// cumulative acks when the retransmission timer fires without progress. A
-// fresh connection always rewinds each shard to its lastAcked, so nothing
-// sent only on a dead connection is lost.
-//
-// The hello carries our codec preference and shard count; until the peer's
-// tHelloAck arrives (on the same stream the acks use) the connection stays
-// in the v1 fallback — one tUpdate per frame — so a v1 peer, which never
-// acks the hello, simply never upgrades and nothing blocks. Once the
-// binary codec is sealed, queued updates coalesce into tBatch frames of up
-// to BatchMax. A sharded sender is stricter: it sends NOTHING until the
-// ack confirms the peer speaks v5 with the same shard count (tShardBatch
-// frames have no v1 fallback), and a count mismatch latches the link
-// failed.
-func (p *peerSender) serve(conn net.Conn) {
+// dialAndServe makes one connection attempt and serves it to its end,
+// reporting whether the peer's hello ack arrived on it.
+func (p *peerSender) dialAndServe() bool {
 	cfg := p.node.cfg
-	shardMode := cfg.Shards > 1
+	// A cut link fails fast without touching the network: dialing would
+	// only succeed at TCP and then die on the first shaped write.
+	if cfg.Faults != nil && cfg.Faults.Cut(int(cfg.ID), int(p.peer)) {
+		return false
+	}
+	conn, err := net.DialTimeout("tcp", p.addr, cfg.DialTimeout)
+	if err != nil {
+		return false
+	}
+	if cfg.Faults != nil {
+		conn = cfg.Faults.WrapConn(conn, int(cfg.ID), int(p.peer))
+	}
+	if p.dials.Add(1) > 1 {
+		p.reconnects.Add(1)
+		cfg.Observer.AddReconnects(1)
+	}
+	return p.serve(conn)
+}
+
+// serve drives one live connection: announce ourselves, wait for the peer's
+// hello ack, stream unacked updates in seq order (per shard), and
+// retransmit from the peer's cumulative acks when the retransmission timer
+// fires without progress. A fresh connection always rewinds each shard to
+// its lastAcked, so nothing sent only on a dead connection is lost. Nothing
+// is sent until the ack confirms the peer speaks our protocol version and
+// shard count; a mismatch latches the link failed. It reports whether the
+// hello ack arrived.
+func (p *peerSender) serve(conn net.Conn) bool {
+	cfg := p.node.cfg
 	p.setConn(conn)
 	defer func() {
 		p.setConn(nil)
@@ -355,142 +347,75 @@ func (p *peerSender) serve(conn net.Conn) {
 
 	enc.Reset()
 	enc.BeginFrame()
-	appendHello(enc, cfg.ID, p.node.codec.ID(), p.node.comp, uint64(cfg.Shards))
-	if p.node.writeEnc(conn, enc, cfg.MaxFrame, wire.CompNone) != nil {
-		return
+	appendHello(enc, cfg.ID, cfg.Shards)
+	if p.node.writeEnc(conn, enc, cfg.MaxFrame, false) != nil {
+		return false
 	}
 
-	// negotiated holds the connection's sealed codec ID, negComp the sealed
-	// compression algorithm. The ack-reader goroutine upgrades both when
-	// tHelloAck arrives; the send loop reads them before building each
-	// frame, so the upgrade applies from the next frame onward without any
-	// blocking round-trip.
-	var negotiated atomic.Uint64 // zero value = wire.CodecJSON, the floor
-	var negComp atomic.Uint64    // zero value = wire.CompNone, the floor
-	helloAcked := make(chan struct{})
-
-	// Ack reader: cumulative acks (and the hello ack) arrive on the same
+	// Ack reader: the hello ack, then cumulative acks, arrive on the same
 	// connection.
+	acked := make(chan struct{})
 	connDead := make(chan struct{})
 	go func() {
 		defer close(connDead)
-		acked := false
 		var buf []byte // this reader's receive buffer; acks decode to integers
 		var r wire.Reader
-		for {
+		next := func(want uint64) bool {
 			b, err := recvFrame(conn, cfg.MaxFrame, &buf)
-			if err != nil {
+			r.Reset(b)
+			return err == nil && r.Uvarint() == want
+		}
+		if !next(tHelloAck) {
+			return
+		}
+		a, err := decodeHelloAck(&r)
+		if err != nil {
+			return
+		}
+		if a.Version != protoVersion || len(a.Delivered) != cfg.Shards {
+			// No frame this sender emits can ever be applied correctly, on
+			// this connection or any future one.
+			p.fail(fmt.Errorf("cluster: r%d→r%d refused: local protocol version %d with %d shards, peer version %d with %d",
+				cfg.ID, p.peer, protoVersion, cfg.Shards, a.Version, len(a.Delivered)))
+			return
+		}
+		// The peer's delivered watermarks are pre-acks: they prune the
+		// full-backlog offer down to what the peer is missing before the
+		// first drain ships anything.
+		for si, d := range a.Delivered {
+			p.ack(si, d)
+		}
+		close(acked)
+		for next(tAck) {
+			shard, cum, err := decodeAck(&r)
+			if err != nil || shard >= uint64(len(p.queues)) {
 				return
 			}
-			r.Reset(b)
-			switch r.Uvarint() {
-			case tAck:
-				cum := r.Uvarint()
-				if r.Err() != nil || shardMode {
-					return
-				}
-				p.ack(0, cum)
-				select {
-				case p.ackd <- struct{}{}:
-				default:
-				}
-			case tShardAck:
-				shard, cum, err := decodeShardAck(&r)
-				if err != nil || !shardMode || shard >= uint64(len(p.queues)) {
-					return
-				}
-				p.ack(int(shard), cum)
-				select {
-				case p.ackd <- struct{}{}:
-				default:
-				}
-			case tHelloAck:
-				a, err := decodeHelloAck(&r)
-				if err != nil {
-					return
-				}
-				if a.Shards != uint64(cfg.Shards) {
-					// The peer speaks a different shard count (a pre-v5
-					// peer decodes as 1): no frame this sender emits can
-					// ever be applied correctly, on this connection or any
-					// future one. Terminal.
-					p.fail(fmt.Errorf("cluster: r%d→r%d shard count mismatch: local %d, peer %d",
-						cfg.ID, p.peer, cfg.Shards, a.Shards))
-					return
-				}
-				// Re-negotiate against our own preference: a confused peer
-				// must not talk us into a codec (or compressor) we never
-				// offered.
-				negotiated.Store(uint64(negotiateCodec(p.node.codec.ID(), a.Codec)))
-				negComp.Store(negotiateComp(p.node.comp, a.Comp))
-				// The peer's delivered watermarks are pre-acks: they prune
-				// the full-backlog offer down to what the peer is missing
-				// before the first drain ships anything.
-				if shardMode {
-					for si, d := range a.ShardDelivered {
-						if si < len(p.queues) && d > 0 {
-							p.ack(si, d)
-						}
-					}
-				} else if a.Delivered > 0 {
-					p.ack(0, a.Delivered)
-				}
-				select {
-				case p.ackd <- struct{}{}:
-				default:
-				}
-				if !acked {
-					acked = true
-					close(helloAcked)
-				}
+			p.ack(int(shard), cum)
+			select {
+			case p.ackd <- struct{}{}:
 			default:
-				return
 			}
 		}
 	}()
 
+	select {
+	case <-acked:
+	case <-connDead:
+		return false
+	case <-p.done:
+		conn.Close()
+		<-connDead
+		return false
+	}
+
 	p.mu.Lock()
 	sent := make([]uint64, len(p.queues))
-	backlog := 0
 	for i := range p.queues {
 		sent[i] = p.queues[i].lastAcked
-		backlog += len(p.queues[i].pending())
 	}
 	p.mu.Unlock()
 
-	if shardMode {
-		// No v1 fallback exists for shard frames: nothing may be sent until
-		// the peer's ack proves it speaks our shard count. The wait is
-		// bounded by the connection itself — a peer that never acks (or
-		// refused our hello) kills the connection, and run() redials.
-		select {
-		case <-helloAcked:
-		case <-connDead:
-			return
-		case <-p.done:
-			conn.Close()
-			<-connDead
-			return
-		}
-	} else if cfg.BatchMax > 0 && p.node.codec.ID() != wire.CodecJSON && backlog > 1 {
-		// A reconnect with a deep backlog is exactly the case batching pays
-		// off most, but the v1-until-acked rule would stream the whole queue
-		// as singleton frames if the drain outruns the hello ack. So when
-		// batching is even possible — we offered binary and there is more
-		// than one update to ship — wait briefly for the ack before the
-		// first drain. The wait is bounded: a v1 peer (which never acks)
-		// costs one RetransmitMin stall per connection and then streams in
-		// the fallback as before, and a lost ack still only ever costs
-		// compactness, never data.
-		t := time.NewTimer(cfg.RetransmitMin)
-		select {
-		case <-helloAcked:
-		case <-connDead:
-		case <-p.done:
-		case <-t.C:
-		}
-		t.Stop()
-	}
 	rt := cfg.RetransmitMin
 	timer := time.NewTimer(rt)
 	defer timer.Stop()
@@ -498,16 +423,10 @@ func (p *peerSender) serve(conn net.Conn) {
 	for {
 		for si := range sent {
 			for {
-				batching := cfg.BatchMax > 0 &&
-					(shardMode || wire.CodecID(negotiated.Load()) == wire.CodecBinary)
-				max := 1
-				if batching {
-					max = cfg.BatchMax
-				}
 				// Headroom for the batch header and per-update varints;
 				// payload budgeting is in nextBatch.
 				var re int64
-				us, re = p.nextBatch(si, sent[si], max, cfg.MaxFrame-64, us)
+				us, re = p.nextBatch(si, sent[si], batchMax, cfg.MaxFrame-64, us)
 				if len(us) == 0 {
 					break
 				}
@@ -517,26 +436,11 @@ func (p *peerSender) serve(conn net.Conn) {
 				}
 				enc.Reset()
 				enc.BeginFrame()
-				frameComp := wire.CompNone
-				switch {
-				case shardMode:
-					// Shard frames are always batch-shaped; only
-					// multi-update ones clear the compression floor in
-					// practice, mirroring the single-shard rule.
-					appendShardBatch(enc, si, us[0].Origin, us)
-					if len(us) > 1 {
-						frameComp = negComp.Load()
-					}
-				case len(us) == 1:
-					appendUpdate(enc, us[0])
-				default:
-					// Only multi-update tBatch frames clear the compression
-					// floor in practice; single updates stay raw so the
-					// latency-sensitive path never touches the compressor.
-					appendBatch(enc, us[0].Origin, us)
-					frameComp = negComp.Load()
-				}
-				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, frameComp); err != nil {
+				appendBatch(enc, si, us[0].Origin, us)
+				// Only multi-update frames clear the compression floor in
+				// practice; single updates stay raw so the latency-sensitive
+				// path never touches the compressor.
+				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, len(us) > 1); err != nil {
 					var fse *wire.FrameSizeError
 					if errors.As(err, &fse) && len(us) == 1 {
 						// nextBatch always takes the first update alone when
@@ -553,7 +457,7 @@ func (p *peerSender) serve(conn net.Conn) {
 					// reader only exits once the connection is gone.
 					conn.Close()
 					<-connDead
-					return
+					return true
 				}
 				sent[si] = us[len(us)-1].Seq
 			}
@@ -569,9 +473,9 @@ func (p *peerSender) serve(conn net.Conn) {
 		case <-p.done:
 			conn.Close()
 			<-connDead
-			return
+			return true
 		case <-connDead:
-			return
+			return true
 		case <-p.kick:
 			// Fresh traffic: reset the retransmission backoff. An idle
 			// link that backed off to RetransmitMax must not make a brand

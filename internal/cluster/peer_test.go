@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"runtime"
@@ -132,8 +133,8 @@ func TestKickResetsRetransmitBackoff(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// Black-hole server: reads every frame (timestamping tUpdate arrivals)
-	// and never replies, so nothing is ever acked and the sender's
+	// Black-hole server: answers the hello, then reads every frame
+	// (timestamping update arrivals) and never acks one, so the sender's
 	// retransmission backoff climbs.
 	type arrival struct {
 		seq  uint64
@@ -154,12 +155,21 @@ func TestKickResetsRetransmitBackoff(t *testing.T) {
 						return
 					}
 					r := wire.NewReader(b)
-					if r.Uvarint() == tUpdate {
-						u, err := decodeUpdate(r)
+					switch r.Uvarint() {
+					case tHello:
+						w := wire.NewWriter()
+						appendHelloAck(w, []uint64{0})
+						if _, err := wire.WriteFrame(c, w.Bytes(), 0); err != nil {
+							return
+						}
+					case tBatch:
+						_, us, err := decodeBatch(r, nil)
 						if err != nil {
 							return
 						}
-						arrivals <- arrival{seq: u.Seq, when: time.Now()}
+						for _, u := range us {
+							arrivals <- arrival{seq: u.Seq, when: time.Now()}
+						}
 					}
 				}
 			}(conn)
@@ -399,5 +409,238 @@ func TestPeerQueueMatchesScanningReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: dead prefix %d of a %d-slot array was not reclaimed", seed, step, q.head, cap(q.queue))
 			}
 		}
+	}
+}
+
+// TestRedialBacksOffWhenPeerHangsUp: a peer that accepts and hangs up —
+// before any hello ack — is redialled on the exponential backoff schedule.
+// The backoff used to be reset by every successful TCP dial, so such a peer
+// was redialled in a hot loop (≈13 600 connections a second).
+func TestRedialBacksOffWhenPeerHangsUp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			conn.Close()
+		}
+	}()
+
+	st, err := store.Open("lww", spec.MVRTypes(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(0, 2, st)
+	cfg.DialBackoffMin = 50 * time.Millisecond
+	cfg.DialBackoffMax = time.Second
+	nd, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	if err := nd.Connect(map[model.ReplicaID]string{1: ln.Addr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond)
+	// 50, 100, 200 ms (each plus up to half in jitter) fit four dials in
+	// half a second; a dozen leaves room for a slow box, a hot loop none.
+	if got := dials.Load(); got < 2 || got > 12 {
+		t.Fatalf("%d dials in 500ms at a 50ms minimum backoff, want between 2 and 12", got)
+	}
+	if st := nd.Stats(); st.FailedLinks != 0 {
+		t.Fatalf("a peer that hangs up is not a terminal failure: %+v", st)
+	}
+}
+
+// rawDial opens a connection to nd for a test that speaks the protocol by
+// hand: send writes one frame, recv reads one and peels its type (0 once
+// the node has hung up).
+func rawDial(t *testing.T, nd *Node) (send func(build func(*wire.Writer)), recv func() (uint64, *wire.Reader)) {
+	t.Helper()
+	conn, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	send = func(build func(*wire.Writer)) {
+		t.Helper()
+		w := wire.NewWriter()
+		build(w)
+		if _, err := wire.WriteFrame(conn, w.Bytes(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv = func() (uint64, *wire.Reader) {
+		typ, r, err := readTyped(conn, 0, 0, nil)
+		if err != nil {
+			return 0, nil
+		}
+		return typ, r
+	}
+	return send, recv
+}
+
+// TestProtocolVersionMismatchRefused: a hello or join of another protocol
+// version is answered with this node's own version and then refused, and
+// the side that reads such an answer treats it as terminal — a sender
+// latches its link failed, a joiner gives up with errJoinRefused — instead
+// of retrying a conversation that can never work.
+func TestProtocolVersionMismatchRefused(t *testing.T) {
+	nd := bootNode(t, 1, 3, nil)
+
+	// Acceptor side, hello: a hand-written version-5 frame.
+	send, recv := rawDial(t, nd)
+	send(func(w *wire.Writer) {
+		w.Uvarint(tHello)
+		w.Uvarint(0) // from
+		w.Uvarint(5) // version
+		w.Uvarint(1) // v5: codec, compression, shards
+		w.Uvarint(1)
+		w.Uvarint(1)
+	})
+	typ, r := recv()
+	if typ != tHelloAck {
+		t.Fatalf("v5 hello answered with frame type %d, want the node's hello ack", typ)
+	}
+	if a, err := decodeHelloAck(r); err != nil || a.Version != protoVersion {
+		t.Fatalf("hello ack = (%+v, %v), want version %d", a, err, protoVersion)
+	}
+	if typ, _ := recv(); typ != 0 {
+		t.Fatalf("refused hello's connection stayed open: got frame type %d", typ)
+	}
+
+	// Acceptor side, join: likewise, and the joiner is not admitted.
+	send, recv = rawDial(t, nd)
+	send(func(w *wire.Writer) {
+		w.Uvarint(tJoin)
+		w.Uvarint(0) // from
+		w.Uvarint(0) // epoch
+		w.String("127.0.0.1:1")
+		w.Uvarint(5) // version
+		w.Uvarint(1) // v5: codec, compression
+		w.Uvarint(1)
+	})
+	typ, r = recv()
+	if typ != tJoinAck {
+		t.Fatalf("v5 join answered with frame type %d, want the node's join ack", typ)
+	}
+	if version, _, err := decodeJoinAck(r, 3); err != nil || version != protoVersion {
+		t.Fatalf("join ack = (version %d, %v), want version %d", version, err, protoVersion)
+	}
+	if typ, _ := recv(); typ != 0 {
+		t.Fatalf("refused join's connection stayed open: got frame type %d", typ)
+	}
+	if ms := nd.Membership(); len(ms) != 1 {
+		t.Fatalf("refused joiner entered the view: %+v", ms)
+	}
+
+	// Dialer side: a peer that answers everything as version 5 would.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				typ, _, err := readTyped(c, 0, 0, nil)
+				if err != nil {
+					return
+				}
+				w := wire.NewWriter()
+				switch typ {
+				case tHello:
+					w.Uvarint(tHelloAck)
+					w.Uvarint(5) // version
+					w.Uvarint(1) // v5: codec, delivered, …
+					w.Uvarint(0)
+				case tJoin:
+					w.Uvarint(tJoinAck)
+					w.Uvarint(5) // version
+					w.Uvarint(1) // v5: codec, members, compression
+					w.Uvarint(0)
+					w.Uvarint(1)
+				}
+				wire.WriteFrame(c, w.Bytes(), 0)
+			}(conn)
+		}
+	}()
+	old := map[model.ReplicaID]string{0: ln.Addr().String()}
+	if err := nd.Connect(old); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for nd.Stats().FailedLinks != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("link to a version-5 peer never latched failed: %+v", nd.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := nd.Stats(); st.Reconnects > 2 {
+		t.Fatalf("refused link reconnected %d times", st.Reconnects)
+	}
+	cfg := fastConfig(2, 3, openCausal(t))
+	cfg.Join = old
+	if joiner, err := NewNode(cfg); !errors.Is(err, errJoinRefused) {
+		if err == nil {
+			joiner.Close()
+		}
+		t.Fatalf("join through a version-5 seed: err = %v, want errJoinRefused", err)
+	}
+}
+
+// TestReplicationRejectsForeignOrigin: a link carries its dialer's own
+// broadcasts and nothing else. A connection whose hello said r1 may not
+// ship a batch of r2's — applied, it would land in r2's seq domain without
+// r2 ever having sent it — and nobody may say hello as the acceptor itself
+// or as a replica outside the population.
+func TestReplicationRejectsForeignOrigin(t *testing.T) {
+	nd := bootNode(t, 0, 3, nil)
+	for _, from := range []model.ReplicaID{0, 3} {
+		send, recv := rawDial(t, nd)
+		send(func(w *wire.Writer) { appendHello(w, from, 1) })
+		if typ, _ := recv(); typ != 0 {
+			t.Fatalf("hello from r%d answered with frame type %d, want a hang-up", from, typ)
+		}
+	}
+
+	send, recv := rawDial(t, nd)
+	send(func(w *wire.Writer) { appendHello(w, 1, 1) })
+	if typ, _ := recv(); typ != tHelloAck {
+		t.Fatalf("hello answered with frame type %d", typ)
+	}
+	payload := func(origin model.ReplicaID) []byte {
+		src := openCausal(t).NewReplica(origin, 3)
+		src.Do("k", model.Write("v"))
+		return append([]byte(nil), src.PendingMessage()...)
+	}
+	send(func(w *wire.Writer) {
+		appendBatch(w, 0, 1, []protoUpdate{{Origin: 1, Seq: 1, Lamport: 1, Payload: payload(1)}})
+	})
+	if typ, _ := recv(); typ != tAck {
+		t.Fatalf("the dialer's own batch answered with frame type %d, want an ack", typ)
+	}
+	send(func(w *wire.Writer) {
+		appendBatch(w, 0, 2, []protoUpdate{{Origin: 2, Seq: 1, Lamport: 2, Payload: payload(2)}})
+	})
+	if typ, _ := recv(); typ != 0 {
+		t.Fatalf("a batch of r2's on r1's link answered with frame type %d, want a hang-up", typ)
+	}
+	if st := nd.Stats(); st.Receives != 1 {
+		t.Fatalf("node recorded %d receives, want only the dialer's own update", st.Receives)
 	}
 }

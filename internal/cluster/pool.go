@@ -22,9 +22,6 @@ type PoolOptions struct {
 	// OpTimeout is applied to every pooled client (SetOpTimeout); zero
 	// leaves operations unbounded.
 	OpTimeout time.Duration
-	// Codec pins the structured-reply codec by name ("" keeps the binary
-	// default).
-	Codec string
 }
 
 // Pool multiplexes client operations over a fixed set of connections to one
@@ -94,13 +91,6 @@ func (p *Pool) get() (*Client, error) {
 		if err != nil {
 			p.free <- nil // return the empty slot before failing
 			return nil, err
-		}
-		if p.opts.Codec != "" {
-			if cerr := c.SetCodec(p.opts.Codec); cerr != nil {
-				c.Close()
-				p.free <- nil
-				return nil, cerr
-			}
 		}
 		c.SetOpTimeout(p.opts.OpTimeout)
 		return c, nil

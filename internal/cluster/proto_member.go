@@ -11,44 +11,39 @@ import (
 // Membership and anti-entropy frame types, continuing the numbering in
 // proto.go. A join conversation is one connection, joiner-driven:
 //
-//	joiner → tJoin      {from, epoch, addr, version, codec}
-//	donor  → tJoinAck   {version, codec, view}
+//	joiner → tJoin      {from, epoch, addr, version}
+//	donor  → tJoinAck   {version, view}
 //	joiner → tDigest    {per-origin count+root}
 //	donor  → tDigestResp{per-origin count+root+prefixRoot(joiner count)}
 //	joiner → tTreeReq   {origin, prefix, level, index}     (only on mismatch)
 //	donor  → tTreeResp  {ok, hash}
-//	joiner → tRangeReq  {origin, from, count}
+//	joiner → tRangeReq  {origin, from, count, window}
 //	donor  → tRangeResp {origin, (seq, lamport, payload)...}  (chunked)
-//	joiner → tAck       {cum}          after journaling each chunk
+//	joiner → tAck       {shard 0, cum}  after journaling each chunk
 //
-// The codec negotiated on the tJoin/tJoinAck pair (same min-wins rule as
-// the hello exchange) governs range chunking: a binary connection ships
-// tBatch-sized multi-update chunks, the JSON floor ships one update per
-// frame — so a v1-style joiner still syncs, just less compactly. Gossip
-// frames (tGossip/tGossipAck) are a single request/response exchange on a
-// transient connection.
+// Gossip frames (tGossip/tGossipAck) are a single request/response exchange
+// on a transient connection.
 const (
-	tJoin       = 14 // {from, epoch, addr, version, codec [, comp]}
-	tJoinAck    = 15 // {version, codec, members... [, comp]}
+	tJoin       = 14 // {from, epoch, addr, version}
+	tJoinAck    = 15 // {version, members...}
 	tGossip     = 16 // {from, members...}
 	tGossipAck  = 17 // {members...}
 	tDigest     = 18 // {count, (origin, count, root)...}
 	tDigestResp = 19 // {count, (origin, count, root, prefixRoot)...}
 	tTreeReq    = 20 // {origin, prefix, level, index}
 	tTreeResp   = 21 // {ok, hash}
-	tRangeReq   = 22 // {origin, from, count [, window]}
+	tRangeReq   = 22 // {origin, from, count, window}
 	tRangeResp  = 23 // {origin, count, (seq, lamport, payload)...}
 	// 24 is tCompressed, the compression envelope — see compress.go.
 )
 
-// joinReq carries a decoded tJoin.
+// joinReq carries a decoded tJoin. Like a hello's, the version closes the
+// part every version shares.
 type joinReq struct {
 	From    model.ReplicaID
 	Epoch   uint64
 	Addr    string
 	Version uint64
-	Codec   wire.CodecID
-	Comp    uint64
 }
 
 func appendJoin(w *wire.Writer, j joinReq) {
@@ -56,27 +51,20 @@ func appendJoin(w *wire.Writer, j joinReq) {
 	w.Uvarint(uint64(j.From))
 	w.Uvarint(j.Epoch)
 	w.String(j.Addr)
-	w.Uvarint(helloVersion)
-	w.Uvarint(uint64(j.Codec))
-	w.Uvarint(j.Comp)
+	w.Uvarint(protoVersion)
 }
 
 func decodeJoin(r *wire.Reader) (joinReq, error) {
 	j := joinReq{
-		From:  model.ReplicaID(r.Uvarint()),
-		Epoch: r.Uvarint(),
-		Addr:  r.String(),
+		From:    model.ReplicaID(r.Uvarint()),
+		Epoch:   r.Uvarint(),
+		Addr:    r.String(),
+		Version: r.Uvarint(),
 	}
-	j.Version = r.Uvarint()
-	j.Codec = wire.CodecID(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return j, err
+	if r.Err() != nil || j.Version != protoVersion {
+		return j, r.Err()
 	}
-	// v4 compression offer; a v3 join ends at the codec → CompNone.
-	if r.Remaining() > 0 {
-		j.Comp = r.Uvarint()
-	}
-	return j, r.Err()
+	return j, r.End()
 }
 
 // appendMembers encodes a view snapshot: {count, (id, epoch, left, addr)...}.
@@ -96,7 +84,8 @@ func appendMembers(w *wire.Writer, ms []membership.Member) {
 
 // decodeMembers decodes a view snapshot, rejecting member IDs outside the
 // n-replica population (a hostile or corrupt frame must not grow the
-// cluster) and implausible counts.
+// cluster) and implausible counts. The snapshot is the last field of every
+// frame that carries one, so the decode ends with it.
 func decodeMembers(r *wire.Reader, n int) ([]membership.Member, error) {
 	count := r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -120,35 +109,24 @@ func decodeMembers(r *wire.Reader, n int) ([]membership.Member, error) {
 		}
 		ms = append(ms, m)
 	}
-	return ms, nil
+	return ms, r.End()
 }
 
-// appendJoinAck seals the join negotiation: codec, the view snapshot, and
-// (v4, trailing so a v3 joiner stops at the members) the negotiated
-// compression algorithm for the sync conversation's bulk frames.
-func appendJoinAck(w *wire.Writer, codec wire.CodecID, ms []membership.Member, comp uint64) {
+// appendJoinAck answers a join: the donor's version, then its view.
+func appendJoinAck(w *wire.Writer, ms []membership.Member) {
 	w.Uvarint(tJoinAck)
-	w.Uvarint(helloVersion)
-	w.Uvarint(uint64(codec))
+	w.Uvarint(protoVersion)
 	appendMembers(w, ms)
-	w.Uvarint(comp)
 }
 
-func decodeJoinAck(r *wire.Reader, n int) (wire.CodecID, []membership.Member, uint64, error) {
-	r.Uvarint() // version: informational
-	codec := wire.CodecID(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return 0, nil, 0, err
+// decodeJoinAck decodes a tJoinAck; past a foreign version nothing is read.
+func decodeJoinAck(r *wire.Reader, n int) (version uint64, ms []membership.Member, err error) {
+	version = r.Uvarint()
+	if r.Err() != nil || version != protoVersion {
+		return version, nil, r.Err()
 	}
-	ms, err := decodeMembers(r, n)
-	if err != nil {
-		return codec, ms, 0, err
-	}
-	comp := uint64(0)
-	if r.Remaining() > 0 {
-		comp = r.Uvarint()
-	}
-	return codec, ms, comp, r.Err()
+	ms, err = decodeMembers(r, n)
+	return version, ms, err
 }
 
 func appendGossip(w *wire.Writer, from model.ReplicaID, ms []membership.Member) {
@@ -239,7 +217,7 @@ func decodeDigest(r *wire.Reader, withPrefix bool) ([]originDigest, error) {
 		}
 		ds = append(ds, d)
 	}
-	return ds, nil
+	return ds, r.End()
 }
 
 func appendTreeReq(w *wire.Writer, origin model.ReplicaID, prefix uint64, level int, index uint64) {
@@ -255,7 +233,7 @@ func decodeTreeReq(r *wire.Reader) (origin model.ReplicaID, prefix uint64, level
 	prefix = r.Uvarint()
 	level = int(r.Uvarint())
 	index = r.Uvarint()
-	return origin, prefix, level, index, r.Err()
+	return origin, prefix, level, index, r.End()
 }
 
 func appendTreeResp(w *wire.Writer, h membership.Hash, ok bool) {
@@ -274,13 +252,12 @@ func decodeTreeResp(r *wire.Reader) (membership.Hash, bool, error) {
 	if !have {
 		return h, false, wire.ErrTruncated
 	}
-	return h, ok, r.Err()
+	return h, ok, r.End()
 }
 
 // appendRangeReq asks for [from, from+count) of one origin's updates.
-// window (v4, trailing) is the pull's credit window: how many unacked
-// chunks the joiner is prepared to have in flight. A v3 request carries no
-// window and decodes as 1, which is exactly the old stop-and-wait.
+// window is the pull's credit window: how many unacked chunks the joiner is
+// prepared to have in flight.
 func appendRangeReq(w *wire.Writer, origin model.ReplicaID, from, count, window uint64) {
 	w.Uvarint(tRangeReq)
 	w.Uvarint(uint64(origin))
@@ -293,54 +270,14 @@ func decodeRangeReq(r *wire.Reader) (origin model.ReplicaID, from, count, window
 	origin = model.ReplicaID(r.Uvarint())
 	from = r.Uvarint()
 	count = r.Uvarint()
-	window = 1
-	if r.Err() == nil && r.Remaining() > 0 {
-		window = r.Uvarint()
-	}
-	if window < 1 {
-		window = 1
-	}
-	return origin, from, count, window, r.Err()
+	window = r.Uvarint()
+	return origin, from, count, window, r.End()
 }
 
-// appendRangeResp encodes one anti-entropy chunk: the same per-update
-// layout as tBatch behind a distinct type, so sync traffic is countable
-// separately from live replication in packet captures and stats.
+// appendRangeResp encodes one anti-entropy chunk: tBatch's update body
+// behind a distinct type (decodeUpdates reads it), so sync traffic is
+// countable separately from live replication in packet captures and stats.
 func appendRangeResp(w *wire.Writer, origin model.ReplicaID, us []protoUpdate) {
 	w.Uvarint(tRangeResp)
-	w.Uvarint(uint64(origin))
-	w.Uvarint(uint64(len(us)))
-	for _, u := range us {
-		w.Uvarint(u.Seq)
-		w.Uvarint(u.Lamport)
-		w.Uvarint(uint64(len(u.Payload)))
-		w.Raw(u.Payload)
-	}
-}
-
-// decodeRangeResp decodes a tRangeResp body. Payloads alias the frame
-// buffer, like decodeBatch's.
-func decodeRangeResp(r *wire.Reader) ([]protoUpdate, error) {
-	origin := model.ReplicaID(r.Uvarint())
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("cluster: implausible range count %d", n)
-	}
-	us := make([]protoUpdate, 0, n)
-	for i := uint64(0); i < n; i++ {
-		u := protoUpdate{
-			Origin:  origin,
-			Seq:     r.Uvarint(),
-			Lamport: r.Uvarint(),
-			Payload: r.Bytes(),
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		us = append(us, u)
-	}
-	return us, nil
+	appendUpdates(w, origin, us)
 }

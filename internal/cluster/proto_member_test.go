@@ -9,7 +9,7 @@ import (
 )
 
 func TestJoinRoundTrip(t *testing.T) {
-	in := joinReq{From: 2, Epoch: 5, Addr: "127.0.0.1:7002", Codec: wire.CodecBinary, Comp: wire.CompFlate}
+	in := joinReq{From: 2, Epoch: 5, Addr: "127.0.0.1:7002"}
 	w := wire.NewWriter()
 	appendJoin(w, in)
 	r := wire.NewReader(w.Bytes())
@@ -20,9 +20,8 @@ func TestJoinRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.From != in.From || got.Epoch != in.Epoch || got.Addr != in.Addr ||
-		got.Version != helloVersion || got.Codec != in.Codec || got.Comp != in.Comp {
-		t.Fatalf("join = %+v, want %+v at version %d", got, in, helloVersion)
+	if got.From != in.From || got.Epoch != in.Epoch || got.Addr != in.Addr || got.Version != protoVersion {
+		t.Fatalf("join = %+v, want %+v at version %d", got, in, protoVersion)
 	}
 }
 
@@ -33,17 +32,17 @@ func TestJoinAckRoundTrip(t *testing.T) {
 		{ID: 2, Epoch: 0}, // addr unknown yet
 	}
 	w := wire.NewWriter()
-	appendJoinAck(w, wire.CodecJSON, ms, wire.CompFlate)
+	appendJoinAck(w, ms)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tJoinAck {
 		t.Fatalf("type = %d, want tJoinAck", typ)
 	}
-	codec, got, comp, err := decodeJoinAck(r, 3)
+	version, got, err := decodeJoinAck(r, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if codec != wire.CodecJSON || len(got) != len(ms) || comp != wire.CompFlate {
-		t.Fatalf("ack = (%d, %d members, comp %d)", codec, len(got), comp)
+	if version != protoVersion || len(got) != len(ms) {
+		t.Fatalf("ack = (version %d, %d members)", version, len(got))
 	}
 	for i := range ms {
 		if got[i] != ms[i] {
@@ -161,16 +160,6 @@ func TestRangeRoundTrip(t *testing.T) {
 		t.Fatalf("range req = (r%d, %d, %d, win %d, %v)", origin, from, count, window, err)
 	}
 
-	// A pre-v4 request (no trailing window) decodes as stop-and-wait.
-	w = wire.NewWriter()
-	w.Uvarint(1)
-	w.Uvarint(40)
-	w.Uvarint(25)
-	origin, from, count, window, err = decodeRangeReq(wire.NewReader(w.Bytes()))
-	if err != nil || origin != 1 || from != 40 || count != 25 || window != 1 {
-		t.Fatalf("v3 range req = (r%d, %d, %d, win %d, %v), want window 1", origin, from, count, window, err)
-	}
-
 	us := []protoUpdate{
 		{Origin: 1, Seq: 41, Lamport: 90, Payload: []byte("p41")},
 		{Origin: 1, Seq: 42, Lamport: 91, Payload: nil},
@@ -181,7 +170,7 @@ func TestRangeRoundTrip(t *testing.T) {
 	if typ := r.Uvarint(); typ != tRangeResp {
 		t.Fatalf("type = %d, want tRangeResp", typ)
 	}
-	got, err := decodeRangeResp(r)
+	got, err := decodeUpdates(r, nil)
 	if err != nil || len(got) != len(us) {
 		t.Fatalf("range resp: %d updates, err %v", len(got), err)
 	}
@@ -197,7 +186,7 @@ func TestRangeRespImplausibleCountRejected(t *testing.T) {
 	w := wire.NewWriter()
 	w.Uvarint(1)       // origin
 	w.Uvarint(1 << 40) // absurd count
-	if us, err := decodeRangeResp(wire.NewReader(w.Bytes())); err == nil {
+	if us, err := decodeUpdates(wire.NewReader(w.Bytes()), nil); err == nil {
 		t.Fatalf("decoded %d updates from implausible count", len(us))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/membership"
@@ -14,9 +15,9 @@ import (
 	"repro/internal/wire"
 )
 
-func TestHelloV2RoundTrip(t *testing.T) {
+func TestHelloRoundTrip(t *testing.T) {
 	w := wire.NewWriter()
-	appendHello(w, 5, wire.CodecBinary, wire.CompFlate, 4)
+	appendHello(w, 5, 4)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tHello {
 		t.Fatalf("type = %d, want tHello", typ)
@@ -25,52 +26,28 @@ func TestHelloV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.From != 5 || h.Version != helloVersion || h.Codec != wire.CodecBinary || h.Comp != wire.CompFlate || h.Shards != 4 {
+	if h.From != 5 || h.Version != protoVersion || h.Shards != 4 {
 		t.Fatalf("hello = %+v", h)
 	}
-}
 
-// TestHelloV3Compat pins the v4 extension's back-compat: a v3-shaped hello
-// (version and codec, no compression ID) decodes with CompNone.
-func TestHelloV3Compat(t *testing.T) {
-	w := wire.NewWriter()
-	w.Uvarint(uint64(7))
-	w.Uvarint(3)
-	w.Uvarint(uint64(wire.CodecBinary))
-	h, err := decodeHello(wire.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	// A hello of another version decodes as far as the version and no
+	// further: the acceptor needs the sender and the version to answer it,
+	// and whatever follows is laid out by rules this build does not know.
+	w = wire.NewWriter()
+	w.Uvarint(7) // from
+	w.Uvarint(5) // version
+	w.Uvarint(1) // v5: codec, compression, shards
+	w.Uvarint(1)
+	w.Uvarint(4)
+	h, err = decodeHello(wire.NewReader(w.Bytes()))
+	if err != nil || h.From != 7 || h.Version != 5 || h.Shards != 0 {
+		t.Fatalf("v5 hello = (%+v, %v), want from 7 at version 5 and nothing else read", h, err)
 	}
-	if h.From != 7 || h.Version != 3 || h.Codec != wire.CodecBinary || h.Comp != wire.CompNone || h.Shards != 1 {
-		t.Fatalf("v3 hello = %+v, want comp none, one shard", h)
-	}
-}
-
-// TestHelloV1Compat pins the compatibility contract in both directions: a
-// bare v1 hello decodes as version 1 with the JSON codec, and a v2 hello's
-// From field sits exactly where a v1 receiver reads it.
-func TestHelloV1Compat(t *testing.T) {
-	h, err := decodeHello(wire.NewReader(encodeHello(3)[1:])) // strip type tag
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.From != 3 || h.Version != 1 || h.Codec != wire.CodecJSON {
-		t.Fatalf("v1 hello = %+v, want {3 1 json}", h)
-	}
-
-	w := wire.NewWriter()
-	appendHello(w, 3, wire.CodecBinary, wire.CompFlate, 1)
-	r := wire.NewReader(w.Bytes())
-	r.Uvarint() // type, as the v1 receiver reads it
-	if from := r.Uvarint(); from != 3 || r.Err() != nil {
-		t.Fatalf("v1 read of v2 hello: from = %d, err %v", from, r.Err())
-	}
-	// Whatever trails is the extension the v1 receiver ignores.
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
 	w := wire.NewWriter()
-	appendHelloAck(w, wire.CodecBinary, 42, wire.CompFlate, 4, []uint64{42, 7, 0, 3})
+	appendHelloAck(w, []uint64{42, 7, 0, 3})
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tHelloAck {
 		t.Fatalf("type = %d, want tHelloAck", typ)
@@ -79,123 +56,77 @@ func TestHelloAckRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Codec != wire.CodecBinary || a.Delivered != 42 || a.Comp != wire.CompFlate || a.Shards != 4 {
-		t.Fatalf("ack = %+v, want (binary, 42, flate, 4 shards)", a)
-	}
-	if len(a.ShardDelivered) != 4 || a.ShardDelivered[0] != 42 || a.ShardDelivered[1] != 7 ||
-		a.ShardDelivered[2] != 0 || a.ShardDelivered[3] != 3 {
-		t.Fatalf("shard watermarks = %v, want [42 7 0 3]", a.ShardDelivered)
+	if a.Version != protoVersion || !slices.Equal(a.Delivered, []uint64{42, 7, 0, 3}) {
+		t.Fatalf("ack = %+v, want version %d, watermarks [42 7 0 3]", a, protoVersion)
 	}
 
-	// A v2 ack (no trailing watermark) still decodes, with delivered 0:
-	// the dialer then offers its full backlog and cumulative dedup absorbs
-	// the re-offers, exactly the pre-v3 behavior. No compression ID either,
-	// so the link stays uncompressed, and no shard count, so single-shard.
+	// Another version's ack: the version is all that is read.
 	w = wire.NewWriter()
-	w.Uvarint(helloVersion)
-	w.Uvarint(uint64(wire.CodecJSON))
-	a, err = decodeHelloAck(wire.NewReader(w.Bytes()))
-	if err != nil || a.Codec != wire.CodecJSON || a.Delivered != 0 || a.Comp != wire.CompNone || a.Shards != 1 {
-		t.Fatalf("v2 ack = (%+v, %v), want (json, 0, none, 1 shard)", a, err)
-	}
-
-	// A v3 ack (watermark but no compression ID) also decodes with CompNone
-	// and one shard.
-	w = wire.NewWriter()
-	w.Uvarint(helloVersion)
-	w.Uvarint(uint64(wire.CodecBinary))
+	w.Uvarint(5)
+	w.Uvarint(1)
 	w.Uvarint(9)
 	a, err = decodeHelloAck(wire.NewReader(w.Bytes()))
-	if err != nil || a.Codec != wire.CodecBinary || a.Delivered != 9 || a.Comp != wire.CompNone || a.Shards != 1 {
-		t.Fatalf("v3 ack = (%+v, %v), want (binary, 9, none, 1 shard)", a, err)
+	if err != nil || a.Version != 5 || a.Delivered != nil {
+		t.Fatalf("v5 ack = (%+v, %v), want version 5 and nothing else read", a, err)
 	}
 
-	// A v4 ack (compression ID but no shard count) also decodes single-shard.
+	// A shard count the frame cannot hold watermarks for is refused before
+	// anything is allocated for it.
 	w = wire.NewWriter()
-	w.Uvarint(helloVersion)
-	w.Uvarint(uint64(wire.CodecBinary))
-	w.Uvarint(9)
-	w.Uvarint(wire.CompFlate)
-	a, err = decodeHelloAck(wire.NewReader(w.Bytes()))
-	if err != nil || a.Comp != wire.CompFlate || a.Shards != 1 || a.ShardDelivered != nil {
-		t.Fatalf("v4 ack = (%+v, %v), want (flate, 1 shard, no watermarks)", a, err)
+	w.Uvarint(protoVersion)
+	w.Uvarint(1 << 40)
+	if a, err := decodeHelloAck(wire.NewReader(w.Bytes())); err == nil {
+		t.Fatalf("implausible shard count accepted: %+v", a)
 	}
 }
 
-// TestShardBatchRoundTrip pins the v5 shard-multiplexed frames: a
-// tShardBatch carries the shard index ahead of the tBatch layout, and a
-// tShardAck pairs the shard with its cumulative ack.
+func sameUpdates(t *testing.T, got, want []protoUpdate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d updates, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Origin != want[i].Origin || got[i].Seq != want[i].Seq ||
+			got[i].Lamport != want[i].Lamport || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			t.Fatalf("update %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestShardBatchRoundTrip pins the shard-multiplexed replication frames: a
+// tBatch carries the shard index ahead of the update body, and a tAck pairs
+// the shard with its cumulative ack.
 func TestShardBatchRoundTrip(t *testing.T) {
 	us := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
 		{Origin: 2, Seq: 2, Lamport: 11, Payload: nil},
 	}
 	w := wire.NewWriter()
-	appendShardBatch(w, 3, 2, us)
+	appendBatch(w, 3, 2, us)
 	r := wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tShardBatch {
-		t.Fatalf("type = %d, want tShardBatch", typ)
+	if typ := r.Uvarint(); typ != tBatch {
+		t.Fatalf("type = %d, want tBatch", typ)
 	}
-	shard, got, err := decodeShardBatch(r, nil)
-	if err != nil {
-		t.Fatal(err)
+	shard, got, err := decodeBatch(r, nil)
+	if err != nil || shard != 3 {
+		t.Fatalf("shard %d, err %v; want shard 3", shard, err)
 	}
-	if shard != 3 || len(got) != len(us) {
-		t.Fatalf("shard %d with %d updates, want shard 3 with %d", shard, len(got), len(us))
-	}
-	for i := range us {
-		if got[i].Origin != us[i].Origin || got[i].Seq != us[i].Seq ||
-			got[i].Lamport != us[i].Lamport || !bytes.Equal(got[i].Payload, us[i].Payload) {
-			t.Fatalf("update %d = %+v, want %+v", i, got[i], us[i])
-		}
-	}
+	sameUpdates(t, got, us)
 
 	w = wire.NewWriter()
-	appendShardAck(w, 5, 99)
+	appendAck(w, 5, 99)
 	r = wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tShardAck {
-		t.Fatalf("type = %d, want tShardAck", typ)
+	if typ := r.Uvarint(); typ != tAck {
+		t.Fatalf("type = %d, want tAck", typ)
 	}
-	s, cum, err := decodeShardAck(r)
+	s, cum, err := decodeAck(r)
 	if err != nil || s != 5 || cum != 99 {
-		t.Fatalf("shard ack = (%d, %d, %v), want (5, 99, nil)", s, cum, err)
+		t.Fatalf("ack = (%d, %d, %v), want (5, 99, nil)", s, cum, err)
 	}
 }
 
-func TestNegotiateComp(t *testing.T) {
-	for _, tc := range []struct {
-		a, b, want uint64
-	}{
-		{wire.CompFlate, wire.CompFlate, wire.CompFlate},
-		{wire.CompFlate, wire.CompNone, wire.CompNone},
-		{wire.CompNone, wire.CompFlate, wire.CompNone},
-		{wire.CompNone, wire.CompNone, wire.CompNone},
-		{wire.CompFlate, 7, wire.CompFlate}, // newer peer: min wins
-		{7, 9, wire.CompNone},               // both unknown: off
-	} {
-		if got := negotiateComp(tc.a, tc.b); got != tc.want {
-			t.Fatalf("negotiateComp(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestNegotiateCodec(t *testing.T) {
-	for _, tc := range []struct {
-		a, b, want wire.CodecID
-	}{
-		{wire.CodecBinary, wire.CodecBinary, wire.CodecBinary},
-		{wire.CodecBinary, wire.CodecJSON, wire.CodecJSON},
-		{wire.CodecJSON, wire.CodecBinary, wire.CodecJSON},
-		{wire.CodecJSON, wire.CodecJSON, wire.CodecJSON},
-		{wire.CodecBinary, wire.CodecID(99), wire.CodecBinary}, // newer peer: min wins
-		{wire.CodecID(99), wire.CodecID(98), wire.CodecJSON},   // both unknown: fallback
-	} {
-		if got := negotiateCodec(tc.a, tc.b); got != tc.want {
-			t.Fatalf("negotiateCodec(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
+// TestBatchRoundTrip pins the update body tBatch and tRangeResp share: the
+// two frames differ in their type and the batch's shard index only.
 func TestBatchRoundTrip(t *testing.T) {
 	us := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
@@ -203,33 +134,105 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Origin: 2, Seq: 3, Lamport: 12, Payload: []byte{0, 1, 2, 255}},
 	}
 	w := wire.NewWriter()
-	appendBatch(w, 2, us)
-	r := wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tBatch {
-		t.Fatalf("type = %d, want tBatch", typ)
-	}
-	got, err := decodeBatch(r, nil)
+	appendUpdates(w, 2, us)
+	got, err := decodeUpdates(wire.NewReader(w.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(us) {
-		t.Fatalf("decoded %d updates, want %d", len(got), len(us))
-	}
-	for i := range us {
-		if got[i].Origin != us[i].Origin || got[i].Seq != us[i].Seq ||
-			got[i].Lamport != us[i].Lamport || !bytes.Equal(got[i].Payload, us[i].Payload) {
-			t.Fatalf("update %d = %+v, want %+v", i, got[i], us[i])
-		}
+	sameUpdates(t, got, us)
+
+	batch, chunk := wire.NewWriter(), wire.NewWriter()
+	appendBatch(batch, 0, 2, us)
+	appendRangeResp(chunk, 2, us)
+	if !bytes.Equal(batch.Bytes()[2:], w.Bytes()) || !bytes.Equal(chunk.Bytes()[1:], w.Bytes()) {
+		t.Fatalf("tBatch %x and tRangeResp %x do not share the body %x", batch.Bytes(), chunk.Bytes(), w.Bytes())
 	}
 }
 
 func TestBatchImplausibleCountRejected(t *testing.T) {
 	w := wire.NewWriter()
+	w.Uvarint(0)       // shard
 	w.Uvarint(3)       // origin
 	w.Uvarint(1 << 40) // absurd count
 	r := wire.NewReader(w.Bytes())
-	if us, err := decodeBatch(r, nil); err == nil {
+	if _, us, err := decodeBatch(r, nil); err == nil {
 		t.Fatalf("decoded %d updates from implausible count", len(us))
+	}
+}
+
+// TestStrictDecoders drives every handshake and control decoder over a
+// valid frame, each truncation of it, and the frame with one byte appended:
+// only the first may decode. A layout has exactly one valid length, which
+// is what lets a version mismatch be detected instead of half-understood.
+func TestStrictDecoders(t *testing.T) {
+	body := func(build func(w *wire.Writer)) []byte {
+		w := wire.NewWriter()
+		build(w)
+		return w.Bytes()[1:] // decoders run behind the type tag
+	}
+	us := []protoUpdate{{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}}}
+	ms := []membership.Member{{ID: 1, Addr: "127.0.0.1:7001", Epoch: 3}}
+	ds := []originDigest{{Origin: 1, Count: 3, Root: membership.HashUpdate(1, 1, nil)}}
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		decode func(r *wire.Reader) error
+	}{
+		{"hello", body(func(w *wire.Writer) { appendHello(w, 2, 8) }),
+			func(r *wire.Reader) error { _, err := decodeHello(r); return err }},
+		{"hello-ack", body(func(w *wire.Writer) { appendHelloAck(w, []uint64{17, 0, 9}) }),
+			func(r *wire.Reader) error { _, err := decodeHelloAck(r); return err }},
+		{"join", body(func(w *wire.Writer) { appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002"}) }),
+			func(r *wire.Reader) error { _, err := decodeJoin(r); return err }},
+		{"join-ack", body(func(w *wire.Writer) { appendJoinAck(w, ms) }),
+			func(r *wire.Reader) error { _, _, err := decodeJoinAck(r, 3); return err }},
+		{"gossip", body(func(w *wire.Writer) { appendGossip(w, 1, ms) }),
+			func(r *wire.Reader) error { _, _, err := decodeGossip(r, 3); return err }},
+		{"digest", body(func(w *wire.Writer) { appendDigest(w, tDigest, ds) }),
+			func(r *wire.Reader) error { _, err := decodeDigest(r, false); return err }},
+		{"tree-req", body(func(w *wire.Writer) { appendTreeReq(w, 1, 40, 2, 3) }),
+			func(r *wire.Reader) error { _, _, _, _, err := decodeTreeReq(r); return err }},
+		{"tree-resp", body(func(w *wire.Writer) { appendTreeResp(w, ds[0].Root, true) }),
+			func(r *wire.Reader) error { _, _, err := decodeTreeResp(r); return err }},
+		{"range-req", body(func(w *wire.Writer) { appendRangeReq(w, 1, 40, 25, 8) }),
+			func(r *wire.Reader) error { _, _, _, _, err := decodeRangeReq(r); return err }},
+		{"range-resp", body(func(w *wire.Writer) { appendRangeResp(w, 1, us) }),
+			func(r *wire.Reader) error { _, err := decodeUpdates(r, nil); return err }},
+		{"stats-req", []byte{},
+			func(r *wire.Reader) error { return r.End() }},
+		{"history-req", encodeHistoryReq(3)[1:],
+			func(r *wire.Reader) error { _, err := decodeHistoryReq(r); return err }},
+		{"request", encodeRequest(9, "k", model.Write("v"))[1:],
+			func(r *wire.Reader) error { _, _, _, err := decodeRequest(r); return err }},
+		{"response", body(func(w *wire.Writer) { appendResponse(w, 9, model.Response{OK: true, Values: []model.Value{"v"}}) }),
+			func(r *wire.Reader) error { _, _, err := decodeResponse(r); return err }},
+		{"batch", body(func(w *wire.Writer) { appendBatch(w, 3, 1, us) }),
+			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
+		{"ack", body(func(w *wire.Writer) { appendAck(w, 3, 130) }),
+			func(r *wire.Reader) error { _, _, err := decodeAck(r); return err }},
+		{"stats", body(func(w *wire.Writer) {
+			w.Uvarint(tStatsResp)
+			appendStats(w, Stats{Node: 1, Store: "lww", Shards: 2, ShardOps: []int64{3, 4}})
+		}),
+			func(r *wire.Reader) error { _, err := decodeStats(r); return err }},
+		{"history", body(func(w *wire.Writer) {
+			w.Uvarint(tHistoryResp)
+			if err := appendHistory(w, History{Node: 2, N: 3, Store: "causal", Events: sampleEventsBinary()}); err != nil {
+				t.Fatal(err)
+			}
+		}), func(r *wire.Reader) error { _, err := decodeHistory(r); return err }},
+	} {
+		if err := tc.decode(wire.NewReader(tc.frame)); err != nil {
+			t.Errorf("%s: valid frame refused: %v", tc.name, err)
+		}
+		for cut := 0; cut < len(tc.frame); cut++ {
+			if tc.decode(wire.NewReader(tc.frame[:cut])) == nil {
+				t.Errorf("%s: decoded from the first %d of %d bytes", tc.name, cut, len(tc.frame))
+			}
+		}
+		if tc.decode(wire.NewReader(append(tc.frame[:len(tc.frame):len(tc.frame)], 0))) == nil {
+			t.Errorf("%s: decoded with a trailing byte", tc.name)
+		}
 	}
 }
 
@@ -324,7 +327,7 @@ func TestHistoryBinaryRoundTrip(t *testing.T) {
 
 func TestStatsBinaryRoundTrip(t *testing.T) {
 	s := Stats{
-		Node: 1, Store: "lww", Codec: "binary",
+		Node: 1, Store: "lww",
 		Ops: 100, Sends: 40, Receives: 38, Events: 178,
 		BytesOut: 4096, FramesOut: 52, Retransmits: 2, Reconnects: 1,
 		DupFrames: 3, GapFrames: 4, Violations: 0, Quiesced: true,
@@ -341,8 +344,8 @@ func TestStatsBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("stats:\n got %s\nwant %s", gj, wj)
 	}
 
-	// A sharded node's stats carry the per-shard breakdowns (trailing v5
-	// extension) and must survive the round trip too.
+	// A sharded node's stats carry the per-shard breakdowns and must survive
+	// the round trip too.
 	s.Shards = 2
 	s.ShardOps = []int64{60, 40}
 	s.ShardSends = []int64{25, 15}
@@ -363,8 +366,9 @@ func TestStatsBinaryRoundTrip(t *testing.T) {
 
 // TestGoldenWireVectors pins the wire format byte-for-byte against files in
 // testdata/golden: a refactor that changes any encoding must consciously
-// regenerate them (UPDATE_GOLDEN=1 go test ./internal/cluster/), because a
-// silent change breaks mixed-version clusters and old journals.
+// regenerate them (UPDATE_GOLDEN=1 go test ./internal/cluster/) and bump
+// protoVersion, because a silent change breaks running clusters and old
+// journals.
 func TestGoldenWireVectors(t *testing.T) {
 	enc := func(f func(w *wire.Writer)) []byte {
 		w := wire.NewWriter()
@@ -375,30 +379,16 @@ func TestGoldenWireVectors(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"hello_v2", enc(func(w *wire.Writer) { appendHello(w, 2, wire.CodecBinary, wire.CompFlate, 1) })},
-		{"hello_ack", enc(func(w *wire.Writer) { appendHelloAck(w, wire.CodecJSON, 17, wire.CompFlate, 1, nil) })},
-		{"hello_sharded", enc(func(w *wire.Writer) { appendHello(w, 2, wire.CodecBinary, wire.CompFlate, 8) })},
-		{"hello_ack_sharded", enc(func(w *wire.Writer) {
-			appendHelloAck(w, wire.CodecBinary, 17, wire.CompFlate, 4, []uint64{17, 0, 9, 2})
-		})},
-		{"shard_batch", enc(func(w *wire.Writer) {
-			appendShardBatch(w, 3, 1, []protoUpdate{
-				{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
-				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
-			})
-		})},
-		{"shard_ack", enc(func(w *wire.Writer) { appendShardAck(w, 3, 130) })},
-		{"update", enc(func(w *wire.Writer) {
-			appendUpdate(w, protoUpdate{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}})
-		})},
+		{"hello", enc(func(w *wire.Writer) { appendHello(w, 2, 8) })},
+		{"hello_ack", enc(func(w *wire.Writer) { appendHelloAck(w, []uint64{17, 0, 9, 2}) })},
 		{"batch", enc(func(w *wire.Writer) {
-			appendBatch(w, 1, []protoUpdate{
+			appendBatch(w, 3, 1, []protoUpdate{
 				{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
 				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
 			})
 		})},
-		{"ack", encodeAck(130)},
-		{"stats_req_binary", encodeStructuredReq(tStats, wire.CodecBinary, wire.CompFlate)},
+		{"ack", enc(func(w *wire.Writer) { appendAck(w, 3, 130) })},
+		{"history_req", encodeHistoryReq(3)},
 		{"event_do", enc(func(w *wire.Writer) {
 			if err := AppendEventBinary(w, sampleEventsBinary()[0]); err != nil {
 				t.Fatal(err)
@@ -410,7 +400,7 @@ func TestGoldenWireVectors(t *testing.T) {
 			}
 		})},
 		{"join", enc(func(w *wire.Writer) {
-			appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002", Codec: wire.CodecBinary, Comp: wire.CompFlate})
+			appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002"})
 		})},
 		{"range_req_windowed", enc(func(w *wire.Writer) {
 			appendRangeReq(w, 1, 40, 25, 8)
@@ -433,7 +423,7 @@ func TestGoldenWireVectors(t *testing.T) {
 					{Origin: 1, Seq: 7, Lamport: 300, Payload: bytes.Repeat([]byte("abcdefgh"), 128)},
 				})
 			})
-			env := maybeCompressPayload(raw, wire.CompFlate)
+			env := maybeCompressPayload(raw)
 			if env == nil {
 				t.Fatal("compressed_envelope vector did not compress")
 			}
@@ -478,47 +468,37 @@ func FuzzDecodeBatch(f *testing.F) {
 		return w.Bytes()
 	}
 	f.Add(seed(func(w *wire.Writer) {
-		appendBatch(w, 0, []protoUpdate{{Origin: 0, Seq: 1, Lamport: 1, Payload: []byte("p")}})
+		appendBatch(w, 0, 0, []protoUpdate{{Origin: 0, Seq: 1, Lamport: 1, Payload: []byte("p")}})
 	})[1:]) // bodies only: the caller strips the type tag
 	f.Add(seed(func(w *wire.Writer) {
-		appendBatch(w, 2, []protoUpdate{
+		appendBatch(w, 3, 2, []protoUpdate{
 			{Origin: 2, Seq: 1, Lamport: 5, Payload: nil},
 			{Origin: 2, Seq: 2, Lamport: 6, Payload: bytes.Repeat([]byte{7}, 100)},
 		})
 	})[1:])
 	f.Add(seed(func(w *wire.Writer) {
+		w.Uvarint(0)
 		w.Uvarint(1)
 		w.Uvarint(1 << 40) // implausible count
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		us, err := decodeBatch(wire.NewReader(b), nil)
-		if err != nil {
-			return
-		}
-		if len(us) == 0 {
+		shard, us, err := decodeBatch(wire.NewReader(b), nil)
+		if err != nil || len(us) == 0 {
 			return
 		}
 		w := wire.NewWriter()
-		appendBatch(w, us[0].Origin, us)
+		appendBatch(w, int(shard), us[0].Origin, us)
 		r := wire.NewReader(w.Bytes())
 		if typ := r.Uvarint(); typ != tBatch {
 			t.Fatalf("re-encode type = %d", typ)
 		}
-		again, err := decodeBatch(r, nil)
-		if err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
+		shard2, again, err := decodeBatch(r, nil)
+		if err != nil || shard2 != shard {
+			t.Fatalf("re-encoded batch decodes to shard %d (want %d), err %v", shard2, shard, err)
 		}
-		if len(again) != len(us) {
-			t.Fatalf("re-decode %d updates, want %d", len(again), len(us))
-		}
-		for i := range us {
-			if again[i].Seq != us[i].Seq || again[i].Lamport != us[i].Lamport ||
-				!bytes.Equal(again[i].Payload, us[i].Payload) {
-				t.Fatalf("update %d drifted: %+v vs %+v", i, again[i], us[i])
-			}
-		}
+		sameUpdates(t, again, us)
 	})
 }
 

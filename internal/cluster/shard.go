@@ -15,7 +15,7 @@ import (
 // over the key bytes, so every node of a cluster (and every client) agrees
 // on the placement without coordination — the same property that makes
 // (Origin, Seq) message identity work. A router over one shard routes
-// everything to shard 0, which is the unsharded node exactly.
+// everything to shard 0.
 type ShardRouter struct {
 	shards uint32
 }
@@ -69,9 +69,9 @@ type shard struct {
 	calls chan loopCall
 
 	// journal, when non-nil, persists each recorded event before its ack or
-	// response leaves the node (Config.Journal for shard 0 of a single-shard
-	// node, or the per-shard log Config.Storage opened). closeJournal runs
-	// in Node.Close after the loops have exited.
+	// response leaves the node (the per-shard log Config.Storage opened).
+	// closeJournal, when non-nil, runs in Node.Close after the loops have
+	// exited.
 	journal      func(Event) error
 	closeJournal func() error
 
@@ -336,7 +336,7 @@ func (s *shard) noteUpdateInLoop(origin model.ReplicaID, seq, lamport uint64, pa
 
 // restore replays a previous incarnation's history into the fresh replica
 // before the node serves anything. Runs before the event-loop goroutine
-// starts; no locking needed. See Config.Restore.
+// starts; no locking needed. See Config.Storage.
 func (s *shard) restore(h *History) error {
 	if h.Node != s.n.cfg.ID {
 		return fmt.Errorf("cluster: restoring r%d's history into r%d", h.Node, s.n.cfg.ID)

@@ -239,6 +239,8 @@ func TestShardedClusterConvergesAndAuditsPerShard(t *testing.T) {
 // TestShardCountMismatchRefused: two nodes sealed at different shard counts
 // must refuse to replicate — a frame interpreted in the wrong seq-domain
 // partitioning would corrupt both histories, so no data may cross at all.
+// The refusal is answered, so each side latches it and stops dialling
+// instead of retrying a link that can never work.
 func TestShardCountMismatchRefused(t *testing.T) {
 	mk := func(id model.ReplicaID, shards int) *Node {
 		st, err := store.Open("lww", spec.MVRTypes(), store.Options{})
@@ -277,11 +279,20 @@ func TestShardCountMismatchRefused(t *testing.T) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+	for _, nd := range []*Node{a, b} {
+		if st := nd.Stats(); st.FailedLinks != 1 || st.Reconnects > 2 {
+			t.Fatalf("r%d: %d failed links after %d reconnects, want the one link latched failed within 2", nd.ID(), st.FailedLinks, st.Reconnects)
+		}
+		// A refused link costs its own node nothing else: clients are served.
+		if _, err := nd.Do("y", model.Read()); err != nil {
+			t.Fatalf("r%d stopped serving clients: %v", nd.ID(), err)
+		}
+	}
 }
 
-// TestShardedNodeInteroperatesWithSingleShard: Shards == 1 keeps the
-// pre-sharding wire behavior exactly, so a node configured with the new
-// field at 1 (or 0) pairs with a default node.
+// TestShardedNodeInteroperatesWithSingleShard: an unsharded node is the
+// one-shard case, so a node configured with Shards at 1 pairs with a
+// default (0) node.
 func TestShardedNodeInteroperatesWithSingleShard(t *testing.T) {
 	mk := func(id model.ReplicaID, shards int) *Node {
 		st, err := store.Open("lww", spec.MVRTypes(), store.Options{})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/membership"
 	"repro/internal/model"
 )
 
@@ -16,12 +17,13 @@ var ErrNodeDown = fmt.Errorf("cluster: node is down (crashed by the fault schedu
 // Supervisor owns one in-process cluster under a fault schedule: it boots
 // the nodes with a shared fault.Netem on every link, applies link
 // directives to the emulator, and enforces crash/restart directives by
-// stopping a node (capturing its recorded history — the durable log of the
-// fail-stop model) and rejoining it on the same address with
-// Config.Restore. When base.Storage is set, the histories instead live on
-// disk: crash closes the incarnation (flushing its journal) and restart
-// recovers from the data directory through the same durable.Open path a
-// kill -9'd served process takes — nothing is handed through memory.
+// stopping a node and rejoining it on the same address from what its
+// Config.Storage journaled — the durable log of the fail-stop model. With
+// base.Storage set to a durable.Storage the histories live on disk: crash
+// closes the incarnation (flushing its journal) and restart recovers from
+// the data directory through the same durable.Open path a kill -9'd served
+// process takes. With none set they live in a memStorage, which the same
+// code path reads back.
 // Leave/join directives exercise the membership path instead: leave
 // retires the node gracefully (gossiped departure releases the peers'
 // retransmission obligations), join boots a fresh incarnation that
@@ -34,14 +36,13 @@ type Supervisor struct {
 	tick  time.Duration
 	addrs []string
 
-	mu        sync.Mutex
-	nodes     []*Node   // nil while crashed or departed
-	snapshots []History // last pre-crash history per node
-	left      []bool    // departed by a leave directive; a rejoin goroutine owns the slot
-	crashes   int
-	restarts  int
-	leaves    int
-	joins     int
+	mu       sync.Mutex
+	nodes    []*Node // nil while crashed or departed
+	left     []bool  // departed by a leave directive; a rejoin goroutine owns the slot
+	crashes  int
+	restarts int
+	leaves   int
+	joins    int
 
 	// joinWG tracks in-flight rejoin goroutines. Rejoining blocks until a
 	// live seed admits the node, and a churn window may overlap other
@@ -49,6 +50,40 @@ type Supervisor struct {
 	// awaited only after every crashed node is back up.
 	joinWG  sync.WaitGroup
 	joinErr error
+}
+
+// memStorage is the NodeStorage of a cluster that keeps nothing on disk:
+// each (node, shard) journal is a slice that outlives the incarnation
+// appending to it, and Open hands it back as the history to restore. It
+// maintains no Merkle forest, so each shard owns its own.
+type memStorage struct {
+	mu   sync.Mutex
+	logs map[[2]int][]Event // (node, shard) → journaled events
+}
+
+func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	var restored *History
+	if events := m.events(id, shard); len(events) > 0 {
+		restored = &History{Node: id, N: n, Store: storeName, Events: events}
+	}
+	journal := func(ev Event) error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.logs == nil {
+			m.logs = make(map[[2]int][]Event)
+		}
+		key := [2]int{int(id), shard}
+		m.logs[key] = append(m.logs[key], ev)
+		return nil
+	}
+	return journal, restored, nil, nil, nil
+}
+
+// events returns what (node, shard) has journaled so far.
+func (m *memStorage) events(id model.ReplicaID, shard int) []Event {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.logs[[2]int{int(id), shard}]
 }
 
 // NewSupervisor boots an n-node full-mesh cluster of base.Store replicas on
@@ -62,14 +97,16 @@ func NewSupervisor(base Config, n int, em *fault.Netem, tick time.Duration) (*Su
 	if tick <= 0 {
 		tick = 10 * time.Millisecond
 	}
+	if base.Storage == nil {
+		base.Storage = &memStorage{}
+	}
 	s := &Supervisor{
-		base:      base,
-		em:        em,
-		tick:      tick,
-		nodes:     make([]*Node, n),
-		snapshots: make([]History, n),
-		left:      make([]bool, n),
-		addrs:     make([]string, n),
+		base:  base,
+		em:    em,
+		tick:  tick,
+		nodes: make([]*Node, n),
+		left:  make([]bool, n),
+		addrs: make([]string, n),
 	}
 	for i := 0; i < n; i++ {
 		cfg := base
@@ -78,7 +115,6 @@ func NewSupervisor(base Config, n int, em *fault.Netem, tick time.Duration) (*Su
 		cfg.Listen = "127.0.0.1:0"
 		cfg.Peers = nil
 		cfg.Faults = em
-		cfg.Restore = nil
 		nd, err := NewNode(cfg)
 		if err != nil {
 			s.Close()
@@ -176,8 +212,8 @@ func (s *Supervisor) Histories() ([]History, error) {
 
 // RunSchedule enforces the schedule in real time: directive step k fires at
 // k×tick after the call. Link directives go to the emulator; crash stops
-// the victim (capturing its history) and restart rejoins it from that
-// history on its original address. The network is healed and every victim
+// the victim and restart rejoins it from its storage on its original
+// address. The network is healed and every victim
 // restarted when RunSchedule returns, even if the schedule left windows
 // open, so callers can always proceed to quiescence and audit.
 func (s *Supervisor) RunSchedule(sched fault.Schedule) error {
@@ -236,8 +272,11 @@ func (s *Supervisor) apply(d fault.Directive) error {
 	}
 }
 
-// crash fail-stops node i: its recorded history is the durable state that
-// survives; its sockets, queues, and connections die with it.
+// crash fail-stops node i: what its storage journaled is the durable state
+// that survives; its sockets, queues, and connections die with it. Every
+// event was journaled in the loop turn that recorded it, before its ack
+// left, so an update a sender pruned as acked is always in the log the
+// restart recovers — with two victims down at once, too.
 func (s *Supervisor) crash(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,24 +286,12 @@ func (s *Supervisor) crash(i int) error {
 	nd := s.nodes[i]
 	s.nodes[i] = nil
 	s.crashes++
-	// Stop the node BEFORE capturing its history. The previous order
-	// (snapshot, then close) left a window in which the still-running event
-	// loop kept applying and acknowledging peer updates that the snapshot
-	// had already missed: the sender pruned them as acked, the restarted
-	// node had never seen them, and the resulting sequence gap could never
-	// be filled — with two victims down at once the cluster wedged
-	// permanently short of quiescence.
 	nd.Close()
-	if s.base.Storage == nil {
-		s.snapshots[i] = nd.FinalHistory()
-	}
-	// Disk-backed mode: Close flushed and closed the journal; restart
-	// recovers from the data directory, exactly like a killed process.
 	return nil
 }
 
-// restart rejoins node i on its original address, reloading the history
-// captured at crash time. The listen port can linger briefly after the old
+// restart rejoins node i on its original address, recovering its history
+// from storage. The listen port can linger briefly after the old
 // incarnation's sockets close, so binding retries for a moment.
 func (s *Supervisor) restart(i int) error {
 	s.mu.Lock()
@@ -278,10 +305,6 @@ func (s *Supervisor) restart(i int) error {
 	cfg.Listen = s.addrs[i]
 	cfg.Peers = nil
 	cfg.Faults = s.em
-	if cfg.Storage == nil {
-		snap := s.snapshots[i]
-		cfg.Restore = &snap
-	}
 
 	var nd *Node
 	var err error
@@ -305,10 +328,10 @@ func (s *Supervisor) restart(i int) error {
 }
 
 // leave retires node i gracefully: it announces its departure (releasing
-// peers' retransmission obligations for it), then stops. Its history is
-// captured the same way a crash captures it — the rejoin directive brings
-// it back through the membership path, where anti-entropy catch-up fills
-// whatever the snapshot missed.
+// peers' retransmission obligations for it), then stops. Its history stays
+// in storage as a crash's does — the rejoin directive brings it back
+// through the membership path, where anti-entropy catch-up fills whatever
+// it missed while away.
 func (s *Supervisor) leave(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,9 +347,6 @@ func (s *Supervisor) leave(i int) error {
 		return fmt.Errorf("cluster: leave node %d: %w", i, err)
 	}
 	nd.Close()
-	if s.base.Storage == nil {
-		s.snapshots[i] = nd.FinalHistory()
-	}
 	return nil
 }
 
@@ -348,10 +368,6 @@ func (s *Supervisor) rejoin(i int) error {
 	cfg.Peers = nil
 	cfg.Join = s.peersOf(i)
 	cfg.Faults = s.em
-	if cfg.Storage == nil {
-		snap := s.snapshots[i]
-		cfg.Restore = &snap
-	}
 	s.mu.Unlock()
 
 	var nd *Node

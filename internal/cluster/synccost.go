@@ -80,7 +80,7 @@ func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chun
 			chunk = append(chunk, us[i])
 		}
 		bytes += frameLen(func(w *wire.Writer) { appendRangeResp(w, 0, chunk) })
-		bytes += frameLen(func(w *wire.Writer) { appendAck(w, chunk[len(chunk)-1].Seq) })
+		bytes += frameLen(func(w *wire.Writer) { appendAck(w, 0, chunk[len(chunk)-1].Seq) })
 		pulled += int64(len(chunk))
 		chunks++
 		idx += len(chunk)
@@ -91,9 +91,8 @@ func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chun
 // SyncCost computes the catch-up cost table entry for a joiner holding the
 // first prefix updates of a donor log made of the given payloads (origin
 // 0, consecutive sequence numbers — the BenchUpdates shape). chunkMax and
-// maxFrame correspond to the negotiated BatchMax and MaxFrame; chunkMax 1
-// is the JSON floor. window is the pull's credit window (Config.SyncWindow);
-// window 1 models the pre-v4 stop-and-wait protocol.
+// maxFrame correspond to batchMax and Config.MaxFrame. window is the pull's
+// credit window (Config.SyncWindow); window 1 is stop-and-wait.
 func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame, window int) SyncCostRow {
 	if chunkMax < 1 {
 		chunkMax = 1

@@ -1,7 +1,7 @@
 // Package durable persists one cluster node's recorded event history to
-// disk, turning the in-memory log that Config.Restore already knows how to
-// replay into a crash-surviving artifact: a served process can be kill -9'd
-// and restarted from its data directory alone.
+// disk, turning the history a node replays at boot into a crash-surviving
+// artifact: a served process can be kill -9'd and restarted from its data
+// directory alone.
 //
 // The design is a write-ahead log whose tail is periodically sealed onto an
 // append-only snapshot, so no step costs more than the tail it handles:
@@ -19,8 +19,8 @@
 //     snapshot ∪ wal covers every acknowledged event at every instant. A
 //     crash between the fsync and the truncate leaves the wal overlapping
 //     the snapshot, which the per-record event index detects and skips.
-//     Sealed records are never rewritten: they keep the codec they were
-//     written in, and a seal costs O(tail) whatever the history's length.
+//     Sealed records are never rewritten, and a seal costs O(tail)
+//     whatever the history's length.
 //   - Recovery (Open) loads the snapshot, then scans the wal tail. A torn
 //     or corrupted tail frame — short header, short payload, CRC mismatch,
 //     undecodable event — truncates the file at the last good record and
@@ -37,8 +37,21 @@
 //     Append. Damage the wal does not cover — wal missing, empty, or
 //     starting past it — is corruption and fails recovery.
 //
-// The recovered history is exactly what cluster.Config.Restore replays, so
-// the restart path is the same code the in-process supervisor exercises.
+// The recovered history is what cluster.NodeStorage.Open hands the node to
+// replay (Storage, in storage.go, is that seam's implementation), so the
+// restart path is the same code the in-process supervisor exercises.
+//
+// Contract:
+//
+//   - OWNS: the data directory — meta.json, wal.log, snap.log, tree.ckpt —
+//     their record framing, fsync ordering and recovery rules, and the
+//     group-commit coordinator shard logs share.
+//   - MUST NOT: dial, listen or know a frame type; decide what an event
+//     means (it stores cluster.Event in cluster's own binary encoding); or
+//     repair damage by guessing — a record it cannot read is torn or
+//     corrupt, never reinterpreted.
+//   - MUST NOT import: anything above internal/cluster (cmd/..., the
+//     simulator, the stores).
 package durable
 
 import (
@@ -131,21 +144,11 @@ type Options struct {
 	// semantics are unchanged — Append still returns only after its record
 	// is on disk. Ignored under NoSync.
 	Group *GroupCommitter
-	// Codec names the event encoding for newly written records: "binary"
-	// (the default — the same compact codec the transport negotiates) or
-	// "json" (the legacy format, debuggable with standard tools). Recovery
-	// reads both regardless, per record: the record body carries its own
-	// format tag, so a directory written by an old build — or one that
-	// changed codecs mid-life — replays unchanged.
-	Codec string
 }
 
 func (o Options) withDefaults() Options {
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 1024
-	}
-	if o.Codec == "" {
-		o.Codec = "binary"
 	}
 	return o
 }
@@ -158,10 +161,9 @@ func (o Options) withDefaults() Options {
 // the unsealed wal tail — bounded by SnapshotEvery records — which are what
 // the next seal appends to the snapshot.
 type Log struct {
-	dir    string
-	meta   Meta
-	opts   Options
-	binary bool // write new records in the binary event codec
+	dir  string
+	meta Meta
+	opts Options
 
 	mu       sync.Mutex
 	wal      *os.File
@@ -174,7 +176,7 @@ type Log struct {
 
 	// tree is the Merkle forest over the journaled broadcast history,
 	// updated in the same Append that journals each send/receive. It is
-	// handed to the cluster node (cluster.Config.Tree) and read from the
+	// handed to the cluster node (NodeStorage.Open's tree) and read from the
 	// node's event loop — the same goroutine that calls Append — so the
 	// forest needs no locking of its own. ckptCount is, per origin, how
 	// many of its update hashes tree.ckpt already holds.
@@ -187,19 +189,10 @@ func (l *Log) Tree() *membership.Forest { return l.tree }
 
 // Open opens (or initializes) the data directory and recovers the event
 // history it holds. The returned history is nil when the directory holds no
-// events yet (a fresh boot); otherwise it is exactly what
-// cluster.Config.Restore replays. The caller must Close the log after the
-// node has shut down.
+// events yet (a fresh boot); otherwise it is exactly what the node replays.
+// The caller must Close the log after the node has shut down.
 func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
 	opts = opts.withDefaults()
-	var binary bool
-	switch opts.Codec {
-	case "binary":
-		binary = true
-	case "json":
-	default:
-		return nil, nil, fmt.Errorf("durable: unknown journal codec %q (have json, binary)", opts.Codec)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
@@ -231,7 +224,7 @@ func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
 	l := &Log{
-		dir: dir, meta: meta, opts: opts, binary: binary,
+		dir: dir, meta: meta, opts: opts,
 		wal: wal, count: len(events), walCount: len(events) - snapCount, tail: tail,
 		tree: tree, ckptCount: ckptCount,
 	}
@@ -267,7 +260,7 @@ func (l *Log) Append(ev cluster.Event) error {
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	rec, err := encodeRecord(w, uint64(l.count), ev, l.binary)
+	rec, err := encodeRecord(w, uint64(l.count), ev)
 	if err != nil {
 		return err
 	}
@@ -446,44 +439,31 @@ func checkMeta(dir string, meta Meta) error {
 	}
 }
 
-// journalBinaryTag is the first body byte of a record holding a
-// binary-encoded event. The legacy format put event JSON in the body, and
-// JSON objects always open with '{' (0x7b) — so one leading byte versions
-// the journal per record, with no separate header old builds would choke
-// on. Recovery dispatches on it: 0x01 → cluster.DecodeEventBinary, '{' (or
-// anything else) → json.Unmarshal, which rejects non-JSON damage anyway.
+// journalBinaryTag is the first body byte of every record: it names the
+// body's format, cluster's binary event encoding, and is the one byte a
+// future format would change. A body opening with anything else is damage.
 const journalBinaryTag = 0x01
 
 // encodeRecord frames one event: length | crc32c | payload, where the
-// payload is (uvarint index, length-prefixed body) and the body is either
-// tagged binary (the transport's event codec, compact) or raw event JSON
-// (the legacy format, debuggable with standard tools). The returned slice
-// aliases a pooled writer; the caller must finish with it before the next
-// encodeRecord call on the same writer, which Append satisfies by writing it
-// out (and copying it onto the tail) immediately.
-func encodeRecord(w *wire.Writer, index uint64, ev cluster.Event, binary bool) ([]byte, error) {
+// payload is (uvarint index, length-prefixed body) and the body is the tag
+// byte followed by the event in cluster's binary encoding. The returned
+// slice aliases a pooled writer; the caller must finish with it before the
+// next encodeRecord call on the same writer, which Append satisfies by
+// writing it out (and copying it onto the tail) immediately.
+func encodeRecord(w *wire.Writer, index uint64, ev cluster.Event) ([]byte, error) {
 	w.Reset()
 	// Reserve the 8-byte header; the payload is framed in place behind it.
 	w.Raw([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	w.Uvarint(index)
-	if binary {
-		body := wire.GetWriter()
-		body.Raw([]byte{journalBinaryTag})
-		if err := cluster.AppendEventBinary(body, ev); err != nil {
-			wire.PutWriter(body)
-			return nil, fmt.Errorf("durable: encode event: %w", err)
-		}
-		w.Uvarint(uint64(len(body.Bytes())))
-		w.Raw(body.Bytes())
+	body := wire.GetWriter()
+	body.Raw([]byte{journalBinaryTag})
+	if err := cluster.AppendEventBinary(body, ev); err != nil {
 		wire.PutWriter(body)
-	} else {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return nil, fmt.Errorf("durable: encode event: %w", err)
-		}
-		w.Uvarint(uint64(len(data)))
-		w.Raw(data)
+		return nil, fmt.Errorf("durable: encode event: %w", err)
 	}
+	w.Uvarint(uint64(len(body.Bytes())))
+	w.Raw(body.Bytes())
+	wire.PutWriter(body)
 	rec := w.Bytes()
 	payload := rec[8:]
 	if len(payload) > maxRecord {
@@ -509,7 +489,8 @@ func rd32(b []byte) uint32 {
 }
 
 // errTorn marks every way a record can be damaged: short header, short
-// payload, implausible length, CRC mismatch, undecodable event.
+// payload, implausible length, CRC mismatch, unknown body tag, undecodable
+// event.
 var errTorn = errors.New("durable: torn record")
 
 // recordReader reads framed records through one buffer, so recovery costs
@@ -555,15 +536,13 @@ func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	if rd.Err() != nil || rd.Remaining() != 0 {
 		return 0, ev, errTorn
 	}
-	// Both decoders copy what they keep, so the payload buffer is free to
-	// be overwritten by the next record.
-	if len(data) > 0 && data[0] == journalBinaryTag {
-		er := wire.NewReader(data[1:])
-		ev, err = cluster.DecodeEventBinary(er)
-		if err != nil || er.Remaining() != 0 {
-			return 0, cluster.Event{}, errTorn
-		}
-	} else if err := json.Unmarshal(data, &ev); err != nil {
+	if len(data) == 0 || data[0] != journalBinaryTag {
+		return 0, ev, errTorn
+	}
+	// The decoder copies what it keeps, so the payload buffer is free to be
+	// overwritten by the next record.
+	er := wire.NewReader(data[1:])
+	if ev, err = cluster.DecodeEventBinary(er); err != nil || er.Remaining() != 0 {
 		return 0, cluster.Event{}, errTorn
 	}
 	rr.good += int64(len(rr.hdr)) + int64(size)

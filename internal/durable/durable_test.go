@@ -22,10 +22,10 @@ import (
 	_ "repro/internal/store/causal"
 )
 
-// encodeTestRecord builds one framed record in the chosen codec, copied out
-// of the pooled writer so tests can accumulate records freely.
-func encodeTestRecord(index uint64, ev cluster.Event, binary bool) ([]byte, error) {
-	rec, err := encodeRecord(wire.NewWriter(), index, ev, binary)
+// encodeTestRecord builds one framed record, copied out of the pooled writer
+// so tests can accumulate records freely.
+func encodeTestRecord(index uint64, ev cluster.Event) ([]byte, error) {
+	rec, err := encodeRecord(wire.NewWriter(), index, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +65,8 @@ func sampleEvents(n int) []cluster.Event {
 	return evs
 }
 
-// eventsEqual compares event sequences through their JSON form (the codec
-// the log itself uses), so nil-vs-empty slice normalization cannot produce
-// false mismatches.
+// eventsEqual compares event sequences through their JSON rendering, so
+// nil-vs-empty slice normalization cannot produce false mismatches.
 func eventsEqual(t *testing.T, got, want []cluster.Event) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -264,7 +263,7 @@ func TestIndexGapIsCorruption(t *testing.T) {
 		if i == 2 {
 			idx = 5 // gap: 0, 1, 5
 		}
-		rec, err := encodeTestRecord(idx, ev, true)
+		rec, err := encodeTestRecord(idx, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +319,7 @@ func TestSnapshotWalOverlapRecovers(t *testing.T) {
 	// overlapping it — byte-for-byte the post-crash state.
 	var snap []byte
 	for i, ev := range events[:6] {
-		rec, err := encodeTestRecord(uint64(i), ev, true)
+		rec, err := encodeTestRecord(uint64(i), ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +346,7 @@ func TestOverlapFinishedWithSealingOff(t *testing.T) {
 	writeLog(t, dir, events[:10], off) // wal holds 0..9, no snapshot
 	var snap []byte
 	for i, ev := range events[:6] {
-		rec, err := encodeTestRecord(uint64(i), ev, true)
+		rec, err := encodeTestRecord(uint64(i), ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +406,7 @@ func TestTornSnapshotIsCorruption(t *testing.T) {
 	events := sampleEvents(6)
 	var snap []byte
 	for i, ev := range events {
-		rec, err := encodeTestRecord(uint64(i), ev, true)
+		rec, err := encodeTestRecord(uint64(i), ev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 func fuzzLog(tb testing.TB) (snap, wal []byte, events []cluster.Event) {
 	events = sampleEvents(6)
 	for i, ev := range events {
-		rec, err := encodeTestRecord(uint64(i), ev, true)
+		rec, err := encodeTestRecord(uint64(i), ev)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func fuzzLog(tb testing.TB) (snap, wal []byte, events []cluster.Event) {
 func fuzzSeeds(tb testing.TB) [][2][]byte {
 	events := sampleEvents(8)
 	rec := func(index uint64, ev cluster.Event) []byte {
-		r, err := encodeTestRecord(index, ev, true)
+		r, err := encodeTestRecord(index, ev)
 		if err != nil {
 			tb.Fatal(err)
 		}

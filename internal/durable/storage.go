@@ -15,7 +15,7 @@ import (
 // cluster.Config.Storage, so a Supervisor's crash/restart directives
 // exercise the same journal-and-recover code path a kill -9'd served process
 // takes: crash closes the incarnation's log with the node, restart recovers
-// the history from disk instead of from memory.
+// the history from disk.
 //
 // When a node opens more than one shard through the same Storage, the shard
 // logs share one GroupCommitter automatically: concurrent appends across

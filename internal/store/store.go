@@ -71,24 +71,18 @@ type Store interface {
 }
 
 // PayloadCodec is implemented by Stores whose replicas' broadcast payloads
-// are a stable, self-delimiting binary encoding (rather than opaque blobs
-// that only round-trip through JSON envelopes). Declaring it lets the
-// cluster transport negotiate wire.Binary framing for connections carrying
-// this store's updates — batched varint update frames, binary journal
-// records, raw payload bytes in history transfers — instead of the JSON
-// fallback every node speaks. Stores without the trait keep the JSON
-// fallback, so a cluster mixing both still interoperates: codec choice is
-// per-connection, negotiated down to what both ends understand.
+// are a stable, self-delimiting binary encoding. Every registered store
+// declares "binary", and the cluster transport no longer asks: it speaks
+// one binary codec whatever the store says. The trait and
+// PreferredWireCodec remain only because benchmark/ (frozen between
+// benchmark changes) still calls them; they go with its next change.
 type PayloadCodec interface {
-	// WireCodec names the preferred frame codec for this store's payloads
-	// ("binary" for the built-in compact codec). The name must be
-	// registered with wire.RegisterCodec; unknown names fall back to JSON.
+	// WireCodec names the frame codec for this store's payloads ("binary").
 	WireCodec() string
 }
 
 // PreferredWireCodec returns the wire codec name a store declares through
-// PayloadCodec, or "json" — the universal fallback — for stores that
-// don't.
+// PayloadCodec, or "json" for stores that don't.
 func PreferredWireCodec(s Store) string {
 	if pc, ok := s.(PayloadCodec); ok {
 		if name := pc.WireCodec(); name != "" {

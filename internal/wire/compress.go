@@ -9,11 +9,8 @@ import (
 	"sync"
 )
 
-// Compression algorithm identifiers, negotiated per connection the same
-// way codecs are: both ends state what they speak and the minimum wins,
-// with CompNone as the floor every version understands. The IDs ride the
-// trailing-extension slots of the hello/join exchanges, so a pre-v4 peer
-// that never sends one lands on CompNone automatically.
+// Compression algorithm identifiers, as a compression envelope names the
+// algorithm its body was compressed with.
 const (
 	CompNone  uint64 = 0
 	CompFlate uint64 = 1

@@ -6,6 +6,16 @@
 // on the wire. Payloads therefore use a deterministic, self-delimiting
 // encoding with no framing overhead beyond what the content requires, so the
 // measured sizes reflect information content rather than codec slack.
+//
+// Contract:
+//
+//   - OWNS: varint/string/clock encoding (Writer, Reader), length-delimited
+//     framing and its size limits (frame.go), DEFLATE streams (compress.go).
+//   - MUST NOT: know any frame type, message layout or protocol version —
+//     those belong to the package that defines the message — or touch a
+//     socket beyond the io.Reader/io.Writer it is handed.
+//   - MUST NOT import: any internal package except model and vclock, the
+//     value types it encodes.
 package wire
 
 import (
@@ -19,6 +29,9 @@ import (
 
 // ErrTruncated is returned when a decode runs past the end of the buffer.
 var ErrTruncated = errors.New("wire: truncated payload")
+
+// ErrTrailing is returned by End when a decode stops short of the end.
+var ErrTrailing = errors.New("wire: trailing bytes after payload")
 
 // Writer accumulates an encoded payload.
 type Writer struct {
@@ -142,6 +155,17 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// End closes a strict decode: it returns the first decode error, or
+// ErrTrailing if the payload holds bytes nothing read. A layout decoded
+// this way has exactly one valid length, so a message from a different
+// format is rejected instead of half-understood.
+func (r *Reader) End() error {
+	if r.err == nil && r.off != len(r.buf) {
+		return fmt.Errorf("%w: %d after offset %d", ErrTrailing, len(r.buf)-r.off, r.off)
+	}
+	return r.err
+}
 
 func (r *Reader) fail() {
 	if r.err == nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -163,5 +164,34 @@ func TestSparseVCRejectsOutOfRangeIndex(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.SparseVC(4); got != nil || r.Err() == nil {
 		t.Fatalf("got %v, err %v; want rejection", got, r.Err())
+	}
+}
+
+// TestEndRejectsTrailingBytes: End is the strict decoders' closing check — a
+// payload read to its last byte passes, one with bytes left over is
+// ErrTrailing, and an earlier decode error wins over both.
+func TestEndRejectsTrailingBytes(t *testing.T) {
+	w := NewWriter()
+	w.Uvarint(300)
+	w.String("abc")
+	exact := NewReader(w.Bytes())
+	exact.Uvarint()
+	if exact.End() == nil {
+		t.Fatal("End passed with the string still unread")
+	}
+	if s := exact.String(); s != "abc" || exact.End() != nil {
+		t.Fatalf("End after reading %q to the end: %v", s, exact.End())
+	}
+	long := NewReader(append(w.Bytes(), 0))
+	long.Uvarint()
+	_ = long.String()
+	if err := long.End(); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("End with one byte left = %v, want ErrTrailing", err)
+	}
+	short := NewReader(w.Bytes()[:3])
+	short.Uvarint()
+	_ = short.String()
+	if err := short.End(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("End after a truncated read = %v, want ErrTruncated", err)
 	}
 }

@@ -159,29 +159,3 @@ func TestWriterPoolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCodecRegistry(t *testing.T) {
-	for _, tc := range []struct {
-		id   CodecID
-		name string
-	}{{CodecJSON, "json"}, {CodecBinary, "binary"}} {
-		c, ok := CodecByID(tc.id)
-		if !ok || c.Name() != tc.name || c.ID() != tc.id {
-			t.Fatalf("CodecByID(%d) = %v, %v", tc.id, c, ok)
-		}
-		c, ok = CodecByName(tc.name)
-		if !ok || c.ID() != tc.id {
-			t.Fatalf("CodecByName(%q) = %v, %v", tc.name, c, ok)
-		}
-	}
-	if _, ok := CodecByID(CodecID(99)); ok {
-		t.Fatal("unknown codec ID resolved")
-	}
-	if _, ok := CodecByName("gzip"); ok {
-		t.Fatal("unknown codec name resolved")
-	}
-	names := CodecNames()
-	if len(names) < 2 {
-		t.Fatalf("CodecNames() = %v", names)
-	}
-}
