@@ -31,10 +31,11 @@ bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/...
 
 # Timing flakes hide at -count=1. Repeat the networked packages — real
-# sockets, child processes, goroutines racing test assertions — so a
-# 1-in-15 failure shows up in one run.
+# sockets, child processes, goroutines racing test assertions, the last
+# three through the Supervisor — so a 1-in-15 failure shows up in one run.
 flake:
-	$(GO) test -count=20 ./internal/cluster ./internal/durable ./cmd/served ./cmd/loadgen
+	$(GO) test -count=20 ./internal/cluster ./internal/durable ./cmd/served ./cmd/loadgen \
+		./internal/livecheck ./internal/store/storetest ./internal/chaossearch
 
 figures:
 	$(GO) run ./cmd/figures -all
@@ -147,8 +148,8 @@ chaos-search:
 	$(GO) test ./internal/chaossearch ./cmd/chaoshunt -count=1
 	$(GO) run ./cmd/chaoshunt -store causal -seed 1 -budget 24 -objective all -validate
 
-# What CI runs: the verify gate (which includes the chaos batteries), then
-# regenerate the tracked JSON artifacts and fail if they drifted from what
-# the commit claims.
-ci: verify bench-smoke chaos chaos-search durability membership livecheck shard json
+# What CI runs (.github/workflows/verify.yml, step for step): the verify
+# gate, the batteries, the fuzz targets, then regenerate the tracked JSON
+# artifacts and fail if they drifted from what the commit claims.
+ci: verify bench-smoke chaos chaos-search durability membership livecheck shard fuzz json
 	git diff --exit-code BENCH_FIGURES.json BENCH_MSGBOUND.json BENCH_CHAOS.json BENCH_WIRE.json BENCH_SYNC.json BENCH_LIVECHECK.json BENCH_SHARD.json

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
@@ -16,27 +15,18 @@ import (
 	"repro/internal/store"
 )
 
-// livebenchConfig parameterizes a -livebench run: the deterministic online
-// checker cost table behind the tracked BENCH_LIVECHECK.json.
-type livebenchConfig struct {
-	seed    int64
-	steps   int
-	objects int
-	jsonOut bool
-}
-
-// runLivebench measures the online checker over every registered store: a
-// seeded simulator run (fault schedule overlapping the workload, then a
-// quiescing drain) streams through livecheck, and the table reports how
-// much state the checker held at its peak against how many events flowed
-// past it — the bounded-memory claim as a number. Everything in the table
-// is a pure function of (store, seed, steps, objects): event counts,
-// violation counts, and peak tracked state all come from the deterministic
-// simulator, never from wall time. Human mode appends a wall-clock replay
-// table (events/sec through a fresh checker) that is deliberately kept out
-// of the JSON so the tracked artifact stays byte-stable.
-func runLivebench(w io.Writer, cfg livebenchConfig) error {
-	if cfg.steps < 1 || cfg.objects < 1 {
+// runLivebench measures the online checker over every registered store —
+// the table behind the tracked BENCH_LIVECHECK.json: a seeded simulator run
+// of -ops steps (fault schedule overlapping the workload, then a quiescing
+// drain) streams through livecheck, and the table reports how much state
+// the checker held at its peak against how many events flowed past it —
+// the bounded-memory claim as a number. Everything in the table is a pure
+// function of (store, seed, steps, objects): event counts, violation
+// counts, and peak tracked state all come from the deterministic simulator,
+// never from wall time. What one Observe costs in time is
+// internal/livecheck's BenchmarkObserve.
+func runLivebench(w io.Writer, cfg benchArgs) error {
+	if cfg.ops < 1 || cfg.objects < 1 {
 		return fmt.Errorf("livebench needs at least one step and one object")
 	}
 	objs := make([]model.ObjectID, cfg.objects)
@@ -48,24 +38,18 @@ func runLivebench(w io.Writer, cfg livebenchConfig) error {
 
 	const nodes = 3
 	t := bench.NewTable(
-		fmt.Sprintf("loadgen livebench: %d nodes, seed %d, %d steps", nodes, cfg.seed, cfg.steps),
+		fmt.Sprintf("loadgen livebench: %d nodes, seed %d, %d steps", nodes, cfg.seed, cfg.ops),
 		"store", "events", "dos", "violations", "peak tracked", "final tracked", "peak/events %")
-	type replay struct {
-		name   string
-		events []livecheck.Event
-	}
-	var replays []replay
 	for _, name := range names {
 		st, err := cli.OpenStore(name, spec.MVRTypes(), store.Options{})
 		if err != nil {
 			return err
 		}
 		ck := livecheck.New(nodes, livecheck.Options{Types: spec.MVRTypes()})
-		rec := livecheck.NewRecorder()
 		c := sim.NewCluster(st, nodes, cfg.seed)
-		c.SetTap(livecheck.Tee(ck.Observe, rec.Observe))
+		c.SetTap(ck.Observe)
 		sched := fault.Generate(fault.Config{
-			Seed: cfg.seed, N: nodes, Steps: cfg.steps,
+			Seed: cfg.seed, N: nodes, Steps: cfg.ops,
 			Partitions: 1, Crashes: 1, LinkFaults: 2,
 		})
 		// Delivery-heavy workload: sends and deliveries keep pace with
@@ -74,7 +58,7 @@ func runLivebench(w io.Writer, cfg livebenchConfig) error {
 		// run. (The checker's state is Θ(window); a workload whose window
 		// grows linearly would measure the workload, not the checker.)
 		c.RunScheduled(sched, sim.WorkloadConfig{
-			Objects: objs, Steps: cfg.steps,
+			Objects: objs, Steps: cfg.ops,
 			MutateRatio: 0.4, SendProb: 0.9, DeliverProb: 0.95,
 		})
 		c.Quiesce()
@@ -84,38 +68,6 @@ func runLivebench(w io.Writer, cfg livebenchConfig) error {
 			ratio = float64(v.PeakTracked) * 100 / float64(v.Events)
 		}
 		t.AddRow(name, v.Events, v.Dos, v.Violations, v.PeakTracked, v.TrackedDots, ratio)
-		var all []livecheck.Event
-		for _, evs := range rec.PerNode() {
-			all = append(all, evs...)
-		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].Lamport < all[j].Lamport })
-		replays = append(replays, replay{name: name, events: all})
 	}
-	out := cli.Output(w, cfg.jsonOut)
-	if err := out.Emit(t); err != nil {
-		return err
-	}
-	if cfg.jsonOut {
-		return nil
-	}
-
-	// Wall-clock replay: the recorded streams pushed through a fresh
-	// checker as fast as the CPU allows — the per-event overhead a serving
-	// cluster would pay for the tap.
-	rt := bench.NewTable("livebench replay throughput (wall clock, not tracked)",
-		"store", "events", "elapsed ms", "events/sec")
-	for _, rp := range replays {
-		ck := livecheck.New(nodes, livecheck.Options{Types: spec.MVRTypes()})
-		start := time.Now()
-		for _, ev := range rp.events {
-			ck.Observe(ev)
-		}
-		elapsed := time.Since(start)
-		persec := 0.0
-		if elapsed > 0 {
-			persec = float64(len(rp.events)) / elapsed.Seconds()
-		}
-		rt.AddRow(rp.name, len(rp.events), float64(elapsed.Microseconds())/1000.0, persec)
-	}
-	return out.Emit(rt)
+	return cli.Output(w, cfg.jsonOut).Emit(t)
 }

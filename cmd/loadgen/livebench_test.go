@@ -9,12 +9,11 @@ import (
 )
 
 // TestRunLivebenchDeterministic: the tracked BENCH_LIVECHECK table must be
-// byte-identical across runs of the same flags and seed (everything in the
-// JSON comes from the deterministic simulator — the wall-clock replay table
-// is human-mode only), with one row per registered store, clean verdicts on
+// byte-identical across runs of the same flags and seed (everything in it
+// comes from the deterministic simulator), with one row per registered store, clean verdicts on
 // the causal stores, and violations actually flagged on the weak ones.
 func TestRunLivebenchDeterministic(t *testing.T) {
-	cfg := livebenchConfig{seed: 3, steps: 400, objects: 3, jsonOut: true}
+	cfg := benchArgs{seed: 3, ops: 400, objects: 3, jsonOut: true}
 	var a, b bytes.Buffer
 	if err := runLivebench(&a, cfg); err != nil {
 		t.Fatal(err)

@@ -58,47 +58,26 @@ func main() {
 	storeName := cli.StoreFlag(flag.CommandLine, "causal")
 	chaosNodes := flag.Int("chaos-nodes", 3, "cluster size for -chaos runs")
 	chaosDataDir := flag.String("chaos-data-dir", "", "journal -chaos node histories to this directory; crash/restart directives then recover from disk (in-memory if empty)")
-	wirebench := flag.Bool("wirebench", false, "measure wire-format costs: deterministic encode-path table (bytes/op, frames, allocs/op) for batched updates, range chunks, history frames and journal records")
 	wireBatch := flag.Int("wire-batch", 64, "tBatch coalescing cap for the -wirebench rows")
 	conns := flag.Int("conns", 0, "pooled connections per node for the workload clients (0 = one dedicated connection per client)")
 	opTimeout := flag.Duration("op-timeout", 10*time.Second, "per-operation deadline for client round trips (0 = unbounded)")
-	syncbench := flag.Bool("syncbench", false, "measure Merkle anti-entropy catch-up costs: deterministic digest/range-pull table per joiner prefix")
 	churn := flag.Int("churn", 0, "leave→join windows in the -chaos schedule (victims disjoint from the crash victims)")
 	liveAudit := flag.Bool("live-audit", false, "with -chaos: stream every node's events through the online checker during the run and prove its verdict against the post-run audit")
-	livebench := flag.Bool("livebench", false, "measure the online checker: deterministic per-store table of events checked, violations, and peak tracked state vs history length; human mode adds a wall-clock replay throughput table")
-	shardbench := flag.Bool("shardbench", false, "measure keyspace sharding: deterministic routing-balance table (per-shard op spread and speedup bound for uniform and zipfian draws); human mode adds a live sharded-vs-single throughput comparison")
+	benchOn := make([]*bool, len(benches))
+	for i, b := range benches {
+		benchOn[i] = flag.Bool(b.flag, false, b.usage)
+	}
 	flag.Parse()
 
-	if *shardbench {
-		scfg := shardbenchConfig{
-			store:          *storeName,
-			keys:           *keys,
-			ops:            *ops,
-			shards:         *shards,
-			clients:        *clients,
-			mutate:         *mutate,
-			seed:           *seed,
-			quiesceTimeout: *quiesceTimeout,
-			jsonOut:        *jsonOut,
+	for i, b := range benches {
+		if !*benchOn[i] {
+			continue
 		}
-		if scfg.keys == 0 {
-			scfg.keys = 1000000
-		}
-		if err := runShardbench(os.Stdout, scfg); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *livebench {
-		lcfg := livebenchConfig{
-			seed:    *seed,
-			steps:   *ops,
-			objects: *objects,
-			jsonOut: *jsonOut,
-		}
-		if err := runLivebench(os.Stdout, lcfg); err != nil {
+		err := b.run(os.Stdout, benchArgs{
+			store: *storeName, seed: *seed, ops: *ops, objects: *objects,
+			keys: *keys, shards: *shards, batch: *wireBatch, jsonOut: *jsonOut,
+		})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
 			os.Exit(1)
 		}
@@ -108,38 +87,6 @@ func main() {
 	if *liveAudit && !*chaos {
 		fmt.Fprintln(os.Stderr, "loadgen: -live-audit requires -chaos (the TCP client mode audits offline via -audit)")
 		os.Exit(1)
-	}
-
-	if *syncbench {
-		scfg := syncbenchConfig{
-			store:   *storeName,
-			ops:     *ops,
-			batch:   *wireBatch,
-			seed:    *seed,
-			objects: *objects,
-			jsonOut: *jsonOut,
-		}
-		if err := runSyncbench(os.Stdout, scfg); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *wirebench {
-		wcfg := wirebenchConfig{
-			store:   *storeName,
-			ops:     *ops,
-			batch:   *wireBatch,
-			seed:    *seed,
-			objects: *objects,
-			jsonOut: *jsonOut,
-		}
-		if err := runWirebench(os.Stdout, wcfg); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *chaos {
@@ -184,6 +131,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
+}
+
+// benchArgs is what the -*bench modes read of the command line; each takes
+// the fields it needs. Their tables are pure functions of these — no
+// sockets, no clocks — which is what lets `make json` track them
+// (BENCH_*.json) and the drift gate compare them byte for byte. Wall-clock
+// measurement is benchmark/'s.
+type benchArgs struct {
+	store   string
+	seed    int64
+	ops     int
+	objects int
+	keys    int
+	shards  int
+	batch   int
+	jsonOut bool
+}
+
+// benches maps each -*bench flag to the table it prints.
+var benches = []struct {
+	flag, usage string
+	run         func(io.Writer, benchArgs) error
+}{
+	{"wirebench", "measure wire-format costs: deterministic encode-path table (bytes/op, frames, allocs/op) for batched updates, range chunks, history frames and journal records", runWirebench},
+	{"syncbench", "measure Merkle anti-entropy catch-up costs: deterministic digest/range-pull table per joiner prefix", runSyncbench},
+	{"livebench", "measure the online checker: deterministic per-store table of events checked, violations, and peak tracked state vs history length", runLivebench},
+	{"shardbench", "measure keyspace sharding: deterministic routing-balance table (per-shard op spread and speedup bound for uniform and zipfian draws)", runShardbench},
 }
 
 type config struct {

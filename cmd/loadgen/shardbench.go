@@ -5,34 +5,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/spec"
-	"repro/internal/store"
 )
-
-// shardbenchConfig parameterizes a -shardbench run: the deterministic
-// routing-balance table (the rows behind the tracked BENCH_SHARD.json)
-// plus, in human mode, a live loopback throughput comparison of a sharded
-// cluster against the same cluster at one shard.
-type shardbenchConfig struct {
-	store          string
-	keys           int
-	ops            int
-	shards         int
-	clients        int
-	mutate         float64
-	seed           int64
-	quiesceTimeout time.Duration
-	jsonOut        bool
-}
 
 // shardDraws routes a seeded stream of ops draws over the keyspace and
 // returns the per-shard op counts. Pure function of (keys, ops, shards,
@@ -65,20 +43,20 @@ func shardKey(k uint64) model.ObjectID {
 	return model.ObjectID(fmt.Sprintf("k%06d", k))
 }
 
-// runShardbench emits the deterministic shard-balance table — for each
-// shard count up to -shards, the per-shard op spread under uniform and
-// zipfian key popularity, and the resulting parallel speedup bound
-// ops/max(shard ops): the factor by which per-shard event loops can beat a
-// single loop if routing is the only limit. Human (non-JSON) mode follows
-// with a live loopback cluster measuring how much of that bound the real
-// node realizes against itself at -shards 1. Wall-clock stays out of the
-// tracked artifact, per the BENCH_*.json drift-gate precedent.
-func runShardbench(w io.Writer, cfg shardbenchConfig) error {
+// runShardbench emits the deterministic shard-balance table, the rows
+// behind the tracked BENCH_SHARD.json — for each shard count up to -shards,
+// the per-shard op spread under uniform and zipfian key popularity, and the
+// resulting parallel speedup bound ops/max(shard ops): the factor by which
+// per-shard event loops can beat a single loop if routing is the only limit.
+// How much of that bound a real cluster realizes is wall-clock, and
+// benchmark/'s to measure.
+func runShardbench(w io.Writer, cfg benchArgs) error {
+	if cfg.keys == 0 {
+		cfg.keys = 1000000
+	}
 	if cfg.keys < 2 || cfg.ops < 1 || cfg.shards < 1 {
 		return fmt.Errorf("shardbench needs at least two keys, one op, and one shard")
 	}
-	out := cli.Output(w, cfg.jsonOut)
-
 	t := bench.NewTable(
 		fmt.Sprintf("loadgen shardbench: %d keys, %d ops, seed %d", cfg.keys, cfg.ops, cfg.seed),
 		"dist", "shards", "min ops", "max ops", "max/min", "speedup bound")
@@ -102,149 +80,5 @@ func runShardbench(w io.Writer, cfg shardbenchConfig) error {
 			t.AddRow(dist, sh, min, max, ratio, round(float64(cfg.ops)/float64(max)))
 		}
 	}
-	if err := out.Emit(t); err != nil {
-		return err
-	}
-
-	if cfg.jsonOut {
-		// The tracked artifact ends here: the live comparison below is
-		// wall-clock and would break the byte-identical drift gate.
-		return nil
-	}
-	return runShardbenchLive(w, cfg, out)
-}
-
-// runShardbenchLive boots a 3-node loopback cluster twice — at one shard
-// and at -shards — and drives the same seeded client mix through both,
-// reporting aggregate throughput, the measured speedup, and how evenly the
-// sharded run's ops landed across its event loops.
-func runShardbenchLive(w io.Writer, cfg shardbenchConfig, out bench.Output) error {
-	t := bench.NewTable(
-		fmt.Sprintf("loadgen shardbench live: %s, %d clients (wall-clock, untracked)", cfg.store, cfg.clients),
-		"shards", "ops", "ops/sec", "p50 ms", "p99 ms", "speedup", "shard max/min")
-	base := 0.0
-	for _, sh := range []int{1, cfg.shards} {
-		row, err := shardbenchLiveRun(cfg, sh)
-		if err != nil {
-			return err
-		}
-		speedup := interface{}("-")
-		if sh == 1 {
-			base = row.opsPerSec
-		} else if base > 0 {
-			speedup = math.Round(row.opsPerSec/base*100) / 100
-		}
-		t.AddRow(sh, row.ops, row.opsPerSec, row.p50, row.p99, speedup, row.balance)
-	}
-	return out.Emit(t)
-}
-
-type shardLiveRow struct {
-	ops       int
-	opsPerSec float64
-	p50, p99  float64
-	balance   interface{}
-}
-
-func shardbenchLiveRun(cfg shardbenchConfig, shards int) (shardLiveRow, error) {
-	const n = 3
-	nodes := make([]*cluster.Node, 0, n)
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		st, err := cli.OpenStore(cfg.store, spec.MVRTypes(), store.Options{})
-		if err != nil {
-			return shardLiveRow{}, err
-		}
-		nd, err := cluster.NewNode(cluster.Config{
-			ID: model.ReplicaID(i), N: n, Store: st,
-			Listen: "127.0.0.1:0", Seed: cfg.seed, Shards: shards,
-		})
-		if err != nil {
-			return shardLiveRow{}, err
-		}
-		nodes = append(nodes, nd)
-	}
-	for i, nd := range nodes {
-		peers := make(map[model.ReplicaID]string)
-		for j, other := range nodes {
-			if j != i {
-				peers[model.ReplicaID(j)] = other.Addr()
-			}
-		}
-		if err := nd.Connect(peers); err != nil {
-			return shardLiveRow{}, err
-		}
-	}
-
-	lats := make([][]time.Duration, cfg.clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for ci := 0; ci < cfg.clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(gen.SplitSeed(cfg.seed, ci)))
-			z := rand.NewZipf(rng, 1.1, 1, uint64(cfg.keys-1))
-			c, err := cluster.Dial(nodes[ci%n].Addr(), 0)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			perClient := cfg.ops / cfg.clients
-			for i := 0; i < perClient; i++ {
-				obj := shardKey(z.Uint64())
-				op := model.Read()
-				if rng.Float64() < cfg.mutate {
-					op = model.Write(model.Value(fmt.Sprintf("c%d.v%d", ci, i)))
-				}
-				t0 := time.Now()
-				if _, err := c.Do(obj, op); err == nil {
-					lats[ci] = append(lats[ci], time.Since(t0))
-				}
-			}
-		}(ci)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if !cluster.WaitQuiesced(nodes, cfg.quiesceTimeout) {
-		return shardLiveRow{}, fmt.Errorf("shardbench live (%d shards): cluster did not quiesce within %v", shards, cfg.quiesceTimeout)
-	}
-
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return shardLiveRow{}, fmt.Errorf("shardbench live (%d shards): every operation failed", shards)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	row := shardLiveRow{
-		ops:       len(all),
-		opsPerSec: float64(len(all)) / elapsed.Seconds(),
-		p50:       float64(percentile(all, 0.50).Microseconds()) / 1000.0,
-		p99:       float64(percentile(all, 0.99).Microseconds()) / 1000.0,
-		balance:   "-",
-	}
-	if shards > 1 {
-		var min, max int64 = -1, 0
-		for _, nd := range nodes {
-			s := nd.Stats()
-			for _, c := range s.ShardOps {
-				if min < 0 || c < min {
-					min = c
-				}
-				if c > max {
-					max = c
-				}
-			}
-		}
-		if min > 0 {
-			row.balance = math.Round(float64(max)/float64(min)*100) / 100
-		}
-	}
-	return row, nil
+	return cli.Output(w, cfg.jsonOut).Emit(t)
 }

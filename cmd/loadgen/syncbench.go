@@ -11,17 +11,6 @@ import (
 	"repro/internal/store"
 )
 
-// syncbenchConfig parameterizes a -syncbench run: the deterministic
-// anti-entropy catch-up cost table behind the tracked BENCH_SYNC.json.
-type syncbenchConfig struct {
-	store   string
-	ops     int
-	batch   int
-	seed    int64
-	objects int
-	jsonOut bool
-}
-
 // syncbenchPrefixes are the joiner states measured, as percentages of the
 // donor log: a cold join, three partial rejoins, and an already-caught-up
 // digest-only handshake.
@@ -32,13 +21,13 @@ var syncbenchPrefixes = []int{0, 25, 50, 90, 100}
 // window buys.
 var syncbenchWindows = []int{1, 8}
 
-// runSyncbench emits the Merkle anti-entropy cost table: for each joiner
-// prefix, the digest handshake bytes, the updates and chunks actually
-// pulled, and the bytes on the wire versus shipping the full log through
-// the same chunking. Pure function of (store, ops, seed, batch) — the
+// runSyncbench emits the Merkle anti-entropy cost table behind the tracked
+// BENCH_SYNC.json: for each joiner prefix, the digest handshake bytes, the
+// updates and chunks actually pulled, and the bytes on the wire versus
+// shipping the full log through the same chunking. Pure function of (store, ops, seed, batch) — the
 // workload generator and the frame appenders are the ones the real join
 // path uses, with no sockets or timers involved.
-func runSyncbench(w io.Writer, cfg syncbenchConfig) error {
+func runSyncbench(w io.Writer, cfg benchArgs) error {
 	if cfg.ops < 1 || cfg.batch < 1 || cfg.objects < 1 {
 		return fmt.Errorf("syncbench needs at least one op, object, and a positive batch")
 	}

@@ -19,17 +19,6 @@ import (
 	"repro/internal/store"
 )
 
-// wirebenchConfig parameterizes a -wirebench run: deterministic encode-path
-// measurements, the tracked table.
-type wirebenchConfig struct {
-	store   string
-	ops     int
-	batch   int
-	seed    int64
-	objects int
-	jsonOut bool
-}
-
 // wirebenchWorkload drives one replica with a seeded write-heavy mix and
 // captures what the node would persist and transmit: the recorded event
 // sequence (journal input) and the broadcast payloads (transport input).
@@ -119,7 +108,7 @@ func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64,
 
 // runWirebench emits the deterministic wire-cost table — the rows behind
 // the tracked BENCH_WIRE.json.
-func runWirebench(w io.Writer, cfg wirebenchConfig) error {
+func runWirebench(w io.Writer, cfg benchArgs) error {
 	if cfg.ops < 1 || cfg.batch < 1 || cfg.objects < 1 {
 		return fmt.Errorf("wirebench needs at least one op, object, and a positive batch")
 	}

@@ -375,20 +375,19 @@ func MedianScore(samples []Sample) (median, max int64) {
 
 // Validate re-runs one found schedule on the real TCP cluster: a
 // supervised loopback cluster under the same directives, client load
-// riding along, transport metrics collected through the same Observer
-// hook. Wall-clock scheduling makes these counts nondeterministic — they
-// corroborate the simulator's ranking (a schedule that blocks deliveries
-// on the fast path forces retransmits and reconnects here), they do not
-// reproduce it byte for byte.
+// riding along, transport metrics read from the nodes' own counters
+// (Supervisor.Metrics). Wall-clock scheduling makes these counts
+// nondeterministic — they corroborate the simulator's ranking (a schedule
+// that blocks deliveries on the fast path forces retransmits and reconnects
+// here), they do not reproduce it byte for byte.
 func Validate(cfg Config, seed int64, tick time.Duration) (fault.Metrics, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
 		return fault.Metrics{}, errors.New("chaossearch: Config.Store is required")
 	}
 	sched := cfg.Schedule(seed)
-	obs := fault.NewObserver(cfg.Nodes)
 	em := fault.NewNetem(cfg.Nodes)
-	base := cluster.Config{Store: cfg.Store, Seed: cfg.Seed, Observer: obs}
+	base := cluster.Config{Store: cfg.Store, Seed: cfg.Seed}
 	sup, err := cluster.NewSupervisor(base, cfg.Nodes, em, tick)
 	if err != nil {
 		return fault.Metrics{}, err
@@ -441,5 +440,5 @@ load:
 	if err := cluster.CheckConverged(doers, searchObjects); err != nil {
 		return fault.Metrics{}, err
 	}
-	return obs.Metrics(), nil
+	return sup.Metrics(), nil
 }

@@ -152,25 +152,33 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkNextBatch builds one 64-update batch from the tail of a link's
-// unacked queue — a sender that has written almost everything and is
-// waiting for acks — at two queue depths.
+// BenchmarkNextBatch cuts one batch from the tail of the shard's log — a
+// sender that has written almost everything and is waiting for acks — at two
+// depths of unacked log. The batch aliases the log: nothing is copied and
+// nothing allocated, whatever the depth.
 func BenchmarkNextBatch(b *testing.B) {
 	payload := []byte(benchValue)
 	for _, depth := range []int{64, 64 << 10} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			p := &peerSender{kick: make(chan struct{}, 1), queues: make([]peerQueue, 1)}
+			s := looseShard(b, "lww")
+			s.treeOwned = false // the log alone; hashing 64 k updates is not the subject
 			for i := 1; i <= depth; i++ {
-				p.enqueue(0, protoUpdate{Seq: uint64(i), Lamport: uint64(i), Payload: payload})
+				if err := s.noteUpdate(s.n.cfg.ID, uint64(i), uint64(i), payload); err != nil {
+					b.Fatal(err)
+				}
 			}
+			p := newPeerSender(s.n, 2, "unused")
 			var us []protoUpdate
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				us, _ = p.nextBatch(0, uint64(depth-32), 64, 1<<20, us)
+				us, _ = p.nextBatch(0, uint64(depth-32), 64, 1<<20)
 			}
 			if len(us) != 32 {
 				b.Fatalf("batch of %d, want the 32 unsent updates", len(us))
+			}
+			if allocs := testing.AllocsPerRun(100, func() { p.nextBatch(0, uint64(depth-32), 64, 1<<20) }); allocs != 0 {
+				b.Fatalf("nextBatch allocates %.0f times per batch", allocs)
 			}
 		})
 	}

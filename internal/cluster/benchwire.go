@@ -62,7 +62,7 @@ func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 }
 
 // EncodeRange runs the anti-entropy donor path: tRangeResp chunks of up to
-// chunkMax updates under serveRange's exact chunking rule, as encoded
+// chunkMax updates cut by cutBatch, as serveRange cuts them, as encoded
 // (compress false) or as sent, behind the tCompressed envelope (compress
 // follows maybeCompressPayload's gates, so sub-floor or incompressible
 // chunks ship raw there too). Returns total wire bytes (headers included)
@@ -76,22 +76,13 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	for idx := 0; idx < len(us); {
-		size := 0
-		end := idx
-		for i := idx; i < len(us); i++ {
-			cost := len(us[i].Payload) + 32
-			if end > idx && (end-idx >= chunkMax || size+cost > maxFrame-64) {
-				break
-			}
-			size += cost
-			end++
-		}
+	for rest := []protoUpdate(us); len(rest) > 0; {
+		n := cutBatch(rest, chunkMax, maxFrame-64)
 		w.Reset()
-		appendRangeResp(w, 0, us[idx:end])
+		appendRangeResp(w, 0, rest[:n])
 		bytes += wireLen(w, compress)
 		frames++
-		idx = end
+		rest = rest[n:]
 	}
 	return bytes, frames
 }

@@ -506,3 +506,48 @@ func TestSupervisorShardedCrashRestart(t *testing.T) {
 		t.Fatal("the restarted node restored nothing: its shards' journals did not survive the crash")
 	}
 }
+
+// TestSupervisorMetricsCountEveryIncarnation: the transport half of
+// Supervisor.Metrics is the nodes' own counters, so it must not lose an
+// incarnation's share when the incarnation stops. A reconnect counted on
+// node 0 stays in the total through node 0's crash, its restart as a fresh
+// node whose counters start at zero, and the supervisor's Close.
+func TestSupervisorMetricsCountEveryIncarnation(t *testing.T) {
+	base := fastConfig(0, 2, openCausal(t))
+	sup, err := NewSupervisor(base, 2, fault.NewNetem(2), 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	if _, err := sup.Do(0, "x", model.Write("v")); err != nil {
+		t.Fatal(err)
+	}
+	r0 := sup.Nodes()[0]
+	for deadline := time.Now().Add(10 * time.Second); r0.Stats().Reconnects == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no reconnect after breaking r0's connections: %+v", r0.Stats())
+		}
+		r0.BreakConnections()
+	}
+	floor := sup.Metrics().Reconnects
+	if floor == 0 {
+		t.Fatalf("Metrics misses the live nodes' counters: %+v", sup.Metrics())
+	}
+	for _, step := range []struct {
+		what string
+		do   func() error
+	}{
+		{"crash", func() error { return sup.apply(fault.Directive{Kind: fault.KindCrash, Node: 0}) }},
+		{"restart", func() error { return sup.apply(fault.Directive{Kind: fault.KindRestart, Node: 0}) }},
+		{"close", func() error { sup.Close(); return nil }},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		got := sup.Metrics().Reconnects
+		if got < floor {
+			t.Fatalf("after the %s Metrics reports %d reconnects, %d before it", step.what, got, floor)
+		}
+		floor = got
+	}
+}

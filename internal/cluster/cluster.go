@@ -3,8 +3,9 @@
 // event loop — preserving the §2 single-threaded state-machine contract —
 // and exchanges the replica's broadcast messages with its peers through a
 // length-framed protocol (internal/wire) that provides reliable eventual
-// delivery: per-peer unacked queues, cumulative acknowledgements,
-// retransmission with exponential backoff, and reconnection on failure.
+// delivery: per-peer cursors over each shard's log of its own broadcasts,
+// cumulative acknowledgements, retransmission with exponential backoff, and
+// reconnection on failure.
 // Unlike the lossy schedules internal/sim can produce (see sim.ErrLossyRun),
 // the transport makes Definition 3 hold on a network that drops and resets
 // connections, so quiescence still owes convergence (Lemma 3).
@@ -19,24 +20,25 @@
 // Contract:
 //
 //   - OWNS: the frame types and the one protocol version (proto.go,
-//     proto_member.go, compress.go), replication links and their queues, the
-//     per-shard event loops and recorded histories, membership over
-//     connections, and the NodeStorage seam durable state enters through.
+//     proto_member.go, compress.go), replication links and their cursors,
+//     the per-shard event loops, recorded histories and update logs,
+//     membership over connections, and the NodeStorage seam durable state
+//     enters through.
 //   - MUST NOT: marshal JSON (the struct tags on Event, History and Stats
 //     serve the admin endpoint in cmd/served; wire and journal are binary),
 //     open a file, or keep a second way to do what a frame, a Config field
 //     or a code path here already does — a format change bumps
-//     protoVersion, it does not add a branch.
+//     protoVersion, it does not add a branch. A link holds positions, never
+//     updates: shard.updates is the only copy of what is sent, served and
+//     counted, and the chunking rule lives in cutBatch only.
 //   - MUST NOT import: internal/durable (it imports this package for Event
 //     and NodeStorage), cmd/..., or the simulator.
 package cluster
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,11 +97,6 @@ type Config struct {
 	// through crash/restart directives, so chaos schedules exercise
 	// recovery instead of handing histories through memory.
 	Storage NodeStorage
-	// Observer, when non-nil, receives transport-level chaos metrics
-	// (retransmits, reconnects, dup/gap frames) from this node; the
-	// supervisor additionally reports applied directives to it. All
-	// Observer methods are nil-safe, so the field is threaded unguarded.
-	Observer *fault.Observer
 	// Tap, when non-nil, receives every event this node records — do,
 	// send, receive — in the same event-loop turn that records it,
 	// immediately after the journal (if any) accepted it, so the streamed
@@ -285,10 +282,10 @@ type Node struct {
 	syncPulled atomic.Int64
 	syncServed atomic.Int64
 
-	// peers is written only by registerPeers and disconnectPeer, under
-	// peerMu; each republishes peerList, the same senders in ID order, as an
-	// immutable snapshot the shard loops read per broadcast without locking
-	// or allocating (allPeers).
+	// peers is written only by connect and disconnectPeer, under peerMu;
+	// each republishes peerList, the same senders as an immutable snapshot
+	// the shard loops read per broadcast without locking or allocating
+	// (allPeers). Its order means nothing: a broadcast only nudges them.
 	peerMu   sync.Mutex
 	peers    map[model.ReplicaID]*peerSender
 	peerList atomic.Pointer[[]*peerSender]
@@ -296,10 +293,14 @@ type Node struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // accepted connections
 
-	bytesOut  atomic.Int64
-	framesOut atomic.Int64
-	dupFrames atomic.Int64
-	gapFrames atomic.Int64
+	// Transport counters, bumped where the event happens (a link's sender, a
+	// shard's loop) and kept on the node, so they outlive links and only grow.
+	bytesOut    atomic.Int64
+	framesOut   atomic.Int64
+	retransmits atomic.Int64
+	reconnects  atomic.Int64
+	dupFrames   atomic.Int64
+	gapFrames   atomic.Int64
 
 	// restored counts events replayed from restored histories at boot.
 	restored int64
@@ -419,65 +420,39 @@ func (n *Node) ID() model.ReplicaID { return n.cfg.ID }
 
 // Connect starts replication links to the given peers. Each link dials in
 // the background with backoff, so Connect succeeds even while peers are
-// still coming up. A new link is offered this node's full live backlog —
-// every broadcast it has ever recorded, not just what a restore left
-// unacked — so a peer connected after boot still receives the post-boot
-// writes. The offer costs little on reconnects: the peer's hello ack
-// carries its delivered watermarks, pruning the queues before the first
-// send. Receivers deduplicate by cumulative seq regardless.
+// still coming up. A new link owes its peer this node's whole log — every
+// broadcast it has ever recorded, not just what a restore left unacked — so
+// a peer connected after boot still receives the post-boot writes. That
+// costs little on reconnects: the peer's hello ack carries its delivered
+// watermarks, moving the link's cursors before the first send. Receivers
+// deduplicate by cumulative seq regardless.
 func (n *Node) Connect(peers map[model.ReplicaID]string) error {
 	return n.connect(peers, false)
 }
 
+// connect validates the peers, then publishes and starts a sender for each
+// new one — under peerMu and behind a closed-check, as track does for
+// accepted connections: Close takes peerMu after closing done, so a sender
+// either joined the WaitGroup (and the map) before Close waits, or never runs.
 func (n *Node) connect(peers map[model.ReplicaID]string, skipLinked bool) error {
-	added, err := n.registerPeers(peers, skipLinked)
-	if err != nil {
-		return err
-	}
-	// Offer each shard's backlog in that shard's own loop turn. The links
-	// are already published, so the shard may have enqueued fresh broadcasts
-	// in between — offerBacklog replaces the queue wholesale with the full
-	// backlog snapshot taken in the shard's turn, which includes those
-	// broadcasts, so nothing is lost or duplicated. The senders start in the
-	// last of these turns, behind every offer, so no link ships a fresh
-	// broadcast ahead of the backlog that precedes it — and inside a turn,
-	// where the loops are provably alive and Close cannot yet be waiting on
-	// the WaitGroup the senders join.
-	for _, s := range n.shards {
-		s := s
-		if err := s.inLoop(func() {
-			for _, p := range added {
-				p.offerBacklog(s.idx, &s.updates[n.cfg.ID])
-				if s.idx == len(n.shards)-1 {
-					n.wg.Add(1)
-					go p.run()
-				}
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// registerPeers validates the peers and publishes a sender for each new one,
-// so every shard enqueues its broadcasts to it from now on. Returns the new
-// senders, not yet running.
-func (n *Node) registerPeers(peers map[model.ReplicaID]string, skipLinked bool) ([]*peerSender, error) {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
+	select {
+	case <-n.done:
+		return ErrClosed
+	default:
+	}
 	for id := range peers {
 		if id == n.cfg.ID {
-			return nil, fmt.Errorf("cluster: r%d listed as its own peer", id)
+			return fmt.Errorf("cluster: r%d listed as its own peer", id)
 		}
 		if int(id) < 0 || int(id) >= n.cfg.N {
-			return nil, fmt.Errorf("cluster: peer r%d outside cluster of %d", id, n.cfg.N)
+			return fmt.Errorf("cluster: peer r%d outside cluster of %d", id, n.cfg.N)
 		}
 		if _, dup := n.peers[id]; dup && !skipLinked {
-			return nil, fmt.Errorf("cluster: duplicate link to r%d", id)
+			return fmt.Errorf("cluster: duplicate link to r%d", id)
 		}
 	}
-	var added []*peerSender
 	for id, addr := range peers {
 		if _, dup := n.peers[id]; dup {
 			continue
@@ -485,10 +460,11 @@ func (n *Node) registerPeers(peers map[model.ReplicaID]string, skipLinked bool) 
 		n.view.Merge(membership.Member{ID: int(id), Addr: addr})
 		p := newPeerSender(n, id, addr)
 		n.peers[id] = p
-		added = append(added, p)
+		n.wg.Add(1)
+		go p.run()
 	}
 	n.publishPeers()
-	return added, nil
+	return nil
 }
 
 // publishPeers rebuilds the peerList snapshot from the peers map. Called
@@ -498,12 +474,11 @@ func (n *Node) publishPeers() {
 	for _, p := range n.peers {
 		list = append(list, p)
 	}
-	slices.SortFunc(list, func(a, b *peerSender) int { return cmp.Compare(a.peer, b.peer) })
 	n.peerList.Store(&list)
 }
 
-// allPeers returns the current replication links in peer-ID order. The
-// slice is shared and immutable.
+// allPeers returns the current replication links. The slice is shared and
+// immutable.
 func (n *Node) allPeers() []*peerSender {
 	if list := n.peerList.Load(); list != nil {
 		return *list
@@ -614,10 +589,10 @@ func (n *Node) viewLinked() bool {
 // Stats snapshots the node's counters. Each shard's slice of the snapshot
 // is captured coherently in one of that shard's event-loop turns (counter,
 // event count, checker verdicts, and pending-message verdict move
-// together); the per-peer transport counters and quiescence composition
-// are read between turns. The quiescence condition is evaluated
-// inline — calling Quiesced() here would re-enter the event loops and
-// deadlock.
+// together); the transport counters — monotone for the life of the node,
+// whatever links come and go — and quiescence composition are read between
+// turns. The quiescence condition is evaluated inline — calling Quiesced()
+// here would re-enter the event loops and deadlock.
 func (n *Node) Stats() Stats {
 	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name()}
 	sharded := n.cfg.Shards > 1
@@ -631,14 +606,14 @@ func (n *Node) Stats() Stats {
 	counters := func() {
 		s.BytesOut = n.bytesOut.Load()
 		s.FramesOut = n.framesOut.Load()
+		s.Retransmits = n.retransmits.Load()
+		s.Reconnects = n.reconnects.Load()
 		s.DupFrames = n.dupFrames.Load()
 		s.GapFrames = n.gapFrames.Load()
 		s.SyncPulled = n.syncPulled.Load()
 		s.SyncServed = n.syncServed.Load()
 		s.Members = len(n.view.Alive())
 		for _, p := range n.allPeers() {
-			s.Retransmits += p.retransmits.Load()
-			s.Reconnects += p.reconnects.Load()
 			if p.failed.Load() {
 				s.FailedLinks++
 			}
@@ -752,9 +727,11 @@ func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.done)
 		n.ln.Close()
-		for _, p := range n.allPeers() {
+		n.peerMu.Lock() // no sender starts past this point; see connect
+		for _, p := range n.peers {
 			p.close()
 		}
+		n.peerMu.Unlock()
 		n.connMu.Lock()
 		for c := range n.conns {
 			c.Close()
@@ -864,14 +841,11 @@ func (n *Node) serveHello(conn net.Conn, h hello, buf *[]byte) {
 	if n.cfg.Faults != nil {
 		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(h.From))
 	}
-	// The delivered watermarks let the dialer prune its full-backlog offer
-	// down to what this node actually lacks.
+	// The delivered watermarks move the dialer's cursors to what this node
+	// actually lacks.
 	delivered := make([]uint64, len(n.shards))
-	for _, sh := range n.shards {
-		sh := sh
-		if sh.inLoop(func() { delivered[sh.idx] = sh.delivered[h.From] }) != nil {
-			return
-		}
+	for i, sh := range n.shards {
+		delivered[i] = sh.logLen(h.From)
 	}
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendHelloAck(w, delivered) }) {
 		return
@@ -904,14 +878,7 @@ func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte
 			ackable bool
 		}
 	)
-	apply := func() {
-		for _, u := range call.us {
-			call.cum, call.ackable = call.sh.applyUpdate(u)
-			if !call.ackable {
-				return
-			}
-		}
-	}
+	apply := func() { call.cum, _, call.ackable = call.sh.applyRun(call.us) }
 	done := make(chan struct{}, 1)
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
@@ -936,7 +903,7 @@ func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte
 		if !call.ackable {
 			// Journal failure: the node is fail-stopping and these updates'
 			// durability is unknown — drop the connection without acking so
-			// the sender keeps them queued for the next incarnation.
+			// the sender still owes them to the next incarnation.
 			return
 		}
 		enc.Reset()
@@ -1020,8 +987,8 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 }
 
 // WaitQuiesced polls until every node reports quiescence twice in a row
-// (one clean poll can race an update in flight between an unacked queue
-// and the receiving event loop; two consecutive clean polls cannot, since
+// (one clean poll can race an update in flight between a sender and the
+// receiving event loop; two consecutive clean polls cannot, since
 // acks flow only after application). Returns false on timeout.
 func WaitQuiesced(nodes []*Node, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)

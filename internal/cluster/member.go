@@ -47,8 +47,8 @@ func (n *Node) Membership() []membership.Member {
 // Leave marks this node as departed at its current epoch and tells every
 // alive member directly (gossip spreads it to anyone unreachable right
 // now). The node keeps serving until Closed. Peers drop their replication
-// links to a left member — including unacked queues, which is safe
-// because a rejoin catches up via anti-entropy instead of retransmission.
+// links to a left member, acked or not, which is safe because a rejoin
+// catches up via anti-entropy instead of retransmission.
 func (n *Node) Leave() error {
 	n.view.Merge(membership.Member{ID: int(n.cfg.ID), Addr: n.Addr(), Epoch: n.epoch.Load(), Left: true})
 	n.markDynamic()
@@ -149,9 +149,9 @@ func (n *Node) serveGossip(conn net.Conn, from model.ReplicaID, ms []membership.
 }
 
 // ensureLinks reconciles the replication links against the membership
-// view: connect to alive members we have no link to (offering the full
-// backlog, pruned by their hello-ack watermark), drop links to members
-// that left. Only a dynamic node reconciles — static clusters manage
+// view: connect to alive members we have no link to (owing them the whole
+// log, less what their hello-ack watermark says they hold), drop links to
+// members that left. Only a dynamic node reconciles — static clusters manage
 // links explicitly via Connect.
 func (n *Node) ensureLinks() {
 	if !n.dynamic.Load() {
@@ -182,8 +182,9 @@ func (n *Node) ensureLinks() {
 	}
 }
 
-// disconnectPeer tears down the replication link to a departed member,
-// discarding its unacked queue (a rejoin recovers via anti-entropy).
+// disconnectPeer tears down the replication link to a departed member and
+// forgets how far it had acked (a rejoin recovers via anti-entropy, and its
+// new link's hello ack says where to resume).
 func (n *Node) disconnectPeer(id model.ReplicaID) {
 	n.peerMu.Lock()
 	p := n.peers[id]
@@ -379,10 +380,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 // journaled before its ack leaves.
 func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest, readDeadline time.Duration, buf *[]byte) error {
 	for {
-		var have uint64
-		if n.inLoop(func() { have = n.s0().delivered[origin] }) != nil {
-			return ErrClosed
-		}
+		have := n.s0().logLen(origin)
 		if have >= rd.Count {
 			break
 		}
@@ -408,29 +406,17 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 			}
 			var cum uint64
 			var applied int64
-			var jerr error
-			ackable := true
+			var jerr error // set means not ackable; see applyUpdate
 			if n.inLoop(func() {
-				s := n.s0()
-				for _, u := range us {
-					before := s.delivered[u.Origin]
-					cum, ackable = s.applyUpdate(u)
-					if !ackable {
-						jerr = s.jerr
-						return
-					}
-					if s.delivered[u.Origin] > before {
-						applied++
-					}
-				}
+				cum, applied, _ = n.s0().applyRun(us)
+				jerr = n.s0().jerr
 			}) != nil {
 				return ErrClosed
 			}
-			if !ackable {
+			if jerr != nil {
 				return fmt.Errorf("cluster: journal failed during sync: %v", jerr)
 			}
 			n.syncPulled.Add(applied)
-			n.cfg.Observer.AddSyncUpdates(applied)
 			if !n.sendFrame(conn, func(w *wire.Writer) { appendAck(w, 0, cum) }) {
 				return errors.New("cluster: sync ack write failed")
 			}
@@ -601,8 +587,10 @@ func (n *Node) digestResp(ds []originDigest) []originDigest {
 // pipeline of unacked chunks.
 const serveRangeMaxWindow = 1024
 
-// serveRange streams one origin's updates [from, from+count) to a joiner
-// in chunks of up to batchMax updates under a credit-based sliding window:
+// serveRange streams one origin's updates [from, from+count) to a joiner,
+// straight out of the shard's log in chunks cut by cutBatch (up to batchMax
+// updates, ending early at a log segment boundary), under a credit-based
+// sliding window:
 // up to window chunks may be in flight beyond the joiner's cumulative
 // journal-backed acks, so a transfer of c chunks costs about 1+⌈c/W⌉
 // round-trips instead of stop-and-wait's 1+c. window comes from the
@@ -627,27 +615,11 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, wi
 	for {
 		// Fill the window: send chunks while credit remains.
 		for idx < end && uint64(len(inflight)) < window {
-			var us []protoUpdate
-			if n.inLoop(func() {
-				all := &n.s0().updates[origin]
-				if end > uint64(all.Len()) {
-					end = uint64(all.Len()) // donor holds less than promised
-				}
-				size := 0
-				for i := idx; i < end; i++ {
-					u := all.At(int(i))
-					cost := len(u.Payload) + 32
-					if len(us) > 0 && (len(us) >= batchMax || size+cost > n.cfg.MaxFrame-64) {
-						break
-					}
-					size += cost
-					us = append(us, u)
-				}
-			}) != nil {
-				return false
-			}
+			us := n.s0().logRun(origin, idx)
+			us = us[:cutBatch(us, int(min(batchMax, end-idx)), n.cfg.MaxFrame-64)]
 			if len(us) == 0 {
-				break // ran dry; end was clamped above
+				end = idx // ran dry: the donor holds less than promised
+				break
 			}
 			// Count before the write: the joiner may finish, and a caller
 			// read this node's Stats, before this goroutine runs again.

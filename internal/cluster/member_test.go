@@ -313,7 +313,6 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 	st := openCausal(t)
 	const n = 3
 	em := fault.NewNetem(n)
-	obs := fault.NewObserver(n)
 	base := Config{
 		Store: st, Seed: 23,
 		DialTimeout:    time.Second,
@@ -322,7 +321,6 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 		RetransmitMin:  25 * time.Millisecond,
 		RetransmitMax:  250 * time.Millisecond,
 		GossipInterval: 50 * time.Millisecond,
-		Observer:       obs,
 	}
 	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
 	if err != nil {
@@ -367,7 +365,7 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 	if leaves, joins := sup.Churn(); leaves != 1 || joins != 1 {
 		t.Fatalf("leaves/joins = %d/%d, want 1/1", leaves, joins)
 	}
-	m := obs.Metrics()
+	m := sup.Metrics()
 	if m.Leaves != 1 || m.Joins != 1 {
 		t.Fatalf("observer leaves/joins = %d/%d, want 1/1", m.Leaves, m.Joins)
 	}

@@ -11,63 +11,57 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/seglog"
 	"repro/internal/wire"
 )
 
-// peerQueue is one shard's slice of a replication link: the unacked
-// updates of that shard's seq domain plus the ack/retransmit watermarks
-// that govern them. Shards have independent sequence counters, so the
-// watermarks cannot be shared — a cumulative ack only means anything
-// within its shard.
-type peerQueue struct {
-	// queue[head:] holds the unacked updates in seq order, and they are
-	// seq-contiguous — queue[head+i].Seq == queue[head].Seq + i — because a
-	// shard mints consecutive seqs and enqueue, offerBacklog and ack each
-	// keep a run a run. So an update is found by index, not by scanning.
-	// queue[:head] are acked slots, already zeroed (their payloads are
-	// collectable) and reclaimed by ack once they outnumber the live ones.
-	queue     []protoUpdate
-	head      int
+// linkCursor is one shard's slice of a replication link: two positions in
+// that shard's log of its own broadcasts (shard.updates[self]; seq k sits at
+// index k-1). Shards have independent sequence counters, so a cumulative ack
+// only means anything within its shard. What lies between lastAcked and the
+// end of the log is what the peer is owed; the link keeps no copy of it.
+type linkCursor struct {
 	lastAcked uint64 // peer's cumulative ack
 	maxSent   uint64 // highest seq ever written (retransmit accounting)
 }
 
-// pending returns the unacked updates.
-func (q *peerQueue) pending() []protoUpdate { return q.queue[q.head:] }
-
-// indexAfter returns the index in pending() of the first update with a seq
-// beyond seq (len(pending()) when there is none).
-func (q *peerQueue) indexAfter(seq uint64) int {
-	pending := q.pending()
-	if len(pending) == 0 || seq < pending[0].Seq {
-		return 0
+// cutBatch is the chunking rule, stated once: how many updates from the
+// head of run travel in one frame. At most limit, and no more than fit
+// sizeCap (callers pass MaxFrame-64) at a budget of payload plus 32 bytes of
+// generous varint headroom each — but always the first, so an oversized
+// single payload still travels (and fails the frame limit at write time,
+// exactly as it would unbatched).
+func cutBatch(run []protoUpdate, limit, sizeCap int) int {
+	size := 0
+	for i := range run {
+		cost := len(run[i].Payload) + 32
+		if i > 0 && (i >= limit || size+cost > sizeCap) {
+			return i
+		}
+		size += cost
 	}
-	if d := seq - pending[0].Seq + 1; d < uint64(len(pending)) {
-		return int(d)
-	}
-	return len(pending)
+	return len(run)
 }
 
 // peerSender owns this node's half of one replication link: the connection
-// it dials to a single peer and, per shard, the queue of updates that peer
-// has not yet acknowledged. It provides the reliable half of eventual
-// delivery (Definition 3): updates stay queued until cumulatively acked,
-// are retransmitted with exponential backoff while unacked, and survive
-// connection loss through a reconnect loop — the dial-side never gives up,
-// so any network that heals eventually delivers. All shards multiplex over
-// the one connection; every frame names its shard.
+// it dials to a single peer and, per shard, how far into the shard's own
+// log that peer has acknowledged. It provides the reliable half of eventual
+// delivery (Definition 3): the log keeps every update, so whatever lies
+// beyond the peer's cumulative ack is sent, retransmitted with exponential
+// backoff while unacked, and survives connection loss through a reconnect
+// loop — the dial-side never gives up, so any network that heals eventually
+// delivers. All shards multiplex over the one connection; every frame names
+// its shard.
 type peerSender struct {
 	node *Node
 	peer model.ReplicaID
 	addr string
 
 	mu      sync.Mutex
-	queues  []peerQueue // one per shard; index = shard
-	conn    net.Conn    // live connection, nil while dialing
-	failErr error       // terminal error, set once before failed flips
+	cursors []linkCursor // one per shard; index = shard
+	conn    net.Conn     // live connection, nil while dialing
+	failErr error        // terminal error, set once before failed flips
 
-	// failed latches a terminal sender condition: the queue head can never
+	// failed latches a terminal sender condition: the next update can never
 	// travel (an update over the frame limit fails EndFrame identically on
 	// every future connection), or the peer announced a different protocol
 	// version or shard count (no frame we send can ever be applied
@@ -75,7 +69,7 @@ type peerSender struct {
 	// Node.Stats counts failed links so the condition is observable.
 	failed atomic.Bool
 
-	kick chan struct{} // cap 1: new updates enqueued
+	kick chan struct{} // cap 1: the log grew
 	ackd chan struct{} // cap 1: ack progress observed
 	done chan struct{}
 	// closeOnce guards done: a sender can be closed from both node
@@ -89,124 +83,71 @@ type peerSender struct {
 	// goroutine touches it.
 	rng *rand.Rand
 
-	dials       atomic.Int64
-	reconnects  atomic.Int64
-	retransmits atomic.Int64
+	dials atomic.Int64 // beyond the first, each is a reconnect
 }
 
 func newPeerSender(n *Node, peer model.ReplicaID, addr string) *peerSender {
 	return &peerSender{
-		node:   n,
-		peer:   peer,
-		addr:   addr,
-		queues: make([]peerQueue, n.cfg.Shards),
-		kick:   make(chan struct{}, 1),
-		ackd:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		rng:    rand.New(rand.NewSource(gen.SplitSeed(gen.SplitSeed(n.cfg.Seed, int(n.cfg.ID)), int(peer)))),
+		node:    n,
+		peer:    peer,
+		addr:    addr,
+		cursors: make([]linkCursor, n.cfg.Shards),
+		kick:    make(chan struct{}, 1),
+		ackd:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		rng:     rand.New(rand.NewSource(gen.SplitSeed(gen.SplitSeed(n.cfg.Seed, int(n.cfg.ID)), int(peer)))),
 	}
 }
 
-// enqueue appends a freshly minted update to one shard's unacked queue and
-// nudges the writer. Called from that shard's event loop.
-func (p *peerSender) enqueue(shard int, u protoUpdate) {
-	p.mu.Lock()
-	p.queues[shard].queue = append(p.queues[shard].queue, u)
-	p.mu.Unlock()
+// nudge tells the sender a shard's log grew. The shard's loop calls it and
+// must never wait on a link: kick holds one pending nudge, and one is enough.
+func (p *peerSender) nudge() {
 	select {
 	case p.kick <- struct{}{}:
 	default:
 	}
 }
 
-// offerBacklog replaces one shard's queue wholesale with the shard's full
-// self-backlog: Connect's full-backlog offer. Updates the peer already
-// acknowledged are dropped on the way in. Called from the shard's event
-// loop with the backlog read in the same turn.
-func (p *peerSender) offerBacklog(shard int, backlog *seglog.Log[protoUpdate]) {
-	p.mu.Lock()
-	q := &p.queues[shard]
-	q.queue, q.head = q.queue[:0], 0
-	// backlog.At(i).Seq == i+1, so the unacked suffix starts at lastAcked.
-	n := backlog.Len()
-	for i := int(min(q.lastAcked, uint64(n))); i < n; {
-		c := backlog.Chunk(i, n)
-		q.queue = append(q.queue, c...)
-		i += len(c)
-	}
-	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
-// drained reports whether every enqueued update of every shard has been
-// acked — the per-link half of the quiescence condition (Definition 17).
+// drained reports whether the peer has acked every update of every shard's
+// own log — the per-link half of the quiescence condition (Definition 17).
 func (p *peerSender) drained() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.queues {
-		if len(p.queues[i].pending()) != 0 {
+	for si := range p.cursors {
+		if p.cursors[si].lastAcked < p.node.shards[si].logLen(p.node.cfg.ID) {
 			return false
 		}
 	}
 	return true
 }
 
-// ack applies a cumulative acknowledgement to one shard's queue, pruning
-// it. The acked slots are zeroed at once — a dead entry left in the backing
-// array would pin its payload for as long as the link lives — and the head
-// offset steps past them; the live tail is copied down only once the dead
-// prefix passes half the array, so draining a backlog of Q updates costs
-// O(Q) entry moves, not one copy of the remaining queue per ack.
+// ack applies a cumulative acknowledgement to one shard's cursor.
 func (p *peerSender) ack(shard int, cum uint64) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	q := &p.queues[shard]
-	if cum > q.lastAcked {
-		q.lastAcked = cum
-	}
-	n := q.indexAfter(q.lastAcked)
-	clear(q.queue[q.head : q.head+n])
-	q.head += n
-	switch {
-	case q.head == len(q.queue):
-		q.queue, q.head = q.queue[:0], 0
-	case q.head > cap(q.queue)/2:
-		m := copy(q.queue, q.queue[q.head:])
-		clear(q.queue[m:])
-		q.queue, q.head = q.queue[:m], 0
-	}
+	p.cursors[shard].lastAcked = max(p.cursors[shard].lastAcked, cum)
+	p.mu.Unlock()
 }
 
-// nextBatch appends to us[:0] up to max queued updates of one shard beyond
-// sent — the next frame's worth of work — and returns them plus how many
-// are retransmissions (already written on some connection). us is the
-// sender's own scratch, reused frame after frame. sizeCap bounds the summed
-// payload bytes so the batch fits the frame limit; the first update is
-// always taken, so an oversized single payload still travels (and fails the
-// frame limit at write time, exactly as it did unbatched).
-func (p *peerSender) nextBatch(shard int, sent uint64, max, sizeCap int, us []protoUpdate) (_ []protoUpdate, retransmits int64) {
+// nextBatch returns the next frame's worth of one shard's own updates after
+// seq sent — or after the peer's cumulative ack, when that is further — cut
+// by cutBatch, plus how many of them are retransmissions (already written on
+// some connection). The batch aliases the shard's log, so it may also end
+// early at a segment boundary; the next call picks up from there.
+func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q := &p.queues[shard]
-	us = us[:0]
-	size := 0
-	for _, u := range q.pending()[q.indexAfter(sent):] {
-		// Per-update budget: payload plus generous varint headroom.
-		cost := len(u.Payload) + 32
-		if len(us) > 0 && (len(us) >= max || size+cost > sizeCap) {
-			break
-		}
-		if u.Seq <= q.maxSent {
-			retransmits++
-		} else {
-			q.maxSent = u.Seq
-		}
-		size += cost
-		us = append(us, u)
+	c := &p.cursors[shard]
+	sent = max(sent, c.lastAcked)
+	us = p.node.shards[shard].logRun(p.node.cfg.ID, sent)
+	us = us[:cutBatch(us, limit, sizeCap)]
+	if len(us) == 0 {
+		return nil, 0
 	}
+	last := sent + uint64(len(us)) // the batch is seqs sent+1 … last
+	if c.maxSent > sent {
+		retransmits = int64(min(c.maxSent, last) - sent)
+	}
+	c.maxSent = max(c.maxSent, last)
 	return us, retransmits
 }
 
@@ -317,8 +258,7 @@ func (p *peerSender) dialAndServe() bool {
 		conn = cfg.Faults.WrapConn(conn, int(cfg.ID), int(p.peer))
 	}
 	if p.dials.Add(1) > 1 {
-		p.reconnects.Add(1)
-		cfg.Observer.AddReconnects(1)
+		p.node.reconnects.Add(1)
 	}
 	return p.serve(conn)
 }
@@ -326,7 +266,7 @@ func (p *peerSender) dialAndServe() bool {
 // serve drives one live connection: announce ourselves, wait for the peer's
 // hello ack, stream unacked updates in seq order (per shard), and
 // retransmit from the peer's cumulative acks when the retransmission timer
-// fires without progress. A fresh connection always rewinds each shard to
+// fires without progress. A fresh connection always starts each shard at
 // its lastAcked, so nothing sent only on a dead connection is lost. Nothing
 // is sent until the ack confirms the peer speaks our protocol version and
 // shard count; a mismatch latches the link failed. It reports whether the
@@ -379,16 +319,16 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				cfg.ID, p.peer, protoVersion, cfg.Shards, a.Version, len(a.Delivered)))
 			return
 		}
-		// The peer's delivered watermarks are pre-acks: they prune the
-		// full-backlog offer down to what the peer is missing before the
-		// first drain ships anything.
+		// The peer's delivered watermarks are pre-acks: a new link's cursors
+		// start at zero — the whole log is owed — and these move them to
+		// what the peer is missing before the first drain ships anything.
 		for si, d := range a.Delivered {
 			p.ack(si, d)
 		}
 		close(acked)
 		for next(tAck) {
 			shard, cum, err := decodeAck(&r)
-			if err != nil || shard >= uint64(len(p.queues)) {
+			if err != nil || shard >= uint64(len(p.cursors)) {
 				return
 			}
 			p.ack(int(shard), cum)
@@ -409,31 +349,21 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		return false
 	}
 
-	p.mu.Lock()
-	sent := make([]uint64, len(p.queues))
-	for i := range p.queues {
-		sent[i] = p.queues[i].lastAcked
-	}
-	p.mu.Unlock()
+	// sent[shard] is the last seq written on this connection. nextBatch never
+	// starts below the shard's lastAcked, so zero means "from there".
+	sent := make([]uint64, len(p.cursors))
 
 	rt := cfg.RetransmitMin
 	timer := time.NewTimer(rt)
 	defer timer.Stop()
-	var us []protoUpdate // nextBatch's scratch
 	for {
 		for si := range sent {
 			for {
-				// Headroom for the batch header and per-update varints;
-				// payload budgeting is in nextBatch.
-				var re int64
-				us, re = p.nextBatch(si, sent[si], batchMax, cfg.MaxFrame-64, us)
+				us, re := p.nextBatch(si, sent[si], batchMax, cfg.MaxFrame-64)
 				if len(us) == 0 {
 					break
 				}
-				if re > 0 {
-					p.retransmits.Add(re)
-					cfg.Observer.AddRetransmits(re)
-				}
+				p.node.retransmits.Add(re)
 				enc.Reset()
 				enc.BeginFrame()
 				appendBatch(enc, si, us[0].Origin, us)
@@ -482,23 +412,20 @@ func (p *peerSender) serve(conn net.Conn) bool {
 			// new update wait RetransmitMax for its first loss check.
 			rt = cfg.RetransmitMin
 		case <-p.ackd:
-			// Progress: prune happened in ack(); reset backoff.
+			// Progress: ack() moved a cursor; reset backoff.
 			rt = cfg.RetransmitMin
 		case <-timer.C:
 			p.mu.Lock()
 			outstanding := false
-			for si := range p.queues {
-				q := &p.queues[si]
-				if len(q.pending()) > 0 && sent[si] > q.lastAcked {
-					sent[si] = q.lastAcked // rewind: rewrite everything unacked
+			for si := range sent {
+				if acked := p.cursors[si].lastAcked; sent[si] > acked {
+					sent[si] = acked // rewind: rewrite everything unacked
 					outstanding = true
 				}
 			}
 			p.mu.Unlock()
 			if outstanding {
-				if rt *= 2; rt > cfg.RetransmitMax {
-					rt = cfg.RetransmitMax
-				}
+				rt = min(2*rt, cfg.RetransmitMax)
 			}
 		}
 	}

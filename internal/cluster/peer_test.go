@@ -2,14 +2,17 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/seglog"
 	"repro/internal/spec"
@@ -18,39 +21,6 @@ import (
 
 	_ "repro/internal/store/lww"
 )
-
-// TestAckPruneReleasesPayloads is the regression for the queue[1:] pruning
-// bug: re-slicing kept the backing array, whose dead head entries pinned
-// every acked payload for as long as the link lived. Pruning must zero the
-// acked slots so acked payloads become collectable.
-func TestAckPruneReleasesPayloads(t *testing.T) {
-	p := &peerSender{kick: make(chan struct{}, 1), queues: make([]peerQueue, 1)}
-	const n = 64
-	var finalized atomic.Int64
-	for i := 1; i <= n; i++ {
-		payload := make([]byte, 1024)
-		runtime.SetFinalizer(&payload[0], func(*byte) { finalized.Add(1) })
-		p.enqueue(0, protoUpdate{Origin: 0, Seq: uint64(i), Payload: payload})
-	}
-	p.ack(0, n-1) // everything but the newest update is acked
-
-	deadline := time.Now().Add(5 * time.Second)
-	for finalized.Load() < n-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d acked payloads became collectable — pruning pins the queue's backing array",
-				finalized.Load(), n-1)
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-
-	// The unacked tail must survive pruning intact.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if q := p.queues[0].pending(); len(q) != 1 || q[0].Seq != n || q[0].Payload == nil {
-		t.Fatalf("queue after prune = %+v, want the single unacked update", q)
-	}
-}
 
 // TestOversizedUpdateFailStopsLink is the regression for the reconnect hot
 // loop: an update over the frame limit fails EndFrame identically on every
@@ -291,18 +261,19 @@ func TestClientOpTimeout(t *testing.T) {
 	}
 }
 
-// refQueue is the peer queue as it was before it learnt that it is
-// seq-contiguous: nextBatch scans from the head past everything sent, ack
-// counts the acked prefix and copies the rest down. It is the reference the
-// indexed queue must match batch for batch.
+// refQueue is a replication link that keeps its own copy of what it owes:
+// a queue of the unacked updates, which nextBatch scans from the head past
+// everything sent and ack prunes by copying the rest down. It is the
+// reference the cursors over the shard's log must match batch for batch.
 type refQueue struct {
 	queue     []protoUpdate
 	lastAcked uint64
 	maxSent   uint64
 }
 
-func (q *refQueue) offerBacklog(us []protoUpdate) {
-	q.queue = q.queue[:0]
+// offer queues updates the shard minted, except what the peer has already
+// acknowledged.
+func (q *refQueue) offer(us ...protoUpdate) {
 	for _, u := range us {
 		if u.Seq > q.lastAcked {
 			q.queue = append(q.queue, u)
@@ -342,72 +313,127 @@ func (q *refQueue) nextBatch(sent uint64, max, sizeCap int) (us []protoUpdate, r
 	return us, retransmits
 }
 
-// TestPeerQueueMatchesScanningReference drives the indexed queue and the
-// scanning one through the same seeded schedule of what a link does —
-// enqueue, drain in batches, cumulative acks (stale, current, and beyond
-// anything sent), retransmission rewinds, reconnects, full-backlog offers —
-// and compares every batch, every retransmit count and the queue itself,
-// checking after each step the invariant the index arithmetic rests on:
-// the unacked updates are seq-contiguous.
-func TestPeerQueueMatchesScanningReference(t *testing.T) {
+// TestLinkCursorMatchesScanningReference drives a link's cursor over the
+// shard's log and the queueing reference through the same seeded schedule
+// of what a link does — the shard broadcasts, the sender drains in batches,
+// cumulative acks arrive (stale, current, and beyond anything sent), the
+// retransmission timer or a fresh connection rewinds, the link is dropped
+// and re-created (cursor zero, then the peer's hello-ack watermark) — over
+// more than two log segments, and compares every
+// batch, every retransmit count, both watermarks, and drained() against
+// "the reference queue is empty". A cursor batch aliases the log, so it also
+// stops at a segment boundary; there the reference is asked for exactly the
+// updates up to the boundary, which proves the cut falls nowhere else.
+func TestLinkCursorMatchesScanningReference(t *testing.T) {
+	var boundaryCuts, retransmits, drainedSteps, owingSteps int64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := &peerSender{kick: make(chan struct{}, 1), queues: make([]peerQueue, 1)}
-		q, ref := &p.queues[0], &refQueue{}
-		var backlog seglog.Log[protoUpdate] // the shard's updates[self]
-		var scratch []protoUpdate
-		sent := uint64(0) // the serve loop's cursor, shared: both must consume it alike
-		for step := 0; step < 3000; step++ {
+		s := looseShard(t, "lww")
+		self := s.n.cfg.ID
+		own := &s.updates[self]
+		p, ref := newPeerSender(s.n, 2, "unused"), &refQueue{}
+		sent := uint64(0) // the serve loop's position, shared: both must consume it alike
+		// Odd seeds broadcast faster than the sender drains, so batches are
+		// cut from deep inside the log; even seeds keep the link near drained.
+		broadcasts := 40 + 20*int(seed%2)
+		for step := 0; step < 6000; step++ {
 			switch r := rng.Intn(100); {
-			case r < 45: // the shard broadcasts
-				u := protoUpdate{Seq: uint64(backlog.Len()) + 1, Payload: make([]byte, rng.Intn(200))}
-				backlog.Append(u)
-				p.enqueue(0, u)
-				ref.queue = append(ref.queue, u)
-			case r < 75: // the sender drains one frame
-				max, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
-				want, wantRe := ref.nextBatch(sent, max, sizeCap)
-				var re int64
-				scratch, re = p.nextBatch(0, sent, max, sizeCap, scratch)
-				if re != wantRe || len(scratch) != len(want) {
-					t.Fatalf("seed %d step %d: batch of %d (%d retransmits), reference %d (%d)", seed, step, len(scratch), re, len(want), wantRe)
+			case r < broadcasts: // the shard broadcasts
+				u := protoUpdate{Origin: self, Seq: uint64(own.Len()) + 1, Payload: make([]byte, rng.Intn(200))}
+				if err := s.noteUpdate(u.Origin, u.Seq, u.Lamport, u.Payload); err != nil {
+					t.Fatal(err)
+				}
+				ref.offer(u)
+			case r < 85: // the sender drains one frame
+				limit, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
+				got, re := p.nextBatch(0, sent, limit, sizeCap)
+				refLimit := limit
+				if room := seglog.SegmentLen - int(max(sent, ref.lastAcked)%seglog.SegmentLen); room < limit {
+					refLimit = room
+				}
+				want, wantRe := ref.nextBatch(sent, refLimit, sizeCap)
+				if re != wantRe || len(got) != len(want) {
+					t.Fatalf("seed %d step %d: batch of %d (%d retransmits), reference %d (%d)", seed, step, len(got), re, len(want), wantRe)
 				}
 				for i := range want {
-					if scratch[i].Seq != want[i].Seq {
-						t.Fatalf("seed %d step %d: batch[%d] is seq %d, reference %d", seed, step, i, scratch[i].Seq, want[i].Seq)
+					if got[i].Seq != want[i].Seq {
+						t.Fatalf("seed %d step %d: batch[%d] is seq %d, reference %d", seed, step, i, got[i].Seq, want[i].Seq)
 					}
 				}
+				retransmits += re
 				if len(want) > 0 {
 					sent = want[len(want)-1].Seq
+					if len(want) == refLimit && refLimit < limit {
+						boundaryCuts++
+					}
 				}
-			case r < 90: // an ack arrives: behind, at, or (a confused peer) beyond what was sent
-				cum := uint64(rng.Int63n(int64(sent) + 3))
+			case r < 95: // an ack arrives: at what was sent, or behind it, or (a confused peer) beyond it
+				cum := sent
+				switch rng.Intn(4) {
+				case 0:
+					cum = uint64(rng.Int63n(int64(sent) + 1))
+				case 1:
+					cum += 1 + uint64(rng.Intn(2))
+				}
 				p.ack(0, cum)
 				ref.ack(cum)
-			case r < 96: // retransmission timer, or a fresh connection: rewind
+			case r < 98: // retransmission timer, or a fresh connection: rewind
 				sent = ref.lastAcked
-			default: // Connect's full-backlog offer, taken in the shard's turn
-				p.offerBacklog(0, &backlog)
-				ref.offerBacklog(backlog.AppendTo(nil))
+			default: // the link is dropped and re-created: it owes the whole log, less what the hello ack says the peer holds
+				held := ref.lastAcked
+				p, ref, sent = newPeerSender(s.n, 2, "unused"), &refQueue{}, 0
+				ref.offer(own.AppendTo(nil)...)
+				p.ack(0, held)
+				ref.ack(held)
 			}
-			pending := q.pending()
-			if q.lastAcked != ref.lastAcked || q.maxSent != ref.maxSent || len(pending) != len(ref.queue) {
-				t.Fatalf("seed %d step %d: lastAcked %d maxSent %d len %d, reference %d %d %d",
-					seed, step, q.lastAcked, q.maxSent, len(pending), ref.lastAcked, ref.maxSent, len(ref.queue))
+			if c := p.cursors[0]; c.lastAcked != ref.lastAcked || c.maxSent != ref.maxSent || p.drained() != (len(ref.queue) == 0) {
+				t.Fatalf("seed %d step %d: lastAcked %d maxSent %d drained %v over a log of %d, reference %d %d with %d queued",
+					seed, step, c.lastAcked, c.maxSent, p.drained(), own.Len(), ref.lastAcked, ref.maxSent, len(ref.queue))
 			}
-			for i, u := range pending {
-				if u.Seq != ref.queue[i].Seq || u.Seq != pending[0].Seq+uint64(i) {
-					t.Fatalf("seed %d step %d: queue[%d] is seq %d, reference %d, head %d", seed, step, i, u.Seq, ref.queue[i].Seq, pending[0].Seq)
-				}
+			if len(ref.queue) == 0 {
+				drainedSteps++
+			} else {
+				owingSteps++
 			}
-			for _, dead := range q.queue[:q.head] {
-				if dead.Payload != nil || dead.Seq != 0 {
-					t.Fatalf("seed %d step %d: acked slot still holds seq %d", seed, step, dead.Seq)
-				}
-			}
-			if q.head > cap(q.queue)/2 {
-				t.Fatalf("seed %d step %d: dead prefix %d of a %d-slot array was not reclaimed", seed, step, q.head, cap(q.queue))
-			}
+		}
+		if acked := p.cursors[0].lastAcked; acked <= 2*seglog.SegmentLen {
+			t.Fatalf("seed %d: the peer acked %d of %d updates, want more than two segments", seed, acked, own.Len())
+		}
+	}
+	if boundaryCuts == 0 || retransmits == 0 || drainedSteps == 0 || owingSteps == 0 {
+		t.Fatalf("the schedule missed a case: %d batches cut at a segment boundary, %d retransmits, %d steps drained, %d owing",
+			boundaryCuts, retransmits, drainedSteps, owingSteps)
+	}
+}
+
+// TestCutBatch pins the chunking rule every sender of updates shares.
+func TestCutBatch(t *testing.T) {
+	run := func(sizes ...int) []protoUpdate {
+		us := make([]protoUpdate, len(sizes))
+		for i, n := range sizes {
+			us[i].Payload = make([]byte, n)
+		}
+		return us
+	}
+	for _, tc := range []struct {
+		name           string
+		run            []protoUpdate
+		limit, sizeCap int
+		want           int
+	}{
+		{"empty run", nil, 64, 1000, 0},
+		{"whole run fits", run(10, 10, 10), 64, 1000, 3},
+		{"limit cuts", run(10, 10, 10, 10), 2, 1000, 2},
+		{"limit of one", run(10, 10), 1, 1000, 1},
+		{"size cap cuts before the update that overflows", run(68, 68, 68), 64, 250, 2},
+		{"size cap reached exactly", run(68, 68), 64, 200, 2},
+		{"each update is budgeted 32 bytes over its payload", run(0, 0, 0, 0), 64, 100, 3},
+		{"oversized first update travels alone", run(5000, 10), 64, 1000, 1},
+		{"oversized later update waits for its own frame", run(10, 5000, 10), 64, 1000, 1},
+		{"a lone oversized update is still taken", run(5000), 64, 1000, 1},
+	} {
+		if got := cutBatch(tc.run, tc.limit, tc.sizeCap); got != tc.want {
+			t.Errorf("%s: cutBatch(%d updates, limit %d, cap %d) = %d, want %d", tc.name, len(tc.run), tc.limit, tc.sizeCap, got, tc.want)
 		}
 	}
 }
@@ -642,5 +668,210 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 	}
 	if st := nd.Stats(); st.Receives != 1 {
 		t.Fatalf("node recorded %d receives, want only the dialer's own update", st.Receives)
+	}
+}
+
+// ackingPeer is the acceptor half of a replication link and nothing else: it
+// answers a hello with all-zero watermarks and every batch with the
+// cumulative ack of its last update, out of one reused buffer, so a test that
+// counts the process's allocations sees the node under test, not its peer.
+func ackingPeer(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var (
+					buf []byte
+					r   wire.Reader
+					us  []protoUpdate
+				)
+				w := wire.NewWriter()
+				for {
+					b, err := recvFrame(conn, wire.DefaultMaxFrame, &buf)
+					if err != nil {
+						return
+					}
+					r.Reset(b)
+					w.Reset()
+					w.BeginFrame()
+					switch r.Uvarint() {
+					case tHello:
+						appendHelloAck(w, []uint64{0})
+					case tBatch:
+						if _, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 {
+							return
+						}
+						appendAck(w, 0, us[len(us)-1].Seq)
+					default:
+						return
+					}
+					frame, err := w.EndFrame(wire.DefaultMaxFrame)
+					if err != nil {
+						return
+					}
+					if _, err := conn.Write(frame); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln
+}
+
+// TestDownPeerCostsNoLinkState: a link holds positions in the shard's log,
+// never updates, so a peer that is unreachable costs its sender nothing per
+// broadcast. 64 k writes at a node whose only peer is down allocate no more
+// than the same writes do when the peer is up and acking, and leave behind
+// what they do at a node with no link at all: the event history, the update
+// log and the store's own state, which the node holds regardless. A link
+// that queued what it owes would show up in both numbers — 48 B of update
+// header per broadcast retained, and two to three times that allocated by
+// the queue's growth.
+func TestDownPeerCostsNoLinkState(t *testing.T) {
+	const writes = 64 << 10
+	value := model.Write(benchValue)
+	measure := func(peer string) (allocated, retained float64) {
+		nd := bootNode(t, 0, 2, nil)
+		defer nd.Close()
+		if peer != "none" {
+			ln := ackingPeer(t)
+			if peer == "down" {
+				ln.Close() // the address now refuses connections
+			}
+			if err := nd.Connect(map[model.ReplicaID]string{1: ln.Addr().String()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Get past the logs' first segment, which still grows by doubling.
+		for i := 0; i < seglog.SegmentLen; i++ {
+			if _, err := nd.Do("k", value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < writes; i++ {
+			if _, err := nd.Do("k", value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if peer == "up" && !WaitQuiesced([]*Node{nd}, 30*time.Second) {
+			t.Fatalf("the acking peer never drained the link: %+v", nd.Stats())
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if st := nd.Stats(); st.Quiesced != (peer != "down") || st.Sends != writes+seglog.SegmentLen {
+			t.Fatalf("peer %s: %+v", peer, st)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / writes, (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / writes
+	}
+	upAlloc, _ := measure("up") // its retained bytes come and go with the pooled compressors
+	downAlloc, downKept := measure("down")
+	_, noneKept := measure("none")
+	t.Logf("per broadcast: %.1f B allocated with the peer up, %.1f B with it down; %.1f B retained with it down, %.1f B with no link",
+		upAlloc, downAlloc, downKept, noneKept)
+	// A queue's growth allocates 100 B and more per broadcast against roughly
+	// 1 100 B either way; the acking runs differ from each other by about 4%
+	// (batch compression, GC timing) and sit above the down one.
+	if downAlloc > 1.04*upAlloc {
+		t.Errorf("a broadcast allocates %.1f B with the peer down, %.1f B with it up", downAlloc, upAlloc)
+	}
+	// Neither of these nodes writes a frame, so what they keep is the same
+	// to the byte but for the down link's redials.
+	if downKept > 1.01*noneKept {
+		t.Errorf("a broadcast leaves %.1f B behind with the peer down, %.1f B with no link", downKept, noneKept)
+	}
+}
+
+// TestStatsMonotoneAcrossLeave: Retransmits and Reconnects count events in
+// the life of the node, not of its current links. They used to be summed
+// over the live senders, so a member leaving — which drops its link — took
+// the link's counts with it and the node's totals ran backwards.
+func TestStatsMonotoneAcrossLeave(t *testing.T) {
+	nodes := startCluster(t, "causal", 2)
+	r0, r1 := nodes[0], nodes[1]
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; r0 stats %+v", what, r0.Stats())
+			}
+		}
+	}
+	for i := int64(1); i <= 3; i++ {
+		if _, err := r0.Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("a live connection to break", func() bool { return r0.BreakConnections() == 1 })
+		waitFor("the redial", func() bool { return r0.Stats().Reconnects == i })
+	}
+	before := r0.Stats()
+	if err := r1.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("r0 to drop its link to the departed r1", func() bool { return len(r0.allPeers()) == 0 })
+	after := r0.Stats()
+	if before.Reconnects != 3 || after.Reconnects < before.Reconnects || after.Retransmits < before.Retransmits {
+		t.Fatalf("counters ran backwards across the leave: reconnects %d → %d, retransmits %d → %d",
+			before.Reconnects, after.Reconnects, before.Retransmits, after.Retransmits)
+	}
+}
+
+// TestConnectRacesClose: a link may be asked for — by Connect, or by the
+// membership view through ensureLinks — while the node closes. Either the
+// sender joins the node's WaitGroup before Close waits on it and is stopped
+// by that Close, or it is never started and the caller hears ErrClosed;
+// nothing panics, nothing keeps running, no link exists that Close did not
+// stop. Run under -race: the start used to be ordered against Close only
+// by the shard loops being alive.
+func TestConnectRacesClose(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		nd := bootNode(t, 0, 3, nil)
+		nd.view.Merge(membership.Member{ID: 2, Addr: "127.0.0.1:1"})
+		nd.dynamic.Store(true) // ensureLinks reconciles; no gossip loop is started
+		var connectErr error
+		racers := []func(){
+			func() { connectErr = nd.Connect(map[model.ReplicaID]string{1: "127.0.0.1:1"}) },
+			nd.ensureLinks,
+			func() { nd.Close() },
+		}
+		var wg sync.WaitGroup
+		for j := range racers {
+			race := racers[(i+j)%len(racers)] // whoever starts last tends to run first
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				race()
+			}()
+		}
+		wg.Wait()
+		if connectErr != nil && !errors.Is(connectErr, ErrClosed) {
+			t.Fatalf("round %d: Connect: %v", i, connectErr)
+		}
+		nd.peerMu.Lock()
+		if _, linked := nd.peers[1]; linked != (connectErr == nil) {
+			t.Fatalf("round %d: Connect returned %v, link to r1 exists: %v", i, connectErr, linked)
+		}
+		for id, p := range nd.peers {
+			select {
+			case <-p.done:
+			default:
+				t.Fatalf("round %d: the sender to r%d outlived Close", i, id)
+			}
+		}
+		nd.peerMu.Unlock()
+		nd.wg.Wait() // every sender that was started has exited
 	}
 }

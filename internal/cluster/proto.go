@@ -43,7 +43,7 @@ const (
 // format change bumps it.
 const protoVersion = 6
 
-// batchMax caps how many queued updates coalesce into one tBatch frame or
+// batchMax caps how many unacked updates coalesce into one tBatch frame or
 // one anti-entropy chunk.
 const batchMax = 64
 
@@ -86,8 +86,8 @@ func decodeHello(r *wire.Reader) (hello, error) {
 
 // helloAck carries a decoded tHelloAck: the acceptor's version and, per
 // shard (so as many as it has shards), its cumulative delivered count for
-// the dialer's origin — a pre-ack that prunes the dialer's full-backlog
-// offer down to what the acceptor lacks before the first send. Like hello,
+// the dialer's origin — a pre-ack that moves the dialer's cursor, zero on a
+// new link, to what the acceptor lacks before the first send. Like hello,
 // nothing past a foreign version is read.
 type helloAck struct {
 	Version   uint64

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/membership"
@@ -76,10 +77,8 @@ type shard struct {
 	closeJournal func() error
 
 	// State below is owned by this shard's event-loop goroutine.
-	lamport   uint64
-	seq       uint64   // this shard's broadcast sequence counter
-	delivered []uint64 // per-origin cumulative applied broadcast seq
-	frontier  []uint64 // per-origin visible store-dot prefix
+	lamport  uint64
+	frontier []uint64 // per-origin visible store-dot prefix
 	// lastFrontier is the frontier most recently recorded on a do event.
 	// Recorded frontiers are immutable, so consecutive do events that saw
 	// the same frontier share this one slice instead of cloning it each.
@@ -94,12 +93,16 @@ type shard struct {
 	// async Close is already underway. One shard failing to persist stops
 	// the whole node — shards share the fate of their disk.
 	jerr error
-	// updates indexes every broadcast update this shard holds, per origin in
-	// seq order (updates[o][i].Seq == i+1): its own live backlog — what
-	// Connect offers a new link — plus everything received, which is what
-	// anti-entropy range serving reads. Payloads are shared with the
-	// recorded events and immutable once appended. Loop-owned, and
-	// segmented for the same reason events is.
+	// updates holds every broadcast update this shard has, per origin in seq
+	// order (updates[o][i].Seq == i+1), so its length is the origin's
+	// watermark: the shard's own broadcast counter for the node itself, the
+	// cumulative applied seq for everyone else. It is the only copy of what
+	// replication moves — links send runs of updates[self] and keep
+	// positions in it, range serving reads the rest. Payloads are shared
+	// with the recorded events and immutable once appended. The loop is the
+	// only writer (noteUpdate) and reads it bare; every other goroutine
+	// reads through logLen and logRun, under logMu.
+	logMu   sync.RWMutex
 	updates []seglog.Log[protoUpdate]
 	// tree is the Merkle forest over updates, backing digest exchange with
 	// joiners. treeOwned means this shard appends each update's hash itself
@@ -123,7 +126,6 @@ func newShard(n *Node, idx int) *shard {
 		reportsVis: reportsVis,
 		checker:    store.NewPropertyChecker(replica),
 		calls:      make(chan loopCall),
-		delivered:  make([]uint64, n.cfg.N),
 		frontier:   make([]uint64, n.cfg.N),
 		updates:    make([]seglog.Log[protoUpdate], n.cfg.N),
 	}
@@ -244,29 +246,39 @@ func (s *shard) advanceFrontier() {
 }
 
 // broadcastPending drains the replica's outbox: each pending message
-// becomes one recorded send event and one update enqueued to every peer
-// link, tagged with this shard's index. Runs on the shard's event loop.
+// becomes one recorded send event and one update at the end of the shard's
+// own log, where every peer link finds it. Runs on the shard's event loop.
 func (s *shard) broadcastPending() {
-	for {
-		p := s.replica.PendingMessage()
-		if p == nil {
-			return
-		}
-		payload := append([]byte(nil), p...)
-		s.checker.OnSend()
-		s.seq++
-		s.lamport++
-		s.record(Event{
-			Kind: model.ActSend, Lamport: s.lamport,
-			Origin: s.n.cfg.ID, Seq: s.seq, Payload: payload,
-		})
+	minted := false
+	for s.mintSend() {
 		s.sends.Add(1)
-		s.noteUpdateInLoop(s.n.cfg.ID, s.seq, s.lamport, payload)
-		u := protoUpdate{Origin: s.n.cfg.ID, Seq: s.seq, Lamport: s.lamport, Payload: payload}
+		minted = true
+	}
+	if minted {
 		for _, ps := range s.n.allPeers() {
-			ps.enqueue(s.idx, u)
+			ps.nudge()
 		}
 	}
+}
+
+// mintSend turns the replica's next pending message, if it has one, into a
+// recorded send event and the next update of the shard's own log — in that
+// order, so no link can read an update record has not journaled.
+func (s *shard) mintSend() bool {
+	p := s.replica.PendingMessage()
+	if p == nil {
+		return false
+	}
+	payload := append([]byte(nil), p...)
+	s.checker.OnSend()
+	seq := uint64(s.updates[s.n.cfg.ID].Len()) + 1
+	s.lamport++
+	s.record(Event{
+		Kind: model.ActSend, Lamport: s.lamport,
+		Origin: s.n.cfg.ID, Seq: seq, Payload: payload,
+	})
+	s.noteUpdateInLoop(s.n.cfg.ID, seq, s.lamport, payload)
+	return true
 }
 
 // applyUpdate delivers one replication frame on the shard's event loop and
@@ -276,23 +288,21 @@ func (s *shard) broadcastPending() {
 // Exactly-once, in-order application falls out of the cumulative counter:
 // duplicates re-ack, gaps wait for retransmission to fill them.
 func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
-	next := s.delivered[u.Origin] + 1
+	log := &s.updates[u.Origin]
+	next := uint64(log.Len()) + 1
 	switch {
 	case u.Seq < next:
 		s.n.dupFrames.Add(1)
-		s.n.cfg.Observer.AddDupFrames(1)
 	case u.Seq > next:
 		s.n.gapFrames.Add(1)
-		s.n.cfg.Observer.AddGapFrames(1)
 	default:
 		// u.Payload aliases the receiving connection's frame buffer, which
 		// the next frame overwrites. The history-owned copy is made first
 		// and is the only slice anything below is shown, so whatever the
-		// store, the history, the update index or the journal retains, it
+		// store, the history, the update log or the journal retains, it
 		// is never connection memory.
 		payload := append([]byte(nil), u.Payload...)
 		s.checker.CheckReceive(payload)
-		s.delivered[u.Origin] = u.Seq
 		if u.Lamport > s.lamport {
 			s.lamport = u.Lamport
 		}
@@ -303,25 +313,64 @@ func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 			Payload: payload,
 		})
 		s.receives.Add(1)
-		s.n.cfg.Observer.AddShardReceives(s.idx, 1)
 		s.noteUpdateInLoop(u.Origin, u.Seq, u.Lamport, payload)
 		s.broadcastPending()
 	}
-	return s.delivered[u.Origin], s.jerr == nil
+	return uint64(log.Len()), s.jerr == nil
 }
 
-// noteUpdate indexes one broadcast update into the per-origin backlog and,
-// when this shard owns its Merkle forest, hashes it in — always in the
-// same turn the update's event is recorded, so backlog, forest, and
-// journal never disagree.
+// applyRun delivers a decoded, non-empty run of one origin's updates — a
+// tBatch frame, an anti-entropy range chunk — in one loop turn and returns
+// the origin's cumulative applied seq, how many of the run were new, and
+// whether the ack may be written (see applyUpdate; it stops at the first
+// update the journal refused).
+func (s *shard) applyRun(us []protoUpdate) (cum uint64, applied int64, ackable bool) {
+	log := &s.updates[us[0].Origin]
+	before := log.Len()
+	for _, u := range us {
+		if cum, ackable = s.applyUpdate(u); !ackable {
+			break
+		}
+	}
+	return cum, int64(log.Len() - before), ackable
+}
+
+// noteUpdate appends one broadcast update to its origin's log and, when
+// this shard owns its Merkle forest, hashes it in — always in the same turn
+// the update's event is recorded, and after it, so log, forest, and journal
+// never disagree and a reader of the log never runs ahead of the journal.
 func (s *shard) noteUpdate(origin model.ReplicaID, seq, lamport uint64, payload []byte) error {
+	s.logMu.Lock()
 	s.updates[origin].Append(protoUpdate{Origin: origin, Seq: seq, Lamport: lamport, Payload: payload})
+	s.logMu.Unlock()
 	if s.treeOwned {
 		if err := s.tree.Append(int(origin), seq, payload); err != nil {
 			return fmt.Errorf("cluster: r%d shard %d merkle append: %w", s.n.cfg.ID, s.idx, err)
 		}
 	}
 	return nil
+}
+
+// logLen returns how many of origin's updates the shard holds — origin's
+// watermark — from any goroutine.
+func (s *shard) logLen(origin model.ReplicaID) uint64 {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	return uint64(s.updates[origin].Len())
+}
+
+// logRun returns origin's updates after seq, from any goroutine: the longest
+// run of them that is contiguous in the log, so it ends with the log or at
+// a segment boundary. The run aliases the log (seglog.Log.Chunk), which is
+// safe to read without the lock: a later append never touches it.
+func (s *shard) logRun(origin model.ReplicaID, seq uint64) []protoUpdate {
+	s.logMu.RLock()
+	defer s.logMu.RUnlock()
+	log := &s.updates[origin]
+	if seq >= uint64(log.Len()) {
+		return nil
+	}
+	return log.Chunk(int(seq), log.Len())
 }
 
 // noteUpdateInLoop is noteUpdate for event-loop callers, latching a
@@ -353,7 +402,6 @@ func (s *shard) restore(h *History) error {
 				return fmt.Errorf("cluster: restored send event %d claims origin r%d", i, ev.Origin)
 			}
 			s.checker.OnSend()
-			s.seq = ev.Seq
 			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, append([]byte(nil), ev.Payload...)); err != nil {
 				return err
 			}
@@ -364,10 +412,8 @@ func (s *shard) restore(h *History) error {
 			if int(ev.Origin) < 0 || int(ev.Origin) >= s.n.cfg.N {
 				return fmt.Errorf("cluster: restored receive event %d has origin r%d outside cluster", i, ev.Origin)
 			}
-			payload := ev.Payload
-			s.checker.CheckReceive(payload)
-			s.delivered[ev.Origin] = ev.Seq
-			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, payload); err != nil {
+			s.checker.CheckReceive(ev.Payload)
+			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, ev.Payload); err != nil {
 				return err
 			}
 		default:
@@ -382,26 +428,11 @@ func (s *shard) restore(h *History) error {
 	}
 	// A message pending at crash time was never recorded as sent: mint its
 	// send event now (the history stays well-formed — the send follows
-	// every restored event) and add it to the live backlog. Minted events
+	// every restored event) at the end of the shard's own log. Minted events
 	// are new, so they go through record and reach the journal.
-	for {
-		p := s.replica.PendingMessage()
-		if p == nil {
-			break
-		}
-		payload := append([]byte(nil), p...)
-		s.checker.OnSend()
-		s.seq++
-		s.lamport++
-		s.record(Event{
-			Kind: model.ActSend, Lamport: s.lamport,
-			Origin: s.n.cfg.ID, Seq: s.seq, Payload: payload,
-		})
+	for s.mintSend() {
 		if s.jerr != nil {
 			return s.jerr
-		}
-		if err := s.noteUpdate(s.n.cfg.ID, s.seq, s.lamport, payload); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -33,12 +33,16 @@ var ErrNodeDown = fmt.Errorf("cluster: node is down (crashed by the fault schedu
 type Supervisor struct {
 	base  Config
 	em    *fault.Netem
+	obs   *fault.Observer // the directives applied; see Metrics
 	tick  time.Duration
 	addrs []string
 
-	mu       sync.Mutex
-	nodes    []*Node // nil while crashed or departed
-	left     []bool  // departed by a leave directive; a rejoin goroutine owns the slot
+	mu    sync.Mutex
+	nodes []*Node // nil while crashed or departed
+	left  []bool  // departed by a leave directive; a rejoin goroutine owns the slot
+	// retired sums the transport counters of the incarnations stopped so
+	// far, each one's final Stats.
+	retired  Stats
 	crashes  int
 	restarts int
 	leaves   int
@@ -103,6 +107,7 @@ func NewSupervisor(base Config, n int, em *fault.Netem, tick time.Duration) (*Su
 	s := &Supervisor{
 		base:  base,
 		em:    em,
+		obs:   fault.NewObserver(n),
 		tick:  tick,
 		nodes: make([]*Node, n),
 		left:  make([]bool, n),
@@ -194,6 +199,44 @@ func (s *Supervisor) Churn() (leaves, joins int) {
 	return s.leaves, s.joins
 }
 
+// retire stops an incarnation and keeps its transport counters: a closed
+// node's Stats are the final values of its lock-free counters. Called with
+// mu held.
+func (s *Supervisor) retire(nd *Node) {
+	nd.Close()
+	s.retired = addTransport(s.retired, nd.Stats())
+}
+
+// addTransport returns t with o's transport counters added.
+func addTransport(t, o Stats) Stats {
+	t.Retransmits += o.Retransmits
+	t.Reconnects += o.Reconnects
+	t.DupFrames += o.DupFrames
+	t.GapFrames += o.GapFrames
+	t.SyncPulled += o.SyncPulled
+	return t
+}
+
+// Metrics reports how much failure the run absorbed so far: the schedule's
+// footprint from the directives applied, and the recovery work of the TCP
+// transport summed over every incarnation of every node — those already
+// stopped and, read now, the live ones. The counters are each node's own
+// Stats, counted once, where the event happens.
+func (s *Supervisor) Metrics() fault.Metrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.retired
+	for _, nd := range s.nodes {
+		if nd != nil {
+			t = addTransport(t, nd.Stats())
+		}
+	}
+	m := s.obs.Metrics()
+	m.Retransmits, m.Reconnects = t.Retransmits, t.Reconnects
+	m.DupFrames, m.GapFrames, m.SyncUpdates = t.DupFrames, t.GapFrames, t.SyncPulled
+	return m
+}
+
 // Histories downloads every live node's recorded history (restored events
 // included). Call after the schedule completed, when every node is up.
 func (s *Supervisor) Histories() ([]History, error) {
@@ -240,12 +283,12 @@ func (s *Supervisor) RunSchedule(sched fault.Schedule) error {
 		firstErr = s.joinErr
 	}
 	s.mu.Unlock()
-	s.base.Observer.Finish(sched.Steps)
+	s.obs.Finish(sched.Steps)
 	return firstErr
 }
 
 func (s *Supervisor) apply(d fault.Directive) error {
-	s.base.Observer.Directive(d)
+	s.obs.Directive(d)
 	switch d.Kind {
 	case fault.KindCrash:
 		return s.crash(d.Node)
@@ -273,9 +316,9 @@ func (s *Supervisor) apply(d fault.Directive) error {
 }
 
 // crash fail-stops node i: what its storage journaled is the durable state
-// that survives; its sockets, queues, and connections die with it. Every
+// that survives; its sockets, cursors, and connections die with it. Every
 // event was journaled in the loop turn that recorded it, before its ack
-// left, so an update a sender pruned as acked is always in the log the
+// left, so an update a sender counts as acked is always in the log the
 // restart recovers — with two victims down at once, too.
 func (s *Supervisor) crash(i int) error {
 	s.mu.Lock()
@@ -286,7 +329,7 @@ func (s *Supervisor) crash(i int) error {
 	nd := s.nodes[i]
 	s.nodes[i] = nil
 	s.crashes++
-	nd.Close()
+	s.retire(nd)
 	return nil
 }
 
@@ -342,11 +385,11 @@ func (s *Supervisor) leave(i int) error {
 	s.nodes[i] = nil
 	s.left[i] = true
 	s.leaves++
-	if err := nd.Leave(); err != nil {
-		nd.Close()
+	err := nd.Leave()
+	s.retire(nd)
+	if err != nil {
 		return fmt.Errorf("cluster: leave node %d: %w", i, err)
 	}
-	nd.Close()
 	return nil
 }
 
@@ -413,14 +456,11 @@ func (s *Supervisor) restartAll() error {
 // Close shuts every live node down.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
-	nodes := append([]*Node(nil), s.nodes...)
-	for i := range s.nodes {
-		s.nodes[i] = nil
-	}
-	s.mu.Unlock()
-	for _, nd := range nodes {
+	defer s.mu.Unlock()
+	for i, nd := range s.nodes {
 		if nd != nil {
-			nd.Close()
+			s.nodes[i] = nil
+			s.retire(nd)
 		}
 	}
 }

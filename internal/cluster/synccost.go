@@ -9,8 +9,8 @@ import (
 // This file is the deterministic measurement surface behind cmd/loadgen
 // -syncbench, companion to benchwire.go: the cost of a Merkle anti-entropy
 // catch-up is a pure function of the donor's log and the joiner's prefix,
-// so it is computed on the encode paths alone — the same appenders and the
-// same chunking rule serveRange and pullRange use — with no sockets or
+// so it is computed on the encode paths alone — the same appenders
+// serveRange and pullRange use and the same cutBatch — with no sockets or
 // timers. The tracked BENCH_SYNC.json must be byte-identical across runs
 // of the same flags and seed.
 
@@ -57,9 +57,9 @@ func frameLen(build func(*wire.Writer)) int64 {
 	return int64(len(w.Bytes())) + syncFrameHeader
 }
 
-// rangeCost models serveRange's chunking exactly: chunks of up to chunkMax
-// updates, each capped at MaxFrame-64 bytes of payload cost (payload+32
-// per update), one tRangeReq ahead and one tAck behind every tRangeResp.
+// rangeCost is what serveRange puts on the wire for us[from:]: chunks cut by
+// cutBatch (up to chunkMax updates within maxFrame), one tRangeReq ahead and
+// one tAck behind every tRangeResp.
 func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chunks, bytes int64) {
 	if from >= len(us) {
 		return 0, 0, 0
@@ -67,23 +67,13 @@ func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chun
 	bytes += frameLen(func(w *wire.Writer) {
 		appendRangeReq(w, 0, uint64(from), uint64(len(us)-from), 1)
 	})
-	idx := from
-	for idx < len(us) {
-		size := 0
-		chunk := []protoUpdate(nil)
-		for i := idx; i < len(us); i++ {
-			cost := len(us[i].Payload) + 32
-			if len(chunk) > 0 && (len(chunk) >= chunkMax || size+cost > maxFrame-64) {
-				break
-			}
-			size += cost
-			chunk = append(chunk, us[i])
-		}
+	for rest := us[from:]; len(rest) > 0; {
+		chunk := rest[:cutBatch(rest, chunkMax, maxFrame-64)]
 		bytes += frameLen(func(w *wire.Writer) { appendRangeResp(w, 0, chunk) })
 		bytes += frameLen(func(w *wire.Writer) { appendAck(w, 0, chunk[len(chunk)-1].Seq) })
 		pulled += int64(len(chunk))
 		chunks++
-		idx += len(chunk)
+		rest = rest[len(chunk):]
 	}
 	return pulled, chunks, bytes
 }

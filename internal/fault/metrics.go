@@ -8,9 +8,10 @@ import "sync"
 // run) and what the engines did to survive it (suppressed deliveries,
 // duplicated copies, retransmissions, reconnects, dup/gap frames, and the
 // work left to reach quiescence). The simulator fills the logical
-// counters; the TCP cluster fills the transport counters; both report
-// through the same Observer so a schedule's footprint is comparable across
-// engines.
+// counters through an Observer; the TCP cluster's Supervisor reports its
+// directives through one too and fills the transport counters from its
+// nodes' own Stats (cluster.Supervisor.Metrics) — so a schedule's
+// footprint is comparable across engines.
 type Metrics struct {
 	// Downtime is the per-node crashed duration in schedule steps.
 	Downtime []int64 `json:"downtime"`
@@ -46,10 +47,6 @@ type Metrics struct {
 	Leaves      int64 `json:"leaves,omitempty"`
 	Joins       int64 `json:"joins,omitempty"`
 	SyncUpdates int64 `json:"sync_updates,omitempty"`
-	// ShardReceives counts remote updates applied per shard on sharded
-	// nodes (index = shard). Nil on single-shard runs, so existing metrics
-	// files are unchanged byte for byte.
-	ShardReceives []int64 `json:"shard_receives,omitempty"`
 }
 
 // TotalDowntime sums the per-node downtime.
@@ -63,8 +60,8 @@ func (m Metrics) TotalDowntime() int64 {
 
 // Observer collects Metrics for one run. Directives report through
 // Directive (window spans are computed from directive steps, so the
-// schedule-shaped metrics are deterministic), engines report through the
-// Add/Observe counters. All methods are safe for concurrent use and are
+// schedule-shaped metrics are deterministic), the simulator reports through
+// the Add/Observe counters. All methods are safe for concurrent use and are
 // no-ops on a nil observer, so engines thread an optional *Observer
 // without guarding every call site.
 type Observer struct {
@@ -206,34 +203,9 @@ func (o *Observer) AddBlocked(n int64) { o.add(func(m *Metrics) { m.Blocked += n
 // AddDupCopies counts extra broadcast copies created by dup windows.
 func (o *Observer) AddDupCopies(n int64) { o.add(func(m *Metrics) { m.DupCopies += n }) }
 
-// AddRetransmits counts update retransmissions on the TCP transport.
-func (o *Observer) AddRetransmits(n int64) { o.add(func(m *Metrics) { m.Retransmits += n }) }
-
-// AddReconnects counts replication-link reconnections.
-func (o *Observer) AddReconnects(n int64) { o.add(func(m *Metrics) { m.Reconnects += n }) }
-
-// AddDupFrames counts duplicate frames deduplicated by a receiver.
-func (o *Observer) AddDupFrames(n int64) { o.add(func(m *Metrics) { m.DupFrames += n }) }
-
-// AddGapFrames counts out-of-order frames a receiver had to wait out.
-func (o *Observer) AddGapFrames(n int64) { o.add(func(m *Metrics) { m.GapFrames += n }) }
-
-// AddSyncUpdates counts updates shipped by anti-entropy catch-up after a
-// join (the simulator counts requeued backlog, the TCP cluster counts
-// range-pulled updates).
+// AddSyncUpdates counts the backlog the simulator requeues for a joiner
+// (the TCP cluster's counterpart is its nodes' range-pulled updates).
 func (o *Observer) AddSyncUpdates(n int64) { o.add(func(m *Metrics) { m.SyncUpdates += n }) }
-
-// AddShardReceives counts remote updates a sharded node applied on one
-// shard. The slice grows on demand so the observer needs no shard count up
-// front (single-shard runs never call this and keep a nil slice).
-func (o *Observer) AddShardReceives(shard int, n int64) {
-	o.add(func(m *Metrics) {
-		for len(m.ShardReceives) <= shard {
-			m.ShardReceives = append(m.ShardReceives, 0)
-		}
-		m.ShardReceives[shard] += n
-	})
-}
 
 // ObserveQuiesce records the convergence-latency measure: how many rounds
 // and deliveries draining the run took.
@@ -265,8 +237,5 @@ func (o *Observer) Metrics() Metrics {
 	defer o.mu.Unlock()
 	m := o.m
 	m.Downtime = append([]int64(nil), o.m.Downtime...)
-	if o.m.ShardReceives != nil {
-		m.ShardReceives = append([]int64(nil), o.m.ShardReceives...)
-	}
 	return m
 }

@@ -155,10 +155,7 @@ func TestObserverSpans(t *testing.T) {
 	o.Directive(Directive{Step: 9, Kind: KindHeal})
 	o.AddBlocked(3)
 	o.AddDupCopies(2)
-	o.AddRetransmits(5)
-	o.AddReconnects(1)
-	o.AddDupFrames(4)
-	o.AddGapFrames(6)
+	o.AddSyncUpdates(5)
 	o.ObserveQuiesce(4, 17)
 	o.SetViolations(1)
 	o.Finish(10)
@@ -169,8 +166,7 @@ func TestObserverSpans(t *testing.T) {
 		PartitionSpan: 6,
 		LinkFaultSpan: 6, // cut 1..4 plus delay 5..8
 		Blocked:       3, DupCopies: 2,
-		Retransmits: 5, Reconnects: 1,
-		DupFrames: 4, GapFrames: 6,
+		SyncUpdates:   5,
 		QuiesceRounds: 4, QuiesceDeliveries: 17,
 		Violations: 1,
 	}
