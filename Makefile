@@ -10,8 +10,10 @@ test:
 
 # The PR gate: static checks plus the full suite under the race detector,
 # which exercises the parallel explorer, the sharded visited-set, and the
-# sweep/batch cell runners under contention.
+# sweep/batch cell runners under contention. gofmt -l prints the files it
+# would rewrite; any name fails the gate.
 verify:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -81,6 +83,9 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeEventBinary -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeDigest -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecompressFrame -fuzztime 10s
+	$(GO) test ./internal/store/causal -run '^$$' -fuzz FuzzReceive -fuzztime 10s
+	$(GO) test ./internal/store/gsp -run '^$$' -fuzz FuzzReceive -fuzztime 10s
+	$(GO) test ./internal/store/statesync -run '^$$' -fuzz FuzzReceive -fuzztime 10s
 
 # The durability battery: the on-disk journal's torn-tail/torn-seal
 # regression suite, the disk-backed supervisor and chaos runs, and the

@@ -183,3 +183,30 @@ func BenchmarkNextBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHistorySnapshot is History() behind 64 k events, in its two
+// parts: what the shard's loop does (copy the block table) and what the
+// caller's goroutine does afterwards (decode every event).
+func BenchmarkHistorySnapshot(b *testing.B) {
+	s := looseShard(b, "lww")
+	for i := 0; i < 64<<10; i++ {
+		recordStep(b, s, i, []byte(benchValue))
+	}
+	var h encodedHistory
+	b.Run("loop-turn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h = s.events.snapshot(History{})
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		h = s.events.snapshot(History{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got, err := h.decode(); err != nil || len(got.Events) != 64<<10 {
+				b.Fatalf("decoded %d events, err %v", len(got.Events), err)
+			}
+		}
+	})
+}

@@ -89,14 +89,19 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 
 // EncodeHistoryFrame measures one history reply (tHistoryResp) holding the
 // given events, as encoded or as sent — the client-download path's bulk
-// frame. Returns the frame's wire length, header included.
+// frame, built the way a node builds it: the events recorded into a log, the
+// log's blocks framed. Returns the frame's wire length, header included.
 func EncodeHistoryFrame(events []Event, compress bool) (int64, error) {
+	var log eventLog
+	for _, ev := range events {
+		if _, err := log.append(ev); err != nil {
+			return 0, err
+		}
+	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.Uvarint(tHistoryResp)
-	if err := appendHistory(w, History{Node: 0, N: 1, Store: "bench", Events: events}); err != nil {
-		return 0, err
-	}
+	log.snapshot(History{Node: 0, N: 1, Store: "bench"}).appendTo(w)
 	return wireLen(w, compress), nil
 }
 

@@ -20,10 +20,14 @@ type Client struct {
 	maxFrame  int
 	nextReq   uint64
 	opTimeout time.Duration
-	// buf receives Do's replies, one after another (decodeResponse copies
-	// the values out). Stats and History replies get a buffer per call: a
-	// history transfer can run to historyMaxFrame, too much to keep. r is
-	// the reader roundTrip hands back, reused the same way.
+	// req holds the request being sent, built behind its frame header so it
+	// leaves in one conn.Write (the shape of the node's writeEnc), and is
+	// reused for the next. buf receives Do's replies, one after another
+	// (decodeResponse copies the values out). Stats and History replies get
+	// a buffer per call: a history transfer can run to historyMaxFrame, too
+	// much to keep. r is the reader roundTrip hands back, reused the same
+	// way.
+	req *wire.Writer
 	buf []byte
 	r   wire.Reader
 }
@@ -37,7 +41,11 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame}, nil
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame, req: wire.NewWriter()}
 }
 
 // SetOpTimeout bounds each subsequent operation's full round trip (write
@@ -59,16 +67,29 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip writes one frame and reads one reply of type want, returning the
-// reply's reader positioned after the type tag. The reply is read into buf
-// (see recvFrame; nil for a buffer of its own); the reader is the client's
-// own, good until the next roundTrip.
-func (c *Client) roundTrip(req []byte, replyMax int, buf *[]byte, want uint64) (*wire.Reader, error) {
+// request opens the next request's frame in the client's writer; the caller
+// encodes the request into it and then calls roundTrip.
+func (c *Client) request() *wire.Writer {
+	c.req.Reset()
+	c.req.BeginFrame()
+	return c.req
+}
+
+// roundTrip sends the request encoded since request() — the client's single
+// send exit: one frame, one conn.Write — and reads one reply of type want,
+// returning the reply's reader positioned after the type tag. The reply is
+// read into buf (see recvFrame; nil for a buffer of its own); the reader is
+// the client's own, good until the next roundTrip.
+func (c *Client) roundTrip(replyMax int, buf *[]byte, want uint64) (*wire.Reader, error) {
 	if c.opTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if _, err := wire.WriteFrame(c.conn, req, c.maxFrame); err != nil {
+	frame, err := c.req.EndFrame(c.maxFrame)
+	if err == nil {
+		_, err = c.conn.Write(frame)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("cluster: client write: %w", err)
 	}
 	b, err := recvFrame(c.conn, replyMax, buf)
@@ -89,7 +110,8 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 	defer c.mu.Unlock()
 	c.nextReq++
 	id := c.nextReq
-	r, err := c.roundTrip(encodeRequest(id, obj, op), c.maxFrame, &c.buf, tResponse)
+	appendRequest(c.request(), id, obj, op)
+	r, err := c.roundTrip(c.maxFrame, &c.buf, tResponse)
 	if err != nil {
 		return model.Response{}, err
 	}
@@ -107,7 +129,8 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 func (c *Client) Stats() (Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, err := c.roundTrip([]byte{tStats}, c.maxFrame, nil, tStatsResp)
+	c.request().Uvarint(tStats)
+	r, err := c.roundTrip(c.maxFrame, nil, tStatsResp)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -128,7 +151,8 @@ func (c *Client) History() (History, error) {
 func (c *Client) ShardHistory(shard int) (History, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, err := c.roundTrip(encodeHistoryReq(shard), historyMaxFrame, nil, tHistoryResp)
+	appendHistoryReq(c.request(), shard)
+	r, err := c.roundTrip(historyMaxFrame, nil, tHistoryResp)
 	if err != nil {
 		return History{}, err
 	}

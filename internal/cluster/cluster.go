@@ -23,14 +23,18 @@
 //     proto_member.go, compress.go), replication links and their cursors,
 //     the per-shard event loops, recorded histories and update logs,
 //     membership over connections, and the NodeStorage seam durable state
-//     enters through.
+//     enters through. The history is held in its codec form (eventlog.go);
+//     Event is the decoded view handed to journals, taps and auditors.
 //   - MUST NOT: marshal JSON (the struct tags on Event, History and Stats
 //     serve the admin endpoint in cmd/served; wire and journal are binary),
 //     open a file, or keep a second way to do what a frame, a Config field
 //     or a code path here already does — a format change bumps
 //     protoVersion, it does not add a branch. A link holds positions, never
 //     updates: shard.updates is the only copy of what is sent, served and
-//     counted, and the chunking rule lives in cutBatch only.
+//     counted, and the chunking rule lives in cutBatch only. A payload has
+//     one home, its record in the history: the update log, the forest, the
+//     journal and the store are shown that slice, never a second copy, and
+//     never connection memory or a store's outbox.
 //   - MUST NOT import: internal/durable (it imports this package for Event
 //     and NodeStorage), cmd/..., or the simulator.
 package cluster
@@ -628,7 +632,7 @@ func (n *Node) Stats() Stats {
 			s.Ops += ops
 			s.Sends += sends
 			s.Receives += receives
-			s.Events += int64(sh.events.Len())
+			s.Events += int64(sh.events.len())
 			s.Violations += len(sh.checker.Violations())
 			if sh.replica.PendingMessage() != nil {
 				quiesced = false
@@ -637,7 +641,7 @@ func (n *Node) Stats() Stats {
 				s.ShardOps[i] = ops
 				s.ShardSends[i] = sends
 				s.ShardReceives[i] = receives
-				s.ShardEvents[i] = int64(sh.events.Len())
+				s.ShardEvents[i] = int64(sh.events.len())
 			}
 		})
 		if err != nil {
@@ -972,14 +976,12 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 		// A node that is closing has no history to give: hang up, like
 		// every other failed request, rather than reply with an empty one
 		// an auditor would merge as "this node did nothing".
-		hist, err := n.shards[shard].history()
+		hist, err := n.shards[shard].snapshot()
 		if err != nil {
 			return false
 		}
 		w.Uvarint(tHistoryResp)
-		if appendHistory(w, hist) != nil {
-			return false
-		}
+		hist.appendTo(w)
 	default:
 		return false
 	}

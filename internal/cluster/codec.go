@@ -125,7 +125,9 @@ func DecodeEventBinary(r *wire.Reader) (Event, error) {
 		ev.Origin = model.ReplicaID(r.Uvarint())
 		ev.Seq = r.Uvarint()
 		if r.Uvarint() == 1 {
-			ev.Payload = append([]byte(nil), r.Bytes()...)
+			// Present stays non-nil even when empty: an empty message is a
+			// message, and restore tells the two apart.
+			ev.Payload = append([]byte{}, r.Bytes()...)
 		}
 	default:
 		if err := r.Err(); err != nil {
@@ -136,24 +138,8 @@ func DecodeEventBinary(r *wire.Reader) (Event, error) {
 	return ev, r.Err()
 }
 
-// appendHistory appends a history's binary encoding: identity, then the
-// event count, then each event, then the shard identity.
-func appendHistory(w *wire.Writer, h History) error {
-	w.Uvarint(uint64(h.Node))
-	w.Uvarint(uint64(h.N))
-	w.String(h.Store)
-	w.Uvarint(uint64(len(h.Events)))
-	for _, ev := range h.Events {
-		if err := AppendEventBinary(w, ev); err != nil {
-			return err
-		}
-	}
-	w.Uvarint(uint64(h.Shard))
-	w.Uvarint(uint64(h.Shards))
-	return nil
-}
-
-// decodeHistory decodes one history encoded by appendHistory.
+// decodeHistory decodes one history: identity, then the event count, then
+// each event, then the shard identity (encodedHistory.appendTo writes it).
 func decodeHistory(r *wire.Reader) (History, error) {
 	var h History
 	h.Node = model.ReplicaID(r.Uvarint())

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -28,6 +29,10 @@ func looseShard(tb testing.TB, storeName string) *shard {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return looseShardOf(tb, st)
+}
+
+func looseShardOf(tb testing.TB, st store.Store) *shard {
 	n := &Node{
 		cfg:    Config{ID: 1, N: 3, Store: st}.withDefaults(),
 		router: NewShardRouter(1),
@@ -50,7 +55,8 @@ func allocBytes(fn func()) float64 {
 
 // recordStep records the i-th event of a synthetic history on a loose
 // shard: one do event in three, the rest receives — which also index an
-// update and hash it into the forest, as applyUpdate does.
+// update and hash it into the forest, as applyUpdate does, from the payload
+// record returns.
 func recordStep(tb testing.TB, s *shard, i int, payload []byte) {
 	origin := model.ReplicaID(i % 3)
 	if origin == 0 {
@@ -58,24 +64,28 @@ func recordStep(tb testing.TB, s *shard, i int, payload []byte) {
 		return
 	}
 	seq := uint64(s.updates[origin].Len()) + 1
-	s.record(Event{Kind: model.ActReceive, Lamport: uint64(i), Origin: origin, Seq: seq, Payload: payload})
-	if err := s.noteUpdate(origin, seq, uint64(i), payload); err != nil {
+	kept := s.record(Event{Kind: model.ActReceive, Lamport: uint64(i), Origin: origin, Seq: seq, Payload: payload})
+	if err := s.noteUpdate(origin, seq, uint64(i), kept); err != nil {
 		tb.Fatal(err)
 	}
 }
 
-// recordStepBytes is what one recordStep leaves behind on average: its
-// event, and for two steps in three an indexed update and its hash.
-const recordStepBytes = float64(unsafe.Sizeof(Event{})) +
-	2.0/3.0*float64(unsafe.Sizeof(protoUpdate{})+unsafe.Sizeof(membership.Hash{}))
+// encodedBytes is how many bytes of records the shard's history holds.
+func encodedBytes(s *shard) (n int) {
+	blocks, _ := s.events.recs.Snapshot()
+	for _, b := range blocks {
+		n += len(b)
+	}
+	return n
+}
 
 // TestRecordCostIndependentOfHistory is the RAM companion of durable's
 // TestAppendCostIndependentOfHistory. Recording 256 k events allocates
-// within 1.5× of what the events, updates and hashes occupy — an
-// append-doubled slice reads ≈5× — and no burst of 256 calls allocates more
-// than a segment for each log it appends to, where one unlucky append to a
-// slice that long allocates, and copies, tens of megabytes on the event
-// loop.
+// within 1.25× of what their encoded records, updates and hashes occupy —
+// an append-doubled slice reads ≈5× — and no burst of 256 calls allocates
+// more than a block of records plus a segment for each other log it appends
+// to, where one unlucky append to a slice that long allocates, and copies,
+// tens of megabytes on the event loop.
 func TestRecordCostIndependentOfHistory(t *testing.T) {
 	const total, burst = 256 << 10, 256
 	s := looseShard(t, "lww")
@@ -90,18 +100,20 @@ func TestRecordCostIndependentOfHistory(t *testing.T) {
 		sum += b
 		worst = max(worst, b)
 	}
-	if got := s.events.Len(); got != total {
+	if got := s.events.len(); got != total {
 		t.Fatalf("recorded %d events, want %d", got, total)
 	}
-	if occupied := total * recordStepBytes; sum > 1.5*occupied {
+	updates := s.updates[1].Len() + s.updates[2].Len()
+	occupied := float64(encodedBytes(s)) + float64(updates)*float64(unsafe.Sizeof(protoUpdate{})+unsafe.Sizeof(membership.Hash{}))
+	if sum > 1.25*occupied {
 		t.Errorf("recording %d events allocated %.0f B, %.2f× the %.0f B they occupy", total, sum, sum/occupied, occupied)
 	}
-	// The two origins advance in lockstep here, so every log's segment
-	// boundary can fall in one burst: the event log's, and per origin the
-	// update log's, the hash log's and those of a few node-cache levels.
+	// The two origins advance in lockstep here, so every log's boundary can
+	// fall in one burst: the history's block, and per origin a segment of
+	// the update log, of the hash log and of a few node-cache levels.
 	perOrigin := unsafe.Sizeof(protoUpdate{}) + 4*unsafe.Sizeof(membership.Hash{})
-	if limit := float64(seglog.SegmentLen * (unsafe.Sizeof(Event{}) + 2*perOrigin)); worst > limit {
-		t.Errorf("one burst of %d calls allocated %.0f B, more than a segment per log (%.0f B)", burst, worst, limit)
+	if limit := float64(seglog.BlockSize + seglog.SegmentLen*2*perOrigin); worst > limit {
+		t.Errorf("one burst of %d calls allocated %.0f B, more than a block and a segment per other log (%.0f B)", burst, worst, limit)
 	}
 }
 
@@ -142,7 +154,8 @@ func readNodeAndTwin(t *testing.T) (*Node, *store.PropertyChecker) {
 
 // TestServedReadAllocatesItsEventOnly: what serving a read costs on top of
 // the store's own work — routing, the loop hand-off, recording the event,
-// encoding the reply — allocates the event's storage and nothing else.
+// encoding the reply — allocates the event's encoded record and nothing
+// else.
 func TestServedReadAllocatesItsEventOnly(t *testing.T) {
 	const reads = 4 * seglog.SegmentLen
 	nd, checker := readNodeAndTwin(t)
@@ -163,9 +176,7 @@ func TestServedReadAllocatesItsEventOnly(t *testing.T) {
 		appendResponse(w, 7, resp)
 	}
 	// Warm the writer's buffer and the shared frontier, and get past the
-	// history's first segment, which is still growing by doubling; after
-	// it, a whole number of segments' worth of reads allocates exactly
-	// that many segments.
+	// history's first blocks, which are still growing by doubling.
 	for i := 0; i < seglog.SegmentLen; i++ {
 		serve()
 	}
@@ -174,10 +185,18 @@ func TestServedReadAllocatesItsEventOnly(t *testing.T) {
 			serve()
 		}
 	}) / reads
-	// 8 B of slack covers the segment table and a stray runtime allocation.
-	if limit := storeBytes + float64(unsafe.Sizeof(Event{})) + 8; served > limit {
-		t.Fatalf("a served read allocates %.1f B: the store's own %.1f B + the %d B event + %.1f B nobody owns",
-			served, storeBytes, unsafe.Sizeof(Event{}), served-limit+8)
+	// The last read's record is the longest (its Lamport time is). The
+	// slack covers the one block more or less that can start inside the
+	// measured reads, the block table and a stray runtime allocation.
+	evs := nd.History().Events
+	rec := wire.NewWriter()
+	if err := AppendEventBinary(rec, evs[len(evs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	const slack = seglog.BlockSize/reads + 8
+	if limit := storeBytes + float64(rec.Len()) + slack; served > limit {
+		t.Fatalf("a served read allocates %.1f B: the store's own %.1f B + the %d B record + %.1f B nobody owns",
+			served, storeBytes, rec.Len(), served-limit+slack)
 	}
 }
 
@@ -235,6 +254,70 @@ func TestReadOverTCPAllocatesOnlyWhatItKeeps(t *testing.T) {
 	if got := testing.AllocsPerRun(2000, read); got > storeAllocs+keyString {
 		t.Fatalf("a read over TCP allocates %.0f times on the node; the store's response accounts for %.0f and the key string for %d",
 			got, storeAllocs, keyString)
+	}
+}
+
+// answeringConn is the client's end of a connection whose node is a
+// function: every Write is counted, must be one whole request frame, and is
+// answered OK; the Reads that follow drain the answer. Nothing here
+// allocates once reply has grown, so what a Do through it allocates is the
+// client's.
+type answeringConn struct {
+	net.Conn // nil: the client calls Write and Read only
+	writes   int
+	bad      error
+	req      wire.Reader
+	reply    *wire.Writer
+	unread   []byte
+}
+
+func (c *answeringConn) Write(p []byte) (int, error) {
+	c.writes++
+	if len(p) < 4 || int(binary.BigEndian.Uint32(p)) != len(p)-4 {
+		c.bad = fmt.Errorf("write %d is %d bytes: not one whole frame", c.writes, len(p))
+		return 0, c.bad
+	}
+	c.req.Reset(p[4:])
+	if typ := c.req.Uvarint(); typ != tRequest {
+		c.bad = fmt.Errorf("write %d is a frame of type %d, want a request", c.writes, typ)
+		return 0, c.bad
+	}
+	c.reply.Reset()
+	c.reply.BeginFrame()
+	appendResponse(c.reply, c.req.Uvarint(), model.OKResponse())
+	c.unread, c.bad = c.reply.EndFrame(0)
+	return len(p), c.bad
+}
+
+func (c *answeringConn) Read(p []byte) (int, error) {
+	if len(c.unread) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.unread)
+	c.unread = c.unread[n:]
+	return n, nil
+}
+
+// TestClientRequestIsOneWrite: a request leaves the client the way a reply
+// leaves the node — header and payload in one Write, built in a buffer the
+// client keeps — so the node is never woken for four bytes, and a Do that
+// gets a value-less answer allocates nothing.
+func TestClientRequestIsOneWrite(t *testing.T) {
+	conn := &answeringConn{reply: wire.NewWriter()}
+	c := newClient(conn)
+	do := func() {
+		if resp, err := c.Do("some-key", model.Write(benchValue)); err != nil || !resp.OK {
+			t.Fatalf("Do = (%+v, %v); conn: %v", resp, err, conn.bad)
+		}
+	}
+	do() // grow the request and reply buffers
+	before := conn.writes
+	allocs := testing.AllocsPerRun(100, do)
+	if got := conn.writes - before; got != 101 {
+		t.Errorf("101 requests took %d writes", got)
+	}
+	if allocs != 0 {
+		t.Errorf("a request allocates %.0f times at steady state", allocs)
 	}
 }
 

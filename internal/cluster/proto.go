@@ -193,15 +193,13 @@ func decodeAck(r *wire.Reader) (shard, cum uint64, err error) {
 	return shard, cum, r.End()
 }
 
-func encodeRequest(reqID uint64, obj model.ObjectID, op model.Operation) []byte {
-	w := wire.NewWriter()
+func appendRequest(w *wire.Writer, reqID uint64, obj model.ObjectID, op model.Operation) {
 	w.Uvarint(tRequest)
 	w.Uvarint(reqID)
 	w.String(string(obj))
 	w.Uvarint(uint64(op.Kind))
 	w.String(string(op.Arg))
 	w.Varint(op.Delta)
-	return w.Bytes()
 }
 
 func decodeRequest(r *wire.Reader) (reqID uint64, obj model.ObjectID, op model.Operation, err error) {
@@ -256,12 +254,10 @@ func decodeResponse(r *wire.Reader) (reqID uint64, resp model.Response, err erro
 	return reqID, resp, r.End()
 }
 
-// encodeHistoryReq asks for one shard's recorded history.
-func encodeHistoryReq(shard int) []byte {
-	w := wire.NewWriter()
+// appendHistoryReq asks for one shard's recorded history.
+func appendHistoryReq(w *wire.Writer, shard int) {
 	w.Uvarint(tHistory)
 	w.Uvarint(uint64(shard))
-	return w.Bytes()
 }
 
 func decodeHistoryReq(r *wire.Reader) (shard uint64, err error) {

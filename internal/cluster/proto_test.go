@@ -200,7 +200,7 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, err := decodeUpdates(r, nil); return err }},
 		{"stats-req", []byte{},
 			func(r *wire.Reader) error { return r.End() }},
-		{"history-req", encodeHistoryReq(3)[1:],
+		{"history-req", body(func(w *wire.Writer) { appendHistoryReq(w, 3) }),
 			func(r *wire.Reader) error { _, err := decodeHistoryReq(r); return err }},
 		{"request", encodeRequest(9, "k", model.Write("v"))[1:],
 			func(r *wire.Reader) error { _, _, _, err := decodeRequest(r); return err }},
@@ -261,6 +261,32 @@ func TestResponseValueCountBoundary(t *testing.T) {
 	if err != nil || id != 7 || len(resp.Values) != 2 {
 		t.Fatalf("valid boundary response: id %d resp %+v err %v", id, resp, err)
 	}
+}
+
+// encodeRequest is one tRequest payload in a buffer of its own.
+func encodeRequest(reqID uint64, obj model.ObjectID, op model.Operation) []byte {
+	w := wire.NewWriter()
+	appendRequest(w, reqID, obj, op)
+	return w.Bytes()
+}
+
+// appendHistory is the reference encoding of a history, from decoded events:
+// identity, then the event count, then each event, then the shard identity.
+// A node frames its encoded log instead (encodedHistory.appendTo); the two
+// must agree byte for byte (TestHistoryFrameIsTheLogVerbatim).
+func appendHistory(w *wire.Writer, h History) error {
+	w.Uvarint(uint64(h.Node))
+	w.Uvarint(uint64(h.N))
+	w.String(h.Store)
+	w.Uvarint(uint64(len(h.Events)))
+	for _, ev := range h.Events {
+		if err := AppendEventBinary(w, ev); err != nil {
+			return err
+		}
+	}
+	w.Uvarint(uint64(h.Shard))
+	w.Uvarint(uint64(h.Shards))
+	return nil
 }
 
 func sampleEventsBinary() []Event {
@@ -388,7 +414,7 @@ func TestGoldenWireVectors(t *testing.T) {
 			})
 		})},
 		{"ack", enc(func(w *wire.Writer) { appendAck(w, 3, 130) })},
-		{"history_req", encodeHistoryReq(3)},
+		{"history_req", enc(func(w *wire.Writer) { appendHistoryReq(w, 3) })},
 		{"event_do", enc(func(w *wire.Writer) {
 			if err := AppendEventBinary(w, sampleEventsBinary()[0]); err != nil {
 				t.Fatal(err)

@@ -83,11 +83,12 @@ type shard struct {
 	// Recorded frontiers are immutable, so consecutive do events that saw
 	// the same frontier share this one slice instead of cloning it each.
 	lastFrontier []uint64
-	// events is the recorded history. It lives in a segment log: the node
-	// must keep all of it (it is the only input the checkers accept), but
-	// appending to it never re-copies what is already there, so recording
-	// an event costs the same behind a million events as behind ten.
-	events seglog.Log[Event]
+	// events is the recorded history, in its codec form (eventlog.go). The
+	// node must keep all of it (it is the only input the checkers accept),
+	// but appending to it never re-copies what is already there, so
+	// recording an event costs the same behind a million events as behind
+	// ten.
+	events eventLog
 	// jerr latches the first journal failure. Once set, the node is
 	// fail-stopping: no further acks are written, operations error, and an
 	// async Close is already underway. One shard failing to persist stops
@@ -98,10 +99,11 @@ type shard struct {
 	// watermark: the shard's own broadcast counter for the node itself, the
 	// cumulative applied seq for everyone else. It is the only copy of what
 	// replication moves — links send runs of updates[self] and keep
-	// positions in it, range serving reads the rest. Payloads are shared
-	// with the recorded events and immutable once appended. The loop is the
-	// only writer (noteUpdate) and reads it bare; every other goroutine
-	// reads through logLen and logRun, under logMu.
+	// positions in it, range serving reads the rest. A payload here is the
+	// one record returned for it: a slice of the event's record in events,
+	// immutable and never moved. The loop is the only writer (noteUpdate)
+	// and reads it bare; every other goroutine reads through logLen and
+	// logRun, under logMu.
 	logMu   sync.RWMutex
 	updates []seglog.Log[protoUpdate]
 	// tree is the Merkle forest over updates, backing digest exchange with
@@ -184,12 +186,19 @@ func (s *shard) inLoop(fn func()) error {
 // configured, persists it in the same event-loop turn — before the
 // update's ack or the client's response can leave the node, so an
 // acknowledged event is always durable. A journal failure fail-stops the
-// node. Runs on the shard's loop (or in restore, before the loop starts).
-func (s *shard) record(ev Event) {
-	s.events.Append(ev)
+// node. It returns the history's own copy of ev.Payload (eventLog.append):
+// ev.Payload itself may be connection memory or the store's to reuse, so the
+// copy is what the journal is handed and the only slice a caller may pass
+// on. Runs on the shard's loop (or in restore, before the loop starts).
+func (s *shard) record(ev Event) []byte {
+	payload, err := s.events.append(ev)
+	if err != nil {
+		panic(err) // the shard built ev itself: only a bug gives it an unknown kind
+	}
+	ev.Payload = payload
 	if s.journal != nil && s.jerr == nil {
 		if err := s.journal(ev); err != nil {
-			s.jerr = fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, s.events.Len()-1, err)
+			s.jerr = fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, s.events.len()-1, err)
 			go s.n.Close()
 		}
 	}
@@ -199,6 +208,7 @@ func (s *shard) record(ev Event) {
 	if s.n.cfg.Tap != nil && s.jerr == nil {
 		s.n.cfg.Tap(s.idx, liveEvent(s.n.cfg.ID, ev))
 	}
+	return payload
 }
 
 func (s *shard) doInLoop(obj model.ObjectID, op model.Operation) model.Response {
@@ -263,20 +273,21 @@ func (s *shard) broadcastPending() {
 
 // mintSend turns the replica's next pending message, if it has one, into a
 // recorded send event and the next update of the shard's own log — in that
-// order, so no link can read an update record has not journaled.
+// order, so no link can read an update record has not journaled. The record
+// is the copy of the message: it is written before OnSend lets the store
+// reuse its outbox, and what it returns is all the update log is shown.
 func (s *shard) mintSend() bool {
 	p := s.replica.PendingMessage()
 	if p == nil {
 		return false
 	}
-	payload := append([]byte(nil), p...)
-	s.checker.OnSend()
 	seq := uint64(s.updates[s.n.cfg.ID].Len()) + 1
 	s.lamport++
-	s.record(Event{
+	payload := s.record(Event{
 		Kind: model.ActSend, Lamport: s.lamport,
-		Origin: s.n.cfg.ID, Seq: seq, Payload: payload,
+		Origin: s.n.cfg.ID, Seq: seq, Payload: p,
 	})
+	s.checker.OnSend()
 	s.noteUpdateInLoop(s.n.cfg.ID, seq, s.lamport, payload)
 	return true
 }
@@ -297,21 +308,20 @@ func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 		s.n.gapFrames.Add(1)
 	default:
 		// u.Payload aliases the receiving connection's frame buffer, which
-		// the next frame overwrites. The history-owned copy is made first
-		// and is the only slice anything below is shown, so whatever the
-		// store, the history, the update log or the journal retains, it
-		// is never connection memory.
-		payload := append([]byte(nil), u.Payload...)
-		s.checker.CheckReceive(payload)
+		// the next frame overwrites. The record is the history-owned copy:
+		// it is written first, and what it returns is the only slice
+		// anything below is shown, so whatever the store, the update log or
+		// the journal retains, it is never connection memory.
 		if u.Lamport > s.lamport {
 			s.lamport = u.Lamport
 		}
 		s.lamport++
-		s.record(Event{
+		payload := s.record(Event{
 			Kind: model.ActReceive, Lamport: s.lamport,
 			Origin: u.Origin, Seq: u.Seq,
-			Payload: payload,
+			Payload: u.Payload,
 		})
+		s.checker.CheckReceive(payload)
 		s.receives.Add(1)
 		s.noteUpdateInLoop(u.Origin, u.Seq, u.Lamport, payload)
 		s.broadcastPending()
@@ -394,6 +404,14 @@ func (s *shard) restore(h *History) error {
 		return fmt.Errorf("cluster: restored history is for a cluster of %d, node configured for %d", h.N, s.n.cfg.N)
 	}
 	for i, ev := range h.Events {
+		// Replayed events are appended verbatim, NOT via record: they came
+		// from the journal, and re-journaling them would duplicate the log.
+		// As in record, the new history's copy of the payload is the one the
+		// store and the update log are shown; h's is let go with h.
+		payload, err := s.events.append(ev)
+		if err != nil {
+			return fmt.Errorf("cluster: restored event %d: %w", i, err)
+		}
 		switch ev.Kind {
 		case model.ActDo:
 			s.checker.CheckDo(ev.Object, ev.Op)
@@ -402,29 +420,24 @@ func (s *shard) restore(h *History) error {
 				return fmt.Errorf("cluster: restored send event %d claims origin r%d", i, ev.Origin)
 			}
 			s.checker.OnSend()
-			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, append([]byte(nil), ev.Payload...)); err != nil {
+			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, payload); err != nil {
 				return err
 			}
 		case model.ActReceive:
-			if ev.Payload == nil {
+			if payload == nil {
 				return fmt.Errorf("cluster: restored receive event %d has no payload (history predates payload recording)", i)
 			}
 			if int(ev.Origin) < 0 || int(ev.Origin) >= s.n.cfg.N {
 				return fmt.Errorf("cluster: restored receive event %d has origin r%d outside cluster", i, ev.Origin)
 			}
-			s.checker.CheckReceive(ev.Payload)
-			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, ev.Payload); err != nil {
+			s.checker.CheckReceive(payload)
+			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, payload); err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("cluster: restored event %d has unknown kind %v", i, ev.Kind)
 		}
 		if ev.Lamport > s.lamport {
 			s.lamport = ev.Lamport
 		}
-		// Replayed events are appended verbatim, NOT via record: they came
-		// from the journal, and re-journaling them would duplicate the log.
-		s.events.Append(ev)
 	}
 	// A message pending at crash time was never recorded as sent: mint its
 	// send event now (the history stays well-formed — the send follows
@@ -438,14 +451,25 @@ func (s *shard) restore(h *History) error {
 	return nil
 }
 
-// history snapshots this shard's recorded history — a flat private copy,
-// taken in one loop turn. It fails with ErrClosed on a node that is closing:
-// an empty history would read as "this node did nothing".
-func (s *shard) history() (History, error) {
-	h := History{Node: s.n.cfg.ID, N: s.n.cfg.N, Store: s.n.cfg.Store.Name()}
+// snapshot captures this shard's recorded history in one loop turn, still
+// encoded. It fails with ErrClosed on a node that is closing: an empty
+// history would read as "this node did nothing".
+func (s *shard) snapshot() (encodedHistory, error) {
+	id := History{Node: s.n.cfg.ID, N: s.n.cfg.N, Store: s.n.cfg.Store.Name()}
 	if s.n.cfg.Shards > 1 {
-		h.Shard, h.Shards = s.idx, s.n.cfg.Shards
+		id.Shard, id.Shards = s.idx, s.n.cfg.Shards
 	}
-	err := s.inLoop(func() { h.Events = s.events.AppendTo(nil) })
+	h := encodedHistory{History: id}
+	err := s.inLoop(func() { h = s.events.snapshot(id) })
 	return h, err
+}
+
+// history snapshots this shard's recorded history and decodes it, on the
+// caller's goroutine, into a private History.
+func (s *shard) history() (History, error) {
+	h, err := s.snapshot()
+	if err != nil {
+		return h.History, err
+	}
+	return h.decode()
 }

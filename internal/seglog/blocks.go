@@ -1,0 +1,56 @@
+package seglog
+
+import "slices"
+
+// BlockSize is the capacity of a full block of a Blocks log. The first
+// blocks are smaller — firstBlock bytes, doubling up to BlockSize — so a
+// log of ten records does not pay for a full block.
+const (
+	BlockSize  = firstBlock << growSteps
+	firstBlock = 512
+	growSteps  = 5
+)
+
+// Blocks is an append-only log of variable-length byte records, held in
+// byte blocks. A record is copied into the log once and is never copied,
+// moved or split across two blocks afterwards, so a slice of it stays
+// valid, and unchanged, for as long as anything holds it. Blocks are plain
+// []byte: the collector never scans them, however long the log, and
+// dropping a prefix of the log is dropping head blocks. The zero value is
+// an empty log. It is not safe for concurrent use, but see Snapshot.
+type Blocks struct {
+	blocks [][]byte // len(block) bytes are in use; whole records, in order
+	n      int
+}
+
+// Len returns the number of records appended.
+func (l *Blocks) Len() int { return l.n }
+
+// Append copies rec to the end of the log and returns the log's copy, which
+// must not be written to. It allocates at most one block — when rec does
+// not fit in what is left of the last one — and a record larger than a
+// block gets a block of its own.
+func (l *Blocks) Append(rec []byte) []byte {
+	last := len(l.blocks) - 1
+	if last < 0 || cap(l.blocks[last])-len(l.blocks[last]) < len(rec) {
+		size := firstBlock << min(len(l.blocks), growSteps)
+		l.blocks = append(l.blocks, make([]byte, 0, max(size, len(rec))))
+		last++
+	}
+	b := l.blocks[last]
+	from := len(b)
+	b = append(b, rec...) // within capacity: the block does not move
+	l.blocks[last] = b
+	l.n++
+	return b[from:len(b):len(b)]
+}
+
+// Snapshot returns the log as it stands — its blocks, each cut to the bytes
+// in use, and the number of records they hold — in time proportional to the
+// number of blocks. The table is the caller's; the blocks alias the log's
+// storage, must not be written to, and may be read from another goroutine
+// while the owner keeps appending: an append only ever writes past what the
+// snapshot covers.
+func (l *Blocks) Snapshot() (blocks [][]byte, records int) {
+	return slices.Clone(l.blocks), l.n
+}

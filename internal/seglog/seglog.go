@@ -6,6 +6,10 @@
 // depends on how long the node has lived. Here an append touches one
 // segment, a full segment is never copied or moved again, and dropping a
 // prefix of the history is dropping head segments.
+//
+// Log[T] holds fixed-size elements; Blocks (blocks.go) holds variable-length
+// byte records — the recorded events, in their codec form — under the same
+// rules.
 package seglog
 
 import "slices"

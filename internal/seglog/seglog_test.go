@@ -194,3 +194,85 @@ func BenchmarkAppend(b *testing.B) {
 		})
 	}
 }
+
+// TestBlocks covers the byte-record log: records come back in order from a
+// snapshot, a record handed out is unchanged (and unmoved) by later appends,
+// the first blocks grow geometrically to BlockSize, no record straddles two
+// blocks, and an oversized record gets a block of its own.
+func TestBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var l Blocks
+	if blocks, n := l.Snapshot(); len(blocks) != 0 || n != 0 || l.Len() != 0 {
+		t.Fatalf("empty log snapshots as %d blocks, %d records", len(blocks), n)
+	}
+	var ref, kept [][]byte
+	add := func(n int) {
+		rec := make([]byte, n)
+		rng.Read(rec)
+		ref = append(ref, rec)
+		got := l.Append(rec)
+		if !slices.Equal(got, rec) || (n > 0 && &got[0] == &rec[0]) {
+			t.Fatalf("Append returned %x for %x (or the caller's own memory)", got, rec)
+		}
+		kept = append(kept, got)
+	}
+	for i := 0; i < 3000; i++ {
+		add(rng.Intn(120))
+	}
+	add(3*BlockSize + 7) // oversized
+	for i := 0; i < 1000; i++ {
+		add(1 + rng.Intn(120))
+	}
+
+	blocks, n := l.Snapshot()
+	if n != len(ref) || l.Len() != len(ref) {
+		t.Fatalf("Len %d, snapshot %d records, appended %d", l.Len(), n, len(ref))
+	}
+	total := 0
+	for i, b := range blocks {
+		want := BlockSize
+		if i < growSteps {
+			want = firstBlock << i
+		}
+		if cap(b) != want && cap(b) != 3*BlockSize+7 {
+			t.Errorf("block %d has capacity %d, want %d (or the oversized record's own)", i, cap(b), want)
+		}
+		total += len(b)
+	}
+	// Records in order, each whole inside one block, where Append said it
+	// was and as it was appended.
+	bi, pos := 0, 0
+	for i, rec := range ref {
+		if len(rec) == 0 {
+			continue
+		}
+		for pos == len(blocks[bi]) {
+			bi, pos = bi+1, 0
+		}
+		b := blocks[bi]
+		if pos+len(rec) > len(b) || !slices.Equal(b[pos:pos+len(rec)], rec) {
+			t.Fatalf("record %d is not the next %d bytes of block %d", i, len(rec), bi)
+		}
+		if &b[pos] != &kept[i][0] || !slices.Equal(kept[i], rec) {
+			t.Fatalf("record %d: the slice Append returned moved or changed", i)
+		}
+		if len(rec) > BlockSize && (pos != 0 || len(b) != len(rec)) {
+			t.Errorf("the oversized record shares its block (offset %d of %d bytes)", pos, len(b))
+		}
+		pos += len(rec)
+	}
+	if bi != len(blocks)-1 || pos != len(blocks[bi]) {
+		t.Fatalf("records end at block %d offset %d, the snapshot at block %d offset %d", bi, pos, len(blocks)-1, len(blocks[len(blocks)-1]))
+	}
+
+	// A snapshot is a point in time: later appends leave it as it was.
+	before := total
+	add(40)
+	after := 0
+	for _, b := range blocks {
+		after += len(b)
+	}
+	if after != before {
+		t.Fatalf("a later append grew an earlier snapshot from %d to %d bytes", before, after)
+	}
+}

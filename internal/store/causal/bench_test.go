@@ -1,0 +1,175 @@
+package causal
+
+import (
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/seglog"
+	"repro/internal/spec"
+)
+
+// Per-layer benchmarks of the store's side of a replicated write: the
+// origin's Do + PendingMessage + OnSend, and the receiver's Receive, with
+// allocations, behind short and long lifetimes — neither may depend on how
+// many updates the replica has applied.
+//
+//	go test ./internal/store/causal -run '^$' -bench . -benchmem
+
+// allocBytes returns how many bytes the process allocates while fn runs.
+func allocBytes(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// writer is replica 0 of a 3-replica population, writing values of a fixed
+// size round-robin over 64 keys the way the cluster drives it: every write
+// is broadcast at once.
+type writer struct {
+	r     *Replica
+	keys  []model.ObjectID
+	value model.Value
+	n     int
+}
+
+func newWriter(valueBytes int) *writer {
+	w := &writer{r: New(spec.MVRTypes()).NewReplica(0, 3).(*Replica)}
+	for i := 0; i < 64; i++ {
+		w.keys = append(w.keys, model.ObjectID(fmt.Sprintf("k%06d", i)))
+	}
+	w.value = model.Value(make([]byte, valueBytes))
+	return w
+}
+
+// write performs one write and returns its broadcast.
+func (w *writer) write() []byte {
+	w.r.Do(w.keys[w.n%len(w.keys)], model.Write(w.value))
+	w.n++
+	p := w.r.PendingMessage()
+	w.r.OnSend()
+	return p
+}
+
+var payloadSink []byte
+
+func BenchmarkCausalWrite(b *testing.B) {
+	for _, valueBytes := range []int{16, 256} {
+		for _, behind := range []int{1 << 10, 1 << 18} {
+			b.Run(fmt.Sprintf("value=%d/behind=%d", valueBytes, behind), func(b *testing.B) {
+				w := newWriter(valueBytes)
+				for i := 0; i < behind; i++ {
+					w.write()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					payloadSink = w.write()
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkCausalReceive(b *testing.B) {
+	for _, valueBytes := range []int{16, 256} {
+		for _, behind := range []int{1 << 10, 1 << 18} {
+			b.Run(fmt.Sprintf("value=%d/behind=%d", valueBytes, behind), func(b *testing.B) {
+				w := newWriter(valueBytes)
+				r := New(spec.MVRTypes()).NewReplica(1, 3)
+				for i := 0; i < behind; i++ {
+					r.Receive(w.write())
+				}
+				// The stream is minted a chunk at a time, off the clock.
+				chunk := make([][]byte, 0, 4096)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%cap(chunk) == 0 {
+						b.StopTimer()
+						chunk = chunk[:0]
+						for j := 0; j < cap(chunk); j++ {
+							chunk = append(chunk, w.write())
+						}
+						b.StartTimer()
+					}
+					r.Receive(chunk[i%cap(chunk)])
+				}
+			})
+		}
+	}
+}
+
+// TestApplyCostIndependentOfHistory is the store's companion of the
+// shard's TestRecordCostIndependentOfHistory: behind 256 k applied updates a
+// burst of 256 writes, or of 256 receives, allocates what one behind a
+// thousand did, give or take a segment of the apply log. (As an
+// append-doubled slice the log re-copied itself on the way: one unlucky
+// apply allocated, and moved, megabytes.)
+func TestApplyCostIndependentOfHistory(t *testing.T) {
+	const total, burst = 256 << 10, 256
+	w := newWriter(16)
+	r := New(spec.MVRTypes()).NewReplica(1, 3)
+	var writes, receives []float64
+	payloads := make([][]byte, 0, burst)
+	for i := 0; i < total; i += burst {
+		payloads = payloads[:0]
+		writes = append(writes, allocBytes(func() {
+			for j := 0; j < burst; j++ {
+				payloads = append(payloads, w.write())
+			}
+		}))
+		receives = append(receives, allocBytes(func() {
+			for _, p := range payloads {
+				r.Receive(p)
+			}
+		}))
+	}
+	if got := len(r.(*Replica).ApplyOrder()); got != total {
+		t.Fatalf("receiver applied %d updates, want %d", got, total)
+	}
+	segment := float64(seglog.SegmentLen * 16) // of dots
+	for name, bursts := range map[string][]float64{"writes": writes, "receives": receives} {
+		early := slices.Max(bursts[4:8]) // past the first segment's doublings
+		if worst := slices.Max(bursts[8:]); worst > early+segment+1024 {
+			t.Errorf("a burst of %d %s allocated %.0f B behind a long history, %.0f B behind a short one", burst, name, worst, early)
+		}
+	}
+}
+
+// hostileCount is a payload of size bytes that announces count updates and
+// then holds zeros — each nine of which do decode as an (already seen)
+// update.
+func hostileCount(size int, count uint64) []byte {
+	p := make([]byte, size)
+	binary.PutUvarint(p, count)
+	return p
+}
+
+// TestReceiveHostileCountAllocatesBounded: the update count is the peer's
+// to choose, so nothing may be sized from it beyond what the payload's own
+// bytes can hold, and what one such payload did make Receive allocate is
+// not kept. (Sized from the count alone, one 1 MiB frame announcing a
+// million updates allocated 120 MB before its first field was read.)
+func TestReceiveHostileCountAllocatesBounded(t *testing.T) {
+	const size = 1 << 20
+	for _, count := range []uint64{size - 16, size/minUpdateBytes - 1} {
+		r := New(spec.MVRTypes()).NewReplica(1, 3).(*Replica)
+		before := r.StateDigest()
+		payload := hostileCount(size, count)
+		if got := allocBytes(func() { r.Receive(payload) }); got > 16*size {
+			t.Errorf("a %d-byte payload announcing %d updates made Receive allocate %.0f B", size, count, got)
+		}
+		if cap(r.decoded) > maxKeptDecoded {
+			t.Errorf("after a payload announcing %d updates the replica keeps a scratch of %d", count, cap(r.decoded))
+		}
+		if r.StateDigest() != before {
+			t.Errorf("a payload announcing %d updates changed the state", count)
+		}
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"strconv"
 
 	"repro/internal/model"
+	"repro/internal/seglog"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/vclock"
@@ -148,11 +149,15 @@ type Replica struct {
 	// observational metadata (not part of the state digest) used by the
 	// total-order comparison experiments — write-propagating replicas apply
 	// concurrent updates in different orders, unlike a sequencer protocol.
-	applyLog []model.Dot
+	// It grows for as long as the replica lives, so it is a segment log: an
+	// apply allocates the dot it keeps, not a re-copy of every one before.
+	applyLog seglog.Log[model.Dot]
 
-	// list and dots are the digest renderer's scratch, not state.
-	list store.SortedList
-	dots []model.Dot
+	// list and dots are the digest renderer's scratch, and decoded is
+	// Receive's (the batch being decoded; empty between calls): not state.
+	list    store.SortedList
+	dots    []model.Dot
+	decoded []update
 }
 
 var (
@@ -266,7 +271,7 @@ func (r *Replica) apply(u update) {
 	if u.Lamport > r.lamport {
 		r.lamport = u.Lamport
 	}
-	r.applyLog = append(r.applyLog, u.Dot)
+	r.applyLog.Append(u.Dot)
 	r.clock.Set(u.Dot.Origin, u.Dot.Seq)
 	st := r.object(u.Obj)
 	switch u.Kind {
@@ -317,20 +322,33 @@ func (r *Replica) ready(u update) bool {
 // Receive implements store.Replica: decode, deduplicate, buffer, and drain
 // everything that became causally ready.
 func (r *Replica) Receive(payload []byte) {
-	updates, err := decodePayload(payload, r.n, r.opts.SparseDeps)
-	if err != nil {
-		// A corrupt payload is ignored: well-formed executions never produce
-		// one, and dropping it is indistinguishable from a message drop.
-		return
-	}
-	for _, u := range updates {
-		if r.clock.Sees(u.Dot) || r.buffered(u.Dot) {
-			continue // duplicate delivery
+	updates, err := decodePayload(r.decoded[:0], payload, r.n, r.opts.SparseDeps)
+	// A corrupt payload is ignored: well-formed executions never produce
+	// one, and dropping it is indistinguishable from a message drop.
+	if err == nil {
+		for _, u := range updates {
+			if r.clock.Sees(u.Dot) || r.buffered(u.Dot) {
+				continue // duplicate delivery
+			}
+			r.buffer = append(r.buffer, u)
 		}
-		r.buffer = append(r.buffer, u)
+		r.drain()
 	}
-	r.drain()
+	// The scratch is kept for the next payload, emptied so that it pins no
+	// Deps or Removed of this one — unless this payload grew it past what
+	// ordinary traffic needs: one hostile frame must not hold memory for
+	// the life of the replica.
+	clear(updates)
+	if cap(updates) > maxKeptDecoded {
+		updates = nil
+	}
+	r.decoded = updates[:0]
 }
+
+// maxKeptDecoded is the largest decode scratch, in updates, a replica keeps
+// between receives (a message relays one outbox; the cluster's is one
+// update, a simulated partition's a few dozen).
+const maxKeptDecoded = 64
 
 func (r *Replica) buffered(d model.Dot) bool {
 	for _, u := range r.buffer {
@@ -379,7 +397,9 @@ func (r *Replica) OnSend() {
 		r.outbox = r.outbox[1:]
 		return
 	}
-	r.outbox = nil
+	// Emptied, not dropped: the next write queues into the same array.
+	clear(r.outbox)
+	r.outbox = r.outbox[:0]
 }
 
 // StateDigest implements store.Replica.
@@ -464,11 +484,7 @@ func (r *Replica) BufferedUpdates() int { return len(r.buffer) }
 // Concurrent updates generally apply in different orders at different
 // replicas — the contrast with gsp.Replica.Log in the open-question
 // experiment.
-func (r *Replica) ApplyOrder() []model.Dot {
-	out := make([]model.Dot, len(r.applyLog))
-	copy(out, r.applyLog)
-	return out
-}
+func (r *Replica) ApplyOrder() []model.Dot { return r.applyLog.AppendTo(nil) }
 
 // appendUpdateDots appends the updates' dots in model.AppendDots form.
 func (r *Replica) appendUpdateDots(dst []byte, us []update) []byte {
@@ -488,9 +504,12 @@ func sortDots(ds []model.Dot) {
 	})
 }
 
-// encodePayload serializes a batch of updates.
+// encodePayload serializes a batch of updates into a slice of exactly its
+// length, the caller's to keep. The encoding is built in a pooled writer, so
+// the result is the only allocation.
 func encodePayload(batch []update, sparse bool) []byte {
-	w := wire.NewWriter()
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
 	w.Uvarint(uint64(len(batch)))
 	for _, u := range batch {
 		w.Dot(u.Dot)
@@ -509,19 +528,31 @@ func encodePayload(batch []update, sparse bool) []byte {
 			w.Dot(d)
 		}
 	}
-	return w.Bytes()
+	return append(make([]byte, 0, w.Len()), w.Bytes()...)
 }
 
-// decodePayload parses a batch of updates.
-func decodePayload(payload []byte, n int, sparse bool) ([]update, error) {
+// minUpdateBytes is the shortest encoding of one update: a byte each for
+// the dot's two halves, the lamport time, the object and value lengths, the
+// kind, the delta, the dependency count and the removed count.
+const minUpdateBytes = 9
+
+// decodePayload parses a batch of updates into dst (Receive's emptied
+// scratch, or nil) and returns it, replaced by a larger one if need be — on
+// an error too, holding whatever was decoded before it. The count and every
+// length come from the peer, so nothing is sized from them beyond what the
+// payload's bytes can hold.
+func decodePayload(dst []update, payload []byte, n int, sparse bool) ([]update, error) {
 	rd := wire.NewReader(payload)
 	count := rd.Uvarint()
-	if count > uint64(len(payload)) {
-		return nil, fmt.Errorf("causal: implausible update count %d", count)
+	if count > uint64(len(payload)/minUpdateBytes) {
+		return dst, fmt.Errorf("causal: implausible update count %d", count)
 	}
-	updates := make([]update, 0, count)
+	if cap(dst) < int(count) {
+		dst = make([]update, 0, count)
+	}
 	for i := uint64(0); i < count; i++ {
-		var u update
+		dst = append(dst, update{})
+		u := &dst[len(dst)-1]
 		u.Dot = rd.Dot()
 		u.Lamport = rd.Uvarint()
 		u.Obj = model.ObjectID(rd.String())
@@ -534,16 +565,15 @@ func decodePayload(payload []byte, n int, sparse bool) ([]update, error) {
 			u.Deps = rd.VC()
 		}
 		removed := rd.Uvarint()
-		if removed > uint64(len(payload)) {
-			return nil, fmt.Errorf("causal: implausible removed-dot count %d", removed)
+		if removed > uint64(rd.Remaining()/2) { // a dot is two bytes or more
+			return dst, fmt.Errorf("causal: implausible removed-dot count %d", removed)
 		}
 		for j := uint64(0); j < removed; j++ {
 			u.Removed = append(u.Removed, rd.Dot())
 		}
 		if err := rd.Err(); err != nil {
-			return nil, err
+			return dst, err
 		}
-		updates = append(updates, u)
 	}
-	return updates, nil
+	return dst, nil
 }

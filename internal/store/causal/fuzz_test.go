@@ -16,6 +16,9 @@ func FuzzReceive(f *testing.F) {
 	src := New(spec.MVRTypes()).NewReplica(0, 2)
 	src.Do("x", model.Write("a"))
 	f.Add(src.PendingMessage())
+	// Counts the peer chose, as large as the payload's length lets them be.
+	f.Add(hostileCount(4096, 4096-16))
+	f.Add(hostileCount(4096, 4096/minUpdateBytes-1))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r := New(spec.MVRTypes()).NewReplica(1, 2)
 		r.Receive(payload)

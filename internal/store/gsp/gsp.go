@@ -322,10 +322,16 @@ func (r *Replica) PendingMessage() []byte {
 // OnSend implements store.Replica.
 func (r *Replica) OnSend() { r.outbox = nil }
 
+// minRecBytes is the shortest encoding of one record: a byte for each of
+// its eight fields.
+const minRecBytes = 8
+
 func decodePayload(payload []byte) ([]outRec, error) {
 	rd := wire.NewReader(payload)
 	count := rd.Uvarint()
-	if count > uint64(len(payload)) {
+	// The count is the peer's: nothing is sized from it beyond what the
+	// payload's bytes can hold.
+	if count > uint64(len(payload)/minRecBytes) {
 		return nil, fmt.Errorf("gsp: implausible record count %d", count)
 	}
 	recs := make([]outRec, 0, count)

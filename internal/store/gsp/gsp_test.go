@@ -1,6 +1,8 @@
 package gsp
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -214,6 +216,40 @@ func TestPrefixAgreementUnderRandomWorkload(t *testing.T) {
 		for i := range l0 {
 			if l0[i] != lr[i] {
 				t.Fatalf("global order differs at %d: %v vs %v", i, l0[i], lr[i])
+			}
+		}
+	}
+}
+
+// hostileCount is a payload of size bytes that announces count records and
+// then holds zeros — each eight of which do decode as a record (of no known
+// kind, so it is skipped).
+func hostileCount(size int, count uint64) []byte {
+	p := make([]byte, size)
+	binary.PutUvarint(p, count)
+	return p
+}
+
+// TestReceiveHostileCountAllocatesBounded: the record count is the peer's
+// to choose, so nothing may be sized from it beyond what the payload's own
+// bytes can hold. (Sized from the count alone, one 1 MiB frame announcing a
+// million records allocated 80 MB before its first field was read.)
+func TestReceiveHostileCountAllocatesBounded(t *testing.T) {
+	const size = 1 << 20
+	for _, count := range []uint64{size - 16, size/minRecBytes - 1} {
+		for _, id := range []model.ReplicaID{0, 2} { // the sequencer and a follower
+			r := New(spec.MVRTypes()).NewReplica(id, 3)
+			before := r.StateDigest()
+			payload := hostileCount(size, count)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			r.Receive(payload)
+			runtime.ReadMemStats(&m1)
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > 16*size {
+				t.Errorf("r%d: a %d-byte payload announcing %d records made Receive allocate %d B", id, size, count, got)
+			}
+			if r.StateDigest() != before {
+				t.Errorf("r%d: a payload announcing %d records changed the state", id, count)
 			}
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"strconv"
 
 	"repro/internal/model"
+	"repro/internal/seglog"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -82,8 +83,9 @@ type Replica struct {
 
 	// applyLog is observational metadata (excluded from the state digest):
 	// the local application order, used by the total-order comparison
-	// experiment.
-	applyLog []model.Dot
+	// experiment. A segment log, as in store/causal: it grows with the
+	// replica's lifetime and must not be re-copied as it does.
+	applyLog seglog.Log[model.Dot]
 }
 
 var (
@@ -136,7 +138,7 @@ func (r *Replica) applyWrite(w pendingWrite) {
 	if w.TS > r.lamport {
 		r.lamport = w.TS
 	}
-	r.applyLog = append(r.applyLog, w.Dot)
+	r.applyLog.Append(w.Dot)
 	r.seen[w.Dot] = true
 	st, ok := r.objects[w.Obj]
 	if !ok {
@@ -151,11 +153,7 @@ func (r *Replica) applyWrite(w pendingWrite) {
 // ApplyOrder returns the order in which this replica applied writes —
 // generally divergent across replicas, since the LWW store applies eagerly
 // on receipt.
-func (r *Replica) ApplyOrder() []model.Dot {
-	out := make([]model.Dot, len(r.applyLog))
-	copy(out, r.applyLog)
-	return out
-}
+func (r *Replica) ApplyOrder() []model.Dot { return r.applyLog.AppendTo(nil) }
 
 // PendingMessage implements store.Replica.
 func (r *Replica) PendingMessage() []byte {

@@ -32,9 +32,13 @@ type Replica interface {
 	Do(obj model.ObjectID, op model.Operation) model.Response
 
 	// PendingMessage returns the broadcast payload the replica wants to
-	// send, or nil if no message is pending. Per the model, the content is a
-	// deterministic function of the state, and a single send relays
-	// everything the replica has to send.
+	// send, or nil if no message is pending. Only nil means none: an empty,
+	// non-nil payload is a message, and is sent, recorded and delivered as
+	// one. The result is the caller's to keep — the replica neither writes
+	// to it nor hands it out again (the simulator keeps it in its message
+	// table, a node copies it into its history before OnSend). Per the
+	// model, the content is a deterministic function of the state, and a
+	// single send relays everything the replica has to send.
 	PendingMessage() []byte
 
 	// OnSend transitions the replica past its send event; afterwards no
