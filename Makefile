@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-smoke flake figures json loc fuzz chaos chaos-search durability membership livecheck shard ci
+.PHONY: build test verify bench bench-smoke flake figures json loc fuzz chaos chaos-search durability membership livecheck shard batteries-check ci
 
 build:
 	$(GO) build ./...
@@ -107,14 +107,13 @@ chaos:
 # The dynamic-membership battery: the Merkle forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence
 # and version-mismatch refusal), churned fault schedules through the
-# supervisor, the durable tree checkpoint round trip, and the kill -9
-# mid-sync harness (a served child joining via -join, SIGKILL'd mid-pull,
-# restarted on the same -data-dir).
+# supervisor, the forest a restarted node rebuilds from its journal, and the
+# kill -9 mid-sync harness (a served child joining via -join, SIGKILL'd
+# mid-pull, restarted on the same -data-dir).
 membership:
 	$(GO) test -race ./internal/membership -count=1
-	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member' -count=1
+	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest' -count=1
 	$(GO) test -race ./internal/fault -run 'Churn' -count=1
-	$(GO) test -race ./internal/durable -run 'Tree' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9MidSyncJoin|ParseTopology' -count=1
 	$(GO) test -race ./cmd/loadgen -run 'Syncbench' -count=1
 
@@ -133,15 +132,15 @@ livecheck:
 # The sharding battery: keyspace routing and the per-shard event loops —
 # the router and sharded-cluster convergence/audit suites, the shard-count
 # mismatch refusal, the sharded supervisor crash/restart, the per-shard
-# livecheck set, the group-commit fsync
-# coordinator, the sharded conformance leg of every registered store, the
-# pool and compression regression tests that rode the sharding PR, and the
-# kill -9 mid-group-commit harness — all under the race detector, since
-# shards share the node's transport and fsync rounds.
+# livecheck set, the group-commit fsync coordinator and the seal its
+# journals rename through, the sharded conformance leg of every registered
+# store, the pool and compression regression tests that rode the sharding
+# PR, and the kill -9 mid-group-commit harness — all under the race
+# detector, since shards share the node's transport and fsync rounds.
 shard:
 	$(GO) test -race ./internal/cluster -run 'Shard|Pool|Compress' -count=1
 	$(GO) test -race ./internal/livecheck -run 'ShardSet' -count=1
-	$(GO) test -race ./internal/durable -run 'GroupCommit|CompactCrash' -count=1
+	$(GO) test -race ./internal/durable -run 'GroupCommit|SealIsARename|CrashInSealWindow' -count=1
 	$(GO) test -race ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/ShardedCluster' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9ShardedGroupCommit' -count=1
 
@@ -153,8 +152,37 @@ chaos-search:
 	$(GO) test ./internal/chaossearch ./cmd/chaoshunt -count=1
 	$(GO) run ./cmd/chaoshunt -store causal -seed 1 -budget 24 -objective all -validate
 
+# A battery whose -run expression matches nothing prints "no tests to run"
+# and passes, and one alternative of it matching nothing is quieter still,
+# so a renamed or deleted test silently drops out of its battery. This lists
+# the tests of each battery line's packages (go test -list, nothing runs)
+# and fails unless the expression names a test in every package and each of
+# its alternatives names one in some package. -run matches slash-separated
+# elements level by level and only the top one is a test's name, so the
+# expression is cut at its first slash; the fuzz targets' -run '^$$' selects
+# nothing on purpose and is skipped.
+batteries-check:
+	@grep -E '^	\$$\(GO\) test .* -run ' Makefile | grep -v -e "-run '^" | { status=0; \
+	while read -r line; do \
+		re=$$(printf '%s\n' "$$line" | sed -E "s/.* -run '([^']*)'.*/\1/; s,/.*,,"); \
+		all=; \
+		for pkg in $$(printf '%s\n' "$$line" | grep -oE ' \./[A-Za-z0-9_/.]+'); do \
+			names=$$($(GO) test -list . $$pkg | grep -E '^(Test|Fuzz|Benchmark|Example)') || exit 1; \
+			all="$$all $$names"; \
+			if ! printf '%s\n' $$names | grep -qE -e "$$re"; then \
+				echo "batteries-check: -run '$$re' names no test in $$pkg"; status=1; \
+			fi; \
+		done; \
+		for alt in $$(printf '%s\n' "$$re" | tr '|' ' '); do \
+			if ! printf '%s\n' $$all | grep -qE -e "$$alt"; then \
+				echo "batteries-check: '$$alt' in -run '$$re' names no test"; status=1; \
+			fi; \
+		done; \
+	done; exit $$status; }
+
 # What CI runs (.github/workflows/verify.yml, step for step): the verify
-# gate, the batteries, the fuzz targets, then regenerate the tracked JSON
-# artifacts and fail if they drifted from what the commit claims.
-ci: verify bench-smoke chaos chaos-search durability membership livecheck shard fuzz json
+# gate, the batteries and the check that each still selects tests, the fuzz
+# targets, then regenerate the tracked JSON artifacts and fail if they
+# drifted from what the commit claims.
+ci: verify bench-smoke chaos chaos-search durability membership livecheck shard batteries-check fuzz json
 	git diff --exit-code BENCH_FIGURES.json BENCH_MSGBOUND.json BENCH_CHAOS.json BENCH_WIRE.json BENCH_SYNC.json BENCH_LIVECHECK.json BENCH_SHARD.json

@@ -56,12 +56,12 @@ func wirebenchWorkload(st store.Store, ops int, objects int, seed int64) (payloa
 }
 
 // journalBench appends the event sequence to a throwaway durable log and
-// returns total on-disk bytes and allocations per append. SnapshotEvery is
-// disabled so the wal holds exactly one record per event.
+// returns total on-disk bytes and allocations per append. The sequence is
+// shorter than a seal interval, so wal.log holds every record.
 func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64, err error) {
 	measure := func(dir string) (int64, error) {
 		l, _, err := durable.Open(dir, durable.Meta{Node: 0, N: 3, Store: "bench"},
-			durable.Options{NoSync: true, SnapshotEvery: -1})
+			durable.Options{NoSync: true})
 		if err != nil {
 			return 0, err
 		}

@@ -287,7 +287,7 @@ func (s *shardStorage) Open(id model.ReplicaID, n int, storeName string, shard, 
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return l.Append, hist, l.Tree(), l.Close, nil
+	return l.Append, hist, nil, l.Close, nil
 }
 
 // writeJSON marshals v to a buffer before touching the ResponseWriter, so a

@@ -161,7 +161,6 @@ func BenchmarkNextBatch(b *testing.B) {
 	for _, depth := range []int{64, 64 << 10} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			s := looseShard(b, "lww")
-			s.treeOwned = false // the log alone; hashing 64 k updates is not the subject
 			for i := 1; i <= depth; i++ {
 				if err := s.noteUpdate(s.n.cfg.ID, uint64(i), uint64(i), payload); err != nil {
 					b.Fatal(err)

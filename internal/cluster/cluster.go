@@ -174,13 +174,12 @@ type Config struct {
 // recorded history (implemented by durable.Storage). Open is called once
 // per incarnation and shard, before the node serves anything: journal
 // persists each newly recorded event, restore is the recovered history of
-// the previous incarnation (nil on first boot), tree is the Merkle forest
-// the storage maintains over the journaled broadcasts (hashing each update
-// in the same turn that persists it; nil leaves the shard to build and
-// maintain its own in memory — either way it backs digest exchange and
-// range serving for joining peers), and closeLog (nil for none) is invoked
-// after the event loop has exited. shard/shards name which of the node's
-// shard logs to open.
+// the previous incarnation (nil on first boot), and closeLog (nil for none)
+// is invoked after the event loop has exited. shard/shards name which of
+// the node's shard logs to open. tree is ignored (implementations return
+// nil): the shard alone owns its Merkle forest and rebuilds it from restore.
+// The result stays only because the frozen benchmark/trace.go implements
+// this interface; it goes with the next benchmark PR (ROADMAP item 1(c)).
 type NodeStorage interface {
 	Open(id model.ReplicaID, n int, storeName string, shard, shards int) (journal func(Event) error, restore *History, tree *membership.Forest, closeLog func() error, err error)
 }
@@ -353,7 +352,7 @@ func NewNode(cfg Config) (*Node, error) {
 	closeAll := func() {
 		ln.Close()
 		for _, s := range n.shards {
-			if s.closeJournal != nil {
+			if s != nil && s.closeJournal != nil {
 				s.closeJournal()
 			}
 		}
@@ -365,15 +364,11 @@ func NewNode(cfg Config) (*Node, error) {
 		var restored *History
 		if cfg.Storage != nil {
 			var err error
-			s.journal, restored, s.tree, s.closeJournal, err = cfg.Storage.Open(cfg.ID, cfg.N, cfg.Store.Name(), i, cfg.Shards)
+			s.journal, restored, _, s.closeJournal, err = cfg.Storage.Open(cfg.ID, cfg.N, cfg.Store.Name(), i, cfg.Shards)
 			if err != nil {
 				closeAll()
 				return nil, fmt.Errorf("cluster: open storage for r%d shard %d: %w", cfg.ID, i, err)
 			}
-		}
-		if s.tree == nil {
-			s.tree = membership.NewForest(cfg.N)
-			s.treeOwned = true
 		}
 		if restored != nil {
 			if err := s.restore(restored); err != nil {

@@ -39,7 +39,6 @@ func looseShardOf(tb testing.TB, st store.Store) *shard {
 		done:   make(chan struct{}),
 	}
 	s := newShard(n, 0)
-	s.tree, s.treeOwned = membership.NewForest(n.cfg.N), true
 	n.shards = []*shard{s}
 	return s
 }

@@ -123,6 +123,11 @@ func MergeHistories(hists []History) (*execution.Execution, error) {
 	if err != nil {
 		return nil, err
 	}
+	return buildExec(merged)
+}
+
+// buildExec lays the merged order out as a concrete execution.
+func buildExec(merged []mergedEvent) (*execution.Execution, error) {
 	x := execution.New()
 	msgID := make(map[[2]uint64]int) // (origin, seq) -> execution message ID
 	for _, m := range merged {
@@ -207,18 +212,18 @@ func mergeOrder(hists []History) ([]mergedEvent, error) {
 	return merged, nil
 }
 
-// BuildAudit merges the histories and derives the abstract execution the
-// run complies with, mirroring sim.Cluster.DerivedAbstract: H is the merged
-// do order, and e_i -vis-> e_j iff session order holds, e_i is a mutator
-// whose dot is inside e_j's frontier, or e_i is a read whose frontier is
-// contained in e_j's (the strongest visibility a complying execution can
-// claim for a read).
+// BuildAudit merges the histories (once, for both views) and derives the
+// abstract execution the run complies with, mirroring
+// sim.Cluster.DerivedAbstract: H is the merged do order, and e_i -vis-> e_j
+// iff session order holds, e_i is a mutator whose dot is inside e_j's
+// frontier, or e_i is a read whose frontier is contained in e_j's (the
+// strongest visibility a complying execution can claim for a read).
 func BuildAudit(hists []History) (*Audit, error) {
 	merged, err := mergeOrder(hists)
 	if err != nil {
 		return nil, err
 	}
-	exec, err := MergeHistories(hists)
+	exec, err := buildExec(merged)
 	if err != nil {
 		return nil, err
 	}

@@ -62,8 +62,12 @@ func (n *Node) Leave() error {
 }
 
 // markDynamic flips the node into dynamic-membership mode and starts the
-// gossip loop (once). Called from goroutines the node already tracks.
+// gossip loop (once) — under peerMu and behind a closed-check, as connect
+// starts senders, because Leave runs on its caller's goroutine: the loop
+// joined the WaitGroup before Close waits, or never runs.
 func (n *Node) markDynamic() {
+	n.peerMu.Lock()
+	defer n.peerMu.Unlock()
 	if n.dynamic.Swap(true) {
 		return
 	}

@@ -398,3 +398,81 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 		}
 	}
 }
+
+// forestDigest is what a node's first shard would tell a joiner about each
+// origin: how many updates it has hashed, the root over them, and the root
+// over half of them (a prefix that ends off every leaf boundary).
+func forestDigest(t *testing.T, nd *Node) []originDigest {
+	t.Helper()
+	var ds []originDigest
+	if err := nd.inLoop(func() {
+		tree := nd.s0().tree
+		for o := 0; o < nd.cfg.N; o++ {
+			ds = append(ds, originDigest{Origin: model.ReplicaID(o), Count: tree.Count(o),
+				Root: tree.Root(o), PrefixRoot: tree.PrefixRoot(o, tree.Count(o)/2)})
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestRestartedForestMatchesLive: the shard is the forest's only owner, so
+// the forest a restarted node rebuilds from its journal (restore, through
+// noteUpdate) must be hash-identical to the one the previous incarnation
+// grew update by update — otherwise a restarted node would refuse (or
+// wrongly admit) joiners its predecessor served correctly.
+func TestRestartedForestMatchesLive(t *testing.T) {
+	const k = 40 // past one leaf (membership.LeafSpan) per origin
+	mem := &memStorage{}
+	r0 := bootNode(t, 0, 3, nil)
+	r1 := bootNode(t, 1, 3, stored(mem))
+	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	writeN(t, r0, k, "a")
+	writeN(t, r1, k, "b")
+	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
+		t.Fatal("pair did not quiesce")
+	}
+	live := forestDigest(t, r1)
+	if live[0].Count != k || live[1].Count != k || live[2].Count != 0 {
+		t.Fatalf("live forest counts %d/%d/%d, want %d/%d/0", live[0].Count, live[1].Count, live[2].Count, k, k)
+	}
+	r1.Close()
+
+	r1b := bootNode(t, 1, 3, stored(mem))
+	if r1b.Restored() == 0 {
+		t.Fatal("the second incarnation restored nothing")
+	}
+	for o, got := range forestDigest(t, r1b) {
+		if got != live[o] {
+			t.Fatalf("origin %d forest diverged across the restart:\n got %+v\nwant %+v", o, got, live[o])
+		}
+	}
+}
+
+// TestLeaveRacesClose: Leave runs on its caller's goroutine, so the gossip
+// loop it starts must join the node's WaitGroup before Close waits on it or
+// not start at all — never wg.Add beside wg.Wait, which -race reports and
+// which leaves a loop running on a node whose Close has returned.
+func TestLeaveRacesClose(t *testing.T) {
+	st := openCausal(t)
+	for i := 0; i < 50; i++ {
+		nd, err := NewNode(fastConfig(0, 3, st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd.Leave()
+		}()
+		nd.Close()
+		wg.Wait()
+	}
+}

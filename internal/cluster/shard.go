@@ -107,11 +107,9 @@ type shard struct {
 	logMu   sync.RWMutex
 	updates []seglog.Log[protoUpdate]
 	// tree is the Merkle forest over updates, backing digest exchange with
-	// joiners. treeOwned means this shard appends each update's hash itself
-	// (in the same loop turn that records it); otherwise the durable layer
-	// hashes on journal append — same turn, different owner, never both.
-	tree      *membership.Forest
-	treeOwned bool
+	// joiners. The shard alone owns it: noteUpdate hashes each update in the
+	// turn that recorded and journaled it, and restore rebuilds it that way.
+	tree *membership.Forest
 
 	ops      atomic.Int64
 	sends    atomic.Int64
@@ -130,6 +128,7 @@ func newShard(n *Node, idx int) *shard {
 		calls:      make(chan loopCall),
 		frontier:   make([]uint64, n.cfg.N),
 		updates:    make([]seglog.Log[protoUpdate], n.cfg.N),
+		tree:       membership.NewForest(n.cfg.N),
 	}
 }
 
@@ -345,18 +344,16 @@ func (s *shard) applyRun(us []protoUpdate) (cum uint64, applied int64, ackable b
 	return cum, int64(log.Len() - before), ackable
 }
 
-// noteUpdate appends one broadcast update to its origin's log and, when
-// this shard owns its Merkle forest, hashes it in — always in the same turn
-// the update's event is recorded, and after it, so log, forest, and journal
-// never disagree and a reader of the log never runs ahead of the journal.
+// noteUpdate appends one broadcast update to its origin's log and hashes it
+// into the Merkle forest — always in the same turn the update's event is
+// recorded and journaled, and after it, so log, forest, and journal never
+// disagree and a reader of the log never runs ahead of the journal.
 func (s *shard) noteUpdate(origin model.ReplicaID, seq, lamport uint64, payload []byte) error {
 	s.logMu.Lock()
 	s.updates[origin].Append(protoUpdate{Origin: origin, Seq: seq, Lamport: lamport, Payload: payload})
 	s.logMu.Unlock()
-	if s.treeOwned {
-		if err := s.tree.Append(int(origin), seq, payload); err != nil {
-			return fmt.Errorf("cluster: r%d shard %d merkle append: %w", s.n.cfg.ID, s.idx, err)
-		}
+	if err := s.tree.Append(int(origin), seq, payload); err != nil {
+		return fmt.Errorf("cluster: r%d shard %d merkle append: %w", s.n.cfg.ID, s.idx, err)
 	}
 	return nil
 }

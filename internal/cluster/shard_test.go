@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/livecheck"
+	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -325,4 +329,52 @@ func TestShardedNodeInteroperatesWithSingleShard(t *testing.T) {
 	if err := CheckConverged([]Doer{a, b}, []model.ObjectID{"x"}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// laterShardFails is a NodeStorage whose Open succeeds for shard 0 and fails
+// for every other shard, counting how often shard 0's closeLog runs.
+type laterShardFails struct {
+	err    error
+	closed int
+}
+
+func (f *laterShardFails) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	if shard > 0 {
+		return nil, nil, nil, nil, f.err
+	}
+	return func(Event) error { return nil }, nil, nil, func() error { f.closed++; return nil }, nil
+}
+
+// TestNewNodeStorageFailureOnLaterShard: a storage error on shard i > 0 must
+// come back from NewNode as an error — not as a nil dereference in the
+// unwind, which walks shards that were never built — with the listener
+// closed and the shard logs already open closed exactly once.
+func TestNewNodeStorageFailureOnLaterShard(t *testing.T) {
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr().String()
+	probe.Close()
+
+	cfg := fastConfig(0, 3, openCausal(t))
+	cfg.Listen, cfg.Shards = addr, 4
+	storage := &laterShardFails{err: errors.New("disk on fire")}
+	cfg.Storage = storage
+	nd, err := NewNode(cfg)
+	if err == nil {
+		nd.Close()
+		t.Fatal("NewNode succeeded with a shard whose storage failed to open")
+	}
+	if !errors.Is(err, storage.err) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("err = %v, want the storage error wrapped and naming shard 1", err)
+	}
+	if storage.closed != 1 {
+		t.Fatalf("shard 0's log was closed %d times, want once", storage.closed)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("the failed node still holds its listener: %v", err)
+	}
+	ln.Close()
 }

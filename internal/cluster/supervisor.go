@@ -58,8 +58,7 @@ type Supervisor struct {
 
 // memStorage is the NodeStorage of a cluster that keeps nothing on disk:
 // each (node, shard) journal is a slice that outlives the incarnation
-// appending to it, and Open hands it back as the history to restore. It
-// maintains no Merkle forest, so each shard owns its own.
+// appending to it, and Open hands it back as the history to restore.
 type memStorage struct {
 	mu   sync.Mutex
 	logs map[[2]int][]Event // (node, shard) → journaled events

@@ -57,8 +57,8 @@ func openWithHistory(tb testing.TB, n int) (*Log, string) {
 }
 
 // bytesWritten reads how many bytes this process has handed to write(2) —
-// every journal, snapshot and checkpoint byte, rewrites included — or false
-// where /proc does not say.
+// every journal byte, any rewrite included — or false where /proc does not
+// say.
 func bytesWritten() (int64, bool) {
 	data, err := os.ReadFile("/proc/self/io")
 	if err != nil {
@@ -127,20 +127,16 @@ func BenchmarkOpen(b *testing.B) {
 }
 
 // TestAppendCostIndependentOfHistory is the deterministic form of
-// BenchmarkAppend's claim: one seal cycle — SnapshotEvery appends, ending in
-// a seal and a checkpoint frame — allocates and writes the same behind a
-// 256 k-event history as behind a 1 k one. A write path that rewrites,
-// re-serialises or re-hashes anything sized by the history fails this by
-// orders of magnitude.
+// BenchmarkAppend's claim: one seal cycle — sealEvery appends, ending in a
+// seal — allocates and writes the same behind a 256 k-event history as
+// behind a 1 k one. A write path that rewrites or re-serialises anything
+// sized by the history fails this by orders of magnitude.
 //
-// Disk bytes are exact. Allocation is not: the forest's hash slices (and
-// the log's tail buffer, once) grow by amortised doubling, and one growth of
-// a megabytes-long slice landing inside a burst adds kilobytes per append
-// without the write path having changed. So the allocation figure is the
-// cheapest of a few consecutive cycles — a slice that has just grown has
-// room for many bursts — and the ratio is only held above a noise floor
-// that a per-seal O(history) buffer still clears by an order of magnitude
-// (the whole-file checkpoint rewrite read 32 KB per append here).
+// Disk bytes are exact. Allocation is not — the runtime's own background
+// allocation lands in a burst or misses it — so the allocation figure is the
+// cheapest of a few consecutive cycles, and the ratio is only held above a
+// noise floor that a per-seal O(history) buffer still clears by an order of
+// magnitude (a whole-file checkpoint rewrite read 32 KB per append here).
 func TestAppendCostIndependentOfHistory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 256 k-event journal")
@@ -149,7 +145,7 @@ func TestAppendCostIndependentOfHistory(t *testing.T) {
 		t.Skip("no /proc/self/io to count written bytes from")
 	}
 	const (
-		burst      = 1024 // the default SnapshotEvery
+		burst      = sealEvery
 		cycles     = 3
 		allocFloor = 2048 // B per append; below it the ratio is growth noise
 	)

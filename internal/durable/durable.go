@@ -3,8 +3,8 @@
 // artifact: a served process can be kill -9'd and restarted from its data
 // directory alone.
 //
-// The design is a write-ahead log whose tail is periodically sealed onto an
-// append-only snapshot, so no step costs more than the tail it handles:
+// The design is a write-ahead log cut into sealed segments, so every record
+// is written exactly once:
 //
 //   - wal.log is append-only. Each record frames one cluster.Event behind a
 //     4-byte length and a CRC-32C of the payload, and Append fsyncs before
@@ -13,29 +13,28 @@
 //     (or the client's response) leaves the process, so any event a peer
 //     holds an ack for is durable — the PR 4 crash-window invariant, now
 //     across process death.
-//   - snap.log holds the sealed prefix 0..k-1 in the same record format.
-//     Once the wal holds SnapshotEvery records, a seal appends exactly those
-//     records to snap.log, fsyncs it, and only then truncates the wal, so
-//     snapshot ∪ wal covers every acknowledged event at every instant. A
-//     crash between the fsync and the truncate leaves the wal overlapping
-//     the snapshot, which the per-record event index detects and skips.
-//     Sealed records are never rewritten, and a seal costs O(tail)
-//     whatever the history's length.
-//   - Recovery (Open) loads the snapshot, then scans the wal tail. A torn
-//     or corrupted tail frame — short header, short payload, CRC mismatch,
-//     undecodable event — truncates the file at the last good record and
-//     recovery stops there: the log is a prefix of what the node recorded,
-//     never a fabrication. An index *gap* inside otherwise-valid records is
-//     different: it cannot result from a torn append, so it is reported as
-//     corruption instead of silently skipped.
-//   - A seal can tear too (the crash hit mid-append to snap.log). Because
-//     the wal is truncated only after the seal is on disk, a torn seal
-//     always sits beside a wal that still holds its records: recovery may
-//     stop at an unreadable snapshot record ONLY IF the wal supplies every
-//     event index from that record onward, truncates snap.log at the last
-//     good boundary, and finishes the seal from the wal before the first
-//     Append. Damage the wal does not cover — wal missing, empty, or
-//     starting past it — is corruption and fails recovery.
+//   - A seal is a rename. Once the wal holds sealEvery new records — every
+//     one of them already fsynced — it is renamed seg-<index of its first
+//     new event>.log, the directory is fsynced, and a fresh wal.log is
+//     created. No byte is copied and a sealed file is never written again. A
+//     crash before the rename leaves a long wal the next Append seals; a
+//     crash after it leaves no wal, and Open creates one.
+//   - Recovery (Open) reads an ordered file list — snap.log if a build that
+//     sealed by copying left one, the segments sorted by name, then the wal
+//     — under one rule per record: an index below the count so far is
+//     skipped (only such a build's interrupted seal repeats records), the
+//     next index is taken, a later one is corruption — an append can tear,
+//     it cannot skip. Names only order the files; indices decide contiguity.
+//   - A record that cannot be read — short header, short payload, CRC
+//     mismatch, undecodable event — is a torn append at the tail of wal.log:
+//     the file is truncated at the last good record and recovery stops
+//     there, so the log is a prefix of what the node recorded, never a
+//     fabrication. In a sealed file it is corruption and fails recovery,
+//     unless the next file still supplies that event index; only a copying
+//     seal that tore can leave that, and then the sealed file is cut back
+//     to its last good record and recovery continues from the next file.
+//     Silent truncation is therefore bounded by one seal interval, and
+//     damage in the sealed prefix is loud.
 //
 // The recovered history is what cluster.NodeStorage.Open hands the node to
 // replay (Storage, in storage.go, is that seam's implementation), so the
@@ -43,9 +42,10 @@
 //
 // Contract:
 //
-//   - OWNS: the data directory — meta.json, wal.log, snap.log, tree.ckpt —
-//     their record framing, fsync ordering and recovery rules, and the
-//     group-commit coordinator shard logs share.
+//   - OWNS: the data directory — meta.json, wal.log, seg-*.log — their
+//     record framing, fsync ordering and recovery rules, and the
+//     group-commit coordinator shard logs share. It reads, and never
+//     writes, a snap.log an earlier build left.
 //   - MUST NOT: dial, listen or know a frame type; decide what an event
 //     means (it stores cluster.Event in cluster's own binary encoding); or
 //     repair damage by guessing — a record it cannot read is torn or
@@ -63,18 +63,30 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/wire"
 )
 
 const (
 	walName  = "wal.log"
-	snapName = "snap.log"
 	metaName = "meta.json"
+	// segFormat names a sealed segment after the index of its first new
+	// event, zero-padded so that name order is event order.
+	segFormat = "seg-%020d.log"
+	segGlob   = "seg-*.log"
+	// snapName and treeName are files of builds that sealed by copying the
+	// wal: the sealed prefix, read like a segment and never written, and a
+	// Merkle checkpoint nothing reads any more, removed on open.
+	snapName = "snap.log"
+	treeName = "tree.ckpt"
+
+	// sealEvery is the number of new records the wal holds when it is
+	// sealed.
+	sealEvery = 1024
 
 	// maxRecord bounds one framed record: larger than any replication
 	// payload the stores produce, small enough that a corrupted length
@@ -92,8 +104,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrMetaMismatch = errors.New("durable: data directory belongs to a different node configuration")
 
 // CorruptionError reports damage recovery must not repair by guessing: an
-// unreadable snapshot record the wal no longer covers, or an event-index
-// gap between otherwise valid records (which a torn append cannot produce).
+// unreadable record in a sealed file that the next file does not cover, or
+// an event-index gap between otherwise valid records (which a torn append
+// cannot produce).
 type CorruptionError struct {
 	File   string
 	Offset int64
@@ -131,10 +144,6 @@ func (m Meta) canon() Meta {
 
 // Options tune the log.
 type Options struct {
-	// SnapshotEvery is the number of records between seals: once the wal
-	// holds this many, they are appended to the snapshot and the wal is
-	// truncated. Zero means the default (1024); negative disables sealing.
-	SnapshotEvery int
 	// NoSync skips the per-append fsync (tests that only exercise framing
 	// and recovery logic, not crash safety, run much faster without it).
 	NoSync bool
@@ -144,22 +153,18 @@ type Options struct {
 	// semantics are unchanged — Append still returns only after its record
 	// is on disk. Ignored under NoSync.
 	Group *GroupCommitter
-}
 
-func (o Options) withDefaults() Options {
-	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = 1024
-	}
-	return o
+	// sealEvery, when positive, overrides the constant of that name: tests
+	// in this package seal logs a few records long.
+	sealEvery int
 }
 
 // Log is one node's open durable history. Append is called from the node's
 // event loop (one goroutine), but Close can arrive from a different
 // shutdown goroutine, so the mutex serializes them.
 //
-// The log holds no copy of the history: a count, and the framed bytes of
-// the unsealed wal tail — bounded by SnapshotEvery records — which are what
-// the next seal appends to the snapshot.
+// The log holds no copy of the history, in memory or on disk: two counts
+// and the open wal.
 type Log struct {
 	dir  string
 	meta Meta
@@ -167,32 +172,19 @@ type Log struct {
 
 	mu       sync.Mutex
 	wal      *os.File
-	snap     *os.File // snap.log, opened by the first seal
-	ckpt     *os.File // tree.ckpt, likewise
-	count    int      // events in the log, sealed and unsealed
-	walCount int      // records currently in the wal tail
-	tail     []byte   // those records as framed; unused when sealing is off
+	count    int // events in the log, sealed and unsealed
+	walCount int // of those, how many the wal added
 	closed   bool
-
-	// tree is the Merkle forest over the journaled broadcast history,
-	// updated in the same Append that journals each send/receive. It is
-	// handed to the cluster node (NodeStorage.Open's tree) and read from the
-	// node's event loop — the same goroutine that calls Append — so the
-	// forest needs no locking of its own. ckptCount is, per origin, how
-	// many of its update hashes tree.ckpt already holds.
-	tree      *membership.Forest
-	ckptCount []uint64
 }
-
-// Tree returns the log's Merkle forest over its broadcast history.
-func (l *Log) Tree() *membership.Forest { return l.tree }
 
 // Open opens (or initializes) the data directory and recovers the event
 // history it holds. The returned history is nil when the directory holds no
 // events yet (a fresh boot); otherwise it is exactly what the node replays.
 // The caller must Close the log after the node has shut down.
 func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
-	opts = opts.withDefaults()
+	if opts.sealEvery <= 0 {
+		opts.sealEvery = sealEvery
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
@@ -200,42 +192,18 @@ func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
 		return nil, nil, err
 	}
 
-	// Leftover temp files are renames that never happened (meta.json, or a
-	// snapshot rewrite by a build that still compacted that way); what they
-	// were to replace is still authoritative.
+	// A leftover meta.json.tmp is a rename that never happened; what it was
+	// to replace is still authoritative. Nothing reads a tree.ckpt any more.
 	removeGlob(filepath.Join(dir, "*.tmp"))
+	os.Remove(filepath.Join(dir, treeName))
 
-	events, err := readSnapshot(dir)
+	events, walCount, err := recoverDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	snapCount := len(events)
-	events, tail, overlap, err := recoverWal(filepath.Join(dir, walName), events, opts.SnapshotEvery > 0)
-	if err != nil {
+	l := &Log{dir: dir, meta: meta, opts: opts, count: len(events), walCount: walCount}
+	if err := l.openWal(); err != nil {
 		return nil, nil, err
-	}
-
-	tree, ckptCount, err := buildTree(dir, meta.N, events)
-	if err != nil {
-		return nil, nil, err
-	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: %w", err)
-	}
-	l := &Log{
-		dir: dir, meta: meta, opts: opts,
-		wal: wal, count: len(events), walCount: len(events) - snapCount, tail: tail,
-		tree: tree, ckptCount: ckptCount,
-	}
-	if overlap {
-		// The wal repeats sealed records: a seal was interrupted after some
-		// or all of its records reached the snapshot. Finish it, so wal and
-		// snapshot are disjoint again before the first Append.
-		if err := l.seal(); err != nil {
-			l.closeFiles()
-			return nil, nil, err
-		}
 	}
 
 	var hist *cluster.History
@@ -243,6 +211,23 @@ func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
 		hist = &cluster.History{Node: meta.Node, N: meta.N, Store: meta.Store, Events: events}
 	}
 	return l, hist, nil
+}
+
+// openWal opens wal.log for appending, creating it — and making the new
+// directory entry durable — when a first boot or a seal left none.
+func (l *Log) openWal() error {
+	path := filepath.Join(l.dir, walName)
+	wal, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if os.IsNotExist(err) {
+		if wal, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil && !l.opts.NoSync {
+			syncDir(l.dir)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	l.wal = wal
+	return nil
 }
 
 // Len returns the number of events currently in the log.
@@ -280,98 +265,39 @@ func (l *Log) Append(ev cluster.Event) error {
 			return fmt.Errorf("durable: wal sync: %w", err)
 		}
 	}
-	sealing := l.opts.SnapshotEvery > 0
-	if sealing {
-		l.tail = append(l.tail, rec...)
-	}
 	l.count++
 	l.walCount++
-	if err := hashEvent(l.tree, ev); err != nil {
-		// The event is durable but the tree cannot describe it: a seq gap
-		// the node should never produce. Fail-stop rather than serve
-		// digests that would "prove" divergence to every joiner.
-		return err
-	}
-	if sealing && l.walCount >= l.opts.SnapshotEvery {
+	if l.walCount >= l.opts.sealEvery {
 		return l.seal()
 	}
 	return nil
 }
 
-// The points inside seal at which testCrashSeal is called.
-const (
-	crashSealed    = "sealed"    // snap.log fsynced, wal not yet truncated
-	crashTruncated = "truncated" // wal truncated, tree.ckpt not yet extended
-)
+// testCrashSeal, when non-nil, runs inside seal between the rename and the
+// creation of the new wal. Tests install a panicking hook to simulate a
+// kill -9 in exactly that window.
+var testCrashSeal func()
 
-// testCrashSeal, when non-nil, runs inside seal at each of the points above.
-// Tests install a panicking hook to simulate a kill -9 in exactly that
-// window.
-var testCrashSeal func(point string)
-
-// seal moves the wal tail onto the snapshot: append the tail's records to
-// snap.log, fsync, truncate the wal, extend the tree checkpoint. Ordering
-// is what makes a crash at any point safe: the records are durable in
-// snap.log before the wal shrinks, so the union of snapshot and wal always
-// covers every appended event; overlap is resolved by record index at
-// recovery, and so is a torn append to snap.log (see readSnapshot).
+// seal turns the wal into a sealed segment: rename it after the index of
+// its first new event, fsync the directory, open a fresh wal. Every record
+// in it was fsynced by the Append that wrote it, so nothing is copied and a
+// crash at any point is safe: before the rename the directory holds a long
+// wal, after it a sealed segment and — until openWal — no wal at all, and
+// recovery reads both the same way.
 func (l *Log) seal() error {
-	if len(l.tail) > 0 {
-		if err := l.appendDurably(&l.snap, snapName, l.tail); err != nil {
-			return fmt.Errorf("durable: snapshot: %w", err)
-		}
-	}
-	if testCrashSeal != nil {
-		testCrashSeal(crashSealed)
-	}
-	if err := l.wal.Truncate(0); err != nil {
-		return fmt.Errorf("durable: wal truncate: %w", err)
+	seg := fmt.Sprintf(segFormat, l.count-l.walCount)
+	if err := os.Rename(filepath.Join(l.dir, walName), filepath.Join(l.dir, seg)); err != nil {
+		return fmt.Errorf("durable: seal: %w", err)
 	}
 	if !l.opts.NoSync {
-		if err := l.wal.Sync(); err != nil {
-			return fmt.Errorf("durable: wal sync: %w", err)
-		}
-	}
-	l.walCount = 0
-	l.tail = l.tail[:0]
-	if testCrashSeal != nil {
-		testCrashSeal(crashTruncated)
-	}
-	// Checkpoint the hashes this seal added, so the next Open skips
-	// rehashing the sealed prefix.
-	return l.appendTreeCkpt()
-}
-
-// appendDurably appends data to the directory's file name through *f, which
-// it opens on first use, and fsyncs it — and the directory too when the
-// open created the file: a new entry needs that once.
-func (l *Log) appendDurably(f **os.File, name string, data []byte) error {
-	created := false
-	if *f == nil {
-		path := filepath.Join(l.dir, name)
-		file, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if os.IsNotExist(err) {
-			file, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			created = true
-		}
-		if err != nil {
-			return err
-		}
-		*f = file
-	}
-	if _, err := (*f).Write(data); err != nil {
-		return err
-	}
-	if l.opts.NoSync {
-		return nil
-	}
-	if err := (*f).Sync(); err != nil {
-		return err
-	}
-	if created {
 		syncDir(l.dir)
 	}
-	return nil
+	l.wal.Close() // fsynced record by record; a close error carries no news
+	l.walCount = 0
+	if testCrashSeal != nil {
+		testCrashSeal()
+	}
+	return l.openWal()
 }
 
 // Close syncs and closes the wal. Call after the node has shut down (no
@@ -384,23 +310,11 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	err := l.wal.Sync()
-	l.closeFiles()
+	l.wal.Close()
 	if err != nil {
 		return fmt.Errorf("durable: close sync: %w", err)
 	}
 	return nil
-}
-
-// closeFiles closes the log's descriptors. Everything written through them
-// was fsynced by the step that wrote it, so close errors carry no news.
-func (l *Log) closeFiles() {
-	l.wal.Close()
-	if l.snap != nil {
-		l.snap.Close()
-	}
-	if l.ckpt != nil {
-		l.ckpt.Close()
-	}
 }
 
 // checkMeta verifies (or initializes) the directory's identity file.
@@ -449,7 +363,7 @@ const journalBinaryTag = 0x01
 // byte followed by the event in cluster's binary encoding. The returned
 // slice aliases a pooled writer; the caller must finish with it before the
 // next encodeRecord call on the same writer, which Append satisfies by
-// writing it out (and copying it onto the tail) immediately.
+// writing it out immediately.
 func encodeRecord(w *wire.Writer, index uint64, ev cluster.Event) ([]byte, error) {
 	w.Reset()
 	// Reserve the 8-byte header; the payload is framed in place behind it.
@@ -499,8 +413,8 @@ var errTorn = errors.New("durable: torn record")
 type recordReader struct {
 	r       *bufio.Reader
 	good    int64   // offset just past the last intact record
-	hdr     [8]byte // the last record read, as framed: header and
-	payload []byte  // payload, valid until the next call
+	hdr     [8]byte // scratch for a record's header and
+	payload []byte  // payload, grown to the largest record read
 }
 
 func newRecordReader(f *os.File) *recordReader {
@@ -549,34 +463,81 @@ func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	return index, ev, nil
 }
 
-// truncateAt cuts f at a record boundary and makes the cut durable.
-func truncateAt(f *os.File, off int64) error {
+// truncateAt cuts the file at path back to a record boundary and makes the
+// cut durable. Recovery writes to a file it reads only here.
+func truncateAt(path string, off int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	if err := f.Truncate(off); err != nil {
 		return err
 	}
 	return f.Sync()
 }
 
-// readSnapshot loads dir's snap.log, whose records must be the contiguous
-// event prefix 0..k-1. An index out of order is corruption. An unreadable
-// record is a torn seal if — and only if — wal.log still supplies every
-// event from that record onward: a seal truncates the wal only after its
-// records are fsynced here, so a wal whose first index is at or below the
-// damage holds everything the damaged region did. Then the snapshot is cut
-// back to its last good boundary and recovery continues from the wal. Any
-// other unreadable record fails loudly rather than truncating away events
-// nothing can supply.
-func readSnapshot(dir string) ([]cluster.Event, error) {
-	path := filepath.Join(dir, snapName)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
+// logFiles lists dir's record files in event order: snap.log if a build
+// that sealed by copying left one, the sealed segments by name, the wal.
+func logFiles(dir string) []string {
+	var files []string
+	if _, err := os.Stat(filepath.Join(dir, snapName)); err == nil {
+		files = append(files, snapName)
 	}
+	segs, _ := filepath.Glob(filepath.Join(dir, segGlob))
+	sort.Strings(segs)
+	for _, seg := range segs {
+		files = append(files, filepath.Base(seg))
+	}
+	if _, err := os.Stat(filepath.Join(dir, walName)); err == nil {
+		files = append(files, walName)
+	}
+	return files
+}
+
+// recoverDir reads dir's record files in order into the contiguous event
+// sequence 0..k-1 and reports how many of those events the wal supplied.
+func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
+	files := logFiles(dir)
+	for i, name := range files {
+		next := "" // no file: covers nothing
+		if i+1 < len(files) {
+			next = filepath.Join(dir, files[i+1])
+		}
+		sealed := len(events)
+		if events, err = recoverFile(dir, name, next, events); err != nil {
+			return nil, 0, err
+		}
+		if name == walName {
+			walCount = len(events) - sealed
+		}
+	}
+	return events, walCount, nil
+}
+
+// recoverFile extends events with the records of dir's file name; next is
+// the path of the file after it. Per record: an index below the count so far
+// repeats a sealed record (a copying seal was interrupted before it
+// truncated the wal) and is skipped, the next index is taken, and one past
+// it is corruption — an append can tear, it cannot skip.
+//
+// A record that cannot be read ends the file. In wal.log it is a torn
+// append: the file is truncated at the last good boundary and recovery ends
+// with the prefix before it, never an invention. In a sealed file it is a
+// torn copying seal if — and only if — the next file still supplies every
+// event from that record onward: such a seal truncated the wal only after
+// its records were fsynced, so a next file whose first index is at or below
+// the damage holds everything the damaged region did. Then the sealed file
+// is cut back to its last good boundary and recovery continues from the next
+// file. Any other unreadable sealed record fails loudly rather than
+// truncating away events nothing can supply.
+func recoverFile(dir, name, next string, events []cluster.Event) ([]cluster.Event, error) {
+	path := filepath.Join(dir, name)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	defer f.Close()
-	var events []cluster.Event
 	rr := newRecordReader(f)
 	for {
 		offset := rr.good
@@ -585,27 +546,26 @@ func readSnapshot(dir string) ([]cluster.Event, error) {
 			return events, nil
 		}
 		if err != nil {
-			first, ok := firstIndex(filepath.Join(dir, walName))
-			if !ok || first > uint64(len(events)) {
-				return nil, &CorruptionError{File: snapName, Offset: offset,
-					Reason: fmt.Sprintf("unreadable record at event %d, which the wal does not cover", len(events))}
+			if name != walName {
+				if first, ok := firstIndex(next); !ok || first > uint64(len(events)) {
+					return nil, &CorruptionError{File: name, Offset: offset,
+						Reason: fmt.Sprintf("unreadable record at event %d, which the next file does not cover", len(events))}
+				}
 			}
-			// Only this repair writes to the snapshot; an intact one recovers
-			// from a read-only file.
-			w, err := os.OpenFile(path, os.O_WRONLY, 0)
-			if err == nil {
-				err = truncateAt(w, offset)
-				w.Close()
-			}
-			if err != nil {
-				return nil, fmt.Errorf("durable: truncate torn seal: %w", err)
+			if err := truncateAt(path, offset); err != nil {
+				return nil, fmt.Errorf("durable: truncate torn %s: %w", name, err)
 			}
 			return events, nil
 		}
-		if index != uint64(len(events)) {
-			return nil, &CorruptionError{File: snapName, Offset: offset, Reason: fmt.Sprintf("record index %d, want %d", index, len(events))}
+		switch {
+		case index < uint64(len(events)):
+			// The sealed copy is authoritative.
+		case index == uint64(len(events)):
+			events = append(events, ev)
+		default:
+			return nil, &CorruptionError{File: name, Offset: offset,
+				Reason: fmt.Sprintf("record index %d skips past %d (gap cannot come from a torn append)", index, len(events))}
 		}
-		events = append(events, ev)
 	}
 }
 
@@ -619,57 +579,6 @@ func firstIndex(path string) (uint64, bool) {
 	defer f.Close()
 	index, _, err := newRecordReader(f).next()
 	return index, err == nil
-}
-
-// recoverWal scans the wal tail after the snapshot prefix. Records whose
-// index precedes len(events) are overlap from a crash between a seal's
-// fsync and its wal truncation (reported, so Open finishes that seal):
-// skipped after verifying they are not from the future. The first torn
-// record truncates the file at the last good boundary and ends recovery — a
-// torn tail yields a prefix, never an invention. A clean record whose index
-// jumps past the expected next event is corruption (an append can tear, it
-// cannot skip), reported as such. tail is the framed bytes of the records
-// that extended events: what the next seal appends to the snapshot. It is
-// kept only if something will seal it — sealing is on (keepTail), or overlap
-// was seen and Open must finish that seal whatever the options say; overlap
-// records precede every extending one, so that is known in time. With
-// sealing off the wal is the whole history, not worth a second copy.
-func recoverWal(path string, events []cluster.Event, keepTail bool) (_ []cluster.Event, tail []byte, overlap bool, err error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if os.IsNotExist(err) {
-		return events, nil, false, nil
-	}
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("durable: %w", err)
-	}
-	defer f.Close()
-	rr := newRecordReader(f)
-	for {
-		offset := rr.good
-		index, ev, err := rr.next()
-		if err == io.EOF {
-			return events, tail, overlap, nil
-		}
-		if err != nil {
-			if err := truncateAt(f, rr.good); err != nil {
-				return nil, nil, false, fmt.Errorf("durable: truncate torn tail: %w", err)
-			}
-			return events, tail, overlap, nil
-		}
-		switch {
-		case index < uint64(len(events)):
-			// Overlap with the snapshot; the snapshot copy is authoritative.
-			overlap = true
-		case index == uint64(len(events)):
-			events = append(events, ev)
-			if keepTail || overlap {
-				tail = append(append(tail, rr.hdr[:]...), rr.payload...)
-			}
-		default:
-			return nil, nil, false, &CorruptionError{File: walName, Offset: offset,
-				Reason: fmt.Sprintf("record index %d skips past %d (gap cannot come from a torn append)", index, len(events))}
-		}
-	}
 }
 
 // syncDir fsyncs a directory so renames and creations within it are

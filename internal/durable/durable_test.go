@@ -1,12 +1,15 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -278,42 +281,114 @@ func TestIndexGapIsCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompaction drives the log past SnapshotEvery several times
-// and checks that the wal shrank, the snapshot took over, and recovery still
-// returns the complete history.
-func TestSnapshotCompaction(t *testing.T) {
-	dir := t.TempDir()
-	events := sampleEvents(30)
-	writeLog(t, dir, events, Options{SnapshotEvery: 8, NoSync: true})
-
-	snapInfo, err := os.Stat(filepath.Join(dir, snapName))
-	if err != nil {
-		t.Fatalf("no snapshot after 30 appends at SnapshotEvery=8: %v", err)
-	}
-	if snapInfo.Size() == 0 {
-		t.Fatal("empty snapshot")
-	}
-	walInfo, err := os.Stat(filepath.Join(dir, walName))
+// dirNames lists dir's entries in name order (os.ReadDir's).
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if walInfo.Size() >= snapInfo.Size() {
-		t.Fatalf("wal (%d bytes) not compacted below snapshot (%d bytes)", walInfo.Size(), snapInfo.Size())
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	_, hist, err := Open(dir, testMeta(), Options{SnapshotEvery: 8, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventsEqual(t, hist.Events, events)
+	return names
 }
 
-// TestSnapshotWalOverlapRecovers simulates a crash between a seal's fsync
-// and its wal truncation: the wal still holds records the snapshot already
-// covers. Recovery must skip the overlap by index, not duplicate.
+// TestSealIsARename: a seal moves the wal's inode under a segment name and
+// writes nothing. After k seals the directory holds meta.json, k segments
+// named after their first events, and the wal; their sizes sum to the bytes
+// of the records appended, which is also everything the process wrote — up
+// to the slack /proc's process-wide counter needs: go test logs the files a
+// test opens, a few KB at a time, so the log is made long enough for that to
+// be noise.
+func TestSealIsARename(t *testing.T) {
+	const every, seals, rest = 128, 4, 6
+	dir := t.TempDir()
+	l, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := make([]cluster.Event, seals*every+rest)
+	var recordBytes int64
+	for i := range events {
+		events[i] = benchEvent(i)
+		rec, err := encodeTestRecord(uint64(i), events[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordBytes += int64(len(rec))
+	}
+	before, counted := bytesWritten()
+	for i, ev := range events {
+		sealing := (i+1)%every == 0
+		var wal os.FileInfo
+		if sealing {
+			if wal, err = os.Stat(filepath.Join(dir, walName)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+		if !sealing {
+			continue
+		}
+		seg, err := os.Stat(filepath.Join(dir, fmt.Sprintf(segFormat, i+1-every)))
+		if err != nil {
+			t.Fatalf("append %d should have sealed: %v", i, err)
+		}
+		if !os.SameFile(wal, seg) {
+			t.Fatalf("the segment sealed at append %d is not the wal's inode: its records were copied", i)
+		}
+	}
+	after, _ := bytesWritten()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []string{metaName}
+	for k := 0; k < seals; k++ {
+		want = append(want, fmt.Sprintf(segFormat, k*every))
+	}
+	want = append(want, walName)
+	names := dirNames(t, dir)
+	if !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+	var onDisk int64
+	for _, name := range names[1:] {
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += info.Size()
+	}
+	if onDisk != recordBytes {
+		t.Fatalf("segments and wal hold %d bytes, the records appended are %d", onDisk, recordBytes)
+	}
+	if wrote := after - before; counted && float64(wrote) > 1.05*float64(recordBytes) {
+		t.Fatalf("appending %d bytes of records wrote %d bytes: a record is written more than once", recordBytes, wrote)
+	}
+
+	l, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	eventsEqual(t, hist.Events, events)
+	if l.walCount != rest {
+		t.Fatalf("reopened log counts %d wal records, want %d", l.walCount, rest)
+	}
+}
+
+// TestSnapshotWalOverlapRecovers simulates a copying seal's crash between
+// its fsync and its wal truncation: the wal still holds records the snapshot
+// already covers. Recovery must skip the overlap by index, not duplicate.
 func TestSnapshotWalOverlapRecovers(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(10)
-	writeLog(t, dir, events, Options{SnapshotEvery: -1, NoSync: true}) // wal holds 0..9, no snapshot
+	writeLog(t, dir, events, Options{NoSync: true}) // wal holds 0..9, no snapshot
 
 	// Hand-write a snapshot covering the prefix 0..5, leaving the wal
 	// overlapping it — byte-for-byte the post-crash state.
@@ -335,72 +410,38 @@ func TestSnapshotWalOverlapRecovers(t *testing.T) {
 	eventsEqual(t, hist.Events, events)
 }
 
-// TestOverlapFinishedWithSealingOff: a directory left mid-seal can be opened
-// by a node that runs with sealing off. Open must still finish the
-// interrupted seal from the wal's unsealed records — truncating the wal
-// without them would drop acknowledged events — and the log must carry on.
-func TestOverlapFinishedWithSealingOff(t *testing.T) {
-	dir := t.TempDir()
-	events := sampleEvents(12)
-	off := Options{SnapshotEvery: -1, NoSync: true}
-	writeLog(t, dir, events[:10], off) // wal holds 0..9, no snapshot
-	var snap []byte
-	for i, ev := range events[:6] {
-		rec, err := encodeTestRecord(uint64(i), ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap = append(snap, rec...)
-	}
-	writeFiles(t, dir, map[string][]byte{snapName: snap})
-
-	l, hist, err := Open(dir, testMeta(), off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventsEqual(t, hist.Events, events[:10])
-	requireDisjoint(t, dir)
-	for _, ev := range events[10:] {
-		if err := l.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, hist, err = Open(dir, testMeta(), off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventsEqual(t, hist.Events, events)
-}
-
-// TestReadOnlySnapshotRecovers: recovery writes to snap.log only to repair a
-// torn seal, so an intact snapshot the process may not write (a restored
-// backup, a read-only mount opened for inspection) must still open.
-func TestReadOnlySnapshotRecovers(t *testing.T) {
+// TestReadOnlySealedSegmentsRecover: recovery writes to a sealed file only to
+// repair a torn copying seal, so intact segments the process may not write
+// (a restored backup, a read-only mount opened for inspection) must still
+// open.
+func TestReadOnlySealedSegmentsRecover(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(20)
-	writeLog(t, dir, events, Options{SnapshotEvery: 8, NoSync: true})
-	path := filepath.Join(dir, snapName)
-	if err := os.Chmod(path, 0o444); err != nil {
-		t.Fatal(err)
+	writeLog(t, dir, events, Options{sealEvery: 8, NoSync: true})
+	segs, err := filepath.Glob(filepath.Join(dir, segGlob))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments = %v (%v), want two", segs, err)
 	}
-	if f, err := os.OpenFile(path, os.O_RDWR, 0); err == nil {
+	for _, seg := range segs {
+		if err := os.Chmod(seg, 0o444); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, err := os.OpenFile(segs[0], os.O_RDWR, 0); err == nil {
 		f.Close()
 		t.Skip("file modes do not bind this user (root)")
 	}
-	l, hist, err := Open(dir, testMeta(), Options{SnapshotEvery: -1, NoSync: true})
+	l, hist, err := Open(dir, testMeta(), Options{NoSync: true})
 	if err != nil {
-		t.Fatalf("open with a read-only snapshot: %v", err)
+		t.Fatalf("open with read-only segments: %v", err)
 	}
 	defer l.Close()
 	eventsEqual(t, hist.Events, events)
 }
 
-// TestTornSnapshotIsCorruption: snapshots are written atomically, so a torn
-// snapshot means real corruption — recovery must fail loudly rather than
-// truncate away events the wal can no longer supply.
+// TestTornSnapshotIsCorruption: a torn snapshot beside no wal is damage
+// nothing covers — recovery must fail loudly rather than truncate away
+// events no file can supply.
 func TestTornSnapshotIsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(6)
@@ -440,17 +481,129 @@ func recordBounds(t *testing.T, raw []byte) []int {
 	return bounds
 }
 
-// requireDisjoint fails unless dir's wal is empty or starts exactly where its
-// snapshot ends.
-func requireDisjoint(t *testing.T, dir string) {
+// requireEachIndexOnce fails unless dir's files, read in recovery's order,
+// are intact to their last byte and supply every event index 0..n-1 exactly
+// once under recovery's rule — a record below the count so far repeats a
+// sealed one and is passed over, none skips ahead — which is what makes a
+// second Open see what the first did.
+func requireEachIndexOnce(t *testing.T, dir string, n int) {
 	t.Helper()
-	snap, err := os.ReadFile(filepath.Join(dir, snapName))
-	if err != nil {
-		t.Fatal(err)
+	count := 0
+	for _, name := range logFiles(dir) {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := newRecordReader(f)
+		for {
+			index, _, err := rr.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s is still damaged at offset %d after recovery", name, rr.good)
+			}
+			if index > uint64(count) {
+				t.Fatalf("%s holds event %d where %d is next", name, index, count)
+			}
+			if index == uint64(count) {
+				count++
+			}
+		}
+		f.Close()
 	}
-	sealed := len(recordBounds(t, snap)) - 1
-	if first, ok := firstIndex(filepath.Join(dir, walName)); ok && first != uint64(sealed) {
-		t.Fatalf("the snapshot holds %d records and the wal starts at %d", sealed, first)
+	if count != n {
+		t.Fatalf("the files supply %d events, recovery returned %d", count, n)
+	}
+}
+
+// copyDir copies the regular files of from into to.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	for _, name := range dirNames(t, from) {
+		data, err := os.ReadFile(filepath.Join(from, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The directories under testdata/parent-layout were written by the last
+// build that sealed by copying (commit 69cc7ae, SnapshotEvery 8, the command
+// is in CHANGES.md's PR 21 entry): clean is sampleEvents(30) closed normally
+// — snap.log 0..23, wal.log 24..29; overlap is a kill -9 between the second
+// seal's fsync and its wal truncate — snap.log 0..15, wal.log 8..15; tornseal
+// is overlap with snap.log cut inside record 13. Each also holds the
+// meta.json and tree.ckpt of that build.
+const parentLayout = "testdata/parent-layout"
+
+// TestParentLayoutOpens: a data directory the copying build left opens with
+// exactly its events and no tree.ckpt, carries on in the segment layout —
+// appending, sealing, reopening — and its snap.log is never written again,
+// except for the one truncation that repairs the torn seal.
+func TestParentLayoutOpens(t *testing.T) {
+	const every = 8
+	for _, tc := range []struct {
+		name     string
+		held     int // events the directory holds
+		snapKept int // records of snap.log that survive recovery
+	}{
+		{"clean", 30, 24},
+		{"overlap", 16, 16},
+		{"tornseal", 16, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, filepath.Join(parentLayout, tc.name), dir)
+			snap, err := os.ReadFile(filepath.Join(dir, snapName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := sampleEvents(tc.held + 2*every + 3)
+			opts := Options{NoSync: true, sealEvery: every}
+
+			l, hist, err := Open(dir, testMeta(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eventsEqual(t, hist.Events, events[:tc.held])
+			for _, ev := range events[tc.held:] {
+				if err := l.Append(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, hist, err = Open(dir, testMeta(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eventsEqual(t, hist.Events, events)
+			requireEachIndexOnce(t, dir, len(events))
+
+			segs := 0
+			for _, name := range dirNames(t, dir) {
+				if ok, _ := filepath.Match(segGlob, name); ok {
+					segs++
+				} else if name != metaName && name != snapName && name != walName {
+					t.Fatalf("directory holds %s", name)
+				}
+			}
+			if segs < 2 {
+				t.Fatalf("%d appends at a seal interval of %d left %d segments", len(events)-tc.held, every, segs)
+			}
+			after, err := os.ReadFile(filepath.Join(dir, snapName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept := len(recordBounds(t, after)) - 1; !bytes.HasPrefix(snap, after) || kept != tc.snapKept {
+				t.Fatalf("snap.log was %d bytes and is %d, holding %d records; want its first %d untouched and nothing else", len(snap), len(after), kept, tc.snapKept)
+			}
+		})
 	}
 }
 
@@ -468,23 +621,21 @@ func writeFiles(t *testing.T, dir string, files map[string][]byte) {
 	}
 }
 
-// TestTornSealRepairedOnlyFromWal is the torn-seal sweep. A seal appends to
-// snap.log in place, so a crash can leave its last records half-written; the
-// wal is truncated only after the seal's fsync, so it still holds them. With
-// the wal intact, cutting snap.log at EVERY byte offset inside the last seal
-// must recover the full history, finish the seal (wal and snapshot disjoint
-// again), and leave a log that seals and recovers on. With the wal gone, or
-// starting past the damage, the same cut is damage nothing covers: recovery
-// must refuse, not truncate acknowledged events away.
+// TestTornSealRepairedOnlyFromWal is the torn-seal sweep. A copying seal
+// appended to snap.log in place, so a crash could leave its last records
+// half-written; it truncated the wal only after the seal's fsync, so the wal
+// still holds them. With the wal intact, cutting snap.log at EVERY byte
+// offset inside the last seal must recover the full history, take each
+// event from exactly one file, and leave a log that seals and recovers on.
+// With the wal gone, or starting past the damage, the same cut is damage
+// nothing covers: recovery must refuse, not truncate acknowledged events
+// away.
 func TestTornSealRepairedOnlyFromWal(t *testing.T) {
 	const every = 8
 	events := sampleEvents(3 * every)
-	// The state a kill -9 leaves between the second seal's fsync and its wal
-	// truncate: snap.log holds 0..15, wal.log still holds 8..15.
-	master := t.TempDir()
-	crashDuringSeal(t, master, every, events, func(point string, appended int) bool {
-		return point == crashSealed && appended > every
-	})
+	// The state a kill -9 left such a build between the second seal's fsync
+	// and its wal truncate: snap.log holds 0..15, wal.log still holds 8..15.
+	master := filepath.Join(parentLayout, "overlap")
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(master, name))
 		if err != nil {
@@ -510,15 +661,12 @@ func TestTornSealRepairedOnlyFromWal(t *testing.T) {
 		// Wal intact: repaired.
 		dir := t.TempDir()
 		writeFiles(t, dir, map[string][]byte{metaName: meta, snapName: snap[:cut], walName: wal})
-		l, hist, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every})
+		l, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 		if err != nil {
 			t.Fatalf("cut at %d, wal intact: %v", cut, err)
 		}
 		eventsEqual(t, hist.Events, events[:2*every])
-		// Disjoint again: the interrupted seal is finished and the wal empty,
-		// or — the cut fell inside the seal's first record, so no sealed
-		// record repeats in the wal — the wal starts where the snapshot ends.
-		requireDisjoint(t, dir)
+		requireEachIndexOnce(t, dir, 2*every)
 		for _, ev := range events[2*every:] {
 			if err := l.Append(ev); err != nil {
 				t.Fatalf("cut at %d: append after repair: %v", cut, err)
@@ -527,7 +675,7 @@ func TestTornSealRepairedOnlyFromWal(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, hist2, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every})
+		l2, hist2, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 		if err != nil {
 			t.Fatalf("cut at %d: reopen after a further seal: %v", cut, err)
 		}
@@ -541,7 +689,7 @@ func TestTornSealRepairedOnlyFromWal(t *testing.T) {
 		for name, w := range map[string][]byte{"missing": nil, "empty": {}, "past the damage": pastDamage} {
 			dir := t.TempDir()
 			writeFiles(t, dir, map[string][]byte{metaName: meta, snapName: snap[:cut], walName: w})
-			_, hist, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every})
+			_, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 			var ce *CorruptionError
 			switch {
 			case sb[intactBefore(cut)] == cut && len(w) == 0:
@@ -556,51 +704,137 @@ func TestTornSealRepairedOnlyFromWal(t *testing.T) {
 	}
 }
 
-// TestDamagedSealedRecordIsCorruption flips a bit in a sealed record older
-// than anything the wal holds. No torn seal explains it and nothing can
-// supply the event, so recovery must refuse.
-func TestDamagedSealedRecordIsCorruption(t *testing.T) {
+// TestDamagedSealedSegmentIsCorruption flips a bit in a sealed record older
+// than anything the next file holds. No torn seal explains it and nothing
+// can supply the event, so recovery must refuse and leave the file alone.
+func TestDamagedSealedSegmentIsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	const every = 8
-	writeLog(t, dir, sampleEvents(2*every+3), Options{NoSync: true, SnapshotEvery: every})
-	path := filepath.Join(dir, snapName)
-	snap, err := os.ReadFile(path)
+	writeLog(t, dir, sampleEvents(2*every+3), Options{NoSync: true, sealEvery: every})
+	name := fmt.Sprintf(segFormat, 0)
+	path := filepath.Join(dir, name)
+	seg, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := recordBounds(t, snap)
-	snap[b[3]+10] ^= 0x04 // inside record 3's payload; the wal starts at 16
-	if err := os.WriteFile(path, snap, 0o644); err != nil {
+	b := recordBounds(t, seg)
+	seg[b[3]+10] ^= 0x04 // inside record 3's payload; the next segment starts at 8
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ce *CorruptionError
-	if _, _, err := Open(dir, testMeta(), Options{NoSync: true, SnapshotEvery: every}); !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CorruptionError", err)
+	if _, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every}); !errors.As(err, &ce) || ce.File != name {
+		t.Fatalf("err = %v, want a CorruptionError in %s", err, name)
 	}
-	if after, err := os.ReadFile(path); err != nil || len(after) != len(snap) {
-		t.Fatalf("refused recovery changed snap.log: %d bytes, was %d (%v)", len(after), len(snap), err)
+	if after, err := os.ReadFile(path); err != nil || len(after) != len(seg) {
+		t.Fatalf("refused recovery changed %s: %d bytes, was %d (%v)", name, len(after), len(seg), err)
 	}
 }
 
-// TestLeftoverTmpSnapshotIgnored: a build that still rewrote its snapshot
-// through snap.log.tmp can have crashed mid-rewrite; recovery must ignore and
-// remove the leftover, trusting wal + previous snapshot.
-func TestLeftoverTmpSnapshotIgnored(t *testing.T) {
+// TestLeftoversRemovedOnOpen: a meta.json.tmp is a rename that never
+// happened and a tree.ckpt belongs to a build whose journal kept a Merkle
+// checkpoint; neither is read, both are removed, and the history is what
+// the record files hold.
+func TestLeftoversRemovedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(5)
 	writeLog(t, dir, events, Options{NoSync: true})
-	tmp := filepath.Join(dir, snapName+".tmp")
-	if err := os.WriteFile(tmp, []byte("half-written garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	leftovers := []string{metaName + ".tmp", treeName}
+	for _, name := range leftovers {
+		writeFiles(t, dir, map[string][]byte{name: []byte("half-written garbage")})
 	}
 	_, hist, err := Open(dir, testMeta(), Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eventsEqual(t, hist.Events, events)
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("leftover tmp snapshot not removed")
+	for _, name := range leftovers {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("leftover %s not removed", name)
+		}
 	}
+}
+
+// sealCrash is the panic value the crash hook below throws.
+type sealCrash struct{}
+
+// crashDuringSeal appends events until the hook — called inside every seal,
+// between the rename and the new wal, with the number of Appends started —
+// panics, and returns the number of events appended, the crashing Append's
+// included: its event was durable before the seal began. The log is left
+// as the "kill -9" left it, never closed.
+func crashDuringSeal(t *testing.T, dir string, every int, events []cluster.Event, crashAt func(appended int) bool) int {
+	t.Helper()
+	l, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended, crashed := 0, false
+	testCrashSeal = func() {
+		if crashAt(appended) {
+			panic(sealCrash{})
+		}
+	}
+	defer func() { testCrashSeal = nil }()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(sealCrash); !ok {
+					panic(r)
+				}
+				crashed = true
+			}
+		}()
+		for _, ev := range events {
+			appended++
+			if err := l.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	if !crashed {
+		t.Fatal("crash hook never fired; seal cadence changed?")
+	}
+	return appended
+}
+
+// TestCrashInSealWindow kills the log at the one point inside a seal where
+// the directory is not in a state Append leaves: the wal has been renamed
+// and no new one exists yet. Reopening must recover every event, create the
+// wal, and seal and recover on.
+func TestCrashInSealWindow(t *testing.T) {
+	const every = 16
+	dir := t.TempDir()
+	events := sampleEvents(3*every + 5)
+	// The first seal (event 16) completes; the hook kills the second (32).
+	appended := crashDuringSeal(t, dir, every, events, func(appended int) bool { return appended > every })
+	if appended != 2*every {
+		t.Fatalf("crashed after %d appends, want %d", appended, 2*every)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walName)); !os.IsNotExist(err) {
+		t.Fatalf("wal.log in the crash window: %v; the hook should fire before it is recreated", err)
+	}
+	// No Close: the "process" died. The on-disk state is what recovery gets.
+
+	l, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	if err != nil {
+		t.Fatalf("recovery from mid-seal crash: %v", err)
+	}
+	eventsEqual(t, hist.Events, events[:appended])
+	for _, ev := range events[appended:] {
+		if err := l.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, hist, err = Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventsEqual(t, hist.Events, events)
+	requireEachIndexOnce(t, dir, len(events))
 }
 
 // TestDiskBackedSupervisorAuditsClean is the tentpole's supervisor half: a
@@ -620,7 +854,7 @@ func TestDiskBackedSupervisorAuditsClean(t *testing.T) {
 	em := fault.NewNetem(n)
 	base := cluster.Config{
 		Store: st, Seed: 17,
-		Storage:        &Storage{Dir: dataDir, Opts: Options{SnapshotEvery: 64}},
+		Storage:        &Storage{Dir: dataDir, Opts: Options{sealEvery: 64}},
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,

@@ -228,8 +228,8 @@ func TestGroupCommitShardedStorageShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hist != nil || tree == nil {
-			t.Fatalf("shard %d: fresh open returned history %v, tree %v", sh, hist, tree)
+		if hist != nil || tree != nil {
+			t.Fatalf("shard %d: fresh open returned history %v, tree %v; the shard owns the forest", sh, hist, tree)
 		}
 		closers[sh] = closeFn
 		evs := sampleEvents(8)

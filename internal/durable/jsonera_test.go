@@ -3,6 +3,7 @@ package durable
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -30,8 +31,8 @@ func jsonEraRecord(t *testing.T, index uint64, ev cluster.Event) []byte {
 // TestJSONEraRecordIsCorruption: a record whose body tag is not the binary
 // one is damage like any other, however well-formed its frame. At the wal's
 // tail it is a torn append — recovery keeps the prefix before it and cuts it
-// off; in the sealed snapshot, where the wal no longer covers it, it fails
-// recovery instead of being guessed at.
+// off; in a sealed segment, where no next file covers it, it fails recovery
+// instead of being guessed at.
 func TestJSONEraRecordIsCorruption(t *testing.T) {
 	events := sampleEvents(7)
 	var good []byte
@@ -64,9 +65,10 @@ func TestJSONEraRecordIsCorruption(t *testing.T) {
 	eventsEqual(t, hist.Events, events)
 
 	dir = t.TempDir()
-	writeFiles(t, dir, map[string][]byte{snapName: append(append([]byte(nil), good...), old...)})
+	seg := fmt.Sprintf(segFormat, 0)
+	writeFiles(t, dir, map[string][]byte{seg: append(append([]byte(nil), good...), old...)})
 	var ce *CorruptionError
-	if _, _, err := Open(dir, testMeta(), Options{NoSync: true}); !errors.As(err, &ce) || ce.File != snapName {
-		t.Fatalf("sealed JSON-era record: err = %v, want a CorruptionError in %s", err, snapName)
+	if _, _, err := Open(dir, testMeta(), Options{NoSync: true}); !errors.As(err, &ce) || ce.File != seg {
+		t.Fatalf("sealed JSON-era record: err = %v, want a CorruptionError in %s", err, seg)
 	}
 }

@@ -14,8 +14,8 @@
 // re-shipping the log.
 //
 // The package is deliberately transport-free: internal/cluster encodes
-// Views and tree hashes onto the wire and internal/durable checkpoints a
-// Forest next to its snapshots, but nothing here imports either.
+// Views and tree hashes onto the wire and each of its shards owns a Forest
+// over its update log, but nothing here imports it.
 package membership
 
 import (

@@ -56,9 +56,6 @@ func NewForest(n int) *Forest {
 	return &Forest{origins: make([]originTree, n)}
 }
 
-// Origins returns the origin population the forest was created for.
-func (f *Forest) Origins() int { return len(f.origins) }
-
 // Count returns how many of origin's updates the forest has hashed.
 func (f *Forest) Count(origin int) uint64 {
 	if origin < 0 || origin >= len(f.origins) {
@@ -104,17 +101,6 @@ func (f *Forest) Append(origin int, seq uint64, payload []byte) error {
 	return nil
 }
 
-// AppendHash appends a precomputed update hash (the checkpoint-restore
-// path: internal/durable persists the raw hash arrays and reloads them
-// without re-reading payloads).
-func (f *Forest) AppendHash(origin int, h Hash) error {
-	if origin < 0 || origin >= len(f.origins) {
-		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.origins))
-	}
-	f.origins[origin].push(h)
-	return nil
-}
-
 // push appends one update hash and caches every node it completes: the
 // leaf when a LeafSpan boundary is reached, then each ancestor whose right
 // child that just finished.
@@ -136,11 +122,6 @@ func (t *originTree) push(h Hash) {
 		}
 		node = interiorHash(t.nodes[level].At(n-2), node)
 	}
-}
-
-// UpdateHash returns the hash of origin's i-th update (0-based).
-func (f *Forest) UpdateHash(origin int, i uint64) Hash {
-	return f.origins[origin].hashes.At(int(i))
 }
 
 // TopLevel returns the level of the root node of a tree over k updates:

@@ -64,9 +64,10 @@ func refPrefixRoot(hashes []Hash, k uint64) Hash {
 	return h
 }
 
-// forestBuilders are the three ways a forest comes to hold k updates:
-// hashing payloads, reloading checkpointed hashes, and the recovery shape —
-// a checkpointed prefix extended with payloads.
+// forestBuilders are three ways a forest comes to hold k updates: hashing
+// payloads (Append, all the cluster does), pushing update hashes computed
+// elsewhere straight into the origin's tree, and a pushed prefix extended
+// with payloads — the node cache must fill the same way under each.
 var forestBuilders = []struct {
 	name  string
 	build func(k int) *Forest
@@ -74,10 +75,8 @@ var forestBuilders = []struct {
 	{"Append", buildForest},
 	{"AppendHash", func(k int) *Forest {
 		src, f := buildForest(k), NewForest(3)
-		for i := uint64(0); i < uint64(k); i++ {
-			if err := f.AppendHash(0, src.UpdateHash(0, i)); err != nil {
-				panic(err)
-			}
+		for i := 0; i < k; i++ {
+			f.origins[0].push(src.origins[0].hashes.At(i))
 		}
 		return f
 	}},
@@ -85,13 +84,9 @@ var forestBuilders = []struct {
 		src, f := buildForest(k), NewForest(3)
 		seeded := k * 2 / 3 // off every leaf and node boundary for most k
 		for i := 0; i < k; i++ {
-			var err error
 			if i < seeded {
-				err = f.AppendHash(0, src.UpdateHash(0, uint64(i)))
-			} else {
-				err = f.Append(0, uint64(i)+1, []byte(fmt.Sprintf("update-%d", i+1)))
-			}
-			if err != nil {
+				f.origins[0].push(src.origins[0].hashes.At(i))
+			} else if err := f.Append(0, uint64(i)+1, []byte(fmt.Sprintf("update-%d", i+1))); err != nil {
 				panic(err)
 			}
 		}
@@ -242,9 +237,7 @@ func BenchmarkForestRoot(b *testing.B) {
 			var h Hash
 			for i := 0; i < k-7; i++ { // off a leaf boundary: the spine is incomplete
 				h[i%32]++
-				if err := f.AppendHash(0, h); err != nil {
-					b.Fatal(err)
-				}
+				f.origins[0].push(h)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

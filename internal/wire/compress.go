@@ -9,23 +9,9 @@ import (
 	"sync"
 )
 
-// Compression algorithm identifiers, as a compression envelope names the
+// CompFlate identifies DEFLATE where a compression envelope names the
 // algorithm its body was compressed with.
-const (
-	CompNone  uint64 = 0
-	CompFlate uint64 = 1
-)
-
-// CompName names a compression ID for logs and error messages.
-func CompName(c uint64) string {
-	switch c {
-	case CompNone:
-		return "none"
-	case CompFlate:
-		return "flate"
-	}
-	return fmt.Sprintf("comp-%d", c)
-}
+const CompFlate uint64 = 1
 
 // flateWriters pools DEFLATE encoders: flate.NewWriter allocates large
 // match tables, far too heavy to mint per frame.

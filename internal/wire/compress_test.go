@@ -69,12 +69,3 @@ func TestInflateLengthContract(t *testing.T) {
 		t.Fatal("Inflate accepted a corrupt stream")
 	}
 }
-
-func TestCompName(t *testing.T) {
-	if CompName(CompNone) != "none" || CompName(CompFlate) != "flate" {
-		t.Fatal("CompName misnames a known algorithm")
-	}
-	if CompName(7) != "comp-7" {
-		t.Fatalf("CompName(7) = %q", CompName(7))
-	}
-}
