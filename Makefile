@@ -180,9 +180,10 @@ batteries-check:
 		done; \
 	done; exit $$status; }
 
-# What CI runs (.github/workflows/verify.yml, step for step): the verify
-# gate, the batteries and the check that each still selects tests, the fuzz
-# targets, then regenerate the tracked JSON artifacts and fail if they
-# drifted from what the commit claims.
+# What CI runs — .github/workflows/verify.yml is `make ci` and nothing else,
+# so this prerequisite list is the only one: the verify gate, the batteries
+# and the check that each still selects tests, the fuzz targets, then
+# regenerate the tracked JSON artifacts and fail if they drifted from what
+# the commit claims.
 ci: verify bench-smoke chaos chaos-search durability membership livecheck shard batteries-check fuzz json
 	git diff --exit-code BENCH_FIGURES.json BENCH_MSGBOUND.json BENCH_CHAOS.json BENCH_WIRE.json BENCH_SYNC.json BENCH_LIVECHECK.json BENCH_SHARD.json

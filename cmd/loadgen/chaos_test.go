@@ -326,3 +326,47 @@ func TestRunChaosLiveAudit(t *testing.T) {
 		t.Fatal("peak tracked state never rose above zero")
 	}
 }
+
+// TestRunChaosDeclaredDeviations runs the chaos pipeline on the two stores
+// that deviate from §4 by design. kbuffer withholds what it receives until
+// reads elapse, so the run converges only if settling surfaces the aged
+// reads (loadgen's own copy of the pipeline skipped them and reported
+// "diverged after quiescence"); and for a store that declares
+// store.PropertyViolator the §4 count is a figure in its row, not the run's
+// error.
+func TestRunChaosDeclaredDeviations(t *testing.T) {
+	for _, name := range []string{"kbuffer", "gsp"} {
+		cfg := chaosConfig{
+			store:          name,
+			nodes:          3,
+			clients:        3,
+			ops:            40,
+			mutate:         0.5,
+			objects:        3,
+			seed:           1,
+			quiesceTimeout: 30 * time.Second,
+			jsonOut:        true,
+		}
+		var buf bytes.Buffer
+		if err := runChaos(&buf, cfg); err != nil {
+			t.Fatalf("%s: runChaos: %v\noutput:\n%s", name, err, buf.String())
+		}
+		var audit struct {
+			Rows [][]string `json:"rows"`
+		}
+		lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+		if err := json.Unmarshal(lines[len(lines)-1], &audit); err != nil {
+			t.Fatal(err)
+		}
+		cells := map[string]string{}
+		for _, row := range audit.Rows {
+			cells[row[0]] = row[1]
+		}
+		if got := cells["converged after quiescence"]; got != "ok" {
+			t.Fatalf("%s: converged = %q", name, got)
+		}
+		if got := cells["§4 property violations"]; got == "" || got == "0" {
+			t.Fatalf("%s: §4 violations = %q; the store deviates by design and the row must say so", name, got)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/fault"
 	"repro/internal/livecheck"
-	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -29,10 +28,7 @@ func runLivebench(w io.Writer, cfg benchArgs) error {
 	if cfg.ops < 1 || cfg.objects < 1 {
 		return fmt.Errorf("livebench needs at least one step and one object")
 	}
-	objs := make([]model.ObjectID, cfg.objects)
-	for i := range objs {
-		objs[i] = model.ObjectID(fmt.Sprintf("x%d", i))
-	}
+	objs := objectIDs("x%d", cfg.objects)
 	names := store.Names()
 	sort.Strings(names)
 

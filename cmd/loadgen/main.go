@@ -35,10 +35,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/consistency"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 func main() {
@@ -189,17 +189,9 @@ func run(w io.Writer, cfg config) error {
 	}
 	// -keys switches to the sharding workload's k%06d keyspace; the legacy
 	// x%d naming stays the default so existing invocations are unchanged.
-	var objs []model.ObjectID
+	objs := objectIDs("x%d", cfg.objects)
 	if cfg.keys > 0 {
-		objs = make([]model.ObjectID, cfg.keys)
-		for i := range objs {
-			objs[i] = model.ObjectID(fmt.Sprintf("k%06d", i))
-		}
-	} else {
-		objs = make([]model.ObjectID, cfg.objects)
-		for i := range objs {
-			objs[i] = model.ObjectID(fmt.Sprintf("x%d", i))
-		}
+		objs = objectIDs("k%06d", cfg.keys)
 	}
 
 	// One control connection per node: quiescence polling, stats,
@@ -232,79 +224,31 @@ func run(w io.Writer, cfg config) error {
 		}
 	}
 
-	// Workload: each client gets a split-seed RNG stream, so runs are
-	// reproducible for any client count.
-	type result struct {
-		latencies []time.Duration
-		errs      int
-	}
-	results := make([]result, cfg.clients)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for ci := 0; ci < cfg.clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(gen.SplitSeed(cfg.seed, ci)))
-			var z *rand.Zipf
-			if cfg.zipf && len(objs) > 1 {
-				z = rand.NewZipf(rng, 1.1, 1, uint64(len(objs)-1))
-			}
-			var d cluster.Doer
+	lats, errs := drive(cfg.seed, cfg.clients, cfg.ops, cfg.mutate, objs, cfg.zipf, 0,
+		func(ci int) (cluster.Doer, func(), error) {
 			if pools != nil {
-				d = pools[ci%len(pools)]
-			} else {
-				c, err := cluster.Dial(cfg.nodes[ci%len(cfg.nodes)], 0)
-				if err != nil {
-					results[ci].errs = cfg.ops
-					return
-				}
-				defer c.Close()
-				c.SetOpTimeout(cfg.opTimeout)
-				d = c
+				return pools[ci%len(pools)], func() {}, nil
 			}
-			for i := 0; i < cfg.ops; i++ {
-				var obj model.ObjectID
-				if z != nil {
-					obj = objs[z.Uint64()]
-				} else {
-					obj = objs[rng.Intn(len(objs))]
-				}
-				op := model.Read()
-				if rng.Float64() < cfg.mutate {
-					op = model.Write(model.Value(fmt.Sprintf("c%d.v%d", ci, i)))
-				}
-				t0 := time.Now()
-				if _, err := d.Do(obj, op); err != nil {
-					results[ci].errs++
-					continue
-				}
-				results[ci].latencies = append(results[ci].latencies, time.Since(t0))
+			c, err := cluster.Dial(cfg.nodes[ci%len(cfg.nodes)], 0)
+			if err != nil {
+				return nil, nil, err
 			}
-		}(ci)
-	}
-	wg.Wait()
+			c.SetOpTimeout(cfg.opTimeout)
+			return c, func() { c.Close() }, nil
+		})
 	elapsed := time.Since(start)
 
-	var lats []time.Duration
-	errs := 0
-	for _, r := range results {
-		lats = append(lats, r.latencies...)
-		errs += r.errs
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-
-	// Quiescence: all nodes must report quiesced on two consecutive polls
-	// (acks follow application, so a stable all-quiesced poll means every
-	// broadcast update was delivered — Definition 17 over a real network).
-	if err := waitQuiesced(control, cfg.quiesceTimeout); err != nil {
+	// What the cluster serves decides what settling and auditing it owe. A
+	// store this build does not know settles and audits as one that declares
+	// nothing.
+	first, err := control[0].Stats()
+	if err != nil {
 		return err
 	}
+	storeName := first.Store
+	st, _ := cli.OpenStore(storeName, spec.MVRTypes(), store.Options{})
 
-	doers := make([]cluster.Doer, len(control))
-	for i, c := range control {
-		doers[i] = c
-	}
 	// A million-key run cannot afford a read of every key from every node;
 	// verify a seeded sample instead (quiescence already implies every
 	// update was delivered, so a converged sample is strong evidence the
@@ -318,23 +262,25 @@ func run(w io.Writer, cfg config) error {
 			checkObjs[i] = objs[srng.Intn(len(objs))]
 		}
 	}
-	convergence := cluster.CheckConverged(doers, checkObjs)
+	quiesce := func() error {
+		return cluster.PollQuiesced(func() (bool, error) {
+			for _, c := range control {
+				if s, err := c.Stats(); err != nil || !s.Quiesced {
+					return false, err
+				}
+			}
+			return true, nil
+		}, cfg.quiesceTimeout)
+	}
+	convergence := cluster.Settle(quiesce, st, cluster.Doers(control), checkObjs)
 
 	var agg cluster.Stats
-	storeName := ""
 	for _, c := range control {
 		s, err := c.Stats()
 		if err != nil {
 			return err
 		}
-		storeName = s.Store
-		agg.Ops += s.Ops
-		agg.Sends += s.Sends
-		agg.BytesOut += s.BytesOut
-		agg.Retransmits += s.Retransmits
-		agg.Reconnects += s.Reconnects
-		agg.DupFrames += s.DupFrames
-		agg.Violations += s.Violations
+		agg.Add(s)
 	}
 
 	out := cli.Output(w, cfg.jsonOut)
@@ -356,63 +302,118 @@ func run(w io.Writer, cfg config) error {
 		return convergence
 	}
 
-	// Audit: replay the recorded histories through the checker pipeline —
-	// per shard on a sharded cluster. Each shard is its own broadcast
-	// domain with its own Lamport clock, so same-shard histories merge into
-	// an execution of their own; Proposition 1's per-object projections
-	// make the per-shard verdicts compose into the whole cluster's (no key
-	// spans two shards).
-	causal := strings.HasPrefix(storeName, "causal")
+	audits, err := cluster.AuditShards(cfg.shards, cluster.HistoriesOf(control), spec.MVRTypes())
+	if err != nil {
+		return err
+	}
 	a := bench.NewTable(fmt.Sprintf("loadgen audit: %s, %d nodes, %d shard(s)", storeName, len(cfg.nodes), cfg.shards),
 		"shard", "events", "messages", "well-formed", "causal (Def 12)")
-	var firstErr error
-	keep := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	for s := 0; s < cfg.shards; s++ {
-		hists := make([]cluster.History, len(control))
-		for i, c := range control {
-			h, err := c.ShardHistory(s)
-			if err != nil {
-				return err
-			}
-			hists[i] = h
-		}
-		audited, err := cluster.BuildAudit(hists)
-		if err != nil {
-			return err
-		}
-		events := 0
-		for _, h := range hists {
-			events += len(h.Events)
-		}
-		wellFormed := audited.Exec.CheckWellFormed()
-		keep(wellFormed)
-		causalVerdict := error(nil)
+	for s, sa := range audits {
 		causalCell := interface{}("-")
-		if causal {
-			causalVerdict = consistency.CheckCausal(audited.Abstract, spec.MVRTypes())
-			keep(causalVerdict)
-			causalCell = bench.Check(causalVerdict)
+		if sa.CausalOwed {
+			causalCell = bench.Check(sa.Causal)
 		}
-		a.AddRow(s, events, len(audited.Exec.Messages), bench.Check(wellFormed), causalCell)
+		a.AddRow(s, sa.Events, len(sa.Exec.Messages), bench.Check(sa.WellFormed), causalCell)
 	}
-	s := bench.NewTable("loadgen audit verdict", "metric", "value")
-	s.AddRow("converged after quiescence", bench.Check(convergence))
-	s.AddRow("§4 property violations", agg.Violations)
+	v := bench.NewTable("loadgen audit verdict", "metric", "value")
+	v.AddRow("converged after quiescence", bench.Check(convergence))
+	v.AddRow("§4 property violations", agg.Violations)
 	if err := out.Emit(a); err != nil {
 		return err
 	}
-	if err := out.Emit(s); err != nil {
+	if err := out.Emit(v); err != nil {
 		return err
 	}
-	if firstErr != nil {
-		return firstErr
+	return verdict(audits, nil, st, agg.Violations, convergence)
+}
+
+// objectIDs names n objects by their index.
+func objectIDs(format string, n int) []model.ObjectID {
+	objs := make([]model.ObjectID, n)
+	for i := range objs {
+		objs[i] = model.ObjectID(fmt.Sprintf(format, i))
 	}
-	if agg.Violations != 0 {
-		return fmt.Errorf("%d §4 property violations recorded", agg.Violations)
+	return objs
+}
+
+// drive runs the seeded client mix: clients goroutines, client ci on the
+// replica connect(ci) hands it (and releases when it is done), each issuing
+// ops operations — a write with probability mutate, else a read — on objects
+// drawn uniformly or, with zipf, from a zipfian popularity curve, pausing
+// pace after each. Every client draws from its own split-seed stream, so a
+// run is reproducible for any client count. It returns the latencies of the
+// operations that succeeded, sorted, and how many failed; a client that
+// cannot connect fails all of its operations.
+func drive(seed int64, clients, ops int, mutate float64, objs []model.ObjectID, zipf bool, pace time.Duration,
+	connect func(ci int) (cluster.Doer, func(), error)) ([]time.Duration, int) {
+	type result struct {
+		latencies []time.Duration
+		errs      int
+	}
+	results := make([]result, clients)
+	var wg sync.WaitGroup
+	for ci := 0; ci < clients; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(gen.SplitSeed(seed, ci)))
+			var z *rand.Zipf
+			if zipf && len(objs) > 1 {
+				z = rand.NewZipf(rng, 1.1, 1, uint64(len(objs)-1))
+			}
+			d, release, err := connect(ci)
+			if err != nil {
+				results[ci].errs = ops
+				return
+			}
+			defer release()
+			for i := 0; i < ops; i++ {
+				var obj model.ObjectID
+				if z != nil {
+					obj = objs[z.Uint64()]
+				} else {
+					obj = objs[rng.Intn(len(objs))]
+				}
+				op := model.Read()
+				if rng.Float64() < mutate {
+					op = model.Write(model.Value(fmt.Sprintf("c%d.v%d", ci, i)))
+				}
+				t0 := time.Now()
+				if _, err := d.Do(obj, op); err != nil {
+					results[ci].errs++
+				} else {
+					results[ci].latencies = append(results[ci].latencies, time.Since(t0))
+				}
+				time.Sleep(pace)
+			}
+		}(ci)
+	}
+	wg.Wait()
+
+	var lats []time.Duration
+	errs := 0
+	for _, r := range results {
+		lats = append(lats, r.latencies...)
+		errs += r.errs
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return lats, errs
+}
+
+// verdict is a run's error once its tables are out: the first failed audit
+// verdict, a live checker that disagrees with the audit, a §4 violation the
+// store does not declare, then divergence.
+func verdict(audits []cluster.ShardAudit, liveDisagrees error, st store.Store, violations int, convergence error) error {
+	for _, a := range audits {
+		if err := a.Err(); err != nil {
+			return err
+		}
+	}
+	if liveDisagrees != nil {
+		return liveDisagrees
+	}
+	if err := cluster.PropertyErr(st, violations); err != nil {
+		return err
 	}
 	return convergence
 }
@@ -445,33 +446,4 @@ func percentile(lats []time.Duration, p float64) time.Duration {
 		i = len(lats) - 1
 	}
 	return lats[i]
-}
-
-// waitQuiesced polls every node's stats until all report quiescence twice
-// in a row.
-func waitQuiesced(control []*cluster.Client, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	clean := 0
-	for time.Now().Before(deadline) {
-		all := true
-		for _, c := range control {
-			s, err := c.Stats()
-			if err != nil {
-				return err
-			}
-			if !s.Quiesced {
-				all = false
-				break
-			}
-		}
-		if all {
-			if clean++; clean >= 2 {
-				return nil
-			}
-		} else {
-			clean = 0
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("cluster did not quiesce within %v", timeout)
 }

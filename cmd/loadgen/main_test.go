@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
 
@@ -21,40 +20,28 @@ import (
 // processes, minus process management.
 func bootCluster(t *testing.T) []string {
 	t.Helper()
-	const n = 3
-	nodes := make([]*cluster.Node, n)
-	for i := 0; i < n; i++ {
+	nodes, err := cluster.BootMesh(3, func(int) cluster.Config {
 		st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd, err := cluster.NewNode(cluster.Config{
-			ID: model.ReplicaID(i), N: n, Store: st, Listen: "127.0.0.1:0",
+		return cluster.Config{
+			Store: st, Listen: "127.0.0.1:0",
 			DialBackoffMin: 5 * time.Millisecond,
 			RetransmitMin:  25 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		nodes[i] = nd
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	})
-	addrs := make([]string, n)
+	addrs := make([]string, len(nodes))
 	for i, nd := range nodes {
 		addrs[i] = nd.Addr()
-		peers := make(map[model.ReplicaID]string)
-		for j, other := range nodes {
-			if j != i {
-				peers[model.ReplicaID(j)] = other.Addr()
-			}
-		}
-		if err := nd.Connect(peers); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return addrs
 }

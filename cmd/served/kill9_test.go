@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/consistency"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -90,6 +89,45 @@ func spawnServed(t *testing.T, addr, peers, dataDir string) *servedProc {
 	return spawnServedArgs(t,
 		"-store", "causal", "-id", "0", "-listen", addr,
 		"-peers", peers, "-n", "3", "-data-dir", dataDir)
+}
+
+// settle walks the first half of the post-run pipeline across the process
+// boundary: the child (asked through its client's Stats) and the in-process
+// peers quiesce, then every replica converges on objs. The causal store ages
+// no reads, so Settle needs no store.
+func settle(t *testing.T, child *servedProc, c *cluster.Client, peers []*cluster.Node, objs ...model.ObjectID) {
+	t.Helper()
+	quiesce := func() error {
+		return cluster.PollQuiesced(func() (bool, error) {
+			for _, nd := range peers {
+				if !nd.Quiesced() {
+					return false, nil
+				}
+			}
+			s, err := c.Stats()
+			return err == nil && s.Quiesced, nil
+		}, 30*time.Second)
+	}
+	doers := append([]cluster.Doer{c}, cluster.Doers(peers)...)
+	if err := cluster.Settle(quiesce, nil, doers, objs); err != nil {
+		s, _ := c.Stats()
+		t.Fatalf("%v; child stats %+v\nchild output:\n%s", err, s, child.out)
+	}
+}
+
+// auditClean walks the second half: every shard's histories must merge, be
+// well-formed and causally consistent.
+func auditClean(t *testing.T, shards int, fetch func(shard int) ([]cluster.History, error)) {
+	t.Helper()
+	audits, err := cluster.AuditShards(shards, fetch, spec.MVRTypes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, a := range audits {
+		if err := a.Err(); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+	}
 }
 
 // dialReady polls the child's replication port until it accepts clients.
@@ -201,34 +239,8 @@ func TestKill9Recovery(t *testing.T) {
 			t.Fatalf("post-restart write %d: %v\nchild output:\n%s", i, err, child.out)
 		}
 	}
-	quiesced := func() bool {
-		if !r1.Quiesced() || !r2.Quiesced() {
-			return false
-		}
-		s, err := c.Stats()
-		return err == nil && s.Quiesced
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	clean := 0
-	for clean < 2 {
-		if time.Now().After(deadline) {
-			s, _ := c.Stats()
-			t.Fatalf("cluster did not quiesce after restart; child stats %+v, r1 %+v, r2 %+v\nchild output:\n%s",
-				s, r1.Stats(), r2.Stats(), child.out)
-		}
-		if quiesced() {
-			clean++
-		} else {
-			clean = 0
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
 	// Converge and audit across the process boundary.
-	doers := []cluster.Doer{c, r1, r2}
-	if err := cluster.CheckConverged(doers, []model.ObjectID{"x", "y"}); err != nil {
-		t.Fatalf("%v\nchild output:\n%s", err, child.out)
-	}
+	settle(t, child, c, []*cluster.Node{r1, r2}, "x", "y")
 	h0, err := c.History()
 	if err != nil {
 		t.Fatal(err)
@@ -236,16 +248,7 @@ func TestKill9Recovery(t *testing.T) {
 	if len(h0.Events) < acked {
 		t.Fatalf("recovered history has %d events, fewer than the %d acked client writes", len(h0.Events), acked)
 	}
-	audit, err := cluster.BuildAudit([]cluster.History{h0, r1.History(), r2.History()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
+	auditClean(t, 1, cluster.HistoriesOf([]cluster.HistorySource{c, r1, r2}))
 	for _, nd := range []*cluster.Node{r1, r2} {
 		if v := nd.Violations(); len(v) != 0 {
 			t.Fatalf("r%d property violations: %v", nd.ID(), v)
@@ -438,27 +441,7 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 			pulled2, min, min+int64(window), restored, writes, window)
 	}
 
-	quiesced := func() bool {
-		s, err := c.Stats()
-		return err == nil && s.Quiesced && donor.Quiesced()
-	}
-	deadline = time.Now().Add(30 * time.Second)
-	clean := 0
-	for clean < 2 {
-		if time.Now().After(deadline) {
-			s, _ := c.Stats()
-			t.Fatalf("pair did not quiesce: joiner %+v, donor %+v\nchild output:\n%s", s, donor.Stats(), child.out)
-		}
-		if quiesced() {
-			clean++
-		} else {
-			clean = 0
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if err := cluster.CheckConverged([]cluster.Doer{donor, c}, []model.ObjectID{"x"}); err != nil {
-		t.Fatalf("%v\nchild output:\n%s", err, child.out)
-	}
+	settle(t, child, c, []*cluster.Node{donor}, "x")
 	for _, m := range donor.Membership() {
 		if m.ID == 1 && m.Left {
 			t.Fatalf("donor's view still marks the joiner as left: %+v", m)
@@ -471,16 +454,9 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit, err := cluster.BuildAudit([]cluster.History{donor.History(), h1, h2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
+	auditClean(t, 1, func(int) ([]cluster.History, error) {
+		return []cluster.History{donor.History(), h1, h2}, nil
+	})
 }
 
 // TestKill9ShardedGroupCommit is the sharding tentpole's crash proof: a
@@ -650,52 +626,6 @@ func TestKill9ShardedGroupCommit(t *testing.T) {
 		}
 		allKeys = append(allKeys, keys[s]...)
 	}
-	quiesced := func() bool {
-		if !r1.Quiesced() || !r2.Quiesced() {
-			return false
-		}
-		s, err := c.Stats()
-		return err == nil && s.Quiesced
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	clean := 0
-	for clean < 2 {
-		if time.Now().After(deadline) {
-			s, _ := c.Stats()
-			t.Fatalf("cluster did not quiesce after restart; child stats %+v\nchild output:\n%s", s, child.out)
-		}
-		if quiesced() {
-			clean++
-		} else {
-			clean = 0
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if err := cluster.CheckConverged([]cluster.Doer{c, r1, r2}, allKeys); err != nil {
-		t.Fatalf("%v\nchild output:\n%s", err, child.out)
-	}
-	for s := 0; s < shards; s++ {
-		h0, err := c.ShardHistory(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h1, err := r1.ShardHistory(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := r2.ShardHistory(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit, err := cluster.BuildAudit([]cluster.History{h0, h1, h2})
-		if err != nil {
-			t.Fatalf("shard %d audit: %v", s, err)
-		}
-		if err := audit.Exec.CheckWellFormed(); err != nil {
-			t.Fatalf("shard %d execution not well-formed: %v", s, err)
-		}
-		if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-			t.Fatalf("shard %d abstract execution not causal: %v", s, err)
-		}
-	}
+	settle(t, child, c, []*cluster.Node{r1, r2}, allKeys...)
+	auditClean(t, shards, cluster.HistoriesOf([]cluster.HistorySource{c, r1, r2}))
 }

@@ -55,6 +55,50 @@ func FromEvents(events []model.Event) *Execution {
 	return a
 }
 
+// Derive builds the abstract execution a recorded run complies with
+// (Definition 9) from what each do event saw. H is h, the run's do events in
+// their global order; mutator[i] says e_i minted an update dot; the engine
+// that recorded the run answers two questions about a pair i < j from its
+// own records. e_i -vis-> e_j iff one of:
+//
+//   - session order: same replica, i before j;
+//   - e_i is a mutator and sees(i, j): its dot is inside e_j's past, the set
+//     of updates visible at R(e_j) when e_j executed;
+//   - e_i is not one and within(i, j): e_i's past is contained in e_j's.
+//     within must be false whenever either event reported no past at all.
+//
+// The read rule matters: reads leave no trace in store state, but the
+// abstract execution must still relate them to later events or visibility
+// loses transitivity (a read session-precedes a local write that then
+// propagates) and eventual consistency would be vacuously violated by
+// never-visible reads. Containment of causal pasts is the strongest
+// visibility a complying execution can claim for a read, and for a causally
+// consistent store it keeps the derived relation transitive. Read-source
+// edges never affect specification evaluation, so correctness is untouched.
+// An absent report is not an empty one: "saw nothing ⊆ anything" edges out
+// of a store that reports no visibility would fabricate visibility it never
+// claimed — enough to mask a real violation behind a well-connected read.
+func Derive(h []model.Event, mutator []bool, sees, within func(i, j int) bool) *Execution {
+	a := FromEvents(h)
+	for j := range h {
+		for i := 0; i < j; i++ {
+			switch {
+			case h[i].Replica == h[j].Replica:
+				a.AddVis(i, j)
+			case mutator[i]:
+				if sees(i, j) {
+					a.AddVis(i, j)
+				}
+			default:
+				if within(i, j) {
+					a.AddVis(i, j)
+				}
+			}
+		}
+	}
+	return a
+}
+
 // Len returns |H|.
 func (a *Execution) Len() int { return len(a.H) }
 

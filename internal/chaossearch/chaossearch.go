@@ -416,29 +416,8 @@ load:
 		i++
 		time.Sleep(tick)
 	}
-	if !cluster.WaitQuiesced(sup.Nodes(), 30*time.Second) {
-		return fault.Metrics{}, errors.New("chaossearch: cluster did not quiesce after the schedule")
-	}
-	doers := make([]cluster.Doer, cfg.Nodes)
-	for j := range doers {
-		doers[j] = sup.Doer(j)
-	}
-	if ra, ok := cfg.Store.(store.ReadAger); ok {
-		for round := 0; round < ra.ExtraReadRounds(); round++ {
-			for _, d := range doers {
-				for _, obj := range searchObjects {
-					if _, err := d.Do(obj, model.Read()); err != nil {
-						return fault.Metrics{}, err
-					}
-				}
-			}
-		}
-		if !cluster.WaitQuiesced(sup.Nodes(), 30*time.Second) {
-			return fault.Metrics{}, errors.New("chaossearch: cluster did not re-quiesce after aged reads")
-		}
-	}
-	if err := cluster.CheckConverged(doers, searchObjects); err != nil {
-		return fault.Metrics{}, err
+	if err := sup.Settle(30*time.Second, searchObjects); err != nil {
+		return fault.Metrics{}, fmt.Errorf("chaossearch: %w", err)
 	}
 	return sup.Metrics(), nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consistency"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -88,34 +87,10 @@ func TestSupervisorOverlappingCrashWindows(t *testing.T) {
 		t.Fatalf("crashes/restarts = %d/%d, want 2/2", crashes, restarts)
 	}
 
-	live := sup.Nodes()
-	if len(live) != n {
-		t.Fatalf("%d nodes live after schedule, want %d", len(live), n)
-	}
-	if !WaitQuiesced(live, 30*time.Second) {
-		t.Fatal("cluster did not quiesce after overlapping crashes")
-	}
-	doers := make([]Doer, n)
-	for i := 0; i < n; i++ {
-		doers[i] = sup.Doer(i)
-	}
-	if err := CheckConverged(doers, objects); err != nil {
+	if err := sup.Settle(30*time.Second, objects); err != nil {
 		t.Fatal(err)
 	}
-	hists, err := sup.Histories()
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit, err := BuildAudit(hists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
+	auditClean(t, 1, sup.Histories)
 }
 
 // TestSupervisorSimultaneousCrashLosesNoAckedUpdate is the regression for
@@ -187,24 +162,14 @@ func TestSupervisorSimultaneousCrashLosesNoAckedUpdate(t *testing.T) {
 	if err := <-schedErr; err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
-	live := sup.Nodes()
-	if len(live) != n {
-		t.Fatalf("%d nodes live after schedule, want %d", len(live), n)
-	}
-	if !WaitQuiesced(live, 30*time.Second) {
-		for _, nd := range live {
-			t.Logf("r%d stats: %+v", nd.ID(), nd.Stats())
-		}
-		t.Fatal("cluster wedged: an update acked inside the crash window was lost")
-	}
-	doers := make([]Doer, n)
-	for i := 0; i < n; i++ {
-		doers[i] = sup.Doer(i)
-	}
-	if err := CheckConverged(doers, objects); err != nil {
+	// A failure to quiesce here is the wedge: an update acked inside the crash
+	// window was lost.
+	if err := sup.Settle(30*time.Second, objects); err != nil {
 		t.Fatal(err)
 	}
-	hists, err := sup.Histories()
+	// The flood leaves thousands of events: merge them, but spare the cubic
+	// causal check.
+	hists, err := sup.Histories(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consistency"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -163,34 +162,11 @@ func TestNodeRestartRestoresHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !WaitQuiesced(nodes, 30*time.Second) {
-		t.Fatal("did not quiesce after restart")
+	settle(t, nodes, "x", "y")
+	if got := len(reborn.History().Events); got <= preEvents {
+		t.Fatalf("restored history lost events: %d <= %d", got, preEvents)
 	}
-	doers := make([]Doer, len(nodes))
-	for i, nd := range nodes {
-		doers[i] = nd
-	}
-	if err := CheckConverged(doers, []model.ObjectID{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-
-	hists := make([]History, len(nodes))
-	for i, nd := range nodes {
-		hists[i] = nd.History()
-	}
-	if len(hists[2].Events) <= preEvents {
-		t.Fatalf("restored history lost events: %d <= %d", len(hists[2].Events), preEvents)
-	}
-	audit, err := BuildAudit(hists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
+	auditClean(t, 1, HistoriesOf(nodes))
 }
 
 // TestRestoreResendLateConnectingPeer pins the late-connect contract: a
@@ -285,30 +261,13 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
-		t.Fatal("did not quiesce after second restart")
-	}
+	pair := []*Node{r0, r1}
+	settle(t, pair, "x", "y")
 	if dups := r1.Stats().DupFrames; dups != 0 {
 		t.Fatalf("stale backlog shipped %d dup frames; the hello-ack delivered watermark should have pruned the offer", dups)
 	}
-	if err := CheckConverged([]Doer{r0, r1}, []model.ObjectID{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	audit, err := BuildAudit([]History{r0.History(), r1.History()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
-	for _, nd := range []*Node{r0, r1} {
-		if v := nd.Violations(); len(v) != 0 {
-			t.Fatalf("r%d property violations: %v", nd.ID(), v)
-		}
-	}
+	auditClean(t, 1, HistoriesOf(pair))
+	noViolations(t, pair...)
 }
 
 // TestSupervisorScheduleAuditsClean is the cluster-side tentpole check: a
@@ -373,42 +332,11 @@ func TestSupervisorScheduleAuditsClean(t *testing.T) {
 		t.Fatalf("crashes/restarts = %d/%d, want 1/1", crashes, restarts)
 	}
 
-	live := sup.Nodes()
-	if len(live) != n {
-		t.Fatalf("%d nodes live after schedule, want %d", len(live), n)
-	}
-	if !WaitQuiesced(live, 30*time.Second) {
-		for _, nd := range live {
-			t.Logf("r%d stats: %+v", nd.ID(), nd.Stats())
-		}
-		t.Fatal("cluster did not quiesce after the schedule")
-	}
-	doers := make([]Doer, n)
-	for i := 0; i < n; i++ {
-		doers[i] = sup.Doer(i)
-	}
-	if err := CheckConverged(doers, objects); err != nil {
+	if err := sup.Settle(30*time.Second, objects); err != nil {
 		t.Fatal(err)
 	}
-	hists, err := sup.Histories()
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit, err := BuildAudit(hists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
-	for _, nd := range live {
-		if v := nd.Violations(); len(v) != 0 {
-			t.Fatalf("r%d property violations: %v", nd.ID(), v)
-		}
-	}
+	auditClean(t, 1, sup.Histories)
+	noViolations(t, sup.Nodes()...)
 }
 
 // TestSupervisorShardedCrashRestart is the check that the seams compose:
@@ -469,39 +397,25 @@ func TestSupervisorShardedCrashRestart(t *testing.T) {
 		t.Fatalf("crashes/restarts = %d/%d, want 1/1", crashes, restarts)
 	}
 
-	live := sup.Nodes()
-	if len(live) != n {
-		t.Fatalf("%d nodes live after schedule, want %d", len(live), n)
-	}
-	if !WaitQuiesced(live, 30*time.Second) {
-		for _, nd := range live {
-			t.Logf("r%d stats: %+v", nd.ID(), nd.Stats())
-		}
-		t.Fatal("sharded cluster did not quiesce after the schedule")
-	}
-	doers := make([]Doer, n)
-	for i := range doers {
-		doers[i] = sup.Doer(i)
-	}
-	if err := CheckConverged(doers, objects); err != nil {
+	if err := sup.Settle(30*time.Second, objects); err != nil {
 		t.Fatal(err)
 	}
+	// The audit must cover every shard: what it read sums to what the nodes
+	// recorded (Histories once returned shard 0 alone, whatever Config.Shards).
+	var audited int
+	for _, a := range auditClean(t, shards, sup.Histories) {
+		audited += a.Events
+	}
+	var total Stats
 	restored := int64(0)
-	for s := 0; s < shards; s++ {
-		hists := make([]History, n)
-		for i, nd := range live {
-			if hists[i], err = nd.ShardHistory(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		auditClean(t, hists)
-	}
-	for _, nd := range live {
+	for _, nd := range sup.Nodes() {
+		total.Add(nd.Stats())
 		restored += nd.Restored()
-		if v := nd.Violations(); len(v) != 0 {
-			t.Fatalf("r%d property violations: %v", nd.ID(), v)
-		}
 	}
+	if int64(audited) != total.Events {
+		t.Fatalf("audited %d events over %d shards, the nodes recorded %d", audited, shards, total.Events)
+	}
+	noViolations(t, sup.Nodes()...)
 	if restored == 0 {
 		t.Fatal("the restarted node restored nothing: its shards' journals did not survive the crash")
 	}

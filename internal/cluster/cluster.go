@@ -258,6 +258,26 @@ type Stats struct {
 	ShardEvents   []int64 `json:"shard_events,omitempty"`
 }
 
+// Add accumulates o's counters into s — the sum over the nodes of a cluster,
+// or over the incarnations of one. What describes a single node (Node, Store,
+// Quiesced, Members, the per-shard breakdown) is left alone.
+func (s *Stats) Add(o Stats) {
+	s.Ops += o.Ops
+	s.Sends += o.Sends
+	s.Receives += o.Receives
+	s.Events += o.Events
+	s.BytesOut += o.BytesOut
+	s.FramesOut += o.FramesOut
+	s.Retransmits += o.Retransmits
+	s.Reconnects += o.Reconnects
+	s.DupFrames += o.DupFrames
+	s.GapFrames += o.GapFrames
+	s.Violations += o.Violations
+	s.SyncPulled += o.SyncPulled
+	s.SyncServed += o.SyncServed
+	s.FailedLinks += o.FailedLinks
+}
+
 // Node is one replica of a TCP-backed cluster. Its keyspace is split
 // across cfg.Shards independent shards (see shard.go); an unsharded node
 // is simply the one-shard case.
@@ -684,10 +704,11 @@ func (n *Node) Violations() []*store.PropertyViolation {
 	return v
 }
 
-// History snapshots the node's recorded local history. On a sharded node
-// this is shard 0's history; use ShardHistory to audit every shard. On a
-// node that has been closed it returns a history with no events — it has
-// no error to say so with; ShardHistory reports ErrClosed.
+// History snapshots shard 0's recorded local history, which on a sharded
+// node is not the node's. It stays for the frozen benchmark/, which calls it;
+// new callers want ShardHistory (or HistoriesOf, which audits every shard).
+// On a node that has been closed it returns a history with no events — it
+// has no error to say so with; ShardHistory reports ErrClosed.
 func (n *Node) History() History {
 	h, _ := n.ShardHistory(0) // the error is ShardHistory's to report; see above
 	return h
@@ -981,31 +1002,4 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 		return false
 	}
 	return n.writeEnc(conn, w, maxFrame, bulk) == nil
-}
-
-// WaitQuiesced polls until every node reports quiescence twice in a row
-// (one clean poll can race an update in flight between a sender and the
-// receiving event loop; two consecutive clean polls cannot, since
-// acks flow only after application). Returns false on timeout.
-func WaitQuiesced(nodes []*Node, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	clean := 0
-	for time.Now().Before(deadline) {
-		all := true
-		for _, n := range nodes {
-			if !n.Quiesced() {
-				all = false
-				break
-			}
-		}
-		if all {
-			if clean++; clean >= 2 {
-				return true
-			}
-		} else {
-			clean = 0
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return false
 }

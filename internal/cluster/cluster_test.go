@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consistency"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -40,8 +39,7 @@ func startCluster(t *testing.T, storeName string, n int) []*Node {
 // mut (nil for none) before it boots.
 func startClusterWith(t *testing.T, storeName string, n int, mut func(*Config)) []*Node {
 	t.Helper()
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
+	nodes, err := BootMesh(n, func(i int) Config {
 		st, err := store.Open(storeName, spec.MVRTypes(), store.Options{})
 		if err != nil {
 			t.Fatalf("open %q: %v", storeName, err)
@@ -50,29 +48,57 @@ func startClusterWith(t *testing.T, storeName string, n int, mut func(*Config)) 
 		if mut != nil {
 			mut(&cfg)
 		}
-		nd, err := NewNode(cfg)
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		nodes[i] = nd
+		return cfg
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
 	})
-	for i, nd := range nodes {
-		peers := make(map[model.ReplicaID]string)
-		for j, other := range nodes {
-			if j != i {
-				peers[model.ReplicaID(j)] = other.Addr()
-			}
-		}
-		if err := nd.Connect(peers); err != nil {
-			t.Fatalf("connect %d: %v", i, err)
+	return nodes
+}
+
+// settle walks the first half of the post-run pipeline over in-process
+// nodes: quiescence, aged reads, convergence on objs.
+func settle(t *testing.T, nodes []*Node, objs ...model.ObjectID) {
+	t.Helper()
+	if err := Settle(QuiesceNodes(nodes, 30*time.Second), nodes[0].cfg.Store, Doers(nodes), objs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// auditClean walks the second half: every shard's histories must merge, be
+// well-formed and — the store claiming it — causally consistent.
+func auditClean(t *testing.T, shards int, fetch func(shard int) ([]History, error)) []ShardAudit {
+	t.Helper()
+	audits, err := AuditShards(shards, fetch, spec.MVRTypes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, a := range audits {
+		if err := a.Err(); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
 		}
 	}
-	return nodes
+	return audits
+}
+
+// these is the fetch of an audit over histories already in hand.
+func these(hists ...History) func(int) ([]History, error) {
+	return func(int) ([]History, error) { return hists, nil }
+}
+
+// noViolations fails the test on any §4 violation the nodes' checkers saw.
+func noViolations(t *testing.T, nodes ...*Node) {
+	t.Helper()
+	for _, nd := range nodes {
+		if v := nd.Violations(); len(v) != 0 {
+			t.Fatalf("r%d property violations: %v", nd.ID(), v)
+		}
+	}
 }
 
 // TestThreeNodeAuditUnderConnectionResets is the package's end-to-end
@@ -131,46 +157,16 @@ func TestThreeNodeAuditUnderConnectionResets(t *testing.T) {
 		return
 	}
 
-	if !WaitQuiesced(nodes, 30*time.Second) {
-		for _, nd := range nodes {
-			t.Logf("r%d stats: %+v", nd.ID(), nd.Stats())
-		}
-		t.Fatal("cluster did not quiesce")
-	}
-
-	var reconnects int64
+	settle(t, nodes, objects...)
+	var total Stats
 	for _, nd := range nodes {
-		reconnects += nd.Stats().Reconnects
+		total.Add(nd.Stats())
 	}
-	if reconnects == 0 {
+	if total.Reconnects == 0 {
 		t.Fatal("chaos injected no reconnects — recovery path untested")
 	}
-
-	doers := make([]Doer, len(nodes))
-	for i, nd := range nodes {
-		doers[i] = nd
-	}
-	if err := CheckConverged(doers, objects); err != nil {
-		t.Fatal(err)
-	}
-
-	hists := make([]History, len(nodes))
-	for i, nd := range nodes {
-		hists[i] = nd.History()
-		if v := nd.Violations(); len(v) != 0 {
-			t.Fatalf("r%d property violations: %v", nd.ID(), v)
-		}
-	}
-	audit, err := BuildAudit(hists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
+	noViolations(t, nodes...)
+	auditClean(t, 1, HistoriesOf(nodes))
 }
 
 // TestClientRequestResponse drives a 2-node cluster purely over the wire:
@@ -231,13 +227,7 @@ func TestClientRequestResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit, err := BuildAudit([]History{h0, h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatal(err)
-	}
+	auditClean(t, 1, these(h0, h))
 }
 
 // TestStateSyncClusterConverges runs the state-based store over TCP: the
@@ -253,16 +243,7 @@ func TestStateSyncClusterConverges(t *testing.T) {
 		}
 	}
 	nodes[rand.Intn(len(nodes))].BreakConnections()
-	if !WaitQuiesced(nodes, 30*time.Second) {
-		t.Fatal("statesync cluster did not quiesce")
-	}
-	doers := make([]Doer, len(nodes))
-	for i, nd := range nodes {
-		doers[i] = nd
-	}
-	if err := CheckConverged(doers, []model.ObjectID{"obj"}); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, nodes, "obj")
 }
 
 // TestMergeHistoriesRejectsCorrupt pins the audit pipeline's defenses: a

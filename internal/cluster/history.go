@@ -119,45 +119,21 @@ type mergedEvent struct {
 // relation — in particular every receive lands after its send, which is
 // what CheckWellFormed demands of a Definition 1 execution.
 func MergeHistories(hists []History) (*execution.Execution, error) {
-	merged, err := mergeOrder(hists)
-	if err != nil {
-		return nil, err
-	}
-	return buildExec(merged)
+	_, x, err := merge(hists)
+	return x, err
 }
 
-// buildExec lays the merged order out as a concrete execution.
-func buildExec(merged []mergedEvent) (*execution.Execution, error) {
-	x := execution.New()
-	msgID := make(map[[2]uint64]int) // (origin, seq) -> execution message ID
-	for _, m := range merged {
-		switch m.ev.Kind {
-		case model.ActDo:
-			x.AppendDo(m.node, m.ev.Object, m.ev.Op, m.ev.Rval)
-		case model.ActSend:
-			e := x.AppendSend(m.node, m.ev.Payload)
-			msgID[[2]uint64{uint64(m.ev.Origin), m.ev.Seq}] = e.MsgID
-		case model.ActReceive:
-			id, ok := msgID[[2]uint64{uint64(m.ev.Origin), m.ev.Seq}]
-			if !ok {
-				return nil, fmt.Errorf("cluster: r%d received update (r%d,%d) with no merged send event",
-					m.node, m.ev.Origin, m.ev.Seq)
-			}
-			x.AppendReceive(m.node, id)
-		default:
-			return nil, fmt.Errorf("cluster: unknown event kind %v in r%d's history", m.ev.Kind, m.node)
-		}
-	}
-	return x, nil
-}
-
-func mergeOrder(hists []History) ([]mergedEvent, error) {
+// merge sorts the histories' events into the global order and lays that out
+// as a concrete execution, refusing with a typed *OrderError what no honest
+// run records (see OrderError) instead of producing an execution
+// CheckWellFormed would reject later — or worse, one it wouldn't.
+func merge(hists []History) ([]mergedEvent, *execution.Execution, error) {
 	var merged []mergedEvent
 	seen := make(map[model.ReplicaID]bool)
 	allSends := make(map[[2]uint64]bool)
 	for _, h := range hists {
 		if seen[h.Node] {
-			return nil, fmt.Errorf("cluster: two histories claim node r%d", h.Node)
+			return nil, nil, fmt.Errorf("cluster: two histories claim node r%d", h.Node)
 		}
 		seen[h.Node] = true
 		for i, ev := range h.Events {
@@ -165,13 +141,10 @@ func mergeOrder(hists []History) ([]mergedEvent, error) {
 				key := [2]uint64{uint64(ev.Origin), ev.Seq}
 				if allSends[key] {
 					// A second send of the same identity (e.g. a restart
-					// re-recording a re-offered broadcast) would let
-					// MergeHistories attribute every receive to whichever
-					// send merged last; reject instead of merging a lie.
-					return nil, &OrderError{
-						Node: h.Node, Origin: ev.Origin, Seq: ev.Seq,
-						DuplicateSend: true,
-					}
+					// re-recording a re-offered broadcast) would attribute
+					// every receive to whichever send merged last; reject
+					// instead of merging a lie.
+					return nil, nil, &OrderError{Node: h.Node, Origin: ev.Origin, Seq: ev.Seq, DuplicateSend: true}
 				}
 				allSends[key] = true
 			}
@@ -188,63 +161,62 @@ func mergeOrder(hists []History) ([]mergedEvent, error) {
 		}
 		return a.idx < b.idx
 	})
-	// Send-before-receive validation: in the merged order, every receive's
-	// (Origin, Seq) must already have a send behind it. Lamport stamping
-	// guarantees this for honest histories (receive > send); a violation
-	// means corruption, reported as a typed *OrderError rather than
-	// silently producing an execution CheckWellFormed would reject later
-	// (or worse, one it wouldn't).
-	sent := make(map[[2]uint64]bool)
+	x := execution.New()
+	msgID := make(map[[2]uint64]int) // (origin, seq) -> execution message ID
 	for _, m := range merged {
 		key := [2]uint64{uint64(m.ev.Origin), m.ev.Seq}
 		switch m.ev.Kind {
+		case model.ActDo:
+			x.AppendDo(m.node, m.ev.Object, m.ev.Op, m.ev.Rval)
 		case model.ActSend:
-			sent[key] = true
+			msgID[key] = x.AppendSend(m.node, m.ev.Payload).MsgID
 		case model.ActReceive:
-			if !sent[key] {
-				return nil, &OrderError{
-					Node: m.node, Origin: m.ev.Origin, Seq: m.ev.Seq,
-					BeforeSend: allSends[key],
-				}
+			// Lamport stamping puts a send ahead of each of its receives in
+			// an honest merge; one that is not there means corruption.
+			id, ok := msgID[key]
+			if !ok {
+				return nil, nil, &OrderError{Node: m.node, Origin: m.ev.Origin, Seq: m.ev.Seq, BeforeSend: allSends[key]}
 			}
+			x.AppendReceive(m.node, id)
+		default:
+			return nil, nil, fmt.Errorf("cluster: unknown event kind %v in r%d's history", m.ev.Kind, m.node)
 		}
 	}
-	return merged, nil
+	return merged, x, nil
 }
 
 // BuildAudit merges the histories (once, for both views) and derives the
-// abstract execution the run complies with, mirroring
-// sim.Cluster.DerivedAbstract: H is the merged do order, and e_i -vis-> e_j
-// iff session order holds, e_i is a mutator whose dot is inside e_j's
-// frontier, or e_i is a read whose frontier is contained in e_j's (the
-// strongest visibility a complying execution can claim for a read).
+// abstract execution the run complies with (abstract.Derive) from the
+// frontier each do event recorded: a mutator's dot is inside e_j's past when
+// e_j's frontier covers it, and a read's past is contained in e_j's when its
+// frontier is, coordinate by coordinate — exact because a link is FIFO, so a
+// node's visibility is a per-origin prefix. A store without visibility
+// reporting records no frontier, and such an event gets session edges only.
 func BuildAudit(hists []History) (*Audit, error) {
-	merged, err := mergeOrder(hists)
-	if err != nil {
-		return nil, err
-	}
-	exec, err := buildExec(merged)
+	merged, exec, err := merge(hists)
 	if err != nil {
 		return nil, err
 	}
 
-	a := abstract.New()
-	var dots []model.Dot
+	var dots []model.Dot // per do event of exec, as recorded
 	var frontiers [][]uint64
-	var replicas []model.ReplicaID
+	var mutator []bool
 	for _, m := range merged {
-		if m.ev.Kind != model.ActDo {
-			continue
+		if m.ev.Kind == model.ActDo {
+			dots = append(dots, m.ev.Dot)
+			frontiers = append(frontiers, m.ev.Frontier)
+			mutator = append(mutator, m.ev.Dot.Seq != 0)
 		}
-		a.Append(model.DoEvent(m.node, m.ev.Object, m.ev.Op, m.ev.Rval))
-		dots = append(dots, m.ev.Dot)
-		frontiers = append(frontiers, m.ev.Frontier)
-		replicas = append(replicas, m.node)
 	}
-	covers := func(f []uint64, d model.Dot) bool {
+	covers := func(i, j int) bool {
+		d, f := dots[i], frontiers[j]
 		return int(d.Origin) < len(f) && f[d.Origin] >= d.Seq
 	}
-	contained := func(fi, fj []uint64) bool {
+	contained := func(i, j int) bool {
+		fi, fj := frontiers[i], frontiers[j]
+		if len(fi) == 0 || len(fj) == 0 {
+			return false
+		}
 		for o, s := range fi {
 			if s > 0 && (o >= len(fj) || fj[o] < s) {
 				return false
@@ -252,60 +224,5 @@ func BuildAudit(hists []History) (*Audit, error) {
 		}
 		return true
 	}
-	for j := range dots {
-		for i := 0; i < j; i++ {
-			switch {
-			case replicas[i] == replicas[j]:
-				a.AddVis(i, j)
-			case dots[i].Seq != 0: // mutator: dot inside j's frontier
-				if covers(frontiers[j], dots[i]) {
-					a.AddVis(i, j)
-				}
-			default: // read: frontier containment
-				// Only when both events actually reported a frontier: a
-				// store without visibility reporting records none (nil),
-				// and deriving "saw nothing ⊆ anything" edges from that
-				// absence would fabricate visibility the store never
-				// claimed — enough to mask a real violation behind a
-				// well-connected read.
-				if len(frontiers[i]) > 0 && len(frontiers[j]) > 0 && contained(frontiers[i], frontiers[j]) {
-					a.AddVis(i, j)
-				}
-			}
-		}
-	}
-	return &Audit{Exec: exec, Abstract: a}, nil
-}
-
-// Doer performs one client operation at a replica — implemented by *Node
-// (in-process) and *Client (over the wire), so convergence checks run
-// identically in tests and in cmd/loadgen.
-type Doer interface {
-	Do(obj model.ObjectID, op model.Operation) (model.Response, error)
-}
-
-// CheckConverged verifies Lemma 3's conclusion on a quiescent cluster:
-// reads of every listed object return the same response at every replica.
-// Unlike the simulator's lossy runs, the transport's retransmission makes
-// delivery genuinely eventual (Definition 3), so convergence is owed after
-// quiescence even on a network that dropped connections. The reads go
-// through the replicas' ordinary client path and are recorded like any
-// other operations.
-func CheckConverged(replicas []Doer, objects []model.ObjectID) error {
-	for _, obj := range objects {
-		var first model.Response
-		for i, r := range replicas {
-			resp, err := r.Do(obj, model.Read())
-			if err != nil {
-				return fmt.Errorf("cluster: convergence read of %s at replica %d: %w", obj, i, err)
-			}
-			if i == 0 {
-				first = resp
-			} else if !resp.Equal(first) {
-				return fmt.Errorf("cluster: %s diverged after quiescence: replica 0 reads %s, replica %d reads %s",
-					obj, first, i, resp)
-			}
-		}
-	}
-	return nil
+	return &Audit{Exec: exec, Abstract: abstract.Derive(exec.DoEvents(), mutator, covers, contained)}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consistency"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -66,20 +65,6 @@ func writeN(t *testing.T, nd *Node, k int, tag string) []model.ObjectID {
 	return objects
 }
 
-func auditClean(t *testing.T, hists []History) {
-	t.Helper()
-	audit, err := BuildAudit(hists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
-}
-
 // TestJoinPullsDepartedOriginFully is the tentpole's end-to-end check with
 // a deterministic byte-range assertion. All writes originate at r1, which
 // then leaves; the joiner r2 has an empty log and only r0's address. Live
@@ -118,12 +103,7 @@ func TestJoinPullsDepartedOriginFully(t *testing.T) {
 	if got := r0.Stats().SyncServed; got != k {
 		t.Fatalf("donor served %d updates, want exactly %d", got, k)
 	}
-	if !WaitQuiesced([]*Node{r0, r2}, 30*time.Second) {
-		t.Fatalf("cluster did not quiesce after the join; r0=%+v r2=%+v", r0.Stats(), r2.Stats())
-	}
-	if err := CheckConverged([]Doer{r0, r2}, objects); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, []*Node{r0, r2}, objects...)
 	// The views must agree: r1 departed, r2 admitted.
 	for _, nd := range []*Node{r0, r2} {
 		var left, alive int
@@ -138,7 +118,7 @@ func TestJoinPullsDepartedOriginFully(t *testing.T) {
 			t.Fatalf("r%d view: %d left / %d alive, want 1/2: %+v", nd.ID(), left, alive, nd.Membership())
 		}
 	}
-	auditClean(t, []History{r0.History(), h1, r2.History()})
+	auditClean(t, 1, these(r0.History(), h1, r2.History()))
 }
 
 // TestRejoinPullsOnlyMissingDelta pins the incremental half of
@@ -193,12 +173,7 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 	if got := r2b.Stats().SyncPulled; got != k2 {
 		t.Fatalf("rejoin pulled %d updates, want exactly the missing delta %d", got, k2)
 	}
-	if !WaitQuiesced([]*Node{r0, r2b}, 30*time.Second) {
-		t.Fatalf("cluster did not quiesce after the rejoin; r0=%+v r2=%+v", r0.Stats(), r2b.Stats())
-	}
-	if err := CheckConverged([]Doer{r0, r2b}, objects); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, []*Node{r0, r2b}, objects...)
 	// The rejoin must supersede the Left record: epoch strictly above it.
 	for _, m := range r0.Membership() {
 		if m.ID == 2 {
@@ -210,7 +185,7 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 			}
 		}
 	}
-	auditClean(t, []History{r0.History(), h1, r2b.History()})
+	auditClean(t, 1, these(r0.History(), h1, r2b.History()))
 }
 
 // TestJoinRefusedOnDivergentHistory: a joiner whose log disagrees with the
@@ -295,13 +270,8 @@ func TestConnectOffersLiveBacklogToLateJoiner(t *testing.T) {
 	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
-		t.Fatalf("late-connected pair did not quiesce; r0=%+v r1=%+v", r0.Stats(), r1.Stats())
-	}
-	if err := CheckConverged([]Doer{r0, r1}, objects); err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, []History{r0.History(), r1.History()})
+	settle(t, []*Node{r0, r1}, objects...)
+	auditClean(t, 1, HistoriesOf([]*Node{r0, r1}))
 }
 
 // TestSupervisorChurnScheduleAuditsClean runs a generated schedule that
@@ -370,33 +340,11 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 		t.Fatalf("observer leaves/joins = %d/%d, want 1/1", m.Leaves, m.Joins)
 	}
 
-	live := sup.Nodes()
-	if len(live) != n {
-		t.Fatalf("%d nodes live after schedule, want %d", len(live), n)
-	}
-	if !WaitQuiesced(live, 30*time.Second) {
-		for _, nd := range live {
-			t.Logf("r%d stats: %+v", nd.ID(), nd.Stats())
-		}
-		t.Fatal("cluster did not quiesce after the churn schedule")
-	}
-	doers := make([]Doer, n)
-	for i := 0; i < n; i++ {
-		doers[i] = sup.Doer(i)
-	}
-	if err := CheckConverged(doers, objects); err != nil {
+	if err := sup.Settle(30*time.Second, objects); err != nil {
 		t.Fatal(err)
 	}
-	hists, err := sup.Histories()
-	if err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, hists)
-	for _, nd := range live {
-		if v := nd.Violations(); len(v) != 0 {
-			t.Fatalf("r%d property violations: %v", nd.ID(), v)
-		}
-	}
+	auditClean(t, 1, sup.Histories)
+	noViolations(t, sup.Nodes()...)
 }
 
 // forestDigest is what a node's first shard would tell a joiner about each

@@ -28,31 +28,7 @@ import (
 // forever. The sender must latch the terminal error, stop reconnecting, and
 // surface the condition in Stats.
 func TestOversizedUpdateFailStopsLink(t *testing.T) {
-	nodes := make([]*Node, 2)
-	for i := range nodes {
-		st, err := store.Open("lww", spec.MVRTypes(), store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := fastConfig(model.ReplicaID(i), 2, st)
-		cfg.MaxFrame = 2048
-		nd, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	})
-	for i, nd := range nodes {
-		peers := map[model.ReplicaID]string{model.ReplicaID(1 - i): nodes[1-i].Addr()}
-		if err := nd.Connect(peers); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nodes := startClusterWith(t, "lww", 2, func(cfg *Config) { cfg.MaxFrame = 2048 })
 
 	// A small write proves the link works before the poison update.
 	if _, err := nodes[0].Do("x", model.Write("small")); err != nil {

@@ -122,37 +122,10 @@ func TestShardedClusterConvergesAndAuditsPerShard(t *testing.T) {
 	const n = 3
 	const shards = 4
 	ck := livecheck.NewShardSet(n, shards, livecheck.Options{Types: spec.MVRTypes()})
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := fastConfig(model.ReplicaID(i), n, st)
+	nodes := startClusterWith(t, "causal", n, func(cfg *Config) {
 		cfg.Shards = shards
 		cfg.Tap = ck.Observe
-		nd, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
 	})
-	for i, nd := range nodes {
-		peers := make(map[model.ReplicaID]string)
-		for j, other := range nodes {
-			if j != i {
-				peers[model.ReplicaID(j)] = other.Addr()
-			}
-		}
-		if err := nd.Connect(peers); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	objs := shardedObjects(t, shards, 24)
 	for i, obj := range objs {
@@ -161,48 +134,25 @@ func TestShardedClusterConvergesAndAuditsPerShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !WaitQuiesced(nodes, 15*time.Second) {
-		t.Fatal("sharded cluster did not quiesce")
-	}
-	doers := make([]Doer, n)
-	for i, nd := range nodes {
-		doers[i] = nd
-	}
-	if err := CheckConverged(doers, objs); err != nil {
-		t.Fatalf("sharded cluster did not converge: %v", err)
-	}
+	settle(t, nodes, objs...)
 
-	// Per-shard audits: each shard's histories merge and check on their own.
-	router := NewShardRouter(shards)
+	// Per-shard audits: each shard's histories merge and check on their own
+	// (AuditShards also holds every do event to the shard its object routes
+	// to — the projection property the audit rests on).
 	totalEvents := 0
-	for s := 0; s < shards; s++ {
-		hists := make([]History, n)
-		for i, nd := range nodes {
-			h, err := nd.ShardHistory(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for s, a := range auditClean(t, shards, func(s int) ([]History, error) {
+		hists, err := HistoriesOf(nodes)(s)
+		for i, h := range hists {
 			if h.Shard != s || h.Shards != shards {
 				t.Fatalf("node %d shard %d history tagged (%d of %d)", i, s, h.Shard, h.Shards)
 			}
-			// Every do event in shard s's history must be for an object that
-			// routes to s — the projection property the audit rests on.
-			for _, ev := range h.Events {
-				if ev.Kind == model.ActDo && router.Route(ev.Object) != s {
-					t.Fatalf("node %d shard %d recorded do on %q, which routes to shard %d",
-						i, s, ev.Object, router.Route(ev.Object))
-				}
-				totalEvents++
-			}
-			hists[i] = h
 		}
-		audited, err := BuildAudit(hists)
-		if err != nil {
-			t.Fatalf("shard %d audit: %v", s, err)
+		return hists, err
+	}) {
+		if !a.CausalOwed {
+			t.Fatalf("shard %d: the causal store's audit skipped Definition 12", s)
 		}
-		if err := audited.Exec.CheckWellFormed(); err != nil {
-			t.Fatalf("shard %d execution not well-formed: %v", s, err)
-		}
+		totalEvents += a.Events
 	}
 	if totalEvents == 0 {
 		t.Fatal("no events recorded across any shard")
@@ -237,6 +187,25 @@ func TestShardedClusterConvergesAndAuditsPerShard(t *testing.T) {
 		if st.Violations != 0 {
 			t.Fatalf("node %d recorded %d §4 violations", i, st.Violations)
 		}
+	}
+}
+
+// TestAuditShardsRejectsMisroutedDo: a do event recorded by a shard its object
+// does not route to means two broadcast domains were mixed; the audit refuses
+// the run instead of ruling on it.
+func TestAuditShardsRejectsMisroutedDo(t *testing.T) {
+	const shards = 2
+	obj := shardedObjects(t, shards, 1)[0]
+	wrong := 1 - NewShardRouter(shards).Route(obj)
+	fetch := func(s int) ([]History, error) {
+		h := History{Node: 0, N: 1, Store: "lww", Shard: s, Shards: shards}
+		if s == wrong {
+			h.Events = []Event{{Kind: model.ActDo, Lamport: 1, Object: obj, Op: model.Read()}}
+		}
+		return []History{h}, nil
+	}
+	if _, err := AuditShards(shards, fetch, spec.MVRTypes()); err == nil || !strings.Contains(err.Error(), "routes to shard") {
+		t.Fatalf("AuditShards = %v, want the misrouted do refused", err)
 	}
 }
 
@@ -323,12 +292,7 @@ func TestShardedNodeInteroperatesWithSingleShard(t *testing.T) {
 	if _, err := a.Do("x", model.Write("v")); err != nil {
 		t.Fatal(err)
 	}
-	if !WaitQuiesced([]*Node{a, b}, 10*time.Second) {
-		t.Fatal("single-shard pair did not quiesce")
-	}
-	if err := CheckConverged([]Doer{a, b}, []model.ObjectID{"x"}); err != nil {
-		t.Fatal(err)
-	}
+	settle(t, []*Node{a, b}, "x")
 }
 
 // laterShardFails is a NodeStorage whose Open succeeds for shard 0 and fails

@@ -108,32 +108,31 @@ func NewSupervisor(base Config, n int, em *fault.Netem, tick time.Duration) (*Su
 		em:    em,
 		obs:   fault.NewObserver(n),
 		tick:  tick,
-		nodes: make([]*Node, n),
 		left:  make([]bool, n),
 		addrs: make([]string, n),
 	}
-	for i := 0; i < n; i++ {
-		cfg := base
-		cfg.ID = model.ReplicaID(i)
-		cfg.N = n
-		cfg.Listen = "127.0.0.1:0"
-		cfg.Peers = nil
-		cfg.Faults = em
-		nd, err := NewNode(cfg)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.nodes[i] = nd
+	nodes, err := BootMesh(n, func(i int) Config { return s.config(i, "127.0.0.1:0") })
+	if err != nil {
+		return nil, err
+	}
+	s.nodes = nodes
+	for i, nd := range nodes {
 		s.addrs[i] = nd.Addr()
 	}
-	for i, nd := range s.nodes {
-		if err := nd.Connect(s.peersOf(i)); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
 	return s, nil
+}
+
+// config is the base config as node i boots with it, whatever the
+// incarnation: its identity, the shared emulator on every link, and no peers
+// yet (they are connected, or joined through, once the node is up).
+func (s *Supervisor) config(i int, listen string) Config {
+	cfg := s.base
+	cfg.ID = model.ReplicaID(i)
+	cfg.N = len(s.addrs)
+	cfg.Listen = listen
+	cfg.Peers = nil
+	cfg.Faults = s.em
+	return cfg
 }
 
 func (s *Supervisor) peersOf(i int) map[model.ReplicaID]string {
@@ -158,16 +157,11 @@ func (s *Supervisor) Do(i int, obj model.ObjectID, op model.Operation) (model.Re
 }
 
 // Doer adapts node i to the cluster.Doer interface (routing through the
-// supervisor so restarts are transparent to convergence checks).
-func (s *Supervisor) Doer(i int) Doer { return supervisorDoer{s: s, i: i} }
-
-type supervisorDoer struct {
-	s *Supervisor
-	i int
-}
-
-func (d supervisorDoer) Do(obj model.ObjectID, op model.Operation) (model.Response, error) {
-	return d.s.Do(d.i, obj, op)
+// supervisor so restarts are transparent to load and convergence checks).
+func (s *Supervisor) Doer(i int) Doer {
+	return DoerFunc(func(obj model.ObjectID, op model.Operation) (model.Response, error) {
+		return s.Do(i, obj, op)
+	})
 }
 
 // Nodes snapshots the current live incarnations (crashed slots omitted).
@@ -203,17 +197,7 @@ func (s *Supervisor) Churn() (leaves, joins int) {
 // mu held.
 func (s *Supervisor) retire(nd *Node) {
 	nd.Close()
-	s.retired = addTransport(s.retired, nd.Stats())
-}
-
-// addTransport returns t with o's transport counters added.
-func addTransport(t, o Stats) Stats {
-	t.Retransmits += o.Retransmits
-	t.Reconnects += o.Reconnects
-	t.DupFrames += o.DupFrames
-	t.GapFrames += o.GapFrames
-	t.SyncPulled += o.SyncPulled
-	return t
+	s.retired.Add(nd.Stats())
 }
 
 // Metrics reports how much failure the run absorbed so far: the schedule's
@@ -227,7 +211,7 @@ func (s *Supervisor) Metrics() fault.Metrics {
 	t := s.retired
 	for _, nd := range s.nodes {
 		if nd != nil {
-			t = addTransport(t, nd.Stats())
+			t.Add(nd.Stats())
 		}
 	}
 	m := s.obs.Metrics()
@@ -236,20 +220,38 @@ func (s *Supervisor) Metrics() fault.Metrics {
 	return m
 }
 
-// Histories downloads every live node's recorded history (restored events
-// included). Call after the schedule completed, when every node is up.
-func (s *Supervisor) Histories() ([]History, error) {
-	s.mu.Lock()
-	nodes := append([]*Node(nil), s.nodes...)
-	s.mu.Unlock()
-	hists := make([]History, 0, len(nodes))
-	for i, nd := range nodes {
-		if nd == nil {
-			return nil, fmt.Errorf("cluster: node %d still down; histories incomplete", i)
-		}
-		hists = append(hists, nd.History())
+// up returns every node's live incarnation, as they stand once a schedule
+// has run, or an error while one is still down.
+func (s *Supervisor) up() ([]*Node, error) {
+	live := s.Nodes()
+	if len(live) != len(s.addrs) {
+		return nil, fmt.Errorf("cluster: %d of %d nodes live after the schedule", len(live), len(s.addrs))
 	}
-	return hists, nil
+	return live, nil
+}
+
+// Histories downloads one shard's recorded history from every node
+// (restored events included) — AuditShards' fetch.
+func (s *Supervisor) Histories(shard int) ([]History, error) {
+	live, err := s.up()
+	if err != nil {
+		return nil, err
+	}
+	return HistoriesOf(live)(shard)
+}
+
+// Settle is the package's Settle over the supervised cluster, reads routed
+// through the supervisor.
+func (s *Supervisor) Settle(timeout time.Duration, objs []model.ObjectID) error {
+	live, err := s.up()
+	if err != nil {
+		return err
+	}
+	doers := make([]Doer, len(live))
+	for i := range doers {
+		doers[i] = s.Doer(i)
+	}
+	return Settle(QuiesceNodes(live, timeout), s.base.Store, doers, objs)
 }
 
 // RunSchedule enforces the schedule in real time: directive step k fires at
@@ -333,30 +335,14 @@ func (s *Supervisor) crash(i int) error {
 }
 
 // restart rejoins node i on its original address, recovering its history
-// from storage. The listen port can linger briefly after the old
-// incarnation's sockets close, so binding retries for a moment.
+// from storage.
 func (s *Supervisor) restart(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.nodes) || s.nodes[i] != nil {
 		return fmt.Errorf("cluster: restart directive for invalid or already-up node %d", i)
 	}
-	cfg := s.base
-	cfg.ID = model.ReplicaID(i)
-	cfg.N = len(s.nodes)
-	cfg.Listen = s.addrs[i]
-	cfg.Peers = nil
-	cfg.Faults = s.em
-
-	var nd *Node
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		nd, err = NewNode(cfg)
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	nd, err := s.reboot(i, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: restart node %d: %w", i, err)
 	}
@@ -367,6 +353,25 @@ func (s *Supervisor) restart(i int) error {
 	s.nodes[i] = nd
 	s.restarts++
 	return nil
+}
+
+// reboot starts node i's next incarnation on its original address, joining
+// through join when that is set. The listen port can linger briefly after the
+// old incarnation's sockets close, so binding retries for a moment; a join
+// refusal is permanent and is not retried.
+func (s *Supervisor) reboot(i int, join map[model.ReplicaID]string) (*Node, error) {
+	cfg := s.config(i, s.addrs[i])
+	cfg.Join = join
+	var nd *Node
+	var err error
+	for attempt := 0; attempt < 50; attempt++ {
+		nd, err = NewNode(cfg)
+		if err == nil || errors.Is(err, errJoinRefused) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return nd, err
 }
 
 // leave retires node i gracefully: it announces its departure (releasing
@@ -399,28 +404,12 @@ func (s *Supervisor) leave(i int) error {
 // so rejoin runs on a goroutine spawned by apply.
 func (s *Supervisor) rejoin(i int) error {
 	s.mu.Lock()
-	if i < 0 || i >= len(s.nodes) || s.nodes[i] != nil || !s.left[i] {
-		s.mu.Unlock()
+	departed := i >= 0 && i < len(s.nodes) && s.nodes[i] == nil && s.left[i]
+	s.mu.Unlock()
+	if !departed {
 		return fmt.Errorf("cluster: join directive for invalid or non-departed node %d", i)
 	}
-	cfg := s.base
-	cfg.ID = model.ReplicaID(i)
-	cfg.N = len(s.nodes)
-	cfg.Listen = s.addrs[i]
-	cfg.Peers = nil
-	cfg.Join = s.peersOf(i)
-	cfg.Faults = s.em
-	s.mu.Unlock()
-
-	var nd *Node
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		nd, err = NewNode(cfg)
-		if err == nil || errors.Is(err, errJoinRefused) {
-			break // a refusal is permanent; only the port bind is worth retrying
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	nd, err := s.reboot(i, s.peersOf(i))
 	if err != nil {
 		return fmt.Errorf("cluster: rejoin node %d: %w", i, err)
 	}

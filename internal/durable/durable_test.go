@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/consistency"
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -902,38 +901,24 @@ func TestDiskBackedSupervisorAuditsClean(t *testing.T) {
 		t.Fatalf("crashes/restarts = %d/%d; schedule did not exercise disk recovery", crashes, restarts)
 	}
 
-	live := sup.Nodes()
-	if len(live) != n {
-		t.Fatalf("%d nodes live, want %d", len(live), n)
-	}
-	if !cluster.WaitQuiesced(live, 30*time.Second) {
-		t.Fatal("disk-backed cluster did not quiesce after the schedule")
-	}
-	doers := make([]cluster.Doer, n)
-	for i := 0; i < n; i++ {
-		doers[i] = sup.Doer(i)
-	}
-	if err := cluster.CheckConverged(doers, objects); err != nil {
+	if err := sup.Settle(30*time.Second, objects); err != nil {
 		t.Fatal(err)
 	}
-	hists, err := sup.Histories()
+	audits, err := cluster.AuditShards(1, sup.Histories, spec.MVRTypes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit, err := cluster.BuildAudit(hists)
-	if err != nil {
+	if err := audits[0].Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := audit.Exec.CheckWellFormed(); err != nil {
-		t.Fatalf("merged execution not well-formed: %v", err)
-	}
-	if err := consistency.CheckCausal(audit.Abstract, spec.MVRTypes()); err != nil {
-		t.Fatalf("derived abstract execution not causal: %v", err)
-	}
-	for _, nd := range live {
+	for _, nd := range sup.Nodes() {
 		if v := nd.Violations(); len(v) != 0 {
 			t.Fatalf("r%d property violations: %v", nd.ID(), v)
 		}
+	}
+	hists, err := sup.Histories(0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Every node's on-disk log must hold exactly its in-memory history —

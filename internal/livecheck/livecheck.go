@@ -2,8 +2,9 @@
 // consumes the do/send/receive event stream of a running cluster — simulated
 // (internal/sim) or TCP (internal/cluster), both engines tap the same Event —
 // and flags a violation the moment a read's rval or frontier contradicts
-// happens-before, instead of waiting for quiescence and an O(|do|²) post-run
-// BuildAudit.
+// happens-before, instead of waiting for quiescence and the post-run
+// pipeline (cluster.Settle, then cluster.AuditShards: an O(|do|²) derivation
+// and a cubic CheckCausal per shard).
 //
 // The checker's state is bounded by the active window, not the history: it
 // keeps per-node delivered frontiers, the dependency records of dots not yet
@@ -12,9 +13,16 @@
 // per-node maximal visible write sets (bounded by write concurrency). That
 // is the per-object tractability of "On Verifying Causal Consistency"
 // (Bouajjani, Enea, Guerraoui, Hamza) applied to our prefix-closed
-// per-origin frontiers: because every registered store's visibility is a
-// per-origin prefix, happens-before coverage reduces to coordinate-wise
-// frontier comparisons and never needs the full vis graph.
+// per-origin frontiers: where a node's visibility is a per-origin prefix,
+// happens-before coverage reduces to coordinate-wise frontier comparisons
+// and never needs the full vis graph. That premise holds for every
+// registered store on FIFO links — the TCP engine's, and the simulator's
+// until it reorders. It is false for gsp and lww in the reordering
+// simulator: they apply an update the moment it arrives, so they see past a
+// gap the frontier cannot express, and there the checker (like BuildAudit
+// over the same stream) rules on the prefix, not on everything the replica
+// saw. TestDerivationsAgree is the differential test that draws the line;
+// the simulator's own derivation keeps the exact record (sim's past).
 //
 // The streamed checks correspond to the post-run verdict as follows:
 //

@@ -53,21 +53,7 @@ func (c *Cluster) chaosOverlay() *chaosState {
 // ClearChaos lifts every directive effect: all links restored and shaped
 // clean, all crashed replicas resumed. Quiesce calls this, mirroring how it
 // suspends probabilistic faults — quiescence must be reachable.
-func (c *Cluster) ClearChaos() {
-	if c.chaos == nil {
-		return
-	}
-	for i := 0; i < c.n; i++ {
-		c.chaos.crashed[i] = false
-		c.chaos.left[i] = false
-		for j := 0; j < c.n; j++ {
-			c.chaos.cut[i][j] = false
-			c.chaos.stall[i][j] = false
-			c.chaos.dup[i][j] = false
-			c.chaos.reorder[i][j] = false
-		}
-	}
-}
+func (c *Cluster) ClearChaos() { c.chaos = nil }
 
 // Crashed reports whether replica r is currently out of the run — crashed
 // or departed by a directive. Both suppress client steps and deliveries.

@@ -22,11 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/abstract"
 	"repro/internal/execution"
 	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/livecheck"
 	"repro/internal/model"
 	"repro/internal/store"
 )
@@ -83,10 +85,53 @@ type Cluster struct {
 	// observer (SetTap), mirroring the TCP engine's Config.Tap.
 	tap *tapState
 
-	// Visibility derivation: one row per recorded do event.
-	doEvents []int       // event Seq of each do event
-	doDots   []model.Dot // dot of each do event's mutator (zero Seq for reads)
-	sees     [][]bool    // sees[j][i]: do event j sees the dot of do event i
+	// Visibility derivation: per recorded do event, the dot it minted (zero
+	// Seq for reads) and what it saw. frontier[r] is replica r's running
+	// visible prefix (the slice its last do event recorded, never written
+	// again) and minted[o] the highest dot origin o has minted.
+	doDots   []model.Dot
+	pasts    []past
+	frontier [][]uint64
+	minted   []uint64
+}
+
+// past is what one do event saw, exactly: every update (o, 1..frontier[o])
+// — the per-origin prefix, probed as cluster.Node probes it — plus the dots
+// in beyond, visible past a gap in their origin's sequence. A FIFO link
+// cannot produce such a gap, so beyond is empty on every engine but this one,
+// which can deliver out of order to stores that apply what arrives (gsp,
+// lww): there the prefix alone under-reports, and the derived execution must
+// not. A nil frontier is a replica that reports no visibility.
+type past struct {
+	frontier []uint64
+	beyond   []model.Dot
+}
+
+// sees reports whether update d is in the past.
+func (p past) sees(d model.Dot) bool {
+	if int(d.Origin) < len(p.frontier) && d.Seq <= p.frontier[d.Origin] {
+		return true
+	}
+	return slices.Contains(p.beyond, d)
+}
+
+// within reports whether p is contained in q, both having been reported. A
+// prefix of p longer than q's is not: q's ended at a dot q could not see.
+func (p past) within(q past) bool {
+	if p.frontier == nil || q.frontier == nil {
+		return false
+	}
+	for o, s := range p.frontier {
+		if s > q.frontier[o] {
+			return false
+		}
+	}
+	for _, d := range p.beyond {
+		if !q.sees(d) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewCluster creates a cluster of n replicas of st with a seeded RNG.
@@ -98,9 +143,12 @@ func NewCluster(st store.Store, n int, seed int64) *Cluster {
 		exec:   execution.New(),
 		queues: make([][]queuedMsg, n),
 		rng:    rand.New(rand.NewSource(seed)),
+		minted: make([]uint64, n),
 	}
 	c.connected = make([][]bool, n)
+	c.frontier = make([][]uint64, n)
 	for i := range c.connected {
+		c.frontier[i] = make([]uint64, n)
 		c.connected[i] = make([]bool, n)
 		for j := range c.connected[i] {
 			c.connected[i][j] = i != j
@@ -141,36 +189,62 @@ func (c *Cluster) Execution() *execution.Execution { return c.exec }
 // SetFaults installs fault injection for subsequent sends/deliveries.
 func (c *Cluster) SetFaults(f Faults) { c.faults = f }
 
-// Do invokes op on obj at replica r, records the do event, snapshots
-// visibility, and returns the response.
+// Do invokes op on obj at replica r, records the do event and what it saw,
+// and returns the response.
 func (c *Cluster) Do(r model.ReplicaID, obj model.ObjectID, op model.Operation) model.Response {
 	rep := c.replicas[r]
 	resp := c.checkers[r].CheckDo(obj, op)
-	e := c.exec.AppendDo(r, obj, op, resp)
+	c.exec.AppendDo(r, obj, op, resp)
 
 	var dot model.Dot
 	if op.Kind.IsMutator() {
 		if dr, ok := rep.(store.DotReporter); ok {
 			if d, has := dr.LastDot(); has {
 				dot = d
+				c.minted[d.Origin] = max(c.minted[d.Origin], d.Seq)
 			}
 		}
 	}
-	row := make([]bool, len(c.doDots))
-	if vr, ok := rep.(store.VisReporter); ok {
-		for i, d := range c.doDots {
-			if d.Seq != 0 && vr.Sees(d) {
-				row[i] = true
-			}
-		}
-	}
-	c.doEvents = append(c.doEvents, e.Seq)
+	p := c.observe(r)
 	c.doDots = append(c.doDots, dot)
-	c.sees = append(c.sees, row)
+	c.pasts = append(c.pasts, p)
 	if c.tap != nil {
-		c.tapDo(r, obj, op, resp, dot)
+		// The prefix is the frontier cluster.Node records: nil when the store
+		// reports no visibility.
+		c.tap.emit(livecheck.Event{
+			Node: r, Kind: model.ActDo, Object: obj, Op: op, Rval: resp, Dot: dot, Frontier: p.frontier,
+		})
 	}
 	return resp
+}
+
+// observe records what replica r's reads see now: its prefix pushed forward
+// by probing the store's own visibility report, then the dots between the
+// prefix and each origin's high-water mark that are visible all the same.
+func (c *Cluster) observe(r model.ReplicaID) past {
+	vr, ok := c.replicas[r].(store.VisReporter)
+	if !ok {
+		return past{}
+	}
+	f, shared := c.frontier[r], true
+	for o := range f {
+		for vr.Sees(model.Dot{Origin: model.ReplicaID(o), Seq: f[o] + 1}) {
+			if shared {
+				f, shared = slices.Clone(f), false
+			}
+			f[o]++
+		}
+	}
+	c.frontier[r] = f
+	p := past{frontier: f}
+	for o := range f {
+		for seq := f[o] + 2; seq <= c.minted[o]; seq++ {
+			if d := (model.Dot{Origin: model.ReplicaID(o), Seq: seq}); vr.Sees(d) {
+				p.beyond = append(p.beyond, d)
+			}
+		}
+	}
+	return p
 }
 
 // Send broadcasts replica r's pending message, if any, recording the send
@@ -189,7 +263,7 @@ func (c *Cluster) Send(r model.ReplicaID) (int, bool) {
 	e := c.exec.AppendSend(r, payload)
 	c.checkers[r].OnSend()
 	if c.tap != nil {
-		c.tapSend(r, e.MsgID)
+		c.tap.send(r, e.MsgID)
 	}
 	for to := 0; to < c.n; to++ {
 		if model.ReplicaID(to) == r {
@@ -238,7 +312,7 @@ func (c *Cluster) deliverIndex(to model.ReplicaID, i int) {
 	c.exec.AppendReceive(to, m.msgID)
 	c.checkers[to].CheckReceive(msg.Payload)
 	if c.tap != nil {
-		c.tapReceive(to, m.from, m.msgID)
+		c.tap.emit(livecheck.Event{Node: to, Kind: model.ActReceive, Origin: m.from, Seq: c.tap.msgSeq[m.msgID]})
 	}
 }
 
@@ -449,54 +523,14 @@ func (c *Cluster) PropertyViolations() []*store.PropertyViolation {
 	return out
 }
 
-// DerivedAbstract builds the abstract execution this run complies with,
-// using the per-do-event visibility snapshots. H is the global do order and
-// e_i -vis-> e_j iff one of:
-//
-//   - session order: same replica, i before j;
-//   - e_i is a mutator whose dot was visible at R(e_j) when e_j executed;
-//   - e_i is a read whose causal past (the set of mutators it saw) is
-//     contained in e_j's.
-//
-// The read rule matters: reads leave no trace in store state, but the
-// abstract execution must still relate them to later events or visibility
-// loses transitivity (a read session-precedes a local write that then
-// propagates) and eventual consistency would be vacuously violated by
-// never-visible reads. Containment of causal pasts is the strongest
-// visibility a complying execution can claim for a read, and for a causally
-// consistent store it keeps the derived relation transitive. Read-source
-// edges never affect specification evaluation, so correctness is untouched.
+// DerivedAbstract builds the abstract execution this run complies with
+// (abstract.Derive) from what each do event saw.
 func (c *Cluster) DerivedAbstract() *abstract.Execution {
-	a := abstract.New()
-	does := c.exec.DoEvents()
-	for _, e := range does {
-		a.Append(e)
+	mutator := make([]bool, len(c.doDots))
+	for i, d := range c.doDots {
+		mutator[i] = d.Seq != 0
 	}
-	// readPastContained reports whether read i's seen-mutator set is a
-	// subset of event j's.
-	readPastContained := func(i, j int) bool {
-		for m := 0; m < i; m++ {
-			if c.doDots[m].Seq != 0 && c.sees[i][m] && !c.sees[j][m] {
-				return false
-			}
-		}
-		return true
-	}
-	for j := range does {
-		for i := 0; i < j; i++ {
-			switch {
-			case does[i].Replica == does[j].Replica:
-				a.AddVis(i, j)
-			case c.doDots[i].Seq != 0: // mutator: dot visibility
-				if c.sees[j][i] {
-					a.AddVis(i, j)
-				}
-			default: // read: causal-past containment
-				if readPastContained(i, j) {
-					a.AddVis(i, j)
-				}
-			}
-		}
-	}
-	return a
+	return abstract.Derive(c.exec.DoEvents(), mutator,
+		func(i, j int) bool { return c.pasts[j].sees(c.doDots[i]) },
+		func(i, j int) bool { return c.pasts[i].within(c.pasts[j]) })
 }

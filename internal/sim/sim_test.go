@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/abstract"
 	"repro/internal/consistency"
+	"repro/internal/fault"
+	"repro/internal/livecheck"
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/store"
 	"repro/internal/store/causal"
+	_ "repro/internal/store/gsp"
 	"repro/internal/store/kbuffer"
 	"repro/internal/store/lww"
 	"repro/internal/store/statesync"
@@ -377,5 +382,101 @@ func TestClusterWorkerReproducible(t *testing.T) {
 	}
 	if a.Seed() == 42 {
 		t.Fatal("worker streams must not collide with the root seed")
+	}
+}
+
+// matrix is the derivation this package used before it kept one past per do
+// event, held as the reference: sees[j][i] says do event j saw the dot of do
+// event i, probed dot by dot when j was recorded — O(|do|) Sees calls and
+// bools per operation, which is why it lives here and not in sim.go.
+type matrix struct {
+	c    *Cluster
+	sees [][]bool
+}
+
+func (m *matrix) observe(ev livecheck.Event) {
+	if ev.Kind != model.ActDo {
+		return
+	}
+	vr := m.c.replicas[ev.Node].(store.VisReporter)
+	row := make([]bool, len(m.sees))
+	for i, d := range m.c.doDots[:len(row)] {
+		row[i] = d.Seq != 0 && vr.Sees(d)
+	}
+	m.sees = append(m.sees, row)
+}
+
+func (m *matrix) derive() *abstract.Execution {
+	dots := m.c.doDots
+	a := abstract.FromEvents(m.c.exec.DoEvents())
+	for j := range a.H {
+		for i := 0; i < j; i++ {
+			vis := a.H[i].Replica == a.H[j].Replica || m.sees[j][i]
+			if !vis && dots[i].Seq == 0 { // a read: its past contained in j's
+				vis = true
+				for k := 0; k < i; k++ {
+					if m.sees[i][k] && !m.sees[j][k] {
+						vis = false
+					}
+				}
+			}
+			if vis {
+				a.AddVis(i, j)
+			}
+		}
+	}
+	return a
+}
+
+// TestPastMatchesMatrix pins the visibility record to the derivation it
+// replaced: over every registered store and delivery discipline — FIFO,
+// random, newest-first, lossy, duplicating, each under a generated fault
+// schedule — the abstract execution derived from one past per do event is the
+// matrix's, pair for pair. The stores whose visibility is not a per-origin
+// prefix under reordering (gsp, lww) must also be seen to exercise beyond.
+func TestPastMatchesMatrix(t *testing.T) {
+	modes := map[string]Faults{
+		"clean":           {},
+		"reorder":         {Reorder: true},
+		"adversarial":     {Adversarial: true},
+		"drop+reorder":    {DropProb: 0.2, Reorder: true},
+		"dup+adversarial": {DupProb: 0.3, Adversarial: true},
+	}
+	beyond := map[string]int{}
+	for _, name := range store.Names() {
+		for mode, faults := range modes {
+			for seed := int64(0); seed < 6; seed++ {
+				st, err := store.Open(name, spec.MVRTypes(), store.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := NewCluster(st, 3, seed)
+				ref := &matrix{c: c}
+				c.SetTap(ref.observe)
+				c.SetFaults(faults)
+				sched := fault.Generate(fault.Config{Seed: seed, N: 3, Steps: 120, Partitions: 1, Crashes: 1, LinkFaults: 2})
+				c.RunScheduled(sched, WorkloadConfig{Objects: []model.ObjectID{"x", "y"}, Steps: 120})
+				c.Quiesce()
+				c.ReadAll("x")
+
+				got, want := c.DerivedAbstract(), ref.derive()
+				for j := range want.H {
+					for i := 0; i < j; i++ {
+						if got.Vis(i, j) != want.Vis(i, j) {
+							t.Fatalf("%s/%s/seed %d: vis(%d,%d) = %v, the matrix derives %v\n%s -> %s",
+								name, mode, seed, i, j, got.Vis(i, j), want.Vis(i, j), want.H[i], want.H[j])
+						}
+					}
+				}
+				for _, p := range c.pasts {
+					beyond[name] += len(p.beyond)
+				}
+			}
+		}
+	}
+	for _, name := range []string{"gsp", "lww"} {
+		if beyond[name] == 0 {
+			t.Errorf("%s never saw past a gap: the reordered runs do not exercise past.beyond", name)
+		}
 	}
 }

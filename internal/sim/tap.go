@@ -3,21 +3,18 @@ package sim
 import (
 	"repro/internal/livecheck"
 	"repro/internal/model"
-	"repro/internal/store"
 )
 
 // tapState adapts the simulator's execution to the livecheck event stream:
-// per-replica frontiers probed from the stores' own visibility reports
-// (exactly how cluster.Node advances its frontier), a global step counter
-// standing in for Lamport time (the simulator is single-threaded, so the
-// recording order is a linearization with receive > send), and the
-// per-origin broadcast sequence numbers the TCP engine mints on the wire.
+// a global step counter standing in for Lamport time (the simulator is
+// single-threaded, so the recording order is a linearization with receive >
+// send), and the per-origin broadcast sequence numbers the TCP engine mints
+// on the wire.
 type tapState struct {
-	fn       func(livecheck.Event)
-	lamport  uint64
-	frontier [][]uint64
-	sendSeq  []uint64
-	msgSeq   map[int]uint64 // execution msgID -> (from, seq) broadcast seq
+	fn      func(livecheck.Event)
+	lamport uint64
+	sendSeq []uint64
+	msgSeq  map[int]uint64 // execution msgID -> (from, seq) broadcast seq
 }
 
 // SetTap installs a streaming observer: every do/send/receive the cluster
@@ -29,60 +26,24 @@ func (c *Cluster) SetTap(fn func(livecheck.Event)) {
 		c.tap = nil
 		return
 	}
-	t := &tapState{
-		fn:       fn,
-		frontier: make([][]uint64, c.n),
-		sendSeq:  make([]uint64, c.n),
-		msgSeq:   make(map[int]uint64),
+	c.tap = &tapState{
+		fn:      fn,
+		sendSeq: make([]uint64, c.n),
+		msgSeq:  make(map[int]uint64),
 	}
-	for i := range t.frontier {
-		t.frontier[i] = make([]uint64, c.n)
-	}
-	c.tap = t
 }
 
-// tapDo emits the do event just recorded at replica r, with the same
-// frontier semantics as cluster.Node: per-origin prefix probing of the
-// store's VisReporter, or no frontier at all when the store reports none.
-func (c *Cluster) tapDo(r model.ReplicaID, obj model.ObjectID, op model.Operation, resp model.Response, dot model.Dot) {
-	t := c.tap
-	var frontier []uint64
-	if vr, ok := c.replicas[r].(store.VisReporter); ok {
-		f := t.frontier[r]
-		for o := range f {
-			for vr.Sees(model.Dot{Origin: model.ReplicaID(o), Seq: f[o] + 1}) {
-				f[o]++
-			}
-		}
-		frontier = append([]uint64(nil), f...)
-	}
+// emit stamps ev with the next step and hands it to the observer.
+func (t *tapState) emit(ev livecheck.Event) {
 	t.lamport++
-	t.fn(livecheck.Event{
-		Node: r, Kind: model.ActDo, Lamport: t.lamport,
-		Object: obj, Op: op, Rval: resp, Dot: dot, Frontier: frontier,
-	})
+	ev.Lamport = t.lamport
+	t.fn(ev)
 }
 
-// tapSend emits the send event for replica r's broadcast msgID, minting the
-// per-origin sequence number message identity needs.
-func (c *Cluster) tapSend(r model.ReplicaID, msgID int) {
-	t := c.tap
+// send emits the send event for replica r's broadcast msgID, minting the
+// per-origin sequence number message identity needs; receive looks it up.
+func (t *tapState) send(r model.ReplicaID, msgID int) {
 	t.sendSeq[r]++
 	t.msgSeq[msgID] = t.sendSeq[r]
-	t.lamport++
-	t.fn(livecheck.Event{
-		Node: r, Kind: model.ActSend, Lamport: t.lamport,
-		Origin: r, Seq: t.sendSeq[r],
-	})
-}
-
-// tapReceive emits the receive event for a delivery of msgID (sent by from)
-// at replica to.
-func (c *Cluster) tapReceive(to, from model.ReplicaID, msgID int) {
-	t := c.tap
-	t.lamport++
-	t.fn(livecheck.Event{
-		Node: to, Kind: model.ActReceive, Lamport: t.lamport,
-		Origin: from, Seq: t.msgSeq[msgID],
-	})
+	t.emit(livecheck.Event{Node: r, Kind: model.ActSend, Origin: r, Seq: t.sendSeq[r]})
 }

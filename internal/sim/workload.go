@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
@@ -46,8 +47,8 @@ func (cfg *WorkloadConfig) defaults() {
 }
 
 // randOp draws one client operation for replica r on obj from the cluster
-// RNG. Shared by RunRandom and RunScheduled; the draw sequence is part of
-// the reproducibility contract, so it must not change.
+// RNG. The draw sequence is part of the reproducibility contract, so it must
+// not change.
 func (c *Cluster) randOp(cfg *WorkloadConfig, types spec.Types, r model.ReplicaID, obj model.ObjectID, nextValue *int) model.Operation {
 	op := model.Read()
 	if c.rng.Float64() < cfg.MutateRatio {
@@ -71,27 +72,8 @@ func (c *Cluster) randOp(cfg *WorkloadConfig, types spec.Types, r model.ReplicaI
 
 // RunRandom executes a random workload: each step performs one client
 // operation at a random replica and then, independently, possibly broadcasts
-// and possibly delivers. Returns the number of client operations performed.
+// and possibly delivers — RunScheduled under no schedule. Returns the number
+// of client operations performed.
 func (c *Cluster) RunRandom(cfg WorkloadConfig) int {
-	cfg.defaults()
-	if len(cfg.Objects) == 0 {
-		panic("sim: workload needs at least one object")
-	}
-	types := c.st.Types()
-	ops := 0
-	nextValue := 0
-	for step := 0; step < cfg.Steps; step++ {
-		r := model.ReplicaID(c.rng.Intn(c.n))
-		obj := cfg.Objects[c.rng.Intn(len(cfg.Objects))]
-		op := c.randOp(&cfg, types, r, obj, &nextValue)
-		c.Do(r, obj, op)
-		ops++
-		if c.rng.Float64() < cfg.SendProb {
-			c.Send(model.ReplicaID(c.rng.Intn(c.n)))
-		}
-		if c.rng.Float64() < cfg.DeliverProb {
-			c.DeliverOne(model.ReplicaID(c.rng.Intn(c.n)))
-		}
-	}
-	return ops
+	return c.RunScheduled(fault.Schedule{}, cfg)
 }

@@ -169,10 +169,6 @@ var (
 // ID implements store.Replica.
 func (r *Replica) ID() model.ReplicaID { return r.id }
 
-// Clock returns a copy of the replica's vector clock (its visible causal
-// past).
-func (r *Replica) Clock() vclock.VC { return r.clock.Clone() }
-
 // Sees implements store.VisReporter: an update is visible once applied,
 // i.e. once the clock covers its dot.
 func (r *Replica) Sees(d model.Dot) bool { return r.clock.Sees(d) }

@@ -20,10 +20,10 @@ func runShardedCluster(t *testing.T, cfg Config) {
 	t.Run("ShardedCluster", func(t *testing.T) {
 		const n = 2
 		const shards = 2
-		nodes := make([]*cluster.Node, n)
-		for i := range nodes {
-			nd, err := cluster.NewNode(cluster.Config{
-				ID: model.ReplicaID(i), N: n, Store: cfg.Factory(),
+		st := cfg.Factory()
+		nodes, err := cluster.BootMesh(n, func(int) cluster.Config {
+			return cluster.Config{
+				Store:          st,
 				Listen:         "127.0.0.1:0",
 				Shards:         shards,
 				DialTimeout:    time.Second,
@@ -31,28 +31,16 @@ func runShardedCluster(t *testing.T, cfg Config) {
 				DialBackoffMax: 100 * time.Millisecond,
 				RetransmitMin:  25 * time.Millisecond,
 				RetransmitMax:  250 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
-			nodes[i] = nd
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		t.Cleanup(func() {
 			for _, nd := range nodes {
 				nd.Close()
 			}
 		})
-		for i, nd := range nodes {
-			peers := make(map[model.ReplicaID]string)
-			for j, other := range nodes {
-				if j != i {
-					peers[model.ReplicaID(j)] = other.Addr()
-				}
-			}
-			if err := nd.Connect(peers); err != nil {
-				t.Fatal(err)
-			}
-		}
 
 		// Pick objects covering both shards (two per shard), then drive the
 		// store's own mutator ops at them from both nodes.
@@ -75,51 +63,22 @@ func runShardedCluster(t *testing.T, cfg Config) {
 				t.Fatalf("op %d on %q: %v", i, obj, err)
 			}
 		}
-		if !cluster.WaitQuiesced(nodes, 15*time.Second) {
-			t.Fatal("sharded cluster did not quiesce")
-		}
-		// Extra read rounds expose withheld state (the K-buffer store needs
-		// K), mirroring the sim convergence subtest.
-		for round := 1; round < cfg.ConvergenceReadRounds; round++ {
-			for _, nd := range nodes {
-				for _, obj := range objs {
-					if _, err := nd.Do(obj, model.Read()); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		doers := make([]cluster.Doer, n)
-		for i, nd := range nodes {
-			doers[i] = nd
-		}
-		if err := cluster.CheckConverged(doers, objs); err != nil {
-			t.Fatalf("sharded cluster did not converge: %v", err)
+		// Settle surfaces withheld state first (the K-buffer store needs K
+		// rounds of reads), as the sim convergence subtest does.
+		if err := cluster.Settle(cluster.QuiesceNodes(nodes, 15*time.Second), st, cluster.Doers(nodes), objs); err != nil {
+			t.Fatalf("sharded cluster did not settle: %v", err)
 		}
 
 		// Each shard's histories must merge into a well-formed execution by
-		// themselves, and hold only objects that route to that shard.
-		for s := 0; s < shards; s++ {
-			hists := make([]cluster.History, n)
-			for i, nd := range nodes {
-				h, err := nd.ShardHistory(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, ev := range h.Events {
-					if ev.Kind == model.ActDo && router.Route(ev.Object) != s {
-						t.Fatalf("node %d shard %d recorded do on %q (routes to %d)",
-							i, s, ev.Object, router.Route(ev.Object))
-					}
-				}
-				hists[i] = h
-			}
-			audited, err := cluster.BuildAudit(hists)
-			if err != nil {
-				t.Fatalf("shard %d audit: %v", s, err)
-			}
-			if err := audited.Exec.CheckWellFormed(); err != nil {
-				t.Fatalf("shard %d execution not well-formed: %v", s, err)
+		// themselves — causally consistent where the store claims it — and
+		// hold only objects that route to that shard.
+		audits, err := cluster.AuditShards(shards, cluster.HistoriesOf(nodes), st.Types())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, a := range audits {
+			if err := a.Err(); err != nil {
+				t.Fatalf("shard %d: %v", s, err)
 			}
 		}
 	})

@@ -304,14 +304,3 @@ func (r *Reader) Dot() model.Dot {
 	seq := r.Uvarint()
 	return model.Dot{Origin: model.ReplicaID(origin), Seq: seq}
 }
-
-// UvarintLen returns the encoded size in bytes of x, used by size-accounting
-// benches without materializing payloads.
-func UvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}

@@ -117,17 +117,6 @@ func TestCorruptVCCountRejected(t *testing.T) {
 	}
 }
 
-func TestUvarintLenMatchesEncoding(t *testing.T) {
-	f := func(x uint64) bool {
-		w := NewWriter()
-		w.Uvarint(x)
-		return w.Len() == UvarintLen(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickMixedRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
