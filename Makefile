@@ -70,9 +70,9 @@ loc:
 		for (m in tot) { split(m, p, SUBSEP); mods[p[1]] = 1 } \
 		for (m in mods) printf "%-10s %-34s %8d %8d\n", m, "TOTAL", tot[m, "code"], tot[m, "test"] | "sort -r"; }'
 
-# Brief coverage-guided runs of every fuzz target (decoders and replica
-# Receive paths), on top of the checked-in seed corpora the ordinary test
-# run already replays.
+# Brief coverage-guided runs of every fuzz target (decoders, replica
+# Receive paths and the Merkle forest's node query), on top of the checked-in
+# seed corpora the ordinary test run already replays.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReusedFrameBuffer -fuzztime 10s
@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeEventBinary -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeDigest -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecompressFrame -fuzztime 10s
+	$(GO) test ./internal/membership -run '^$$' -fuzz FuzzForestPrefix -fuzztime 10s
 	$(GO) test ./internal/store/causal -run '^$$' -fuzz FuzzReceive -fuzztime 10s
 	$(GO) test ./internal/store/gsp -run '^$$' -fuzz FuzzReceive -fuzztime 10s
 	$(GO) test ./internal/store/statesync -run '^$$' -fuzz FuzzReceive -fuzztime 10s
@@ -107,12 +108,12 @@ chaos:
 # The dynamic-membership battery: the Merkle forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence
 # and version-mismatch refusal), churned fault schedules through the
-# supervisor, the forest a restarted node rebuilds from its journal, and the
-# kill -9 mid-sync harness (a served child joining via -join, SIGKILL'd
-# mid-pull, restarted on the same -data-dir).
+# supervisor, the forest a restarted node rebuilds from its journal and the
+# range it serves from it, and the kill -9 mid-sync harness (a served child
+# joining via -join, SIGKILL'd mid-pull, restarted on the same -data-dir).
 membership:
 	$(GO) test -race ./internal/membership -count=1
-	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest' -count=1
+	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest|RangeServed' -count=1
 	$(GO) test -race ./internal/fault -run 'Churn' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9MidSyncJoin|ParseTopology' -count=1
 	$(GO) test -race ./cmd/loadgen -run 'Syncbench' -count=1

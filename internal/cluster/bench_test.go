@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/seglog"
 	"repro/internal/wire"
 )
 
@@ -152,19 +153,59 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkNoteUpdate is what a shard keeps of one update beside its event
+// record — the record's position in the update index, the update's hash in
+// the forest's open leaf and, a leaf at a time, the node cache — behind
+// histories of two lengths: ns/op and B/op must not depend on the length,
+// and B/op is the position plus the update's share of the node cache. The
+// records themselves are written off the clock; the shard is rebuilt every
+// 256 k updates so memory stays bounded however large b.N gets.
+func BenchmarkNoteUpdate(b *testing.B) {
+	const chunk = 1 << 10
+	payload := []byte(benchValue)
+	for _, behind := range []int{1 << 10, 1 << 18} {
+		b.Run(fmt.Sprintf("behind=%d", behind), func(b *testing.B) {
+			var s *shard
+			at := make([]seglog.Pos, chunk)
+			kept := make([][]byte, chunk)
+			seq := uint64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%chunk == 0 {
+					b.StopTimer()
+					if i%(1<<18) == 0 {
+						s, seq = looseShard(b, "lww"), 0
+						for j := 0; j < behind; j++ {
+							seq = noteRecorded(b, s, 0, seq+1, payload)
+						}
+					}
+					for j := range at {
+						kept[j], at[j] = s.record(Event{Kind: model.ActReceive, Lamport: seq, Origin: 0, Seq: seq + uint64(j) + 1, Payload: payload})
+					}
+					b.StartTimer()
+				}
+				seq++
+				if err := s.noteUpdate(0, seq, at[i%chunk], kept[i%chunk]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNextBatch cuts one batch from the tail of the shard's log — a
 // sender that has written almost everything and is waiting for acks — at two
-// depths of unacked log. The batch aliases the log: nothing is copied and
-// nothing allocated, whatever the depth.
+// depths of unacked log. The batch is read back out of the records into the
+// sender's scratch: payloads alias the records, nothing is allocated, and
+// the cost is the batch's, whatever the depth.
 func BenchmarkNextBatch(b *testing.B) {
 	payload := []byte(benchValue)
 	for _, depth := range []int{64, 64 << 10} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			s := looseShard(b, "lww")
 			for i := 1; i <= depth; i++ {
-				if err := s.noteUpdate(s.n.cfg.ID, uint64(i), uint64(i), payload); err != nil {
-					b.Fatal(err)
-				}
+				noteRecorded(b, s, s.n.cfg.ID, uint64(i), payload)
 			}
 			p := newPeerSender(s.n, 2, "unused")
 			var us []protoUpdate

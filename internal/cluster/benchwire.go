@@ -94,7 +94,7 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 func EncodeHistoryFrame(events []Event, compress bool) (int64, error) {
 	var log eventLog
 	for _, ev := range events {
-		if _, err := log.append(ev); err != nil {
+		if _, _, err := log.append(ev); err != nil {
 			return 0, err
 		}
 	}
@@ -106,10 +106,13 @@ func EncodeHistoryFrame(events []Event, compress bool) (int64, error) {
 }
 
 // wireLen is the wire length, header included, of the bulk frame whose
-// payload w holds: as encoded, or (compress) as writeEnc sends it.
+// payload w holds: as encoded, or (compress) as writeEnc sends it, through
+// a compressor borrowed for the frame.
 func wireLen(w *wire.Writer, compress bool) int64 {
 	if compress {
-		if env := maybeCompressPayload(w.Bytes()); env != nil {
+		z := wire.GetDeflater()
+		defer wire.PutDeflater(z)
+		if env := maybeCompressPayload(w.Bytes(), z); env != nil {
 			defer wire.PutWriter(env)
 			return int64(env.Len() + 4)
 		}

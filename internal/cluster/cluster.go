@@ -30,11 +30,12 @@
 //     open a file, or keep a second way to do what a frame, a Config field
 //     or a code path here already does — a format change bumps
 //     protoVersion, it does not add a branch. A link holds positions, never
-//     updates: shard.updates is the only copy of what is sent, served and
-//     counted, and the chunking rule lives in cutBatch only. A payload has
-//     one home, its record in the history: the update log, the forest, the
-//     journal and the store are shown that slice, never a second copy, and
-//     never connection memory or a store's outbox.
+//     updates, and so does the shard: an update's send or receive record in
+//     the history is the only copy of what is sent, served and counted,
+//     shard.updates says where each is, and the chunking rule lives in
+//     cutBatch only. A payload has one home, that record: the forest, the
+//     journal, the store and every frame are shown a slice of it, never a
+//     second copy, and never connection memory or a store's outbox.
 //   - MUST NOT import: internal/durable (it imports this package for Event
 //     and NodeStorage), cmd/..., or the simulator.
 package cluster
@@ -929,7 +930,7 @@ func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte
 		enc.Reset()
 		enc.BeginFrame()
 		appendAck(enc, call.sh.idx, call.cum)
-		if n.writeEnc(conn, enc, n.cfg.MaxFrame, false) != nil {
+		if n.writeEnc(conn, enc, n.cfg.MaxFrame, nil) != nil {
 			return
 		}
 	}
@@ -962,7 +963,8 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 	if r.Err() != nil {
 		return false
 	}
-	maxFrame, bulk := n.cfg.MaxFrame, false
+	maxFrame := n.cfg.MaxFrame
+	var bulk *wire.Deflater // set for a bulk reply: the compressor to offer it to
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.BeginFrame()
@@ -984,7 +986,10 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 		w.Uvarint(tStatsResp)
 		appendStats(w, n.Stats())
 	case tHistory:
-		maxFrame, bulk = historyMaxFrame, true
+		// The one bulk reply a client connection carries, and a rare one: its
+		// compressor is borrowed for the request.
+		maxFrame, bulk = historyMaxFrame, wire.GetDeflater()
+		defer wire.PutDeflater(bulk)
 		shard, err := decodeHistoryReq(&r)
 		if err != nil || shard >= uint64(len(n.shards)) {
 			return false

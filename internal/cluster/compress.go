@@ -34,8 +34,8 @@ const compressFloor = 512
 // returns a pooled writer holding the envelope — the caller must PutWriter
 // it after sending — or nil to send the payload raw. An incompressible
 // payload (the envelope would be no smaller) ships raw, so compression
-// never costs wire bytes.
-func maybeCompressPayload(payload []byte) *wire.Writer {
+// never costs wire bytes. z is the sending connection's compressor.
+func maybeCompressPayload(payload []byte, z *wire.Deflater) *wire.Writer {
 	if len(payload) < compressFloor {
 		return nil
 	}
@@ -43,7 +43,7 @@ func maybeCompressPayload(payload []byte) *wire.Writer {
 	w.Uvarint(tCompressed)
 	w.Uvarint(wire.CompFlate)
 	w.Uvarint(uint64(len(payload)))
-	wire.DeflateTo(w, payload)
+	z.DeflateTo(w, payload)
 	if w.Len() >= len(payload) {
 		wire.PutWriter(w)
 		return nil
@@ -108,22 +108,23 @@ func recvFrame(conn net.Conn, maxFrame int, buf *[]byte) ([]byte, error) {
 
 // writeEnc seals the frame open in enc and writes it with a write
 // deadline, counting wire bytes and frames: header and payload were built
-// contiguously (BeginFrame), so a raw frame leaves in one conn.Write. bulk
-// marks a bulk-transfer frame, which is offered to the compression
-// envelope; the small latency-sensitive frames (acks, hellos, single
-// updates, client replies) never touch the compressor. The error is
+// contiguously (BeginFrame), so a raw frame leaves in one conn.Write. A
+// non-nil z marks a bulk-transfer frame, which is offered to the compression
+// envelope through z — the compressor its connection's handler owns; the
+// small latency-sensitive frames (acks, hellos, single updates, client
+// replies) pass nil and never touch one. The error is
 // returned rather than collapsed to a bool because a *wire.FrameSizeError
 // from EndFrame is a terminal condition — the frame can never fit — which
 // a sender must distinguish from ordinary connection death.
-func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, bulk bool) error {
+func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.Deflater) error {
 	frame, err := enc.EndFrame(maxFrame)
 	if err != nil {
 		return err
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
 	var env *wire.Writer
-	if bulk {
-		env = maybeCompressPayload(frame[4:])
+	if z != nil {
+		env = maybeCompressPayload(frame[4:], z)
 	}
 	var nBytes int
 	if env != nil {
@@ -148,7 +149,7 @@ func (n *Node) sendFrame(conn net.Conn, build func(*wire.Writer)) bool {
 	w := wire.GetWriter()
 	w.BeginFrame()
 	build(w)
-	err := n.writeEnc(conn, w, n.cfg.MaxFrame, false)
+	err := n.writeEnc(conn, w, n.cfg.MaxFrame, nil)
 	wire.PutWriter(w)
 	return err == nil
 }

@@ -14,11 +14,11 @@ import (
 // compressible payload gets the envelope.
 func TestMaybeCompressPayloadGates(t *testing.T) {
 	big := bytes.Repeat([]byte("abcdefgh"), 256) // 2 KiB, highly compressible
-	if env := maybeCompressPayload(big[:compressFloor-1]); env != nil {
+	if env := maybeCompressPayload(big[:compressFloor-1], new(wire.Deflater)); env != nil {
 		wire.PutWriter(env)
 		t.Fatal("compressed a sub-floor payload")
 	}
-	env := maybeCompressPayload(big)
+	env := maybeCompressPayload(big, new(wire.Deflater))
 	if env == nil {
 		t.Fatal("did not compress a floor-clearing compressible payload")
 	}
@@ -87,7 +87,7 @@ func TestDecompressFrameHostileEnvelopes(t *testing.T) {
 // passes through or inflates must be stable under a second call.
 func FuzzDecompressFrame(f *testing.F) {
 	big := bytes.Repeat([]byte("abcdefgh"), 256)
-	if env := maybeCompressPayload(big); env != nil {
+	if env := maybeCompressPayload(big, new(wire.Deflater)); env != nil {
 		f.Add(append([]byte(nil), env.Bytes()...))
 		wire.PutWriter(env)
 	}
@@ -161,7 +161,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		payload := enc.Bytes()
 		snapshot := append([]byte(nil), payload...)
 
-		env := maybeCompressPayload(payload)
+		env := maybeCompressPayload(payload, new(wire.Deflater))
 		if env != nil {
 			wire.PutWriter(env)
 			if target < compressFloor {

@@ -23,24 +23,44 @@ type eventLog struct {
 
 func (l *eventLog) len() int { return l.recs.Len() }
 
-// append encodes ev at the end of the log and returns the log's copy of its
-// payload: the tail of the record just written, non-nil whenever ev.Payload
-// was (an empty message is still a message). That copy is the payload's one
-// home — immutable, never moved, owned by the history — and the only slice
-// of it anything downstream of the caller may be shown.
-func (l *eventLog) append(ev Event) ([]byte, error) {
+// append encodes ev at the end of the log and returns where its record
+// starts and the log's copy of its payload: the tail of the record just
+// written, non-nil whenever ev.Payload was (an empty message is still a
+// message). That copy is the payload's one home — immutable, never moved,
+// owned by the history — and the only slice of it anything downstream of
+// the caller may be shown.
+func (l *eventLog) append(ev Event) (payload []byte, at seglog.Pos, err error) {
 	l.enc.Reset()
 	if err := AppendEventBinary(&l.enc, ev); err != nil {
-		return nil, err
+		return nil, at, err
 	}
-	rec := l.recs.Append(l.enc.Bytes())
+	rec, at := l.recs.Append(l.enc.Bytes())
 	if len(rec) > seglog.BlockSize {
 		l.enc = wire.Writer{} // rare, and too large a scratch to keep
 	}
 	if ev.Kind == model.ActDo || ev.Payload == nil {
-		return nil, nil
+		return nil, at, nil
 	}
-	return rec[len(rec)-len(ev.Payload):], nil
+	return rec[len(rec)-len(ev.Payload):], at, nil
+}
+
+// update reads the send or receive record at `at` back as the update it
+// recorded: the transfer layout of codec.go, with the payload a slice of the
+// record itself. The record is the update's only home — the update log keeps
+// positions, not copies — so the stamp is the recording node's own: for its
+// own broadcast the send stamp, for a received one the receive stamp.
+func (l *eventLog) update(at seglog.Pos) protoUpdate {
+	var r wire.Reader
+	r.Reset(l.recs.From(at))
+	kind := model.Action(r.Uvarint())
+	u := protoUpdate{Lamport: r.Uvarint(), Origin: model.ReplicaID(r.Uvarint()), Seq: r.Uvarint()}
+	if r.Uvarint() == 1 {
+		u.Payload = r.Bytes()
+	}
+	if r.Err() != nil || (kind != model.ActSend && kind != model.ActReceive) {
+		panic(fmt.Sprintf("cluster: update log points at %+v, which holds no update record (kind %v, %v)", at, kind, r.Err()))
+	}
+	return u
 }
 
 // encodedHistory is a snapshot of a history whose events are still in the

@@ -223,7 +223,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 	blocks, _ := s.events.recs.Snapshot()
 	journaled := mem.events(s.n.cfg.ID, 0)
 	for i := range us {
-		kept := s.updates[0].At(i).Payload
+		kept := s.events.update(s.updates[0].At(i)).Payload
 		if !bytes.Equal(kept, frame[i]) {
 			t.Fatalf("update %d holds %q, sent %q", i+1, kept, frame[i])
 		}
@@ -240,7 +240,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 			t.Errorf("the journal was handed a second copy of update %d (event %+v)", i+1, ev)
 		}
 	}
-	mine := s.updates[s.n.cfg.ID].At(0).Payload
+	mine := s.events.update(s.updates[s.n.cfg.ID].At(0)).Payload
 	if !inBlocks(blocks, mine) {
 		t.Error("the shard's own broadcast is held outside the history's records")
 	}

@@ -52,21 +52,32 @@ func allocBytes(fn func()) float64 {
 	return float64(after.TotalAlloc - before.TotalAlloc)
 }
 
+// noteRecorded gives a loose shard origin's next update the way mintSend and
+// applyUpdate do — the send (its own) or receive event recorded, then the
+// record indexed and hashed — and returns the update's seq.
+func noteRecorded(tb testing.TB, s *shard, origin model.ReplicaID, lamport uint64, payload []byte) uint64 {
+	kind := model.ActReceive
+	if origin == s.n.cfg.ID {
+		kind = model.ActSend
+	}
+	seq := uint64(s.updates[origin].Len()) + 1
+	kept, at := s.record(Event{Kind: kind, Lamport: lamport, Origin: origin, Seq: seq, Payload: payload})
+	if err := s.noteUpdate(origin, seq, at, kept); err != nil {
+		tb.Fatal(err)
+	}
+	return seq
+}
+
 // recordStep records the i-th event of a synthetic history on a loose
-// shard: one do event in three, the rest receives — which also index an
-// update and hash it into the forest, as applyUpdate does, from the payload
-// record returns.
+// shard: one do event in three, the rest receives, which also index an
+// update and hash it into the forest.
 func recordStep(tb testing.TB, s *shard, i int, payload []byte) {
 	origin := model.ReplicaID(i % 3)
 	if origin == 0 {
 		s.record(Event{Kind: model.ActDo, Lamport: uint64(i), Object: "k", Op: model.Read()})
 		return
 	}
-	seq := uint64(s.updates[origin].Len()) + 1
-	kept := s.record(Event{Kind: model.ActReceive, Lamport: uint64(i), Origin: origin, Seq: seq, Payload: payload})
-	if err := s.noteUpdate(origin, seq, uint64(i), kept); err != nil {
-		tb.Fatal(err)
-	}
+	noteRecorded(tb, s, origin, uint64(i), payload)
 }
 
 // encodedBytes is how many bytes of records the shard's history holds.
@@ -80,11 +91,11 @@ func encodedBytes(s *shard) (n int) {
 
 // TestRecordCostIndependentOfHistory is the RAM companion of durable's
 // TestAppendCostIndependentOfHistory. Recording 256 k events allocates
-// within 1.25× of what their encoded records, updates and hashes occupy —
-// an append-doubled slice reads ≈5× — and no burst of 256 calls allocates
-// more than a block of records plus a segment for each other log it appends
-// to, where one unlucky append to a slice that long allocates, and copies,
-// tens of megabytes on the event loop.
+// within 1.25× of what their encoded records, the updates' positions and the
+// Merkle node cache occupy — an append-doubled slice reads ≈5× — and no
+// burst of 256 calls allocates more than a block of records plus a segment
+// for each other log it appends to, where one unlucky append to a slice that
+// long allocates, and copies, tens of megabytes on the event loop.
 func TestRecordCostIndependentOfHistory(t *testing.T) {
 	const total, burst = 256 << 10, 256
 	s := looseShard(t, "lww")
@@ -103,16 +114,73 @@ func TestRecordCostIndependentOfHistory(t *testing.T) {
 		t.Fatalf("recorded %d events, want %d", got, total)
 	}
 	updates := s.updates[1].Len() + s.updates[2].Len()
-	occupied := float64(encodedBytes(s)) + float64(updates)*float64(unsafe.Sizeof(protoUpdate{})+unsafe.Sizeof(membership.Hash{}))
+	// A complete node per LeafSpan updates at level 0, half as many above, …
+	occupied := float64(encodedBytes(s)) + float64(updates)*(float64(unsafe.Sizeof(seglog.Pos{}))+2*float64(unsafe.Sizeof(membership.Hash{}))/membership.LeafSpan)
 	if sum > 1.25*occupied {
 		t.Errorf("recording %d events allocated %.0f B, %.2f× the %.0f B they occupy", total, sum, sum/occupied, occupied)
 	}
 	// The two origins advance in lockstep here, so every log's boundary can
 	// fall in one burst: the history's block, and per origin a segment of
-	// the update log, of the hash log and of a few node-cache levels.
-	perOrigin := unsafe.Sizeof(protoUpdate{}) + 4*unsafe.Sizeof(membership.Hash{})
+	// the update index and of a few node-cache levels.
+	perOrigin := unsafe.Sizeof(seglog.Pos{}) + 4*unsafe.Sizeof(membership.Hash{})
 	if limit := float64(seglog.BlockSize + seglog.SegmentLen*2*perOrigin); worst > limit {
 		t.Errorf("one burst of %d calls allocated %.0f B, more than a block and a segment per other log (%.0f B)", burst, worst, limit)
+	}
+}
+
+// TestPerUpdateOverhead: outside its record in the block log, an update
+// costs the shard the eight bytes of its position and its share of the
+// Merkle node cache (a 32-byte node per LeafSpan updates, half as many on
+// the level above, …) — not the 48-byte protoUpdate, the 32-byte hash and
+// the pointers among them that it used to. Amortised over 64 k updates of
+// each of three origins that is under 16 B, first-segment doublings and
+// segment tables included; and it is flat: a burst of a thousand updates an
+// origin behind a quarter of a million allocates what one behind the first
+// thousand did, give or take the node-cache segments that fall due in it —
+// every level allocates by the segment (its first by doubling), the three
+// lowest can all roll over in one burst, and the doublings of the short
+// levels above them add up to less than a fourth.
+func TestPerUpdateOverhead(t *testing.T) {
+	const perOrigin, burst, origins = 96 << 10, 1 << 10, 3
+	s := looseShard(t, "lww")
+	payload := []byte("0123456789abcdef")
+	blockBytes := func() (n int) {
+		blocks, _ := s.events.recs.Snapshot()
+		for _, b := range blocks {
+			n += cap(b)
+		}
+		return n
+	}
+	var bursts []float64 // per burst, the bytes allocated outside the block log
+	lamport := uint64(0)
+	for i := 0; i < perOrigin; i += burst {
+		before := blockBytes()
+		all := allocBytes(func() {
+			for j := 0; j < burst; j++ {
+				for o := model.ReplicaID(0); o < origins; o++ {
+					lamport++
+					noteRecorded(t, s, o, lamport, payload)
+				}
+			}
+		})
+		bursts = append(bursts, all-float64(blockBytes()-before))
+	}
+	var sum float64
+	for _, b := range bursts[:64] {
+		sum += b
+	}
+	per := sum / (64 * burst * origins)
+	t.Logf("%.2f B per noted update outside the block log", per)
+	if per > 16 {
+		t.Errorf("a noted update costs %.1f B outside its record, amortised over %d updates; want ≤ 16", per, 64*burst*origins)
+	}
+	early := bursts[1] // past the index's first-segment doublings
+	nodeSegments := float64(origins * 4 * seglog.SegmentLen * int(unsafe.Sizeof(membership.Hash{})))
+	for i, b := range bursts[2:] {
+		if b > early+nodeSegments {
+			t.Errorf("burst %d (behind %d updates) allocated %.0f B outside the block log, the one behind %d updates %.0f B",
+				i+2, (i+2)*burst*origins, b, burst*origins, early)
+		}
 	}
 }
 
@@ -432,39 +500,10 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 	check("journal", logged)
 
 	// The update index, read the way a joiner reads it: a range pull.
-	pull, err := net.Dial("tcp", nd.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pull.Close()
-	pull.SetDeadline(time.Now().Add(30 * time.Second))
-	send := func(build func(*wire.Writer)) {
-		t.Helper()
-		w := wire.NewWriter()
-		build(w)
-		if _, err := wire.WriteFrame(pull, w.Bytes(), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: 0}) })
-	if typ, _, err := readTyped(pull, 0, 0, nil); err != nil || typ != tJoinAck {
-		t.Fatalf("join answered with type %d, err %v", typ, err)
-	}
-	send(func(w *wire.Writer) { appendRangeReq(w, 0, 0, uint64(len(payloads)), 8) })
 	var pulled [][]byte
-	for len(pulled) < len(payloads) {
-		typ, r, err := readTyped(pull, 0, 0, nil)
-		if err != nil || typ != tRangeResp {
-			t.Fatalf("range pull answered with type %d, err %v", typ, err)
-		}
-		us, err := decodeUpdates(r, nil)
-		if err != nil || len(us) == 0 {
-			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
-		}
-		for _, u := range us {
-			pulled = append(pulled, u.Payload)
-		}
-		send(func(w *wire.Writer) { appendAck(w, 0, us[len(us)-1].Seq) })
+	_, us := pullRange(t, nd, 0, 0, uint64(len(payloads)))
+	for _, u := range us {
+		pulled = append(pulled, u.Payload)
 	}
 	check("range pull", pulled)
 }

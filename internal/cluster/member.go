@@ -432,7 +432,7 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 	// End-to-end integrity: the prefix we now hold over the donor's count
 	// must reproduce the donor's root, or something shipped wrong.
 	var root membership.Hash
-	if n.inLoop(func() { root = n.s0().tree.PrefixRoot(int(origin), rd.Count) }) != nil {
+	if n.inLoop(func() { root = n.s0().tree.PrefixRoot(int(origin), rd.Count, n.s0().updatePayload) }) != nil {
 		return ErrClosed
 	}
 	if root != rd.Root {
@@ -464,7 +464,7 @@ func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, r
 			child := 2*index + c
 			var lh membership.Hash
 			var lok bool
-			if n.inLoop(func() { lh, lok = n.s0().tree.NodeHash(int(origin), k, level-1, child) }) != nil {
+			if n.inLoop(func() { lh, lok = n.s0().tree.NodeHash(int(origin), k, level-1, child, n.s0().updatePayload) }) != nil {
 				return 0, 0, ErrClosed
 			}
 			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeReq(w, origin, k, level-1, child) }) {
@@ -521,6 +521,8 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, n.view.Members()) }) {
 		return
 	}
+	z := wire.GetDeflater() // compresses every range chunk this conversation serves
+	defer wire.PutDeflater(z)
 	for {
 		b, err := recvFrame(conn, n.cfg.MaxFrame, buf)
 		if err != nil {
@@ -544,7 +546,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 			}
 			var h membership.Hash
 			var ok bool
-			if n.inLoop(func() { h, ok = n.s0().tree.NodeHash(int(origin), prefix, level, index) }) != nil {
+			if n.inLoop(func() { h, ok = n.s0().tree.NodeHash(int(origin), prefix, level, index, n.s0().updatePayload) }) != nil {
 				return
 			}
 			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeResp(w, h, ok) }) {
@@ -555,7 +557,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 			if err != nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
 				return
 			}
-			if !n.serveRange(conn, origin, from, count, window, buf) {
+			if !n.serveRange(conn, origin, from, count, window, buf, z) {
 				return
 			}
 		default:
@@ -578,7 +580,7 @@ func (n *Node) digestResp(ds []originDigest) []originDigest {
 			}
 			e := originDigest{Origin: d.Origin, Count: s.tree.Count(o), Root: s.tree.Root(o)}
 			if d.Count <= e.Count {
-				e.PrefixRoot = s.tree.PrefixRoot(o, d.Count)
+				e.PrefixRoot = s.tree.PrefixRoot(o, d.Count, s.updatePayload)
 			}
 			resp = append(resp, e)
 		}
@@ -608,18 +610,19 @@ const serveRangeMaxWindow = 1024
 // the cumulative value alone) also keeps the conversation aligned: no
 // acks are left unread in the socket for serveJoin's dispatch loop to
 // trip over.
-func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, window uint64, buf *[]byte) bool {
+func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, window uint64, buf *[]byte, z *wire.Deflater) bool {
 	window = max(1, min(window, serveRangeMaxWindow))
 	end := from + count
 	idx := from   // seq boundary of the next chunk to build
 	acked := from // watermark the joiner has journaled (or consumed past)
 	var inflight []uint64
+	var us []protoUpdate // the chunk being sent, read back out of the log
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
 	for {
 		// Fill the window: send chunks while credit remains.
 		for idx < end && uint64(len(inflight)) < window {
-			us := n.s0().logRun(origin, idx)
+			us = n.s0().logRun(origin, idx, us)
 			us = us[:cutBatch(us, int(min(batchMax, end-idx)), n.cfg.MaxFrame-64)]
 			if len(us) == 0 {
 				end = idx // ran dry: the donor holds less than promised
@@ -631,7 +634,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, wi
 			enc.Reset()
 			enc.BeginFrame()
 			appendRangeResp(enc, origin, us)
-			if n.writeEnc(conn, enc, n.cfg.MaxFrame, true) != nil { // a bulk frame
+			if n.writeEnc(conn, enc, n.cfg.MaxFrame, z) != nil { // a bulk frame
 				n.syncServed.Add(-int64(len(us)))
 				return false
 			}

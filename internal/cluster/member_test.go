@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func openCausal(t *testing.T) store.Store {
@@ -349,7 +352,9 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 
 // forestDigest is what a node's first shard would tell a joiner about each
 // origin: how many updates it has hashed, the root over them, and the root
-// over half of them (a prefix that ends off every leaf boundary).
+// over half of them (a prefix that ends off every leaf boundary — with more
+// than a leaf of updates, inside a complete one, which the forest re-hashes
+// from the shard's log).
 func forestDigest(t *testing.T, nd *Node) []originDigest {
 	t.Helper()
 	var ds []originDigest
@@ -357,7 +362,7 @@ func forestDigest(t *testing.T, nd *Node) []originDigest {
 		tree := nd.s0().tree
 		for o := 0; o < nd.cfg.N; o++ {
 			ds = append(ds, originDigest{Origin: model.ReplicaID(o), Count: tree.Count(o),
-				Root: tree.Root(o), PrefixRoot: tree.PrefixRoot(o, tree.Count(o)/2)})
+				Root: tree.Root(o), PrefixRoot: tree.PrefixRoot(o, tree.Count(o)/2, nd.s0().updatePayload)})
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -399,6 +404,101 @@ func TestRestartedForestMatchesLive(t *testing.T) {
 	for o, got := range forestDigest(t, r1b) {
 		if got != live[o] {
 			t.Fatalf("origin %d forest diverged across the restart:\n got %+v\nwant %+v", o, got, live[o])
+		}
+	}
+}
+
+// pullRange joins nd as replica `as` and pulls origin's first count updates,
+// the way a joiner does. It returns every tRangeResp frame as it crossed the
+// wire (compression envelope and all), in order, and the updates they held.
+func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64) (frames [][]byte, pulled []protoUpdate) {
+	t.Helper()
+	conn, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	send := func(build func(*wire.Writer)) {
+		t.Helper()
+		w := wire.NewWriter()
+		build(w)
+		if _, err := wire.WriteFrame(conn, w.Bytes(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: as}) })
+	if typ, _, err := readTyped(conn, 0, 0, nil); err != nil || typ != tJoinAck {
+		t.Fatalf("join answered with type %d, err %v", typ, err)
+	}
+	send(func(w *wire.Writer) { appendRangeReq(w, origin, 0, count, 4) })
+	for uint64(len(pulled)) < count {
+		raw, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatalf("range pull of r%d after %d updates: %v", origin, len(pulled), err)
+		}
+		frames = append(frames, raw)
+		b, _, err := decompressFrame(append([]byte(nil), raw...), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(b)
+		if typ := r.Uvarint(); typ != tRangeResp {
+			t.Fatalf("range pull answered with type %d", typ)
+		}
+		us, err := decodeUpdates(r, nil)
+		if err != nil || len(us) == 0 {
+			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
+		}
+		pulled = append(pulled, us...)
+		send(func(w *wire.Writer) { appendAck(w, 0, us[len(us)-1].Seq) })
+	}
+	return frames, pulled
+}
+
+// TestRangeServedSameAfterRestart: what a donor serves a joiner is a function
+// of its journal, not of whether it has restarted since it wrote it. A live
+// node used to index a received update under the origin's stamp and a
+// restarted one under its own receive stamp, so the same range left the same
+// donor as different frames; both now read the record's stamp. The pair
+// write in turns, so every receive stamp is well ahead of the send's.
+func TestRangeServedSameAfterRestart(t *testing.T) {
+	const k = 100 // more than one chunk (batchMax) of each origin
+	mem := &memStorage{}
+	r0 := bootNode(t, 0, 3, nil)
+	r1 := bootNode(t, 1, 3, stored(mem))
+	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k/10; i++ {
+		writeN(t, r0, 10, fmt.Sprintf("a%d", i))
+		writeN(t, r1, 10, fmt.Sprintf("b%d", i))
+	}
+	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
+		t.Fatal("pair did not quiesce")
+	}
+	var live [2][][]byte
+	for o := range live {
+		live[o], _ = pullRange(t, r1, 2, model.ReplicaID(o), k)
+	}
+	r1.Close()
+
+	r1b := bootNode(t, 1, 3, stored(mem))
+	if r1b.Restored() == 0 {
+		t.Fatal("the second incarnation restored nothing")
+	}
+	for o, want := range live {
+		got, _ := pullRange(t, r1b, 2, model.ReplicaID(o), k)
+		if len(got) != len(want) || len(want) < 2 {
+			t.Fatalf("origin r%d: the restarted donor served %d frames, the live one %d (want several)", o, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("origin r%d: range frame %d differs across the donor's restart (%d B live, %d B restarted)", o, i, len(want[i]), len(got[i]))
+			}
 		}
 	}
 }

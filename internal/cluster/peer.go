@@ -58,8 +58,12 @@ type peerSender struct {
 
 	mu      sync.Mutex
 	cursors []linkCursor // one per shard; index = shard
-	conn    net.Conn     // live connection, nil while dialing
-	failErr error        // terminal error, set once before failed flips
+	// batch is where nextBatch has the shard's log read a batch back out of
+	// its records: one batch is on its way at a time, so one scratch serves
+	// every shard for the life of the link.
+	batch   []protoUpdate
+	conn    net.Conn // live connection, nil while dialing
+	failErr error    // terminal error, set once before failed flips
 
 	// failed latches a terminal sender condition: the next update can never
 	// travel (an update over the frame limit fails EndFrame identically on
@@ -131,15 +135,16 @@ func (p *peerSender) ack(shard int, cum uint64) {
 // nextBatch returns the next frame's worth of one shard's own updates after
 // seq sent — or after the peer's cumulative ack, when that is further — cut
 // by cutBatch, plus how many of them are retransmissions (already written on
-// some connection). The batch aliases the shard's log, so it may also end
-// early at a segment boundary; the next call picks up from there.
+// some connection). The batch is the sender's scratch (its payloads alias the
+// shard's records) and is good until the next call; it may also end early at
+// a segment boundary of the log, and the next call picks up from there.
 func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := &p.cursors[shard]
 	sent = max(sent, c.lastAcked)
-	us = p.node.shards[shard].logRun(p.node.cfg.ID, sent)
-	us = us[:cutBatch(us, limit, sizeCap)]
+	p.batch = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch)
+	us = p.batch[:cutBatch(p.batch, limit, sizeCap)]
 	if len(us) == 0 {
 		return nil, 0
 	}
@@ -281,14 +286,17 @@ func (p *peerSender) serve(conn net.Conn) bool {
 
 	// One pooled writer builds every frame this connection sends: header and
 	// payload land contiguously (BeginFrame/EndFrame), so each frame is one
-	// conn.Write and zero per-frame allocations.
+	// conn.Write and zero per-frame allocations. Beside it, the connection's
+	// compressor, for the batches large enough to want one.
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
+	z := wire.GetDeflater()
+	defer wire.PutDeflater(z)
 
 	enc.Reset()
 	enc.BeginFrame()
 	appendHello(enc, cfg.ID, cfg.Shards)
-	if p.node.writeEnc(conn, enc, cfg.MaxFrame, false) != nil {
+	if p.node.writeEnc(conn, enc, cfg.MaxFrame, nil) != nil {
 		return false
 	}
 
@@ -370,7 +378,11 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				// Only multi-update frames clear the compression floor in
 				// practice; single updates stay raw so the latency-sensitive
 				// path never touches the compressor.
-				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, len(us) > 1); err != nil {
+				bulk := z
+				if len(us) == 1 {
+					bulk = nil
+				}
+				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk); err != nil {
 					var fse *wire.FrameSizeError
 					if errors.As(err, &fse) && len(us) == 1 {
 						// nextBatch always takes the first update alone when

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -308,7 +309,8 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 		self := s.n.cfg.ID
 		own := &s.updates[self]
 		p, ref := newPeerSender(s.n, 2, "unused"), &refQueue{}
-		sent := uint64(0) // the serve loop's position, shared: both must consume it alike
+		var all []protoUpdate // everything broadcast so far: what a new link owes
+		sent := uint64(0)     // the serve loop's position, shared: both must consume it alike
 		// Odd seeds broadcast faster than the sender drains, so batches are
 		// cut from deep inside the log; even seeds keep the link near drained.
 		broadcasts := 40 + 20*int(seed%2)
@@ -316,9 +318,8 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < broadcasts: // the shard broadcasts
 				u := protoUpdate{Origin: self, Seq: uint64(own.Len()) + 1, Payload: make([]byte, rng.Intn(200))}
-				if err := s.noteUpdate(u.Origin, u.Seq, u.Lamport, u.Payload); err != nil {
-					t.Fatal(err)
-				}
+				noteRecorded(t, s, u.Origin, u.Lamport, u.Payload)
+				all = append(all, u)
 				ref.offer(u)
 			case r < 85: // the sender drains one frame
 				limit, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
@@ -358,7 +359,7 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 			default: // the link is dropped and re-created: it owes the whole log, less what the hello ack says the peer holds
 				held := ref.lastAcked
 				p, ref, sent = newPeerSender(s.n, 2, "unused"), &refQueue{}, 0
-				ref.offer(own.AppendTo(nil)...)
+				ref.offer(all...)
 				p.ack(0, held)
 				ref.ack(held)
 			}
@@ -379,6 +380,120 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 	if boundaryCuts == 0 || retransmits == 0 || drainedSteps == 0 || owingSteps == 0 {
 		t.Fatalf("the schedule missed a case: %d batches cut at a segment boundary, %d retransmits, %d steps drained, %d owing",
 			boundaryCuts, retransmits, drainedSteps, owingSteps)
+	}
+}
+
+// TestLogReadersRaceTheLoop: two links (nextBatch) and a range server
+// (serveRange, over a pipe) read updates back out of the history's records
+// while the loop keeps recording — do events between the updates, records
+// crossing some hundred block boundaries, the update index crossing two
+// segment boundaries, one record larger than a block. Every update read is
+// compared with the one that was recorded. Run under -race this is the lock
+// rule of shard.logMu: the block table and the index are read off the loop
+// only under it, the records themselves bare.
+func TestLogReadersRaceTheLoop(t *testing.T) {
+	const n, peerOrigin = 2*seglog.SegmentLen + 300, model.ReplicaID(2)
+	s := looseShard(t, "lww")
+	self := s.n.cfg.ID
+	// Update seq of origin o, as recorded: stamp, length and bytes all tell
+	// the two apart from every other update.
+	payloadOf := func(o model.ReplicaID, seq uint64) []byte {
+		size := 1 + int(seq*37%900)
+		if seq == n/2 {
+			size = seglog.BlockSize + 4000
+		}
+		p := make([]byte, size)
+		for i := range p {
+			p[i] = byte(seq) ^ byte(o) ^ byte(i)
+		}
+		return p
+	}
+	stampOf := func(o model.ReplicaID, seq uint64) uint64 { return 3*seq + uint64(o) }
+	verify := func(who string, o model.ReplicaID, after uint64, us []protoUpdate) bool {
+		for i, u := range us {
+			seq := after + uint64(i) + 1
+			if u.Origin != o || u.Seq != seq || u.Lamport != stampOf(o, seq) || !bytes.Equal(u.Payload, payloadOf(o, seq)) {
+				t.Errorf("%s read r%d's update %d back as origin r%d seq %d stamp %d with %d payload bytes",
+					who, o, seq, u.Origin, u.Seq, u.Lamport, len(u.Payload))
+				return false
+			}
+		}
+		return true
+	}
+
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ { // the links: the shard's own broadcasts, in batches
+		readers.Add(1)
+		go func(who string) {
+			defer readers.Done()
+			p := newPeerSender(s.n, peerOrigin, "unused")
+			for sent := uint64(0); sent < n; {
+				us, _ := p.nextBatch(0, sent, batchMax, 1<<20)
+				if !verify(who, self, sent, us) {
+					return
+				}
+				sent += uint64(len(us))
+				p.ack(0, sent)
+				runtime.Gosched()
+			}
+		}(fmt.Sprintf("link %d", i))
+	}
+
+	// The range server: the other origin's updates, to a joiner that checks
+	// and acks each chunk (a window of one: a pipe buffers nothing, so a
+	// second chunk would wait on the ack of the first). serveRange returns
+	// when the log runs dry, and is asked again from where the joiner stands.
+	joiner, donor := net.Pipe()
+	defer joiner.Close()
+	var have atomic.Uint64
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		defer donor.Close()
+		var buf []byte
+		z := new(wire.Deflater)
+		for from := have.Load(); from < n; from = have.Load() {
+			if !s.n.serveRange(donor, peerOrigin, from, n-from, 1, &buf, z) {
+				t.Error("serveRange gave up")
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		var buf []byte
+		for got := uint64(0); got < n; {
+			typ, r, err := readTyped(joiner, 0, 30*time.Second, &buf)
+			if err != nil || typ != tRangeResp {
+				t.Errorf("range chunk after %d updates: type %d, err %v", got, typ, err)
+				return
+			}
+			us, err := decodeUpdates(r, nil)
+			if err != nil || !verify("the range server", peerOrigin, got, us) {
+				t.Errorf("range chunk after %d updates: %d updates, err %v", got, len(us), err)
+				return
+			}
+			got += uint64(len(us))
+			have.Store(got)
+			w := wire.NewWriter()
+			appendAck(w, 0, got)
+			if _, err := wire.WriteFrame(joiner, w.Bytes(), 0); err != nil {
+				t.Errorf("ack %d: %v", got, err)
+				return
+			}
+		}
+	}()
+
+	// The loop.
+	for seq := uint64(1); seq <= n; seq++ {
+		s.record(Event{Kind: model.ActDo, Lamport: 3 * seq, Object: "k", Op: model.Read()})
+		noteRecorded(t, s, self, stampOf(self, seq), payloadOf(self, seq))
+		noteRecorded(t, s, peerOrigin, stampOf(peerOrigin, seq), payloadOf(peerOrigin, seq))
+	}
+	readers.Wait()
+	if blocks, _ := s.events.recs.Snapshot(); len(blocks) < 100 {
+		t.Fatalf("the history is %d blocks, want the hundreds the test is about", len(blocks))
 	}
 }
 

@@ -51,6 +51,15 @@ const batchMax = 64
 // whole recorded execution and dwarf every other frame.
 const historyMaxFrame = 64 << 20
 
+// protoUpdate is the decoded view of one broadcast update: of an entry of a
+// tBatch or tRangeResp frame (decodeUpdates; Payload aliases the frame), or
+// of the send or receive record a shard holds it in (eventLog.update; Payload
+// aliases the record). Nothing stores one: a node keeps the record, and an
+// 8-byte position of it per update. Lamport, read from a record, is the
+// stamp the holding node recorded the event under — the send stamp for its
+// own broadcast, its receive stamp (which exceeds the origin's send stamp)
+// for anyone else's — whether the node has restarted since or not, so a
+// range served to a joiner is a function of the donor's journal alone.
 type protoUpdate struct {
 	Origin  model.ReplicaID
 	Seq     uint64

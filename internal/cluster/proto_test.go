@@ -449,7 +449,7 @@ func TestGoldenWireVectors(t *testing.T) {
 					{Origin: 1, Seq: 7, Lamport: 300, Payload: bytes.Repeat([]byte("abcdefgh"), 128)},
 				})
 			})
-			env := maybeCompressPayload(raw)
+			env := maybeCompressPayload(raw, new(wire.Deflater))
 			if env == nil {
 				t.Fatal("compressed_envelope vector did not compress")
 			}

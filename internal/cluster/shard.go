@@ -94,18 +94,19 @@ type shard struct {
 	// async Close is already underway. One shard failing to persist stops
 	// the whole node — shards share the fate of their disk.
 	jerr error
-	// updates holds every broadcast update this shard has, per origin in seq
-	// order (updates[o][i].Seq == i+1), so its length is the origin's
-	// watermark: the shard's own broadcast counter for the node itself, the
-	// cumulative applied seq for everyone else. It is the only copy of what
-	// replication moves — links send runs of updates[self] and keep
-	// positions in it, range serving reads the rest. A payload here is the
-	// one record returned for it: a slice of the event's record in events,
-	// immutable and never moved. The loop is the only writer (noteUpdate)
-	// and reads it bare; every other goroutine reads through logLen and
-	// logRun, under logMu.
+	// updates indexes every broadcast update this shard has, per origin in seq
+	// order: updates[o].At(i) is where, in events, the send or receive record
+	// of origin o's update i+1 starts, so its length is the origin's
+	// watermark — the shard's own broadcast counter for the node itself, the
+	// cumulative applied seq for everyone else. The record is the only copy
+	// of what replication moves: links send runs of updates[self] and keep
+	// positions in it, range serving reads the rest, and both read seq, stamp
+	// and payload back out of the record (eventLog.update). logMu guards the
+	// index and the block table of events it points into. The loop is the
+	// only writer of either (record, noteUpdate) and reads them bare; every
+	// other goroutine reads through logLen and logRun, under logMu.
 	logMu   sync.RWMutex
-	updates []seglog.Log[protoUpdate]
+	updates []seglog.Log[seglog.Pos]
 	// tree is the Merkle forest over updates, backing digest exchange with
 	// joiners. The shard alone owns it: noteUpdate hashes each update in the
 	// turn that recorded and journaled it, and restore rebuilds it that way.
@@ -127,7 +128,7 @@ func newShard(n *Node, idx int) *shard {
 		checker:    store.NewPropertyChecker(replica),
 		calls:      make(chan loopCall),
 		frontier:   make([]uint64, n.cfg.N),
-		updates:    make([]seglog.Log[protoUpdate], n.cfg.N),
+		updates:    make([]seglog.Log[seglog.Pos], n.cfg.N),
 		tree:       membership.NewForest(n.cfg.N),
 	}
 }
@@ -185,12 +186,15 @@ func (s *shard) inLoop(fn func()) error {
 // configured, persists it in the same event-loop turn — before the
 // update's ack or the client's response can leave the node, so an
 // acknowledged event is always durable. A journal failure fail-stops the
-// node. It returns the history's own copy of ev.Payload (eventLog.append):
-// ev.Payload itself may be connection memory or the store's to reuse, so the
-// copy is what the journal is handed and the only slice a caller may pass
-// on. Runs on the shard's loop (or in restore, before the loop starts).
-func (s *shard) record(ev Event) []byte {
-	payload, err := s.events.append(ev)
+// node. It returns the history's own copy of ev.Payload and where the
+// event's record starts (eventLog.append): ev.Payload itself may be
+// connection memory or the store's to reuse, so the copy is what the journal
+// is handed and the only slice a caller may pass on. Runs on the shard's
+// loop (or in restore, before the loop starts).
+func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
+	s.logMu.Lock() // an append writes the block table logRun reads off the loop
+	payload, at, err := s.events.append(ev)
+	s.logMu.Unlock()
 	if err != nil {
 		panic(err) // the shard built ev itself: only a bug gives it an unknown kind
 	}
@@ -207,7 +211,7 @@ func (s *shard) record(ev Event) []byte {
 	if s.n.cfg.Tap != nil && s.jerr == nil {
 		s.n.cfg.Tap(s.idx, liveEvent(s.n.cfg.ID, ev))
 	}
-	return payload
+	return payload, at
 }
 
 func (s *shard) doInLoop(obj model.ObjectID, op model.Operation) model.Response {
@@ -282,12 +286,12 @@ func (s *shard) mintSend() bool {
 	}
 	seq := uint64(s.updates[s.n.cfg.ID].Len()) + 1
 	s.lamport++
-	payload := s.record(Event{
+	payload, at := s.record(Event{
 		Kind: model.ActSend, Lamport: s.lamport,
 		Origin: s.n.cfg.ID, Seq: seq, Payload: p,
 	})
 	s.checker.OnSend()
-	s.noteUpdateInLoop(s.n.cfg.ID, seq, s.lamport, payload)
+	s.noteUpdateInLoop(s.n.cfg.ID, seq, at, payload)
 	return true
 }
 
@@ -315,14 +319,14 @@ func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 			s.lamport = u.Lamport
 		}
 		s.lamport++
-		payload := s.record(Event{
+		payload, at := s.record(Event{
 			Kind: model.ActReceive, Lamport: s.lamport,
 			Origin: u.Origin, Seq: u.Seq,
 			Payload: u.Payload,
 		})
 		s.checker.CheckReceive(payload)
 		s.receives.Add(1)
-		s.noteUpdateInLoop(u.Origin, u.Seq, u.Lamport, payload)
+		s.noteUpdateInLoop(u.Origin, u.Seq, at, payload)
 		s.broadcastPending()
 	}
 	return uint64(log.Len()), s.jerr == nil
@@ -344,13 +348,14 @@ func (s *shard) applyRun(us []protoUpdate) (cum uint64, applied int64, ackable b
 	return cum, int64(log.Len() - before), ackable
 }
 
-// noteUpdate appends one broadcast update to its origin's log and hashes it
-// into the Merkle forest — always in the same turn the update's event is
-// recorded and journaled, and after it, so log, forest, and journal never
-// disagree and a reader of the log never runs ahead of the journal.
-func (s *shard) noteUpdate(origin model.ReplicaID, seq, lamport uint64, payload []byte) error {
+// noteUpdate indexes one broadcast update — its record starts at `at` in
+// events, and payload is that record's — under its origin and hashes it into
+// the Merkle forest: always in the same turn the update's event is recorded
+// and journaled, and after it, so log, forest, and journal never disagree
+// and a reader of the log never runs ahead of the journal.
+func (s *shard) noteUpdate(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) error {
 	s.logMu.Lock()
-	s.updates[origin].Append(protoUpdate{Origin: origin, Seq: seq, Lamport: lamport, Payload: payload})
+	s.updates[origin].Append(at)
 	s.logMu.Unlock()
 	if err := s.tree.Append(int(origin), seq, payload); err != nil {
 		return fmt.Errorf("cluster: r%d shard %d merkle append: %w", s.n.cfg.ID, s.idx, err)
@@ -366,25 +371,38 @@ func (s *shard) logLen(origin model.ReplicaID) uint64 {
 	return uint64(s.updates[origin].Len())
 }
 
-// logRun returns origin's updates after seq, from any goroutine: the longest
-// run of them that is contiguous in the log, so it ends with the log or at
-// a segment boundary. The run aliases the log (seglog.Log.Chunk), which is
-// safe to read without the lock: a later append never touches it.
-func (s *shard) logRun(origin model.ReplicaID, seq uint64) []protoUpdate {
+// logRun reads origin's updates after seq back out of their records, from
+// any goroutine, into run[:0] — the caller's scratch, reused call after call
+// — and returns it: at most batchMax of them, and only as many as are
+// contiguous in the index, so a run ends with the log, at batchMax or at a
+// segment boundary. The payloads alias the records, which are safe to read
+// without the lock: a later append never touches them.
+func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) []protoUpdate {
+	run = run[:0]
 	s.logMu.RLock()
 	defer s.logMu.RUnlock()
 	log := &s.updates[origin]
 	if seq >= uint64(log.Len()) {
-		return nil
+		return run
 	}
-	return log.Chunk(int(seq), log.Len())
+	for _, at := range log.Chunk(int(seq), min(log.Len(), int(seq)+batchMax)) {
+		run = append(run, s.events.update(at))
+	}
+	return run
+}
+
+// updatePayload is the forest's membership.Source: the payload of origin's
+// update seq, read back out of its record. Runs on the shard's loop, like
+// every forest query.
+func (s *shard) updatePayload(origin int, seq uint64) []byte {
+	return s.events.update(s.updates[origin].At(int(seq - 1))).Payload
 }
 
 // noteUpdateInLoop is noteUpdate for event-loop callers, latching a
 // failure into jerr (a misaligned forest would corrupt anti-entropy, so
 // the node fail-stops like it does on a journal failure).
-func (s *shard) noteUpdateInLoop(origin model.ReplicaID, seq, lamport uint64, payload []byte) {
-	if err := s.noteUpdate(origin, seq, lamport, payload); err != nil && s.jerr == nil {
+func (s *shard) noteUpdateInLoop(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) {
+	if err := s.noteUpdate(origin, seq, at, payload); err != nil && s.jerr == nil {
 		s.jerr = err
 		go s.n.Close()
 	}
@@ -405,7 +423,7 @@ func (s *shard) restore(h *History) error {
 		// from the journal, and re-journaling them would duplicate the log.
 		// As in record, the new history's copy of the payload is the one the
 		// store and the update log are shown; h's is let go with h.
-		payload, err := s.events.append(ev)
+		payload, at, err := s.events.append(ev)
 		if err != nil {
 			return fmt.Errorf("cluster: restored event %d: %w", i, err)
 		}
@@ -417,7 +435,7 @@ func (s *shard) restore(h *History) error {
 				return fmt.Errorf("cluster: restored send event %d claims origin r%d", i, ev.Origin)
 			}
 			s.checker.OnSend()
-			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, payload); err != nil {
+			if err := s.noteUpdate(ev.Origin, ev.Seq, at, payload); err != nil {
 				return err
 			}
 		case model.ActReceive:
@@ -428,7 +446,7 @@ func (s *shard) restore(h *History) error {
 				return fmt.Errorf("cluster: restored receive event %d has origin r%d outside cluster", i, ev.Origin)
 			}
 			s.checker.CheckReceive(payload)
-			if err := s.noteUpdate(ev.Origin, ev.Seq, ev.Lamport, payload); err != nil {
+			if err := s.noteUpdate(ev.Origin, ev.Seq, at, payload); err != nil {
 				return err
 			}
 		}

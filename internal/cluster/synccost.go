@@ -108,9 +108,11 @@ func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame, window int) SyncCos
 	}
 	row := SyncCostRow{Updates: len(us), Prefix: prefix, Window: window}
 	jd := []originDigest{{Origin: model.ReplicaID(0), Count: joiner.Count(0), Root: joiner.Root(0)}}
+	// The joiner holds exactly the donor's first prefix updates, so its root
+	// is the prefix root the donor would prove them with.
 	dd := []originDigest{{
 		Origin: model.ReplicaID(0), Count: donor.Count(0), Root: donor.Root(0),
-		PrefixRoot: donor.PrefixRoot(0, joiner.Count(0)),
+		PrefixRoot: joiner.Root(0),
 	}}
 	row.DigestBytes = frameLen(func(w *wire.Writer) { appendDigest(w, tDigest, jd) }) +
 		frameLen(func(w *wire.Writer) { appendDigest(w, tDigestResp, dd) })

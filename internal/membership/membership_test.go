@@ -1,7 +1,6 @@
 package membership
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -71,7 +70,7 @@ func buildForest(k int) *Forest { return buildForestExcept(k, 0) }
 func buildForestExcept(k, odd int) *Forest {
 	f := NewForest(3)
 	for i := 1; i <= k; i++ {
-		payload := []byte(fmt.Sprintf("update-%d", i))
+		payload := testPayload(uint64(i))
 		if i == odd {
 			payload = []byte("something else")
 		}
@@ -88,11 +87,11 @@ func TestForestPrefixAgreement(t *testing.T) {
 	a := buildForest(100)
 	b := buildForest(70)
 	for k := uint64(0); k <= 70; k++ {
-		if a.PrefixRoot(0, k) != b.PrefixRoot(0, k) {
+		if a.PrefixRoot(0, k, testSource) != b.PrefixRoot(0, k, testSource) {
 			t.Fatalf("prefix roots diverge at k=%d on identical prefixes", k)
 		}
 	}
-	if a.PrefixRoot(0, 100) == a.PrefixRoot(0, 70) {
+	if a.PrefixRoot(0, 100, testSource) == a.PrefixRoot(0, 70, testSource) {
 		t.Fatal("roots over different prefixes collide")
 	}
 }
@@ -113,8 +112,8 @@ func TestForestDetectsDivergence(t *testing.T) {
 		next := uint64(0)
 		found := false
 		for c := uint64(0); c < 2; c++ {
-			ha, okA := a.NodeHash(0, k, level-1, 2*index+c)
-			hb, okB := b.NodeHash(0, k, level-1, 2*index+c)
+			ha, okA := a.NodeHash(0, k, level-1, 2*index+c, nil)
+			hb, okB := b.NodeHash(0, k, level-1, 2*index+c, nil)
 			if okA != okB || (okA && ha != hb) {
 				next = 2*index + c
 				found = true
@@ -147,13 +146,15 @@ func TestForestAppendRejectsGaps(t *testing.T) {
 
 func TestForestCheckpointRoundTrip(t *testing.T) {
 	a := buildForest(90)
-	// The update-hash array is the forest's whole state: reloading it
-	// reproduces every root, so it is all a checkpoint would have to hold.
+	// The update hashes, in order, determine the forest: one rebuilt from
+	// them alone reproduces every root, and — handed the same update log to
+	// re-hash from — every prefix root, so the forest is derived state and
+	// nothing of it needs persisting.
 	b := NewForest(3)
-	for i := 0; i < int(a.Count(0)); i++ {
-		b.origins[0].push(a.origins[0].hashes.At(i))
+	for _, h := range refHashes(90) {
+		b.origins[0].push(h)
 	}
-	if a.Root(0) != b.Root(0) || a.PrefixRoot(0, 33) != b.PrefixRoot(0, 33) {
+	if a.Root(0) != b.Root(0) || a.PrefixRoot(0, 33, testSource) != b.PrefixRoot(0, 33, testSource) {
 		t.Fatal("checkpoint round trip changed roots")
 	}
 }

@@ -14,25 +14,25 @@ import (
 // localized to within LeafSpan updates.
 const LeafSpan = 32
 
-// A leaf's update hashes are read as one contiguous run of the segmented
-// hash log, which holds only while segments are whole numbers of leaves.
-var _ = [1]struct{}{}[seglog.SegmentLen%LeafSpan]
-
 // Hash is one SHA-256 digest.
 type Hash [32]byte
 
 // Forest holds one node's incremental Merkle summary of every origin's
-// broadcast history: per origin, the per-update hashes in seq order plus
-// the hash of every complete tree node over them.
+// broadcast history: per origin, the hash of every complete tree node over
+// the per-update hashes, and the per-update hashes of the one leaf that is
+// still open.
 //
 // A node is complete once every update it covers has been appended; its
 // hash never changes afterwards and does not depend on the prefix a query
 // asks about. Append fills that cache as nodes complete (amortized O(1),
-// no allocation beyond log and cache growth), so a root, prefix root or node hash
-// costs O(log k): complete nodes are looked up and only the incomplete
-// right spine is hashed. The cache is derived state — the update-hash
-// arrays are still all a checkpoint has to hold. The zero value is
-// unusable; use NewForest.
+// no allocation beyond the cache's growth), so a root, prefix root or node
+// hash costs O(log k): complete nodes are looked up and only the incomplete
+// right spine is hashed. The forest is derived state: it holds no update
+// and, once a leaf has closed, not even an update's hash. The one query
+// that needs those — a prefix that ends inside a leaf already complete —
+// re-hashes that leaf's updates, fewer than LeafSpan of them, from the log
+// the forest summarizes, through the Source the caller passes. The zero
+// value is unusable; use NewForest.
 //
 // The Forest is not internally locked: the cluster's event loop owns the
 // writes (Append runs in the same loop turn that journals the hashed
@@ -41,14 +41,23 @@ type Forest struct {
 	origins []originTree
 }
 
-// originTree is one origin's update hashes and complete-node cache:
+// Source returns the payload of origin's update seq out of the update log a
+// forest was built over. NodeHash and PrefixRoot call it only for a prefix
+// that cuts through a complete leaf, for the updates of that leaf the prefix
+// covers.
+type Source func(origin int, seq uint64) []byte
+
+// originTree is one origin's complete-node cache and open leaf:
 // nodes[level].At(index) is the hash of node (level, index), present
-// exactly when (index+1)·LeafSpan·2^level ≤ hashes.Len(). Both grow with
-// the history — one hash per update, one cached node per LeafSpan/2 — so
-// both sit in segment logs: appending never re-copies what is there.
+// exactly when (index+1)·LeafSpan·2^level ≤ count, and open[:count%LeafSpan]
+// are the hashes of the updates past the last complete leaf. The cache
+// grows with the history — one node per LeafSpan/2 updates — so it sits in
+// segment logs of pointer-free Hash values: appending never re-copies what
+// is there, and the collector never scans it.
 type originTree struct {
-	hashes seglog.Log[Hash]
-	nodes  []seglog.Log[Hash]
+	count uint64
+	open  [LeafSpan]Hash
+	nodes []seglog.Log[Hash]
 }
 
 // NewForest returns an empty forest for an n-origin cluster.
@@ -61,7 +70,7 @@ func (f *Forest) Count(origin int) uint64 {
 	if origin < 0 || origin >= len(f.origins) {
 		return 0
 	}
-	return uint64(f.origins[origin].hashes.Len())
+	return f.origins[origin].count
 }
 
 // HashUpdate digests one broadcast update's identity and content: origin,
@@ -94,7 +103,7 @@ func (f *Forest) Append(origin int, seq uint64, payload []byte) error {
 	if origin < 0 || origin >= len(f.origins) {
 		return fmt.Errorf("membership: hash append for origin %d outside forest of %d", origin, len(f.origins))
 	}
-	if want := uint64(f.origins[origin].hashes.Len()) + 1; seq != want {
+	if want := f.origins[origin].count + 1; seq != want {
 		return fmt.Errorf("membership: origin %d hash append at seq %d, want %d", origin, seq, want)
 	}
 	f.origins[origin].push(HashUpdate(origin, seq, payload))
@@ -105,12 +114,12 @@ func (f *Forest) Append(origin int, seq uint64, payload []byte) error {
 // leaf when a LeafSpan boundary is reached, then each ancestor whose right
 // child that just finished.
 func (t *originTree) push(h Hash) {
-	t.hashes.Append(h)
-	k := t.hashes.Len()
-	if k%LeafSpan != 0 {
+	t.open[t.count%LeafSpan] = h
+	t.count++
+	if t.count%LeafSpan != 0 {
 		return
 	}
-	node := leafHash(t.hashes.Chunk(k-LeafSpan, k))
+	node := leafHash(t.open[:])
 	for level := 0; ; level++ {
 		if level == len(t.nodes) {
 			t.nodes = append(t.nodes, seglog.Log[Hash]{})
@@ -170,13 +179,15 @@ func interiorHash(left, right Hash) Hash {
 // [index·LeafSpan·2^level, (index+1)·LeafSpan·2^level) clipped to prefix.
 // An interior node with a single child takes that child's hash unchanged
 // (the "lifted" convention), so the root over k updates is insensitive to
-// how the incomplete right spine is padded.
-func (f *Forest) NodeHash(origin int, prefix uint64, level int, index uint64) (Hash, bool) {
+// how the incomplete right spine is padded. src is read only when prefix
+// ends inside a leaf that has since completed (see Forest); with a nil src
+// such a node is reported absent.
+func (f *Forest) NodeHash(origin int, prefix uint64, level int, index uint64, src Source) (Hash, bool) {
 	if origin < 0 || origin >= len(f.origins) {
 		return Hash{}, false
 	}
 	t := &f.origins[origin]
-	if prefix > uint64(t.hashes.Len()) {
+	if prefix > t.count || prefix == 0 || level < 0 {
 		return Hash{}, false
 	}
 	// Above the root every node is the lifted root (index 0) or empty, so
@@ -187,14 +198,20 @@ func (f *Forest) NodeHash(origin int, prefix uint64, level int, index uint64) (H
 		}
 		level = top
 	}
-	return t.nodeHash(prefix, level, index)
+	// An index past the prefix's last node names nothing; refusing it here
+	// also keeps index·span from wrapping around for a hostile index.
+	if index > (prefix-1)/(uint64(LeafSpan)<<uint(level)) {
+		return Hash{}, false
+	}
+	return t.nodeHash(origin, prefix, level, index, src)
 }
 
-// nodeHash is NodeHash for prefix ≤ t.hashes.Len() and level ≤ TopLevel(prefix).
-func (t *originTree) nodeHash(prefix uint64, level int, index uint64) (Hash, bool) {
+// nodeHash is NodeHash for 0 < prefix ≤ t.count, 0 ≤ level ≤ TopLevel(prefix)
+// and index·span within the range of uint64.
+func (t *originTree) nodeHash(origin int, prefix uint64, level int, index uint64, src Source) (Hash, bool) {
 	span := uint64(LeafSpan) << uint(level)
 	start := index * span
-	if start >= prefix || level < 0 {
+	if start >= prefix {
 		return Hash{}, false
 	}
 	// A cached node is complete over the whole history; it is this prefix's
@@ -203,12 +220,23 @@ func (t *originTree) nodeHash(prefix uint64, level int, index uint64) (Hash, boo
 		return t.nodes[level].At(int(index)), true
 	}
 	if level == 0 {
-		// start is leaf-aligned and prefix < start+LeafSpan here (a complete
-		// leaf was answered from the cache), so the run is in one segment.
-		return leafHash(t.hashes.Chunk(int(start), int(prefix))), true
+		// The prefix ends inside this leaf: prefix < start+LeafSpan.
+		if start == t.count-t.count%LeafSpan {
+			return leafHash(t.open[:prefix-start]), true
+		}
+		// The leaf completed after the prefix the question is about, and its
+		// update hashes went with it: hash the covered updates again.
+		if src == nil {
+			return Hash{}, false
+		}
+		var cut [LeafSpan]Hash
+		for seq := start + 1; seq <= prefix; seq++ {
+			cut[seq-start-1] = HashUpdate(origin, seq, src(origin, seq))
+		}
+		return leafHash(cut[:prefix-start]), true
 	}
-	left, okL := t.nodeHash(prefix, level-1, 2*index)
-	right, okR := t.nodeHash(prefix, level-1, 2*index+1)
+	left, okL := t.nodeHash(origin, prefix, level-1, 2*index, src)
+	right, okR := t.nodeHash(origin, prefix, level-1, 2*index+1, src)
 	if !okL {
 		return Hash{}, false
 	}
@@ -221,19 +249,15 @@ func (t *originTree) nodeHash(prefix uint64, level int, index uint64) (Hash, boo
 // PrefixRoot returns the Merkle root over the first k updates of origin
 // (the zero Hash for k == 0). Two nodes whose roots over the same k agree
 // hold, with cryptographic certainty, the same k-update prefix — which is
-// what lets anti-entropy ship only the range beyond k.
-func (f *Forest) PrefixRoot(origin int, k uint64) Hash {
-	if k == 0 {
-		return Hash{}
-	}
-	h, ok := f.NodeHash(origin, k, TopLevel(k), 0)
-	if !ok {
-		return Hash{}
-	}
+// what lets anti-entropy ship only the range beyond k. src is as for
+// NodeHash.
+func (f *Forest) PrefixRoot(origin int, k uint64, src Source) Hash {
+	h, _ := f.NodeHash(origin, k, TopLevel(k), 0, src)
 	return h
 }
 
-// Root returns the Merkle root over origin's full hashed history.
+// Root returns the Merkle root over origin's full hashed history. It needs
+// no source: every complete leaf is wholly inside the prefix.
 func (f *Forest) Root(origin int) Hash {
-	return f.PrefixRoot(origin, f.Count(origin))
+	return f.PrefixRoot(origin, f.Count(origin), nil)
 }

@@ -10,7 +10,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -116,18 +116,26 @@ type Response struct {
 func OKResponse() Response { return Response{OK: true} }
 
 // ReadResponse builds a read response from a set of values, sorting and
-// deduplicating them so that responses compare canonically.
+// deduplicating them so that responses compare canonically. The values stay
+// the caller's: the response holds a copy. A read of nothing still returns
+// a non-nil, empty Values — "the read returned no value", which the codecs
+// tell apart from "no read".
 func ReadResponse(values []Value) Response {
 	vs := make([]Value, len(values))
 	copy(vs, values)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	dedup := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			dedup = append(dedup, v)
-		}
+	return ReadResponseOf(vs)
+}
+
+// ReadResponseOf is ReadResponse for a slice the caller hands over: it is
+// sorted and deduplicated in place and becomes the response's Values, so a
+// store that built the slice for this read allocates it once. The caller
+// must not write to it again.
+func ReadResponseOf(values []Value) Response {
+	if values == nil {
+		values = []Value{}
 	}
-	return Response{Values: dedup}
+	slices.Sort(values)
+	return Response{Values: slices.Compact(values)}
 }
 
 // CountResponse builds a counter read response.

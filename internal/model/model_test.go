@@ -69,6 +69,27 @@ func TestReadResponseDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// TestReadResponseOfCanonicalisesInPlace: the handed-over slice becomes the
+// response's Values (one allocation a read, the store's own), sorted and
+// deduplicated like ReadResponse's copy; and a read of nothing — nil or
+// empty, through either constructor — is a non-nil empty set, the codec's
+// rvalHasValues bit and the spec's "read of nothing".
+func TestReadResponseOfCanonicalisesInPlace(t *testing.T) {
+	in := []Value{"b", "a", "b", "c", "a"}
+	r := ReadResponseOf(in)
+	if !r.Equal(ReadResponse([]Value{"c", "b", "a"})) {
+		t.Fatalf("values = %v, want {a,b,c}", r.Values)
+	}
+	if &r.Values[0] != &in[0] {
+		t.Fatal("ReadResponseOf copied the slice it was handed")
+	}
+	for _, r := range []Response{ReadResponse(nil), ReadResponse([]Value{}), ReadResponseOf(nil), ReadResponseOf([]Value{})} {
+		if r.Values == nil || len(r.Values) != 0 {
+			t.Fatalf("a read of nothing has Values %#v, want non-nil and empty", r.Values)
+		}
+	}
+}
+
 func TestResponseEqual(t *testing.T) {
 	cases := []struct {
 		a, b Response

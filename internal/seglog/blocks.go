@@ -17,20 +17,28 @@ const (
 // valid, and unchanged, for as long as anything holds it. Blocks are plain
 // []byte: the collector never scans them, however long the log, and
 // dropping a prefix of the log is dropping head blocks. The zero value is
-// an empty log. It is not safe for concurrent use, but see Snapshot.
+// an empty log. It is not safe for concurrent use, but see Snapshot and
+// From.
 type Blocks struct {
 	blocks [][]byte // len(block) bytes are in use; whole records, in order
 	n      int
+}
+
+// Pos is where a record starts in a Blocks log: its block and its offset in
+// that block. It is eight bytes and holds no pointer, so an index of records
+// — a Log[Pos] — costs the collector nothing however long it grows.
+type Pos struct {
+	block, off uint32
 }
 
 // Len returns the number of records appended.
 func (l *Blocks) Len() int { return l.n }
 
 // Append copies rec to the end of the log and returns the log's copy, which
-// must not be written to. It allocates at most one block — when rec does
-// not fit in what is left of the last one — and a record larger than a
-// block gets a block of its own.
-func (l *Blocks) Append(rec []byte) []byte {
+// must not be written to, and where it starts. It allocates at most one
+// block — when rec does not fit in what is left of the last one — and a
+// record larger than a block gets a block of its own.
+func (l *Blocks) Append(rec []byte) ([]byte, Pos) {
 	last := len(l.blocks) - 1
 	if last < 0 || cap(l.blocks[last])-len(l.blocks[last]) < len(rec) {
 		size := firstBlock << min(len(l.blocks), growSteps)
@@ -42,7 +50,19 @@ func (l *Blocks) Append(rec []byte) []byte {
 	b = append(b, rec...) // within capacity: the block does not move
 	l.blocks[last] = b
 	l.n++
-	return b[from:len(b):len(b)]
+	return b[from:len(b):len(b)], Pos{uint32(last), uint32(from)}
+}
+
+// From returns the log from the record Append placed at `at` to the end of
+// that record's block as it stands: the record, which the caller delimits
+// (the log does not keep lengths), and whatever was appended behind it in
+// the same block. It aliases the log's storage and must not be written to.
+// From reads the block table, which every Append writes: a reader on
+// another goroutine must exclude Append for the call — not for its use of
+// the result, which no later append touches.
+func (l *Blocks) From(at Pos) []byte {
+	b := l.blocks[at.block]
+	return b[at.off:len(b):len(b)]
 }
 
 // Snapshot returns the log as it stands — its blocks, each cut to the bytes

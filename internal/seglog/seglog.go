@@ -1,9 +1,9 @@
 // Package seglog is an append-only log held in fixed-length segments. A
-// node keeps its whole history — recorded events, per-origin updates,
-// Merkle update hashes — and an append-doubled slice pays for that history
-// again at every growth: the runtime allocates a larger array and memmoves
-// everything recorded so far, on the event loop, so the cost of one append
-// depends on how long the node has lived. Here an append touches one
+// node keeps its whole history — recorded events, where each origin's
+// updates are among them, the Merkle nodes over them — and an append-doubled
+// slice pays for that history again at every growth: the runtime allocates
+// a larger array and memmoves everything recorded so far, on the event
+// loop, so the cost of one append depends on how long the node has lived. Here an append touches one
 // segment, a full segment is never copied or moved again, and dropping a
 // prefix of the history is dropping head segments.
 //
@@ -15,10 +15,7 @@ package seglog
 import "slices"
 
 // SegmentLen is the number of elements in a full segment. It is a power of
-// two (index arithmetic is a shift and a mask) and a multiple of
-// membership.LeafSpan, so a leaf-aligned range of update hashes never
-// straddles two segments (membership asserts the divisibility at compile
-// time).
+// two: index arithmetic is a shift and a mask.
 const SegmentLen = 1 << segShift
 
 const (

@@ -196,9 +196,10 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 // TestBlocks covers the byte-record log: records come back in order from a
-// snapshot, a record handed out is unchanged (and unmoved) by later appends,
-// the first blocks grow geometrically to BlockSize, no record straddles two
-// blocks, and an oversized record gets a block of its own.
+// snapshot, a record handed out is unchanged (and unmoved) by later appends
+// and is what From finds at the position Append gave for it, the first
+// blocks grow geometrically to BlockSize, no record straddles two blocks,
+// and an oversized record gets a block of its own.
 func TestBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var l Blocks
@@ -206,15 +207,17 @@ func TestBlocks(t *testing.T) {
 		t.Fatalf("empty log snapshots as %d blocks, %d records", len(blocks), n)
 	}
 	var ref, kept [][]byte
+	var where []Pos
 	add := func(n int) {
 		rec := make([]byte, n)
 		rng.Read(rec)
 		ref = append(ref, rec)
-		got := l.Append(rec)
+		got, at := l.Append(rec)
 		if !slices.Equal(got, rec) || (n > 0 && &got[0] == &rec[0]) {
 			t.Fatalf("Append returned %x for %x (or the caller's own memory)", got, rec)
 		}
 		kept = append(kept, got)
+		where = append(where, at)
 	}
 	for i := 0; i < 3000; i++ {
 		add(rng.Intn(120))
@@ -255,6 +258,9 @@ func TestBlocks(t *testing.T) {
 		}
 		if &b[pos] != &kept[i][0] || !slices.Equal(kept[i], rec) {
 			t.Fatalf("record %d: the slice Append returned moved or changed", i)
+		}
+		if from := l.From(where[i]); len(from) != len(b)-pos || &from[0] != &b[pos] || cap(from) != len(from) {
+			t.Fatalf("record %d: From(%v) is not block %d from offset %d to its end", i, where[i], bi, pos)
 		}
 		if len(rec) > BlockSize && (pos != 0 || len(b) != len(rec)) {
 			t.Errorf("the oversized record shares its block (offset %d of %d bytes)", pos, len(b))

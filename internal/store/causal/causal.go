@@ -149,9 +149,12 @@ type Replica struct {
 	// observational metadata (not part of the state digest) used by the
 	// total-order comparison experiments — write-propagating replicas apply
 	// concurrent updates in different orders, unlike a sequencer protocol.
-	// It grows for as long as the replica lives, so it is a segment log: an
-	// apply allocates the dot it keeps, not a re-copy of every one before.
-	applyLog seglog.Log[model.Dot]
+	// It keeps each update's origin alone: a replica applies an origin's
+	// updates in seq order (its own by construction, a remote one's because
+	// ready demands Seq == clock+1), so the seqs are recovered by counting
+	// (ApplyOrder). It grows for as long as the replica lives, so it is a
+	// segment log, of four pointer-free bytes an update.
+	applyLog seglog.Log[uint32]
 
 	// list and dots are the digest renderer's scratch, and decoded is
 	// Receive's (the batch being decoded; empty between calls): not state.
@@ -240,7 +243,7 @@ func (r *Replica) read(st *objState) model.Response {
 		for _, v := range st.versions {
 			values = append(values, v.Value)
 		}
-		return model.ReadResponse(values)
+		return model.ReadResponseOf(values)
 	case spec.TypeRegister:
 		if !st.regSet {
 			return model.ReadResponse(nil)
@@ -253,7 +256,7 @@ func (r *Replica) read(st *objState) model.Response {
 				values = append(values, v)
 			}
 		}
-		return model.ReadResponse(values)
+		return model.ReadResponseOf(values)
 	case spec.TypeCounter:
 		return model.CountResponse(st.total)
 	default:
@@ -267,7 +270,7 @@ func (r *Replica) apply(u update) {
 	if u.Lamport > r.lamport {
 		r.lamport = u.Lamport
 	}
-	r.applyLog.Append(u.Dot)
+	r.applyLog.Append(uint32(u.Dot.Origin))
 	r.clock.Set(u.Dot.Origin, u.Dot.Seq)
 	st := r.object(u.Obj)
 	switch u.Kind {
@@ -480,7 +483,17 @@ func (r *Replica) BufferedUpdates() int { return len(r.buffer) }
 // Concurrent updates generally apply in different orders at different
 // replicas — the contrast with gsp.Replica.Log in the open-question
 // experiment.
-func (r *Replica) ApplyOrder() []model.Dot { return r.applyLog.AppendTo(nil) }
+func (r *Replica) ApplyOrder() []model.Dot {
+	dots := make([]model.Dot, r.applyLog.Len())
+	var applied vclock.VC // per origin, how many of its updates so far
+	for i := range dots {
+		origin := model.ReplicaID(r.applyLog.At(i))
+		seq := applied.Get(origin) + 1
+		applied.Set(origin, seq)
+		dots[i] = model.Dot{Origin: origin, Seq: seq}
+	}
+	return dots
+}
 
 // appendUpdateDots appends the updates' dots in model.AppendDots form.
 func (r *Replica) appendUpdateDots(dst []byte, us []update) []byte {

@@ -3,6 +3,7 @@ package causal
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
+	"repro/internal/vclock"
 )
 
 // legacyStateDigest is the fmt-based renderer AppendStateDigest replaced,
@@ -138,6 +140,59 @@ func TestAppendStateDigestMatchesLegacyRenderer(t *testing.T) {
 		if !sawSiblings || !sawBuffer || !sawOutbox {
 			t.Fatalf("schedule too tame: siblings %v, buffer %v, outbox %v", sawSiblings, sawBuffer, sawOutbox)
 		}
+	}
+}
+
+// TestApplyOrderIsTheDotsApplied: the apply log keeps each applied update's
+// origin alone and ApplyOrder counts the seqs back, which is the list of dots
+// apply was given — what the log used to hold — exactly when every apply
+// moves its origin's clock entry up by one. Three replicas go through a
+// seeded schedule of ops on all four object types with reordered, duplicated
+// and withheld deliveries; after every step the dots ApplyOrder gained must
+// be the step's clock movement, in order, and nothing before them may have
+// changed. The run must see one delivery apply updates of two origins (a
+// buffered update released by the one it waited for), or it proves little.
+func TestApplyOrderIsTheDotsApplied(t *testing.T) {
+	types, objs := mixedTypes()
+	sawMixed := false
+	for _, opts := range []Options{{}, {PerUpdateMessages: true}} {
+		st := NewWithOptions(types, opts)
+		const n = 3
+		var reps []store.Replica
+		for i := 0; i < n; i++ {
+			reps = append(reps, st.NewReplica(model.ReplicaID(i), n))
+		}
+		op := func(rng *rand.Rand, _ int) (model.ObjectID, model.Operation) {
+			obj := objs[rng.Intn(len(objs))]
+			return obj, randomOp(rng, types.Of(obj))
+		}
+		applied := make([][]model.Dot, n) // per replica, the dots applied so far
+		clocks := make([]vclock.VC, n)    // per replica, the clock after them
+		for i := range clocks {
+			clocks[i] = vclock.New(n)
+		}
+		storetest.DriveRandom(23, reps, 3000, op, func(step int, sr store.Replica) {
+			r := sr.(*Replica)
+			order, want, clock := r.ApplyOrder(), applied[r.id], clocks[r.id]
+			if len(order) < len(want) || !slices.Equal(order[:len(want)], want) {
+				t.Fatalf("opts %+v step %d: r%d's apply order changed behind its %d applied dots", opts, step, r.id, len(want))
+			}
+			gained := order[len(want):]
+			for _, d := range gained {
+				if d.Seq != clock.Get(d.Origin)+1 {
+					t.Fatalf("opts %+v step %d: r%d's apply order gained %v with its clock at %v", opts, step, r.id, d, clock)
+				}
+				clock.Set(d.Origin, d.Seq)
+				sawMixed = sawMixed || d.Origin != gained[0].Origin
+			}
+			if !clock.Equal(r.clock) {
+				t.Fatalf("opts %+v step %d: r%d's apply order accounts for clock %v, the replica is at %v", opts, step, r.id, clock, r.clock)
+			}
+			applied[r.id] = order
+		})
+	}
+	if !sawMixed {
+		t.Fatal("no delivery applied updates of two origins")
 	}
 }
 

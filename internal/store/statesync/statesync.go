@@ -204,7 +204,7 @@ func read(st *objState) model.Response {
 		for _, v := range st.versions {
 			values = append(values, v.Value)
 		}
-		return model.ReadResponse(values)
+		return model.ReadResponseOf(values)
 	case spec.TypeRegister:
 		if !st.regSet {
 			return model.ReadResponse(nil)
@@ -217,7 +217,7 @@ func read(st *objState) model.Response {
 				values = append(values, v)
 			}
 		}
-		return model.ReadResponse(values)
+		return model.ReadResponseOf(values)
 	case spec.TypeCounter:
 		return model.CountResponse(int64(st.pos.Sum()) - int64(st.neg.Sum()))
 	default:

@@ -13,26 +13,49 @@ import (
 // algorithm its body was compressed with.
 const CompFlate uint64 = 1
 
-// flateWriters pools DEFLATE encoders: flate.NewWriter allocates large
-// match tables, far too heavy to mint per frame.
-var flateWriters = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return fw
-}}
+// Deflater is a DEFLATE encoder. flate.NewWriter allocates large match
+// tables, far too heavy to mint per frame, and a pool that is visited once
+// per frame is emptied by every collection and refilled by the next frame:
+// a connection that sends bulk frames checks one out for its lifetime
+// (GetDeflater), beside the Writer it builds frames in. The zero value is
+// ready to use and allocates the encoder on the first call. It is not safe
+// for concurrent use.
+type Deflater struct {
+	fw *flate.Writer
+}
 
 // DeflateTo compresses raw with DEFLATE at a fixed level (BestSpeed: the
 // callers sit on transfer hot paths, and the tracked bench artifacts rely
 // on the output being deterministic for a given input and toolchain) and
 // appends the compressed stream to w. raw must not alias w's buffer.
 // Returns the number of bytes appended.
-func DeflateTo(w *Writer, raw []byte) int {
-	fw := flateWriters.Get().(*flate.Writer)
+func (d *Deflater) DeflateTo(w *Writer, raw []byte) int {
 	before := w.Len()
-	fw.Reset(w)
-	fw.Write(raw) // Writer.Write never fails
-	fw.Close()
-	flateWriters.Put(fw)
+	if d.fw == nil {
+		d.fw, _ = flate.NewWriter(w, flate.BestSpeed) // the level is valid
+	} else {
+		d.fw.Reset(w)
+	}
+	d.fw.Write(raw) // Writer.Write never fails
+	d.fw.Close()
 	return w.Len() - before
+}
+
+var deflaters = sync.Pool{New: func() any { return new(Deflater) }}
+
+// GetDeflater checks a Deflater out of the package pool — one a closed
+// connection returned, tables and all, when there is one. Pair with
+// PutDeflater.
+func GetDeflater() *Deflater { return deflaters.Get().(*Deflater) }
+
+// PutDeflater returns a Deflater to the pool.
+func PutDeflater(d *Deflater) { deflaters.Put(d) }
+
+// DeflateTo is Deflater.DeflateTo on a Deflater borrowed for the one call.
+func DeflateTo(w *Writer, raw []byte) int {
+	d := GetDeflater()
+	defer PutDeflater(d)
+	return d.DeflateTo(w, raw)
 }
 
 // flateReaders pools DEFLATE decoders via the flate.Resetter interface

@@ -45,6 +45,37 @@ func TestDeflateDeterministic(t *testing.T) {
 	}
 }
 
+// TestDeflaterReusedMatchesFresh: a connection's own Deflater, used frame
+// after frame, writes what a new one (and the pooled DeflateTo) writes for
+// the same input — no state leaks from one frame into the next — and after
+// its first frame it allocates nothing.
+func TestDeflaterReusedMatchesFresh(t *testing.T) {
+	frames := [][]byte{
+		bytes.Repeat([]byte("first frame, long enough to fill the match tables "), 80),
+		[]byte("x"),
+		nil,
+		bytes.Repeat([]byte("third frame shares substrings with the first frame "), 40),
+	}
+	var kept Deflater
+	w := NewWriter()
+	for i, raw := range frames {
+		w.Reset()
+		n := kept.DeflateTo(w, raw)
+		fresh, pooled := NewWriter(), NewWriter()
+		new(Deflater).DeflateTo(fresh, raw)
+		DeflateTo(pooled, raw)
+		if n != w.Len() || !bytes.Equal(w.Bytes(), fresh.Bytes()) || !bytes.Equal(w.Bytes(), pooled.Bytes()) {
+			t.Fatalf("frame %d: reused deflater wrote %d bytes, a fresh one %d, the pooled one %d (or different ones)", i, w.Len(), fresh.Len(), pooled.Len())
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		w.Reset()
+		kept.DeflateTo(w, frames[0])
+	}); allocs != 0 {
+		t.Fatalf("a kept deflater allocates %.0f times per frame", allocs)
+	}
+}
+
 func TestInflateLengthContract(t *testing.T) {
 	raw := bytes.Repeat([]byte("abc"), 500)
 	w := NewWriter()
