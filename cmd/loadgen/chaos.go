@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"time"
@@ -32,6 +33,7 @@ type chaosConfig struct {
 	jsonOut        bool
 	dataDir        string
 	churn          int
+	shards         int
 	// liveAudit streams every node's events through the online checker
 	// (internal/livecheck) while the run is still serving load, then proves
 	// the live verdict against the post-run merged-history audit.
@@ -57,8 +59,11 @@ func chaosSchedule(cfg chaosConfig) fault.Schedule {
 // overlaps the schedule with client load, then walks the standard
 // post-run pipeline: quiescence, convergence, merged-history audit.
 func runChaos(w io.Writer, cfg chaosConfig) error {
-	if cfg.nodes < 2 || cfg.clients < 1 || cfg.ops < 1 || cfg.objects < 1 {
-		return fmt.Errorf("chaos needs at least two nodes and one client, op, and object")
+	if cfg.shards == 0 {
+		cfg.shards = 1 // zero value: the unsharded default
+	}
+	if cfg.nodes < 2 || cfg.clients < 1 || cfg.ops < 1 || cfg.objects < 1 || cfg.shards < 1 {
+		return fmt.Errorf("chaos needs at least two nodes and one client, op, object, and shard")
 	}
 	objs := objectIDs("x%d", cfg.objects)
 	out := cli.Output(w, cfg.jsonOut)
@@ -77,7 +82,7 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	}
 	em := fault.NewNetem(cfg.nodes)
 	base := cluster.Config{
-		Store: st, Seed: cfg.seed,
+		Store: st, Seed: cfg.seed, Shards: cfg.shards,
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
@@ -90,16 +95,14 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		// the kill -9 code path under the fault schedule.
 		base.Storage = &durable.Storage{Dir: cfg.dataDir}
 	}
-	var ck *livecheck.Checker
+	var ck *livecheck.ShardSet
 	if cfg.liveAudit {
-		// One cluster-wide checker fed by every node's event-loop tap
-		// (Observe is mutex-guarded; cross-stream skew is the checker's
+		// One cluster-wide checker per shard, fed by every node's event-loop
+		// taps (Observe is mutex-guarded; cross-stream skew is the checker's
 		// normal operating mode). The supervisor copies base per
 		// incarnation, so restarted nodes keep streaming into it.
-		ck = livecheck.New(cfg.nodes, livecheck.Options{Types: spec.MVRTypes()})
-		// Chaos clusters are single-shard (the Supervisor requires it), so
-		// the tap's shard index is always 0 and one checker sees everything.
-		base.Tap = func(_ int, ev livecheck.Event) { ck.Observe(ev) }
+		ck = livecheck.NewShardSet(cfg.nodes, cfg.shards, livecheck.Options{Types: spec.MVRTypes()})
+		base.Tap = ck.Observe
 	}
 	sup, err := cluster.NewSupervisor(base, cfg.nodes, em, chaosTick)
 	if err != nil {
@@ -156,37 +159,49 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		return err
 	}
 
-	// Chaos clusters are single-shard (see the tap above).
-	audits, err := cluster.AuditShards(1, sup.Histories, spec.MVRTypes())
+	audits, err := cluster.AuditShards(cfg.shards, sup.Histories, spec.MVRTypes())
 	if err != nil {
 		return err
 	}
-	audited := audits[0]
-	a := bench.NewTable(fmt.Sprintf("loadgen chaos audit: %s, %d nodes", cfg.store, cfg.nodes),
+	a := bench.NewTable(fmt.Sprintf("loadgen chaos audit: %s, %d nodes, %d shard(s)", cfg.store, cfg.nodes, cfg.shards),
 		"metric", "value")
-	a.AddRow("recorded events", audited.Events)
-	a.AddRow("messages broadcast", len(audited.Exec.Messages))
-	a.AddRow("well-formed execution", bench.Check(audited.WellFormed))
+	var events, messages int
+	var wellFormed, causal error
+	causalOwed := false
+	for s, sa := range audits {
+		a.AddRow(fmt.Sprintf("shard %d events", s), sa.Events)
+		events += sa.Events
+		messages += len(sa.Exec.Messages)
+		wellFormed, causal = cmp.Or(wellFormed, sa.WellFormed), cmp.Or(causal, sa.Causal)
+		causalOwed = causalOwed || sa.CausalOwed
+	}
+	a.AddRow("recorded events", events)
+	a.AddRow("messages broadcast", messages)
+	a.AddRow("well-formed execution", bench.Check(wellFormed))
 	a.AddRow("converged after quiescence", bench.Check(convergence))
-	if audited.CausalOwed {
-		a.AddRow("derived A causal (Def 12)", bench.Check(audited.Causal))
+	if causalOwed {
+		a.AddRow("derived A causal (Def 12)", bench.Check(causal))
 	}
 	a.AddRow("§4 property violations", agg.Violations)
 	var equivErr error
 	if ck != nil {
-		// The live verdict must agree with the offline pipeline: both sides
-		// evaluate the same recorded frontiers, one incrementally during the
-		// run, one from the merged histories afterwards — whether or not the
-		// store owes Definition 12.
+		// The live verdict must agree with the offline pipeline on every
+		// shard: both sides evaluate the same recorded frontiers, one
+		// incrementally during the run, one from the merged histories
+		// afterwards — whether or not the store owes Definition 12.
+		for s, sa := range audits {
+			live := ck.Shard(s).Verdict()
+			reference := sa.Causal
+			if !sa.CausalOwed {
+				reference = consistency.CheckCausal(sa.Abstract, spec.MVRTypes())
+			}
+			if (live.Violations > 0) != (reference != nil) {
+				equivErr = fmt.Errorf("shard %d: live checker says %d violations, post-run audit says %v",
+					s, live.Violations, reference)
+				break
+			}
+		}
 		live := ck.Verdict()
-		reference := audited.Causal
-		if !audited.CausalOwed {
-			reference = consistency.CheckCausal(audited.Abstract, spec.MVRTypes())
-		}
-		if (live.Violations > 0) != (reference != nil) {
-			equivErr = fmt.Errorf("live checker says %d violations, post-run audit says %v",
-				live.Violations, reference)
-		}
 		a.AddRow("live events checked", live.Events)
 		a.AddRow("live violations (before quiesce)", preQuiesce.Violations)
 		a.AddRow("live violations (final)", live.Violations)

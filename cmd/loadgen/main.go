@@ -51,7 +51,7 @@ func main() {
 	objects := flag.Int("objects", 3, "number of objects")
 	keys := flag.Int("keys", 0, "size of a k%06d keyspace (overrides -objects; convergence is verified on a seeded sample when large)")
 	zipfDist := flag.Bool("zipf", false, "draw keys from a zipfian popularity curve (s=1.1) instead of uniformly")
-	shards := flag.Int("shards", 1, "shard count of the target cluster; -audit then downloads and checks each shard's histories separately")
+	shards := flag.Int("shards", 1, "shard count of the target cluster (of the self-hosted one with -chaos); -audit then downloads and checks each shard's histories separately")
 	audit := flag.Bool("audit", false, "download histories and replay the run through the checkers")
 	quiesceTimeout := flag.Duration("quiesce-timeout", 30*time.Second, "how long to wait for cluster quiescence")
 	chaos := flag.Bool("chaos", false, "self-host an in-process cluster and run a seeded fault schedule against it (-nodes is ignored)")
@@ -102,6 +102,7 @@ func main() {
 			jsonOut:        *jsonOut,
 			dataDir:        *chaosDataDir,
 			churn:          *churn,
+			shards:         *shards,
 			liveAudit:      *liveAudit,
 		}
 		if err := runChaos(os.Stdout, ccfg); err != nil {

@@ -277,20 +277,31 @@ func TestKill9Recovery(t *testing.T) {
 // identically in both — the joiner applies and journals every chunk before
 // its ack leaves, the credit window only lets more unacked chunks be in
 // flight — so a kill -9 mid-pull must still resume from the partial
-// journal without re-pulling anything already journaled.
+// journal without re-pulling anything already journaled. It runs once more
+// at the default window on 4-shard nodes, whose catch-up is per shard: the
+// kill lands with some shards pulled, one partway and the rest untouched, and
+// the restart pulls only what each shard's journal lacks.
 func TestKill9MidSyncJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills child processes")
 	}
 	for _, window := range []int{1, 8} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
-			testKill9MidSyncJoin(t, window)
+			testKill9MidSyncJoin(t, window, 1)
 		})
 	}
+	t.Run("shards=4", func(t *testing.T) { testKill9MidSyncJoin(t, 8, 4) })
 }
 
-func testKill9MidSyncJoin(t *testing.T, window int) {
+func testKill9MidSyncJoin(t *testing.T, window, shards int) {
 	const writes = 30
+	// Keys covering every shard, so every shard has a range to pull.
+	var objs []model.ObjectID
+	for covered := map[int]bool{}; len(covered) < shards; {
+		obj := model.ObjectID(fmt.Sprintf("x%d", len(objs)))
+		objs = append(objs, obj)
+		covered[cluster.NewShardRouter(shards).Route(obj)] = true
+	}
 
 	mkNode := func(id int, mut func(*cluster.Config)) *cluster.Node {
 		st, err := cli.OpenStore("causal", spec.MVRTypes(), store.Options{})
@@ -301,6 +312,7 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 		// and range chunks carry one update each.
 		cfg := cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
+			Shards:         shards,
 			MaxFrame:       512,
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
@@ -334,14 +346,20 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < writes; i++ {
-		if _, err := r2.Do("x", model.Write(model.Value(fmt.Sprintf("v%d.%s", i, strings.Repeat("-", 200))))); err != nil {
+		if _, err := r2.Do(objs[i%len(objs)], model.Write(model.Value(fmt.Sprintf("v%d.%s", i, strings.Repeat("-", 200))))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !cluster.WaitQuiesced([]*cluster.Node{donor, r2}, 15*time.Second) {
 		t.Fatal("donor never absorbed the origin's writes")
 	}
-	h2 := r2.History()
+	h2 := make([]cluster.History, shards)
+	for s := range h2 {
+		var err error
+		if h2[s], err = r2.ShardHistory(s); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := r2.Leave(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +370,7 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 	joinArgs := []string{
 		"-store", "causal", "-id", "1", "-listen", addr1, "-n", "3",
 		"-join", "0=" + donor.Addr(), "-data-dir", dataDir,
-		"-sync-window", strconv.Itoa(window),
+		"-sync-window", strconv.Itoa(window), "-shards", strconv.Itoa(shards),
 	}
 
 	// First incarnation: wait until the donor has served a few chunks into
@@ -441,7 +459,7 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 			pulled2, min, min+int64(window), restored, writes, window)
 	}
 
-	settle(t, child, c, []*cluster.Node{donor}, "x")
+	settle(t, child, c, []*cluster.Node{donor}, objs...)
 	for _, m := range donor.Membership() {
 		if m.ID == 1 && m.Left {
 			t.Fatalf("donor's view still marks the joiner as left: %+v", m)
@@ -450,12 +468,9 @@ func testKill9MidSyncJoin(t *testing.T, window int) {
 			t.Fatalf("donor's view forgot the origin's departure: %+v", m)
 		}
 	}
-	h1, err := c.History()
-	if err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, 1, func(int) ([]cluster.History, error) {
-		return []cluster.History{donor.History(), h1, h2}, nil
+	auditClean(t, shards, func(s int) ([]cluster.History, error) {
+		hists, err := cluster.HistoriesOf([]cluster.HistorySource{donor, c})(s)
+		return append(hists, h2[s]), err
 	})
 }
 

@@ -49,7 +49,7 @@ func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 		}
 		enc.Reset()
 		enc.BeginFrame()
-		appendBatch(enc, 0, us[off].Origin, us[off:end])
+		appendBatch(enc, tBatch, 0, us[off].Origin, us[off:end])
 		frame, err := enc.EndFrame(historyMaxFrame)
 		if err != nil {
 			return bytes, frames // unreachable for sane payloads
@@ -79,7 +79,7 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 	for rest := []protoUpdate(us); len(rest) > 0; {
 		n := cutBatch(rest, chunkMax, maxFrame-64)
 		w.Reset()
-		appendRangeResp(w, 0, rest[:n])
+		appendBatch(w, tRangeResp, 0, rest[0].Origin, rest[:n])
 		bytes += wireLen(w, compress)
 		frames++
 		rest = rest[n:]

@@ -124,8 +124,8 @@ type Config struct {
 	// sequence domain, recorded history, and (under Storage) its own
 	// durable log. Replication links multiplex every shard over one
 	// connection; all nodes of a cluster must agree on the count, and links
-	// to peers announcing a different count fail-stop. Sharded nodes do not
-	// support dynamic membership (Join/Leave) yet.
+	// to peers announcing a different count fail-stop, as does a join through
+	// a seed of another count.
 	Shards int
 
 	// Join, when non-nil, lists seed nodes (id → address) to join the
@@ -137,11 +137,6 @@ type Config struct {
 	// admits the node or a permanent refusal (divergent or lost history)
 	// aborts it.
 	Join map[model.ReplicaID]string
-	// Epoch is this incarnation's membership epoch. Leave/rejoin cycles
-	// need strictly increasing epochs; a joiner discovering a record of
-	// itself at an equal or higher epoch bumps past it automatically, so
-	// callers can normally leave this zero.
-	Epoch uint64
 	// GossipInterval paces the membership gossip loop (default 200ms).
 	// Gossip only runs once the node is membership-dynamic: it joined via
 	// Join, was asked to Leave, or heard a tJoin/tGossip frame. A static
@@ -250,8 +245,8 @@ type Stats struct {
 	FailedLinks int64 `json:"failed_links,omitempty"`
 	// Shards is the node's shard count; the per-shard slices below (one
 	// entry per shard, indexed by shard) break the aggregate counters down
-	// so load balance across shards is observable. Omitted (and nil) on
-	// unsharded nodes for wire compatibility.
+	// so load balance across shards is observable. Each aggregate is the sum
+	// of its slice — on an unsharded node, its one entry.
 	Shards        int     `json:"shards,omitempty"`
 	ShardOps      []int64 `json:"shard_ops,omitempty"`
 	ShardSends    []int64 `json:"shard_sends,omitempty"`
@@ -296,7 +291,8 @@ type Node struct {
 	wg   sync.WaitGroup
 
 	// view is this node's convergent membership picture. Internally locked;
-	// epoch is this incarnation's announcement epoch.
+	// epoch is this incarnation's announcement epoch: 0 until a join finds a
+	// record of this node it must supersede (joinVia's auto-epoch rule).
 	view  *membership.View
 	epoch atomic.Uint64
 	// dynamic flips once membership is in play (Join config, Leave, or a
@@ -350,9 +346,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: invalid shard count %d", cfg.Shards)
 	}
-	if cfg.Shards > 1 && cfg.Join != nil {
-		return nil, errors.New("cluster: dynamic membership (Config.Join) requires Shards == 1")
-	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", cfg.Listen, err)
@@ -366,7 +359,6 @@ func NewNode(cfg Config) (*Node, error) {
 		conns:  make(map[net.Conn]struct{}),
 		view:   membership.NewView(),
 	}
-	n.epoch.Store(cfg.Epoch)
 
 	// closeAll unwinds a partially constructed node: listener plus every
 	// shard log opened so far.
@@ -402,7 +394,7 @@ func NewNode(cfg Config) (*Node, error) {
 
 	// Seed the view: self plus every statically named peer, at epoch 0 —
 	// later gossip (with real epochs) supersedes these placeholders.
-	n.view.Merge(membership.Member{ID: int(cfg.ID), Addr: n.Addr(), Epoch: cfg.Epoch})
+	n.view.Merge(membership.Member{ID: int(cfg.ID), Addr: n.Addr()})
 	for id, addr := range cfg.Peers {
 		n.view.Merge(membership.Member{ID: int(id), Addr: addr})
 	}
@@ -614,53 +606,21 @@ func (n *Node) viewLinked() bool {
 // turns. The quiescence condition is evaluated inline — calling Quiesced()
 // here would re-enter the event loops and deadlock.
 func (n *Node) Stats() Stats {
-	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name()}
-	sharded := n.cfg.Shards > 1
-	if sharded {
-		s.Shards = n.cfg.Shards
-		s.ShardOps = make([]int64, n.cfg.Shards)
-		s.ShardSends = make([]int64, n.cfg.Shards)
-		s.ShardReceives = make([]int64, n.cfg.Shards)
-		s.ShardEvents = make([]int64, n.cfg.Shards)
+	k := len(n.shards)
+	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Shards: k,
+		ShardOps: make([]int64, k), ShardSends: make([]int64, k),
+		ShardReceives: make([]int64, k), ShardEvents: make([]int64, k)}
+	counts := func(i int, sh *shard) {
+		s.ShardOps[i], s.ShardSends[i], s.ShardReceives[i] = sh.ops.Load(), sh.sends.Load(), sh.receives.Load()
 	}
-	counters := func() {
-		s.BytesOut = n.bytesOut.Load()
-		s.FramesOut = n.framesOut.Load()
-		s.Retransmits = n.retransmits.Load()
-		s.Reconnects = n.reconnects.Load()
-		s.DupFrames = n.dupFrames.Load()
-		s.GapFrames = n.gapFrames.Load()
-		s.SyncPulled = n.syncPulled.Load()
-		s.SyncServed = n.syncServed.Load()
-		s.Members = len(n.view.Alive())
-		for _, p := range n.allPeers() {
-			if p.failed.Load() {
-				s.FailedLinks++
-			}
-		}
-	}
-	quiesced := true
-	closed := false
+	quiesced, closed := true, false
 	for i, sh := range n.shards {
-		i, sh := i, sh
-		err := sh.inLoop(func() {
-			ops, sends, receives := sh.ops.Load(), sh.sends.Load(), sh.receives.Load()
-			s.Ops += ops
-			s.Sends += sends
-			s.Receives += receives
-			s.Events += int64(sh.events.len())
+		if sh.inLoop(func() {
+			counts(i, sh)
+			s.ShardEvents[i] = int64(sh.events.len())
 			s.Violations += len(sh.checker.Violations())
-			if sh.replica.PendingMessage() != nil {
-				quiesced = false
-			}
-			if sharded {
-				s.ShardOps[i] = ops
-				s.ShardSends[i] = sends
-				s.ShardReceives[i] = receives
-				s.ShardEvents[i] = int64(sh.events.len())
-			}
-		})
-		if err != nil {
+			quiesced = quiesced && sh.replica.PendingMessage() == nil
+		}) != nil {
 			closed = true
 			break
 		}
@@ -669,27 +629,36 @@ func (n *Node) Stats() Stats {
 		// Node closed: the loops are gone, so a coherent snapshot is moot —
 		// report the lock-free counters' final values (loop-owned state
 		// stays zero; reading it here would race with the exiting loops).
-		s.Ops, s.Sends, s.Receives, s.Events, s.Violations = 0, 0, 0, 0, 0
+		clear(s.ShardEvents)
+		s.Violations = 0
 		for i, sh := range n.shards {
-			s.Ops += sh.ops.Load()
-			s.Sends += sh.sends.Load()
-			s.Receives += sh.receives.Load()
-			if sharded {
-				s.ShardOps[i] = sh.ops.Load()
-				s.ShardSends[i] = sh.sends.Load()
-				s.ShardReceives[i] = sh.receives.Load()
-			}
+			counts(i, sh)
 		}
-		counters()
-		return s
 	}
-	counters()
+	for i := range n.shards {
+		s.Ops += s.ShardOps[i]
+		s.Sends += s.ShardSends[i]
+		s.Receives += s.ShardReceives[i]
+		s.Events += s.ShardEvents[i]
+	}
+	s.BytesOut = n.bytesOut.Load()
+	s.FramesOut = n.framesOut.Load()
+	s.Retransmits = n.retransmits.Load()
+	s.Reconnects = n.reconnects.Load()
+	s.DupFrames = n.dupFrames.Load()
+	s.GapFrames = n.gapFrames.Load()
+	s.SyncPulled = n.syncPulled.Load()
+	s.SyncServed = n.syncServed.Load()
+	s.Members = len(n.view.Alive())
 	for _, p := range n.allPeers() {
-		if !p.drained() {
+		if p.failed.Load() {
+			s.FailedLinks++
+		}
+		if !closed && !p.drained() {
 			quiesced = false
 		}
 	}
-	s.Quiesced = quiesced && n.viewLinked()
+	s.Quiesced = !closed && quiesced && n.viewLinked()
 	return s
 }
 
@@ -723,6 +692,16 @@ func (n *Node) ShardHistory(shard int) (History, error) {
 		return History{}, fmt.Errorf("cluster: shard %d outside node with %d shards", shard, len(n.shards))
 	}
 	return n.shards[shard].history()
+}
+
+// shardOf is the shard a decoded frame names, or nil when this node has no
+// such shard: a shard index read off the wire is input from outside the
+// program, and every handler hangs up on nil.
+func (n *Node) shardOf(i uint64) *shard {
+	if i >= uint64(len(n.shards)) {
+		return nil
+	}
+	return n.shards[i]
 }
 
 // BreakConnections closes every live dial-side replication connection,
@@ -913,11 +892,12 @@ func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte
 			return
 		}
 		var shard uint64
-		if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 ||
-			shard >= uint64(len(n.shards)) || us[0].Origin != from {
+		if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 || us[0].Origin != from {
 			return
 		}
-		call.sh, call.us = n.shards[shard], us
+		if call.sh, call.us = n.shardOf(shard), us; call.sh == nil {
+			return
+		}
 		if call.sh.handoff(apply, done) != nil {
 			return
 		}
@@ -991,13 +971,14 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 		maxFrame, bulk = historyMaxFrame, wire.GetDeflater()
 		defer wire.PutDeflater(bulk)
 		shard, err := decodeHistoryReq(&r)
-		if err != nil || shard >= uint64(len(n.shards)) {
+		s := n.shardOf(shard)
+		if err != nil || s == nil {
 			return false
 		}
 		// A node that is closing has no history to give: hang up, like
 		// every other failed request, rather than reply with an empty one
 		// an auditor would merge as "this node did nothing".
-		hist, err := n.shards[shard].snapshot()
+		hist, err := s.snapshot()
 		if err != nil {
 			return false
 		}

@@ -148,7 +148,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		var enc *wire.Writer
 		for inner := target; inner > 0; inner-- {
 			w := wire.GetWriter()
-			appendBatch(w, 0, 1, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}})
+			appendBatch(w, tBatch, 0, 1, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}})
 			if w.Len() == target {
 				enc = w
 				break

@@ -188,7 +188,7 @@ func TestPerUpdateOverhead(t *testing.T) {
 // reused function and done channel is free.
 func TestLoopHandoffAllocatesNothing(t *testing.T) {
 	nd := bootNode(t, 0, 1, nil)
-	s, done, ran := nd.s0(), make(chan struct{}, 1), 0
+	s, done, ran := nd.shards[0], make(chan struct{}, 1), 0
 	fn := func() { ran++ }
 	if avg := testing.AllocsPerRun(1000, func() {
 		if err := s.handoff(fn, done); err != nil {
@@ -466,7 +466,7 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 			seq := uint64(b*perBatch + i + 1)
 			us = append(us, protoUpdate{Origin: 0, Seq: seq, Lamport: seq, Payload: payloads[seq-1]})
 		}
-		ack, err := rawRoundTrip(conn, frame(func(w *wire.Writer) { appendBatch(w, 0, 0, us) }), buf)
+		ack, err := rawRoundTrip(conn, frame(func(w *wire.Writer) { appendBatch(w, tBatch, 0, 0, us) }), buf)
 		if err != nil {
 			t.Fatal(err)
 		}

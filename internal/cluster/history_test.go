@@ -121,7 +121,7 @@ func TestClientHistoryFailsWhenNodeClosesMidRequest(t *testing.T) {
 	}
 
 	busy, release := make(chan struct{}), make(chan struct{})
-	go nd.inLoop(func() { close(busy); <-release })
+	go nd.shards[0].inLoop(func() { close(busy); <-release })
 	<-busy
 	type result struct {
 		h   History

@@ -25,19 +25,11 @@ import (
 // for any of this.
 
 // errJoinRefused marks permanent join failures — divergent or missing
-// history, or a seed speaking another protocol version — that retrying a
-// different seed cannot fix. Everything else (connection errors, timeouts)
-// is transient and retried.
+// history, or a seed speaking another protocol version or splitting the
+// keyspace into another number of shards — that retrying a different seed
+// cannot fix. Everything else (connection errors, timeouts) is transient and
+// retried.
 var errJoinRefused = errors.New("cluster: join refused")
-
-// s0 is the first shard. Only this file may address it: dynamic membership
-// is gated to single-shard nodes, where shard 0's history IS the node's.
-func (n *Node) s0() *shard { return n.shards[0] }
-
-// inLoop runs fn on s0's event loop and waits for it to finish.
-func (n *Node) inLoop(fn func()) error {
-	return n.s0().inLoop(fn)
-}
 
 // Membership snapshots this node's membership view, sorted by replica ID.
 func (n *Node) Membership() []membership.Member {
@@ -272,9 +264,12 @@ func (n *Node) finishJoin() {
 	n.ensureLinks()
 }
 
-// joinVia runs the whole join conversation against one seed. Transient
-// failures return plain errors (the caller retries); divergent or missing
-// history returns errJoinRefused.
+// joinVia runs the whole join conversation against one seed: the handshake,
+// then catch-up shard by shard — each shard is its own seq domain with its
+// own forest, so it is the unit a digest, a divergence walk and a range pull
+// address. Transient failures return plain errors (the caller retries);
+// divergent or missing history, or a seed of another protocol version or
+// shard count, returns errJoinRefused.
 func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
@@ -293,7 +288,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	var buf []byte
 
 	if !n.sendFrame(conn, func(w *wire.Writer) {
-		appendJoin(w, joinReq{From: n.cfg.ID, Epoch: n.epoch.Load(), Addr: n.Addr()})
+		appendJoin(w, joinReq{From: n.cfg.ID, Epoch: n.epoch.Load(), Addr: n.Addr(), Shards: uint64(len(n.shards))})
 	}) {
 		return errors.New("cluster: join announce write failed")
 	}
@@ -304,12 +299,15 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	if typ != tJoinAck {
 		return fmt.Errorf("cluster: join answered with frame type %d", typ)
 	}
-	version, ms, err := decodeJoinAck(r, n.cfg.N)
+	version, shards, ms, err := decodeJoinAck(r, n.cfg.N)
 	if err != nil {
 		return err
 	}
 	if version != protoVersion {
 		return fmt.Errorf("%w: seed r%d speaks protocol version %d, this node %d", errJoinRefused, seedID, version, protoVersion)
+	}
+	if shards != uint64(len(n.shards)) {
+		return fmt.Errorf("%w: seed r%d runs %d shards, this node %d", errJoinRefused, seedID, shards, len(n.shards))
 	}
 	n.view.MergeAll(ms)
 	// Auto-epoch: a record of us that is left, or alive at a higher epoch,
@@ -317,30 +315,42 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	if m, ok := n.view.Get(int(n.cfg.ID)); ok && (m.Left || m.Epoch > n.epoch.Load()) {
 		n.epoch.Store(m.Epoch + 1)
 	}
+	for _, s := range n.shards {
+		if err := n.catchUp(conn, s, readDeadline, &buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// catchUp brings one shard up to the donor's copy of it: a digest exchange,
+// then per origin a skip, a range pull, or a refusal.
+func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf *[]byte) error {
 	// Digest exchange: per origin, what we hold vs what the donor holds.
 	local := make([]originDigest, 0, n.cfg.N)
-	if n.inLoop(func() {
-		s := n.s0()
+	if s.inLoop(func() {
 		for o := 0; o < n.cfg.N; o++ {
 			local = append(local, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o), Root: s.tree.Root(o)})
 		}
 	}) != nil {
 		return ErrClosed
 	}
-	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, local) }) {
+	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, s.idx, local) }) {
 		return errors.New("cluster: digest write failed")
 	}
-	typ, r, err = readTyped(conn, n.cfg.MaxFrame, readDeadline, &buf)
+	typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
 	if err != nil {
 		return err
 	}
 	if typ != tDigestResp {
 		return fmt.Errorf("cluster: digest answered with frame type %d", typ)
 	}
-	remote, err := decodeDigest(r, true)
+	shard, remote, err := decodeDigest(r, true)
 	if err != nil {
 		return err
+	}
+	if shard != uint64(s.idx) {
+		return fmt.Errorf("cluster: shard %d digest answered for shard %d", s.idx, shard)
 	}
 	rmap := make(map[model.ReplicaID]originDigest, len(remote))
 	for _, d := range remote {
@@ -353,7 +363,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 		}
 		if rd.Count == ld.Count {
 			if ld.Count > 0 && rd.Root != ld.Root {
-				return n.refuseDivergent(conn, ld.Origin, ld.Count, readDeadline, &buf)
+				return n.refuseDivergent(conn, s, ld.Origin, ld.Count, readDeadline, buf)
 			}
 			continue
 		}
@@ -365,31 +375,32 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 				errJoinRefused, rd.Count, n.cfg.ID, ld.Count, n.cfg.ID)
 		}
 		if ld.Count > 0 && rd.PrefixRoot != ld.Root {
-			return n.refuseDivergent(conn, ld.Origin, ld.Count, readDeadline, &buf)
+			return n.refuseDivergent(conn, s, ld.Origin, ld.Count, readDeadline, buf)
 		}
-		if err := n.pullRange(conn, ld.Origin, rd, readDeadline, &buf); err != nil {
+		if err := n.pullRange(conn, s, ld.Origin, rd, readDeadline, buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pullRange catches one origin up to the donor's digest: request the
-// missing range, apply each chunk in one event-loop turn (journaling in
+// pullRange catches one origin of shard s up to the donor's digest: request
+// the missing range, apply each chunk in one event-loop turn (journaling in
 // that turn), and ack only after — so a kill -9 mid-sync loses nothing an
 // ack promised, and the restarted join pulls only what is still missing.
 // The request carries cfg.SyncWindow as its credit window: the donor may
 // stream that many chunks ahead of our cumulative acks, pipelining the
 // transfer across the ack round-trip; every chunk is still applied and
 // journaled before its ack leaves.
-func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest, readDeadline time.Duration, buf *[]byte) error {
+func (n *Node) pullRange(conn net.Conn, s *shard, origin model.ReplicaID, rd originDigest, readDeadline time.Duration, buf *[]byte) error {
+	var us []protoUpdate // each chunk, decoded
 	for {
-		have := n.s0().logLen(origin)
+		have := s.logLen(origin)
 		if have >= rd.Count {
 			break
 		}
 		if !n.sendFrame(conn, func(w *wire.Writer) {
-			appendRangeReq(w, origin, have, rd.Count-have, uint64(n.cfg.SyncWindow))
+			appendRangeReq(w, s.idx, origin, have, rd.Count-have, uint64(n.cfg.SyncWindow))
 		}) {
 			return errors.New("cluster: range request write failed")
 		}
@@ -401,19 +412,19 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 			if typ != tRangeResp {
 				return fmt.Errorf("cluster: range pull answered with frame type %d", typ)
 			}
-			us, err := decodeUpdates(r, nil)
-			if err != nil {
+			var shard uint64
+			if shard, us, err = decodeBatch(r, us); err != nil {
 				return err
 			}
-			if len(us) == 0 || us[0].Origin != origin {
+			if shard != uint64(s.idx) || len(us) == 0 || us[0].Origin != origin {
 				return errors.New("cluster: empty or mislabeled range chunk")
 			}
 			var cum uint64
 			var applied int64
 			var jerr error // set means not ackable; see applyUpdate
-			if n.inLoop(func() {
-				cum, applied, _ = n.s0().applyRun(us)
-				jerr = n.s0().jerr
+			if s.inLoop(func() {
+				cum, applied, _ = s.applyRun(us)
+				jerr = s.jerr
 			}) != nil {
 				return ErrClosed
 			}
@@ -421,7 +432,7 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 				return fmt.Errorf("cluster: journal failed during sync: %v", jerr)
 			}
 			n.syncPulled.Add(applied)
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendAck(w, 0, cum) }) {
+			if !n.sendFrame(conn, func(w *wire.Writer) { appendAck(w, s.idx, cum) }) {
 				return errors.New("cluster: sync ack write failed")
 			}
 			if cum > have {
@@ -432,31 +443,31 @@ func (n *Node) pullRange(conn net.Conn, origin model.ReplicaID, rd originDigest,
 	// End-to-end integrity: the prefix we now hold over the donor's count
 	// must reproduce the donor's root, or something shipped wrong.
 	var root membership.Hash
-	if n.inLoop(func() { root = n.s0().tree.PrefixRoot(int(origin), rd.Count, n.s0().updatePayload) }) != nil {
+	if s.inLoop(func() { root = s.tree.PrefixRoot(int(origin), rd.Count, s.updatePayload) }) != nil {
 		return ErrClosed
 	}
 	if root != rd.Root {
-		return fmt.Errorf("%w: origin r%d's pulled range fails digest verification", errJoinRefused, origin)
+		return fmt.Errorf("%w: shard %d origin r%d's pulled range fails digest verification", errJoinRefused, s.idx, origin)
 	}
 	return nil
 }
 
 // refuseDivergent walks the donor's Merkle tree to localize where our
-// history for origin stops matching, then refuses the join permanently: a
-// divergent prefix means a corrupt log or one from a different cluster,
-// and no range pull can reconcile it.
-func (n *Node) refuseDivergent(conn net.Conn, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) error {
-	lo, hi, err := n.walkDivergence(conn, origin, k, readDeadline, buf)
+// history for origin in shard s stops matching, then refuses the join
+// permanently: a divergent prefix means a corrupt log or one from a
+// different cluster, and no range pull can reconcile it.
+func (n *Node) refuseDivergent(conn net.Conn, s *shard, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) error {
+	lo, hi, err := n.walkDivergence(conn, s, origin, k, readDeadline, buf)
 	if err != nil {
-		return fmt.Errorf("%w: origin r%d history diverges within its first %d updates (walk failed: %v)", errJoinRefused, origin, k, err)
+		return fmt.Errorf("%w: shard %d origin r%d history diverges within its first %d updates (walk failed: %v)", errJoinRefused, s.idx, origin, k, err)
 	}
-	return fmt.Errorf("%w: origin r%d history diverges in updates [%d,%d) — local log is corrupt or from another cluster", errJoinRefused, origin, lo, hi)
+	return fmt.Errorf("%w: shard %d origin r%d history diverges in updates [%d,%d) — local log is corrupt or from another cluster", errJoinRefused, s.idx, origin, lo, hi)
 }
 
-// walkDivergence descends the Merkle tree over the first k updates of
+// walkDivergence descends shard s's Merkle tree over the first k updates of
 // origin, at each level following the first child whose hash disagrees
 // with the donor's, and returns the update range of the divergent leaf.
-func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) (lo, hi uint64, err error) {
+func (n *Node) walkDivergence(conn net.Conn, s *shard, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) (lo, hi uint64, err error) {
 	level, index := membership.TopLevel(k), uint64(0)
 	for level > 0 {
 		found := false
@@ -464,10 +475,10 @@ func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, r
 			child := 2*index + c
 			var lh membership.Hash
 			var lok bool
-			if n.inLoop(func() { lh, lok = n.s0().tree.NodeHash(int(origin), k, level-1, child, n.s0().updatePayload) }) != nil {
+			if s.inLoop(func() { lh, lok = s.tree.NodeHash(int(origin), k, level-1, child, s.updatePayload) }) != nil {
 				return 0, 0, ErrClosed
 			}
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeReq(w, origin, k, level-1, child) }) {
+			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeReq(w, s.idx, origin, k, level-1, child) }) {
 				return 0, 0, errors.New("tree request write failed")
 			}
 			typ, r, rerr := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
@@ -498,8 +509,8 @@ func (n *Node) walkDivergence(conn net.Conn, origin model.ReplicaID, k uint64, r
 
 // serveJoin is the donor half of a join conversation (the joiner drives):
 // admit the joiner into the view, link back so live updates flow during
-// the sync, then answer digest, tree-walk, and range requests until the
-// joiner hangs up.
+// the sync, then answer digest, tree-walk, and range requests — each from the
+// shard it names — until the joiner hangs up.
 func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
@@ -507,10 +518,10 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	if n.cfg.Faults != nil {
 		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(j.From))
 	}
-	if j.Version != protoVersion {
-		// Answered, so the joiner learns our version, then refused — before
-		// it is admitted to the view.
-		n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, nil) })
+	if j.Version != protoVersion || j.Shards != uint64(len(n.shards)) {
+		// Answered, so the joiner learns our version and shard count, then
+		// refused — before it is admitted to the view.
+		n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, len(n.shards), nil) })
 		return
 	}
 	if j.Addr != "" {
@@ -518,7 +529,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	}
 	n.markDynamic()
 	n.ensureLinks()
-	if !n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, n.view.Members()) }) {
+	if !n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, len(n.shards), n.view.Members()) }) {
 		return
 	}
 	z := wire.GetDeflater() // compresses every range chunk this conversation serves
@@ -531,33 +542,36 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 		r := wire.NewReader(b)
 		switch r.Uvarint() {
 		case tDigest:
-			ds, err := decodeDigest(r, false)
-			if err != nil {
+			shard, ds, err := decodeDigest(r, false)
+			s := n.shardOf(shard)
+			if err != nil || s == nil {
 				return
 			}
-			resp := n.digestResp(ds)
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigestResp, resp) }) {
+			resp := digestResp(s, ds)
+			if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigestResp, s.idx, resp) }) {
 				return
 			}
 		case tTreeReq:
-			origin, prefix, level, index, err := decodeTreeReq(r)
-			if err != nil || int(origin) < 0 || int(origin) >= n.cfg.N {
+			shard, origin, prefix, level, index, err := decodeTreeReq(r)
+			s := n.shardOf(shard)
+			if err != nil || s == nil || int(origin) < 0 || int(origin) >= n.cfg.N {
 				return
 			}
 			var h membership.Hash
 			var ok bool
-			if n.inLoop(func() { h, ok = n.s0().tree.NodeHash(int(origin), prefix, level, index, n.s0().updatePayload) }) != nil {
+			if s.inLoop(func() { h, ok = s.tree.NodeHash(int(origin), prefix, level, index, s.updatePayload) }) != nil {
 				return
 			}
 			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeResp(w, h, ok) }) {
 				return
 			}
 		case tRangeReq:
-			origin, from, count, window, err := decodeRangeReq(r)
-			if err != nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
+			shard, origin, from, count, window, err := decodeRangeReq(r)
+			s := n.shardOf(shard)
+			if err != nil || s == nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
 				return
 			}
-			if !n.serveRange(conn, origin, from, count, window, buf, z) {
+			if !n.serveRange(conn, s, origin, from, count, window, buf, z) {
 				return
 			}
 		default:
@@ -566,16 +580,15 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	}
 }
 
-// digestResp answers a joiner's digest with, per origin it asked about,
-// our count and root plus the root over the joiner's own count — the
+// digestResp answers a joiner's digest of shard s with, per origin it asked
+// about, our count and root plus the root over the joiner's own count — the
 // prefix proof that lets it pull only [joinerCount, ourCount).
-func (n *Node) digestResp(ds []originDigest) []originDigest {
+func digestResp(s *shard, ds []originDigest) []originDigest {
 	resp := make([]originDigest, 0, len(ds))
-	n.inLoop(func() {
-		s := n.s0()
+	s.inLoop(func() {
 		for _, d := range ds {
 			o := int(d.Origin)
-			if o < 0 || o >= n.cfg.N {
+			if o < 0 || o >= s.n.cfg.N {
 				continue
 			}
 			e := originDigest{Origin: d.Origin, Count: s.tree.Count(o), Root: s.tree.Root(o)}
@@ -593,10 +606,10 @@ func (n *Node) digestResp(ds []originDigest) []originDigest {
 // pipeline of unacked chunks.
 const serveRangeMaxWindow = 1024
 
-// serveRange streams one origin's updates [from, from+count) to a joiner,
-// straight out of the shard's log in chunks cut by cutBatch (up to batchMax
-// updates, ending early at a log segment boundary), under a credit-based
-// sliding window:
+// serveRange streams one origin's updates [from, from+count) in shard s to
+// a joiner, straight out of the shard's log in chunks cut by cutBatch (up to
+// batchMax updates, ending early at a log segment boundary), under a
+// credit-based sliding window:
 // up to window chunks may be in flight beyond the joiner's cumulative
 // journal-backed acks, so a transfer of c chunks costs about 1+⌈c/W⌉
 // round-trips instead of stop-and-wait's 1+c. window comes from the
@@ -610,7 +623,7 @@ const serveRangeMaxWindow = 1024
 // the cumulative value alone) also keeps the conversation aligned: no
 // acks are left unread in the socket for serveJoin's dispatch loop to
 // trip over.
-func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, window uint64, buf *[]byte, z *wire.Deflater) bool {
+func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from, count, window uint64, buf *[]byte, z *wire.Deflater) bool {
 	window = max(1, min(window, serveRangeMaxWindow))
 	end := from + count
 	idx := from   // seq boundary of the next chunk to build
@@ -622,7 +635,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, wi
 	for {
 		// Fill the window: send chunks while credit remains.
 		for idx < end && uint64(len(inflight)) < window {
-			us = n.s0().logRun(origin, idx, us)
+			us = s.logRun(origin, idx, us)
 			us = us[:cutBatch(us, int(min(batchMax, end-idx)), n.cfg.MaxFrame-64)]
 			if len(us) == 0 {
 				end = idx // ran dry: the donor holds less than promised
@@ -633,7 +646,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, wi
 			n.syncServed.Add(int64(len(us)))
 			enc.Reset()
 			enc.BeginFrame()
-			appendRangeResp(enc, origin, us)
+			appendBatch(enc, tRangeResp, s.idx, origin, us)
 			if n.writeEnc(conn, enc, n.cfg.MaxFrame, z) != nil { // a bulk frame
 				n.syncServed.Add(-int64(len(us)))
 				return false
@@ -659,7 +672,7 @@ func (n *Node) serveRange(conn net.Conn, origin model.ReplicaID, from, count, wi
 			return false
 		}
 		shard, cum, err := decodeAck(r)
-		if err != nil || shard != 0 {
+		if err != nil || shard != uint64(s.idx) {
 			return false
 		}
 		head := inflight[0]

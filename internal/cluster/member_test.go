@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -42,23 +43,37 @@ func bootNode(t *testing.T, id model.ReplicaID, n int, mut func(*Config)) *Node 
 	return nd
 }
 
-// stored makes a node journal to mem, so that what it recorded outlives it:
-// a later incarnation booted with the same storage restores it, and
-// storedHistory reads it back for an audit.
-func stored(mem *memStorage) func(*Config) {
-	return func(cfg *Config) { cfg.Storage = mem }
+// stored makes a node of the given shard count journal to mem, so that what
+// it recorded outlives it: a later incarnation booted with the same storage
+// restores it, and storedHistories reads it back for an audit.
+func stored(mem *memStorage, shards int) func(*Config) {
+	return func(cfg *Config) { cfg.Storage, cfg.Shards = mem, shards }
 }
 
-// storedHistory is the history the (closed) node nd left in mem.
-func storedHistory(mem *memStorage, nd *Node) History {
-	return History{Node: nd.ID(), N: nd.cfg.N, Store: nd.cfg.Store.Name(), Events: mem.events(nd.ID(), 0)}
+// storedHistories is an audit's fetch over the live nodes' histories plus
+// the one the (closed) node gone left in mem.
+func storedHistories(mem *memStorage, gone *Node, live ...*Node) func(int) ([]History, error) {
+	return func(shard int) ([]History, error) {
+		hists, err := HistoriesOf(live)(shard)
+		h := History{Node: gone.ID(), N: gone.cfg.N, Store: gone.cfg.Store.Name(), Events: mem.events(gone.ID(), shard)}
+		return append(hists, h), err
+	}
 }
 
-// writeN performs k distinct writes on nd, spread over objects, and
-// returns the object list.
+// forShards runs test once unsharded and once at four shards: catch-up is per
+// shard, so the sharded run must move exactly what the unsharded one does,
+// summed over the shards.
+func forShards(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
+	}
+}
+
+// writeN performs k distinct writes on nd, spread over objects that cover
+// every shard of it, and returns the object list.
 func writeN(t *testing.T, nd *Node, k int, tag string) []model.ObjectID {
 	t.Helper()
-	objects := []model.ObjectID{"x", "y", "z"}
+	objects := shardedObjects(t, len(nd.shards), 3)
 	for i := 0; i < k; i++ {
 		obj := objects[i%len(objects)]
 		if _, err := nd.Do(obj, model.Write(model.Value(fmt.Sprintf("%s.%d", tag, i)))); err != nil {
@@ -73,122 +88,124 @@ func writeN(t *testing.T, nd *Node, k int, tag string) []model.ObjectID {
 // then leaves; the joiner r2 has an empty log and only r0's address. Live
 // replication links only re-offer a node's own updates, so r1's history
 // can reach r2 exclusively through Merkle anti-entropy against r0's log —
-// SyncPulled must equal the departed origin's update count exactly, and
-// r0 must have served exactly that many (no full-log transfer, no
-// retransmission slop in the stop-and-wait pull).
+// SyncPulled must equal the departed origin's update count exactly, summed
+// over the shards, and r0 must have served exactly that many (no full-log
+// transfer, no retransmission slop in the stop-and-wait pull).
 func TestJoinPullsDepartedOriginFully(t *testing.T) {
-	const k = 60
-	mem := &memStorage{}
-	r0 := bootNode(t, 0, 3, nil)
-	r1 := bootNode(t, 1, 3, stored(mem))
-	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	objects := writeN(t, r1, k, "r1")
-	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
-		t.Fatal("pair did not quiesce before the leave")
-	}
-	if err := r1.Leave(); err != nil {
-		t.Fatal(err)
-	}
-	r1.Close()
-	h1 := storedHistory(mem, r1)
+	forShards(t, func(t *testing.T, shards int) {
+		const k = 60
+		mem := &memStorage{}
+		r0 := bootNode(t, 0, 3, func(cfg *Config) { cfg.Shards = shards })
+		r1 := bootNode(t, 1, 3, stored(mem, shards))
+		if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
+			t.Fatal(err)
+		}
+		objects := writeN(t, r1, k, "r1")
+		if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
+			t.Fatal("pair did not quiesce before the leave")
+		}
+		if err := r1.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		r1.Close()
 
-	r2 := bootNode(t, 2, 3, func(cfg *Config) {
-		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
-	})
-	if got := r2.Stats().SyncPulled; got != k {
-		t.Fatalf("joiner pulled %d updates via anti-entropy, want exactly %d", got, k)
-	}
-	if got := r0.Stats().SyncServed; got != k {
-		t.Fatalf("donor served %d updates, want exactly %d", got, k)
-	}
-	settle(t, []*Node{r0, r2}, objects...)
-	// The views must agree: r1 departed, r2 admitted.
-	for _, nd := range []*Node{r0, r2} {
-		var left, alive int
-		for _, m := range nd.Membership() {
-			if m.Left {
-				left++
-			} else {
-				alive++
+		r2 := bootNode(t, 2, 3, func(cfg *Config) {
+			cfg.Shards = shards
+			cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
+		})
+		if got := r2.Stats().SyncPulled; got != k {
+			t.Fatalf("joiner pulled %d updates via anti-entropy, want exactly %d", got, k)
+		}
+		if got := r0.Stats().SyncServed; got != k {
+			t.Fatalf("donor served %d updates, want exactly %d", got, k)
+		}
+		settle(t, []*Node{r0, r2}, objects...)
+		// The views must agree: r1 departed, r2 admitted.
+		for _, nd := range []*Node{r0, r2} {
+			var left, alive int
+			for _, m := range nd.Membership() {
+				if m.Left {
+					left++
+				} else {
+					alive++
+				}
+			}
+			if left != 1 || alive != 2 {
+				t.Fatalf("r%d view: %d left / %d alive, want 1/2: %+v", nd.ID(), left, alive, nd.Membership())
 			}
 		}
-		if left != 1 || alive != 2 {
-			t.Fatalf("r%d view: %d left / %d alive, want 1/2: %+v", nd.ID(), left, alive, nd.Membership())
-		}
-	}
-	auditClean(t, 1, these(r0.History(), h1, r2.History()))
+		auditClean(t, shards, storedHistories(mem, r1, r0, r2))
+	})
 }
 
 // TestRejoinPullsOnlyMissingDelta pins the incremental half of
 // anti-entropy: a node that departs with a prefix of the log and rejoins
 // later pulls exactly the delta written while it was away — the digest
-// exchange proves the prefix matches and the range pull starts past it.
+// exchange proves each shard's prefix matches and the range pull starts
+// past it.
 func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
-	const k1, k2 = 30, 45
-	mem := &memStorage{}
-	r0 := bootNode(t, 0, 3, nil)
-	r1 := bootNode(t, 1, 3, stored(mem))
-	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	writeN(t, r1, k1, "a")
-	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
-		t.Fatal("pair did not quiesce before the first join")
-	}
+	forShards(t, func(t *testing.T, shards int) {
+		const k1, k2 = 30, 45
+		mem := &memStorage{}
+		r0 := bootNode(t, 0, 3, func(cfg *Config) { cfg.Shards = shards })
+		r1 := bootNode(t, 1, 3, stored(mem, shards))
+		if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
+			t.Fatal(err)
+		}
+		writeN(t, r1, k1, "a")
+		if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
+			t.Fatal("pair did not quiesce before the first join")
+		}
 
-	r2 := bootNode(t, 2, 3, func(cfg *Config) {
-		cfg.Storage = mem
-		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
-	})
-	if got := r2.Stats().SyncPulled; got != k1 {
-		t.Fatalf("first join pulled %d, want %d", got, k1)
-	}
-	if !WaitQuiesced([]*Node{r0, r1, r2}, 30*time.Second) {
-		t.Fatal("trio did not quiesce after the first join")
-	}
-	if err := r2.Leave(); err != nil {
-		t.Fatal(err)
-	}
-	r2.Close()
+		joinR0 := func(cfg *Config) {
+			stored(mem, shards)(cfg)
+			cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
+		}
+		r2 := bootNode(t, 2, 3, joinR0)
+		if got := r2.Stats().SyncPulled; got != k1 {
+			t.Fatalf("first join pulled %d, want %d", got, k1)
+		}
+		if !WaitQuiesced([]*Node{r0, r1, r2}, 30*time.Second) {
+			t.Fatal("trio did not quiesce after the first join")
+		}
+		if err := r2.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		r2.Close()
 
-	objects := writeN(t, r1, k2, "b")
-	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
-		t.Fatal("pair did not quiesce after the delta writes")
-	}
-	if err := r1.Leave(); err != nil {
-		t.Fatal(err)
-	}
-	r1.Close()
-	h1 := storedHistory(mem, r1)
+		objects := writeN(t, r1, k2, "b")
+		if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
+			t.Fatal("pair did not quiesce after the delta writes")
+		}
+		if err := r1.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		r1.Close()
 
-	r2b := bootNode(t, 2, 3, func(cfg *Config) {
-		cfg.Storage = mem
-		cfg.Join = map[model.ReplicaID]string{0: r0.Addr()}
-	})
-	if got := r2b.Stats().SyncPulled; got != k2 {
-		t.Fatalf("rejoin pulled %d updates, want exactly the missing delta %d", got, k2)
-	}
-	settle(t, []*Node{r0, r2b}, objects...)
-	// The rejoin must supersede the Left record: epoch strictly above it.
-	for _, m := range r0.Membership() {
-		if m.ID == 2 {
-			if m.Left {
-				t.Fatalf("r0 still sees r2 as left: %+v", m)
-			}
-			if m.Epoch == 0 {
-				t.Fatalf("rejoin did not bump the epoch past the departure: %+v", m)
+		r2b := bootNode(t, 2, 3, joinR0)
+		if got := r2b.Stats().SyncPulled; got != k2 {
+			t.Fatalf("rejoin pulled %d updates, want exactly the missing delta %d", got, k2)
+		}
+		settle(t, []*Node{r0, r2b}, objects...)
+		// The rejoin must supersede the Left record: epoch strictly above it.
+		for _, m := range r0.Membership() {
+			if m.ID == 2 {
+				if m.Left {
+					t.Fatalf("r0 still sees r2 as left: %+v", m)
+				}
+				if m.Epoch == 0 {
+					t.Fatalf("rejoin did not bump the epoch past the departure: %+v", m)
+				}
 			}
 		}
-	}
-	auditClean(t, 1, these(r0.History(), h1, r2b.History()))
+		auditClean(t, shards, storedHistories(mem, r1, r0, r2b))
+	})
 }
 
 // TestJoinRefusedOnDivergentHistory: a joiner whose log disagrees with the
@@ -196,33 +213,115 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 // the divergent leaf range named — silently merging two incompatible
 // histories would poison the audit.
 func TestJoinRefusedOnDivergentHistory(t *testing.T) {
-	const k = 12
-	donorA := bootNode(t, 0, 2, nil)
-	writeN(t, donorA, k, "worldA")
-	mem := &memStorage{}
-	r1 := bootNode(t, 1, 2, func(cfg *Config) {
-		cfg.Storage = mem
-		cfg.Join = map[model.ReplicaID]string{0: donorA.Addr()}
-	})
-	if !WaitQuiesced([]*Node{donorA, r1}, 30*time.Second) {
-		t.Fatal("world A did not quiesce")
-	}
-	r1.Close()
-	donorA.Close()
+	forShards(t, func(t *testing.T, shards int) {
+		const k = 12
+		donorA := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
+		writeN(t, donorA, k, "worldA")
+		mem := &memStorage{}
+		joining := func(donor *Node) func(*Config) {
+			return func(cfg *Config) {
+				stored(mem, shards)(cfg)
+				cfg.Join = map[model.ReplicaID]string{0: donor.Addr()}
+			}
+		}
+		r1 := bootNode(t, 1, 2, joining(donorA))
+		if !WaitQuiesced([]*Node{donorA, r1}, 30*time.Second) {
+			t.Fatal("world A did not quiesce")
+		}
+		r1.Close()
+		donorA.Close()
 
-	donorB := bootNode(t, 0, 2, nil)
-	writeN(t, donorB, k, "worldB")
-	st := openCausal(t)
-	cfg := fastConfig(1, 2, st)
-	cfg.Storage = mem
-	cfg.Join = map[model.ReplicaID]string{0: donorB.Addr()}
-	nd, err := NewNode(cfg)
-	if err == nil {
-		nd.Close()
-		t.Fatal("join with a divergent origin-0 history was admitted")
+		donorB := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
+		writeN(t, donorB, k, "worldB")
+		cfg := fastConfig(1, 2, openCausal(t))
+		joining(donorB)(&cfg)
+		nd, err := NewNode(cfg)
+		if err == nil {
+			nd.Close()
+			t.Fatal("join with a divergent origin-0 history was admitted")
+		}
+		if !strings.Contains(err.Error(), "diverge") {
+			t.Fatalf("want a divergence refusal naming the leaf range, got: %v", err)
+		}
+	})
+}
+
+// TestJoinRefusedOnShardCountMismatch: a joiner and a seed that split the
+// keyspace differently share no seq domain — shard i of one is not shard i of
+// the other — so the join is refused for good, in either direction, before an
+// update moves or the seed admits the joiner. A 1-shard joiner used to pull a
+// 4-shard seed's shard 0 into its one shard, boot, and then watch every link
+// fail-stop on the hello, holding a quarter of the keyspace.
+func TestJoinRefusedOnShardCountMismatch(t *testing.T) {
+	for _, tc := range []struct{ joiner, seed int }{{1, 4}, {4, 2}} {
+		t.Run(fmt.Sprintf("joiner%d_seed%d", tc.joiner, tc.seed), func(t *testing.T) {
+			seed := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = tc.seed })
+			for i, obj := range shardedObjects(t, tc.seed, 8) {
+				if _, err := seed.Do(obj, model.Write(model.Value(fmt.Sprintf("v%d", i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			counts := fmt.Sprintf("runs %d shards, this node %d", tc.seed, tc.joiner)
+			cfg := fastConfig(1, 2, openCausal(t))
+			cfg.Shards = tc.joiner
+			cfg.Join = map[model.ReplicaID]string{0: seed.Addr()}
+			nd, err := NewNode(cfg)
+			if err == nil {
+				nd.Close()
+				t.Fatal("a joiner of another shard count was admitted")
+			}
+			if !errors.Is(err, errJoinRefused) || !strings.Contains(err.Error(), counts) {
+				t.Fatalf("err = %v, want errJoinRefused naming %q", err, counts)
+			}
+			// The same conversation from a node that stays up shows what moved.
+			nd = bootNode(t, 1, 2, func(cfg *Config) { cfg.Shards = tc.joiner })
+			if err := nd.joinVia(0, seed.Addr()); !errors.Is(err, errJoinRefused) {
+				t.Fatalf("joinVia = %v, want errJoinRefused", err)
+			}
+			if pulled, served := nd.Stats().SyncPulled, seed.Stats().SyncServed; pulled != 0 || served != 0 {
+				t.Fatalf("a refused join moved updates: joiner pulled %d, seed served %d", pulled, served)
+			}
+			if ms := seed.Membership(); len(ms) != 1 {
+				t.Fatalf("the seed admitted a joiner it refused: %+v", ms)
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), "diverge") {
-		t.Fatalf("want a divergence refusal naming the leaf range, got: %v", err)
+}
+
+// TestJoinRequestForUnknownShardHangsUp: the shard a join request names is
+// input from outside the program. A digest, tree or range request naming a
+// shard the donor does not have makes it hang up — no panic, nothing served —
+// in a conversation whose requests for a shard it has were answered.
+func TestJoinRequestForUnknownShardHangsUp(t *testing.T) {
+	const shards = 4
+	nd := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
+	writeN(t, nd, 8, "w")
+	for _, tc := range []struct {
+		name string
+		req  func(w *wire.Writer)
+	}{
+		{"digest", func(w *wire.Writer) { appendDigest(w, tDigest, shards, []originDigest{{Origin: 0}}) }},
+		{"tree", func(w *wire.Writer) { appendTreeReq(w, shards, 0, 8, 0, 0) }},
+		{"range", func(w *wire.Writer) { appendRangeReq(w, shards, 0, 0, 8, 1) }},
+	} {
+		send, recv := rawDial(t, nd)
+		send(func(w *wire.Writer) { appendJoin(w, joinReq{From: 1, Shards: shards}) })
+		if typ, _ := recv(); typ != tJoinAck {
+			t.Fatalf("%s: join answered with frame type %d", tc.name, typ)
+		}
+		send(func(w *wire.Writer) { appendDigest(w, tDigest, shards-1, []originDigest{{Origin: 0}}) })
+		if typ, r := recv(); typ != tDigestResp {
+			t.Fatalf("%s: digest of shard %d answered with frame type %d", tc.name, shards-1, typ)
+		} else if shard, _, err := decodeDigest(r, true); err != nil || shard != shards-1 {
+			t.Fatalf("%s: digest answered for shard %d, err %v", tc.name, shard, err)
+		}
+		send(tc.req)
+		if typ, _ := recv(); typ != 0 {
+			t.Fatalf("%s request naming shard %d answered with frame type %d, want a hang-up", tc.name, shards, typ)
+		}
+	}
+	if served := nd.Stats().SyncServed; served != 0 {
+		t.Fatalf("the donor served %d updates to requests for a shard it does not have", served)
 	}
 }
 
@@ -280,89 +379,91 @@ func TestConnectOffersLiveBacklogToLateJoiner(t *testing.T) {
 // TestSupervisorChurnScheduleAuditsClean runs a generated schedule that
 // mixes a crash window with a leave→join window on a live TCP cluster
 // under load: the departed node must rejoin through the membership path
-// (tJoin + anti-entropy), and the run must quiesce, converge, and audit
-// clean.
+// (tJoin + anti-entropy, shard by shard), and the run must quiesce,
+// converge, and audit clean on every shard.
 func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
-	st := openCausal(t)
-	const n = 3
-	em := fault.NewNetem(n)
-	base := Config{
-		Store: st, Seed: 23,
-		DialTimeout:    time.Second,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
-		GossipInterval: 50 * time.Millisecond,
-	}
-	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
+	forShards(t, func(t *testing.T, shards int) {
+		st := openCausal(t)
+		const n = 3
+		em := fault.NewNetem(n)
+		base := Config{
+			Store: st, Seed: 23, Shards: shards,
+			DialTimeout:    time.Second,
+			DialBackoffMin: 5 * time.Millisecond,
+			DialBackoffMax: 100 * time.Millisecond,
+			RetransmitMin:  25 * time.Millisecond,
+			RetransmitMax:  250 * time.Millisecond,
+			GossipInterval: 50 * time.Millisecond,
+		}
+		sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sup.Close()
 
-	sched := fault.Generate(fault.Config{Seed: 23, N: n, Steps: 80, Partitions: 1, Crashes: 1, LinkFaults: 1, Churns: 1})
-	if err := sched.CheckBalanced(); err != nil {
-		t.Fatalf("generated schedule unbalanced: %v", err)
-	}
-	objects := []model.ObjectID{"x", "y", "z"}
+		sched := fault.Generate(fault.Config{Seed: 23, N: n, Steps: 80, Partitions: 1, Crashes: 1, LinkFaults: 1, Churns: 1})
+		if err := sched.CheckBalanced(); err != nil {
+			t.Fatalf("generated schedule unbalanced: %v", err)
+		}
+		objects := shardedObjects(t, shards, 3)
 
-	var wg sync.WaitGroup
-	schedErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		schedErr <- sup.RunSchedule(sched)
-	}()
-	for w := 0; w < n; w++ {
+		var wg sync.WaitGroup
+		schedErr := make(chan error, 1)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 60; i++ {
-				obj := objects[rng.Intn(len(objects))]
-				op := model.Read()
-				if rng.Intn(2) == 0 {
-					op = model.Write(model.Value(fmt.Sprintf("w%d.%d", w, i)))
+			schedErr <- sup.RunSchedule(sched)
+		}()
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < 60; i++ {
+					obj := objects[rng.Intn(len(objects))]
+					op := model.Read()
+					if rng.Intn(2) == 0 {
+						op = model.Write(model.Value(fmt.Sprintf("w%d.%d", w, i)))
+					}
+					// Downtime errors are expected while a victim is away.
+					_, _ = sup.Do(w%n, obj, op)
+					time.Sleep(2 * time.Millisecond)
 				}
-				// Downtime errors are expected while a victim is away.
-				_, _ = sup.Do(w%n, obj, op)
-				time.Sleep(2 * time.Millisecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := <-schedErr; err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	if leaves, joins := sup.Churn(); leaves != 1 || joins != 1 {
-		t.Fatalf("leaves/joins = %d/%d, want 1/1", leaves, joins)
-	}
-	m := sup.Metrics()
-	if m.Leaves != 1 || m.Joins != 1 {
-		t.Fatalf("observer leaves/joins = %d/%d, want 1/1", m.Leaves, m.Joins)
-	}
+			}(w)
+		}
+		wg.Wait()
+		if err := <-schedErr; err != nil {
+			t.Fatalf("schedule: %v", err)
+		}
+		if leaves, joins := sup.Churn(); leaves != 1 || joins != 1 {
+			t.Fatalf("leaves/joins = %d/%d, want 1/1", leaves, joins)
+		}
+		m := sup.Metrics()
+		if m.Leaves != 1 || m.Joins != 1 {
+			t.Fatalf("observer leaves/joins = %d/%d, want 1/1", m.Leaves, m.Joins)
+		}
 
-	if err := sup.Settle(30*time.Second, objects); err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, 1, sup.Histories)
-	noViolations(t, sup.Nodes()...)
+		if err := sup.Settle(30*time.Second, objects); err != nil {
+			t.Fatal(err)
+		}
+		auditClean(t, shards, sup.Histories)
+		noViolations(t, sup.Nodes()...)
+	})
 }
 
-// forestDigest is what a node's first shard would tell a joiner about each
+// forestDigest is what one shard of a node would tell a joiner about each
 // origin: how many updates it has hashed, the root over them, and the root
 // over half of them (a prefix that ends off every leaf boundary — with more
 // than a leaf of updates, inside a complete one, which the forest re-hashes
 // from the shard's log).
-func forestDigest(t *testing.T, nd *Node) []originDigest {
+func forestDigest(t *testing.T, nd *Node, shard int) []originDigest {
 	t.Helper()
+	s := nd.shards[shard]
 	var ds []originDigest
-	if err := nd.inLoop(func() {
-		tree := nd.s0().tree
+	if err := s.inLoop(func() {
 		for o := 0; o < nd.cfg.N; o++ {
-			ds = append(ds, originDigest{Origin: model.ReplicaID(o), Count: tree.Count(o),
-				Root: tree.Root(o), PrefixRoot: tree.PrefixRoot(o, tree.Count(o)/2, nd.s0().updatePayload)})
+			ds = append(ds, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o),
+				Root: s.tree.Root(o), PrefixRoot: s.tree.PrefixRoot(o, s.tree.Count(o)/2, s.updatePayload)})
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -379,7 +480,7 @@ func TestRestartedForestMatchesLive(t *testing.T) {
 	const k = 40 // past one leaf (membership.LeafSpan) per origin
 	mem := &memStorage{}
 	r0 := bootNode(t, 0, 3, nil)
-	r1 := bootNode(t, 1, 3, stored(mem))
+	r1 := bootNode(t, 1, 3, stored(mem, 1))
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
 		t.Fatal(err)
 	}
@@ -391,17 +492,17 @@ func TestRestartedForestMatchesLive(t *testing.T) {
 	if !WaitQuiesced([]*Node{r0, r1}, 30*time.Second) {
 		t.Fatal("pair did not quiesce")
 	}
-	live := forestDigest(t, r1)
+	live := forestDigest(t, r1, 0)
 	if live[0].Count != k || live[1].Count != k || live[2].Count != 0 {
 		t.Fatalf("live forest counts %d/%d/%d, want %d/%d/0", live[0].Count, live[1].Count, live[2].Count, k, k)
 	}
 	r1.Close()
 
-	r1b := bootNode(t, 1, 3, stored(mem))
+	r1b := bootNode(t, 1, 3, stored(mem, 1))
 	if r1b.Restored() == 0 {
 		t.Fatal("the second incarnation restored nothing")
 	}
-	for o, got := range forestDigest(t, r1b) {
+	for o, got := range forestDigest(t, r1b, 0) {
 		if got != live[o] {
 			t.Fatalf("origin %d forest diverged across the restart:\n got %+v\nwant %+v", o, got, live[o])
 		}
@@ -427,11 +528,11 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 			t.Fatal(err)
 		}
 	}
-	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: as}) })
+	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: as, Shards: uint64(len(nd.shards))}) })
 	if typ, _, err := readTyped(conn, 0, 0, nil); err != nil || typ != tJoinAck {
 		t.Fatalf("join answered with type %d, err %v", typ, err)
 	}
-	send(func(w *wire.Writer) { appendRangeReq(w, origin, 0, count, 4) })
+	send(func(w *wire.Writer) { appendRangeReq(w, 0, origin, 0, count, 4) })
 	for uint64(len(pulled)) < count {
 		raw, err := wire.ReadFrame(conn, 0)
 		if err != nil {
@@ -446,7 +547,7 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 		if typ := r.Uvarint(); typ != tRangeResp {
 			t.Fatalf("range pull answered with type %d", typ)
 		}
-		us, err := decodeUpdates(r, nil)
+		_, us, err := decodeBatch(r, nil)
 		if err != nil || len(us) == 0 {
 			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
 		}
@@ -466,7 +567,7 @@ func TestRangeServedSameAfterRestart(t *testing.T) {
 	const k = 100 // more than one chunk (batchMax) of each origin
 	mem := &memStorage{}
 	r0 := bootNode(t, 0, 3, nil)
-	r1 := bootNode(t, 1, 3, stored(mem))
+	r1 := bootNode(t, 1, 3, stored(mem, 1))
 	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +587,7 @@ func TestRangeServedSameAfterRestart(t *testing.T) {
 	}
 	r1.Close()
 
-	r1b := bootNode(t, 1, 3, stored(mem))
+	r1b := bootNode(t, 1, 3, stored(mem, 1))
 	if r1b.Restored() == 0 {
 		t.Fatal("the second incarnation restored nothing")
 	}

@@ -374,7 +374,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				p.node.retransmits.Add(re)
 				enc.Reset()
 				enc.BeginFrame()
-				appendBatch(enc, si, us[0].Origin, us)
+				appendBatch(enc, tBatch, si, us[0].Origin, us)
 				// Only multi-update frames clear the compression floor in
 				// practice; single updates stay raw so the latency-sensitive
 				// path never touches the compressor.

@@ -49,7 +49,7 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	var linkErr error
-	if err := nodes[0].inLoop(func() { linkErr = nodes[0].peers[model.ReplicaID(1)].failure() }); err != nil {
+	if err := nodes[0].shards[0].inLoop(func() { linkErr = nodes[0].peers[model.ReplicaID(1)].failure() }); err != nil {
 		t.Fatal(err)
 	}
 	if linkErr == nil {
@@ -453,7 +453,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 		var buf []byte
 		z := new(wire.Deflater)
 		for from := have.Load(); from < n; from = have.Load() {
-			if !s.n.serveRange(donor, peerOrigin, from, n-from, 1, &buf, z) {
+			if !s.n.serveRange(donor, s, peerOrigin, from, n-from, 1, &buf, z) {
 				t.Error("serveRange gave up")
 				return
 			}
@@ -469,7 +469,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 				t.Errorf("range chunk after %d updates: type %d, err %v", got, typ, err)
 				return
 			}
-			us, err := decodeUpdates(r, nil)
+			_, us, err := decodeBatch(r, nil)
 			if err != nil || !verify("the range server", peerOrigin, got, us) {
 				t.Errorf("range chunk after %d updates: %d updates, err %v", got, len(us), err)
 				return
@@ -650,7 +650,7 @@ func TestProtocolVersionMismatchRefused(t *testing.T) {
 	if typ != tJoinAck {
 		t.Fatalf("v5 join answered with frame type %d, want the node's join ack", typ)
 	}
-	if version, _, err := decodeJoinAck(r, 3); err != nil || version != protoVersion {
+	if version, _, _, err := decodeJoinAck(r, 3); err != nil || version != protoVersion {
 		t.Fatalf("join ack = (version %d, %v), want version %d", version, err, protoVersion)
 	}
 	if typ, _ := recv(); typ != 0 {
@@ -746,13 +746,13 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 		return append([]byte(nil), src.PendingMessage()...)
 	}
 	send(func(w *wire.Writer) {
-		appendBatch(w, 0, 1, []protoUpdate{{Origin: 1, Seq: 1, Lamport: 1, Payload: payload(1)}})
+		appendBatch(w, tBatch, 0, 1, []protoUpdate{{Origin: 1, Seq: 1, Lamport: 1, Payload: payload(1)}})
 	})
 	if typ, _ := recv(); typ != tAck {
 		t.Fatalf("the dialer's own batch answered with frame type %d, want an ack", typ)
 	}
 	send(func(w *wire.Writer) {
-		appendBatch(w, 0, 2, []protoUpdate{{Origin: 2, Seq: 1, Lamport: 2, Payload: payload(2)}})
+		appendBatch(w, tBatch, 0, 2, []protoUpdate{{Origin: 2, Seq: 1, Lamport: 2, Payload: payload(2)}})
 	})
 	if typ, _ := recv(); typ != 0 {
 		t.Fatalf("a batch of r2's on r1's link answered with frame type %d, want a hang-up", typ)

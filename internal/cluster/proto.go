@@ -41,7 +41,7 @@ const (
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
 // format change bumps it.
-const protoVersion = 6
+const protoVersion = 7
 
 // batchMax caps how many unacked updates coalesce into one tBatch frame or
 // one anti-entropy chunk.
@@ -52,7 +52,7 @@ const batchMax = 64
 const historyMaxFrame = 64 << 20
 
 // protoUpdate is the decoded view of one broadcast update: of an entry of a
-// tBatch or tRangeResp frame (decodeUpdates; Payload aliases the frame), or
+// tBatch or tRangeResp frame (decodeBatch; Payload aliases the frame), or
 // of the send or receive record a shard holds it in (eventLog.update; Payload
 // aliases the record). Nothing stores one: a node keeps the record, and an
 // 8-byte position of it per update. Lamport, read from a record, is the
@@ -132,10 +132,13 @@ func decodeHelloAck(r *wire.Reader) (helloAck, error) {
 	return a, r.End()
 }
 
-// appendUpdates encodes the body tBatch and tRangeResp share: one origin (a
-// replication link only ever carries the dialer's own broadcasts, a range
-// chunk one origin's), then each update's seq, lamport and payload.
-func appendUpdates(w *wire.Writer, origin model.ReplicaID, us []protoUpdate) {
+// appendBatch encodes a run of one origin's updates in one shard: a tBatch
+// (a replication link only ever carries its dialer's own broadcasts) or,
+// behind typ tRangeResp, an anti-entropy chunk — one body, so sync traffic
+// differs from live replication in its type tag alone.
+func appendBatch(w *wire.Writer, typ uint64, shard int, origin model.ReplicaID, us []protoUpdate) {
+	w.Uvarint(typ)
+	w.Uvarint(uint64(shard))
 	w.Uvarint(uint64(origin))
 	w.Uvarint(uint64(len(us)))
 	for _, u := range us {
@@ -146,21 +149,22 @@ func appendUpdates(w *wire.Writer, origin model.ReplicaID, us []protoUpdate) {
 	}
 }
 
-// decodeUpdates decodes that body into us[:0] — the receiving handler's own
-// scratch, reused frame after frame — and returns it. Payloads are
-// subslices of the frame buffer (zero-copy): the event loop copies each
+// decodeBatch decodes a tBatch or tRangeResp body into us[:0] — the receiving
+// handler's own scratch, reused frame after frame — and returns it. Payloads
+// are subslices of the frame buffer (zero-copy): the event loop copies each
 // before anything keeps it.
-func decodeUpdates(r *wire.Reader, us []protoUpdate) ([]protoUpdate, error) {
+func decodeBatch(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdate, err error) {
+	shard = r.Uvarint()
 	origin := model.ReplicaID(r.Uvarint())
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	// Each update costs at least three bytes (seq, lamport, length), but the
 	// guard that matters is one value per remaining byte: beyond that the
 	// count is corrupt and would allocate unboundedly.
 	if n > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("cluster: implausible update count %d", n)
+		return 0, nil, fmt.Errorf("cluster: implausible update count %d", n)
 	}
 	us = slices.Grow(us[:0], int(n))
 	for i := uint64(0); i < n; i++ {
@@ -172,22 +176,9 @@ func decodeUpdates(r *wire.Reader, us []protoUpdate) ([]protoUpdate, error) {
 		})
 	}
 	if err := r.End(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return us, nil
-}
-
-func appendBatch(w *wire.Writer, shard int, origin model.ReplicaID, us []protoUpdate) {
-	w.Uvarint(tBatch)
-	w.Uvarint(uint64(shard))
-	appendUpdates(w, origin, us)
-}
-
-// decodeBatch decodes a tBatch body into us[:0], like decodeUpdates.
-func decodeBatch(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdate, err error) {
-	shard = r.Uvarint()
-	us, err = decodeUpdates(r, us)
-	return shard, us, err
+	return shard, us, nil
 }
 
 func appendAck(w *wire.Writer, shard int, cum uint64) {

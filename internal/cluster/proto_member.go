@@ -9,41 +9,45 @@ import (
 )
 
 // Membership and anti-entropy frame types, continuing the numbering in
-// proto.go. A join conversation is one connection, joiner-driven:
+// proto.go. A join conversation is one connection, joiner-driven; after the
+// handshake the joiner catches up one shard at a time, and every frame that
+// addresses a seq domain names its shard, as tBatch and tAck do:
 //
-//	joiner → tJoin      {from, epoch, addr, version}
-//	donor  → tJoinAck   {version, view}
-//	joiner → tDigest    {per-origin count+root}
-//	donor  → tDigestResp{per-origin count+root+prefixRoot(joiner count)}
-//	joiner → tTreeReq   {origin, prefix, level, index}     (only on mismatch)
+//	joiner → tJoin      {from, epoch, addr, version, shards}
+//	donor  → tJoinAck   {version, shards, view}
+//	per shard:
+//	joiner → tDigest    {shard, per-origin count+root}
+//	donor  → tDigestResp{shard, per-origin count+root+prefixRoot(joiner count)}
+//	joiner → tTreeReq   {shard, origin, prefix, level, index}  (only on mismatch)
 //	donor  → tTreeResp  {ok, hash}
-//	joiner → tRangeReq  {origin, from, count, window}
-//	donor  → tRangeResp {origin, (seq, lamport, payload)...}  (chunked)
-//	joiner → tAck       {shard 0, cum}  after journaling each chunk
+//	joiner → tRangeReq  {shard, origin, from, count, window}
+//	donor  → tRangeResp {shard, origin, (seq, lamport, payload)...}  (chunked)
+//	joiner → tAck       {shard, cum}  after journaling each chunk
 //
 // Gossip frames (tGossip/tGossipAck) are a single request/response exchange
 // on a transient connection.
 const (
-	tJoin       = 14 // {from, epoch, addr, version}
-	tJoinAck    = 15 // {version, members...}
+	tJoin       = 14 // {from, epoch, addr, version, shards}
+	tJoinAck    = 15 // {version, shards, members...}
 	tGossip     = 16 // {from, members...}
 	tGossipAck  = 17 // {members...}
-	tDigest     = 18 // {count, (origin, count, root)...}
-	tDigestResp = 19 // {count, (origin, count, root, prefixRoot)...}
-	tTreeReq    = 20 // {origin, prefix, level, index}
+	tDigest     = 18 // {shard, count, (origin, count, root)...}
+	tDigestResp = 19 // {shard, count, (origin, count, root, prefixRoot)...}
+	tTreeReq    = 20 // {shard, origin, prefix, level, index}
 	tTreeResp   = 21 // {ok, hash}
-	tRangeReq   = 22 // {origin, from, count, window}
-	tRangeResp  = 23 // {origin, count, (seq, lamport, payload)...}
+	tRangeReq   = 22 // {shard, origin, from, count, window}
+	tRangeResp  = 23 // {shard, origin, count, (seq, lamport, payload)...}
 	// 24 is tCompressed, the compression envelope — see compress.go.
 )
 
 // joinReq carries a decoded tJoin. Like a hello's, the version closes the
-// part every version shares.
+// part every version shares: Shards is read only at protoVersion.
 type joinReq struct {
 	From    model.ReplicaID
 	Epoch   uint64
 	Addr    string
 	Version uint64
+	Shards  uint64
 }
 
 func appendJoin(w *wire.Writer, j joinReq) {
@@ -52,6 +56,7 @@ func appendJoin(w *wire.Writer, j joinReq) {
 	w.Uvarint(j.Epoch)
 	w.String(j.Addr)
 	w.Uvarint(protoVersion)
+	w.Uvarint(j.Shards)
 }
 
 func decodeJoin(r *wire.Reader) (joinReq, error) {
@@ -64,6 +69,7 @@ func decodeJoin(r *wire.Reader) (joinReq, error) {
 	if r.Err() != nil || j.Version != protoVersion {
 		return j, r.Err()
 	}
+	j.Shards = r.Uvarint()
 	return j, r.End()
 }
 
@@ -112,21 +118,24 @@ func decodeMembers(r *wire.Reader, n int) ([]membership.Member, error) {
 	return ms, r.End()
 }
 
-// appendJoinAck answers a join: the donor's version, then its view.
-func appendJoinAck(w *wire.Writer, ms []membership.Member) {
+// appendJoinAck answers a join: the donor's version and shard count, then its
+// view.
+func appendJoinAck(w *wire.Writer, shards int, ms []membership.Member) {
 	w.Uvarint(tJoinAck)
 	w.Uvarint(protoVersion)
+	w.Uvarint(uint64(shards))
 	appendMembers(w, ms)
 }
 
 // decodeJoinAck decodes a tJoinAck; past a foreign version nothing is read.
-func decodeJoinAck(r *wire.Reader, n int) (version uint64, ms []membership.Member, err error) {
+func decodeJoinAck(r *wire.Reader, n int) (version, shards uint64, ms []membership.Member, err error) {
 	version = r.Uvarint()
 	if r.Err() != nil || version != protoVersion {
-		return version, nil, r.Err()
+		return version, 0, nil, r.Err()
 	}
+	shards = r.Uvarint()
 	ms, err = decodeMembers(r, n)
-	return version, ms, err
+	return version, shards, ms, err
 }
 
 func appendGossip(w *wire.Writer, from model.ReplicaID, ms []membership.Member) {
@@ -160,10 +169,11 @@ type originDigest struct {
 	PrefixRoot membership.Hash // tDigestResp only
 }
 
-// appendDigest encodes a tDigest or tDigestResp frame (withPrefix selects
-// the response layout, which carries the extra prefix root per origin).
-func appendDigest(w *wire.Writer, typ uint64, ds []originDigest) {
+// appendDigest encodes one shard's tDigest or tDigestResp frame (the
+// response layout carries the extra prefix root per origin).
+func appendDigest(w *wire.Writer, typ uint64, shard int, ds []originDigest) {
 	w.Uvarint(typ)
+	w.Uvarint(uint64(shard))
 	w.Uvarint(uint64(len(ds)))
 	for _, d := range ds {
 		w.Uvarint(uint64(d.Origin))
@@ -188,52 +198,55 @@ func readHash(r *wire.Reader) (membership.Hash, bool) {
 
 // decodeDigest decodes a tDigest or tDigestResp body (withPrefix must
 // match the encoder's frame type).
-func decodeDigest(r *wire.Reader, withPrefix bool) ([]originDigest, error) {
+func decodeDigest(r *wire.Reader, withPrefix bool) (shard uint64, _ []originDigest, _ error) {
+	shard = r.Uvarint()
 	count := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	entry := 34 // origin + count varints + one 32-byte hash, minimum
 	if withPrefix {
 		entry += 32
 	}
 	if count > uint64(r.Remaining()/entry)+1 {
-		return nil, fmt.Errorf("cluster: implausible digest count %d", count)
+		return 0, nil, fmt.Errorf("cluster: implausible digest count %d", count)
 	}
 	ds := make([]originDigest, 0, count)
 	for i := uint64(0); i < count; i++ {
 		d := originDigest{Origin: model.ReplicaID(r.Uvarint()), Count: r.Uvarint()}
 		var ok bool
 		if d.Root, ok = readHash(r); !ok {
-			return nil, wire.ErrTruncated
+			return 0, nil, wire.ErrTruncated
 		}
 		if withPrefix {
 			if d.PrefixRoot, ok = readHash(r); !ok {
-				return nil, wire.ErrTruncated
+				return 0, nil, wire.ErrTruncated
 			}
 		}
 		if err := r.Err(); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		ds = append(ds, d)
 	}
-	return ds, r.End()
+	return shard, ds, r.End()
 }
 
-func appendTreeReq(w *wire.Writer, origin model.ReplicaID, prefix uint64, level int, index uint64) {
+func appendTreeReq(w *wire.Writer, shard int, origin model.ReplicaID, prefix uint64, level int, index uint64) {
 	w.Uvarint(tTreeReq)
+	w.Uvarint(uint64(shard))
 	w.Uvarint(uint64(origin))
 	w.Uvarint(prefix)
 	w.Uvarint(uint64(level))
 	w.Uvarint(index)
 }
 
-func decodeTreeReq(r *wire.Reader) (origin model.ReplicaID, prefix uint64, level int, index uint64, err error) {
+func decodeTreeReq(r *wire.Reader) (shard uint64, origin model.ReplicaID, prefix uint64, level int, index uint64, err error) {
+	shard = r.Uvarint()
 	origin = model.ReplicaID(r.Uvarint())
 	prefix = r.Uvarint()
 	level = int(r.Uvarint())
 	index = r.Uvarint()
-	return origin, prefix, level, index, r.End()
+	return shard, origin, prefix, level, index, r.End()
 }
 
 func appendTreeResp(w *wire.Writer, h membership.Hash, ok bool) {
@@ -255,29 +268,24 @@ func decodeTreeResp(r *wire.Reader) (membership.Hash, bool, error) {
 	return h, ok, r.End()
 }
 
-// appendRangeReq asks for [from, from+count) of one origin's updates.
-// window is the pull's credit window: how many unacked chunks the joiner is
-// prepared to have in flight.
-func appendRangeReq(w *wire.Writer, origin model.ReplicaID, from, count, window uint64) {
+// appendRangeReq asks for [from, from+count) of one origin's updates in one
+// shard. window is the pull's credit window: how many unacked chunks the
+// joiner is prepared to have in flight. The chunks come back as tRangeResp
+// frames (appendBatch).
+func appendRangeReq(w *wire.Writer, shard int, origin model.ReplicaID, from, count, window uint64) {
 	w.Uvarint(tRangeReq)
+	w.Uvarint(uint64(shard))
 	w.Uvarint(uint64(origin))
 	w.Uvarint(from)
 	w.Uvarint(count)
 	w.Uvarint(window)
 }
 
-func decodeRangeReq(r *wire.Reader) (origin model.ReplicaID, from, count, window uint64, err error) {
+func decodeRangeReq(r *wire.Reader) (shard uint64, origin model.ReplicaID, from, count, window uint64, err error) {
+	shard = r.Uvarint()
 	origin = model.ReplicaID(r.Uvarint())
 	from = r.Uvarint()
 	count = r.Uvarint()
 	window = r.Uvarint()
-	return origin, from, count, window, r.End()
-}
-
-// appendRangeResp encodes one anti-entropy chunk: tBatch's update body
-// behind a distinct type (decodeUpdates reads it), so sync traffic is
-// countable separately from live replication in packet captures and stats.
-func appendRangeResp(w *wire.Writer, origin model.ReplicaID, us []protoUpdate) {
-	w.Uvarint(tRangeResp)
-	appendUpdates(w, origin, us)
+	return shard, origin, from, count, window, r.End()
 }

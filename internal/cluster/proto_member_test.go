@@ -9,7 +9,7 @@ import (
 )
 
 func TestJoinRoundTrip(t *testing.T) {
-	in := joinReq{From: 2, Epoch: 5, Addr: "127.0.0.1:7002"}
+	in := joinReq{From: 2, Epoch: 5, Addr: "127.0.0.1:7002", Shards: 4}
 	w := wire.NewWriter()
 	appendJoin(w, in)
 	r := wire.NewReader(w.Bytes())
@@ -20,7 +20,7 @@ func TestJoinRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.From != in.From || got.Epoch != in.Epoch || got.Addr != in.Addr || got.Version != protoVersion {
+	if got.From != in.From || got.Epoch != in.Epoch || got.Addr != in.Addr || got.Version != protoVersion || got.Shards != 4 {
 		t.Fatalf("join = %+v, want %+v at version %d", got, in, protoVersion)
 	}
 }
@@ -32,17 +32,17 @@ func TestJoinAckRoundTrip(t *testing.T) {
 		{ID: 2, Epoch: 0}, // addr unknown yet
 	}
 	w := wire.NewWriter()
-	appendJoinAck(w, ms)
+	appendJoinAck(w, 4, ms)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tJoinAck {
 		t.Fatalf("type = %d, want tJoinAck", typ)
 	}
-	version, got, err := decodeJoinAck(r, 3)
+	version, shards, got, err := decodeJoinAck(r, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != protoVersion || len(got) != len(ms) {
-		t.Fatalf("ack = (version %d, %d members)", version, len(got))
+	if version != protoVersion || shards != 4 || len(got) != len(ms) {
+		t.Fatalf("ack = (version %d, %d shards, %d members)", version, shards, len(got))
 	}
 	for i := range ms {
 		if got[i] != ms[i] {
@@ -88,14 +88,14 @@ func TestDigestRoundTrip(t *testing.T) {
 	}
 	// Request layout (no prefix roots).
 	w := wire.NewWriter()
-	appendDigest(w, tDigest, ds)
+	appendDigest(w, tDigest, 3, ds)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tDigest {
 		t.Fatalf("type = %d, want tDigest", typ)
 	}
-	got, err := decodeDigest(r, false)
-	if err != nil {
-		t.Fatal(err)
+	shard, got, err := decodeDigest(r, false)
+	if err != nil || shard != 3 {
+		t.Fatalf("shard %d, err %v; want shard 3", shard, err)
 	}
 	for i := range ds {
 		want := ds[i]
@@ -107,14 +107,14 @@ func TestDigestRoundTrip(t *testing.T) {
 	// Response layout carries the prefix roots too.
 	ds[0].PrefixRoot = membership.HashUpdate(0, 2, []byte("b"))
 	w = wire.NewWriter()
-	appendDigest(w, tDigestResp, ds)
+	appendDigest(w, tDigestResp, 3, ds)
 	r = wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tDigestResp {
 		t.Fatalf("type = %d, want tDigestResp", typ)
 	}
-	got, err = decodeDigest(r, true)
-	if err != nil {
-		t.Fatal(err)
+	shard, got, err = decodeDigest(r, true)
+	if err != nil || shard != 3 {
+		t.Fatalf("shard %d, err %v; want shard 3", shard, err)
 	}
 	for i := range ds {
 		if got[i] != ds[i] {
@@ -125,14 +125,14 @@ func TestDigestRoundTrip(t *testing.T) {
 
 func TestTreeReqRespRoundTrip(t *testing.T) {
 	w := wire.NewWriter()
-	appendTreeReq(w, 2, 100, 1, 3)
+	appendTreeReq(w, 5, 2, 100, 1, 3)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tTreeReq {
 		t.Fatalf("type = %d, want tTreeReq", typ)
 	}
-	origin, prefix, level, index, err := decodeTreeReq(r)
-	if err != nil || origin != 2 || prefix != 100 || level != 1 || index != 3 {
-		t.Fatalf("tree req = (r%d, %d, %d, %d, %v)", origin, prefix, level, index, err)
+	shard, origin, prefix, level, index, err := decodeTreeReq(r)
+	if err != nil || shard != 5 || origin != 2 || prefix != 100 || level != 1 || index != 3 {
+		t.Fatalf("tree req = (shard %d, r%d, %d, %d, %d, %v)", shard, origin, prefix, level, index, err)
 	}
 
 	h := membership.HashUpdate(0, 9, []byte("leaf"))
@@ -150,14 +150,14 @@ func TestTreeReqRespRoundTrip(t *testing.T) {
 
 func TestRangeRoundTrip(t *testing.T) {
 	w := wire.NewWriter()
-	appendRangeReq(w, 1, 40, 25, 8)
+	appendRangeReq(w, 5, 1, 40, 25, 8)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tRangeReq {
 		t.Fatalf("type = %d, want tRangeReq", typ)
 	}
-	origin, from, count, window, err := decodeRangeReq(r)
-	if err != nil || origin != 1 || from != 40 || count != 25 || window != 8 {
-		t.Fatalf("range req = (r%d, %d, %d, win %d, %v)", origin, from, count, window, err)
+	shard, origin, from, count, window, err := decodeRangeReq(r)
+	if err != nil || shard != 5 || origin != 1 || from != 40 || count != 25 || window != 8 {
+		t.Fatalf("range req = (shard %d, r%d, %d, %d, win %d, %v)", shard, origin, from, count, window, err)
 	}
 
 	us := []protoUpdate{
@@ -165,14 +165,14 @@ func TestRangeRoundTrip(t *testing.T) {
 		{Origin: 1, Seq: 42, Lamport: 91, Payload: nil},
 	}
 	w = wire.NewWriter()
-	appendRangeResp(w, 1, us)
+	appendBatch(w, tRangeResp, 5, 1, us)
 	r = wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tRangeResp {
 		t.Fatalf("type = %d, want tRangeResp", typ)
 	}
-	got, err := decodeUpdates(r, nil)
-	if err != nil || len(got) != len(us) {
-		t.Fatalf("range resp: %d updates, err %v", len(got), err)
+	shard, got, err := decodeBatch(r, nil)
+	if err != nil || shard != 5 || len(got) != len(us) {
+		t.Fatalf("range resp: shard %d, %d updates, err %v", shard, len(got), err)
 	}
 	for i := range us {
 		if got[i].Origin != us[i].Origin || got[i].Seq != us[i].Seq ||
@@ -184,9 +184,10 @@ func TestRangeRoundTrip(t *testing.T) {
 
 func TestRangeRespImplausibleCountRejected(t *testing.T) {
 	w := wire.NewWriter()
+	w.Uvarint(0)       // shard
 	w.Uvarint(1)       // origin
 	w.Uvarint(1 << 40) // absurd count
-	if us, err := decodeUpdates(wire.NewReader(w.Bytes()), nil); err == nil {
+	if _, us, err := decodeBatch(wire.NewReader(w.Bytes()), nil); err == nil {
 		t.Fatalf("decoded %d updates from implausible count", len(us))
 	}
 }
@@ -201,21 +202,22 @@ func FuzzDecodeDigest(f *testing.F) {
 		return w.Bytes()
 	}
 	f.Add(seed(func(w *wire.Writer) {
-		appendDigest(w, tDigest, []originDigest{{Origin: 0, Count: 3, Root: membership.HashUpdate(0, 1, []byte("x"))}})
+		appendDigest(w, tDigest, 0, []originDigest{{Origin: 0, Count: 3, Root: membership.HashUpdate(0, 1, []byte("x"))}})
 	})[1:], false)
 	f.Add(seed(func(w *wire.Writer) {
-		appendDigest(w, tDigestResp, []originDigest{
+		appendDigest(w, tDigestResp, 3, []originDigest{
 			{Origin: 1, Count: 64, Root: membership.HashUpdate(1, 2, nil), PrefixRoot: membership.HashUpdate(1, 3, nil)},
 			{Origin: 2, Count: 0},
 		})
 	})[1:], true)
 	f.Add(seed(func(w *wire.Writer) {
+		w.Uvarint(0)       // shard
 		w.Uvarint(1 << 40) // implausible count
 	}), false)
 	f.Add([]byte{}, true)
 	f.Add([]byte{0x01}, false)
 	f.Fuzz(func(t *testing.T, b []byte, withPrefix bool) {
-		ds, err := decodeDigest(wire.NewReader(b), withPrefix)
+		shard, ds, err := decodeDigest(wire.NewReader(b), withPrefix)
 		if err != nil {
 			return
 		}
@@ -224,12 +226,12 @@ func FuzzDecodeDigest(f *testing.F) {
 			typ = tDigestResp
 		}
 		w := wire.NewWriter()
-		appendDigest(w, typ, ds)
+		appendDigest(w, typ, int(shard), ds)
 		r := wire.NewReader(w.Bytes())
 		r.Uvarint() // type
-		again, err := decodeDigest(r, withPrefix)
-		if err != nil {
-			t.Fatalf("re-encoded digest does not decode: %v", err)
+		shard2, again, err := decodeDigest(r, withPrefix)
+		if err != nil || shard2 != shard {
+			t.Fatalf("re-encoded digest decodes to shard %d (want %d), err %v", shard2, shard, err)
 		}
 		if len(again) != len(ds) {
 			t.Fatalf("re-decode %d digests, want %d", len(again), len(ds))

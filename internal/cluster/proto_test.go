@@ -102,7 +102,7 @@ func TestShardBatchRoundTrip(t *testing.T) {
 		{Origin: 2, Seq: 2, Lamport: 11, Payload: nil},
 	}
 	w := wire.NewWriter()
-	appendBatch(w, 3, 2, us)
+	appendBatch(w, tBatch, 3, 2, us)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tBatch {
 		t.Fatalf("type = %d, want tBatch", typ)
@@ -125,27 +125,28 @@ func TestShardBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip pins the update body tBatch and tRangeResp share: the
-// two frames differ in their type and the batch's shard index only.
+// TestBatchRoundTrip pins the one body tBatch and tRangeResp share: the two
+// frames differ in their type tag only, and decodeBatch reads either.
 func TestBatchRoundTrip(t *testing.T) {
 	us := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
 		{Origin: 2, Seq: 2, Lamport: 11, Payload: nil},
 		{Origin: 2, Seq: 3, Lamport: 12, Payload: []byte{0, 1, 2, 255}},
 	}
-	w := wire.NewWriter()
-	appendUpdates(w, 2, us)
-	got, err := decodeUpdates(wire.NewReader(w.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameUpdates(t, got, us)
-
 	batch, chunk := wire.NewWriter(), wire.NewWriter()
-	appendBatch(batch, 0, 2, us)
-	appendRangeResp(chunk, 2, us)
-	if !bytes.Equal(batch.Bytes()[2:], w.Bytes()) || !bytes.Equal(chunk.Bytes()[1:], w.Bytes()) {
-		t.Fatalf("tBatch %x and tRangeResp %x do not share the body %x", batch.Bytes(), chunk.Bytes(), w.Bytes())
+	appendBatch(batch, tBatch, 3, 2, us)
+	appendBatch(chunk, tRangeResp, 3, 2, us)
+	if !bytes.Equal(batch.Bytes()[1:], chunk.Bytes()[1:]) {
+		t.Fatalf("tBatch %x and tRangeResp %x do not share one body", batch.Bytes(), chunk.Bytes())
+	}
+	for _, w := range []*wire.Writer{batch, chunk} {
+		r := wire.NewReader(w.Bytes())
+		r.Uvarint() // type
+		shard, got, err := decodeBatch(r, nil)
+		if err != nil || shard != 3 {
+			t.Fatalf("shard %d, err %v; want shard 3", shard, err)
+		}
+		sameUpdates(t, got, us)
 	}
 }
 
@@ -182,22 +183,24 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, err := decodeHello(r); return err }},
 		{"hello-ack", body(func(w *wire.Writer) { appendHelloAck(w, []uint64{17, 0, 9}) }),
 			func(r *wire.Reader) error { _, err := decodeHelloAck(r); return err }},
-		{"join", body(func(w *wire.Writer) { appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002"}) }),
+		{"join", body(func(w *wire.Writer) { appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002", Shards: 4}) }),
 			func(r *wire.Reader) error { _, err := decodeJoin(r); return err }},
-		{"join-ack", body(func(w *wire.Writer) { appendJoinAck(w, ms) }),
-			func(r *wire.Reader) error { _, _, err := decodeJoinAck(r, 3); return err }},
+		{"join-ack", body(func(w *wire.Writer) { appendJoinAck(w, 4, ms) }),
+			func(r *wire.Reader) error { _, _, _, err := decodeJoinAck(r, 3); return err }},
 		{"gossip", body(func(w *wire.Writer) { appendGossip(w, 1, ms) }),
 			func(r *wire.Reader) error { _, _, err := decodeGossip(r, 3); return err }},
-		{"digest", body(func(w *wire.Writer) { appendDigest(w, tDigest, ds) }),
-			func(r *wire.Reader) error { _, err := decodeDigest(r, false); return err }},
-		{"tree-req", body(func(w *wire.Writer) { appendTreeReq(w, 1, 40, 2, 3) }),
-			func(r *wire.Reader) error { _, _, _, _, err := decodeTreeReq(r); return err }},
+		{"digest", body(func(w *wire.Writer) { appendDigest(w, tDigest, 2, ds) }),
+			func(r *wire.Reader) error { _, _, err := decodeDigest(r, false); return err }},
+		{"digest-resp", body(func(w *wire.Writer) { appendDigest(w, tDigestResp, 2, ds) }),
+			func(r *wire.Reader) error { _, _, err := decodeDigest(r, true); return err }},
+		{"tree-req", body(func(w *wire.Writer) { appendTreeReq(w, 2, 1, 40, 2, 3) }),
+			func(r *wire.Reader) error { _, _, _, _, _, err := decodeTreeReq(r); return err }},
 		{"tree-resp", body(func(w *wire.Writer) { appendTreeResp(w, ds[0].Root, true) }),
 			func(r *wire.Reader) error { _, _, err := decodeTreeResp(r); return err }},
-		{"range-req", body(func(w *wire.Writer) { appendRangeReq(w, 1, 40, 25, 8) }),
-			func(r *wire.Reader) error { _, _, _, _, err := decodeRangeReq(r); return err }},
-		{"range-resp", body(func(w *wire.Writer) { appendRangeResp(w, 1, us) }),
-			func(r *wire.Reader) error { _, err := decodeUpdates(r, nil); return err }},
+		{"range-req", body(func(w *wire.Writer) { appendRangeReq(w, 2, 1, 40, 25, 8) }),
+			func(r *wire.Reader) error { _, _, _, _, _, err := decodeRangeReq(r); return err }},
+		{"range-resp", body(func(w *wire.Writer) { appendBatch(w, tRangeResp, 2, 1, us) }),
+			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
 		{"stats-req", []byte{},
 			func(r *wire.Reader) error { return r.End() }},
 		{"history-req", body(func(w *wire.Writer) { appendHistoryReq(w, 3) }),
@@ -206,7 +209,7 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, _, err := decodeRequest(r); return err }},
 		{"response", body(func(w *wire.Writer) { appendResponse(w, 9, model.Response{OK: true, Values: []model.Value{"v"}}) }),
 			func(r *wire.Reader) error { _, _, err := decodeResponse(r); return err }},
-		{"batch", body(func(w *wire.Writer) { appendBatch(w, 3, 1, us) }),
+		{"batch", body(func(w *wire.Writer) { appendBatch(w, tBatch, 3, 1, us) }),
 			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
 		{"ack", body(func(w *wire.Writer) { appendAck(w, 3, 130) }),
 			func(r *wire.Reader) error { _, _, err := decodeAck(r); return err }},
@@ -408,7 +411,7 @@ func TestGoldenWireVectors(t *testing.T) {
 		{"hello", enc(func(w *wire.Writer) { appendHello(w, 2, 8) })},
 		{"hello_ack", enc(func(w *wire.Writer) { appendHelloAck(w, []uint64{17, 0, 9, 2}) })},
 		{"batch", enc(func(w *wire.Writer) {
-			appendBatch(w, 3, 1, []protoUpdate{
+			appendBatch(w, tBatch, 3, 1, []protoUpdate{
 				{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
 				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
 			})
@@ -426,26 +429,32 @@ func TestGoldenWireVectors(t *testing.T) {
 			}
 		})},
 		{"join", enc(func(w *wire.Writer) {
-			appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002"})
+			appendJoin(w, joinReq{From: 2, Epoch: 3, Addr: "127.0.0.1:7002", Shards: 4})
+		})},
+		{"join_ack", enc(func(w *wire.Writer) {
+			appendJoinAck(w, 4, []membership.Member{{ID: 1, Addr: "127.0.0.1:7001", Epoch: 3}})
+		})},
+		{"tree_req", enc(func(w *wire.Writer) {
+			appendTreeReq(w, 3, 1, 40, 2, 3)
 		})},
 		{"range_req_windowed", enc(func(w *wire.Writer) {
-			appendRangeReq(w, 1, 40, 25, 8)
+			appendRangeReq(w, 3, 1, 40, 25, 8)
 		})},
 		{"digest", enc(func(w *wire.Writer) {
-			appendDigest(w, tDigest, []originDigest{
+			appendDigest(w, tDigest, 3, []originDigest{
 				{Origin: 0, Count: 33, Root: membership.HashUpdate(0, 1, []byte("x"))},
 				{Origin: 1, Count: 0},
 			})
 		})},
 		{"range_resp", enc(func(w *wire.Writer) {
-			appendRangeResp(w, 1, []protoUpdate{
+			appendBatch(w, tRangeResp, 3, 1, []protoUpdate{
 				{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
 				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
 			})
 		})},
 		{"compressed_envelope", func() []byte {
 			raw := enc(func(w *wire.Writer) {
-				appendRangeResp(w, 1, []protoUpdate{
+				appendBatch(w, tRangeResp, 3, 1, []protoUpdate{
 					{Origin: 1, Seq: 7, Lamport: 300, Payload: bytes.Repeat([]byte("abcdefgh"), 128)},
 				})
 			})
@@ -494,10 +503,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		return w.Bytes()
 	}
 	f.Add(seed(func(w *wire.Writer) {
-		appendBatch(w, 0, 0, []protoUpdate{{Origin: 0, Seq: 1, Lamport: 1, Payload: []byte("p")}})
+		appendBatch(w, tBatch, 0, 0, []protoUpdate{{Origin: 0, Seq: 1, Lamport: 1, Payload: []byte("p")}})
 	})[1:]) // bodies only: the caller strips the type tag
 	f.Add(seed(func(w *wire.Writer) {
-		appendBatch(w, 3, 2, []protoUpdate{
+		appendBatch(w, tRangeResp, 3, 2, []protoUpdate{
 			{Origin: 2, Seq: 1, Lamport: 5, Payload: nil},
 			{Origin: 2, Seq: 2, Lamport: 6, Payload: bytes.Repeat([]byte{7}, 100)},
 		})
@@ -515,7 +524,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		w := wire.NewWriter()
-		appendBatch(w, int(shard), us[0].Origin, us)
+		appendBatch(w, tBatch, int(shard), us[0].Origin, us)
 		r := wire.NewReader(w.Bytes())
 		if typ := r.Uvarint(); typ != tBatch {
 			t.Fatalf("re-encode type = %d", typ)

@@ -190,6 +190,35 @@ func TestShardedClusterConvergesAndAuditsPerShard(t *testing.T) {
 	}
 }
 
+// TestUnshardedStatsAreTheOneShardCase: Stats renders an unsharded node the
+// way every frame and the audit do — as the one-shard case: Shards 1 and one
+// entry per breakdown, equal to its aggregate, open or closed.
+func TestUnshardedStatsAreTheOneShardCase(t *testing.T) {
+	nd := bootNode(t, 0, 2, nil)
+	writeN(t, nd, 5, "w")
+	check := func(when string, st Stats) {
+		t.Helper()
+		if st.Shards != 1 {
+			t.Fatalf("%s: Shards = %d, want 1", when, st.Shards)
+		}
+		for _, c := range []struct {
+			name string
+			per  []int64
+			all  int64
+		}{
+			{"ops", st.ShardOps, st.Ops}, {"sends", st.ShardSends, st.Sends},
+			{"receives", st.ShardReceives, st.Receives}, {"events", st.ShardEvents, st.Events},
+		} {
+			if len(c.per) != 1 || c.per[0] != c.all {
+				t.Fatalf("%s: shard %s %v, want [%d]", when, c.name, c.per, c.all)
+			}
+		}
+	}
+	check("open", nd.Stats())
+	nd.Close()
+	check("closed", nd.Stats())
+}
+
 // TestAuditShardsRejectsMisroutedDo: a do event recorded by a shard its object
 // does not route to means two broadcast domains were mixed; the audit refuses
 // the run instead of ruling on it.

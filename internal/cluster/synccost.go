@@ -65,11 +65,11 @@ func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chun
 		return 0, 0, 0
 	}
 	bytes += frameLen(func(w *wire.Writer) {
-		appendRangeReq(w, 0, uint64(from), uint64(len(us)-from), 1)
+		appendRangeReq(w, 0, 0, uint64(from), uint64(len(us)-from), 1)
 	})
 	for rest := us[from:]; len(rest) > 0; {
 		chunk := rest[:cutBatch(rest, chunkMax, maxFrame-64)]
-		bytes += frameLen(func(w *wire.Writer) { appendRangeResp(w, 0, chunk) })
+		bytes += frameLen(func(w *wire.Writer) { appendBatch(w, tRangeResp, 0, 0, chunk) })
 		bytes += frameLen(func(w *wire.Writer) { appendAck(w, 0, chunk[len(chunk)-1].Seq) })
 		pulled += int64(len(chunk))
 		chunks++
@@ -114,8 +114,8 @@ func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame, window int) SyncCos
 		Origin: model.ReplicaID(0), Count: donor.Count(0), Root: donor.Root(0),
 		PrefixRoot: joiner.Root(0),
 	}}
-	row.DigestBytes = frameLen(func(w *wire.Writer) { appendDigest(w, tDigest, jd) }) +
-		frameLen(func(w *wire.Writer) { appendDigest(w, tDigestResp, dd) })
+	row.DigestBytes = frameLen(func(w *wire.Writer) { appendDigest(w, tDigest, 0, jd) }) +
+		frameLen(func(w *wire.Writer) { appendDigest(w, tDigestResp, 0, dd) })
 	row.Pulled, row.Chunks, row.PulledBytes = rangeCost(us, prefix, chunkMax, maxFrame)
 	if row.Chunks > 0 {
 		row.RTTs = 1 + (row.Chunks+int64(window)-1)/int64(window)
