@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-smoke flake figures json loc fuzz chaos chaos-search durability membership livecheck shard batteries-check ci
+.PHONY: build test verify bench allocs bench-smoke flake figures json loc fuzz chaos chaos-search durability membership livecheck shard batteries-check ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,14 @@ verify:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
+
+# The per-layer allocation rows of a write and of a received update: the
+# shard loop's (a client operation, a replicated update) and the causal
+# store's alone, at a fixed iteration count on one CPU so that B/op and
+# allocs/op read the same from run to run.
+allocs:
+	$(GO) test ./internal/cluster -run '^$$' -bench '^Benchmark(DoInLoop|ApplyUpdate)$$' -benchtime 200000x -cpu 1 -benchmem
+	$(GO) test ./internal/store/causal -run '^$$' -bench '^Benchmark(CausalWrite|CausalReceive)$$' -benchtime 200000x -cpu 1 -benchmem
 
 # The benchmark under benchmark/ is its own module, so `go build ./...` and
 # `go test ./...` never compile it: an interface change in the main module
@@ -141,7 +149,7 @@ livecheck:
 shard:
 	$(GO) test -race ./internal/cluster -run 'Shard|Pool|Compress' -count=1
 	$(GO) test -race ./internal/livecheck -run 'ShardSet' -count=1
-	$(GO) test -race ./internal/durable -run 'GroupCommit|SealIsARename|CrashInSealWindow' -count=1
+	$(GO) test -race ./internal/durable -run 'GroupCommit|SealIsARename|SealRefuses|CrashInSealWindow' -count=1
 	$(GO) test -race ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/ShardedCluster' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9ShardedGroupCommit' -count=1
 

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/charronbost"
@@ -227,7 +228,7 @@ func BenchmarkCausalStoreOps(b *testing.B) {
 		payloads := make([][]byte, 0, 256)
 		for i := 0; i < 256; i++ {
 			src.Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i))))
-			payloads = append(payloads, src.PendingMessage())
+			payloads = append(payloads, slices.Clone(src.PendingMessage()))
 			src.OnSend()
 		}
 		b.ResetTimer()

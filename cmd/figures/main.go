@@ -214,9 +214,9 @@ func statesize(out bench.Output) error {
 		// Every replica writes x concurrently; replica 0 receives everything.
 		for i := 1; i < n; i++ {
 			replicas[i].Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i))))
-			payload := replicas[i].PendingMessage()
+			// Delivered before OnSend, while replica i still lends the payload.
+			replicas[0].Receive(replicas[i].PendingMessage())
 			replicas[i].OnSend()
-			replicas[0].Receive(payload)
 		}
 		siblings := len(replicas[0].Do("x", model.Read()).Values)
 		t.AddRow(n, n-1, siblings, len(replicas[0].StateDigest()))

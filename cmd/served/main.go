@@ -200,10 +200,11 @@ func run(cfg serveConfig) error {
 	// node's own event stream for its shard (peers' mints arrive as
 	// watermarks), so it enforces the session guarantees — frontier
 	// monotonicity, read-your-writes, own-dot integrity — live, without any
-	// cross-node coordination. Per-shard checkers compose (Proposition 1: no
-	// key spans shards), so the set's verdict covers the whole node. Full
-	// causal/rval verdicts still come from the offline /history + BuildAudit
-	// pipeline, run per shard.
+	// cross-node coordination. They hold per shard: no key spans shards, but
+	// the node's order across its shards is not recorded, so the set's
+	// verdict covers each shard's part of the node's session, not the whole
+	// session. Full causal/rval verdicts still come from the offline /history
+	// + BuildAudit pipeline, run per shard, with the same limit.
 	ck := livecheck.NewShardSet(n, cfg.shards, livecheck.Options{
 		Observed: []model.ReplicaID{model.ReplicaID(cfg.id)},
 		Types:    spec.MVRTypes(),

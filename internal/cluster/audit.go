@@ -190,11 +190,14 @@ func (a ShardAudit) Err() error {
 // execution well-formed and — for the stores that claim it — the derived
 // abstract execution causally consistent under types. Each shard is its own
 // broadcast domain with its own Lamport clock, so same-shard histories merge
-// into an execution of their own; Proposition 1's per-object projections make
-// the per-shard verdicts compose into the whole cluster's, because no key
-// spans two shards — which is checked: a do event on an object that routes
-// elsewhere fails the audit. Verdicts come back in the ShardAudits; the error
-// is for a run that cannot be audited at all.
+// into an execution of their own. No key spans two shards — which is
+// checked: a do event on an object that routes elsewhere fails the audit —
+// so verdicts on per-object properties compose into the whole cluster's.
+// The causal verdict does not: happens-before chains through a node's
+// session order across objects, hence across shards, and a per-shard audit
+// sees none of that order. For a sharded run it is a verdict per shard, not
+// one on the cluster. Verdicts come back in the ShardAudits; the error is
+// for a run that cannot be audited at all.
 func AuditShards(shards int, fetch func(shard int) ([]History, error), types spec.Types) ([]ShardAudit, error) {
 	router := NewShardRouter(shards)
 	out := make([]ShardAudit, shards)

@@ -113,7 +113,11 @@ type Config struct {
 	// (their first recording was); sends
 	// re-minted during restore are new events and are. The callback runs on
 	// the recording shard's event loop: it must return quickly and must not
-	// call back into the node. Intended for internal/livecheck; the
+	// call back into the node. The event is the tap's to keep, Frontier
+	// included: a do event's frontier is an immutable copy, cloned only when
+	// it differs from the previous one streamed, so consecutive do events
+	// that saw the same frontier share one slice and none may be written
+	// through. Intended for internal/livecheck; the
 	// Supervisor copies it into every restart incarnation like the rest of
 	// the base config.
 	Tap func(shard int, ev livecheck.Event)
@@ -169,7 +173,11 @@ type Config struct {
 // NodeStorage provides per-incarnation durable storage for a node's
 // recorded history (implemented by durable.Storage). Open is called once
 // per incarnation and shard, before the node serves anything: journal
-// persists each newly recorded event, restore is the recovered history of
+// persists each newly recorded event — ev and its Frontier are valid only
+// for the call (a do event's Frontier is the shard's live frontier, which
+// the next do moves on), so a journal that keeps the event clones the
+// frontier, while ev.Payload is the history's own immutable copy and may be
+// kept as it is — restore is the recovered history of
 // the previous incarnation (nil on first boot), and closeLog (nil for none)
 // is invoked after the event loop has exited. shard/shards name which of
 // the node's shard logs to open. tree is ignored (implementations return
@@ -500,8 +508,8 @@ func (n *Node) allPeers() []*peerSender {
 
 // liveEvent converts a recorded event for the streaming checker: the
 // payload is stripped (the checker never inspects store state) and the
-// recording node stamped on. The Frontier slice is shared with the history
-// entry, which never mutates it.
+// recording node stamped on. The Frontier slice is the caller's: record
+// passes the shard's immutable tapped copy, never the live frontier.
 func liveEvent(node model.ReplicaID, ev Event) livecheck.Event {
 	return livecheck.Event{
 		Node: node, Kind: ev.Kind, Lamport: ev.Lamport,

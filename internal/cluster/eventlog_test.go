@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/seglog"
 	"repro/internal/spec"
@@ -60,12 +62,39 @@ func (r *emptyMsgReplica) Receive(payload []byte) {
 	}
 }
 
-// journaledCluster boots n linked nodes of st that journal to one memStorage.
+// lendingStorage wraps a NodeStorage so that its journal is handed each do
+// event's frontier in a copy the wrapper owns and scribbles over as soon as
+// the call returns: the journal contract at its strictest. A journal that
+// keeps the frontier it was shown without cloning it keeps garbage, and
+// whatever is restored or compared from it shows that.
+type lendingStorage struct{ NodeStorage }
+
+func (s lendingStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	journal, restore, tree, closeLog, err := s.NodeStorage.Open(id, n, storeName, shard, shards)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	lent := func(ev Event) error {
+		if ev.Frontier == nil {
+			return journal(ev)
+		}
+		ev.Frontier = slices.Clone(ev.Frontier)
+		err := journal(ev)
+		for i := range ev.Frontier {
+			ev.Frontier[i] = math.MaxUint64
+		}
+		return err
+	}
+	return lent, restore, tree, closeLog, nil
+}
+
+// journaledCluster boots n linked nodes of st that journal to one memStorage,
+// through lendingStorage.
 func journaledCluster(t *testing.T, st store.Store, n int) ([]*Node, *memStorage) {
 	t.Helper()
 	mem := &memStorage{}
 	// The store named here only stands in until the config is handed over.
-	return startClusterWith(t, "lww", n, func(cfg *Config) { cfg.Store, cfg.Storage = st, mem }), mem
+	return startClusterWith(t, "lww", n, func(cfg *Config) { cfg.Store, cfg.Storage = st, lendingStorage{mem} }), mem
 }
 
 // restartAlone closes nd and boots its next incarnation from mem, linked to
@@ -74,7 +103,7 @@ func restartAlone(t *testing.T, nd *Node, mem *memStorage) *Node {
 	t.Helper()
 	nd.Close()
 	cfg := fastConfig(nd.ID(), nd.cfg.N, nd.cfg.Store)
-	cfg.Storage = mem
+	cfg.Storage = lendingStorage{mem}
 	next, err := NewNode(cfg)
 	if err != nil {
 		t.Fatalf("r%d does not restart from its own journal: %v", nd.ID(), err)
@@ -206,7 +235,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 	var us []protoUpdate
 	for i := 0; i < 8; i++ {
 		src.Do("k", model.Write(model.Value(fmt.Sprintf("value-%d", i))))
-		frame = append(frame, src.PendingMessage())
+		frame = append(frame, slices.Clone(src.PendingMessage()))
 		src.OnSend()
 		us = append(us, protoUpdate{Origin: 0, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: frame[i]})
 	}

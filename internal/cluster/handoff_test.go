@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -114,8 +115,7 @@ func TestRecordCostIndependentOfHistory(t *testing.T) {
 		t.Fatalf("recorded %d events, want %d", got, total)
 	}
 	updates := s.updates[1].Len() + s.updates[2].Len()
-	// A complete node per LeafSpan updates at level 0, half as many above, …
-	occupied := float64(encodedBytes(s)) + float64(updates)*(float64(unsafe.Sizeof(seglog.Pos{}))+2*float64(unsafe.Sizeof(membership.Hash{}))/membership.LeafSpan)
+	occupied := float64(encodedBytes(s)) + float64(updates)*perUpdateKept
 	if sum > 1.25*occupied {
 		t.Errorf("recording %d events allocated %.0f B, %.2f× the %.0f B they occupy", total, sum, sum/occupied, occupied)
 	}
@@ -264,6 +264,134 @@ func TestServedReadAllocatesItsEventOnly(t *testing.T) {
 	if limit := storeBytes + float64(rec.Len()) + slack; served > limit {
 		t.Fatalf("a served read allocates %.1f B: the store's own %.1f B + the %d B record + %.1f B nobody owns",
 			served, storeBytes, rec.Len(), served-limit+slack)
+	}
+}
+
+// perUpdateKept is what a shard keeps of one update beside its record: its
+// position in the update index and its share of the Merkle node cache (a
+// node per LeafSpan updates, half as many on the level above, …).
+var perUpdateKept = float64(unsafe.Sizeof(seglog.Pos{})) + 2*float64(unsafe.Sizeof(membership.Hash{}))/membership.LeafSpan
+
+// TestServedWriteAllocatesOnlyWhatItKeeps: serving a write allocates what
+// the node keeps of it — the do and send records, the update's index entry
+// and node-cache share — on top of what the store's Do keeps (the value's
+// version and its Deps). The store's message is encoded in a buffer it
+// owns and copied once, into the send record; the do record encodes the
+// shard's frontier as it stands. (Each used to cost a copy nobody kept: an
+// exact-size payload and a clone of the frontier per write.)
+func TestServedWriteAllocatesOnlyWhatItKeeps(t *testing.T) {
+	const writes = 4 * seglog.SegmentLen
+	write := model.Write(benchValue)
+	nd := bootNode(t, 0, 3, nil)
+	twin := nd.cfg.Store.NewReplica(0, 3)
+	checker := store.NewPropertyChecker(twin)
+	storeDo := func() {
+		checker.CheckDo("k", write)
+		twin.OnSend() // drains the outbox without asking for the message
+	}
+	for i := 0; i < seglog.SegmentLen; i++ {
+		storeDo()
+	}
+	storeBytes := allocBytes(func() {
+		for i := 0; i < writes; i++ {
+			storeDo()
+		}
+	}) / writes
+	storeAllocs := testing.AllocsPerRun(writes, storeDo)
+
+	call := newDoCall(nd)
+	serve := func() {
+		if resp, err := call.do("k", write); err != nil || !resp.OK {
+			t.Fatalf("write = (%v, %v)", resp, err)
+		}
+	}
+	// Past the history's and the update index's first, doubling blocks.
+	for i := 0; i < seglog.SegmentLen; i++ {
+		serve()
+	}
+	served := allocBytes(func() {
+		for i := 0; i < writes; i++ {
+			serve()
+		}
+	}) / writes
+	evs := nd.History().Events
+	do, send := evs[len(evs)-2], evs[len(evs)-1]
+	if do.Kind != model.ActDo || send.Kind != model.ActSend {
+		t.Fatalf("a write ended in %v, %v events, want do, send", do.Kind, send.Kind)
+	}
+	rec := wire.NewWriter()
+	for _, ev := range []Event{do, send} {
+		if err := AppendEventBinary(rec, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The slack covers the one block more or less that can start inside the
+	// measured writes, the block and segment tables and a stray runtime
+	// allocation.
+	const slack = seglog.BlockSize/writes + 8
+	limit := storeBytes + float64(rec.Len()) + perUpdateKept + slack
+	t.Logf("a served write allocates %.1f B: the store's %.1f B, %d B of records, %.1f B kept per update", served, storeBytes, rec.Len(), perUpdateKept)
+	if served > limit {
+		t.Errorf("a served write allocates %.1f B: the store's own %.1f B + %d B of records + %.1f B per update + %.1f B nobody owns",
+			served, storeBytes, rec.Len(), perUpdateKept, served-limit+slack)
+	}
+	if got := testing.AllocsPerRun(writes, serve); got > storeAllocs {
+		t.Errorf("a served write allocates %.0f times; the store's Do accounts for %.0f", got, storeAllocs)
+	}
+}
+
+// TestReceiveAllocatesOnlyWhatItKeeps: applying a replicated update
+// allocates its receive record, its index entry and node-cache share, and
+// what the store keeps of it — the decoded value and Deps and an apply-log
+// entry. The update's
+// object is one the receiver already holds, so its key is looked up, not
+// decoded into a new string.
+func TestReceiveAllocatesOnlyWhatItKeeps(t *testing.T) {
+	const keys, updates = 64, 4 * seglog.SegmentLen
+	src := openCausal(t).NewReplica(0, 3)
+	us := make([]protoUpdate, keys+seglog.SegmentLen+updates)
+	for i := range us {
+		src.Do(model.ObjectID(fmt.Sprintf("object-%04d", i%keys)), model.Write(benchValue))
+		us[i] = protoUpdate{Origin: 0, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: slices.Clone(src.PendingMessage())}
+		src.OnSend()
+	}
+	s := looseShard(t, "causal")
+	next := 0
+	apply := func() {
+		if _, ok := s.applyUpdate(us[next]); !ok {
+			t.Fatal(s.jerr)
+		}
+		next++
+	}
+	// Every key known, and past the first, doubling blocks and segments.
+	for next < keys+seglog.SegmentLen/2 {
+		apply()
+	}
+	allocs := testing.AllocsPerRun(seglog.SegmentLen/2-1, apply)
+	received := allocBytes(func() {
+		for i := 0; i < updates; i++ {
+			apply()
+		}
+	}) / updates
+
+	last := s.events.update(s.updates[0].At(next - 1))
+	var rec wire.Writer
+	if err := AppendEventBinary(&rec, Event{Kind: model.ActReceive, Lamport: s.lamport, Origin: last.Origin, Seq: last.Seq, Payload: last.Payload}); err != nil {
+		t.Fatal(err)
+	}
+	// What the store keeps: the value string and a Deps vector of three
+	// entries, each a whole allocation size class, and the update's
+	// four-byte origin in its apply log.
+	const kept = len(benchValue) + 3*8 + 4
+	const slack = seglog.BlockSize/updates + 8
+	limit := float64(rec.Len()+kept) + perUpdateKept + slack
+	t.Logf("a received update allocates %.1f B in %.0f allocations: %d B of record, %d B in the store, %.1f B kept per update", received, allocs, rec.Len(), kept, perUpdateKept)
+	if received > limit {
+		t.Errorf("a received update allocates %.1f B: the %d B record + the store's %d B + %.1f B per update + %.1f B nobody owns",
+			received, rec.Len(), kept, perUpdateKept, received-limit+slack)
+	}
+	if allocs > 2 {
+		t.Errorf("a received update allocates %.0f times; the value and its Deps account for 2", allocs)
 	}
 }
 

@@ -64,9 +64,10 @@ type Event struct {
 	// It is the networked stand-in for the simulator's per-event visibility
 	// snapshot, exact for stores whose visibility is per-origin
 	// prefix-closed (all registered stores under this FIFO transport).
-	// Recorded frontiers are immutable, and a node relies on it: consecutive
-	// do events that saw the same frontier share one slice (as do the
-	// copies History hands out), so a consumer must not write through it.
+	// A consumer must not write through it: in what History hands out and
+	// in what Config.Tap streams, consecutive do events that saw the same
+	// frontier share one slice; what a journal is handed is the shard's live
+	// frontier, valid only for the call (see NodeStorage).
 	Frontier []uint64 `json:"frontier,omitempty"`
 
 	// Send and receive events.
@@ -91,7 +92,9 @@ type History struct {
 	// Histories from different shards have independent
 	// (Origin, Seq) domains and must never be merged together — each
 	// shard's histories merge and audit with their cross-node counterparts
-	// only, which Proposition 1's per-object projections make sound.
+	// only. That is sound for per-object properties, since no object spans
+	// two shards; it says nothing about causal consistency across shards,
+	// whose happens-before runs through session order across objects.
 	Shard  int `json:"shard,omitempty"`
 	Shards int `json:"shards,omitempty"`
 }

@@ -388,6 +388,8 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 		em := fault.NewNetem(n)
 		base := Config{
 			Store: st, Seed: 23, Shards: shards,
+			// The restarted node recovers from what its journal kept.
+			Storage:        lendingStorage{&memStorage{}},
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,

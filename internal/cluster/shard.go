@@ -49,9 +49,13 @@ func (r *ShardRouter) Route(obj model.ObjectID) int {
 // shard is one independent slice of a node: its own store replica behind
 // its own single-goroutine event loop, its own Lamport clock and broadcast
 // sequence domain, its own recorded history and durable journal. Each
-// shard is the paper's §2 replica in miniature — Proposition 1's
-// per-object projections mean the per-shard histories audit independently
-// and their verdicts compose, because no object ever spans two shards.
+// shard is the paper's §2 replica in miniature, and its histories audit on
+// their own. Because no object ever spans two shards, verdicts on
+// per-object properties (well-formedness of each broadcast domain,
+// convergence) compose across shards. Causal consistency does not follow:
+// happens-before chains through a node's session order across objects, so
+// across shards, and nothing records or enforces order between a node's
+// shards. It is not established for a sharded node.
 type shard struct {
 	n   *Node
 	idx int
@@ -77,12 +81,16 @@ type shard struct {
 	closeJournal func() error
 
 	// State below is owned by this shard's event-loop goroutine.
-	lamport  uint64
-	frontier []uint64 // per-origin visible store-dot prefix
-	// lastFrontier is the frontier most recently recorded on a do event.
-	// Recorded frontiers are immutable, so consecutive do events that saw
-	// the same frontier share this one slice instead of cloning it each.
-	lastFrontier []uint64
+	lamport uint64
+	// frontier is the per-origin visible store-dot prefix. A do event
+	// records it as it stands: the record encodes it, and the journal is
+	// shown it for the call only.
+	frontier []uint64
+	// tapped is the frontier most recently streamed to Config.Tap, the one
+	// consumer that keeps it. Streamed frontiers are immutable, so
+	// consecutive do events that saw the same frontier share this one slice
+	// instead of cloning it each.
+	tapped []uint64
 	// events is the recorded history, in its codec form (eventlog.go). The
 	// node must keep all of it (it is the only input the checkers accept),
 	// but appending to it never re-copies what is already there, so
@@ -188,8 +196,10 @@ func (s *shard) inLoop(fn func()) error {
 // acknowledged event is always durable. A journal failure fail-stops the
 // node. It returns the history's own copy of ev.Payload and where the
 // event's record starts (eventLog.append): ev.Payload itself may be
-// connection memory or the store's to reuse, so the copy is what the journal
-// is handed and the only slice a caller may pass on. Runs on the shard's
+// connection memory or the store's lent message, so the copy is what the
+// journal is handed and the only slice a caller may pass on. ev.Frontier
+// may be the shard's live frontier: it is encoded and shown to the journal,
+// and only the tap, which keeps it, is given a copy. Runs on the shard's
 // loop (or in restore, before the loop starts).
 func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	s.logMu.Lock() // an append writes the block table logRun reads off the loop
@@ -209,6 +219,12 @@ func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	// it cannot also promise to remember, so the streamed prefix is always
 	// a prefix of the durable log.
 	if s.n.cfg.Tap != nil && s.jerr == nil {
+		if ev.Frontier != nil {
+			if !slices.Equal(s.tapped, ev.Frontier) {
+				s.tapped = slices.Clone(ev.Frontier)
+			}
+			ev.Frontier = s.tapped
+		}
 		s.n.cfg.Tap(s.idx, liveEvent(s.n.cfg.ID, ev))
 	}
 	return payload, at
@@ -230,15 +246,12 @@ func (s *shard) doInLoop(obj model.ObjectID, op model.Operation) model.Response 
 		}
 	}
 	s.advanceFrontier()
-	if s.reportsVis {
-		if !slices.Equal(s.lastFrontier, s.frontier) {
-			s.lastFrontier = slices.Clone(s.frontier)
-		}
-		ev.Frontier = s.lastFrontier
-	}
 	// Stores without visibility reporting record no frontier at all: an
 	// all-zero frontier would claim "this read saw nothing", and BuildAudit
 	// would derive read-containment edges from a claim the store never made.
+	if s.reportsVis {
+		ev.Frontier = s.frontier
+	}
 	s.record(ev)
 	s.broadcastPending()
 	return resp

@@ -109,15 +109,15 @@ func shardedObjects(t *testing.T, shards, atLeast int) []model.ObjectID {
 	return objs
 }
 
-// TestShardedClusterConvergesAndAuditsPerShard is the tentpole's end-to-end
-// check: a 3-node cluster with 4 shards per node takes writes from every
-// node across keys covering every shard, replicates over the multiplexed
-// links, quiesces, and converges. The recorded histories are then audited
-// PER SHARD — same-shard histories across nodes merge into a well-formed
-// execution; different shards never mix (Proposition 1's per-object
-// projections: no object spans shards, so the full execution satisfies the
-// checked guarantees iff every shard's projection does). The online
-// ShardSet must agree with the offline verdicts.
+// TestShardedClusterConvergesAndAuditsPerShard is the sharded cluster's
+// end-to-end check: a 3-node cluster with 4 shards per node takes writes
+// from every node across keys covering every shard, replicates over the
+// multiplexed links, quiesces, and converges. The recorded histories are
+// then audited PER SHARD — same-shard histories across nodes merge into a
+// well-formed execution; different shards never mix. No object spans
+// shards, so per-object verdicts compose; the causal verdicts are per shard
+// only, since happens-before across a node's shards is not recorded. The
+// online ShardSet must agree with the offline verdicts.
 func TestShardedClusterConvergesAndAuditsPerShard(t *testing.T) {
 	const n = 3
 	const shards = 4

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,6 +77,7 @@ func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, sh
 			m.logs = make(map[[2]int][]Event)
 		}
 		key := [2]int{int(id), shard}
+		ev.Frontier = slices.Clone(ev.Frontier) // lent for the call; the payload is the history's
 		m.logs[key] = append(m.logs[key], ev)
 		return nil
 	}

@@ -169,8 +169,10 @@ func RunMessageLowerBound(st store.Store, cfg LowerBoundConfig) (*LowerBoundResu
 			sent := res.Exec.AppendSend(model.ReplicaID(i), payload)
 			writers[i].OnSend()
 			beta[i][j] = sent.MsgID
-			betaPayloads[i][j] = payload
-			if bits := len(payload) * 8; bits > res.BetaMaxBits {
+			// The execution's copy: the writer only lent payload until OnSend.
+			msg, _ := res.Exec.Message(sent.MsgID)
+			betaPayloads[i][j] = msg.Payload
+			if bits := len(msg.Payload) * 8; bits > res.BetaMaxBits {
 				res.BetaMaxBits = bits
 			}
 			res.TotalMessages++
@@ -195,12 +197,14 @@ func RunMessageLowerBound(st store.Store, cfg LowerBoundConfig) (*LowerBoundResu
 	}
 	resp := encoder.Do(yObject, model.Write("1"))
 	res.Exec.AppendDo(encoderID, yObject, model.Write("1"), resp)
-	mg := encoder.PendingMessage()
-	if mg == nil {
+	lent := encoder.PendingMessage()
+	if lent == nil {
 		return nil, fmt.Errorf("core: encoder has no pending message after writing y (Lemma 5 violated)")
 	}
-	res.Exec.AppendSend(encoderID, mg)
+	sent := res.Exec.AppendSend(encoderID, lent)
 	encoder.OnSend()
+	msg, _ := res.Exec.Message(sent.MsgID)
+	mg := msg.Payload
 	res.TotalMessages++
 	res.MgBits = len(mg) * 8
 

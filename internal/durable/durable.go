@@ -283,10 +283,18 @@ var testCrashSeal func()
 // in it was fsynced by the Append that wrote it, so nothing is copied and a
 // crash at any point is safe: before the rename the directory holds a long
 // wal, after it a sealed segment and — until openWal — no wal at all, and
-// recovery reads both the same way.
+// recovery reads both the same way. Segment names are unique by
+// construction, so a file already holding this one's name is damage: the
+// seal refuses it rather than let the rename replace it.
 func (l *Log) seal() error {
 	seg := fmt.Sprintf(segFormat, l.count-l.walCount)
-	if err := os.Rename(filepath.Join(l.dir, walName), filepath.Join(l.dir, seg)); err != nil {
+	dst := filepath.Join(l.dir, seg)
+	if _, err := os.Lstat(dst); err == nil {
+		return fmt.Errorf("durable: seal: %s already exists; refusing to rename the wal over it", seg)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("durable: seal: %w", err)
+	}
+	if err := os.Rename(filepath.Join(l.dir, walName), dst); err != nil {
 		return fmt.Errorf("durable: seal: %w", err)
 	}
 	if !l.opts.NoSync {

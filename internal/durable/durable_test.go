@@ -381,6 +381,47 @@ func TestSealIsARename(t *testing.T) {
 	}
 }
 
+// TestSealRefusesExistingSegment: a file already named after the segment a
+// seal is about to create is left as it is. The seal fails, the wal keeps
+// every record it holds, and the planted file is not replaced. (A rename
+// replaces its target silently, so unguarded, the planted file was lost and
+// the append reported success.)
+func TestSealRefusesExistingSegment(t *testing.T) {
+	const every = 8
+	dir := t.TempDir()
+	l, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	planted := filepath.Join(dir, fmt.Sprintf(segFormat, 0))
+	if err := os.WriteFile(planted, []byte("planted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events := sampleEvents(every)
+	var walBytes int64
+	for i, ev := range events {
+		rec, err := encodeTestRecord(uint64(i), ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walBytes += int64(len(rec))
+		err = l.Append(ev)
+		if i < every-1 && err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if i == every-1 && err == nil {
+			t.Fatalf("the sealing append renamed the wal over %s", filepath.Base(planted))
+		}
+	}
+	if got, err := os.ReadFile(planted); err != nil || string(got) != "planted" {
+		t.Fatalf("the planted segment now holds %q (err %v)", got, err)
+	}
+	if info, err := os.Stat(filepath.Join(dir, walName)); err != nil || info.Size() != walBytes {
+		t.Fatalf("after the refused seal the wal is %v (err %v), want %d bytes", info, err, walBytes)
+	}
+}
+
 // TestSnapshotWalOverlapRecovers simulates a copying seal's crash between
 // its fsync and its wal truncation: the wal still holds records the snapshot
 // already covers. Recovery must skip the overlap by index, not duplicate.

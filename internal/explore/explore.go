@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -351,14 +352,13 @@ func (s *liveState) broadcast(from model.ReplicaID) {
 		if payload == nil {
 			return
 		}
-		s.checkers[from].OnSend()
+		// The payload is lent until OnSend: every queue's copy is taken first.
 		for to := 0; to < s.n; to++ {
 			if model.ReplicaID(to) != from {
-				p := make([]byte, len(payload))
-				copy(p, payload)
-				s.queues[to] = append(s.queues[to], p)
+				s.queues[to] = append(s.queues[to], slices.Clone(payload))
 			}
 		}
+		s.checkers[from].OnSend()
 	}
 }
 

@@ -1,13 +1,14 @@
 package livecheck
 
-// ShardSet runs one Checker per shard of a sharded node or cluster and
-// composes their verdicts. Correctness rests on the same per-object
-// projection argument (Proposition 1) the offline audit uses: a key lives on
-// exactly one shard, every shard has its own (origin, seq) broadcast domain
-// and Lamport clock, and no §4 property relates operations on different
-// objects — so the full event stream satisfies the checked guarantees iff
-// every shard's projection does, and the projections can be checked
-// independently with no shared state.
+// ShardSet runs one Checker per shard of a sharded node or cluster and sums
+// their verdicts. A key lives on exactly one shard, and every shard has its
+// own (origin, seq) broadcast domain and Lamport clock, so each shard's
+// stream is checked on its own with no shared state. What that settles is
+// per shard: a property of single objects holds of the whole stream iff it
+// holds of every shard's. The causal checks are not of that kind —
+// happens-before chains through a node's session order across objects, so
+// across shards — and a clean ShardSet does not establish causal
+// consistency across shards, as the offline per-shard audit does not.
 //
 // Observe's signature matches cluster.Config.Tap, so a ShardSet drops in
 // where a single Checker's Observe did: `cfg.Tap = set.Observe`.

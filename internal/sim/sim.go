@@ -260,7 +260,7 @@ func (c *Cluster) Send(r model.ReplicaID) (int, bool) {
 	if payload == nil {
 		return 0, false
 	}
-	e := c.exec.AppendSend(r, payload)
+	e := c.exec.AppendSend(r, payload) // copies it: the replica only lends it
 	c.checkers[r].OnSend()
 	if c.tap != nil {
 		c.tap.send(r, e.MsgID)

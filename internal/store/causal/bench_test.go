@@ -47,7 +47,8 @@ func newWriter(valueBytes int) *writer {
 	return w
 }
 
-// write performs one write and returns its broadcast.
+// write performs one write and returns its broadcast, lent by the replica
+// until its next write.
 func (w *writer) write() []byte {
 	w.r.Do(w.keys[w.n%len(w.keys)], model.Write(w.value))
 	w.n++
@@ -94,7 +95,7 @@ func BenchmarkCausalReceive(b *testing.B) {
 						b.StopTimer()
 						chunk = chunk[:0]
 						for j := 0; j < cap(chunk); j++ {
-							chunk = append(chunk, w.write())
+							chunk = append(chunk, slices.Clone(w.write()))
 						}
 						b.StartTimer()
 					}
@@ -122,7 +123,7 @@ func TestApplyCostIndependentOfHistory(t *testing.T) {
 		payloads = payloads[:0]
 		writes = append(writes, allocBytes(func() {
 			for j := 0; j < burst; j++ {
-				payloads = append(payloads, w.write())
+				payloads = append(payloads, slices.Clone(w.write()))
 			}
 		}))
 		receives = append(receives, allocBytes(func() {

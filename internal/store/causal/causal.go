@@ -116,6 +116,9 @@ type version struct {
 
 // objState holds per-object replica state for whichever type the object has.
 type objState struct {
+	// id is the object's key, kept so that a received update for an object
+	// the replica holds reuses this string instead of decoding a new one.
+	id  model.ObjectID
 	typ spec.ObjectType
 
 	versions []version // MVR
@@ -156,11 +159,13 @@ type Replica struct {
 	// segment log, of four pointer-free bytes an update.
 	applyLog seglog.Log[uint32]
 
-	// list and dots are the digest renderer's scratch, and decoded is
-	// Receive's (the batch being decoded; empty between calls): not state.
+	// list and dots are the digest renderer's scratch, decoded is Receive's
+	// (the batch being decoded; empty between calls), and msg holds the
+	// encoding PendingMessage lends out: not state.
 	list    store.SortedList
 	dots    []model.Dot
 	decoded []update
+	msg     wire.Writer
 }
 
 var (
@@ -188,7 +193,7 @@ func (r *Replica) LastDot() (model.Dot, bool) {
 func (r *Replica) object(id model.ObjectID) *objState {
 	st, ok := r.objects[id]
 	if !ok {
-		st = &objState{typ: r.types.Of(id)}
+		st = &objState{id: id, typ: r.types.Of(id)}
 		if st.typ == spec.TypeORSet {
 			st.adds = make(map[model.Value]map[model.Dot]bool)
 		}
@@ -321,7 +326,7 @@ func (r *Replica) ready(u update) bool {
 // Receive implements store.Replica: decode, deduplicate, buffer, and drain
 // everything that became causally ready.
 func (r *Replica) Receive(payload []byte) {
-	updates, err := decodePayload(r.decoded[:0], payload, r.n, r.opts.SparseDeps)
+	updates, err := r.decodePayload(r.decoded[:0], payload)
 	// A corrupt payload is ignored: well-formed executions never produce
 	// one, and dropping it is indistinguishable from a message drop.
 	if err == nil {
@@ -378,7 +383,8 @@ func (r *Replica) drain() {
 	}
 }
 
-// PendingMessage implements store.Replica: the outbox encoding, or nil.
+// PendingMessage implements store.Replica: the outbox encoding, or nil,
+// lent from the replica's own buffer.
 func (r *Replica) PendingMessage() []byte {
 	if len(r.outbox) == 0 {
 		return nil
@@ -387,7 +393,9 @@ func (r *Replica) PendingMessage() []byte {
 	if r.opts.PerUpdateMessages {
 		batch = r.outbox[:1]
 	}
-	return encodePayload(batch, r.opts.SparseDeps)
+	r.msg.Reset()
+	encodePayload(&r.msg, batch, r.opts.SparseDeps)
+	return r.msg.Bytes()
 }
 
 // OnSend implements store.Replica.
@@ -513,12 +521,8 @@ func sortDots(ds []model.Dot) {
 	})
 }
 
-// encodePayload serializes a batch of updates into a slice of exactly its
-// length, the caller's to keep. The encoding is built in a pooled writer, so
-// the result is the only allocation.
-func encodePayload(batch []update, sparse bool) []byte {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
+// encodePayload appends the encoding of a batch of updates to w.
+func encodePayload(w *wire.Writer, batch []update, sparse bool) {
 	w.Uvarint(uint64(len(batch)))
 	for _, u := range batch {
 		w.Dot(u.Dot)
@@ -537,7 +541,6 @@ func encodePayload(batch []update, sparse bool) []byte {
 			w.Dot(d)
 		}
 	}
-	return append(make([]byte, 0, w.Len()), w.Bytes()...)
 }
 
 // minUpdateBytes is the shortest encoding of one update: a byte each for
@@ -549,9 +552,11 @@ const minUpdateBytes = 9
 // scratch, or nil) and returns it, replaced by a larger one if need be — on
 // an error too, holding whatever was decoded before it. The count and every
 // length come from the peer, so nothing is sized from them beyond what the
-// payload's bytes can hold.
-func decodePayload(dst []update, payload []byte, n int, sparse bool) ([]update, error) {
-	rd := wire.NewReader(payload)
+// payload's bytes can hold. An update of an object the replica holds takes
+// that object's key; only a key it has not seen is decoded into a new string.
+func (r *Replica) decodePayload(dst []update, payload []byte) ([]update, error) {
+	var rd wire.Reader
+	rd.Reset(payload)
 	count := rd.Uvarint()
 	if count > uint64(len(payload)/minUpdateBytes) {
 		return dst, fmt.Errorf("causal: implausible update count %d", count)
@@ -564,12 +569,17 @@ func decodePayload(dst []update, payload []byte, n int, sparse bool) ([]update, 
 		u := &dst[len(dst)-1]
 		u.Dot = rd.Dot()
 		u.Lamport = rd.Uvarint()
-		u.Obj = model.ObjectID(rd.String())
+		key := rd.Bytes()
+		if st, ok := r.objects[model.ObjectID(key)]; ok {
+			u.Obj = st.id
+		} else {
+			u.Obj = model.ObjectID(key)
+		}
 		u.Kind = model.OpKind(rd.Uvarint())
 		u.Value = model.Value(rd.String())
 		u.Delta = rd.Varint()
-		if sparse {
-			u.Deps = rd.SparseVC(n)
+		if r.opts.SparseDeps {
+			u.Deps = rd.SparseVC(r.n)
 		} else {
 			u.Deps = rd.VC()
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/store/storetest"
 )
 
 func newPair(t *testing.T) (*Replica, *Replica) {
@@ -22,11 +23,10 @@ func newPair(t *testing.T) (*Replica, *Replica) {
 // relay broadcasts r's pending message into the peers.
 func relay(t *testing.T, from *Replica, to ...*Replica) []byte {
 	t.Helper()
-	payload := from.PendingMessage()
+	payload := storetest.Send(from)
 	if payload == nil {
 		t.Fatal("expected a pending message")
 	}
-	from.OnSend()
 	for _, r := range to {
 		r.Receive(payload)
 	}
@@ -65,10 +65,8 @@ func TestConcurrentWritesSurfaceAsSiblings(t *testing.T) {
 	r0, r1 := newPair(t)
 	r0.Do("x", model.Write("a"))
 	r1.Do("x", model.Write("b"))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	want := model.ReadResponse([]model.Value{"a", "b"})
@@ -99,12 +97,10 @@ func TestCausalBufferingHoldsOutOfOrderUpdate(t *testing.T) {
 	r2 := st.NewReplica(2, 3).(*Replica)
 
 	r0.Do("x", model.Write("a"))
-	pa := r0.PendingMessage()
-	r0.OnSend()
+	pa := storetest.Send(r0)
 	r1.Receive(pa)
 	r1.Do("y", model.Write("b")) // depends on a
-	pb := r1.PendingMessage()
-	r1.OnSend()
+	pb := storetest.Send(r1)
 
 	// r2 receives b before a: it must buffer b, exposing neither y=b without
 	// its dependency nor a stale view afterwards.
@@ -157,11 +153,10 @@ func TestOpDrivenMessages(t *testing.T) {
 		t.Fatal("message pending in initial state (Definition 15 violated)")
 	}
 	r0.Do("x", model.Write("a"))
-	payload := r0.PendingMessage()
+	payload := storetest.Send(r0)
 	if payload == nil {
 		t.Fatal("no message pending after a write")
 	}
-	r0.OnSend()
 	if r0.PendingMessage() != nil {
 		t.Fatal("message still pending after send")
 	}
@@ -195,8 +190,7 @@ func TestPerUpdateMessagesOption(t *testing.T) {
 	r0.Do("y", model.Write("b"))
 	count := 0
 	for r0.PendingMessage() != nil {
-		p := r0.PendingMessage()
-		r0.OnSend()
+		p := storetest.Send(r0)
 		r1.Receive(p)
 		count++
 		if count > 10 {
@@ -216,8 +210,7 @@ func TestSparseDepsRoundTrip(t *testing.T) {
 	r0 := st.NewReplica(0, 8).(*Replica)
 	r1 := st.NewReplica(1, 8).(*Replica)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if got := r1.Do("x", model.Read()); !got.Equal(model.ReadResponse([]model.Value{"a"})) {
 		t.Fatalf("sparse read = %s", got)
@@ -231,10 +224,8 @@ func TestLWWRegisterConvergesToLatest(t *testing.T) {
 	r1 := st.NewReplica(1, 2).(*Replica)
 	r0.Do("reg", model.Write("a"))
 	r1.Do("reg", model.Write("b"))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	g0 := r0.Do("reg", model.Read())
@@ -254,17 +245,14 @@ func TestORSetAddWins(t *testing.T) {
 	r1 := st.NewReplica(1, 2).(*Replica)
 
 	r0.Do("s", model.Add("e"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 
 	// Concurrently: r1 removes the observed add while r0 re-adds.
 	r1.Do("s", model.Remove("e"))
 	r0.Do("s", model.Add("e"))
-	p1 := r1.PendingMessage()
-	r1.OnSend()
-	p0 := r0.PendingMessage()
-	r0.OnSend()
+	p1 := storetest.Send(r1)
+	p0 := storetest.Send(r0)
 	r0.Receive(p1)
 	r1.Receive(p0)
 
@@ -283,12 +271,10 @@ func TestORSetRemoveObservedAdd(t *testing.T) {
 	r0 := st.NewReplica(0, 2).(*Replica)
 	r1 := st.NewReplica(1, 2).(*Replica)
 	r0.Do("s", model.Add("e"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	r1.Do("s", model.Remove("e"))
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	if got := r0.Do("s", model.Read()); len(got.Values) != 0 {
 		t.Fatalf("observed remove did not remove: %s", got)
@@ -302,10 +288,8 @@ func TestCounterSumsDeltas(t *testing.T) {
 	r1 := st.NewReplica(1, 2).(*Replica)
 	r0.Do("c", model.Inc(5))
 	r1.Do("c", model.Inc(-2))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	want := model.CountResponse(3)

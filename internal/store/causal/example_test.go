@@ -2,6 +2,7 @@ package causal_test
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -20,10 +21,11 @@ func Example() {
 	r0.Do("x", model.Write("left"))
 	r1.Do("x", model.Write("right"))
 
-	// Exchange the pending broadcasts.
-	p0 := r0.PendingMessage()
+	// Exchange the pending broadcasts. A replica lends its pending message
+	// until its next transition, so a message kept past OnSend is copied.
+	p0 := slices.Clone(r0.PendingMessage())
 	r0.OnSend()
-	p1 := r1.PendingMessage()
+	p1 := slices.Clone(r1.PendingMessage())
 	r1.OnSend()
 	r0.Receive(p1)
 	r1.Receive(p0)
@@ -31,9 +33,8 @@ func Example() {
 
 	// A write that has observed both siblings dominates them.
 	r1.Do("x", model.Write("merged"))
-	p := r1.PendingMessage()
+	r0.Receive(r1.PendingMessage())
 	r1.OnSend()
-	r0.Receive(p)
 	fmt.Println("resolved:", r0.Do("x", model.Read()))
 	// Output:
 	// siblings: {left,right}

@@ -127,6 +127,7 @@ type Replica struct {
 	nextSeq   uint64
 
 	outbox []outRec
+	msg    wire.Writer // the encoding PendingMessage lends out
 }
 
 var (
@@ -299,12 +300,14 @@ func (r *Replica) Receive(payload []byte) {
 	}
 }
 
-// PendingMessage implements store.Replica.
+// PendingMessage implements store.Replica: the outbox encoding, or nil,
+// lent from the replica's own buffer.
 func (r *Replica) PendingMessage() []byte {
 	if len(r.outbox) == 0 {
 		return nil
 	}
-	w := wire.NewWriter()
+	w := &r.msg
+	w.Reset()
 	w.Uvarint(uint64(len(r.outbox)))
 	for _, rec := range r.outbox {
 		w.Uvarint(uint64(rec.kind))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store/causal"
+	"repro/internal/store/storetest"
 )
 
 func trio(t *testing.T) (*Replica, *Replica, *Replica) {
@@ -29,11 +30,10 @@ func pump(replicas ...*Replica) {
 	for {
 		sent := false
 		for _, from := range replicas {
-			payload := from.PendingMessage()
+			payload := storetest.Send(from)
 			if payload == nil {
 				continue
 			}
-			from.OnSend()
 			sent = true
 			for _, to := range replicas {
 				if to != from {
@@ -92,11 +92,9 @@ func TestSequencerOwnWritesCommitImmediately(t *testing.T) {
 func TestCommitsApplyInOrderWithBuffering(t *testing.T) {
 	r0, r1, _ := trio(t)
 	r0.Do("x", model.Write("a"))
-	c1 := r0.PendingMessage()
-	r0.OnSend()
+	c1 := storetest.Send(r0)
 	r0.Do("x", model.Write("b"))
-	c2 := r0.PendingMessage()
-	r0.OnSend()
+	c2 := storetest.Send(r0)
 	// Deliver out of order: the second commit must buffer.
 	r1.Receive(c2)
 	if len(r1.Log()) != 0 {
@@ -117,8 +115,7 @@ func TestCommitsApplyInOrderWithBuffering(t *testing.T) {
 func TestDuplicateProposalSequencedOnce(t *testing.T) {
 	r0, r1, _ := trio(t)
 	r1.Do("x", model.Write("a"))
-	p := r1.PendingMessage()
-	r1.OnSend()
+	p := storetest.Send(r1)
 	r0.Receive(p)
 	r0.OnSend() // discard the commit broadcast
 	r0.Receive(p)
@@ -130,8 +127,7 @@ func TestDuplicateProposalSequencedOnce(t *testing.T) {
 func TestDuplicateCommitIgnored(t *testing.T) {
 	r0, r1, _ := trio(t)
 	r0.Do("x", model.Write("a"))
-	c := r0.PendingMessage()
-	r0.OnSend()
+	c := storetest.Send(r0)
 	r1.Receive(c)
 	before := r1.StateDigest()
 	r1.Receive(c)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 // TestAppendStateDigestRendersHeldQueue pins the withheld-queue lines, which
@@ -15,8 +16,7 @@ func TestAppendStateDigestRendersHeldQueue(t *testing.T) {
 	r0, r1 := pair(t, 3)
 	for i := 0; i < 2; i++ {
 		r0.Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i))))
-		p := r0.PendingMessage()
-		r0.OnSend()
+		p := storetest.Send(r0)
 		r1.Receive(p)
 		r1.Do("x", model.Read()) // ages what is held
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/store/storetest"
 )
 
 func pair(t *testing.T, k int) (*Replica, *Replica) {
@@ -34,8 +35,7 @@ func TestWithholdsForKReads(t *testing.T) {
 	const k = 3
 	r0, r1 := pair(t, k)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if r1.HeldMessages() != 1 {
 		t.Fatalf("held = %d", r1.HeldMessages())
@@ -65,8 +65,7 @@ func TestLocalWritesImmediatelyVisible(t *testing.T) {
 func TestReadsAreVisible(t *testing.T) {
 	r0, r1 := pair(t, 2)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	before := r1.StateDigest()
 	r1.Do("x", model.Read())
@@ -78,8 +77,7 @@ func TestReadsAreVisible(t *testing.T) {
 func TestOpDrivenPreserved(t *testing.T) {
 	r0, r1 := pair(t, 2)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if r1.PendingMessage() != nil {
 		t.Fatal("receive created a pending message")
@@ -90,8 +88,7 @@ func TestVisibilityGrantedOnlyOnExposure(t *testing.T) {
 	r0, r1 := pair(t, 2)
 	r0.Do("x", model.Write("a"))
 	dot, _ := r0.LastDot()
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if r1.Sees(dot) {
 		t.Fatal("dot visible before exposure")
@@ -108,8 +105,7 @@ func TestCountdownSharedAcrossObjects(t *testing.T) {
 	// local read operations, not per-object reads).
 	r0, r1 := pair(t, 2)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	r1.Do("other", model.Read())
 	r1.Do("other", model.Read())
@@ -121,11 +117,9 @@ func TestCountdownSharedAcrossObjects(t *testing.T) {
 func TestMultipleHeldMessagesExposeInOrder(t *testing.T) {
 	r0, r1 := pair(t, 1)
 	r0.Do("x", model.Write("a"))
-	p1 := r0.PendingMessage()
-	r0.OnSend()
+	p1 := storetest.Send(r0)
 	r0.Do("x", model.Write("b"))
-	p2 := r0.PendingMessage()
-	r0.OnSend()
+	p2 := storetest.Send(r0)
 	r1.Receive(p1)
 	r1.Receive(p2)
 	if got := r1.Do("x", model.Read()); !got.Equal(model.ReadResponse([]model.Value{"b"})) {
@@ -136,8 +130,7 @@ func TestMultipleHeldMessagesExposeInOrder(t *testing.T) {
 func TestWriteDoesNotAgeCountdown(t *testing.T) {
 	r0, r1 := pair(t, 1)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	r1.Do("y", model.Write("local"))
 	if r1.HeldMessages() != 1 {
@@ -148,8 +141,7 @@ func TestWriteDoesNotAgeCountdown(t *testing.T) {
 func TestPayloadCopiedOnReceive(t *testing.T) {
 	r0, r1 := pair(t, 1)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	for i := range p {
 		p[i] = 0xff // corrupt the caller's buffer

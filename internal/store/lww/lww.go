@@ -80,6 +80,7 @@ type Replica struct {
 	objects map[model.ObjectID]*regState
 	seen    map[model.Dot]bool // applied update dots, for deduplication and visibility
 	outbox  []pendingWrite
+	msg     wire.Writer // the encoding PendingMessage lends out
 
 	// applyLog is observational metadata (excluded from the state digest):
 	// the local application order, used by the total-order comparison
@@ -155,12 +156,14 @@ func (r *Replica) applyWrite(w pendingWrite) {
 // on receipt.
 func (r *Replica) ApplyOrder() []model.Dot { return r.applyLog.AppendTo(nil) }
 
-// PendingMessage implements store.Replica.
+// PendingMessage implements store.Replica: the outbox encoding, or nil,
+// lent from the replica's own buffer.
 func (r *Replica) PendingMessage() []byte {
 	if len(r.outbox) == 0 {
 		return nil
 	}
-	w := wire.NewWriter()
+	w := &r.msg
+	w.Reset()
 	w.Uvarint(uint64(len(r.outbox)))
 	for _, u := range r.outbox {
 		w.Dot(u.Dot)

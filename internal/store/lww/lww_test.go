@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/store/storetest"
 )
 
 func pair(t *testing.T) (*Replica, *Replica) {
@@ -54,10 +55,8 @@ func TestConcurrentWritesConvergeToSingleWinner(t *testing.T) {
 	r0, r1 := pair(t)
 	r0.Do("x", model.Write("a"))
 	r1.Do("x", model.Write("b"))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	g0 := r0.Do("x", model.Read())
@@ -79,10 +78,8 @@ func TestHigherTimestampWinsOverOrigin(t *testing.T) {
 	r1.Do("x", model.Write("b")) // ts 1 at r1
 	r0.Do("y", model.Write("filler"))
 	r0.Do("x", model.Write("a")) // ts 2 at r0
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	want := model.ReadResponse([]model.Value{"a"})
@@ -99,12 +96,10 @@ func TestImmediateApplicationNoCausalBuffering(t *testing.T) {
 	r1 := st.NewReplica(1, 3).(*Replica)
 	r2 := st.NewReplica(2, 3).(*Replica)
 	r0.Do("x", model.Write("a"))
-	pa := r0.PendingMessage()
-	r0.OnSend()
+	pa := storetest.Send(r0)
 	r1.Receive(pa)
 	r1.Do("y", model.Write("b"))
-	pb := r1.PendingMessage()
-	r1.OnSend()
+	pb := storetest.Send(r1)
 	r2.Receive(pb) // missing dependency a
 	if got := r2.Do("y", model.Read()); !got.Equal(model.ReadResponse([]model.Value{"b"})) {
 		t.Fatalf("eager application expected, read = %s", got)
@@ -117,8 +112,7 @@ func TestImmediateApplicationNoCausalBuffering(t *testing.T) {
 func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	r0, r1 := pair(t)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	before := r1.StateDigest()
 	r1.Receive(p)
@@ -133,8 +127,7 @@ func TestInvisibleReadsAndOpDriven(t *testing.T) {
 		t.Fatal("initial pending message")
 	}
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if r1.PendingMessage() != nil {
 		t.Fatal("receive created a pending message")
@@ -166,8 +159,7 @@ func TestVisReporter(t *testing.T) {
 	if r1.Sees(dot) {
 		t.Fatal("premature visibility")
 	}
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if !r1.Sees(dot) {
 		t.Fatal("visibility lost")
@@ -181,8 +173,7 @@ func TestOutboxBatches(t *testing.T) {
 	r0, r1 := pair(t)
 	r0.Do("x", model.Write("a"))
 	r0.Do("y", model.Write("b"))
-	p := r0.PendingMessage()
-	r0.OnSend()
+	p := storetest.Send(r0)
 	r1.Receive(p)
 	if got := r1.Do("y", model.Read()); !got.Equal(model.ReadResponse([]model.Value{"b"})) {
 		t.Fatalf("batched update lost: %s", got)

@@ -97,7 +97,8 @@ type Replica struct {
 	// reflected in this state. It doubles as the ORset dot context.
 	clock   vclock.VC
 	objects map[model.ObjectID]*objState
-	dirty   bool // a mutator occurred since the last broadcast
+	dirty   bool   // a mutator occurred since the last broadcast
+	msg     []byte // the encoding PendingMessage lends out
 }
 
 var (
@@ -226,12 +227,14 @@ func read(st *objState) model.Response {
 }
 
 // PendingMessage implements store.Replica: the full state, pending iff a
-// mutator occurred since the last broadcast (op-driven messages hold).
+// mutator occurred since the last broadcast (op-driven messages hold), lent
+// from the replica's own buffer.
 func (r *Replica) PendingMessage() []byte {
 	if !r.dirty {
 		return nil
 	}
-	return r.appendState(nil)
+	r.msg = r.appendState(r.msg[:0])
+	return r.msg
 }
 
 // OnSend implements store.Replica.

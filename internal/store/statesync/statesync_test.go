@@ -9,6 +9,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store/causal"
+	"repro/internal/store/storetest"
 )
 
 func pair(t *testing.T, types spec.Types) (*Replica, *Replica) {
@@ -24,11 +25,10 @@ func pair(t *testing.T, types spec.Types) (*Replica, *Replica) {
 
 func sync(t *testing.T, from, to *Replica) {
 	t.Helper()
-	payload := from.PendingMessage()
+	payload := storetest.Send(from)
 	if payload == nil {
 		t.Fatal("expected a pending state")
 	}
-	from.OnSend()
 	to.Receive(payload)
 }
 
@@ -54,10 +54,8 @@ func TestConcurrentMVRSiblings(t *testing.T) {
 	r0, r1 := pair(t, spec.MVRTypes())
 	r0.Do("x", model.Write("a"))
 	r1.Do("x", model.Write("b"))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	want := model.ReadResponse([]model.Value{"a", "b"})
@@ -83,8 +81,7 @@ func TestCausalOverwriteCollapses(t *testing.T) {
 func TestJoinIsIdempotent(t *testing.T) {
 	r0, r1 := pair(t, spec.MVRTypes())
 	r0.Do("x", model.Write("a"))
-	payload := r0.PendingMessage()
-	r0.OnSend()
+	payload := storetest.Send(r0)
 	r1.Receive(payload)
 	before := r1.StateDigest()
 	r1.Receive(payload)
@@ -133,10 +130,8 @@ func TestORSetConcurrentAddWins(t *testing.T) {
 	sync(t, r0, r1)
 	r1.Do("s", model.Remove("e"))
 	r0.Do("s", model.Add("e")) // concurrent re-add
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	want := model.ReadResponse([]model.Value{"e"})
@@ -154,10 +149,8 @@ func TestCounterJoin(t *testing.T) {
 	r0.Do("c", model.Inc(5))
 	r0.Do("c", model.Inc(-1))
 	r1.Do("c", model.Inc(-2))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	want := model.CountResponse(2)
@@ -174,10 +167,8 @@ func TestRegisterLWWJoin(t *testing.T) {
 	r0, r1 := pair(t, types)
 	r0.Do("reg", model.Write("a"))
 	r1.Do("reg", model.Write("b"))
-	p0 := r0.PendingMessage()
-	r0.OnSend()
-	p1 := r1.PendingMessage()
-	r1.OnSend()
+	p0 := storetest.Send(r0)
+	p1 := storetest.Send(r1)
 	r0.Receive(p1)
 	r1.Receive(p0)
 	g0 := r0.Do("reg", model.Read())
@@ -285,12 +276,12 @@ func TestMessageSizeGrowsWithState(t *testing.T) {
 func TestStateDigestIsDirtyFlagPlusEncoding(t *testing.T) {
 	r0, _ := pair(t, spec.MVRTypes())
 	r0.Do("x", model.Write("a"))
-	payload := r0.PendingMessage()
-	if got, want := r0.StateDigest(), "dirty=true\n"+string(payload); got != want {
+	payload := string(r0.PendingMessage()) // kept past OnSend, so copied
+	if got, want := r0.StateDigest(), "dirty=true\n"+payload; got != want {
 		t.Fatalf("dirty digest = %q, want %q", got, want)
 	}
 	r0.OnSend()
-	if got, want := r0.StateDigest(), "dirty=false\n"+string(payload); got != want {
+	if got, want := r0.StateDigest(), "dirty=false\n"+payload; got != want {
 		t.Fatalf("clean digest = %q, want %q", got, want)
 	}
 }

@@ -34,11 +34,13 @@ type Replica interface {
 	// PendingMessage returns the broadcast payload the replica wants to
 	// send, or nil if no message is pending. Only nil means none: an empty,
 	// non-nil payload is a message, and is sent, recorded and delivered as
-	// one. The result is the caller's to keep — the replica neither writes
-	// to it nor hands it out again (the simulator keeps it in its message
-	// table, a node copies it into its history before OnSend). Per the
-	// model, the content is a deterministic function of the state, and a
-	// single send relays everything the replica has to send.
+	// one. The result is lent, not given: it is valid until the replica's
+	// next Do, Receive, OnSend or PendingMessage, after which the replica may
+	// encode its next message over it. A caller that keeps it copies it
+	// first (the simulator into its message table, a node into its history
+	// before OnSend), so a replica encodes every message into one buffer it
+	// owns. Per the model, the content is a deterministic function of the
+	// state, and a single send relays everything the replica has to send.
 	PendingMessage() []byte
 
 	// OnSend transitions the replica past its send event; afterwards no

@@ -13,9 +13,11 @@ import (
 // registered store that claims convergence must also converge when its
 // replicas run inside sharded nodes — each shard an independent replica of
 // the store with its own broadcast domain — and each shard's merged
-// histories must stand as a well-formed execution on their own. This is
-// Proposition 1 exercised per store: no object spans shards, so the sharded
-// node honors exactly the guarantees the store honors, shard by shard.
+// histories must stand as a well-formed execution on their own, and pass the
+// store's causal check where it claims one. No object spans shards, so this
+// exercises, shard by shard, the guarantees the store honors per object; it
+// does not establish causal consistency across a node's shards, whose
+// happens-before runs through session order across objects.
 func runShardedCluster(t *testing.T, cfg Config) {
 	t.Run("ShardedCluster", func(t *testing.T) {
 		const n = 2

@@ -13,6 +13,7 @@ package storetest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -124,7 +125,7 @@ func Run(t *testing.T, cfg Config) {
 		r := cfg.Factory().NewReplica(0, 3)
 		obj, op := cfg.Mutator(0)
 		r.Do(obj, op)
-		p1 := r.PendingMessage()
+		p1 := slices.Clone(r.PendingMessage()) // lent until the next call
 		p2 := r.PendingMessage()
 		if string(p1) != string(p2) {
 			t.Fatal("PendingMessage is not a deterministic function of state")
@@ -165,6 +166,19 @@ func Run(t *testing.T, cfg Config) {
 	runRest(t, cfg)
 }
 
+// Send performs r's send event if it has a message pending and returns a
+// copy of the message, the caller's to keep where PendingMessage only lends
+// it; with nothing pending it returns nil and r does not move.
+func Send(r store.Replica) []byte {
+	p := r.PendingMessage()
+	if p == nil {
+		return nil
+	}
+	p = slices.Clone(p)
+	r.OnSend()
+	return p
+}
+
 // DriveRandom drives the replicas of one population through a seeded
 // schedule. Each step picks a replica and either applies op's operation to
 // it (two steps in four), broadcasts its pending message, or delivers it
@@ -185,9 +199,7 @@ func DriveRandom(seed int64, reps []store.Replica, steps int,
 		case 0, 1:
 			r.Do(op(rng, step))
 		case 2:
-			if p := r.PendingMessage(); p != nil {
-				p = append([]byte(nil), p...)
-				r.OnSend()
+			if p := Send(r); p != nil {
 				for to := range reps {
 					if to != i {
 						inflight[to] = append(inflight[to], p)
@@ -249,9 +261,8 @@ func runDuplicateIdempotence(t *testing.T, cfg Config) {
 		for i := 0; i < 5; i++ {
 			obj, op := cfg.Mutator(i)
 			src.Do(obj, op)
-			if p := src.PendingMessage(); p != nil {
+			if p := Send(src); p != nil {
 				payloads = append(payloads, p)
-				src.OnSend()
 			}
 		}
 		for _, p := range payloads {
@@ -312,9 +323,7 @@ func runRest(t *testing.T, cfg Config) {
 			dst := st.NewReplica(1, 2)
 			obj, op := cfg.Mutator(0)
 			src.Do(obj, op)
-			p := src.PendingMessage()
-			src.OnSend()
-			dst.Receive(p)
+			dst.Receive(Send(src))
 			if dst.PendingMessage() != nil {
 				t.Fatal("Definition 15(2) violated: receive created a pending message")
 			}
@@ -342,6 +351,7 @@ func runRest(t *testing.T, cfg Config) {
 		})
 		runChaos(t, cfg)
 		runShardedCluster(t, cfg)
+		runLentMessages(t, cfg)
 	}
 	if cfg.SkipDeliveryCommutation {
 		return
