@@ -79,7 +79,7 @@ loc:
 		for (m in mods) printf "%-10s %-34s %8d %8d\n", m, "TOTAL", tot[m, "code"], tot[m, "test"] | "sort -r"; }'
 
 # Brief coverage-guided runs of every fuzz target (decoders, replica
-# Receive paths and the Merkle forest's node query), on top of the checked-in
+# Receive paths and the forest's prefix-root query), on top of the checked-in
 # seed corpora the ordinary test run already replays.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
@@ -113,7 +113,7 @@ chaos:
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
 	$(GO) test -race ./internal/cluster ./cmd/loadgen -run 'Chaos|Supervisor|Restart' -count=1
 
-# The dynamic-membership battery: the Merkle forest and view unit suites,
+# The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence
 # and version-mismatch refusal), churned fault schedules through the
 # supervisor, the forest a restarted node rebuilds from its journal and the

@@ -128,12 +128,9 @@ func run(w io.Writer, storeName, scriptName string, k, maxStates, parallel int, 
 	cfg := explore.Config{Store: st, MaxStates: maxStates, Parallel: parallel}
 	// Store traits replace the old per-name special cases: stores declare
 	// themselves what the explorer must tolerate.
-	if pv, ok := st.(store.PropertyViolator); ok && pv.ViolatesProperties() {
-		cfg.AllowPropertyViolations = true
-	}
-	if ra, ok := st.(store.ReadAger); ok {
-		cfg.ConvergenceReadRounds = ra.ExtraReadRounds()
-	}
+	c := store.ConformanceOf(st)
+	cfg.AllowPropertyViolations = c.ViolatesInvisibleReads || c.ViolatesOpDrivenMessages
+	cfg.ConvergenceReadRounds = max(c.ConvergenceReadRounds-1, 0)
 
 	res, expErr := explore.Explore(script, cfg)
 	if errors.Is(expErr, explore.ErrBudgetExceeded) {

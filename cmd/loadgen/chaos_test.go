@@ -392,8 +392,8 @@ func TestRunChaosShardedChurn(t *testing.T) {
 // that deviate from §4 by design. kbuffer withholds what it receives until
 // reads elapse, so the run converges only if settling surfaces the aged
 // reads (loadgen's own copy of the pipeline skipped them and reported
-// "diverged after quiescence"); and for a store that declares
-// store.PropertyViolator the §4 count is a figure in its row, not the run's
+// "diverged after quiescence"); and for a store whose store.Conformance
+// declares a §4 violation the count is a figure in its row, not the run's
 // error.
 func TestRunChaosDeclaredDeviations(t *testing.T) {
 	for _, name := range []string{"kbuffer", "gsp"} {

@@ -156,7 +156,7 @@ var benches = []struct {
 	run         func(io.Writer, benchArgs) error
 }{
 	{"wirebench", "measure wire-format costs: deterministic encode-path table (bytes/op, frames, allocs/op) for batched updates, range chunks, history frames and journal records", runWirebench},
-	{"syncbench", "measure Merkle anti-entropy catch-up costs: deterministic digest/range-pull table per joiner prefix", runSyncbench},
+	{"syncbench", "measure anti-entropy catch-up costs: deterministic digest/range-pull table per joiner prefix", runSyncbench},
 	{"livebench", "measure the online checker: deterministic per-store table of events checked, violations, and peak tracked state vs history length", runLivebench},
 	{"shardbench", "measure keyspace sharding: deterministic routing-balance table (per-shard op spread and speedup bound for uniform and zipfian draws)", runShardbench},
 }

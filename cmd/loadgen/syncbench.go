@@ -21,7 +21,7 @@ var syncbenchPrefixes = []int{0, 25, 50, 90, 100}
 // window buys.
 var syncbenchWindows = []int{1, 8}
 
-// runSyncbench emits the Merkle anti-entropy cost table behind the tracked
+// runSyncbench emits the anti-entropy cost table behind the tracked
 // BENCH_SYNC.json: for each joiner prefix, the digest handshake bytes, the
 // updates and chunks actually pulled, and the bytes on the wire versus
 // shipping the full log through the same chunking. Pure function of (store, ops, seed, batch) — the

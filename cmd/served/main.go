@@ -26,7 +26,7 @@
 //	served -store causal -id 3 -n 4 -listen 127.0.0.1:7003 -join 0=127.0.0.1:7000
 //
 // The joiner announces itself to the seed, adopts the cluster's
-// membership view, catches up on missing history via Merkle anti-entropy
+// membership view, catches up on missing history via anti-entropy
 // over the durable log (pulling only the ranges it lacks), and then
 // enters normal replication. -join requires -n, since the seeds are not
 // the whole population.

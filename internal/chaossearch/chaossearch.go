@@ -206,7 +206,8 @@ func (cfg Config) Schedule(seed int64) fault.Schedule {
 // evaluate scores one candidate seed on the fast path: generate its
 // schedule, run the scheduled workload in the simulator with an Observer
 // attached, quiesce (instrumented — the quiesce work IS the convergence
-// latency), surface aged reads for ReadAger stores, and collect the record.
+// latency), surface aged reads for a store that declares more than one
+// convergence read round, and collect the record.
 // A pure function of (cfg, seed): no wall clock, no shared state.
 func (cfg Config) evaluate(seed int64) (Sample, error) {
 	sched := cfg.Schedule(seed)
@@ -218,13 +219,11 @@ func (cfg Config) evaluate(seed int64) (Sample, error) {
 	cl.SetObserver(obs)
 	ops := cl.RunScheduled(sched, sim.WorkloadConfig{Objects: searchObjects, Steps: cfg.Steps})
 	cl.Quiesce()
-	if ra, ok := cfg.Store.(store.ReadAger); ok {
-		for round := 0; round < ra.ExtraReadRounds(); round++ {
-			for _, obj := range searchObjects {
-				cl.ReadAll(obj)
-			}
-			cl.Quiesce()
+	for round := 1; round < store.ConformanceOf(cfg.Store).ConvergenceReadRounds; round++ {
+		for _, obj := range searchObjects {
+			cl.ReadAll(obj)
 		}
+		cl.Quiesce()
 	}
 	if err := cl.CheckConverged(searchObjects); err != nil {
 		// Scheduled runs are never lossy, so divergence here is a real

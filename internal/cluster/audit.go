@@ -91,16 +91,17 @@ func Doers[T Doer](replicas []T) []Doer {
 
 // Settle brings a cluster that has stopped taking load to the state Lemma 3
 // speaks about and checks its conclusion: quiesce (Definition 17); for a
-// store whose received updates surface only as local reads elapse
-// (store.ReadAger), that many rounds of reads of objs at every replica, and
-// quiescence again; then CheckConverged. st may be nil when the store is
-// not known, which skips the aged reads.
+// store whose received updates surface only as local reads elapse (its
+// store.Conformance asks for more than one read round), each round but the
+// last as reads of objs at every replica, and quiescence again; then
+// CheckConverged, the last round. st may be nil when the store is not
+// known, which skips the aged reads.
 func Settle(quiesce func() error, st store.Store, replicas []Doer, objs []model.ObjectID) error {
 	if err := quiesce(); err != nil {
 		return err
 	}
-	if ra, ok := st.(store.ReadAger); ok {
-		for round := 0; round < ra.ExtraReadRounds(); round++ {
+	if rounds := store.ConformanceOf(st).ConvergenceReadRounds; rounds > 1 {
+		for round := 1; round < rounds; round++ {
 			for i, r := range replicas {
 				for _, obj := range objs {
 					if _, err := r.Do(obj, model.Read()); err != nil {
@@ -229,12 +230,12 @@ func AuditShards(shards int, fetch func(shard int) ([]History, error), types spe
 }
 
 // PropertyErr is a run's §4 verdict: the checkers' violation count is an
-// error unless the store declares (store.PropertyViolator) that it violates
-// the write-propagating properties by design — the K-buffer store's visible
-// reads, the GSP sequencer's receive-driven commits — in which case the count
-// is a figure to report, not a failure.
+// error unless the store declares (store.Conformance) that it violates a
+// write-propagating property by design — the K-buffer store's visible reads,
+// the GSP sequencer's receive-driven commits — in which case the count is a
+// figure to report, not a failure.
 func PropertyErr(st store.Store, violations int) error {
-	if pv, ok := st.(store.PropertyViolator); ok && pv.ViolatesProperties() {
+	if c := store.ConformanceOf(st); c.ViolatesInvisibleReads || c.ViolatesOpDrivenMessages {
 		return nil
 	}
 	if violations != 0 {

@@ -154,12 +154,12 @@ func BenchmarkRecord(b *testing.B) {
 }
 
 // BenchmarkNoteUpdate is what a shard keeps of one update beside its event
-// record — the record's position in the update index, the update's hash in
-// the forest's open leaf and, a leaf at a time, the node cache — behind
-// histories of two lengths: ns/op and B/op must not depend on the length,
-// and B/op is the position plus the update's share of the node cache. The
-// records themselves are written off the clock; the shard is rebuilt every
-// 256 k updates so memory stays bounded however large b.N gets.
+// record — the record's position in the update index and, every LeafSpan
+// updates, a stored chain value — behind histories of two lengths: ns/op
+// and B/op must not depend on the length, and B/op is the position plus the
+// update's share of the stored chain values. The records themselves are
+// written off the clock; the shard is rebuilt every 256 k updates so memory
+// stays bounded however large b.N gets.
 func BenchmarkNoteUpdate(b *testing.B) {
 	const chunk = 1 << 10
 	payload := []byte(benchValue)

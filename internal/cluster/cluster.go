@@ -135,8 +135,8 @@ type Config struct {
 	// Join, when non-nil, lists seed nodes (id → address) to join the
 	// cluster through instead of (or in addition to) static Peers: NewNode
 	// dials a seed, announces itself with a tJoin frame, adopts the seed's
-	// membership view, catches up on missing history via Merkle
-	// anti-entropy (pulling only the ranges its durable log lacks), and
+	// membership view, catches up on missing history via anti-entropy
+	// (pulling only the ranges its durable log lacks), and
 	// only then enters normal replication. NewNode blocks until one seed
 	// admits the node or a permanent refusal (divergent or lost history)
 	// aborts it.
@@ -181,7 +181,7 @@ type Config struct {
 // the previous incarnation (nil on first boot), and closeLog (nil for none)
 // is invoked after the event loop has exited. shard/shards name which of
 // the node's shard logs to open. tree is ignored (implementations return
-// nil): the shard alone owns its Merkle forest and rebuilds it from restore.
+// nil): the shard alone owns its forest and rebuilds it from restore.
 // The result stays only because the frozen benchmark/trace.go implements
 // this interface; it goes with the next benchmark PR (ROADMAP item 1(c)).
 type NodeStorage interface {
@@ -571,21 +571,7 @@ func (c *doCall) do(obj model.ObjectID, op model.Operation) (model.Response, err
 // acks are only written after the receiver applied the update, a stable
 // all-quiesced poll really does mean every sent message was delivered.
 func (n *Node) Quiesced() bool {
-	for _, s := range n.shards {
-		var pending bool
-		if s.inLoop(func() { pending = s.replica.PendingMessage() != nil }) != nil {
-			return false
-		}
-		if pending {
-			return false
-		}
-	}
-	for _, p := range n.allPeers() {
-		if !p.drained() {
-			return false
-		}
-	}
-	return n.viewLinked()
+	return n.Stats().Quiesced
 }
 
 // viewLinked reports whether every member this node's view considers alive
@@ -611,8 +597,9 @@ func (n *Node) viewLinked() bool {
 // event count, checker verdicts, and pending-message verdict move
 // together); the transport counters — monotone for the life of the node,
 // whatever links come and go — and quiescence composition are read between
-// turns. The quiescence condition is evaluated inline — calling Quiesced()
-// here would re-enter the event loops and deadlock.
+// turns. Its Quiesced is the node's one quiescence verdict: no shard holds
+// a pending broadcast, every peer link is drained, and every member the view
+// considers alive is linked.
 func (n *Node) Stats() Stats {
 	k := len(n.shards)
 	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Shards: k,

@@ -93,7 +93,7 @@ func encodedBytes(s *shard) (n int) {
 // TestRecordCostIndependentOfHistory is the RAM companion of durable's
 // TestAppendCostIndependentOfHistory. Recording 256 k events allocates
 // within 1.25× of what their encoded records, the updates' positions and the
-// Merkle node cache occupy — an append-doubled slice reads ≈5× — and no
+// stored chain values occupy — an append-doubled slice reads ≈5× — and no
 // burst of 256 calls allocates more than a block of records plus a segment
 // for each other log it appends to, where one unlucky append to a slice that
 // long allocates, and copies, tens of megabytes on the event loop.
@@ -121,8 +121,8 @@ func TestRecordCostIndependentOfHistory(t *testing.T) {
 	}
 	// The two origins advance in lockstep here, so every log's boundary can
 	// fall in one burst: the history's block, and per origin a segment of
-	// the update index and of a few node-cache levels.
-	perOrigin := unsafe.Sizeof(seglog.Pos{}) + 4*unsafe.Sizeof(membership.Hash{})
+	// the update index and of the stored chain values.
+	perOrigin := unsafe.Sizeof(seglog.Pos{}) + unsafe.Sizeof(membership.Hash{})
 	if limit := float64(seglog.BlockSize + seglog.SegmentLen*2*perOrigin); worst > limit {
 		t.Errorf("one burst of %d calls allocated %.0f B, more than a block and a segment per other log (%.0f B)", burst, worst, limit)
 	}
@@ -130,16 +130,14 @@ func TestRecordCostIndependentOfHistory(t *testing.T) {
 
 // TestPerUpdateOverhead: outside its record in the block log, an update
 // costs the shard the eight bytes of its position and its share of the
-// Merkle node cache (a 32-byte node per LeafSpan updates, half as many on
-// the level above, …) — not the 48-byte protoUpdate, the 32-byte hash and
-// the pointers among them that it used to. Amortised over 64 k updates of
-// each of three origins that is under 16 B, first-segment doublings and
-// segment tables included; and it is flat: a burst of a thousand updates an
-// origin behind a quarter of a million allocates what one behind the first
-// thousand did, give or take the node-cache segments that fall due in it —
-// every level allocates by the segment (its first by doubling), the three
-// lowest can all roll over in one burst, and the doublings of the short
-// levels above them add up to less than a fourth.
+// stored chain values (a 32-byte value per LeafSpan updates) — not the
+// 48-byte protoUpdate, the 32-byte hash and the pointers among them that it
+// used to. Amortised over 64 k updates of each of three origins that is
+// under 16 B, first-segment doublings and segment tables included; and it
+// is flat: a burst of a thousand updates an origin behind a quarter of a
+// million allocates what one behind the first thousand did, give or take
+// the one segment of chain values per origin that can fall due in it (the
+// first segment grows by doubling, never past a segment's size).
 func TestPerUpdateOverhead(t *testing.T) {
 	const perOrigin, burst, origins = 96 << 10, 1 << 10, 3
 	s := looseShard(t, "lww")
@@ -175,7 +173,7 @@ func TestPerUpdateOverhead(t *testing.T) {
 		t.Errorf("a noted update costs %.1f B outside its record, amortised over %d updates; want ≤ 16", per, 64*burst*origins)
 	}
 	early := bursts[1] // past the index's first-segment doublings
-	nodeSegments := float64(origins * 4 * seglog.SegmentLen * int(unsafe.Sizeof(membership.Hash{})))
+	nodeSegments := float64(origins * seglog.SegmentLen * int(unsafe.Sizeof(membership.Hash{})))
 	for i, b := range bursts[2:] {
 		if b > early+nodeSegments {
 			t.Errorf("burst %d (behind %d updates) allocated %.0f B outside the block log, the one behind %d updates %.0f B",
@@ -268,13 +266,13 @@ func TestServedReadAllocatesItsEventOnly(t *testing.T) {
 }
 
 // perUpdateKept is what a shard keeps of one update beside its record: its
-// position in the update index and its share of the Merkle node cache (a
-// node per LeafSpan updates, half as many on the level above, …).
-var perUpdateKept = float64(unsafe.Sizeof(seglog.Pos{})) + 2*float64(unsafe.Sizeof(membership.Hash{}))/membership.LeafSpan
+// position in the update index and its share of the stored chain values (one
+// per LeafSpan updates).
+var perUpdateKept = float64(unsafe.Sizeof(seglog.Pos{})) + float64(unsafe.Sizeof(membership.Hash{}))/membership.LeafSpan
 
 // TestServedWriteAllocatesOnlyWhatItKeeps: serving a write allocates what
 // the node keeps of it — the do and send records, the update's index entry
-// and node-cache share — on top of what the store's Do keeps (the value's
+// and chain-value share — on top of what the store's Do keeps (the value's
 // version and its Deps). The store's message is encoded in a buffer it
 // owns and copied once, into the send record; the do record encodes the
 // shard's frontier as it stands. (Each used to cost a copy nobody kept: an
@@ -341,7 +339,7 @@ func TestServedWriteAllocatesOnlyWhatItKeeps(t *testing.T) {
 }
 
 // TestReceiveAllocatesOnlyWhatItKeeps: applying a replicated update
-// allocates its receive record, its index entry and node-cache share, and
+// allocates its receive record, its index entry and chain-value share, and
 // what the store keeps of it — the decoded value and Deps and an apply-log
 // entry. The update's
 // object is one the receiver already holds, so its key is looked up, not

@@ -14,11 +14,12 @@ import (
 )
 
 // This file is the node half of the dynamic-membership subsystem: joining
-// through a seed (tJoin + Merkle anti-entropy catch-up), leaving, seeded
-// gossip rounds that converge the membership view, and reconciling the
-// replication links against that view. The pure state — the view's epoch
-// rules and the Merkle forest — lives in internal/membership; this file
-// only moves it over connections.
+// through a seed (tJoin + anti-entropy catch-up, one digest round per shard
+// proving the joiner's prefix by a hash chain), leaving, seeded gossip
+// rounds that converge the membership view, and reconciling the replication
+// links against that view. The pure state — the view's epoch rules and the
+// hash-chain forest — lives in internal/membership; this file only moves it
+// over connections.
 //
 // A node is "static" until membership comes into play (Config.Join, a
 // Leave call, or a tJoin/tGossip frame heard); static clusters pay nothing
@@ -197,7 +198,7 @@ func (n *Node) disconnectPeer(id model.ReplicaID) {
 
 // join admits this node into a live cluster through the Config.Join seeds:
 // announce via tJoin, adopt the seed's view, catch up on missing history
-// via Merkle anti-entropy, then announce the new incarnation and link up.
+// via anti-entropy, then announce the new incarnation and link up.
 // Blocks (retrying seeds with backoff) until one admits us, the node is
 // closed, or a seed permanently refuses.
 func (n *Node) join() error {
@@ -266,10 +267,10 @@ func (n *Node) finishJoin() {
 
 // joinVia runs the whole join conversation against one seed: the handshake,
 // then catch-up shard by shard — each shard is its own seq domain with its
-// own forest, so it is the unit a digest, a divergence walk and a range pull
-// address. Transient failures return plain errors (the caller retries);
-// divergent or missing history, or a seed of another protocol version or
-// shard count, returns errJoinRefused.
+// own forest, so it is the unit a digest and a range pull address.
+// Transient failures return plain errors (the caller retries); divergent or
+// missing history, or a seed of another protocol version or shard count,
+// returns errJoinRefused.
 func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
@@ -361,10 +362,14 @@ func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf 
 		if !ok || rd.Count < ld.Count {
 			continue // donor is behind us here; its own links catch it up
 		}
+		// The donor's chain value over our count proves our whole history of
+		// the origin: a mismatch means a corrupt log or one from another
+		// cluster, which no range pull can reconcile.
+		if ld.Count > 0 && rd.PrefixRoot != ld.Root {
+			return fmt.Errorf("%w: shard %d origin r%d: the donor's first %d updates differ from ours — local log is corrupt or from another cluster",
+				errJoinRefused, s.idx, ld.Origin, ld.Count)
+		}
 		if rd.Count == ld.Count {
-			if ld.Count > 0 && rd.Root != ld.Root {
-				return n.refuseDivergent(conn, s, ld.Origin, ld.Count, readDeadline, buf)
-			}
 			continue
 		}
 		if ld.Origin == n.cfg.ID {
@@ -373,9 +378,6 @@ func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf 
 			// re-minting seqs would fork the history.
 			return fmt.Errorf("%w: the cluster holds %d of r%d's broadcasts but the local log has %d — rejoining as r%d needs its original log",
 				errJoinRefused, rd.Count, n.cfg.ID, ld.Count, n.cfg.ID)
-		}
-		if ld.Count > 0 && rd.PrefixRoot != ld.Root {
-			return n.refuseDivergent(conn, s, ld.Origin, ld.Count, readDeadline, buf)
 		}
 		if err := n.pullRange(conn, s, ld.Origin, rd, readDeadline, buf); err != nil {
 			return err
@@ -452,65 +454,13 @@ func (n *Node) pullRange(conn net.Conn, s *shard, origin model.ReplicaID, rd ori
 	return nil
 }
 
-// refuseDivergent walks the donor's Merkle tree to localize where our
-// history for origin in shard s stops matching, then refuses the join
-// permanently: a divergent prefix means a corrupt log or one from a
-// different cluster, and no range pull can reconcile it.
-func (n *Node) refuseDivergent(conn net.Conn, s *shard, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) error {
-	lo, hi, err := n.walkDivergence(conn, s, origin, k, readDeadline, buf)
-	if err != nil {
-		return fmt.Errorf("%w: shard %d origin r%d history diverges within its first %d updates (walk failed: %v)", errJoinRefused, s.idx, origin, k, err)
-	}
-	return fmt.Errorf("%w: shard %d origin r%d history diverges in updates [%d,%d) — local log is corrupt or from another cluster", errJoinRefused, s.idx, origin, lo, hi)
-}
-
-// walkDivergence descends shard s's Merkle tree over the first k updates of
-// origin, at each level following the first child whose hash disagrees
-// with the donor's, and returns the update range of the divergent leaf.
-func (n *Node) walkDivergence(conn net.Conn, s *shard, origin model.ReplicaID, k uint64, readDeadline time.Duration, buf *[]byte) (lo, hi uint64, err error) {
-	level, index := membership.TopLevel(k), uint64(0)
-	for level > 0 {
-		found := false
-		for c := uint64(0); c < 2 && !found; c++ {
-			child := 2*index + c
-			var lh membership.Hash
-			var lok bool
-			if s.inLoop(func() { lh, lok = s.tree.NodeHash(int(origin), k, level-1, child, s.updatePayload) }) != nil {
-				return 0, 0, ErrClosed
-			}
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeReq(w, s.idx, origin, k, level-1, child) }) {
-				return 0, 0, errors.New("tree request write failed")
-			}
-			typ, r, rerr := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
-			if rerr != nil {
-				return 0, 0, rerr
-			}
-			if typ != tTreeResp {
-				return 0, 0, fmt.Errorf("tree walk answered with frame type %d", typ)
-			}
-			rh, rok, rerr := decodeTreeResp(r)
-			if rerr != nil {
-				return 0, 0, rerr
-			}
-			if lok != rok || (lok && lh != rh) {
-				level, index = level-1, child
-				found = true
-			}
-		}
-		if !found {
-			return 0, 0, errors.New("parent hash differs but no child does")
-		}
-	}
-	return index * membership.LeafSpan, (index + 1) * membership.LeafSpan, nil
-}
-
 // ---------------------------------------------------------------------------
 // Donor side
 
 // serveJoin is the donor half of a join conversation (the joiner drives):
 // admit the joiner into the view, link back so live updates flow during
-// the sync, then answer digest, tree-walk, and range requests — each from the
-// shard it names — until the joiner hangs up.
+// the sync, then answer digest and range requests — each from the shard it
+// names — until the joiner hangs up; any other frame hangs up on it.
 func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
@@ -549,20 +499,6 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 			}
 			resp := digestResp(s, ds)
 			if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigestResp, s.idx, resp) }) {
-				return
-			}
-		case tTreeReq:
-			shard, origin, prefix, level, index, err := decodeTreeReq(r)
-			s := n.shardOf(shard)
-			if err != nil || s == nil || int(origin) < 0 || int(origin) >= n.cfg.N {
-				return
-			}
-			var h membership.Hash
-			var ok bool
-			if s.inLoop(func() { h, ok = s.tree.NodeHash(int(origin), prefix, level, index, s.updatePayload) }) != nil {
-				return
-			}
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendTreeResp(w, h, ok) }) {
 				return
 			}
 		case tRangeReq:

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -87,7 +88,7 @@ func writeN(t *testing.T, nd *Node, k int, tag string) []model.ObjectID {
 // a deterministic byte-range assertion. All writes originate at r1, which
 // then leaves; the joiner r2 has an empty log and only r0's address. Live
 // replication links only re-offer a node's own updates, so r1's history
-// can reach r2 exclusively through Merkle anti-entropy against r0's log —
+// can reach r2 exclusively through anti-entropy against r0's log —
 // SyncPulled must equal the departed origin's update count exactly, summed
 // over the shards, and r0 must have served exactly that many (no full-log
 // transfer, no retransmission slop in the stop-and-wait pull).
@@ -209,14 +210,56 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 }
 
 // TestJoinRefusedOnDivergentHistory: a joiner whose log disagrees with the
-// donor about another origin's prefix must be refused permanently, with
-// the divergent leaf range named — silently merging two incompatible
-// histories would poison the audit.
+// donor about another origin's history must be refused permanently, before
+// an update moves — silently merging two incompatible histories would
+// poison the audit. In each world r2 writes and departs, leaving its
+// history with the donor r0; the worlds share r2's first 34 writes, all to
+// one object and so to one shard, and differ after them. The joiner r1
+// holds 40 of world A's: its count ends mid-span, past the first stored
+// chain value, so what differs is the donor's re-hash of updates 33–40
+// through its update log. World B's donor holds more than the joiner (its
+// chain value over the joiner's count decides) or exactly as many (its head
+// does). No live link moves r2's updates (a link only offers its own node's),
+// so the counts are the ones written.
 func TestJoinRefusedOnDivergentHistory(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
-		const k = 12
-		donorA := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
-		writeN(t, donorA, k, "worldA")
+		const shared, joined = 34, 40
+		obj := shardedObjects(t, shards, 1)[0]
+		si := NewShardRouter(shards).Route(obj)
+		world := func(tag string, k int) *Node {
+			donor := bootNode(t, 0, 3, func(cfg *Config) { cfg.Shards = shards })
+			writer := bootNode(t, 2, 3, func(cfg *Config) { cfg.Shards = shards })
+			if err := writer.Connect(map[model.ReplicaID]string{0: donor.Addr()}); err != nil {
+				t.Fatal(err)
+			}
+			if err := donor.Connect(map[model.ReplicaID]string{2: writer.Addr()}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				v := fmt.Sprintf("shared.%d", i)
+				if i >= shared {
+					v = fmt.Sprintf("%s.%d", tag, i)
+				}
+				if _, err := writer.Do(obj, model.Write(model.Value(v))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !WaitQuiesced([]*Node{donor, writer}, 30*time.Second) {
+				t.Fatalf("%s did not quiesce", tag)
+			}
+			if err := writer.Leave(); err != nil {
+				t.Fatal(err)
+			}
+			writer.Close()
+			return donor
+		}
+		chainAt := func(nd *Node, k uint64) (h membership.Hash) {
+			s := nd.shards[si]
+			if err := s.inLoop(func() { h = s.tree.PrefixRoot(2, k, s.updatePayload) }); err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
 		mem := &memStorage{}
 		joining := func(donor *Node) func(*Config) {
 			return func(cfg *Config) {
@@ -224,24 +267,41 @@ func TestJoinRefusedOnDivergentHistory(t *testing.T) {
 				cfg.Join = map[model.ReplicaID]string{0: donor.Addr()}
 			}
 		}
-		r1 := bootNode(t, 1, 2, joining(donorA))
+		donorA := world("worldA", joined)
+		r1 := bootNode(t, 1, 3, joining(donorA))
 		if !WaitQuiesced([]*Node{donorA, r1}, 30*time.Second) {
 			t.Fatal("world A did not quiesce")
 		}
+		sharedRoot, joinedRoot := chainAt(donorA, shared), chainAt(donorA, joined)
 		r1.Close()
 		donorA.Close()
 
-		donorB := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
-		writeN(t, donorB, k, "worldB")
-		cfg := fastConfig(1, 2, openCausal(t))
-		joining(donorB)(&cfg)
-		nd, err := NewNode(cfg)
-		if err == nil {
+		for _, k := range []int{joined + 6, joined} {
+			donorB := world("worldB", k)
+			if chainAt(donorB, shared) != sharedRoot || chainAt(donorB, joined) == joinedRoot {
+				t.Fatalf("donor of %d: the worlds do not share exactly their first %d updates", k, shared)
+			}
+			cfg := fastConfig(1, 3, openCausal(t))
+			joining(donorB)(&cfg)
+			nd, err := NewNode(cfg)
+			if err == nil {
+				nd.Close()
+				t.Fatalf("donor of %d: join with a divergent r2 history was admitted", k)
+			}
+			names := fmt.Sprintf("shard %d origin r2: the donor's first %d updates", si, joined)
+			if !errors.Is(err, errJoinRefused) || !strings.Contains(err.Error(), names) {
+				t.Fatalf("donor of %d: err = %v, want errJoinRefused naming %q", k, err, names)
+			}
+			// The same conversation from a node that stays up shows what moved.
+			nd = bootNode(t, 1, 3, stored(mem, shards))
+			if err := nd.joinVia(0, donorB.Addr()); !errors.Is(err, errJoinRefused) {
+				t.Fatalf("donor of %d: joinVia = %v, want errJoinRefused", k, err)
+			}
+			if pulled, served := nd.Stats().SyncPulled, donorB.Stats().SyncServed; pulled != 0 || served != 0 {
+				t.Fatalf("donor of %d: a refused join moved updates: joiner pulled %d, donor served %d", k, pulled, served)
+			}
 			nd.Close()
-			t.Fatal("join with a divergent origin-0 history was admitted")
-		}
-		if !strings.Contains(err.Error(), "diverge") {
-			t.Fatalf("want a divergence refusal naming the leaf range, got: %v", err)
+			donorB.Close()
 		}
 	})
 }
@@ -289,9 +349,10 @@ func TestJoinRefusedOnShardCountMismatch(t *testing.T) {
 }
 
 // TestJoinRequestForUnknownShardHangsUp: the shard a join request names is
-// input from outside the program. A digest, tree or range request naming a
-// shard the donor does not have makes it hang up — no panic, nothing served —
-// in a conversation whose requests for a shard it has were answered.
+// input from outside the program. A digest or range request naming a shard
+// the donor does not have makes it hang up — no panic, nothing served — in a
+// conversation whose requests for a shard it has were answered. So does a
+// request of the retired tree walk (frame type 20), for a shard it has.
 func TestJoinRequestForUnknownShardHangsUp(t *testing.T) {
 	const shards = 4
 	nd := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
@@ -301,7 +362,11 @@ func TestJoinRequestForUnknownShardHangsUp(t *testing.T) {
 		req  func(w *wire.Writer)
 	}{
 		{"digest", func(w *wire.Writer) { appendDigest(w, tDigest, shards, []originDigest{{Origin: 0}}) }},
-		{"tree", func(w *wire.Writer) { appendTreeReq(w, shards, 0, 8, 0, 0) }},
+		{"retired tree", func(w *wire.Writer) {
+			for _, v := range []uint64{20, 0, 0, 8, 0, 0} { // {type, shard, origin, prefix, level, index}
+				w.Uvarint(v)
+			}
+		}},
 		{"range", func(w *wire.Writer) { appendRangeReq(w, shards, 0, 0, 8, 1) }},
 	} {
 		send, recv := rawDial(t, nd)
@@ -317,7 +382,7 @@ func TestJoinRequestForUnknownShardHangsUp(t *testing.T) {
 		}
 		send(tc.req)
 		if typ, _ := recv(); typ != 0 {
-			t.Fatalf("%s request naming shard %d answered with frame type %d, want a hang-up", tc.name, shards, typ)
+			t.Fatalf("%s request answered with frame type %d, want a hang-up", tc.name, typ)
 		}
 	}
 	if served := nd.Stats().SyncServed; served != 0 {

@@ -22,8 +22,8 @@ import (
 // membership and anti-entropy frames are in proto_member.go, the
 // compression envelope in compress.go; DESIGN.md §5.6 has the whole table.
 //
-// Numbers are never reused: 2, 7, 9, 25 and 26 belonged to frames of
-// earlier protocol versions and stay retired.
+// Numbers are never reused: 2, 7, 9, 20, 21, 25 and 26 belonged to frames
+// of earlier protocol versions and stay retired.
 const (
 	tHello       = 1  // {from, version, shards}          dialer → acceptor
 	tAck         = 3  // {shard, cum}                     cumulative ack of one shard's updates
@@ -41,7 +41,7 @@ const (
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
 // format change bumps it.
-const protoVersion = 7
+const protoVersion = 8
 
 // batchMax caps how many unacked updates coalesce into one tBatch frame or
 // one anti-entropy chunk.

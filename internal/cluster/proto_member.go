@@ -18,8 +18,6 @@ import (
 //	per shard:
 //	joiner → tDigest    {shard, per-origin count+root}
 //	donor  → tDigestResp{shard, per-origin count+root+prefixRoot(joiner count)}
-//	joiner → tTreeReq   {shard, origin, prefix, level, index}  (only on mismatch)
-//	donor  → tTreeResp  {ok, hash}
 //	joiner → tRangeReq  {shard, origin, from, count, window}
 //	donor  → tRangeResp {shard, origin, (seq, lamport, payload)...}  (chunked)
 //	joiner → tAck       {shard, cum}  after journaling each chunk
@@ -33,10 +31,9 @@ const (
 	tGossipAck  = 17 // {members...}
 	tDigest     = 18 // {shard, count, (origin, count, root)...}
 	tDigestResp = 19 // {shard, count, (origin, count, root, prefixRoot)...}
-	tTreeReq    = 20 // {shard, origin, prefix, level, index}
-	tTreeResp   = 21 // {ok, hash}
-	tRangeReq   = 22 // {shard, origin, from, count, window}
-	tRangeResp  = 23 // {shard, origin, count, (seq, lamport, payload)...}
+	// 20 and 21 carried the Merkle tree walk of versions before 8; retired.
+	tRangeReq  = 22 // {shard, origin, from, count, window}
+	tRangeResp = 23 // {shard, origin, count, (seq, lamport, payload)...}
 	// 24 is tCompressed, the compression envelope — see compress.go.
 )
 
@@ -159,9 +156,9 @@ func appendGossipAck(w *wire.Writer, ms []membership.Member) {
 }
 
 // originDigest summarizes one origin's history: how many updates and the
-// Merkle root over all of them. In a tDigestResp the donor adds the root
-// over the requester's own count (PrefixRoot), which is what proves the
-// shared prefix matches before any range is pulled.
+// chain value over all of them. In a tDigestResp the donor adds its chain
+// value over the requester's own count (PrefixRoot), which is what proves
+// the shared prefix matches before any range is pulled.
 type originDigest struct {
 	Origin     model.ReplicaID
 	Count      uint64
@@ -229,43 +226,6 @@ func decodeDigest(r *wire.Reader, withPrefix bool) (shard uint64, _ []originDige
 		ds = append(ds, d)
 	}
 	return shard, ds, r.End()
-}
-
-func appendTreeReq(w *wire.Writer, shard int, origin model.ReplicaID, prefix uint64, level int, index uint64) {
-	w.Uvarint(tTreeReq)
-	w.Uvarint(uint64(shard))
-	w.Uvarint(uint64(origin))
-	w.Uvarint(prefix)
-	w.Uvarint(uint64(level))
-	w.Uvarint(index)
-}
-
-func decodeTreeReq(r *wire.Reader) (shard uint64, origin model.ReplicaID, prefix uint64, level int, index uint64, err error) {
-	shard = r.Uvarint()
-	origin = model.ReplicaID(r.Uvarint())
-	prefix = r.Uvarint()
-	level = int(r.Uvarint())
-	index = r.Uvarint()
-	return shard, origin, prefix, level, index, r.End()
-}
-
-func appendTreeResp(w *wire.Writer, h membership.Hash, ok bool) {
-	w.Uvarint(tTreeResp)
-	b := uint64(0)
-	if ok {
-		b = 1
-	}
-	w.Uvarint(b)
-	w.Raw(h[:])
-}
-
-func decodeTreeResp(r *wire.Reader) (membership.Hash, bool, error) {
-	ok := r.Uvarint() == 1
-	h, have := readHash(r)
-	if !have {
-		return h, false, wire.ErrTruncated
-	}
-	return h, ok, r.End()
 }
 
 // appendRangeReq asks for [from, from+count) of one origin's updates in one

@@ -82,9 +82,9 @@ func TestDecodeMembersRejectsHostileFrames(t *testing.T) {
 
 func TestDigestRoundTrip(t *testing.T) {
 	ds := []originDigest{
-		{Origin: 0, Count: 64, Root: membership.HashUpdate(0, 1, []byte("a"))},
+		{Origin: 0, Count: 64, Root: testHash(0, 1, []byte("a"))},
 		{Origin: 1, Count: 0},
-		{Origin: 2, Count: 7, Root: membership.HashUpdate(2, 7, nil)},
+		{Origin: 2, Count: 7, Root: testHash(2, 7, nil)},
 	}
 	// Request layout (no prefix roots).
 	w := wire.NewWriter()
@@ -105,7 +105,7 @@ func TestDigestRoundTrip(t *testing.T) {
 		}
 	}
 	// Response layout carries the prefix roots too.
-	ds[0].PrefixRoot = membership.HashUpdate(0, 2, []byte("b"))
+	ds[0].PrefixRoot = testHash(0, 2, []byte("b"))
 	w = wire.NewWriter()
 	appendDigest(w, tDigestResp, 3, ds)
 	r = wire.NewReader(w.Bytes())
@@ -120,31 +120,6 @@ func TestDigestRoundTrip(t *testing.T) {
 		if got[i] != ds[i] {
 			t.Fatalf("digest %d = %+v, want %+v", i, got[i], ds[i])
 		}
-	}
-}
-
-func TestTreeReqRespRoundTrip(t *testing.T) {
-	w := wire.NewWriter()
-	appendTreeReq(w, 5, 2, 100, 1, 3)
-	r := wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tTreeReq {
-		t.Fatalf("type = %d, want tTreeReq", typ)
-	}
-	shard, origin, prefix, level, index, err := decodeTreeReq(r)
-	if err != nil || shard != 5 || origin != 2 || prefix != 100 || level != 1 || index != 3 {
-		t.Fatalf("tree req = (shard %d, r%d, %d, %d, %d, %v)", shard, origin, prefix, level, index, err)
-	}
-
-	h := membership.HashUpdate(0, 9, []byte("leaf"))
-	w = wire.NewWriter()
-	appendTreeResp(w, h, true)
-	r = wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tTreeResp {
-		t.Fatalf("type = %d, want tTreeResp", typ)
-	}
-	gh, ok, err := decodeTreeResp(r)
-	if err != nil || !ok || gh != h {
-		t.Fatalf("tree resp = (%x, %v, %v)", gh[:4], ok, err)
 	}
 }
 
@@ -202,11 +177,11 @@ func FuzzDecodeDigest(f *testing.F) {
 		return w.Bytes()
 	}
 	f.Add(seed(func(w *wire.Writer) {
-		appendDigest(w, tDigest, 0, []originDigest{{Origin: 0, Count: 3, Root: membership.HashUpdate(0, 1, []byte("x"))}})
+		appendDigest(w, tDigest, 0, []originDigest{{Origin: 0, Count: 3, Root: testHash(0, 1, []byte("x"))}})
 	})[1:], false)
 	f.Add(seed(func(w *wire.Writer) {
 		appendDigest(w, tDigestResp, 3, []originDigest{
-			{Origin: 1, Count: 64, Root: membership.HashUpdate(1, 2, nil), PrefixRoot: membership.HashUpdate(1, 3, nil)},
+			{Origin: 1, Count: 64, Root: testHash(1, 2, nil), PrefixRoot: testHash(1, 3, nil)},
 			{Origin: 2, Count: 0},
 		})
 	})[1:], true)

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -173,7 +175,7 @@ func TestStrictDecoders(t *testing.T) {
 	}
 	us := []protoUpdate{{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}}}
 	ms := []membership.Member{{ID: 1, Addr: "127.0.0.1:7001", Epoch: 3}}
-	ds := []originDigest{{Origin: 1, Count: 3, Root: membership.HashUpdate(1, 1, nil)}}
+	ds := []originDigest{{Origin: 1, Count: 3, Root: testHash(1, 1, nil)}}
 	for _, tc := range []struct {
 		name   string
 		frame  []byte
@@ -193,10 +195,6 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, err := decodeDigest(r, false); return err }},
 		{"digest-resp", body(func(w *wire.Writer) { appendDigest(w, tDigestResp, 2, ds) }),
 			func(r *wire.Reader) error { _, _, err := decodeDigest(r, true); return err }},
-		{"tree-req", body(func(w *wire.Writer) { appendTreeReq(w, 2, 1, 40, 2, 3) }),
-			func(r *wire.Reader) error { _, _, _, _, _, err := decodeTreeReq(r); return err }},
-		{"tree-resp", body(func(w *wire.Writer) { appendTreeResp(w, ds[0].Root, true) }),
-			func(r *wire.Reader) error { _, _, err := decodeTreeResp(r); return err }},
 		{"range-req", body(func(w *wire.Writer) { appendRangeReq(w, 2, 1, 40, 25, 8) }),
 			func(r *wire.Reader) error { _, _, _, _, _, err := decodeRangeReq(r); return err }},
 		{"range-resp", body(func(w *wire.Writer) { appendBatch(w, tRangeResp, 2, 1, us) }),
@@ -393,6 +391,16 @@ func TestStatsBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// testHash is a fixed 32-byte value for frames that carry hashes: SHA-256
+// over origin, seq and payload length as big-endian uint64s, then the
+// payload — the layout the golden digest vector was generated with.
+func testHash(origin, seq uint64, payload []byte) membership.Hash {
+	b := binary.BigEndian.AppendUint64(nil, origin)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+	return sha256.Sum256(append(b, payload...))
+}
+
 // TestGoldenWireVectors pins the wire format byte-for-byte against files in
 // testdata/golden: a refactor that changes any encoding must consciously
 // regenerate them (UPDATE_GOLDEN=1 go test ./internal/cluster/) and bump
@@ -434,15 +442,12 @@ func TestGoldenWireVectors(t *testing.T) {
 		{"join_ack", enc(func(w *wire.Writer) {
 			appendJoinAck(w, 4, []membership.Member{{ID: 1, Addr: "127.0.0.1:7001", Epoch: 3}})
 		})},
-		{"tree_req", enc(func(w *wire.Writer) {
-			appendTreeReq(w, 3, 1, 40, 2, 3)
-		})},
 		{"range_req_windowed", enc(func(w *wire.Writer) {
 			appendRangeReq(w, 3, 1, 40, 25, 8)
 		})},
 		{"digest", enc(func(w *wire.Writer) {
 			appendDigest(w, tDigest, 3, []originDigest{
-				{Origin: 0, Count: 33, Root: membership.HashUpdate(0, 1, []byte("x"))},
+				{Origin: 0, Count: 33, Root: testHash(0, 1, []byte("x"))},
 				{Origin: 1, Count: 0},
 			})
 		})},

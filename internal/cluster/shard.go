@@ -115,7 +115,7 @@ type shard struct {
 	// other goroutine reads through logLen and logRun, under logMu.
 	logMu   sync.RWMutex
 	updates []seglog.Log[seglog.Pos]
-	// tree is the Merkle forest over updates, backing digest exchange with
+	// tree is the hash-chain forest over updates, backing digest exchange with
 	// joiners. The shard alone owns it: noteUpdate hashes each update in the
 	// turn that recorded and journaled it, and restore rebuilds it that way.
 	tree *membership.Forest
@@ -363,7 +363,7 @@ func (s *shard) applyRun(us []protoUpdate) (cum uint64, applied int64, ackable b
 
 // noteUpdate indexes one broadcast update — its record starts at `at` in
 // events, and payload is that record's — under its origin and hashes it into
-// the Merkle forest: always in the same turn the update's event is recorded
+// the forest: always in the same turn the update's event is recorded
 // and journaled, and after it, so log, forest, and journal never disagree
 // and a reader of the log never runs ahead of the journal.
 func (s *shard) noteUpdate(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) error {
@@ -371,7 +371,7 @@ func (s *shard) noteUpdate(origin model.ReplicaID, seq uint64, at seglog.Pos, pa
 	s.updates[origin].Append(at)
 	s.logMu.Unlock()
 	if err := s.tree.Append(int(origin), seq, payload); err != nil {
-		return fmt.Errorf("cluster: r%d shard %d merkle append: %w", s.n.cfg.ID, s.idx, err)
+		return fmt.Errorf("cluster: r%d shard %d forest append: %w", s.n.cfg.ID, s.idx, err)
 	}
 	return nil
 }

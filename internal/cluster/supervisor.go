@@ -28,7 +28,7 @@ var ErrNodeDown = fmt.Errorf("cluster: node is down (crashed by the fault schedu
 // Leave/join directives exercise the membership path instead: leave
 // retires the node gracefully (gossiped departure releases the peers'
 // retransmission obligations), join boots a fresh incarnation that
-// rejoins through tJoin and Merkle anti-entropy catch-up. Client traffic
+// rejoins through tJoin and anti-entropy catch-up. Client traffic
 // routes through Do, which fails fast with ErrNodeDown during a victim's
 // downtime.
 type Supervisor struct {
@@ -401,7 +401,7 @@ func (s *Supervisor) leave(i int) error {
 
 // rejoin brings a departed node back through the membership path: a fresh
 // incarnation on the original address, seeded with every other node's
-// address, that announces itself with tJoin and catches up via Merkle
+// address, that announces itself with tJoin and catches up via
 // anti-entropy before replicating. NewNode blocks until a seed admits it,
 // so rejoin runs on a goroutine spawned by apply.
 func (s *Supervisor) rejoin(i int) error {

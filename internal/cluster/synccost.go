@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the deterministic measurement surface behind cmd/loadgen
-// -syncbench, companion to benchwire.go: the cost of a Merkle anti-entropy
+// -syncbench, companion to benchwire.go: the cost of an anti-entropy
 // catch-up is a pure function of the donor's log and the joiner's prefix,
 // so it is computed on the encode paths alone — the same appenders
 // serveRange and pullRange use and the same cutBatch — with no sockets or

@@ -66,7 +66,7 @@ const (
 	// obligations), and its later KindJoin must catch up via anti-entropy.
 	KindLeave Kind = "leave"
 	// KindJoin readmits a departed Node through the join protocol: a new
-	// epoch, a Merkle digest exchange, and range pulls for whatever its
+	// epoch, a hash-chain digest exchange, and range pulls for whatever its
 	// history is missing. Balanced schedules pair every leave with a join.
 	KindJoin Kind = "join"
 )

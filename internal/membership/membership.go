@@ -1,6 +1,6 @@
 // Package membership holds the cluster-membership state machine and the
-// Merkle history digests that let a joining node catch up by pulling only
-// the ranges it is missing.
+// hash-chain history digests that let a joining node catch up by pulling
+// only the ranges it is missing.
 //
 // The paper's replica model (§2) fixes the replica population up front;
 // what this package adds is the bookkeeping that lets a real cluster
@@ -8,13 +8,12 @@
 // replica ID, whether the node is currently a member (alive) or has
 // departed (left), stamped with an incarnation epoch so a rejoin is
 // distinguishable from a duplicate announcement; a Forest summarizes each
-// origin's broadcast history as an incremental Merkle tree, so two nodes
-// can agree on the exact prefix they share by exchanging O(lg k) hashes —
-// the |m_g| metadata Theorem 12's lower bound counts — instead of
+// origin's broadcast history as a hash chain, so two nodes can agree on the
+// exact prefix they share by exchanging one hash per origin instead of
 // re-shipping the log.
 //
 // The package is deliberately transport-free: internal/cluster encodes
-// Views and tree hashes onto the wire and each of its shards owns a Forest
+// Views and chain values onto the wire and each of its shards owns a Forest
 // over its update log, but nothing here imports it.
 package membership
 

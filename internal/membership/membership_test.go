@@ -70,15 +70,19 @@ func buildForest(k int) *Forest { return buildForestExcept(k, 0) }
 func buildForestExcept(k, odd int) *Forest {
 	f := NewForest(3)
 	for i := 1; i <= k; i++ {
-		payload := testPayload(uint64(i))
-		if i == odd {
-			payload = []byte("something else")
-		}
-		if err := f.Append(0, uint64(i), payload); err != nil {
+		if err := f.Append(0, uint64(i), payloadExcept(uint64(i), uint64(odd))); err != nil {
 			panic(err)
 		}
 	}
 	return f
+}
+
+// payloadExcept is testPayload with a different payload at seq odd.
+func payloadExcept(seq, odd uint64) []byte {
+	if seq == odd {
+		return []byte("something else")
+	}
+	return testPayload(seq)
 }
 
 func TestForestPrefixAgreement(t *testing.T) {
@@ -98,36 +102,18 @@ func TestForestPrefixAgreement(t *testing.T) {
 
 func TestForestDetectsDivergence(t *testing.T) {
 	a := buildForest(100)
-	// b holds a different update in the middle: index 40 is seq 41.
+	// b holds a different update in the middle: seq 41.
 	b := buildForestExcept(100, 41)
 	if a.Root(0) == b.Root(0) {
 		t.Fatal("root blind to a corrupted update")
 	}
-	// The walk localizes the damage: descend from the root, at each level
-	// taking the first child whose hash disagrees, and land on the leaf
-	// covering update 40.
-	k := uint64(100)
-	level, index := TopLevel(k), uint64(0)
-	for level > 0 {
-		next := uint64(0)
-		found := false
-		for c := uint64(0); c < 2; c++ {
-			ha, okA := a.NodeHash(0, k, level-1, 2*index+c, nil)
-			hb, okB := b.NodeHash(0, k, level-1, 2*index+c, nil)
-			if okA != okB || (okA && ha != hb) {
-				next = 2*index + c
-				found = true
-				break
-			}
+	// The chain agrees up to the corrupted update and disagrees on every
+	// prefix that includes it, whichever side of a stored value it ends on.
+	srcB := func(_ int, seq uint64) []byte { return payloadExcept(seq, 41) }
+	for k := uint64(0); k <= 100; k++ {
+		if same := a.PrefixRoot(0, k, testSource) == b.PrefixRoot(0, k, srcB); same != (k < 41) {
+			t.Fatalf("prefix %d: roots agree = %v, corrupted update is 41", k, same)
 		}
-		if !found {
-			t.Fatalf("level %d node %d differs but no child does", level, index)
-		}
-		level, index = level-1, next
-	}
-	lo, hi := index*LeafSpan, (index+1)*LeafSpan
-	if 40 < lo || 40 >= hi {
-		t.Fatalf("walk landed on leaf [%d,%d), corrupted update is 40", lo, hi)
 	}
 }
 
@@ -146,28 +132,15 @@ func TestForestAppendRejectsGaps(t *testing.T) {
 
 func TestForestCheckpointRoundTrip(t *testing.T) {
 	a := buildForest(90)
-	// The update hashes, in order, determine the forest: one rebuilt from
+	// The chain values, in order, determine the forest: one rebuilt from
 	// them alone reproduces every root, and — handed the same update log to
 	// re-hash from — every prefix root, so the forest is derived state and
 	// nothing of it needs persisting.
 	b := NewForest(3)
-	for _, h := range refHashes(90) {
+	for _, h := range refChain(90)[1:] {
 		b.origins[0].push(h)
 	}
 	if a.Root(0) != b.Root(0) || a.PrefixRoot(0, 33, testSource) != b.PrefixRoot(0, 33, testSource) {
 		t.Fatal("checkpoint round trip changed roots")
-	}
-}
-
-func TestTopLevel(t *testing.T) {
-	for _, tc := range []struct {
-		k    uint64
-		want int
-	}{
-		{0, 0}, {1, 0}, {32, 0}, {33, 1}, {64, 1}, {65, 2}, {1 << 12, 7},
-	} {
-		if got := TopLevel(tc.k); got != tc.want {
-			t.Fatalf("TopLevel(%d) = %d, want %d", tc.k, got, tc.want)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -11,57 +12,35 @@ import (
 	"repro/internal/seglog"
 )
 
-// refNodeHash is the recursive NodeHash the forest had before it cached
-// complete nodes: every node is recomputed from the update hashes, streaming
-// through sha256.New. It is the reference the cached forest must match byte
-// for byte — digests, prefix proofs and tree walks cross the wire between
-// nodes that may run either.
-func refNodeHash(hashes []Hash, prefix uint64, level int, index uint64) (Hash, bool) {
-	if prefix > uint64(len(hashes)) {
-		return Hash{}, false
+// refChain is origin 0's chain over the first k test updates recomputed from
+// scratch the way it is specified, sharing no code with the forest:
+// refChain(k)[i] is h_i, one SHA-256 over h_{i−1}, the update's origin, seq
+// and payload length as big-endian uint64s, and the payload, laid end to end.
+// Digests and prefix proofs cross the wire between nodes, so the forest must
+// match it byte for byte.
+func refChain(k int) []Hash {
+	chain := make([]Hash, k+1)
+	for i := 1; i <= k; i++ {
+		p := testPayload(uint64(i))
+		b := append([]byte(nil), chain[i-1][:]...)
+		b = binary.BigEndian.AppendUint64(b, 0)
+		b = binary.BigEndian.AppendUint64(b, uint64(i))
+		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
+		chain[i] = sha256.Sum256(append(b, p...))
 	}
-	span := uint64(LeafSpan) << uint(level)
-	start := index * span
-	if start >= prefix || level < 0 {
-		return Hash{}, false
-	}
-	if level == 0 {
-		end := start + LeafSpan
-		if end > prefix {
-			end = prefix
-		}
-		h := sha256.New()
-		h.Write([]byte{0x00})
-		for i := start; i < end; i++ {
-			h.Write(hashes[i][:])
-		}
-		var out Hash
-		h.Sum(out[:0])
-		return out, true
-	}
-	left, okL := refNodeHash(hashes, prefix, level-1, 2*index)
-	right, okR := refNodeHash(hashes, prefix, level-1, 2*index+1)
-	if !okL {
-		return Hash{}, false
-	}
-	if !okR {
-		return left, true
-	}
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out, true
+	return chain
 }
 
-func refPrefixRoot(hashes []Hash, k uint64) Hash {
-	if k == 0 {
+// refPrefixRoot is what PrefixRoot must answer for origin 0 of a forest over
+// the updates chain covers: h_k, except the zero Hash for a k past the
+// history, and, without a source, for a k that is neither a stored chain
+// value nor the head.
+func refPrefixRoot(chain []Hash, k uint64, src Source) Hash {
+	count := uint64(len(chain) - 1)
+	if k > count || (src == nil && k%LeafSpan != 0 && k != count) {
 		return Hash{}
 	}
-	h, _ := refNodeHash(hashes, k, TopLevel(k), 0)
-	return h
+	return chain[k]
 }
 
 // testPayload is update seq of the deterministic history every forest in
@@ -72,21 +51,10 @@ func testPayload(seq uint64) []byte { return []byte(fmt.Sprintf("update-%d", seq
 
 func testSource(_ int, seq uint64) []byte { return testPayload(seq) }
 
-// refHashes is the full list of update hashes the reference tree is computed
-// over — what a forest held, one per update, before it kept the open leaf's
-// only.
-func refHashes(k int) []Hash {
-	hashes := make([]Hash, k)
-	for i := range hashes {
-		hashes[i] = HashUpdate(0, uint64(i+1), testPayload(uint64(i+1)))
-	}
-	return hashes
-}
-
 // forestBuilders are three ways a forest comes to hold k updates: hashing
-// payloads (Append, all the cluster does), pushing update hashes computed
-// elsewhere straight into the origin's tree, and a pushed prefix extended
-// with payloads — the node cache must fill the same way under each.
+// payloads (Append, all the cluster does), pushing chain values computed
+// elsewhere straight into the origin's chain, and a pushed prefix extended
+// with payloads — the stored chain values must fill the same way under each.
 var forestBuilders = []struct {
 	name  string
 	build func(k int) *Forest
@@ -94,15 +62,15 @@ var forestBuilders = []struct {
 	{"Append", buildForest},
 	{"AppendHash", func(k int) *Forest {
 		f := NewForest(3)
-		for _, h := range refHashes(k) {
+		for _, h := range refChain(k)[1:] {
 			f.origins[0].push(h)
 		}
 		return f
 	}},
 	{"mixed", func(k int) *Forest {
 		f := NewForest(3)
-		seeded := k * 2 / 3 // off every leaf and node boundary for most k
-		for i, h := range refHashes(k) {
+		seeded := k * 2 / 3 // off every span boundary for most k
+		for i, h := range refChain(k)[1:] {
 			if i < seeded {
 				f.origins[0].push(h)
 			} else if err := f.Append(0, uint64(i)+1, testPayload(uint64(i)+1)); err != nil {
@@ -113,70 +81,41 @@ var forestBuilders = []struct {
 	}},
 }
 
-// TestNodeHashMatchesReference compares the forest with the reference tree
-// over the full list of update hashes — which the forest no longer holds:
-// past the open leaf it has the complete-node cache and, for a prefix that
-// ends strictly inside a complete leaf, the re-hash through its Source. The
-// forests are several levels deep with an incomplete last leaf and right
-// spine; two of them cross one and two seglog.SegmentLen boundaries. Every
-// prefix is checked: its root, and at every level the node the prefix cuts
-// through and both its neighbours (complete on the left, absent on the
-// right). The small forest, and every prefix within a leaf of a segment
-// boundary or of the end of the larger ones, is swept in full — every
-// (level, index), nodes that do not exist and levels above the root
-// included.
+// TestNodeHashMatchesReference compares every node of the chain — the chain
+// value over every prefix, the history's own length and one past it
+// included — with the reference, with and without a source. A prefix is
+// answered from the stored chain value at or below it, re-hashing exactly
+// the updates between the two through the Source: never LeafSpan or more.
+// Other origins of the forest hold nothing, and an origin outside it has no
+// chain.
 func TestNodeHashMatchesReference(t *testing.T) {
-	near := func(p uint64, marks ...uint64) bool {
-		for _, m := range marks {
-			if p+LeafSpan+1 >= m && p <= m+LeafSpan+1 {
-				return true
-			}
-		}
-		return false
-	}
 	sizes := []uint64{6*LeafSpan*4 + 5, seglog.SegmentLen + LeafSpan + 5, 2*seglog.SegmentLen + 3*LeafSpan + 7}
 	sweep := func(t *testing.T, f *Forest, k uint64) {
-		hashes := refHashes(int(k))
-		top := TopLevel(k)
-		check := func(prefix uint64, level int, index uint64) {
-			got, ok := f.NodeHash(0, prefix, level, index, testSource)
-			want, wantOK := refNodeHash(hashes, prefix, level, index)
-			if ok != wantOK || got != want {
-				t.Fatalf("NodeHash(prefix %d, level %d, index %d) = %x/%v, reference %x/%v",
-					prefix, level, index, got, ok, want, wantOK)
-			}
+		chain := refChain(int(k))
+		if got := f.Root(0); got != chain[k] {
+			t.Fatalf("Root = %x, reference %x", got, chain[k])
 		}
-		for prefix := uint64(0); prefix <= k; prefix++ {
-			if got, want := f.PrefixRoot(0, prefix, testSource), refPrefixRoot(hashes, prefix); got != want {
+		reads := 0
+		counted := func(o int, seq uint64) []byte { reads++; return testSource(o, seq) }
+		for prefix := uint64(0); prefix <= k+1; prefix++ {
+			reads = 0
+			if got, want := f.PrefixRoot(0, prefix, counted), refPrefixRoot(chain, prefix, counted); got != want {
 				t.Fatalf("PrefixRoot(%d) = %x, reference %x", prefix, got, want)
 			}
-			full := k <= seglog.SegmentLen || near(prefix, seglog.SegmentLen, 2*seglog.SegmentLen, k)
-			for level := 0; level <= top+2; level++ {
-				span := uint64(LeafSpan) << uint(level)
-				if full {
-					for index := uint64(0); index <= k/span+1; index++ {
-						check(prefix, level, index)
-					}
-					continue
-				}
-				cut := (max(prefix, 1) - 1) / span
-				for index := max(cut, 1) - 1; index <= cut+1; index++ {
-					check(prefix, level, index)
-				}
+			want := 0 // the head, or past the history
+			if prefix < k {
+				want = int(prefix % LeafSpan)
+			}
+			if reads != want {
+				t.Fatalf("PrefixRoot(%d) read %d updates, want %d", prefix, reads, want)
+			}
+			if got, want := f.PrefixRoot(0, prefix, nil), refPrefixRoot(chain, prefix, nil); got != want {
+				t.Fatalf("PrefixRoot(%d) without a source = %x, reference %x", prefix, got, want)
 			}
 		}
-		if _, ok := f.NodeHash(0, k+1, 0, 0, testSource); ok {
-			t.Fatal("node over a prefix longer than the history exists")
-		}
-		// Without a source the forest answers what it holds and reports the
-		// rest absent: a prefix inside the first leaf, long since complete.
-		if _, ok := f.NodeHash(0, LeafSpan/2, 0, 0, nil); ok {
-			t.Fatal("a prefix cutting a complete leaf was answered without a source")
-		}
-		// An index whose update range would wrap around uint64 names no node.
-		for _, index := range []uint64{1 << 59, 1<<64 - 1} {
-			if _, ok := f.NodeHash(0, k, 0, index, testSource); ok {
-				t.Fatalf("node (0, %d) exists in a tree over %d updates", index, k)
+		for _, o := range []int{1, 2, 3, -1} {
+			if f.Count(o) != 0 || f.Root(o) != (Hash{}) || f.PrefixRoot(o, 1, testSource) != (Hash{}) {
+				t.Fatalf("origin %d answers for a history it does not hold", o)
 			}
 		}
 	}
@@ -191,31 +130,31 @@ func TestNodeHashMatchesReference(t *testing.T) {
 
 // TestRootsMatchReferenceAtRandomSizes checks Root while the forest grows
 // to 10⁵ updates and PrefixRoot at random prefixes of the finished one —
-// all but one in 32 of which end inside a complete leaf, at every depth of
-// the node cache and across its segment boundaries.
+// all but one in 32 of which fall between two stored chain values — across
+// the segment boundaries of the log those values are kept in.
 func TestRootsMatchReferenceAtRandomSizes(t *testing.T) {
 	const k = 100_000
 	rng := rand.New(rand.NewSource(1))
-	hashes := refHashes(k)
+	chain := refChain(k)
 	for _, b := range forestBuilders {
 		t.Run(b.name, func(t *testing.T) {
 			f := b.build(k)
-			if got, want := f.Root(0), refPrefixRoot(hashes, k); got != want {
-				t.Fatalf("Root at %d = %x, reference %x", k, got, want)
+			if got := f.Root(0); got != chain[k] {
+				t.Fatalf("Root at %d = %x, reference %x", k, got, chain[k])
 			}
 			for i := 0; i < 40; i++ {
 				p := uint64(rng.Intn(k + 1))
-				if got, want := f.PrefixRoot(0, p, testSource), refPrefixRoot(hashes, p); got != want {
-					t.Fatalf("PrefixRoot(%d) = %x, reference %x", p, got, want)
+				if got := f.PrefixRoot(0, p, testSource); got != chain[p] {
+					t.Fatalf("PrefixRoot(%d) = %x, reference %x", p, got, chain[p])
 				}
 			}
 		})
 	}
-	// Root as the history grows: the cache must be right at every size, not
-	// only at the end — at random sizes, and on either side of the node
-	// cache's first two segment boundaries in updates, with and without a
-	// whole last leaf.
-	const seg = seglog.SegmentLen
+	// Root as the history grows: the chain must be right at every size, not
+	// only at the end — at random sizes, and on either side of the first two
+	// segment boundaries of the stored values, in updates, with and without
+	// a whole last span.
+	const seg = seglog.SegmentLen * LeafSpan
 	sizes := []int{seg - 1, seg, seg + 1, seg + LeafSpan + 3, 2*seg - LeafSpan, 2*seg - 1, 2 * seg, 2*seg + 1, 2*seg + 2*LeafSpan + 9}
 	for size := 1; size <= k; size += 1 + rng.Intn(9000) {
 		sizes = append(sizes, size)
@@ -229,94 +168,86 @@ func TestRootsMatchReferenceAtRandomSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got, want := f.Root(0), refPrefixRoot(hashes[:size], uint64(size)); got != want {
-			t.Fatalf("Root while growing, at %d = %x, reference %x", size, got, want)
+		if got := f.Root(0); got != chain[size] {
+			t.Fatalf("Root while growing, at %d = %x, reference %x", size, got, chain[size])
+		}
+		if p := uint64(size) - 1; f.PrefixRoot(0, p, testSource) != chain[p] {
+			t.Fatalf("PrefixRoot(%d) while growing disagrees with the reference", p)
 		}
 	}
 }
 
-// FuzzForestPrefix grows a forest to a random length and asks it for a
-// random node of the tree over a random prefix — the question a joiner's
-// tree walk puts to a donor, in a frame the donor does not get to vet. For a
-// node of the tree the answer is the reference tree's over the full hash
-// list. Around the tree the answers are fixed: no node over a prefix longer
-// than the history, below level 0, or at an index past the prefix's last
-// node (one whose update range would wrap uint64 included); above the root,
-// the root lifted at index 0 and nothing elsewhere.
+// FuzzForestPrefix grows a forest to a random length and asks it for the
+// chain value over a random prefix of a random origin, with or without a
+// source — the question a joiner's digest puts to a donor, in a frame the
+// donor does not get to vet. The answer is the reference chain's h_prefix
+// for a prefix of origin 0's history, and the zero Hash past the history,
+// for an origin that holds nothing or is outside the forest, and without a
+// source for a prefix that is neither stored nor the head.
 func FuzzForestPrefix(f *testing.F) {
-	f.Add(uint16(100), uint64(70), 1, uint64(0))
-	f.Add(uint16(100), uint64(33), 0, uint64(1))                                    // inside a complete leaf
-	f.Add(uint16(seglog.SegmentLen+40), uint64(seglog.SegmentLen-3), 0, uint64(31)) // … at a segment boundary
-	f.Add(uint16(2100), uint64(2077), 3, uint64(8))
-	f.Add(uint16(64), uint64(64), 40, uint64(0))      // far above the root
-	f.Add(uint16(64), uint64(65), 0, uint64(0))       // past the history
-	f.Add(uint16(700), uint64(650), 0, uint64(1)<<59) // index·span wraps to 0
-	f.Add(uint16(700), uint64(650), -1, uint64(0))
-	f.Add(uint16(0), uint64(0), 0, uint64(0))
-	f.Fuzz(func(t *testing.T, grow uint16, prefix uint64, level int, index uint64) {
-		k := uint64(grow % 2500)
-		forest, hashes := buildForest(int(k)), refHashes(int(k))
-		got, ok := forest.NodeHash(0, prefix, level, index, testSource)
-		var want Hash
-		wantOK := false
-		if top := TopLevel(prefix); prefix > 0 && prefix <= k && level >= 0 {
-			if level > top && index == 0 {
-				want, wantOK = refNodeHash(hashes, prefix, top, 0)
-			} else if level <= top && index <= (prefix-1)/(LeafSpan<<uint(level)) {
-				want, wantOK = refNodeHash(hashes, prefix, level, index)
-			}
+	f.Add(uint16(100), uint64(70), 0, false)
+	f.Add(uint16(100), uint64(33), 0, false)                                   // one past a stored value
+	f.Add(uint16(seglog.SegmentLen+40), uint64(seglog.SegmentLen-3), 0, false) // one short of a stored value
+	f.Add(uint16(2100), uint64(2077), 0, true)                                 // mid-span, no source
+	f.Add(uint16(64), uint64(64), 0, true)                                     // the head
+	f.Add(uint16(64), uint64(65), 0, false)                                    // past the history
+	f.Add(uint16(700), uint64(650), 1, false)                                  // an origin with no history
+	f.Add(uint16(700), uint64(650), -1, false)                                 // outside the forest
+	f.Add(uint16(0), uint64(0), 0, false)
+	f.Fuzz(func(t *testing.T, grow uint16, prefix uint64, origin int, noSource bool) {
+		k := int(grow % 2500)
+		forest := buildForest(k)
+		var src Source = testSource
+		if noSource {
+			src = nil
 		}
-		if ok != wantOK || got != want {
-			t.Fatalf("forest of %d: NodeHash(prefix %d, level %d, index %d) = %x/%v, reference %x/%v",
-				k, prefix, level, index, got, ok, want, wantOK)
+		chain := refChain(k)
+		if origin != 0 {
+			chain = refChain(0)
 		}
-		if level == TopLevel(prefix) && index == 0 {
-			if root := forest.PrefixRoot(0, prefix, testSource); root != want {
-				t.Fatalf("forest of %d: PrefixRoot(%d) = %x, reference %x", k, prefix, root, want)
-			}
+		got, want := forest.PrefixRoot(origin, prefix, src), refPrefixRoot(chain, prefix, src)
+		if got != want {
+			t.Fatalf("forest of %d: PrefixRoot(origin %d, %d, source %v) = %x, reference %x",
+				k, origin, prefix, !noSource, got, want)
 		}
 	})
 }
 
 // TestNodeCacheFillAllocatesNothing pins the claim the in-memory workloads
-// rest on: hashing an update into the open leaf, and completing leaves and
-// interior nodes, costs Append no allocation of its own. What does allocate
-// is the node cache growing — each level's log, a segment at a time (the
-// first by doubling) — so the run is placed where none grows: after 34
-// segments' worth of updates levels 0–6 hold 1088, 544, 272, 136, 68, 34
-// and 17 nodes, each with room for the 32, 16, 8, 4, 2, 1 and 0 the run
-// adds. The count is read from the allocator: testing.AllocsPerRun rounds
-// an allocation per leaf down to 0.
+// rest on: hashing an update into the chain, and storing every LeafSpan-th
+// chain value, costs Append no allocation of its own. What does allocate is
+// the log of stored values growing a segment at a time (the first by
+// doubling), so the run is placed where none grows: from the first value of
+// the second segment to the last. The count is read from the allocator:
+// testing.AllocsPerRun rounds an allocation per span down to 0.
 func TestNodeCacheFillAllocatesNothing(t *testing.T) {
-	var tr originTree
-	var h Hash
-	for i := 0; i < 34*seglog.SegmentLen+1; i++ {
-		h[1]++
-		tr.push(h)
+	f := NewForest(1)
+	payload := testPayload(1)
+	seq := uint64(0)
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			seq++
+			if err := f.Append(0, seq, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	completed := tr.nodes[2].Len()
+	appendN((seglog.SegmentLen + 1) * LeafSpan)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 1; i < seglog.SegmentLen; i++ {
-		h[0]++
-		tr.push(h)
-	}
+	appendN((seglog.SegmentLen - 1) * LeafSpan)
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("%d pushes inside one segment allocated %d times", seglog.SegmentLen-1, n)
+		t.Fatalf("%d appends inside one segment allocated %d times", (seglog.SegmentLen-1)*LeafSpan, n)
 	}
-	if tr.count != 35*seglog.SegmentLen {
-		t.Fatalf("run ended at %d updates, not the %d it was placed against", tr.count, 35*seglog.SegmentLen)
-	}
-	if tr.nodes[2].Len() == completed {
-		t.Fatal("no interior node completed; the run did not exercise the cache fill")
+	if got := f.origins[0].marks.Len(); got != 2*seglog.SegmentLen {
+		t.Fatalf("run stored %d chain values, not the %d it was placed against", got, 2*seglog.SegmentLen)
 	}
 }
 
 var rootSink Hash
 
-// BenchmarkForestRoot is the digest a joiner asks for: it must grow no
-// faster than log k.
+// BenchmarkForestRoot is the digest a joiner asks for: the head, whatever k.
 //
 //	go test ./internal/membership -run '^$' -bench ForestRoot -benchmem
 func BenchmarkForestRoot(b *testing.B) {
@@ -324,7 +255,7 @@ func BenchmarkForestRoot(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			f := NewForest(1)
 			var h Hash
-			for i := 0; i < k-7; i++ { // off a leaf boundary: the spine is incomplete
+			for i := 0; i < k-7; i++ { // off a span boundary
 				h[i%32]++
 				f.origins[0].push(h)
 			}
@@ -337,14 +268,13 @@ func BenchmarkForestRoot(b *testing.B) {
 	}
 }
 
-// BenchmarkForestNodeHashMidLeaf is the one query that reads the update log:
-// a prefix that ends one update short of a leaf long since complete, so the
-// leaf's other LeafSpan-1 updates are hashed again through the Source — about
-// 31 HashUpdate calls and a leaf hash, whatever the history's length. It runs
-// on the shard loop, once per level of a joiner's digest walk.
+// BenchmarkForestPrefixRootMidSpan is the one query that reads the update
+// log: a prefix one update short of a stored chain value, so LeafSpan-1
+// updates are hashed again through the Source, whatever the history's
+// length. It runs on the shard loop, once per origin of a joiner's digest.
 //
-//	go test ./internal/membership -run '^$' -bench ForestNodeHashMidLeaf -benchmem
-func BenchmarkForestNodeHashMidLeaf(b *testing.B) {
+//	go test ./internal/membership -run '^$' -bench ForestPrefixRootMidSpan -benchmem
+func BenchmarkForestPrefixRootMidSpan(b *testing.B) {
 	for _, k := range []int{1 << 10, 1 << 15} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			f := buildForest(k)
@@ -354,7 +284,7 @@ func BenchmarkForestNodeHashMidLeaf(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rootSink, _ = f.NodeHash(0, prefix, 0, prefix/LeafSpan, src)
+				rootSink = f.PrefixRoot(0, prefix, src)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package seglog is an append-only log held in fixed-length segments. A
 // node keeps its whole history — recorded events, where each origin's
-// updates are among them, the Merkle nodes over them — and an append-doubled
+// updates are among them, the chain values over them — and an append-doubled
 // slice pays for that history again at every growth: the runtime allocates
 // a larger array and memmoves everything recorded so far, on the event
 // loop, so the cost of one append depends on how long the node has lived. Here an append touches one

@@ -12,7 +12,8 @@
 // lose messages (our stores do not retransmit), so CheckConverged refuses to
 // rule on a run that dropped anything — it returns ErrLossyRun instead of
 // silently asserting Lemma 3 where it cannot hold — unless the store
-// declares store.LossConverger (state-sync propagation subsumes losses).
+// declares that it converges under loss in its store.Conformance (state-sync
+// propagation subsumes losses).
 // Safety assertions hold in all runs. For convergence over a genuinely
 // lossy network, internal/cluster supplies the reliable-delivery transport
 // the stores themselves lack.
@@ -493,14 +494,11 @@ func (c *Cluster) Drops() int { return c.drops }
 //
 // On a run with explicit drops it returns an error wrapping ErrLossyRun
 // instead of a verdict, unless the store reconverges through loss by design
-// (store.LossConverger): eventual delivery failed, so agreement would be
-// coincidence, not Lemma 3.
+// (store.Conformance's ConvergesUnderLoss): eventual delivery failed, so
+// agreement would be coincidence, not Lemma 3.
 func (c *Cluster) CheckConverged(objects []model.ObjectID) error {
-	if c.drops > 0 {
-		lc, ok := c.st.(store.LossConverger)
-		if !ok || !lc.ConvergesUnderLoss() {
-			return fmt.Errorf("%w: %d copies dropped", ErrLossyRun, c.drops)
-		}
+	if c.drops > 0 && !store.ConformanceOf(c.st).ConvergesUnderLoss {
+		return fmt.Errorf("%w: %d copies dropped", ErrLossyRun, c.drops)
 	}
 	for _, obj := range objects {
 		resps := c.ReadAll(obj)

@@ -126,7 +126,7 @@ func TestCheckConvergedDropFreeRunHasNoSentinel(t *testing.T) {
 }
 
 func TestCheckConvergedStateSyncTolerantOfLoss(t *testing.T) {
-	// The state-sync store declares store.LossConverger: a post-loss
+	// The state-sync store declares ConvergesUnderLoss: a post-loss
 	// mutation's full-state broadcast subsumes every dropped message, so
 	// CheckConverged rules on the reads instead of returning ErrLossyRun.
 	c := NewCluster(statesync.New(spec.MVRTypes()), 3, 5)

@@ -11,13 +11,9 @@ func init() {
 	})
 }
 
-// ViolatesProperties implements store.PropertyViolator: the sequencer
-// generates commit messages in response to received proposals, violating
-// Definition 15 by design.
-func (s *Store) ViolatesProperties() bool { return true }
-
-// Conformance implements store.ConformanceReporter: commit messages are not
-// op-driven, and the sequencer assigns global positions in arrival order, so
+// Conformance implements store.ConformanceReporter: the sequencer generates
+// commit messages in response to received proposals, violating Definition
+// 15 by design, and it assigns global positions in arrival order, so
 // delivery order is semantically significant.
 func (s *Store) Conformance() store.Conformance {
 	return store.Conformance{

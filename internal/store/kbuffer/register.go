@@ -15,17 +15,10 @@ func init() {
 	})
 }
 
-// ViolatesProperties implements store.PropertyViolator: reads age the
-// withheld queue, so Definition 16 fails by design.
-func (s *Store) ViolatesProperties() bool { return true }
-
-// ExtraReadRounds implements store.ReadAger: a received update surfaces
-// only after K local reads, so convergence checks need K read rounds.
-func (s *Store) ExtraReadRounds() int { return s.k }
-
 // Conformance implements store.ConformanceReporter: reads age the withheld
-// queue (visible reads by design), K+1 read rounds expose everything, and
-// held payloads deduplicate only at exposure time.
+// queue (visible reads by design), a received update surfaces only after K
+// local reads, so K+1 read rounds expose everything, and held payloads
+// deduplicate only at exposure time.
 func (s *Store) Conformance() store.Conformance {
 	return store.Conformance{
 		ViolatesInvisibleReads: true,

@@ -71,38 +71,14 @@ func Names() []string {
 	return names
 }
 
-// PropertyViolator is implemented by stores that violate the §4
-// write-propagating properties BY DESIGN (the K-buffer store's visible
-// reads, the GSP sequencer's non-op-driven commits). Drivers that assert
-// the properties — the explorer, the conformance battery — consult it
-// instead of hard-coding store names.
-type PropertyViolator interface {
-	ViolatesProperties() bool
-}
-
-// ReadAger is implemented by stores whose received updates become visible
-// only as local reads elapse (the K-buffer store). Convergence checks must
-// perform ExtraReadRounds rounds of reads before asserting Lemma 3 at
-// quiescence.
-type ReadAger interface {
-	ExtraReadRounds() int
-}
-
-// LossConverger is implemented by stores that reconverge through genuine
-// message loss (the state-sync store: any later broadcast carries the full
-// state, subsuming every dropped message). Convergence checkers consult it
-// before refusing to assert Lemma 3 on a lossy run — for every other store
-// a dropped update is gone, since the model has no retransmission.
-type LossConverger interface {
-	ConvergesUnderLoss() bool
-}
-
 // Conformance declares how a store deviates from the default conformance
-// contract, so registry-driven test sweeps (storetest.RunRegistered) can
-// derive the right expectations for every registered name without a
-// hand-maintained table. The zero value claims the full contract: invisible
-// reads, op-driven messages, one send drains the outbox, duplicate
-// deliveries are digest-idempotent, and independent deliveries commute.
+// contract. It is the one declaration every driver reads — the conformance
+// battery (storetest.RunRegistered), the explorer, the simulator, the chaos
+// search and the cluster's settle-and-audit pipeline — so none keys on a
+// store's name. The zero value claims the full contract: invisible reads,
+// op-driven messages, one read round exposes everything, one send drains
+// the outbox, duplicate deliveries are digest-idempotent, independent
+// deliveries commute, and a lost message is gone for good.
 type Conformance struct {
 	// ViolatesInvisibleReads: reads change replica state by design
 	// (Definition 16 fails; the K-buffer store).
@@ -111,7 +87,9 @@ type Conformance struct {
 	// (Definition 15 fails; the GSP sequencer).
 	ViolatesOpDrivenMessages bool
 	// ConvergenceReadRounds is how many read rounds expose withheld state
-	// before convergence is asserted (0 means one round).
+	// before convergence is asserted (0 means one round): a store whose
+	// received updates surface only as local reads elapse (the K-buffer
+	// store) needs more.
 	ConvergenceReadRounds int
 	// MaxSendsToDrain bounds consecutive sends needed to empty the outbox
 	// (0 means one; per-update batching needs one send per update).
@@ -124,10 +102,25 @@ type Conformance struct {
 	// independent deliveries need not commute (the GSP sequencer assigns
 	// positions in arrival order).
 	OrdersDeliveries bool
+	// ConvergesUnderLoss: the store reconverges through genuine message loss
+	// (the state-sync store: any later broadcast carries the full state,
+	// subsuming every dropped message). For every other store a dropped
+	// update is gone, since the model has no retransmission, and a lossy
+	// run's convergence cannot be asserted.
+	ConvergesUnderLoss bool
 }
 
 // ConformanceReporter is implemented by stores whose conformance deviates
 // from the zero-value Conformance contract.
 type ConformanceReporter interface {
 	Conformance() Conformance
+}
+
+// ConformanceOf returns what st declares: its Conformance, or the zero
+// value — the full contract — when it declares none or st is nil.
+func ConformanceOf(st Store) Conformance {
+	if cr, ok := st.(ConformanceReporter); ok {
+		return cr.Conformance()
+	}
+	return Conformance{}
 }

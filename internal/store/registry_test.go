@@ -47,28 +47,31 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 	store.Register("causal", func(types spec.Types, opts store.Options) store.Store { return nil })
 }
 
-// TestStoreTraits pins the trait interfaces the explorer keys on: the
-// K-buffer store ages reads and legitimately violates §4 properties, gsp
-// violates op-driven messages, and the well-behaved stores declare neither.
+// TestStoreTraits pins what the drivers read off each store's Conformance:
+// the K-buffer store ages reads (K more read rounds) and violates a §4
+// property, gsp violates op-driven messages, statesync converges through
+// loss, and the other stores declare none of it.
 func TestStoreTraits(t *testing.T) {
 	violators := map[string]bool{"kbuffer": true, "gsp": true}
 	agers := map[string]int{"kbuffer": 3}
+	lossy := map[string]bool{"statesync": true}
 	for _, name := range store.Names() {
 		st, err := store.Open(name, spec.MVRTypes(), store.Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv, ok := st.(store.PropertyViolator)
-		if got := ok && pv.ViolatesProperties(); got != violators[name] {
-			t.Errorf("%s: ViolatesProperties = %v, want %v", name, got, violators[name])
+		c := store.ConformanceOf(st)
+		if got := c.ViolatesInvisibleReads || c.ViolatesOpDrivenMessages; got != violators[name] {
+			t.Errorf("%s: violates a §4 property = %v, want %v", name, got, violators[name])
 		}
-		ra, ok := st.(store.ReadAger)
-		got := 0
-		if ok {
-			got = ra.ExtraReadRounds()
+		if got := max(c.ConvergenceReadRounds-1, 0); got != agers[name] {
+			t.Errorf("%s: extra read rounds = %d, want %d", name, got, agers[name])
 		}
-		if got != agers[name] {
-			t.Errorf("%s: ExtraReadRounds = %d, want %d", name, got, agers[name])
+		if c.ConvergesUnderLoss != lossy[name] {
+			t.Errorf("%s: ConvergesUnderLoss = %v, want %v", name, c.ConvergesUnderLoss, lossy[name])
 		}
+	}
+	if store.ConformanceOf(nil) != (store.Conformance{}) {
+		t.Error("a nil store declares something")
 	}
 }

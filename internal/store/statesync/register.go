@@ -11,7 +11,9 @@ func init() {
 	})
 }
 
-// ConvergesUnderLoss implements store.LossConverger: every broadcast carries
+// Conformance implements store.ConformanceReporter: every broadcast carries
 // the replica's full state, so any post-loss mutation's message subsumes all
 // previously dropped ones and convergence survives genuine message loss.
-func (s *Store) ConvergesUnderLoss() bool { return true }
+func (s *Store) Conformance() store.Conformance {
+	return store.Conformance{ConvergesUnderLoss: true}
+}

@@ -15,8 +15,8 @@ import (
 // faults — none of which lose messages — and still converge after
 // quiescence (Lemma 3 under Definition 3 delivery). A second subtest layers
 // genuine loss on top and checks the verdict matches the store's declared
-// loss behavior: ErrLossyRun for ordinary stores, convergence for
-// store.LossConverger ones.
+// loss behavior: ErrLossyRun for ordinary stores, convergence for those
+// whose store.Conformance declares ConvergesUnderLoss.
 func runChaos(t *testing.T, cfg Config) {
 	objs := []model.ObjectID{"obj0", "obj1", "obj2"}
 	readRounds := func(c *sim.Cluster) {
@@ -61,8 +61,7 @@ func runChaos(t *testing.T, cfg Config) {
 		c.Quiesce()
 		readRounds(c)
 		err := c.CheckConverged(objs)
-		lc, ok := c.Store().(store.LossConverger)
-		if ok && lc.ConvergesUnderLoss() {
+		if store.ConformanceOf(c.Store()).ConvergesUnderLoss {
 			if err != nil {
 				t.Fatalf("loss-converging store failed to converge through %d drops: %v", c.Drops(), err)
 			}

@@ -72,10 +72,7 @@ func (c *Config) defaults() {
 // — when it declares none). This is what lets RunRegistered test stores it
 // has never heard of.
 func ConfigFor(factory func() store.Store) Config {
-	var c store.Conformance
-	if cr, ok := factory().(store.ConformanceReporter); ok {
-		c = cr.Conformance()
-	}
+	c := store.ConformanceOf(factory())
 	return Config{
 		Factory:                  factory,
 		InvisibleReads:           !c.ViolatesInvisibleReads,

@@ -240,7 +240,7 @@ func (r *Reader) Bytes() []byte {
 
 // Fixed returns the next n bytes verbatim (no length prefix) — the read
 // path for fields whose width is fixed by the protocol, like 32-byte
-// Merkle hashes. The slice aliases the Reader's buffer, like Bytes.
+// chain hashes. The slice aliases the Reader's buffer, like Bytes.
 func (r *Reader) Fixed(n int) []byte {
 	if r.err != nil {
 		return nil
