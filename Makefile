@@ -21,12 +21,13 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
 # The per-layer allocation rows of a write and of a received update: the
-# shard loop's (a client operation, a replicated update) and the causal
-# store's alone, at a fixed iteration count on one CPU so that B/op and
-# allocs/op read the same from run to run.
+# shard loop's (a client operation, a replicated update), the causal
+# store's alone, and a frame read off a connection, at a fixed iteration
+# count on one CPU so that B/op and allocs/op read the same from run to run.
 allocs:
 	$(GO) test ./internal/cluster -run '^$$' -bench '^Benchmark(DoInLoop|ApplyUpdate)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/store/causal -run '^$$' -bench '^Benchmark(CausalWrite|CausalReceive)$$' -benchtime 200000x -cpu 1 -benchmem
+	$(GO) test ./internal/wire -run '^$$' -bench '^BenchmarkReadFrame$$' -benchtime 200000x -cpu 1 -benchmem
 
 # The benchmark under benchmark/ is its own module, so `go build ./...` and
 # `go test ./...` never compile it: an interface change in the main module

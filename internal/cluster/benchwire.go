@@ -114,8 +114,8 @@ func wireLen(w *wire.Writer, compress bool) int64 {
 		defer wire.PutDeflater(z)
 		if env := maybeCompressPayload(w.Bytes(), z); env != nil {
 			defer wire.PutWriter(env)
-			return int64(env.Len() + 4)
+			return int64(env.Len() + wire.FrameHeaderLen(env.Len()))
 		}
 	}
-	return int64(w.Len() + 4)
+	return int64(w.Len() + wire.FrameHeaderLen(w.Len()))
 }

@@ -14,21 +14,26 @@ import (
 // history downloads over a single connection. Safe for concurrent use (the
 // protocol is strict request/response, so calls serialize on a mutex —
 // loadgen opens one Client per simulated client).
+//
+// A round trip that fails leaves the stream at an unknown point — a reply
+// cut off mid-payload, or one still to come that the next call would take
+// for its own — so the first failure closes the connection, and every later
+// call returns an error wrapping it. Dial again to go on.
 type Client struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	maxFrame  int
 	nextReq   uint64
 	opTimeout time.Duration
+	err       error // the failure that closed conn, or nil
 	// req holds the request being sent, built behind its frame header so it
 	// leaves in one conn.Write (the shape of the node's writeEnc), and is
-	// reused for the next. buf receives Do's replies, one after another
-	// (decodeResponse copies the values out). Stats and History replies get
-	// a buffer per call: a history transfer can run to historyMaxFrame, too
-	// much to keep. r is the reader roundTrip hands back, reused the same
-	// way.
+	// reused for the next. fr reads every reply into its storage, one after
+	// another (the decoders copy the values out); a history transfer can run
+	// to historyMaxFrame, too much to keep, so History drops the storage
+	// after it. r is the reader roundTrip hands back, reused the same way.
 	req *wire.Writer
-	buf []byte
+	fr  *wire.FrameReader
 	r   wire.Reader
 }
 
@@ -45,7 +50,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func newClient(conn net.Conn) *Client {
-	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame, req: wire.NewWriter()}
+	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame, req: wire.NewWriter(), fr: wire.NewFrameReader(conn)}
 }
 
 // SetOpTimeout bounds each subsequent operation's full round trip (write
@@ -78,9 +83,13 @@ func (c *Client) request() *wire.Writer {
 // roundTrip sends the request encoded since request() — the client's single
 // send exit: one frame, one conn.Write — and reads one reply of type want,
 // returning the reply's reader positioned after the type tag. The reply is
-// read into buf (see recvFrame; nil for a buffer of its own); the reader is
-// the client's own, good until the next roundTrip.
-func (c *Client) roundTrip(replyMax int, buf *[]byte, want uint64) (*wire.Reader, error) {
+// read into the client's frame reader (see recvFrame) and the reader is the
+// client's own, both good until the next roundTrip. On a client that
+// failed before, it touches nothing and returns that failure.
+func (c *Client) roundTrip(replyMax int, want uint64) (*wire.Reader, error) {
+	if c.err != nil {
+		return nil, fmt.Errorf("cluster: client closed by an earlier failure: %w", c.err)
+	}
 	if c.opTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
 		defer c.conn.SetDeadline(time.Time{})
@@ -90,18 +99,26 @@ func (c *Client) roundTrip(replyMax int, buf *[]byte, want uint64) (*wire.Reader
 		_, err = c.conn.Write(frame)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: client write: %w", err)
+		return nil, c.fail(fmt.Errorf("cluster: client write: %w", err))
 	}
-	b, err := recvFrame(c.conn, replyMax, buf)
+	b, err := recvFrame(c.fr, replyMax)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: client read: %w", err)
+		return nil, c.fail(fmt.Errorf("cluster: client read: %w", err))
 	}
 	r := &c.r
 	r.Reset(b)
 	if typ := r.Uvarint(); r.Err() != nil || typ != want {
-		return nil, fmt.Errorf("cluster: unexpected reply frame type %d (want %d)", typ, want)
+		return nil, c.fail(fmt.Errorf("cluster: unexpected reply frame type %d (want %d)", typ, want))
 	}
 	return r, nil
+}
+
+// fail closes the connection on a round trip's failure and keeps err for
+// every later call to wrap; it returns err.
+func (c *Client) fail(err error) error {
+	c.err = err
+	c.conn.Close()
+	return err
 }
 
 // Do performs one operation at the node and returns its response.
@@ -111,16 +128,16 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 	c.nextReq++
 	id := c.nextReq
 	appendRequest(c.request(), id, obj, op)
-	r, err := c.roundTrip(c.maxFrame, &c.buf, tResponse)
+	r, err := c.roundTrip(c.maxFrame, tResponse)
 	if err != nil {
 		return model.Response{}, err
 	}
 	gotID, resp, err := decodeResponse(r)
 	if err != nil {
-		return model.Response{}, fmt.Errorf("cluster: bad response frame: %w", err)
+		return model.Response{}, c.fail(fmt.Errorf("cluster: bad response frame: %w", err))
 	}
 	if gotID != id {
-		return model.Response{}, fmt.Errorf("cluster: response for request %d, want %d", gotID, id)
+		return model.Response{}, c.fail(fmt.Errorf("cluster: response for request %d, want %d", gotID, id))
 	}
 	return resp, nil
 }
@@ -130,13 +147,13 @@ func (c *Client) Stats() (Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.request().Uvarint(tStats)
-	r, err := c.roundTrip(c.maxFrame, nil, tStatsResp)
+	r, err := c.roundTrip(c.maxFrame, tStatsResp)
 	if err != nil {
 		return Stats{}, err
 	}
 	s, err := decodeStats(r)
 	if err != nil {
-		return Stats{}, fmt.Errorf("cluster: bad stats frame: %w", err)
+		return Stats{}, c.fail(fmt.Errorf("cluster: bad stats frame: %w", err))
 	}
 	return s, nil
 }
@@ -152,13 +169,14 @@ func (c *Client) ShardHistory(shard int) (History, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	appendHistoryReq(c.request(), shard)
-	r, err := c.roundTrip(historyMaxFrame, nil, tHistoryResp)
+	r, err := c.roundTrip(historyMaxFrame, tHistoryResp)
 	if err != nil {
 		return History{}, err
 	}
 	h, err := decodeHistory(r)
+	c.fr.Reuse(nil)
 	if err != nil {
-		return History{}, fmt.Errorf("cluster: bad history frame: %w", err)
+		return History{}, c.fail(fmt.Errorf("cluster: bad history frame: %w", err))
 	}
 	return h, nil
 }

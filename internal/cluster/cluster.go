@@ -786,10 +786,10 @@ func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrack(conn)
 	defer conn.Close()
-	// buf is this connection's receive buffer: every frame the handler reads
-	// lands in it, overwriting the one before (recvFrame).
-	var buf []byte
-	first, err := recvFrame(conn, n.cfg.MaxFrame, &buf)
+	// fr is this connection's one frame reader: every frame the handler
+	// reads lands in its storage, overwriting the one before (recvFrame).
+	fr := wire.NewFrameReader(conn)
+	first, err := recvFrame(fr, n.cfg.MaxFrame)
 	if err != nil {
 		return
 	}
@@ -800,12 +800,12 @@ func (n *Node) serveConn(conn net.Conn) {
 		return
 	case typ == tHello:
 		if h, err := decodeHello(&r); err == nil {
-			n.serveHello(conn, h, &buf)
+			n.serveHello(conn, h, fr)
 		}
 		return
 	case typ == tJoin:
 		if j, err := decodeJoin(&r); err == nil {
-			n.serveJoin(conn, j, &buf)
+			n.serveJoin(conn, j, fr)
 		}
 		return
 	case typ == tGossip:
@@ -814,7 +814,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	n.serveClient(conn, first, &buf)
+	n.serveClient(conn, first, fr)
 }
 
 // serveHello answers a peer's hello and, if the two ends agree, serves its
@@ -824,7 +824,7 @@ func (n *Node) serveConn(conn net.Conn) {
 // before the connection closes: the hello ack carries this node's version
 // and shard count, so the dialer sees why it was refused and fail-stops its
 // side of the link instead of redialling.
-func (n *Node) serveHello(conn net.Conn, h hello, buf *[]byte) {
+func (n *Node) serveHello(conn net.Conn, h hello, fr *wire.FrameReader) {
 	// A link carries its dialer's own broadcasts, so the dialer must be
 	// another member of the population.
 	if int(h.From) < 0 || int(h.From) >= n.cfg.N || h.From == n.cfg.ID {
@@ -846,7 +846,7 @@ func (n *Node) serveHello(conn net.Conn, h hello, buf *[]byte) {
 		return
 	}
 	if h.Version == protoVersion && h.Shards == uint64(len(n.shards)) {
-		n.serveReplication(conn, h.From, buf)
+		n.serveReplication(conn, h.From, fr)
 	}
 }
 
@@ -858,7 +858,7 @@ func (n *Node) serveHello(conn net.Conn, h hello, buf *[]byte) {
 // the ack-coalescing half of the batching win. A batch for a shard this
 // node does not have, or of any origin but the dialer's own, hangs up: a
 // confused peer cannot slip updates into another seq domain.
-func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte) {
+func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, fr *wire.FrameReader) {
 	// Everything a frame needs is built once per connection and reused: the
 	// receive buffer, the decoded batch (whose payloads alias that buffer —
 	// applyUpdate copies each before anything keeps it), the ack's writer,
@@ -878,7 +878,7 @@ func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
 	for {
-		b, err := recvFrame(conn, n.cfg.MaxFrame, buf)
+		b, err := recvFrame(fr, n.cfg.MaxFrame)
 		if err != nil {
 			return
 		}
@@ -912,7 +912,7 @@ func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, buf *[]byte
 }
 
 // serveClient answers request/response frames from one client connection.
-func (n *Node) serveClient(conn net.Conn, first []byte, buf *[]byte) {
+func (n *Node) serveClient(conn net.Conn, first []byte, fr *wire.FrameReader) {
 	// call is the slot this connection's requests cross into their shard's
 	// loop through, built once.
 	call := newDoCall(n)
@@ -922,7 +922,7 @@ func (n *Node) serveClient(conn net.Conn, first []byte, buf *[]byte) {
 			return
 		}
 		var err error
-		if frame, err = recvFrame(conn, n.cfg.MaxFrame, buf); err != nil {
+		if frame, err = recvFrame(fr, n.cfg.MaxFrame); err != nil {
 			return
 		}
 	}

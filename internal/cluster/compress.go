@@ -87,22 +87,19 @@ func decompressFrame(b []byte, maxFrame int) (frame, buf []byte, err error) {
 
 // recvFrame reads one length-prefixed frame and transparently unwraps the
 // compression envelope: the single receive entrance of the package, for
-// every connection that might carry compressed frames. The frame is read
-// (and inflated) into *buf, which the connection's handler owns and passes
-// to every read, so a steady stream of frames allocates nothing. The
-// returned frame — and every payload decoded zero-copy from it — is valid
-// only until the handler's next recvFrame on the same buf. A nil buf gives
-// the frame a buffer of its own, for a caller that keeps it.
-func recvFrame(conn net.Conn, maxFrame int, buf *[]byte) ([]byte, error) {
-	var own []byte
-	if buf == nil {
-		buf = &own
-	}
-	b, err := wire.ReadFrameInto(conn, maxFrame, *buf)
+// every connection that might carry compressed frames. fr is the
+// connection's one frame reader, which its handler builds and passes to
+// every read: the frame is read (and inflated) into fr's storage, so a
+// steady stream of frames allocates nothing. The returned frame — and
+// every payload decoded zero-copy from it — is valid only until the
+// handler's next recvFrame on the same fr.
+func recvFrame(fr *wire.FrameReader, maxFrame int) ([]byte, error) {
+	b, err := fr.ReadFrame(maxFrame)
 	if err != nil {
 		return nil, err
 	}
-	b, *buf, err = decompressFrame(b, maxFrame)
+	b, buf, err := decompressFrame(b, maxFrame)
+	fr.Reuse(buf)
 	return b, err
 }
 
@@ -124,7 +121,7 @@ func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.D
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
 	var env *wire.Writer
 	if z != nil {
-		env = maybeCompressPayload(frame[4:], z)
+		env = maybeCompressPayload(wire.FramePayload(frame), z)
 	}
 	var nBytes int
 	if env != nil {

@@ -304,7 +304,7 @@ func TestHistoryFrameIsTheLogVerbatim(t *testing.T) {
 	if _, err := wire.WriteFrame(conn, req.Bytes(), 0); err != nil {
 		t.Fatal(err)
 	}
-	body, err := recvFrame(conn, historyMaxFrame, nil)
+	body, err := recvFrame(wire.NewFrameReader(conn), historyMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,21 +393,17 @@ func TestReceiveAllocatesOnlyWhatItKeeps(t *testing.T) {
 	}
 }
 
-// rawRoundTrip writes one prebuilt frame and reads one reply frame into
-// buf, allocating nothing.
-func rawRoundTrip(conn net.Conn, frame, buf []byte) ([]byte, error) {
+// rawRoundTrip writes one prebuilt frame on conn and reads one reply frame
+// through fr, conn's frame reader: once fr's storage has grown to the
+// reply, it allocates nothing.
+func rawRoundTrip(conn net.Conn, fr *wire.FrameReader, frame []byte) ([]byte, error) {
 	if _, err := conn.Write(frame); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(conn, buf[:4]); err != nil {
-		return nil, err
-	}
-	reply := buf[:binary.BigEndian.Uint32(buf[:4])]
-	_, err := io.ReadFull(conn, reply)
-	return reply, err
+	return fr.ReadFrame(0)
 }
 
-// framed returns payload behind its 4-byte length header.
+// framed returns payload behind its uvarint length header.
 func framed(payload []byte) []byte {
 	var b bytes.Buffer
 	if _, err := wire.WriteFrame(&b, payload, 0); err != nil {
@@ -432,9 +428,9 @@ func TestReadOverTCPAllocatesOnlyWhatItKeeps(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	req, buf := framed(encodeRequest(9, "k", model.Read())), make([]byte, 256)
+	req, fr := framed(encodeRequest(9, "k", model.Read())), wire.NewFrameReader(conn)
 	read := func() {
-		reply, err := rawRoundTrip(conn, req, buf)
+		reply, err := rawRoundTrip(conn, fr, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,11 +462,11 @@ type answeringConn struct {
 
 func (c *answeringConn) Write(p []byte) (int, error) {
 	c.writes++
-	if len(p) < 4 || int(binary.BigEndian.Uint32(p)) != len(p)-4 {
+	if size, h := binary.Uvarint(p); h <= 0 || size != uint64(len(p)-h) {
 		c.bad = fmt.Errorf("write %d is %d bytes: not one whole frame", c.writes, len(p))
 		return 0, c.bad
 	}
-	c.req.Reset(p[4:])
+	c.req.Reset(wire.FramePayload(p))
 	if typ := c.req.Uvarint(); typ != tRequest {
 		c.bad = fmt.Errorf("write %d is a frame of type %d, want a request", c.writes, typ)
 		return 0, c.bad
@@ -582,8 +578,8 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 		build(w)
 		return framed(w.Bytes())
 	}
-	buf := make([]byte, 64)
-	if ack, err := rawRoundTrip(conn, frame(func(w *wire.Writer) { appendHello(w, 0, 1) }), buf); err != nil || ack[0] != tHelloAck {
+	fr := wire.NewFrameReader(conn)
+	if ack, err := rawRoundTrip(conn, fr, frame(func(w *wire.Writer) { appendHello(w, 0, 1) })); err != nil || ack[0] != tHelloAck {
 		t.Fatalf("hello answered %x, err %v", ack, err)
 	}
 	for b := 0; b < 2; b++ {
@@ -592,11 +588,11 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 			seq := uint64(b*perBatch + i + 1)
 			us = append(us, protoUpdate{Origin: 0, Seq: seq, Lamport: seq, Payload: payloads[seq-1]})
 		}
-		ack, err := rawRoundTrip(conn, frame(func(w *wire.Writer) { appendBatch(w, tBatch, 0, 0, us) }), buf)
+		ack, err := rawRoundTrip(conn, fr, frame(func(w *wire.Writer) { appendBatch(w, tBatch, 0, 0, us) }))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := frame(func(w *wire.Writer) { appendAck(w, 0, uint64((b+1)*perBatch)) })[4:]; !bytes.Equal(ack, want) {
+		if want := wire.FramePayload(frame(func(w *wire.Writer) { appendAck(w, 0, uint64((b+1)*perBatch)) })); !bytes.Equal(ack, want) {
 			t.Fatalf("batch %d acked %x, want %x", b, ack, want)
 		}
 	}

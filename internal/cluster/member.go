@@ -123,7 +123,7 @@ func (n *Node) exchangeGossip(id int, addr string) bool {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendGossip(w, n.cfg.ID, n.view.Members()) }) {
 		return false
 	}
-	typ, r, err := readTyped(conn, n.cfg.MaxFrame, n.cfg.WriteTimeout, nil)
+	typ, r, err := readTyped(conn, wire.NewFrameReader(conn), n.cfg.MaxFrame, n.cfg.WriteTimeout)
 	if err != nil || typ != tGossipAck {
 		return false
 	}
@@ -283,17 +283,18 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	// Reads tolerate the donor's chunk pacing knob on top of the normal
 	// write budget.
 	readDeadline := n.cfg.WriteTimeout + 2*n.cfg.SyncChunkDelay
-	// Every reply of the conversation is read into one buffer; each is
-	// decoded into values of its own (hashes, strings) or, for range chunks,
-	// copied by applyUpdate, before the next read overwrites it.
-	var buf []byte
+	// Every reply of the conversation is read through one frame reader into
+	// its storage; each is decoded into values of its own (hashes, strings)
+	// or, for range chunks, copied by applyUpdate, before the next read
+	// overwrites it.
+	fr := wire.NewFrameReader(conn)
 
 	if !n.sendFrame(conn, func(w *wire.Writer) {
 		appendJoin(w, joinReq{From: n.cfg.ID, Epoch: n.epoch.Load(), Addr: n.Addr(), Shards: uint64(len(n.shards))})
 	}) {
 		return errors.New("cluster: join announce write failed")
 	}
-	typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline, &buf)
+	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
 	if err != nil {
 		return err
 	}
@@ -317,7 +318,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 		n.epoch.Store(m.Epoch + 1)
 	}
 	for _, s := range n.shards {
-		if err := n.catchUp(conn, s, readDeadline, &buf); err != nil {
+		if err := n.catchUp(conn, fr, s, readDeadline); err != nil {
 			return err
 		}
 	}
@@ -326,7 +327,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 
 // catchUp brings one shard up to the donor's copy of it: a digest exchange,
 // then per origin a skip, a range pull, or a refusal.
-func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf *[]byte) error {
+func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadline time.Duration) error {
 	// Digest exchange: per origin, what we hold vs what the donor holds.
 	local := make([]originDigest, 0, n.cfg.N)
 	if s.inLoop(func() {
@@ -339,7 +340,7 @@ func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf 
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, s.idx, local) }) {
 		return errors.New("cluster: digest write failed")
 	}
-	typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
+	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
 	if err != nil {
 		return err
 	}
@@ -379,7 +380,7 @@ func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf 
 			return fmt.Errorf("%w: the cluster holds %d of r%d's broadcasts but the local log has %d — rejoining as r%d needs its original log",
 				errJoinRefused, rd.Count, n.cfg.ID, ld.Count, n.cfg.ID)
 		}
-		if err := n.pullRange(conn, s, ld.Origin, rd, readDeadline, buf); err != nil {
+		if err := n.pullRange(conn, fr, s, ld.Origin, rd, readDeadline); err != nil {
 			return err
 		}
 	}
@@ -394,7 +395,7 @@ func (n *Node) catchUp(conn net.Conn, s *shard, readDeadline time.Duration, buf 
 // stream that many chunks ahead of our cumulative acks, pipelining the
 // transfer across the ack round-trip; every chunk is still applied and
 // journaled before its ack leaves.
-func (n *Node) pullRange(conn net.Conn, s *shard, origin model.ReplicaID, rd originDigest, readDeadline time.Duration, buf *[]byte) error {
+func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, origin model.ReplicaID, rd originDigest, readDeadline time.Duration) error {
 	var us []protoUpdate // each chunk, decoded
 	for {
 		have := s.logLen(origin)
@@ -407,7 +408,7 @@ func (n *Node) pullRange(conn net.Conn, s *shard, origin model.ReplicaID, rd ori
 			return errors.New("cluster: range request write failed")
 		}
 		for have < rd.Count {
-			typ, r, err := readTyped(conn, n.cfg.MaxFrame, readDeadline, buf)
+			typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
 			if err != nil {
 				return err
 			}
@@ -461,7 +462,7 @@ func (n *Node) pullRange(conn net.Conn, s *shard, origin model.ReplicaID, rd ori
 // admit the joiner into the view, link back so live updates flow during
 // the sync, then answer digest and range requests — each from the shard it
 // names — until the joiner hangs up; any other frame hangs up on it.
-func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
+func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
 	}
@@ -485,7 +486,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 	z := wire.GetDeflater() // compresses every range chunk this conversation serves
 	defer wire.PutDeflater(z)
 	for {
-		b, err := recvFrame(conn, n.cfg.MaxFrame, buf)
+		b, err := recvFrame(fr, n.cfg.MaxFrame)
 		if err != nil {
 			return
 		}
@@ -507,7 +508,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, buf *[]byte) {
 			if err != nil || s == nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
 				return
 			}
-			if !n.serveRange(conn, s, origin, from, count, window, buf, z) {
+			if !n.serveRange(conn, fr, s, origin, from, count, window, z) {
 				return
 			}
 		default:
@@ -559,7 +560,7 @@ const serveRangeMaxWindow = 1024
 // the cumulative value alone) also keeps the conversation aligned: no
 // acks are left unread in the socket for serveJoin's dispatch loop to
 // trip over.
-func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from, count, window uint64, buf *[]byte, z *wire.Deflater) bool {
+func (n *Node) serveRange(conn net.Conn, fr *wire.FrameReader, s *shard, origin model.ReplicaID, from, count, window uint64, z *wire.Deflater) bool {
 	window = max(1, min(window, serveRangeMaxWindow))
 	end := from + count
 	idx := from   // seq boundary of the next chunk to build
@@ -603,7 +604,7 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 			return acked >= end
 		}
 		// Retire the oldest in-flight chunk against its ack.
-		typ, r, err := readTyped(conn, n.cfg.MaxFrame, 0, buf)
+		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, 0)
 		if err != nil || typ != tAck {
 			return false
 		}
@@ -628,13 +629,14 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 // ---------------------------------------------------------------------------
 // Small conn helpers (sendFrame and recvFrame are in compress.go)
 
-// readTyped reads one frame (with an optional read deadline) into buf — see
-// recvFrame for its lifetime — and peels its type tag.
-func readTyped(conn net.Conn, maxFrame int, deadline time.Duration, buf *[]byte) (uint64, *wire.Reader, error) {
+// readTyped reads one frame of conn through its frame reader fr (with an
+// optional read deadline) — see recvFrame for its lifetime — and peels its
+// type tag.
+func readTyped(conn net.Conn, fr *wire.FrameReader, maxFrame int, deadline time.Duration) (uint64, *wire.Reader, error) {
 	if deadline > 0 {
 		conn.SetReadDeadline(time.Now().Add(deadline))
 	}
-	b, err := recvFrame(conn, maxFrame, buf)
+	b, err := recvFrame(fr, maxFrame)
 	if err != nil {
 		return 0, nil, err
 	}

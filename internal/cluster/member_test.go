@@ -595,16 +595,18 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 			t.Fatal(err)
 		}
 	}
+	fr := wire.NewFrameReader(conn)
 	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: as, Shards: uint64(len(nd.shards))}) })
-	if typ, _, err := readTyped(conn, 0, 0, nil); err != nil || typ != tJoinAck {
+	if typ, _, err := readTyped(conn, fr, 0, 0); err != nil || typ != tJoinAck {
 		t.Fatalf("join answered with type %d, err %v", typ, err)
 	}
 	send(func(w *wire.Writer) { appendRangeReq(w, 0, origin, 0, count, 4) })
 	for uint64(len(pulled)) < count {
-		raw, err := wire.ReadFrame(conn, 0)
+		raw, err := fr.ReadFrame(0)
 		if err != nil {
 			t.Fatalf("range pull of r%d after %d updates: %v", origin, len(pulled), err)
 		}
+		raw = append([]byte(nil), raw...)
 		frames = append(frames, raw)
 		b, _, err := decompressFrame(append([]byte(nil), raw...), 0)
 		if err != nil {

@@ -306,10 +306,10 @@ func (p *peerSender) serve(conn net.Conn) bool {
 	connDead := make(chan struct{})
 	go func() {
 		defer close(connDead)
-		var buf []byte // this reader's receive buffer; acks decode to integers
+		fr := wire.NewFrameReader(conn) // the connection's only reader; acks decode to integers
 		var r wire.Reader
 		next := func(want uint64) bool {
-			b, err := recvFrame(conn, cfg.MaxFrame, &buf)
+			b, err := recvFrame(fr, cfg.MaxFrame)
 			r.Reset(b)
 			return err == nil && r.Uvarint() == want
 		}

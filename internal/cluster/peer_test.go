@@ -96,8 +96,9 @@ func TestKickResetsRetransmitBackoff(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				fr := wire.NewFrameReader(c)
 				for {
-					b, err := wire.ReadFrame(c, wire.DefaultMaxFrame)
+					b, err := fr.ReadFrame(wire.DefaultMaxFrame)
 					if err != nil {
 						return
 					}
@@ -235,6 +236,82 @@ func TestClientOpTimeout(t *testing.T) {
 	c.SetOpTimeout(0)
 	if c.opTimeout != 0 {
 		t.Fatal("SetOpTimeout(0) did not clear the bound")
+	}
+}
+
+// TestClientFailureClosesConnection: a reply that times out leaves the
+// stream at an unknown point — cut off mid-payload, or not yet begun and
+// bound to answer the next request in its place — so after a failed round
+// trip the client hangs up and every later call fails with an error
+// wrapping the first, without touching the connection. The fake node here
+// writes the rest of the late reply and a well-formed reply to a second
+// request after the client gave up, and must never see that request.
+func TestClientFailureClosesConnection(t *testing.T) {
+	const opTimeout, stall = 50 * time.Millisecond, 200 * time.Millisecond
+	for _, cut := range []struct {
+		name string
+		at   func(reply []byte) int // bytes of the first reply written before the stall
+	}{
+		{"mid-payload", func(reply []byte) int { return wire.FrameHeaderLen(len(reply)) + len(reply)/2 }},
+		{"before-first-byte", func([]byte) int { return 0 }},
+	} {
+		t.Run(cut.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			secondRequest := make(chan bool, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					secondRequest <- false
+					return
+				}
+				defer conn.Close()
+				fr := wire.NewFrameReader(conn)
+				if _, err := fr.ReadFrame(0); err != nil {
+					secondRequest <- false
+					return
+				}
+				reply := func(id uint64) []byte {
+					w := wire.NewWriter()
+					w.BeginFrame()
+					appendResponse(w, id, model.Response{OK: true, Values: []model.Value{"a value long enough to cut in half"}})
+					frame, _ := w.EndFrame(0)
+					return frame
+				}
+				first := reply(1)
+				at := cut.at(wire.FramePayload(first))
+				conn.Write(first[:at])
+				time.Sleep(stall)
+				conn.Write(append(first[at:], reply(2)...))
+				_, err = fr.ReadFrame(0)
+				secondRequest <- err == nil
+			}()
+
+			c, err := Dial(ln.Addr().String(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetOpTimeout(opTimeout)
+			_, first := c.Do("x", model.Read())
+			if first == nil {
+				t.Fatal("a reply that stalled past the op timeout was accepted")
+			}
+			start := time.Now()
+			resp, err := c.Do("x", model.Read())
+			if !errors.Is(err, first) {
+				t.Fatalf("the call after a failed round trip = (%+v, %v), want an error wrapping %q", resp, err, first)
+			}
+			if waited := time.Since(start); waited > opTimeout {
+				t.Fatalf("the call after a failed round trip took %v: it used the connection", waited)
+			}
+			if <-secondRequest {
+				t.Fatal("the node received a request on the connection of a failed round trip")
+			}
+		})
 	}
 }
 
@@ -450,10 +527,9 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 	go func() {
 		defer readers.Done()
 		defer donor.Close()
-		var buf []byte
-		z := new(wire.Deflater)
+		fr, z := wire.NewFrameReader(donor), new(wire.Deflater)
 		for from := have.Load(); from < n; from = have.Load() {
-			if !s.n.serveRange(donor, s, peerOrigin, from, n-from, 1, &buf, z) {
+			if !s.n.serveRange(donor, fr, s, peerOrigin, from, n-from, 1, z) {
 				t.Error("serveRange gave up")
 				return
 			}
@@ -462,9 +538,9 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 	}()
 	go func() {
 		defer readers.Done()
-		var buf []byte
+		fr := wire.NewFrameReader(joiner)
 		for got := uint64(0); got < n; {
-			typ, r, err := readTyped(joiner, 0, 30*time.Second, &buf)
+			typ, r, err := readTyped(joiner, fr, 0, 30*time.Second)
 			if err != nil || typ != tRangeResp {
 				t.Errorf("range chunk after %d updates: type %d, err %v", got, typ, err)
 				return
@@ -596,8 +672,9 @@ func rawDial(t *testing.T, nd *Node) (send func(build func(*wire.Writer)), recv 
 			t.Fatal(err)
 		}
 	}
+	fr := wire.NewFrameReader(conn)
 	recv = func() (uint64, *wire.Reader) {
-		typ, r, err := readTyped(conn, 0, 0, nil)
+		typ, r, err := readTyped(conn, fr, 0, 0)
 		if err != nil {
 			return 0, nil
 		}
@@ -674,7 +751,7 @@ func TestProtocolVersionMismatchRefused(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				typ, _, err := readTyped(c, 0, 0, nil)
+				typ, _, err := readTyped(c, wire.NewFrameReader(c), 0, 0)
 				if err != nil {
 					return
 				}
@@ -782,13 +859,12 @@ func ackingPeer(t *testing.T) net.Listener {
 			go func() {
 				defer conn.Close()
 				var (
-					buf []byte
-					r   wire.Reader
-					us  []protoUpdate
+					r  wire.Reader
+					us []protoUpdate
 				)
-				w := wire.NewWriter()
+				fr, w := wire.NewFrameReader(conn), wire.NewWriter()
 				for {
-					b, err := recvFrame(conn, wire.DefaultMaxFrame, &buf)
+					b, err := recvFrame(fr, wire.DefaultMaxFrame)
 					if err != nil {
 						return
 					}

@@ -9,7 +9,8 @@ import (
 )
 
 // Frame types of the cluster protocol. Every frame is a wire.WriteFrame
-// length-delimited payload whose first uvarint is the type; the rest is
+// payload behind the uvarint of its length, and the payload's first
+// uvarint is the type; the rest is
 // type-specific, encoded with the repository's varint codec. Every decoder
 // reads its fields in order and rejects trailing bytes (wire.Reader.End).
 //
@@ -40,8 +41,9 @@ const (
 // protoVersion is the one protocol version this build speaks. A hello or
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
-// format change bumps it.
-const protoVersion = 8
+// format change bumps it: 9 put a uvarint length in front of every frame,
+// where 8 had four big-endian bytes.
+const protoVersion = 9
 
 // batchMax caps how many unacked updates coalesce into one tBatch frame or
 // one anti-entropy chunk.

@@ -47,14 +47,12 @@ type SyncCostRow struct {
 	FullBytes int64
 }
 
-const syncFrameHeader = 4 // length prefix writeFrame puts on every frame
-
 // frameLen measures one frame built by an appender, header included.
 func frameLen(build func(*wire.Writer)) int64 {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	build(w)
-	return int64(len(w.Bytes())) + syncFrameHeader
+	return int64(w.Len() + wire.FrameHeaderLen(w.Len()))
 }
 
 // rangeCost is what serveRange puts on the wire for us[from:]: chunks cut by

@@ -418,6 +418,8 @@ var errTorn = errors.New("durable: torn record")
 // recordReader reads framed records through one buffer, so recovery costs
 // one read syscall per buffer-full rather than two per record, and one
 // payload buffer grown to the largest record rather than one per record.
+// Recovery reads every file of a directory through one (reset), so neither
+// buffer is paid per file.
 type recordReader struct {
 	r       *bufio.Reader
 	good    int64   // offset just past the last intact record
@@ -425,8 +427,17 @@ type recordReader struct {
 	payload []byte  // payload, grown to the largest record read
 }
 
-func newRecordReader(f *os.File) *recordReader {
-	return &recordReader{r: bufio.NewReaderSize(f, 64<<10)}
+// recoverBuffer is the read-ahead buffer recovery reads a directory through.
+const recoverBuffer = 64 << 10
+
+func newRecordReader(f io.Reader, size int) *recordReader {
+	return &recordReader{r: bufio.NewReaderSize(f, size)}
+}
+
+// reset points rr at the start of f, keeping both of its buffers.
+func (rr *recordReader) reset(f io.Reader) {
+	rr.r.Reset(f)
+	rr.good = 0
 }
 
 // next reads one record. It returns io.EOF at a clean record boundary and
@@ -507,13 +518,14 @@ func logFiles(dir string) []string {
 // sequence 0..k-1 and reports how many of those events the wal supplied.
 func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
 	files := logFiles(dir)
+	rr := newRecordReader(nil, recoverBuffer)
 	for i, name := range files {
 		next := "" // no file: covers nothing
 		if i+1 < len(files) {
 			next = filepath.Join(dir, files[i+1])
 		}
 		sealed := len(events)
-		if events, err = recoverFile(dir, name, next, events); err != nil {
+		if events, err = recoverFile(rr, dir, name, next, events); err != nil {
 			return nil, 0, err
 		}
 		if name == walName {
@@ -523,11 +535,11 @@ func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
 	return events, walCount, nil
 }
 
-// recoverFile extends events with the records of dir's file name; next is
-// the path of the file after it. Per record: an index below the count so far
-// repeats a sealed record (a copying seal was interrupted before it
-// truncated the wal) and is skipped, the next index is taken, and one past
-// it is corruption — an append can tear, it cannot skip.
+// recoverFile extends events with the records of dir's file name, read
+// through rr; next is the path of the file after it. Per record: an index
+// below the count so far repeats a sealed record (a copying seal was
+// interrupted before it truncated the wal) and is skipped, the next index is
+// taken, and one past it is corruption — an append can tear, it cannot skip.
 //
 // A record that cannot be read ends the file. In wal.log it is a torn
 // append: the file is truncated at the last good boundary and recovery ends
@@ -539,14 +551,14 @@ func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
 // is cut back to its last good boundary and recovery continues from the next
 // file. Any other unreadable sealed record fails loudly rather than
 // truncating away events nothing can supply.
-func recoverFile(dir, name, next string, events []cluster.Event) ([]cluster.Event, error) {
+func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Event) ([]cluster.Event, error) {
 	path := filepath.Join(dir, name)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	defer f.Close()
-	rr := newRecordReader(f)
+	rr.reset(f)
 	for {
 		offset := rr.good
 		index, ev, err := rr.next()
@@ -578,14 +590,16 @@ func recoverFile(dir, name, next string, events []cluster.Event) ([]cluster.Even
 }
 
 // firstIndex returns the event index of the first record in the file at
-// path, or false if it has no intact first record.
+// path, or false if it has no intact first record. It reads that record
+// alone: a header-sized buffer (bufio's smallest, 16 bytes), then the
+// payload straight into its own.
 func firstIndex(path string) (uint64, bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false
 	}
 	defer f.Close()
-	index, _, err := newRecordReader(f).next()
+	index, _, err := newRecordReader(f, 16).next()
 	return index, err == nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -479,6 +480,42 @@ func TestReadOnlySealedSegmentsRecover(t *testing.T) {
 	eventsEqual(t, hist.Events, events)
 }
 
+// TestRecoveryCostIndependentOfSegments: recovery reads every file of a
+// directory through one read buffer and one payload buffer, so opening the
+// same events sealed into 64 segments allocates what opening them sealed
+// into one does, give or take each file's handle and name — not a 64 KiB
+// read buffer per file.
+func TestRecoveryCostIndependentOfSegments(t *testing.T) {
+	const segments, every = 64, 8
+	events := sampleEvents(segments * every)
+	open := func(sealEvery int) (allocated float64, files int) {
+		dir := t.TempDir()
+		opts := Options{NoSync: true, sealEvery: sealEvery}
+		writeLog(t, dir, events, opts)
+		files = len(logFiles(dir))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l, hist, err := Open(dir, testMeta(), opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		eventsEqual(t, hist.Events, events)
+		return float64(after.TotalAlloc - before.TotalAlloc), files
+	}
+	one, oneFiles := open(len(events))
+	many, manyFiles := open(every)
+	if manyFiles < segments {
+		t.Fatalf("sealing every %d records left %d files, want at least %d segments", every, manyFiles, segments)
+	}
+	perFile := (many - one) / float64(manyFiles-oneFiles)
+	t.Logf("Open over %d files allocates %.0f B, over %d files %.0f B: %.0f B per extra file", oneFiles, one, manyFiles, many, perFile)
+	if perFile > 2<<10 {
+		t.Errorf("each extra file costs recovery %.0f B; want at most 2 KiB (a handle and a name)", perFile)
+	}
+}
+
 // TestTornSnapshotIsCorruption: a torn snapshot beside no wal is damage
 // nothing covers — recovery must fail loudly rather than truncate away
 // events no file can supply.
@@ -534,7 +571,7 @@ func requireEachIndexOnce(t *testing.T, dir string, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr := newRecordReader(f)
+		rr := newRecordReader(f, recoverBuffer)
 		for {
 			index, _, err := rr.next()
 			if err == io.EOF {

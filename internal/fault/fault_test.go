@@ -158,12 +158,13 @@ func pipeFrames(t *testing.T, conn net.Conn) <-chan []byte {
 	out := make(chan []byte, 16)
 	go func() {
 		defer close(out)
+		fr := wire.NewFrameReader(conn)
 		for {
-			b, err := wire.ReadFrame(conn, 0)
+			b, err := fr.ReadFrame(0)
 			if err != nil {
 				return
 			}
-			out <- b
+			out <- append([]byte(nil), b...)
 		}
 	}()
 	return out

@@ -148,7 +148,7 @@ const jitterStream = -7003
 // WrapConn interposes the emulator on the write half of conn, shaping the
 // frames the local endpoint sends in the direction from→to. All cluster
 // traffic is wire.WriteFrame length-delimited, so the wrapper reassembles
-// frames from the byte stream (4-byte big-endian length prefix) and applies
+// frames from the byte stream (a uvarint length prefix) and applies
 // the link's current faults per frame: a cut fails the write synchronously
 // (the sender's reconnect/retransmit machinery recovers after the link is
 // restored), delay/jitter/rate stamp the frame with a delivery deadline and
@@ -213,17 +213,17 @@ func (c *shapedConn) Write(b []byte) (int, error) {
 	}
 }
 
-// splitFrame pops one complete length-delimited frame off the buffer.
+// splitFrame pops one complete length-delimited frame off the buffer. The
+// buffer may end anywhere in a frame, its uvarint header included: a header
+// whose last byte has not been written yet waits for the next Write.
 func (c *shapedConn) splitFrame() ([]byte, bool) {
-	if len(c.buf) < 4 {
+	size, h := binary.Uvarint(c.buf)
+	if h <= 0 || uint64(len(c.buf)-h) < size {
 		return nil, false
 	}
-	size := int(binary.BigEndian.Uint32(c.buf[:4]))
-	if len(c.buf) < 4+size {
-		return nil, false
-	}
-	frame := append([]byte(nil), c.buf[:4+size]...)
-	c.buf = c.buf[4+size:]
+	end := h + int(size)
+	frame := append([]byte(nil), c.buf[:end]...)
+	c.buf = c.buf[end:]
 	return frame, true
 }
 

@@ -75,9 +75,9 @@ func TestShapedConnBandwidthCap(t *testing.T) {
 	em := NewNetem(2)
 	w, got := shapedPipe(t, em)
 
-	// 2 KiB/s with 512-byte frames (508 payload + 4 header): 250ms each.
+	// 2 KiB/s with 512-byte frames (510 payload + 2 header): 250ms each.
 	em.Apply(Directive{Kind: KindLinkRate, From: 0, To: 1, RateKBps: 2}, time.Millisecond)
-	payload := bytes.Repeat([]byte{'x'}, 508)
+	payload := bytes.Repeat([]byte{'x'}, 510)
 	start := time.Now()
 	const frames = 3
 	for i := 0; i < frames; i++ {
@@ -100,6 +100,39 @@ func TestShapedConnBandwidthCap(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 500*time.Millisecond {
 		t.Fatalf("3 frames of 512B passed a 2KiB/s cap in %v; cap not enforced", elapsed)
+	}
+}
+
+// TestShapedConnSplitHeader: the wrapper reassembles frames whose uvarint
+// headers arrive split across Writes — the first frame's two header bytes
+// in two Writes, the second frame's header bytes at the end of one Write
+// and the start of the next — and ships each frame whole.
+func TestShapedConnSplitHeader(t *testing.T) {
+	em := NewNetem(2)
+	w, got := shapedPipe(t, em)
+	payloads := [][]byte{bytes.Repeat([]byte{'a'}, 200), bytes.Repeat([]byte{'b'}, 300)}
+	var stream bytes.Buffer
+	for _, p := range payloads {
+		if _, err := wire.WriteFrame(&stream, p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := stream.Bytes()
+	second := wire.FrameHeaderLen(200) + 200 // where the second frame starts
+	for _, part := range [][]byte{raw[:1], raw[1 : second+1], raw[second+1:]} {
+		if _, err := w.Write(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range payloads {
+		select {
+		case f := <-got:
+			if !bytes.Equal(f, want) {
+				t.Fatalf("frame %d: %d bytes %.8q…, want %d bytes %.8q…", i, len(f), f, len(want), want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout waiting for frame %d", i)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -13,12 +15,17 @@ import (
 // unbounded allocation.
 const DefaultMaxFrame = 1 << 20
 
+// MaxFrameHeader is the longest frame header: the uvarint of any length
+// below 2³⁵, far above every frame limit in use. A header that runs longer
+// is refused unread.
+const MaxFrameHeader = binary.MaxVarintLen32
+
 // FrameSizeError reports a frame whose declared length exceeds the
 // receiver's (or sender's) limit. It is a typed error so transports can
 // distinguish a hostile or misconfigured peer from an ordinary I/O failure
 // with errors.As.
 type FrameSizeError struct {
-	Size int // declared payload length
+	Size int // declared payload length; math.MaxInt for an overlong header
 	Max  int // the limit it exceeded
 }
 
@@ -27,11 +34,30 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("wire: frame of %d bytes exceeds limit %d", e.Size, e.Max)
 }
 
-// WriteFrame writes payload as one length-delimited frame: a 4-byte
-// big-endian length prefix followed by the payload. It refuses payloads
-// beyond max (DefaultMaxFrame when max <= 0) with a *FrameSizeError, so a
-// sender cannot emit a frame its peer is guaranteed to reject. It returns
-// the number of bytes written to w.
+// FrameHeaderLen is the length of the header in front of an n-byte payload:
+// uvarint(n), one byte per started seven bits of n. A frame is its header
+// and its payload, nothing else, so this is all a caller measuring wire
+// bytes adds to a payload.
+func FrameHeaderLen(n int) int {
+	h := 1
+	for ; n >= 0x80; n >>= 7 {
+		h++
+	}
+	return h
+}
+
+// FramePayload returns the payload of a whole frame as EndFrame returns it:
+// the bytes behind its header.
+func FramePayload(frame []byte) []byte {
+	_, h := binary.Uvarint(frame)
+	return frame[h:]
+}
+
+// WriteFrame writes payload as one length-delimited frame: the payload's
+// length as a uvarint, then the payload. It refuses payloads beyond max
+// (DefaultMaxFrame when max <= 0) with a *FrameSizeError, so a sender cannot
+// emit a frame its peer is guaranteed to reject. It returns the number of
+// bytes written to w.
 func WriteFrame(w io.Writer, payload []byte, max int) (int, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -39,9 +65,8 @@ func WriteFrame(w io.Writer, payload []byte, max int) (int, error) {
 	if len(payload) > max {
 		return 0, &FrameSizeError{Size: len(payload), Max: max}
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	n, err := w.Write(hdr[:])
+	var hdr [MaxFrameHeader]byte
+	n, err := w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(payload)))])
 	if err != nil {
 		return n, err
 	}
@@ -49,27 +74,30 @@ func WriteFrame(w io.Writer, payload []byte, max int) (int, error) {
 	return n + m, err
 }
 
-// BeginFrame reserves a frame header at the Writer's current position: the
-// payload encoded after it, sealed with EndFrame, becomes one wire frame in
-// the Writer's own buffer. Together they let a sender build header+payload
-// contiguously and hand the result to a single Write call — one syscall and
-// zero intermediate allocations per frame, where WriteFrame costs two
-// writes and a payload slice. Frames do not nest; BeginFrame panics if one
-// is already open (a programming error, not a wire condition).
+// BeginFrame reserves room for a frame header at the Writer's current
+// position: the payload encoded after it, sealed with EndFrame, becomes one
+// wire frame in the Writer's own buffer. Together they let a sender build
+// header+payload contiguously and hand the result to a single Write call —
+// one syscall and zero intermediate allocations per frame, where WriteFrame
+// costs two writes and a payload slice. Frames do not nest; BeginFrame
+// panics if one is already open (a programming error, not a wire condition).
 func (w *Writer) BeginFrame() {
 	if w.frameOff >= 0 {
 		panic("wire: BeginFrame inside an open frame")
 	}
 	w.frameOff = len(w.buf)
-	w.buf = append(w.buf, 0, 0, 0, 0)
+	w.buf = append(w.buf, make([]byte, MaxFrameHeader)...)
 }
 
-// EndFrame seals the frame opened by BeginFrame: it patches the reserved
-// header with the payload length and returns the complete frame (header
-// plus payload) as a subslice of the Writer's buffer, valid until the next
-// Reset. It enforces the same size limit as WriteFrame (DefaultMaxFrame
-// when max <= 0) with a *FrameSizeError, leaving the frame open so the
-// caller can observe the oversized state.
+// EndFrame seals the frame opened by BeginFrame: it writes the payload's
+// length into the end of the reserved room, right against the payload, and
+// returns the complete frame — from its first header byte, so the unused
+// front of the reservation is not part of it — as a subslice of the
+// Writer's buffer, valid until the next Reset. Nothing moves: the header is
+// as short as the length allows and the payload stays where it was encoded.
+// It enforces the same size limit as WriteFrame (DefaultMaxFrame when
+// max <= 0) with a *FrameSizeError, leaving the frame open so the caller can
+// observe the oversized state.
 func (w *Writer) EndFrame(max int) ([]byte, error) {
 	if w.frameOff < 0 {
 		panic("wire: EndFrame without BeginFrame")
@@ -77,14 +105,15 @@ func (w *Writer) EndFrame(max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	size := len(w.buf) - w.frameOff - 4
+	body := w.frameOff + MaxFrameHeader
+	size := len(w.buf) - body
 	if size > max {
 		return nil, &FrameSizeError{Size: size, Max: max}
 	}
-	binary.BigEndian.PutUint32(w.buf[w.frameOff:], uint32(size))
-	frame := w.buf[w.frameOff:]
+	start := body - FrameHeaderLen(size)
+	binary.PutUvarint(w.buf[start:body], uint64(size))
 	w.frameOff = -1
-	return frame, nil
+	return w.buf[start:], nil
 }
 
 // pooledWriterMax bounds the buffer capacity a Writer may take back into
@@ -113,54 +142,77 @@ func PutWriter(w *Writer) {
 	writerPool.Put(w)
 }
 
-// ReadFrame reads one length-delimited frame written by WriteFrame and
-// returns its payload in a buffer of its own: the allocate-per-call form of
-// ReadFrameInto, for callers that keep the payload.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	return ReadFrameInto(r, max, nil)
+// FrameReader reads the frames of one stream, as WriteFrame and EndFrame
+// write them. It reads through a buffer of its own, so a run of small
+// frames costs one read of the stream per buffer-full rather than two per
+// frame, and it must be the stream's only reader: it reads ahead of the
+// frame it returns. A connection handler builds one per connection and
+// hands it to every read.
+type FrameReader struct {
+	r   *bufio.Reader
+	buf []byte // payload storage, reused from frame to frame
 }
 
-// ReadFrameInto reads one length-delimited frame written by WriteFrame into
-// buf's storage and returns its payload, which is buf resliced to the
-// frame's length when buf has the capacity and a new, larger buffer
-// otherwise. A connection handler that passes the returned slice back in
-// reads frame after frame without allocating. The payload is then only
-// valid until that next call, which overwrites it: whatever must outlive
-// the frame — and everything decoded zero-copy from it, see Reader.Bytes —
-// has to be copied first. buf's length is ignored; nil is a valid buf.
+// NewFrameReader returns a reader of the frames r carries.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: bufio.NewReader(r)}
+}
+
+// ReadFrame reads the next frame and returns its payload. The payload is
+// read into the reader's own storage, which the next ReadFrame overwrites:
+// whatever must outlive the frame — and everything decoded zero-copy from
+// it, see Reader.Bytes — has to be copied first. In exchange a stream of
+// frames no larger than the largest seen so far allocates nothing. The
+// payload is never an alias of the read-ahead buffer, so a caller may
+// append to it in place (up to its capacity) without touching bytes not
+// yet read.
 //
-// A declared length beyond max (DefaultMaxFrame when max <= 0) returns a
-// *FrameSizeError BEFORE the buffer grows to hold it: the guard is what
-// makes the framing safe against a hostile length prefix. A clean close
-// before the first header byte returns io.EOF; a header or payload
-// truncated mid-frame returns io.ErrUnexpectedEOF.
-func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
+// A header longer than MaxFrameHeader bytes, or one declaring a length
+// beyond max (DefaultMaxFrame when max <= 0), returns a *FrameSizeError
+// BEFORE the storage grows to hold it: the guard is what makes the framing
+// safe against a hostile length prefix. A clean end of stream before the
+// first header byte returns io.EOF; a header or payload cut short returns
+// io.ErrUnexpectedEOF.
+func (f *FrameReader) ReadFrame(max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	// The header is read into the buffer it is about to describe (a local
-	// array would escape through the io.Reader call and cost an allocation
-	// per frame).
-	if cap(buf) < 4 {
-		buf = make([]byte, 4)
+	var size uint64
+	for i := 0; ; i++ {
+		if i == MaxFrameHeader {
+			return nil, &FrameSizeError{Size: math.MaxInt, Max: max}
+		}
+		c, err := f.r.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		size |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			break
+		}
 	}
-	hdr := buf[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(hdr)
-	if size > uint32(max) {
+	if size > uint64(max) {
 		return nil, &FrameSizeError{Size: int(size), Max: max}
 	}
-	if uint32(cap(buf)) < size {
-		buf = make([]byte, size)
+	if uint64(cap(f.buf)) < size {
+		f.buf = make([]byte, size)
 	}
-	payload := buf[:size]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := f.buf[:size]
+	if _, err := io.ReadFull(f.r, payload); err != nil {
 		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
 	return payload, nil
 }
+
+// Reuse makes buf the storage the next frame is read into. A caller that
+// appended to the last payload — an inflated frame written behind its
+// compressed envelope — hands back what the append returned, so storage
+// that had to grow is kept rather than grown again; nil drops the storage,
+// for a caller that must not pin a large frame's.
+func (f *FrameReader) Reuse(buf []byte) { f.buf = buf }

@@ -220,8 +220,8 @@ func (r *Reader) String() string {
 // and returns it as a subslice of the underlying buffer — zero-copy, unlike
 // String, which materializes a fresh string. The returned slice aliases the
 // Reader's buffer and lives exactly as long as that buffer's contents do:
-// for a frame read with ReadFrameInto, until the connection's next read
-// overwrites it. A caller that retains the bytes, or hands them to code
+// for a frame read with FrameReader.ReadFrame, until the connection's next
+// read overwrites it. A caller that retains the bytes, or hands them to code
 // that may, copies them first (the cluster's receive path copies each
 // update's payload once, before its store or history sees it).
 func (r *Reader) Bytes() []byte {

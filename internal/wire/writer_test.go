@@ -86,9 +86,9 @@ func TestBeginEndFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The frame must be readable by ReadFrame, byte-compatible with the
+	// The frame must be readable by a FrameReader, byte-compatible with the
 	// WriteFrame format.
-	payload, err := ReadFrame(bytes.NewReader(frame), 0)
+	payload, err := NewFrameReader(bytes.NewReader(frame)).ReadFrame(0)
 	if err != nil {
 		t.Fatal(err)
 	}
