@@ -90,8 +90,7 @@ func run(w io.Writer, n, s, k int, seed int64, parallel int, jsonOut bool, sweep
 		return emitSweep(out, fmt.Sprintf("|m_g| vs s (n=%d, k=%d, %s)", n, k, encoding), "s", points,
 			func(p core.SweepPoint) int { return p.S })
 	case "grid":
-		points, err := core.SweepGrid(factory,
-			[]int{3, 4, 6, 10}, []int{2, 3, 5, 9}, []int{2, 16, 128, 1024}, seed, parallel)
+		points, err := core.SweepGrid(factory, core.GridNs, core.GridSs, core.GridKs, seed, parallel)
 		if err != nil {
 			return err
 		}

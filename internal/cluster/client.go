@@ -23,7 +23,7 @@ type Client struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	maxFrame  int
-	nextReq   uint64
+	nextReq   uint64 // the last request's id, counted mod reqIDs
 	opTimeout time.Duration
 	err       error // the failure that closed conn, or nil
 	// req holds the request being sent, built behind its frame header so it
@@ -125,7 +125,7 @@ func (c *Client) fail(err error) error {
 func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextReq++
+	c.nextReq = (c.nextReq + 1) % reqIDs
 	id := c.nextReq
 	appendRequest(c.request(), id, obj, op)
 	r, err := c.roundTrip(c.maxFrame, tResponse)

@@ -28,8 +28,8 @@ import (
 const (
 	tHello       = 1  // {from, version, shards}          dialer → acceptor
 	tAck         = 3  // {shard, cum}                     cumulative ack of one shard's updates
-	tRequest     = 4  // {reqID, obj, kind, arg, delta}
-	tResponse    = 5  // {reqID, ok, count, hasValues, values...}
+	tRequest     = 4  // {reqID mod 128, obj, kind, arg, delta}
+	tResponse    = 5  // {reqID mod 128, flags, [count], [n, values...]}
 	tStats       = 6  // {}
 	tHistory     = 8  // {shard}
 	tHelloAck    = 10 // {version, shards, delivered × shards}
@@ -41,9 +41,11 @@ const (
 // protoVersion is the one protocol version this build speaks. A hello or
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
-// format change bumps it: 9 put a uvarint length in front of every frame,
-// where 8 had four big-endian bytes.
-const protoVersion = 9
+// format change bumps it: 10 sends a request id mod 128 and a reply's
+// presence fields as one flag byte (and the causal store's updates without
+// the fields their type implies); 9 put a uvarint length in front of every
+// frame, where 8 had four big-endian bytes.
+const protoVersion = 10
 
 // batchMax caps how many unacked updates coalesce into one tBatch frame or
 // one anti-entropy chunk.
@@ -195,6 +197,20 @@ func decodeAck(r *wire.Reader) (shard, cum uint64, err error) {
 	return shard, cum, r.End()
 }
 
+// reqIDs bounds the request id a tRequest carries and its tResponse
+// echoes: one uvarint byte. A client connection is strictly
+// request/response, so the echo only has to tell this request's reply from a
+// stale one, which it does for any offset that is not a multiple of 128.
+const reqIDs = 128
+
+// The flags of a tResponse: which of the response's fields follow.
+const (
+	respOK        = 1 << iota // resp.OK
+	respHasCount              // a varint count follows
+	respHasValues             // a value count and the values follow (Values != nil)
+)
+
+// appendRequest encodes request reqID (< reqIDs) of op on obj.
 func appendRequest(w *wire.Writer, reqID uint64, obj model.ObjectID, op model.Operation) {
 	w.Uvarint(tRequest)
 	w.Uvarint(reqID)
@@ -210,22 +226,32 @@ func decodeRequest(r *wire.Reader) (reqID uint64, obj model.ObjectID, op model.O
 	op.Kind = model.OpKind(r.Uvarint())
 	op.Arg = model.Value(r.String())
 	op.Delta = r.Varint()
-	return reqID, obj, op, r.End()
+	err = r.End()
+	if err == nil && reqID >= reqIDs {
+		err = fmt.Errorf("cluster: request id %d past %d", reqID, reqIDs-1)
+	}
+	return reqID, obj, op, err
 }
 
+// appendResponse encodes the reply to request reqID, echoing its id.
 func appendResponse(w *wire.Writer, reqID uint64, resp model.Response) {
 	w.Uvarint(tResponse)
 	w.Uvarint(reqID)
-	b := uint64(0)
+	var flags uint64
 	if resp.OK {
-		b = 1
+		flags |= respOK
 	}
-	w.Uvarint(b)
-	w.Varint(resp.Count)
-	if resp.Values == nil {
-		w.Uvarint(0)
-	} else {
-		w.Uvarint(1)
+	if resp.Count != 0 {
+		flags |= respHasCount
+	}
+	if resp.Values != nil {
+		flags |= respHasValues
+	}
+	w.Uvarint(flags)
+	if flags&respHasCount != 0 {
+		w.Varint(resp.Count)
+	}
+	if flags&respHasValues != 0 {
 		w.Uvarint(uint64(len(resp.Values)))
 		for _, v := range resp.Values {
 			w.String(string(v))
@@ -235,9 +261,18 @@ func appendResponse(w *wire.Writer, reqID uint64, resp model.Response) {
 
 func decodeResponse(r *wire.Reader) (reqID uint64, resp model.Response, err error) {
 	reqID = r.Uvarint()
-	resp.OK = r.Uvarint() == 1
-	resp.Count = r.Varint()
-	if r.Uvarint() == 1 {
+	flags := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return reqID, resp, err
+	}
+	if reqID >= reqIDs || flags >= respHasValues<<1 {
+		return reqID, resp, fmt.Errorf("cluster: response id %d, flags %#x out of range", reqID, flags)
+	}
+	resp.OK = flags&respOK != 0
+	if flags&respHasCount != 0 {
+		resp.Count = r.Varint()
+	}
+	if flags&respHasValues != 0 {
 		n := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return reqID, resp, err

@@ -242,12 +242,10 @@ func TestStrictDecoders(t *testing.T) {
 // check and allocated for a count the buffer cannot hold.
 func TestResponseValueCountBoundary(t *testing.T) {
 	w := wire.NewWriter()
-	w.Uvarint(1)        // reqID
-	w.Uvarint(1)        // ok
-	w.Varint(0)         // count
-	w.Uvarint(1)        // hasValues
-	w.Uvarint(3)        // declared values...
-	w.Raw([]byte{0, 0}) // ...but only 2 bytes remain: 3 == Remaining+1
+	w.Uvarint(1)                      // reqID
+	w.Uvarint(respOK | respHasValues) // flags
+	w.Uvarint(3)                      // declared values...
+	w.Raw([]byte{0, 0})               // ...but only 2 bytes remain: 3 == Remaining+1
 	r := wire.NewReader(w.Bytes())
 	if _, _, err := decodeResponse(r); err == nil {
 		t.Fatal("value count Remaining+1 accepted")
@@ -261,6 +259,55 @@ func TestResponseValueCountBoundary(t *testing.T) {
 	id, resp, err := decodeResponse(r)
 	if err != nil || id != 7 || len(resp.Values) != 2 {
 		t.Fatalf("valid boundary response: id %d resp %+v err %v", id, resp, err)
+	}
+}
+
+// TestResponseRoundTrip: every field a response can carry survives, nil
+// Values stays apart from empty ones, and a flag byte or id outside the
+// layout is refused.
+func TestResponseRoundTrip(t *testing.T) {
+	for _, resp := range []model.Response{
+		model.OKResponse(),
+		{},
+		model.CountResponse(-7),
+		model.ReadResponse(nil),
+		{OK: true, Values: []model.Value{}},
+		{OK: true, Count: 3, Values: []model.Value{"a", ""}},
+	} {
+		w := wire.NewWriter()
+		appendResponse(w, reqIDs-1, resp)
+		r := wire.NewReader(w.Bytes())
+		r.Uvarint() // type
+		id, got, err := decodeResponse(r)
+		if err != nil || id != reqIDs-1 || got.OK != resp.OK || got.Count != resp.Count ||
+			(got.Values == nil) != (resp.Values == nil) || !slices.Equal(got.Values, resp.Values) {
+			t.Errorf("%+v decoded as (%d, %+v, %v)", resp, id, got, err)
+		}
+	}
+	for _, body := range [][]byte{{reqIDs, 0}, {1, respHasValues << 1}} {
+		if _, _, err := decodeResponse(wire.NewReader(body)); err == nil {
+			t.Errorf("response body %x accepted", body)
+		}
+	}
+	if _, _, _, err := decodeRequest(wire.NewReader(encodeRequest(reqIDs, "k", model.Read())[1:])); err == nil {
+		t.Errorf("request id %d accepted", reqIDs)
+	}
+}
+
+// TestWriteReplyIsFourBytes: the reply to a write is its frame header, its
+// type, the request's id and one flag byte. (With the full request id and a
+// byte each for ok, count and the values' presence, it took 8 bytes once ids
+// passed 16 383.)
+func TestWriteReplyIsFourBytes(t *testing.T) {
+	w := wire.NewWriter()
+	w.BeginFrame()
+	appendResponse(w, 100_000%reqIDs, model.OKResponse())
+	frame, err := w.EndFrame(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != 4 {
+		t.Fatalf("a write reply is %d bytes on the wire (%x), want 4", len(frame), frame)
 	}
 }
 
@@ -425,6 +472,11 @@ func TestGoldenWireVectors(t *testing.T) {
 			})
 		})},
 		{"ack", enc(func(w *wire.Writer) { appendAck(w, 3, 130) })},
+		{"request", encodeRequest(77, "k000042", model.Write("0123456789abcdef"))},
+		{"response_write", enc(func(w *wire.Writer) { appendResponse(w, 77, model.OKResponse()) })},
+		{"response_read", enc(func(w *wire.Writer) {
+			appendResponse(w, 77, model.Response{OK: true, Values: []model.Value{"a", "bc"}})
+		})},
 		{"history_req", enc(func(w *wire.Writer) { appendHistoryReq(w, 3) })},
 		{"event_do", enc(func(w *wire.Writer) {
 			if err := AppendEventBinary(w, sampleEventsBinary()[0]); err != nil {

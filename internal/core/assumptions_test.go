@@ -12,6 +12,8 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/gen"
 	"repro/internal/spec"
+	"repro/internal/store"
+	"repro/internal/store/causal"
 	"repro/internal/store/kbuffer"
 	"repro/internal/store/lww"
 	"repro/internal/store/statesync"
@@ -104,6 +106,28 @@ func TestTheorem12HoldsForStateBasedStore(t *testing.T) {
 	}
 	if res.MgBits < res.BoundBits {
 		t.Fatalf("|m_g| = %d below the bound %d", res.MgBits, res.BoundBits)
+	}
+}
+
+// TestNoMessageUndercutsTheorem12 runs the Figure 4 construction over
+// msgbound's whole grid (BENCH_MSGBOUND's), with dense and with sparse
+// dependency clocks: in every cell m_g must decode g and carry at least the
+// bound's n'·⌈lg k⌉ bits. The theorem is a proof, so a cell below the bound
+// would be a measurement bug — the acceptance of any change that shrinks
+// the causal store's messages.
+func TestNoMessageUndercutsTheorem12(t *testing.T) {
+	for _, opts := range []causal.Options{{}, {SparseDeps: true}} {
+		st := func() store.Store { return causal.NewWithOptions(spec.MVRTypes(), opts) }
+		points, err := SweepGrid(st, GridNs, GridSs, GridKs, 1, 1)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		for _, p := range points {
+			if !p.DecodeOK || p.MgBits < p.BoundBits {
+				t.Errorf("%+v n=%d s=%d k=%d: |m_g| = %d bits against a bound of %d, decoded %v",
+					opts, p.N, p.S, p.K, p.MgBits, p.BoundBits, p.DecodeOK)
+			}
+		}
 	}
 }
 

@@ -79,6 +79,14 @@ func SweepS(st func() store.Store, n int, ss []int, k int, seed int64, parallel 
 	return out, nil
 }
 
+// GridNs, GridSs and GridKs are the (n, s, k) grid msgbound -sweep grid
+// measures, the one BENCH_MSGBOUND.json tracks.
+var (
+	GridNs = []int{3, 4, 6, 10}
+	GridSs = []int{2, 3, 5, 9}
+	GridKs = []int{2, 16, 128, 1024}
+)
+
 // SweepGrid measures the full (n, s, k) cross product — len(ns)·len(ss)·
 // len(ks) independent constructions — in row-major (n, then s, then k)
 // order. The grid is the volume-opening sweep: parallel cells make ranges

@@ -19,22 +19,26 @@
 //     created. No byte is copied and a sealed file is never written again. A
 //     crash before the rename leaves a long wal the next Append seals; a
 //     crash after it leaves no wal, and Open creates one.
-//   - Recovery (Open) reads an ordered file list — snap.log if a build that
-//     sealed by copying left one, the segments sorted by name, then the wal
-//     — under one rule per record: an index below the count so far is
-//     skipped (only such a build's interrupted seal repeats records), the
-//     next index is taken, a later one is corruption — an append can tear,
-//     it cannot skip. Names only order the files; indices decide contiguity.
+//   - Recovery (Open) reads an ordered file list — the segments sorted by
+//     name, then the wal — under one rule per record: an index below the
+//     count so far is skipped (a repeated record is a copy of one already
+//     read), the next index is taken, a later one is corruption — an append
+//     can tear, it cannot skip. Names only order the files; indices decide
+//     contiguity.
 //   - A record that cannot be read — short header, short payload, CRC
 //     mismatch, undecodable event — is a torn append at the tail of wal.log:
 //     the file is truncated at the last good record and recovery stops
 //     there, so the log is a prefix of what the node recorded, never a
 //     fabrication. In a sealed file it is corruption and fails recovery,
-//     unless the next file still supplies that event index; only a copying
-//     seal that tore can leave that, and then the sealed file is cut back
-//     to its last good record and recovery continues from the next file.
-//     Silent truncation is therefore bounded by one seal interval, and
-//     damage in the sealed prefix is loud.
+//     unless the next file still supplies that event index; then the sealed
+//     file is cut back to its last good record and recovery continues from
+//     the next file. Silent truncation is therefore bounded by one seal
+//     interval, and damage in the sealed prefix is loud.
+//   - An intact record of an earlier journal format is neither: its update
+//     payloads are in a layout this build's stores do not decode. Open
+//     refuses the directory with a FormatError, wherever the record sits,
+//     before it replays, truncates or writes anything — as it does a
+//     directory holding the snap.log of a build that sealed by copying.
 //
 // The recovered history is what cluster.NodeStorage.Open hands the node to
 // replay (Storage, in storage.go, is that seam's implementation), so the
@@ -44,8 +48,7 @@
 //
 //   - OWNS: the data directory — meta.json, wal.log, seg-*.log — their
 //     record framing, fsync ordering and recovery rules, and the
-//     group-commit coordinator shard logs share. It reads, and never
-//     writes, a snap.log an earlier build left.
+//     group-commit coordinator shard logs share.
 //   - MUST NOT: dial, listen or know a frame type; decide what an event
 //     means (it stores cluster.Event in cluster's own binary encoding); or
 //     repair damage by guessing — a record it cannot read is torn or
@@ -78,11 +81,9 @@ const (
 	// event, zero-padded so that name order is event order.
 	segFormat = "seg-%020d.log"
 	segGlob   = "seg-*.log"
-	// snapName and treeName are files of builds that sealed by copying the
-	// wal: the sealed prefix, read like a segment and never written, and a
-	// Merkle checkpoint nothing reads any more, removed on open.
+	// snapName is the sealed prefix of a build that sealed by copying the
+	// wal, in journal format 0x01: a directory holding one is refused.
 	snapName = "snap.log"
-	treeName = "tree.ckpt"
 
 	// sealEvery is the number of new records the wal holds when it is
 	// sealed.
@@ -116,6 +117,22 @@ type CorruptionError struct {
 // Error implements error.
 func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("durable: %s corrupt at offset %d: %s", e.File, e.Offset, e.Reason)
+}
+
+// FormatError reports a data directory written by a build of an earlier
+// journal format: File holds, at Offset, an intact record in format
+// legacyJournalTag, whose update payloads no store of this build decodes.
+// Open returns it before replaying, truncating or writing anything.
+type FormatError struct {
+	File   string
+	Offset int64
+}
+
+// Error implements error.
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("durable: %s holds a record of journal format 0x%02x at offset %d, written by a build "+
+		"of protocol version 9 or earlier; this build reads format 0x%02x only and does not replay the directory",
+		e.File, legacyJournalTag, e.Offset, journalBinaryTag)
 }
 
 // Meta identifies whose history a data directory holds. It is written on
@@ -191,16 +208,17 @@ func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
 	if err := checkMeta(dir, meta); err != nil {
 		return nil, nil, err
 	}
-
-	// A leftover meta.json.tmp is a rename that never happened; what it was
-	// to replace is still authoritative. Nothing reads a tree.ckpt any more.
-	removeGlob(filepath.Join(dir, "*.tmp"))
-	os.Remove(filepath.Join(dir, treeName))
+	if _, err := os.Stat(filepath.Join(dir, snapName)); err == nil {
+		return nil, nil, &FormatError{File: snapName}
+	}
 
 	events, walCount, err := recoverDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
+	// A leftover meta.json.tmp is a rename that never happened; what it was
+	// to replace is still authoritative.
+	removeGlob(filepath.Join(dir, "*.tmp"))
 	l := &Log{dir: dir, meta: meta, opts: opts, count: len(events), walCount: walCount}
 	if err := l.openWal(); err != nil {
 		return nil, nil, err
@@ -363,8 +381,14 @@ func checkMeta(dir string, meta Meta) error {
 
 // journalBinaryTag is the first body byte of every record: it names the
 // body's format, cluster's binary event encoding, and is the one byte a
-// future format would change. A body opening with anything else is damage.
-const journalBinaryTag = 0x01
+// future format would change. 0x02 holds the causal store's updates without
+// the fields their type implies; legacyJournalTag, 0x01, held them with every
+// field, and a record in it is refused (FormatError). A body opening with
+// anything else is damage.
+const (
+	journalBinaryTag = 0x02
+	legacyJournalTag = 0x01
+)
 
 // encodeRecord frames one event: length | crc32c | payload, where the
 // payload is (uvarint index, length-prefixed body) and the body is the tag
@@ -412,8 +436,11 @@ func rd32(b []byte) uint32 {
 
 // errTorn marks every way a record can be damaged: short header, short
 // payload, implausible length, CRC mismatch, unknown body tag, undecodable
-// event.
-var errTorn = errors.New("durable: torn record")
+// event. errLegacy marks an intact record in legacyJournalTag's format.
+var (
+	errTorn   = errors.New("durable: torn record")
+	errLegacy = errors.New("durable: record of an earlier journal format")
+)
 
 // recordReader reads framed records through one buffer, so recovery costs
 // one read syscall per buffer-full rather than two per record, and one
@@ -440,8 +467,9 @@ func (rr *recordReader) reset(f io.Reader) {
 	rr.good = 0
 }
 
-// next reads one record. It returns io.EOF at a clean record boundary and
-// errTorn for damage; either way good is the last intact boundary.
+// next reads one record. It returns io.EOF at a clean record boundary,
+// errTorn for damage and errLegacy for a record of the earlier format; in
+// every case good is the last boundary before the record.
 func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -468,6 +496,9 @@ func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	data := rd.Bytes()
 	if rd.Err() != nil || rd.Remaining() != 0 {
 		return 0, ev, errTorn
+	}
+	if len(data) > 0 && data[0] == legacyJournalTag {
+		return 0, ev, errLegacy
 	}
 	if len(data) == 0 || data[0] != journalBinaryTag {
 		return 0, ev, errTorn
@@ -496,13 +527,10 @@ func truncateAt(path string, off int64) error {
 	return f.Sync()
 }
 
-// logFiles lists dir's record files in event order: snap.log if a build
-// that sealed by copying left one, the sealed segments by name, the wal.
+// logFiles lists dir's record files in event order: the sealed segments by
+// name, then the wal.
 func logFiles(dir string) []string {
 	var files []string
-	if _, err := os.Stat(filepath.Join(dir, snapName)); err == nil {
-		files = append(files, snapName)
-	}
 	segs, _ := filepath.Glob(filepath.Join(dir, segGlob))
 	sort.Strings(segs)
 	for _, seg := range segs {
@@ -537,19 +565,19 @@ func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
 
 // recoverFile extends events with the records of dir's file name, read
 // through rr; next is the path of the file after it. Per record: an index
-// below the count so far repeats a sealed record (a copying seal was
-// interrupted before it truncated the wal) and is skipped, the next index is
-// taken, and one past it is corruption — an append can tear, it cannot skip.
+// below the count so far repeats a record already read and is skipped, the
+// next index is taken, and one past it is corruption — an append can tear,
+// it cannot skip. A record of the earlier journal format fails recovery
+// with a FormatError.
 //
 // A record that cannot be read ends the file. In wal.log it is a torn
 // append: the file is truncated at the last good boundary and recovery ends
-// with the prefix before it, never an invention. In a sealed file it is a
-// torn copying seal if — and only if — the next file still supplies every
-// event from that record onward: such a seal truncated the wal only after
-// its records were fsynced, so a next file whose first index is at or below
-// the damage holds everything the damaged region did. Then the sealed file
-// is cut back to its last good boundary and recovery continues from the next
-// file. Any other unreadable sealed record fails loudly rather than
+// with the prefix before it, never an invention. In a sealed file it is
+// repaired if — and only if — the next file still supplies every event from
+// that record onward, so that nothing the damaged region held is lost: a
+// next file whose first index is at or below the damage. Then the sealed
+// file is cut back to its last good boundary and recovery continues from the
+// next file. Any other unreadable sealed record fails loudly rather than
 // truncating away events nothing can supply.
 func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Event) ([]cluster.Event, error) {
 	path := filepath.Join(dir, name)
@@ -564,6 +592,9 @@ func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Even
 		index, ev, err := rr.next()
 		if err == io.EOF {
 			return events, nil
+		}
+		if err == errLegacy {
+			return nil, &FormatError{File: name, Offset: offset}
 		}
 		if err != nil {
 			if name != walName {

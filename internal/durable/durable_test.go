@@ -1,11 +1,11 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -423,38 +423,10 @@ func TestSealRefusesExistingSegment(t *testing.T) {
 	}
 }
 
-// TestSnapshotWalOverlapRecovers simulates a copying seal's crash between
-// its fsync and its wal truncation: the wal still holds records the snapshot
-// already covers. Recovery must skip the overlap by index, not duplicate.
-func TestSnapshotWalOverlapRecovers(t *testing.T) {
-	dir := t.TempDir()
-	events := sampleEvents(10)
-	writeLog(t, dir, events, Options{NoSync: true}) // wal holds 0..9, no snapshot
-
-	// Hand-write a snapshot covering the prefix 0..5, leaving the wal
-	// overlapping it — byte-for-byte the post-crash state.
-	var snap []byte
-	for i, ev := range events[:6] {
-		rec, err := encodeTestRecord(uint64(i), ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap = append(snap, rec...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, hist, err := Open(dir, testMeta(), Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventsEqual(t, hist.Events, events)
-}
-
 // TestReadOnlySealedSegmentsRecover: recovery writes to a sealed file only to
-// repair a torn copying seal, so intact segments the process may not write
-// (a restored backup, a read-only mount opened for inspection) must still
-// open.
+// cut back a damaged record the next file covers, so intact segments the
+// process may not write (a restored backup, a read-only mount opened for
+// inspection) must still open.
 func TestReadOnlySealedSegmentsRecover(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(20)
@@ -513,29 +485,6 @@ func TestRecoveryCostIndependentOfSegments(t *testing.T) {
 	t.Logf("Open over %d files allocates %.0f B, over %d files %.0f B: %.0f B per extra file", oneFiles, one, manyFiles, many, perFile)
 	if perFile > 2<<10 {
 		t.Errorf("each extra file costs recovery %.0f B; want at most 2 KiB (a handle and a name)", perFile)
-	}
-}
-
-// TestTornSnapshotIsCorruption: a torn snapshot beside no wal is damage
-// nothing covers — recovery must fail loudly rather than truncate away
-// events no file can supply.
-func TestTornSnapshotIsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	events := sampleEvents(6)
-	var snap []byte
-	for i, ev := range events {
-		rec, err := encodeTestRecord(uint64(i), ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap = append(snap, rec...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), snap[:len(snap)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var ce *CorruptionError
-	if _, _, err := Open(dir, testMeta(), Options{}); !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CorruptionError", err)
 	}
 }
 
@@ -609,79 +558,104 @@ func copyDir(t *testing.T, from, to string) {
 }
 
 // The directories under testdata/parent-layout were written by the last
-// build that sealed by copying (commit 69cc7ae, SnapshotEvery 8, the command
-// is in CHANGES.md's PR 21 entry): clean is sampleEvents(30) closed normally
-// — snap.log 0..23, wal.log 24..29; overlap is a kill -9 between the second
-// seal's fsync and its wal truncate — snap.log 0..15, wal.log 8..15; tornseal
-// is overlap with snap.log cut inside record 13. Each also holds the
-// meta.json and tree.ckpt of that build.
+// build that sealed by copying (commit 69cc7ae, SnapshotEvery 8), in journal
+// format 0x01: clean is sampleEvents(30) closed normally — snap.log 0..23,
+// wal.log 24..29; overlap is a kill -9 between the second seal's fsync and
+// its wal truncate — snap.log 0..15, wal.log 8..15; tornseal is overlap with
+// snap.log cut inside record 13. Each also holds the meta.json and tree.ckpt
+// of that build.
 const parentLayout = "testdata/parent-layout"
 
-// TestParentLayoutOpens: a data directory the copying build left opens with
-// exactly its events and no tree.ckpt, carries on in the segment layout —
-// appending, sealing, reopening — and its snap.log is never written again,
-// except for the one truncation that repairs the torn seal.
+// readDir returns the contents of every file in dir, by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	for _, name := range dirNames(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = string(data)
+	}
+	return files
+}
+
+// requireRefused opens dir and fails unless Open returns a FormatError
+// naming file and leaves every file of dir as it was: nothing replayed,
+// truncated, removed or created.
+func requireRefused(t *testing.T, dir, file string, opts Options) {
+	t.Helper()
+	before := readDir(t, dir)
+	l, hist, err := Open(dir, testMeta(), opts)
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.File != file || l != nil || hist != nil {
+		t.Fatalf("Open = (%v, %v, %v), want a FormatError in %s", l, hist, err, file)
+	}
+	if after := readDir(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("a refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestParentLayoutOpens opens each data directory the copying build left.
+// They hold update payloads in a layout no store of this build decodes, so
+// Open refuses them with a FormatError — at the snap.log, and with that
+// taken away at the first record of the wal — and touches nothing in them.
 func TestParentLayoutOpens(t *testing.T) {
-	const every = 8
-	for _, tc := range []struct {
-		name     string
-		held     int // events the directory holds
-		snapKept int // records of snap.log that survive recovery
-	}{
-		{"clean", 30, 24},
-		{"overlap", 16, 16},
-		{"tornseal", 16, 13},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range []string{"clean", "overlap", "tornseal"} {
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			copyDir(t, filepath.Join(parentLayout, tc.name), dir)
-			snap, err := os.ReadFile(filepath.Join(dir, snapName))
-			if err != nil {
+			copyDir(t, filepath.Join(parentLayout, name), dir)
+			opts := Options{NoSync: true, sealEvery: 8}
+			requireRefused(t, dir, snapName, opts)
+			if err := os.Remove(filepath.Join(dir, snapName)); err != nil {
 				t.Fatal(err)
 			}
-			events := sampleEvents(tc.held + 2*every + 3)
-			opts := Options{NoSync: true, sealEvery: every}
-
-			l, hist, err := Open(dir, testMeta(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eventsEqual(t, hist.Events, events[:tc.held])
-			for _, ev := range events[tc.held:] {
-				if err := l.Append(ev); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, hist, err = Open(dir, testMeta(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eventsEqual(t, hist.Events, events)
-			requireEachIndexOnce(t, dir, len(events))
-
-			segs := 0
-			for _, name := range dirNames(t, dir) {
-				if ok, _ := filepath.Match(segGlob, name); ok {
-					segs++
-				} else if name != metaName && name != snapName && name != walName {
-					t.Fatalf("directory holds %s", name)
-				}
-			}
-			if segs < 2 {
-				t.Fatalf("%d appends at a seal interval of %d left %d segments", len(events)-tc.held, every, segs)
-			}
-			after, err := os.ReadFile(filepath.Join(dir, snapName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kept := len(recordBounds(t, after)) - 1; !bytes.HasPrefix(snap, after) || kept != tc.snapKept {
-				t.Fatalf("snap.log was %d bytes and is %d, holding %d records; want its first %d untouched and nothing else", len(snap), len(after), kept, tc.snapKept)
-			}
+			requireRefused(t, dir, walName, opts)
 		})
 	}
+}
+
+// legacyRecord is encodeTestRecord's record in journal format 0x01: the
+// same frame with the body's tag byte, and so the CRC, rewritten.
+func legacyRecord(t testing.TB, index uint64, ev cluster.Event) []byte {
+	t.Helper()
+	rec, err := encodeTestRecord(index, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewReader(rec[8:])
+	rd.Uvarint()                     // index
+	rd.Bytes()[0] = legacyJournalTag // the body, aliasing rec
+	putFrameHeader(rec)
+	return rec
+}
+
+// TestEarlierFormatRecordRefused: an intact record of journal format 0x01
+// is refused wherever it sits — at the head of a sealed segment, and at the
+// tail of a wal behind records this build wrote, where it is not taken for a
+// torn append and cut away.
+func TestEarlierFormatRecordRefused(t *testing.T) {
+	const every = 4
+	events := sampleEvents(2*every + 3)
+	opts := Options{NoSync: true, sealEvery: every}
+
+	sealed := t.TempDir()
+	writeLog(t, sealed, events, opts)
+	var seg []byte
+	for i, ev := range events[:every] {
+		seg = append(seg, legacyRecord(t, uint64(i), ev)...)
+	}
+	writeFiles(t, sealed, map[string][]byte{fmt.Sprintf(segFormat, 0): seg})
+	requireRefused(t, sealed, fmt.Sprintf(segFormat, 0), opts)
+
+	tail := t.TempDir()
+	writeLog(t, tail, events[:every-1], opts)
+	wal, err := os.ReadFile(filepath.Join(tail, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFiles(t, tail, map[string][]byte{walName: append(wal, legacyRecord(t, every-1, events[every-1])...)})
+	requireRefused(t, tail, walName, opts)
 }
 
 // writeFiles lays out a data directory from file contents; a nil content
@@ -694,89 +668,6 @@ func writeFiles(t *testing.T, dir string, files map[string][]byte) {
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestTornSealRepairedOnlyFromWal is the torn-seal sweep. A copying seal
-// appended to snap.log in place, so a crash could leave its last records
-// half-written; it truncated the wal only after the seal's fsync, so the wal
-// still holds them. With the wal intact, cutting snap.log at EVERY byte
-// offset inside the last seal must recover the full history, take each
-// event from exactly one file, and leave a log that seals and recovers on.
-// With the wal gone, or starting past the damage, the same cut is damage
-// nothing covers: recovery must refuse, not truncate acknowledged events
-// away.
-func TestTornSealRepairedOnlyFromWal(t *testing.T) {
-	const every = 8
-	events := sampleEvents(3 * every)
-	// The state a kill -9 left such a build between the second seal's fsync
-	// and its wal truncate: snap.log holds 0..15, wal.log still holds 8..15.
-	master := filepath.Join(parentLayout, "overlap")
-	read := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join(master, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	snap, wal, meta := read(snapName), read(walName), read(metaName)
-	sb, wb := recordBounds(t, snap), recordBounds(t, wal)
-	if len(sb)-1 != 2*every || len(wb)-1 != every {
-		t.Fatalf("crash state holds %d sealed and %d wal records, want %d and %d", len(sb)-1, len(wb)-1, 2*every, every)
-	}
-	sealStart := sb[every]
-	intactBefore := func(cut int) int { // snapshot records wholly before cut
-		n := 0
-		for n+1 < len(sb) && sb[n+1] <= cut {
-			n++
-		}
-		return n
-	}
-
-	for cut := sealStart; cut < len(snap); cut++ {
-		// Wal intact: repaired.
-		dir := t.TempDir()
-		writeFiles(t, dir, map[string][]byte{metaName: meta, snapName: snap[:cut], walName: wal})
-		l, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
-		if err != nil {
-			t.Fatalf("cut at %d, wal intact: %v", cut, err)
-		}
-		eventsEqual(t, hist.Events, events[:2*every])
-		requireEachIndexOnce(t, dir, 2*every)
-		for _, ev := range events[2*every:] {
-			if err := l.Append(ev); err != nil {
-				t.Fatalf("cut at %d: append after repair: %v", cut, err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		l2, hist2, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
-		if err != nil {
-			t.Fatalf("cut at %d: reopen after a further seal: %v", cut, err)
-		}
-		eventsEqual(t, hist2.Events, events)
-		l2.Close()
-
-		// Wal gone, empty, or starting past the damage: corruption — unless
-		// the cut fell on a record boundary and the wal holds nothing, which
-		// is simply a shorter intact log.
-		pastDamage := wal[wb[intactBefore(cut)-every+1]:] // first index one past the torn record
-		for name, w := range map[string][]byte{"missing": nil, "empty": {}, "past the damage": pastDamage} {
-			dir := t.TempDir()
-			writeFiles(t, dir, map[string][]byte{metaName: meta, snapName: snap[:cut], walName: w})
-			_, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
-			var ce *CorruptionError
-			switch {
-			case sb[intactBefore(cut)] == cut && len(w) == 0:
-				if err != nil {
-					t.Fatalf("cut at boundary %d, wal %s: %v", cut, name, err)
-				}
-				eventsEqual(t, hist.Events, events[:intactBefore(cut)])
-			case !errors.As(err, &ce):
-				t.Fatalf("cut at %d, wal %s: err = %v, want *CorruptionError", cut, name, err)
-			}
 		}
 	}
 }
@@ -809,26 +700,21 @@ func TestDamagedSealedSegmentIsCorruption(t *testing.T) {
 }
 
 // TestLeftoversRemovedOnOpen: a meta.json.tmp is a rename that never
-// happened and a tree.ckpt belongs to a build whose journal kept a Merkle
-// checkpoint; neither is read, both are removed, and the history is what
-// the record files hold.
+// happened; it is not read, it is removed, and the history is what the
+// record files hold.
 func TestLeftoversRemovedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	events := sampleEvents(5)
 	writeLog(t, dir, events, Options{NoSync: true})
-	leftovers := []string{metaName + ".tmp", treeName}
-	for _, name := range leftovers {
-		writeFiles(t, dir, map[string][]byte{name: []byte("half-written garbage")})
-	}
+	leftover := metaName + ".tmp"
+	writeFiles(t, dir, map[string][]byte{leftover: []byte("half-written garbage")})
 	_, hist, err := Open(dir, testMeta(), Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eventsEqual(t, hist.Events, events)
-	for _, name := range leftovers {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("leftover %s not removed", name)
-		}
+	if _, err := os.Stat(filepath.Join(dir, leftover)); !os.IsNotExist(err) {
+		t.Fatalf("leftover %s not removed", leftover)
 	}
 }
 

@@ -33,14 +33,12 @@ func fuzzLog(tb testing.TB) (sealed, wal []byte, events []cluster.Event) {
 // fuzzSeeds returns the hand-picked (wal tail, sealed tail) shapes the
 // fuzzer starts from. Wal tails: clean boundary, a valid seventh record,
 // torn cuts through it, a bit flip, an index gap, an overlapping
-// (already-seen) index, plain garbage. Sealed tails, as a copying seal left
-// them on snap.log: the second seal interrupted after one record, torn
-// inside its second, complete but with the wal not yet truncated,
-// bit-flipped, out of order; and both at once. The last three are for the
-// segment layout, where nothing appends to a sealed file: a segment whose
-// next record is cut short just where the wal begins (covered, so repaired),
-// both files torn at once, and a long wal — a crash before the rename —
-// behind an intact segment.
+// (already-seen) index, plain garbage. Sealed tails: records the wal repeats
+// (one, a torn second, all three), a bit-flipped record the wal covers, an
+// index out of order; and both at once. Then a segment whose next record is
+// cut short just where the wal begins (covered, so repaired), both files
+// torn at once, a long wal — a crash before the rename — behind an intact
+// segment, and an intact record of journal format 0x01 at the wal's tail.
 func fuzzSeeds(tb testing.TB) [][2][]byte {
 	events := sampleEvents(8)
 	rec := func(index uint64, ev cluster.Event) []byte {
@@ -77,70 +75,65 @@ func fuzzSeeds(tb testing.TB) [][2][]byte {
 		{{}, rec3[:len(rec3)-1]},                   // sealed file torn at an event the wal also holds
 		{rec6[:len(rec6)/2], {0}},                  // both files torn
 		{join(rec6, rec(7, events[7])), {}},        // a wal past its seal threshold
+		{legacyRecord(tb, 6, events[6]), {}},       // an earlier format: must surface FormatError
 	}
 }
 
 // FuzzRecoverTail appends arbitrary bytes after a valid wal and after a
-// valid sealed file, and opens the log — in both directory shapes: the
-// sealed file as the snap.log of a build that sealed by copying, and as the
-// first segment. Recovery must never panic, never lose or rewrite the sealed
-// prefix nor lose what the intact wal holds, fail only with CorruptionError,
-// take every event index from exactly one file, and be idempotent: a second
-// Open of the recovered (physically truncated) files sees exactly the same
-// events, and the log stays appendable.
+// valid first segment, and opens the log. Recovery must never panic, never
+// lose or rewrite the sealed prefix nor lose what the intact wal holds, fail
+// only with CorruptionError or FormatError, take every event index from
+// exactly one file, and be idempotent: a second Open of the recovered
+// (physically truncated) files sees exactly the same events, and the log
+// stays appendable.
 func FuzzRecoverTail(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, walTail, sealedTail []byte) {
-		for _, sealedName := range []string{snapName, fmt.Sprintf(segFormat, 0)} {
-			fuzzRecover(t, sealedName, walTail, sealedTail)
+		sealed, wal, events := fuzzLog(t)
+		dir := t.TempDir()
+		writeFiles(t, dir, map[string][]byte{
+			fmt.Sprintf(segFormat, 0): append(sealed, sealedTail...),
+			walName:                   append(wal, walTail...),
+		})
+		opts := Options{NoSync: true, sealEvery: 3}
+		l, hist, err := Open(dir, testMeta(), opts)
+		if err != nil {
+			var ce *CorruptionError
+			var fe *FormatError
+			if !errors.As(err, &ce) && !errors.As(err, &fe) {
+				t.Fatalf("Open: %v (neither a CorruptionError nor a FormatError)", err)
+			}
+			return
+		}
+		if histLen(hist) < len(events) {
+			t.Fatalf("valid history lost: recovered %d events, the intact files held %d", histLen(hist), len(events))
+		}
+		for i, want := range events[:3] {
+			g, _ := json.Marshal(hist.Events[i])
+			w, _ := json.Marshal(want)
+			if string(g) != string(w) {
+				t.Fatalf("sealed event %d rewritten:\n got %s\nwant %s", i, g, w)
+			}
+		}
+		recovered := len(hist.Events)
+		requireEachIndexOnce(t, dir, recovered)
+		if err := l.Append(sampleEvents(1)[0]); err != nil {
+			t.Fatalf("append after recovery: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, hist2, err := Open(dir, testMeta(), opts)
+		if err != nil {
+			t.Fatalf("reopen after recovery must be clean: %v", err)
+		}
+		defer l2.Close()
+		if histLen(hist2) != recovered+1 {
+			t.Fatalf("recovery not idempotent: first saw %d+1 events, reopen sees %d", recovered, histLen(hist2))
 		}
 	})
-}
-
-func fuzzRecover(t *testing.T, sealedName string, walTail, sealedTail []byte) {
-	sealed, wal, events := fuzzLog(t)
-	dir := t.TempDir()
-	writeFiles(t, dir, map[string][]byte{
-		sealedName: append(sealed, sealedTail...),
-		walName:    append(wal, walTail...),
-	})
-	opts := Options{NoSync: true, sealEvery: 3}
-	l, hist, err := Open(dir, testMeta(), opts)
-	if err != nil {
-		var ce *CorruptionError
-		if !errors.As(err, &ce) {
-			t.Fatalf("%s: Open: %v (not a CorruptionError)", sealedName, err)
-		}
-		return
-	}
-	if histLen(hist) < len(events) {
-		t.Fatalf("%s: valid history lost: recovered %d events, the intact files held %d", sealedName, histLen(hist), len(events))
-	}
-	for i, want := range events[:3] {
-		g, _ := json.Marshal(hist.Events[i])
-		w, _ := json.Marshal(want)
-		if string(g) != string(w) {
-			t.Fatalf("%s: sealed event %d rewritten:\n got %s\nwant %s", sealedName, i, g, w)
-		}
-	}
-	recovered := len(hist.Events)
-	requireEachIndexOnce(t, dir, recovered)
-	if err := l.Append(sampleEvents(1)[0]); err != nil {
-		t.Fatalf("%s: append after recovery: %v", sealedName, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, hist2, err := Open(dir, testMeta(), opts)
-	if err != nil {
-		t.Fatalf("%s: reopen after recovery must be clean: %v", sealedName, err)
-	}
-	defer l2.Close()
-	if histLen(hist2) != recovered+1 {
-		t.Fatalf("%s: recovery not idempotent: first saw %d+1 events, reopen sees %d", sealedName, recovered, histLen(hist2))
-	}
 }
 
 func histLen(h *cluster.History) int {

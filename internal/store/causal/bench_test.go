@@ -145,31 +145,40 @@ func TestApplyCostIndependentOfHistory(t *testing.T) {
 	}
 }
 
-// hostileCount is a payload of size bytes that announces count updates and
-// then holds zeros — each nine of which do decode as an (already seen)
-// update.
+// minimalUpdate is the shortest update a replica of three encodes: r2's
+// first write of the empty value to the empty key, six bytes.
+func minimalUpdate() []byte {
+	src := New(spec.MVRTypes()).NewReplica(2, 3)
+	src.Do("", model.Write(""))
+	return slices.Clone(src.PendingMessage()[1:]) // behind the count
+}
+
+// hostileCount is a payload of size bytes that announces count updates,
+// then repeats minimalUpdate as far as the bytes go and pads with zeros:
+// every copy decodes (as a duplicate of the first), and the payload fails
+// only at its end — on the padding, or on the bytes left over.
 func hostileCount(size int, count uint64) []byte {
-	p := make([]byte, size)
-	binary.PutUvarint(p, count)
-	return p
+	unit := minimalUpdate()
+	p := binary.AppendUvarint(make([]byte, 0, size), count)
+	for len(p)+len(unit) <= size {
+		p = append(p, unit...)
+	}
+	return append(p, make([]byte, size-len(p))...)
 }
 
 // TestReceiveHostileCountAllocatesBounded: the update count is the peer's
-// to choose, so nothing may be sized from it beyond what the payload's own
-// bytes can hold, and what one such payload did make Receive allocate is
-// not kept. (Sized from the count alone, one 1 MiB frame announcing a
-// million updates allocated 120 MB before its first field was read.)
+// to choose, so nothing may be sized from it, and a payload that fails part
+// way leaves nothing behind. (Sized from the count alone, one 1 MiB frame
+// announcing a million updates allocated 120 MB before its first field was
+// read.)
 func TestReceiveHostileCountAllocatesBounded(t *testing.T) {
 	const size = 1 << 20
-	for _, count := range []uint64{size - 16, size/minUpdateBytes - 1} {
+	for _, count := range []uint64{size - 16, uint64(size/len(minimalUpdate())) - 1} {
 		r := New(spec.MVRTypes()).NewReplica(1, 3).(*Replica)
 		before := r.StateDigest()
 		payload := hostileCount(size, count)
 		if got := allocBytes(func() { r.Receive(payload) }); got > 16*size {
 			t.Errorf("a %d-byte payload announcing %d updates made Receive allocate %.0f B", size, count, got)
-		}
-		if cap(r.decoded) > maxKeptDecoded {
-			t.Errorf("after a payload announcing %d updates the replica keeps a scratch of %d", count, cap(r.decoded))
 		}
 		if r.StateDigest() != before {
 			t.Errorf("a payload announcing %d updates changed the state", count)

@@ -94,7 +94,9 @@ func (s *Store) NewReplica(id model.ReplicaID, n int) store.Replica {
 
 // update is one replicated mutator: the unit of propagation.
 type update struct {
-	Dot     model.Dot
+	Dot model.Dot
+	// Lamport is a register write's timestamp, the one arbitration the
+	// store does; every other update carries 0.
 	Lamport uint64
 	Obj     model.ObjectID
 	Kind    model.OpKind
@@ -159,13 +161,13 @@ type Replica struct {
 	// segment log, of four pointer-free bytes an update.
 	applyLog seglog.Log[uint32]
 
-	// list and dots are the digest renderer's scratch, decoded is Receive's
-	// (the batch being decoded; empty between calls), and msg holds the
+	// list and dots are the digest renderer's scratch, deps the encoder's
+	// (a dependency clock with its own entry zeroed), and msg holds the
 	// encoding PendingMessage lends out: not state.
-	list    store.SortedList
-	dots    []model.Dot
-	decoded []update
-	msg     wire.Writer
+	list store.SortedList
+	dots []model.Dot
+	deps vclock.VC
+	msg  wire.Writer
 }
 
 var (
@@ -233,8 +235,13 @@ func (r *Replica) Do(obj model.ObjectID, op model.Operation) model.Response {
 		}
 		sortDots(u.Removed)
 	}
-	r.lamport++
-	u.Lamport = r.lamport
+	// Only a register arbitrates by timestamp, so only its writes tick the
+	// clock and carry a stamp. LWW needs ts(w1) < ts(w2) when w1 →hb w2, and
+	// causal delivery applies w1, stamp and all, here before w2 is minted.
+	if st.typ == spec.TypeRegister {
+		r.lamport++
+		u.Lamport = r.lamport
+	}
 	u.Dot = model.Dot{Origin: r.id, Seq: r.clock.Get(r.id) + 1}
 	r.apply(u)
 	r.outbox = append(r.outbox, u)
@@ -270,7 +277,7 @@ func (r *Replica) read(st *objState) model.Response {
 }
 
 // apply integrates a causally ready update into object state and advances
-// the clock past its dot.
+// the clock past its dot; a register write's stamp also advances lamport.
 func (r *Replica) apply(u update) {
 	if u.Lamport > r.lamport {
 		r.lamport = u.Lamport
@@ -324,35 +331,19 @@ func (r *Replica) ready(u update) bool {
 }
 
 // Receive implements store.Replica: decode, deduplicate, buffer, and drain
-// everything that became causally ready.
+// everything that became causally ready. A corrupt payload is ignored:
+// well-formed executions never produce one, and dropping it is
+// indistinguishable from a message drop. What it buffered before the
+// damage is taken back out, so the state is as if it never arrived.
 func (r *Replica) Receive(payload []byte) {
-	updates, err := r.decodePayload(r.decoded[:0], payload)
-	// A corrupt payload is ignored: well-formed executions never produce
-	// one, and dropping it is indistinguishable from a message drop.
-	if err == nil {
-		for _, u := range updates {
-			if r.clock.Sees(u.Dot) || r.buffered(u.Dot) {
-				continue // duplicate delivery
-			}
-			r.buffer = append(r.buffer, u)
-		}
-		r.drain()
+	kept := len(r.buffer)
+	if err := r.bufferPayload(payload); err != nil {
+		clear(r.buffer[kept:])
+		r.buffer = r.buffer[:kept]
+		return
 	}
-	// The scratch is kept for the next payload, emptied so that it pins no
-	// Deps or Removed of this one — unless this payload grew it past what
-	// ordinary traffic needs: one hostile frame must not hold memory for
-	// the life of the replica.
-	clear(updates)
-	if cap(updates) > maxKeptDecoded {
-		updates = nil
-	}
-	r.decoded = updates[:0]
+	r.drain()
 }
-
-// maxKeptDecoded is the largest decode scratch, in updates, a replica keeps
-// between receives (a message relays one outbox; the cluster's is one
-// update, a simulated partition's a few dozen).
-const maxKeptDecoded = 64
 
 func (r *Replica) buffered(d model.Dot) bool {
 	for _, u := range r.buffer {
@@ -394,7 +385,7 @@ func (r *Replica) PendingMessage() []byte {
 		batch = r.outbox[:1]
 	}
 	r.msg.Reset()
-	encodePayload(&r.msg, batch, r.opts.SparseDeps)
+	r.encodePayload(&r.msg, batch)
 	return r.msg.Bytes()
 }
 
@@ -521,78 +512,155 @@ func sortDots(ds []model.Dot) {
 	})
 }
 
-// encodePayload appends the encoding of a batch of updates to w.
-func encodePayload(w *wire.Writer, batch []update, sparse bool) {
+// encodePayload appends the encoding of a batch of updates to w: their
+// count, then each update as exactly the fields its apply reads that the
+// receiver cannot derive,
+//
+//	dot | key | [kind: ORset] | [lamport: register] | value, or delta for a counter | deps | [removed: remove]
+//
+// The object's type — both ends share spec.Types — implies the rest: the
+// kind of an MVR or register update (write) and of a counter's (inc).
+func (r *Replica) encodePayload(w *wire.Writer, batch []update) {
 	w.Uvarint(uint64(len(batch)))
-	for _, u := range batch {
+	for i := range batch {
+		u := &batch[i]
+		typ := r.types.Of(u.Obj)
 		w.Dot(u.Dot)
-		w.Uvarint(u.Lamport)
 		w.String(string(u.Obj))
-		w.Uvarint(uint64(u.Kind))
-		w.String(string(u.Value))
-		w.Varint(u.Delta)
-		if sparse {
-			w.SparseVC(u.Deps)
-		} else {
-			w.VC(u.Deps)
+		switch typ {
+		case spec.TypeORSet:
+			w.Uvarint(uint64(u.Kind))
+		case spec.TypeRegister:
+			w.Uvarint(u.Lamport)
+		case spec.TypeCounter:
+			w.Varint(u.Delta)
 		}
-		w.Uvarint(uint64(len(u.Removed)))
-		for _, d := range u.Removed {
-			w.Dot(d)
+		if typ != spec.TypeCounter {
+			w.String(string(u.Value))
+		}
+		r.appendDeps(w, u)
+		if u.Kind == model.OpRemove {
+			w.Uvarint(uint64(len(u.Removed)))
+			for _, d := range u.Removed {
+				w.Dot(d)
+			}
 		}
 	}
 }
 
-// minUpdateBytes is the shortest encoding of one update: a byte each for
-// the dot's two halves, the lamport time, the object and value lengths, the
-// kind, the delta, the dependency count and the removed count.
-const minUpdateBytes = 9
+// appendDeps appends u's dependency clock less its own entry, which the
+// receiver rebuilds as Dot.Seq−1: dense, the other n−1 entries with no
+// length (both ends know n); sparse, the non-zero ones among them as
+// wire.SparseVC pairs.
+func (r *Replica) appendDeps(w *wire.Writer, u *update) {
+	own := int(u.Dot.Origin)
+	if r.opts.SparseDeps {
+		r.deps = append(r.deps[:0], u.Deps...)
+		r.deps[own] = 0
+		w.SparseVC(r.deps)
+		return
+	}
+	for i := 0; i < r.n; i++ {
+		if i != own {
+			w.Uvarint(u.Deps.Get(model.ReplicaID(i)))
+		}
+	}
+}
 
-// decodePayload parses a batch of updates into dst (Receive's emptied
-// scratch, or nil) and returns it, replaced by a larger one if need be — on
-// an error too, holding whatever was decoded before it. The count and every
-// length come from the peer, so nothing is sized from them beyond what the
-// payload's bytes can hold. An update of an object the replica holds takes
-// that object's key; only a key it has not seen is decoded into a new string.
-func (r *Replica) decodePayload(dst []update, payload []byte) ([]update, error) {
+// bufferPayload decodes a batch of updates and buffers each one the replica
+// has neither applied nor buffered. At the first malformed update it stops
+// and returns the error; what it buffered before is the caller's to take
+// back out. Nothing is sized from a count or length the peer sent, so a
+// payload allocates what it holds. An update of an object the replica holds
+// takes that object's key; only a key it has not seen is decoded into a new
+// string.
+func (r *Replica) bufferPayload(payload []byte) error {
 	var rd wire.Reader
 	rd.Reset(payload)
-	count := rd.Uvarint()
-	if count > uint64(len(payload)/minUpdateBytes) {
-		return dst, fmt.Errorf("causal: implausible update count %d", count)
-	}
-	if cap(dst) < int(count) {
-		dst = make([]update, 0, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		dst = append(dst, update{})
-		u := &dst[len(dst)-1]
-		u.Dot = rd.Dot()
-		u.Lamport = rd.Uvarint()
-		key := rd.Bytes()
-		if st, ok := r.objects[model.ObjectID(key)]; ok {
-			u.Obj = st.id
-		} else {
-			u.Obj = model.ObjectID(key)
+	for count := rd.Uvarint(); count > 0 && rd.Err() == nil; count-- {
+		u, err := r.decodeUpdate(&rd)
+		if err != nil {
+			return err
 		}
+		if !r.clock.Sees(u.Dot) && !r.buffered(u.Dot) {
+			r.buffer = append(r.buffer, u)
+		}
+	}
+	return rd.End()
+}
+
+// decodeUpdate reads one update of encodePayload's layout. The origin is
+// checked against the population and the seq against zero before either
+// indexes anything.
+func (r *Replica) decodeUpdate(rd *wire.Reader) (update, error) {
+	var u update
+	origin, seq := rd.Uvarint(), rd.Uvarint()
+	if err := rd.Err(); err != nil {
+		return u, err
+	}
+	if origin >= uint64(r.n) || seq == 0 {
+		return u, fmt.Errorf("causal: update (r%d,%d) outside a population of %d", origin, seq, r.n)
+	}
+	u.Dot = model.Dot{Origin: model.ReplicaID(origin), Seq: seq}
+	key := rd.Bytes()
+	var typ spec.ObjectType
+	if st, ok := r.objects[model.ObjectID(key)]; ok {
+		u.Obj, typ = st.id, st.typ
+	} else {
+		u.Obj = model.ObjectID(key)
+		typ = r.types.Of(u.Obj)
+	}
+	switch typ {
+	case spec.TypeORSet:
 		u.Kind = model.OpKind(rd.Uvarint())
-		u.Value = model.Value(rd.String())
-		u.Delta = rd.Varint()
-		if r.opts.SparseDeps {
-			u.Deps = rd.SparseVC(r.n)
-		} else {
-			u.Deps = rd.VC()
+		if u.Kind != model.OpAdd && u.Kind != model.OpRemove {
+			return u, fmt.Errorf("causal: %s on an ORset", u.Kind)
 		}
+	case spec.TypeRegister:
+		u.Kind, u.Lamport = model.OpWrite, rd.Uvarint()
+	case spec.TypeCounter:
+		u.Kind, u.Delta = model.OpInc, rd.Varint()
+	default:
+		u.Kind = model.OpWrite
+	}
+	if typ != spec.TypeCounter {
+		u.Value = model.Value(rd.String())
+	}
+	if err := r.readDeps(rd, &u); err != nil {
+		return u, err
+	}
+	if u.Kind == model.OpRemove {
 		removed := rd.Uvarint()
 		if removed > uint64(rd.Remaining()/2) { // a dot is two bytes or more
-			return dst, fmt.Errorf("causal: implausible removed-dot count %d", removed)
+			return u, fmt.Errorf("causal: implausible removed-dot count %d", removed)
 		}
 		for j := uint64(0); j < removed; j++ {
 			u.Removed = append(u.Removed, rd.Dot())
 		}
+	}
+	return u, rd.Err()
+}
+
+// readDeps reads appendDeps' encoding into a clock of n entries and rebuilds
+// the own entry from the dot.
+func (r *Replica) readDeps(rd *wire.Reader, u *update) error {
+	own := int(u.Dot.Origin)
+	if r.opts.SparseDeps {
+		u.Deps = rd.SparseVC(r.n) // refuses an index at or past n
 		if err := rd.Err(); err != nil {
-			return dst, err
+			return err
+		}
+		if u.Deps[own] != 0 {
+			return fmt.Errorf("causal: update %v sends its own dependency entry", u.Dot)
+		}
+	} else {
+		u.Deps = vclock.New(r.n)
+		for i := range u.Deps {
+			if i != own {
+				u.Deps[i] = rd.Uvarint()
+			}
 		}
 	}
-	return dst, nil
+	u.Deps[own] = u.Dot.Seq - 1
+	return rd.Err()
 }

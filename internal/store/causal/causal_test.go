@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store/storetest"
 )
@@ -235,6 +236,62 @@ func TestLWWRegisterConvergesToLatest(t *testing.T) {
 	}
 	if len(g0.Values) != 1 {
 		t.Fatalf("register read = %s, want a single value", g0)
+	}
+}
+
+// TestRegisterStampsStayCausal: only register writes carry a stamp, so the
+// one that orders a later register write after an earlier one must reach its
+// writer through whatever carried the causality — here an MVR write, which
+// carries none. r0 writes register R twice (stamps 1 and 2); r1 applies
+// that, then writes MVR x; r2 gets x first and must buffer it until R's
+// writes arrive; r2 then writes R. r2's write happened after r0's, so every
+// replica must read it — a stamp r2 had not learned would lose to r0's 2 —
+// and the replicas end in one state.
+func TestRegisterStampsStayCausal(t *testing.T) {
+	types := spec.Types{DefaultType: spec.TypeMVR, ByObject: map[model.ObjectID]spec.ObjectType{"R": spec.TypeRegister}}
+	c := sim.NewCluster(New(types), 3, 1)
+	c.Do(0, "R", model.Write("r0-first"))
+	c.Do(0, "R", model.Write("r0"))
+	mR, _ := c.Send(0)
+	c.DeliverMsg(1, mR)
+	c.Do(1, "x", model.Write("x1"))
+	mx, _ := c.Send(1)
+	c.DeliverMsg(2, mx)
+	r2 := c.Replica(2).(*Replica)
+	if r2.BufferedUpdates() != 1 {
+		t.Fatalf("r2 buffers %d updates before R's writes arrive, want x alone", r2.BufferedUpdates())
+	}
+	c.DeliverMsg(2, mR)
+	if got, want := c.Do(2, "x", model.Read()), model.ReadResponse([]model.Value{"x1"}); !got.Equal(want) {
+		t.Fatalf("r2 reads x = %s after R's writes arrived, want %s", got, want)
+	}
+	c.Do(2, "R", model.Write("r2"))
+	c.Quiesce()
+	want := model.ReadResponse([]model.Value{"r2"})
+	for i, got := range c.ReadAll("R") {
+		if !got.Equal(want) {
+			t.Errorf("r%d reads R = %s, want %s", i, got, want)
+		}
+	}
+	for i := 1; i < c.N(); i++ {
+		if a, b := c.Replica(0).StateDigest(), c.Replica(model.ReplicaID(i)).StateDigest(); a != b {
+			t.Errorf("digests diverged at quiescence:\nr0:\n%s\nr%d:\n%s", a, i, b)
+		}
+	}
+}
+
+// TestMVROnlyRunHasNoStamps: no MVR write carries a stamp, so on an
+// MVR-only store the Lamport clock never leaves 0, under reordered and
+// duplicated delivery alike.
+func TestMVROnlyRunHasNoStamps(t *testing.T) {
+	c := sim.NewCluster(New(spec.MVRTypes()), 3, 7)
+	c.SetFaults(sim.Faults{DupProb: 0.2, Reorder: true})
+	c.RunRandom(sim.WorkloadConfig{Objects: []model.ObjectID{"x", "y", "z"}, Steps: 200})
+	c.Quiesce()
+	for i := 0; i < c.N(); i++ {
+		if d := c.Replica(model.ReplicaID(i)).StateDigest(); !strings.Contains(d, " lamport=0\n") {
+			t.Errorf("r%d digest:\n%s\nwant lamport=0", i, d)
+		}
 	}
 }
 
