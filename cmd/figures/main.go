@@ -200,8 +200,9 @@ func propagation(out bench.Output, seed int64) error {
 }
 
 // statesize measures per-replica metadata growth — the §7 space-bound
-// flavor: MVR version sets carry O(n)-entry dependency clocks, so replica
-// state grows with both the replica count and the surviving sibling count.
+// flavor: the replica keeps one n-entry clock and each surviving MVR
+// sibling a value and a dot, so state grows with the replica count plus the
+// sibling count.
 func statesize(out bench.Output) error {
 	t := bench.NewTable("State size — MVR metadata growth (space lower-bound flavor, §7)",
 		"replicas", "concurrent writers", "siblings held", "state bytes (digest proxy)")
@@ -221,7 +222,7 @@ func statesize(out bench.Output) error {
 		siblings := len(replicas[0].Do("x", model.Read()).Values)
 		t.AddRow(n, n-1, siblings, len(replicas[0].StateDigest()))
 	}
-	t.Note = "each surviving sibling stores an n-entry dependency clock: state grows with min{concurrency, writers} × n, matching the flavor of the Burckhardt et al. space bounds the full version extends"
+	t.Note = "each surviving sibling holds a value and a dot, and the replica clock is the one n-entry vector: state grows as n + min{concurrency, writers}, not as their product"
 	return out.Emit(t)
 }
 

@@ -272,10 +272,12 @@ var perUpdateKept = float64(unsafe.Sizeof(seglog.Pos{})) + float64(unsafe.Sizeof
 
 // TestServedWriteAllocatesOnlyWhatItKeeps: serving a write allocates what
 // the node keeps of it — the do and send records, the update's index entry
-// and chain-value share — on top of what the store's Do keeps (the value's
-// version and its Deps). The store's message is encoded in a buffer it
-// owns and copied once, into the send record; the do record encodes the
-// shard's frontier as it stands. (Each used to cost a copy nobody kept: an
+// and chain-value share — on top of what the store's Do keeps, an apply-log
+// entry: the value's version takes the slot of the one it overwrites, and
+// the dependency clock is copied into the outbox's arena, so the store
+// allocates nothing. The store's message is encoded in a buffer it owns and
+// copied once, into the send record; the do record encodes the shard's
+// frontier as it stands. (Each used to cost a copy nobody kept: an
 // exact-size payload and a clone of the frontier per write.)
 func TestServedWriteAllocatesOnlyWhatItKeeps(t *testing.T) {
 	const writes = 4 * seglog.SegmentLen
@@ -295,7 +297,9 @@ func TestServedWriteAllocatesOnlyWhatItKeeps(t *testing.T) {
 			storeDo()
 		}
 	}) / writes
-	storeAllocs := testing.AllocsPerRun(writes, storeDo)
+	if storeAllocs := testing.AllocsPerRun(writes, storeDo); storeAllocs != 0 {
+		t.Errorf("the store's Do allocates %.0f times per write, want 0", storeAllocs)
+	}
 
 	call := newDoCall(nd)
 	serve := func() {
@@ -333,17 +337,17 @@ func TestServedWriteAllocatesOnlyWhatItKeeps(t *testing.T) {
 		t.Errorf("a served write allocates %.1f B: the store's own %.1f B + %d B of records + %.1f B per update + %.1f B nobody owns",
 			served, storeBytes, rec.Len(), perUpdateKept, served-limit+slack)
 	}
-	if got := testing.AllocsPerRun(writes, serve); got > storeAllocs {
-		t.Errorf("a served write allocates %.0f times; the store's Do accounts for %.0f", got, storeAllocs)
+	if got := testing.AllocsPerRun(writes, serve); got != 0 {
+		t.Errorf("a served write allocates %.0f times, want 0", got)
 	}
 }
 
 // TestReceiveAllocatesOnlyWhatItKeeps: applying a replicated update
 // allocates its receive record, its index entry and chain-value share, and
-// what the store keeps of it — the decoded value and Deps and an apply-log
-// entry. The update's
-// object is one the receiver already holds, so its key is looked up, not
-// decoded into a new string.
+// what the store keeps of it — the decoded value and an apply-log entry.
+// The update is ready as it arrives, so its dependency clock is decoded into
+// the store's receive scratch, and its object is one the receiver already
+// holds, so its key is looked up, not decoded into a new string.
 func TestReceiveAllocatesOnlyWhatItKeeps(t *testing.T) {
 	const keys, updates = 64, 4 * seglog.SegmentLen
 	src := openCausal(t).NewReplica(0, 3)
@@ -377,10 +381,9 @@ func TestReceiveAllocatesOnlyWhatItKeeps(t *testing.T) {
 	if err := AppendEventBinary(&rec, Event{Kind: model.ActReceive, Lamport: s.lamport, Origin: last.Origin, Seq: last.Seq, Payload: last.Payload}); err != nil {
 		t.Fatal(err)
 	}
-	// What the store keeps: the value string and a Deps vector of three
-	// entries, each a whole allocation size class, and the update's
-	// four-byte origin in its apply log.
-	const kept = len(benchValue) + 3*8 + 4
+	// What the store keeps: the value string, a whole allocation size
+	// class, and the update's four-byte origin in its apply log.
+	const kept = len(benchValue) + 4
 	const slack = seglog.BlockSize/updates + 8
 	limit := float64(rec.Len()+kept) + perUpdateKept + slack
 	t.Logf("a received update allocates %.1f B in %.0f allocations: %d B of record, %d B in the store, %.1f B kept per update", received, allocs, rec.Len(), kept, perUpdateKept)
@@ -388,8 +391,8 @@ func TestReceiveAllocatesOnlyWhatItKeeps(t *testing.T) {
 		t.Errorf("a received update allocates %.1f B: the %d B record + the store's %d B + %.1f B per update + %.1f B nobody owns",
 			received, rec.Len(), kept, perUpdateKept, received-limit+slack)
 	}
-	if allocs > 2 {
-		t.Errorf("a received update allocates %.0f times; the value and its Deps account for 2", allocs)
+	if allocs > 1 {
+		t.Errorf("a received update allocates %.0f times; its value accounts for 1", allocs)
 	}
 }
 

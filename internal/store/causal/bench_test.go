@@ -106,6 +106,72 @@ func BenchmarkCausalReceive(b *testing.B) {
 	}
 }
 
+// allocRuns is how many writes or receives an allocation count averages
+// over. testing.AllocsPerRun divides in integers, so the apply log's new
+// segment, one allocation per seglog.SegmentLen applies, counts as none.
+const allocRuns = seglog.SegmentLen
+
+// clockedPair returns a writer, replica 0 of three, and a receiver of its
+// writes, replica 1, both past a write of replica 2's: the writer's clocks
+// are not all zero, so the sparse encoding has an entry to carry.
+func clockedPair(opts Options) (src, dst *Replica) {
+	st := NewWithOptions(spec.MVRTypes(), opts)
+	src, dst = st.NewReplica(0, 3).(*Replica), st.NewReplica(1, 3).(*Replica)
+	other := st.NewReplica(2, 3)
+	other.Do("k", model.Write("other"))
+	p := other.PendingMessage()
+	src.Receive(p)
+	dst.Receive(p)
+	return src, dst
+}
+
+// TestWriteAllocatesNoClock: a write's dependency clock is copied into the
+// outbox's arena, which OnSend empties for the next write, so a write of an
+// object the replica holds allocates nothing from Do to OnSend: its value is
+// the caller's, its version takes the one it overwrites' place, and the
+// message is encoded into the replica's own buffer.
+func TestWriteAllocatesNoClock(t *testing.T) {
+	for _, opts := range []Options{{}, {SparseDeps: true}} {
+		src, _ := clockedPair(opts)
+		write := model.Write("0123456789abcdef")
+		do := func() {
+			src.Do("k", write)
+			_ = src.PendingMessage()
+			src.OnSend()
+		}
+		if got := testing.AllocsPerRun(allocRuns, do); got != 0 {
+			t.Errorf("%+v: a write allocates %.0f times, want 0", opts, got)
+		}
+	}
+}
+
+// TestReadyReceiveAllocatesOnlyItsValue: an update ready as it arrives
+// decodes its clock into the receive scratch and is applied before Receive
+// returns, so receiving it allocates one thing, the value its version keeps.
+func TestReadyReceiveAllocatesOnlyItsValue(t *testing.T) {
+	for _, opts := range []Options{{}, {SparseDeps: true}} {
+		src, dst := clockedPair(opts)
+		payloads := make([][]byte, allocRuns+2) // AllocsPerRun runs once more to warm up
+		for i := range payloads {
+			src.Do("k", model.Write("0123456789abcdef"))
+			payloads[i] = slices.Clone(src.PendingMessage())
+			src.OnSend()
+		}
+		dst.Receive(payloads[0]) // the object's first update decodes its key
+		next := 1
+		got := testing.AllocsPerRun(allocRuns, func() {
+			dst.Receive(payloads[next])
+			next++
+		})
+		if dst.BufferedUpdates() != 0 || !dst.Sees(model.Dot{Origin: 0, Seq: uint64(next)}) {
+			t.Fatalf("%+v: %d receives left %d buffered", opts, next, dst.BufferedUpdates())
+		}
+		if got != 1 {
+			t.Errorf("%+v: a ready receive allocates %.0f times, want 1", opts, got)
+		}
+	}
+}
+
 // TestApplyCostIndependentOfHistory is the store's companion of the
 // shard's TestRecordCostIndependentOfHistory: behind 256 k applied updates a
 // burst of 256 writes, or of 256 receives, allocates what one behind a

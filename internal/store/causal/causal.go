@@ -16,9 +16,9 @@
 // the pending message relays the whole outbox. Remote updates are buffered
 // until causally ready — all their dependencies applied — which yields
 // causal consistency; eventual delivery of messages then yields eventual
-// consistency. Concurrent MVR writes survive side by side as versions whose
-// dependency clocks are incomparable, exactly the concurrency the MVR
-// specification exposes.
+// consistency. Concurrent MVR writes survive side by side as versions — a
+// value and a dot each — until a write whose dependencies cover the dot
+// applies, exactly the concurrency the MVR specification exposes.
 package causal
 
 import (
@@ -104,16 +104,18 @@ type update struct {
 	Delta   int64
 	// Deps is the originating replica's clock when the update was invoked:
 	// its causal dependencies. Deps[origin] == Dot.Seq-1 by construction.
+	// Nothing keeps it past the update's apply, so it is borrowed: from the
+	// outbox's arena, or from the receive scratch unless the update waits.
 	Deps vclock.VC
 	// Removed lists the add-dots an ORset remove observed.
 	Removed []model.Dot
 }
 
-// version is one surviving MVR write.
+// version is one surviving MVR write. A later write w overwrites it iff
+// w.Deps sees its dot: apply reads nothing else of its causal past.
 type version struct {
 	Value model.Value
 	Dot   model.Dot
-	Deps  vclock.VC
 }
 
 // objState holds per-object replica state for whichever type the object has.
@@ -149,6 +151,12 @@ type Replica struct {
 	sorted []model.ObjectID
 	buffer []update // remote updates awaiting causal readiness
 	outbox []update // local updates not yet broadcast
+	// outDeps holds the outbox's dependency clocks, n entries per queued
+	// update, and is emptied with it. recvDeps holds those of the updates
+	// the current Receive decoded ready to apply (bufferPayload); the next
+	// Receive reuses it.
+	outDeps  []uint64
+	recvDeps []uint64
 
 	// applyLog records the local application order of updates:
 	// observational metadata (not part of the state digest) used by the
@@ -222,12 +230,14 @@ func (r *Replica) Do(obj model.ObjectID, op model.Operation) model.Response {
 	if !spec.ForType(st.typ).Allows(op.Kind) {
 		return model.Response{} // unsupported operation: empty response
 	}
+	r.outDeps = append(r.outDeps, r.clock...)
+	end := len(r.outDeps)
 	u := update{
 		Obj:   obj,
 		Kind:  op.Kind,
 		Value: op.Arg,
 		Delta: op.Delta,
-		Deps:  r.clock.Clone(),
+		Deps:  r.outDeps[end-r.n : end : end],
 	}
 	if op.Kind == model.OpRemove {
 		for dot := range st.adds[op.Arg] {
@@ -298,7 +308,7 @@ func (r *Replica) apply(u update) {
 					kept = append(kept, v)
 				}
 			}
-			st.versions = append(kept, version{Value: u.Value, Dot: u.Dot, Deps: u.Deps})
+			st.versions = append(kept, version{Value: u.Value, Dot: u.Dot})
 		case spec.TypeRegister:
 			if !st.regSet || u.Lamport > st.regTS ||
 				(u.Lamport == st.regTS && u.Dot.Origin > st.regOrigin) {
@@ -336,6 +346,7 @@ func (r *Replica) ready(u update) bool {
 // indistinguishable from a message drop. What it buffered before the
 // damage is taken back out, so the state is as if it never arrived.
 func (r *Replica) Receive(payload []byte) {
+	r.recvDeps = r.recvDeps[:0]
 	kept := len(r.buffer)
 	if err := r.bufferPayload(payload); err != nil {
 		clear(r.buffer[kept:])
@@ -395,9 +406,10 @@ func (r *Replica) OnSend() {
 		r.outbox = r.outbox[1:]
 		return
 	}
-	// Emptied, not dropped: the next write queues into the same array.
+	// Emptied, not dropped: the next write queues into the same arrays.
 	clear(r.outbox)
 	r.outbox = r.outbox[:0]
+	r.outDeps = r.outDeps[:0]
 }
 
 // StateDigest implements store.Replica.
@@ -433,8 +445,7 @@ func (r *Replica) AppendStateDigest(dst []byte) []byte {
 			for _, v := range st.versions {
 				b := append(r.list.Open(), v.Value...)
 				b = append(b, '@')
-				b = v.Dot.AppendTo(b)
-				r.list.Close(v.Deps.AppendTo(b))
+				r.list.Close(v.Dot.AppendTo(b))
 			}
 			dst = append(dst, ' ')
 			dst = r.list.AppendTo(dst)
@@ -574,6 +585,10 @@ func (r *Replica) appendDeps(w *wire.Writer, u *update) {
 // payload allocates what it holds. An update of an object the replica holds
 // takes that object's key; only a key it has not seen is decoded into a new
 // string.
+//
+// An update ready as decoded keeps its clock in recvDeps: nothing applies
+// before the caller's drain, which then finds it ready still, and the dot
+// dedup leaves no other update its slot. One that must wait takes its own.
 func (r *Replica) bufferPayload(payload []byte) error {
 	var rd wire.Reader
 	rd.Reset(payload)
@@ -582,9 +597,15 @@ func (r *Replica) bufferPayload(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if !r.clock.Sees(u.Dot) && !r.buffered(u.Dot) {
-			r.buffer = append(r.buffer, u)
+		if r.clock.Sees(u.Dot) || r.buffered(u.Dot) {
+			continue
 		}
+		if r.ready(u) {
+			r.recvDeps = r.recvDeps[:len(r.recvDeps)+r.n]
+		} else {
+			u.Deps = u.Deps.Clone()
+		}
+		r.buffer = append(r.buffer, u)
 	}
 	return rd.End()
 }
@@ -641,12 +662,16 @@ func (r *Replica) decodeUpdate(rd *wire.Reader) (update, error) {
 	return u, rd.Err()
 }
 
-// readDeps reads appendDeps' encoding into a clock of n entries and rebuilds
-// the own entry from the dot.
+// readDeps reads appendDeps' encoding into the n entries past recvDeps'
+// end, which bufferPayload takes or leaves, and rebuilds the own entry from
+// the dot.
 func (r *Replica) readDeps(rd *wire.Reader, u *update) error {
 	own := int(u.Dot.Origin)
+	r.recvDeps = slices.Grow(r.recvDeps, r.n)
+	end := len(r.recvDeps) + r.n
+	u.Deps = r.recvDeps[len(r.recvDeps):end:end]
 	if r.opts.SparseDeps {
-		u.Deps = rd.SparseVC(r.n) // refuses an index at or past n
+		rd.SparseVC(u.Deps) // refuses an index at or past n
 		if err := rd.Err(); err != nil {
 			return err
 		}
@@ -654,7 +679,6 @@ func (r *Replica) readDeps(rd *wire.Reader, u *update) error {
 			return fmt.Errorf("causal: update %v sends its own dependency entry", u.Dot)
 		}
 	} else {
-		u.Deps = vclock.New(r.n)
 		for i := range u.Deps {
 			if i != own {
 				u.Deps[i] = rd.Uvarint()

@@ -124,6 +124,41 @@ func TestCausalBufferingHoldsOutOfOrderUpdate(t *testing.T) {
 	}
 }
 
+// TestWaitingUpdateOwnsItsClock: an update ready as decoded borrows its
+// clock from the receive scratch, which the next Receive reuses, so one that
+// must wait takes a clock of its own. r1 overwrites r0's x=v with x=w, and r2
+// gets w first; r3's writes to z, which see neither, then pass through r2's
+// scratch, and v arrives last. w must wait for v and then apply over it with
+// the deps it was sent: x reads {w} and r2 ends where r1 is. (Had w kept the
+// scratch, r3's first clock, which does not see v, would have released it.)
+func TestWaitingUpdateOwnsItsClock(t *testing.T) {
+	for _, opts := range []Options{{}, {SparseDeps: true}} {
+		st := NewWithOptions(spec.MVRTypes(), opts)
+		var rs [4]*Replica
+		for i := range rs {
+			rs[i] = st.NewReplica(model.ReplicaID(i), len(rs)).(*Replica)
+		}
+		rs[0].Do("x", model.Write("v"))
+		pv := relay(t, rs[0], rs[1])
+		rs[1].Do("x", model.Write("w"))
+		relay(t, rs[1], rs[2])
+		for _, z := range []model.Value{"z1", "z2", "z3"} {
+			rs[3].Do("z", model.Write(z))
+			relay(t, rs[3], rs[1], rs[2])
+			if got := rs[2].Do("x", model.Read()); rs[2].BufferedUpdates() != 1 || len(got.Values) != 0 {
+				t.Fatalf("%+v: after r3's %s, r2 buffers %d updates and reads x = %s; w must wait for v", opts, z, rs[2].BufferedUpdates(), got)
+			}
+		}
+		rs[2].Receive(pv)
+		if got, want := rs[2].Do("x", model.Read()), model.ReadResponse([]model.Value{"w"}); !got.Equal(want) {
+			t.Fatalf("%+v: r2 reads x = %s once v arrived, want %s", opts, got, want)
+		}
+		if a, b := rs[1].StateDigest(), rs[2].StateDigest(); a != b {
+			t.Fatalf("%+v: digests diverged:\nr1:\n%s\nr2:\n%s", opts, a, b)
+		}
+	}
+}
+
 func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 	r0, r1 := newPair(t)
 	r0.Do("x", model.Write("a"))

@@ -34,7 +34,7 @@ func legacyStateDigest(r *Replica) string {
 		case spec.TypeMVR:
 			vs := make([]string, 0, len(st.versions))
 			for _, v := range st.versions {
-				vs = append(vs, fmt.Sprintf("%s@%s%s", v.Value, v.Dot, v.Deps))
+				vs = append(vs, fmt.Sprintf("%s@%s", v.Value, v.Dot))
 			}
 			sort.Strings(vs)
 			fmt.Fprintf(&b, " %v", vs)

@@ -1,6 +1,10 @@
 package wire
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/vclock"
+)
 
 // FuzzReader drains arbitrary bytes through every decoder; no input may
 // panic or allocate unboundedly.
@@ -13,7 +17,7 @@ func FuzzReader(f *testing.F) {
 		_ = r.Uvarint()
 		_ = r.String()
 		_ = r.VC()
-		_ = r.SparseVC(4)
+		r.SparseVC(vclock.New(4))
 		_ = r.Dot()
 		_ = r.Varint()
 	})

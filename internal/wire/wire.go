@@ -274,28 +274,24 @@ func (r *Reader) VC() vclock.VC {
 	return v
 }
 
-// SparseVC decodes a sparse vector clock into a dense clock of length n.
-// Entries with indices at or beyond n are rejected as corrupt: accepting
-// them would let a hostile payload force an allocation proportional to the
-// index (found by FuzzReader).
-func (r *Reader) SparseVC(n int) vclock.VC {
+// SparseVC decodes a sparse vector clock into dst, the caller's clock of
+// the population's length: dst is zeroed, then each pair sets its entry.
+// An index at or beyond len(dst) is rejected as corrupt rather than grown
+// into (found by FuzzReader, when the clock was sized from the index).
+func (r *Reader) SparseVC(dst vclock.VC) {
+	clear(dst)
 	count := r.Uvarint()
-	v := vclock.New(n)
-	for i := uint64(0); i < count && r.err == nil; i++ {
-		idx := r.Uvarint()
-		val := r.Uvarint()
+	for i := uint64(0); i < count; i++ {
+		idx, val := r.Uvarint(), r.Uvarint()
 		if r.err != nil {
-			break
+			return
 		}
-		if idx >= uint64(n) {
-			if r.err == nil {
-				r.err = fmt.Errorf("wire: sparse clock index %d outside population %d", idx, n)
-			}
-			return nil
+		if idx >= uint64(len(dst)) {
+			r.err = fmt.Errorf("wire: sparse clock index %d outside population %d", idx, len(dst))
+			return
 		}
-		v.Set(model.ReplicaID(idx), val)
+		dst[idx] = val
 	}
-	return v
 }
 
 // Dot decodes an update identifier.

@@ -63,12 +63,15 @@ func TestVCRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSparseVCRoundTrip decodes into a clock that held another one: the
+// entries the encoding skips must read zero, not what was there.
 func TestSparseVCRoundTrip(t *testing.T) {
 	v := vclock.VC{0, 5, 0, 0, 9}
 	w := NewWriter()
 	w.SparseVC(v)
 	r := NewReader(w.Bytes())
-	if got := r.SparseVC(len(v)); !got.Equal(v) || r.Err() != nil {
+	got := vclock.VC{1, 2, 3, 4, 5}
+	if r.SparseVC(got); !got.Equal(v) || r.Err() != nil {
 		t.Fatalf("round trip %s: got %s, err %v", v, got, r.Err())
 	}
 }
@@ -143,16 +146,19 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 }
 
 // TestSparseVCRejectsOutOfRangeIndex is the FuzzReader regression: a sparse
-// clock entry with a huge index must be rejected rather than allocating a
-// clock of that length.
+// clock entry with an index past the caller's clock, however large, must be
+// rejected rather than grown into.
 func TestSparseVCRejectsOutOfRangeIndex(t *testing.T) {
-	w := NewWriter()
-	w.Uvarint(1)       // one entry
-	w.Uvarint(1 << 40) // hostile index
-	w.Uvarint(7)
-	r := NewReader(w.Bytes())
-	if got := r.SparseVC(4); got != nil || r.Err() == nil {
-		t.Fatalf("got %v, err %v; want rejection", got, r.Err())
+	for _, idx := range []uint64{4, 1 << 40} {
+		w := NewWriter()
+		w.Uvarint(1) // one entry
+		w.Uvarint(idx)
+		w.Uvarint(7)
+		r := NewReader(w.Bytes())
+		got := vclock.New(4)
+		if r.SparseVC(got); r.Err() == nil {
+			t.Fatalf("index %d: decoded %v; want rejection", idx, got)
+		}
 	}
 }
 
