@@ -130,16 +130,18 @@ membership:
 	$(GO) test -race ./cmd/loadgen -run 'Syncbench' -count=1
 
 # The online-checker battery: the streaming checker's unit and equivalence
-# suites (every registered store against the post-run audit on seeded chaos
-# schedules), the TCP violation-during-run acceptance test, the tapped
-# chaos pipeline, and the served /livecheck endpoint — all under the race
-# detector, since the checker is fed concurrently by every node's event
-# loop.
+# suites (every registered store: streaming, post-run audit and the
+# BuildAudit + CheckCausal reference on seeded chaos schedules), the TCP
+# violation-during-run acceptance test, the cluster and conformance audits
+# that hold AuditShards to the reference, the tapped chaos pipeline, and the
+# served /livecheck endpoint — all under the race detector, since the checker
+# is fed concurrently by every node's event loop.
 livecheck:
 	$(GO) test -race ./internal/livecheck -count=1
-	$(GO) test -race ./internal/cluster -run 'LiveChecker|MergeHistoriesRejectsDuplicateSend|BuildAuditFrontierless' -count=1
-	$(GO) test -race ./cmd/loadgen -run 'LiveAudit|Livebench|LatCell' -count=1
-	$(GO) test -race ./cmd/served -run 'AdminServer' -count=1
+	$(GO) test -race ./internal/cluster -run 'LiveChecker|ThreeNodeAudit|ClientRequestResponse|MergeHistoriesRejectsDuplicateSend|BuildAuditFrontierless' -count=1
+	$(GO) test -race ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/(ShardedCluster|LentMessages/Cluster)' -count=1
+	$(GO) test -race ./cmd/loadgen -run 'LiveAudit|ShardedChurn|Livebench|LatCell' -count=1
+	$(GO) test -race ./cmd/served -run 'AdminServer|Kill9Recovery' -count=1
 
 # The sharding battery: keyspace routing and the per-shard event loops —
 # the router and sharded-cluster convergence/audit suites, the shard-count

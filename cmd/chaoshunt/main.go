@@ -118,7 +118,7 @@ func run(w io.Writer, storeName string, seed int64, budget, steps, k, parallel i
 	// scheduling makes every count below run-dependent.
 	vt := bench.NewTable(
 		fmt.Sprintf("TCP cluster validation: store=%s", storeName),
-		"objective", "seed", "converged", "retransmits", "reconnects", "dup frames", "gap frames", "downtime")
+		"objective", "seed", "verdict", "retransmits", "reconnects", "dup frames", "gap frames", "downtime")
 	vt.Note = "wall-clock transport counts: corroborates the simulator's ranking, not byte-reproducible"
 	for _, b := range bests {
 		st, err := cli.OpenStore(storeName, spec.MVRTypes(), store.Options{K: k})

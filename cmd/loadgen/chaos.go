@@ -9,7 +9,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/consistency"
 	"repro/internal/durable"
 	"repro/internal/fault"
 	"repro/internal/livecheck"
@@ -34,10 +33,6 @@ type chaosConfig struct {
 	dataDir        string
 	churn          int
 	shards         int
-	// liveAudit streams every node's events through the online checker
-	// (internal/livecheck) while the run is still serving load, then proves
-	// the live verdict against the post-run merged-history audit.
-	liveAudit bool
 }
 
 // chaosTick maps fault-schedule steps to wall time. Small enough that the
@@ -72,7 +67,7 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	// the same -seed reproduces these lines byte for byte even though the
 	// load timings below are wall-clock.
 	sched := chaosSchedule(cfg)
-	if err := out.Emit(sched.Table()); err != nil {
+	if err := out.Emit(scheduleTable(sched)); err != nil {
 		return err
 	}
 
@@ -95,15 +90,12 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		// the kill -9 code path under the fault schedule.
 		base.Storage = &durable.Storage{Dir: cfg.dataDir}
 	}
-	var ck *livecheck.ShardSet
-	if cfg.liveAudit {
-		// One cluster-wide checker per shard, fed by every node's event-loop
-		// taps (Observe is mutex-guarded; cross-stream skew is the checker's
-		// normal operating mode). The supervisor copies base per
-		// incarnation, so restarted nodes keep streaming into it.
-		ck = livecheck.NewShardSet(cfg.nodes, cfg.shards, livecheck.Options{Types: spec.MVRTypes()})
-		base.Tap = ck.Observe
-	}
+	// One cluster-wide checker per shard, fed by every node's event-loop taps
+	// while the run serves load (Observe is mutex-guarded; cross-stream skew
+	// is the checker's normal operating mode). The supervisor copies base per
+	// incarnation, so restarted nodes keep streaming into it.
+	ck := livecheck.NewShardSet(cfg.nodes, cfg.shards, livecheck.Options{Types: spec.MVRTypes()})
+	base.Tap = ck.Observe
 	sup, err := cluster.NewSupervisor(base, cfg.nodes, em, chaosTick)
 	if err != nil {
 		return err
@@ -127,10 +119,7 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	// Snapshot the live verdict before quiescence: a violation the checker
 	// flagged here was caught while the cluster was still serving load, not
 	// reconstructed after the fact.
-	var preQuiesce livecheck.Verdict
-	if ck != nil {
-		preQuiesce = ck.Verdict()
-	}
+	preQuiesce := ck.Verdict()
 
 	// The schedule healed every fault and restarted every victim on its
 	// way out, so the ordinary quiescence/convergence/audit pipeline owes
@@ -166,7 +155,7 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	a := bench.NewTable(fmt.Sprintf("loadgen chaos audit: %s, %d nodes, %d shard(s)", cfg.store, cfg.nodes, cfg.shards),
 		"metric", "value")
 	var events, messages int
-	var wellFormed, causal error
+	var wellFormed, causal, equivErr error
 	causalOwed := false
 	for s, sa := range audits {
 		a.AddRow(fmt.Sprintf("shard %d events", s), sa.Events)
@@ -174,6 +163,12 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		messages += len(sa.Exec.Messages)
 		wellFormed, causal = cmp.Or(wellFormed, sa.WellFormed), cmp.Or(causal, sa.Causal)
 		causalOwed = causalOwed || sa.CausalOwed
+		// The live verdict must agree with the post-run one: the same checker
+		// over the same events, fed as the run served them and afterwards in
+		// merge order — whether or not the store owes Definition 12.
+		if live := ck.Shard(s).Verdict(); equivErr == nil && (live.Violations > 0) != (sa.Causal != nil) {
+			equivErr = fmt.Errorf("shard %d: live checker says %d violations, post-run audit says %v", s, live.Violations, sa.Causal)
+		}
 	}
 	a.AddRow("recorded events", events)
 	a.AddRow("messages broadcast", messages)
@@ -183,33 +178,25 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		a.AddRow("derived A causal (Def 12)", bench.Check(causal))
 	}
 	a.AddRow("§4 property violations", agg.Violations)
-	var equivErr error
-	if ck != nil {
-		// The live verdict must agree with the offline pipeline on every
-		// shard: both sides evaluate the same recorded frontiers, one
-		// incrementally during the run, one from the merged histories
-		// afterwards — whether or not the store owes Definition 12.
-		for s, sa := range audits {
-			live := ck.Shard(s).Verdict()
-			reference := sa.Causal
-			if !sa.CausalOwed {
-				reference = consistency.CheckCausal(sa.Abstract, spec.MVRTypes())
-			}
-			if (live.Violations > 0) != (reference != nil) {
-				equivErr = fmt.Errorf("shard %d: live checker says %d violations, post-run audit says %v",
-					s, live.Violations, reference)
-				break
-			}
-		}
-		live := ck.Verdict()
-		a.AddRow("live events checked", live.Events)
-		a.AddRow("live violations (before quiesce)", preQuiesce.Violations)
-		a.AddRow("live violations (final)", live.Violations)
-		a.AddRow("live peak tracked state", live.PeakTracked)
-		a.AddRow("live verdict matches post-run audit", bench.Check(equivErr))
-	}
+	live := ck.Verdict()
+	a.AddRow("live events checked", live.Events)
+	a.AddRow("live violations (before quiesce)", preQuiesce.Violations)
+	a.AddRow("live violations (final)", live.Violations)
+	a.AddRow("live peak tracked state", live.PeakTracked)
+	a.AddRow("live verdict matches post-run audit", bench.Check(equivErr))
 	if err := out.Emit(a); err != nil {
 		return err
 	}
 	return verdict(audits, equivErr, st, agg.Violations, convergence)
+}
+
+// scheduleTable renders a fault schedule as the run's fault log: one row per
+// directive, built purely from the schedule, so the same seed emits a
+// byte-identical log (text or JSON Lines).
+func scheduleTable(s fault.Schedule) *bench.Table {
+	t := bench.NewTable(fmt.Sprintf("fault schedule: seed %d, %d nodes, %d ticks", s.Seed, s.N, s.Steps), "step", "directive", "detail")
+	for _, d := range s.Directives {
+		t.AddRow(d.Step, string(d.Kind), d.Detail())
+	}
+	return t
 }

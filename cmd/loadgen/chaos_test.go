@@ -268,7 +268,7 @@ func TestRunChaosFullReport(t *testing.T) {
 	}
 }
 
-// TestRunChaosLiveAudit runs the chaos pipeline with the streaming checker
+// TestRunChaosLiveAudit runs the chaos pipeline, whose streaming checker is
 // tapped into every node: the run must stay clean on the causal store, the
 // checker must actually see the run's events, and the live-vs-post-run
 // equivalence row must come out ok.
@@ -283,7 +283,6 @@ func TestRunChaosLiveAudit(t *testing.T) {
 		seed:           9,
 		quiesceTimeout: 30 * time.Second,
 		jsonOut:        true,
-		liveAudit:      true,
 	}
 	var buf bytes.Buffer
 	if err := runChaos(&buf, cfg); err != nil {
@@ -327,9 +326,9 @@ func TestRunChaosLiveAudit(t *testing.T) {
 	}
 }
 
-// TestRunChaosShardedChurn is `loadgen -chaos -shards 2 -churn 1 -seed 3
-// -live-audit`: sharding, churn and the live checker compose in the one
-// self-hosted driver. The rejoin catches up shard by shard, every shard's
+// TestRunChaosShardedChurn is `loadgen -chaos -shards 2 -churn 1 -seed 3`:
+// sharding, churn and the live checker compose in the one self-hosted
+// driver. The rejoin catches up shard by shard, every shard's
 // histories are audited and hold events, and the live verdict agrees with
 // each shard's audit.
 func TestRunChaosShardedChurn(t *testing.T) {
@@ -345,7 +344,6 @@ func TestRunChaosShardedChurn(t *testing.T) {
 		jsonOut:        true,
 		churn:          1,
 		shards:         2,
-		liveAudit:      true,
 	}
 	var buf bytes.Buffer
 	if err := runChaos(&buf, cfg); err != nil {

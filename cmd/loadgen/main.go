@@ -4,13 +4,15 @@
 // bytes on the wire, and retransmission counts as a bench.Table. With
 // -audit it additionally downloads every node's recorded history, merges
 // it, and replays the run through the repository's checkers: well-formed
-// execution, §4 property violations, and — for the causal stores — causal
-// consistency of the derived abstract execution.
+// execution, §4 property violations, and — for the causal stores — the
+// causal checker (internal/livecheck) over the merged events.
 //
 // With -chaos it instead self-hosts an in-process cluster (still replicating
 // over loopback TCP) and runs a seeded fault schedule — partitions, link
 // shaping, a crash/restart — against it while the clients drive load; the
-// fault log is emitted first and is byte-identical for a given -seed.
+// fault log is emitted first and is byte-identical for a given -seed. Every
+// node's events stream through the same checker while the run serves load,
+// and its live verdict must match the post-run audit's.
 //
 // Usage:
 //
@@ -62,7 +64,6 @@ func main() {
 	conns := flag.Int("conns", 0, "pooled connections per node for the workload clients (0 = one dedicated connection per client)")
 	opTimeout := flag.Duration("op-timeout", 10*time.Second, "per-operation deadline for client round trips (0 = unbounded)")
 	churn := flag.Int("churn", 0, "leave→join windows in the -chaos schedule (victims disjoint from the crash victims)")
-	liveAudit := flag.Bool("live-audit", false, "with -chaos: stream every node's events through the online checker during the run and prove its verdict against the post-run audit")
 	benchOn := make([]*bool, len(benches))
 	for i, b := range benches {
 		benchOn[i] = flag.Bool(b.flag, false, b.usage)
@@ -84,11 +85,6 @@ func main() {
 		return
 	}
 
-	if *liveAudit && !*chaos {
-		fmt.Fprintln(os.Stderr, "loadgen: -live-audit requires -chaos (the TCP client mode audits offline via -audit)")
-		os.Exit(1)
-	}
-
 	if *chaos {
 		ccfg := chaosConfig{
 			store:          *storeName,
@@ -103,7 +99,6 @@ func main() {
 			dataDir:        *chaosDataDir,
 			churn:          *churn,
 			shards:         *shards,
-			liveAudit:      *liveAudit,
 		}
 		if err := runChaos(os.Stdout, ccfg); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 // TestMain doubles as the served entrypoint for the kill -9 harness: when
@@ -116,18 +117,10 @@ func settle(t *testing.T, child *servedProc, c *cluster.Client, peers []*cluster
 }
 
 // auditClean walks the second half: every shard's histories must merge, be
-// well-formed and causally consistent.
+// well-formed and causally consistent, as the reference judges them too.
 func auditClean(t *testing.T, shards int, fetch func(shard int) ([]cluster.History, error)) {
 	t.Helper()
-	audits, err := cluster.AuditShards(shards, fetch, spec.MVRTypes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, a := range audits {
-		if err := a.Err(); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-	}
+	storetest.Audit(t, shards, fetch, spec.MVRTypes())
 }
 
 // dialReady polls the child's replication port until it accepts clients.

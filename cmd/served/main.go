@@ -203,8 +203,8 @@ func run(cfg serveConfig) error {
 	// cross-node coordination. They hold per shard: no key spans shards, but
 	// the node's order across its shards is not recorded, so the set's
 	// verdict covers each shard's part of the node's session, not the whole
-	// session. Full causal/rval verdicts still come from the offline /history
-	// + BuildAudit pipeline, run per shard, with the same limit.
+	// session. Full causal/rval verdicts come from the /history downloads
+	// through cluster.AuditShards, run per shard, with the same limit.
 	ck := livecheck.NewShardSet(n, cfg.shards, livecheck.Options{
 		Observed: []model.ReplicaID{model.ReplicaID(cfg.id)},
 		Types:    spec.MVRTypes(),
@@ -314,7 +314,7 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 // startAdmin exposes the node over plain HTTP for operators and offline
 // audits: /healthz (200 once serving), /metrics (the Stats snapshot),
 // /membership (the node's view of who is in the cluster), /history
-// (the recorded local history, ready for cluster.BuildAudit; ?shard=N
+// (the recorded local history, ready for cluster.AuditShards; ?shard=N
 // selects one shard of a sharded node, default 0), and /livecheck (the
 // streaming checkers' composed verdict — 200 while clean, 503 once a
 // session-guarantee violation has been flagged, so a probe can alert

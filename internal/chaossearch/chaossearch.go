@@ -30,6 +30,7 @@
 package chaossearch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -378,7 +379,8 @@ func MedianScore(samples []Sample) (median, max int64) {
 // (Supervisor.Metrics). Wall-clock scheduling makes these counts
 // nondeterministic — they corroborate the simulator's ranking (a schedule
 // that blocks deliveries on the fast path forces retransmits and reconnects
-// here), they do not reproduce it byte for byte.
+// here), they do not reproduce it byte for byte. The run ends in Settle,
+// AuditShards and PropertyErr; the first failed verdict is the error.
 func Validate(cfg Config, seed int64, tick time.Duration) (fault.Metrics, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
@@ -418,5 +420,13 @@ load:
 	if err := sup.Settle(30*time.Second, searchObjects); err != nil {
 		return fault.Metrics{}, fmt.Errorf("chaossearch: %w", err)
 	}
-	return sup.Metrics(), nil
+	m := sup.Metrics()
+	audits, err := cluster.AuditShards(1, sup.Histories, cfg.Store.Types())
+	if err == nil {
+		err = cmp.Or(audits[0].Err(), cluster.PropertyErr(cfg.Store, int(m.Violations)))
+	}
+	if err != nil {
+		return fault.Metrics{}, fmt.Errorf("chaossearch: %w", err)
+	}
+	return m, nil
 }

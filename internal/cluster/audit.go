@@ -5,15 +5,17 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/consistency"
+	"repro/internal/execution"
+	"repro/internal/livecheck"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
 )
 
-// The post-run pipeline every driver of a cluster walks — loadgen, the
-// Supervisor, the conformance battery, this package's tests: Settle, then
-// AuditShards, then PropertyErr. A check added here is one every run gets.
+// The post-run pipeline every driver of a cluster walks — loadgen,
+// chaossearch.Validate, the Supervisor, the conformance battery, this
+// package's tests: Settle, then AuditShards, then PropertyErr. A check added
+// here is one every run gets.
 
 // PollQuiesced polls quiesced — one sweep over a cluster, true when every
 // replica reported quiescence — until two sweeps in a row are clean: one can
@@ -164,41 +166,47 @@ func HistoriesOf[T HistorySource](replicas []T) func(shard int) ([]History, erro
 	}
 }
 
-// ShardAudit is one shard's audited run: its merged and derived executions,
-// how many events its histories hold, and the verdicts the run owes.
+// ShardAudit is one shard's audited run: its merged execution, how many
+// events its histories hold, and the verdicts the run owes.
 type ShardAudit struct {
-	*Audit
+	Exec       *execution.Execution
 	Events     int
 	WellFormed error // Definition 1, over Exec
-	// CausalOwed says whether the store claims causal consistency; Causal is
-	// the Definition 12 verdict over Abstract when it does, and nil — not
-	// checked: the check is cubic — when it does not.
+	// Causal is the causal verdict on the merged history, computed for every
+	// store; CausalOwed says whether the store claims causal consistency, and
+	// so whether Err reports it.
 	CausalOwed bool
 	Causal     error
 }
 
-// Err is the first failed verdict.
+// Err is the first failed verdict the run owes.
 func (a ShardAudit) Err() error {
 	if a.WellFormed != nil {
 		return a.WellFormed
 	}
-	return a.Causal
+	if a.CausalOwed {
+		return a.Causal
+	}
+	return nil
 }
 
 // AuditShards replays a run through the checkers, shard by shard: fetch the
-// shard's histories from every node, merge them once (BuildAudit, which
-// rejects duplicate sends and receives that precede their send), check the
-// execution well-formed and — for the stores that claim it — the derived
-// abstract execution causally consistent under types. Each shard is its own
-// broadcast domain with its own Lamport clock, so same-shard histories merge
-// into an execution of their own. No key spans two shards — which is
-// checked: a do event on an object that routes elsewhere fails the audit —
-// so verdicts on per-object properties compose into the whole cluster's.
-// The causal verdict does not: happens-before chains through a node's
-// session order across objects, hence across shards, and a per-shard audit
-// sees none of that order. For a sharded run it is a verdict per shard, not
-// one on the cluster. Verdicts come back in the ShardAudits; the error is
-// for a run that cannot be audited at all.
+// shard's histories from every node, merge them (refusing duplicate sends and
+// receives with no send or before it), check the execution well-formed, and
+// feed the merged events in merge order to one livecheck.Checker — the one a
+// running cluster taps, so live and post-run verdicts are one computation, at
+// linear cost. Its premise, a per-origin-prefix visibility, holds on every TCP
+// run because a link is FIFO; its rval check rules on MVR-typed objects,
+// the typing every networked caller passes. Each shard is its own broadcast
+// domain with its own Lamport clock, so same-shard histories merge into an
+// execution of their own. No key spans two shards — which is checked: a do
+// event on an object that routes elsewhere fails the audit — so verdicts on
+// per-object properties compose into the whole cluster's. The causal verdict
+// does not: happens-before chains through a node's session order across
+// objects, hence across shards, and a per-shard audit sees none of that order.
+// For a sharded run it is a verdict per shard, not one on the cluster.
+// Verdicts come back in the ShardAudits; the error is for a run that cannot
+// be audited at all.
 func AuditShards(shards int, fetch func(shard int) ([]History, error), types spec.Types) ([]ShardAudit, error) {
 	router := NewShardRouter(shards)
 	out := make([]ShardAudit, shards)
@@ -207,23 +215,27 @@ func AuditShards(shards int, fetch func(shard int) ([]History, error), types spe
 		if err != nil {
 			return nil, err
 		}
-		audit, err := BuildAudit(hists)
+		merged, exec, err := merge(hists)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		a := ShardAudit{Audit: audit, WellFormed: audit.Exec.CheckWellFormed()}
+		a := ShardAudit{Exec: exec, WellFormed: exec.CheckWellFormed()}
+		n := 0
 		for _, h := range hists {
+			n = max(n, h.N)
 			a.Events += len(h.Events)
 			a.CausalOwed = a.CausalOwed || strings.HasPrefix(h.Store, "causal")
 		}
-		for _, e := range audit.Abstract.H {
-			if to := router.Route(e.Object); to != s {
-				return nil, fmt.Errorf("shard %d: r%d recorded a do on %q, which routes to shard %d", s, e.Replica, e.Object, to)
+		ck := livecheck.New(n, livecheck.Options{Types: types})
+		for _, m := range merged {
+			if m.ev.Kind == model.ActDo {
+				if to := router.Route(m.ev.Object); to != s {
+					return nil, fmt.Errorf("shard %d: r%d recorded a do on %q, which routes to shard %d", s, m.node, m.ev.Object, to)
+				}
 			}
+			ck.Observe(liveEvent(m.node, *m.ev))
 		}
-		if a.CausalOwed {
-			a.Causal = consistency.CheckCausal(audit.Abstract, types)
-		}
+		a.Causal = ck.Err()
 		out[s] = a
 	}
 	return out, nil

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/livecheck"
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
 
@@ -142,4 +144,58 @@ func TestBootMeshClosesWhatItBootedOnError(t *testing.T) {
 		t.Fatalf("node 0 still holds its port after the mesh failed: %v", err)
 	}
 	ln.Close()
+}
+
+// simHistories runs a 3-node causal simulation of steps scheduler steps,
+// quiesces it, and returns what its tap recorded as per-node histories: a
+// run the audit can replay without booting a cluster.
+func simHistories(tb testing.TB, steps int) []History {
+	const n = 3
+	rec := livecheck.NewRecorder()
+	c := sim.NewCluster(openCausal(tb), n, 1)
+	c.SetTap(rec.Observe)
+	c.RunRandom(sim.WorkloadConfig{Objects: []model.ObjectID{"x0", "x1", "x2"}, Steps: steps, SendProb: 0.9, DeliverProb: 0.95})
+	c.Quiesce()
+	hists := make([]History, n)
+	for node, evs := range rec.PerNode() {
+		h := History{Node: node, N: n, Store: "causal"}
+		for _, ev := range evs {
+			h.Events = append(h.Events, Event{
+				Kind: ev.Kind, Lamport: ev.Lamport,
+				Object: ev.Object, Op: ev.Op, Rval: ev.Rval,
+				Dot: ev.Dot, Frontier: ev.Frontier,
+				Origin: ev.Origin, Seq: ev.Seq,
+			})
+		}
+		hists[node] = h
+	}
+	return hists
+}
+
+// BenchmarkAudit is AuditShards — merge, CheckWellFormed, the routing check
+// and the livecheck replay — over 3-node causal histories of about 1 k, 10 k
+// and 100 k events the simulator recorded. It grows linearly in the events.
+func BenchmarkAudit(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		steps int
+	}{{"1k", 480}, {"10k", 4800}, {"100k", 48000}} {
+		hists := simHistories(b, size.steps)
+		events := 0
+		for _, h := range hists {
+			events += len(h.Events)
+		}
+		b.Run(size.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				audits, err := AuditShards(1, these(hists...), spec.MVRTypes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := audits[0].Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events), "events")
+		})
+	}
 }

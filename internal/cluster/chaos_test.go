@@ -71,7 +71,7 @@ func TestPeerJitterSeeded(t *testing.T) {
 // TestMergeOrderValidatesSendBeforeReceive feeds corrupted histories to the
 // merge: a receive whose Lamport clock sorts it before its send, and a
 // receive with no send anywhere, must both surface as typed *OrderError
-// from MergeHistories and BuildAudit alike.
+// from merge and BuildAudit alike.
 func TestMergeOrderValidatesSendBeforeReceive(t *testing.T) {
 	sender := History{Node: 0, N: 2, Events: []Event{
 		{Kind: model.ActSend, Lamport: 5, Origin: 0, Seq: 1, Payload: []byte("m")},
@@ -81,7 +81,7 @@ func TestMergeOrderValidatesSendBeforeReceive(t *testing.T) {
 		{Kind: model.ActReceive, Lamport: 2, Origin: 0, Seq: 1},
 	}}
 	var oe *OrderError
-	if _, err := MergeHistories([]History{sender, early}); !errors.As(err, &oe) {
+	if _, _, err := merge([]History{sender, early}); !errors.As(err, &oe) {
 		t.Fatalf("receive-before-send: err = %v, want *OrderError", err)
 	} else if !oe.BeforeSend || oe.Node != 1 || oe.Origin != 0 || oe.Seq != 1 {
 		t.Fatalf("wrong OrderError fields: %+v", oe)

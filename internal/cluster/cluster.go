@@ -11,11 +11,10 @@
 // connections, so quiescence still owes convergence (Lemma 3).
 //
 // Every do, send, and receive event is recorded locally with a Lamport
-// timestamp. After a run, the per-node histories merge into a concrete
-// execution (MergeHistories) and a derived abstract execution (BuildAudit)
-// that replay through execution.CheckWellFormed, consistency.CheckCausal,
-// and the §4 property checkers — the same audit pipeline the simulator
-// applies in-process, now spanning processes and machines.
+// timestamp. After a run, AuditShards merges the per-node histories into a
+// concrete execution (execution.CheckWellFormed) and replays them through
+// internal/livecheck, the causal checker a running cluster taps; the tests
+// hold it to consistency.CheckCausal over BuildAudit's abstract execution.
 //
 // Contract:
 //

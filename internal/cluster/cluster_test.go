@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/consistency"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -71,14 +72,28 @@ func settle(t *testing.T, nodes []*Node, objs ...model.ObjectID) {
 }
 
 // auditClean walks the second half: every shard's histories must merge, be
-// well-formed and — the store claiming it — causally consistent.
+// well-formed and — the store claiming it — causally consistent. Each
+// shard's causal verdict, owed or not, must agree with the reference:
+// BuildAudit + CheckCausal over the same histories.
 func auditClean(t *testing.T, shards int, fetch func(shard int) ([]History, error)) []ShardAudit {
 	t.Helper()
-	audits, err := AuditShards(shards, fetch, spec.MVRTypes())
+	fetched := make([][]History, shards)
+	audits, err := AuditShards(shards, func(s int) ([]History, error) {
+		h, err := fetch(s)
+		fetched[s] = h
+		return h, err
+	}, spec.MVRTypes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s, a := range audits {
+		ref, err := BuildAudit(fetched[s])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reference := consistency.CheckCausal(ref.Abstract, spec.MVRTypes()); (a.Causal == nil) != (reference == nil) {
+			t.Fatalf("shard %d: the audit says %v, the reference %v", s, a.Causal, reference)
+		}
 		if err := a.Err(); err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
@@ -253,19 +268,19 @@ func TestMergeHistoriesRejectsCorrupt(t *testing.T) {
 	h := History{Node: 0, N: 2, Events: []Event{
 		{Kind: model.ActSend, Lamport: 1, Origin: 0, Seq: 1, Payload: []byte("m")},
 	}}
-	if _, err := MergeHistories([]History{h, h}); err == nil {
+	if _, _, err := merge([]History{h, h}); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
 	orphan := History{Node: 1, N: 2, Events: []Event{
 		{Kind: model.ActReceive, Lamport: 5, Origin: 0, Seq: 9},
 	}}
-	if _, err := MergeHistories([]History{h, orphan}); err == nil {
+	if _, _, err := merge([]History{h, orphan}); err == nil {
 		t.Fatal("orphan receive accepted")
 	}
 	ok := History{Node: 1, N: 2, Events: []Event{
 		{Kind: model.ActReceive, Lamport: 2, Origin: 0, Seq: 1},
 	}}
-	x, err := MergeHistories([]History{h, ok})
+	_, x, err := merge([]History{h, ok})
 	if err != nil {
 		t.Fatal(err)
 	}

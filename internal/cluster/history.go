@@ -99,10 +99,9 @@ type History struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// Audit is the merged, checkable view of a cluster run: the global concrete
-// execution (for CheckWellFormed and message accounting) and the derived
-// abstract execution (for the consistency checkers), built exactly as the
-// simulator builds them for in-process runs.
+// Audit is the merged view of a cluster run BuildAudit derives: the global
+// concrete execution and the abstract execution the run complies with, built
+// exactly as the simulator builds them for in-process runs.
 type Audit struct {
 	Exec     *execution.Execution
 	Abstract *abstract.Execution
@@ -111,25 +110,19 @@ type Audit struct {
 // mergedEvent pairs an event with its owning node for the global sort.
 type mergedEvent struct {
 	node model.ReplicaID
-	idx  int // index in the node's local history
-	ev   Event
+	idx  int    // index in the node's local history
+	ev   *Event // in the node's history, not a copy: the sort moves 24 bytes
 }
 
-// MergeHistories interleaves per-node histories into one concrete
-// execution. Events sort by (Lamport, node, local index): Lamport times are
-// strictly increasing per node and strictly ordered across a message
-// (receive > send), so the merge is a linearization of the happens-before
-// relation — in particular every receive lands after its send, which is
-// what CheckWellFormed demands of a Definition 1 execution.
-func MergeHistories(hists []History) (*execution.Execution, error) {
-	_, x, err := merge(hists)
-	return x, err
-}
-
-// merge sorts the histories' events into the global order and lays that out
-// as a concrete execution, refusing with a typed *OrderError what no honest
-// run records (see OrderError) instead of producing an execution
-// CheckWellFormed would reject later — or worse, one it wouldn't.
+// merge interleaves per-node histories into one global order and lays that
+// out as a concrete execution. Events sort by (Lamport, node, local index):
+// Lamport times are strictly increasing per node and strictly ordered across
+// a message (receive > send), so the merge is a linearization of the
+// happens-before relation — in particular every receive lands after its
+// send, which is what CheckWellFormed demands of a Definition 1 execution.
+// It refuses with a typed *OrderError what no honest run records (see
+// OrderError) instead of producing an execution CheckWellFormed would reject
+// later — or worse, one it wouldn't.
 func merge(hists []History) ([]mergedEvent, *execution.Execution, error) {
 	var merged []mergedEvent
 	seen := make(map[model.ReplicaID]bool)
@@ -139,7 +132,8 @@ func merge(hists []History) ([]mergedEvent, *execution.Execution, error) {
 			return nil, nil, fmt.Errorf("cluster: two histories claim node r%d", h.Node)
 		}
 		seen[h.Node] = true
-		for i, ev := range h.Events {
+		for i := range h.Events {
+			ev := &h.Events[i]
 			if ev.Kind == model.ActSend {
 				key := [2]uint64{uint64(ev.Origin), ev.Seq}
 				if allSends[key] {
@@ -195,6 +189,8 @@ func merge(hists []History) ([]mergedEvent, *execution.Execution, error) {
 // frontier is, coordinate by coordinate — exact because a link is FIFO, so a
 // node's visibility is a per-origin prefix. A store without visibility
 // reporting records no frontier, and such an event gets session edges only.
+// It is O(|do|²), and CheckCausal over it cubic: the tests' reference, which
+// AuditShards is held to, and the benchmark's audit layer — no driver's.
 func BuildAudit(hists []History) (*Audit, error) {
 	merged, exec, err := merge(hists)
 	if err != nil {

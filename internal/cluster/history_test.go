@@ -12,16 +12,16 @@ import (
 // defense: message identity is (Origin, Seq), so two send events minting the
 // same pair (e.g. a restarted node re-recording a re-offered broadcast)
 // would silently attribute every receive to whichever send merged last.
-// Both MergeHistories and BuildAudit must reject with the typed *OrderError.
+// Both merge and BuildAudit must reject with the typed *OrderError.
 func TestMergeHistoriesRejectsDuplicateSend(t *testing.T) {
 	h := History{Node: 0, N: 2, Events: []Event{
 		{Kind: model.ActSend, Lamport: 1, Origin: 0, Seq: 1, Payload: []byte("m")},
 		{Kind: model.ActSend, Lamport: 3, Origin: 0, Seq: 1, Payload: []byte("m'")},
 	}}
-	_, err := MergeHistories([]History{h})
+	_, _, err := merge([]History{h})
 	var oe *OrderError
 	if !errors.As(err, &oe) {
-		t.Fatalf("MergeHistories = %v, want *OrderError", err)
+		t.Fatalf("merge = %v, want *OrderError", err)
 	}
 	if !oe.DuplicateSend || oe.Origin != 0 || oe.Seq != 1 {
 		t.Fatalf("OrderError = %+v, want DuplicateSend for (r0,1)", oe)
@@ -38,7 +38,7 @@ func TestMergeHistoriesRejectsDuplicateSend(t *testing.T) {
 	b := History{Node: 1, N: 2, Events: []Event{
 		{Kind: model.ActSend, Lamport: 2, Origin: 0, Seq: 1, Payload: []byte("m")},
 	}}
-	if _, err := MergeHistories([]History{a, b}); !errors.As(err, &oe) || !oe.DuplicateSend {
+	if _, _, err := merge([]History{a, b}); !errors.As(err, &oe) || !oe.DuplicateSend {
 		t.Fatalf("cross-history duplicate send = %v, want DuplicateSend *OrderError", err)
 	}
 }

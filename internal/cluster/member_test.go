@@ -19,7 +19,7 @@ import (
 	"repro/internal/wire"
 )
 
-func openCausal(t *testing.T) store.Store {
+func openCausal(t testing.TB) store.Store {
 	t.Helper()
 	st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
 	if err != nil {

@@ -219,6 +219,7 @@ func (s *Supervisor) Metrics() fault.Metrics {
 	m := s.obs.Metrics()
 	m.Retransmits, m.Reconnects = t.Retransmits, t.Reconnects
 	m.DupFrames, m.GapFrames, m.SyncUpdates = t.DupFrames, t.GapFrames, t.SyncPulled
+	m.Violations = int64(t.Violations)
 	return m
 }
 

@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/bench"
 	"repro/internal/gen"
 )
 
@@ -96,8 +95,8 @@ type Directive struct {
 	RateKBps int `json:"rate_kbps,omitempty"`
 }
 
-// detail renders the directive's parameters for the fault log.
-func (d Directive) detail() string {
+// Detail renders the directive's parameters for a fault log.
+func (d Directive) Detail() string {
 	switch d.Kind {
 	case KindPartition:
 		return fmt.Sprintf("groups=%v", d.Groups)
@@ -142,19 +141,6 @@ func (s Schedule) Counts() (partitions, crashes, linkFaults int) {
 		}
 	}
 	return partitions, crashes, linkFaults
-}
-
-// Table renders the schedule as the run's fault log: one row per directive,
-// built purely from the schedule, so the same seed emits a byte-identical
-// log (text or JSON Lines via bench.Output).
-func (s Schedule) Table() *bench.Table {
-	t := bench.NewTable(
-		fmt.Sprintf("fault schedule: seed %d, %d nodes, %d ticks", s.Seed, s.N, s.Steps),
-		"step", "directive", "detail")
-	for _, d := range s.Directives {
-		t.AddRow(d.Step, string(d.Kind), d.detail())
-	}
-	return t
 }
 
 // CheckBalanced verifies the window-balance invariants Generate guarantees

@@ -43,15 +43,17 @@ func histories(rec *livecheck.Recorder, n int, storeName string) []cluster.Histo
 	return hists
 }
 
-// TestStreamingMatchesPostRunAudit is the tentpole's equivalence property:
-// for every registered store, on seeded chaos schedules, the streaming
-// checker's clean/violating verdict agrees with the offline pipeline
-// (BuildAudit + CheckCausal over the very histories the tap recorded). The
-// causal stores must come out clean on both sides; the weaker stores may
-// violate — the property is agreement, not cleanliness.
+// TestStreamingMatchesPostRunAudit is the checker's equivalence property:
+// for every registered store, on seeded chaos schedules, three verdicts on
+// the very histories the tap recorded agree — the streaming checker's, the
+// post-run audit's (cluster.AuditShards, the same checker over the merged
+// events) and the reference's (BuildAudit + CheckCausal). The causal stores
+// must come out clean on every side; the weaker stores may violate — the
+// property is agreement, not cleanliness.
 func TestStreamingMatchesPostRunAudit(t *testing.T) {
 	objs := []model.ObjectID{"x0", "x1", "x2"}
 	const nodes = 3
+	violating := make(map[string]bool)
 	for _, name := range store.Names() {
 		for seed := int64(0); seed < 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
@@ -74,19 +76,35 @@ func TestStreamingMatchesPostRunAudit(t *testing.T) {
 				c.Quiesce()
 
 				v := ck.Verdict()
-				audited, err := cluster.BuildAudit(histories(rec, nodes, name))
+				hists := histories(rec, nodes, name)
+				audited, err := cluster.BuildAudit(hists)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := audited.Exec.CheckWellFormed(); err != nil {
-					t.Fatalf("recorded streams merged into a malformed execution: %v", err)
-				}
 				reference := consistency.CheckCausal(audited.Abstract, spec.MVRTypes())
 				if (v.Violations > 0) != (reference != nil) {
-					t.Fatalf("streaming verdict disagrees with post-run audit:\nlive: %+v\nfirst: %v\npost-run: %v",
+					t.Fatalf("streaming verdict disagrees with the reference:\nlive: %+v\nfirst: %v\nreference: %v",
 						v, v.First, reference)
 				}
+				audits, err := cluster.AuditShards(1, func(int) ([]cluster.History, error) { return hists, nil }, spec.MVRTypes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := audits[0].WellFormed; err != nil {
+					t.Fatalf("recorded streams merged into a malformed execution: %v", err)
+				}
+				if (audits[0].Causal != nil) != (reference != nil) {
+					t.Fatalf("post-run audit disagrees with the reference:\naudit: %v\nreference: %v", audits[0].Causal, reference)
+				}
+				violating[name] = violating[name] || reference != nil
 			})
+		}
+	}
+	// The agreement must have been tested on violating runs too, not only
+	// on clean ones.
+	for _, name := range []string{"lww", "gsp"} {
+		if !violating[name] {
+			t.Errorf("no %s run violated: the three verdicts were never compared on a violation", name)
 		}
 	}
 }

@@ -2,9 +2,9 @@
 // consumes the do/send/receive event stream of a running cluster — simulated
 // (internal/sim) or TCP (internal/cluster), both engines tap the same Event —
 // and flags a violation the moment a read's rval or frontier contradicts
-// happens-before, instead of waiting for quiescence and the post-run
-// pipeline (cluster.Settle, then cluster.AuditShards: an O(|do|²) derivation
-// and a cubic CheckCausal per shard).
+// happens-before, instead of waiting for quiescence. The post-run audit
+// (cluster.AuditShards) is this checker fed the merged histories, so a run
+// has one causal verdict; the tests hold it to BuildAudit + CheckCausal.
 //
 // The checker's state is bounded by the active window, not the history: it
 // keeps per-node delivered frontiers, the dependency records of dots not yet
@@ -341,8 +341,7 @@ func (c *Checker) Err() error {
 	if len(c.kept) == 0 {
 		return nil
 	}
-	v := c.kept[0]
-	return v
+	return c.kept[0]
 }
 
 func (c *Checker) flag(v Violation) {

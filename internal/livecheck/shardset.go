@@ -71,15 +71,6 @@ func (s *ShardSet) Verdict() Verdict {
 	return out
 }
 
-// ShardVerdicts snapshots every shard's verdict, index = shard.
-func (s *ShardSet) ShardVerdicts() []Verdict {
-	out := make([]Verdict, len(s.checkers))
-	for i, c := range s.checkers {
-		out[i] = c.Verdict()
-	}
-	return out
-}
-
 // Err returns the first violation across shards (lowest shard index wins),
 // or nil when every shard is clean.
 func (s *ShardSet) Err() error {

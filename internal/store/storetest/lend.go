@@ -163,13 +163,7 @@ func runLentMessages(t *testing.T, cfg Config) {
 			if err := cluster.Settle(cluster.QuiesceNodes(nodes, 15*time.Second), st, cluster.Doers(nodes), objs); err != nil {
 				t.Fatalf("behind lent messages: %v", err)
 			}
-			audits, err := cluster.AuditShards(1, cluster.HistoriesOf(nodes), st.Types())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := audits[0].Err(); err != nil {
-				t.Fatal(err)
-			}
+			Audit(t, 1, cluster.HistoriesOf(nodes), st.Types())
 		})
 	})
 }
