@@ -16,11 +16,6 @@ import (
 // digest-only handshake.
 var syncbenchPrefixes = []int{0, 25, 50, 90, 100}
 
-// syncbenchWindows are the pull credit windows measured: stop-and-wait
-// (Config.SyncWindow 1) against the default window. Bytes are window-independent; the rtts column is what the
-// window buys.
-var syncbenchWindows = []int{1, 8}
-
 // runSyncbench emits the anti-entropy cost table behind the tracked
 // BENCH_SYNC.json: for each joiner prefix, the digest handshake bytes, the
 // updates and chunks actually pulled, and the bytes on the wire versus
@@ -43,18 +38,14 @@ func runSyncbench(w io.Writer, cfg benchArgs) error {
 	t := bench.NewTable(
 		fmt.Sprintf("loadgen syncbench: %s, seed %d, %d updates, batch %d",
 			st.Name(), cfg.seed, len(payloads), cfg.batch),
-		"prefix %", "win", "have", "pulled", "chunks", "rtts", "digest B", "pull B", "full B", "saved %")
+		"prefix %", "have", "pulled", "chunks", "digest B", "pull B", "full B", "saved %")
 	for _, pc := range syncbenchPrefixes {
-		prefix := len(payloads) * pc / 100
-		for _, win := range syncbenchWindows {
-			row := cluster.SyncCost(payloads, prefix, cfg.batch, 0, win)
-			saved := int64(0)
-			if row.FullBytes > 0 {
-				saved = 100 - row.PulledBytes*100/row.FullBytes
-			}
-			t.AddRow(pc, row.Window, row.Prefix, row.Pulled, row.Chunks, row.RTTs,
-				row.DigestBytes, row.PulledBytes, row.FullBytes, saved)
+		row := cluster.SyncCost(payloads, len(payloads)*pc/100, cfg.batch, 0)
+		saved := int64(0)
+		if row.FullBytes > 0 {
+			saved = 100 - row.PulledBytes*100/row.FullBytes
 		}
+		t.AddRow(pc, row.Prefix, row.Pulled, row.Chunks, row.DigestBytes, row.PulledBytes, row.FullBytes, saved)
 	}
 	return cli.Output(w, cfg.jsonOut).Emit(t)
 }

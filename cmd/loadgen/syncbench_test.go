@@ -34,8 +34,8 @@ func TestRunSyncbenchDeterministic(t *testing.T) {
 	for i, c := range table.Columns {
 		col[c] = i
 	}
-	if want := len(syncbenchPrefixes) * len(syncbenchWindows); len(table.Rows) != want {
-		t.Fatalf("%d rows, want %d", len(table.Rows), want)
+	if len(table.Rows) != len(syncbenchPrefixes) {
+		t.Fatalf("%d rows, want one per prefix, %d", len(table.Rows), len(syncbenchPrefixes))
 	}
 	prevPull := int64(-1)
 	full := ""
@@ -44,42 +44,17 @@ func TestRunSyncbenchDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		win, err := row[col["win"]].Int64()
-		if err != nil {
-			t.Fatal(err)
+		if prevPull >= 0 && pull >= prevPull {
+			t.Fatalf("row %d: pull bytes %d did not shrink below %d", i, pull, prevPull)
 		}
-		// Rows pair up per prefix (one per window): bytes shrink between
-		// prefixes, stay equal within a pair.
-		if i%len(syncbenchWindows) == 0 {
-			if prevPull >= 0 && pull >= prevPull {
-				t.Fatalf("row %d: pull bytes %d did not shrink below %d", i, pull, prevPull)
-			}
-			prevPull = pull
-		} else if pull != prevPull {
-			t.Fatalf("row %d: window %d changed pull bytes %d != %d", i, win, pull, prevPull)
-		}
+		prevPull = pull
 		if f := row[col["full B"]].String(); full == "" {
 			full = f
 		} else if f != full {
 			t.Fatalf("row %d: full-transfer baseline moved: %s != %s", i, f, full)
 		}
 	}
-
-	// The window column must pay off where it matters: for any multi-chunk
-	// pull, windowed RTTs strictly below stop-and-wait.
-	windowedWins := 0
-	for i := 0; i+1 < len(table.Rows); i += len(syncbenchWindows) {
-		chunks, _ := table.Rows[i][col["chunks"]].Int64()
-		swRTT, _ := table.Rows[i][col["rtts"]].Int64()
-		winRTT, _ := table.Rows[i+1][col["rtts"]].Int64()
-		if chunks > 1 {
-			if winRTT >= swRTT {
-				t.Fatalf("row %d: windowed rtts %d not below stop-and-wait %d (%d chunks)", i, winRTT, swRTT, chunks)
-			}
-			windowedWins++
-		}
-	}
-	if windowedWins == 0 {
-		t.Fatal("no multi-chunk scenario exercised the window")
+	if prevPull != 0 {
+		t.Fatalf("a caught-up joiner pulled %d bytes, want 0", prevPull)
 	}
 }

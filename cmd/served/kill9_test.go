@@ -253,40 +253,29 @@ func TestKill9Recovery(t *testing.T) {
 // proof: a served child joins a live donor through -join with an empty
 // data directory, the donor paces its anti-entropy chunks (SyncChunkDelay)
 // so the pull is held open, and the joiner is SIGKILL'd mid-pull. A fresh
-// child on the same data directory must restore the partial journal
-// (journal-before-ack made every acked chunk durable), re-join, pull only
+// child on the same data directory must restore the partial journal (each
+// chunk is journaled in the turn that applies it), re-join, pull exactly
 // the still-missing suffix — verified by the donor's served-update
-// accounting, which would double if the restart re-pulled the whole log —
-// converge with the donor, and audit clean.
+// accounting — converge with the donor, and audit clean.
 //
 // The synced history belongs to a node that wrote it and then left: a
-// live origin's backlog also flows over the replication link the donor
-// opens back to the joiner (racing the paced pull), but a departed
-// origin's updates can only arrive via anti-entropy, which pins the whole
-// catch-up inside the kill window.
+// departed origin's updates can only arrive via anti-entropy, which pins
+// the whole catch-up inside the kill window.
 //
-// The harness runs once per pull credit window: stop-and-wait (window 1)
-// and the windowed default. Journal-before-ack holds
-// identically in both — the joiner applies and journals every chunk before
-// its ack leaves, the credit window only lets more unacked chunks be in
-// flight — so a kill -9 mid-pull must still resume from the partial
-// journal without re-pulling anything already journaled. It runs once more
-// at the default window on 4-shard nodes, whose catch-up is per shard: the
-// kill lands with some shards pulled, one partway and the rest untouched, and
-// the restart pulls only what each shard's journal lacks.
+// The harness runs on 1-shard and on 4-shard nodes, whose catch-up is per
+// shard: there the kill lands with some shards pulled, one partway and the
+// rest untouched, and the restart pulls only what each shard's journal
+// lacks.
 func TestKill9MidSyncJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills child processes")
 	}
-	for _, window := range []int{1, 8} {
-		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
-			testKill9MidSyncJoin(t, window, 1)
-		})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testKill9MidSyncJoin(t, shards) })
 	}
-	t.Run("shards=4", func(t *testing.T) { testKill9MidSyncJoin(t, 8, 4) })
 }
 
-func testKill9MidSyncJoin(t *testing.T, window, shards int) {
+func testKill9MidSyncJoin(t *testing.T, shards int) {
 	const writes = 30
 	// Keys covering every shard, so every shard has a range to pull.
 	var objs []model.ObjectID
@@ -363,18 +352,15 @@ func testKill9MidSyncJoin(t *testing.T, window, shards int) {
 	joinArgs := []string{
 		"-store", "causal", "-id", "1", "-listen", addr1, "-n", "3",
 		"-join", "0=" + donor.Addr(), "-data-dir", dataDir,
-		"-sync-window", strconv.Itoa(window), "-shards", strconv.Itoa(shards),
+		"-shards", strconv.Itoa(shards),
 	}
 
 	// First incarnation: wait until the donor has served a few chunks into
-	// the pull, then kill -9. The ack protocol bounds the gap between
-	// served and journaled at the credit window (one chunk in stop-and-wait
-	// mode), so the kill threshold shifts by window-1 to guarantee the
-	// joiner journaled something before dying.
-	killAt := int64(5 + window - 1)
+	// the pull, then kill -9. The chunk delay spaces the chunks far enough
+	// apart that the joiner has journaled the first ones by then.
 	child := spawnServedArgs(t, joinArgs...)
 	deadline := time.Now().Add(10 * time.Second)
-	for donor.Stats().SyncServed < killAt {
+	for donor.Stats().SyncServed < 5 {
 		if time.Now().After(deadline) {
 			t.Fatalf("donor never started serving the pull\nchild output:\n%s", child.out)
 		}
@@ -384,10 +370,9 @@ func testKill9MidSyncJoin(t *testing.T, window, shards int) {
 		t.Fatal(err)
 	}
 	child.cmd.Wait()
-	// Let the donor's doomed in-flight sends hit the dead socket before
-	// snapshotting: with a credit window it can burst up to window chunks
-	// past the last ack before the write fails, and those must land in
-	// served1, not leak into the second pull's accounting.
+	// Let the donor's next send hit the dead socket before snapshotting: a
+	// chunk it wrote after the kill counts in served1 and must not leak
+	// into the second pull's accounting.
 	time.Sleep(250 * time.Millisecond)
 	served1 := donor.Stats().SyncServed
 	if served1 >= writes {
@@ -419,10 +404,9 @@ func testKill9MidSyncJoin(t *testing.T, window, shards int) {
 	}
 
 	// The re-join completes: the joiner holds every donor update, the
-	// donor's lifetime served count stays below two full logs (a restart
-	// that re-pulled everything would reach served1+30; journal-before-ack
-	// bounds it by served1+1 plus the missing suffix), and the pair
-	// converges and audits clean across the process boundary.
+	// donor serves the second incarnation exactly the suffix its journal
+	// lacks, and the pair converges and audits clean across the process
+	// boundary.
 	c := dialReady(t, addr1)
 	defer c.Close()
 	deadline = time.Now().Add(30 * time.Second)
@@ -437,19 +421,13 @@ func testKill9MidSyncJoin(t *testing.T, window, shards int) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	total := donor.Stats().SyncServed
-	pulled2 := total - served1
-	if pulled2 >= writes {
-		t.Fatalf("restarted joiner re-pulled the full log: donor served %d then %d more, want < %d", served1, pulled2, writes)
-	}
-	// Tight accounting: the second pull serves exactly the suffix the
-	// journal lacks (chunks are one update each under the donor's frame
-	// limit). Anything below writes-restored means journaled updates were
-	// lost; anything above it plus the window means the restart re-pulled
-	// chunks the first incarnation already journaled and acked.
-	if min := int64(writes - restored); pulled2 < min || pulled2 > min+int64(window) {
-		t.Fatalf("second pull served %d chunks, want in [%d, %d] (restored %d of %d, window %d)",
-			pulled2, min, min+int64(window), restored, writes, window)
+	// Exact accounting: the restarted joiner's digests name what its journal
+	// holds, so the second pull serves exactly the rest. Fewer means
+	// journaled updates were lost; more, that the restart re-pulled updates
+	// the first incarnation already journaled.
+	if pulled2 := donor.Stats().SyncServed - served1; pulled2 != int64(writes-restored) {
+		t.Fatalf("second pull served %d updates, want %d (restored %d of %d; the first served %d)",
+			pulled2, writes-restored, restored, writes, served1)
 	}
 
 	settle(t, child, c, []*cluster.Node{donor}, objs...)

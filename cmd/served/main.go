@@ -26,10 +26,11 @@
 //	served -store causal -id 3 -n 4 -listen 127.0.0.1:7003 -join 0=127.0.0.1:7000
 //
 // The joiner announces itself to the seed, adopts the cluster's
-// membership view, catches up on missing history via anti-entropy
-// over the durable log (pulling only the ranges it lacks), and then
-// enters normal replication. -join requires -n, since the seeds are not
-// the whole population.
+// membership view, catches up on missing history via anti-entropy over
+// the durable log (per shard it sends one digest, and the seed streams
+// back only the ranges that digest shows it lacks), and then enters
+// normal replication. -join requires -n, since the seeds are not the
+// whole population.
 //
 // The cluster size is 1+len(peers) unless -n says otherwise. Shutdown is
 // graceful on SIGINT/SIGTERM.
@@ -75,7 +76,6 @@ func main() {
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the durable event journal (journaling disabled if empty)")
 	flag.StringVar(&cfg.joinSpec, "join", "", "join a running cluster through these seed nodes (id=addr pairs like -peers; requires -n)")
 	flag.DurationVar(&cfg.syncDelay, "sync-delay", 0, "pause between anti-entropy chunks served to a joiner (test knob, 0 disables)")
-	flag.IntVar(&cfg.syncWindow, "sync-window", 0, "anti-entropy pull credit window in chunks (1 = stop-and-wait; default 8)")
 	flag.Parse()
 	cfg.store = *storeName
 
@@ -87,18 +87,17 @@ func main() {
 
 // serveConfig carries the parsed command line into run.
 type serveConfig struct {
-	store      string
-	id         int
-	listen     string
-	peersSpec  string
-	n          int
-	admin      string
-	k          int
-	shards     int
-	dataDir    string
-	joinSpec   string
-	syncDelay  time.Duration
-	syncWindow int
+	store     string
+	id        int
+	listen    string
+	peersSpec string
+	n         int
+	admin     string
+	k         int
+	shards    int
+	dataDir   string
+	joinSpec  string
+	syncDelay time.Duration
 }
 
 // checkPeerAddr rejects peer addresses a membership exchange could not
@@ -218,7 +217,6 @@ func run(cfg serveConfig) error {
 		Join:           join,
 		Shards:         cfg.shards,
 		SyncChunkDelay: cfg.syncDelay,
-		SyncWindow:     cfg.syncWindow,
 		Tap:            ck.Observe,
 	}
 	if cfg.dataDir != "" {

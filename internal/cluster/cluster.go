@@ -149,13 +149,6 @@ type Config struct {
 	// anti-entropy range chunks it serves to a joiner — a test knob that
 	// holds a sync open long enough to kill -9 the joiner mid-pull.
 	SyncChunkDelay time.Duration
-	// SyncWindow is the credit window this node requests when pulling
-	// anti-entropy ranges as a joiner: how many unacked chunks the donor
-	// may keep in flight toward it (default 8; 1 is stop-and-wait, one
-	// round-trip per chunk). Every chunk is still applied and
-	// journaled before its ack leaves, whatever the window — the window
-	// pipelines the transfer, not the durability.
-	SyncWindow int
 	// MaxFrame bounds replication and request frames (wire.DefaultMaxFrame
 	// if zero); history transfers use the larger historyMaxFrame.
 	MaxFrame int
@@ -206,12 +199,6 @@ func (c Config) withDefaults() Config {
 	def(&c.RetransmitMax, 2*time.Second)
 	def(&c.WriteTimeout, 5*time.Second)
 	def(&c.GossipInterval, 200*time.Millisecond)
-	if c.SyncWindow == 0 {
-		c.SyncWindow = 8
-	}
-	if c.SyncWindow < 1 {
-		c.SyncWindow = 1
-	}
 	return c
 }
 

@@ -546,8 +546,9 @@ func (r *retainingReplica) Receive(payload []byte) {
 // index a range pull serves from — must still hold the original bytes.
 func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 	const perBatch = 4
-	// Real payloads, minted by replica 0 of the same store.
-	src := openCausal(t).NewReplica(0, 2)
+	// Real payloads, minted by replica 0 of the same store. The cluster has a
+	// third member, r2, for the range pull below to join as.
+	src := openCausal(t).NewReplica(0, 3)
 	var payloads [][]byte
 	for i := 0; i < 2*perBatch; i++ {
 		src.Do("k", model.Write(model.Value(bytes.Repeat([]byte{'a' + byte(i)}, 24))))
@@ -562,7 +563,7 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 
 	st := &retainingStore{Store: openCausal(t)}
 	journal := &memStorage{} // keeps payload slices as handed over, not copied
-	cfg := fastConfig(1, 2, st)
+	cfg := fastConfig(1, 3, st)
 	cfg.Storage = journal
 	nd, err := NewNode(cfg)
 	if err != nil {
@@ -626,7 +627,7 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 
 	// The update index, read the way a joiner reads it: a range pull.
 	var pulled [][]byte
-	_, us := pullRange(t, nd, 0, 0, uint64(len(payloads)))
+	_, us := pullRange(t, nd, 2, 0, uint64(len(payloads)))
 	for _, u := range us {
 		pulled = append(pulled, u.Payload)
 	}

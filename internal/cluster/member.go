@@ -14,16 +14,16 @@ import (
 )
 
 // This file is the node half of the dynamic-membership subsystem: joining
-// through a seed (tJoin + anti-entropy catch-up, one digest round per shard
-// proving the joiner's prefix by a hash chain), leaving, seeded gossip
-// rounds that converge the membership view, and reconciling the replication
-// links against that view. The pure state — the view's epoch rules and the
-// hash-chain forest — lives in internal/membership; this file only moves it
-// over connections.
+// through a seed (tJoin + anti-entropy catch-up: per shard, one digest round
+// proving the joiner's prefix by a hash chain, then one stream of what it
+// lacks), leaving, seeded gossip rounds that converge the membership view,
+// and reconciling the replication links against that view. The pure state —
+// the view's epoch rules and the hash-chain forest — lives in
+// internal/membership; this file only moves it over connections.
 //
 // A node is "static" until membership comes into play (Config.Join, a
-// Leave call, or a tJoin/tGossip frame heard); static clusters pay nothing
-// for any of this.
+// Leave call, a join it served, or a tGossip frame heard); static clusters
+// pay nothing for any of this.
 
 // errJoinRefused marks permanent join failures — divergent or missing
 // history, or a seed speaking another protocol version or splitting the
@@ -267,7 +267,7 @@ func (n *Node) finishJoin() {
 
 // joinVia runs the whole join conversation against one seed: the handshake,
 // then catch-up shard by shard — each shard is its own seq domain with its
-// own forest, so it is the unit a digest and a range pull address.
+// own forest, so it is the unit a digest and its stream address.
 // Transient failures return plain errors (the caller retries); divergent or
 // missing history, or a seed of another protocol version or shard count,
 // returns errJoinRefused.
@@ -283,7 +283,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	// Reads tolerate the donor's chunk pacing knob on top of the normal
 	// write budget.
 	readDeadline := n.cfg.WriteTimeout + 2*n.cfg.SyncChunkDelay
-	// Every reply of the conversation is read through one frame reader into
+	// Every frame of the conversation is read through one frame reader into
 	// its storage; each is decoded into values of its own (hashes, strings)
 	// or, for range chunks, copied by applyUpdate, before the next read
 	// overwrites it.
@@ -325,8 +325,9 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	return nil
 }
 
-// catchUp brings one shard up to the donor's copy of it: a digest exchange,
-// then per origin a skip, a range pull, or a refusal.
+// catchUp brings one shard up to the donor's copy of it: one digest
+// exchange, then the ranges owedRanges finds we lack, which the donor
+// streams without being asked.
 func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadline time.Duration) error {
 	// Digest exchange: per origin, what we hold vs what the donor holds.
 	local := make([]originDigest, 0, n.cfg.N)
@@ -354,103 +355,107 @@ func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadli
 	if shard != uint64(s.idx) {
 		return fmt.Errorf("cluster: shard %d digest answered for shard %d", s.idx, shard)
 	}
-	rmap := make(map[model.ReplicaID]originDigest, len(remote))
-	for _, d := range remote {
-		rmap[d.Origin] = d
+	owed, err := owedRanges(n.cfg.ID, s.idx, local, remote)
+	if err != nil {
+		return err
 	}
-	for _, ld := range local {
-		rd, ok := rmap[ld.Origin]
-		if !ok || rd.Count < ld.Count {
-			continue // donor is behind us here; its own links catch it up
-		}
-		// The donor's chain value over our count proves our whole history of
-		// the origin: a mismatch means a corrupt log or one from another
-		// cluster, which no range pull can reconcile.
-		if ld.Count > 0 && rd.PrefixRoot != ld.Root {
-			return fmt.Errorf("%w: shard %d origin r%d: the donor's first %d updates differ from ours — local log is corrupt or from another cluster",
-				errJoinRefused, s.idx, ld.Origin, ld.Count)
-		}
-		if rd.Count == ld.Count {
-			continue
-		}
-		if ld.Origin == n.cfg.ID {
-			// The cluster holds broadcasts of ours that our log does not:
-			// this data dir cannot be the one that minted them, and
-			// re-minting seqs would fork the history.
-			return fmt.Errorf("%w: the cluster holds %d of r%d's broadcasts but the local log has %d — rejoining as r%d needs its original log",
-				errJoinRefused, rd.Count, n.cfg.ID, ld.Count, n.cfg.ID)
-		}
-		if err := n.pullRange(conn, fr, s, ld.Origin, rd, readDeadline); err != nil {
+	for _, o := range owed {
+		if err := n.pullRange(conn, fr, s, o, readDeadline); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pullRange catches one origin of shard s up to the donor's digest: request
-// the missing range, apply each chunk in one event-loop turn (journaling in
-// that turn), and ack only after — so a kill -9 mid-sync loses nothing an
-// ack promised, and the restarted join pulls only what is still missing.
-// The request carries cfg.SyncWindow as its credit window: the donor may
-// stream that many chunks ahead of our cumulative acks, pipelining the
-// transfer across the ack round-trip; every chunk is still applied and
-// journaled before its ack leaves.
-func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, origin model.ReplicaID, rd originDigest, readDeadline time.Duration) error {
+// owedRange is one origin's updates a donor streams a joiner: seqs From+1
+// through To, and the donor's chain value over all To of them.
+type owedRange struct {
+	Origin   model.ReplicaID
+	From, To uint64
+	Root     membership.Hash
+}
+
+// owedRanges is the one rule for what a donor owes a joiner in a shard. Both
+// ends run it on the same two digests — the joiner's (asked) and the donor's
+// answer to it, entry for entry — so the donor streams exactly what the
+// joiner reads. An origin is owed when the donor is ahead on it, the donor's
+// chain value over the joiner's count is the joiner's root, and it is not the
+// joiner itself. A chain mismatch (a corrupt log, or one from another
+// cluster), or broadcasts of the joiner's own that its log lacks (re-minting
+// their seqs would fork its history), refuses the join for good, and nothing
+// is owed.
+func owedRanges(joiner model.ReplicaID, shard int, asked, answered []originDigest) ([]owedRange, error) {
+	if len(answered) != len(asked) {
+		return nil, fmt.Errorf("cluster: shard %d digest answered for %d origins, %d asked", shard, len(answered), len(asked))
+	}
+	var owed []owedRange
+	for i, ld := range asked {
+		rd := answered[i]
+		switch {
+		case rd.Origin != ld.Origin:
+			return nil, fmt.Errorf("cluster: shard %d digest answered for r%d where r%d was asked", shard, rd.Origin, ld.Origin)
+		case rd.Count < ld.Count:
+			continue // the donor is behind the joiner here; its own links catch it up
+		case rd.PrefixRoot != ld.Root:
+			return nil, fmt.Errorf("%w: shard %d origin r%d: the donor's first %d updates differ from ours — local log is corrupt or from another cluster",
+				errJoinRefused, shard, ld.Origin, ld.Count)
+		case rd.Count == ld.Count:
+			continue
+		case ld.Origin == joiner:
+			return nil, fmt.Errorf("%w: the cluster holds %d of r%d's broadcasts but the local log has %d — rejoining as r%d needs its original log",
+				errJoinRefused, rd.Count, joiner, ld.Count, joiner)
+		}
+		owed = append(owed, owedRange{Origin: ld.Origin, From: ld.Count, To: rd.Count, Root: rd.Root})
+	}
+	return owed, nil
+}
+
+// pullRange reads the donor's stream of one owed range of shard s: chunks
+// of o.Origin's updates, each starting where the one before ended, until one
+// ends at o.To — the count the donor reported, not our log's length, which
+// live links may move meanwhile. Each chunk is applied in one event-loop turn,
+// journaling in that turn, so a kill -9 mid-sync keeps every chunk applied
+// before it and the restarted join's digest asks only for the rest.
+func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRange, readDeadline time.Duration) error {
 	var us []protoUpdate // each chunk, decoded
-	for {
-		have := s.logLen(origin)
-		if have >= rd.Count {
-			break
+	for at := o.From; at < o.To; {
+		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
+		if err != nil {
+			return err
 		}
-		if !n.sendFrame(conn, func(w *wire.Writer) {
-			appendRangeReq(w, s.idx, origin, have, rd.Count-have, uint64(n.cfg.SyncWindow))
-		}) {
-			return errors.New("cluster: range request write failed")
+		if typ != tRangeResp {
+			return fmt.Errorf("cluster: range stream interrupted by frame type %d", typ)
 		}
-		for have < rd.Count {
-			typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
-			if err != nil {
-				return err
-			}
-			if typ != tRangeResp {
-				return fmt.Errorf("cluster: range pull answered with frame type %d", typ)
-			}
-			var shard uint64
-			if shard, us, err = decodeBatch(r, us); err != nil {
-				return err
-			}
-			if shard != uint64(s.idx) || len(us) == 0 || us[0].Origin != origin {
-				return errors.New("cluster: empty or mislabeled range chunk")
-			}
-			var cum uint64
-			var applied int64
-			var jerr error // set means not ackable; see applyUpdate
-			if s.inLoop(func() {
-				cum, applied, _ = s.applyRun(us)
-				jerr = s.jerr
-			}) != nil {
-				return ErrClosed
-			}
-			if jerr != nil {
-				return fmt.Errorf("cluster: journal failed during sync: %v", jerr)
-			}
-			n.syncPulled.Add(applied)
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendAck(w, s.idx, cum) }) {
-				return errors.New("cluster: sync ack write failed")
-			}
-			if cum > have {
-				have = cum
-			}
+		var shard uint64
+		if shard, us, err = decodeBatch(r, us); err != nil {
+			return err
 		}
+		if shard != uint64(s.idx) || len(us) == 0 || us[0].Origin != o.Origin || us[0].Seq != at+1 ||
+			us[len(us)-1].Seq != at+uint64(len(us)) || us[len(us)-1].Seq > o.To {
+			return errors.New("cluster: range chunk empty, mislabeled or out of sequence")
+		}
+		at = us[len(us)-1].Seq
+		var applied int64
+		var jerr error
+		if s.inLoop(func() {
+			_, applied, _ = s.applyRun(us)
+			jerr = s.jerr
+		}) != nil {
+			return ErrClosed
+		}
+		if jerr != nil {
+			return fmt.Errorf("cluster: journal failed during sync: %v", jerr)
+		}
+		n.syncPulled.Add(applied)
 	}
 	// End-to-end integrity: the prefix we now hold over the donor's count
 	// must reproduce the donor's root, or something shipped wrong.
 	var root membership.Hash
-	if s.inLoop(func() { root = s.tree.PrefixRoot(int(origin), rd.Count, s.updatePayload) }) != nil {
+	if s.inLoop(func() { root = s.tree.PrefixRoot(int(o.Origin), o.To, s.updatePayload) }) != nil {
 		return ErrClosed
 	}
-	if root != rd.Root {
-		return fmt.Errorf("%w: shard %d origin r%d's pulled range fails digest verification", errJoinRefused, s.idx, origin)
+	if root != o.Root {
+		return fmt.Errorf("%w: shard %d origin r%d's pulled range fails digest verification", errJoinRefused, s.idx, o.Origin)
 	}
 	return nil
 }
@@ -458,10 +463,13 @@ func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, origin m
 // ---------------------------------------------------------------------------
 // Donor side
 
-// serveJoin is the donor half of a join conversation (the joiner drives):
-// admit the joiner into the view, link back so live updates flow during
-// the sync, then answer digest and range requests — each from the shard it
-// names — until the joiner hangs up; any other frame hangs up on it.
+// serveJoin is the donor half of a join conversation: answer the joiner's
+// digest of each shard, in shard order, and stream it every range
+// owedRanges finds it lacks, unasked; any other frame hangs up on it. A
+// joiner is admitted to the view and linked back only after every shard's
+// digest came out clean and the joiner hung up: a refused joiner is never
+// sent a live update, and the new link's hello finds the joiner holding
+// all that was streamed, so nothing crosses twice.
 func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
@@ -475,59 +483,59 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 		n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, len(n.shards), nil) })
 		return
 	}
-	if j.Addr != "" {
-		n.view.Merge(membership.Member{ID: int(j.From), Addr: j.Addr, Epoch: j.Epoch})
-	}
-	n.markDynamic()
-	n.ensureLinks()
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendJoinAck(w, len(n.shards), n.view.Members()) }) {
 		return
 	}
 	z := wire.GetDeflater() // compresses every range chunk this conversation serves
 	defer wire.PutDeflater(z)
-	for {
-		b, err := recvFrame(fr, n.cfg.MaxFrame)
-		if err != nil {
+	for _, s := range n.shards {
+		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, 0)
+		if err != nil || typ != tDigest {
 			return
 		}
-		r := wire.NewReader(b)
-		switch r.Uvarint() {
-		case tDigest:
-			shard, ds, err := decodeDigest(r, false)
-			s := n.shardOf(shard)
-			if err != nil || s == nil {
-				return
-			}
-			resp := digestResp(s, ds)
-			if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigestResp, s.idx, resp) }) {
-				return
-			}
-		case tRangeReq:
-			shard, origin, from, count, window, err := decodeRangeReq(r)
-			s := n.shardOf(shard)
-			if err != nil || s == nil || int(origin) < 0 || int(origin) >= n.cfg.N || count == 0 {
-				return
-			}
-			if !n.serveRange(conn, fr, s, origin, from, count, window, z) {
-				return
-			}
-		default:
+		shard, asked, err := decodeDigest(r, false)
+		if err != nil || shard != uint64(s.idx) {
 			return
+		}
+		answered, err := digestResp(s, asked)
+		if err != nil || !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigestResp, s.idx, answered) }) {
+			return
+		}
+		owed, err := owedRanges(j.From, s.idx, asked, answered)
+		if err != nil {
+			return // the joiner refuses on the same two digests
+		}
+		for _, o := range owed {
+			if !n.serveRange(conn, s, o.Origin, o.From, o.To, z) {
+				return
+			}
 		}
 	}
+	if _, err := recvFrame(fr, n.cfg.MaxFrame); err == nil {
+		return // the joiner had nothing left to say
+	}
+	if j.Addr != "" {
+		n.view.Merge(membership.Member{ID: int(j.From), Addr: j.Addr, Epoch: j.Epoch})
+	}
+	n.markDynamic()
+	n.ensureLinks()
 }
 
 // digestResp answers a joiner's digest of shard s with, per origin it asked
 // about, our count and root plus the root over the joiner's own count — the
-// prefix proof that lets it pull only [joinerCount, ourCount).
-func digestResp(s *shard, ds []originDigest) []originDigest {
+// prefix proof owedRanges checks. The origins must be members, in ascending
+// order, so no range is streamed twice; a digest that names others, or one
+// the shard cannot answer because the node is closing, is an error.
+func digestResp(s *shard, ds []originDigest) ([]originDigest, error) {
+	for i, d := range ds {
+		if int(d.Origin) < 0 || int(d.Origin) >= s.n.cfg.N || i > 0 && d.Origin <= ds[i-1].Origin {
+			return nil, fmt.Errorf("cluster: digest of shard %d names r%d out of order or outside the cluster", s.idx, d.Origin)
+		}
+	}
 	resp := make([]originDigest, 0, len(ds))
-	s.inLoop(func() {
+	err := s.inLoop(func() {
 		for _, d := range ds {
 			o := int(d.Origin)
-			if o < 0 || o >= s.n.cfg.N {
-				continue
-			}
 			e := originDigest{Origin: d.Origin, Count: s.tree.Count(o), Root: s.tree.Root(o)}
 			if d.Count <= e.Count {
 				e.PrefixRoot = s.tree.PrefixRoot(o, d.Count, s.updatePayload)
@@ -535,95 +543,46 @@ func digestResp(s *shard, ds []originDigest) []originDigest {
 			resp = append(resp, e)
 		}
 	})
-	return resp
+	return resp, err
 }
 
-// serveRangeMaxWindow caps the credit window a joiner may request: a
-// hostile request must not make the donor flood an arbitrarily deep
-// pipeline of unacked chunks.
-const serveRangeMaxWindow = 1024
-
-// serveRange streams one origin's updates [from, from+count) in shard s to
-// a joiner, straight out of the shard's log in chunks cut by cutBatch (up to
-// batchMax updates, ending early at a log segment boundary), under a
-// credit-based sliding window:
-// up to window chunks may be in flight beyond the joiner's cumulative
-// journal-backed acks, so a transfer of c chunks costs about 1+⌈c/W⌉
-// round-trips instead of stop-and-wait's 1+c. window comes from the
-// joiner's tRangeReq. Recoverability is untouched: the joiner still applies
-// and journals every chunk before acking it, so a kill -9 mid-sync loses at
-// most the unacked in-flight chunks, which the restarted join re-pulls.
-//
-// The joiner acks every chunk it consumes, in order, so the donor reads
-// exactly one ack per chunk sent — inflight is a FIFO of chunk-end seqs
-// and each ack retires its head. That bookkeeping (rather than trusting
-// the cumulative value alone) also keeps the conversation aligned: no
-// acks are left unread in the socket for serveJoin's dispatch loop to
-// trip over.
-func (n *Node) serveRange(conn net.Conn, fr *wire.FrameReader, s *shard, origin model.ReplicaID, from, count, window uint64, z *wire.Deflater) bool {
-	window = max(1, min(window, serveRangeMaxWindow))
-	end := from + count
-	idx := from   // seq boundary of the next chunk to build
-	acked := from // watermark the joiner has journaled (or consumed past)
-	var inflight []uint64
+// serveRange streams origin's updates from+1 through to in shard s to a
+// joiner, straight out of the shard's log in chunks cut by cutBatch (up to
+// batchMax updates, ending early at a log segment boundary). to is the count
+// the donor reported, which its log never falls below. Nothing comes back:
+// the joiner applies and journals each chunk as it reads it, and whatever a
+// kill -9 cuts off, the restarted join's digest shows missing again.
+func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from, to uint64, z *wire.Deflater) bool {
 	var us []protoUpdate // the chunk being sent, read back out of the log
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
-	for {
-		// Fill the window: send chunks while credit remains.
-		for idx < end && uint64(len(inflight)) < window {
-			us = s.logRun(origin, idx, us)
-			us = us[:cutBatch(us, int(min(batchMax, end-idx)), n.cfg.MaxFrame-64)]
-			if len(us) == 0 {
-				end = idx // ran dry: the donor holds less than promised
-				break
-			}
-			// Count before the write: the joiner may finish, and a caller
-			// read this node's Stats, before this goroutine runs again.
-			n.syncServed.Add(int64(len(us)))
-			enc.Reset()
-			enc.BeginFrame()
-			appendBatch(enc, tRangeResp, s.idx, origin, us)
-			if n.writeEnc(conn, enc, n.cfg.MaxFrame, z) != nil { // a bulk frame
-				n.syncServed.Add(-int64(len(us)))
+	for at := from; at < to; at = us[len(us)-1].Seq {
+		us = s.logRun(origin, at, us)
+		us = us[:cutBatch(us, int(min(batchMax, to-at)), n.cfg.MaxFrame-64)]
+		if len(us) == 0 {
+			return false
+		}
+		// Count before the write: the joiner may finish, and a caller read
+		// this node's Stats, before this goroutine runs again.
+		n.syncServed.Add(int64(len(us)))
+		enc.Reset()
+		enc.BeginFrame()
+		appendBatch(enc, tRangeResp, s.idx, origin, us)
+		if n.writeEnc(conn, enc, n.cfg.MaxFrame, z) != nil { // a bulk frame
+			n.syncServed.Add(-int64(len(us)))
+			return false
+		}
+		if d := n.cfg.SyncChunkDelay; d > 0 {
+			t := time.NewTimer(d)
+			select {
+			case <-n.done:
+				t.Stop()
 				return false
+			case <-t.C:
 			}
-			idx = us[len(us)-1].Seq
-			inflight = append(inflight, idx)
-			if d := n.cfg.SyncChunkDelay; d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-n.done:
-					t.Stop()
-					return false
-				case <-t.C:
-				}
-			}
-		}
-		if len(inflight) == 0 {
-			return acked >= end
-		}
-		// Retire the oldest in-flight chunk against its ack.
-		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, 0)
-		if err != nil || typ != tAck {
-			return false
-		}
-		shard, cum, err := decodeAck(r)
-		if err != nil || shard != uint64(s.idx) {
-			return false
-		}
-		head := inflight[0]
-		inflight = inflight[1:]
-		// A joiner that already held some of the chunk acks its (lower)
-		// cumulative delivery; the chunk was still consumed, so credit at
-		// least the chunk boundary — the stop-and-wait anti-stall rule.
-		if cum < head {
-			cum = head
-		}
-		if cum > acked {
-			acked = cum
 		}
 	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

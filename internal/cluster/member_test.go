@@ -91,7 +91,7 @@ func writeN(t *testing.T, nd *Node, k int, tag string) []model.ObjectID {
 // can reach r2 exclusively through anti-entropy against r0's log —
 // SyncPulled must equal the departed origin's update count exactly, summed
 // over the shards, and r0 must have served exactly that many (no full-log
-// transfer, no retransmission slop in the stop-and-wait pull).
+// transfer, no update streamed twice).
 func TestJoinPullsDepartedOriginFully(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		const k = 60
@@ -210,40 +210,57 @@ func TestRejoinPullsOnlyMissingDelta(t *testing.T) {
 }
 
 // TestJoinRefusedOnDivergentHistory: a joiner whose log disagrees with the
-// donor about another origin's history must be refused permanently, before
-// an update moves — silently merging two incompatible histories would
-// poison the audit. In each world r2 writes and departs, leaving its
-// history with the donor r0; the worlds share r2's first 34 writes, all to
-// one object and so to one shard, and differ after them. The joiner r1
-// holds 40 of world A's: its count ends mid-span, past the first stored
-// chain value, so what differs is the donor's re-hash of updates 33–40
-// through its update log. World B's donor holds more than the joiner (its
-// chain value over the joiner's count decides) or exactly as many (its head
-// does). No live link moves r2's updates (a link only offers its own node's),
-// so the counts are the ones written.
+// donor about an origin's history must be refused permanently, before an
+// update moves — silently merging two incompatible histories would poison
+// the audit. In each world the origin writes; the worlds share its first 34
+// writes, all to one object and so to one shard, and differ after them. The
+// joiner r1 holds 40 of world A's: its count ends mid-span, past the first
+// stored chain value, so what differs is the donor's re-hash of updates
+// 33–40 through its update log. World B's donor holds more than the joiner
+// (its chain value over the joiner's count decides) or exactly as many (its
+// head does).
+//
+// The origin is either r2, which departs and leaves its history with the
+// donor r0 (no live link moves r2's updates: a link only offers its own
+// node's), or the donor itself. A donor that linked back to a joiner before
+// its digests were clean would, over that link, hand the refused joiner its
+// own updates past the joiner's count, journaled on top of the divergent
+// prefix; so the refused joiner's journal must hold exactly the receives it
+// joined world A with.
 func TestJoinRefusedOnDivergentHistory(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
-		const shared, joined = 34, 40
-		obj := shardedObjects(t, shards, 1)[0]
-		si := NewShardRouter(shards).Route(obj)
-		world := func(tag string, k int) *Node {
-			donor := bootNode(t, 0, 3, func(cfg *Config) { cfg.Shards = shards })
-			writer := bootNode(t, 2, 3, func(cfg *Config) { cfg.Shards = shards })
+		for _, origin := range []model.ReplicaID{2, 0} {
+			t.Run(fmt.Sprintf("origin=r%d", origin), func(t *testing.T) { testJoinRefusedOnDivergentHistory(t, shards, origin) })
+		}
+	})
+}
+
+func testJoinRefusedOnDivergentHistory(t *testing.T, shards int, origin model.ReplicaID) {
+	const shared, joined = 34, 40
+	obj := shardedObjects(t, shards, 1)[0]
+	si := NewShardRouter(shards).Route(obj)
+	world := func(tag string, k int) *Node {
+		donor := bootNode(t, 0, 3, func(cfg *Config) { cfg.Shards = shards })
+		writer := donor
+		if origin != 0 {
+			writer = bootNode(t, origin, 3, func(cfg *Config) { cfg.Shards = shards })
 			if err := writer.Connect(map[model.ReplicaID]string{0: donor.Addr()}); err != nil {
 				t.Fatal(err)
 			}
-			if err := donor.Connect(map[model.ReplicaID]string{2: writer.Addr()}); err != nil {
+			if err := donor.Connect(map[model.ReplicaID]string{origin: writer.Addr()}); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < k; i++ {
-				v := fmt.Sprintf("shared.%d", i)
-				if i >= shared {
-					v = fmt.Sprintf("%s.%d", tag, i)
-				}
-				if _, err := writer.Do(obj, model.Write(model.Value(v))); err != nil {
-					t.Fatal(err)
-				}
+		}
+		for i := 0; i < k; i++ {
+			v := fmt.Sprintf("shared.%d", i)
+			if i >= shared {
+				v = fmt.Sprintf("%s.%d", tag, i)
 			}
+			if _, err := writer.Do(obj, model.Write(model.Value(v))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if writer != donor {
 			if !WaitQuiesced([]*Node{donor, writer}, 30*time.Second) {
 				t.Fatalf("%s did not quiesce", tag)
 			}
@@ -251,59 +268,81 @@ func TestJoinRefusedOnDivergentHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			writer.Close()
-			return donor
 		}
-		chainAt := func(nd *Node, k uint64) (h membership.Hash) {
-			s := nd.shards[si]
-			if err := s.inLoop(func() { h = s.tree.PrefixRoot(2, k, s.updatePayload) }); err != nil {
-				t.Fatal(err)
+		return donor
+	}
+	chainAt := func(nd *Node, k uint64) (h membership.Hash) {
+		s := nd.shards[si]
+		if err := s.inLoop(func() { h = s.tree.PrefixRoot(int(origin), k, s.updatePayload) }); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	mem := &memStorage{}
+	joining := func(donor *Node) func(*Config) {
+		return func(cfg *Config) {
+			stored(mem, shards)(cfg)
+			cfg.Join = map[model.ReplicaID]string{0: donor.Addr()}
+		}
+	}
+	// receives counts the receive events r1 has journaled, over every shard.
+	receives := func() (n int) {
+		for s := 0; s < shards; s++ {
+			for _, ev := range mem.events(1, s) {
+				if ev.Kind == model.ActReceive {
+					n++
+				}
 			}
-			return h
 		}
-		mem := &memStorage{}
-		joining := func(donor *Node) func(*Config) {
-			return func(cfg *Config) {
-				stored(mem, shards)(cfg)
-				cfg.Join = map[model.ReplicaID]string{0: donor.Addr()}
-			}
-		}
-		donorA := world("worldA", joined)
-		r1 := bootNode(t, 1, 3, joining(donorA))
-		if !WaitQuiesced([]*Node{donorA, r1}, 30*time.Second) {
-			t.Fatal("world A did not quiesce")
-		}
-		sharedRoot, joinedRoot := chainAt(donorA, shared), chainAt(donorA, joined)
-		r1.Close()
-		donorA.Close()
+		return n
+	}
+	donorA := world("worldA", joined)
+	r1 := bootNode(t, 1, 3, joining(donorA))
+	if !WaitQuiesced([]*Node{donorA, r1}, 30*time.Second) {
+		t.Fatal("world A did not quiesce")
+	}
+	sharedRoot, joinedRoot := chainAt(donorA, shared), chainAt(donorA, joined)
+	r1.Close()
+	donorA.Close()
+	if got := receives(); got != joined {
+		t.Fatalf("r1 journaled %d receives in world A, want %d", got, joined)
+	}
 
-		for _, k := range []int{joined + 6, joined} {
-			donorB := world("worldB", k)
-			if chainAt(donorB, shared) != sharedRoot || chainAt(donorB, joined) == joinedRoot {
-				t.Fatalf("donor of %d: the worlds do not share exactly their first %d updates", k, shared)
-			}
-			cfg := fastConfig(1, 3, openCausal(t))
-			joining(donorB)(&cfg)
-			nd, err := NewNode(cfg)
-			if err == nil {
-				nd.Close()
-				t.Fatalf("donor of %d: join with a divergent r2 history was admitted", k)
-			}
-			names := fmt.Sprintf("shard %d origin r2: the donor's first %d updates", si, joined)
-			if !errors.Is(err, errJoinRefused) || !strings.Contains(err.Error(), names) {
-				t.Fatalf("donor of %d: err = %v, want errJoinRefused naming %q", k, err, names)
-			}
-			// The same conversation from a node that stays up shows what moved.
-			nd = bootNode(t, 1, 3, stored(mem, shards))
-			if err := nd.joinVia(0, donorB.Addr()); !errors.Is(err, errJoinRefused) {
-				t.Fatalf("donor of %d: joinVia = %v, want errJoinRefused", k, err)
-			}
-			if pulled, served := nd.Stats().SyncPulled, donorB.Stats().SyncServed; pulled != 0 || served != 0 {
-				t.Fatalf("donor of %d: a refused join moved updates: joiner pulled %d, donor served %d", k, pulled, served)
-			}
-			nd.Close()
-			donorB.Close()
+	for _, k := range []int{joined + 6, joined} {
+		donorB := world("worldB", k)
+		if chainAt(donorB, shared) != sharedRoot || chainAt(donorB, joined) == joinedRoot {
+			t.Fatalf("donor of %d: the worlds do not share exactly their first %d updates", k, shared)
 		}
-	})
+		cfg := fastConfig(1, 3, openCausal(t))
+		joining(donorB)(&cfg)
+		nd, err := NewNode(cfg)
+		if err == nil {
+			nd.Close()
+			t.Fatalf("donor of %d: join with a divergent r%d history was admitted", k, origin)
+		}
+		names := fmt.Sprintf("shard %d origin r%d: the donor's first %d updates", si, origin, joined)
+		if !errors.Is(err, errJoinRefused) || !strings.Contains(err.Error(), names) {
+			t.Fatalf("donor of %d: err = %v, want errJoinRefused naming %q", k, err, names)
+		}
+		// The same conversation from a node that stays up shows what moved.
+		nd = bootNode(t, 1, 3, stored(mem, shards))
+		if err := nd.joinVia(0, donorB.Addr()); !errors.Is(err, errJoinRefused) {
+			t.Fatalf("donor of %d: joinVia = %v, want errJoinRefused", k, err)
+		}
+		if pulled, served := nd.Stats().SyncPulled, donorB.Stats().SyncServed; pulled != 0 || served != 0 {
+			t.Fatalf("donor of %d: a refused join moved updates: joiner pulled %d, donor served %d", k, pulled, served)
+		}
+		// A donor that had linked back would stay unquiesced until its link
+		// delivered what it holds past the joiner's count.
+		if !WaitQuiesced([]*Node{donorB}, 30*time.Second) {
+			t.Fatalf("donor of %d did not quiesce", k)
+		}
+		if got := receives(); got != joined {
+			t.Fatalf("donor of %d: the refused joiner journaled %d receives, want the %d it joined with", k, got, joined)
+		}
+		nd.Close()
+		donorB.Close()
+	}
 }
 
 // TestJoinRefusedOnShardCountMismatch: a joiner and a seed that split the
@@ -348,45 +387,111 @@ func TestJoinRefusedOnShardCountMismatch(t *testing.T) {
 	}
 }
 
-// TestJoinRequestForUnknownShardHangsUp: the shard a join request names is
-// input from outside the program. A digest or range request naming a shard
-// the donor does not have makes it hang up — no panic, nothing served — in a
-// conversation whose requests for a shard it has were answered. So does a
-// request of the retired tree walk (frame type 20), for a shard it has.
+// TestJoinRequestForUnknownShardHangsUp: the shard a join digest names is
+// input from outside the program. A digest naming a shard the donor does
+// not have, or a shard out of order, makes it hang up — no panic, nothing
+// served — in a conversation whose digest of shard 0 was answered. So does a
+// frame of a retired type in the place of the next digest: the tree walk's
+// (20) or the range request's (22).
 func TestJoinRequestForUnknownShardHangsUp(t *testing.T) {
 	const shards = 4
 	nd := bootNode(t, 0, 2, func(cfg *Config) { cfg.Shards = shards })
 	writeN(t, nd, 8, "w")
+	// The joiner, r1, asks only about its own broadcasts, of which the donor
+	// holds none: a clean digest that is owed nothing.
+	own := []originDigest{{Origin: 1}}
 	for _, tc := range []struct {
 		name string
 		req  func(w *wire.Writer)
 	}{
-		{"digest", func(w *wire.Writer) { appendDigest(w, tDigest, shards, []originDigest{{Origin: 0}}) }},
-		{"retired tree", func(w *wire.Writer) {
-			for _, v := range []uint64{20, 0, 0, 8, 0, 0} { // {type, shard, origin, prefix, level, index}
+		{"unknown shard", func(w *wire.Writer) { appendDigest(w, tDigest, shards, own) }},
+		{"shard out of order", func(w *wire.Writer) { appendDigest(w, tDigest, 2, own) }},
+		{"retired tree walk", func(w *wire.Writer) {
+			for _, v := range []uint64{20, 1, 0, 8, 0, 0} { // {type, shard, origin, prefix, level, index}
 				w.Uvarint(v)
 			}
 		}},
-		{"range", func(w *wire.Writer) { appendRangeReq(w, shards, 0, 0, 8, 1) }},
+		{"retired range request", func(w *wire.Writer) {
+			for _, v := range []uint64{22, 1, 0, 0, 8, 1} { // {type, shard, origin, from, count, window}
+				w.Uvarint(v)
+			}
+		}},
 	} {
 		send, recv := rawDial(t, nd)
 		send(func(w *wire.Writer) { appendJoin(w, joinReq{From: 1, Shards: shards}) })
 		if typ, _ := recv(); typ != tJoinAck {
 			t.Fatalf("%s: join answered with frame type %d", tc.name, typ)
 		}
-		send(func(w *wire.Writer) { appendDigest(w, tDigest, shards-1, []originDigest{{Origin: 0}}) })
+		send(func(w *wire.Writer) { appendDigest(w, tDigest, 0, own) })
 		if typ, r := recv(); typ != tDigestResp {
-			t.Fatalf("%s: digest of shard %d answered with frame type %d", tc.name, shards-1, typ)
-		} else if shard, _, err := decodeDigest(r, true); err != nil || shard != shards-1 {
+			t.Fatalf("%s: digest of shard 0 answered with frame type %d", tc.name, typ)
+		} else if shard, _, err := decodeDigest(r, true); err != nil || shard != 0 {
 			t.Fatalf("%s: digest answered for shard %d, err %v", tc.name, shard, err)
 		}
 		send(tc.req)
 		if typ, _ := recv(); typ != 0 {
-			t.Fatalf("%s request answered with frame type %d, want a hang-up", tc.name, typ)
+			t.Fatalf("%s: answered with frame type %d, want a hang-up", tc.name, typ)
 		}
 	}
 	if served := nd.Stats().SyncServed; served != 0 {
-		t.Fatalf("the donor served %d updates to requests for a shard it does not have", served)
+		t.Fatalf("the donor served %d updates to a joiner it owed nothing", served)
+	}
+}
+
+// TestJoinDigestUnansweredHangsUp: a donor that cannot compute a digest —
+// its node is closing — returns the error, and serveJoin hangs up, where it
+// used to answer an empty digest; and a joiner refuses an answer that lacks
+// an origin it asked about, which it used to read as "the donor is behind",
+// so a closing donor could hand out a join that pulled nothing.
+func TestJoinDigestUnansweredHangsUp(t *testing.T) {
+	nd := bootNode(t, 0, 2, nil)
+	writeN(t, nd, 3, "w")
+	asked := []originDigest{{Origin: 0}, {Origin: 1}}
+	answered, err := digestResp(nd.shards[0], asked)
+	if err != nil || len(answered) != 2 || answered[0].Count != 3 || answered[1].Count != 0 {
+		t.Fatalf("digest answered %+v, err %v; want r0 at 3 and r1 at 0", answered, err)
+	}
+	owed, err := owedRanges(1, 0, asked, answered)
+	if want := (owedRange{Origin: 0, From: 0, To: 3, Root: answered[0].Root}); err != nil || len(owed) != 1 || owed[0] != want {
+		t.Fatalf("owed %+v, err %v; want just %+v", owed, err, want)
+	}
+	if owed, err := owedRanges(1, 0, asked, answered[:1]); err == nil {
+		t.Fatalf("an answer lacking r1 was accepted, owing %+v", owed)
+	}
+	if _, err := digestResp(nd.shards[0], []originDigest{{Origin: 1}, {Origin: 0}}); err == nil {
+		t.Fatal("a digest with its origins out of order was answered")
+	}
+	nd.Close()
+	if resp, err := digestResp(nd.shards[0], asked); !errors.Is(err, ErrClosed) {
+		t.Fatalf("a closed node answered the digest with %+v, err %v; want ErrClosed", resp, err)
+	}
+}
+
+// TestJoinThroughWritingDonor: a donor's own writes reach a fresh joiner
+// in its catch-up stream, each once, on the first attempt. The donor used
+// to link back to the joiner before the digests, so its live link
+// delivered the same writes during the pull; the joiner, which stopped
+// reading a range when its log reached the donor's count, read the chunks
+// still in flight as the next shard's digest answer and gave up. 400
+// writes of 200-byte values under a 512-byte frame limit make every chunk
+// one update, over four shards.
+func TestJoinThroughWritingDonor(t *testing.T) {
+	const shards, k = 4, 400
+	small := func(cfg *Config) { cfg.Shards, cfg.MaxFrame = shards, 512 }
+	donor := bootNode(t, 0, 2, small)
+	objects := shardedObjects(t, shards, 3)
+	for i := 0; i < k; i++ {
+		v := model.Value(fmt.Sprintf("%04d%s", i, strings.Repeat("-", 196)))
+		if _, err := donor.Do(objects[i%len(objects)], model.Write(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joiner := bootNode(t, 1, 2, small)
+	if err := joiner.joinVia(0, donor.Addr()); err != nil {
+		t.Fatalf("the first join attempt failed: %v", err)
+	}
+	if served, pulled := donor.Stats().SyncServed, joiner.Stats().SyncPulled; served != k || pulled != k {
+		t.Fatalf("the donor served %d updates and the joiner pulled %d, want %d each", served, pulled, k)
 	}
 }
 
@@ -576,9 +681,11 @@ func TestRestartedForestMatchesLive(t *testing.T) {
 	}
 }
 
-// pullRange joins nd as replica `as` and pulls origin's first count updates,
-// the way a joiner does. It returns every tRangeResp frame as it crossed the
-// wire (compression envelope and all), in order, and the updates they held.
+// pullRange joins nd as replica `as` and, with a digest of shard 0 that
+// asks about origin alone and holds none of it, reads back the stream of
+// origin's updates, the way a joiner does; nd must hold count of them. It
+// returns every tRangeResp frame as it crossed the wire (compression
+// envelope and all), in order, and the updates they held.
 func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64) (frames [][]byte, pulled []protoUpdate) {
 	t.Helper()
 	conn, err := net.Dial("tcp", nd.Addr())
@@ -600,7 +707,14 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 	if typ, _, err := readTyped(conn, fr, 0, 0); err != nil || typ != tJoinAck {
 		t.Fatalf("join answered with type %d, err %v", typ, err)
 	}
-	send(func(w *wire.Writer) { appendRangeReq(w, 0, origin, 0, count, 4) })
+	send(func(w *wire.Writer) { appendDigest(w, tDigest, 0, []originDigest{{Origin: origin}}) })
+	typ, r, err := readTyped(conn, fr, 0, 0)
+	if err != nil || typ != tDigestResp {
+		t.Fatalf("digest answered with type %d, err %v", typ, err)
+	}
+	if _, ds, err := decodeDigest(r, true); err != nil || len(ds) != 1 || ds[0].Origin != origin || ds[0].Count != count {
+		t.Fatalf("digest answered %+v, err %v; want r%d at %d", ds, err, origin, count)
+	}
 	for uint64(len(pulled)) < count {
 		raw, err := fr.ReadFrame(0)
 		if err != nil {
@@ -621,7 +735,6 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
 		}
 		pulled = append(pulled, us...)
-		send(func(w *wire.Writer) { appendAck(w, 0, us[len(us)-1].Seq) })
 	}
 	return frames, pulled
 }

@@ -23,8 +23,8 @@ import (
 // membership and anti-entropy frames are in proto_member.go, the
 // compression envelope in compress.go; DESIGN.md §5.6 has the whole table.
 //
-// Numbers are never reused: 2, 7, 9, 20, 21, 25 and 26 belonged to frames
-// of earlier protocol versions and stay retired.
+// Numbers are never reused: 2, 7, 9, 20, 21, 22, 25 and 26 belonged to
+// frames of earlier protocol versions and stay retired.
 const (
 	tHello       = 1  // {from, version, shards}          dialer → acceptor
 	tAck         = 3  // {shard, cum}                     cumulative ack of one shard's updates
@@ -41,11 +41,13 @@ const (
 // protoVersion is the one protocol version this build speaks. A hello or
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
-// format change bumps it: 10 sends a request id mod 128 and a reply's
-// presence fields as one flag byte (and the causal store's updates without
-// the fields their type implies); 9 put a uvarint length in front of every
-// frame, where 8 had four big-endian bytes.
-const protoVersion = 10
+// format change bumps it: 11 catches a joiner up with one digest and one
+// unasked stream per shard, where 10 had it request each range and ack
+// each chunk; 10 sends a request id mod 128 and a reply's presence fields
+// as one flag byte (and the causal store's updates without the fields
+// their type implies); 9 put a uvarint length in front of every frame,
+// where 8 had four big-endian bytes.
+const protoVersion = 11
 
 // batchMax caps how many unacked updates coalesce into one tBatch frame or
 // one anti-entropy chunk.

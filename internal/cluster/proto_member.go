@@ -9,18 +9,17 @@ import (
 )
 
 // Membership and anti-entropy frame types, continuing the numbering in
-// proto.go. A join conversation is one connection, joiner-driven; after the
-// handshake the joiner catches up one shard at a time, and every frame that
-// addresses a seq domain names its shard, as tBatch and tAck do:
+// proto.go. A join conversation is one connection; after the handshake the
+// joiner catches up one shard at a time, in shard order, and every frame
+// that addresses a seq domain names its shard, as tBatch and tAck do:
 //
 //	joiner → tJoin      {from, epoch, addr, version, shards}
 //	donor  → tJoinAck   {version, shards, view}
 //	per shard:
 //	joiner → tDigest    {shard, per-origin count+root}
 //	donor  → tDigestResp{shard, per-origin count+root+prefixRoot(joiner count)}
-//	joiner → tRangeReq  {shard, origin, from, count, window}
-//	donor  → tRangeResp {shard, origin, (seq, lamport, payload)...}  (chunked)
-//	joiner → tAck       {shard, cum}  after journaling each chunk
+//	donor  → tRangeResp {shard, origin, (seq, lamport, payload)...}  (chunked:
+//	                    every range the digests show the joiner lacks)
 //
 // Gossip frames (tGossip/tGossipAck) are a single request/response exchange
 // on a transient connection.
@@ -31,8 +30,8 @@ const (
 	tGossipAck  = 17 // {members...}
 	tDigest     = 18 // {shard, count, (origin, count, root)...}
 	tDigestResp = 19 // {shard, count, (origin, count, root, prefixRoot)...}
-	// 20 and 21 carried the Merkle tree walk of versions before 8; retired.
-	tRangeReq  = 22 // {shard, origin, from, count, window}
+	// 20 and 21 carried the Merkle tree walk of versions before 8, and 22
+	// the range request of versions before 11; retired.
 	tRangeResp = 23 // {shard, origin, count, (seq, lamport, payload)...}
 	// 24 is tCompressed, the compression envelope — see compress.go.
 )
@@ -226,26 +225,4 @@ func decodeDigest(r *wire.Reader, withPrefix bool) (shard uint64, _ []originDige
 		ds = append(ds, d)
 	}
 	return shard, ds, r.End()
-}
-
-// appendRangeReq asks for [from, from+count) of one origin's updates in one
-// shard. window is the pull's credit window: how many unacked chunks the
-// joiner is prepared to have in flight. The chunks come back as tRangeResp
-// frames (appendBatch).
-func appendRangeReq(w *wire.Writer, shard int, origin model.ReplicaID, from, count, window uint64) {
-	w.Uvarint(tRangeReq)
-	w.Uvarint(uint64(shard))
-	w.Uvarint(uint64(origin))
-	w.Uvarint(from)
-	w.Uvarint(count)
-	w.Uvarint(window)
-}
-
-func decodeRangeReq(r *wire.Reader) (shard uint64, origin model.ReplicaID, from, count, window uint64, err error) {
-	shard = r.Uvarint()
-	origin = model.ReplicaID(r.Uvarint())
-	from = r.Uvarint()
-	count = r.Uvarint()
-	window = r.Uvarint()
-	return shard, origin, from, count, window, r.End()
 }

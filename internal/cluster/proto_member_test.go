@@ -124,24 +124,13 @@ func TestDigestRoundTrip(t *testing.T) {
 }
 
 func TestRangeRoundTrip(t *testing.T) {
-	w := wire.NewWriter()
-	appendRangeReq(w, 5, 1, 40, 25, 8)
-	r := wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tRangeReq {
-		t.Fatalf("type = %d, want tRangeReq", typ)
-	}
-	shard, origin, from, count, window, err := decodeRangeReq(r)
-	if err != nil || shard != 5 || origin != 1 || from != 40 || count != 25 || window != 8 {
-		t.Fatalf("range req = (shard %d, r%d, %d, %d, win %d, %v)", shard, origin, from, count, window, err)
-	}
-
 	us := []protoUpdate{
 		{Origin: 1, Seq: 41, Lamport: 90, Payload: []byte("p41")},
 		{Origin: 1, Seq: 42, Lamport: 91, Payload: nil},
 	}
-	w = wire.NewWriter()
+	w := wire.NewWriter()
 	appendBatch(w, tRangeResp, 5, 1, us)
-	r = wire.NewReader(w.Bytes())
+	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tRangeResp {
 		t.Fatalf("type = %d, want tRangeResp", typ)
 	}

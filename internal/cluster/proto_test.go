@@ -195,8 +195,6 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, err := decodeDigest(r, false); return err }},
 		{"digest-resp", body(func(w *wire.Writer) { appendDigest(w, tDigestResp, 2, ds) }),
 			func(r *wire.Reader) error { _, _, err := decodeDigest(r, true); return err }},
-		{"range-req", body(func(w *wire.Writer) { appendRangeReq(w, 2, 1, 40, 25, 8) }),
-			func(r *wire.Reader) error { _, _, _, _, _, err := decodeRangeReq(r); return err }},
 		{"range-resp", body(func(w *wire.Writer) { appendBatch(w, tRangeResp, 2, 1, us) }),
 			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
 		{"stats-req", []byte{},
@@ -493,9 +491,6 @@ func TestGoldenWireVectors(t *testing.T) {
 		})},
 		{"join_ack", enc(func(w *wire.Writer) {
 			appendJoinAck(w, 4, []membership.Member{{ID: 1, Addr: "127.0.0.1:7001", Epoch: 3}})
-		})},
-		{"range_req_windowed", enc(func(w *wire.Writer) {
-			appendRangeReq(w, 3, 1, 40, 25, 8)
 		})},
 		{"digest", enc(func(w *wire.Writer) {
 			appendDigest(w, tDigest, 3, []originDigest{

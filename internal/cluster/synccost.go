@@ -10,36 +10,26 @@ import (
 // -syncbench, companion to benchwire.go: the cost of an anti-entropy
 // catch-up is a pure function of the donor's log and the joiner's prefix,
 // so it is computed on the encode paths alone — the same appenders
-// serveRange and pullRange use and the same cutBatch — with no sockets or
+// serveRange and catchUp use and the same cutBatch — with no sockets or
 // timers. The tracked BENCH_SYNC.json must be byte-identical across runs
 // of the same flags and seed.
 
 // SyncCostRow quantifies one catch-up scenario: a joiner holding the first
-// Prefix of the donor's Updates origin-0 log, pulling under a credit
-// window of Window chunks.
+// Prefix of the donor's Updates origin-0 log.
 type SyncCostRow struct {
 	// Updates is the donor's log size, Prefix what the joiner already has.
 	Updates int
 	Prefix  int
-	// Window is the credit window the pull runs under (1 = stop-and-wait).
-	// Bytes on the wire are window-independent — the window pipelines the
-	// same frames — so only RTTs varies with it.
-	Window int
 	// DigestBytes is the membership handshake cost: the joiner's tDigest
 	// frame plus the donor's tDigestResp (counts, roots, and the prefix
 	// root that proves the joiner's log is a clean prefix).
 	DigestBytes int64
 	// Pulled/Chunks/PulledBytes are the range-transfer cost: missing
-	// updates shipped, chunks used, and total wire bytes (tRangeReq +
-	// tRangeResp frames + the joiner's journal-backed acks).
+	// updates shipped, chunks used, and total wire bytes — the tRangeResp
+	// frames the donor streams, and nothing back.
 	Pulled      int64
 	Chunks      int64
 	PulledBytes int64
-	// RTTs is the transfer's round-trip count: one for the range request
-	// plus one per window of journal-acked chunks, 1+⌈Chunks/Window⌉ —
-	// the latency the credit window actually buys down (stop-and-wait
-	// pays 1+Chunks). Zero when nothing needs pulling.
-	RTTs int64
 	// FullBytes is the same transfer without anti-entropy: the whole log
 	// shipped through the identical chunking. The tracked ratio
 	// PulledBytes/FullBytes is the paper-relevant saving — catch-up work
@@ -55,20 +45,12 @@ func frameLen(build func(*wire.Writer)) int64 {
 	return int64(w.Len() + wire.FrameHeaderLen(w.Len()))
 }
 
-// rangeCost is what serveRange puts on the wire for us[from:]: chunks cut by
-// cutBatch (up to chunkMax updates within maxFrame), one tRangeReq ahead and
-// one tAck behind every tRangeResp.
+// rangeCost is what serveRange puts on the wire for us[from:]: tRangeResp
+// chunks cut by cutBatch (up to chunkMax updates within maxFrame).
 func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chunks, bytes int64) {
-	if from >= len(us) {
-		return 0, 0, 0
-	}
-	bytes += frameLen(func(w *wire.Writer) {
-		appendRangeReq(w, 0, 0, uint64(from), uint64(len(us)-from), 1)
-	})
 	for rest := us[from:]; len(rest) > 0; {
 		chunk := rest[:cutBatch(rest, chunkMax, maxFrame-64)]
 		bytes += frameLen(func(w *wire.Writer) { appendBatch(w, tRangeResp, 0, 0, chunk) })
-		bytes += frameLen(func(w *wire.Writer) { appendAck(w, 0, chunk[len(chunk)-1].Seq) })
 		pulled += int64(len(chunk))
 		chunks++
 		rest = rest[len(chunk):]
@@ -79,17 +61,13 @@ func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chun
 // SyncCost computes the catch-up cost table entry for a joiner holding the
 // first prefix updates of a donor log made of the given payloads (origin
 // 0, consecutive sequence numbers — the BenchUpdates shape). chunkMax and
-// maxFrame correspond to batchMax and Config.MaxFrame. window is the pull's
-// credit window (Config.SyncWindow); window 1 is stop-and-wait.
-func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame, window int) SyncCostRow {
+// maxFrame correspond to batchMax and Config.MaxFrame.
+func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame int) SyncCostRow {
 	if chunkMax < 1 {
 		chunkMax = 1
 	}
 	if maxFrame <= 0 {
 		maxFrame = wire.DefaultMaxFrame
-	}
-	if window < 1 {
-		window = 1
 	}
 	if prefix > len(payloads) {
 		prefix = len(payloads)
@@ -104,7 +82,7 @@ func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame, window int) SyncCos
 			joiner.Append(0, u.Seq, u.Payload)
 		}
 	}
-	row := SyncCostRow{Updates: len(us), Prefix: prefix, Window: window}
+	row := SyncCostRow{Updates: len(us), Prefix: prefix}
 	jd := []originDigest{{Origin: model.ReplicaID(0), Count: joiner.Count(0), Root: joiner.Root(0)}}
 	// The joiner holds exactly the donor's first prefix updates, so its root
 	// is the prefix root the donor would prove them with.
@@ -115,9 +93,6 @@ func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame, window int) SyncCos
 	row.DigestBytes = frameLen(func(w *wire.Writer) { appendDigest(w, tDigest, 0, jd) }) +
 		frameLen(func(w *wire.Writer) { appendDigest(w, tDigestResp, 0, dd) })
 	row.Pulled, row.Chunks, row.PulledBytes = rangeCost(us, prefix, chunkMax, maxFrame)
-	if row.Chunks > 0 {
-		row.RTTs = 1 + (row.Chunks+int64(window)-1)/int64(window)
-	}
 	_, _, row.FullBytes = rangeCost(us, 0, chunkMax, maxFrame)
 	return row
 }

@@ -15,19 +15,16 @@ func TestSyncCostModel(t *testing.T) {
 		payloads[i] = []byte(fmt.Sprintf("payload-%04d", i))
 	}
 
-	full := SyncCost(payloads, 0, 16, 0, 1)
+	full := SyncCost(payloads, 0, 16, 0)
 	if full.Pulled != 100 || full.PulledBytes != full.FullBytes {
 		t.Fatalf("empty joiner must pull everything: %+v", full)
 	}
 	if full.Chunks != 100/16+1 {
 		t.Fatalf("batch-16 chunking: %d chunks for 100 updates, want %d", full.Chunks, 100/16+1)
 	}
-	if full.RTTs != full.Chunks+1 {
-		t.Fatalf("stop-and-wait RTTs = %d, want chunks+1 = %d", full.RTTs, full.Chunks+1)
-	}
 
-	done := SyncCost(payloads, 100, 16, 0, 1)
-	if done.Pulled != 0 || done.Chunks != 0 || done.PulledBytes != 0 || done.RTTs != 0 {
+	done := SyncCost(payloads, 100, 16, 0)
+	if done.Pulled != 0 || done.Chunks != 0 || done.PulledBytes != 0 {
 		t.Fatalf("full-prefix joiner must pull nothing: %+v", done)
 	}
 	if done.DigestBytes == 0 {
@@ -36,7 +33,7 @@ func TestSyncCostModel(t *testing.T) {
 
 	prev := full
 	for _, p := range []int{25, 50, 90} {
-		row := SyncCost(payloads, p, 16, 0, 1)
+		row := SyncCost(payloads, p, 16, 0)
 		if row.Pulled != int64(100-p) {
 			t.Fatalf("prefix %d: pulled %d, want %d", p, row.Pulled, 100-p)
 		}
@@ -49,7 +46,7 @@ func TestSyncCostModel(t *testing.T) {
 		prev = row
 	}
 
-	unbatched := SyncCost(payloads, 0, 1, 0, 1)
+	unbatched := SyncCost(payloads, 0, 1, 0)
 	if unbatched.Chunks != 100 {
 		t.Fatalf("JSON-floor chunking: %d chunks, want 100", unbatched.Chunks)
 	}
@@ -58,42 +55,7 @@ func TestSyncCostModel(t *testing.T) {
 	}
 
 	// Determinism: same inputs, same row.
-	if a, b := SyncCost(payloads, 50, 16, 0, 1), SyncCost(payloads, 50, 16, 0, 1); a != b {
+	if a, b := SyncCost(payloads, 50, 16, 0), SyncCost(payloads, 50, 16, 0); a != b {
 		t.Fatalf("SyncCost not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-// TestSyncCostWindow pins the credit window's effect: bytes are
-// window-independent (the window pipelines the same frames), while RTTs for
-// a multi-chunk pull drop strictly below stop-and-wait, following
-// 1+⌈Chunks/Window⌉.
-func TestSyncCostWindow(t *testing.T) {
-	payloads := make([][]byte, 100)
-	for i := range payloads {
-		payloads[i] = []byte(fmt.Sprintf("payload-%04d", i))
-	}
-
-	sw := SyncCost(payloads, 0, 16, 0, 1)
-	win := SyncCost(payloads, 0, 16, 0, 8)
-	if win.Pulled != sw.Pulled || win.Chunks != sw.Chunks ||
-		win.PulledBytes != sw.PulledBytes || win.DigestBytes != sw.DigestBytes ||
-		win.FullBytes != sw.FullBytes {
-		t.Fatalf("window changed bytes/chunks:\n stop-and-wait %+v\n windowed %+v", sw, win)
-	}
-	if win.RTTs >= sw.RTTs {
-		t.Fatalf("windowed RTTs %d not below stop-and-wait %d", win.RTTs, sw.RTTs)
-	}
-	if want := 1 + (win.Chunks+7)/8; win.RTTs != want {
-		t.Fatalf("window-8 RTTs = %d, want 1+⌈%d/8⌉ = %d", win.RTTs, win.Chunks, want)
-	}
-
-	// Caught-up joiner: no pull, no RTTs, regardless of window.
-	if row := SyncCost(payloads, 100, 16, 0, 8); row.RTTs != 0 {
-		t.Fatalf("caught-up joiner RTTs = %d, want 0", row.RTTs)
-	}
-
-	// Hostile/zero window is clamped to stop-and-wait, not div-by-zero.
-	if row := SyncCost(payloads, 0, 16, 0, 0); row.Window != 1 || row.RTTs != sw.RTTs {
-		t.Fatalf("window 0 row = %+v, want stop-and-wait", row)
 	}
 }
