@@ -110,21 +110,22 @@ durability:
 
 # The fault-injection sweep: every registered store through seeded
 # partition/crash/link-fault schedules in the simulator, then the TCP
-# cluster and loadgen chaos mode under the race detector.
+# cluster and loadgen chaos mode under the race detector, with the rule that
+# a live link never resends (a connection delivers in order or dies).
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
-	$(GO) test -race ./internal/cluster ./cmd/loadgen -run 'Chaos|Supervisor|Restart' -count=1
+	$(GO) test -race ./internal/cluster ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends' -count=1
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence
-# and version-mismatch refusal), churned fault schedules through the
+# and version-mismatch refusal, a gossip reply lost to a link cut), churned fault schedules through the
 # supervisor, the forest a restarted node rebuilds from its journal and the
 # range it serves from it, and the kill -9 mid-sync harness (a served child
 # joining via -join, SIGKILL'd mid-pull, restarted on the same -data-dir).
 membership:
 	$(GO) test -race ./internal/membership -count=1
-	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest|RangeServed' -count=1
+	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest|RangeServed|GossipReply' -count=1
 	$(GO) test -race ./internal/fault -run 'Churn' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9MidSyncJoin|ParseTopology' -count=1
 	$(GO) test -race ./cmd/loadgen -run 'Syncbench' -count=1

@@ -81,8 +81,6 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 	if cfg.dataDir != "" {
 		// Disk-backed chaos: every node journals through internal/durable and

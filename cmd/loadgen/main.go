@@ -60,7 +60,6 @@ func main() {
 	storeName := cli.StoreFlag(flag.CommandLine, "causal")
 	chaosNodes := flag.Int("chaos-nodes", 3, "cluster size for -chaos runs")
 	chaosDataDir := flag.String("chaos-data-dir", "", "journal -chaos node histories to this directory; crash/restart directives then recover from disk (in-memory if empty)")
-	wireBatch := flag.Int("wire-batch", 64, "tBatch coalescing cap for the -wirebench rows")
 	conns := flag.Int("conns", 0, "pooled connections per node for the workload clients (0 = one dedicated connection per client)")
 	opTimeout := flag.Duration("op-timeout", 10*time.Second, "per-operation deadline for client round trips (0 = unbounded)")
 	churn := flag.Int("churn", 0, "leave→join windows in the -chaos schedule (victims disjoint from the crash victims)")
@@ -76,7 +75,7 @@ func main() {
 		}
 		err := b.run(os.Stdout, benchArgs{
 			store: *storeName, seed: *seed, ops: *ops, objects: *objects,
-			keys: *keys, shards: *shards, batch: *wireBatch, jsonOut: *jsonOut,
+			keys: *keys, shards: *shards, jsonOut: *jsonOut,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -141,7 +140,6 @@ type benchArgs struct {
 	objects int
 	keys    int
 	shards  int
-	batch   int
 	jsonOut bool
 }
 

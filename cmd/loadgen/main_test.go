@@ -28,7 +28,6 @@ func bootCluster(t *testing.T) []string {
 		return cluster.Config{
 			Store: st, Listen: "127.0.0.1:0",
 			DialBackoffMin: 5 * time.Millisecond,
-			RetransmitMin:  25 * time.Millisecond,
 		}
 	})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // show catch-up cost proportional to the missing suffix (monotone pull
 // bytes, fixed full-transfer baseline).
 func TestRunSyncbenchDeterministic(t *testing.T) {
-	cfg := benchArgs{store: "causal", ops: 120, batch: 64, seed: 7, objects: 3, jsonOut: true}
+	cfg := benchArgs{store: "causal", ops: 120, seed: 7, objects: 3, jsonOut: true}
 	var a, b bytes.Buffer
 	if err := runSyncbench(&a, cfg); err != nil {
 		t.Fatal(err)

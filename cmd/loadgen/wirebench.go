@@ -109,8 +109,8 @@ func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64,
 // runWirebench emits the deterministic wire-cost table — the rows behind
 // the tracked BENCH_WIRE.json.
 func runWirebench(w io.Writer, cfg benchArgs) error {
-	if cfg.ops < 1 || cfg.batch < 1 || cfg.objects < 1 {
-		return fmt.Errorf("wirebench needs at least one op, object, and a positive batch")
+	if cfg.ops < 1 || cfg.objects < 1 {
+		return fmt.Errorf("wirebench needs at least one op and one object")
 	}
 	st, err := cli.OpenStore(cfg.store, spec.MVRTypes(), store.Options{})
 	if err != nil {
@@ -126,17 +126,17 @@ func runWirebench(w io.Writer, cfg benchArgs) error {
 	nOps := float64(len(payloads))
 
 	// Updates: the replication send path (pooled writer, tBatch coalescing).
-	bBytes, bFrames := us.EncodeBatched(cfg.batch)
-	bAllocs := testing.AllocsPerRun(10, func() { us.EncodeBatched(cfg.batch) }) / nOps
+	bBytes, bFrames := us.EncodeBatched(cluster.BatchMax)
+	bAllocs := testing.AllocsPerRun(10, func() { us.EncodeBatched(cluster.BatchMax) }) / nOps
 
 	// Bulk transfers: anti-entropy range chunks and the history download
 	// frame, as encoded versus as sent, wrapped in the compression envelope.
 	// Same chunking either way — the envelope is the only delta.
-	rBytes, rFrames := us.EncodeRange(cfg.batch, 0, false)
-	rAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cfg.batch, 0, false) }) / nOps
-	rcBytes, rcFrames := us.EncodeRange(cfg.batch, 0, true)
-	us.EncodeRange(cfg.batch, 0, true) // warm the flate pools before counting
-	rcAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cfg.batch, 0, true) }) / nOps
+	rBytes, rFrames := us.EncodeRange(cluster.BatchMax, 0, false)
+	rAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cluster.BatchMax, 0, false) }) / nOps
+	rcBytes, rcFrames := us.EncodeRange(cluster.BatchMax, 0, true)
+	us.EncodeRange(cluster.BatchMax, 0, true) // warm the flate pools before counting
+	rcAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cluster.BatchMax, 0, true) }) / nOps
 	hBytes, err := cluster.EncodeHistoryFrame(events, false)
 	if err != nil {
 		return err
@@ -157,11 +157,11 @@ func runWirebench(w io.Writer, cfg benchArgs) error {
 
 	round := func(x float64) float64 { return math.Round(x*10) / 10 }
 	t := bench.NewTable(
-		fmt.Sprintf("loadgen wirebench: %s, seed %d, %d updates, batch %d", st.Name(), cfg.seed, len(payloads), cfg.batch),
+		fmt.Sprintf("loadgen wirebench: %s, seed %d, %d updates, batch %d", st.Name(), cfg.seed, len(payloads), cluster.BatchMax),
 		"path", "codec", "batch", "ops", "frames", "bytes/op", "allocs/op")
-	t.AddRow("updates", "binary", cfg.batch, len(payloads), bFrames, round(float64(bBytes)/nOps), round(bAllocs))
-	t.AddRow("range", "binary", cfg.batch, len(payloads), rFrames, round(float64(rBytes)/nOps), round(rAllocs))
-	t.AddRow("range", "binary+flate", cfg.batch, len(payloads), rcFrames, round(float64(rcBytes)/nOps), round(rcAllocs))
+	t.AddRow("updates", "binary", cluster.BatchMax, len(payloads), bFrames, round(float64(bBytes)/nOps), round(bAllocs))
+	t.AddRow("range", "binary", cluster.BatchMax, len(payloads), rFrames, round(float64(rBytes)/nOps), round(rAllocs))
+	t.AddRow("range", "binary+flate", cluster.BatchMax, len(payloads), rcFrames, round(float64(rcBytes)/nOps), round(rcAllocs))
 	t.AddRow("history", "binary", 1, len(events), int64(1), round(float64(hBytes)/nEv), round(hAllocs))
 	t.AddRow("history", "binary+flate", 1, len(events), int64(1), round(float64(hcBytes)/nEv), round(hcAllocs))
 	t.AddRow("journal", "binary", 1, len(events), int64(len(events)), round(float64(jBinBytes)/float64(len(events))), round(jBinAllocs))

@@ -167,8 +167,6 @@ func TestKill9Recovery(t *testing.T) {
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
-			RetransmitMin:  25 * time.Millisecond,
-			RetransmitMax:  250 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -299,8 +297,6 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
-			RetransmitMin:  25 * time.Millisecond,
-			RetransmitMax:  250 * time.Millisecond,
 		}
 		if mut != nil {
 			mut(&cfg)
@@ -475,8 +471,6 @@ func TestKill9ShardedGroupCommit(t *testing.T) {
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
-			RetransmitMin:  25 * time.Millisecond,
-			RetransmitMax:  250 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -11,10 +11,10 @@ import (
 	"repro/internal/store"
 )
 
-// TestBatchingCoalescesFrames checks that a backlog drains in batches. The
-// backlog is built deterministically: the 0→1 link is cut, 200 writes pile
-// up in the sender queue, then the link heals and the reconnect drains the
-// queue.
+// TestBatchingCoalescesFrames checks that a backlog drains in batches, each
+// written once. The backlog is built deterministically: the 0→1 link is cut,
+// 200 writes pile up in the sender's log, then the link heals and the
+// reconnect drains the log.
 func TestBatchingCoalescesFrames(t *testing.T) {
 	const writes = 200
 	nets := fault.NewNetem(2)
@@ -68,10 +68,10 @@ func TestBatchingCoalescesFrames(t *testing.T) {
 	if sends <= writes {
 		t.Fatalf("sends = %d, want > %d", sends, writes)
 	}
-	// 200 queued updates fit in 4 full batches; the reconnect hello and
-	// retransmit-timer slack add a few frames. A quarter of the update
-	// count still proves coalescing.
-	if frames >= writes/4 {
-		t.Fatalf("%d frames for %d backlogged sends — batching is not coalescing", frames, writes)
+	// The first write after the cut is refused, and the link redials only
+	// once the cut is restored: one hello, then the backlog in full batches.
+	// Any further frame is a resend on a live connection.
+	if want := int64(1 + 1 + (writes+BatchMax-1)/BatchMax); frames > want {
+		t.Fatalf("%d frames for %d backlogged sends, want at most %d: the refused write, the hello and full batches", frames, writes, want)
 	}
 }

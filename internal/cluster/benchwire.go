@@ -11,7 +11,7 @@ import (
 // functions of the encoded workload, so they are measured here on the
 // encode paths alone, with no sockets or timers involved: the tracked
 // BENCH_WIRE.json must be byte-identical across runs of the same flags and
-// seed, which live TCP dynamics (retransmission timing, batching windows)
+// seed, which live TCP dynamics (redial timing, batching windows)
 // can never promise. Throughput and latency are benchmark/'s to measure.
 
 // BenchUpdates is a fixed sequence of synthetic updates for wire-path

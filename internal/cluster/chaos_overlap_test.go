@@ -30,8 +30,6 @@ func TestSupervisorOverlappingCrashWindows(t *testing.T) {
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 	sup, err := NewSupervisor(base, n, em, 2*time.Millisecond)
 	if err != nil {
@@ -114,8 +112,6 @@ func TestSupervisorSimultaneousCrashLosesNoAckedUpdate(t *testing.T) {
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 	sup, err := NewSupervisor(base, n, em, 2*time.Millisecond)
 	if err != nil {

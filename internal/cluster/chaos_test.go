@@ -287,8 +287,6 @@ func TestSupervisorScheduleAuditsClean(t *testing.T) {
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
 	if err != nil {
@@ -353,8 +351,6 @@ func TestSupervisorShardedCrashRestart(t *testing.T) {
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
 	if err != nil {

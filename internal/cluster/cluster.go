@@ -4,8 +4,9 @@
 // and exchanges the replica's broadcast messages with its peers through a
 // length-framed protocol (internal/wire) that provides reliable eventual
 // delivery: per-peer cursors over each shard's log of its own broadcasts,
-// cumulative acknowledgements, retransmission with exponential backoff, and
-// reconnection on failure.
+// cumulative acknowledgements, and reconnection on failure, which resends
+// what the peer has not acknowledged. A connection itself is trusted to be
+// TCP: it delivers every frame in order or dies.
 // Unlike the lossy schedules internal/sim can produce (see sim.ErrLossyRun),
 // the transport makes Definition 3 hold on a network that drops and resets
 // connections, so quiescence still owes convergence (Lemma 3).
@@ -73,14 +74,15 @@ type Config struct {
 	// known after every listener is up).
 	Peers map[model.ReplicaID]string
 
-	// Seed seeds the per-peer jitter streams (redial and retransmission
-	// timing), split per (node, peer) with gen.SplitSeed: runs with the
-	// same seed reproduce retransmission timing. Zero is a valid seed.
+	// Seed seeds the per-peer redial jitter streams and the gossip target
+	// order, split per (node, peer) with gen.SplitSeed: runs with the same
+	// seed reproduce redial timing. Zero is a valid seed.
 	Seed int64
 	// Faults, when non-nil, is the shared in-process network emulator:
-	// replication connections are wrapped on both the dial side (updates)
-	// and the accept side (acks), so the emulator's partitions, cuts, and
-	// per-link shaping windows apply to this node's links.
+	// every connection between two nodes — replication, gossip, join — is
+	// wrapped on both the dial side and the accept side (Node.dial,
+	// Node.shape), so the emulator's partitions, cuts, and per-link shaping
+	// windows apply to whatever this node writes toward a peer.
 	Faults *fault.Netem
 	// Storage, when non-nil, is the node's durable state: NewNode opens it
 	// once per shard before serving and closes each log after the event
@@ -156,8 +158,6 @@ type Config struct {
 	DialTimeout time.Duration
 	// DialBackoffMin/Max bound the reconnect backoff.
 	DialBackoffMin, DialBackoffMax time.Duration
-	// RetransmitMin/Max bound the unacked-update retransmission backoff.
-	RetransmitMin, RetransmitMax time.Duration
 	// WriteTimeout bounds one frame write.
 	WriteTimeout time.Duration
 }
@@ -195,8 +195,6 @@ func (c Config) withDefaults() Config {
 	def(&c.DialTimeout, 2*time.Second)
 	def(&c.DialBackoffMin, 50*time.Millisecond)
 	def(&c.DialBackoffMax, 2*time.Second)
-	def(&c.RetransmitMin, 200*time.Millisecond)
-	def(&c.RetransmitMax, 2*time.Second)
 	def(&c.WriteTimeout, 5*time.Second)
 	def(&c.GossipInterval, 200*time.Millisecond)
 	return c
@@ -765,6 +763,33 @@ func (n *Node) acceptLoop() {
 	}
 }
 
+// dial opens a connection to peer at addr for any conversation — a
+// replication link, a gossip round, a join — as the fault emulator sees it:
+// a cut link fails at once without touching the network (the dial would
+// succeed at TCP only to die on the first shaped write), and a live one is
+// shaped in the direction this node → peer.
+func (n *Node) dial(peer model.ReplicaID, addr string) (net.Conn, error) {
+	if n.cfg.Faults != nil && n.cfg.Faults.Cut(int(n.cfg.ID), int(peer)) {
+		return nil, fault.ErrLinkCut
+	}
+	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return n.shape(conn, peer), nil
+}
+
+// shape puts this node's end of a connection with peer under the fault
+// emulator, if there is one: what this node writes travels the directed
+// link this → peer. Dialed and accepted connections alike are shaped, so an
+// asymmetric cut of this → peer silences this node's acks and replies too.
+func (n *Node) shape(conn net.Conn, peer model.ReplicaID) net.Conn {
+	if n.cfg.Faults == nil {
+		return conn
+	}
+	return n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(peer))
+}
+
 // serveConn classifies an inbound connection by its first frame: a tHello
 // marks a peer's replication stream, tJoin and tGossip the membership
 // conversations; anything else is a client speaking request/response.
@@ -796,7 +821,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		return
 	case typ == tGossip:
 		if from, ms, err := decodeGossip(&r, n.cfg.N); err == nil {
-			n.serveGossip(conn, from, ms)
+			n.serveGossip(conn, from, ms, fr)
 		}
 		return
 	}
@@ -816,12 +841,9 @@ func (n *Node) serveHello(conn net.Conn, h hello, fr *wire.FrameReader) {
 	if int(h.From) < 0 || int(h.From) >= n.cfg.N || h.From == n.cfg.ID {
 		return
 	}
-	// Wrap the accept side too: acks written back to this peer travel the
-	// reverse link, so an asymmetric cut of this→peer suppresses
-	// acknowledgements even while updates flow in.
-	if n.cfg.Faults != nil {
-		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(h.From))
-	}
+	// Acks written back to this peer travel the reverse link, so an
+	// asymmetric cut of this→peer suppresses them even while updates flow in.
+	conn = n.shape(conn, h.From)
 	// The delivered watermarks move the dialer's cursors to what this node
 	// actually lacks.
 	delivered := make([]uint64, len(n.shards))

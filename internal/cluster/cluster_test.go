@@ -17,16 +17,14 @@ import (
 	_ "repro/internal/store/statesync"
 )
 
-// fastConfig keeps test runs snappy: aggressive retransmission and dial
-// backoff so injected connection resets heal in milliseconds.
+// fastConfig keeps test runs snappy: aggressive dial backoff so injected
+// connection resets heal in milliseconds.
 func fastConfig(id model.ReplicaID, n int, st store.Store) Config {
 	return Config{
 		ID: id, N: n, Store: st, Listen: "127.0.0.1:0",
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 }
 

@@ -26,8 +26,8 @@ func TestLiveCheckerFlagsViolationDuringRun(t *testing.T) {
 		cfg.Tap = func(_ int, ev livecheck.Event) { ck.Observe(ev) }
 	})
 
-	// Cut r0→r2: r0's writes reach r1 but are stuck in retransmission
-	// toward r2. r1→r2 stays open, so a write made at r1 AFTER seeing r0's
+	// Cut r0→r2: r0's writes reach r1 but wait in r0's log while its link
+	// to r2 redials. r1→r2 stays open, so a write made at r1 AFTER seeing r0's
 	// arrives at r2 ahead of its causal dependency — and lww applies it
 	// immediately instead of buffering.
 	em.Apply(fault.Directive{Kind: fault.KindLinkCut, From: 0, To: 2}, time.Millisecond)

@@ -112,12 +112,9 @@ func (n *Node) gossipOnce(rng *rand.Rand) {
 // exchangeGossip runs one transient gossip round trip with a member:
 // push our view, pull theirs, merge. Best-effort.
 func (n *Node) exchangeGossip(id int, addr string) bool {
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := n.dial(model.ReplicaID(id), addr)
 	if err != nil {
 		return false
-	}
-	if n.cfg.Faults != nil && id >= 0 && id < n.cfg.N {
-		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), id)
 	}
 	defer conn.Close()
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendGossip(w, n.cfg.ID, n.view.Members()) }) {
@@ -136,13 +133,18 @@ func (n *Node) exchangeGossip(id int, addr string) bool {
 }
 
 // serveGossip answers one inbound gossip exchange (transient connection):
-// merge the sender's view, reply with ours, reconcile links.
-func (n *Node) serveGossip(conn net.Conn, from model.ReplicaID, ms []membership.Member) {
-	_ = from // the sender's record rides in ms like everyone else's
+// merge the sender's view, reply with ours, reconcile links. The reply
+// travels the link this → from, so a cut there loses it, and a delay may
+// still hold it when the write returns: the connection stays open until the
+// dialer, having read the reply or given up on it, hangs up.
+func (n *Node) serveGossip(conn net.Conn, from model.ReplicaID, ms []membership.Member, fr *wire.FrameReader) {
 	n.view.MergeAll(ms)
 	n.markDynamic()
-	n.sendFrame(conn, func(w *wire.Writer) { appendGossipAck(w, n.view.Members()) })
+	replied := n.sendFrame(n.shape(conn, from), func(w *wire.Writer) { appendGossipAck(w, n.view.Members()) })
 	n.ensureLinks()
+	if replied {
+		readTyped(conn, fr, n.cfg.MaxFrame, n.cfg.WriteTimeout)
+	}
 }
 
 // ensureLinks reconciles the replication links against the membership
@@ -272,12 +274,9 @@ func (n *Node) finishJoin() {
 // missing history, or a seed of another protocol version or shard count,
 // returns errJoinRefused.
 func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := n.dial(seedID, addr)
 	if err != nil {
 		return err
-	}
-	if n.cfg.Faults != nil {
-		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(seedID))
 	}
 	defer conn.Close()
 	// Reads tolerate the donor's chunk pacing knob on top of the normal
@@ -474,9 +473,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
 	}
-	if n.cfg.Faults != nil {
-		conn = n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(j.From))
-	}
+	conn = n.shape(conn, j.From)
 	if j.Version != protoVersion || j.Shards != uint64(len(n.shards)) {
 		// Answered, so the joiner learns our version and shard count, then
 		// refused — before it is admitted to the view.
@@ -548,7 +545,7 @@ func digestResp(s *shard, ds []originDigest) ([]originDigest, error) {
 
 // serveRange streams origin's updates from+1 through to in shard s to a
 // joiner, straight out of the shard's log in chunks cut by cutBatch (up to
-// batchMax updates, ending early at a log segment boundary). to is the count
+// BatchMax updates, ending early at a log segment boundary). to is the count
 // the donor reported, which its log never falls below. Nothing comes back:
 // the joiner applies and journals each chunk as it reads it, and whatever a
 // kill -9 cuts off, the restarted join's digest shows missing again.
@@ -558,7 +555,7 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 	defer wire.PutWriter(enc)
 	for at := from; at < to; at = us[len(us)-1].Seq {
 		us = s.logRun(origin, at, us)
-		us = us[:cutBatch(us, int(min(batchMax, to-at)), n.cfg.MaxFrame-64)]
+		us = us[:cutBatch(us, int(min(BatchMax, to-at)), n.cfg.MaxFrame-64)]
 		if len(us) == 0 {
 			return false
 		}

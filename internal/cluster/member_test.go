@@ -563,8 +563,6 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
-			RetransmitMin:  25 * time.Millisecond,
-			RetransmitMax:  250 * time.Millisecond,
 			GossipInterval: 50 * time.Millisecond,
 		}
 		sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
@@ -746,7 +744,7 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 // donor as different frames; both now read the record's stamp. The pair
 // write in turns, so every receive stamp is well ahead of the send's.
 func TestRangeServedSameAfterRestart(t *testing.T) {
-	const k = 100 // more than one chunk (batchMax) of each origin
+	const k = 100 // more than one chunk (BatchMax) of each origin
 	mem := &memStorage{}
 	r0 := bootNode(t, 0, 3, nil)
 	r1 := bootNode(t, 1, 3, stored(mem, 1))
@@ -805,5 +803,33 @@ func TestLeaveRacesClose(t *testing.T) {
 		}()
 		nd.Close()
 		wg.Wait()
+	}
+}
+
+// TestGossipReplyObeysLinkCut: a gossip exchange is a round trip whose reply
+// travels the reverse link. With r1→r0 cut, r0's push reaches r1 but r1's
+// reply must not reach r0: the exchange fails and r0 learns nothing of r1's
+// view. The accepting side used to answer unshaped, so the cut leaked.
+func TestGossipReplyObeysLinkCut(t *testing.T) {
+	em := fault.NewNetem(3)
+	shaped := func(cfg *Config) { cfg.Faults = em }
+	r0, r1 := bootNode(t, 0, 3, shaped), bootNode(t, 1, 3, shaped)
+	r1.view.Merge(membership.Member{ID: 2, Addr: "127.0.0.1:1"}) // only r1 knows r2
+	em.Apply(fault.Directive{Kind: fault.KindLinkCut, From: 1, To: 0}, time.Millisecond)
+	if r0.exchangeGossip(1, r1.Addr()) {
+		t.Fatal("a gossip round trip completed with its reply's link cut")
+	}
+	if _, ok := r0.view.Get(2); ok {
+		t.Fatalf("r0 learned r1's view over a cut link: %+v", r0.Membership())
+	}
+	if _, ok := r1.view.Get(0); !ok {
+		t.Fatalf("r0's push never reached r1 over the open link: %+v", r1.Membership())
+	}
+	em.Apply(fault.Directive{Kind: fault.KindLinkRestore, From: 1, To: 0}, time.Millisecond)
+	if !r0.exchangeGossip(1, r1.Addr()) {
+		t.Fatal("the gossip round trip failed after the cut was restored")
+	}
+	if _, ok := r0.view.Get(2); !ok {
+		t.Fatalf("r0 did not learn r1's view once the link was restored: %+v", r0.Membership())
 	}
 }

@@ -21,7 +21,7 @@ import (
 // end of the log is what the peer is owed; the link keeps no copy of it.
 type linkCursor struct {
 	lastAcked uint64 // peer's cumulative ack
-	maxSent   uint64 // highest seq ever written (retransmit accounting)
+	maxSent   uint64 // highest seq ever written, on any connection (retransmit accounting)
 }
 
 // cutBatch is the chunking rule, stated once: how many updates from the
@@ -46,11 +46,13 @@ func cutBatch(run []protoUpdate, limit, sizeCap int) int {
 // it dials to a single peer and, per shard, how far into the shard's own
 // log that peer has acknowledged. It provides the reliable half of eventual
 // delivery (Definition 3): the log keeps every update, so whatever lies
-// beyond the peer's cumulative ack is sent, retransmitted with exponential
-// backoff while unacked, and survives connection loss through a reconnect
-// loop — the dial-side never gives up, so any network that heals eventually
-// delivers. All shards multiplex over the one connection; every frame names
-// its shard.
+// beyond the peer's cumulative ack is sent once per connection, and survives
+// connection loss through a reconnect loop that resends from the peer's
+// hello-ack watermark — the dial-side never gives up, so any network that
+// heals eventually delivers. A connection is TCP: it delivers every frame in
+// order or dies, so nothing is ever resent on the connection that carried
+// it. All shards multiplex over the one connection; every frame names its
+// shard.
 type peerSender struct {
 	node *Node
 	peer model.ReplicaID
@@ -74,17 +76,16 @@ type peerSender struct {
 	failed atomic.Bool
 
 	kick chan struct{} // cap 1: the log grew
-	ackd chan struct{} // cap 1: ack progress observed
 	done chan struct{}
 	// closeOnce guards done: a sender can be closed from both node
 	// shutdown and a chaos supervisor tearing a link down; closing an
 	// already-closed channel would panic.
 	closeOnce sync.Once
 
-	// rng drives redial/retransmit jitter. It is per-peer and seeded from
-	// (Config.Seed, node, peer) so -seed reproduces retransmission timing
-	// and peers do not contend on the global math/rand lock. Only the run
-	// goroutine touches it.
+	// rng drives redial jitter. It is per-peer and seeded from
+	// (Config.Seed, node, peer) so -seed reproduces redial timing and peers
+	// do not contend on the global math/rand lock. Only the run goroutine
+	// touches it.
 	rng *rand.Rand
 
 	dials atomic.Int64 // beyond the first, each is a reconnect
@@ -97,7 +98,6 @@ func newPeerSender(n *Node, peer model.ReplicaID, addr string) *peerSender {
 		addr:    addr,
 		cursors: make([]linkCursor, n.cfg.Shards),
 		kick:    make(chan struct{}, 1),
-		ackd:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(gen.SplitSeed(gen.SplitSeed(n.cfg.Seed, int(n.cfg.ID)), int(peer)))),
 	}
@@ -135,7 +135,7 @@ func (p *peerSender) ack(shard int, cum uint64) {
 // nextBatch returns the next frame's worth of one shard's own updates after
 // seq sent — or after the peer's cumulative ack, when that is further — cut
 // by cutBatch, plus how many of them are retransmissions (already written on
-// some connection). The batch is the sender's scratch (its payloads alias the
+// an earlier connection, which died before the peer acked them). The batch is the sender's scratch (its payloads alias the
 // shard's records) and is good until the next call; it may also end early at
 // a segment boundary of the log, and the next call picks up from there.
 func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64) {
@@ -249,18 +249,9 @@ func (p *peerSender) run() {
 // dialAndServe makes one connection attempt and serves it to its end,
 // reporting whether the peer's hello ack arrived on it.
 func (p *peerSender) dialAndServe() bool {
-	cfg := p.node.cfg
-	// A cut link fails fast without touching the network: dialing would
-	// only succeed at TCP and then die on the first shaped write.
-	if cfg.Faults != nil && cfg.Faults.Cut(int(cfg.ID), int(p.peer)) {
-		return false
-	}
-	conn, err := net.DialTimeout("tcp", p.addr, cfg.DialTimeout)
+	conn, err := p.node.dial(p.peer, p.addr)
 	if err != nil {
 		return false
-	}
-	if cfg.Faults != nil {
-		conn = cfg.Faults.WrapConn(conn, int(cfg.ID), int(p.peer))
 	}
 	if p.dials.Add(1) > 1 {
 		p.node.reconnects.Add(1)
@@ -269,13 +260,21 @@ func (p *peerSender) dialAndServe() bool {
 }
 
 // serve drives one live connection: announce ourselves, wait for the peer's
-// hello ack, stream unacked updates in seq order (per shard), and
-// retransmit from the peer's cumulative acks when the retransmission timer
-// fires without progress. A fresh connection always starts each shard at
-// its lastAcked, so nothing sent only on a dead connection is lost. Nothing
-// is sent until the ack confirms the peer speaks our protocol version and
-// shard count; a mismatch latches the link failed. It reports whether the
-// hello ack arrived.
+// hello ack, then stream each update beyond the peer's cumulative ack once,
+// in seq order per shard. A fresh connection starts each shard at its
+// lastAcked, so nothing sent only on a dead connection is lost; the live one
+// never resends, because TCP delivers what it accepted in order or the
+// connection dies. Nothing is sent until the ack confirms the peer speaks
+// our protocol version and shard count; a mismatch latches the link failed.
+// It reports whether the hello ack arrived.
+//
+// There is no ack deadline. A half-open connection — the peer gone without
+// a FIN — is found by TCP: keepalive (on by default for Go's dials and
+// accepts) probes an idle one, the kernel's retransmission timeout fails
+// one with unacked bytes in flight (minutes, at the kernel's defaults), and
+// WriteTimeout bounds a write the peer stopped reading. Each of those ends
+// the connection, and the reconnect resends what the peer never acked. A
+// slow peer that acks late is not half-open, and is not written to twice.
 func (p *peerSender) serve(conn net.Conn) bool {
 	cfg := p.node.cfg
 	p.setConn(conn)
@@ -340,10 +339,6 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				return
 			}
 			p.ack(int(shard), cum)
-			select {
-			case p.ackd <- struct{}{}:
-			default:
-			}
 		}
 	}()
 
@@ -360,14 +355,10 @@ func (p *peerSender) serve(conn net.Conn) bool {
 	// sent[shard] is the last seq written on this connection. nextBatch never
 	// starts below the shard's lastAcked, so zero means "from there".
 	sent := make([]uint64, len(p.cursors))
-
-	rt := cfg.RetransmitMin
-	timer := time.NewTimer(rt)
-	defer timer.Stop()
 	for {
 		for si := range sent {
 			for {
-				us, re := p.nextBatch(si, sent[si], batchMax, cfg.MaxFrame-64)
+				us, re := p.nextBatch(si, sent[si], BatchMax, cfg.MaxFrame-64)
 				if len(us) == 0 {
 					break
 				}
@@ -404,13 +395,6 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				sent[si] = us[len(us)-1].Seq
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(rt)
 		select {
 		case <-p.done:
 			conn.Close()
@@ -419,26 +403,6 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		case <-connDead:
 			return true
 		case <-p.kick:
-			// Fresh traffic: reset the retransmission backoff. An idle
-			// link that backed off to RetransmitMax must not make a brand
-			// new update wait RetransmitMax for its first loss check.
-			rt = cfg.RetransmitMin
-		case <-p.ackd:
-			// Progress: ack() moved a cursor; reset backoff.
-			rt = cfg.RetransmitMin
-		case <-timer.C:
-			p.mu.Lock()
-			outstanding := false
-			for si := range sent {
-				if acked := p.cursors[si].lastAcked; sent[si] > acked {
-					sent[si] = acked // rewind: rewrite everything unacked
-					outstanding = true
-				}
-			}
-			p.mu.Unlock()
-			if outstanding {
-				rt = min(2*rt, cfg.RetransmitMax)
-			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"runtime"
@@ -67,27 +68,31 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 	}
 }
 
-// TestKickResetsRetransmitBackoff is the regression for stale backoff: an
-// idle link that backed off to RetransmitMax made a brand new update wait
-// RetransmitMax for its first loss check, because <-p.kick left rt alone.
-// Against a server that accepts frames but never acks, the gap between a
-// fresh write and its first retransmission must track RetransmitMin, not
-// the backed-off ceiling.
-func TestKickResetsRetransmitBackoff(t *testing.T) {
+// slowReceives is a NodeStorage whose journal takes d to persist each
+// receive event: a healthy receiver that acks late.
+type slowReceives time.Duration
+
+func (d slowReceives) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	journal := func(ev Event) error {
+		if ev.Kind == model.ActReceive {
+			time.Sleep(time.Duration(d))
+		}
+		return nil
+	}
+	return journal, nil, nil, nil, nil
+}
+
+// silentPeer is the acceptor half of a replication link that answers the
+// hello and then reads every batch without ever acking one, reporting each
+// update's seq as it arrives.
+func silentPeer(t *testing.T) (net.Listener, <-chan uint64) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	// Black-hole server: answers the hello, then reads every frame
-	// (timestamping update arrivals) and never acks one, so the sender's
-	// retransmission backoff climbs.
-	type arrival struct {
-		seq  uint64
-		when time.Time
-	}
-	arrivals := make(chan arrival, 256)
+	t.Cleanup(func() { ln.Close() })
+	arrivals := make(chan uint64, 256)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -116,73 +121,89 @@ func TestKickResetsRetransmitBackoff(t *testing.T) {
 							return
 						}
 						for _, u := range us {
-							arrivals <- arrival{seq: u.Seq, when: time.Now()}
+							arrivals <- u.Seq
 						}
 					}
 				}
 			}(conn)
 		}
 	}()
+	return ln, arrivals
+}
 
-	st, err := store.Open("lww", spec.MVRTypes(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig(0, 2, st)
-	cfg.RetransmitMin = 25 * time.Millisecond
-	cfg.RetransmitMax = 800 * time.Millisecond
-	nd, err := NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-	if err := nd.Connect(map[model.ReplicaID]string{1: ln.Addr().String()}); err != nil {
-		t.Fatal(err)
-	}
-
-	waitSeq := func(seq uint64) arrival {
-		t.Helper()
-		for {
-			select {
-			case a := <-arrivals:
-				if a.seq == seq {
-					return a
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("update seq %d never arrived", seq)
+// TestLiveLinkNeverResends: a connection delivers every frame in order or
+// dies, so a sender writes each update once per connection, however late the
+// ack. Every node runs the production default timings. The sender used to
+// keep a retransmission timer on the live connection: a receiver whose
+// journal took 600 ms per receive got 9 retransmitted and 9 duplicate frames
+// for 3 writes, and a peer that never acked was sent its first update again
+// every few hundred milliseconds.
+func TestLiveLinkNeverResends(t *testing.T) {
+	t.Run("slow receiver", func(t *testing.T) {
+		nodes, err := BootMesh(2, func(i int) Config {
+			cfg := Config{ID: model.ReplicaID(i), N: 2, Store: openCausal(t), Listen: "127.0.0.1:0"}
+			if i == 1 {
+				cfg.Storage = slowReceives(600 * time.Millisecond)
+			}
+			return cfg
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			for _, nd := range nodes {
+				nd.Close()
+			}
+		})
+		for i := 0; i < 3; i++ {
+			if _, err := nodes[0].Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i)))); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-
-	// First write, then let the unacked retransmission backoff climb to max.
-	if _, err := nd.Do("x", model.Write("first")); err != nil {
-		t.Fatal(err)
-	}
-	waitSeq(1)
-	time.Sleep(4 * cfg.RetransmitMax) // several doublings: rt is at the ceiling now
-
-	// Drain queued retransmissions of seq 1, then write fresh traffic.
-	for {
-		select {
-		case <-arrivals:
-			continue
-		default:
+		if !WaitQuiesced(nodes, 30*time.Second) {
+			t.Fatal("the cluster never quiesced")
 		}
-		break
-	}
-	if _, err := nd.Do("x", model.Write("second")); err != nil {
-		t.Fatal(err)
-	}
-	first := waitSeq(2)
+		if r0, r1 := nodes[0].Stats(), nodes[1].Stats(); r0.Retransmits != 0 || r1.DupFrames != 0 || r1.Receives != 3 {
+			t.Fatalf("3 writes to a slow receiver: r0 retransmitted %d, r1 saw %d duplicate frames and %d receives",
+				r0.Retransmits, r1.DupFrames, r1.Receives)
+		}
+	})
 
-	// The new update's first retransmission must come on a freshly reset
-	// timer. Pre-fix it waited the backed-off rt (≥ RetransmitMax); the
-	// bound is generous (half the ceiling) to absorb scheduler noise.
-	retrans := waitSeq(2)
-	if gap := retrans.when.Sub(first.when); gap >= cfg.RetransmitMax/2 {
-		t.Fatalf("first retransmission after fresh traffic took %v — backoff was not reset (min %v, max %v)",
-			gap, cfg.RetransmitMin, cfg.RetransmitMax)
-	}
+	t.Run("peer that never acks", func(t *testing.T) {
+		ln, arrivals := silentPeer(t)
+		nd, err := NewNode(Config{ID: 0, N: 2, Store: openCausal(t), Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		if err := nd.Connect(map[model.ReplicaID]string{1: ln.Addr().String()}); err != nil {
+			t.Fatal(err)
+		}
+		// Each write is followed by a pause longer than the old timer's
+		// 200 ms floor, so a resend on the live connection would arrive
+		// inside the window.
+		seen := make(map[uint64]int)
+		for i := 0; i < 3; i++ {
+			if _, err := nd.Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i)))); err != nil {
+				t.Fatal(err)
+			}
+			window := time.After(500 * time.Millisecond)
+			for open := true; open; {
+				select {
+				case seq := <-arrivals:
+					seen[seq]++
+				case <-window:
+					open = false
+				}
+			}
+		}
+		if want := map[uint64]int{1: 1, 2: 1, 3: 1}; !maps.Equal(seen, want) {
+			t.Fatalf("arrivals by seq %v, want %v", seen, want)
+		}
+		if st := nd.Stats(); st.Retransmits != 0 || st.Reconnects != 0 {
+			t.Fatalf("a live connection was resent on or redialled: %+v", st)
+		}
+	})
 }
 
 // TestClientOpTimeout is the regression for unbounded client I/O: against a
@@ -370,8 +391,8 @@ func (q *refQueue) nextBatch(sent uint64, max, sizeCap int) (us []protoUpdate, r
 // TestLinkCursorMatchesScanningReference drives a link's cursor over the
 // shard's log and the queueing reference through the same seeded schedule
 // of what a link does — the shard broadcasts, the sender drains in batches,
-// cumulative acks arrive (stale, current, and beyond anything sent), the
-// retransmission timer or a fresh connection rewinds, the link is dropped
+// cumulative acks arrive (stale, current, and beyond anything sent), a
+// fresh connection rewinds to the peer's ack, the link is dropped
 // and re-created (cursor zero, then the peer's hello-ack watermark) — over
 // more than two log segments, and compares every
 // batch, every retransmit count, both watermarks, and drained() against
@@ -431,7 +452,7 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 				}
 				p.ack(0, cum)
 				ref.ack(cum)
-			case r < 98: // retransmission timer, or a fresh connection: rewind
+			case r < 98: // a fresh connection: resend from the peer's ack
 				sent = ref.lastAcked
 			default: // the link is dropped and re-created: it owes the whole log, less what the hello ack says the peer holds
 				held := ref.lastAcked
@@ -505,7 +526,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 			defer readers.Done()
 			p := newPeerSender(s.n, peerOrigin, "unused")
 			for sent := uint64(0); sent < n; {
-				us, _ := p.nextBatch(0, sent, batchMax, 1<<20)
+				us, _ := p.nextBatch(0, sent, BatchMax, 1<<20)
 				if !verify(who, self, sent, us) {
 					return
 				}

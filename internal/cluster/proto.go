@@ -49,9 +49,10 @@ const (
 // where 8 had four big-endian bytes.
 const protoVersion = 11
 
-// batchMax caps how many unacked updates coalesce into one tBatch frame or
-// one anti-entropy chunk.
-const batchMax = 64
+// BatchMax caps how many unacked updates coalesce into one tBatch frame or
+// one anti-entropy chunk. The deterministic wire and sync tables
+// (cmd/loadgen -wirebench, -syncbench) are cut at it too.
+const BatchMax = 64
 
 // historyMaxFrame is the frame limit for history transfers, which carry a
 // whole recorded execution and dwarf every other frame.

@@ -313,7 +313,10 @@ func (s *shard) mintSend() bool {
 // value) plus whether the ack may be written: false means the journal
 // failed, so the receive event backing this ack may not be durable.
 // Exactly-once, in-order application falls out of the cumulative counter:
-// duplicates re-ack, gaps wait for retransmission to fill them.
+// duplicates (a dup fault, or a resend racing the ack of an earlier
+// connection) re-ack. A link delivers in order and resends from this node's
+// hello-ack watermark, so a gap means this node lost updates it had
+// acknowledged; the frame is counted and dropped, and that link stays stuck.
 func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 	log := &s.updates[u.Origin]
 	next := uint64(log.Len()) + 1
@@ -386,8 +389,8 @@ func (s *shard) logLen(origin model.ReplicaID) uint64 {
 
 // logRun reads origin's updates after seq back out of their records, from
 // any goroutine, into run[:0] — the caller's scratch, reused call after call
-// — and returns it: at most batchMax of them, and only as many as are
-// contiguous in the index, so a run ends with the log, at batchMax or at a
+// — and returns it: at most BatchMax of them, and only as many as are
+// contiguous in the index, so a run ends with the log, at BatchMax or at a
 // segment boundary. The payloads alias the records, which are safe to read
 // without the lock: a later append never touches them.
 func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) []protoUpdate {
@@ -398,7 +401,7 @@ func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) []
 	if seq >= uint64(log.Len()) {
 		return run
 	}
-	for _, at := range log.Chunk(int(seq), min(log.Len(), int(seq)+batchMax)) {
+	for _, at := range log.Chunk(int(seq), min(log.Len(), int(seq)+BatchMax)) {
 		run = append(run, s.events.update(at))
 	}
 	return run

@@ -61,7 +61,7 @@ func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chun
 // SyncCost computes the catch-up cost table entry for a joiner holding the
 // first prefix updates of a donor log made of the given payloads (origin
 // 0, consecutive sequence numbers — the BenchUpdates shape). chunkMax and
-// maxFrame correspond to batchMax and Config.MaxFrame.
+// maxFrame correspond to BatchMax and Config.MaxFrame.
 func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame int) SyncCostRow {
 	if chunkMax < 1 {
 		chunkMax = 1

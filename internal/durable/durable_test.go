@@ -821,8 +821,6 @@ func TestDiskBackedSupervisorAuditsClean(t *testing.T) {
 		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
-		RetransmitMin:  25 * time.Millisecond,
-		RetransmitMax:  250 * time.Millisecond,
 	}
 	sup, err := cluster.NewSupervisor(base, n, em, 5*time.Millisecond)
 	if err != nil {

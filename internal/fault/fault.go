@@ -14,7 +14,9 @@
 //   - internal/sim applies directives to its logical delivery queue (one
 //     directive step per workload step);
 //   - internal/cluster applies them to real TCP links through the Netem
-//     frame interceptor, plus node stop/rejoin with history reload.
+//     frame interceptor, plus node stop/rejoin with history reload. A TCP
+//     connection delivers in order or dies, so Netem skips reorder windows:
+//     reordering is the simulator's fault alone.
 //
 // Both interpretations model fail-stop crashes with a durable local log:
 // the replica's recorded history survives the crash, the in-flight network
@@ -48,7 +50,8 @@ const (
 	KindLinkDelay Kind = "link-delay"
 	// KindLinkDup duplicates every frame on From→To.
 	KindLinkDup Kind = "link-dup"
-	// KindLinkReorder swaps adjacent frames on From→To.
+	// KindLinkReorder swaps adjacent messages on From→To. Only the
+	// simulator reorders; Netem ignores it, since no TCP connection can.
 	KindLinkReorder Kind = "link-reorder"
 	// KindLinkRate caps the bandwidth of From→To at RateKBps.
 	KindLinkRate Kind = "link-rate"

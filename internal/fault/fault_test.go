@@ -159,6 +159,10 @@ func pipeFrames(t *testing.T, conn net.Conn) <-chan []byte {
 	return out
 }
 
+// TestShapedConnDupAndReorder: the emulator shapes a connection only as TCP
+// can be shaped. Dup repeats a frame in place, and an open reorder window
+// changes nothing — frames arrive in the order they were written, which is
+// the premise of a link's cumulative acks.
 func TestShapedConnDupAndReorder(t *testing.T) {
 	em := NewNetem(2)
 	a, b := net.Pipe()
@@ -193,10 +197,10 @@ func TestShapedConnDupAndReorder(t *testing.T) {
 	em.Apply(Directive{Kind: KindLinkClear, From: 0, To: 1}, time.Millisecond)
 
 	em.Apply(Directive{Kind: KindLinkReorder, From: 0, To: 1}, time.Millisecond)
-	write("u2") // held
-	write("u3") // overtakes, then u2 flushes
-	expect("u3")
+	write("u2")
+	write("u3")
 	expect("u2")
+	expect("u3")
 	em.Apply(Directive{Kind: KindLinkClear, From: 0, To: 1}, time.Millisecond)
 
 	write("u4")

@@ -14,23 +14,26 @@ import (
 // ErrLinkCut is the write error surfaced on a cut link. The cluster's
 // senders treat it like any dead connection: they tear the link down and
 // redial with backoff, so a healed cut recovers through the ordinary
-// reconnect/retransmit path.
+// reconnect path, which resends whatever the peer had not acked.
 var ErrLinkCut = errors.New("fault: link cut")
 
 type linkState struct {
-	cut     bool
-	delay   time.Duration
-	jitter  time.Duration // uniform extra delay in [0, jitter] per frame
-	rate    int           // bandwidth cap in bytes/sec (0 = unlimited)
-	dup     bool
-	reorder bool
+	cut    bool
+	delay  time.Duration
+	jitter time.Duration // uniform extra delay in [0, jitter] per frame
+	rate   int           // bandwidth cap in bytes/sec (0 = unlimited)
+	dup    bool
 }
 
 // Netem is the shared in-process network emulator of one cluster run: a
 // matrix of directed link states that conn interceptors consult on every
-// frame. Directives mutate it; the data path only reads it. Crash and
-// restart directives are not Netem's business — process lifecycle belongs
-// to the supervisor applying the schedule.
+// frame. Directives mutate it; the data path only reads it. It models only
+// what can happen to a TCP connection: a cut kills it, delay, jitter and a
+// rate cap slow it, and dup repeats frames (the receiver's duplicate rule,
+// which reconnect races reach too). A connection never reorders or loses a
+// frame and lives on, so KindLinkReorder is the simulator's alone. Crash
+// and restart directives are not Netem's business either — process
+// lifecycle belongs to the supervisor applying the schedule.
 type Netem struct {
 	mu    sync.Mutex
 	n     int
@@ -48,7 +51,8 @@ func NewNetem(n int) *Netem {
 
 // Apply enforces one directive, mapping DelaySteps/JitterSteps to wall time
 // with tick and RateKBps to bytes per second. Crash/restart directives are
-// ignored (the supervisor owns them).
+// ignored (the supervisor owns them), and so is KindLinkReorder (no TCP
+// connection reorders).
 func (e *Netem) Apply(d Directive, tick time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -94,17 +98,12 @@ func (e *Netem) Apply(d Directive, tick time.Duration) {
 		if inRange(d.From) && inRange(d.To) {
 			e.links[d.From][d.To].dup = true
 		}
-	case KindLinkReorder:
-		if inRange(d.From) && inRange(d.To) {
-			e.links[d.From][d.To].reorder = true
-		}
 	case KindLinkClear:
 		if inRange(d.From) && inRange(d.To) {
 			e.links[d.From][d.To].delay = 0
 			e.links[d.From][d.To].jitter = 0
 			e.links[d.From][d.To].rate = 0
 			e.links[d.From][d.To].dup = false
-			e.links[d.From][d.To].reorder = false
 		}
 	}
 }
@@ -150,11 +149,11 @@ const jitterStream = -7003
 // traffic is wire.WriteFrame length-delimited, so the wrapper reassembles
 // frames from the byte stream (a uvarint length prefix) and applies
 // the link's current faults per frame: a cut fails the write synchronously
-// (the sender's reconnect/retransmit machinery recovers after the link is
-// restored), delay/jitter/rate stamp the frame with a delivery deadline and
-// a background writer ships it when the deadline arrives — the caller's
-// write path never sleeps — dup enqueues the frame twice, reorder holds a
-// frame back and enqueues it after its successor. The first frame of a
+// (the sender's reconnect recovers after the link is restored),
+// delay/jitter/rate stamp the frame with a delivery deadline and a
+// background writer ships it, in write order, when the deadline arrives —
+// the caller's write path never sleeps — and dup enqueues the frame twice.
+// The first frame of a
 // connection (the replication hello) always passes unshaped so a connection
 // can at least identify itself. Reads pass through untouched — the reverse
 // direction is shaped by the peer's own wrapper, which is how the two
@@ -179,7 +178,6 @@ type shapedConn struct {
 
 	mu      sync.Mutex
 	buf     []byte       // bytes of an incomplete frame
-	held    []byte       // frame held back by an open reorder window
 	wrote   bool         // the connection's first frame has shipped
 	q       []timedFrame // deadline-stamped frames awaiting delivery
 	lastDue time.Time    // FIFO floor: a frame never overtakes its predecessor
@@ -194,7 +192,7 @@ type shapedConn struct {
 // cut link fails synchronously; everything else reports b fully written
 // immediately — a later delivery failure is indistinguishable from a
 // connection loss, which the cluster's reliability layer already absorbs
-// (unacked updates are retransmitted on a fresh connection).
+// (unacked updates are resent on a fresh connection).
 func (c *shapedConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -228,31 +226,18 @@ func (c *shapedConn) splitFrame() ([]byte, bool) {
 }
 
 // enqueueFrame applies the link's current fault state to one frame: cut
-// fails, reorder holds, dup doubles, delay/jitter/rate pick the deadline.
-// Called with c.mu held.
+// fails, dup doubles, delay/jitter/rate pick the deadline. Called with c.mu
+// held.
 func (c *shapedConn) enqueueFrame(frame []byte) error {
 	st := c.em.state(c.from, c.to)
 	first := !c.wrote
 	c.wrote = true
 	if st.cut {
-		c.held = nil
 		return ErrLinkCut
-	}
-	if !first && st.reorder && c.held == nil {
-		// Hold this frame; the next one overtakes it. If the connection
-		// dies first, the hold is dropped with it and retransmission
-		// re-sends the frame on the next connection.
-		c.held = frame
-		return nil
 	}
 	c.push(frame, st, first)
 	if st.dup && !first {
 		c.push(frame, st, first)
-	}
-	if c.held != nil {
-		held := c.held
-		c.held = nil
-		c.push(held, st, first)
 	}
 	return nil
 }

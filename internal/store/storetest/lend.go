@@ -142,8 +142,6 @@ func runLentMessages(t *testing.T, cfg Config) {
 					DialTimeout:    time.Second,
 					DialBackoffMin: 5 * time.Millisecond,
 					DialBackoffMax: 100 * time.Millisecond,
-					RetransmitMin:  25 * time.Millisecond,
-					RetransmitMax:  250 * time.Millisecond,
 				}
 			})
 			if err != nil {

@@ -31,8 +31,6 @@ func runShardedCluster(t *testing.T, cfg Config) {
 				DialTimeout:    time.Second,
 				DialBackoffMin: 5 * time.Millisecond,
 				DialBackoffMax: 100 * time.Millisecond,
-				RetransmitMin:  25 * time.Millisecond,
-				RetransmitMax:  250 * time.Millisecond,
 			}
 		})
 		if err != nil {
