@@ -37,7 +37,9 @@ allocs:
 # This vets it and runs its own tests, which drive every workload -quick,
 # traced and untraced, with full verification. The per-layer Go benchmarks
 # next to the code are run by nothing else either, so each gets one
-# iteration here: enough to keep them compiling and passing their own checks.
+# iteration here: enough to keep them compiling and passing their own checks
+# (BenchmarkReplicatedWrite among them, whose frames/write and wire-B/write
+# read 2 and ≈70 B on a three-node loopback cluster).
 bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
@@ -110,12 +112,15 @@ durability:
 
 # The fault-injection sweep: every registered store through seeded
 # partition/crash/link-fault schedules in the simulator, then the TCP
-# cluster and loadgen chaos mode under the race detector, with the rule that
-# a live link never resends (a connection delivers in order or dies).
+# cluster and loadgen chaos mode under the race detector, with the rules that
+# a live link never resends (a connection delivers in order or dies) and that
+# a replicated write costs each peer one frame: no batch is acked, and a
+# receiver answers only the quiescence check's questions, after applying and
+# journaling what it counts.
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
-	$(GO) test -race ./internal/cluster ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends' -count=1
+	$(GO) test -race ./internal/cluster ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|DrainedAnswersAfterApply|FailedJournalNeverAnswers' -count=1
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence

@@ -233,15 +233,18 @@ func run(w io.Writer, cfg config) error {
 		})
 	elapsed := time.Since(start)
 
-	// What the cluster serves decides what settling and auditing it owe. A
-	// store this build does not know settles and audits as one that declares
-	// nothing.
+	// What the cluster serves decides what settling and auditing it owe: the
+	// store is opened by its registered name — a report name like
+	// kbuffer(k=3) spells its options after it — and the options the nodes
+	// report. A store this build does not know settles and audits as one
+	// that declares nothing.
 	first, err := control[0].Stats()
 	if err != nil {
 		return err
 	}
 	storeName := first.Store
-	st, _ := cli.OpenStore(storeName, spec.MVRTypes(), store.Options{})
+	registered, _, _ := strings.Cut(storeName, "(")
+	st, _ := cli.OpenStore(registered, spec.MVRTypes(), first.Options)
 
 	// A million-key run cannot afford a read of every key from every node;
 	// verify a seeded sample instead (quiescence already implies every

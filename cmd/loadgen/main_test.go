@@ -13,15 +13,21 @@ import (
 	"repro/internal/store"
 
 	_ "repro/internal/store/causal"
+	_ "repro/internal/store/kbuffer"
 )
 
 // bootCluster starts an in-process 3-node causal cluster for loadgen to
 // target over loopback TCP — the same code path as external served
 // processes, minus process management.
 func bootCluster(t *testing.T) []string {
+	return bootClusterOf(t, "causal", store.Options{})
+}
+
+// bootClusterOf is bootCluster for the named store built with opts.
+func bootClusterOf(t *testing.T, name string, opts store.Options) []string {
 	t.Helper()
 	nodes, err := cluster.BootMesh(3, func(int) cluster.Config {
-		st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
+		st, err := store.Open(name, spec.MVRTypes(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,6 +151,32 @@ func TestRunTextReport(t *testing.T) {
 	}
 	out := buf.String()
 	if !strings.Contains(out, "loadgen: causal, 3 nodes") || !strings.Contains(out, "retransmits") {
+		t.Fatalf("unexpected report:\n%s", out)
+	}
+}
+
+// TestRunAgainstServedK: loadgen settles and audits the store the cluster
+// runs, options included — here a K-buffer built with K 3, whose reads age
+// received updates and whose §4 violations are declared. It used to open
+// the store by its report name, kbuffer(k=3), which names no registered
+// store, and so settled and audited it as a store that declares nothing.
+func TestRunAgainstServedK(t *testing.T) {
+	addrs := bootClusterOf(t, "kbuffer", store.Options{K: 3})
+	var buf bytes.Buffer
+	cfg := config{
+		nodes:          addrs,
+		clients:        3,
+		ops:            30,
+		mutate:         0.5,
+		objects:        3,
+		seed:           5,
+		audit:          true,
+		quiesceTimeout: 30 * time.Second,
+	}
+	if err := run(&buf, cfg); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
+	}
+	if out := buf.String(); !strings.Contains(out, "loadgen: kbuffer(k=3), 3 nodes") {
 		t.Fatalf("unexpected report:\n%s", out)
 	}
 }

@@ -20,7 +20,10 @@ import (
 // PollQuiesced polls quiesced — one sweep over a cluster, true when every
 // replica reported quiescence — until two sweeps in a row are clean: one can
 // race an update in flight between a sender and the receiving event loop,
-// two cannot, since acks flow only after application. It returns quiesced's
+// two cannot, since a receiver's delivered counts are read only after
+// application and only ever raise a sender's cursor. The first sweep after
+// traffic reads false: it is the one that asks every sender's peers what
+// they delivered (Node.Quiesced). It returns quiesced's
 // error at once, and an error when timeout passes first.
 func PollQuiesced(quiesced func() (bool, error), timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)

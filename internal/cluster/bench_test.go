@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/livecheck"
 
 	"repro/internal/model"
 	"repro/internal/seglog"
@@ -103,10 +106,75 @@ func BenchmarkApplyUpdate(b *testing.B) {
 			s = looseShard(b, "causal")
 			b.StartTimer()
 		}
-		if _, ok := s.applyUpdate(us[i%len(us)]); !ok {
+		if !s.applyUpdate(us[i%len(us)]) {
 			b.Fatal(s.jerr)
 		}
 	}
+}
+
+// BenchmarkReplicatedWrite is one write at r0 of a three-node loopback
+// cluster, timed until both peers have applied it: the client call on r0's
+// loop, one batch frame to each peer, the apply on each peer's loop. It
+// reports the frames and wire bytes the whole cluster wrote per write: a
+// write costs each peer one frame, and a peer writes nothing back until the
+// quiescence check asks, which it does only off the clock.
+func BenchmarkReplicatedWrite(b *testing.B) {
+	// The peers' taps say when an update of r0's is applied: in the loop turn
+	// that recorded it. One slot per peer: a write is applied twice.
+	applied := make(chan struct{}, 2)
+	nodes, err := BootMesh(3, func(i int) Config {
+		cfg := Config{Store: looseShard(b, "causal").n.cfg.Store, Listen: "127.0.0.1:0"}
+		if i > 0 {
+			cfg.Tap = func(_ int, ev livecheck.Event) {
+				if ev.Kind == model.ActReceive && ev.Origin == 0 {
+					applied <- struct{}{}
+				}
+			}
+		}
+		return cfg
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	})
+	// One write at every node opens all six links before the clock starts.
+	for _, nd := range nodes {
+		if _, err := nd.Do(model.ObjectID(fmt.Sprintf("warm-%d", nd.ID())), model.Write(benchValue)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !WaitQuiesced(nodes, 30*time.Second) {
+		b.Fatal("the cluster never quiesced after the warm-up writes")
+	}
+	<-applied
+	<-applied
+	// The transport counters, read without Stats: a Stats call may ask a
+	// question, and its answer is a frame.
+	wrote := func() (frames, bytes int64) {
+		for _, nd := range nodes {
+			frames += nd.framesOut.Load()
+			bytes += nd.bytesOut.Load()
+		}
+		return frames, bytes
+	}
+	frames, bytes := wrote()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nodes[0].Do("x", model.Write(benchValue)); err != nil {
+			b.Fatal(err)
+		}
+		<-applied
+		<-applied
+	}
+	b.StopTimer()
+	framesAfter, bytesAfter := wrote()
+	b.ReportMetric(float64(framesAfter-frames)/float64(b.N), "frames/write")
+	b.ReportMetric(float64(bytesAfter-bytes)/float64(b.N), "wire-B/write")
 }
 
 // BenchmarkLoopHandoff is one crossing into a running shard loop and back
@@ -195,8 +263,8 @@ func BenchmarkNoteUpdate(b *testing.B) {
 }
 
 // BenchmarkNextBatch cuts one batch from the tail of the shard's log — a
-// sender that has written almost everything and is waiting for acks — at two
-// depths of unacked log. The batch is read back out of the records into the
+// sender that has written almost everything — at two depths of log beyond
+// the peer's delivered count. The batch is read back out of the records into the
 // sender's scratch: payloads alias the records, nothing is allocated, and
 // the cost is the batch's, whatever the depth.
 func BenchmarkNextBatch(b *testing.B) {

@@ -4,9 +4,11 @@
 // and exchanges the replica's broadcast messages with its peers through a
 // length-framed protocol (internal/wire) that provides reliable eventual
 // delivery: per-peer cursors over each shard's log of its own broadcasts,
-// cumulative acknowledgements, and reconnection on failure, which resends
-// what the peer has not acknowledged. A connection itself is trusted to be
-// TCP: it delivers every frame in order or dies.
+// moved by the delivered counts a peer reports in its hello ack — when the
+// link connects and when the quiescence check asks, never per batch — and
+// reconnection on failure, which resends what the new connection's hello
+// ack does not count. A connection itself is trusted to be TCP: it delivers
+// every frame in order or dies.
 // Unlike the lossy schedules internal/sim can produce (see sim.ErrLossyRun),
 // the transport makes Definition 3 hold on a network that drops and resets
 // connections, so quiescence still owes convergence (Lemma 3).
@@ -90,10 +92,10 @@ type Config struct {
 	// NodeStorage): the journal is invoked on the shard's event loop with
 	// each do/send/receive event as it is appended to the local history and
 	// must make it durable before returning — the call happens in the same
-	// loop turn that records the event, before the update's acknowledgement
-	// or the client's response leaves the node, so an event any peer holds
-	// an ack for is always in the journal. A journal error fail-stops the
-	// node: it suppresses the pending ack, refuses further operations, and
+	// loop turn that records the event, before a hello ack counting the
+	// update or the client's response leaves the node, so an event any peer
+	// holds an ack for is always in the journal. A journal error fail-stops
+	// the node: it answers no hello, refuses further operations, and
 	// closes, because a replica that cannot persist must not promise
 	// delivery. The restored history is replayed into the fresh replica
 	// before anything is served: the Lamport clock and sequence counters
@@ -207,20 +209,23 @@ func (c Config) withDefaults() Config {
 // not restore a prior history, and Quiesced agrees with the counters it
 // is reported next to.
 type Stats struct {
-	Node        model.ReplicaID `json:"node"`
-	Store       string          `json:"store"`
-	Ops         int64           `json:"ops"`
-	Sends       int64           `json:"sends"`
-	Receives    int64           `json:"receives"`
-	Events      int64           `json:"events"`
-	BytesOut    int64           `json:"bytes_out"`
-	FramesOut   int64           `json:"frames_out,omitempty"`
-	Retransmits int64           `json:"retransmits"`
-	Reconnects  int64           `json:"reconnects"`
-	DupFrames   int64           `json:"dup_frames"`
-	GapFrames   int64           `json:"gap_frames"`
-	Violations  int             `json:"violations"`
-	Quiesced    bool            `json:"quiesced"`
+	Node  model.ReplicaID `json:"node"`
+	Store string          `json:"store"`
+	// Options is what the store was built with (store.OptionsOf), so a
+	// driver opens the store this node runs, knobs included.
+	Options     store.Options `json:"options"`
+	Ops         int64         `json:"ops"`
+	Sends       int64         `json:"sends"`
+	Receives    int64         `json:"receives"`
+	Events      int64         `json:"events"`
+	BytesOut    int64         `json:"bytes_out"`
+	FramesOut   int64         `json:"frames_out,omitempty"`
+	Retransmits int64         `json:"retransmits"`
+	Reconnects  int64         `json:"reconnects"`
+	DupFrames   int64         `json:"dup_frames"`
+	GapFrames   int64         `json:"gap_frames"`
+	Violations  int           `json:"violations"`
+	Quiesced    bool          `json:"quiesced"`
 	// Members is how many nodes this node's membership view currently
 	// considers alive (including itself).
 	Members int `json:"members,omitempty"`
@@ -248,7 +253,7 @@ type Stats struct {
 
 // Add accumulates o's counters into s — the sum over the nodes of a cluster,
 // or over the incarnations of one. What describes a single node (Node, Store,
-// Quiesced, Members, the per-shard breakdown) is left alone.
+// Options, Quiesced, Members, the per-shard breakdown) is left alone.
 func (s *Stats) Add(o Stats) {
 	s.Ops += o.Ops
 	s.Sends += o.Sends
@@ -550,10 +555,13 @@ func (c *doCall) do(obj model.ObjectID, op model.Operation) (model.Response, err
 }
 
 // Quiesced reports whether this node has nothing left to say: no pending
-// broadcast and every peer link fully acknowledged. Cluster-wide
-// quiescence (Definition 17) is all nodes reporting true — and because
-// acks are only written after the receiver applied the update, a stable
-// all-quiesced poll really does mean every sent message was delivered.
+// broadcast and every peer has said it delivered every update. A peer says
+// so only when asked, so the first call after traffic asks each link whose
+// count is behind and reads false; a later call reads the answers.
+// Cluster-wide quiescence (Definition 17) is all nodes reporting true — and
+// because an answer is read after the receiver applied and journaled what
+// it counts, and only ever raises a count, a stable all-quiesced poll
+// really does mean every sent message was delivered.
 func (n *Node) Quiesced() bool {
 	return n.Stats().Quiesced
 }
@@ -583,10 +591,12 @@ func (n *Node) viewLinked() bool {
 // whatever links come and go — and quiescence composition are read between
 // turns. Its Quiesced is the node's one quiescence verdict: no shard holds
 // a pending broadcast, every peer link is drained, and every member the view
-// considers alive is linked.
+// considers alive is linked. Like Quiesced, it asks every link that is not
+// drained what its peer delivered (peerSender.drained), at the cost of one
+// small frame each way.
 func (n *Node) Stats() Stats {
 	k := len(n.shards)
-	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Shards: k,
+	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Options: store.OptionsOf(n.cfg.Store), Shards: k,
 		ShardOps: make([]int64, k), ShardSends: make([]int64, k),
 		ShardReceives: make([]int64, k), ShardEvents: make([]int64, k)}
 	counts := func(i int, sh *shard) {
@@ -782,7 +792,8 @@ func (n *Node) dial(peer model.ReplicaID, addr string) (net.Conn, error) {
 // shape puts this node's end of a connection with peer under the fault
 // emulator, if there is one: what this node writes travels the directed
 // link this → peer. Dialed and accepted connections alike are shaped, so an
-// asymmetric cut of this → peer silences this node's acks and replies too.
+// asymmetric cut of this → peer silences this node's hello acks and replies
+// too.
 func (n *Node) shape(conn net.Conn, peer model.ReplicaID) net.Conn {
 	if n.cfg.Faults == nil {
 		return conn
@@ -841,79 +852,87 @@ func (n *Node) serveHello(conn net.Conn, h hello, fr *wire.FrameReader) {
 	if int(h.From) < 0 || int(h.From) >= n.cfg.N || h.From == n.cfg.ID {
 		return
 	}
-	// Acks written back to this peer travel the reverse link, so an
+	// Answers written back to this peer travel the reverse link, so an
 	// asymmetric cut of this→peer suppresses them even while updates flow in.
 	conn = n.shape(conn, h.From)
-	// The delivered watermarks move the dialer's cursors to what this node
-	// actually lacks.
-	delivered := make([]uint64, len(n.shards))
-	for i, sh := range n.shards {
-		delivered[i] = sh.logLen(h.From)
-	}
-	if !n.sendFrame(conn, func(w *wire.Writer) { appendHelloAck(w, delivered) }) {
+	if !n.answerHello(conn, h.From) {
 		return
 	}
 	if h.Version == protoVersion && h.Shards == uint64(len(n.shards)) {
-		n.serveReplication(conn, h.From, fr)
+		n.serveReplication(conn, h, fr)
 	}
 }
 
-// serveReplication applies the update stream of the peer whose hello named
-// it from, answering each tBatch with the cumulative ack of the shard it
-// names. The ack is written only after the owning shard's event loop
-// applied (or deduplicated) the updates — an acked update is a delivered
-// update — and a batch applies in one loop turn and earns one ack, which is
-// the ack-coalescing half of the batching win. A batch for a shard this
-// node does not have, or of any origin but the dialer's own, hangs up: a
-// confused peer cannot slip updates into another seq domain.
-func (n *Node) serveReplication(conn net.Conn, from model.ReplicaID, fr *wire.FrameReader) {
+// answerHello writes the tHelloAck that answers a hello from the peer from:
+// per shard, how many of from's updates this node holds, which moves the
+// dialer's cursors to what this node lacks. It answers the opening hello and
+// every later one, the quiescence check's question, alike. Each count is
+// read in a loop turn of its shard, so it covers every batch that shard
+// applied before the turn, and a shard whose journal failed answers nothing:
+// the count promises its updates are applied and journaled. False means
+// hang up.
+func (n *Node) answerHello(conn net.Conn, from model.ReplicaID) bool {
+	delivered := make([]uint64, len(n.shards))
+	for i, sh := range n.shards {
+		var jerr error
+		if sh.inLoop(func() { delivered[i], jerr = uint64(sh.updates[from].Len()), sh.jerr }) != nil || jerr != nil {
+			return false
+		}
+	}
+	return n.sendFrame(conn, func(w *wire.Writer) { appendHelloAck(w, delivered) })
+}
+
+// serveReplication applies the update stream of the peer whose opening
+// hello was h, and writes nothing back but the answers to its later hellos.
+// A tBatch applies in one loop turn of the shard it names. A later tHello is
+// the sender's question — what have you delivered? — and is answered by
+// answerHello: the connection is read in order and each batch is applied
+// before the next frame is read, so the answer covers every batch the
+// sender wrote before asking. A batch for a shard this node does not have,
+// or of any origin but the dialer's own, and a question that does not
+// repeat the opening hello, hang up: a confused peer cannot slip updates
+// into another seq domain. So does a journal failure, after which this node
+// promises nothing: the sender still owes what it sent to the next
+// incarnation.
+func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 	// Everything a frame needs is built once per connection and reused: the
 	// receive buffer, the decoded batch (whose payloads alias that buffer —
-	// applyUpdate copies each before anything keeps it), the ack's writer,
-	// and the slot the batch crosses into its shard's loop through.
+	// applyUpdate copies each before anything keeps it), and the slot the
+	// batch crosses into its shard's loop through.
 	var (
 		r    wire.Reader
 		us   []protoUpdate
 		call struct {
-			sh      *shard
-			us      []protoUpdate
-			cum     uint64
-			ackable bool
+			sh *shard
+			us []protoUpdate
+			ok bool
 		}
 	)
-	apply := func() { call.cum, _, call.ackable = call.sh.applyRun(call.us) }
+	apply := func() { _, call.ok = call.sh.applyRun(call.us) }
 	done := make(chan struct{}, 1)
-	enc := wire.GetWriter()
-	defer wire.PutWriter(enc)
 	for {
 		b, err := recvFrame(fr, n.cfg.MaxFrame)
 		if err != nil {
 			return
 		}
 		r.Reset(b)
-		if r.Uvarint() != tBatch {
-			return
-		}
-		var shard uint64
-		if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 || us[0].Origin != from {
-			return
-		}
-		if call.sh, call.us = n.shardOf(shard), us; call.sh == nil {
-			return
-		}
-		if call.sh.handoff(apply, done) != nil {
-			return
-		}
-		if !call.ackable {
-			// Journal failure: the node is fail-stopping and these updates'
-			// durability is unknown — drop the connection without acking so
-			// the sender still owes them to the next incarnation.
-			return
-		}
-		enc.Reset()
-		enc.BeginFrame()
-		appendAck(enc, call.sh.idx, call.cum)
-		if n.writeEnc(conn, enc, n.cfg.MaxFrame, nil) != nil {
+		switch r.Uvarint() {
+		case tBatch:
+			var shard uint64
+			if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 || us[0].Origin != h.From {
+				return
+			}
+			if call.sh, call.us = n.shardOf(shard), us; call.sh == nil {
+				return
+			}
+			if call.sh.handoff(apply, done) != nil || !call.ok {
+				return
+			}
+		case tHello:
+			if q, err := decodeHello(&r); err != nil || q != h || !n.answerHello(conn, h.From) {
+				return
+			}
+		default:
 			return
 		}
 	}

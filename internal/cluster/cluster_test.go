@@ -286,3 +286,30 @@ func TestMergeHistoriesRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsReportStoreOptions: a node reports the options its store was
+// built with, so a driver that sees only its stats (loadgen against served
+// -k) opens the store the node runs.
+func TestStatsReportStoreOptions(t *testing.T) {
+	st, err := store.Open("kbuffer", spec.MVRTypes(), store.Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := NewNode(fastConfig(0, 1, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	c, err := Dial(nd.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Store != "kbuffer(k=3)" || s.Options != (store.Options{K: 3}) {
+		t.Fatalf("stats report store %q with options %+v, want kbuffer(k=3) with K 3", s.Store, s.Options)
+	}
+}

@@ -167,6 +167,7 @@ func decodeHistory(r *wire.Reader) (History, error) {
 func appendStats(w *wire.Writer, s Stats) {
 	w.Uvarint(uint64(s.Node))
 	w.String(s.Store)
+	w.Varint(int64(s.Options.K))
 	w.Varint(s.Ops)
 	w.Varint(s.Sends)
 	w.Varint(s.Receives)
@@ -205,6 +206,7 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	var s Stats
 	s.Node = model.ReplicaID(r.Uvarint())
 	s.Store = r.String()
+	s.Options.K = int(r.Varint())
 	s.Ops = r.Varint()
 	s.Sends = r.Varint()
 	s.Receives = r.Varint()

@@ -25,7 +25,7 @@ const tCompressed = 24
 
 // compressFloor is the smallest frame payload worth compressing. Below it
 // the DEFLATE block overhead and the envelope header eat the savings, and
-// the latency-sensitive small frames (acks, hellos, single updates) skip
+// the latency-sensitive small frames (hellos, hello acks, single updates) skip
 // the compressor entirely.
 const compressFloor = 512
 
@@ -108,7 +108,7 @@ func recvFrame(fr *wire.FrameReader, maxFrame int) ([]byte, error) {
 // contiguously (BeginFrame), so a raw frame leaves in one conn.Write. A
 // non-nil z marks a bulk-transfer frame, which is offered to the compression
 // envelope through z — the compressor its connection's handler owns; the
-// small latency-sensitive frames (acks, hellos, single updates, client
+// small latency-sensitive frames (hellos, hello acks, single updates, client
 // replies) pass nil and never touch one. The error is
 // returned rather than collapsed to a bool because a *wire.FrameSizeError
 // from EndFrame is a terminal condition — the frame can never fit — which

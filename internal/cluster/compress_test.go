@@ -36,7 +36,7 @@ func TestMaybeCompressPayloadGates(t *testing.T) {
 // unchanged — every read path calls decompressFrame unconditionally.
 func TestDecompressFramePassthrough(t *testing.T) {
 	w := wire.NewWriter()
-	appendAck(w, 0, 42)
+	appendHelloAck(w, []uint64{42})
 	got, _, err := decompressFrame(w.Bytes(), 0)
 	if err != nil || !bytes.Equal(got, w.Bytes()) {
 		t.Fatalf("passthrough mangled frame: %x err %v", got, err)
@@ -92,7 +92,7 @@ func FuzzDecompressFrame(f *testing.F) {
 		wire.PutWriter(env)
 	}
 	w := wire.NewWriter()
-	appendAck(w, 0, 7)
+	appendHelloAck(w, []uint64{7})
 	f.Add(append([]byte(nil), w.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{tCompressed})

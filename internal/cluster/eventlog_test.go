@@ -244,8 +244,8 @@ func TestPayloadStoredOnce(t *testing.T) {
 	mem := &memStorage{}
 	s := looseShardOf(t, st)
 	s.journal, _, _, _, _ = mem.Open(s.n.cfg.ID, s.n.cfg.N, st.Name(), 0, 1)
-	if cum, applied, ok := s.applyRun(us); cum != 8 || applied != 8 || !ok {
-		t.Fatalf("applyRun = (%d, %d, %v)", cum, applied, ok)
+	if applied, ok := s.applyRun(us); applied != 8 || !ok || s.logLen(0) != 8 {
+		t.Fatalf("applyRun = (%d, %v), watermark %d", applied, ok, s.logLen(0))
 	}
 	s.doInLoop("mine", model.Write("w"))
 

@@ -437,7 +437,7 @@ func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRa
 		var applied int64
 		var jerr error
 		if s.inLoop(func() {
-			_, applied, _ = s.applyRun(us)
+			applied, _ = s.applyRun(us)
 			jerr = s.jerr
 		}) != nil {
 			return ErrClosed

@@ -16,11 +16,14 @@ import (
 
 // linkCursor is one shard's slice of a replication link: two positions in
 // that shard's log of its own broadcasts (shard.updates[self]; seq k sits at
-// index k-1). Shards have independent sequence counters, so a cumulative ack
+// index k-1). Shards have independent sequence counters, so a delivered count
 // only means anything within its shard. What lies between lastAcked and the
-// end of the log is what the peer is owed; the link keeps no copy of it.
+// end of the log is what the peer may still be owed; the link keeps no copy
+// of it. lastAcked is as fresh as the peer's last hello ack: the one that
+// opened the connection, or the last answer to a question drained asked.
+// Batches themselves are not acknowledged.
 type linkCursor struct {
-	lastAcked uint64 // peer's cumulative ack
+	lastAcked uint64 // the peer's delivered count, from its last hello ack
 	maxSent   uint64 // highest seq ever written, on any connection (retransmit accounting)
 }
 
@@ -44,15 +47,15 @@ func cutBatch(run []protoUpdate, limit, sizeCap int) int {
 
 // peerSender owns this node's half of one replication link: the connection
 // it dials to a single peer and, per shard, how far into the shard's own
-// log that peer has acknowledged. It provides the reliable half of eventual
-// delivery (Definition 3): the log keeps every update, so whatever lies
-// beyond the peer's cumulative ack is sent once per connection, and survives
-// connection loss through a reconnect loop that resends from the peer's
-// hello-ack watermark — the dial-side never gives up, so any network that
-// heals eventually delivers. A connection is TCP: it delivers every frame in
-// order or dies, so nothing is ever resent on the connection that carried
-// it. All shards multiplex over the one connection; every frame names its
-// shard.
+// log that peer last said it had delivered. It provides the reliable half of
+// eventual delivery (Definition 3): the log keeps every update, so whatever
+// lies beyond the peer's delivered count is sent once per connection, and
+// survives connection loss through a reconnect loop that resends from the
+// peer's hello-ack watermark — the dial-side never gives up, so any network
+// that heals eventually delivers. A connection is TCP: it delivers every
+// frame in order or dies, so nothing is ever resent on the connection that
+// carried it, and no batch is acknowledged. All shards multiplex over the
+// one connection; every frame names its shard.
 type peerSender struct {
 	node *Node
 	peer model.ReplicaID
@@ -89,6 +92,11 @@ type peerSender struct {
 	rng *rand.Rand
 
 	dials atomic.Int64 // beyond the first, each is a reconnect
+
+	// ask is a posted question: drained found the peer's last delivered
+	// count behind the log, and serve writes a hello behind the batches it
+	// has written, which the peer answers with a fresh hello ack.
+	ask atomic.Bool
 }
 
 func newPeerSender(n *Node, peer model.ReplicaID, addr string) *peerSender {
@@ -112,20 +120,26 @@ func (p *peerSender) nudge() {
 	}
 }
 
-// drained reports whether the peer has acked every update of every shard's
-// own log — the per-link half of the quiescence condition (Definition 17).
+// drained reports whether the peer has said it delivered every update of
+// every shard's own log — the per-link half of the quiescence condition
+// (Definition 17). The peer says so only when asked: a shard whose last
+// delivered count is behind its log posts the question (serve sends it
+// behind every batch it has written) and reports false, so the first poll
+// after traffic reads false and a later one reads the answer.
 func (p *peerSender) drained() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for si := range p.cursors {
 		if p.cursors[si].lastAcked < p.node.shards[si].logLen(p.node.cfg.ID) {
+			p.ask.Store(true)
+			p.nudge()
 			return false
 		}
 	}
 	return true
 }
 
-// ack applies a cumulative acknowledgement to one shard's cursor.
+// ack raises one shard's cursor to a delivered count the peer reported.
 func (p *peerSender) ack(shard int, cum uint64) {
 	p.mu.Lock()
 	p.cursors[shard].lastAcked = max(p.cursors[shard].lastAcked, cum)
@@ -133,11 +147,12 @@ func (p *peerSender) ack(shard int, cum uint64) {
 }
 
 // nextBatch returns the next frame's worth of one shard's own updates after
-// seq sent — or after the peer's cumulative ack, when that is further — cut
+// seq sent — or after the peer's delivered count, when that is further — cut
 // by cutBatch, plus how many of them are retransmissions (already written on
-// an earlier connection, which died before the peer acked them). The batch is the sender's scratch (its payloads alias the
-// shard's records) and is good until the next call; it may also end early at
-// a segment boundary of the log, and the next call picks up from there.
+// an earlier connection, which died before the peer reported them). The
+// batch is the sender's scratch (its payloads alias the shard's records) and
+// is good until the next call; it may also end early at a segment boundary
+// of the log, and the next call picks up from there.
 func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -260,21 +275,23 @@ func (p *peerSender) dialAndServe() bool {
 }
 
 // serve drives one live connection: announce ourselves, wait for the peer's
-// hello ack, then stream each update beyond the peer's cumulative ack once,
-// in seq order per shard. A fresh connection starts each shard at its
-// lastAcked, so nothing sent only on a dead connection is lost; the live one
-// never resends, because TCP delivers what it accepted in order or the
-// connection dies. Nothing is sent until the ack confirms the peer speaks
-// our protocol version and shard count; a mismatch latches the link failed.
-// It reports whether the hello ack arrived.
+// hello ack, then stream each update beyond the peer's delivered count once,
+// in seq order per shard, and after the batches a hello when drained posted
+// the question. A fresh connection starts each shard at its lastAcked, so
+// nothing sent only on a dead connection is lost; the live one never
+// resends, because TCP delivers what it accepted in order or the connection
+// dies. Nothing is sent until the ack confirms the peer speaks our protocol
+// version and shard count; a mismatch latches the link failed. It reports
+// whether the hello ack arrived.
 //
-// There is no ack deadline. A half-open connection — the peer gone without
+// There is no answer deadline. A half-open connection — the peer gone without
 // a FIN — is found by TCP: keepalive (on by default for Go's dials and
 // accepts) probes an idle one, the kernel's retransmission timeout fails
 // one with unacked bytes in flight (minutes, at the kernel's defaults), and
 // WriteTimeout bounds a write the peer stopped reading. Each of those ends
-// the connection, and the reconnect resends what the peer never acked. A
-// slow peer that acks late is not half-open, and is not written to twice.
+// the connection, and the reconnect resends what the peer's hello ack on the
+// new connection does not count. A slow peer that answers late is not
+// half-open, and is not written to twice.
 func (p *peerSender) serve(conn net.Conn) bool {
 	cfg := p.node.cfg
 	p.setConn(conn)
@@ -292,53 +309,55 @@ func (p *peerSender) serve(conn net.Conn) bool {
 	z := wire.GetDeflater()
 	defer wire.PutDeflater(z)
 
-	enc.Reset()
-	enc.BeginFrame()
-	appendHello(enc, cfg.ID, cfg.Shards)
-	if p.node.writeEnc(conn, enc, cfg.MaxFrame, nil) != nil {
+	// The hello opens the connection and, repeated later, asks the peer
+	// what it delivered.
+	hello := func() error {
+		enc.Reset()
+		enc.BeginFrame()
+		appendHello(enc, cfg.ID, cfg.Shards)
+		return p.node.writeEnc(conn, enc, cfg.MaxFrame, nil)
+	}
+	if hello() != nil {
 		return false
 	}
 
-	// Ack reader: the hello ack, then cumulative acks, arrive on the same
-	// connection.
+	// Answer reader: the hello ack, then the answers to later questions,
+	// arrive on the same connection, in one layout.
 	acked := make(chan struct{})
 	connDead := make(chan struct{})
 	go func() {
 		defer close(connDead)
-		fr := wire.NewFrameReader(conn) // the connection's only reader; acks decode to integers
+		fr := wire.NewFrameReader(conn) // the connection's only reader; answers decode to integers
 		var r wire.Reader
-		next := func(want uint64) bool {
+		for i := 0; ; i++ {
 			b, err := recvFrame(fr, cfg.MaxFrame)
 			r.Reset(b)
-			return err == nil && r.Uvarint() == want
-		}
-		if !next(tHelloAck) {
-			return
-		}
-		a, err := decodeHelloAck(&r)
-		if err != nil {
-			return
-		}
-		if a.Version != protoVersion || len(a.Delivered) != cfg.Shards {
-			// No frame this sender emits can ever be applied correctly, on
-			// this connection or any future one.
-			p.fail(fmt.Errorf("cluster: r%d→r%d refused: local protocol version %d with %d shards, peer version %d with %d",
-				cfg.ID, p.peer, protoVersion, cfg.Shards, a.Version, len(a.Delivered)))
-			return
-		}
-		// The peer's delivered watermarks are pre-acks: a new link's cursors
-		// start at zero — the whole log is owed — and these move them to
-		// what the peer is missing before the first drain ships anything.
-		for si, d := range a.Delivered {
-			p.ack(si, d)
-		}
-		close(acked)
-		for next(tAck) {
-			shard, cum, err := decodeAck(&r)
-			if err != nil || shard >= uint64(len(p.cursors)) {
+			if err != nil || r.Uvarint() != tHelloAck {
 				return
 			}
-			p.ack(int(shard), cum)
+			a, err := decodeHelloAck(&r)
+			if err != nil {
+				return
+			}
+			if a.Version != protoVersion || len(a.Delivered) != cfg.Shards {
+				// No frame this sender emits can ever be applied correctly, on
+				// this connection or any future one.
+				p.fail(fmt.Errorf("cluster: r%d→r%d refused: local protocol version %d with %d shards, peer version %d with %d",
+					cfg.ID, p.peer, protoVersion, cfg.Shards, a.Version, len(a.Delivered)))
+				return
+			}
+			// The peer's delivered counts move the cursors. The first answer's
+			// are pre-acks: a new link's cursors start at zero — the whole log
+			// is owed — and these move them to what the peer is missing before
+			// the first drain ships anything. Every later one answers a
+			// question and is a cumulative ack of every shard; it can only
+			// raise a cursor.
+			for si, d := range a.Delivered {
+				p.ack(si, d)
+			}
+			if i == 0 {
+				close(acked)
+			}
 		}
 	}()
 
@@ -386,7 +405,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 							cfg.ID, p.peer, si, us[0].Seq, err))
 					}
 					// Close before waiting: a shaped write can fail (link
-					// cut) while the TCP stream is healthy, and the ack
+					// cut) while the TCP stream is healthy, and the answer
 					// reader only exits once the connection is gone.
 					conn.Close()
 					<-connDead
@@ -394,6 +413,13 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				}
 				sent[si] = us[len(us)-1].Seq
 			}
+		}
+		// The question travels behind every batch written so far, and the
+		// peer reads in order, so its answer counts them all.
+		if p.ask.Swap(false) && hello() != nil {
+			conn.Close()
+			<-connDead
+			return true
 		}
 		select {
 		case <-p.done:

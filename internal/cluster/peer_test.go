@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,7 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 }
 
 // slowReceives is a NodeStorage whose journal takes d to persist each
-// receive event: a healthy receiver that acks late.
+// receive event: a healthy receiver that answers late.
 type slowReceives time.Duration
 
 func (d slowReceives) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {
@@ -82,9 +83,9 @@ func (d slowReceives) Open(model.ReplicaID, int, string, int, int) (func(Event) 
 	return journal, nil, nil, nil, nil
 }
 
-// silentPeer is the acceptor half of a replication link that answers the
-// hello and then reads every batch without ever acking one, reporting each
-// update's seq as it arrives.
+// silentPeer is the acceptor half of a replication link that answers every
+// hello, the opening one and every question, with a delivered count of
+// zero, and reports each update's seq as it arrives.
 func silentPeer(t *testing.T) (net.Listener, <-chan uint64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -204,6 +205,218 @@ func TestLiveLinkNeverResends(t *testing.T) {
 			t.Fatalf("a live connection was resent on or redialled: %+v", st)
 		}
 	})
+}
+
+// meshOf boots n nodes at the production default timings, the node
+// storage of replica i being storage(i) (nil for none), and closes them when
+// the test ends.
+func meshOf(t *testing.T, n int, storage func(i int) NodeStorage) []*Node {
+	t.Helper()
+	nodes, err := BootMesh(n, func(i int) Config {
+		return Config{Store: openCausal(t), Listen: "127.0.0.1:0", Storage: storage(i)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+	})
+	return nodes
+}
+
+// TestReplicatedWriteIsOneFramePerPeer: a batch goes unacknowledged, so a
+// receiver writes nothing for the updates it applies. The only frames it
+// writes on a link are its answers to the sender's questions, and the
+// sender asks at most once per quiescence poll. Each receiver used to write
+// a cumulative ack per batch: here, one per write.
+func TestReplicatedWriteIsOneFramePerPeer(t *testing.T) {
+	const writes = 100
+	nodes := meshOf(t, 3, func(int) NodeStorage { return nil })
+	// One write at every node opens all six links; then wait until no answer
+	// to a question of that round is still on its way.
+	for _, nd := range nodes {
+		if _, err := nd.Do(model.ObjectID(fmt.Sprintf("warm-%d", nd.ID())), model.Write("w")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !WaitQuiesced(nodes, 30*time.Second) {
+		t.Fatal("the cluster never quiesced after the warm-up writes")
+	}
+	framesOut := func() []int64 {
+		var fs []int64
+		for _, nd := range nodes {
+			fs = append(fs, nd.Stats().FramesOut)
+		}
+		return fs
+	}
+	before := framesOut()
+	for {
+		time.Sleep(20 * time.Millisecond)
+		now := framesOut()
+		if slices.Equal(now, before) {
+			break
+		}
+		before = now
+	}
+
+	// Each write travels alone: the next is made once both peers hold it.
+	for i := 0; i < writes; i++ {
+		if _, err := nodes[0].Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); nodes[1].shards[0].logLen(0) < uint64(i+2) || nodes[2].shards[0].logLen(0) < uint64(i+2); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("write %d never reached both peers", i)
+			}
+		}
+	}
+	polls := 0
+	if err := PollQuiesced(func() (bool, error) {
+		polls++
+		all := true
+		for _, nd := range nodes {
+			all = nd.Quiesced() && all
+		}
+		return all, nil
+	}, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes[1:] {
+		st := nd.Stats()
+		if grew := st.FramesOut - before[i+1]; grew > int64(polls) || st.Receives != writes+2 {
+			t.Errorf("r%d applied %d updates and wrote %d frames for %d writes at r0 over %d quiescence polls, want at most one answer per poll",
+				nd.ID(), st.Receives, grew, writes, polls)
+		}
+	}
+}
+
+// gatedReceives is a NodeStorage whose journal holds each receive event
+// until release is closed, signalling entered as the first one arrives.
+type gatedReceives struct{ entered, release chan struct{} }
+
+func (g gatedReceives) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	journal := func(ev Event) error {
+		if ev.Kind == model.ActReceive {
+			select {
+			case g.entered <- struct{}{}:
+			default:
+			}
+			<-g.release
+		}
+		return nil
+	}
+	return journal, nil, nil, nil, nil
+}
+
+// TestDrainedAnswersAfterApply: a sender learns what its peer delivered
+// only by asking, and the answer is read after the update is applied and
+// journaled. While r1's journal holds r0's update, r0 stays undrained
+// however often the quiescence check asks; released, the answers arrive and
+// r0 drains. A second update, applied at once, is not reported until r0
+// asks again: r1 acknowledges no batch.
+func TestDrainedAnswersAfterApply(t *testing.T) {
+	gate := gatedReceives{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	nodes := meshOf(t, 2, func(i int) NodeStorage {
+		if i == 1 {
+			return gate
+		}
+		return nil
+	})
+	released := false
+	t.Cleanup(func() { // runs before the nodes close: a held journal would wedge Close
+		if !released {
+			close(gate.release)
+		}
+	})
+	r0, r1 := nodes[0], nodes[1]
+	if _, err := r0.Do("x", model.Write("held")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the update never reached r1's journal")
+	}
+	for i := 0; i < 20; i++ {
+		if r0.Quiesced() {
+			t.Fatalf("poll %d: r0 drained while r1's journal still holds the update", i)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	close(gate.release)
+	released = true
+	if !WaitQuiesced(nodes, 30*time.Second) {
+		t.Fatalf("r0 never drained after r1's journal was released: %+v", r0.Stats())
+	}
+
+	if _, err := r0.Do("x", model.Write("free")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); r1.Stats().Receives != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("r1 never applied the second update")
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // room for an ack, were r1 to write one
+	if r0.Quiesced() {
+		t.Fatal("r0 drained on its first poll after the second update: r1 acknowledged a batch nobody asked about")
+	}
+	if !WaitQuiesced(nodes, 30*time.Second) {
+		t.Fatalf("r0 never drained after the second update: %+v", r0.Stats())
+	}
+}
+
+// failingReceives is a NodeStorage whose journal refuses every receive event.
+type failingReceives struct{}
+
+func (failingReceives) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	journal := func(ev Event) error {
+		if ev.Kind == model.ActReceive {
+			return errors.New("disk gone")
+		}
+		return nil
+	}
+	return journal, nil, nil, nil, nil
+}
+
+// TestFailedJournalNeverAnswers: an answer promises that what it counts is
+// applied and journaled, so a receiver whose journal refused an update
+// answers no question — not on the connection that carried the update, and
+// not on a new one — and fail-stops. The sender never drains.
+func TestFailedJournalNeverAnswers(t *testing.T) {
+	nodes := meshOf(t, 2, func(i int) NodeStorage {
+		if i == 1 {
+			return failingReceives{}
+		}
+		return nil
+	})
+	r0, r1 := nodes[0], nodes[1]
+	if _, err := r0.Do("x", model.Write("lost")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, err := r1.Do("y", model.Read()); errors.Is(err, ErrClosed) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("r1 kept serving after its journal refused an update")
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if r0.Quiesced() {
+			t.Fatalf("poll %d: r0 drained although r1 never journaled the update", i)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	p := r0.allPeers()[0]
+	p.mu.Lock()
+	acked := p.cursors[0].lastAcked
+	p.mu.Unlock()
+	if acked != 0 {
+		t.Fatalf("r0 holds a delivered count of %d from a receiver that journaled nothing", acked)
+	}
 }
 
 // TestClientOpTimeout is the regression for unbounded client I/O: against a
@@ -839,8 +1052,11 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 	send(func(w *wire.Writer) {
 		appendBatch(w, tBatch, 0, 1, []protoUpdate{{Origin: 1, Seq: 1, Lamport: 1, Payload: payload(1)}})
 	})
-	if typ, _ := recv(); typ != tAck {
-		t.Fatalf("the dialer's own batch answered with frame type %d, want an ack", typ)
+	send(func(w *wire.Writer) { appendHello(w, 1, 1) })
+	if typ, r := recv(); typ != tHelloAck {
+		t.Fatalf("the question after the dialer's own batch answered with frame type %d, want a hello ack", typ)
+	} else if a, err := decodeHelloAck(r); err != nil || len(a.Delivered) != 1 || a.Delivered[0] != 1 {
+		t.Fatalf("the question after the dialer's own batch answered %+v (err %v), want delivered [1]", a, err)
 	}
 	send(func(w *wire.Writer) {
 		appendBatch(w, tBatch, 0, 2, []protoUpdate{{Origin: 2, Seq: 1, Lamport: 2, Payload: payload(2)}})
@@ -854,9 +1070,10 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 }
 
 // ackingPeer is the acceptor half of a replication link and nothing else: it
-// answers a hello with all-zero watermarks and every batch with the
-// cumulative ack of its last update, out of one reused buffer, so a test that
-// counts the process's allocations sees the node under test, not its peer.
+// answers every hello with the seq of the last update it received (zero on
+// the opening one) and writes nothing for a batch, out of one reused buffer,
+// so a test that counts the process's allocations sees the node under test,
+// not its peer.
 func ackingPeer(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -873,8 +1090,9 @@ func ackingPeer(t *testing.T) net.Listener {
 			go func() {
 				defer conn.Close()
 				var (
-					r  wire.Reader
-					us []protoUpdate
+					r         wire.Reader
+					us        []protoUpdate
+					delivered = []uint64{0}
 				)
 				fr, w := wire.NewFrameReader(conn), wire.NewWriter()
 				for {
@@ -883,19 +1101,20 @@ func ackingPeer(t *testing.T) net.Listener {
 						return
 					}
 					r.Reset(b)
-					w.Reset()
-					w.BeginFrame()
 					switch r.Uvarint() {
 					case tHello:
-						appendHelloAck(w, []uint64{0})
 					case tBatch:
 						if _, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 {
 							return
 						}
-						appendAck(w, 0, us[len(us)-1].Seq)
+						delivered[0] = us[len(us)-1].Seq
+						continue
 					default:
 						return
 					}
+					w.Reset()
+					w.BeginFrame()
+					appendHelloAck(w, delivered)
 					frame, err := w.EndFrame(wire.DefaultMaxFrame)
 					if err != nil {
 						return

@@ -15,19 +15,21 @@ import (
 // reads its fields in order and rejects trailing bytes (wire.Reader.End).
 //
 // Replication connections are directional: the broadcasting node dials its
-// peer and opens with tHello; the acceptor answers tHelloAck; the dialer
-// then streams tBatch frames, each naming the shard whose seq domain it
-// belongs to, in seq order per shard; the acceptor answers each applied
-// frame with that shard's cumulative tAck on the same connection. Client
-// connections skip the hello and speak request/response pairs. The
+// peer and opens with tHello; the acceptor answers tHelloAck, its delivered
+// count per shard; the dialer then streams tBatch frames, each naming the
+// shard whose seq domain it belongs to, in seq order per shard, and the
+// acceptor applies them and writes nothing back. When the dialer's
+// quiescence check asks what the acceptor delivered, the dialer repeats its
+// tHello behind the batches and the acceptor answers it with a fresh
+// tHelloAck, in the opening layout. Client connections skip the hello and
+// speak request/response pairs. The
 // membership and anti-entropy frames are in proto_member.go, the
 // compression envelope in compress.go; DESIGN.md §5.6 has the whole table.
 //
-// Numbers are never reused: 2, 7, 9, 20, 21, 22, 25 and 26 belonged to
+// Numbers are never reused: 2, 3, 7, 9, 20, 21, 22, 25 and 26 belonged to
 // frames of earlier protocol versions and stay retired.
 const (
 	tHello       = 1  // {from, version, shards}          dialer → acceptor
-	tAck         = 3  // {shard, cum}                     cumulative ack of one shard's updates
 	tRequest     = 4  // {reqID mod 128, obj, kind, arg, delta}
 	tResponse    = 5  // {reqID mod 128, flags, [count], [n, values...]}
 	tStats       = 6  // {}
@@ -41,16 +43,18 @@ const (
 // protoVersion is the one protocol version this build speaks. A hello or
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
-// format change bumps it: 11 catches a joiner up with one digest and one
-// unasked stream per shard, where 10 had it request each range and ack
-// each chunk; 10 sends a request id mod 128 and a reply's presence fields
+// format change bumps it: 12 acknowledges no batch (a sender learns what
+// its peer delivered from the answer to a repeated hello) and carries the
+// store's options in a stats reply; 11 catches a joiner up with one digest
+// and one unasked stream per shard, where 10 had it request each range and
+// ack each chunk; 10 sends a request id mod 128 and a reply's presence fields
 // as one flag byte (and the causal store's updates without the fields
 // their type implies); 9 put a uvarint length in front of every frame,
 // where 8 had four big-endian bytes.
-const protoVersion = 11
+const protoVersion = 12
 
-// BatchMax caps how many unacked updates coalesce into one tBatch frame or
-// one anti-entropy chunk. The deterministic wire and sync tables
+// BatchMax caps how many updates coalesce into one tBatch frame or one
+// anti-entropy chunk. The deterministic wire and sync tables
 // (cmd/loadgen -wirebench, -syncbench) are cut at it too.
 const BatchMax = 64
 
@@ -102,9 +106,10 @@ func decodeHello(r *wire.Reader) (hello, error) {
 
 // helloAck carries a decoded tHelloAck: the acceptor's version and, per
 // shard (so as many as it has shards), its cumulative delivered count for
-// the dialer's origin — a pre-ack that moves the dialer's cursor, zero on a
-// new link, to what the acceptor lacks before the first send. Like hello,
-// nothing past a foreign version is read.
+// the dialer's origin. At connect time it is a pre-ack that moves the
+// dialer's cursor, zero on a new link, to what the acceptor lacks before the
+// first send; later, answering a repeated hello, it is a cumulative ack of
+// every shard. Like hello, nothing past a foreign version is read.
 type helloAck struct {
 	Version   uint64
 	Delivered []uint64
@@ -186,18 +191,6 @@ func decodeBatch(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdat
 		return 0, nil, err
 	}
 	return shard, us, nil
-}
-
-func appendAck(w *wire.Writer, shard int, cum uint64) {
-	w.Uvarint(tAck)
-	w.Uvarint(uint64(shard))
-	w.Uvarint(cum)
-}
-
-func decodeAck(r *wire.Reader) (shard, cum uint64, err error) {
-	shard = r.Uvarint()
-	cum = r.Uvarint()
-	return shard, cum, r.End()
 }
 
 // reqIDs bounds the request id a tRequest carries and its tResponse

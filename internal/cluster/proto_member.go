@@ -11,7 +11,7 @@ import (
 // Membership and anti-entropy frame types, continuing the numbering in
 // proto.go. A join conversation is one connection; after the handshake the
 // joiner catches up one shard at a time, in shard order, and every frame
-// that addresses a seq domain names its shard, as tBatch and tAck do:
+// that addresses a seq domain names its shard, as tBatch does:
 //
 //	joiner → tJoin      {from, epoch, addr, version, shards}
 //	donor  → tJoinAck   {version, shards, view}

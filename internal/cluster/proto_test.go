@@ -95,9 +95,8 @@ func sameUpdates(t *testing.T, got, want []protoUpdate) {
 	}
 }
 
-// TestShardBatchRoundTrip pins the shard-multiplexed replication frames: a
-// tBatch carries the shard index ahead of the update body, and a tAck pairs
-// the shard with its cumulative ack.
+// TestShardBatchRoundTrip pins the shard-multiplexed replication frame: a
+// tBatch carries the shard index ahead of the update body.
 func TestShardBatchRoundTrip(t *testing.T) {
 	us := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
@@ -114,17 +113,6 @@ func TestShardBatchRoundTrip(t *testing.T) {
 		t.Fatalf("shard %d, err %v; want shard 3", shard, err)
 	}
 	sameUpdates(t, got, us)
-
-	w = wire.NewWriter()
-	appendAck(w, 5, 99)
-	r = wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tAck {
-		t.Fatalf("type = %d, want tAck", typ)
-	}
-	s, cum, err := decodeAck(r)
-	if err != nil || s != 5 || cum != 99 {
-		t.Fatalf("ack = (%d, %d, %v), want (5, 99, nil)", s, cum, err)
-	}
 }
 
 // TestBatchRoundTrip pins the one body tBatch and tRangeResp share: the two
@@ -207,8 +195,6 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, err := decodeResponse(r); return err }},
 		{"batch", body(func(w *wire.Writer) { appendBatch(w, tBatch, 3, 1, us) }),
 			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
-		{"ack", body(func(w *wire.Writer) { appendAck(w, 3, 130) }),
-			func(r *wire.Reader) error { _, _, err := decodeAck(r); return err }},
 		{"stats", body(func(w *wire.Writer) {
 			w.Uvarint(tStatsResp)
 			appendStats(w, Stats{Node: 1, Store: "lww", Shards: 2, ShardOps: []int64{3, 4}})
@@ -469,7 +455,6 @@ func TestGoldenWireVectors(t *testing.T) {
 				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
 			})
 		})},
-		{"ack", enc(func(w *wire.Writer) { appendAck(w, 3, 130) })},
 		{"request", encodeRequest(77, "k000042", model.Write("0123456789abcdef"))},
 		{"response_write", enc(func(w *wire.Writer) { appendResponse(w, 77, model.OKResponse()) })},
 		{"response_read", enc(func(w *wire.Writer) {

@@ -73,8 +73,8 @@ type shard struct {
 	// crosses into the loop without allocating. See handoff.
 	calls chan loopCall
 
-	// journal, when non-nil, persists each recorded event before its ack or
-	// response leaves the node (the per-shard log Config.Storage opened).
+	// journal, when non-nil, persists each recorded event before a hello ack
+	// counting it or a response leaves the node (the per-shard log Config.Storage opened).
 	// closeJournal, when non-nil, runs in Node.Close after the loops have
 	// exited.
 	journal      func(Event) error
@@ -98,7 +98,7 @@ type shard struct {
 	// ten.
 	events eventLog
 	// jerr latches the first journal failure. Once set, the node is
-	// fail-stopping: no further acks are written, operations error, and an
+	// fail-stopping: no hello is answered, operations error, and an
 	// async Close is already underway. One shard failing to persist stops
 	// the whole node — shards share the fate of their disk.
 	jerr error
@@ -191,8 +191,8 @@ func (s *shard) inLoop(fn func()) error {
 }
 
 // record appends one event to the shard's history and, when a journal is
-// configured, persists it in the same event-loop turn — before the
-// update's ack or the client's response can leave the node, so an
+// configured, persists it in the same event-loop turn — before a hello ack
+// counting the update or the client's response can leave the node, so an
 // acknowledged event is always durable. A journal failure fail-stops the
 // node. It returns the history's own copy of ev.Payload and where the
 // event's record starts (eventLog.append): ev.Payload itself may be
@@ -308,16 +308,15 @@ func (s *shard) mintSend() bool {
 	return true
 }
 
-// applyUpdate delivers one replication frame on the shard's event loop and
-// returns the cumulative applied seq for the update's origin (the ack
-// value) plus whether the ack may be written: false means the journal
-// failed, so the receive event backing this ack may not be durable.
+// applyUpdate delivers one replicated update on the shard's event loop and
+// reports whether the journal still holds: false means it failed, so the
+// receive event may not be durable and the node is fail-stopping.
 // Exactly-once, in-order application falls out of the cumulative counter:
-// duplicates (a dup fault, or a resend racing the ack of an earlier
-// connection) re-ack. A link delivers in order and resends from this node's
-// hello-ack watermark, so a gap means this node lost updates it had
+// duplicates (a dup fault, or a resend of what a dead connection carried)
+// are counted and dropped. A link delivers in order and resends from this
+// node's hello-ack watermark, so a gap means this node lost updates it had
 // acknowledged; the frame is counted and dropped, and that link stays stuck.
-func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
+func (s *shard) applyUpdate(u protoUpdate) bool {
 	log := &s.updates[u.Origin]
 	next := uint64(log.Len()) + 1
 	switch {
@@ -345,23 +344,23 @@ func (s *shard) applyUpdate(u protoUpdate) (uint64, bool) {
 		s.noteUpdateInLoop(u.Origin, u.Seq, at, payload)
 		s.broadcastPending()
 	}
-	return uint64(log.Len()), s.jerr == nil
+	return s.jerr == nil
 }
 
 // applyRun delivers a decoded, non-empty run of one origin's updates — a
 // tBatch frame, an anti-entropy range chunk — in one loop turn and returns
-// the origin's cumulative applied seq, how many of the run were new, and
-// whether the ack may be written (see applyUpdate; it stops at the first
-// update the journal refused).
-func (s *shard) applyRun(us []protoUpdate) (cum uint64, applied int64, ackable bool) {
+// how many of the run were new and whether the journal still holds (see
+// applyUpdate; it stops at the first update the journal refused).
+func (s *shard) applyRun(us []protoUpdate) (applied int64, ok bool) {
 	log := &s.updates[us[0].Origin]
 	before := log.Len()
+	ok = true
 	for _, u := range us {
-		if cum, ackable = s.applyUpdate(u); !ackable {
+		if ok = s.applyUpdate(u); !ok {
 			break
 		}
 	}
-	return cum, int64(log.Len() - before), ackable
+	return int64(log.Len() - before), ok
 }
 
 // noteUpdate indexes one broadcast update — its record starts at `at` in

@@ -9,9 +9,9 @@
 //   - wal.log is append-only. Each record frames one cluster.Event behind a
 //     4-byte length and a CRC-32C of the payload, and Append fsyncs before
 //     returning. The node invokes Append on its event loop as each
-//     do/send/receive is recorded and BEFORE the update's acknowledgement
-//     (or the client's response) leaves the process, so any event a peer
-//     holds an ack for is durable — the PR 4 crash-window invariant, now
+//     do/send/receive is recorded and BEFORE a hello ack counting the
+//     update (or the client's response) leaves the process, so any event a
+//     peer holds an ack for is durable — the PR 4 crash-window invariant, now
 //     across process death.
 //   - A seal is a rename. Once the wal holds sealEvery new records — every
 //     one of them already fsynced — it is renamed seg-<index of its first

@@ -15,6 +15,9 @@ func init() {
 	})
 }
 
+// Options implements store.OptionsReporter: the K the store was built with.
+func (s *Store) Options() store.Options { return store.Options{K: s.k} }
+
 // Conformance implements store.ConformanceReporter: reads age the withheld
 // queue (visible reads by design), a received update surfaces only after K
 // local reads, so K+1 read rounds expose everything, and held payloads

@@ -13,7 +13,23 @@ import (
 // value can be threaded through a generic CLI surface.
 type Options struct {
 	// K is the K-buffer read-aging depth (0 means the store default).
-	K int
+	K int `json:"k,omitempty"`
+}
+
+// OptionsReporter is implemented by a store built from Options it
+// consults: Options returns them, so a driver that sees the store only
+// through a remote node's stats can open the same store from the registry.
+type OptionsReporter interface {
+	Options() Options
+}
+
+// OptionsOf returns the Options s reports, or the zero Options for a store
+// that consults none.
+func OptionsOf(s Store) Options {
+	if r, ok := s.(OptionsReporter); ok {
+		return r.Options()
+	}
+	return Options{}
 }
 
 // Factory instantiates a registered store for the given object types.
