@@ -20,8 +20,8 @@ verify:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# The per-layer allocation rows of a write and of a received update: the
-# shard loop's (a client operation, a replicated update), the causal
+# The per-layer allocation rows of a write and of a received update: a
+# shard turn's (a client operation, a replicated update), the causal
 # store's alone, and a frame read off a connection, at a fixed iteration
 # count on one CPU so that B/op and allocs/op read the same from run to run.
 # A write allocates 0 times (DoInLoop/write, CausalWrite) and a received
@@ -141,7 +141,7 @@ membership:
 # violation-during-run acceptance test, the cluster and conformance audits
 # that hold AuditShards to the reference, the tapped chaos pipeline, and the
 # served /livecheck endpoint — all under the race detector, since the checker
-# is fed concurrently by every node's event loop.
+# is fed concurrently by every node's shard turns.
 livecheck:
 	$(GO) test -race ./internal/livecheck -count=1
 	$(GO) test -race ./internal/cluster -run 'LiveChecker|ThreeNodeAudit|ClientRequestResponse|MergeHistoriesRejectsDuplicateSend|BuildAuditFrontierless' -count=1
@@ -149,7 +149,7 @@ livecheck:
 	$(GO) test -race ./cmd/loadgen -run 'LiveAudit|ShardedChurn|Livebench|LatCell' -count=1
 	$(GO) test -race ./cmd/served -run 'AdminServer|Kill9Recovery' -count=1
 
-# The sharding battery: keyspace routing and the per-shard event loops —
+# The sharding battery: keyspace routing and the per-shard turns —
 # the router and sharded-cluster convergence/audit suites, the shard-count
 # mismatch refusal, the sharded supervisor crash/restart, the per-shard
 # livecheck set, the group-commit fsync coordinator and the seal its

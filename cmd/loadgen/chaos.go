@@ -88,7 +88,7 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 		// the kill -9 code path under the fault schedule.
 		base.Storage = &durable.Storage{Dir: cfg.dataDir}
 	}
-	// One cluster-wide checker per shard, fed by every node's event-loop taps
+	// One cluster-wide checker per shard, fed by every node's shard taps
 	// while the run serves load (Observe is mutex-guarded; cross-stream skew
 	// is the checker's normal operating mode). The supervisor copies base per
 	// incarnation, so restarted nodes keep streaming into it.

@@ -47,7 +47,7 @@ func shardKey(k uint64) model.ObjectID {
 // behind the tracked BENCH_SHARD.json — for each shard count up to -shards,
 // the per-shard op spread under uniform and zipfian key popularity, and the
 // resulting parallel speedup bound ops/max(shard ops): the factor by which
-// per-shard event loops can beat a single loop if routing is the only limit.
+// independent shards can beat a single one if routing is the only limit.
 // How much of that bound a real cluster realizes is wall-clock, and
 // benchmark/'s to measure.
 func runShardbench(w io.Writer, cfg benchArgs) error {

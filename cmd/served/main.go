@@ -72,7 +72,7 @@ func main() {
 	flag.IntVar(&cfg.n, "n", 0, "cluster size (default 1+len(peers); required with -join)")
 	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP listen address serving /healthz, /metrics, /membership, /history (disabled if empty)")
 	flag.IntVar(&cfg.k, "k", 2, "K for the kbuffer store")
-	flag.IntVar(&cfg.shards, "shards", 1, "independent keyspace shards (event loops) inside this node; all nodes must agree")
+	flag.IntVar(&cfg.shards, "shards", 1, "independent keyspace shards inside this node, each run one turn at a time; all nodes must agree")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the durable event journal (journaling disabled if empty)")
 	flag.StringVar(&cfg.joinSpec, "join", "", "join a running cluster through these seed nodes (id=addr pairs like -peers; requires -n)")
 	flag.DurationVar(&cfg.syncDelay, "sync-delay", 0, "pause between anti-entropy chunks served to a joiner (test knob, 0 disables)")
@@ -222,7 +222,7 @@ func run(cfg serveConfig) error {
 	if cfg.dataDir != "" {
 		// Each shard journals to its own fsync'd log (data-dir itself when
 		// unsharded, or data-dir/shard-NNN/ per shard), opened by the node via the storage hook so recovery and
-		// journaling follow each shard's event loop. Sharded logs share one
+		// journaling follow each shard's turns. Sharded logs share one
 		// group-commit coordinator: concurrent appends across shards ride a
 		// single fsync round, and acked ⇒ on-disk still holds per shard.
 		ncfg.Storage = &shardStorage{dir: cfg.dataDir, group: durable.NewGroupCommitter()}

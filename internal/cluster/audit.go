@@ -19,7 +19,7 @@ import (
 
 // PollQuiesced polls quiesced — one sweep over a cluster, true when every
 // replica reported quiescence — until two sweeps in a row are clean: one can
-// race an update in flight between a sender and the receiving event loop,
+// race an update in flight between a sender and the receiving shard's turn,
 // two cannot, since a receiver's delivered counts are read only after
 // application and only ever raise a sender's cursor. The first sweep after
 // traffic reads false: it is the one that asks every sender's peers what

@@ -15,9 +15,8 @@ import (
 )
 
 // Per-layer benchmarks of the serving path inside a node, each on the
-// piece of the shard loop it names, with allocations. They run on a loose
-// shard (no sockets, no loop goroutine) unless the hand-off itself is the
-// subject.
+// step of a shard turn it names, with allocations. They run on a loose
+// shard (no sockets, no peers) unless a whole cluster is the subject.
 //
 //	go test ./internal/cluster -run '^$' -bench . -benchmem
 
@@ -44,9 +43,10 @@ func fileJournal(b *testing.B) func(Event) error {
 	}
 }
 
-// BenchmarkDoInLoop is one client operation on the shard loop — checked
-// store.Do, frontier, record, broadcast — over 64 preloaded keys, in memory
-// and with a journal. A write records two events (do, send); a read one.
+// BenchmarkDoInLoop is one client operation in its shard's turn — the lock,
+// checked store.Do, frontier, record, broadcast — over 64 preloaded keys, in
+// memory and with a journal. A write records two events (do, send); a read
+// one.
 func BenchmarkDoInLoop(b *testing.B) {
 	keys := make([]model.ObjectID, 64)
 	for i := range keys {
@@ -61,7 +61,7 @@ func BenchmarkDoInLoop(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				s := looseShard(b, "causal")
 				for _, k := range keys {
-					s.doInLoop(k, model.Write(benchValue))
+					s.do(k, model.Write(benchValue))
 				}
 				if journal {
 					s.journal = fileJournal(b)
@@ -69,10 +69,9 @@ func BenchmarkDoInLoop(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.doInLoop(keys[i%len(keys)], op)
-				}
-				if s.jerr != nil {
-					b.Fatal(s.jerr)
+					if _, err := s.do(keys[i%len(keys)], op); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -91,8 +90,8 @@ func benchUpdates(b *testing.B, n int) []protoUpdate {
 	return us
 }
 
-// BenchmarkApplyUpdate is one replicated update on the receiving shard's
-// loop: payload copy, checked store.Receive, record, index, hash. The
+// BenchmarkApplyUpdate is one replicated update in the receiving shard's
+// turn: payload copy, checked store.Receive, record, index, hash. The
 // receiver is replaced (off the clock) each time it has applied the whole
 // minted stream.
 func BenchmarkApplyUpdate(b *testing.B) {
@@ -113,13 +112,14 @@ func BenchmarkApplyUpdate(b *testing.B) {
 }
 
 // BenchmarkReplicatedWrite is one write at r0 of a three-node loopback
-// cluster, timed until both peers have applied it: the client call on r0's
-// loop, one batch frame to each peer, the apply on each peer's loop. It
+// cluster, timed until both peers have applied it: the client call in a
+// turn of r0's shard, one batch frame to each peer, the apply in a turn of
+// each peer's. It
 // reports the frames and wire bytes the whole cluster wrote per write: a
 // write costs each peer one frame, and a peer writes nothing back until the
 // quiescence check asks, which it does only off the clock.
 func BenchmarkReplicatedWrite(b *testing.B) {
-	// The peers' taps say when an update of r0's is applied: in the loop turn
+	// The peers' taps say when an update of r0's is applied: in the turn
 	// that recorded it. One slot per peer: a write is applied twice.
 	applied := make(chan struct{}, 2)
 	nodes, err := BootMesh(3, func(i int) Config {
@@ -175,24 +175,6 @@ func BenchmarkReplicatedWrite(b *testing.B) {
 	framesAfter, bytesAfter := wrote()
 	b.ReportMetric(float64(framesAfter-frames)/float64(b.N), "frames/write")
 	b.ReportMetric(float64(bytesAfter-bytes)/float64(b.N), "wire-B/write")
-}
-
-// BenchmarkLoopHandoff is one crossing into a running shard loop and back
-// with a reused function and done channel: what serveClient and
-// serveReplication pay per request and per batch.
-func BenchmarkLoopHandoff(b *testing.B) {
-	s := looseShard(b, "lww")
-	s.n.wg.Add(1)
-	go s.loop()
-	b.Cleanup(func() { close(s.n.done); s.n.wg.Wait() })
-	fn, done := func() {}, make(chan struct{}, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.handoff(fn, done); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkRecord records one event (with its update and hash, two times in
@@ -293,15 +275,15 @@ func BenchmarkNextBatch(b *testing.B) {
 }
 
 // BenchmarkHistorySnapshot is History() behind 64 k events, in its two
-// parts: what the shard's loop does (copy the block table) and what the
-// caller's goroutine does afterwards (decode every event).
+// parts: what the shard's turn does (copy the block table) and what the
+// caller does after the turn (decode every event).
 func BenchmarkHistorySnapshot(b *testing.B) {
 	s := looseShard(b, "lww")
 	for i := 0; i < 64<<10; i++ {
 		recordStep(b, s, i, []byte(benchValue))
 	}
 	var h encodedHistory
-	b.Run("loop-turn", func(b *testing.B) {
+	b.Run("turn", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h = s.events.snapshot(History{})

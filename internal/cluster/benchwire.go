@@ -112,9 +112,9 @@ func wireLen(w *wire.Writer, compress bool) int64 {
 	if compress {
 		z := wire.GetDeflater()
 		defer wire.PutDeflater(z)
-		if env := maybeCompressPayload(w.Bytes(), z); env != nil {
+		if env, frame := maybeCompressPayload(w.Bytes(), z); env != nil {
 			defer wire.PutWriter(env)
-			return int64(env.Len() + wire.FrameHeaderLen(env.Len()))
+			return int64(len(frame))
 		}
 	}
 	return int64(w.Len() + wire.FrameHeaderLen(w.Len()))

@@ -1,7 +1,8 @@
 // Package cluster runs the paper's replicated data stores over real TCP
-// connections. Each Node wraps one store.Replica behind a single-goroutine
-// event loop — preserving the §2 single-threaded state-machine contract —
-// and exchanges the replica's broadcast messages with its peers through a
+// connections. Each Node serves one store.Replica per shard, one turn at a
+// time — the §2 single-threaded state-machine contract, kept by a lock the
+// goroutine asking for a step takes, not by a goroutine of the shard's own
+// — and exchanges the replicas' broadcast messages with its peers through a
 // length-framed protocol (internal/wire) that provides reliable eventual
 // delivery: per-peer cursors over each shard's log of its own broadcasts,
 // moved by the delivered counts a peer reports in its hello ack — when the
@@ -23,7 +24,7 @@
 //
 //   - OWNS: the frame types and the one protocol version (proto.go,
 //     proto_member.go, compress.go), replication links and their cursors,
-//     the per-shard event loops, recorded histories and update logs,
+//     the per-shard turns, recorded histories and update logs,
 //     membership over connections, and the NodeStorage seam durable state
 //     enters through. The history is held in its codec form (eventlog.go);
 //     Event is the decoded view handed to journals, taps and auditors.
@@ -87,12 +88,12 @@ type Config struct {
 	// windows apply to whatever this node writes toward a peer.
 	Faults *fault.Netem
 	// Storage, when non-nil, is the node's durable state: NewNode opens it
-	// once per shard before serving and closes each log after the event
-	// loops exit. What Open returns is the whole contract (see
-	// NodeStorage): the journal is invoked on the shard's event loop with
-	// each do/send/receive event as it is appended to the local history and
-	// must make it durable before returning — the call happens in the same
-	// loop turn that records the event, before a hello ack counting the
+	// once per shard before serving and Close closes each log after the
+	// shard's last turn. What Open returns is the whole contract (see
+	// NodeStorage): the journal is invoked in a turn of the shard with each
+	// do/send/receive event as it is appended to the local history and must
+	// make it durable before returning — the call happens in the same turn
+	// that records the event, before a hello ack counting the
 	// update or the client's response leaves the node, so an event any peer
 	// holds an ack for is always in the journal. A journal error fail-stops
 	// the node: it answers no hello, refuses further operations, and
@@ -106,7 +107,7 @@ type Config struct {
 	// recovery instead of handing histories through memory.
 	Storage NodeStorage
 	// Tap, when non-nil, receives every event this node records — do,
-	// send, receive — in the same event-loop turn that records it,
+	// send, receive — in the same turn that records it,
 	// immediately after the journal (if any) accepted it, so the streamed
 	// prefix never runs ahead of the durable log and a restart can never
 	// regress the stream. The first argument is the recording shard's index;
@@ -114,9 +115,9 @@ type Config struct {
 	// sharded consumer must keep one checker per shard
 	// (livecheck.ShardSet). Events replayed from Storage are not re-tapped
 	// (their first recording was); sends
-	// re-minted during restore are new events and are. The callback runs on
-	// the recording shard's event loop: it must return quickly and must not
-	// call back into the node. The event is the tap's to keep, Frontier
+	// re-minted during restore are new events and are. The callback runs in
+	// the recording shard's turn: it must return quickly and must not call
+	// back into the node. The event is the tap's to keep, Frontier
 	// included: a do event's frontier is an immutable copy, cloned only when
 	// it differs from the previous one streamed, so consecutive do events
 	// that saw the same frontier share one slice and none may be written
@@ -125,14 +126,14 @@ type Config struct {
 	// the base config.
 	Tap func(shard int, ev livecheck.Event)
 
-	// Shards splits this node's keyspace across that many independent
-	// event loops (default 1): a ShardRouter hashes each object key to one
-	// shard, which owns its own store replica, Lamport clock, broadcast
-	// sequence domain, recorded history, and (under Storage) its own
-	// durable log. Replication links multiplex every shard over one
-	// connection; all nodes of a cluster must agree on the count, and links
-	// to peers announcing a different count fail-stop, as does a join through
-	// a seed of another count.
+	// Shards splits this node's keyspace across that many independent shards,
+	// each run one turn at a time (default 1): a ShardRouter hashes each object
+	// key to one shard, which owns its own store replica, Lamport clock,
+	// broadcast sequence domain, recorded history, and (under Storage) its own
+	// durable log. Replication links multiplex every shard over one connection;
+	// all nodes of a cluster must agree on the count, and links to peers
+	// announcing a different count fail-stop, as does a join through a seed of
+	// another count.
 	Shards int
 
 	// Join, when non-nil, lists seed nodes (id → address) to join the
@@ -164,20 +165,20 @@ type Config struct {
 	WriteTimeout time.Duration
 }
 
-// NodeStorage provides per-incarnation durable storage for a node's
-// recorded history (implemented by durable.Storage). Open is called once
-// per incarnation and shard, before the node serves anything: journal
-// persists each newly recorded event — ev and its Frontier are valid only
-// for the call (a do event's Frontier is the shard's live frontier, which
-// the next do moves on), so a journal that keeps the event clones the
-// frontier, while ev.Payload is the history's own immutable copy and may be
-// kept as it is — restore is the recovered history of
-// the previous incarnation (nil on first boot), and closeLog (nil for none)
-// is invoked after the event loop has exited. shard/shards name which of
-// the node's shard logs to open. tree is ignored (implementations return
-// nil): the shard alone owns its forest and rebuilds it from restore.
-// The result stays only because the frozen benchmark/trace.go implements
-// this interface; it goes with the next benchmark PR (ROADMAP item 1(c)).
+// NodeStorage provides per-incarnation durable storage for a node's recorded
+// history (implemented by durable.Storage). Open is called once per incarnation
+// and shard, before the node serves anything: journal persists each newly
+// recorded event — ev and its Frontier are valid only for the call (a do
+// event's Frontier is the shard's live frontier, which the next do moves on),
+// so a journal that keeps the event clones the frontier, while ev.Payload is
+// the history's own immutable copy and may be kept as it is — restore is the
+// recovered history of the previous incarnation (nil on first boot), and
+// closeLog (nil for none) is invoked after the shard's last turn, so no journal
+// call follows it. shard/shards name which of the node's shard logs to open.
+// tree is ignored (implementations return nil): the shard alone owns its forest
+// and rebuilds it from restore. The result stays only because the frozen
+// benchmark/trace.go implements this interface; it goes with the next benchmark
+// PR (ROADMAP item 1(c)).
 type NodeStorage interface {
 	Open(id model.ReplicaID, n int, storeName string, shard, shards int) (journal func(Event) error, restore *History, tree *membership.Forest, closeLog func() error, err error)
 }
@@ -202,12 +203,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time snapshot of a node's counters, served to
-// clients over the wire (cmd/loadgen aggregates them into its report).
-// The snapshot is coherent: every field is captured in one event-loop
-// turn, so Events always equals Ops+Sends+Receives for a node that did
-// not restore a prior history, and Quiesced agrees with the counters it
-// is reported next to.
+// Stats is a point-in-time snapshot of a node's counters, served to clients
+// over the wire (cmd/loadgen aggregates them into its report). The snapshot is
+// coherent: each shard's fields are captured in one turn, so Events always
+// equals Ops+Sends+Receives for a node that did not restore a prior history,
+// and Quiesced agrees with the counters it is reported next to.
 type Stats struct {
 	Node  model.ReplicaID `json:"node"`
 	Store string          `json:"store"`
@@ -279,8 +279,7 @@ type Node struct {
 	ln  net.Listener
 
 	// router maps object keys to shards; shards holds one independent
-	// event loop + replica + history per shard. Both are immutable after
-	// NewNode.
+	// replica + history per shard. Both are immutable after NewNode.
 	router *ShardRouter
 	shards []*shard
 
@@ -301,7 +300,7 @@ type Node struct {
 
 	// peers is written only by connect and disconnectPeer, under peerMu;
 	// each republishes peerList, the same senders as an immutable snapshot
-	// the shard loops read per broadcast without locking or allocating
+	// a shard's turn reads per broadcast without locking or allocating
 	// (allPeers). Its order means nothing: a broadcast only nudges them.
 	peerMu   sync.Mutex
 	peers    map[model.ReplicaID]*peerSender
@@ -311,7 +310,7 @@ type Node struct {
 	conns  map[net.Conn]struct{} // accepted connections
 
 	// Transport counters, bumped where the event happens (a link's sender, a
-	// shard's loop) and kept on the node, so they outlive links and only grow.
+	// shard's turn) and kept on the node, so they outlive links and only grow.
 	bytesOut    atomic.Int64
 	framesOut   atomic.Int64
 	retransmits atomic.Int64
@@ -325,10 +324,10 @@ type Node struct {
 	closeOnce sync.Once
 }
 
-// NewNode opens the listener, starts the per-shard event loops, and — if
-// cfg.Peers is set — starts the replication links. It does not block on
-// peers being up: links dial in the background and retry until the peer
-// appears.
+// NewNode opens the listener and each shard's storage, replays what it
+// restores, and — if cfg.Peers is set — starts the replication links. It does
+// not block on peers being up: links dial in the background and retry until the
+// peer appears.
 func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
@@ -395,10 +394,7 @@ func NewNode(cfg Config) (*Node, error) {
 	for id, addr := range cfg.Peers {
 		n.view.Merge(membership.Member{ID: int(id), Addr: addr})
 	}
-	n.wg.Add(1 + len(n.shards))
-	for _, s := range n.shards {
-		go s.loop()
-	}
+	n.wg.Add(1)
 	go n.acceptLoop()
 	if cfg.Join != nil {
 		// Join owns link setup: it syncs, announces, and connects to every
@@ -513,45 +509,7 @@ func liveEvent(node model.ReplicaID, ev Event) livecheck.Event {
 // messages the operation made pending. Safe for concurrent use;
 // operations on different shards run concurrently.
 func (n *Node) Do(obj model.ObjectID, op model.Operation) (model.Response, error) {
-	return newDoCall(n).do(obj, op)
-}
-
-// doCall is the slot one client operation at a time crosses into its
-// shard's loop through: arguments in, results out, and the closure and done
-// channel shard.handoff needs, built once. serveClient keeps one for the
-// life of its connection, so a request costs no allocation to hand over;
-// Node.Do uses a throw-away one. Not safe for concurrent use.
-type doCall struct {
-	n    *Node
-	done chan struct{}
-	run  func()
-
-	s    *shard
-	obj  model.ObjectID
-	op   model.Operation
-	resp model.Response
-	jerr error
-}
-
-func newDoCall(n *Node) *doCall {
-	c := &doCall{n: n, done: make(chan struct{}, 1)}
-	c.run = func() {
-		c.resp = c.s.doInLoop(c.obj, c.op)
-		c.jerr = c.s.jerr
-	}
-	return c
-}
-
-func (c *doCall) do(obj model.ObjectID, op model.Operation) (model.Response, error) {
-	c.s = c.n.shards[c.n.router.Route(obj)]
-	c.obj, c.op = obj, op
-	err := c.s.handoff(c.run, c.done)
-	if err == nil {
-		// A fail-stopping node must not confirm an operation whose event
-		// may never have reached the journal.
-		err = c.jerr
-	}
-	return c.resp, err
+	return n.shards[n.router.Route(obj)].do(obj, op)
 }
 
 // Quiesced reports whether this node has nothing left to say: no pending
@@ -585,7 +543,7 @@ func (n *Node) viewLinked() bool {
 }
 
 // Stats snapshots the node's counters. Each shard's slice of the snapshot
-// is captured coherently in one of that shard's event-loop turns (counter,
+// is captured coherently in one of that shard's turns (counter,
 // event count, checker verdicts, and pending-message verdict move
 // together); the transport counters — monotone for the life of the node,
 // whatever links come and go — and quiescence composition are read between
@@ -604,20 +562,20 @@ func (n *Node) Stats() Stats {
 	}
 	quiesced, closed := true, false
 	for i, sh := range n.shards {
-		if sh.inLoop(func() {
-			counts(i, sh)
-			s.ShardEvents[i] = int64(sh.events.len())
-			s.Violations += len(sh.checker.Violations())
-			quiesced = quiesced && sh.replica.PendingMessage() == nil
-		}) != nil {
+		if sh.lock() != nil {
 			closed = true
 			break
 		}
+		counts(i, sh)
+		s.ShardEvents[i] = int64(sh.events.len())
+		s.Violations += len(sh.checker.Violations())
+		quiesced = quiesced && sh.replica.PendingMessage() == nil
+		sh.turn.Unlock()
 	}
 	if closed {
-		// Node closed: the loops are gone, so a coherent snapshot is moot —
-		// report the lock-free counters' final values (loop-owned state
-		// stays zero; reading it here would race with the exiting loops).
+		// Node closing: no turn starts, so a coherent snapshot is moot —
+		// report the lock-free counters' final values (what only a turn may
+		// read stays zero).
 		clear(s.ShardEvents)
 		s.Violations = 0
 		for i, sh := range n.shards {
@@ -657,8 +615,10 @@ func (n *Node) Stats() Stats {
 func (n *Node) Violations() []*store.PropertyViolation {
 	var v []*store.PropertyViolation
 	for _, s := range n.shards {
-		s := s
-		s.inLoop(func() { v = append(v, s.checker.Violations()...) })
+		if s.lock() == nil {
+			v = append(v, s.checker.Violations()...)
+			s.turn.Unlock()
+		}
 	}
 	return v
 }
@@ -710,8 +670,10 @@ func (n *Node) BreakConnections() int {
 	return broken
 }
 
-// Close shuts the node down: stops the event loop, listener, links, and
-// open connections, then waits for every goroutine to exit.
+// Close shuts the node down: stops the listener, links, and open
+// connections, waits out each shard's running turn — no turn starts once
+// Close has begun — and every goroutine the node started, then closes the
+// journals.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		close(n.done)
@@ -726,10 +688,14 @@ func (n *Node) Close() error {
 			c.Close()
 		}
 		n.connMu.Unlock()
+		// done is closed, so no turn starts (lock); taking each shard's
+		// lock waits out the one running. After that no Append can follow,
+		// so the journals can close, flushing their final state.
+		for _, s := range n.shards {
+			s.turn.Lock()
+			s.turn.Unlock()
+		}
 		n.wg.Wait()
-		// The event loops have exited: no Append can follow, so the
-		// journals can close (flushing their final state) without racing
-		// the loops.
 		for _, s := range n.shards {
 			if s.closeJournal != nil {
 				s.closeJournal()
@@ -867,49 +833,45 @@ func (n *Node) serveHello(conn net.Conn, h hello, fr *wire.FrameReader) {
 // per shard, how many of from's updates this node holds, which moves the
 // dialer's cursors to what this node lacks. It answers the opening hello and
 // every later one, the quiescence check's question, alike. Each count is
-// read in a loop turn of its shard, so it covers every batch that shard
-// applied before the turn, and a shard whose journal failed answers nothing:
-// the count promises its updates are applied and journaled. False means
-// hang up.
+// read in a turn of its shard, so it covers every batch that shard applied
+// before the turn, and a shard whose journal failed answers nothing: the
+// count promises its updates are applied and journaled. False means hang
+// up.
 func (n *Node) answerHello(conn net.Conn, from model.ReplicaID) bool {
 	delivered := make([]uint64, len(n.shards))
 	for i, sh := range n.shards {
-		var jerr error
-		if sh.inLoop(func() { delivered[i], jerr = uint64(sh.updates[from].Len()), sh.jerr }) != nil || jerr != nil {
+		if sh.lock() != nil {
+			return false
+		}
+		delivered[i] = uint64(sh.updates[from].Len())
+		jerr := sh.jerr
+		sh.turn.Unlock()
+		if jerr != nil {
 			return false
 		}
 	}
 	return n.sendFrame(conn, func(w *wire.Writer) { appendHelloAck(w, delivered) })
 }
 
-// serveReplication applies the update stream of the peer whose opening
-// hello was h, and writes nothing back but the answers to its later hellos.
-// A tBatch applies in one loop turn of the shard it names. A later tHello is
-// the sender's question — what have you delivered? — and is answered by
-// answerHello: the connection is read in order and each batch is applied
-// before the next frame is read, so the answer covers every batch the
-// sender wrote before asking. A batch for a shard this node does not have,
-// or of any origin but the dialer's own, and a question that does not
-// repeat the opening hello, hang up: a confused peer cannot slip updates
-// into another seq domain. So does a journal failure, after which this node
-// promises nothing: the sender still owes what it sent to the next
-// incarnation.
+// serveReplication applies the update stream of the peer whose opening hello
+// was h, and writes nothing back but the answers to its later hellos. A tBatch
+// applies in one turn of the shard it names, on this goroutine. A later tHello
+// is the sender's question — what have you delivered? — and is answered by
+// answerHello: the connection is read in order and each batch is applied before
+// the next frame is read, so the answer covers every batch the sender wrote
+// before asking. A batch for a shard this node does not have, or of any origin
+// but the dialer's own, and a question that does not repeat the opening hello,
+// hang up: a confused peer cannot slip updates into another seq domain. So does
+// a journal failure, after which this node promises nothing: the sender still
+// owes what it sent to the next incarnation.
 func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 	// Everything a frame needs is built once per connection and reused: the
-	// receive buffer, the decoded batch (whose payloads alias that buffer —
-	// applyUpdate copies each before anything keeps it), and the slot the
-	// batch crosses into its shard's loop through.
+	// receive buffer and the decoded batch, whose payloads alias that buffer
+	// (applyUpdate copies each before anything keeps it).
 	var (
-		r    wire.Reader
-		us   []protoUpdate
-		call struct {
-			sh *shard
-			us []protoUpdate
-			ok bool
-		}
+		r  wire.Reader
+		us []protoUpdate
 	)
-	apply := func() { _, call.ok = call.sh.applyRun(call.us) }
-	done := make(chan struct{}, 1)
 	for {
 		b, err := recvFrame(fr, n.cfg.MaxFrame)
 		if err != nil {
@@ -922,10 +884,11 @@ func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 			if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 || us[0].Origin != h.From {
 				return
 			}
-			if call.sh, call.us = n.shardOf(shard), us; call.sh == nil {
+			sh := n.shardOf(shard)
+			if sh == nil {
 				return
 			}
-			if call.sh.handoff(apply, done) != nil || !call.ok {
+			if _, err := sh.applyRun(us); err != nil {
 				return
 			}
 		case tHello:
@@ -940,12 +903,9 @@ func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 
 // serveClient answers request/response frames from one client connection.
 func (n *Node) serveClient(conn net.Conn, first []byte, fr *wire.FrameReader) {
-	// call is the slot this connection's requests cross into their shard's
-	// loop through, built once.
-	call := newDoCall(n)
 	frame := first
 	for {
-		if !n.answer(conn, frame, call) {
+		if !n.answer(conn, frame) {
 			return
 		}
 		var err error
@@ -958,7 +918,7 @@ func (n *Node) serveClient(conn net.Conn, first []byte, fr *wire.FrameReader) {
 // answer serves one client request frame; false means hang up. The reply
 // is built behind its frame header in one pooled writer, so it leaves in
 // one conn.Write and (a history transfer aside) allocates nothing.
-func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
+func (n *Node) answer(conn net.Conn, frame []byte) bool {
 	var r wire.Reader
 	r.Reset(frame)
 	typ := r.Uvarint()
@@ -976,7 +936,7 @@ func (n *Node) answer(conn net.Conn, frame []byte, call *doCall) bool {
 		if err != nil {
 			return false
 		}
-		resp, err := call.do(obj, op)
+		resp, err := n.Do(obj, op)
 		if err != nil {
 			return false
 		}

@@ -31,24 +31,30 @@ const compressFloor = 512
 
 // maybeCompressPayload wraps a frame payload in a tCompressed envelope
 // when it clears the size floor and the envelope is an actual size win; it
-// returns a pooled writer holding the envelope — the caller must PutWriter
-// it after sending — or nil to send the payload raw. An incompressible
-// payload (the envelope would be no smaller) ships raw, so compression
-// never costs wire bytes. z is the sending connection's compressor.
-func maybeCompressPayload(payload []byte, z *wire.Deflater) *wire.Writer {
+// returns the envelope as one whole frame, header included, and the pooled
+// writer it lives in — the caller must PutWriter it after sending — or nil,
+// nil to send the payload raw. An incompressible payload (the envelope would
+// be no smaller) ships raw, so compression never costs wire bytes. z is the
+// sending connection's compressor.
+func maybeCompressPayload(payload []byte, z *wire.Deflater) (*wire.Writer, []byte) {
 	if len(payload) < compressFloor {
-		return nil
+		return nil, nil
 	}
 	w := wire.GetWriter()
+	w.BeginFrame()
 	w.Uvarint(tCompressed)
 	w.Uvarint(wire.CompFlate)
 	w.Uvarint(uint64(len(payload)))
 	z.DeflateTo(w, payload)
-	if w.Len() >= len(payload) {
+	// A limit one below the payload's length refuses exactly the envelopes
+	// that would be no smaller, and no frame limit can refuse the rest: the
+	// raw payload already fit.
+	frame, err := w.EndFrame(len(payload) - 1)
+	if err != nil {
 		wire.PutWriter(w)
-		return nil
+		return nil, nil
 	}
-	return w
+	return w, frame
 }
 
 // decompressFrame unwraps a tCompressed envelope; any other frame passes
@@ -104,9 +110,9 @@ func recvFrame(fr *wire.FrameReader, maxFrame int) ([]byte, error) {
 }
 
 // writeEnc seals the frame open in enc and writes it with a write
-// deadline, counting wire bytes and frames: header and payload were built
-// contiguously (BeginFrame), so a raw frame leaves in one conn.Write. A
-// non-nil z marks a bulk-transfer frame, which is offered to the compression
+// deadline, counting wire bytes and frames. Every frame, raw or in its
+// compression envelope, is built behind its header (BeginFrame) and leaves
+// in one conn.Write. A non-nil z marks a bulk-transfer frame, which is offered to the compression
 // envelope through z — the compressor its connection's handler owns; the
 // small latency-sensitive frames (hellos, hello acks, single updates, client
 // replies) pass nil and never touch one. The error is
@@ -119,23 +125,18 @@ func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.D
 		return err
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
-	var env *wire.Writer
 	if z != nil {
-		env = maybeCompressPayload(wire.FramePayload(frame), z)
-	}
-	var nBytes int
-	if env != nil {
 		// The envelope lives in its own pooled writer; it is returned to
 		// the pool only here, after the write, never inside
 		// maybeCompressPayload — enc (which frame aliases) is still checked
 		// out, and the same discipline keeps any future compressor from
-		// recycling a buffer a caller still reads. The compressed path goes
-		// through WriteFrame (header + payload, two writes).
-		nBytes, err = wire.WriteFrame(conn, env.Bytes(), maxFrame)
-		wire.PutWriter(env)
-	} else {
-		nBytes, err = conn.Write(frame)
+		// recycling a buffer a caller still reads.
+		if env, envFrame := maybeCompressPayload(wire.FramePayload(frame), z); env != nil {
+			defer wire.PutWriter(env)
+			frame = envFrame
+		}
 	}
+	nBytes, err := conn.Write(frame)
 	n.bytesOut.Add(int64(nBytes))
 	n.framesOut.Add(1)
 	return err

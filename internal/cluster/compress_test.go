@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"net"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -14,18 +17,19 @@ import (
 // compressible payload gets the envelope.
 func TestMaybeCompressPayloadGates(t *testing.T) {
 	big := bytes.Repeat([]byte("abcdefgh"), 256) // 2 KiB, highly compressible
-	if env := maybeCompressPayload(big[:compressFloor-1], new(wire.Deflater)); env != nil {
+	if env, _ := maybeCompressPayload(big[:compressFloor-1], new(wire.Deflater)); env != nil {
 		wire.PutWriter(env)
 		t.Fatal("compressed a sub-floor payload")
 	}
-	env := maybeCompressPayload(big, new(wire.Deflater))
+	env, frame := maybeCompressPayload(big, new(wire.Deflater))
 	if env == nil {
 		t.Fatal("did not compress a floor-clearing compressible payload")
 	}
-	if env.Len() >= len(big) {
-		t.Fatalf("envelope %d bytes did not beat raw %d", env.Len(), len(big))
+	payload := wire.FramePayload(frame)
+	if len(payload) >= len(big) {
+		t.Fatalf("envelope %d bytes did not beat raw %d", len(payload), len(big))
 	}
-	got, _, err := decompressFrame(append([]byte(nil), env.Bytes()...), 0)
+	got, _, err := decompressFrame(append([]byte(nil), payload...), 0)
 	wire.PutWriter(env)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("envelope did not round-trip: err %v", err)
@@ -87,8 +91,8 @@ func TestDecompressFrameHostileEnvelopes(t *testing.T) {
 // passes through or inflates must be stable under a second call.
 func FuzzDecompressFrame(f *testing.F) {
 	big := bytes.Repeat([]byte("abcdefgh"), 256)
-	if env := maybeCompressPayload(big, new(wire.Deflater)); env != nil {
-		f.Add(append([]byte(nil), env.Bytes()...))
+	if env, frame := maybeCompressPayload(big, new(wire.Deflater)); env != nil {
+		f.Add(append([]byte(nil), wire.FramePayload(frame)...))
 		wire.PutWriter(env)
 	}
 	w := wire.NewWriter()
@@ -161,8 +165,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		payload := enc.Bytes()
 		snapshot := append([]byte(nil), payload...)
 
-		env := maybeCompressPayload(payload, new(wire.Deflater))
-		if env != nil {
+		if env, _ := maybeCompressPayload(payload, new(wire.Deflater)); env != nil {
 			wire.PutWriter(env)
 			if target < compressFloor {
 				t.Fatalf("sub-floor %d-byte payload compressed", target)
@@ -185,5 +188,68 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 			wire.PutWriter(w)
 		}
 		wire.PutWriter(enc)
+	}
+}
+
+// recordingConn is the node's end of a connection that keeps what each
+// Write carried, one entry per call.
+type recordingConn struct {
+	net.Conn // nil: writeEnc calls SetWriteDeadline and Write only
+	writes   [][]byte
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, slices.Clone(p))
+	return len(p), nil
+}
+
+func (c *recordingConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestCompressedFrameIsOneWrite: a batch that clears the compression floor
+// leaves in its envelope the way a raw frame leaves — header and payload in
+// one Write, where they used to take two — with the same bytes the two
+// writes carried (the envelope behind its length header), and BytesOut
+// counts exactly those bytes.
+func TestCompressedFrameIsOneWrite(t *testing.T) {
+	us := make([]protoUpdate, 16)
+	for i := range us {
+		us[i] = protoUpdate{Origin: 1, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: bytes.Repeat([]byte("abcdefgh"), 8)}
+	}
+	var payload wire.Writer
+	appendBatch(&payload, tBatch, 0, 1, us)
+	if payload.Len() < compressFloor {
+		t.Fatalf("a %d-byte batch does not clear the %d-byte floor", payload.Len(), compressFloor)
+	}
+	var env wire.Writer
+	env.Uvarint(tCompressed)
+	env.Uvarint(wire.CompFlate)
+	env.Uvarint(uint64(payload.Len()))
+	new(wire.Deflater).DeflateTo(&env, payload.Bytes())
+	var want bytes.Buffer
+	if _, err := wire.WriteFrame(&want, env.Bytes(), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	nd := bootNode(t, 0, 1, nil)
+	before := nd.Stats()
+	conn := &recordingConn{}
+	enc := wire.NewWriter()
+	enc.BeginFrame()
+	enc.Raw(payload.Bytes())
+	if err := nd.writeEnc(conn, enc, nd.cfg.MaxFrame, new(wire.Deflater)); err != nil {
+		t.Fatal(err)
+	}
+	after := nd.Stats()
+	if len(conn.writes) != 1 {
+		t.Fatalf("a compressed batch took %d writes", len(conn.writes))
+	}
+	if got := conn.writes[0]; !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("wrote %d bytes %x, want the %d-byte framed envelope %x", len(got), got, want.Len(), want.Bytes())
+	}
+	if got := after.BytesOut - before.BytesOut; got != int64(want.Len()) {
+		t.Fatalf("BytesOut grew by %d, want the frame's %d", got, want.Len())
+	}
+	if got := after.FramesOut - before.FramesOut; got != 1 {
+		t.Fatalf("FramesOut grew by %d, want 1", got)
 	}
 }

@@ -65,9 +65,8 @@ func (l *eventLog) update(at seglog.Pos) protoUpdate {
 
 // encodedHistory is a snapshot of a history whose events are still in the
 // log's form: History's identity fields (Events unset) and the block table
-// as it stood in one loop turn. Taking it costs the loop a copy of the
-// table; framing it (appendTo) or decoding it (decode) happens on the
-// asker's goroutine.
+// as it stood in one turn. Taking it costs the turn a copy of the table;
+// framing it (appendTo) or decoding it (decode) happens after the turn.
 type encodedHistory struct {
 	History
 	blocks [][]byte

@@ -244,10 +244,12 @@ func TestPayloadStoredOnce(t *testing.T) {
 	mem := &memStorage{}
 	s := looseShardOf(t, st)
 	s.journal, _, _, _, _ = mem.Open(s.n.cfg.ID, s.n.cfg.N, st.Name(), 0, 1)
-	if applied, ok := s.applyRun(us); applied != 8 || !ok || s.logLen(0) != 8 {
-		t.Fatalf("applyRun = (%d, %v), watermark %d", applied, ok, s.logLen(0))
+	if applied, err := s.applyRun(us); applied != 8 || err != nil || s.logLen(0) != 8 {
+		t.Fatalf("applyRun = (%d, %v), watermark %d", applied, err, s.logLen(0))
 	}
-	s.doInLoop("mine", model.Write("w"))
+	if _, err := s.do("mine", model.Write("w")); err != nil {
+		t.Fatal(err)
+	}
 
 	blocks, _ := s.events.recs.Snapshot()
 	journaled := mem.events(s.n.cfg.ID, 0)
@@ -280,7 +282,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 
 // TestHistoryFrameIsTheLogVerbatim: a history reply frames the log's blocks
 // as they are, and that is byte for byte the reference encoding of the
-// decoded History; and the part of a snapshot taken on the shard's loop
+// decoded History; and the part of a snapshot taken in the shard's turn
 // costs a copy of the block table, not of the events.
 func TestHistoryFrameIsTheLogVerbatim(t *testing.T) {
 	nd := bootNode(t, 0, 2, nil)

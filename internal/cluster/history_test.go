@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/model"
 )
 
@@ -87,8 +89,8 @@ func TestBuildAuditFrontierlessReads(t *testing.T) {
 	}
 }
 
-// TestHistoryOfClosedNodeIsAnError: a node whose loops are gone has no
-// snapshot to give, and must say so — a well-formed history with zero
+// TestHistoryOfClosedNodeIsAnError: a closed node, whose shards take no
+// more turns, has no snapshot to give, and must say so — a well-formed history with zero
 // events reads, to whoever merges it, as "this node did nothing". What the
 // node recorded is still in its storage.
 func TestHistoryOfClosedNodeIsAnError(t *testing.T) {
@@ -105,7 +107,7 @@ func TestHistoryOfClosedNodeIsAnError(t *testing.T) {
 }
 
 // TestClientHistoryFailsWhenNodeClosesMidRequest holds a history request
-// at the node — its shard loop is kept busy — while the node closes. The
+// at the node — its shard's turn is held — while the node closes. The
 // request must fail at the client; it used to be answered with an empty
 // history.
 func TestClientHistoryFailsWhenNodeClosesMidRequest(t *testing.T) {
@@ -120,9 +122,10 @@ func TestClientHistoryFailsWhenNodeClosesMidRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	busy, release := make(chan struct{}), make(chan struct{})
-	go nd.shards[0].inLoop(func() { close(busy); <-release })
-	<-busy
+	sh := nd.shards[0]
+	if err := sh.lock(); err != nil {
+		t.Fatal(err)
+	}
 	type result struct {
 		h   History
 		err error
@@ -132,13 +135,95 @@ func TestClientHistoryFailsWhenNodeClosesMidRequest(t *testing.T) {
 		h, err := c.History()
 		got <- result{h, err}
 	}()
-	time.Sleep(20 * time.Millisecond) // let the request reach the busy loop
+	time.Sleep(20 * time.Millisecond) // let the request reach the busy shard
 	closed := make(chan struct{})
 	go func() { nd.Close(); close(closed) }()
 	res := <-got
-	close(release)
+	sh.turn.Unlock()
 	<-closed
 	if res.err == nil {
 		t.Fatalf("History against a closing node decoded %d events without error", len(res.h.Events))
+	}
+}
+
+// heldJournal is a journal that can hold a shard's turn: once armed, the
+// next Append signals busy and waits for release. It fails the test if an
+// Append runs after its close hook.
+type heldJournal struct {
+	t             *testing.T
+	busy, release chan struct{}
+	mu            sync.Mutex
+	armed, closed bool
+}
+
+func (j *heldJournal) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	journal := func(Event) error {
+		j.mu.Lock()
+		hold, closed := j.armed, j.closed
+		j.armed = false
+		j.mu.Unlock()
+		if closed {
+			j.t.Error("the journal was appended to after its close hook ran")
+		}
+		if hold {
+			close(j.busy)
+			<-j.release
+		}
+		return nil
+	}
+	closeLog := func() error {
+		j.mu.Lock()
+		j.closed = true
+		j.mu.Unlock()
+		return nil
+	}
+	return journal, nil, nil, closeLog, nil
+}
+
+// TestCloseWaitsOutTheRunningTurn holds a node's one shard busy inside a
+// turn — a write whose journal Append is held — while the node closes,
+// with a second write waiting on that shard. Close must return only after
+// the busy turn ends, and close the journal only then, so no Append
+// follows its close hook: the write of the busy turn, do and send alike,
+// is journaled and answered. The waiting write must get ErrClosed, not a
+// turn of its own after Close began.
+func TestCloseWaitsOutTheRunningTurn(t *testing.T) {
+	j := &heldJournal{t: t, busy: make(chan struct{}), release: make(chan struct{})}
+	nd := bootNode(t, 0, 1, func(cfg *Config) { cfg.Storage = j })
+	writeN(t, nd, 3, "w")
+
+	j.mu.Lock()
+	j.armed = true
+	j.mu.Unlock()
+	held, queued := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := nd.Do("k", model.Write("held"))
+		held <- err
+	}()
+	<-j.busy
+	go func() {
+		_, err := nd.Do("k", model.Write("queued"))
+		queued <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the second write reach the busy shard
+	closed := make(chan struct{})
+	go func() { nd.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a turn was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(j.release)
+	<-closed
+	if err := <-held; err != nil {
+		t.Fatalf("the write whose turn Close waited out = %v, want its response", err)
+	}
+	if err := <-queued; !errors.Is(err, ErrClosed) {
+		t.Fatalf("a write waiting on the shard when Close began = %v, want ErrClosed", err)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.closed {
+		t.Fatal("Close returned without closing the journal")
 	}
 }

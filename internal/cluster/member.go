@@ -330,13 +330,13 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadline time.Duration) error {
 	// Digest exchange: per origin, what we hold vs what the donor holds.
 	local := make([]originDigest, 0, n.cfg.N)
-	if s.inLoop(func() {
-		for o := 0; o < n.cfg.N; o++ {
-			local = append(local, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o), Root: s.tree.Root(o)})
-		}
-	}) != nil {
-		return ErrClosed
+	if err := s.lock(); err != nil {
+		return err
 	}
+	for o := 0; o < n.cfg.N; o++ {
+		local = append(local, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o), Root: s.tree.Root(o)})
+	}
+	s.turn.Unlock()
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, s.idx, local) }) {
 		return errors.New("cluster: digest write failed")
 	}
@@ -412,7 +412,7 @@ func owedRanges(joiner model.ReplicaID, shard int, asked, answered []originDiges
 // pullRange reads the donor's stream of one owed range of shard s: chunks
 // of o.Origin's updates, each starting where the one before ended, until one
 // ends at o.To — the count the donor reported, not our log's length, which
-// live links may move meanwhile. Each chunk is applied in one event-loop turn,
+// live links may move meanwhile. Each chunk is applied in one turn,
 // journaling in that turn, so a kill -9 mid-sync keeps every chunk applied
 // before it and the restarted join's digest asks only for the rest.
 func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRange, readDeadline time.Duration) error {
@@ -434,25 +434,19 @@ func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRa
 			return errors.New("cluster: range chunk empty, mislabeled or out of sequence")
 		}
 		at = us[len(us)-1].Seq
-		var applied int64
-		var jerr error
-		if s.inLoop(func() {
-			applied, _ = s.applyRun(us)
-			jerr = s.jerr
-		}) != nil {
-			return ErrClosed
-		}
-		if jerr != nil {
-			return fmt.Errorf("cluster: journal failed during sync: %v", jerr)
+		applied, err := s.applyRun(us)
+		if err != nil {
+			return err
 		}
 		n.syncPulled.Add(applied)
 	}
 	// End-to-end integrity: the prefix we now hold over the donor's count
 	// must reproduce the donor's root, or something shipped wrong.
-	var root membership.Hash
-	if s.inLoop(func() { root = s.tree.PrefixRoot(int(o.Origin), o.To, s.updatePayload) }) != nil {
-		return ErrClosed
+	if err := s.lock(); err != nil {
+		return err
 	}
+	root := s.tree.PrefixRoot(int(o.Origin), o.To, s.updatePayload)
+	s.turn.Unlock()
 	if root != o.Root {
 		return fmt.Errorf("%w: shard %d origin r%d's pulled range fails digest verification", errJoinRefused, s.idx, o.Origin)
 	}
@@ -529,18 +523,20 @@ func digestResp(s *shard, ds []originDigest) ([]originDigest, error) {
 			return nil, fmt.Errorf("cluster: digest of shard %d names r%d out of order or outside the cluster", s.idx, d.Origin)
 		}
 	}
+	if err := s.lock(); err != nil {
+		return nil, err
+	}
+	defer s.turn.Unlock()
 	resp := make([]originDigest, 0, len(ds))
-	err := s.inLoop(func() {
-		for _, d := range ds {
-			o := int(d.Origin)
-			e := originDigest{Origin: d.Origin, Count: s.tree.Count(o), Root: s.tree.Root(o)}
-			if d.Count <= e.Count {
-				e.PrefixRoot = s.tree.PrefixRoot(o, d.Count, s.updatePayload)
-			}
-			resp = append(resp, e)
+	for _, d := range ds {
+		o := int(d.Origin)
+		e := originDigest{Origin: d.Origin, Count: s.tree.Count(o), Root: s.tree.Root(o)}
+		if d.Count <= e.Count {
+			e.PrefixRoot = s.tree.PrefixRoot(o, d.Count, s.updatePayload)
 		}
-	})
-	return resp, err
+		resp = append(resp, e)
+	}
+	return resp, nil
 }
 
 // serveRange streams origin's updates from+1 through to in shard s to a

@@ -271,12 +271,13 @@ func testJoinRefusedOnDivergentHistory(t *testing.T, shards int, origin model.Re
 		}
 		return donor
 	}
-	chainAt := func(nd *Node, k uint64) (h membership.Hash) {
+	chainAt := func(nd *Node, k uint64) membership.Hash {
 		s := nd.shards[si]
-		if err := s.inLoop(func() { h = s.tree.PrefixRoot(int(origin), k, s.updatePayload) }); err != nil {
+		if err := s.lock(); err != nil {
 			t.Fatal(err)
 		}
-		return h
+		defer s.turn.Unlock()
+		return s.tree.PrefixRoot(int(origin), k, s.updatePayload)
 	}
 	mem := &memStorage{}
 	joining := func(donor *Node) func(*Config) {
@@ -629,14 +630,14 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 func forestDigest(t *testing.T, nd *Node, shard int) []originDigest {
 	t.Helper()
 	s := nd.shards[shard]
-	var ds []originDigest
-	if err := s.inLoop(func() {
-		for o := 0; o < nd.cfg.N; o++ {
-			ds = append(ds, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o),
-				Root: s.tree.Root(o), PrefixRoot: s.tree.PrefixRoot(o, s.tree.Count(o)/2, s.updatePayload)})
-		}
-	}); err != nil {
+	if err := s.lock(); err != nil {
 		t.Fatal(err)
+	}
+	defer s.turn.Unlock()
+	var ds []originDigest
+	for o := 0; o < nd.cfg.N; o++ {
+		ds = append(ds, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o),
+			Root: s.tree.Root(o), PrefixRoot: s.tree.PrefixRoot(o, s.tree.Count(o)/2, s.updatePayload)})
 	}
 	return ds
 }

@@ -111,7 +111,7 @@ func newPeerSender(n *Node, peer model.ReplicaID, addr string) *peerSender {
 	}
 }
 
-// nudge tells the sender a shard's log grew. The shard's loop calls it and
+// nudge tells the sender a shard's log grew. A shard's turn calls it and
 // must never wait on a link: kick holds one pending nudge, and one is enough.
 func (p *peerSender) nudge() {
 	select {

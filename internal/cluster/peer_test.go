@@ -50,11 +50,7 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var linkErr error
-	if err := nodes[0].shards[0].inLoop(func() { linkErr = nodes[0].peers[model.ReplicaID(1)].failure() }); err != nil {
-		t.Fatal(err)
-	}
-	if linkErr == nil {
+	if linkErr := nodes[0].allPeers()[0].failure(); linkErr == nil {
 		t.Fatal("failed link has no latched error")
 	} else if !strings.Contains(linkErr.Error(), "undeliverable") {
 		t.Fatalf("latched error %q does not name the undeliverable update", linkErr)
@@ -696,12 +692,12 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 
 // TestLogReadersRaceTheLoop: two links (nextBatch) and a range server
 // (serveRange, over a pipe) read updates back out of the history's records
-// while the loop keeps recording — do events between the updates, records
+// while the shard keeps recording — do events between the updates, records
 // crossing some hundred block boundaries, the update index crossing two
 // segment boundaries, one record larger than a block. Every update read is
 // compared with the one that was recorded. Run under -race this is the lock
-// rule of shard.logMu: the block table and the index are read off the loop
-// only under it, the records themselves bare.
+// rule of shard.logMu: the block table and the index are read outside a
+// turn only under it, the records themselves bare.
 func TestLogReadersRaceTheLoop(t *testing.T) {
 	const n, peerOrigin = 2*seglog.SegmentLen + 300, model.ReplicaID(2)
 	s := looseShard(t, "lww")
@@ -788,7 +784,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 		}
 	}()
 
-	// The loop.
+	// The shard's turns.
 	for seq := uint64(1); seq <= n; seq++ {
 		s.record(Event{Kind: model.ActDo, Lamport: 3 * seq, Object: "k", Op: model.Read()})
 		noteRecorded(t, s, self, stampOf(self, seq), payloadOf(self, seq))

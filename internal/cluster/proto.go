@@ -163,8 +163,8 @@ func appendBatch(w *wire.Writer, typ uint64, shard int, origin model.ReplicaID, 
 
 // decodeBatch decodes a tBatch or tRangeResp body into us[:0] — the receiving
 // handler's own scratch, reused frame after frame — and returns it. Payloads
-// are subslices of the frame buffer (zero-copy): the event loop copies each
-// before anything keeps it.
+// are subslices of the frame buffer (zero-copy): the shard's turn copies
+// each before anything keeps it.
 func decodeBatch(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdate, err error) {
 	shard = r.Uvarint()
 	origin := model.ReplicaID(r.Uvarint())

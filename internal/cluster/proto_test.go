@@ -495,11 +495,11 @@ func TestGoldenWireVectors(t *testing.T) {
 					{Origin: 1, Seq: 7, Lamport: 300, Payload: bytes.Repeat([]byte("abcdefgh"), 128)},
 				})
 			})
-			env := maybeCompressPayload(raw, new(wire.Deflater))
+			env, frame := maybeCompressPayload(raw, new(wire.Deflater))
 			if env == nil {
 				t.Fatal("compressed_envelope vector did not compress")
 			}
-			b := append([]byte(nil), env.Bytes()...)
+			b := append([]byte(nil), wire.FramePayload(frame)...)
 			wire.PutWriter(env)
 			return b
 		}()},

@@ -22,8 +22,8 @@ import (
 )
 
 // looseShard builds the one shard of a node that serves nothing — no
-// listener, no peers, no loop goroutine — so a test or benchmark can call
-// the loop-owned methods directly, from its own goroutine.
+// listener, no peers — so a test or benchmark can call the steps a turn
+// runs directly, from its own goroutine.
 func looseShard(tb testing.TB, storeName string) *shard {
 	tb.Helper()
 	st, err := store.Open(storeName, spec.MVRTypes(), store.Options{})
@@ -96,7 +96,7 @@ func encodedBytes(s *shard) (n int) {
 // stored chain values occupy — an append-doubled slice reads ≈5× — and no
 // burst of 256 calls allocates more than a block of records plus a segment
 // for each other log it appends to, where one unlucky append to a slice that
-// long allocates, and copies, tens of megabytes on the event loop.
+// long allocates, and copies, tens of megabytes in a shard's turn.
 func TestRecordCostIndependentOfHistory(t *testing.T) {
 	const total, burst = 256 << 10, 256
 	s := looseShard(t, "lww")
@@ -182,24 +182,6 @@ func TestPerUpdateOverhead(t *testing.T) {
 	}
 }
 
-// TestLoopHandoffAllocatesNothing: crossing into the shard loop with a
-// reused function and done channel is free.
-func TestLoopHandoffAllocatesNothing(t *testing.T) {
-	nd := bootNode(t, 0, 1, nil)
-	s, done, ran := nd.shards[0], make(chan struct{}, 1), 0
-	fn := func() { ran++ }
-	if avg := testing.AllocsPerRun(1000, func() {
-		if err := s.handoff(fn, done); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Fatalf("handoff allocates %.0f times per crossing", avg)
-	}
-	if ran != 1001 {
-		t.Fatalf("fn ran %d times, want 1001", ran)
-	}
-}
-
 // readNodeAndTwin boots a node holding one written key, and builds the
 // store's side of a read of it for comparison: a twin replica in the same
 // state behind its own checker, one read already checked (so the next is
@@ -218,7 +200,7 @@ func readNodeAndTwin(t *testing.T) (*Node, *store.PropertyChecker) {
 }
 
 // TestServedReadAllocatesItsEventOnly: what serving a read costs on top of
-// the store's own work — routing, the loop hand-off, recording the event,
+// the store's own work — routing, the shard's turn, recording the event,
 // encoding the reply — allocates the event's encoded record and nothing
 // else.
 func TestServedReadAllocatesItsEventOnly(t *testing.T) {
@@ -230,9 +212,9 @@ func TestServedReadAllocatesItsEventOnly(t *testing.T) {
 		}
 	}) / reads
 
-	call, w := newDoCall(nd), wire.NewWriter()
+	w := wire.NewWriter()
 	serve := func() {
-		resp, err := call.do("k", model.Read())
+		resp, err := nd.Do("k", model.Read())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,9 +283,8 @@ func TestServedWriteAllocatesOnlyWhatItKeeps(t *testing.T) {
 		t.Errorf("the store's Do allocates %.0f times per write, want 0", storeAllocs)
 	}
 
-	call := newDoCall(nd)
 	serve := func() {
-		if resp, err := call.do("k", write); err != nil || !resp.OK {
+		if resp, err := nd.Do("k", write); err != nil || !resp.OK {
 			t.Fatalf("write = (%v, %v)", resp, err)
 		}
 	}
@@ -419,7 +400,7 @@ func framed(payload []byte) []byte {
 // a real client connection with a client that allocates nothing, so every
 // allocation counted is the node's. What is left is what a read keeps or
 // hands out: the store's own response and the decoded key string (a read
-// has no argument). The frame buffer, the reader, the loop hand-off, the
+// has no argument). The frame buffer, the reader, the shard's turn, the
 // reply writer and the event's slot in its segment cost nothing per read.
 func TestReadOverTCPAllocatesOnlyWhatItKeeps(t *testing.T) {
 	nd, checker := readNodeAndTwin(t)

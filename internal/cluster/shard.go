@@ -46,16 +46,16 @@ func (r *ShardRouter) Route(obj model.ObjectID) int {
 	return int(h % r.shards)
 }
 
-// shard is one independent slice of a node: its own store replica behind
-// its own single-goroutine event loop, its own Lamport clock and broadcast
-// sequence domain, its own recorded history and durable journal. Each
-// shard is the paper's §2 replica in miniature, and its histories audit on
-// their own. Because no object ever spans two shards, verdicts on
-// per-object properties (well-formedness of each broadcast domain,
-// convergence) compose across shards. Causal consistency does not follow:
-// happens-before chains through a node's session order across objects, so
-// across shards, and nothing records or enforces order between a node's
-// shards. It is not established for a sharded node.
+// shard is one independent slice of a node: its own store replica, run
+// one turn at a time, its own Lamport clock and broadcast sequence domain,
+// its own recorded history and durable journal. Each shard is the paper's
+// §2 replica in miniature, and its histories audit on their own. Because no
+// object ever spans two shards, verdicts on per-object properties
+// (well-formedness of each broadcast domain, convergence) compose across
+// shards. Causal consistency does not follow: happens-before chains through
+// a node's session order across objects, so across shards, and nothing
+// records or enforces order between a node's shards. It is not established
+// for a sharded node.
 type shard struct {
 	n   *Node
 	idx int
@@ -67,20 +67,21 @@ type shard struct {
 	reportsVis bool
 	checker    *store.PropertyChecker
 
-	// calls hands work to the loop. A call is a value — the function to run
-	// and the channel to signal when it has run — so a caller that keeps
-	// both (a connection handler does, for the life of its connection)
-	// crosses into the loop without allocating. See handoff.
-	calls chan loopCall
+	// turn serializes the shard's steps into the single-threaded executions
+	// of Definition 1: a step — a client operation, a replicated run, a read
+	// of the state below — runs in a turn, which its caller takes on its own
+	// goroutine (lock) and gives back with turn.Unlock. No turn starts once
+	// the node is closing, and Node.Close waits out the one running, so no
+	// journal call follows Close.
+	turn sync.Mutex
 
 	// journal, when non-nil, persists each recorded event before a hello ack
 	// counting it or a response leaves the node (the per-shard log Config.Storage opened).
-	// closeJournal, when non-nil, runs in Node.Close after the loops have
-	// exited.
+	// closeJournal, when non-nil, runs in Node.Close after the last turn.
 	journal      func(Event) error
 	closeJournal func() error
 
-	// State below is owned by this shard's event-loop goroutine.
+	// State below is read and written only in a turn.
 	lamport uint64
 	// frontier is the per-origin visible store-dot prefix. A do event
 	// records it as it stands: the record encodes it, and the journal is
@@ -110,9 +111,9 @@ type shard struct {
 	// of what replication moves: links send runs of updates[self] and keep
 	// positions in it, range serving reads the rest, and both read seq, stamp
 	// and payload back out of the record (eventLog.update). logMu guards the
-	// index and the block table of events it points into. The loop is the
-	// only writer of either (record, noteUpdate) and reads them bare; every
-	// other goroutine reads through logLen and logRun, under logMu.
+	// index and the block table of events it points into. Only a turn writes
+	// either (record, noteUpdate), and a turn reads them bare; a reader
+	// outside a turn goes through logLen and logRun, under logMu.
 	logMu   sync.RWMutex
 	updates []seglog.Log[seglog.Pos]
 	// tree is the hash-chain forest over updates, backing digest exchange with
@@ -134,64 +135,28 @@ func newShard(n *Node, idx int) *shard {
 		replica:    replica,
 		reportsVis: reportsVis,
 		checker:    store.NewPropertyChecker(replica),
-		calls:      make(chan loopCall),
 		frontier:   make([]uint64, n.cfg.N),
 		updates:    make([]seglog.Log[seglog.Pos], n.cfg.N),
 		tree:       membership.NewForest(n.cfg.N),
 	}
 }
 
-// loop is the shard's event loop: the only goroutine that touches the
-// replica and the recorded history, serializing concurrent clients and
-// peer deliveries into the single-threaded executions of Definition 1.
-func (s *shard) loop() {
-	defer s.n.wg.Done()
-	for {
-		select {
-		case c := <-s.calls:
-			c.fn()
-			c.done <- struct{}{}
-		case <-s.n.done:
-			return
-		}
-	}
-}
-
-// loopCall is one unit of work for a shard's event loop: the loop runs fn,
-// then signals done. done has capacity 1, so the loop never waits for its
-// caller to be scheduled.
-type loopCall struct {
-	fn   func()
-	done chan struct{}
-}
-
-// handoff runs fn on the shard's event loop and waits for it to finish,
-// signalling through the caller's done channel (capacity 1, empty, and not
-// shared with a concurrent handoff). It allocates nothing, so a caller that
-// reuses fn and done — reading its arguments from, and writing its results
-// to, a struct fn closes over — pays nothing per crossing. Whatever fn
-// wrote is visible to the caller once handoff returns: the receive on done
-// orders it. calls is unbuffered, so a successful send means the loop
-// goroutine received the call and is committed to running it — after that
-// the only correct move is to wait for completion.
-func (s *shard) handoff(fn func(), done chan struct{}) error {
+// lock takes the shard's turn, or fails with ErrClosed, holding nothing,
+// once the node is closing: a caller that was waiting for a busy turn when
+// Close began does not start one after it. Pair with s.turn.Unlock.
+func (s *shard) lock() error {
+	s.turn.Lock()
 	select {
-	case s.calls <- loopCall{fn, done}:
-		<-done
-		return nil
 	case <-s.n.done:
+		s.turn.Unlock()
 		return ErrClosed
+	default:
+		return nil
 	}
-}
-
-// inLoop is handoff with a throw-away done channel, for callers off the
-// serving path (Stats, History, Connect, membership).
-func (s *shard) inLoop(fn func()) error {
-	return s.handoff(fn, make(chan struct{}, 1))
 }
 
 // record appends one event to the shard's history and, when a journal is
-// configured, persists it in the same event-loop turn — before a hello ack
+// configured, persists it in the same turn — before a hello ack
 // counting the update or the client's response can leave the node, so an
 // acknowledged event is always durable. A journal failure fail-stops the
 // node. It returns the history's own copy of ev.Payload and where the
@@ -199,10 +164,10 @@ func (s *shard) inLoop(fn func()) error {
 // connection memory or the store's lent message, so the copy is what the
 // journal is handed and the only slice a caller may pass on. ev.Frontier
 // may be the shard's live frontier: it is encoded and shown to the journal,
-// and only the tap, which keeps it, is given a copy. Runs on the shard's
-// loop (or in restore, before the loop starts).
+// and only the tap, which keeps it, is given a copy. Runs in a turn (or in
+// restore, before the node serves).
 func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
-	s.logMu.Lock() // an append writes the block table logRun reads off the loop
+	s.logMu.Lock() // an append writes the block table logRun reads outside a turn
 	payload, at, err := s.events.append(ev)
 	s.logMu.Unlock()
 	if err != nil {
@@ -230,8 +195,16 @@ func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	return payload, at
 }
 
-func (s *shard) doInLoop(obj model.ObjectID, op model.Operation) model.Response {
-	// The counter moves with the event append, inside the loop: a Stats
+// do runs one client operation in a turn: checked store.Do, frontier,
+// record, broadcast. A fail-stopping node answers with the journal's error:
+// it must not confirm an operation whose event may never have reached the
+// journal.
+func (s *shard) do(obj model.ObjectID, op model.Operation) (model.Response, error) {
+	if err := s.lock(); err != nil {
+		return model.Response{}, err
+	}
+	defer s.turn.Unlock()
+	// The counter moves with the event append, in the turn: a Stats
 	// snapshot must never see the op counted but its event missing (or
 	// vice versa).
 	s.ops.Add(1)
@@ -254,7 +227,7 @@ func (s *shard) doInLoop(obj model.ObjectID, op model.Operation) model.Response 
 	}
 	s.record(ev)
 	s.broadcastPending()
-	return resp
+	return resp, s.jerr
 }
 
 // advanceFrontier pushes each origin's visible prefix forward by probing
@@ -273,7 +246,7 @@ func (s *shard) advanceFrontier() {
 
 // broadcastPending drains the replica's outbox: each pending message
 // becomes one recorded send event and one update at the end of the shard's
-// own log, where every peer link finds it. Runs on the shard's event loop.
+// own log, where every peer link finds it. Runs in a turn.
 func (s *shard) broadcastPending() {
 	minted := false
 	for s.mintSend() {
@@ -304,13 +277,13 @@ func (s *shard) mintSend() bool {
 		Origin: s.n.cfg.ID, Seq: seq, Payload: p,
 	})
 	s.checker.OnSend()
-	s.noteUpdateInLoop(s.n.cfg.ID, seq, at, payload)
+	s.noteUpdateInTurn(s.n.cfg.ID, seq, at, payload)
 	return true
 }
 
-// applyUpdate delivers one replicated update on the shard's event loop and
-// reports whether the journal still holds: false means it failed, so the
-// receive event may not be durable and the node is fail-stopping.
+// applyUpdate delivers one replicated update in a turn and reports whether
+// the journal still holds: false means it failed, so the receive event may
+// not be durable and the node is fail-stopping.
 // Exactly-once, in-order application falls out of the cumulative counter:
 // duplicates (a dup fault, or a resend of what a dead connection carried)
 // are counted and dropped. A link delivers in order and resends from this
@@ -341,26 +314,30 @@ func (s *shard) applyUpdate(u protoUpdate) bool {
 		})
 		s.checker.CheckReceive(payload)
 		s.receives.Add(1)
-		s.noteUpdateInLoop(u.Origin, u.Seq, at, payload)
+		s.noteUpdateInTurn(u.Origin, u.Seq, at, payload)
 		s.broadcastPending()
 	}
 	return s.jerr == nil
 }
 
 // applyRun delivers a decoded, non-empty run of one origin's updates — a
-// tBatch frame, an anti-entropy range chunk — in one loop turn and returns
-// how many of the run were new and whether the journal still holds (see
-// applyUpdate; it stops at the first update the journal refused).
-func (s *shard) applyRun(us []protoUpdate) (applied int64, ok bool) {
+// tBatch frame, an anti-entropy range chunk — in one turn and returns how
+// many of the run were new. The error is ErrClosed on a closing node, or
+// the journal failure that stopped the run (see applyUpdate; it stops at the
+// first update the journal refused).
+func (s *shard) applyRun(us []protoUpdate) (int64, error) {
+	if err := s.lock(); err != nil {
+		return 0, err
+	}
+	defer s.turn.Unlock()
 	log := &s.updates[us[0].Origin]
 	before := log.Len()
-	ok = true
 	for _, u := range us {
-		if ok = s.applyUpdate(u); !ok {
+		if !s.applyUpdate(u) {
 			break
 		}
 	}
-	return int64(log.Len() - before), ok
+	return int64(log.Len() - before), s.jerr
 }
 
 // noteUpdate indexes one broadcast update — its record starts at `at` in
@@ -407,16 +384,16 @@ func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) []
 }
 
 // updatePayload is the forest's membership.Source: the payload of origin's
-// update seq, read back out of its record. Runs on the shard's loop, like
-// every forest query.
+// update seq, read back out of its record. Runs in a turn, like every
+// forest query.
 func (s *shard) updatePayload(origin int, seq uint64) []byte {
 	return s.events.update(s.updates[origin].At(int(seq - 1))).Payload
 }
 
-// noteUpdateInLoop is noteUpdate for event-loop callers, latching a
+// noteUpdateInTurn is noteUpdate for a turn's steps, latching a
 // failure into jerr (a misaligned forest would corrupt anti-entropy, so
 // the node fail-stops like it does on a journal failure).
-func (s *shard) noteUpdateInLoop(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) {
+func (s *shard) noteUpdateInTurn(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) {
 	if err := s.noteUpdate(origin, seq, at, payload); err != nil && s.jerr == nil {
 		s.jerr = err
 		go s.n.Close()
@@ -424,8 +401,8 @@ func (s *shard) noteUpdateInLoop(origin model.ReplicaID, seq uint64, at seglog.P
 }
 
 // restore replays a previous incarnation's history into the fresh replica
-// before the node serves anything. Runs before the event-loop goroutine
-// starts; no locking needed. See Config.Storage.
+// before the node serves anything, so before any turn; no locking needed.
+// See Config.Storage.
 func (s *shard) restore(h *History) error {
 	if h.Node != s.n.cfg.ID {
 		return fmt.Errorf("cluster: restoring r%d's history into r%d", h.Node, s.n.cfg.ID)
@@ -481,7 +458,7 @@ func (s *shard) restore(h *History) error {
 	return nil
 }
 
-// snapshot captures this shard's recorded history in one loop turn, still
+// snapshot captures this shard's recorded history in one turn, still
 // encoded. It fails with ErrClosed on a node that is closing: an empty
 // history would read as "this node did nothing".
 func (s *shard) snapshot() (encodedHistory, error) {
@@ -489,9 +466,11 @@ func (s *shard) snapshot() (encodedHistory, error) {
 	if s.n.cfg.Shards > 1 {
 		id.Shard, id.Shards = s.idx, s.n.cfg.Shards
 	}
-	h := encodedHistory{History: id}
-	err := s.inLoop(func() { h = s.events.snapshot(id) })
-	return h, err
+	if err := s.lock(); err != nil {
+		return encodedHistory{History: id}, err
+	}
+	defer s.turn.Unlock()
+	return s.events.snapshot(id), nil
 }
 
 // history snapshots this shard's recorded history and decodes it, on the

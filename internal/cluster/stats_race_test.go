@@ -11,12 +11,12 @@ import (
 
 // TestStatsCoherentSnapshot is the regression for the torn Stats read: the
 // op counter used to advance in the caller's goroutine (inside Do) while
-// the event append happened later in the node's loop, so a concurrent
+// the event append happened later in the shard's step, so a concurrent
 // Stats call could observe an op whose event did not exist yet. Stats now
-// captures everything in one loop turn, and for a node that never restored
-// a prior history the ledger must balance exactly: every recorded event is
-// an op, a send, or a receive. Run under -race this also proves Stats
-// takes no unsynchronized reads of loop-owned state.
+// captures each shard in one turn, and for a node that never restored a
+// prior history the ledger must balance exactly: every recorded event is an
+// op, a send, or a receive. Run under -race this also proves Stats takes no
+// unsynchronized reads of what only a turn may touch.
 func TestStatsCoherentSnapshot(t *testing.T) {
 	nodes := startCluster(t, "causal", 2)
 	nd := nodes[0]

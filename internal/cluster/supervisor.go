@@ -321,7 +321,7 @@ func (s *Supervisor) apply(d fault.Directive) error {
 
 // crash fail-stops node i: what its storage journaled is the durable state
 // that survives; its sockets, cursors, and connections die with it. Every
-// event was journaled in the loop turn that recorded it, before any hello
+// event was journaled in the turn that recorded it, before any hello
 // ack counting it left, so an update a sender counts as acked is always in
 // the log the restart recovers — with two victims down at once, too.
 func (s *Supervisor) crash(i int) error {

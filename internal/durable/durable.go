@@ -8,8 +8,8 @@
 //
 //   - wal.log is append-only. Each record frames one cluster.Event behind a
 //     4-byte length and a CRC-32C of the payload, and Append fsyncs before
-//     returning. The node invokes Append on its event loop as each
-//     do/send/receive is recorded and BEFORE a hello ack counting the
+//     returning. The node invokes Append in the shard's turn that records
+//     each do/send/receive, BEFORE a hello ack counting the
 //     update (or the client's response) leaves the process, so any event a
 //     peer holds an ack for is durable — the PR 4 crash-window invariant, now
 //     across process death.
@@ -176,9 +176,9 @@ type Options struct {
 	sealEvery int
 }
 
-// Log is one node's open durable history. Append is called from the node's
-// event loop (one goroutine), but Close can arrive from a different
-// shutdown goroutine, so the mutex serializes them.
+// Log is one node's open durable history. Append is called in the shard's
+// turns (one at a time), but Close can arrive from a different shutdown
+// goroutine, so the mutex serializes them.
 //
 // The log holds no copy of the history, in memory or on disk: two counts
 // and the open wal.
@@ -252,8 +252,8 @@ func (l *Log) openWal() error {
 func (l *Log) Len() int { return l.count }
 
 // Append persists one event: frame, write, fsync. It must complete before
-// the event's effects are acknowledged to any peer or client — the node's
-// event loop guarantees that by journaling at record time. An error means
+// the event's effects are acknowledged to any peer or client — the node
+// guarantees that by journaling at record time, in the recording turn. An error means
 // the event may not be durable; the node fail-stops on it.
 func (l *Log) Append(ev cluster.Event) error {
 	l.mu.Lock()
@@ -327,7 +327,7 @@ func (l *Log) seal() error {
 }
 
 // Close syncs and closes the wal. Call after the node has shut down (no
-// Appends can arrive once the event loop has exited).
+// Appends can arrive once the shard's last turn has ended).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -35,7 +35,7 @@ var _ cluster.NodeStorage = (*Storage)(nil)
 // Open implements cluster.NodeStorage: it opens node id's log for one shard
 // under Dir, returning its append callback, any recovered history, no
 // forest (the shard builds its own; see cluster.NodeStorage), and the
-// close hook the node runs after that shard's event loop has exited.
+// close hook the node runs after that shard's last turn.
 func (s *Storage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
 	dir := filepath.Join(s.Dir, fmt.Sprintf("node%d", id))
 	opts := s.Opts

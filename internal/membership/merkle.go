@@ -33,9 +33,9 @@ type Hash [32]byte
 // is derived state and holds no update. The zero value is unusable; use
 // NewForest.
 //
-// The Forest is not internally locked: the cluster's event loop owns the
-// writes (Append runs in the same loop turn that journals the hashed
-// event) and readers go through the same loop.
+// The Forest is not internally locked: the cluster's shard turns own the
+// writes (Append runs in the same turn that journals the hashed event) and
+// readers take a turn too.
 type Forest struct {
 	origins []originChain
 }

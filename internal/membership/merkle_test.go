@@ -271,7 +271,7 @@ func BenchmarkForestRoot(b *testing.B) {
 // BenchmarkForestPrefixRootMidSpan is the one query that reads the update
 // log: a prefix one update short of a stored chain value, so LeafSpan-1
 // updates are hashed again through the Source, whatever the history's
-// length. It runs on the shard loop, once per origin of a joiner's digest.
+// length. It runs in a shard's turn, once per origin of a joiner's digest.
 //
 //	go test ./internal/membership -run '^$' -bench ForestPrefixRootMidSpan -benchmem
 func BenchmarkForestPrefixRootMidSpan(b *testing.B) {
