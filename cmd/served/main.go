@@ -221,10 +221,11 @@ func run(cfg serveConfig) error {
 	}
 	if cfg.dataDir != "" {
 		// Each shard journals to its own fsync'd log (data-dir itself when
-		// unsharded, or data-dir/shard-NNN/ per shard), opened by the node via the storage hook so recovery and
-		// journaling follow each shard's turns. Sharded logs share one
-		// group-commit coordinator: concurrent appends across shards ride a
-		// single fsync round, and acked ⇒ on-disk still holds per shard.
+		// unsharded, or data-dir/shard-NNN/ per shard), opened by the node via
+		// the storage hook so recovery and journaling follow each shard's
+		// turns. Sharded logs share one group-commit coordinator: concurrent
+		// commits across shards ride a single fsync round, and acked ⇒
+		// on-disk still holds per shard.
 		ncfg.Storage = &shardStorage{dir: cfg.dataDir, group: durable.NewGroupCommitter()}
 	}
 	node, err := cluster.NewNode(ncfg)
@@ -254,8 +255,15 @@ func run(cfg serveConfig) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("served: r%d shutting down on %v\n", cfg.id, s)
+	var stopped error
+	select {
+	case s := <-sig:
+		fmt.Printf("served: r%d shutting down on %v\n", cfg.id, s)
+	case <-node.Done():
+		// The node fail-stopped (a journal failure, a lost history): its
+		// error says why and what the operator should do.
+		stopped = fmt.Errorf("r%d stopped: %w", cfg.id, node.Err())
+	}
 	if adminSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -263,10 +271,10 @@ func run(cfg serveConfig) error {
 			fmt.Fprintln(os.Stderr, "served: admin shutdown:", err)
 		}
 	}
-	return nil
+	return stopped
 }
 
-// shardStorage implements cluster.NodeStorage over the served data-dir
+// shardStorage implements cluster.JournalStorage over the served data-dir
 // layout: the directory itself holds the single-shard log, and a sharded
 // node nests shard-NNN/ subdirectories, one log per shard, all sharing the
 // group-commit fsync coordinator.
@@ -275,7 +283,7 @@ type shardStorage struct {
 	group *durable.GroupCommitter
 }
 
-func (s *shardStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
+func (s *shardStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (cluster.Journal, *cluster.History, error) {
 	dir := s.dir
 	var opts durable.Options
 	if shards > 1 {
@@ -284,8 +292,19 @@ func (s *shardStorage) Open(id model.ReplicaID, n int, storeName string, shard, 
 	}
 	l, hist, err := durable.Open(dir, durable.Meta{Node: id, N: n, Store: storeName, Shard: shard, Shards: shards}, opts)
 	if err != nil {
+		return nil, nil, err
+	}
+	return l, hist, nil
+}
+
+// Open is cluster.NodeStorage's per-event journal, which the node does not
+// use: it opens staged journals through OpenJournal.
+func (s *shardStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
+	j, hist, err := s.OpenJournal(id, n, storeName, shard, shards)
+	if err != nil {
 		return nil, nil, nil, nil, err
 	}
+	l := j.(*durable.Log)
 	return l.Append, hist, nil, l.Close, nil
 }
 

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/livecheck"
-
+	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/seglog"
-	"repro/internal/wire"
 )
 
 // Per-layer benchmarks of the serving path inside a node, each on the
@@ -22,25 +21,66 @@ import (
 
 const benchValue = "0123456789abcdef"
 
-// fileJournal stands in for durable.Log under NoSync (importing
+// fileJournal is a Journal that stands in for durable.Log (importing
 // internal/durable here would be an import cycle; its own BenchmarkAppend
-// times the real one): encode the event in a pooled writer and write it to
-// a file, no fsync.
-func fileJournal(b *testing.B) func(Event) error {
-	f, err := os.Create(filepath.Join(b.TempDir(), "journal"))
+// times the real one): Stage appends the record to a buffer, Commit writes
+// the buffer to a file in one write and, with sync, fsyncs it. It counts
+// both, as the figures a write's cost is read in.
+type fileJournal struct {
+	f                *os.File
+	sync             bool
+	pending          []byte
+	walWrites, syncs atomic.Int64
+}
+
+func openFileJournal(path string, sync bool) (*fileJournal, error) {
+	f, err := os.Create(path)
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	b.Cleanup(func() { f.Close() })
-	return func(ev Event) error {
-		w := wire.GetWriter()
-		defer wire.PutWriter(w)
-		if err := AppendEventBinary(w, ev); err != nil {
-			return err
-		}
-		_, err := f.Write(w.Bytes())
+	return &fileJournal{f: f, sync: sync}, nil
+}
+
+func (j *fileJournal) Stage(rec []byte) error {
+	j.pending = append(j.pending, rec...)
+	return nil
+}
+
+func (j *fileJournal) Commit() error {
+	if len(j.pending) == 0 {
+		return nil
+	}
+	j.walWrites.Add(1)
+	if _, err := j.f.Write(j.pending); err != nil {
 		return err
 	}
+	j.pending = j.pending[:0]
+	if !j.sync {
+		return nil
+	}
+	j.syncs.Add(1)
+	return j.f.Sync()
+}
+
+func (j *fileJournal) Close() error { return j.f.Close() }
+
+// fileStorage opens one fileJournal per node, under dir.
+type fileStorage struct {
+	dir      string
+	journals []*fileJournal // by node; one shard each
+}
+
+func (s *fileStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (Journal, *History, error) {
+	j, err := openFileJournal(filepath.Join(s.dir, fmt.Sprintf("journal-r%d", id)), true)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.journals[id] = j
+	return j, nil, nil
+}
+
+func (s *fileStorage) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	panic("fileStorage journals through OpenJournal")
 }
 
 // BenchmarkDoInLoop is one client operation in its shard's turn — the lock,
@@ -64,7 +104,12 @@ func BenchmarkDoInLoop(b *testing.B) {
 					s.do(k, model.Write(benchValue))
 				}
 				if journal {
-					s.journal = fileJournal(b)
+					j, err := openFileJournal(filepath.Join(b.TempDir(), "journal"), false)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { j.Close() })
+					s.journal = staged{j}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -114,22 +159,29 @@ func BenchmarkApplyUpdate(b *testing.B) {
 // BenchmarkReplicatedWrite is one write at r0 of a three-node loopback
 // cluster, timed until both peers have applied it: the client call in a
 // turn of r0's shard, one batch frame to each peer, the apply in a turn of
-// each peer's. It
-// reports the frames and wire bytes the whole cluster wrote per write: a
-// write costs each peer one frame, and a peer writes nothing back until the
-// quiescence check asks, which it does only off the clock.
+// each peer's. It reports the frames and wire bytes the whole cluster wrote
+// per write: a write costs each peer one frame, and a peer writes nothing
+// back until the quiescence check asks, which it does only off the clock.
+// The durable leg journals every node to a file in b.TempDir() (fileJournal,
+// fsynced) and reports the cluster's wal writes and commits per write: one
+// of each, the origin's, since a receiver commits only when asked (or when
+// a block's worth of receives is staged).
 func BenchmarkReplicatedWrite(b *testing.B) {
-	// The peers' taps say when an update of r0's is applied: in the turn
-	// that recorded it. One slot per peer: a write is applied twice.
-	applied := make(chan struct{}, 2)
+	for _, durable := range []bool{false, true} {
+		name := "mem"
+		if durable {
+			name = "durable"
+		}
+		b.Run(name, func(b *testing.B) { benchReplicatedWrite(b, durable) })
+	}
+}
+
+func benchReplicatedWrite(b *testing.B, durable bool) {
+	storage := &fileStorage{dir: b.TempDir(), journals: make([]*fileJournal, 3)}
 	nodes, err := BootMesh(3, func(i int) Config {
 		cfg := Config{Store: looseShard(b, "causal").n.cfg.Store, Listen: "127.0.0.1:0"}
-		if i > 0 {
-			cfg.Tap = func(_ int, ev livecheck.Event) {
-				if ev.Kind == model.ActReceive && ev.Origin == 0 {
-					applied <- struct{}{}
-				}
-			}
+		if durable {
+			cfg.Storage = storage
 		}
 		return cfg
 	})
@@ -141,6 +193,12 @@ func BenchmarkReplicatedWrite(b *testing.B) {
 			nd.Close()
 		}
 	})
+	// A write is applied once both peers count it received: the counter
+	// moves in the turn that applies it, where a journaled receiver's tap
+	// would wait for a commit.
+	received := func() int64 {
+		return nodes[1].shards[0].receives.Load() + nodes[2].shards[0].receives.Load()
+	}
 	// One write at every node opens all six links before the clock starts.
 	for _, nd := range nodes {
 		if _, err := nd.Do(model.ObjectID(fmt.Sprintf("warm-%d", nd.ID())), model.Write(benchValue)); err != nil {
@@ -150,31 +208,41 @@ func BenchmarkReplicatedWrite(b *testing.B) {
 	if !WaitQuiesced(nodes, 30*time.Second) {
 		b.Fatal("the cluster never quiesced after the warm-up writes")
 	}
-	<-applied
-	<-applied
-	// The transport counters, read without Stats: a Stats call may ask a
-	// question, and its answer is a frame.
-	wrote := func() (frames, bytes int64) {
+	// The transport and journal counters, read without Stats: a Stats call
+	// may ask a question, and its answer is a frame and a commit.
+	wrote := func() (frames, bytes, walWrites, commits int64) {
 		for _, nd := range nodes {
 			frames += nd.framesOut.Load()
 			bytes += nd.bytesOut.Load()
 		}
-		return frames, bytes
+		for _, j := range storage.journals {
+			if j != nil {
+				walWrites += j.walWrites.Load()
+				commits += j.syncs.Load()
+			}
+		}
+		return frames, bytes, walWrites, commits
 	}
-	frames, bytes := wrote()
+	frames, bytes, walWrites, commits := wrote()
+	want := received()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := nodes[0].Do("x", model.Write(benchValue)); err != nil {
 			b.Fatal(err)
 		}
-		<-applied
-		<-applied
+		for want += 2; received() < want; {
+			time.Sleep(time.Microsecond)
+		}
 	}
 	b.StopTimer()
-	framesAfter, bytesAfter := wrote()
+	framesAfter, bytesAfter, walWritesAfter, commitsAfter := wrote()
 	b.ReportMetric(float64(framesAfter-frames)/float64(b.N), "frames/write")
 	b.ReportMetric(float64(bytesAfter-bytes)/float64(b.N), "wire-B/write")
+	if durable {
+		b.ReportMetric(float64(walWritesAfter-walWrites)/float64(b.N), "wal-writes/write")
+		b.ReportMetric(float64(commitsAfter-commits)/float64(b.N), "commits/write")
+	}
 }
 
 // BenchmarkRecord records one event (with its update and hash, two times in

@@ -94,7 +94,7 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 func EncodeHistoryFrame(events []Event, compress bool) (int64, error) {
 	var log eventLog
 	for _, ev := range events {
-		if _, _, err := log.append(ev); err != nil {
+		if _, _, _, err := log.append(ev); err != nil {
 			return 0, err
 		}
 	}

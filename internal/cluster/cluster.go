@@ -25,9 +25,10 @@
 //   - OWNS: the frame types and the one protocol version (proto.go,
 //     proto_member.go, compress.go), replication links and their cursors,
 //     the per-shard turns, recorded histories and update logs,
-//     membership over connections, and the NodeStorage seam durable state
-//     enters through. The history is held in its codec form (eventlog.go);
-//     Event is the decoded view handed to journals, taps and auditors.
+//     membership over connections, and the storage seam durable state
+//     enters through (JournalStorage, NodeStorage). The history is held in
+//     its codec form (eventlog.go), which is what a journal is staged; Event
+//     is the decoded view handed to taps, auditors and per-event journals.
 //   - MUST NOT: marshal JSON (the struct tags on Event, History and Stats
 //     serve the admin endpoint in cmd/served; wire and journal are binary),
 //     open a file, or keep a second way to do what a frame, a Config field
@@ -89,16 +90,28 @@ type Config struct {
 	Faults *fault.Netem
 	// Storage, when non-nil, is the node's durable state: NewNode opens it
 	// once per shard before serving and Close closes each log after the
-	// shard's last turn. What Open returns is the whole contract (see
-	// NodeStorage): the journal is invoked in a turn of the shard with each
-	// do/send/receive event as it is appended to the local history and must
-	// make it durable before returning — the call happens in the same turn
-	// that records the event, before a hello ack counting the
-	// update or the client's response leaves the node, so an event any peer
-	// holds an ack for is always in the journal. A journal error fail-stops
-	// the node: it answers no hello, refuses further operations, and
-	// closes, because a replica that cannot persist must not promise
-	// delivery. The restored history is replayed into the fresh replica
+	// shard's last turn. A shard stages each do/send/receive record in its
+	// journal in the turn that records it and commits — one write and one
+	// fsync for everything staged — at exactly the points where a record
+	// could become visible outside the node:
+	//   - the end of a turn that recorded a do or a send, before the
+	//     client's response leaves and before the shard's own new updates
+	//     are published to the log its links read;
+	//   - a hello ack, a join digest answer or a joiner's own digest,
+	//     before a count or a root is reported;
+	//   - each range chunk a joiner applies, so a join cut short keeps what
+	//     it pulled;
+	//   - when the staged records reach a block (seglog.BlockSize);
+	//   - Close, in each shard's last turn.
+	// A turn that only received updates commits nothing. Losing its staged
+	// receives to a crash is safe: the sender still owes them, because its
+	// cursor moves only on a hello ack and a hello ack commits first. A
+	// journal error fail-stops the node: it answers no hello, refuses
+	// further operations, and closes, because a replica that cannot persist
+	// must not promise delivery. A Storage that implements JournalStorage is
+	// staged; one that has only NodeStorage's per-event Open journals each
+	// event as it is staged, which is stronger than needed (see
+	// NodeStorage). The restored history is replayed into the fresh replica
 	// before anything is served: the Lamport clock and sequence counters
 	// resume where they left off, and every past broadcast is re-offered to
 	// the peers (receivers deduplicate by cumulative sequence number).
@@ -107,9 +120,9 @@ type Config struct {
 	// recovery instead of handing histories through memory.
 	Storage NodeStorage
 	// Tap, when non-nil, receives every event this node records — do,
-	// send, receive — in the same turn that records it,
-	// immediately after the journal (if any) accepted it, so the streamed
-	// prefix never runs ahead of the durable log and a restart can never
+	// send, receive — in record order, when the shard's journal commits it
+	// (at the end of every turn on a node without Storage), so the streamed
+	// prefix is always a prefix of the durable log and a restart can never
 	// regress the stream. The first argument is the recording shard's index;
 	// per-shard event streams have independent (Origin, Seq) domains, so a
 	// sharded consumer must keep one checker per shard
@@ -166,21 +179,87 @@ type Config struct {
 }
 
 // NodeStorage provides per-incarnation durable storage for a node's recorded
-// history (implemented by durable.Storage). Open is called once per incarnation
-// and shard, before the node serves anything: journal persists each newly
-// recorded event — ev and its Frontier are valid only for the call (a do
-// event's Frontier is the shard's live frontier, which the next do moves on),
-// so a journal that keeps the event clones the frontier, while ev.Payload is
-// the history's own immutable copy and may be kept as it is — restore is the
-// recovered history of the previous incarnation (nil on first boot), and
-// closeLog (nil for none) is invoked after the shard's last turn, so no journal
-// call follows it. shard/shards name which of the node's shard logs to open.
-// tree is ignored (implementations return nil): the shard alone owns its forest
-// and rebuilds it from restore. The result stays only because the frozen
-// benchmark/trace.go implements this interface; it goes with the next benchmark
-// PR (ROADMAP item 1(c)).
+// history, one event at a time. Open is called once per incarnation and
+// shard, before the node serves anything: journal persists one recorded
+// event before it returns — ev and its Frontier are valid only for the call
+// (a do event's Frontier is the shard's live frontier, which the next do
+// moves on), so a journal that keeps the event clones the frontier, while
+// ev.Payload is the history's own immutable copy and may be kept as it is —
+// restore is the recovered history of the previous incarnation (nil on first
+// boot), and closeLog (nil for none) is invoked after the shard's last turn,
+// so no journal call follows it. shard/shards name which of the node's shard
+// logs to open. tree is ignored (implementations return nil): the shard alone
+// owns its forest and rebuilds it from restore.
+//
+// A storage that also implements JournalStorage is opened through that
+// instead. One that does not is journaled event by event: each staged event
+// is handed to journal at once and a commit costs nothing, which is stronger
+// than Config.Storage requires. Only the frozen benchmark/trace.go's wrapper
+// still relies on that, and its durable.* rows time this per-event path; the
+// interface, its forest result and the per-event path go with the next
+// benchmark PR (ROADMAP item 1(c)).
 type NodeStorage interface {
 	Open(id model.ReplicaID, n int, storeName string, shard, shards int) (journal func(Event) error, restore *History, tree *membership.Forest, closeLog func() error, err error)
+}
+
+// JournalStorage is what a Config.Storage implements to be opened as staged
+// journals (durable.Storage does). OpenJournal is called in place of
+// NodeStorage's Open: once per incarnation and shard, before the node serves
+// anything, with restore as Open's.
+type JournalStorage interface {
+	OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (j Journal, restore *History, err error)
+}
+
+// A Journal is one shard's log, written at the commit points Config.Storage
+// lists. Stage and Commit run in the shard's turns, one at a time; Close
+// runs after the shard's last turn.
+type Journal interface {
+	// Stage appends one event's record: its AppendEventBinary encoding, the
+	// history's own immutable copy, which the journal may keep. Nothing staged
+	// need be durable before the next Commit.
+	Stage(rec []byte) error
+	// Commit makes every record staged so far durable, in the order staged,
+	// before it returns.
+	Commit() error
+	// Close releases the log. Records staged after the last Commit — only a
+	// fail-stopping node leaves any — are dropped, as a crash would drop them.
+	Close() error
+}
+
+// journal is a shard's log as the shard drives it: a staged Journal, or a
+// NodeStorage's per-event journal.
+type journal interface {
+	stage(ev Event, rec []byte) error
+	commit() error
+}
+
+// staged drives a Journal: it is staged the record, not the decoded event.
+type staged struct{ Journal }
+
+func (j staged) stage(_ Event, rec []byte) error { return j.Stage(rec) }
+func (j staged) commit() error                   { return j.Commit() }
+
+// perEvent drives a NodeStorage journal: each event is made durable as it
+// is staged, so a commit has nothing left to do.
+type perEvent func(Event) error
+
+func (j perEvent) stage(ev Event, _ []byte) error { return j(ev) }
+func (perEvent) commit() error                    { return nil }
+
+// openJournal opens shard's log in st, staged when st can stage.
+func openJournal(st NodeStorage, cfg Config, shard int) (journal, *History, func() error, error) {
+	if js, ok := st.(JournalStorage); ok {
+		j, restored, err := js.OpenJournal(cfg.ID, cfg.N, cfg.Store.Name(), shard, cfg.Shards)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return staged{j}, restored, j.Close, nil
+	}
+	fn, restored, _, closeLog, err := st.Open(cfg.ID, cfg.N, cfg.Store.Name(), shard, cfg.Shards)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return perEvent(fn), restored, closeLog, nil
 }
 
 func (c Config) withDefaults() Config {
@@ -320,6 +399,8 @@ type Node struct {
 
 	// restored counts events replayed from restored histories at boot.
 	restored int64
+	// failure holds the error that fail-stopped the node (fail), if any.
+	failure atomic.Pointer[error]
 
 	closeOnce sync.Once
 }
@@ -373,7 +454,7 @@ func NewNode(cfg Config) (*Node, error) {
 		var restored *History
 		if cfg.Storage != nil {
 			var err error
-			s.journal, restored, _, s.closeJournal, err = cfg.Storage.Open(cfg.ID, cfg.N, cfg.Store.Name(), i, cfg.Shards)
+			s.journal, restored, s.closeJournal, err = openJournal(cfg.Storage, cfg, i)
 			if err != nil {
 				closeAll()
 				return nil, fmt.Errorf("cluster: open storage for r%d shard %d: %w", cfg.ID, i, err)
@@ -416,6 +497,27 @@ func NewNode(cfg Config) (*Node, error) {
 // Restored returns how many events NewNode replayed from restored
 // histories (all shards). Informational; stable after NewNode.
 func (n *Node) Restored() int64 { return n.restored }
+
+// fail fail-stops the node on err: the first such error is the one Err
+// reports, and the node closes on a goroutine of its own, because the
+// caller may hold a shard's turn, which Close waits out.
+func (n *Node) fail(err error) {
+	n.failure.CompareAndSwap(nil, &err)
+	go n.Close()
+}
+
+// Done is closed once the node begins to close: by Close, or by a
+// fail-stop, whose cause Err then reports.
+func (n *Node) Done() <-chan struct{} { return n.done }
+
+// Err returns the error that fail-stopped the node — a journal failure, or
+// errLostHistory — or nil if none did (a node closed by Close included).
+func (n *Node) Err() error {
+	if p := n.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // Addr returns the listener's address (resolving ":0" ports).
 func (n *Node) Addr() string { return n.ln.Addr().String() }
@@ -689,10 +791,12 @@ func (n *Node) Close() error {
 		}
 		n.connMu.Unlock()
 		// done is closed, so no turn starts (lock); taking each shard's
-		// lock waits out the one running. After that no Append can follow,
-		// so the journals can close, flushing their final state.
+		// lock waits out the one running, and the shard's last turn commits
+		// what it staged. After that nothing is staged, so the journals can
+		// close.
 		for _, s := range n.shards {
 			s.turn.Lock()
+			s.commit()
 			s.turn.Unlock()
 		}
 		n.wg.Wait()
@@ -833,16 +937,17 @@ func (n *Node) serveHello(conn net.Conn, h hello, fr *wire.FrameReader) {
 // per shard, how many of from's updates this node holds, which moves the
 // dialer's cursors to what this node lacks. It answers the opening hello and
 // every later one, the quiescence check's question, alike. Each count is
-// read in a turn of its shard, so it covers every batch that shard applied
-// before the turn, and a shard whose journal failed answers nothing: the
-// count promises its updates are applied and journaled. False means hang
-// up.
+// read in a turn of its shard, after the turn commits what the shard staged,
+// so it covers every batch that shard applied before the turn, and a shard
+// whose journal failed answers nothing: the count promises its updates are
+// applied and journaled. False means hang up.
 func (n *Node) answerHello(conn net.Conn, from model.ReplicaID) bool {
 	delivered := make([]uint64, len(n.shards))
 	for i, sh := range n.shards {
 		if sh.lock() != nil {
 			return false
 		}
+		sh.commit()
 		delivered[i] = uint64(sh.updates[from].Len())
 		jerr := sh.jerr
 		sh.turn.Unlock()
@@ -888,7 +993,7 @@ func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 			if sh == nil {
 				return
 			}
-			if _, err := sh.applyRun(us); err != nil {
+			if _, err := sh.applyRun(us, false); err != nil {
 				return
 			}
 		case tHello:

@@ -23,25 +23,26 @@ type eventLog struct {
 
 func (l *eventLog) len() int { return l.recs.Len() }
 
-// append encodes ev at the end of the log and returns where its record
-// starts and the log's copy of its payload: the tail of the record just
-// written, non-nil whenever ev.Payload was (an empty message is still a
-// message). That copy is the payload's one home — immutable, never moved,
-// owned by the history — and the only slice of it anything downstream of
-// the caller may be shown.
-func (l *eventLog) append(ev Event) (payload []byte, at seglog.Pos, err error) {
+// append encodes ev at the end of the log and returns the log's copy of
+// the record, where it starts, and the record's copy of the payload: its
+// tail, non-nil whenever ev.Payload was (an empty message is still a
+// message). Both copies are the event's one home — immutable, never moved,
+// owned by the history — and the only slices of it anything downstream of
+// the caller may be shown: the journal is staged the record, the store and
+// the update log the payload.
+func (l *eventLog) append(ev Event) (rec, payload []byte, at seglog.Pos, err error) {
 	l.enc.Reset()
 	if err := AppendEventBinary(&l.enc, ev); err != nil {
-		return nil, at, err
+		return nil, nil, at, err
 	}
-	rec, at := l.recs.Append(l.enc.Bytes())
+	rec, at = l.recs.Append(l.enc.Bytes())
 	if len(rec) > seglog.BlockSize {
 		l.enc = wire.Writer{} // rare, and too large a scratch to keep
 	}
 	if ev.Kind == model.ActDo || ev.Payload == nil {
-		return nil, at, nil
+		return rec, nil, at, nil
 	}
-	return rec[len(rec)-len(ev.Payload):], at, nil
+	return rec, rec[len(rec)-len(ev.Payload):], at, nil
 }
 
 // update reads the send or receive record at `at` back as the update it

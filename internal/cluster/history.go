@@ -66,8 +66,8 @@ type Event struct {
 	// prefix-closed (all registered stores under this FIFO transport).
 	// A consumer must not write through it: in what History hands out and
 	// in what Config.Tap streams, consecutive do events that saw the same
-	// frontier share one slice; what a journal is handed is the shard's live
-	// frontier, valid only for the call (see NodeStorage).
+	// frontier share one slice; what a per-event journal is handed is the
+	// shard's live frontier, valid only for the call (see NodeStorage).
 	Frontier []uint64 `json:"frontier,omitempty"`
 
 	// Send and receive events.

@@ -328,11 +328,13 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 // exchange, then the ranges owedRanges finds we lack, which the donor
 // streams without being asked.
 func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadline time.Duration) error {
-	// Digest exchange: per origin, what we hold vs what the donor holds.
+	// Digest exchange: per origin, what we hold vs what the donor holds —
+	// committed first, as every count this node reports is.
 	local := make([]originDigest, 0, n.cfg.N)
 	if err := s.lock(); err != nil {
 		return err
 	}
+	s.commit()
 	for o := 0; o < n.cfg.N; o++ {
 		local = append(local, originDigest{Origin: model.ReplicaID(o), Count: s.tree.Count(o), Root: s.tree.Root(o)})
 	}
@@ -412,9 +414,9 @@ func owedRanges(joiner model.ReplicaID, shard int, asked, answered []originDiges
 // pullRange reads the donor's stream of one owed range of shard s: chunks
 // of o.Origin's updates, each starting where the one before ended, until one
 // ends at o.To — the count the donor reported, not our log's length, which
-// live links may move meanwhile. Each chunk is applied in one turn,
-// journaling in that turn, so a kill -9 mid-sync keeps every chunk applied
-// before it and the restarted join's digest asks only for the rest.
+// live links may move meanwhile. Each chunk is applied and committed in one
+// turn, so a kill -9 mid-sync keeps every chunk applied before it and the
+// restarted join's digest asks only for the rest.
 func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRange, readDeadline time.Duration) error {
 	var us []protoUpdate // each chunk, decoded
 	for at := o.From; at < o.To; {
@@ -434,7 +436,7 @@ func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRa
 			return errors.New("cluster: range chunk empty, mislabeled or out of sequence")
 		}
 		at = us[len(us)-1].Seq
-		applied, err := s.applyRun(us)
+		applied, err := s.applyRun(us, true)
 		if err != nil {
 			return err
 		}
@@ -514,9 +516,11 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 
 // digestResp answers a joiner's digest of shard s with, per origin it asked
 // about, our count and root plus the root over the joiner's own count — the
-// prefix proof owedRanges checks. The origins must be members, in ascending
-// order, so no range is streamed twice; a digest that names others, or one
-// the shard cannot answer because the node is closing, is an error.
+// prefix proof owedRanges checks — in a turn that first commits what the
+// shard staged, so nothing reported or streamed can be lost to a crash. The
+// origins must be members, in ascending order, so no range is streamed
+// twice; a digest that names others, or one the shard cannot answer because
+// the node is closing, is an error.
 func digestResp(s *shard, ds []originDigest) ([]originDigest, error) {
 	for i, d := range ds {
 		if int(d.Origin) < 0 || int(d.Origin) >= s.n.cfg.N || i > 0 && d.Origin <= ds[i-1].Origin {
@@ -527,6 +531,10 @@ func digestResp(s *shard, ds []originDigest) ([]originDigest, error) {
 		return nil, err
 	}
 	defer s.turn.Unlock()
+	s.commit()
+	if s.jerr != nil {
+		return nil, s.jerr
+	}
 	resp := make([]originDigest, 0, len(ds))
 	for _, d := range ds {
 		o := int(d.Origin)

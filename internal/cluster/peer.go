@@ -139,6 +139,35 @@ func (p *peerSender) drained() bool {
 	return true
 }
 
+// errLostHistory fail-stops a node whose peer reports holding more of the
+// node's own updates, in some shard, than the node's log has: the node was
+// restarted without the history it had broadcast, and the updates it mints
+// next would reuse (origin, seq) identities the cluster already holds for
+// different updates.
+var errLostHistory = errors.New("cluster: lost history: a peer holds more of this node's broadcasts than its log has, " +
+	"so the node restarted without the history it broadcast; restart it on its data directory, or with -join")
+
+// checkAck holds the delivered counts of a hello ack to what this node and
+// the peer have said before, before any of them moves a cursor. A count
+// above this node's own log is errLostHistory. A count below one the peer
+// reported earlier means the peer lost updates it had acknowledged: the
+// error stops the link, which would otherwise stream into the gap.
+func (p *peerSender) checkAck(delivered []uint64) (lost, regressed error) {
+	self := p.node.cfg.ID
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for si, d := range delivered {
+		if have := p.node.shards[si].logLen(self); d > have {
+			return fmt.Errorf("%w (r%d reports %d of r%d's shard %d updates, the log has %d)", errLostHistory, p.peer, d, self, si, have), nil
+		}
+		if was := p.cursors[si].lastAcked; d < was {
+			return nil, fmt.Errorf("cluster: r%d→r%d shard %d: the peer reports %d updates delivered, below the %d it reported before: it lost updates it had acknowledged",
+				self, p.peer, si, d, was)
+		}
+	}
+	return nil, nil
+}
+
 // ack raises one shard's cursor to a delivered count the peer reported.
 func (p *peerSender) ack(shard int, cum uint64) {
 	p.mu.Lock()
@@ -346,12 +375,21 @@ func (p *peerSender) serve(conn net.Conn) bool {
 					cfg.ID, p.peer, protoVersion, cfg.Shards, a.Version, len(a.Delivered)))
 				return
 			}
-			// The peer's delivered counts move the cursors. The first answer's
-			// are pre-acks: a new link's cursors start at zero — the whole log
-			// is owed — and these move them to what the peer is missing before
-			// the first drain ships anything. Every later one answers a
-			// question and is a cumulative ack of every shard; it can only
-			// raise a cursor.
+			// The peer's delivered counts move the cursors, once checkAck has
+			// found them possible. The first answer's are pre-acks: a new
+			// link's cursors start at zero — the whole log is owed — and these
+			// move them to what the peer is missing before the first drain
+			// ships anything. Every later one answers a question and is a
+			// cumulative ack of every shard; it can only raise a cursor.
+			lost, regressed := p.checkAck(a.Delivered)
+			if lost != nil {
+				p.node.fail(lost)
+				return
+			}
+			if regressed != nil {
+				p.fail(regressed)
+				return
+			}
 			for si, d := range a.Delivered {
 				p.ack(si, d)
 			}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/livecheck"
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/seglog"
@@ -75,10 +76,10 @@ type shard struct {
 	// journal call follows Close.
 	turn sync.Mutex
 
-	// journal, when non-nil, persists each recorded event before a hello ack
-	// counting it or a response leaves the node (the per-shard log Config.Storage opened).
+	// journal, when non-nil, is the per-shard log Config.Storage opened:
+	// record stages each event in it and commit makes them durable.
 	// closeJournal, when non-nil, runs in Node.Close after the last turn.
-	journal      func(Event) error
+	journal      journal
 	closeJournal func() error
 
 	// State below is read and written only in a turn.
@@ -103,6 +104,13 @@ type shard struct {
 	// async Close is already underway. One shard failing to persist stops
 	// the whole node — shards share the fate of their disk.
 	jerr error
+	// What waits on the next commit: how many bytes of records are staged
+	// in the journal, the events owed to Config.Tap, and the shard's own
+	// updates minted since, which links must not read before their records
+	// are durable. Each is emptied by commit and reused.
+	stagedBytes int
+	taps        []livecheck.Event
+	unpublished []ownUpdate
 	// updates indexes every broadcast update this shard has, per origin in seq
 	// order: updates[o].At(i) is where, in events, the send or receive record
 	// of origin o's update i+1 starts, so its length is the origin's
@@ -117,13 +125,21 @@ type shard struct {
 	logMu   sync.RWMutex
 	updates []seglog.Log[seglog.Pos]
 	// tree is the hash-chain forest over updates, backing digest exchange with
-	// joiners. The shard alone owns it: noteUpdate hashes each update in the
-	// turn that recorded and journaled it, and restore rebuilds it that way.
+	// joiners. The shard alone owns it: noteUpdate hashes each update after
+	// its record, and restore rebuilds it that way.
 	tree *membership.Forest
 
 	ops      atomic.Int64
 	sends    atomic.Int64
 	receives atomic.Int64
+}
+
+// ownUpdate is one of the shard's own broadcasts, recorded and waiting for
+// commit to publish it (noteUpdate).
+type ownUpdate struct {
+	seq     uint64
+	at      seglog.Pos
+	payload []byte
 }
 
 func newShard(n *Node, idx int) *shard {
@@ -155,34 +171,32 @@ func (s *shard) lock() error {
 	}
 }
 
-// record appends one event to the shard's history and, when a journal is
-// configured, persists it in the same turn — before a hello ack
-// counting the update or the client's response can leave the node, so an
-// acknowledged event is always durable. A journal failure fail-stops the
-// node. It returns the history's own copy of ev.Payload and where the
-// event's record starts (eventLog.append): ev.Payload itself may be
-// connection memory or the store's lent message, so the copy is what the
-// journal is handed and the only slice a caller may pass on. ev.Frontier
-// may be the shard's live frontier: it is encoded and shown to the journal,
-// and only the tap, which keeps it, is given a copy. Runs in a turn (or in
-// restore, before the node serves).
+// record appends one event to the shard's history and stages its record —
+// the history's copy, so the event is encoded once — in the journal, if
+// there is one; the record is durable, and the event tapped, at the turn's
+// next commit. A journal failure fail-stops the node. It returns the
+// history's own copy of ev.Payload and where the event's record starts
+// (eventLog.append): ev.Payload itself may be connection memory or the
+// store's lent message, so the copy is the only slice a caller may pass on.
+// ev.Frontier may be the shard's live frontier: it is encoded and shown to a
+// per-event journal, and only the tap, which keeps it, is given a copy. Runs
+// in a turn (or in restore, before the node serves).
 func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	s.logMu.Lock() // an append writes the block table logRun reads outside a turn
-	payload, at, err := s.events.append(ev)
+	rec, payload, at, err := s.events.append(ev)
 	s.logMu.Unlock()
 	if err != nil {
 		panic(err) // the shard built ev itself: only a bug gives it an unknown kind
 	}
 	ev.Payload = payload
 	if s.journal != nil && s.jerr == nil {
-		if err := s.journal(ev); err != nil {
-			s.jerr = fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, s.events.len()-1, err)
-			go s.n.Close()
+		if err := s.journal.stage(ev, rec); err != nil {
+			s.failStop(fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, s.events.len()-1, err))
 		}
+		s.stagedBytes += len(rec)
 	}
-	// Tap after the journal verdict: a fail-stopping node streams nothing
-	// it cannot also promise to remember, so the streamed prefix is always
-	// a prefix of the durable log.
+	// A fail-stopping node streams nothing it cannot also promise to
+	// remember, so the streamed prefix is always a prefix of the durable log.
 	if s.n.cfg.Tap != nil && s.jerr == nil {
 		if ev.Frontier != nil {
 			if !slices.Equal(s.tapped, ev.Frontier) {
@@ -190,15 +204,57 @@ func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 			}
 			ev.Frontier = s.tapped
 		}
-		s.n.cfg.Tap(s.idx, liveEvent(s.n.cfg.ID, ev))
+		s.taps = append(s.taps, liveEvent(s.n.cfg.ID, ev))
 	}
 	return payload, at
 }
 
+// commit makes every record staged in the journal durable — one write and
+// one fsync, or nothing if the turn staged nothing — and then lets out what
+// waited on it: the taps, in record order, and the shard's own new updates,
+// which go into the log links read, with each peer nudged. It runs at the
+// commit points Config.Storage lists; without a journal, at the end of every
+// turn. A fail-stopping node lets out nothing. Runs in a turn.
+func (s *shard) commit() {
+	if s.stagedBytes > 0 && s.jerr == nil {
+		if err := s.journal.commit(); err != nil {
+			s.failStop(fmt.Errorf("cluster: journal r%d shard %d commit: %w", s.n.cfg.ID, s.idx, err))
+		}
+	}
+	s.stagedBytes = 0
+	if s.jerr != nil {
+		return
+	}
+	for i := range s.taps {
+		s.n.cfg.Tap(s.idx, s.taps[i])
+	}
+	clear(s.taps) // the taps keep their events; the shard keeps no reference
+	s.taps = s.taps[:0]
+	if len(s.unpublished) == 0 {
+		return
+	}
+	for _, u := range s.unpublished {
+		s.noteUpdateInTurn(s.n.cfg.ID, u.seq, u.at, u.payload)
+	}
+	s.unpublished = s.unpublished[:0]
+	for _, ps := range s.n.allPeers() {
+		ps.nudge()
+	}
+}
+
+// failStop latches the shard's first failure — its journal's, or a forest
+// append's — into jerr and fail-stops the node.
+func (s *shard) failStop(err error) {
+	if s.jerr == nil {
+		s.jerr = err
+		s.n.fail(err)
+	}
+}
+
 // do runs one client operation in a turn: checked store.Do, frontier,
-// record, broadcast. A fail-stopping node answers with the journal's error:
-// it must not confirm an operation whose event may never have reached the
-// journal.
+// record, broadcast, commit — before the response leaves. A fail-stopping
+// node answers with the journal's error: it must not confirm an operation
+// whose event may never have reached the journal.
 func (s *shard) do(obj model.ObjectID, op model.Operation) (model.Response, error) {
 	if err := s.lock(); err != nil {
 		return model.Response{}, err
@@ -227,6 +283,7 @@ func (s *shard) do(obj model.ObjectID, op model.Operation) (model.Response, erro
 	}
 	s.record(ev)
 	s.broadcastPending()
+	s.commit()
 	return resp, s.jerr
 }
 
@@ -245,45 +302,41 @@ func (s *shard) advanceFrontier() {
 }
 
 // broadcastPending drains the replica's outbox: each pending message
-// becomes one recorded send event and one update at the end of the shard's
-// own log, where every peer link finds it. Runs in a turn.
+// becomes one recorded send event and one update the shard's next commit
+// publishes at the end of its own log, where every peer link finds it. Runs
+// in a turn.
 func (s *shard) broadcastPending() {
-	minted := false
 	for s.mintSend() {
 		s.sends.Add(1)
-		minted = true
-	}
-	if minted {
-		for _, ps := range s.n.allPeers() {
-			ps.nudge()
-		}
 	}
 }
 
 // mintSend turns the replica's next pending message, if it has one, into a
-// recorded send event and the next update of the shard's own log — in that
-// order, so no link can read an update record has not journaled. The record
-// is the copy of the message: it is written before OnSend lets the store
-// reuse its outbox, and what it returns is all the update log is shown.
+// recorded send event and the next update of the shard's own log, published
+// by the next commit — so no link can read an update before its record is
+// durable. The record is the copy of the message: it is written before
+// OnSend lets the store reuse its outbox, and what it returns is all the
+// update log is shown.
 func (s *shard) mintSend() bool {
 	p := s.replica.PendingMessage()
 	if p == nil {
 		return false
 	}
-	seq := uint64(s.updates[s.n.cfg.ID].Len()) + 1
+	seq := uint64(s.updates[s.n.cfg.ID].Len()+len(s.unpublished)) + 1
 	s.lamport++
 	payload, at := s.record(Event{
 		Kind: model.ActSend, Lamport: s.lamport,
 		Origin: s.n.cfg.ID, Seq: seq, Payload: p,
 	})
 	s.checker.OnSend()
-	s.noteUpdateInTurn(s.n.cfg.ID, seq, at, payload)
+	s.unpublished = append(s.unpublished, ownUpdate{seq: seq, at: at, payload: payload})
 	return true
 }
 
 // applyUpdate delivers one replicated update in a turn and reports whether
 // the journal still holds: false means it failed, so the receive event may
-// not be durable and the node is fail-stopping.
+// never be durable and the node is fail-stopping. The receive is staged, not
+// committed: see applyRun.
 // Exactly-once, in-order application falls out of the cumulative counter:
 // duplicates (a dup fault, or a resend of what a dead connection carried)
 // are counted and dropped. A link delivers in order and resends from this
@@ -302,7 +355,10 @@ func (s *shard) applyUpdate(u protoUpdate) bool {
 		// the next frame overwrites. The record is the history-owned copy:
 		// it is written first, and what it returns is the only slice
 		// anything below is shown, so whatever the store, the update log or
-		// the journal retains, it is never connection memory.
+		// the journal retains, it is never connection memory. The update
+		// log may count the receive before it is durable: a count leaves
+		// the node only in a hello ack or a digest answer, and both commit
+		// first.
 		if u.Lamport > s.lamport {
 			s.lamport = u.Lamport
 		}
@@ -324,8 +380,12 @@ func (s *shard) applyUpdate(u protoUpdate) bool {
 // tBatch frame, an anti-entropy range chunk — in one turn and returns how
 // many of the run were new. The error is ErrClosed on a closing node, or
 // the journal failure that stopped the run (see applyUpdate; it stops at the
-// first update the journal refused).
-func (s *shard) applyRun(us []protoUpdate) (int64, error) {
+// first update the journal refused). The receives stay staged, to be made
+// durable by whatever next commits, unless durable is set (a joiner's range
+// chunk, which a restarted join must not pull again), the run minted a send
+// of the shard's own, the staged records reach a block, or there is no
+// journal, whose commit costs nothing.
+func (s *shard) applyRun(us []protoUpdate, durable bool) (int64, error) {
 	if err := s.lock(); err != nil {
 		return 0, err
 	}
@@ -336,15 +396,21 @@ func (s *shard) applyRun(us []protoUpdate) (int64, error) {
 		if !s.applyUpdate(u) {
 			break
 		}
+		if s.stagedBytes >= seglog.BlockSize {
+			s.commit()
+		}
+	}
+	if durable || len(s.unpublished) > 0 || s.journal == nil {
+		s.commit()
 	}
 	return int64(log.Len() - before), s.jerr
 }
 
 // noteUpdate indexes one broadcast update — its record starts at `at` in
 // events, and payload is that record's — under its origin and hashes it into
-// the forest: always in the same turn the update's event is recorded
-// and journaled, and after it, so log, forest, and journal never disagree
-// and a reader of the log never runs ahead of the journal.
+// the forest, after the update's event is recorded: a receive in the turn
+// that records it, the shard's own broadcast at the commit that makes its
+// record durable, so a link never reads an update ahead of the journal.
 func (s *shard) noteUpdate(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) error {
 	s.logMu.Lock()
 	s.updates[origin].Append(at)
@@ -394,9 +460,8 @@ func (s *shard) updatePayload(origin int, seq uint64) []byte {
 // failure into jerr (a misaligned forest would corrupt anti-entropy, so
 // the node fail-stops like it does on a journal failure).
 func (s *shard) noteUpdateInTurn(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) {
-	if err := s.noteUpdate(origin, seq, at, payload); err != nil && s.jerr == nil {
-		s.jerr = err
-		go s.n.Close()
+	if err := s.noteUpdate(origin, seq, at, payload); err != nil {
+		s.failStop(err)
 	}
 }
 
@@ -415,7 +480,7 @@ func (s *shard) restore(h *History) error {
 		// from the journal, and re-journaling them would duplicate the log.
 		// As in record, the new history's copy of the payload is the one the
 		// store and the update log are shown; h's is let go with h.
-		payload, at, err := s.events.append(ev)
+		_, payload, at, err := s.events.append(ev)
 		if err != nil {
 			return fmt.Errorf("cluster: restored event %d: %w", i, err)
 		}
@@ -451,11 +516,9 @@ func (s *shard) restore(h *History) error {
 	// every restored event) at the end of the shard's own log. Minted events
 	// are new, so they go through record and reach the journal.
 	for s.mintSend() {
-		if s.jerr != nil {
-			return s.jerr
-		}
 	}
-	return nil
+	s.commit()
+	return s.jerr
 }
 
 // snapshot captures this shard's recorded history in one turn, still

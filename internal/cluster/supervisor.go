@@ -3,13 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/membership"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // ErrNodeDown is returned for operations routed to a crashed node.
@@ -57,38 +57,85 @@ type Supervisor struct {
 	joinErr error
 }
 
-// memStorage is the NodeStorage of a cluster that keeps nothing on disk:
-// each (node, shard) journal is a slice that outlives the incarnation
-// appending to it, and Open hands it back as the history to restore.
+// memStorage is the JournalStorage of a cluster that keeps nothing on disk:
+// each (node, shard) journal is the list of records committed to it, which
+// outlives the incarnation committing them, and OpenJournal hands it back as
+// the history to restore. A staged record is the history's own immutable
+// copy (Journal.Stage), so the list holds no copy of its own.
 type memStorage struct {
 	mu   sync.Mutex
-	logs map[[2]int][]Event // (node, shard) → journaled events
+	logs map[[2]int][][]byte // (node, shard) → committed records
 }
 
-func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+// memJournal is one (node, shard) journal of a memStorage.
+type memJournal struct {
+	m      *memStorage
+	key    [2]int
+	staged [][]byte
+}
+
+func (j *memJournal) Stage(rec []byte) error {
+	j.staged = append(j.staged, rec)
+	return nil
+}
+
+func (j *memJournal) Commit() error {
+	j.m.mu.Lock()
+	defer j.m.mu.Unlock()
+	if j.m.logs == nil {
+		j.m.logs = make(map[[2]int][][]byte)
+	}
+	j.m.logs[j.key] = append(j.m.logs[j.key], j.staged...)
+	clear(j.staged)
+	j.staged = j.staged[:0]
+	return nil
+}
+
+func (j *memJournal) Close() error {
+	j.staged = nil
+	return nil
+}
+
+func (m *memStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (Journal, *History, error) {
 	var restored *History
-	if events := m.events(id, shard); len(events) > 0 {
+	if events, err := m.decoded(id, shard); err != nil {
+		return nil, nil, err
+	} else if len(events) > 0 {
 		restored = &History{Node: id, N: n, Store: storeName, Events: events}
 	}
+	return &memJournal{m: m, key: [2]int{int(id), shard}}, restored, nil
+}
+
+// Open is NodeStorage's per-event journal over the same records: each event
+// is encoded, staged and committed alone.
+func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	j, restored, err := m.OpenJournal(id, n, storeName, shard, shards)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
 	journal := func(ev Event) error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.logs == nil {
-			m.logs = make(map[[2]int][]Event)
+		var w wire.Writer // a record of its own: the list keeps it
+		if err := AppendEventBinary(&w, ev); err != nil {
+			return err
 		}
-		key := [2]int{int(id), shard}
-		ev.Frontier = slices.Clone(ev.Frontier) // lent for the call; the payload is the history's
-		m.logs[key] = append(m.logs[key], ev)
-		return nil
+		j.Stage(w.Bytes())
+		return j.Commit()
 	}
 	return journal, restored, nil, nil, nil
 }
 
-// events returns what (node, shard) has journaled so far.
-func (m *memStorage) events(id model.ReplicaID, shard int) []Event {
+// records returns what (node, shard) has committed so far.
+func (m *memStorage) records(id model.ReplicaID, shard int) [][]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.logs[[2]int{int(id), shard}]
+}
+
+// decoded returns what (node, shard) has committed so far, decoded.
+func (m *memStorage) decoded(id model.ReplicaID, shard int) ([]Event, error) {
+	recs := m.records(id, shard)
+	h, err := encodedHistory{History: History{Node: id}, blocks: recs, n: len(recs)}.decode()
+	return h.Events, err
 }
 
 // NewSupervisor boots an n-node full-mesh cluster of base.Store replicas on

@@ -6,19 +6,28 @@
 // The design is a write-ahead log cut into sealed segments, so every record
 // is written exactly once:
 //
-//   - wal.log is append-only. Each record frames one cluster.Event behind a
-//     4-byte length and a CRC-32C of the payload, and Append fsyncs before
-//     returning. The node invokes Append in the shard's turn that records
-//     each do/send/receive, BEFORE a hello ack counting the
-//     update (or the client's response) leaves the process, so any event a
-//     peer holds an ack for is durable — the PR 4 crash-window invariant, now
-//     across process death.
-//   - A seal is a rename. Once the wal holds sealEvery new records — every
-//     one of them already fsynced — it is renamed seg-<index of its first
-//     new event>.log, the directory is fsynced, and a fresh wal.log is
-//     created. No byte is copied and a sealed file is never written again. A
-//     crash before the rename leaves a long wal the next Append seals; a
-//     crash after it leaves no wal, and Open creates one.
+//   - wal.log is append-only. Each record frames one event's record — the
+//     cluster.AppendEventBinary bytes the node's history already holds, not
+//     a second encoding of the event — behind a 4-byte length and a CRC-32C
+//     of the payload. The node stages each do/send/receive record (Stage) in
+//     the shard's turn that records it, and Commit writes everything staged
+//     with one write and makes it durable with one fsync (or one
+//     GroupCommitter round). The node commits at the points where a record
+//     could become visible outside it (cluster.Config.Storage lists them):
+//     before a client's response or its own new update leaves, and before a
+//     hello ack or a join digest answer reports a count. So any event a peer
+//     holds an ack for, or a client a response to, is durable — the
+//     crash-window invariant, now across process death — and a crash loses
+//     at most receives nobody was told of, which their senders still owe.
+//     Append is Stage and Commit of one event, for callers that hold an
+//     Event.
+//   - A seal is a rename. Once a commit brings the wal to sealEvery new
+//     records — every one of them already fsynced — it is renamed
+//     seg-<index of its first new event>.log, the directory is fsynced, and
+//     a fresh wal.log is created. No byte is copied and a sealed file is
+//     never written again. A crash before the rename leaves a long wal the
+//     next commit seals; a crash after it leaves no wal, and Open creates
+//     one.
 //   - Recovery (Open) reads an ordered file list — the segments sorted by
 //     name, then the wal — under one rule per record: an index below the
 //     count so far is skipped (a repeated record is a copy of one already
@@ -40,9 +49,9 @@
 //     before it replays, truncates or writes anything — as it does a
 //     directory holding the snap.log of a build that sealed by copying.
 //
-// The recovered history is what cluster.NodeStorage.Open hands the node to
-// replay (Storage, in storage.go, is that seam's implementation), so the
-// restart path is the same code the in-process supervisor exercises.
+// The recovered history is what cluster.JournalStorage.OpenJournal hands the
+// node to replay (Storage, in storage.go, is that seam's implementation), so
+// the restart path is the same code the in-process supervisor exercises.
 //
 // Contract:
 //
@@ -50,7 +59,8 @@
 //     record framing, fsync ordering and recovery rules, and the
 //     group-commit coordinator shard logs share.
 //   - MUST NOT: dial, listen or know a frame type; decide what an event
-//     means (it stores cluster.Event in cluster's own binary encoding); or
+//     means (it frames the records cluster encodes, and decodes them only to
+//     hand recovery a History); or
 //     repair damage by guessing — a record it cannot read is torn or
 //     corrupt, never reinterpreted.
 //   - MUST NOT import: anything above internal/cluster (cmd/..., the
@@ -59,6 +69,7 @@ package durable
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,9 +96,14 @@ const (
 	// wal, in journal format 0x01: a directory holding one is refused.
 	snapName = "snap.log"
 
-	// sealEvery is the number of new records the wal holds when it is
-	// sealed.
+	// sealEvery is how many new records the wal holds once a commit seals
+	// it (a commit of several records can take it a little past).
 	sealEvery = 1024
+
+	// keepPending bounds the staging buffer a log keeps between commits:
+	// several times what a node stages before it commits (a block of the
+	// history, seglog.BlockSize), far below a record of maxRecord.
+	keepPending = 256 << 10
 
 	// maxRecord bounds one framed record: larger than any replication
 	// payload the stores produce, small enough that a corrupted length
@@ -164,11 +180,11 @@ type Options struct {
 	// NoSync skips the per-append fsync (tests that only exercise framing
 	// and recovery logic, not crash safety, run much faster without it).
 	NoSync bool
-	// Group, when non-nil, routes per-append fsyncs through a shared
+	// Group, when non-nil, routes each commit's fsync through a shared
 	// GroupCommitter so logs that commit concurrently (a sharded node's
 	// per-shard journals) coalesce into one fsync round. Durability
-	// semantics are unchanged — Append still returns only after its record
-	// is on disk. Ignored under NoSync.
+	// semantics are unchanged — Commit still returns only after its records
+	// are on disk. Ignored under NoSync.
 	Group *GroupCommitter
 
 	// sealEvery, when positive, overrides the constant of that name: tests
@@ -176,12 +192,12 @@ type Options struct {
 	sealEvery int
 }
 
-// Log is one node's open durable history. Append is called in the shard's
-// turns (one at a time), but Close can arrive from a different shutdown
-// goroutine, so the mutex serializes them.
+// Log is one node's open durable history, a cluster.Journal. Stage and
+// Commit are called in the shard's turns (one at a time), but Close can
+// arrive from a different shutdown goroutine, so the mutex serializes them.
 //
-// The log holds no copy of the history, in memory or on disk: two counts
-// and the open wal.
+// The log holds no copy of the history, in memory or on disk: two counts,
+// the open wal, and the records staged since the last commit, framed.
 type Log struct {
 	dir  string
 	meta Meta
@@ -189,10 +205,19 @@ type Log struct {
 
 	mu       sync.Mutex
 	wal      *os.File
-	count    int // events in the log, sealed and unsealed
-	walCount int // of those, how many the wal added
+	count    int    // events in the log, sealed and unsealed
+	walCount int    // of those, how many the wal added
+	pending  []byte // staged records, framed, for the next commit to write
+	staged   int    // how many records pending holds
 	closed   bool
+
+	// walWrites and syncs count the wal writes and the fsyncs (direct or
+	// through the group) commits made: what a test holds to one of each
+	// per commit.
+	walWrites, syncs int
 }
+
+var _ cluster.Journal = (*Log)(nil)
 
 // Open opens (or initializes) the data directory and recovers the event
 // history it holds. The returned history is nil when the directory holds no
@@ -251,31 +276,64 @@ func (l *Log) openWal() error {
 // Len returns the number of events currently in the log.
 func (l *Log) Len() int { return l.count }
 
-// Append persists one event: frame, write, fsync. It must complete before
-// the event's effects are acknowledged to any peer or client — the node
-// guarantees that by journaling at record time, in the recording turn. An error means
-// the event may not be durable; the node fail-stops on it.
+// Append persists one event: encode, Stage, Commit. It must complete before
+// the event's effects are acknowledged to any peer or client. An error means
+// the event may not be durable.
 func (l *Log) Append(ev cluster.Event) error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	if err := cluster.AppendEventBinary(w, ev); err != nil {
+		return fmt.Errorf("durable: encode event: %w", err)
+	}
+	if err := l.Stage(w.Bytes()); err != nil {
+		return err
+	}
+	return l.Commit()
+}
+
+// Stage frames rec — one event in cluster's binary encoding — as the log's
+// next record, behind what is already staged, for the next Commit to write.
+// It copies rec and writes nothing: a staged record is not durable, and a
+// crash or a Close before the Commit drops it.
+func (l *Log) Stage(rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("durable: append to closed log")
+		return fmt.Errorf("durable: stage to closed log")
 	}
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	rec, err := encodeRecord(w, uint64(l.count), ev)
-	if err != nil {
+	var err error
+	if l.pending, err = appendRecord(l.pending, uint64(l.count+l.staged), rec); err != nil {
 		return err
 	}
-	if _, err := l.wal.Write(rec); err != nil {
+	l.staged++
+	return nil
+}
+
+// Commit makes every staged record durable: one wal write, one fsync (or
+// one GroupCommitter round), and the seal when the wal is due one. With
+// nothing staged it does nothing. It must complete before any staged event's
+// effects are acknowledged to any peer or client; an error means they may
+// not be durable, and the node fail-stops on it.
+func (l *Log) Commit() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("durable: commit to closed log")
+	}
+	if l.staged == 0 {
+		return nil
+	}
+	l.walWrites++
+	if _, err := l.wal.Write(l.pending); err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
 	if !l.opts.NoSync {
+		l.syncs++
 		if g := l.opts.Group; g != nil {
 			// Group commit: the round's fsync starts after the write above
 			// (Commit guarantees it), so acked ⇒ on-disk holds exactly as
 			// with the direct Sync. l.mu stays held — each log has its own,
-			// so other shards' appends proceed and pile into the round.
+			// so other shards' commits proceed and pile into the round.
 			if err := g.Commit(l.wal); err != nil {
 				return fmt.Errorf("durable: wal group sync: %w", err)
 			}
@@ -283,8 +341,12 @@ func (l *Log) Append(ev cluster.Event) error {
 			return fmt.Errorf("durable: wal sync: %w", err)
 		}
 	}
-	l.count++
-	l.walCount++
+	l.count += l.staged
+	l.walCount += l.staged
+	l.pending, l.staged = l.pending[:0], 0
+	if cap(l.pending) > keepPending {
+		l.pending = nil // rare (a huge record), and too large a buffer to keep
+	}
 	if l.walCount >= l.opts.sealEvery {
 		return l.seal()
 	}
@@ -298,7 +360,7 @@ var testCrashSeal func()
 
 // seal turns the wal into a sealed segment: rename it after the index of
 // its first new event, fsync the directory, open a fresh wal. Every record
-// in it was fsynced by the Append that wrote it, so nothing is copied and a
+// in it was fsynced by the commit that wrote it, so nothing is copied and a
 // crash at any point is safe: before the rename the directory holds a long
 // wal, after it a sealed segment and — until openWal — no wal at all, and
 // recovery reads both the same way. Segment names are unique by
@@ -326,8 +388,11 @@ func (l *Log) seal() error {
 	return l.openWal()
 }
 
-// Close syncs and closes the wal. Call after the node has shut down (no
-// Appends can arrive once the shard's last turn has ended).
+// Close syncs and closes the wal, dropping whatever is staged: the node
+// commits in each shard's last turn, so only a fail-stopping node leaves
+// records staged, and none of them was promised to anyone. Call after the
+// node has shut down (nothing is staged or committed once the shard's last
+// turn has ended).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -390,33 +455,23 @@ const (
 	legacyJournalTag = 0x01
 )
 
-// encodeRecord frames one event: length | crc32c | payload, where the
-// payload is (uvarint index, length-prefixed body) and the body is the tag
-// byte followed by the event in cluster's binary encoding. The returned
-// slice aliases a pooled writer; the caller must finish with it before the
-// next encodeRecord call on the same writer, which Append satisfies by
-// writing it out immediately.
-func encodeRecord(w *wire.Writer, index uint64, ev cluster.Event) ([]byte, error) {
-	w.Reset()
+// appendRecord appends one framed record to buf: length | crc32c | payload,
+// where the payload is (uvarint index, length-prefixed body) and the body is
+// the tag byte followed by rec, an event in cluster's binary encoding. On
+// error buf is returned as it was.
+func appendRecord(buf []byte, index uint64, rec []byte) ([]byte, error) {
+	start := len(buf)
 	// Reserve the 8-byte header; the payload is framed in place behind it.
-	w.Raw([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	w.Uvarint(index)
-	body := wire.GetWriter()
-	body.Raw([]byte{journalBinaryTag})
-	if err := cluster.AppendEventBinary(body, ev); err != nil {
-		wire.PutWriter(body)
-		return nil, fmt.Errorf("durable: encode event: %w", err)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = binary.AppendUvarint(buf, index)
+	buf = binary.AppendUvarint(buf, uint64(len(rec)+1))
+	buf = append(buf, journalBinaryTag)
+	buf = append(buf, rec...)
+	if size := len(buf) - start - 8; size > maxRecord {
+		return buf[:start], fmt.Errorf("durable: record of %d bytes exceeds limit %d", size, maxRecord)
 	}
-	w.Uvarint(uint64(len(body.Bytes())))
-	w.Raw(body.Bytes())
-	wire.PutWriter(body)
-	rec := w.Bytes()
-	payload := rec[8:]
-	if len(payload) > maxRecord {
-		return nil, fmt.Errorf("durable: record of %d bytes exceeds limit %d", len(payload), maxRecord)
-	}
-	putFrameHeader(rec)
-	return rec, nil
+	putFrameHeader(buf[start:])
+	return buf, nil
 }
 
 // putFrameHeader fills the 8 bytes reserved at the front of a frame with

@@ -25,14 +25,14 @@ import (
 	_ "repro/internal/store/causal"
 )
 
-// encodeTestRecord builds one framed record, copied out of the pooled writer
-// so tests can accumulate records freely.
+// encodeTestRecord builds one framed record, in a slice of its own so
+// tests can accumulate records freely.
 func encodeTestRecord(index uint64, ev cluster.Event) ([]byte, error) {
-	rec, err := encodeRecord(wire.NewWriter(), index, ev)
-	if err != nil {
+	w := wire.NewWriter()
+	if err := cluster.AppendEventBinary(w, ev); err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), rec...), nil
+	return appendRecord(nil, index, w.Bytes())
 }
 
 // sampleEvents synthesizes a plausible mixed history: do, send, and receive

@@ -18,7 +18,7 @@ import (
 // the history from disk.
 //
 // When a node opens more than one shard through the same Storage, the shard
-// logs share one GroupCommitter automatically: concurrent appends across
+// logs share one GroupCommitter automatically: concurrent commits across
 // shards coalesce into one fsync round instead of one fsync per shard.
 // Opts.Group, if set, overrides the shared committer (tests inject counting
 // ones).
@@ -30,13 +30,16 @@ type Storage struct {
 	group *GroupCommitter
 }
 
-var _ cluster.NodeStorage = (*Storage)(nil)
+var (
+	_ cluster.NodeStorage    = (*Storage)(nil)
+	_ cluster.JournalStorage = (*Storage)(nil)
+)
 
-// Open implements cluster.NodeStorage: it opens node id's log for one shard
-// under Dir, returning its append callback, any recovered history, no
-// forest (the shard builds its own; see cluster.NodeStorage), and the
-// close hook the node runs after that shard's last turn.
-func (s *Storage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
+// OpenJournal implements cluster.JournalStorage: it opens node id's log for
+// one shard under Dir and returns it, with any recovered history. The node
+// stages each event's record in it and commits at its commit points, then
+// closes it after that shard's last turn.
+func (s *Storage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (cluster.Journal, *cluster.History, error) {
 	dir := filepath.Join(s.Dir, fmt.Sprintf("node%d", id))
 	opts := s.Opts
 	if shards > 1 {
@@ -48,7 +51,20 @@ func (s *Storage) Open(id model.ReplicaID, n int, storeName string, shard, shard
 	}
 	l, hist, err := Open(dir, Meta{Node: id, N: n, Store: storeName, Shard: shard, Shards: shards}, opts)
 	if err != nil {
+		return nil, nil, err
+	}
+	return l, hist, nil
+}
+
+// Open implements cluster.NodeStorage, the per-event journal a wrapper that
+// only knows that interface opens: the log OpenJournal opens, handed each
+// event to encode and commit alone (Log.Append), with no forest (the shard
+// builds its own; see cluster.NodeStorage).
+func (s *Storage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
+	j, hist, err := s.OpenJournal(id, n, storeName, shard, shards)
+	if err != nil {
 		return nil, nil, nil, nil, err
 	}
+	l := j.(*Log)
 	return l.Append, hist, nil, l.Close, nil
 }
