@@ -50,10 +50,11 @@ bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/...
 
 # Timing flakes hide at -count=1. Repeat the networked packages — real
-# sockets, child processes, goroutines racing test assertions, the last
-# three through the Supervisor — so a 1-in-15 failure shows up in one run.
+# sockets, child processes, goroutines racing test assertions, the
+# Supervisor's own and the last three through it — so a 1-in-15 failure
+# shows up in one run.
 flake:
-	$(GO) test -count=20 ./internal/cluster ./internal/durable ./cmd/served ./cmd/loadgen \
+	$(GO) test -count=20 ./internal/cluster ./internal/supervisor ./internal/durable ./cmd/served ./cmd/loadgen \
 		./internal/livecheck ./internal/store/storetest ./internal/chaossearch
 
 figures:
@@ -122,15 +123,17 @@ durability:
 
 # The fault-injection sweep: every registered store through seeded
 # partition/crash/link-fault schedules in the simulator, then the TCP
-# cluster and loadgen chaos mode under the race detector, with the rules that
-# a live link never resends (a connection delivers in order or dies) and that
-# a replicated write costs each peer one frame: no batch is acked, and a
-# receiver answers only the quiescence check's questions, after applying and
-# journaling what it counts.
+# cluster, the Supervisor and loadgen chaos mode under the race detector, with
+# the rules that a live link never resends (a connection delivers in order or
+# dies), that a replicated write costs each peer one frame (no batch is acked,
+# and a receiver answers only the quiescence check's questions, after applying
+# and journaling what it counts), and that the fault transport cuts the
+# replies a node writes back on the reverse link but never a client's
+# connection.
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
-	$(GO) test -race ./internal/cluster ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|DrainedAnswersAfterApply|FailedJournalNeverAnswers' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork' -count=1
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence
@@ -140,7 +143,7 @@ chaos:
 # joining via -join, SIGKILL'd mid-pull, restarted on the same -data-dir).
 membership:
 	$(GO) test -race ./internal/membership -count=1
-	$(GO) test -race ./internal/cluster -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest|RangeServed|GossipReply' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor -run 'Join|Rejoin|Leave|Churn|SyncCost|Member|RestartedForest|RangeServed|GossipReply' -count=1
 	$(GO) test -race ./internal/fault -run 'Churn' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9MidSyncJoin|ParseTopology' -count=1
 	$(GO) test -race ./cmd/loadgen -run 'Syncbench' -count=1
@@ -168,7 +171,7 @@ livecheck:
 # PR, and the kill -9 mid-group-commit harness — all under the race
 # detector, since shards share the node's transport and fsync rounds.
 shard:
-	$(GO) test -race ./internal/cluster -run 'Shard|Pool|Compress' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor -run 'Shard|Pool|Compress' -count=1
 	$(GO) test -race ./internal/livecheck -run 'ShardSet' -count=1
 	$(GO) test -race ./internal/durable -run 'GroupCommit|SealIsARename|SealRefuses|CrashInSealWindow' -count=1
 	$(GO) test -race ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/ShardedCluster' -count=1

@@ -14,6 +14,7 @@ import (
 	"repro/internal/livecheck"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/supervisor"
 )
 
 // chaosConfig parameterizes a -chaos run: a self-hosted cluster (replicating
@@ -78,7 +79,6 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	em := fault.NewNetem(cfg.nodes)
 	base := cluster.Config{
 		Store: st, Seed: cfg.seed, Shards: cfg.shards,
-		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
 	}
@@ -94,7 +94,7 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	// incarnation, so restarted nodes keep streaming into it.
 	ck := livecheck.NewShardSet(cfg.nodes, cfg.shards, livecheck.Options{Types: spec.MVRTypes()})
 	base.Tap = ck.Observe
-	sup, err := cluster.NewSupervisor(base, cfg.nodes, em, chaosTick)
+	sup, err := supervisor.New(base, cfg.nodes, em, chaosTick)
 	if err != nil {
 		return err
 	}

@@ -164,7 +164,6 @@ func TestKill9Recovery(t *testing.T) {
 		}
 		nd, err := cluster.NewNode(cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
-			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
 		})
@@ -294,7 +293,6 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
 			Shards:         shards,
 			MaxFrame:       512,
-			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
 		}
@@ -468,7 +466,6 @@ func TestKill9ShardedGroupCommit(t *testing.T) {
 		nd, err := cluster.NewNode(cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
 			Shards:         shards,
-			DialTimeout:    time.Second,
 			DialBackoffMin: 5 * time.Millisecond,
 			DialBackoffMax: 100 * time.Millisecond,
 		})

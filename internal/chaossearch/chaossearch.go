@@ -46,6 +46,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/supervisor"
 )
 
 // Objective names what the search maximizes.
@@ -389,7 +390,7 @@ func Validate(cfg Config, seed int64, tick time.Duration) (fault.Metrics, error)
 	sched := cfg.Schedule(seed)
 	em := fault.NewNetem(cfg.Nodes)
 	base := cluster.Config{Store: cfg.Store, Seed: cfg.Seed}
-	sup, err := cluster.NewSupervisor(base, cfg.Nodes, em, tick)
+	sup, err := supervisor.New(base, cfg.Nodes, em, tick)
 	if err != nil {
 		return fault.Metrics{}, err
 	}
@@ -411,7 +412,7 @@ load:
 		obj := searchObjects[i%len(searchObjects)]
 		val := model.Value(fmt.Sprintf("w%d", i))
 		_, err := sup.Do(i%cfg.Nodes, obj, model.Write(val))
-		if err != nil && !errors.Is(err, cluster.ErrNodeDown) && !errors.Is(err, cluster.ErrClosed) {
+		if err != nil && !errors.Is(err, supervisor.ErrNodeDown) && !errors.Is(err, cluster.ErrClosed) {
 			return fault.Metrics{}, err
 		}
 		i++

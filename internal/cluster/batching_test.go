@@ -25,7 +25,7 @@ func TestBatchingCoalescesFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := fastConfig(model.ReplicaID(i), 2, st)
-		cfg.Faults = nets
+		cfg.Transport = nets
 		nd, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,178 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
-	"repro/internal/model"
-	"repro/internal/spec"
-	"repro/internal/store"
 )
-
-// TestSupervisorOverlappingCrashWindows drives the case the single-crash
-// schedule test never reaches: two victims down at once, their windows
-// overlapping, leaving a single live node. The survivor must keep taking
-// writes, both victims must rejoin from their captured histories, and the
-// run must quiesce, converge, and audit clean — minority liveness plus
-// fail-stop recovery under compound failure.
-func TestSupervisorOverlappingCrashWindows(t *testing.T) {
-	st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	em := fault.NewNetem(n)
-	base := Config{
-		Store: st, Seed: 23,
-		DialTimeout:    time.Second,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
-	}
-	sup, err := NewSupervisor(base, n, em, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
-
-	// Hand-built overlap: node 0 down over [4,20), node 1 over [8,26) —
-	// both down together during [8,20).
-	sched := fault.Schedule{
-		Seed: 23, N: n, Steps: 40,
-		Directives: []fault.Directive{
-			{Step: 4, Kind: fault.KindCrash, Node: 0},
-			{Step: 8, Kind: fault.KindCrash, Node: 1},
-			{Step: 20, Kind: fault.KindRestart, Node: 0},
-			{Step: 26, Kind: fault.KindRestart, Node: 1},
-		},
-	}
-	if err := sched.CheckBalanced(); err != nil {
-		t.Fatalf("schedule not balanced: %v", err)
-	}
-	objects := []model.ObjectID{"x", "y"}
-
-	var wg sync.WaitGroup
-	schedErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		schedErr <- sup.RunSchedule(sched)
-	}()
-	// One worker per node: the survivor's writes must all succeed, the
-	// victims' workers tolerate downtime errors.
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				v := model.Value(fmt.Sprintf("w%d.%d", w, i))
-				_, err := sup.Do(w, objects[i%len(objects)], model.Write(v))
-				if w == 2 && err != nil {
-					t.Errorf("survivor write %d: %v", i, err)
-					return
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := <-schedErr; err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	if crashes, restarts := sup.Crashes(); crashes != 2 || restarts != 2 {
-		t.Fatalf("crashes/restarts = %d/%d, want 2/2", crashes, restarts)
-	}
-
-	if err := sup.Settle(30*time.Second, objects); err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, 1, sup.Histories)
-}
-
-// TestSupervisorSimultaneousCrashLosesNoAckedUpdate is the regression for
-// the crash-snapshot ordering bug: the supervisor used to capture a
-// victim's history while its event loop was still running, so updates
-// applied (and acknowledged) between the snapshot and the actual stop were
-// pruned from the sender's queue as acked yet missing from the restarted
-// node's log — an unfillable sequence gap that wedged the cluster short of
-// quiescence forever. Both victims crash at the same step under flood-rate
-// writes to keep updates in flight inside that window; the run must still
-// quiesce and converge.
-func TestSupervisorSimultaneousCrashLosesNoAckedUpdate(t *testing.T) {
-	st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	em := fault.NewNetem(n)
-	base := Config{
-		Store: st, Seed: 29,
-		DialTimeout:    time.Second,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
-	}
-	sup, err := NewSupervisor(base, n, em, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
-	sched := fault.Schedule{
-		Seed: 29, N: n, Steps: 30,
-		Directives: []fault.Directive{
-			{Step: 2, Kind: fault.KindCrash, Node: 0},
-			{Step: 2, Kind: fault.KindCrash, Node: 1},
-			{Step: 16, Kind: fault.KindRestart, Node: 0},
-			{Step: 16, Kind: fault.KindRestart, Node: 1},
-		},
-	}
-	if err := sched.CheckBalanced(); err != nil {
-		t.Fatalf("schedule not balanced: %v", err)
-	}
-	objects := []model.ObjectID{"x", "y"}
-
-	done := make(chan struct{})
-	schedErr := make(chan error, 1)
-	go func() { defer close(done); schedErr <- sup.RunSchedule(sched) }()
-	// Flood writes with no pacing: the bug needs an update applied at a
-	// victim in the instant it crashes, so keep the pipelines full.
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 4000; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				v := model.Value(fmt.Sprintf("w%d.%d", w, i))
-				_, _ = sup.Do(w, objects[i%len(objects)], model.Write(v))
-			}
-		}(w)
-	}
-	wg.Wait()
-	<-done
-	if err := <-schedErr; err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	// A failure to quiesce here is the wedge: an update acked inside the crash
-	// window was lost.
-	if err := sup.Settle(30*time.Second, objects); err != nil {
-		t.Fatal(err)
-	}
-	// The flood leaves thousands of events: merge them, but spare the cubic
-	// causal check.
-	hists, err := sup.Histories(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildAudit(hists); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestGenerateOverlappingCrashWindowsOccur pins that multi-victim configs
 // really do produce overlapping downtime (the schedule family the

@@ -3,12 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -268,196 +265,4 @@ func TestRestoreResendLateConnectingPeer(t *testing.T) {
 	}
 	auditClean(t, 1, HistoriesOf(pair))
 	noViolations(t, pair...)
-}
-
-// TestSupervisorScheduleAuditsClean is the cluster-side tentpole check: a
-// seeded schedule with a partition, link shaping, and a crash/restart runs
-// against a live 3-node TCP cluster under concurrent load, and the run
-// still quiesces, converges, and audits clean — with the crash/restart path
-// actually exercised.
-func TestSupervisorScheduleAuditsClean(t *testing.T) {
-	st, err := store.Open("causal", spec.MVRTypes(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	em := fault.NewNetem(n)
-	base := Config{
-		Store: st, Seed: 11,
-		DialTimeout:    time.Second,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
-	}
-	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
-
-	sched := fault.Generate(fault.Config{Seed: 11, N: n, Steps: 80, Partitions: 1, Crashes: 1, LinkFaults: 2})
-	objects := []model.ObjectID{"x", "y", "z"}
-
-	var wg sync.WaitGroup
-	schedErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		schedErr <- sup.RunSchedule(sched)
-	}()
-	const workers = 3
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 60; i++ {
-				obj := objects[rng.Intn(len(objects))]
-				op := model.Read()
-				if rng.Intn(2) == 0 {
-					op = model.Write(model.Value(fmt.Sprintf("w%d.%d", w, i)))
-				}
-				// Downtime errors are expected while the victim is crashed.
-				_, _ = sup.Do(w%n, obj, op)
-				time.Sleep(2 * time.Millisecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := <-schedErr; err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	if crashes, restarts := sup.Crashes(); crashes != 1 || restarts != 1 {
-		t.Fatalf("crashes/restarts = %d/%d, want 1/1", crashes, restarts)
-	}
-
-	if err := sup.Settle(30*time.Second, objects); err != nil {
-		t.Fatal(err)
-	}
-	auditClean(t, 1, sup.Histories)
-	noViolations(t, sup.Nodes()...)
-}
-
-// TestSupervisorShardedCrashRestart is the check that the seams compose:
-// sharding × crash/restart × the storage seam, with no disk. A 3-node,
-// 2-shard cluster on the supervisor's in-memory storage runs a seeded
-// schedule with a crash/restart under load; every shard of the victim must
-// come back from its own journal, and every shard's histories must audit
-// clean.
-func TestSupervisorShardedCrashRestart(t *testing.T) {
-	const n, shards = 3, 2
-	em := fault.NewNetem(n)
-	base := Config{
-		Store: openCausal(t), Seed: 29, Shards: shards,
-		DialTimeout:    time.Second,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
-	}
-	sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
-
-	sched := fault.Generate(fault.Config{Seed: 29, N: n, Steps: 80, Partitions: 1, Crashes: 1, LinkFaults: 1})
-	objects := shardedObjects(t, shards, 6)
-
-	var wg sync.WaitGroup
-	schedErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		schedErr <- sup.RunSchedule(sched)
-	}()
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 60; i++ {
-				obj := objects[rng.Intn(len(objects))]
-				op := model.Read()
-				if rng.Intn(2) == 0 {
-					op = model.Write(model.Value(fmt.Sprintf("w%d.%d", w, i)))
-				}
-				// Downtime errors are expected while the victim is crashed.
-				_, _ = sup.Do(w, obj, op)
-				time.Sleep(2 * time.Millisecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := <-schedErr; err != nil {
-		t.Fatalf("schedule: %v", err)
-	}
-	if crashes, restarts := sup.Crashes(); crashes != 1 || restarts != 1 {
-		t.Fatalf("crashes/restarts = %d/%d, want 1/1", crashes, restarts)
-	}
-
-	if err := sup.Settle(30*time.Second, objects); err != nil {
-		t.Fatal(err)
-	}
-	// The audit must cover every shard: what it read sums to what the nodes
-	// recorded (Histories once returned shard 0 alone, whatever Config.Shards).
-	var audited int
-	for _, a := range auditClean(t, shards, sup.Histories) {
-		audited += a.Events
-	}
-	var total Stats
-	restored := int64(0)
-	for _, nd := range sup.Nodes() {
-		total.Add(nd.Stats())
-		restored += nd.Restored()
-	}
-	if int64(audited) != total.Events {
-		t.Fatalf("audited %d events over %d shards, the nodes recorded %d", audited, shards, total.Events)
-	}
-	noViolations(t, sup.Nodes()...)
-	if restored == 0 {
-		t.Fatal("the restarted node restored nothing: its shards' journals did not survive the crash")
-	}
-}
-
-// TestSupervisorMetricsCountEveryIncarnation: the transport half of
-// Supervisor.Metrics is the nodes' own counters, so it must not lose an
-// incarnation's share when the incarnation stops. A reconnect counted on
-// node 0 stays in the total through node 0's crash, its restart as a fresh
-// node whose counters start at zero, and the supervisor's Close.
-func TestSupervisorMetricsCountEveryIncarnation(t *testing.T) {
-	base := fastConfig(0, 2, openCausal(t))
-	sup, err := NewSupervisor(base, 2, fault.NewNetem(2), 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
-	if _, err := sup.Do(0, "x", model.Write("v")); err != nil {
-		t.Fatal(err)
-	}
-	r0 := sup.Nodes()[0]
-	for deadline := time.Now().Add(10 * time.Second); r0.Stats().Reconnects == 0; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("no reconnect after breaking r0's connections: %+v", r0.Stats())
-		}
-		r0.BreakConnections()
-	}
-	floor := sup.Metrics().Reconnects
-	if floor == 0 {
-		t.Fatalf("Metrics misses the live nodes' counters: %+v", sup.Metrics())
-	}
-	for _, step := range []struct {
-		what string
-		do   func() error
-	}{
-		{"crash", func() error { return sup.apply(fault.Directive{Kind: fault.KindCrash, Node: 0}) }},
-		{"restart", func() error { return sup.apply(fault.Directive{Kind: fault.KindRestart, Node: 0}) }},
-		{"close", func() error { sup.Close(); return nil }},
-	} {
-		if err := step.do(); err != nil {
-			t.Fatalf("%s: %v", step.what, err)
-		}
-		got := sup.Metrics().Reconnects
-		if got < floor {
-			t.Fatalf("after the %s Metrics reports %d reconnects, %d before it", step.what, got, floor)
-		}
-		floor = got
-	}
 }

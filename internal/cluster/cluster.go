@@ -41,7 +41,8 @@
 //     journal, the store and every frame are shown a slice of it, never a
 //     second copy, and never connection memory or a store's outbox.
 //   - MUST NOT import: internal/durable (it imports this package for Event
-//     and NodeStorage), cmd/..., or the simulator.
+//     and NodeStorage), internal/fault (a fault emulator is a Transport the
+//     caller passes in), a store implementation, cmd/..., or the simulator.
 package cluster
 
 import (
@@ -52,7 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/livecheck"
 	"repro/internal/membership"
 	"repro/internal/model"
@@ -82,12 +82,11 @@ type Config struct {
 	// order, split per (node, peer) with gen.SplitSeed: runs with the same
 	// seed reproduce redial timing. Zero is a valid seed.
 	Seed int64
-	// Faults, when non-nil, is the shared in-process network emulator:
-	// every connection between two nodes — replication, gossip, join — is
-	// wrapped on both the dial side and the accept side (Node.dial,
-	// Node.shape), so the emulator's partitions, cuts, and per-link shaping
-	// windows apply to whatever this node writes toward a peer.
-	Faults *fault.Netem
+	// Transport is how the node listens and dials its peers, plain TCP if
+	// nil. The node never shapes a connection itself: it reads and writes
+	// what the Transport hands it, so a fault emulator (fault.Netem) is a
+	// Transport, and its cuts and delays are what those connections do.
+	Transport Transport
 	// Storage, when non-nil, is the node's durable state: NewNode opens it
 	// once per shard before serving and Close closes each log after the
 	// shard's last turn. A shard stages each do/send/receive record in its
@@ -170,12 +169,34 @@ type Config struct {
 	// MaxFrame bounds replication and request frames (wire.DefaultMaxFrame
 	// if zero); history transfers use the larger historyMaxFrame.
 	MaxFrame int
-	// DialTimeout bounds one TCP dial attempt.
-	DialTimeout time.Duration
 	// DialBackoffMin/Max bound the reconnect backoff.
 	DialBackoffMin, DialBackoffMax time.Duration
-	// WriteTimeout bounds one frame write.
-	WriteTimeout time.Duration
+}
+
+// Transport opens the node's connections. Listen opens the node's one
+// listener; Dial opens one connection from this node to the peer to at
+// addr, for any conversation — a replication link, a gossip round, a join.
+// A node calls it once per listen, dial or accept, never per frame.
+type Transport interface {
+	Listen(addr string) (net.Listener, error)
+	Dial(from, to model.ReplicaID, addr string) (net.Conn, error)
+}
+
+const (
+	// dialTimeout bounds one dial of the default Transport.
+	dialTimeout = 2 * time.Second
+	// writeTimeout bounds one frame write, and the wait for the answer of a
+	// gossip round or a join.
+	writeTimeout = 5 * time.Second
+)
+
+// tcpTransport is the default Transport: plain TCP.
+type tcpTransport struct{}
+
+func (tcpTransport) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+
+func (tcpTransport) Dial(_, _ model.ReplicaID, addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // NodeStorage provides per-incarnation durable storage for a node's recorded
@@ -269,15 +290,16 @@ func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
+	if c.Transport == nil {
+		c.Transport = tcpTransport{}
+	}
 	def := func(d *time.Duration, v time.Duration) {
 		if *d == 0 {
 			*d = v
 		}
 	}
-	def(&c.DialTimeout, 2*time.Second)
 	def(&c.DialBackoffMin, 50*time.Millisecond)
 	def(&c.DialBackoffMax, 2*time.Second)
-	def(&c.WriteTimeout, 5*time.Second)
 	def(&c.GossipInterval, 200*time.Millisecond)
 	return c
 }
@@ -423,7 +445,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: invalid shard count %d", cfg.Shards)
 	}
-	ln, err := net.Listen("tcp", cfg.Listen)
+	ln, err := cfg.Transport.Listen(cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", cfg.Listen, err)
 	}
@@ -843,34 +865,6 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// dial opens a connection to peer at addr for any conversation — a
-// replication link, a gossip round, a join — as the fault emulator sees it:
-// a cut link fails at once without touching the network (the dial would
-// succeed at TCP only to die on the first shaped write), and a live one is
-// shaped in the direction this node → peer.
-func (n *Node) dial(peer model.ReplicaID, addr string) (net.Conn, error) {
-	if n.cfg.Faults != nil && n.cfg.Faults.Cut(int(n.cfg.ID), int(peer)) {
-		return nil, fault.ErrLinkCut
-	}
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return n.shape(conn, peer), nil
-}
-
-// shape puts this node's end of a connection with peer under the fault
-// emulator, if there is one: what this node writes travels the directed
-// link this → peer. Dialed and accepted connections alike are shaped, so an
-// asymmetric cut of this → peer silences this node's hello acks and replies
-// too.
-func (n *Node) shape(conn net.Conn, peer model.ReplicaID) net.Conn {
-	if n.cfg.Faults == nil {
-		return conn
-	}
-	return n.cfg.Faults.WrapConn(conn, int(n.cfg.ID), int(peer))
-}
-
 // serveConn classifies an inbound connection by its first frame: a tHello
 // marks a peer's replication stream, tJoin and tGossip the membership
 // conversations; anything else is a client speaking request/response.
@@ -901,8 +895,8 @@ func (n *Node) serveConn(conn net.Conn) {
 		}
 		return
 	case typ == tGossip:
-		if from, ms, err := decodeGossip(&r, n.cfg.N); err == nil {
-			n.serveGossip(conn, from, ms, fr)
+		if _, ms, err := decodeGossip(&r, n.cfg.N); err == nil {
+			n.serveGossip(conn, ms, fr)
 		}
 		return
 	}
@@ -922,9 +916,6 @@ func (n *Node) serveHello(conn net.Conn, h hello, fr *wire.FrameReader) {
 	if int(h.From) < 0 || int(h.From) >= n.cfg.N || h.From == n.cfg.ID {
 		return
 	}
-	// Answers written back to this peer travel the reverse link, so an
-	// asymmetric cut of this→peer suppresses them even while updates flow in.
-	conn = n.shape(conn, h.From)
 	if !n.answerHello(conn, h.From) {
 		return
 	}

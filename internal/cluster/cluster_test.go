@@ -22,7 +22,6 @@ import (
 func fastConfig(id model.ReplicaID, n int, st store.Store) Config {
 	return Config{
 		ID: id, N: n, Store: st, Listen: "127.0.0.1:0",
-		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
 	}

@@ -124,7 +124,7 @@ func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.D
 	if err != nil {
 		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if z != nil {
 		// The envelope lives in its own pooled writer; it is returned to
 		// the pool only here, after the write, never inside

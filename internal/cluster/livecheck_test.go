@@ -22,7 +22,7 @@ func TestLiveCheckerFlagsViolationDuringRun(t *testing.T) {
 	ck := livecheck.New(n, livecheck.Options{Types: spec.MVRTypes()})
 
 	nodes := startClusterWith(t, "lww", n, func(cfg *Config) {
-		cfg.Faults = em
+		cfg.Transport = em
 		cfg.Tap = func(_ int, ev livecheck.Event) { ck.Observe(ev) }
 	})
 

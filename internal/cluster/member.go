@@ -112,7 +112,7 @@ func (n *Node) gossipOnce(rng *rand.Rand) {
 // exchangeGossip runs one transient gossip round trip with a member:
 // push our view, pull theirs, merge. Best-effort.
 func (n *Node) exchangeGossip(id int, addr string) bool {
-	conn, err := n.dial(model.ReplicaID(id), addr)
+	conn, err := n.cfg.Transport.Dial(n.cfg.ID, model.ReplicaID(id), addr)
 	if err != nil {
 		return false
 	}
@@ -120,7 +120,7 @@ func (n *Node) exchangeGossip(id int, addr string) bool {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendGossip(w, n.cfg.ID, n.view.Members()) }) {
 		return false
 	}
-	typ, r, err := readTyped(conn, wire.NewFrameReader(conn), n.cfg.MaxFrame, n.cfg.WriteTimeout)
+	typ, r, err := readTyped(conn, wire.NewFrameReader(conn), n.cfg.MaxFrame, writeTimeout)
 	if err != nil || typ != tGossipAck {
 		return false
 	}
@@ -134,16 +134,16 @@ func (n *Node) exchangeGossip(id int, addr string) bool {
 
 // serveGossip answers one inbound gossip exchange (transient connection):
 // merge the sender's view, reply with ours, reconcile links. The reply
-// travels the link this → from, so a cut there loses it, and a delay may
+// travels the link this → sender, so a cut there loses it, and a delay may
 // still hold it when the write returns: the connection stays open until the
 // dialer, having read the reply or given up on it, hangs up.
-func (n *Node) serveGossip(conn net.Conn, from model.ReplicaID, ms []membership.Member, fr *wire.FrameReader) {
+func (n *Node) serveGossip(conn net.Conn, ms []membership.Member, fr *wire.FrameReader) {
 	n.view.MergeAll(ms)
 	n.markDynamic()
-	replied := n.sendFrame(n.shape(conn, from), func(w *wire.Writer) { appendGossipAck(w, n.view.Members()) })
+	replied := n.sendFrame(conn, func(w *wire.Writer) { appendGossipAck(w, n.view.Members()) })
 	n.ensureLinks()
 	if replied {
-		readTyped(conn, fr, n.cfg.MaxFrame, n.cfg.WriteTimeout)
+		readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
 	}
 }
 
@@ -274,14 +274,14 @@ func (n *Node) finishJoin() {
 // missing history, or a seed of another protocol version or shard count,
 // returns errJoinRefused.
 func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
-	conn, err := n.dial(seedID, addr)
+	conn, err := n.cfg.Transport.Dial(n.cfg.ID, seedID, addr)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	// Reads tolerate the donor's chunk pacing knob on top of the normal
 	// write budget.
-	readDeadline := n.cfg.WriteTimeout + 2*n.cfg.SyncChunkDelay
+	readDeadline := writeTimeout + 2*n.cfg.SyncChunkDelay
 	// Every frame of the conversation is read through one frame reader into
 	// its storage; each is decoded into values of its own (hashes, strings)
 	// or, for range chunks, copied by applyUpdate, before the next read
@@ -469,7 +469,6 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 	if int(j.From) < 0 || int(j.From) >= n.cfg.N || j.From == n.cfg.ID {
 		return
 	}
-	conn = n.shape(conn, j.From)
 	if j.Version != protoVersion || j.Shards != uint64(len(n.shards)) {
 		// Answered, so the joiner learns our version and shard count, then
 		// refused — before it is admitted to the view.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -547,81 +546,6 @@ func TestConnectOffersLiveBacklogToLateJoiner(t *testing.T) {
 	auditClean(t, 1, HistoriesOf([]*Node{r0, r1}))
 }
 
-// TestSupervisorChurnScheduleAuditsClean runs a generated schedule that
-// mixes a crash window with a leave→join window on a live TCP cluster
-// under load: the departed node must rejoin through the membership path
-// (tJoin + anti-entropy, shard by shard), and the run must quiesce,
-// converge, and audit clean on every shard.
-func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
-	forShards(t, func(t *testing.T, shards int) {
-		st := openCausal(t)
-		const n = 3
-		em := fault.NewNetem(n)
-		base := Config{
-			Store: st, Seed: 23, Shards: shards,
-			// The restarted node recovers from what its journal kept.
-			Storage:        lendingStorage{&memStorage{}},
-			DialTimeout:    time.Second,
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 100 * time.Millisecond,
-			GossipInterval: 50 * time.Millisecond,
-		}
-		sup, err := NewSupervisor(base, n, em, 5*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sup.Close()
-
-		sched := fault.Generate(fault.Config{Seed: 23, N: n, Steps: 80, Partitions: 1, Crashes: 1, LinkFaults: 1, Churns: 1})
-		if err := sched.CheckBalanced(); err != nil {
-			t.Fatalf("generated schedule unbalanced: %v", err)
-		}
-		objects := shardedObjects(t, shards, 3)
-
-		var wg sync.WaitGroup
-		schedErr := make(chan error, 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			schedErr <- sup.RunSchedule(sched)
-		}()
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < 60; i++ {
-					obj := objects[rng.Intn(len(objects))]
-					op := model.Read()
-					if rng.Intn(2) == 0 {
-						op = model.Write(model.Value(fmt.Sprintf("w%d.%d", w, i)))
-					}
-					// Downtime errors are expected while a victim is away.
-					_, _ = sup.Do(w%n, obj, op)
-					time.Sleep(2 * time.Millisecond)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if err := <-schedErr; err != nil {
-			t.Fatalf("schedule: %v", err)
-		}
-		if leaves, joins := sup.Churn(); leaves != 1 || joins != 1 {
-			t.Fatalf("leaves/joins = %d/%d, want 1/1", leaves, joins)
-		}
-		m := sup.Metrics()
-		if m.Leaves != 1 || m.Joins != 1 {
-			t.Fatalf("observer leaves/joins = %d/%d, want 1/1", m.Leaves, m.Joins)
-		}
-
-		if err := sup.Settle(30*time.Second, objects); err != nil {
-			t.Fatal(err)
-		}
-		auditClean(t, shards, sup.Histories)
-		noViolations(t, sup.Nodes()...)
-	})
-}
-
 // forestDigest is what one shard of a node would tell a joiner about each
 // origin: how many updates it has hashed, the root over them, and the root
 // over half of them (a prefix that ends off every leaf boundary — with more
@@ -813,7 +737,7 @@ func TestLeaveRacesClose(t *testing.T) {
 // view. The accepting side used to answer unshaped, so the cut leaked.
 func TestGossipReplyObeysLinkCut(t *testing.T) {
 	em := fault.NewNetem(3)
-	shaped := func(cfg *Config) { cfg.Faults = em }
+	shaped := func(cfg *Config) { cfg.Transport = em }
 	r0, r1 := bootNode(t, 0, 3, shaped), bootNode(t, 1, 3, shaped)
 	r1.view.Merge(membership.Member{ID: 2, Addr: "127.0.0.1:1"}) // only r1 knows r2
 	em.Apply(fault.Directive{Kind: fault.KindLinkCut, From: 1, To: 0}, time.Millisecond)
@@ -832,5 +756,61 @@ func TestGossipReplyObeysLinkCut(t *testing.T) {
 	}
 	if _, ok := r0.view.Get(2); !ok {
 		t.Fatalf("r0 did not learn r1's view once the link was restored: %+v", r0.Membership())
+	}
+}
+
+// TestHelloAckObeysLinkCut is the accept side of a replication link under
+// the fault transport: r0 dials r1 over the open r0→r1, but r1's hello ack
+// travels the cut r1→r0, so it fails and r1 hangs up. r0's link never
+// learns what r1 delivered and streams nothing, however often it redials.
+// Restoring r1→r0 lets the next hello ack through, and the cluster heals.
+func TestHelloAckObeysLinkCut(t *testing.T) {
+	em := fault.NewNetem(2)
+	em.Apply(fault.Directive{Kind: fault.KindLinkCut, From: 1, To: 0}, time.Millisecond)
+	nodes := startClusterWith(t, "causal", 2, func(cfg *Config) { cfg.Transport = em })
+	r0, r1 := nodes[0], nodes[1]
+	if _, err := r0.Do("x", model.Write("v")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); r0.Stats().Reconnects < 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("r0 stopped redialling r1: %+v", r0.Stats())
+		}
+	}
+	if got := r1.Stats().Receives; got != 0 {
+		t.Fatalf("r1 received %d updates over a link whose hello ack is cut", got)
+	}
+	if r0.Quiesced() {
+		t.Fatal("r0 reports quiescence to a peer that never acknowledged it")
+	}
+	em.Apply(fault.Directive{Kind: fault.KindLinkRestore, From: 1, To: 0}, time.Millisecond)
+	settle(t, nodes, "x")
+}
+
+// TestClientAnsweredOverCutNetwork: the fault transport shapes only the
+// connections one node dials to another, so a client's connection to a node
+// listening through it is never cut, even with every link of the cluster
+// cut.
+func TestClientAnsweredOverCutNetwork(t *testing.T) {
+	em := fault.NewNetem(3)
+	em.Apply(fault.Directive{Kind: fault.KindPartition}, time.Millisecond)
+	nd := bootNode(t, 0, 3, func(cfg *Config) { cfg.Transport = em })
+	c, err := Dial(nd.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do("x", model.Write("v")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do("x", model.Read())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Values) != 1 || resp.Values[0] != "v" {
+		t.Fatalf("read %+v over a client connection, want [v]", resp)
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -293,7 +293,7 @@ func (p *peerSender) run() {
 // dialAndServe makes one connection attempt and serves it to its end,
 // reporting whether the peer's hello ack arrived on it.
 func (p *peerSender) dialAndServe() bool {
-	conn, err := p.node.dial(p.peer, p.addr)
+	conn, err := p.node.cfg.Transport.Dial(p.node.cfg.ID, p.peer, p.addr)
 	if err != nil {
 		return false
 	}
@@ -317,7 +317,7 @@ func (p *peerSender) dialAndServe() bool {
 // a FIN — is found by TCP: keepalive (on by default for Go's dials and
 // accepts) probes an idle one, the kernel's retransmission timeout fails
 // one with unacked bytes in flight (minutes, at the kernel's defaults), and
-// WriteTimeout bounds a write the peer stopped reading. Each of those ends
+// writeTimeout bounds a write the peer stopped reading. Each of those ends
 // the connection, and the reconnect resends what the peer's hello ack on the
 // new connection does not count. A slow peer that answers late is not
 // half-open, and is not written to twice.

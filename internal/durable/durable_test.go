@@ -20,6 +20,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/supervisor"
 	"repro/internal/wire"
 
 	_ "repro/internal/store/causal"
@@ -818,11 +819,10 @@ func TestDiskBackedSupervisorAuditsClean(t *testing.T) {
 	base := cluster.Config{
 		Store: st, Seed: 17,
 		Storage:        &Storage{Dir: dataDir, Opts: Options{sealEvery: 64}},
-		DialTimeout:    time.Second,
 		DialBackoffMin: 5 * time.Millisecond,
 		DialBackoffMax: 100 * time.Millisecond,
 	}
-	sup, err := cluster.NewSupervisor(base, n, em, 5*time.Millisecond)
+	sup, err := supervisor.New(base, n, em, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,11 @@
 //
 //   - internal/sim applies directives to its logical delivery queue (one
 //     directive step per workload step);
-//   - internal/cluster applies them to real TCP links through the Netem
-//     frame interceptor, plus node stop/rejoin with history reload. A TCP
-//     connection delivers in order or dies, so Netem skips reorder windows:
-//     reordering is the simulator's fault alone.
+//   - internal/supervisor applies them to real TCP links through Netem,
+//     the transport it hands every internal/cluster node, plus node
+//     stop/rejoin with history reload. A TCP connection delivers in order
+//     or dies, so Netem skips reorder windows: reordering is the
+//     simulator's fault alone.
 //
 // Both interpretations model fail-stop crashes with a durable local log:
 // the replica's recorded history survives the crash, the in-flight network

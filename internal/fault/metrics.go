@@ -10,7 +10,7 @@ import "sync"
 // work left to reach quiescence). The simulator fills the logical
 // counters through an Observer; the TCP cluster's Supervisor reports its
 // directives through one too and fills the transport counters from its
-// nodes' own Stats (cluster.Supervisor.Metrics) — so a schedule's
+// nodes' own Stats (supervisor.Supervisor.Metrics) — so a schedule's
 // footprint is comparable across engines.
 type Metrics struct {
 	// Downtime is the per-node crashed duration in schedule steps.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/model"
 )
 
 // ErrLinkCut is the write error surfaced on a cut link. The cluster's
@@ -27,7 +28,9 @@ type linkState struct {
 
 // Netem is the shared in-process network emulator of one cluster run: a
 // matrix of directed link states that conn interceptors consult on every
-// frame. Directives mutate it; the data path only reads it. It models only
+// frame. Directives mutate it; the data path only reads it. Its Listen and
+// Dial make it the nodes' transport (cluster.Transport), so every
+// connection between two nodes is shaped in both directions. It models only
 // what can happen to a TCP connection: a cut kills it, delay, jitter and a
 // rate cap slow it, and dup repeats frames (the receiver's duplicate rule,
 // which reconnect races reach too). A connection never reorders or loses a
@@ -38,6 +41,9 @@ type Netem struct {
 	mu    sync.Mutex
 	n     int
 	links [][]linkState
+	// dialed maps the local address of a connection Dial opened to its link
+	// (dialer, acceptor), until the acceptor's end looks it up (linkOf).
+	dialed map[string][2]int
 }
 
 // NewNetem creates an emulator for an n-node cluster with all links clean.
@@ -46,8 +52,92 @@ func NewNetem(n int) *Netem {
 	for i := range links {
 		links[i] = make([]linkState, n)
 	}
-	return &Netem{n: n, links: links}
+	return &Netem{n: n, links: links, dialed: make(map[string][2]int)}
 }
+
+// dialTimeout bounds one dial through the emulator.
+const dialTimeout = 2 * time.Second
+
+// Dial opens a connection from node from to node to at addr as the emulator
+// sees it: a cut link fails at once without touching the network (the dial
+// would succeed at TCP only to die on the first shaped write), and a live
+// one is shaped in the direction from→to (WrapConn). The connection is
+// recorded by its local address, which is the address the acceptor's end
+// sees it come from, so Listen shapes the replies on to→from.
+func (e *Netem) Dial(from, to model.ReplicaID, addr string) (net.Conn, error) {
+	if e.Cut(int(from), int(to)) {
+		return nil, ErrLinkCut
+	}
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.dialed[conn.LocalAddr().String()] = [2]int{int(from), int(to)}
+	e.mu.Unlock()
+	return e.WrapConn(conn, int(from), int(to)), nil
+}
+
+// Listen listens on addr and puts each accepted connection under the
+// emulator: one a node opened through Dial is shaped on the reverse link,
+// acceptor→dialer, and any other — a client's — passes unshaped.
+func (e *Netem) Listen(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return listener{ln, e}, nil
+}
+
+// linkOf returns, and forgets, the link of the dialed connection whose
+// local address is addr.
+func (e *Netem) linkOf(addr string) (link [2]int, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	link, ok = e.dialed[addr]
+	delete(e.dialed, addr)
+	return link, ok
+}
+
+type listener struct {
+	net.Listener
+	em *Netem
+}
+
+func (l listener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &acceptedConn{Conn: conn, em: l.em}, nil
+}
+
+// acceptedConn is the accepting end of a connection. Which link it writes
+// on is known once the dialer's Dial has recorded the connection, and it
+// has by the time the acceptor writes, because the acceptor always reads a
+// frame first. So the link is looked up at the first write or write
+// deadline, and every write from then on goes through w: the connection
+// shaped acceptor→dialer, or the plain one when no node dialed it.
+type acceptedConn struct {
+	net.Conn
+	em   *Netem
+	once sync.Once
+	w    net.Conn
+}
+
+func (c *acceptedConn) writer() net.Conn {
+	c.once.Do(func() {
+		c.w = c.Conn
+		if link, ok := c.em.linkOf(c.RemoteAddr().String()); ok {
+			c.w = c.em.WrapConn(c.Conn, link[1], link[0])
+		}
+	})
+	return c.w
+}
+
+func (c *acceptedConn) Write(b []byte) (int, error) { return c.writer().Write(b) }
+
+func (c *acceptedConn) SetWriteDeadline(t time.Time) error { return c.writer().SetWriteDeadline(t) }
 
 // Apply enforces one directive, mapping DelaySteps/JitterSteps to wall time
 // with tick and RateKBps to bytes per second. Crash/restart directives are
@@ -109,7 +199,7 @@ func (e *Netem) Apply(d Directive, tick time.Duration) {
 }
 
 // Cut reports whether the directed link from→to is currently blackholed
-// (dial gates consult this to avoid churning against a cut link).
+// (Dial consults this to avoid churning against a cut link).
 func (e *Netem) Cut(from, to int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()

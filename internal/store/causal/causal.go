@@ -76,10 +76,6 @@ func (s *Store) Name() string {
 // Types implements store.Store.
 func (s *Store) Types() spec.Types { return s.types }
 
-// WireCodec implements store.PayloadCodec: payloads are the varint update
-// batches encodePayload produces, safe for binary wire framing.
-func (s *Store) WireCodec() string { return "binary" }
-
 // NewReplica implements store.Store.
 func (s *Store) NewReplica(id model.ReplicaID, n int) store.Replica {
 	return &Replica{

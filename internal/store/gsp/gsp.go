@@ -53,10 +53,6 @@ func New(types spec.Types) *Store { return &Store{types: types} }
 // Name implements store.Store.
 func (s *Store) Name() string { return "gsp" }
 
-// WireCodec implements store.PayloadCodec: payloads are varint-encoded
-// proposal/commit records, safe for binary wire framing.
-func (s *Store) WireCodec() string { return "binary" }
-
 // Types implements store.Store.
 func (s *Store) Types() spec.Types { return s.types }
 

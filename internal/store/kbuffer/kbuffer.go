@@ -42,10 +42,6 @@ func New(types spec.Types, k int) *Store {
 // Name implements store.Store.
 func (s *Store) Name() string { return fmt.Sprintf("kbuffer(k=%d)", s.k) }
 
-// WireCodec implements store.PayloadCodec: payloads are the wrapped causal
-// store's varint batches, safe for binary wire framing.
-func (s *Store) WireCodec() string { return "binary" }
-
 // Types implements store.Store.
 func (s *Store) Types() spec.Types { return s.inner.Types() }
 

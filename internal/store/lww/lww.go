@@ -42,10 +42,6 @@ func New(types spec.Types) *Store { return &Store{types: types} }
 // Name implements store.Store.
 func (s *Store) Name() string { return "lww" }
 
-// WireCodec implements store.PayloadCodec: payloads are the varint update
-// batches PendingMessage encodes, safe for binary wire framing.
-func (s *Store) WireCodec() string { return "binary" }
-
 // Types implements store.Store.
 func (s *Store) Types() spec.Types { return s.types }
 

@@ -76,27 +76,11 @@ type Store interface {
 	Types() spec.Types
 }
 
-// PayloadCodec is implemented by Stores whose replicas' broadcast payloads
-// are a stable, self-delimiting binary encoding. Every registered store
-// declares "binary", and the cluster transport no longer asks: it speaks
-// one binary codec whatever the store says. The trait and
-// PreferredWireCodec remain only because benchmark/ (frozen between
-// benchmark changes) still calls them; they go with its next change.
-type PayloadCodec interface {
-	// WireCodec names the frame codec for this store's payloads ("binary").
-	WireCodec() string
-}
-
-// PreferredWireCodec returns the wire codec name a store declares through
-// PayloadCodec, or "json" for stores that don't.
-func PreferredWireCodec(s Store) string {
-	if pc, ok := s.(PayloadCodec); ok {
-		if name := pc.WireCodec(); name != "" {
-			return name
-		}
-	}
-	return "json"
-}
+// PreferredWireCodec returns "binary", the one codec every store's payloads
+// travel in. Nothing in this module calls it: it stays only because the
+// frozen benchmark/trace.go does, and goes with the next benchmark change
+// (ROADMAP item 1(c)).
+func PreferredWireCodec(Store) string { return "binary" }
 
 // DotReporter is implemented by replicas that can identify their latest
 // local mutator with a dot, letting the simulator derive the visibility

@@ -139,7 +139,6 @@ func runLentMessages(t *testing.T, cfg Config) {
 				return cluster.Config{
 					Store:          lendingStore{st},
 					Listen:         "127.0.0.1:0",
-					DialTimeout:    time.Second,
 					DialBackoffMin: 5 * time.Millisecond,
 					DialBackoffMax: 100 * time.Millisecond,
 				}

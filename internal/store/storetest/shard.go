@@ -28,7 +28,6 @@ func runShardedCluster(t *testing.T, cfg Config) {
 				Store:          st,
 				Listen:         "127.0.0.1:0",
 				Shards:         shards,
-				DialTimeout:    time.Second,
 				DialBackoffMin: 5 * time.Millisecond,
 				DialBackoffMax: 100 * time.Millisecond,
 			}

@@ -1,0 +1,139 @@
+package repro
+
+import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// moduleImports returns the packages of this module that the non-test Go
+// files in dir import, sorted.
+func moduleImports(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("%s: no Go files", dir)
+	}
+	var imports []string
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(path, "repro/") && !slices.Contains(imports, path) {
+				imports = append(imports, path)
+			}
+		}
+	}
+	slices.Sort(imports)
+	return imports
+}
+
+// transitiveImports returns every package of this module that the package
+// in dir depends on, directly or not, through non-test files.
+func transitiveImports(t *testing.T, dir string) []string {
+	t.Helper()
+	var seen []string
+	for queue := moduleImports(t, dir); len(queue) > 0; {
+		path := queue[0]
+		queue = queue[1:]
+		if slices.Contains(seen, path) {
+			continue
+		}
+		seen = append(seen, path)
+		queue = append(queue, moduleImports(t, strings.TrimPrefix(path, "repro/"))...)
+	}
+	slices.Sort(seen)
+	return seen
+}
+
+// TestImportLayering pins the package layers by parsing the non-test
+// imports of the tree:
+//   - the node (internal/cluster) imports no fault emulator, journal,
+//     simulator or store implementation: each of those is handed to it
+//     through Config (Transport, Storage, Store), or sits above it;
+//   - the server binary does not link the fault emulator, directly or not;
+//   - the paper core imports only the paper core;
+//   - a store implementation imports only the core, the byte layers and
+//     internal/store (and kbuffer the causal store it wraps);
+//   - the journal (internal/durable) imports only the node's storage seam
+//     and the byte layers beneath it.
+//
+// An edge that breaks a rule today is listed in exceptions with the
+// ROADMAP item that removes it; an exception no edge needs any more fails
+// too, so the list only shrinks.
+func TestImportLayering(t *testing.T) {
+	const in = "repro/internal/"
+	exceptions := map[string]string{
+		"internal/durable → " + in + "membership": "ROADMAP item 1(c): NodeStorage.Open's forest result",
+	}
+	var broken []string
+	breaks := func(pkg, imp, rule string) {
+		edge := pkg + " → " + imp
+		if _, ok := exceptions[edge]; ok {
+			delete(exceptions, edge)
+			return
+		}
+		broken = append(broken, edge+": "+rule)
+	}
+
+	for _, imp := range moduleImports(t, "internal/cluster") {
+		if slices.Contains([]string{in + "fault", in + "durable", in + "sim"}, imp) ||
+			strings.HasPrefix(imp, in+"store/") {
+			breaks("internal/cluster", imp, "the node is handed faults, journals and stores; it imports none")
+		}
+	}
+	for _, imp := range transitiveImports(t, "cmd/served") {
+		if imp == in+"fault" {
+			breaks("cmd/served", imp, "the server never links the fault emulator")
+		}
+	}
+	core := []string{"model", "execution", "abstract", "spec", "consistency", "vclock"}
+	for _, pkg := range core {
+		for _, imp := range moduleImports(t, "internal/"+pkg) {
+			if !slices.Contains(core, strings.TrimPrefix(imp, in)) {
+				breaks("internal/"+pkg, imp, "the paper core imports only the paper core")
+			}
+		}
+	}
+	stores := []string{"causal", "gsp", "kbuffer", "lww", "statesync"}
+	for _, pkg := range stores {
+		allowed := append([]string{"store", "wire", "seglog"}, core...)
+		if pkg == "kbuffer" {
+			allowed = append(allowed, "store/causal")
+		}
+		for _, imp := range moduleImports(t, "internal/store/"+pkg) {
+			if !slices.Contains(allowed, strings.TrimPrefix(imp, in)) {
+				breaks("internal/store/"+pkg, imp, "a store imports only the core, the byte layers and internal/store")
+			}
+		}
+	}
+	for _, imp := range moduleImports(t, "internal/durable") {
+		if !slices.Contains([]string{"cluster", "wire", "seglog", "model"}, strings.TrimPrefix(imp, in)) {
+			breaks("internal/durable", imp, "the journal imports only the node's storage seam and the byte layers")
+		}
+	}
+
+	for _, edge := range broken {
+		t.Errorf("layering broken: %s", edge)
+	}
+	for edge, item := range exceptions {
+		t.Errorf("exception %s (%s) is no longer needed: delete it", edge, item)
+	}
+}
