@@ -167,11 +167,11 @@ livecheck:
 # mismatch refusal, the sharded supervisor crash/restart, the per-shard
 # livecheck set, the group-commit fsync coordinator and the seal its
 # journals rename through, the sharded conformance leg of every registered
-# store, the pool and compression regression tests that rode the sharding
-# PR, and the kill -9 mid-group-commit harness — all under the race
-# detector, since shards share the node's transport and fsync rounds.
+# store, the compression regression tests that rode the sharding PR, and
+# the kill -9 mid-group-commit harness — all under the race detector,
+# since shards share the node's transport and fsync rounds.
 shard:
-	$(GO) test -race ./internal/cluster ./internal/supervisor -run 'Shard|Pool|Compress' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor -run 'Shard|Compress' -count=1
 	$(GO) test -race ./internal/livecheck -run 'ShardSet' -count=1
 	$(GO) test -race ./internal/durable -run 'GroupCommit|SealIsARename|SealRefuses|CrashInSealWindow' -count=1
 	$(GO) test -race ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/ShardedCluster' -count=1

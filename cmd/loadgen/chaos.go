@@ -79,8 +79,6 @@ func runChaos(w io.Writer, cfg chaosConfig) error {
 	em := fault.NewNetem(cfg.nodes)
 	base := cluster.Config{
 		Store: st, Seed: cfg.seed, Shards: cfg.shards,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
 	}
 	if cfg.dataDir != "" {
 		// Disk-backed chaos: every node journals through internal/durable and

@@ -17,7 +17,6 @@
 // Usage:
 //
 //	loadgen -nodes :7000,:7001,:7002 -clients 8 -ops 200
-//	loadgen -nodes :7000,:7001,:7002 -clients 32 -conns 4
 //	loadgen -nodes :7000,:7001,:7002 -json -audit
 //	loadgen -chaos -store causal -seed 42 -json
 package main
@@ -60,7 +59,6 @@ func main() {
 	storeName := cli.StoreFlag(flag.CommandLine, "causal")
 	chaosNodes := flag.Int("chaos-nodes", 3, "cluster size for -chaos runs")
 	chaosDataDir := flag.String("chaos-data-dir", "", "journal -chaos node histories to this directory; crash/restart directives then recover from disk (in-memory if empty)")
-	conns := flag.Int("conns", 0, "pooled connections per node for the workload clients (0 = one dedicated connection per client)")
 	opTimeout := flag.Duration("op-timeout", 10*time.Second, "per-operation deadline for client round trips (0 = unbounded)")
 	churn := flag.Int("churn", 0, "leave→join windows in the -chaos schedule (victims disjoint from the crash victims)")
 	benchOn := make([]*bool, len(benches))
@@ -119,7 +117,6 @@ func main() {
 		audit:          *audit,
 		quiesceTimeout: *quiesceTimeout,
 		jsonOut:        *jsonOut,
-		conns:          *conns,
 		opTimeout:      *opTimeout,
 	}
 	if err := run(os.Stdout, cfg); err != nil {
@@ -167,7 +164,6 @@ type config struct {
 	audit          bool
 	quiesceTimeout time.Duration
 	jsonOut        bool
-	conns          int
 	opTimeout      time.Duration
 }
 
@@ -202,28 +198,11 @@ func run(w io.Writer, cfg config) error {
 		control[i] = c
 	}
 
-	// Workload connections: with -conns, clients on the same node share a
-	// fixed pool of that many connections (bounded sockets, parallel
-	// streams); otherwise each client dials its own, the legacy shape.
-	var pools []*cluster.Pool
-	if cfg.conns > 0 {
-		pools = make([]*cluster.Pool, len(cfg.nodes))
-		for i, addr := range cfg.nodes {
-			p, err := cluster.NewPool(addr, cluster.PoolOptions{Size: cfg.conns, OpTimeout: cfg.opTimeout})
-			if err != nil {
-				return err
-			}
-			defer p.Close()
-			pools[i] = p
-		}
-	}
-
+	// Workload connections: each client dials its own, to the nodes
+	// round-robin.
 	start := time.Now()
 	lats, errs := drive(cfg.seed, cfg.clients, cfg.ops, cfg.mutate, objs, cfg.zipf, 0,
 		func(ci int) (cluster.Doer, func(), error) {
-			if pools != nil {
-				return pools[ci%len(pools)], func() {}, nil
-			}
 			c, err := cluster.Dial(cfg.nodes[ci%len(cfg.nodes)], 0)
 			if err != nil {
 				return nil, nil, err

@@ -33,7 +33,6 @@ func bootClusterOf(t *testing.T, name string, opts store.Options) []string {
 		}
 		return cluster.Config{
 			Store: st, Listen: "127.0.0.1:0",
-			DialBackoffMin: 5 * time.Millisecond,
 		}
 	})
 	if err != nil {

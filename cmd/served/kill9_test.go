@@ -164,8 +164,6 @@ func TestKill9Recovery(t *testing.T) {
 		}
 		nd, err := cluster.NewNode(cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 100 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -248,8 +246,9 @@ func TestKill9Recovery(t *testing.T) {
 
 // TestKill9MidSyncJoin is the membership subsystem's end-to-end crash
 // proof: a served child joins a live donor through -join with an empty
-// data directory, the donor paces its anti-entropy chunks (SyncChunkDelay)
-// so the pull is held open, and the joiner is SIGKILL'd mid-pull. A fresh
+// data directory, the donor's Transport paces what it writes on accepted
+// connections — its anti-entropy chunks among them — so the pull is held
+// open, and the joiner is SIGKILL'd mid-pull. A fresh
 // child on the same data directory must restore the partial journal (each
 // chunk is journaled in the turn that applies it), re-join, pull exactly
 // the still-missing suffix — verified by the donor's served-update
@@ -272,6 +271,48 @@ func TestKill9MidSyncJoin(t *testing.T) {
 	}
 }
 
+// pacedTransport is plain TCP whose accepted connections sleep the given
+// time before each Write. A node writes each frame in one Write, so a donor
+// on it serves a joiner's range chunks that far apart. fault.Netem cannot
+// pace them: the joiner is a served child process, and Netem shapes only
+// connections that a node it hosts dialed.
+type pacedTransport time.Duration
+
+func (d pacedTransport) Listen(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return pacedListener{ln, time.Duration(d)}, nil
+}
+
+func (pacedTransport) Dial(_, _ model.ReplicaID, addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, 2*time.Second)
+}
+
+type pacedListener struct {
+	net.Listener
+	pace time.Duration
+}
+
+func (l pacedListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return pacedConn{conn, l.pace}, nil
+}
+
+type pacedConn struct {
+	net.Conn
+	pace time.Duration
+}
+
+func (c pacedConn) Write(p []byte) (int, error) {
+	time.Sleep(c.pace)
+	return c.Conn.Write(p)
+}
+
 func testKill9MidSyncJoin(t *testing.T, shards int) {
 	const writes = 30
 	// Keys covering every shard, so every shard has a range to pull.
@@ -291,10 +332,8 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 		// and range chunks carry one update each.
 		cfg := cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
-			Shards:         shards,
-			MaxFrame:       512,
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 100 * time.Millisecond,
+			Shards:   shards,
+			MaxFrame: 512,
 		}
 		if mut != nil {
 			mut(&cfg)
@@ -305,10 +344,10 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 		}
 		return nd
 	}
-	// Donor r0: a chunk delay stretches the 30-chunk pull across ~1.5s — a
-	// wide window for the kill.
+	// Donor r0: pacing each write 50ms stretches the 30-chunk pull across
+	// ~1.5s — a wide window for the kill.
 	donor := mkNode(0, func(c *cluster.Config) {
-		c.SyncChunkDelay = 50 * time.Millisecond
+		c.Transport = pacedTransport(50 * time.Millisecond)
 	})
 	defer donor.Close()
 
@@ -350,8 +389,8 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 	}
 
 	// First incarnation: wait until the donor has served a few chunks into
-	// the pull, then kill -9. The chunk delay spaces the chunks far enough
-	// apart that the joiner has journaled the first ones by then.
+	// the pull, then kill -9. The pacing spaces the chunks far enough apart
+	// that the joiner has journaled the first ones by then.
 	child := spawnServedArgs(t, joinArgs...)
 	deadline := time.Now().Add(10 * time.Second)
 	for donor.Stats().SyncServed < 5 {
@@ -370,7 +409,7 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 	time.Sleep(250 * time.Millisecond)
 	served1 := donor.Stats().SyncServed
 	if served1 >= writes {
-		t.Fatalf("kill landed after the full pull (%d of %d served); widen -sync-delay", served1, writes)
+		t.Fatalf("kill landed after the full pull (%d of %d served); widen the donor's pacing", served1, writes)
 	}
 
 	// Second incarnation on the same data directory: it must restore a
@@ -465,9 +504,7 @@ func TestKill9ShardedGroupCommit(t *testing.T) {
 		}
 		nd, err := cluster.NewNode(cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
-			Shards:         shards,
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 100 * time.Millisecond,
+			Shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)

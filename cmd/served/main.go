@@ -75,7 +75,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 1, "independent keyspace shards inside this node, each run one turn at a time; all nodes must agree")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the durable event journal (journaling disabled if empty)")
 	flag.StringVar(&cfg.joinSpec, "join", "", "join a running cluster through these seed nodes (id=addr pairs like -peers; requires -n)")
-	flag.DurationVar(&cfg.syncDelay, "sync-delay", 0, "pause between anti-entropy chunks served to a joiner (test knob, 0 disables)")
 	flag.Parse()
 	cfg.store = *storeName
 
@@ -97,7 +96,6 @@ type serveConfig struct {
 	shards    int
 	dataDir   string
 	joinSpec  string
-	syncDelay time.Duration
 }
 
 // checkPeerAddr rejects peer addresses a membership exchange could not
@@ -209,15 +207,14 @@ func run(cfg serveConfig) error {
 		Types:    spec.MVRTypes(),
 	})
 	ncfg := cluster.Config{
-		ID:             model.ReplicaID(cfg.id),
-		N:              n,
-		Store:          st,
-		Listen:         cfg.listen,
-		Peers:          peers,
-		Join:           join,
-		Shards:         cfg.shards,
-		SyncChunkDelay: cfg.syncDelay,
-		Tap:            ck.Observe,
+		ID:     model.ReplicaID(cfg.id),
+		N:      n,
+		Store:  st,
+		Listen: cfg.listen,
+		Peers:  peers,
+		Join:   join,
+		Shards: cfg.shards,
+		Tap:    ck.Observe,
 	}
 	if cfg.dataDir != "" {
 		// Each shard journals to its own fsync'd log (data-dir itself when

@@ -35,11 +35,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -237,44 +236,20 @@ func (cfg Config) evaluate(seed int64) (Sample, error) {
 	return Sample{Seed: seed, Score: Score(cfg.Objective, m), Ops: ops, Metrics: m}, nil
 }
 
-// evalAll evaluates a frontier of seeds into index-addressed slots, using
-// the explore engine's worker discipline: workers race only for slot
-// indices, results land at their canonical position, and the caller's
-// single-threaded merge does everything order-sensitive. Identical output
-// for any worker count.
+// evalAll evaluates a frontier of seeds into index-addressed slots on
+// core.ForEachCell: workers race only for slot indices, results land at
+// their canonical position, the first error is the lowest-indexed one, and
+// the caller's single-threaded merge does everything order-sensitive.
+// Identical output for any worker count.
 func (cfg Config) evalAll(seeds []int64) ([]Sample, error) {
 	out := make([]Sample, len(seeds))
-	errs := make([]error, len(seeds))
-	workers := cfg.Parallel
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers <= 1 {
-		for i, s := range seeds {
-			out[i], errs[i] = cfg.evaluate(s)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(seeds) {
-						return
-					}
-					out[i], errs[i] = cfg.evaluate(seeds[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := core.ForEachCell(cfg.Parallel, len(seeds), func(i int) error {
+		var err error
+		out[i], err = cfg.evaluate(seeds[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -71,7 +71,7 @@ func QuiesceNodes(nodes []*Node, timeout time.Duration) func() error {
 }
 
 // Doer performs one client operation at a replica — implemented by *Node
-// (in-process), *Client and *Pool (over the wire) and DoerFunc, so load and
+// (in-process), *Client (over the wire) and DoerFunc, so load and
 // convergence checks run identically in tests and in cmd/loadgen.
 type Doer interface {
 	Do(obj model.ObjectID, op model.Operation) (model.Response, error)

@@ -37,10 +37,11 @@ type Client struct {
 	r   wire.Reader
 }
 
-// Dial connects a client to a node.
+// Dial connects a client to a node, waiting up to timeout (dialTimeout if
+// zero) for the connection.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if timeout == 0 {
-		timeout = 2 * time.Second
+		timeout = dialTimeout
 	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {

@@ -157,20 +157,9 @@ type Config struct {
 	// admits the node or a permanent refusal (divergent or lost history)
 	// aborts it.
 	Join map[model.ReplicaID]string
-	// GossipInterval paces the membership gossip loop (default 200ms).
-	// Gossip only runs once the node is membership-dynamic: it joined via
-	// Join, was asked to Leave, or heard a tJoin/tGossip frame. A static
-	// cluster never gossips.
-	GossipInterval time.Duration
-	// SyncChunkDelay, when positive, makes this node pause between
-	// anti-entropy range chunks it serves to a joiner — a test knob that
-	// holds a sync open long enough to kill -9 the joiner mid-pull.
-	SyncChunkDelay time.Duration
 	// MaxFrame bounds replication and request frames (wire.DefaultMaxFrame
 	// if zero); history transfers use the larger historyMaxFrame.
 	MaxFrame int
-	// DialBackoffMin/Max bound the reconnect backoff.
-	DialBackoffMin, DialBackoffMax time.Duration
 }
 
 // Transport opens the node's connections. Listen opens the node's one
@@ -183,11 +172,26 @@ type Transport interface {
 }
 
 const (
-	// dialTimeout bounds one dial of the default Transport.
+	// dialTimeout bounds one dial of the default Transport, and of Dial.
 	dialTimeout = 2 * time.Second
-	// writeTimeout bounds one frame write, and the wait for the answer of a
+	// writeTimeout bounds one frame write, and the wait for each frame of a
 	// gossip round or a join.
 	writeTimeout = 5 * time.Second
+	// dialBackoffMin and dialBackoffMax bound the redial backoff of a link
+	// and of a join's seed loop: 5, 10, 20, 40, 80, then 100 ms, each plus
+	// up to half in jitter. One schedule serves a deployment and the tests
+	// alike. A refused dial costs one SYN and one RST, so redialling a down
+	// peer every 100-150 ms is cheap, and it reconnects a restarted peer
+	// within the same interval — which is what a test that cuts or restarts
+	// a node waits on. A blackholed dial waits out dialTimeout first, so the
+	// cap paces only refused dials.
+	dialBackoffMin = 5 * time.Millisecond
+	dialBackoffMax = 100 * time.Millisecond
+	// gossipInterval paces the membership gossip loop, plus up to half in
+	// jitter. Gossip only runs once the node is membership-dynamic: it
+	// joined via Join, was asked to Leave, or heard a tJoin/tGossip frame.
+	// A static cluster never gossips.
+	gossipInterval = 200 * time.Millisecond
 )
 
 // tcpTransport is the default Transport: plain TCP.
@@ -293,14 +297,6 @@ func (c Config) withDefaults() Config {
 	if c.Transport == nil {
 		c.Transport = tcpTransport{}
 	}
-	def := func(d *time.Duration, v time.Duration) {
-		if *d == 0 {
-			*d = v
-		}
-	}
-	def(&c.DialBackoffMin, 50*time.Millisecond)
-	def(&c.DialBackoffMax, 2*time.Second)
-	def(&c.GossipInterval, 200*time.Millisecond)
 	return c
 }
 

@@ -81,8 +81,7 @@ func (n *Node) gossipLoop() {
 	defer n.wg.Done()
 	rng := rand.New(rand.NewSource(gen.SplitSeed(gen.SplitSeed(n.cfg.Seed, int(n.cfg.ID)), -1)))
 	for {
-		d := n.cfg.GossipInterval
-		d += time.Duration(rng.Int63n(int64(d)/2 + 1))
+		d := gossipInterval + time.Duration(rng.Int63n(int64(gossipInterval)/2+1))
 		t := time.NewTimer(d)
 		select {
 		case <-n.done:
@@ -227,7 +226,7 @@ func (n *Node) join() error {
 			seeds[j], seeds[j-1] = seeds[j-1], seeds[j]
 		}
 	}
-	backoff := n.cfg.DialBackoffMin
+	backoff := dialBackoffMin
 	for {
 		for _, s := range seeds {
 			err := n.joinVia(s.id, s.addr)
@@ -246,9 +245,7 @@ func (n *Node) join() error {
 			return ErrClosed
 		case <-t.C:
 		}
-		if backoff *= 2; backoff > n.cfg.DialBackoffMax {
-			backoff = n.cfg.DialBackoffMax
-		}
+		backoff = min(2*backoff, dialBackoffMax)
 	}
 }
 
@@ -279,9 +276,6 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 		return err
 	}
 	defer conn.Close()
-	// Reads tolerate the donor's chunk pacing knob on top of the normal
-	// write budget.
-	readDeadline := writeTimeout + 2*n.cfg.SyncChunkDelay
 	// Every frame of the conversation is read through one frame reader into
 	// its storage; each is decoded into values of its own (hashes, strings)
 	// or, for range chunks, copied by applyUpdate, before the next read
@@ -293,7 +287,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	}) {
 		return errors.New("cluster: join announce write failed")
 	}
-	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
+	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
 	if err != nil {
 		return err
 	}
@@ -317,7 +311,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 		n.epoch.Store(m.Epoch + 1)
 	}
 	for _, s := range n.shards {
-		if err := n.catchUp(conn, fr, s, readDeadline); err != nil {
+		if err := n.catchUp(conn, fr, s); err != nil {
 			return err
 		}
 	}
@@ -327,7 +321,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 // catchUp brings one shard up to the donor's copy of it: one digest
 // exchange, then the ranges owedRanges finds we lack, which the donor
 // streams without being asked.
-func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadline time.Duration) error {
+func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard) error {
 	// Digest exchange: per origin, what we hold vs what the donor holds —
 	// committed first, as every count this node reports is.
 	local := make([]originDigest, 0, n.cfg.N)
@@ -342,7 +336,7 @@ func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadli
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, s.idx, local) }) {
 		return errors.New("cluster: digest write failed")
 	}
-	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
+	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
 	if err != nil {
 		return err
 	}
@@ -361,7 +355,7 @@ func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard, readDeadli
 		return err
 	}
 	for _, o := range owed {
-		if err := n.pullRange(conn, fr, s, o, readDeadline); err != nil {
+		if err := n.pullRange(conn, fr, s, o); err != nil {
 			return err
 		}
 	}
@@ -417,10 +411,10 @@ func owedRanges(joiner model.ReplicaID, shard int, asked, answered []originDiges
 // live links may move meanwhile. Each chunk is applied and committed in one
 // turn, so a kill -9 mid-sync keeps every chunk applied before it and the
 // restarted join's digest asks only for the rest.
-func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRange, readDeadline time.Duration) error {
+func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRange) error {
 	var us []protoUpdate // each chunk, decoded
 	for at := o.From; at < o.To; {
-		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, readDeadline)
+		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
 		if err != nil {
 			return err
 		}
@@ -571,15 +565,6 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 		if n.writeEnc(conn, enc, n.cfg.MaxFrame, z) != nil { // a bulk frame
 			n.syncServed.Add(-int64(len(us)))
 			return false
-		}
-		if d := n.cfg.SyncChunkDelay; d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-n.done:
-				t.Stop()
-				return false
-			case <-t.C:
-			}
 		}
 	}
 	return true

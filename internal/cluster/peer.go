@@ -265,8 +265,7 @@ func (p *peerSender) sleep(d time.Duration) bool {
 // and hangs up — waits out the backoff and doubles it.
 func (p *peerSender) run() {
 	defer p.node.wg.Done()
-	cfg := p.node.cfg
-	backoff := cfg.DialBackoffMin
+	backoff := dialBackoffMin
 	for {
 		select {
 		case <-p.done:
@@ -280,13 +279,13 @@ func (p *peerSender) run() {
 			return
 		}
 		if acked {
-			backoff = cfg.DialBackoffMin
+			backoff = dialBackoffMin
 			continue
 		}
 		if !p.sleep(backoff) {
 			return
 		}
-		backoff = min(2*backoff, cfg.DialBackoffMax)
+		backoff = min(2*backoff, dialBackoffMax)
 	}
 }
 

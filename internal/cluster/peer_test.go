@@ -59,7 +59,7 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 	// Fail-stop means no more redialing: the reconnect counter must stop
 	// growing once the link is latched.
 	base := nodes[0].Stats().Reconnects
-	time.Sleep(300 * time.Millisecond) // many DialBackoffMax periods
+	time.Sleep(300 * time.Millisecond) // several dialBackoffMax periods
 	if got := nodes[0].Stats().Reconnects; got != base {
 		t.Fatalf("failed link kept reconnecting: %d -> %d", base, got)
 	}
@@ -831,7 +831,8 @@ func TestCutBatch(t *testing.T) {
 // TestRedialBacksOffWhenPeerHangsUp: a peer that accepts and hangs up —
 // before any hello ack — is redialled on the exponential backoff schedule.
 // The backoff used to be reset by every successful TCP dial, so such a peer
-// was redialled in a hot loop (≈13 600 connections a second).
+// was redialled every dialBackoffMin plus jitter: one dial per 7.5 ms or
+// less, and a hot loop (≈13 600 connections a second) before the minimum.
 func TestRedialBacksOffWhenPeerHangsUp(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -854,10 +855,7 @@ func TestRedialBacksOffWhenPeerHangsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastConfig(0, 2, st)
-	cfg.DialBackoffMin = 50 * time.Millisecond
-	cfg.DialBackoffMax = time.Second
-	nd, err := NewNode(cfg)
+	nd, err := NewNode(fastConfig(0, 2, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -866,10 +864,11 @@ func TestRedialBacksOffWhenPeerHangsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(500 * time.Millisecond)
-	// 50, 100, 200 ms (each plus up to half in jitter) fit four dials in
-	// half a second; a dozen leaves room for a slow box, a hot loop none.
-	if got := dials.Load(); got < 2 || got > 12 {
-		t.Fatalf("%d dials in 500ms at a 50ms minimum backoff, want between 2 and 12", got)
+	// 5, 10, 20, 40, 80, then 100 ms, each plus up to half in jitter, fit
+	// 7 to 10 dials in half a second; 20 leaves room for a slow box. A
+	// backoff reset on every dial makes 66 or more.
+	if got := dials.Load(); got < 2 || got > 20 {
+		t.Fatalf("%d dials in 500ms on the %v..%v backoff, want between 2 and 20", got, dialBackoffMin, dialBackoffMax)
 	}
 	if st := nd.Stats(); st.FailedLinks != 0 {
 		t.Fatalf("a peer that hangs up is not a terminal failure: %+v", st)

@@ -12,7 +12,8 @@ import (
 // depends on scheduling; ForEachCell returns the error of the
 // lowest-indexed failing cell, making the error deterministic too. It is
 // the shared engine behind the Theorem 12 sweeps, the Theorem 6 batch
-// construction, and cmd/figures' experiment grids.
+// construction, cmd/figures' experiment grids, the explorer's frontier
+// levels and the chaos search's.
 func ForEachCell(parallel, n int, cell func(i int) error) error {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)

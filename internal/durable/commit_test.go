@@ -104,8 +104,6 @@ func meshConfig(t *testing.T, storage cluster.NodeStorage, shards int) cluster.C
 	}
 	return cluster.Config{
 		Store: st, Listen: "127.0.0.1:0", Storage: storage, Shards: shards,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
 	}
 }
 

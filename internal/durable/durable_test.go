@@ -818,9 +818,7 @@ func TestDiskBackedSupervisorAuditsClean(t *testing.T) {
 	em := fault.NewNetem(n)
 	base := cluster.Config{
 		Store: st, Seed: 17,
-		Storage:        &Storage{Dir: dataDir, Opts: Options{sealEvery: 64}},
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
+		Storage: &Storage{Dir: dataDir, Opts: Options{sealEvery: 64}},
 	}
 	sup, err := supervisor.New(base, n, em, 5*time.Millisecond)
 	if err != nil {

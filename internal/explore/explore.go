@@ -36,13 +36,11 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/store"
 )
@@ -135,17 +133,13 @@ func Explore(script Script, cfg Config) (*Result, error) {
 	if cfg.MaxStates == 0 {
 		cfg.MaxStates = 200000
 	}
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	objs := scriptObjects(script)
 	res := &Result{}
 	seen := NewVisitedSet(64)
 
 	frontier := []candidate{{}}
 	for len(frontier) > 0 {
-		evals := evaluateFrontier(frontier, script, cfg, objs, seen, workers)
+		evals := evaluateFrontier(frontier, script, cfg, objs, seen)
 		var next []candidate
 		for i := range frontier {
 			ev := &evals[i]
@@ -199,35 +193,14 @@ type evaluation struct {
 }
 
 // evaluateFrontier replays and pre-checks every candidate of one frontier
-// level with a pool of workers, writing results into a slice indexed like
-// the frontier so the merge phase is order-deterministic.
-func evaluateFrontier(frontier []candidate, script Script, cfg Config, objs []model.ObjectID, seen *VisitedSet, workers int) []evaluation {
+// level on cfg.Parallel of core.ForEachCell's workers, writing results into
+// a slice indexed like the frontier so the merge phase is order-deterministic.
+func evaluateFrontier(frontier []candidate, script Script, cfg Config, objs []model.ObjectID, seen *VisitedSet) []evaluation {
 	evals := make([]evaluation, len(frontier))
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	if workers <= 1 {
-		for i := range frontier {
-			evals[i] = evaluateOne(frontier[i], script, cfg, objs, seen)
-		}
-		return evals
-	}
-	var nextIdx atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextIdx.Add(1)) - 1
-				if i >= len(frontier) {
-					return
-				}
-				evals[i] = evaluateOne(frontier[i], script, cfg, objs, seen)
-			}
-		}()
-	}
-	wg.Wait()
+	core.ForEachCell(cfg.Parallel, len(frontier), func(i int) error {
+		evals[i] = evaluateOne(frontier[i], script, cfg, objs, seen)
+		return nil
+	})
 	return evals
 }
 

@@ -137,10 +137,8 @@ func runLentMessages(t *testing.T, cfg Config) {
 			st := cfg.Factory()
 			nodes, err := cluster.BootMesh(3, func(int) cluster.Config {
 				return cluster.Config{
-					Store:          lendingStore{st},
-					Listen:         "127.0.0.1:0",
-					DialBackoffMin: 5 * time.Millisecond,
-					DialBackoffMax: 100 * time.Millisecond,
+					Store:  lendingStore{st},
+					Listen: "127.0.0.1:0",
 				}
 			})
 			if err != nil {

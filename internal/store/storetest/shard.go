@@ -25,11 +25,9 @@ func runShardedCluster(t *testing.T, cfg Config) {
 		st := cfg.Factory()
 		nodes, err := cluster.BootMesh(n, func(int) cluster.Config {
 			return cluster.Config{
-				Store:          st,
-				Listen:         "127.0.0.1:0",
-				Shards:         shards,
-				DialBackoffMin: 5 * time.Millisecond,
-				DialBackoffMax: 100 * time.Millisecond,
+				Store:  st,
+				Listen: "127.0.0.1:0",
+				Shards: shards,
 			}
 		})
 		if err != nil {

@@ -132,8 +132,6 @@ func TestSupervisorScheduleAuditsClean(t *testing.T) {
 	em := fault.NewNetem(n)
 	base := cluster.Config{
 		Store: st, Seed: 11,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
 	}
 	sup, err := New(base, n, em, 5*time.Millisecond)
 	if err != nil {
@@ -195,8 +193,6 @@ func TestSupervisorShardedCrashRestart(t *testing.T) {
 	em := fault.NewNetem(n)
 	base := cluster.Config{
 		Store: openCausal(t), Seed: 29, Shards: shards,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
 	}
 	sup, err := New(base, n, em, 5*time.Millisecond)
 	if err != nil {
@@ -270,9 +266,7 @@ func TestSupervisorShardedCrashRestart(t *testing.T) {
 // node whose counters start at zero, and the supervisor's Close.
 func TestSupervisorMetricsCountEveryIncarnation(t *testing.T) {
 	base := cluster.Config{
-		Store:          openCausal(t),
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
+		Store: openCausal(t),
 	}
 	sup, err := New(base, 2, fault.NewNetem(2), 5*time.Millisecond)
 	if err != nil {
@@ -327,8 +321,6 @@ func TestSupervisorOverlappingCrashWindows(t *testing.T) {
 	em := fault.NewNetem(n)
 	base := cluster.Config{
 		Store: st, Seed: 23,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
 	}
 	sup, err := New(base, n, em, 2*time.Millisecond)
 	if err != nil {
@@ -408,8 +400,6 @@ func TestSupervisorSimultaneousCrashLosesNoAckedUpdate(t *testing.T) {
 	em := fault.NewNetem(n)
 	base := cluster.Config{
 		Store: st, Seed: 29,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 100 * time.Millisecond,
 	}
 	sup, err := New(base, n, em, 2*time.Millisecond)
 	if err != nil {
@@ -485,10 +475,7 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 		base := cluster.Config{
 			Store: st, Seed: 23, Shards: shards,
 			// The restarted node recovers from what its journal kept.
-			Storage:        lendingStorage{&memStorage{}},
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 100 * time.Millisecond,
-			GossipInterval: 50 * time.Millisecond,
+			Storage: lendingStorage{&memStorage{}},
 		}
 		sup, err := New(base, n, em, 5*time.Millisecond)
 		if err != nil {
