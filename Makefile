@@ -129,11 +129,12 @@ durability:
 # and a receiver answers only the quiescence check's questions, after applying
 # and journaling what it counts), and that the fault transport cuts the
 # replies a node writes back on the reverse link but never a client's
-# connection.
+# connection, and that every frame a node writes is one Write (the fault
+# transport shapes per Write).
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
-	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork|EveryFrameIsOneWrite' -count=1
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence

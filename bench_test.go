@@ -126,7 +126,7 @@ func BenchmarkTheorem12Encoding(b *testing.B) {
 func BenchmarkMessageSizeSweep(b *testing.B) {
 	ks := []int{2, 16, 128, 1024}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SweepK(causalStore, 6, 6, ks, 1, 1); err != nil {
+		if _, err := core.SweepGrid(causalStore, []int{6}, []int{6}, ks, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

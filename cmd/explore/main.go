@@ -125,14 +125,7 @@ func run(w io.Writer, storeName, scriptName string, k, maxStates, parallel int, 
 	if err != nil {
 		return err
 	}
-	cfg := explore.Config{Store: st, MaxStates: maxStates, Parallel: parallel}
-	// Store traits replace the old per-name special cases: stores declare
-	// themselves what the explorer must tolerate.
-	c := store.ConformanceOf(st)
-	cfg.AllowPropertyViolations = c.ViolatesInvisibleReads || c.ViolatesOpDrivenMessages
-	cfg.ConvergenceReadRounds = max(c.ConvergenceReadRounds-1, 0)
-
-	res, expErr := explore.Explore(script, cfg)
+	res, expErr := explore.Explore(script, explore.Config{Store: st, MaxStates: maxStates, Parallel: parallel})
 	if errors.Is(expErr, explore.ErrBudgetExceeded) {
 		return expErr // a resource limit, not a finding about the store
 	}

@@ -429,7 +429,7 @@ func theorem12(out bench.Output, seed int64, parallel int) error {
 	ks := []int{2, 8, 32, 128, 512, 2048, 8192}
 	kt := bench.NewTable("Theorem 12 — |m_g| grows with lg k (n=6, s=6)",
 		"k", "|m_g| bits", "bound bits", "bits per writer", "decode ok")
-	points, err := core.SweepK(dense, 6, 6, ks, seed+2, parallel)
+	points, err := core.SweepGrid(dense, []int{6}, []int{6}, ks, seed+2, parallel)
 	if err != nil {
 		return err
 	}

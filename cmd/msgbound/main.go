@@ -69,21 +69,21 @@ func run(w io.Writer, n, s, k int, seed int64, parallel int, jsonOut bool, sweep
 			res.BoundBits, res.BetaMaxBits, res.TotalMessages, fmt.Sprintf("%v", res.Decoded), res.DecodeOK)
 		return out.Emit(t)
 	case "k":
-		points, err := core.SweepK(factory, n, s, []int{2, 8, 32, 128, 512, 2048, 8192, 32768}, seed, parallel)
+		points, err := core.SweepGrid(factory, []int{n}, []int{s}, []int{2, 8, 32, 128, 512, 2048, 8192, 32768}, seed, parallel)
 		if err != nil {
 			return err
 		}
 		return emitSweep(out, fmt.Sprintf("|m_g| vs k (n=%d, s=%d, %s)", n, s, encoding), "k", points,
 			func(p core.SweepPoint) int { return p.K })
 	case "n":
-		points, err := core.SweepN(factory, []int{3, 4, 6, 10, 18, 34, 66}, s, k, seed, parallel)
+		points, err := core.SweepGrid(factory, []int{3, 4, 6, 10, 18, 34, 66}, []int{s}, []int{k}, seed, parallel)
 		if err != nil {
 			return err
 		}
 		return emitSweep(out, fmt.Sprintf("|m_g| vs n (s=%d, k=%d, %s)", s, k, encoding), "n", points,
 			func(p core.SweepPoint) int { return p.N })
 	case "s":
-		points, err := core.SweepS(factory, n, []int{2, 3, 5, 9, 17, 33, 65}, k, seed, parallel)
+		points, err := core.SweepGrid(factory, []int{n}, []int{2, 3, 5, 9, 17, 33, 65}, []int{k}, seed, parallel)
 		if err != nil {
 			return err
 		}

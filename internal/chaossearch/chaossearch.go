@@ -21,7 +21,7 @@
 // derived with gen.SplitSeed), and a single-threaded merge ranks them in
 // canonical order — so results are byte-identical for any worker count.
 // Level 0 is uniform sampling; each later level expands the global
-// top-BeamWidth survivors into BranchFactor children each (elitist beam),
+// top-beamWidth survivors into branchFactor children each (elitist beam),
 // topping the frontier up with fresh uniform seeds so the full budget is
 // always spent and the search can never do worse than the sampling it
 // replaces. Evaluation runs on the fast path (sim.RunScheduled with a
@@ -114,30 +114,30 @@ type Config struct {
 	// Seed is the root seed; every candidate schedule seed, uniform
 	// baseline seed, and workload stream is split from it.
 	Seed int64
-	// Nodes, Steps, Partitions, Crashes, LinkFaults, and Churns shape
-	// every candidate schedule (fault.Config); zero fields take the
-	// canonical chaos-battery values (3 nodes, 150 steps, 2 partitions, 2
-	// crashes, 3 link faults, 2 leave→join windows). Note crash and churn
-	// victims are disjoint, so Crashes+Churns is capped at Nodes.
-	Nodes      int
-	Steps      int
-	Partitions int
-	Crashes    int
-	LinkFaults int
-	Churns     int
+	// Steps is every candidate schedule's timeline (default 150).
+	Steps int
 	// Objective selects the score (default ObjConvergence).
 	Objective Objective
 	// Budget is the total number of schedule evaluations (default 64).
 	Budget int
-	// BeamWidth and BranchFactor shape the frontier: each level expands
-	// the top BeamWidth survivors into BranchFactor children each
-	// (defaults 4 and 8).
-	BeamWidth    int
-	BranchFactor int
 	// Parallel is the evaluation worker count (default 1). The result is
 	// identical for every value.
 	Parallel int
 }
+
+// The shape of every candidate schedule (fault.Config) — the canonical
+// chaos-battery values; crash and churn victims are disjoint, so
+// crashes+churns is capped at nodes — and of the frontier: each level
+// expands the top beamWidth survivors into branchFactor children each.
+const (
+	nodes        = 3
+	partitions   = 2
+	crashes      = 2
+	linkFaults   = 3
+	churns       = 2
+	beamWidth    = 4
+	branchFactor = 8
+)
 
 func (cfg Config) withDefaults() Config {
 	def := func(v *int, d int) {
@@ -145,15 +145,8 @@ func (cfg Config) withDefaults() Config {
 			*v = d
 		}
 	}
-	def(&cfg.Nodes, 3)
 	def(&cfg.Steps, 150)
-	def(&cfg.Partitions, 2)
-	def(&cfg.Crashes, 2)
-	def(&cfg.LinkFaults, 3)
-	def(&cfg.Churns, 2)
 	def(&cfg.Budget, 64)
-	def(&cfg.BeamWidth, 4)
-	def(&cfg.BranchFactor, 8)
 	def(&cfg.Parallel, 1)
 	if cfg.Objective == "" {
 		cfg.Objective = ObjConvergence
@@ -198,9 +191,8 @@ var searchObjects = []model.ObjectID{"x", "y", "z"}
 func (cfg Config) Schedule(seed int64) fault.Schedule {
 	cfg = cfg.withDefaults()
 	return fault.Generate(fault.Config{
-		Seed: seed, N: cfg.Nodes, Steps: cfg.Steps,
-		Partitions: cfg.Partitions, Crashes: cfg.Crashes, LinkFaults: cfg.LinkFaults,
-		Churns: cfg.Churns,
+		Seed: seed, N: nodes, Steps: cfg.Steps,
+		Partitions: partitions, Crashes: crashes, LinkFaults: linkFaults, Churns: churns,
 	})
 }
 
@@ -215,8 +207,8 @@ func (cfg Config) evaluate(seed int64) (Sample, error) {
 	if err := sched.CheckBalanced(); err != nil {
 		return Sample{}, fmt.Errorf("chaossearch: seed %d generated an unbalanced schedule: %w", seed, err)
 	}
-	obs := fault.NewObserver(cfg.Nodes)
-	cl := sim.NewCluster(cfg.Store, cfg.Nodes, gen.SplitSeed(seed, workloadStream))
+	obs := fault.NewObserver(nodes)
+	cl := sim.NewCluster(cfg.Store, nodes, gen.SplitSeed(seed, workloadStream))
 	cl.SetObserver(obs)
 	ops := cl.RunScheduled(sched, sim.WorkloadConfig{Objects: searchObjects, Steps: cfg.Steps})
 	cl.Quiesce()
@@ -279,15 +271,15 @@ func Search(cfg Config) (*Result, error) {
 	res := &Result{Objective: cfg.Objective}
 	var all []Sample
 	for res.Evals < cfg.Budget {
-		want := cfg.BeamWidth * cfg.BranchFactor
+		want := beamWidth * branchFactor
 		if want > cfg.Budget-res.Evals {
 			want = cfg.Budget - res.Evals
 		}
 		var frontier []int64
-		// Children of the global top-BeamWidth survivors (elitist beam).
+		// Children of the global top-beamWidth survivors (elitist beam).
 		// Level 0 has no survivors yet, so it is pure uniform sampling.
-		for b := 0; b < cfg.BeamWidth && b < len(all) && len(frontier) < want; b++ {
-			for j := 0; j < cfg.BranchFactor && len(frontier) < want; j++ {
+		for b := 0; b < beamWidth && b < len(all) && len(frontier) < want; b++ {
+			for j := 0; j < branchFactor && len(frontier) < want; j++ {
 				child := gen.SplitSeed(all[b].Seed, j+1)
 				if seen.Add(key(child)) {
 					frontier = append(frontier, child)
@@ -363,9 +355,9 @@ func Validate(cfg Config, seed int64, tick time.Duration) (fault.Metrics, error)
 		return fault.Metrics{}, errors.New("chaossearch: Config.Store is required")
 	}
 	sched := cfg.Schedule(seed)
-	em := fault.NewNetem(cfg.Nodes)
+	em := fault.NewNetem(nodes)
 	base := cluster.Config{Store: cfg.Store, Seed: cfg.Seed}
-	sup, err := supervisor.New(base, cfg.Nodes, em, tick)
+	sup, err := supervisor.New(base, nodes, em, tick)
 	if err != nil {
 		return fault.Metrics{}, err
 	}
@@ -386,7 +378,7 @@ load:
 		}
 		obj := searchObjects[i%len(searchObjects)]
 		val := model.Value(fmt.Sprintf("w%d", i))
-		_, err := sup.Do(i%cfg.Nodes, obj, model.Write(val))
+		_, err := sup.Do(i%nodes, obj, model.Write(val))
 		if err != nil && !errors.Is(err, supervisor.ErrNodeDown) && !errors.Is(err, cluster.ErrClosed) {
 			return fault.Metrics{}, err
 		}

@@ -112,7 +112,10 @@ func recvFrame(fr *wire.FrameReader, maxFrame int) ([]byte, error) {
 // writeEnc seals the frame open in enc and writes it with a write
 // deadline, counting wire bytes and frames. Every frame, raw or in its
 // compression envelope, is built behind its header (BeginFrame) and leaves
-// in one conn.Write. A non-nil z marks a bulk-transfer frame, which is offered to the compression
+// in one conn.Write. That is a premise, not only a saving: every frame a
+// node writes is one conn.Write, and a fault transport (fault.Netem) shapes
+// each Write as one frame (TestEveryFrameIsOneWrite pins it). A non-nil z
+// marks a bulk-transfer frame, which is offered to the compression
 // envelope through z — the compressor its connection's handler owns; the
 // small latency-sensitive frames (hellos, hello acks, single updates, client
 // replies) pass nil and never touch one. The error is

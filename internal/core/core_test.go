@@ -150,7 +150,7 @@ func TestTheorem12ExplicitG(t *testing.T) {
 }
 
 func TestTheorem12MessageGrowsWithK(t *testing.T) {
-	points, err := SweepK(causalStore, 6, 6, []int{2, 16, 256, 4096}, 7, 1)
+	points, err := SweepGrid(causalStore, []int{6}, []int{6}, []int{2, 16, 256, 4096}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestTheorem12MessageGrowsWithK(t *testing.T) {
 
 func TestTheorem12MessageGrowsWithMinNS(t *testing.T) {
 	// With abundant objects, growing n grows n' and hence m_g.
-	byN, err := SweepN(causalStore, []int{3, 5, 9}, 64, 64, 7, 1)
+	byN, err := SweepGrid(causalStore, []int{3, 5, 9}, []int{64}, []int{64}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestTheorem12MessageGrowsWithMinNS(t *testing.T) {
 	sparse := func() store.Store {
 		return causal.NewWithOptions(spec.MVRTypes(), causal.Options{SparseDeps: true})
 	}
-	byS, err := SweepS(sparse, 64, []int{2, 5, 9}, 64, 7, 1)
+	byS, err := SweepGrid(sparse, []int{64}, []int{2, 5, 9}, []int{64}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestTheorem12MessageGrowsWithMinNS(t *testing.T) {
 	}
 	// The dense encoding pays Θ(n·lg k) independent of s — exactly the §6
 	// gap between the Ω(min{n,s}·lg k) bound and vector-clock algorithms.
-	bySDense, err := SweepS(causalStore, 64, []int{2, 9}, 64, 7, 1)
+	bySDense, err := SweepGrid(causalStore, []int{64}, []int{2, 9}, []int{64}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,15 +60,15 @@ func TestSweepsParallelMatchSequential(t *testing.T) {
 	ns := []int{3, 4, 6}
 	ss := []int{2, 3, 5}
 
-	seqK, err := SweepK(causalFactory, 6, 6, ks, 7, 1)
+	seqK, err := SweepGrid(causalFactory, []int{6}, []int{6}, ks, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqN, err := SweepN(causalFactory, ns, 6, 16, 7, 1)
+	seqN, err := SweepGrid(causalFactory, ns, []int{6}, []int{16}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqS, err := SweepS(causalFactory, 6, ss, 16, 7, 1)
+	seqS, err := SweepGrid(causalFactory, []int{6}, ss, []int{16}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +81,15 @@ func TestSweepsParallelMatchSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		parK, err := SweepK(causalFactory, 6, 6, ks, 7, workers)
+		parK, err := SweepGrid(causalFactory, []int{6}, []int{6}, ks, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parN, err := SweepN(causalFactory, ns, 6, 16, 7, workers)
+		parN, err := SweepGrid(causalFactory, ns, []int{6}, []int{16}, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parS, err := SweepS(causalFactory, 6, ss, 16, 7, workers)
+		parS, err := SweepGrid(causalFactory, []int{6}, ss, []int{16}, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,67 +18,6 @@ type SweepPoint struct {
 	DecodeOK          bool
 }
 
-// Sweep cells are independent α_g constructions, each against its own
-// simulator instance from the st factory, so they parallelize across
-// ForEachCell workers; results land in input order and are byte-identical
-// for every parallel value.
-
-// SweepK measures |m_g| for growing k at fixed n and s, exhibiting the lg k
-// growth of Theorem 12.
-func SweepK(st func() store.Store, n, s int, ks []int, seed int64, parallel int) ([]SweepPoint, error) {
-	out := make([]SweepPoint, len(ks))
-	err := ForEachCell(parallel, len(ks), func(i int) error {
-		res, err := RunMessageLowerBound(st(), LowerBoundConfig{N: n, S: s, K: ks[i], Seed: seed})
-		if err != nil {
-			return fmt.Errorf("core: sweep k=%d: %w", ks[i], err)
-		}
-		out[i] = point(res)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SweepN measures |m_g| for growing n at fixed s and k, exhibiting the
-// min{n−2, s−1} factor: growth is linear in n until n−2 crosses s−1, then
-// flat in the bound while the dense-clock implementation keeps paying O(n)
-// (the §6 gap between the Ω(min{n,s}·lg k) bound and the O(n·k)-style
-// vector-clock upper bound).
-func SweepN(st func() store.Store, ns []int, s, k int, seed int64, parallel int) ([]SweepPoint, error) {
-	out := make([]SweepPoint, len(ns))
-	err := ForEachCell(parallel, len(ns), func(i int) error {
-		res, err := RunMessageLowerBound(st(), LowerBoundConfig{N: ns[i], S: s, K: k, Seed: seed})
-		if err != nil {
-			return fmt.Errorf("core: sweep n=%d: %w", ns[i], err)
-		}
-		out[i] = point(res)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SweepS measures |m_g| for growing s at fixed n and k.
-func SweepS(st func() store.Store, n int, ss []int, k int, seed int64, parallel int) ([]SweepPoint, error) {
-	out := make([]SweepPoint, len(ss))
-	err := ForEachCell(parallel, len(ss), func(i int) error {
-		res, err := RunMessageLowerBound(st(), LowerBoundConfig{N: n, S: ss[i], K: k, Seed: seed})
-		if err != nil {
-			return fmt.Errorf("core: sweep s=%d: %w", ss[i], err)
-		}
-		out[i] = point(res)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // GridNs, GridSs and GridKs are the (n, s, k) grid msgbound -sweep grid
 // measures, the one BENCH_MSGBOUND.json tracks.
 var (
@@ -89,8 +28,15 @@ var (
 
 // SweepGrid measures the full (n, s, k) cross product — len(ns)·len(ss)·
 // len(ks) independent constructions — in row-major (n, then s, then k)
-// order. The grid is the volume-opening sweep: parallel cells make ranges
-// practical that a single-threaded loop could not cover.
+// order. Each cell is an α_g construction against its own simulator
+// instance from the st factory, so cells parallelize across ForEachCell
+// workers; results land in cell order and are byte-identical for every
+// parallel value. Axes of one element make it a sweep of the others:
+// growing k at fixed n and s exhibits the lg k growth of Theorem 12, and
+// growing n at fixed s and k the min{n−2, s−1} factor — growth is linear
+// in n until n−2 crosses s−1, then flat in the bound while the dense-clock
+// implementation keeps paying O(n) (the §6 gap between the
+// Ω(min{n,s}·lg k) bound and the O(n·k)-style vector-clock upper bound).
 func SweepGrid(st func() store.Store, ns, ss, ks []int, seed int64, parallel int) ([]SweepPoint, error) {
 	total := len(ns) * len(ss) * len(ks)
 	out := make([]SweepPoint, total)

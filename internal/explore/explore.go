@@ -67,7 +67,8 @@ type Script struct {
 	Ops      []Op
 }
 
-// Config bounds the exploration.
+// Config bounds the exploration. What the store claims decides which
+// checks apply: its store.Conformance, read by Explore.
 type Config struct {
 	Store store.Store
 	// MaxStates aborts exploration beyond this many distinct states
@@ -77,16 +78,6 @@ type Config struct {
 	// hit the live replicas; the explorer discards the state object after
 	// expansion, so visible-read stores are safe to inspect.
 	Invariant func(v *View) error
-	// ExpectConvergence asserts that every final state is convergent
-	// (default true semantics: set SkipConvergence to disable).
-	SkipConvergence bool
-	// ConvergenceReadRounds performs extra read rounds before asserting
-	// convergence in final states (the K-buffer store exposes withheld
-	// messages only as reads elapse).
-	ConvergenceReadRounds int
-	// AllowPropertyViolations disables the §4 property assertions, for
-	// stores that violate them by design (GSP's sequencer, K-buffer reads).
-	AllowPropertyViolations bool
 	// Parallel is the replay worker count: 1 explores sequentially, 0
 	// defaults to GOMAXPROCS. Results and errors are byte-identical for
 	// every value; the store must tolerate concurrent NewReplica calls
@@ -223,7 +214,10 @@ func evaluateOne(c candidate, script Script, cfg Config, objs []model.ObjectID, 
 		return ev
 	}
 
-	if !cfg.AllowPropertyViolations {
+	// A store that violates a §4 property by design (GSP's sequencer,
+	// K-buffer reads) declares so, and its property checks are skipped.
+	claims := store.ConformanceOf(cfg.Store)
+	if !claims.ViolatesInvisibleReads && !claims.ViolatesOpDrivenMessages {
 		for _, ch := range st.checkers {
 			if err := ch.Err(); err != nil {
 				ev.checkErr = fmt.Errorf("explore: after %s: %w", renderPrefix(c.prefix), err)
@@ -237,8 +231,11 @@ func evaluateOne(c candidate, script Script, cfg Config, objs []model.ObjectID, 
 			return ev
 		}
 	}
-	if len(ev.acts) == 0 && !cfg.SkipConvergence {
-		for round := 0; round < cfg.ConvergenceReadRounds; round++ {
+	if len(ev.acts) == 0 {
+		// The convergence check's reads are the last of the read rounds the
+		// store needs to expose withheld state (the K-buffer store exposes
+		// withheld messages only as reads elapse).
+		for round := 1; round < claims.ConvergenceReadRounds; round++ {
 			for r := 0; r < st.n; r++ {
 				for _, obj := range objs {
 					st.replicas[r].Do(obj, model.Read())

@@ -136,9 +136,8 @@ func TestExploreGSPAgreedOrderEverywhere(t *testing.T) {
 		return nil
 	}
 	res, err := Explore(script, Config{
-		Store:                   gsp.New(spec.MVRTypes()),
-		Invariant:               invariant,
-		AllowPropertyViolations: true, // the sequencer violates Def 15 by design
+		Store:     gsp.New(spec.MVRTypes()),
+		Invariant: invariant,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +155,7 @@ func TestExploreKBufferWithReadRounds(t *testing.T) {
 	}
 	const k = 2
 	if _, err := Explore(script, Config{
-		Store:                 kbuffer.New(spec.MVRTypes(), k),
-		ConvergenceReadRounds: k,
+		Store: kbuffer.New(spec.MVRTypes(), k),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,19 @@
 // requires that visibility survive them. A Schedule makes that adversary a
 // first-class, replayable artifact: the same (seed, n, steps) always
 // produces the identical directive timeline, so "the run survived chaos"
-// becomes a checkable claim rather than an anecdote. The schedule is
-// interpreted twice by the repository:
+// becomes a checkable claim rather than an anecdote. Two engines replay a
+// schedule, and both read their links from a Links (links.go), the one
+// place a link directive becomes link state:
 //
-//   - internal/sim applies directives to its logical delivery queue (one
+//   - internal/sim consults it on its logical delivery queue (one
 //     directive step per workload step);
-//   - internal/supervisor applies them to real TCP links through Netem,
-//     the transport it hands every internal/cluster node, plus node
+//   - internal/supervisor applies the schedule to real TCP links through
+//     Netem, the transport it hands every internal/cluster node, plus node
 //     stop/rejoin with history reload. A TCP connection delivers in order
 //     or dies, so Netem skips reorder windows: reordering is the
 //     simulator's fault alone.
 //
-// Both interpretations model fail-stop crashes with a durable local log:
+// Both engines model fail-stop crashes with a durable local log:
 // the replica's recorded history survives the crash, the in-flight network
 // state does not.
 package fault
@@ -27,6 +28,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/gen"
@@ -149,7 +151,7 @@ func (s Schedule) Counts() (partitions, crashes, linkFaults int) {
 
 // CheckBalanced verifies the window-balance invariants Generate guarantees
 // by construction, on any schedule: every directive lies inside the
-// timeline, every window-opening directive is matched by a closing one
+// timeline and, when N is set, names only nodes 0..N-1, every window-opening directive is matched by a closing one
 // (partitions by heals, cuts by restores, shaping by clears, crashes by
 // restarts — the pairing the fault-log reader relies on), no node crashes
 // while already down, no link fault targets a self-link, and delay/rate
@@ -163,9 +165,14 @@ func (s Schedule) CheckBalanced() error {
 	left := map[int]bool{}
 	openCuts := map[[2]int]int{}
 	openShapes := map[[2]int]int{}
+	outside := func(r int) bool { return s.N > 0 && (r < 0 || r >= s.N) }
 	for i, d := range s.Directives {
 		if d.Step < 0 || (s.Steps > 0 && d.Step >= s.Steps) {
 			return fmt.Errorf("fault: directive %d outside timeline [0,%d): %+v", i, s.Steps, d)
+		}
+		// Fields a kind does not use are zero, which names node 0.
+		if outside(d.From) || outside(d.To) || outside(d.Node) {
+			return fmt.Errorf("fault: directive %d names a node outside [0,%d): %+v", i, s.N, d)
 		}
 		link := [2]int{d.From, d.To}
 		switch d.Kind {
@@ -173,6 +180,9 @@ func (s Schedule) CheckBalanced() error {
 			for _, g := range d.Groups {
 				if len(g) == 0 {
 					return fmt.Errorf("fault: directive %d: empty partition group", i)
+				}
+				if slices.ContainsFunc(g, outside) {
+					return fmt.Errorf("fault: directive %d: partition group %v outside [0,%d)", i, g, s.N)
 				}
 			}
 			openParts++

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -141,6 +143,12 @@ func TestNetemPartitionAndHeal(t *testing.T) {
 	}
 }
 
+// writeFrame writes payload as one length-delimited frame in one Write, as
+// a node writes every frame: Netem shapes each Write as one frame.
+func writeFrame(w io.Writer, payload []byte) (int, error) {
+	return w.Write(append(binary.AppendUvarint(nil, uint64(len(payload))), payload...))
+}
+
 // pipeFrames reads frames off a conn until it closes, delivering payloads.
 func pipeFrames(t *testing.T, conn net.Conn) <-chan []byte {
 	t.Helper()
@@ -172,7 +180,7 @@ func TestShapedConnDupAndReorder(t *testing.T) {
 	got := pipeFrames(t, b)
 
 	write := func(p string) {
-		if _, err := wire.WriteFrame(w, []byte(p), 0); err != nil {
+		if _, err := writeFrame(w, []byte(p)); err != nil {
 			t.Fatalf("write %q: %v", p, err)
 		}
 	}
@@ -215,17 +223,17 @@ func TestShapedConnCutFailsWrites(t *testing.T) {
 	w := em.WrapConn(a, 0, 1)
 	got := pipeFrames(t, b)
 
-	if _, err := wire.WriteFrame(w, []byte("hello"), 0); err != nil {
+	if _, err := writeFrame(w, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	<-got
 
 	em.Apply(Directive{Kind: KindLinkCut, From: 0, To: 1}, time.Millisecond)
-	if _, err := wire.WriteFrame(w, []byte("lost"), 0); !errors.Is(err, ErrLinkCut) {
+	if _, err := writeFrame(w, []byte("lost")); !errors.Is(err, ErrLinkCut) {
 		t.Fatalf("write on cut link: err = %v, want ErrLinkCut", err)
 	}
 	em.Apply(Directive{Kind: KindLinkRestore, From: 0, To: 1}, time.Millisecond)
-	if _, err := wire.WriteFrame(w, []byte("back"), 0); err != nil {
+	if _, err := writeFrame(w, []byte("back")); err != nil {
 		t.Fatalf("write after restore: %v", err)
 	}
 	select {
@@ -337,5 +345,29 @@ func TestCheckBalancedRejectsChurn(t *testing.T) {
 	}}
 	if err := good.CheckBalanced(); err != nil {
 		t.Fatalf("balanced churn schedule rejected: %v", err)
+	}
+}
+
+// TestCheckBalancedRejectsOutOfRange: a schedule for N nodes names only
+// nodes 0..N-1. The simulator would index past its tables on any other,
+// and Netem would ignore it, so the two engines would disagree.
+func TestCheckBalancedRejectsOutOfRange(t *testing.T) {
+	bad := [][]Directive{
+		{{Step: 1, Kind: KindLinkCut, From: 0, To: 3}, {Step: 2, Kind: KindLinkRestore, From: 0, To: 3}},
+		{{Step: 1, Kind: KindLinkDup, From: -1, To: 1}, {Step: 2, Kind: KindLinkClear, From: -1, To: 1}},
+		{{Step: 1, Kind: KindCrash, Node: 5}, {Step: 2, Kind: KindRestart, Node: 5}},
+		{{Step: 1, Kind: KindLeave, Node: 3}, {Step: 2, Kind: KindJoin, Node: 3}},
+		{{Step: 1, Kind: KindPartition, Groups: [][]int{{0, 1}, {3}}}, {Step: 2, Kind: KindHeal}},
+	}
+	for i, ds := range bad {
+		s := Schedule{N: 3, Steps: 10, Directives: ds}
+		if err := s.CheckBalanced(); err == nil {
+			t.Errorf("case %d: CheckBalanced accepted a directive outside 3 nodes: %+v", i, ds)
+		}
+		// Without N there is no range to check, as there is no timeline
+		// without Steps.
+		if s.N = 0; s.CheckBalanced() != nil {
+			t.Errorf("case %d: rejected without N", i)
+		}
 	}
 }

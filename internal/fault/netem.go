@@ -1,10 +1,10 @@
 package fault
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,17 +18,9 @@ import (
 // reconnect path, which resends whatever the peer had not acked.
 var ErrLinkCut = errors.New("fault: link cut")
 
-type linkState struct {
-	cut    bool
-	delay  time.Duration
-	jitter time.Duration // uniform extra delay in [0, jitter] per frame
-	rate   int           // bandwidth cap in bytes/sec (0 = unlimited)
-	dup    bool
-}
-
-// Netem is the shared in-process network emulator of one cluster run: a
-// matrix of directed link states that conn interceptors consult on every
-// frame. Directives mutate it; the data path only reads it. Its Listen and
+// Netem is the shared in-process network emulator of one cluster run: the
+// Links of the run, which conn interceptors consult on every frame.
+// Directives mutate them; the data path only reads them. Its Listen and
 // Dial make it the nodes' transport (cluster.Transport), so every
 // connection between two nodes is shaped in both directions. It models only
 // what can happen to a TCP connection: a cut kills it, delay, jitter and a
@@ -40,7 +32,9 @@ type linkState struct {
 type Netem struct {
 	mu    sync.Mutex
 	n     int
-	links [][]linkState
+	links *Links
+	// tick is the wall time of one schedule tick, as the last Apply gave it.
+	tick time.Duration
 	// dialed maps the local address of a connection Dial opened to its link
 	// (dialer, acceptor), until the acceptor's end looks it up (linkOf).
 	dialed map[string][2]int
@@ -48,11 +42,7 @@ type Netem struct {
 
 // NewNetem creates an emulator for an n-node cluster with all links clean.
 func NewNetem(n int) *Netem {
-	links := make([][]linkState, n)
-	for i := range links {
-		links[i] = make([]linkState, n)
-	}
-	return &Netem{n: n, links: links, dialed: make(map[string][2]int)}
+	return &Netem{n: n, links: NewLinks(n), dialed: make(map[string][2]int)}
 }
 
 // dialTimeout bounds one dial through the emulator.
@@ -139,74 +129,22 @@ func (c *acceptedConn) Write(b []byte) (int, error) { return c.writer().Write(b)
 
 func (c *acceptedConn) SetWriteDeadline(t time.Time) error { return c.writer().SetWriteDeadline(t) }
 
-// Apply enforces one directive, mapping DelaySteps/JitterSteps to wall time
-// with tick and RateKBps to bytes per second. Crash/restart directives are
-// ignored (the supervisor owns them), and so is KindLinkReorder (no TCP
-// connection reorders).
+// Apply enforces one directive (Links.Apply); tick is the wall time of the
+// ticks its delays are counted in. Crash/restart directives change no link
+// (the supervisor owns them), and a reorder window shapes nothing here (no
+// TCP connection reorders).
 func (e *Netem) Apply(d Directive, tick time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	inRange := func(i int) bool { return i >= 0 && i < e.n }
-	switch d.Kind {
-	case KindPartition:
-		group := make(map[int]int)
-		for gi, g := range d.Groups {
-			for _, r := range g {
-				group[r] = gi + 1
-			}
-		}
-		for i := 0; i < e.n; i++ {
-			for j := 0; j < e.n; j++ {
-				gi, gj := group[i], group[j]
-				e.links[i][j].cut = i != j && (gi != gj || gi == 0)
-			}
-		}
-	case KindHeal:
-		for i := range e.links {
-			for j := range e.links[i] {
-				e.links[i][j].cut = false
-			}
-		}
-	case KindLinkCut:
-		if inRange(d.From) && inRange(d.To) {
-			e.links[d.From][d.To].cut = true
-		}
-	case KindLinkRestore:
-		if inRange(d.From) && inRange(d.To) {
-			e.links[d.From][d.To].cut = false
-		}
-	case KindLinkDelay:
-		if inRange(d.From) && inRange(d.To) {
-			e.links[d.From][d.To].delay = time.Duration(d.DelaySteps) * tick
-			e.links[d.From][d.To].jitter = time.Duration(d.JitterSteps) * tick
-		}
-	case KindLinkRate:
-		if inRange(d.From) && inRange(d.To) && d.RateKBps > 0 {
-			e.links[d.From][d.To].rate = d.RateKBps * 1024
-		}
-	case KindLinkDup:
-		if inRange(d.From) && inRange(d.To) {
-			e.links[d.From][d.To].dup = true
-		}
-	case KindLinkClear:
-		if inRange(d.From) && inRange(d.To) {
-			e.links[d.From][d.To].delay = 0
-			e.links[d.From][d.To].jitter = 0
-			e.links[d.From][d.To].rate = 0
-			e.links[d.From][d.To].dup = false
-		}
-	}
+	e.tick = tick
+	e.links.Apply(d)
 }
 
 // Cut reports whether the directed link from→to is currently blackholed
 // (Dial consults this to avoid churning against a cut link).
 func (e *Netem) Cut(from, to int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if from < 0 || from >= e.n || to < 0 || to >= e.n {
-		return false
-	}
-	return e.links[from][to].cut
+	lk, _ := e.link(from, to)
+	return lk.Cut
 }
 
 // Heal clears every link fault (used by drivers to guarantee the
@@ -214,20 +152,14 @@ func (e *Netem) Cut(from, to int) bool {
 func (e *Netem) Heal() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.links {
-		for j := range e.links[i] {
-			e.links[i][j] = linkState{}
-		}
-	}
+	e.links = NewLinks(e.n)
 }
 
-func (e *Netem) state(from, to int) linkState {
+// link returns the state of from→to and the tick its delays count in.
+func (e *Netem) link(from, to int) (Link, time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if from < 0 || from >= e.n || to < 0 || to >= e.n {
-		return linkState{}
-	}
-	return e.links[from][to]
+	return e.links.At(from, to), e.tick
 }
 
 // jitterStream decorrelates per-link jitter draws from every other seeded
@@ -235,10 +167,9 @@ func (e *Netem) state(from, to int) linkState {
 const jitterStream = -7003
 
 // WrapConn interposes the emulator on the write half of conn, shaping the
-// frames the local endpoint sends in the direction from→to. All cluster
-// traffic is wire.WriteFrame length-delimited, so the wrapper reassembles
-// frames from the byte stream (a uvarint length prefix) and applies
-// the link's current faults per frame: a cut fails the write synchronously
+// frames the local endpoint sends in the direction from→to. A node writes
+// every frame in one Write (cluster's writeEnc), so each Write is shaped as
+// one frame by the link's current faults: a cut fails the write synchronously
 // (the sender's reconnect recovers after the link is restored),
 // delay/jitter/rate stamp the frame with a delivery deadline and a
 // background writer ships it, in write order, when the deadline arrives —
@@ -267,7 +198,6 @@ type shapedConn struct {
 	from, to int
 
 	mu      sync.Mutex
-	buf     []byte       // bytes of an incomplete frame
 	wrote   bool         // the connection's first frame has shipped
 	q       []timedFrame // deadline-stamped frames awaiting delivery
 	lastDue time.Time    // FIFO floor: a frame never overtakes its predecessor
@@ -277,59 +207,31 @@ type shapedConn struct {
 	rng     *rand.Rand // jitter draws; guarded by mu
 }
 
-// Write buffers b until whole frames are available, then stamps each frame
-// with a delivery deadline and hands it to the background writer. Only a
-// cut link fails synchronously; everything else reports b fully written
-// immediately — a later delivery failure is indistinguishable from a
-// connection loss, which the cluster's reliability layer already absorbs
-// (unacked updates are resent on a fresh connection).
+// Write stamps the frame b with a delivery deadline and hands a copy to
+// the background writer: a cut fails, dup doubles, delay/jitter/rate pick
+// the deadline. Only a cut link fails synchronously; everything else
+// reports b fully written immediately — a later delivery failure is
+// indistinguishable from a connection loss, which the cluster's
+// reliability layer already absorbs (unacked updates are resent on a
+// fresh connection).
 func (c *shapedConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.werr != nil {
 		return 0, c.werr
 	}
-	c.buf = append(c.buf, b...)
-	for {
-		frame, ok := c.splitFrame()
-		if !ok {
-			return len(b), nil
-		}
-		if err := c.enqueueFrame(frame); err != nil {
-			return 0, err
-		}
-	}
-}
-
-// splitFrame pops one complete length-delimited frame off the buffer. The
-// buffer may end anywhere in a frame, its uvarint header included: a header
-// whose last byte has not been written yet waits for the next Write.
-func (c *shapedConn) splitFrame() ([]byte, bool) {
-	size, h := binary.Uvarint(c.buf)
-	if h <= 0 || uint64(len(c.buf)-h) < size {
-		return nil, false
-	}
-	end := h + int(size)
-	frame := append([]byte(nil), c.buf[:end]...)
-	c.buf = c.buf[end:]
-	return frame, true
-}
-
-// enqueueFrame applies the link's current fault state to one frame: cut
-// fails, dup doubles, delay/jitter/rate pick the deadline. Called with c.mu
-// held.
-func (c *shapedConn) enqueueFrame(frame []byte) error {
-	st := c.em.state(c.from, c.to)
+	lk, tick := c.em.link(c.from, c.to)
 	first := !c.wrote
 	c.wrote = true
-	if st.cut {
-		return ErrLinkCut
+	if lk.Cut {
+		return 0, ErrLinkCut
 	}
-	c.push(frame, st, first)
-	if st.dup && !first {
-		c.push(frame, st, first)
+	frame := slices.Clone(b) // the caller reuses b once Write returns
+	c.push(frame, lk, tick, first)
+	if lk.Dup && !first {
+		c.push(frame, lk, tick, first)
 	}
-	return nil
+	return len(b), nil
 }
 
 // push stamps one frame with its delivery deadline and starts the writer
@@ -338,21 +240,19 @@ func (c *shapedConn) enqueueFrame(frame []byte) error {
 // under an open bandwidth cap — successive frames queue behind each other
 // at rate bytes/sec, which is the cap's whole effect. Called with c.mu
 // held.
-func (c *shapedConn) push(frame []byte, st linkState, first bool) {
+func (c *shapedConn) push(frame []byte, lk Link, tick time.Duration, first bool) {
 	due := time.Now()
 	if !first {
-		if st.delay > 0 {
-			due = due.Add(st.delay)
-		}
-		if st.jitter > 0 {
-			due = due.Add(time.Duration(c.rng.Int63n(int64(st.jitter) + 1)))
+		due = due.Add(time.Duration(lk.Delay) * tick)
+		if jitter := int64(lk.Jitter) * int64(tick); jitter > 0 {
+			due = due.Add(time.Duration(c.rng.Int63n(jitter + 1)))
 		}
 	}
 	if due.Before(c.lastDue) {
 		due = c.lastDue
 	}
-	if !first && st.rate > 0 {
-		due = due.Add(time.Duration(int64(len(frame)) * int64(time.Second) / int64(st.rate)))
+	if rate := int64(lk.RateKBps) * 1024; !first && rate > 0 {
+		due = due.Add(time.Duration(int64(len(frame)) * int64(time.Second) / rate))
 	}
 	c.lastDue = due
 	c.q = append(c.q, timedFrame{data: frame, due: due})

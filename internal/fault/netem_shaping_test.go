@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // shapedPipe wires a shaped writer to a frame reader for one direction.
@@ -18,7 +16,7 @@ func shapedPipe(t *testing.T, em *Netem) (net.Conn, <-chan []byte) {
 	t.Cleanup(func() { a.Close(); b.Close() })
 	w := em.WrapConn(a, 0, 1)
 	got := pipeFrames(t, b)
-	if _, err := wire.WriteFrame(w, []byte("hello"), 0); err != nil {
+	if _, err := writeFrame(w, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -43,7 +41,7 @@ func TestShapedConnDelayDoesNotBlockWriter(t *testing.T) {
 	start := time.Now()
 	const frames = 4
 	for i := 0; i < frames; i++ {
-		if _, err := wire.WriteFrame(w, []byte(fmt.Sprintf("u%d", i)), 0); err != nil {
+		if _, err := writeFrame(w, []byte(fmt.Sprintf("u%d", i))); err != nil {
 			t.Fatalf("write u%d: %v", i, err)
 		}
 	}
@@ -81,7 +79,7 @@ func TestShapedConnBandwidthCap(t *testing.T) {
 	start := time.Now()
 	const frames = 3
 	for i := 0; i < frames; i++ {
-		if _, err := wire.WriteFrame(w, payload, 0); err != nil {
+		if _, err := writeFrame(w, payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -103,57 +101,25 @@ func TestShapedConnBandwidthCap(t *testing.T) {
 	}
 }
 
-// TestShapedConnSplitHeader: the wrapper reassembles frames whose uvarint
-// headers arrive split across Writes — the first frame's two header bytes
-// in two Writes, the second frame's header bytes at the end of one Write
-// and the start of the next — and ships each frame whole.
-func TestShapedConnSplitHeader(t *testing.T) {
-	em := NewNetem(2)
-	w, got := shapedPipe(t, em)
-	payloads := [][]byte{bytes.Repeat([]byte{'a'}, 200), bytes.Repeat([]byte{'b'}, 300)}
-	var stream bytes.Buffer
-	for _, p := range payloads {
-		if _, err := wire.WriteFrame(&stream, p, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw := stream.Bytes()
-	second := wire.FrameHeaderLen(200) + 200 // where the second frame starts
-	for _, part := range [][]byte{raw[:1], raw[1 : second+1], raw[second+1:]} {
-		if _, err := w.Write(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range payloads {
-		select {
-		case f := <-got:
-			if !bytes.Equal(f, want) {
-				t.Fatalf("frame %d: %d bytes %.8q…, want %d bytes %.8q…", i, len(f), f, len(want), want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timeout waiting for frame %d", i)
-		}
-	}
-}
-
 // TestShapedConnJitterAsymmetric: delay windows carry per-direction
 // distributions — jitter applies only to the configured direction, frames
 // stay FIFO under jitter, and link-clear removes the whole distribution.
 func TestShapedConnJitterAsymmetric(t *testing.T) {
 	em := NewNetem(2)
 	em.Apply(Directive{Kind: KindLinkDelay, From: 0, To: 1, DelaySteps: 2, JitterSteps: 3}, time.Millisecond)
-	fwd, rev := em.state(0, 1), em.state(1, 0)
-	if fwd.delay != 2*time.Millisecond || fwd.jitter != 3*time.Millisecond {
-		t.Fatalf("forward distribution = %v±%v, want 2ms±3ms", fwd.delay, fwd.jitter)
+	fwd, tick := em.link(0, 1)
+	rev, _ := em.link(1, 0)
+	if d, j := time.Duration(fwd.Delay)*tick, time.Duration(fwd.Jitter)*tick; d != 2*time.Millisecond || j != 3*time.Millisecond {
+		t.Fatalf("forward distribution = %v±%v, want 2ms±3ms", d, j)
 	}
-	if rev.delay != 0 || rev.jitter != 0 {
+	if rev.Delay != 0 || rev.Jitter != 0 {
 		t.Fatalf("reverse direction shaped too: %+v", rev)
 	}
 
 	w, got := shapedPipe(t, em)
 	const frames = 8
 	for i := 0; i < frames; i++ {
-		if _, err := wire.WriteFrame(w, []byte(fmt.Sprintf("j%d", i)), 0); err != nil {
+		if _, err := writeFrame(w, []byte(fmt.Sprintf("j%d", i))); err != nil {
 			t.Fatalf("write j%d: %v", i, err)
 		}
 	}
@@ -169,8 +135,8 @@ func TestShapedConnJitterAsymmetric(t *testing.T) {
 	}
 
 	em.Apply(Directive{Kind: KindLinkClear, From: 0, To: 1}, time.Millisecond)
-	if st := em.state(0, 1); st.delay != 0 || st.jitter != 0 || st.rate != 0 {
-		t.Fatalf("link-clear left shaping behind: %+v", st)
+	if lk, _ := em.link(0, 1); lk != (Link{}) {
+		t.Fatalf("link-clear left shaping behind: %+v", lk)
 	}
 }
 

@@ -6,53 +6,43 @@ import (
 )
 
 // chaosState overlays a fault schedule's effects on the simulated network,
-// separate from the user-facing Partition/Heal matrix and the probabilistic
-// Faults so the three compose: a directive-cut link blocks delivery exactly
-// like a partition (delay, never loss — Definition 3 is preserved), dup
-// duplicates broadcast copies on a link, reorder randomizes delivery picks
-// on a link, and a crashed replica takes no steps while its state and
-// queued messages survive (fail-stop with durable state — equivalent in the
-// paper's asynchronous model to a replica that is merely very slow).
+// apart from the probabilistic Faults so the two compose. Its links are a
+// fault.Links, the same link state fault.Netem gives the TCP cluster, which
+// Partition and Heal write too: a cut link blocks delivery (delay, never
+// loss — Definition 3 is preserved), and so does an open delay window
+// until it closes; dup duplicates broadcast copies on a link, reorder
+// randomizes delivery picks on a link, and a rate window shapes nothing,
+// since delivery here is not byte-timed. A crashed replica takes no steps
+// while its state and queued messages survive (fail-stop with durable
+// state — equivalent in the paper's asynchronous model to a replica that
+// is merely very slow).
 type chaosState struct {
 	crashed []bool
 	// left marks replicas departed by a leave directive. In the simulator
 	// a departed replica behaves like a crashed one — no client steps, no
 	// deliveries — but its rejoin is a KindJoin, whose catch-up cost (the
 	// backlog queued while away) is what the churn metrics measure.
-	left    []bool
-	cut     [][]bool // partition + link-cut directives
-	stall   [][]bool // delay windows: delivery held until the window closes
-	dup     [][]bool
-	reorder [][]bool
-}
-
-func boolMatrix(n int) [][]bool {
-	m := make([][]bool, n)
-	for i := range m {
-		m[i] = make([]bool, n)
-	}
-	return m
+	left  []bool
+	links *fault.Links
 }
 
 // chaosOverlay lazily allocates the overlay, so clusters that never see a
-// directive pay nothing on the delivery path.
+// directive or a partition pay nothing on the delivery path.
 func (c *Cluster) chaosOverlay() *chaosState {
 	if c.chaos == nil {
 		c.chaos = &chaosState{
 			crashed: make([]bool, c.n),
 			left:    make([]bool, c.n),
-			cut:     boolMatrix(c.n),
-			stall:   boolMatrix(c.n),
-			dup:     boolMatrix(c.n),
-			reorder: boolMatrix(c.n),
+			links:   fault.NewLinks(c.n),
 		}
 	}
 	return c.chaos
 }
 
-// ClearChaos lifts every directive effect: all links restored and shaped
-// clean, all crashed replicas resumed. Quiesce calls this, mirroring how it
-// suspends probabilistic faults — quiescence must be reachable.
+// ClearChaos lifts every directive effect and partition: all links
+// restored and shaped clean, all crashed replicas resumed. Quiesce calls
+// this, mirroring how it suspends probabilistic faults — quiescence must be
+// reachable.
 func (c *Cluster) ClearChaos() { c.chaos = nil }
 
 // Crashed reports whether replica r is currently out of the run — crashed
@@ -69,53 +59,12 @@ func (c *Cluster) Crashed(r model.ReplicaID) bool {
 func (c *Cluster) SetObserver(o *fault.Observer) { c.obs = o }
 
 // ApplyDirective enforces one fault-schedule directive on the simulated
-// network, with the same semantics fault.Netem gives the TCP cluster:
-// partitions overwrite the pairwise cut set (ungrouped replicas isolated),
-// heal lifts cuts but not link shaping, link-clear lifts shaping but not
-// cuts, and crash/restart toggle a replica's participation.
+// network: crash/restart and leave/join toggle a replica's participation,
+// and a link directive goes to the overlay's fault.Links.
 func (c *Cluster) ApplyDirective(d fault.Directive) {
 	cs := c.chaosOverlay()
 	c.obs.Directive(d)
 	switch d.Kind {
-	case fault.KindPartition:
-		group := make(map[int]int)
-		for gi, g := range d.Groups {
-			for _, r := range g {
-				group[r] = gi + 1
-			}
-		}
-		for i := 0; i < c.n; i++ {
-			for j := 0; j < c.n; j++ {
-				if i != j {
-					gi, gj := group[i], group[j]
-					cs.cut[i][j] = gi != gj || gi == 0
-				}
-			}
-		}
-	case fault.KindHeal:
-		for i := 0; i < c.n; i++ {
-			for j := 0; j < c.n; j++ {
-				cs.cut[i][j] = false
-			}
-		}
-	case fault.KindLinkCut:
-		cs.cut[d.From][d.To] = true
-	case fault.KindLinkRestore:
-		cs.cut[d.From][d.To] = false
-	case fault.KindLinkDelay:
-		cs.stall[d.From][d.To] = true
-	case fault.KindLinkDup:
-		cs.dup[d.From][d.To] = true
-	case fault.KindLinkReorder:
-		cs.reorder[d.From][d.To] = true
-	case fault.KindLinkRate:
-		// Bandwidth caps are a wall-clock construct; the simulator's
-		// delivery is not byte-timed, so a rate window shapes nothing here
-		// (the TCP engine enforces it in Netem).
-	case fault.KindLinkClear:
-		cs.stall[d.From][d.To] = false
-		cs.dup[d.From][d.To] = false
-		cs.reorder[d.From][d.To] = false
 	case fault.KindCrash:
 		cs.crashed[d.Node] = true
 	case fault.KindRestart:
@@ -127,6 +76,8 @@ func (c *Cluster) ApplyDirective(d fault.Directive) {
 		// The backlog queued while away is exactly what anti-entropy would
 		// ship on the TCP engine; count it as the join's sync cost.
 		c.obs.AddSyncUpdates(int64(len(c.queues[d.Node])))
+	default:
+		cs.links.Apply(d)
 	}
 }
 

@@ -68,12 +68,9 @@ type Cluster struct {
 	faults   Faults
 	drops    int // broadcast copies lost to DropProb
 
-	// connected[i][j] reports whether messages currently flow from i to j.
-	connected [][]bool
-
-	// chaos overlays fault-schedule directives (ApplyDirective) on top of
-	// the partition matrix and probabilistic faults; nil until the first
-	// directive.
+	// chaos overlays fault-schedule directives (ApplyDirective) and
+	// partitions on top of the probabilistic faults; nil until the first
+	// of either.
 	chaos *chaosState
 
 	// obs, when non-nil, collects chaos metrics for this run (SetObserver).
@@ -146,14 +143,9 @@ func NewCluster(st store.Store, n int, seed int64) *Cluster {
 		rng:    rand.New(rand.NewSource(seed)),
 		minted: make([]uint64, n),
 	}
-	c.connected = make([][]bool, n)
 	c.frontier = make([][]uint64, n)
-	for i := range c.connected {
+	for i := range c.frontier {
 		c.frontier[i] = make([]uint64, n)
-		c.connected[i] = make([]bool, n)
-		for j := range c.connected[i] {
-			c.connected[i][j] = i != j
-		}
 	}
 	for i := 0; i < n; i++ {
 		r := st.NewReplica(model.ReplicaID(i), n)
@@ -278,7 +270,7 @@ func (c *Cluster) Send(r model.ReplicaID) (int, bool) {
 		if c.rng.Float64() < c.faults.DupProb {
 			copies = 2
 		}
-		if c.chaos != nil && c.chaos.dup[r][to] {
+		if c.chaos != nil && c.chaos.links.At(int(r), to).Dup {
 			copies = 2
 			c.obs.AddDupCopies(1)
 		}
@@ -318,8 +310,8 @@ func (c *Cluster) deliverIndex(to model.ReplicaID, i int) {
 }
 
 // deliverable returns the indices of queue entries currently allowed through
-// the partition and the chaos overlay (directive cuts, delay windows, and a
-// crashed destination all hold messages back without losing them).
+// the chaos overlay (cuts, delay windows, and a crashed destination all
+// hold messages back without losing them).
 func (c *Cluster) deliverable(to model.ReplicaID) []int {
 	if c.Crashed(to) {
 		c.obs.AddBlocked(int64(len(c.queues[to])))
@@ -328,12 +320,11 @@ func (c *Cluster) deliverable(to model.ReplicaID) []int {
 	var idx []int
 	var blocked int64
 	for i, m := range c.queues[to] {
-		if !c.connected[m.from][to] {
-			continue
-		}
-		if c.chaos != nil && (c.chaos.cut[m.from][to] || c.chaos.stall[m.from][to]) {
-			blocked++
-			continue
+		if c.chaos != nil {
+			if lk := c.chaos.links.At(int(m.from), int(to)); lk.Cut || lk.Delay > 0 {
+				blocked++
+				continue
+			}
 		}
 		idx = append(idx, i)
 	}
@@ -369,7 +360,7 @@ func (c *Cluster) chaosReorders(to model.ReplicaID, idx []int) bool {
 		return false
 	}
 	for _, i := range idx {
-		if c.chaos.reorder[c.queues[to][i].from][to] {
+		if c.chaos.links.At(int(c.queues[to][i].from), int(to)).Reorder {
 			return true
 		}
 	}
@@ -404,28 +395,25 @@ func (c *Cluster) DeliverMsg(to model.ReplicaID, msgID int) bool {
 func (c *Cluster) QueueLen(to model.ReplicaID) int { return len(c.queues[to]) }
 
 // Partition splits the cluster into groups; messages flow only within a
-// group. Replicas absent from every group are isolated.
+// group. Replicas absent from every group are isolated. It applies a
+// partition directive to the links ApplyDirective writes, unobserved.
 func (c *Cluster) Partition(groups ...[]model.ReplicaID) {
-	group := make(map[model.ReplicaID]int)
-	for gi, g := range groups {
-		for _, r := range g {
-			group[r] = gi + 1
+	d := fault.Directive{Kind: fault.KindPartition}
+	for _, g := range groups {
+		ints := make([]int, len(g))
+		for i, r := range g {
+			ints[i] = int(r)
 		}
+		d.Groups = append(d.Groups, ints)
 	}
-	for i := 0; i < c.n; i++ {
-		for j := 0; j < c.n; j++ {
-			gi, gj := group[model.ReplicaID(i)], group[model.ReplicaID(j)]
-			c.connected[i][j] = i != j && gi == gj && gi != 0
-		}
-	}
+	c.chaosOverlay().links.Apply(d)
 }
 
-// Heal restores full connectivity.
+// Heal restores full connectivity: it applies a heal directive, which
+// lifts every cut, unobserved.
 func (c *Cluster) Heal() {
-	for i := 0; i < c.n; i++ {
-		for j := 0; j < c.n; j++ {
-			c.connected[i][j] = i != j
-		}
+	if c.chaos != nil {
+		c.chaos.links.Apply(fault.Directive{Kind: fault.KindHeal})
 	}
 }
 
@@ -437,7 +425,6 @@ func (c *Cluster) Heal() {
 func (c *Cluster) Quiesce() {
 	savedFaults := c.faults
 	c.faults = Faults{}
-	c.Heal()
 	c.ClearChaos()
 	var rounds, delivered int64
 	for {

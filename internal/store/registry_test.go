@@ -48,27 +48,25 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 }
 
 // TestStoreTraits pins what the drivers read off each store's Conformance:
-// the K-buffer store ages reads (K more read rounds) and violates a §4
-// property, gsp violates op-driven messages, statesync converges through
-// loss, and the other stores declare none of it.
+// the K-buffer store makes reads visible, needs K+1 read rounds (4 at
+// K = 3) and holds redeliveries until exposure; gsp violates op-driven
+// messages and orders its deliveries; the per-update causal store needs a
+// send per update; statesync converges through loss; and the other stores
+// declare none of it.
 func TestStoreTraits(t *testing.T) {
-	violators := map[string]bool{"kbuffer": true, "gsp": true}
-	agers := map[string]int{"kbuffer": 3}
-	lossy := map[string]bool{"statesync": true}
+	want := map[string]store.Conformance{
+		"kbuffer":          {ViolatesInvisibleReads: true, ConvergenceReadRounds: 4, TransientDeliveryState: true},
+		"gsp":              {ViolatesOpDrivenMessages: true, OrdersDeliveries: true},
+		"causal-perupdate": {MaxSendsToDrain: 4},
+		"statesync":        {ConvergesUnderLoss: true},
+	}
 	for _, name := range store.Names() {
 		st, err := store.Open(name, spec.MVRTypes(), store.Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := store.ConformanceOf(st)
-		if got := c.ViolatesInvisibleReads || c.ViolatesOpDrivenMessages; got != violators[name] {
-			t.Errorf("%s: violates a §4 property = %v, want %v", name, got, violators[name])
-		}
-		if got := max(c.ConvergenceReadRounds-1, 0); got != agers[name] {
-			t.Errorf("%s: extra read rounds = %d, want %d", name, got, agers[name])
-		}
-		if c.ConvergesUnderLoss != lossy[name] {
-			t.Errorf("%s: ConvergesUnderLoss = %v, want %v", name, c.ConvergesUnderLoss, lossy[name])
+		if got := store.ConformanceOf(st); got != want[name] {
+			t.Errorf("%s declares %+v, want %+v", name, got, want[name])
 		}
 	}
 	if store.ConformanceOf(nil) != (store.Conformance{}) {

@@ -17,17 +17,8 @@ import (
 // genuine loss on top and checks the verdict matches the store's declared
 // loss behavior: ErrLossyRun for ordinary stores, convergence for those
 // whose store.Conformance declares ConvergesUnderLoss.
-func runChaos(t *testing.T, cfg Config) {
+func runChaos(t *testing.T, factory func() store.Store) {
 	objs := []model.ObjectID{"obj0", "obj1", "obj2"}
-	readRounds := func(c *sim.Cluster) {
-		for round := 1; round < cfg.ConvergenceReadRounds; round++ {
-			for r := 0; r < c.N(); r++ {
-				for _, obj := range objs {
-					c.Do(model.ReplicaID(r), obj, model.Read())
-				}
-			}
-		}
-	}
 	schedule := func(seed int64) fault.Schedule {
 		return fault.Generate(fault.Config{
 			Seed: seed, N: 3, Steps: 150,
@@ -37,14 +28,14 @@ func runChaos(t *testing.T, cfg Config) {
 
 	t.Run("ChaosScheduleConverges", func(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
-			c := sim.NewCluster(cfg.Factory(), 3, seed)
+			c := sim.NewCluster(factory(), 3, seed)
 			sched := schedule(seed)
 			if p, cr, lf := sched.Counts(); p < 2 || cr < 1 || lf < 3 {
 				t.Fatalf("seed %d: degenerate schedule: %d partitions, %d crashes, %d link faults", seed, p, cr, lf)
 			}
 			c.RunScheduled(sched, sim.WorkloadConfig{Objects: objs, Steps: 150})
 			c.Quiesce()
-			readRounds(c)
+			surface(c, objs)
 			if err := c.CheckConverged(objs); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -52,14 +43,14 @@ func runChaos(t *testing.T, cfg Config) {
 	})
 
 	t.Run("ChaosLossyRun", func(t *testing.T) {
-		c := sim.NewCluster(cfg.Factory(), 3, 9)
+		c := sim.NewCluster(factory(), 3, 9)
 		c.SetFaults(sim.Faults{DropProb: 0.3})
 		c.RunScheduled(schedule(9), sim.WorkloadConfig{Objects: objs, Steps: 150, MutateRatio: 0.8})
 		if c.Drops() == 0 {
 			t.Skip("no copies dropped at this seed; nothing to assert")
 		}
 		c.Quiesce()
-		readRounds(c)
+		surface(c, objs)
 		err := c.CheckConverged(objs)
 		if store.ConformanceOf(c.Store()).ConvergesUnderLoss {
 			if err != nil {

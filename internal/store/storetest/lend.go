@@ -21,6 +21,10 @@ import (
 // delivered, does not decode, and the replicas part ways.
 type lendingStore struct{ store.Store }
 
+// Conformance forwards the wrapped store's claims, which embedding an
+// interface does not promote.
+func (s lendingStore) Conformance() store.Conformance { return store.ConformanceOf(s.Store) }
+
 func (s lendingStore) NewReplica(id model.ReplicaID, n int) store.Replica {
 	inner := s.Store.NewReplica(id, n)
 	r := &lendingReplica{Replica: inner}
@@ -78,7 +82,7 @@ func (r *lendingReplica) PendingMessage() []byte {
 // runLentMessages drives the store through each engine twice — as it is,
 // and behind lendingStore — and requires the same outcome: every engine
 // copies a pending message it keeps before the replica moves on.
-func runLentMessages(t *testing.T, cfg Config) {
+func runLentMessages(t *testing.T, factory func() store.Store) {
 	objs := []model.ObjectID{"obj0", "obj1", "obj2"}
 	t.Run("LentMessages", func(t *testing.T) {
 		t.Run("Simulator", func(t *testing.T) {
@@ -87,16 +91,10 @@ func runLentMessages(t *testing.T, cfg Config) {
 				sched := fault.Generate(fault.Config{Seed: 5, N: 3, Steps: 120, Partitions: 1, Crashes: 1, LinkFaults: 2})
 				c.RunScheduled(sched, sim.WorkloadConfig{Objects: objs, Steps: 120})
 				c.Quiesce()
-				for round := 1; round < cfg.ConvergenceReadRounds; round++ {
-					for r := 0; r < c.N(); r++ {
-						for _, obj := range objs {
-							c.Do(model.ReplicaID(r), obj, model.Read())
-						}
-					}
-				}
+				surface(c, objs)
 				return c
 			}
-			plain, lent := run(cfg.Factory()), run(lendingStore{cfg.Factory()})
+			plain, lent := run(factory()), run(lendingStore{factory()})
 			for r := 0; r < plain.N(); r++ {
 				id := model.ReplicaID(r)
 				if got, want := lent.Replica(id).StateDigest(), plain.Replica(id).StateDigest(); got != want {
@@ -114,18 +112,13 @@ func runLentMessages(t *testing.T, cfg Config) {
 				{Replica: 2, Object: "obj0", Op: model.Write("c")},
 			}}
 			run := func(st store.Store) (*explore.Result, error) {
-				return explore.Explore(script, explore.Config{
-					Store:                   st,
-					ConvergenceReadRounds:   cfg.ConvergenceReadRounds - 1,
-					AllowPropertyViolations: !cfg.InvisibleReads || !cfg.OpDrivenMessages,
-					Parallel:                1,
-				})
+				return explore.Explore(script, explore.Config{Store: st, Parallel: 1})
 			}
-			want, err := run(cfg.Factory())
+			want, err := run(factory())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := run(lendingStore{cfg.Factory()})
+			got, err := run(lendingStore{factory()})
 			if err != nil {
 				t.Fatalf("behind lent messages: %v", err)
 			}
@@ -134,7 +127,7 @@ func runLentMessages(t *testing.T, cfg Config) {
 			}
 		})
 		t.Run("Cluster", func(t *testing.T) {
-			st := cfg.Factory()
+			st := factory()
 			nodes, err := cluster.BootMesh(3, func(int) cluster.Config {
 				return cluster.Config{
 					Store:  lendingStore{st},
@@ -150,7 +143,7 @@ func runLentMessages(t *testing.T, cfg Config) {
 				}
 			})
 			for i := 0; i < 24; i++ {
-				_, op := cfg.Mutator(i)
+				_, op := mutate(i)
 				if _, err := nodes[i%len(nodes)].Do(objs[i%len(objs)], op); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}

@@ -3,7 +3,6 @@ package storetest_test
 import (
 	"testing"
 
-	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
 
@@ -17,38 +16,8 @@ import (
 )
 
 // TestRegisteredStoresConform sweeps the registry: every registered name —
-// including ablation variants — gets the full conformance battery, with
-// expectations derived from the store's own Conformance declaration.
+// including ablation variants — gets the full conformance battery, held to
+// the store's own Conformance declaration.
 func TestRegisteredStoresConform(t *testing.T) {
 	storetest.RunRegistered(t, store.Options{})
-}
-
-// TestConfigForDerivesTraits pins the trait → config mapping on the two
-// stores that deviate by design.
-func TestConfigForDerivesTraits(t *testing.T) {
-	open := func(name string) func() store.Store {
-		return func() store.Store {
-			st, err := store.Open(name, spec.MVRTypes(), store.Options{K: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}
-	}
-	kb := storetest.ConfigFor(open("kbuffer"))
-	if kb.InvisibleReads || !kb.OpDrivenMessages || kb.ConvergenceReadRounds != 4 || !kb.SkipDuplicateIdempotence {
-		t.Fatalf("kbuffer config = %+v", kb)
-	}
-	gsp := storetest.ConfigFor(open("gsp"))
-	if !gsp.InvisibleReads || gsp.OpDrivenMessages || !gsp.SkipDeliveryCommutation {
-		t.Fatalf("gsp config = %+v", gsp)
-	}
-	causal := storetest.ConfigFor(open("causal"))
-	if !causal.InvisibleReads || !causal.OpDrivenMessages || causal.MaxSendsToDrain != 0 {
-		t.Fatalf("causal config = %+v", causal)
-	}
-	per := storetest.ConfigFor(open("causal-perupdate"))
-	if per.MaxSendsToDrain != 4 {
-		t.Fatalf("causal-perupdate config = %+v", per)
-	}
 }

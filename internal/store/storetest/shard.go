@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/model"
+	"repro/internal/store"
 )
 
 // runShardedCluster is the conformance battery's sharded-cluster leg: every
@@ -18,11 +19,11 @@ import (
 // exercises, shard by shard, the guarantees the store honors per object; it
 // does not establish causal consistency across a node's shards, whose
 // happens-before runs through session order across objects.
-func runShardedCluster(t *testing.T, cfg Config) {
+func runShardedCluster(t *testing.T, factory func() store.Store) {
 	t.Run("ShardedCluster", func(t *testing.T) {
 		const n = 2
 		const shards = 2
-		st := cfg.Factory()
+		st := factory()
 		nodes, err := cluster.BootMesh(n, func(int) cluster.Config {
 			return cluster.Config{
 				Store:  st,
@@ -55,7 +56,7 @@ func runShardedCluster(t *testing.T, cfg Config) {
 		objs := append(append([]model.ObjectID{}, perShard[0]...), perShard[1]...)
 		for i := 0; i < 24; i++ {
 			obj := objs[i%len(objs)]
-			_, op := cfg.Mutator(i)
+			_, op := mutate(i)
 			if _, err := nodes[i%n].Do(obj, op); err != nil {
 				t.Fatalf("op %d on %q: %v", i, obj, err)
 			}

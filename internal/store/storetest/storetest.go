@@ -2,12 +2,13 @@
 // implementations: the §2 state-machine contract (deterministic pending
 // messages, a send relays everything), tolerance of the deliveries
 // well-formed executions permit (duplication, reordering), determinism of
-// state digests, and — where the store claims them — the §4
-// write-propagating properties and quiescent convergence.
+// state digests, quiescent convergence, and — where the store claims them —
+// the §4 write-propagating properties.
 //
-// Each store's test package calls Run with a Config describing which
-// optional properties the store claims. New stores get the full battery for
-// one line of code.
+// What a store claims comes from the store itself: Run reads the
+// store.Conformance it declares, and RunRegistered runs Run on every name
+// in the store registry, so registering a store is what puts it under the
+// battery, held to exactly what it declares.
 package storetest
 
 import (
@@ -22,73 +23,28 @@ import (
 	"repro/internal/store"
 )
 
-// Config declares which properties the store under test claims.
-type Config struct {
-	// Factory builds a fresh store per subtest.
-	Factory func() store.Store
-	// InvisibleReads: the store claims Definition 16.
-	InvisibleReads bool
-	// OpDrivenMessages: the store claims Definition 15.
-	OpDrivenMessages bool
-	// Converges: quiescence implies convergence (Lemma 3) under a loss-free
-	// random schedule.
-	Converges bool
-	// ConvergenceReadRounds is how many read rounds expose withheld state
-	// before convergence is asserted (the K-buffer store needs K).
-	ConvergenceReadRounds int
-	// MaxSendsToDrain bounds how many consecutive sends empty the outbox
-	// (per-update stores need more than one).
-	MaxSendsToDrain int
-	// SkipDuplicateIdempotence skips the digest-level redelivery check for
-	// stores whose transient state tracks deliveries (K-buffer holds
-	// duplicate payloads until exposure; it stays correct, but not
-	// digest-identical).
-	SkipDuplicateIdempotence bool
-	// SkipDeliveryCommutation skips the delivery-order check for stores
-	// that order messages by design (the GSP sequencer assigns global
-	// positions in arrival order).
-	SkipDeliveryCommutation bool
-	// Mutator returns a supported mutator operation with a unique value per
-	// call (defaults to MVR writes).
-	Mutator func(i int) (model.ObjectID, model.Operation)
+// mutate returns an MVR write with a unique value per call, spread over
+// three objects: the mutator every registered store supports.
+func mutate(i int) (model.ObjectID, model.Operation) {
+	return model.ObjectID(fmt.Sprintf("obj%d", i%3)), model.Write(model.Value(fmt.Sprintf("v%d", i)))
 }
 
-func (c *Config) defaults() {
-	if c.ConvergenceReadRounds == 0 {
-		c.ConvergenceReadRounds = 1
-	}
-	if c.MaxSendsToDrain == 0 {
-		c.MaxSendsToDrain = 1
-	}
-	if c.Mutator == nil {
-		c.Mutator = func(i int) (model.ObjectID, model.Operation) {
-			return model.ObjectID(fmt.Sprintf("obj%d", i%3)), model.Write(model.Value(fmt.Sprintf("v%d", i)))
+// surface performs the read rounds a store needs to expose withheld state
+// before convergence is asserted, less the one the convergence check's own
+// reads make (store.Conformance.ConvergenceReadRounds).
+func surface(c *sim.Cluster, objs []model.ObjectID) {
+	for round := 1; round < store.ConformanceOf(c.Store()).ConvergenceReadRounds; round++ {
+		for r := 0; r < c.N(); r++ {
+			for _, obj := range objs {
+				c.Do(model.ReplicaID(r), obj, model.Read())
+			}
 		}
 	}
 }
 
-// ConfigFor derives a conformance Config from the store's own registry
-// traits: the store.Conformance it declares (zero value — the full contract
-// — when it declares none). This is what lets RunRegistered test stores it
-// has never heard of.
-func ConfigFor(factory func() store.Store) Config {
-	c := store.ConformanceOf(factory())
-	return Config{
-		Factory:                  factory,
-		InvisibleReads:           !c.ViolatesInvisibleReads,
-		OpDrivenMessages:         !c.ViolatesOpDrivenMessages,
-		Converges:                true,
-		ConvergenceReadRounds:    c.ConvergenceReadRounds,
-		MaxSendsToDrain:          c.MaxSendsToDrain,
-		SkipDuplicateIdempotence: c.TransientDeliveryState,
-		SkipDeliveryCommutation:  c.OrdersDeliveries,
-	}
-}
-
 // RunRegistered runs the conformance battery on every name in the store
-// registry, deriving each store's expectations from its declared
-// store.Conformance. A store package only has to call store.Register to be
-// covered — a registration can no longer skip the suite by not having a
+// registry. A store package only has to call store.Register to be
+// covered — a registration cannot skip the suite by not having a
 // conformance test of its own.
 func RunRegistered(t *testing.T, opts store.Options) {
 	names := store.Names()
@@ -97,30 +53,30 @@ func RunRegistered(t *testing.T, opts store.Options) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			factory := func() store.Store {
+			Run(t, func() store.Store {
 				st, err := store.Open(name, spec.MVRTypes(), opts)
 				if err != nil {
 					t.Fatalf("open %q: %v", name, err)
 				}
 				return st
-			}
-			Run(t, ConfigFor(factory))
+			})
 		})
 	}
 }
 
-// Run executes the conformance battery.
-func Run(t *testing.T, cfg Config) {
-	cfg.defaults()
+// Run executes the conformance battery on the stores factory builds,
+// holding them to what they declare in their store.Conformance.
+func Run(t *testing.T, factory func() store.Store) {
+	claims := store.ConformanceOf(factory())
 	t.Run("InitialStateHasNoPendingMessage", func(t *testing.T) {
-		r := cfg.Factory().NewReplica(0, 3)
+		r := factory().NewReplica(0, 3)
 		if r.PendingMessage() != nil {
 			t.Fatal("Definition 15(1): message pending in σ₀")
 		}
 	})
 	t.Run("PendingMessageIsDeterministic", func(t *testing.T) {
-		r := cfg.Factory().NewReplica(0, 3)
-		obj, op := cfg.Mutator(0)
+		r := factory().NewReplica(0, 3)
+		obj, op := mutate(0)
 		r.Do(obj, op)
 		p1 := slices.Clone(r.PendingMessage()) // lent until the next call
 		p2 := r.PendingMessage()
@@ -129,25 +85,25 @@ func Run(t *testing.T, cfg Config) {
 		}
 	})
 	t.Run("SendDrainsPending", func(t *testing.T) {
-		r := cfg.Factory().NewReplica(0, 3)
+		r := factory().NewReplica(0, 3)
 		for i := 0; i < 4; i++ {
-			obj, op := cfg.Mutator(i)
+			obj, op := mutate(i)
 			r.Do(obj, op)
 		}
 		sends := 0
 		for r.PendingMessage() != nil {
 			r.OnSend()
 			sends++
-			if sends > 4*cfg.MaxSendsToDrain {
+			if sends > 4*max(claims.MaxSendsToDrain, 1) {
 				t.Fatalf("outbox never drained after %d sends", sends)
 			}
 		}
 	})
 	t.Run("StateDigestDeterministic", func(t *testing.T) {
 		build := func() store.Replica {
-			r := cfg.Factory().NewReplica(1, 3)
+			r := factory().NewReplica(1, 3)
 			for i := 0; i < 6; i++ {
-				obj, op := cfg.Mutator(i)
+				obj, op := mutate(i)
 				r.Do(obj, op)
 			}
 			return r
@@ -156,11 +112,14 @@ func Run(t *testing.T, cfg Config) {
 			t.Fatal("identical histories produced different digests")
 		}
 	})
-	runAppendStateDigest(t, cfg)
-	if !cfg.SkipDuplicateIdempotence {
-		runDuplicateIdempotence(t, cfg)
+	runAppendStateDigest(t, factory)
+	// Redelivery must leave the digest alone unless the store's transient
+	// state tracks deliveries (K-buffer holds duplicate payloads until
+	// exposure; it stays correct, but not digest-identical).
+	if !claims.TransientDeliveryState {
+		runDuplicateIdempotence(t, factory)
 	}
-	runRest(t, cfg)
+	runRest(t, factory, claims)
 }
 
 // Send performs r's send event if it has a message pending and returns a
@@ -220,16 +179,16 @@ func DriveRandom(seed int64, reps []store.Replica, steps int,
 // a seeded schedule, AppendStateDigest(nil) is StateDigest, and appending
 // after a non-empty dst leaves dst's bytes alone — the checker hands it
 // recycled buffers.
-func runAppendStateDigest(t *testing.T, cfg Config) {
+func runAppendStateDigest(t *testing.T, factory func() store.Store) {
 	t.Run("AppendStateDigestMatchesStateDigest", func(t *testing.T) {
 		const n = 3
-		st := cfg.Factory()
+		st := factory()
 		var reps []store.Replica
 		for i := 0; i < n; i++ {
 			reps = append(reps, st.NewReplica(model.ReplicaID(i), n))
 		}
 		op := func(rng *rand.Rand, step int) (model.ObjectID, model.Operation) {
-			obj, op := cfg.Mutator(step)
+			obj, op := mutate(step)
 			if rng.Intn(3) == 0 {
 				op = model.Read()
 			}
@@ -249,14 +208,14 @@ func runAppendStateDigest(t *testing.T, cfg Config) {
 	})
 }
 
-func runDuplicateIdempotence(t *testing.T, cfg Config) {
+func runDuplicateIdempotence(t *testing.T, factory func() store.Store) {
 	t.Run("DuplicateDeliveryIdempotent", func(t *testing.T) {
-		st := cfg.Factory()
+		st := factory()
 		src := st.NewReplica(0, 2)
 		dst := st.NewReplica(1, 2)
 		var payloads [][]byte
 		for i := 0; i < 5; i++ {
-			obj, op := cfg.Mutator(i)
+			obj, op := mutate(i)
 			src.Do(obj, op)
 			if p := Send(src); p != nil {
 				payloads = append(payloads, p)
@@ -276,13 +235,13 @@ func runDuplicateIdempotence(t *testing.T, cfg Config) {
 	})
 }
 
-func runRest(t *testing.T, cfg Config) {
+func runRest(t *testing.T, factory func() store.Store, claims store.Conformance) {
 	t.Run("WritesCreatePendingMessages", func(t *testing.T) {
 		// Lemma 5's conclusion: in a quiescent-looking state, a write leaves
 		// the replica with a message pending — otherwise the write could
 		// never propagate and eventual consistency would fail.
-		r := cfg.Factory().NewReplica(0, 3)
-		obj, op := cfg.Mutator(0)
+		r := factory().NewReplica(0, 3)
+		obj, op := mutate(0)
 		r.Do(obj, op)
 		if r.PendingMessage() == nil {
 			t.Fatal("no message pending after a write (Lemma 5)")
@@ -292,18 +251,18 @@ func runRest(t *testing.T, cfg Config) {
 		// Every operation returns immediately with no network interaction —
 		// structurally guaranteed by the interface, checked here for the
 		// full op surface.
-		r := cfg.Factory().NewReplica(2, 3)
-		obj, op := cfg.Mutator(0)
+		r := factory().NewReplica(2, 3)
+		obj, op := mutate(0)
 		if got := r.Do(obj, op); !got.OK {
 			t.Fatalf("mutator not acknowledged: %s", got)
 		}
 		_ = r.Do(obj, model.Read())
 		_ = r.Do("never-written", model.Read())
 	})
-	if cfg.InvisibleReads {
+	if !claims.ViolatesInvisibleReads {
 		t.Run("InvisibleReads", func(t *testing.T) {
-			r := cfg.Factory().NewReplica(0, 2)
-			obj, op := cfg.Mutator(0)
+			r := factory().NewReplica(0, 2)
+			obj, op := mutate(0)
 			r.Do(obj, op)
 			before := r.StateDigest()
 			r.Do(obj, model.Read())
@@ -313,12 +272,12 @@ func runRest(t *testing.T, cfg Config) {
 			}
 		})
 	}
-	if cfg.OpDrivenMessages {
+	if !claims.ViolatesOpDrivenMessages {
 		t.Run("OpDrivenMessages", func(t *testing.T) {
-			st := cfg.Factory()
+			st := factory()
 			src := st.NewReplica(0, 2)
 			dst := st.NewReplica(1, 2)
-			obj, op := cfg.Mutator(0)
+			obj, op := mutate(0)
 			src.Do(obj, op)
 			dst.Receive(Send(src))
 			if dst.PendingMessage() != nil {
@@ -326,43 +285,37 @@ func runRest(t *testing.T, cfg Config) {
 			}
 		})
 	}
-	if cfg.Converges {
-		t.Run("QuiescentConvergence", func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				c := sim.NewCluster(cfg.Factory(), 3, seed)
-				c.SetFaults(sim.Faults{DupProb: 0.2, Reorder: true})
-				objs := []model.ObjectID{"obj0", "obj1", "obj2"}
-				c.RunRandom(sim.WorkloadConfig{Objects: objs, Steps: 150})
-				c.Quiesce()
-				for round := 1; round < cfg.ConvergenceReadRounds; round++ {
-					for r := 0; r < c.N(); r++ {
-						for _, obj := range objs {
-							c.Do(model.ReplicaID(r), obj, model.Read())
-						}
-					}
-				}
-				if err := c.CheckConverged(objs); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+	t.Run("QuiescentConvergence", func(t *testing.T) {
+		for seed := int64(0); seed < 4; seed++ {
+			c := sim.NewCluster(factory(), 3, seed)
+			c.SetFaults(sim.Faults{DupProb: 0.2, Reorder: true})
+			objs := []model.ObjectID{"obj0", "obj1", "obj2"}
+			c.RunRandom(sim.WorkloadConfig{Objects: objs, Steps: 150})
+			c.Quiesce()
+			surface(c, objs)
+			if err := c.CheckConverged(objs); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-		})
-		runChaos(t, cfg)
-		runShardedCluster(t, cfg)
-		runLentMessages(t, cfg)
-	}
-	if cfg.SkipDeliveryCommutation {
+		}
+	})
+	runChaos(t, factory)
+	runShardedCluster(t, factory)
+	runLentMessages(t, factory)
+	// The GSP sequencer assigns positions in arrival order, so delivery
+	// order is significant to it by design.
+	if claims.OrdersDeliveries {
 		return
 	}
 	t.Run("IndependentDeliveriesCommute", func(t *testing.T) {
 		// Two messages from different origins applied in either order leave
 		// identical state (for stores where both orders are deliverable;
 		// causal stores buffer, which must also commute).
-		st := cfg.Factory()
+		st := factory()
 		a := st.NewReplica(1, 3)
 		b := st.NewReplica(2, 3)
-		obj, op := cfg.Mutator(0)
+		obj, op := mutate(0)
 		a.Do(obj, op)
-		obj2, op2 := cfg.Mutator(1)
+		obj2, op2 := mutate(1)
 		b.Do(obj2, op2)
 		pa := a.PendingMessage()
 		pb := b.PendingMessage()
