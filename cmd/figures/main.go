@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/abstract"
 	"repro/internal/bench"
@@ -215,8 +216,9 @@ func statesize(out bench.Output) error {
 		// Every replica writes x concurrently; replica 0 receives everything.
 		for i := 1; i < n; i++ {
 			replicas[i].Do("x", model.Write(model.Value(fmt.Sprintf("v%d", i))))
-			// Delivered before OnSend, while replica i still lends the payload.
-			replicas[0].Receive(replicas[i].PendingMessage())
+			// Replica i only lends its message, and replica 0 keeps what it
+			// receives: it is delivered as a copy.
+			replicas[0].Receive(slices.Clone(replicas[i].PendingMessage()))
 			replicas[i].OnSend()
 		}
 		siblings := len(replicas[0].Do("x", model.Read()).Values)

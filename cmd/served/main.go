@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -70,7 +71,7 @@ func main() {
 	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7000", "replication+client listen address")
 	flag.StringVar(&cfg.peersSpec, "peers", "", "peer replicas as id=addr pairs, comma-separated (e.g. 1=127.0.0.1:7001,2=127.0.0.1:7002)")
 	flag.IntVar(&cfg.n, "n", 0, "cluster size (default 1+len(peers); required with -join)")
-	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP listen address serving /healthz, /metrics, /membership, /history (disabled if empty)")
+	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP listen address serving /healthz, /metrics, /membership, /history, /livecheck, /debug/pprof/ (disabled if empty)")
 	flag.IntVar(&cfg.k, "k", 2, "K for the kbuffer store")
 	flag.IntVar(&cfg.shards, "shards", 1, "independent keyspace shards inside this node, each run one turn at a time; all nodes must agree")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the durable event journal (journaling disabled if empty)")
@@ -332,8 +333,10 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 // selects one shard of a sharded node, default 0), and /livecheck (the
 // streaming checkers' composed verdict — 200 while clean, 503 once a
 // session-guarantee violation has been flagged, so a probe can alert
-// without parsing the body; ?shard=N narrows to one shard). The returned
-// server is already serving; the caller owns its Shutdown.
+// without parsing the body; ?shard=N narrows to one shard), and
+// /debug/pprof/ (the Go runtime's profiles: /debug/pprof/heap,
+// /debug/pprof/profile?seconds=N, and the rest its index lists). The
+// returned server is already serving; the caller owns its Shutdown.
 func startAdmin(addr string, node *cluster.Node, ck *livecheck.ShardSet) (*http.Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -380,6 +383,11 @@ func startAdmin(addr string, node *cluster.Node, ck *livecheck.ShardSet) (*http.
 		}
 		writeJSONStatus(w, code, v)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -172,7 +172,7 @@ func TestAdminServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr
-	for _, path := range []string{"/healthz", "/metrics", "/membership", "/history", "/livecheck"} {
+	for _, path := range []string{"/healthz", "/metrics", "/membership", "/history", "/livecheck", "/debug/pprof/heap"} {
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

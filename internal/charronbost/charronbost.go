@@ -9,6 +9,9 @@
 // search (an order has dimension ≤ m iff it is the intersection of m of its
 // linear extensions), and converts a realizer into vector timestamps that
 // characterize the order: x < y iff f(x) ≤ f(y) pointwise and f(x) ≠ f(y).
+// The search is exponential; past S_3 the crown's dimension is instead
+// bounded from below by CrownLowerBound's alternating cycles and from above
+// by CrownRealizer, each checked against the order it is about.
 // Theorem 12 generalizes the spirit of this bound to arbitrary message
 // formats.
 package charronbost
@@ -67,6 +70,58 @@ func Crown(n int) *Order {
 		}
 	}
 	return o
+}
+
+// CrownLowerBound proves that o, a crown of n = N/2 minimal and n maximal
+// elements laid out as Crown lays them out, has dimension at least n, and
+// returns n. The proof is Trotter's alternating-cycle argument on the
+// critical pairs (a_i, b_i), with every premise checked on o itself: each
+// a_i ∥ b_i, and a_j < b_i for all i ≠ j. A realizer must reverse each
+// pair — some extension puts b_i before a_i — but no extension reverses two:
+// reversing (a_i, b_i) and (a_j, b_j) would order a_j < b_i < a_i < b_j <
+// a_j, a cycle. So a realizer needs n extensions. An error names the first
+// premise o fails.
+func CrownLowerBound(o *Order) (int, error) {
+	if o.N%2 != 0 {
+		return 0, fmt.Errorf("charronbost: %d elements cannot form a crown", o.N)
+	}
+	n := o.N / 2
+	for i := 0; i < n; i++ {
+		if !o.Incomparable(i, n+i) {
+			return 0, fmt.Errorf("charronbost: %s and %s are comparable, not a critical pair", o.Names[i], o.Names[n+i])
+		}
+		for j := 0; j < n; j++ {
+			if j != i && !o.Less(j, n+i) {
+				return 0, fmt.Errorf("charronbost: %s < %s does not hold, so pairs %d and %d form no alternating cycle", o.Names[j], o.Names[n+i], i+1, j+1)
+			}
+		}
+	}
+	return n, nil
+}
+
+// CrownRealizer returns n linear extensions realizing Crown(n) for n ≥ 2:
+// the i-th lists every a_j but a_i, then b_i, a_i, and the remaining b_j,
+// so it alone reverses the critical pair (a_i, b_i). With CrownLowerBound
+// it puts the crown's dimension at exactly n without a search;
+// CheckCharacterizes on its Vectors verifies it.
+func CrownRealizer(n int) [][]int {
+	realizer := make([][]int, n)
+	for i := range realizer {
+		ext := make([]int, 0, 2*n)
+		for j := 0; j < n; j++ {
+			if j != i {
+				ext = append(ext, j)
+			}
+		}
+		ext = append(ext, n+i, i)
+		for j := 0; j < n; j++ {
+			if j != i {
+				ext = append(ext, n+j)
+			}
+		}
+		realizer[i] = ext
+	}
+	return realizer
 }
 
 // LinearExtensions enumerates every linear extension of the order as

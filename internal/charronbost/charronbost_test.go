@@ -60,16 +60,26 @@ func TestAntichainHasDimensionTwo(t *testing.T) {
 	}
 }
 
+// TestCrown2Dimension also cross-checks CrownLowerBound and CrownRealizer
+// against the exhaustive search, as TestCrown3NeedsThreeDimensions does.
 func TestCrown2Dimension(t *testing.T) {
-	d, err := Crown(2).Dimension(4)
+	o := Crown(2)
+	d, err := o.Dimension(4)
 	if err != nil || d != 2 {
 		t.Fatalf("crown S_2 dimension = %d, err %v", d, err)
+	}
+	if bound, err := CrownLowerBound(o); err != nil || bound != d {
+		t.Fatalf("S_2 lower bound = %d, err %v; the search says %d", bound, err, d)
+	}
+	if err := CheckCharacterizes(o, Vectors(CrownRealizer(2), o.N)); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCrown3NeedsThreeDimensions is the Charron-Bost core: 2-dimensional
 // logical clocks cannot characterize the causality of the 3-process crown,
-// but 3-dimensional ones can.
+// but 3-dimensional ones can. The exhaustive search is the cross-check of
+// CrownLowerBound and CrownRealizer, which stand in for it past S_3.
 func TestCrown3NeedsThreeDimensions(t *testing.T) {
 	o := Crown(3)
 	if _, err := o.Realizer(2); !errors.Is(err, ErrNoRealizer) {
@@ -83,22 +93,46 @@ func TestCrown3NeedsThreeDimensions(t *testing.T) {
 	if err := CheckCharacterizes(o, vecs); err != nil {
 		t.Fatal(err)
 	}
+	if bound, err := CrownLowerBound(o); err != nil || bound != 3 {
+		t.Fatalf("S_3 lower bound = %d, err %v; the search says 3", bound, err)
+	}
+	if err := CheckCharacterizes(o, Vectors(CrownRealizer(3), o.N)); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestCrown4NeedsFourDimensions: no 3 linear extensions realize S_4
+// (CrownLowerBound), and 4 do (CrownRealizer, its vectors checked).
 func TestCrown4NeedsFourDimensions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive realizer search on S_4 is slow")
-	}
 	o := Crown(4)
-	if _, err := o.Realizer(3); !errors.Is(err, ErrNoRealizer) {
-		t.Fatalf("3-realizer search: %v", err)
+	if bound, err := CrownLowerBound(o); err != nil || bound != 4 {
+		t.Fatalf("S_4 lower bound = %d, err %v; want 4", bound, err)
 	}
-	realizer, err := o.Realizer(4)
-	if err != nil {
+	if err := CheckCharacterizes(o, Vectors(CrownRealizer(4), o.N)); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckCharacterizes(o, Vectors(realizer, o.N)); err != nil {
-		t.Fatal(err)
+}
+
+// TestCrownLowerBoundChecksItsPremises: an order that is not a crown gets
+// no bound. Without a_1 < b_2 the pairs 1 and 2 form no alternating cycle
+// (and S_3 less that relation has a 2-realizer, so a bound of 3 would be
+// false); with a_1 < b_1 the first pair is no critical pair.
+func TestCrownLowerBoundChecksItsPremises(t *testing.T) {
+	missing := Crown(3)
+	missing.less[0][4] = false // a1 < b2
+	if _, err := CrownLowerBound(missing); err == nil {
+		t.Error("a bound for S_3 without a1 < b2")
+	}
+	if _, err := missing.Realizer(2); err != nil {
+		t.Errorf("S_3 without a1 < b2 has no 2-realizer, so the premise is not needed: %v", err)
+	}
+	extra := Crown(3)
+	extra.SetLess(0, 3) // a1 < b1
+	if _, err := CrownLowerBound(extra); err == nil {
+		t.Error("a bound for S_3 with a1 < b1")
+	}
+	if _, err := CrownLowerBound(NewOrder(5)); err == nil {
+		t.Error("a bound for an odd number of elements")
 	}
 }
 

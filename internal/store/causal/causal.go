@@ -117,7 +117,7 @@ type version struct {
 // objState holds per-object replica state for whichever type the object has.
 type objState struct {
 	// id is the object's key, kept so that a received update for an object
-	// the replica holds reuses this string instead of decoding a new one.
+	// the replica holds reuses this string instead of pinning its payload.
 	id  model.ObjectID
 	typ spec.ObjectType
 
@@ -337,10 +337,12 @@ func (r *Replica) ready(u update) bool {
 }
 
 // Receive implements store.Replica: decode, deduplicate, buffer, and drain
-// everything that became causally ready. A corrupt payload is ignored:
-// well-formed executions never produce one, and dropping it is
-// indistinguishable from a message drop. What it buffered before the
-// damage is taken back out, so the state is as if it never arrived.
+// everything that became causally ready. The values, and the key of an
+// object first seen here, stay views of payload (see bufferPayload). A
+// corrupt payload is ignored: well-formed executions never produce one, and
+// dropping it is indistinguishable from a message drop. What it buffered
+// before the damage is taken back out, so the state is as if it never
+// arrived.
 func (r *Replica) Receive(payload []byte) {
 	r.recvDeps = r.recvDeps[:0]
 	kept := len(r.buffer)
@@ -578,9 +580,10 @@ func (r *Replica) appendDeps(w *wire.Writer, u *update) {
 // has neither applied nor buffered. At the first malformed update it stops
 // and returns the error; what it buffered before is the caller's to take
 // back out. Nothing is sized from a count or length the peer sent, so a
-// payload allocates what it holds. An update of an object the replica holds
-// takes that object's key; only a key it has not seen is decoded into a new
-// string.
+// payload allocates what it holds. Strings are views of the payload, which
+// store.Replica.Receive gives the replica to keep: a value is never copied,
+// and an update of an object the replica holds takes that object's key,
+// so a payload is pinned only by what the replica keeps of it.
 //
 // An update ready as decoded keeps its clock in recvDeps: nothing applies
 // before the caller's drain, which then finds it ready still, and the dot
@@ -619,7 +622,7 @@ func (r *Replica) decodeUpdate(rd *wire.Reader) (update, error) {
 		return u, fmt.Errorf("causal: update (r%d,%d) outside a population of %d", origin, seq, r.n)
 	}
 	u.Dot = model.Dot{Origin: model.ReplicaID(origin), Seq: seq}
-	key := rd.Bytes()
+	key := rd.StringView()
 	var typ spec.ObjectType
 	if st, ok := r.objects[model.ObjectID(key)]; ok {
 		u.Obj, typ = st.id, st.typ
@@ -641,7 +644,7 @@ func (r *Replica) decodeUpdate(rd *wire.Reader) (update, error) {
 		u.Kind = model.OpWrite
 	}
 	if typ != spec.TypeCounter {
-		u.Value = model.Value(rd.String())
+		u.Value = model.Value(rd.StringView())
 	}
 	if err := r.readDeps(rd, &u); err != nil {
 		return u, err

@@ -210,7 +210,7 @@ func TestAppendStateDigestSteadyStateAllocatesNothing(t *testing.T) {
 		r0.Do(obj, randomOp(rng, types.Of(obj)))
 		r1.Do(obj, randomOp(rng, types.Of(obj)))
 	}
-	r1.Receive(r0.PendingMessage()) // concurrent writes: sibling versions at r1
+	r1.Receive(storetest.Send(r0)) // concurrent writes: sibling versions at r1
 	siblings := false
 	for _, st := range r1.objects {
 		siblings = siblings || len(st.versions) > 1

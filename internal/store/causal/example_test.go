@@ -33,7 +33,7 @@ func Example() {
 
 	// A write that has observed both siblings dominates them.
 	r1.Do("x", model.Write("merged"))
-	r0.Receive(r1.PendingMessage())
+	r0.Receive(slices.Clone(r1.PendingMessage()))
 	r1.OnSend()
 	fmt.Println("resolved:", r0.Do("x", model.Read()))
 	// Output:

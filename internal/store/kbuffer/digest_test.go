@@ -41,7 +41,7 @@ func TestCheckerFlagsEveryAgingRead(t *testing.T) {
 	const k = 3
 	r0, r1 := pair(t, k)
 	r0.Do("x", model.Write("a"))
-	p := r0.PendingMessage()
+	p := storetest.Send(r0)
 	c := store.NewPropertyChecker(r1)
 	c.CheckReceive(p)
 	for read := 1; read <= k; read++ {

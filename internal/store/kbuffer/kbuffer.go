@@ -108,10 +108,10 @@ func (r *Replica) PendingMessage() []byte { return r.inner.PendingMessage() }
 func (r *Replica) OnSend() { r.inner.OnSend() }
 
 // Receive implements store.Replica: the payload is withheld for K reads.
+// It is the replica's to keep (see store.Replica.Receive), so it is held
+// as given.
 func (r *Replica) Receive(payload []byte) {
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	r.held = append(r.held, withheld{payload: p, countdown: r.k})
+	r.held = append(r.held, withheld{payload: payload, countdown: r.k})
 }
 
 // HeldMessages returns the number of withheld payloads (for tests).

@@ -39,8 +39,10 @@ type Replica interface {
 	// encode its next message over it. A caller that keeps it copies it
 	// first (the simulator into its message table, a node into its history
 	// before OnSend), so a replica encodes every message into one buffer it
-	// owns. Per the model, the content is a deterministic function of the
-	// state, and a single send relays everything the replica has to send.
+	// owns. Receive keeps what it is handed (see there), so a lent message
+	// is copied before it is delivered, to this replica or any other. Per
+	// the model, the content is a deterministic function of the state, and
+	// a single send relays everything the replica has to send.
 	PendingMessage() []byte
 
 	// OnSend transitions the replica past its send event; afterwards no
@@ -50,6 +52,12 @@ type Replica interface {
 
 	// Receive applies a received broadcast payload. Duplicate and reordered
 	// deliveries must be tolerated (well-formed executions permit them).
+	// The payload is given, not lent: it is immutable from the call on, and
+	// the replica may keep views of it (the causal store's values are) for
+	// as long as it lives. So a caller hands over a copy nothing writes
+	// again — a node its history's receive record, the simulator its
+	// message table's entry — never a connection's frame buffer or a
+	// pending message still lent by its sender.
 	Receive(payload []byte)
 
 	// StateDigest returns a deterministic fingerprint of the full replica

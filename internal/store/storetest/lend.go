@@ -1,7 +1,9 @@
 package storetest
 
 import (
+	"bytes"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,16 +20,25 @@ import (
 // copy the wrapper owns, and the replica's next Do, Receive, OnSend or
 // PendingMessage overwrites it. A caller that keeps a pending message
 // without copying it keeps garbage, and the run shows it: the garbage is
-// delivered, does not decode, and the replicas part ways.
-type lendingStore struct{ store.Store }
+// delivered, does not decode, and the replicas part ways. It holds them to
+// Receive's contract too: every payload its replicas are given is recorded
+// beside a private copy, and checkGiven finds any that changed since.
+type lendingStore struct {
+	store.Store
+	given *givenPayloads
+}
+
+func newLendingStore(st store.Store) *lendingStore {
+	return &lendingStore{Store: st, given: &givenPayloads{}}
+}
 
 // Conformance forwards the wrapped store's claims, which embedding an
 // interface does not promote.
-func (s lendingStore) Conformance() store.Conformance { return store.ConformanceOf(s.Store) }
+func (s *lendingStore) Conformance() store.Conformance { return store.ConformanceOf(s.Store) }
 
-func (s lendingStore) NewReplica(id model.ReplicaID, n int) store.Replica {
+func (s *lendingStore) NewReplica(id model.ReplicaID, n int) store.Replica {
 	inner := s.Store.NewReplica(id, n)
-	r := &lendingReplica{Replica: inner}
+	r := &lendingReplica{Replica: inner, given: s.given}
 	vis, okVis := inner.(store.VisReporter)
 	dots, okDots := inner.(store.DotReporter)
 	if okVis && okDots {
@@ -40,7 +51,47 @@ func (s lendingStore) NewReplica(id model.ReplicaID, n int) store.Replica {
 
 type lendingReplica struct {
 	store.Replica
-	lent []byte
+	lent  []byte
+	given *givenPayloads
+}
+
+// givenPayloads records every payload handed to Receive, as given and as a
+// private copy. A node's replicas receive on several goroutines at once.
+type givenPayloads struct {
+	mu            sync.Mutex
+	given, copies [][]byte
+}
+
+func (g *givenPayloads) add(p []byte) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.given = append(g.given, p)
+	g.copies = append(g.copies, slices.Clone(p))
+}
+
+// checkGiven fails t if any payload a replica of s was given has changed
+// since: Receive's payload is the replica's to keep, and the store may hold
+// views of it, so whoever hands one over must never write it again.
+func (s *lendingStore) checkGiven(t *testing.T) {
+	t.Helper()
+	g := s.given
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.given) == 0 {
+		t.Error("no replica received a payload: nothing was checked")
+	}
+	changed := 0
+	for i, p := range g.given {
+		if !bytes.Equal(p, g.copies[i]) {
+			if changed == 0 {
+				t.Errorf("received payload %d of %d changed after Receive: %x, given as %x", i, len(g.given), p, g.copies[i])
+			}
+			changed++
+		}
+	}
+	if changed > 0 {
+		t.Errorf("%d of %d received payloads changed after Receive", changed, len(g.given))
+	}
 }
 
 type lendingReporter struct {
@@ -65,6 +116,7 @@ func (r *lendingReplica) Do(obj model.ObjectID, op model.Operation) model.Respon
 
 func (r *lendingReplica) Receive(payload []byte) {
 	r.takeBack()
+	r.given.add(payload)
 	r.Replica.Receive(payload)
 }
 
@@ -81,7 +133,8 @@ func (r *lendingReplica) PendingMessage() []byte {
 
 // runLentMessages drives the store through each engine twice — as it is,
 // and behind lendingStore — and requires the same outcome: every engine
-// copies a pending message it keeps before the replica moves on.
+// copies a pending message it keeps before the replica moves on. Each leg
+// ends by checking that no engine wrote to a payload it gave a replica.
 func runLentMessages(t *testing.T, factory func() store.Store) {
 	objs := []model.ObjectID{"obj0", "obj1", "obj2"}
 	t.Run("LentMessages", func(t *testing.T) {
@@ -94,7 +147,8 @@ func runLentMessages(t *testing.T, factory func() store.Store) {
 				surface(c, objs)
 				return c
 			}
-			plain, lent := run(factory()), run(lendingStore{factory()})
+			ls := newLendingStore(factory())
+			plain, lent := run(factory()), run(ls)
 			for r := 0; r < plain.N(); r++ {
 				id := model.ReplicaID(r)
 				if got, want := lent.Replica(id).StateDigest(), plain.Replica(id).StateDigest(); got != want {
@@ -104,6 +158,7 @@ func runLentMessages(t *testing.T, factory func() store.Store) {
 			if err := lent.CheckConverged(objs); err != nil {
 				t.Fatal(err)
 			}
+			ls.checkGiven(t)
 		})
 		t.Run("Explorer", func(t *testing.T) {
 			script := explore.Script{Replicas: 3, Ops: []explore.Op{
@@ -118,19 +173,22 @@ func runLentMessages(t *testing.T, factory func() store.Store) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := run(lendingStore{factory()})
+			ls := newLendingStore(factory())
+			got, err := run(ls)
 			if err != nil {
 				t.Fatalf("behind lent messages: %v", err)
 			}
 			if *got != *want {
 				t.Fatalf("behind lent messages the exploration is %+v, want %+v", *got, *want)
 			}
+			ls.checkGiven(t)
 		})
 		t.Run("Cluster", func(t *testing.T) {
 			st := factory()
+			ls := newLendingStore(st)
 			nodes, err := cluster.BootMesh(3, func(int) cluster.Config {
 				return cluster.Config{
-					Store:  lendingStore{st},
+					Store:  ls,
 					Listen: "127.0.0.1:0",
 				}
 			})
@@ -142,14 +200,25 @@ func runLentMessages(t *testing.T, factory func() store.Store) {
 					nd.Close()
 				}
 			})
+			// In rounds, each waited out: every link then carries several
+			// frames, and a receiver reads each into the storage its last one
+			// used, where a payload kept by reference is written over.
+			quiesce := cluster.QuiesceNodes(nodes, 15*time.Second)
 			for i := 0; i < 24; i++ {
+				if i > 0 && i%6 == 0 {
+					if err := quiesce(); err != nil {
+						t.Fatalf("before op %d: %v", i, err)
+					}
+				}
 				_, op := mutate(i)
 				if _, err := nodes[i%len(nodes)].Do(objs[i%len(objs)], op); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
 			}
-			if err := cluster.Settle(cluster.QuiesceNodes(nodes, 15*time.Second), st, cluster.Doers(nodes), objs); err != nil {
-				t.Fatalf("behind lent messages: %v", err)
+			settled := cluster.Settle(quiesce, st, cluster.Doers(nodes), objs)
+			ls.checkGiven(t)
+			if settled != nil {
+				t.Fatalf("behind lent messages: %v", settled)
 			}
 			Audit(t, 1, cluster.HistoriesOf(nodes), st.Types())
 		})

@@ -317,8 +317,8 @@ func runRest(t *testing.T, factory func() store.Store, claims store.Conformance)
 		a.Do(obj, op)
 		obj2, op2 := mutate(1)
 		b.Do(obj2, op2)
-		pa := a.PendingMessage()
-		pb := b.PendingMessage()
+		pa := Send(a)
+		pb := Send(b)
 		d1 := st.NewReplica(0, 3)
 		d1.Receive(pa)
 		d1.Receive(pb)

@@ -10,7 +10,8 @@
 // Contract:
 //
 //   - OWNS: varint/string/clock encoding (Writer, Reader), length-delimited
-//     framing and its size limits (frame.go), DEFLATE streams (compress.go).
+//     framing and its size limits (frame.go), DEFLATE streams (compress.go),
+//     and the tree's one non-test use of unsafe, Reader.StringView.
 //   - MUST NOT: know any frame type, message layout or protocol version —
 //     those belong to the package that defines the message — or touch a
 //     socket beyond the io.Reader/io.Writer it is handed.
@@ -22,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/vclock"
@@ -236,6 +238,18 @@ func (r *Reader) Bytes() []byte {
 	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
 	return b
+}
+
+// StringView decodes a length-prefixed string, like String, without
+// copying it: the result shares the Reader's buffer, as Bytes does. A Go
+// string is immutable, so the buffer must never be written again — not
+// after this call, and not for as long as anything holds the string or a
+// substring of it. Only a buffer its owner has given up for good qualifies:
+// a replica's received payload (store.Replica.Receive), never a frame read
+// off a connection.
+func (r *Reader) StringView() string {
+	b := r.Bytes()
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Fixed returns the next n bytes verbatim (no length prefix) — the read

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/vclock"
@@ -40,6 +41,40 @@ func TestStringRoundTrip(t *testing.T) {
 		if got := r.String(); got != s || r.Err() != nil {
 			t.Fatalf("round trip %q: got %q, err %v", s, got, r.Err())
 		}
+	}
+}
+
+// TestStringViewSharesTheBuffer: StringView decodes what String decodes,
+// fails where it fails, and allocates nothing: the string is the buffer's
+// bytes.
+func TestStringViewSharesTheBuffer(t *testing.T) {
+	strs := []string{"", "x", "hello world", "with\x00nul"}
+	w := NewWriter()
+	for _, s := range strs {
+		w.String(s)
+	}
+	buf := w.Bytes()
+	var r Reader
+	r.Reset(buf)
+	for _, s := range strs {
+		data := len(buf) - r.Remaining() + 1 // behind a one-byte length
+		got := r.StringView()
+		if got != s || r.Err() != nil {
+			t.Fatalf("view %q: got %q, err %v", s, got, r.Err())
+		}
+		if s != "" && unsafe.StringData(got) != &buf[data] {
+			t.Errorf("view %q does not share the buffer", s)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Reset(buf); _ = r.StringView() }); allocs != 0 {
+		t.Errorf("StringView allocates %.0f times, want 0", allocs)
+	}
+	r.Reset(buf[:len(buf)-1])
+	for range 4 {
+		_ = r.StringView()
+	}
+	if !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("a view past the end: err %v, want ErrTruncated", r.Err())
 	}
 }
 

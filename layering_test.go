@@ -3,6 +3,7 @@ package repro
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -22,20 +23,11 @@ func moduleImports(t *testing.T, dir string) []string {
 		t.Fatalf("%s: no Go files", dir)
 	}
 	var imports []string
-	fset := token.NewFileSet()
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, spec := range f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, path := range fileImports(t, file) {
 			if strings.HasPrefix(path, "repro/") && !slices.Contains(imports, path) {
 				imports = append(imports, path)
 			}
@@ -43,6 +35,50 @@ func moduleImports(t *testing.T, dir string) []string {
 	}
 	slices.Sort(imports)
 	return imports
+}
+
+// fileImports returns the import paths of one Go file.
+func fileImports(t *testing.T, file string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, spec := range f.Imports {
+		path, err := strconv.Unquote(spec.Path.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
+// nonTestFiles returns every non-test Go file of the tree, benchmark/
+// included, outside hidden directories and testdata.
+func nonTestFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // transitiveImports returns every package of this module that the package
@@ -73,7 +109,9 @@ func transitiveImports(t *testing.T, dir string) []string {
 //   - a store implementation imports only the core, the byte layers and
 //     internal/store (and kbuffer the causal store it wraps);
 //   - the journal (internal/durable) imports only the node's storage seam
-//     and the byte layers beneath it.
+//     and the byte layers beneath it;
+//   - no non-test file outside internal/wire imports unsafe: the codec's
+//     Reader.StringView is the one place memory is viewed as a string.
 //
 // An edge that breaks a rule today is listed in exceptions with the
 // ROADMAP item that removes it; an exception no edge needs any more fails
@@ -127,6 +165,11 @@ func TestImportLayering(t *testing.T) {
 	for _, imp := range moduleImports(t, "internal/durable") {
 		if !slices.Contains([]string{"cluster", "wire", "seglog", "model"}, strings.TrimPrefix(imp, in)) {
 			breaks("internal/durable", imp, "the journal imports only the node's storage seam and the byte layers")
+		}
+	}
+	for _, file := range nonTestFiles(t) {
+		if dir := filepath.Dir(file); dir != "internal/wire" && slices.Contains(fileImports(t, file), "unsafe") {
+			breaks(file, "unsafe", "only internal/wire imports unsafe")
 		}
 	}
 
