@@ -45,14 +45,18 @@ func PollQuiesced(quiesced func() (bool, error), timeout time.Duration) error {
 
 // WaitQuiesced is PollQuiesced over in-process nodes; false on timeout.
 func WaitQuiesced(nodes []*Node, timeout time.Duration) bool {
-	return PollQuiesced(func() (bool, error) {
-		for _, n := range nodes {
-			if !n.Quiesced() {
-				return false, nil
-			}
-		}
-		return true, nil
-	}, timeout) == nil
+	return PollQuiesced(func() (bool, error) { return sweepQuiesced(nodes), nil }, timeout) == nil
+}
+
+// sweepQuiesced is one sweep over in-process nodes: it asks every node, not
+// only up to the first that is not quiesced, so each sweep after traffic
+// asks every link that is behind, and the next reads all the answers.
+func sweepQuiesced(nodes []*Node) bool {
+	all := true
+	for _, n := range nodes {
+		all = n.Quiesced() && all
+	}
+	return all
 }
 
 // QuiesceNodes is Settle's quiesce step over in-process nodes; its error

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -115,6 +116,62 @@ func TestPollQuiescedNeedsTwoCleanSweeps(t *testing.T) {
 	}
 	if err := PollQuiesced(func() (bool, error) { return false, nil }, 30*time.Millisecond); err == nil {
 		t.Fatal("a cluster that never quiesces must time out")
+	}
+}
+
+// linksAcked reports, without asking any peer, whether every link of nodes
+// has heard its peer acknowledge every update of the link's own log.
+func linksAcked(nodes []*Node) bool {
+	for _, nd := range nodes {
+		for _, p := range nd.allPeers() {
+			p.mu.Lock()
+			for si := range p.cursors {
+				if p.cursors[si].lastAcked < nd.shards[si].logLen(nd.cfg.ID) {
+					p.mu.Unlock()
+					return false
+				}
+			}
+			p.mu.Unlock()
+		}
+	}
+	return true
+}
+
+// TestSweepAsksEveryNode: a quiescence sweep asks every node, so with
+// unacknowledged writes at all three nodes, the answers to one sweep leave
+// the next reading true. A sweep that stopped at the first node not
+// quiesced would ask one node's links per sweep.
+func TestSweepAsksEveryNode(t *testing.T) {
+	nodes := startCluster(t, "causal", 3)
+	for i, nd := range nodes {
+		if _, err := nd.Do(model.ObjectID(fmt.Sprintf("k%d", i)), model.Write("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delivered := func() bool {
+		for _, nd := range nodes {
+			if nd.shards[0].receives.Load() != int64(len(nodes)-1) {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !delivered(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writes were not delivered everywhere")
+		}
+	}
+	if linksAcked(nodes) {
+		t.Fatal("a link heard an acknowledgement nobody asked for")
+	}
+	if sweepQuiesced(nodes) {
+		t.Fatal("the first sweep after traffic read true")
+	}
+	for deadline := time.Now().Add(2 * time.Second); !linksAcked(nodes) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if !sweepQuiesced(nodes) {
+		t.Fatal("the sweep after the answers to one sweep read false: the first sweep did not ask every link")
 	}
 }
 

@@ -626,8 +626,9 @@ func liveEvent(node model.ReplicaID, ev Event) livecheck.Event {
 
 // Do applies one client operation at the replica owning obj's shard,
 // records the do event (with visibility snapshot), and broadcasts any
-// messages the operation made pending. Safe for concurrent use;
-// operations on different shards run concurrently.
+// messages the operation made pending. It keeps nothing of obj and op.Arg
+// past the call: the do record's head is their copy. Safe for concurrent
+// use; operations on different shards run concurrently.
 func (n *Node) Do(obj model.ObjectID, op model.Operation) (model.Response, error) {
 	return n.shards[n.router.Route(obj)].do(obj, op)
 }

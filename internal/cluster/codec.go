@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/model"
@@ -35,40 +36,13 @@ const (
 // AppendEventBinary appends ev's binary encoding to w. It is exported for
 // internal/durable, whose journal records hold events in this encoding.
 func AppendEventBinary(w *wire.Writer, ev Event) error {
-	w.Uvarint(uint64(ev.Kind))
-	w.Uvarint(ev.Lamport)
 	switch ev.Kind {
 	case model.ActDo:
-		w.String(string(ev.Object))
-		w.Uvarint(uint64(ev.Op.Kind))
-		w.String(string(ev.Op.Arg))
-		w.Varint(ev.Op.Delta)
-		flags := uint64(0)
-		if ev.Rval.OK {
-			flags |= rvalOK
-		}
-		if ev.Rval.Values != nil {
-			flags |= rvalHasValues
-		}
-		w.Uvarint(flags)
-		w.Varint(ev.Rval.Count)
-		if ev.Rval.Values != nil {
-			w.Uvarint(uint64(len(ev.Rval.Values)))
-			for _, v := range ev.Rval.Values {
-				w.String(string(v))
-			}
-		}
-		w.Dot(ev.Dot)
-		if ev.Frontier == nil {
-			w.Uvarint(0)
-		} else {
-			w.Uvarint(1)
-			w.Uvarint(uint64(len(ev.Frontier)))
-			for _, s := range ev.Frontier {
-				w.Uvarint(s)
-			}
-		}
+		appendDoHead(w, ev.Lamport, ev.Object, ev.Op)
+		appendDoTail(w, ev)
 	case model.ActSend, model.ActReceive:
+		w.Uvarint(uint64(ev.Kind))
+		w.Uvarint(ev.Lamport)
 		w.Uvarint(uint64(ev.Origin))
 		w.Uvarint(ev.Seq)
 		if ev.Payload == nil {
@@ -82,6 +56,56 @@ func AppendEventBinary(w *wire.Writer, ev Event) error {
 		return fmt.Errorf("cluster: cannot encode event kind %v", ev.Kind)
 	}
 	return nil
+}
+
+// appendDoHead appends the first fields of a do event's encoding — kind,
+// lamport, object and op — which are known before the store runs the
+// operation (eventLog.openDo); appendDoTail appends the rest.
+func appendDoHead(w *wire.Writer, lamport uint64, obj model.ObjectID, op model.Operation) {
+	w.Uvarint(uint64(model.ActDo))
+	w.Uvarint(lamport)
+	w.String(string(obj))
+	w.Uvarint(uint64(op.Kind))
+	w.String(string(op.Arg))
+	w.Varint(op.Delta)
+}
+
+// doTailMax bounds appendDoTail's bytes for a response without values and a
+// frontier of width entries: two one-byte fields (the response's flags, the
+// frontier's presence) and the varints — count, dot origin and seq, frontier
+// length and entries.
+func doTailMax(width int) int {
+	return 2 + binary.MaxVarintLen64*(4+width)
+}
+
+// appendDoTail appends the fields of a do event's encoding that follow its
+// head: the response, the dot and the frontier.
+func appendDoTail(w *wire.Writer, ev Event) {
+	flags := uint64(0)
+	if ev.Rval.OK {
+		flags |= rvalOK
+	}
+	if ev.Rval.Values != nil {
+		flags |= rvalHasValues
+	}
+	w.Uvarint(flags)
+	w.Varint(ev.Rval.Count)
+	if ev.Rval.Values != nil {
+		w.Uvarint(uint64(len(ev.Rval.Values)))
+		for _, v := range ev.Rval.Values {
+			w.String(string(v))
+		}
+	}
+	w.Dot(ev.Dot)
+	if ev.Frontier == nil {
+		w.Uvarint(0)
+	} else {
+		w.Uvarint(1)
+		w.Uvarint(uint64(len(ev.Frontier)))
+		for _, s := range ev.Frontier {
+			w.Uvarint(s)
+		}
+	}
 }
 
 // DecodeEventBinary decodes one event encoded by AppendEventBinary. Byte

@@ -19,9 +19,40 @@ import (
 type eventLog struct {
 	recs seglog.Blocks
 	enc  wire.Writer // a record is encoded here, then copied into recs
+	open bool        // openDo opened a do record, which append closes
 }
 
 func (l *eventLog) len() int { return l.recs.Len() }
+
+// openDo opens the record of a do event: it writes the record's head — kind,
+// lamport, obj and op, the layout's first fields — into the log, ahead of the
+// rest, and returns the head's own views of obj and op.Arg. They are the
+// history's bytes, immutable for as long as anything holds them, so the
+// caller hands them on in place of obj and op.Arg, which may be lent (a
+// request's views of its frame, see decodeRequest). append closes the record;
+// until then the log counts no record of it. width is the frontier's length:
+// the head is placed with room for the tail of a write behind it.
+func (l *eventLog) openDo(lamport uint64, obj model.ObjectID, op model.Operation, width int) (model.ObjectID, model.Operation) {
+	l.enc.Reset()
+	appendDoHead(&l.enc, lamport, obj, op)
+	l.open = true
+	return doHeadViews(l.recs.Open(l.enc.Bytes(), doTailMax(width)))
+}
+
+// doHeadViews decodes a do record's object and op from its head (or the whole
+// record), the object and argument as views of it: the caller's bytes must be
+// history bytes, which nothing writes again (seglog.Blocks).
+func doHeadViews(head []byte) (model.ObjectID, model.Operation) {
+	var r wire.Reader
+	r.Reset(head)
+	r.Uvarint() // kind
+	r.Uvarint() // lamport
+	obj := model.ObjectID(r.StringView())
+	op := model.Operation{Kind: model.OpKind(r.Uvarint())}
+	op.Arg = model.Value(r.StringView())
+	op.Delta = r.Varint()
+	return obj, op
+}
 
 // append encodes ev at the end of the log and returns the log's copy of
 // the record, where it starts, and the record's copy of the payload: its
@@ -29,13 +60,21 @@ func (l *eventLog) len() int { return l.recs.Len() }
 // message). Both copies are the event's one home — immutable, never moved,
 // owned by the history — and the only slices of it anything downstream of
 // the caller may be shown: the journal is staged the record, the store and
-// the update log the payload.
+// the update log the payload. When openDo opened a do record — with ev's
+// lamport, object and op — append closes it with ev's response, dot and
+// frontier; any other event is written whole.
 func (l *eventLog) append(ev Event) (rec, payload []byte, at seglog.Pos, err error) {
 	l.enc.Reset()
-	if err := AppendEventBinary(&l.enc, ev); err != nil {
-		return nil, nil, at, err
+	if l.open && ev.Kind == model.ActDo {
+		appendDoTail(&l.enc, ev)
+		rec, at = l.recs.Close(l.enc.Bytes())
+		l.open = false
+	} else {
+		if err := AppendEventBinary(&l.enc, ev); err != nil {
+			return nil, nil, at, err
+		}
+		rec, at = l.recs.Append(l.enc.Bytes())
 	}
-	rec, at = l.recs.Append(l.enc.Bytes())
 	if len(rec) > seglog.BlockSize {
 		l.enc = wire.Writer{} // rare, and too large a scratch to keep
 	}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -433,4 +435,115 @@ func TestHistoryFrameIsTheLogVerbatim(t *testing.T) {
 	if most := encodedBytes(s)/(seglog.BlockSize/2) + 8; len(h.blocks) > most {
 		t.Errorf("%d events of %d B sit in %d blocks, want at most %d", events, encodedBytes(s), len(h.blocks), most)
 	}
+}
+
+// TestStraddlingDoRecordDecodesWhole: a do record is opened with room for a
+// write's tail, so a read whose values do not fit behind its head near the
+// end of a block straddles it. Such records decode whole, in order, from the
+// history the shard holds.
+func TestStraddlingDoRecordDecodesWhole(t *testing.T) {
+	s := looseShard(t, "lww")
+	var ref []Event
+	for i := 0; i < 400; i++ {
+		ev := Event{Kind: model.ActDo, Lamport: uint64(200 + i), Object: model.ObjectID(fmt.Sprintf("k%d", i%7)), Op: model.Read(),
+			Rval: model.Response{OK: true, Values: []model.Value{model.Value(strings.Repeat("v", 40+i%300))}}, Frontier: []uint64{uint64(i), 0, 7}}
+		ref = append(ref, ev)
+		ev.Object, ev.Op = s.openDo(ev.Lamport, ev.Object, ev.Op) // as do records it
+		s.record(ev)
+	}
+	h, err := s.history()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.Events, ref) {
+		t.Fatalf("the history decodes to %d events that differ from the %d recorded", len(h.Events), len(ref))
+	}
+	// Every head is as long (two-byte lamports). A block a straddle sealed
+	// has a head and its room left, since the head was opened there; one an
+	// open sealed has less.
+	var head wire.Writer
+	appendDoHead(&head, ref[0].Lamport, ref[0].Object, ref[0].Op)
+	blocks, _ := s.events.recs.Snapshot()
+	straddles := 0
+	for _, b := range blocks[:len(blocks)-1] {
+		if cap(b)-len(b) >= head.Len()+doTailMax(3) {
+			straddles++
+		}
+	}
+	if straddles == 0 {
+		t.Fatalf("none of %d blocks was sealed by a straddling record", len(blocks))
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRestoreKeepsOneCopy: a restored shard hands its store views of the
+// records it rebuilt its history from, as a serving shard does, so once the
+// decoded History it restored from is dropped, the values written — each
+// key's one, kept by the store — live only in the history's blocks. The
+// live heap beyond those blocks stays under a tenth of the values' bytes
+// (before, the store pinned the decoded strings, a second copy of each).
+func TestRestoreKeepsOneCopy(t *testing.T) {
+	const writes, valueLen = 1000, 4 << 10
+	var journal wire.Writer // the history, encoded as a journal holds it
+	{
+		twin := openCausal(t).NewReplica(1, 3)
+		value := make([]byte, valueLen)
+		for i := 0; i < writes; i++ {
+			for j := range value {
+				value[j] = byte('a' + (i+j)%26)
+			}
+			obj, op := model.ObjectID(fmt.Sprintf("key-%04d", i)), model.Write(model.Value(value))
+			resp := twin.Do(obj, op)
+			dot, _ := twin.(store.DotReporter).LastDot()
+			evs := []Event{
+				{Kind: model.ActDo, Lamport: uint64(2*i + 1), Object: obj, Op: op, Rval: resp, Dot: dot},
+				{Kind: model.ActSend, Lamport: uint64(2*i + 2), Origin: 1, Seq: uint64(i + 1), Payload: twin.PendingMessage()},
+			}
+			for _, ev := range evs {
+				if err := AppendEventBinary(&journal, ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			twin.OnSend()
+		}
+	}
+	s := looseShard(t, "causal")
+	base := liveHeap()
+	restore := func() error { // h lives for the call only
+		h := History{Node: 1, N: 3}
+		for r := wire.NewReader(journal.Bytes()); r.Remaining() > 0; {
+			ev, err := DecodeEventBinary(r)
+			if err != nil {
+				return err
+			}
+			h.Events = append(h.Events, ev)
+		}
+		return s.restore(&h)
+	}
+	if err := restore(); err != nil {
+		t.Fatal(err)
+	}
+	retained := float64(liveHeap()) - float64(base)
+	blocks, n := s.events.recs.Snapshot()
+	if n != 2*writes {
+		t.Fatalf("restored %d events, want %d", n, 2*writes)
+	}
+	for _, b := range blocks {
+		retained -= float64(cap(b))
+	}
+	values := float64(writes * valueLen)
+	t.Logf("beyond its %d history blocks, a restored shard keeps %.0f B for %.0f B of values", len(blocks), retained, values)
+	if retained > 0.1*values {
+		t.Errorf("beyond its history blocks, a restored shard keeps %.0f B, more than a tenth of the %.0f B of values it holds", retained, values)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(journal.Bytes())
 }

@@ -216,11 +216,15 @@ func appendRequest(w *wire.Writer, reqID uint64, obj model.ObjectID, op model.Op
 	w.Varint(op.Delta)
 }
 
+// decodeRequest decodes a tRequest whose type tag has already been read. The
+// object and the argument are views of the frame, lent for the current
+// answer only: the router reads them and the do record's head copies them
+// (shard.do) before the connection reads its next frame over them.
 func decodeRequest(r *wire.Reader) (reqID uint64, obj model.ObjectID, op model.Operation, err error) {
 	reqID = r.Uvarint()
-	obj = model.ObjectID(r.String())
+	obj = model.ObjectID(r.StringView())
 	op.Kind = model.OpKind(r.Uvarint())
-	op.Arg = model.Value(r.String())
+	op.Arg = model.Value(r.StringView())
 	op.Delta = r.Varint()
 	err = r.End()
 	if err == nil && reqID >= reqIDs {

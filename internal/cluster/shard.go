@@ -179,8 +179,10 @@ func (s *shard) lock() error {
 // (eventLog.append): ev.Payload itself may be connection memory or the
 // store's lent message, so the copy is the only slice a caller may pass on.
 // ev.Frontier may be the shard's live frontier: it is encoded and shown to a
-// per-event journal, and only the tap, which keeps it, is given a copy. Runs
-// in a turn (or in restore, before the node serves).
+// per-event journal, and only the tap, which keeps it, is given a copy. A do
+// event closes the record openDo opened, if one is open, and its Object and
+// Op.Arg are then that head's views, which the journal and the tap may keep.
+// Runs in a turn (or in restore, before the node serves).
 func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	s.logMu.Lock() // an append writes the block table logRun reads outside a turn
 	rec, payload, at, err := s.events.append(ev)
@@ -264,8 +266,12 @@ func (s *shard) do(obj model.ObjectID, op model.Operation) (model.Response, erro
 	// snapshot must never see the op counted but its event missing (or
 	// vice versa).
 	s.ops.Add(1)
-	resp := s.checker.CheckDo(obj, op)
 	s.lamport++
+	// The record's head is written before the store runs, and the store, the
+	// journal and the tap are shown its views of obj and op.Arg: the caller's
+	// may be lent, a request's views of its frame.
+	obj, op = s.openDo(s.lamport, obj, op)
+	resp := s.checker.CheckDo(obj, op)
 	ev := Event{Kind: model.ActDo, Lamport: s.lamport, Object: obj, Op: op, Rval: resp}
 	if op.Kind.IsMutator() {
 		if dr, ok := s.replica.(store.DotReporter); ok {
@@ -285,6 +291,15 @@ func (s *shard) do(obj model.ObjectID, op model.Operation) (model.Response, erro
 	s.broadcastPending()
 	s.commit()
 	return resp, s.jerr
+}
+
+// openDo opens the record of a do event and returns its head's views of obj
+// and op.Arg (eventLog.openDo), under logMu: an open may start a block, which
+// writes the table logRun reads. The next record call closes it.
+func (s *shard) openDo(lamport uint64, obj model.ObjectID, op model.Operation) (model.ObjectID, model.Operation) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	return s.events.openDo(lamport, obj, op, len(s.frontier))
 }
 
 // advanceFrontier pushes each origin's visible prefix forward by probing
@@ -478,15 +493,16 @@ func (s *shard) restore(h *History) error {
 	for i, ev := range h.Events {
 		// Replayed events are appended verbatim, NOT via record: they came
 		// from the journal, and re-journaling them would duplicate the log.
-		// As in record, the new history's copy of the payload is the one the
-		// store and the update log are shown; h's is let go with h.
-		_, payload, at, err := s.events.append(ev)
+		// As in record and do, the new history's copies of the payload, the
+		// object and the argument are the ones the store and the update log
+		// are shown; h's are let go with h.
+		rec, payload, at, err := s.events.append(ev)
 		if err != nil {
 			return fmt.Errorf("cluster: restored event %d: %w", i, err)
 		}
 		switch ev.Kind {
 		case model.ActDo:
-			s.checker.CheckDo(ev.Object, ev.Op)
+			s.checker.CheckDo(doHeadViews(rec))
 		case model.ActSend:
 			if ev.Origin != s.n.cfg.ID {
 				return fmt.Errorf("cluster: restored send event %d claims origin r%d", i, ev.Origin)

@@ -282,3 +282,99 @@ func TestBlocks(t *testing.T) {
 		t.Fatalf("a later append grew an earlier snapshot from %d to %d bytes", before, after)
 	}
 }
+
+// TestBlocksOpenClose covers a record written head first. Closed in place,
+// the record is the head and the tail, and the head Open returned is its
+// first bytes. A tail longer than what is left behind the head straddles
+// the block: the head keeps its bytes where it was, the record goes whole
+// into the next block, and it reads back, from the snapshot and from its
+// position, as head then tail. A head larger than a block gets a block of
+// its own with the room asked for, so its record is stored once.
+func TestBlocksOpenClose(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	bytesOf := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	var l Blocks
+	check := func(what string, head, tail, opened, rec []byte, at Pos) {
+		t.Helper()
+		want := append(slices.Clone(head), tail...)
+		if !slices.Equal(opened, head) {
+			t.Fatalf("%s: the head Open returned is %x, want %x", what, opened, head)
+		}
+		if !slices.Equal(rec, want) || cap(rec) != len(rec) {
+			t.Fatalf("%s: Close returned %x, want %x", what, rec, want)
+		}
+		if from := l.From(at); len(from) < len(want) || !slices.Equal(from[:len(want)], want) {
+			t.Fatalf("%s: From(%v) does not start with the record", what, at)
+		}
+		blocks, n := l.Snapshot()
+		if n != l.Len() {
+			t.Fatalf("%s: snapshot of %d records, Len %d", what, n, l.Len())
+		}
+		if last := blocks[len(blocks)-1]; !slices.Equal(last[len(last)-len(want):], want) {
+			t.Fatalf("%s: the last block does not end with the record", what)
+		}
+	}
+
+	// In place.
+	l.Append(bytesOf(100))
+	head, tail := bytesOf(30), bytesOf(20)
+	opened := l.Open(head, 20)
+	if blocks, n := l.Snapshot(); n != 1 || len(blocks[0]) != 100 {
+		t.Fatalf("an open record shows in the snapshot: %d records, %d bytes", n, len(blocks[0]))
+	}
+	rec, at := l.Close(tail)
+	check("in place", head, tail, opened, rec, at)
+	if &opened[0] != &rec[0] || l.Len() != 2 {
+		t.Fatalf("closed in place, the record is not where its head was (Len %d)", l.Len())
+	}
+
+	// Straddling: fill the first block but for the head and the room.
+	l.Append(bytesOf(firstBlock - 150 - 40 - 8))
+	head, tail = bytesOf(40), bytesOf(100)
+	opened = l.Open(head, 8)
+	before, _ := l.Snapshot()
+	rec, at = l.Close(tail)
+	check("straddling", head, tail, opened, rec, at)
+	after, _ := l.Snapshot()
+	if len(after) != len(before)+1 || len(after[0]) != len(before[0]) || at != (Pos{1, 0}) {
+		t.Fatalf("the straddling record is at %v in %d blocks, want the start of a new one", at, len(after))
+	}
+	if head := after[0][len(after[0]) : len(after[0])+len(opened)]; &head[0] != &opened[0] {
+		t.Fatal("the straddling head moved")
+	}
+	l.Append(bytesOf(cap(after[1]) - len(after[1]))) // fills the new block, not the sealed one
+	if blocks, _ := l.Snapshot(); len(blocks) != 2 || len(blocks[0]) != len(after[0]) {
+		t.Fatal("an append wrote into the block a straddle sealed")
+	}
+	if !slices.Equal(opened, head) {
+		t.Fatal("the straddling head's bytes changed")
+	}
+
+	// Larger than a block.
+	head, tail = bytesOf(BlockSize+100), bytesOf(50)
+	opened = l.Open(head, 64)
+	rec, at = l.Close(tail)
+	check("oversized", head, tail, opened, rec, at)
+	if &opened[0] != &rec[0] {
+		t.Fatal("an oversized record was stored twice")
+	}
+
+	for what, misuse := range map[string]func(){
+		"Close with nothing open": func() { l.Close(nil) },
+		"Open while open":         func() { l.Open(nil, 0); defer l.Close(nil); l.Open(nil, 0) },
+		"Append while open":       func() { l.Open(nil, 0); defer l.Close(nil); l.Append(nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", what)
+				}
+			}()
+			misuse()
+		}()
+	}
+}

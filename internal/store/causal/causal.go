@@ -611,7 +611,9 @@ func (r *Replica) bufferPayload(payload []byte) error {
 
 // decodeUpdate reads one update of encodePayload's layout. The origin is
 // checked against the population and the seq against zero before either
-// indexes anything.
+// indexes anything. The value, and the key of an object first seen here, are
+// views of rd's buffer: the payload Receive was given, which is the
+// replica's to keep and nobody writes again (store.Replica.Receive).
 func (r *Replica) decodeUpdate(rd *wire.Reader) (update, error) {
 	var u update
 	origin, seq := rd.Uvarint(), rd.Uvarint()

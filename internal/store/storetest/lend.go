@@ -3,6 +3,7 @@ package storetest
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,8 +22,9 @@ import (
 // PendingMessage overwrites it. A caller that keeps a pending message
 // without copying it keeps garbage, and the run shows it: the garbage is
 // delivered, does not decode, and the replicas part ways. It holds them to
-// Receive's contract too: every payload its replicas are given is recorded
-// beside a private copy, and checkGiven finds any that changed since.
+// Receive's and Do's contracts too: every payload, object and argument its
+// replicas are given is recorded beside a private copy, and checkGiven finds
+// any that changed since.
 type lendingStore struct {
 	store.Store
 	given *givenPayloads
@@ -55,11 +57,13 @@ type lendingReplica struct {
 	given *givenPayloads
 }
 
-// givenPayloads records every payload handed to Receive, as given and as a
-// private copy. A node's replicas receive on several goroutines at once.
+// givenPayloads records every payload handed to Receive, and every object
+// and argument handed to Do, as given and as a private copy. A node's
+// replicas run on several goroutines at once.
 type givenPayloads struct {
 	mu            sync.Mutex
 	given, copies [][]byte
+	strs, strCopy []string
 }
 
 func (g *givenPayloads) add(p []byte) {
@@ -69,9 +73,19 @@ func (g *givenPayloads) add(p []byte) {
 	g.copies = append(g.copies, slices.Clone(p))
 }
 
-// checkGiven fails t if any payload a replica of s was given has changed
-// since: Receive's payload is the replica's to keep, and the store may hold
-// views of it, so whoever hands one over must never write it again.
+func (g *givenPayloads) addStrings(ss ...string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, s := range ss {
+		g.strs = append(g.strs, s)
+		g.strCopy = append(g.strCopy, strings.Clone(s))
+	}
+}
+
+// checkGiven fails t if any payload, object or argument a replica of s was
+// given has changed since: each is the replica's to keep, and the store may
+// hold views of it, so whoever hands one over must never write it again — a
+// string least of all, which Go promises never changes.
 func (s *lendingStore) checkGiven(t *testing.T) {
 	t.Helper()
 	g := s.given
@@ -92,6 +106,18 @@ func (s *lendingStore) checkGiven(t *testing.T) {
 	if changed > 0 {
 		t.Errorf("%d of %d received payloads changed after Receive", changed, len(g.given))
 	}
+	changed = 0
+	for i, s := range g.strs {
+		if s != g.strCopy[i] {
+			if changed == 0 {
+				t.Errorf("object or argument %d of %d changed after Do: %q, given as %q", i, len(g.strs), s, g.strCopy[i])
+			}
+			changed++
+		}
+	}
+	if changed > 0 {
+		t.Errorf("%d of %d objects and arguments changed after Do", changed, len(g.strs))
+	}
 }
 
 type lendingReporter struct {
@@ -111,6 +137,7 @@ func (r *lendingReplica) takeBack() {
 
 func (r *lendingReplica) Do(obj model.ObjectID, op model.Operation) model.Response {
 	r.takeBack()
+	r.given.addStrings(string(obj), string(op.Arg))
 	return r.Replica.Do(obj, op)
 }
 
@@ -200,6 +227,16 @@ func runLentMessages(t *testing.T, factory func() store.Store) {
 					nd.Close()
 				}
 			})
+			// Every operation is a client's, over TCP: a node reads each
+			// request into the storage its connection's last one used, where
+			// an object or argument kept by reference is written over.
+			clients := make([]*cluster.Client, len(nodes))
+			for i, nd := range nodes {
+				if clients[i], err = cluster.Dial(nd.Addr(), 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { clients[i].Close() })
+			}
 			// In rounds, each waited out: every link then carries several
 			// frames, and a receiver reads each into the storage its last one
 			// used, where a payload kept by reference is written over.
@@ -211,11 +248,11 @@ func runLentMessages(t *testing.T, factory func() store.Store) {
 					}
 				}
 				_, op := mutate(i)
-				if _, err := nodes[i%len(nodes)].Do(objs[i%len(objs)], op); err != nil {
+				if _, err := clients[i%len(clients)].Do(objs[i%len(objs)], op); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
 			}
-			settled := cluster.Settle(quiesce, st, cluster.Doers(nodes), objs)
+			settled := cluster.Settle(quiesce, st, cluster.Doers(clients), objs)
 			ls.checkGiven(t)
 			if settled != nil {
 				t.Fatalf("behind lent messages: %v", settled)

@@ -298,6 +298,26 @@ func runRest(t *testing.T, factory func() store.Store, claims store.Conformance)
 			}
 		}
 	})
+	t.Run("WithheldDeliveriesConverge", func(t *testing.T) {
+		// One replica is cut off while another writes, so every delivery it
+		// is owed arrives at quiescence — one per declared read round — and
+		// only the declared rounds surface them. Reads of one object make a
+		// round one read per replica, so no other object's reads age what
+		// is withheld: a store that declares fewer rounds than it needs
+		// diverges here.
+		c := sim.NewCluster(factory(), 3, 0)
+		objs := []model.ObjectID{"obj0"}
+		c.Partition([]model.ReplicaID{0}, []model.ReplicaID{1, 2})
+		for i := 0; i < max(claims.ConvergenceReadRounds, 1); i++ {
+			c.Do(1, objs[0], model.Write(model.Value(fmt.Sprintf("w%d", i))))
+			c.Send(1)
+		}
+		c.Quiesce()
+		surface(c, objs)
+		if err := c.CheckConverged(objs); err != nil {
+			t.Fatal(err)
+		}
+	})
 	runChaos(t, factory)
 	runShardedCluster(t, factory)
 	runLentMessages(t, factory)

@@ -245,8 +245,10 @@ func (r *Reader) Bytes() []byte {
 // string is immutable, so the buffer must never be written again — not
 // after this call, and not for as long as anything holds the string or a
 // substring of it. Only a buffer its owner has given up for good qualifies:
-// a replica's received payload (store.Replica.Receive), never a frame read
-// off a connection.
+// a replica's received payload (store.Replica.Receive), a record of a
+// node's history. The one exception is a frame read off a connection and
+// lent for one answer: its views are copied before the connection reads
+// its next frame over them, and nothing holds them past the answer.
 func (r *Reader) StringView() string {
 	b := r.Bytes()
 	return unsafe.String(unsafe.SliceData(b), len(b))

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -179,4 +180,72 @@ func TestImportLayering(t *testing.T) {
 	for edge, item := range exceptions {
 		t.Errorf("exception %s (%s) is no longer needed: delete it", edge, item)
 	}
+}
+
+// TestStringViewCallers pins who views memory as a string. What
+// wire.Reader.StringView returns is only as immutable as the buffer under
+// it, so every non-test function that calls it is listed here with that
+// buffer's lifetime, and its doc comment must speak of the views it makes
+// and state the lifetime too. A new caller fails until it is listed, and a
+// listed function that no longer calls StringView fails too.
+func TestStringViewCallers(t *testing.T) {
+	owners := map[string]string{
+		"internal/store/causal.(*Replica).decodeUpdate": "a received payload, the replica's to keep (store.Replica.Receive)",
+		"internal/cluster.decodeRequest":                "a request frame, lent for one answer: the do record's head copies it before the next read",
+		"internal/cluster.doHeadViews":                  "a do record's head, history bytes nothing writes again (seglog.Blocks.Open)",
+	}
+	for _, file := range nonTestFiles(t) {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !callsStringView(fn) {
+				continue
+			}
+			name := filepath.Dir(file) + "." + funcName(fn)
+			if _, ok := owners[name]; !ok {
+				t.Errorf("%s calls wire.Reader.StringView: list it here with its buffer's lifetime", name)
+				continue
+			}
+			delete(owners, name)
+			if doc := fn.Doc.Text(); !strings.Contains(doc, "view") {
+				t.Errorf("%s calls wire.Reader.StringView, and its doc does not say what its views are views of", name)
+			}
+		}
+	}
+	for name := range owners {
+		t.Errorf("%s no longer calls wire.Reader.StringView: delete it from the list", name)
+	}
+}
+
+// callsStringView reports whether fn's body names a StringView selector.
+func callsStringView(fn *ast.FuncDecl) bool {
+	found := false
+	if fn.Body != nil {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "StringView" {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// funcName renders fn as Go tools do: name, or (*T).name for a method.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	switch typ := fn.Recv.List[0].Type.(type) {
+	case *ast.StarExpr:
+		if id, ok := typ.X.(*ast.Ident); ok {
+			return "(*" + id.Name + ")." + fn.Name.Name
+		}
+	case *ast.Ident:
+		return typ.Name + "." + fn.Name.Name
+	}
+	return fn.Name.Name
 }
