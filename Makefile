@@ -22,16 +22,18 @@ bench:
 
 # The per-layer allocation rows of a write and of a received update: a
 # shard turn's (a client operation, a replicated update), the causal
-# store's alone, and a frame read off a connection, at a fixed iteration
-# count on one CPU so that B/op and allocs/op read the same from run to run.
-# A write allocates 0 times (DoInLoop/write, CausalWrite), and so does a
-# received update (ApplyUpdate, CausalReceive): the store keeps its value
-# as a view of the record it is handed — the receive record's payload, or
-# the do record's head, which a client's request is copied into once. The
+# store's alone, a compressed batch frame inflated, and a frame read off a
+# connection, at a fixed iteration count on one CPU so that B/op and
+# allocs/op read the same from run to run. A write allocates 0 times
+# (DoInLoop/write, CausalWrite), and so does a received update (ApplyUpdate,
+# CausalReceive, its waiting leg included): the store keeps its value as a
+# view of the record it is handed — the receive record's payload, or the do
+# record's head, which a client's request is copied into once. An inflated
+# frame allocates only compress/flate's own (InflateTo: 1 B in 1 alloc). The
 # last row is the pin of a whole write over TCP, request frame to reply:
 # 0 allocations, and no bytes but the records and what the node keeps.
 allocs:
-	$(GO) test ./internal/cluster -run '^$$' -bench '^Benchmark(DoInLoop|ApplyUpdate)$$' -benchtime 200000x -cpu 1 -benchmem
+	$(GO) test ./internal/cluster -run '^$$' -bench '^Benchmark(DoInLoop|ApplyUpdate|InflateTo)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/store/causal -run '^$$' -bench '^Benchmark(CausalWrite|CausalReceive)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/wire -run '^$$' -bench '^BenchmarkReadFrame$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/cluster -run '^TestWriteOverTCPAllocatesOnlyWhatItKeeps$$' -count 1 -v
@@ -47,8 +49,10 @@ allocs:
 # write reads 2 frames/write and ≈70 wire-B/write, and its durable leg, every
 # node journaling to an fsynced file, 1.00 wal-writes/write and 1.00
 # commits/write — the origin's; a receiver commits only when asked, or per
-# block of staged receives, +0.004 — at ≈26 µs/op in memory and ≈160 µs/op
-# durable, 3000x on a 2-vCPU host's ext4).
+# block of staged receives, +0.004. Each write waits out the link's 200 µs
+# pace and the poll's sleeps: ≈0.63 ms/op in memory and ≈0.54 ms/op durable,
+# 3000x on a 2-vCPU host's ext4. Its stream leg, writes back to back, reads
+# ≈3.3 µs/op and 0.04 frames/write).
 bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
@@ -134,12 +138,13 @@ durability:
 # and a receiver answers only the quiescence check's questions, after applying
 # and journaling what it counts), and that the fault transport cuts the
 # replies a node writes back on the reverse link but never a client's
-# connection, and that every frame a node writes is one Write (the fault
-# transport shapes per Write).
+# connection, that every frame a node writes is one Write (the fault
+# transport shapes per Write), and that a busy link sends a shard's log once
+# per pace.
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
-	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork|EveryFrameIsOneWrite' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|BusyLinkPacesFrames|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork|EveryFrameIsOneWrite' -count=1
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence

@@ -262,13 +262,17 @@ func run(w io.Writer, cfg config) error {
 	out := cli.Output(w, cfg.jsonOut)
 	pct := func(p float64) interface{} { return latCell(lats, p) }
 	done := len(lats)
+	perBatch := interface{}("-")
+	if agg.BatchFrames > 0 {
+		perBatch = float64(agg.Receives) / float64(agg.BatchFrames)
+	}
 	t := bench.NewTable(fmt.Sprintf("loadgen: %s, %d nodes, seed %d", storeName, len(cfg.nodes), cfg.seed),
 		"clients", "ops", "errors", "samples", "ops/sec", "p50 ms", "p95 ms", "p99 ms", "max ms",
-		"wire KB", "retransmits", "reconnects", "dup frames")
+		"wire KB", "frames", "updates/batch frame", "retransmits", "reconnects", "dup frames")
 	t.AddRow(cfg.clients, done, errs, len(lats),
 		float64(done)/elapsed.Seconds(),
 		pct(0.50), pct(0.95), pct(0.99), pct(1.0),
-		float64(agg.BytesOut)/1024.0,
+		float64(agg.BytesOut)/1024.0, agg.FramesOut, perBatch,
 		agg.Retransmits, agg.Reconnects, agg.DupFrames)
 	if err := out.Emit(t); err != nil {
 		return err

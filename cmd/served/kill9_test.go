@@ -142,6 +142,18 @@ func dialReady(t *testing.T, addr string) *cluster.Client {
 	}
 }
 
+// reportedRestore waits up to 10 s for a restarted child to print its
+// restore line. The node accepts connections before served prints it, so a
+// client can be served before the line is written.
+func reportedRestore(child *servedProc) bool {
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(child.out.String(), "restored"); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestKill9Recovery is the tentpole's end-to-end proof: node 0 runs as a
 // real served child process journaling to -data-dir, takes client writes
 // while replicating with two in-process peers, and is SIGKILL'd mid-load.
@@ -216,7 +228,7 @@ func TestKill9Recovery(t *testing.T) {
 	if stats.Events == 0 {
 		t.Fatalf("restarted child reports no events; journal not restored\nchild output:\n%s", child.out)
 	}
-	if !strings.Contains(child.out.String(), "restored") {
+	if !reportedRestore(child) {
 		t.Fatalf("restart did not report a restore:\n%s", child.out)
 	}
 
@@ -597,7 +609,7 @@ func TestKill9ShardedGroupCommit(t *testing.T) {
 	}()
 	c = dialReady(t, addr0)
 	defer c.Close()
-	if !strings.Contains(child.out.String(), "restored") {
+	if !reportedRestore(child) {
 		t.Fatalf("restart did not report a restore:\n%s", child.out)
 	}
 	var frontiers []int

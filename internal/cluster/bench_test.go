@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/model"
 	"repro/internal/seglog"
+	"repro/internal/wire"
 )
 
 // Per-layer benchmarks of the serving path inside a node, each on the
@@ -156,27 +158,55 @@ func BenchmarkApplyUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkInflateTo inflates one compressed batch frame of 2 and of 64
+// updates into a reused buffer, as recvFrame does into a connection's frame
+// reader: what it allocates is compress/flate's own, per frame.
+func BenchmarkInflateTo(b *testing.B) {
+	us := benchUpdates(b, 64)
+	for _, n := range []int{2, 64} {
+		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
+			var raw, comp wire.Writer
+			appendBatch(&raw, tBatch, 0, 0, us[:n])
+			wire.DeflateTo(&comp, raw.Bytes())
+			var buf []byte
+			b.SetBytes(int64(raw.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = wire.InflateTo(buf[:0], comp.Bytes(), raw.Len()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !bytes.Equal(buf, raw.Bytes()) {
+				b.Fatal("the frame did not inflate to its raw bytes")
+			}
+		})
+	}
+}
+
 // BenchmarkReplicatedWrite is one write at r0 of a three-node loopback
 // cluster, timed until both peers have applied it: the client call in a
 // turn of r0's shard, one batch frame to each peer, the apply in a turn of
 // each peer's. It reports the frames and wire bytes the whole cluster wrote
 // per write: a write costs each peer one frame, and a peer writes nothing
 // back until the quiescence check asks, which it does only off the clock.
+// Each write but the first follows a frame by less than batchPace, so it
+// waits out the link's pace: the mem leg measures the pace, not the path.
 // The durable leg journals every node to a file in b.TempDir() (fileJournal,
 // fsynced) and reports the cluster's wal writes and commits per write: one
 // of each, the origin's, since a receiver commits only when asked (or when
-// a block's worth of receives is staged).
+// a block's worth of receives is staged). The stream leg, in memory, makes
+// b.N writes back to back and then waits once for all of them: its ns/op is
+// a write's share of a busy link, and its frames/write how well the pace
+// batches them.
 func BenchmarkReplicatedWrite(b *testing.B) {
-	for _, durable := range []bool{false, true} {
-		name := "mem"
-		if durable {
-			name = "durable"
-		}
-		b.Run(name, func(b *testing.B) { benchReplicatedWrite(b, durable) })
-	}
+	b.Run("mem", func(b *testing.B) { benchReplicatedWrite(b, false, false) })
+	b.Run("durable", func(b *testing.B) { benchReplicatedWrite(b, true, false) })
+	b.Run("stream", func(b *testing.B) { benchReplicatedWrite(b, false, true) })
 }
 
-func benchReplicatedWrite(b *testing.B, durable bool) {
+func benchReplicatedWrite(b *testing.B, durable, stream bool) {
 	storage := &fileStorage{dir: b.TempDir(), journals: make([]*fileJournal, 3)}
 	nodes, err := BootMesh(3, func(i int) Config {
 		cfg := Config{Store: looseShard(b, "causal").n.cfg.Store, Listen: "127.0.0.1:0"}
@@ -231,7 +261,14 @@ func benchReplicatedWrite(b *testing.B, durable bool) {
 		if _, err := nodes[0].Do("x", model.Write(benchValue)); err != nil {
 			b.Fatal(err)
 		}
-		for want += 2; received() < want; {
+		if !stream {
+			for want += 2; received() < want; {
+				time.Sleep(time.Microsecond)
+			}
+		}
+	}
+	if stream {
+		for want += 2 * int64(b.N); received() < want; {
 			time.Sleep(time.Microsecond)
 		}
 	}
@@ -330,7 +367,7 @@ func BenchmarkNextBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				us, _ = p.nextBatch(0, uint64(depth-32), 64, 1<<20)
+				us, _, _ = p.nextBatch(0, uint64(depth-32), 64, 1<<20)
 			}
 			if len(us) != 32 {
 				b.Fatalf("batch of %d, want the 32 unsent updates", len(us))

@@ -304,7 +304,10 @@ func (c Config) withDefaults() Config {
 // over the wire (cmd/loadgen aggregates them into its report). The snapshot is
 // coherent: each shard's fields are captured in one turn, so Events always
 // equals Ops+Sends+Receives for a node that did not restore a prior history,
-// and Quiesced agrees with the counters it is reported next to.
+// and Quiesced agrees with the counters it is reported next to. BatchFrames
+// counts the replication batch frames among FramesOut: a paced link carries
+// everything a shard logged in a pace in one, so the updates applied per
+// batch frame show the pacing at work.
 type Stats struct {
 	Node  model.ReplicaID `json:"node"`
 	Store string          `json:"store"`
@@ -317,6 +320,7 @@ type Stats struct {
 	Events      int64         `json:"events"`
 	BytesOut    int64         `json:"bytes_out"`
 	FramesOut   int64         `json:"frames_out,omitempty"`
+	BatchFrames int64         `json:"batch_frames,omitempty"`
 	Retransmits int64         `json:"retransmits"`
 	Reconnects  int64         `json:"reconnects"`
 	DupFrames   int64         `json:"dup_frames"`
@@ -358,6 +362,7 @@ func (s *Stats) Add(o Stats) {
 	s.Events += o.Events
 	s.BytesOut += o.BytesOut
 	s.FramesOut += o.FramesOut
+	s.BatchFrames += o.BatchFrames
 	s.Retransmits += o.Retransmits
 	s.Reconnects += o.Reconnects
 	s.DupFrames += o.DupFrames
@@ -410,6 +415,7 @@ type Node struct {
 	// shard's turn) and kept on the node, so they outlive links and only grow.
 	bytesOut    atomic.Int64
 	framesOut   atomic.Int64
+	batchFrames atomic.Int64
 	retransmits atomic.Int64
 	reconnects  atomic.Int64
 	dupFrames   atomic.Int64
@@ -711,6 +717,7 @@ func (n *Node) Stats() Stats {
 	}
 	s.BytesOut = n.bytesOut.Load()
 	s.FramesOut = n.framesOut.Load()
+	s.BatchFrames = n.batchFrames.Load()
 	s.Retransmits = n.retransmits.Load()
 	s.Reconnects = n.reconnects.Load()
 	s.DupFrames = n.dupFrames.Load()

@@ -187,7 +187,9 @@ func decodeHistory(r *wire.Reader) (History, error) {
 
 // appendStats appends a stats snapshot's binary encoding, field by field in
 // declaration order. The layout changes when Stats changes; that is safe
-// because stats frames are never persisted, and a change bumps protoVersion.
+// because stats frames are never persisted and travel only on a client
+// connection, which exchanges no protocol version: a client reads the stats
+// of a node built from the same source.
 func appendStats(w *wire.Writer, s Stats) {
 	w.Uvarint(uint64(s.Node))
 	w.String(s.Store)
@@ -198,6 +200,7 @@ func appendStats(w *wire.Writer, s Stats) {
 	w.Varint(s.Events)
 	w.Varint(s.BytesOut)
 	w.Varint(s.FramesOut)
+	w.Varint(s.BatchFrames)
 	w.Varint(s.Retransmits)
 	w.Varint(s.Reconnects)
 	w.Varint(s.DupFrames)
@@ -237,6 +240,7 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.Events = r.Varint()
 	s.BytesOut = r.Varint()
 	s.FramesOut = r.Varint()
+	s.BatchFrames = r.Varint()
 	s.Retransmits = r.Varint()
 	s.Reconnects = r.Varint()
 	s.DupFrames = r.Varint()

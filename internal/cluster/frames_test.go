@@ -71,9 +71,10 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 	rt := &recordingTransport{}
 	recorded := func(cfg *Config) { cfg.Transport = rt }
 	r0, r1 := bootNode(t, 0, 3, recorded), bootNode(t, 1, 3, recorded)
-	// A backlog written before the link is up leaves in one batch, large
-	// and repetitive enough to be compressed.
-	for i := 0; i < 40; i++ {
+	// A backlog written before the link is up, longer than one batch frame
+	// holds, leaves its first frame compressed: the frame is large and
+	// repetitive, and it leaves part of the backlog behind.
+	for i := 0; i < BatchMax+16; i++ {
 		v := model.Value(fmt.Sprintf("%s-%d", strings.Repeat("backlog", 8), i))
 		if _, err := r0.Do(model.ObjectID(fmt.Sprintf("b%d", i%4)), model.Write(v)); err != nil {
 			t.Fatal(err)

@@ -551,7 +551,7 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
 	for at := from; at < to; at = us[len(us)-1].Seq {
-		us = s.logRun(origin, at, us)
+		us, _ = s.logRun(origin, at, us)
 		us = us[:cutBatch(us, int(min(BatchMax, to-at)), n.cfg.MaxFrame-64)]
 		if len(us) == 0 {
 			return false

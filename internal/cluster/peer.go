@@ -45,6 +45,24 @@ func cutBatch(run []protoUpdate, limit, sizeCap int) int {
 	return len(run)
 }
 
+// batchPace is the least time between two drain passes of a link that
+// wrote a batch frame: a busy link sends each shard's log once per pace, in
+// one frame carrying everything the shard logged meanwhile, where it would
+// otherwise write a frame per update. A pass that a kick starts after a
+// longer silence drains at once, so an idle link adds no delay and a busy
+// one adds at most batchPace to an update's replication lag.
+const batchPace = 200 * time.Microsecond
+
+// paceWait is the pacing rule, stated once: how long a pass that would start
+// at now waits, when the link's last batch frame left at last (the zero
+// time: none yet). It waits out the rest of batchPace, or not at all.
+func paceWait(last, now time.Time) time.Duration {
+	if since := now.Sub(last); since < batchPace {
+		return batchPace - since
+	}
+	return 0
+}
+
 // peerSender owns this node's half of one replication link: the connection
 // it dials to a single peer and, per shard, how far into the shard's own
 // log that peer last said it had delivered. It provides the reliable half of
@@ -178,26 +196,29 @@ func (p *peerSender) ack(shard int, cum uint64) {
 // nextBatch returns the next frame's worth of one shard's own updates after
 // seq sent — or after the peer's delivered count, when that is further — cut
 // by cutBatch, plus how many of them are retransmissions (already written on
-// an earlier connection, which died before the peer reported them). The
+// an earlier connection, which died before the peer reported them), and
+// whether the batch was cut short of the shard's backlog — by cutBatch, or
+// by the BatchMax the log is read at: the backlog did not fit one frame. The
 // batch is the sender's scratch (its payloads alias the shard's records) and
 // is good until the next call; it may also end early at a segment boundary
 // of the log, and the next call picks up from there.
-func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64) {
+func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64, cut bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := &p.cursors[shard]
 	sent = max(sent, c.lastAcked)
-	p.batch = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch)
+	var more bool
+	p.batch, more = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch)
 	us = p.batch[:cutBatch(p.batch, limit, sizeCap)]
 	if len(us) == 0 {
-		return nil, 0
+		return nil, 0, false
 	}
 	last := sent + uint64(len(us)) // the batch is seqs sent+1 … last
 	if c.maxSent > sent {
 		retransmits = int64(min(c.maxSent, last) - sent)
 	}
 	c.maxSent = max(c.maxSent, last)
-	return us, retransmits
+	return us, retransmits, more || len(us) < len(p.batch)
 }
 
 // breakConn closes the live connection (if any) without stopping the
@@ -305,12 +326,13 @@ func (p *peerSender) dialAndServe() bool {
 // serve drives one live connection: announce ourselves, wait for the peer's
 // hello ack, then stream each update beyond the peer's delivered count once,
 // in seq order per shard, and after the batches a hello when drained posted
-// the question. A fresh connection starts each shard at its lastAcked, so
-// nothing sent only on a dead connection is lost; the live one never
-// resends, because TCP delivers what it accepted in order or the connection
-// dies. Nothing is sent until the ack confirms the peer speaks our protocol
-// version and shard count; a mismatch latches the link failed. It reports
-// whether the hello ack arrived.
+// the question. Each drain pass is started by a kick and paced: it waits out
+// paceWait since the link's last batch frame. A fresh connection starts each
+// shard at its lastAcked, so nothing sent only on a dead connection is lost;
+// the live one never resends, because TCP delivers what it accepted in order
+// or the connection dies. Nothing is sent until the ack confirms the peer
+// speaks our protocol version and shard count; a mismatch latches the link
+// failed. It reports whether the hello ack arrived.
 //
 // There is no answer deadline. A half-open connection — the peer gone without
 // a FIN — is found by TCP: keepalive (on by default for Go's dials and
@@ -411,10 +433,20 @@ func (p *peerSender) serve(conn net.Conn) bool {
 	// sent[shard] is the last seq written on this connection. nextBatch never
 	// starts below the shard's lastAcked, so zero means "from there".
 	sent := make([]uint64, len(p.cursors))
+	// lastFrame is when the last batch frame left (zero: none yet on this
+	// connection); pace is made by the first pass that must wait, and is
+	// reset only once received from, so its channel never holds a stale tick.
+	var lastFrame time.Time
+	var pace *time.Timer
+	defer func() {
+		if pace != nil {
+			pace.Stop()
+		}
+	}()
 	for {
 		for si := range sent {
 			for {
-				us, re := p.nextBatch(si, sent[si], BatchMax, cfg.MaxFrame-64)
+				us, re, cut := p.nextBatch(si, sent[si], BatchMax, cfg.MaxFrame-64)
 				if len(us) == 0 {
 					break
 				}
@@ -422,11 +454,13 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				enc.Reset()
 				enc.BeginFrame()
 				appendBatch(enc, tBatch, si, us[0].Origin, us)
-				// Only multi-update frames clear the compression floor in
-				// practice; single updates stay raw so the latency-sensitive
-				// path never touches the compressor.
+				// Only a backlog that did not fit one frame — a catch-up after
+				// a reconnect, a peer that fell behind — is offered to the
+				// compressor. A live frame, which empties the shard's backlog,
+				// leaves raw: the latency-sensitive path never touches the
+				// compressor.
 				bulk := z
-				if len(us) == 1 {
+				if !cut {
 					bulk = nil
 				}
 				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk); err != nil {
@@ -449,6 +483,8 @@ func (p *peerSender) serve(conn net.Conn) bool {
 					return true
 				}
 				sent[si] = us[len(us)-1].Seq
+				p.node.batchFrames.Add(1)
+				lastFrame = time.Now()
 			}
 		}
 		// The question travels behind every batch written so far, and the
@@ -466,6 +502,22 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		case <-connDead:
 			return true
 		case <-p.kick:
+		}
+		if d := paceWait(lastFrame, time.Now()); d > 0 {
+			if pace == nil {
+				pace = time.NewTimer(d)
+			} else {
+				pace.Reset(d)
+			}
+			select {
+			case <-p.done:
+				conn.Close()
+				<-connDead
+				return true
+			case <-connDead:
+				return true
+			case <-pace.C:
+			}
 		}
 	}
 }

@@ -630,7 +630,7 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 				ref.offer(u)
 			case r < 85: // the sender drains one frame
 				limit, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
-				got, re := p.nextBatch(0, sent, limit, sizeCap)
+				got, re, cut := p.nextBatch(0, sent, limit, sizeCap)
 				refLimit := limit
 				if room := seglog.SegmentLen - int(max(sent, ref.lastAcked)%seglog.SegmentLen); room < limit {
 					refLimit = room
@@ -643,6 +643,10 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 					if got[i].Seq != want[i].Seq {
 						t.Fatalf("seed %d step %d: batch[%d] is seq %d, reference %d", seed, step, i, got[i].Seq, want[i].Seq)
 					}
+				}
+				// cut: the batch leaves part of what the peer is owed behind.
+				if owed := len(want) > 0 && ref.queue[len(ref.queue)-1].Seq > want[len(want)-1].Seq; cut != owed {
+					t.Fatalf("seed %d step %d: a batch of %d reads cut %v, the reference owes more after it: %v", seed, step, len(got), cut, owed)
 				}
 				retransmits += re
 				if len(want) > 0 {
@@ -735,7 +739,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 			defer readers.Done()
 			p := newPeerSender(s.n, peerOrigin, "unused")
 			for sent := uint64(0); sent < n; {
-				us, _ := p.nextBatch(0, sent, BatchMax, 1<<20)
+				us, _, _ := p.nextBatch(0, sent, BatchMax, 1<<20)
 				if !verify(who, self, sent, us) {
 					return
 				}

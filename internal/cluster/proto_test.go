@@ -387,7 +387,7 @@ func TestStatsBinaryRoundTrip(t *testing.T) {
 	s := Stats{
 		Node: 1, Store: "lww",
 		Ops: 100, Sends: 40, Receives: 38, Events: 178,
-		BytesOut: 4096, FramesOut: 52, Retransmits: 2, Reconnects: 1,
+		BytesOut: 4096, FramesOut: 52, BatchFrames: 31, Retransmits: 2, Reconnects: 1,
 		DupFrames: 3, GapFrames: 4, Violations: 0, Quiesced: true,
 	}
 	w := wire.NewWriter()

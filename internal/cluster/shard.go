@@ -448,20 +448,21 @@ func (s *shard) logLen(origin model.ReplicaID) uint64 {
 // any goroutine, into run[:0] — the caller's scratch, reused call after call
 // — and returns it: at most BatchMax of them, and only as many as are
 // contiguous in the index, so a run ends with the log, at BatchMax or at a
-// segment boundary. The payloads alias the records, which are safe to read
-// without the lock: a later append never touches them.
-func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) []protoUpdate {
+// segment boundary; more reports that it did not end with the log. The
+// payloads alias the records, which are safe to read without the lock: a
+// later append never touches them.
+func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) (_ []protoUpdate, more bool) {
 	run = run[:0]
 	s.logMu.RLock()
 	defer s.logMu.RUnlock()
 	log := &s.updates[origin]
 	if seq >= uint64(log.Len()) {
-		return run
+		return run, false
 	}
 	for _, at := range log.Chunk(int(seq), min(log.Len(), int(seq)+BatchMax)) {
 		run = append(run, s.events.update(at))
 	}
-	return run
+	return run, int(seq)+len(run) < log.Len()
 }
 
 // updatePayload is the forest's membership.Source: the payload of origin's

@@ -77,7 +77,32 @@ func BenchmarkCausalWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCausalReceive is one received update, applied as it arrives,
+// behind short and long lifetimes; its waiting leg is an update that must
+// wait for its dependency, then the dependency, which releases both.
 func BenchmarkCausalReceive(b *testing.B) {
+	b.Run("waiting", func(b *testing.B) {
+		ws := newWaitingStream(Options{})
+		chunk := make([][2][]byte, 0, 4096)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%cap(chunk) == 0 {
+				b.StopTimer()
+				chunk = chunk[:0]
+				for j := 0; j < cap(chunk); j++ {
+					chunk = append(chunk, ws.next())
+				}
+				b.StartTimer()
+			}
+			pair := chunk[i%cap(chunk)]
+			ws.dst.Receive(pair[0])
+			ws.dst.Receive(pair[1])
+		}
+		if ws.dst.BufferedUpdates() != 0 {
+			b.Fatalf("%d updates still waiting", ws.dst.BufferedUpdates())
+		}
+	})
 	for _, valueBytes := range []int{16, 256} {
 		for _, behind := range []int{1 << 10, 1 << 18} {
 			b.Run(fmt.Sprintf("value=%d/behind=%d", valueBytes, behind), func(b *testing.B) {
@@ -169,6 +194,80 @@ func TestReadyReceiveAllocatesNothing(t *testing.T) {
 		}
 		if got != 0 {
 			t.Errorf("%+v: a ready receive allocates %.0f times, want 0", opts, got)
+		}
+	}
+}
+
+// waitingStream mints pairs of updates that a receiver, replica 1 of three,
+// gets out of causal order: replica 0's write, which depends on a write of
+// replica 2's that replica 0 has received, and then replica 2's write.
+type waitingStream struct {
+	src, other, dst *Replica
+}
+
+func newWaitingStream(opts Options) *waitingStream {
+	st := NewWithOptions(spec.MVRTypes(), opts)
+	ws := &waitingStream{st.NewReplica(0, 3).(*Replica), st.NewReplica(2, 3).(*Replica), st.NewReplica(1, 3).(*Replica)}
+	// The first pair decodes both keys: the receiver holds both objects.
+	pair := ws.next()
+	ws.dst.Receive(pair[0])
+	ws.dst.Receive(pair[1])
+	return ws
+}
+
+// next returns the next pair, in the order the receiver gets it: the
+// dependent update first.
+func (ws *waitingStream) next() [2][]byte {
+	ws.other.Do("j", model.Write("0123456789abcdef"))
+	dep := slices.Clone(ws.other.PendingMessage())
+	ws.other.OnSend()
+	ws.src.Receive(slices.Clone(dep))
+	ws.src.Do("k", model.Write("0123456789abcdef"))
+	waiting := slices.Clone(ws.src.PendingMessage())
+	ws.src.OnSend()
+	return [2][]byte{waiting, dep}
+}
+
+// TestWaitingReceiveAllocatesNothing: an update that must wait keeps its
+// clock in the replica's own slab, which drain packs behind the updates
+// still waiting, so once warm, receiving it and then the update that
+// releases it allocates nothing.
+func TestWaitingReceiveAllocatesNothing(t *testing.T) {
+	for _, opts := range []Options{{}, {SparseDeps: true}} {
+		ws := newWaitingStream(opts)
+		pairs := make([][2][]byte, allocRuns+1) // AllocsPerRun runs once more to warm up
+		for i := range pairs {
+			pairs[i] = ws.next()
+		}
+		next, waited := 0, 0
+		got := testing.AllocsPerRun(allocRuns, func() {
+			ws.dst.Receive(pairs[next][0])
+			waited += ws.dst.BufferedUpdates()
+			ws.dst.Receive(pairs[next][1])
+			next++
+		})
+		if waited != next || ws.dst.BufferedUpdates() != 0 || !ws.dst.Sees(model.Dot{Origin: 0, Seq: uint64(next + 1)}) {
+			t.Fatalf("%+v: of %d pairs, %d dependent updates waited and %d are still buffered", opts, next, waited, ws.dst.BufferedUpdates())
+		}
+		if got != 0 {
+			t.Errorf("%+v: a waiting receive and its release allocate %.0f times, want 0", opts, got)
+		}
+	}
+}
+
+// TestCorruptPayloadLeavesNoWaitingClock: a payload that fails after an
+// update that must wait takes the update back out, and its clock with it,
+// so a stream of such payloads grows nothing.
+func TestCorruptPayloadLeavesNoWaitingClock(t *testing.T) {
+	ws := newWaitingStream(Options{})
+	for i := 0; i < 3; i++ {
+		waiting := ws.next()[0]
+		// The count says two, and a truncated update follows the first.
+		corrupt := append([]byte{2}, waiting[1:]...)
+		corrupt = append(corrupt, 0xff)
+		ws.dst.Receive(corrupt)
+		if ws.dst.BufferedUpdates() != 0 || len(ws.dst.waitDeps) != 0 {
+			t.Fatalf("payload %d: %d updates buffered, %d clock entries kept", i, ws.dst.BufferedUpdates(), len(ws.dst.waitDeps))
 		}
 	}
 }

@@ -150,9 +150,12 @@ type Replica struct {
 	// outDeps holds the outbox's dependency clocks, n entries per queued
 	// update, and is emptied with it. recvDeps holds those of the updates
 	// the current Receive decoded ready to apply (bufferPayload); the next
-	// Receive reuses it.
+	// Receive reuses it. waitDeps holds those of the buffered updates that
+	// must wait, in buffer order: drain packs it behind the updates still
+	// waiting, so it is empty whenever the buffer is.
 	outDeps  []uint64
 	recvDeps []uint64
+	waitDeps []uint64
 
 	// applyLog records the local application order of updates:
 	// observational metadata (not part of the state digest) used by the
@@ -345,10 +348,11 @@ func (r *Replica) ready(u update) bool {
 // arrived.
 func (r *Replica) Receive(payload []byte) {
 	r.recvDeps = r.recvDeps[:0]
-	kept := len(r.buffer)
+	kept, keptDeps := len(r.buffer), len(r.waitDeps)
 	if err := r.bufferPayload(payload); err != nil {
 		clear(r.buffer[kept:])
 		r.buffer = r.buffer[:kept]
+		r.waitDeps = r.waitDeps[:keptDeps]
 		return
 	}
 	r.drain()
@@ -363,7 +367,8 @@ func (r *Replica) buffered(d model.Dot) bool {
 	return false
 }
 
-// drain applies buffered updates until no more are causally ready.
+// drain applies buffered updates until no more are causally ready, then
+// packs the clocks of those still waiting at the front of waitDeps.
 func (r *Replica) drain() {
 	for {
 		applied := false
@@ -378,9 +383,20 @@ func (r *Replica) drain() {
 		}
 		r.buffer = kept
 		if !applied {
-			return
+			break
 		}
 	}
+	// Each waiting clock lies in waitDeps at or past where it is packed to
+	// (its predecessors in the buffer take n entries each, before it), or in
+	// an array waitDeps outgrew, which nothing writes: no copy overwrites a
+	// clock not yet moved.
+	packed := r.waitDeps[:0]
+	for i := range r.buffer {
+		start := len(packed)
+		packed = append(packed, r.buffer[i].Deps...)
+		r.buffer[i].Deps = packed[start:len(packed):len(packed)]
+	}
+	r.waitDeps = packed
 }
 
 // PendingMessage implements store.Replica: the outbox encoding, or nil,
@@ -587,7 +603,8 @@ func (r *Replica) appendDeps(w *wire.Writer, u *update) {
 //
 // An update ready as decoded keeps its clock in recvDeps: nothing applies
 // before the caller's drain, which then finds it ready still, and the dot
-// dedup leaves no other update its slot. One that must wait takes its own.
+// dedup leaves no other update its slot. One that must wait moves its clock
+// to waitDeps, which drain keeps packed.
 func (r *Replica) bufferPayload(payload []byte) error {
 	var rd wire.Reader
 	rd.Reset(payload)
@@ -602,7 +619,9 @@ func (r *Replica) bufferPayload(payload []byte) error {
 		if r.ready(u) {
 			r.recvDeps = r.recvDeps[:len(r.recvDeps)+r.n]
 		} else {
-			u.Deps = u.Deps.Clone()
+			start := len(r.waitDeps)
+			r.waitDeps = append(r.waitDeps, u.Deps...)
+			u.Deps = r.waitDeps[start:len(r.waitDeps):len(r.waitDeps)]
 		}
 		r.buffer = append(r.buffer, u)
 	}

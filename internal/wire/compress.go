@@ -58,10 +58,19 @@ func DeflateTo(w *Writer, raw []byte) int {
 	return d.DeflateTo(w, raw)
 }
 
-// flateReaders pools DEFLATE decoders via the flate.Resetter interface
-// every reader returned by flate.NewReader implements.
-var flateReaders = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil))
+// inflater is a pooled DEFLATE decoder with the source it reads: src is
+// reset onto each frame's compressed bytes, so a frame allocates no reader
+// of its own (a bytes.Reader is an io.ByteReader, so the decoder reads it
+// directly, without a bufio.Reader of its own either).
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // from flate.NewReader: every one is a flate.Resetter
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.fr = flate.NewReader(&f.src)
+	return f
 }}
 
 // Inflate decompresses a DEFLATE stream produced by DeflateTo into a fresh
@@ -81,9 +90,14 @@ func InflateTo(dst, comp []byte, rawLen int) ([]byte, error) {
 	if rawLen < 0 {
 		return nil, fmt.Errorf("wire: negative inflated length %d", rawLen)
 	}
-	fr := flateReaders.Get().(io.ReadCloser)
-	defer flateReaders.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+	f := inflaters.Get().(*inflater)
+	defer func() {
+		f.src.Reset(nil) // the pool must not pin the caller's frame
+		inflaters.Put(f)
+	}()
+	f.src.Reset(comp)
+	fr := f.fr
+	if err := fr.(flate.Resetter).Reset(&f.src, nil); err != nil {
 		return nil, err
 	}
 	off := len(dst)
