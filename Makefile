@@ -46,7 +46,8 @@ allocs:
 # next to the code are run by nothing else either, so each gets one
 # iteration here: enough to keep them compiling and passing their own checks
 # (BenchmarkReplicatedWrite among them: on a three-node loopback cluster a
-# write reads 2 frames/write and ≈70 wire-B/write, and its durable leg, every
+# write reads 2 frames/write and ≈64 wire-B/write (≈70 before protocol
+# version 13 implied each update's seq and stamp), and its durable leg, every
 # node journaling to an fsynced file, 1.00 wal-writes/write and 1.00
 # commits/write — the origin's; a receiver commits only when asked, or per
 # block of staged receives, +0.004. Each write waits out the link's 200 µs
@@ -139,12 +140,13 @@ durability:
 # and journaling what it counts), and that the fault transport cuts the
 # replies a node writes back on the reverse link but never a client's
 # connection, that every frame a node writes is one Write (the fault
-# transport shapes per Write), and that a busy link sends a shard's log once
-# per pace.
+# transport shapes per Write), that a busy link sends a shard's log once
+# per pace, in one frame per pass with a section per shard, and that a
+# reconnect starts each shard's run state afresh at both ends.
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
-	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|BusyLinkPacesFrames|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork|EveryFrameIsOneWrite' -count=1
+	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|BusyLinkPacesFrames|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork|EveryFrameIsOneWrite|BatchFrameCarriesEveryShard|ReconnectStartsRunsAfresh' -count=1
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence

@@ -166,7 +166,7 @@ func BenchmarkInflateTo(b *testing.B) {
 	for _, n := range []int{2, 64} {
 		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
 			var raw, comp wire.Writer
-			appendBatch(&raw, tBatch, 0, 0, us[:n])
+			appendBatchFrame(&raw, make([]runState, 1), section{0, us[:n]})
 			wire.DeflateTo(&comp, raw.Bytes())
 			var buf []byte
 			b.SetBytes(int64(raw.Len()))
@@ -367,12 +367,12 @@ func BenchmarkNextBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				us, _, _ = p.nextBatch(0, uint64(depth-32), 64, 1<<20)
+				us, _, _ = p.nextBatch(0, uint64(depth-32), 64, 0, 1<<20)
 			}
 			if len(us) != 32 {
 				b.Fatalf("batch of %d, want the 32 unsent updates", len(us))
 			}
-			if allocs := testing.AllocsPerRun(100, func() { p.nextBatch(0, uint64(depth-32), 64, 1<<20) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { p.nextBatch(0, uint64(depth-32), 64, 0, 1<<20) }); allocs != 0 {
 				b.Fatalf("nextBatch allocates %.0f times per batch", allocs)
 			}
 		})

@@ -32,24 +32,26 @@ func NewBenchUpdates(payloads [][]byte) BenchUpdates {
 	return us
 }
 
-// EncodeBatched runs the replication send path: shard-0 tBatch frames of up
-// to batch updates built in one pooled writer with the frame header patched
-// in place — byte-for-byte what a link writes after its hello ack, before
-// compression. Returns total wire bytes (headers included) and frames.
+// EncodeBatched runs the replication send path: tBatch frames of one
+// shard-0 section of up to batch updates each, encoded against the run state
+// the frames before carried, as on one connection, and built in one pooled
+// writer with the frame header patched in place — byte-for-byte what a link
+// writes after its hello ack, before compression. Returns total wire bytes
+// (headers included) and frames.
 func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 	if batch < 1 {
 		batch = 1
 	}
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
+	var run runState
 	for off := 0; off < len(us); {
-		end := off + batch
-		if end > len(us) {
-			end = len(us)
-		}
+		end := min(off+batch, len(us))
 		enc.Reset()
 		enc.BeginFrame()
-		appendBatch(enc, tBatch, 0, us[off].Origin, us[off:end])
+		enc.Uvarint(tBatch)
+		enc.Uvarint(0)
+		appendRun(enc, &run, us[off:end])
 		frame, err := enc.EndFrame(historyMaxFrame)
 		if err != nil {
 			return bytes, frames // unreachable for sane payloads
@@ -77,9 +79,9 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	for rest := []protoUpdate(us); len(rest) > 0; {
-		n := cutBatch(rest, chunkMax, maxFrame-64)
+		n := cutBatch(rest, chunkMax, 0, maxFrame-64)
 		w.Reset()
-		appendBatch(w, tRangeResp, 0, rest[0].Origin, rest[:n])
+		appendRange(w, 0, rest[0].Origin, rest[:n])
 		bytes += wireLen(w, compress)
 		frames++
 		rest = rest[n:]

@@ -306,8 +306,11 @@ func (c Config) withDefaults() Config {
 // equals Ops+Sends+Receives for a node that did not restore a prior history,
 // and Quiesced agrees with the counters it is reported next to. BatchFrames
 // counts the replication batch frames among FramesOut: a paced link carries
-// everything a shard logged in a pace in one, so the updates applied per
-// batch frame show the pacing at work.
+// everything its shards logged in a pace in one, a section per shard, so the
+// updates applied per batch frame show the pacing at work. BatchBytes is
+// what those frames took on the wire, and BatchPayloadBytes the store
+// payloads they carried: the rest is replication metadata — framing, shard
+// sections, runs' counts and stamps.
 type Stats struct {
 	Node  model.ReplicaID `json:"node"`
 	Store string          `json:"store"`
@@ -327,6 +330,10 @@ type Stats struct {
 	GapFrames   int64         `json:"gap_frames"`
 	Violations  int           `json:"violations"`
 	Quiesced    bool          `json:"quiesced"`
+	// BatchBytes and BatchPayloadBytes split the batch frames' wire bytes
+	// into the store payloads and the rest (see above).
+	BatchBytes        int64 `json:"batch_bytes,omitempty"`
+	BatchPayloadBytes int64 `json:"batch_payload_bytes,omitempty"`
 	// Members is how many nodes this node's membership view currently
 	// considers alive (including itself).
 	Members int `json:"members,omitempty"`
@@ -363,6 +370,8 @@ func (s *Stats) Add(o Stats) {
 	s.BytesOut += o.BytesOut
 	s.FramesOut += o.FramesOut
 	s.BatchFrames += o.BatchFrames
+	s.BatchBytes += o.BatchBytes
+	s.BatchPayloadBytes += o.BatchPayloadBytes
 	s.Retransmits += o.Retransmits
 	s.Reconnects += o.Reconnects
 	s.DupFrames += o.DupFrames
@@ -420,6 +429,8 @@ type Node struct {
 	reconnects  atomic.Int64
 	dupFrames   atomic.Int64
 	gapFrames   atomic.Int64
+	// The batch frames' wire bytes, and the store payloads among them.
+	batchBytes, batchPayloadBytes atomic.Int64
 
 	// restored counts events replayed from restored histories at boot.
 	restored int64
@@ -718,6 +729,8 @@ func (n *Node) Stats() Stats {
 	s.BytesOut = n.bytesOut.Load()
 	s.FramesOut = n.framesOut.Load()
 	s.BatchFrames = n.batchFrames.Load()
+	s.BatchBytes = n.batchBytes.Load()
+	s.BatchPayloadBytes = n.batchPayloadBytes.Load()
 	s.Retransmits = n.retransmits.Load()
 	s.Reconnects = n.reconnects.Load()
 	s.DupFrames = n.dupFrames.Load()
@@ -954,23 +967,27 @@ func (n *Node) answerHello(conn net.Conn, from model.ReplicaID) bool {
 }
 
 // serveReplication applies the update stream of the peer whose opening hello
-// was h, and writes nothing back but the answers to its later hellos. A tBatch
-// applies in one turn of the shard it names, on this goroutine. A later tHello
-// is the sender's question — what have you delivered? — and is answered by
-// answerHello: the connection is read in order and each batch is applied before
-// the next frame is read, so the answer covers every batch the sender wrote
-// before asking. A batch for a shard this node does not have, or of any origin
-// but the dialer's own, and a question that does not repeat the opening hello,
-// hang up: a confused peer cannot slip updates into another seq domain. So does
-// a journal failure, after which this node promises nothing: the sender still
-// owes what it sent to the next incarnation.
+// was h, and writes nothing back but the answers to its later hellos. Each
+// section of a tBatch — a shard and a run of h.From's updates, decoded
+// against what this connection carried of the shard before — applies in one
+// turn of that shard, on this goroutine. A later tHello is the sender's
+// question — what have you delivered? — and is answered by answerHello: the
+// connection is read in order and each batch is applied before the next
+// frame is read, so the answer covers every batch the sender wrote before
+// asking. A section for a shard this node does not have, and a question that
+// does not repeat the opening hello, hang up: a confused peer cannot slip
+// updates into another seq domain, and a run carries no origin but the
+// hello's. So does a journal failure, after which this node promises
+// nothing: the sender still owes what it sent to the next incarnation.
 func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 	// Everything a frame needs is built once per connection and reused: the
-	// receive buffer and the decoded batch, whose payloads alias that buffer
-	// (applyUpdate copies each before anything keeps it).
+	// receive buffer and the decoded run, whose payloads alias that buffer
+	// (applyUpdate copies each before anything keeps it). runs is the
+	// connection's state of each shard, as the sender keeps its own.
 	var (
-		r  wire.Reader
-		us []protoUpdate
+		r    wire.Reader
+		us   []protoUpdate
+		runs = make([]runState, len(n.shards))
 	)
 	for {
 		b, err := recvFrame(fr, n.cfg.MaxFrame)
@@ -980,16 +997,14 @@ func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 		r.Reset(b)
 		switch r.Uvarint() {
 		case tBatch:
-			var shard uint64
-			if shard, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 || us[0].Origin != h.From {
-				return
-			}
-			sh := n.shardOf(shard)
-			if sh == nil {
-				return
-			}
-			if _, err := sh.applyRun(us, false); err != nil {
-				return
+			for more := true; more; more = r.Remaining() > 0 {
+				var shard int
+				if shard, us, err = decodeSection(&r, runs, h.From, us); err != nil {
+					return
+				}
+				if _, err := n.shards[shard].applyRun(us, false); err != nil {
+					return
+				}
 			}
 		case tHello:
 			if q, err := decodeHello(&r); err != nil || q != h || !n.answerHello(conn, h.From) {
@@ -1069,5 +1084,6 @@ func (n *Node) answer(conn net.Conn, frame []byte) bool {
 	default:
 		return false
 	}
-	return n.writeEnc(conn, w, maxFrame, bulk) == nil
+	_, err := n.writeEnc(conn, w, maxFrame, bulk)
+	return err == nil
 }

@@ -211,6 +211,8 @@ func appendStats(w *wire.Writer, s Stats) {
 		q = 1
 	}
 	w.Uvarint(q)
+	w.Varint(s.BatchBytes)
+	w.Varint(s.BatchPayloadBytes)
 	w.Varint(int64(s.Members))
 	w.Varint(s.SyncPulled)
 	w.Varint(s.SyncServed)
@@ -247,6 +249,8 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.GapFrames = r.Varint()
 	s.Violations = int(r.Varint())
 	s.Quiesced = r.Uvarint() == 1
+	s.BatchBytes = r.Varint()
+	s.BatchPayloadBytes = r.Varint()
 	s.Members = int(r.Varint())
 	s.SyncPulled = r.Varint()
 	s.SyncServed = r.Varint()

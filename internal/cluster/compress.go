@@ -19,8 +19,8 @@ import (
 
 // tCompressed is the compression envelope frame type. It continues the
 // numbering after proto_member.go's tRangeResp (23) and can wrap any other
-// frame type; only the bulk-transfer frames — multi-update tBatch,
-// tRangeResp and tHistoryResp — are ever offered to it.
+// frame type; only the bulk-transfer frames — a tBatch that leaves backlog
+// behind, tRangeResp and tHistoryResp — are ever offered to it.
 const tCompressed = 24
 
 // compressFloor is the smallest frame payload worth compressing. Below it
@@ -121,11 +121,12 @@ func recvFrame(fr *wire.FrameReader, maxFrame int) ([]byte, error) {
 // replies) pass nil and never touch one. The error is
 // returned rather than collapsed to a bool because a *wire.FrameSizeError
 // from EndFrame is a terminal condition — the frame can never fit — which
-// a sender must distinguish from ordinary connection death.
-func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.Deflater) error {
+// a sender must distinguish from ordinary connection death. It returns the
+// bytes written, envelope included.
+func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.Deflater) (int, error) {
 	frame, err := enc.EndFrame(maxFrame)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if z != nil {
@@ -142,7 +143,7 @@ func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.D
 	nBytes, err := conn.Write(frame)
 	n.bytesOut.Add(int64(nBytes))
 	n.framesOut.Add(1)
-	return err
+	return nBytes, err
 }
 
 // sendFrame builds one small frame in a pooled writer and writes it raw.
@@ -150,7 +151,7 @@ func (n *Node) sendFrame(conn net.Conn, build func(*wire.Writer)) bool {
 	w := wire.GetWriter()
 	w.BeginFrame()
 	build(w)
-	err := n.writeEnc(conn, w, n.cfg.MaxFrame, nil)
+	_, err := n.writeEnc(conn, w, n.cfg.MaxFrame, nil)
 	wire.PutWriter(w)
 	return err == nil
 }

@@ -152,7 +152,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		var enc *wire.Writer
 		for inner := target; inner > 0; inner-- {
 			w := wire.GetWriter()
-			appendBatch(w, tBatch, 0, 1, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}})
+			appendBatchFrame(w, make([]runState, 1), section{0, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}}})
 			if w.Len() == target {
 				enc = w
 				break
@@ -216,7 +216,7 @@ func TestCompressedFrameIsOneWrite(t *testing.T) {
 		us[i] = protoUpdate{Origin: 1, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: bytes.Repeat([]byte("abcdefgh"), 8)}
 	}
 	var payload wire.Writer
-	appendBatch(&payload, tBatch, 0, 1, us)
+	appendBatchFrame(&payload, make([]runState, 1), section{0, us})
 	if payload.Len() < compressFloor {
 		t.Fatalf("a %d-byte batch does not clear the %d-byte floor", payload.Len(), compressFloor)
 	}
@@ -236,8 +236,12 @@ func TestCompressedFrameIsOneWrite(t *testing.T) {
 	enc := wire.NewWriter()
 	enc.BeginFrame()
 	enc.Raw(payload.Bytes())
-	if err := nd.writeEnc(conn, enc, nd.cfg.MaxFrame, new(wire.Deflater)); err != nil {
+	wrote, err := nd.writeEnc(conn, enc, nd.cfg.MaxFrame, new(wire.Deflater))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if wrote != want.Len() {
+		t.Fatalf("writeEnc reports %d bytes written, want the frame's %d", wrote, want.Len())
 	}
 	after := nd.Stats()
 	if len(conn.writes) != 1 {

@@ -14,10 +14,22 @@ import (
 )
 
 // recordingTransport is plain TCP that records the bytes of every Write on
-// the connections a node dials and on those it accepts.
+// the connections a node dials and on those it accepts, and which
+// connection made it: conns[i] numbers the one that wrote writes[i], from 1
+// in the order they opened.
 type recordingTransport struct {
 	mu     sync.Mutex
 	writes [][]byte
+	conns  []int
+	opened int
+}
+
+// wrap numbers a connection that just opened.
+func (rt *recordingTransport) wrap(conn net.Conn) loggedConn {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.opened++
+	return loggedConn{conn, rt, rt.opened}
 }
 
 func (rt *recordingTransport) Listen(addr string) (net.Listener, error) {
@@ -33,7 +45,7 @@ func (rt *recordingTransport) Dial(_, _ model.ReplicaID, addr string) (net.Conn,
 	if err != nil {
 		return nil, err
 	}
-	return loggedConn{conn, rt}, nil
+	return rt.wrap(conn), nil
 }
 
 type loggedListener struct {
@@ -46,17 +58,19 @@ func (l loggedListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loggedConn{conn, l.rt}, nil
+	return l.rt.wrap(conn), nil
 }
 
 type loggedConn struct {
 	net.Conn
 	rt *recordingTransport
+	id int
 }
 
 func (c loggedConn) Write(b []byte) (int, error) {
 	c.rt.mu.Lock()
 	c.rt.writes = append(c.rt.writes, slices.Clone(b))
+	c.rt.conns = append(c.rt.conns, c.id)
 	c.rt.mu.Unlock()
 	return c.Conn.Write(b)
 }

@@ -422,12 +422,11 @@ func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRa
 			return fmt.Errorf("cluster: range stream interrupted by frame type %d", typ)
 		}
 		var shard uint64
-		if shard, us, err = decodeBatch(r, us); err != nil {
+		if shard, us, err = decodeRange(r, us); err != nil {
 			return err
 		}
-		if shard != uint64(s.idx) || len(us) == 0 || us[0].Origin != o.Origin || us[0].Seq != at+1 ||
-			us[len(us)-1].Seq != at+uint64(len(us)) || us[len(us)-1].Seq > o.To {
-			return errors.New("cluster: range chunk empty, mislabeled or out of sequence")
+		if shard != uint64(s.idx) || us[0].Origin != o.Origin || us[0].Seq != at+1 || us[len(us)-1].Seq > o.To {
+			return errors.New("cluster: range chunk mislabeled or out of sequence")
 		}
 		at = us[len(us)-1].Seq
 		applied, err := s.applyRun(us, true)
@@ -552,7 +551,7 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 	defer wire.PutWriter(enc)
 	for at := from; at < to; at = us[len(us)-1].Seq {
 		us, _ = s.logRun(origin, at, us)
-		us = us[:cutBatch(us, int(min(BatchMax, to-at)), n.cfg.MaxFrame-64)]
+		us = us[:cutBatch(us, int(min(BatchMax, to-at)), 0, n.cfg.MaxFrame-64)]
 		if len(us) == 0 {
 			return false
 		}
@@ -561,8 +560,8 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 		n.syncServed.Add(int64(len(us)))
 		enc.Reset()
 		enc.BeginFrame()
-		appendBatch(enc, tRangeResp, s.idx, origin, us)
-		if n.writeEnc(conn, enc, n.cfg.MaxFrame, z) != nil { // a bulk frame
+		appendRange(enc, s.idx, origin, us)
+		if _, err := n.writeEnc(conn, enc, n.cfg.MaxFrame, z); err != nil { // a bulk frame
 			n.syncServed.Add(-int64(len(us)))
 			return false
 		}

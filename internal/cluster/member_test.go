@@ -653,8 +653,8 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 		if typ := r.Uvarint(); typ != tRangeResp {
 			t.Fatalf("range pull answered with type %d", typ)
 		}
-		_, us, err := decodeBatch(r, nil)
-		if err != nil || len(us) == 0 {
+		_, us, err := decodeRange(r, nil)
+		if err != nil {
 			t.Fatalf("range chunk: %d updates, err %v", len(us), err)
 		}
 		pulled = append(pulled, us...)

@@ -28,16 +28,18 @@ type linkCursor struct {
 }
 
 // cutBatch is the chunking rule, stated once: how many updates from the
-// head of run travel in one frame. At most limit, and no more than fit
-// sizeCap (callers pass MaxFrame-64) at a budget of payload plus 32 bytes of
-// generous varint headroom each — but always the first, so an oversized
-// single payload still travels (and fails the frame limit at write time,
-// exactly as it would unbatched).
-func cutBatch(run []protoUpdate, limit, sizeCap int) int {
-	size := 0
+// head of run join a frame whose sections already hold used bytes. At most
+// limit, and no more than fit sizeCap (callers pass MaxFrame-64) at a
+// budget of payload plus 32 bytes of generous varint headroom each — a
+// section's own header included. An update that does not fit what is left
+// waits for the next frame; but the first update of an empty frame always
+// travels, so an oversized single payload still goes, alone (and fails the
+// frame limit at write time, exactly as it would unbatched).
+func cutBatch(run []protoUpdate, limit, used, sizeCap int) int {
+	size := used
 	for i := range run {
 		cost := len(run[i].Payload) + 32
-		if i > 0 && (i >= limit || size+cost > sizeCap) {
+		if (i > 0 || used > 0) && (i >= limit || size+cost > sizeCap) {
 			return i
 		}
 		size += cost
@@ -46,8 +48,8 @@ func cutBatch(run []protoUpdate, limit, sizeCap int) int {
 }
 
 // batchPace is the least time between two drain passes of a link that
-// wrote a batch frame: a busy link sends each shard's log once per pace, in
-// one frame carrying everything the shard logged meanwhile, where it would
+// wrote a batch frame: a busy link sends its shards' logs once per pace, in
+// one frame carrying everything every shard logged meanwhile, where it would
 // otherwise write a frame per update. A pass that a kick starts after a
 // longer silence drains at once, so an idle link adds no delay and a busy
 // one adds at most batchPace to an update's replication lag.
@@ -73,7 +75,7 @@ func paceWait(last, now time.Time) time.Duration {
 // that heals eventually delivers. A connection is TCP: it delivers every
 // frame in order or dies, so nothing is ever resent on the connection that
 // carried it, and no batch is acknowledged. All shards multiplex over the
-// one connection; every frame names its shard.
+// one connection: a batch frame holds a section per shard, each naming it.
 type peerSender struct {
 	node *Node
 	peer model.ReplicaID
@@ -82,8 +84,8 @@ type peerSender struct {
 	mu      sync.Mutex
 	cursors []linkCursor // one per shard; index = shard
 	// batch is where nextBatch has the shard's log read a batch back out of
-	// its records: one batch is on its way at a time, so one scratch serves
-	// every shard for the life of the link.
+	// its records: each is encoded into the frame before the next shard's is
+	// read, so one scratch serves every shard for the life of the link.
 	batch   []protoUpdate
 	conn    net.Conn // live connection, nil while dialing
 	failErr error    // terminal error, set once before failed flips
@@ -193,23 +195,24 @@ func (p *peerSender) ack(shard int, cum uint64) {
 	p.mu.Unlock()
 }
 
-// nextBatch returns the next frame's worth of one shard's own updates after
-// seq sent — or after the peer's delivered count, when that is further — cut
-// by cutBatch, plus how many of them are retransmissions (already written on
-// an earlier connection, which died before the peer reported them), and
+// nextBatch returns the next section's worth of one shard's own updates
+// after seq sent — or after the peer's delivered count, when that is
+// further — cut by cutBatch for a frame whose sections already hold used
+// bytes, plus how many of them are retransmissions (already written on an
+// earlier connection, which died before the peer reported them), and
 // whether the batch was cut short of the shard's backlog — by cutBatch, or
-// by the BatchMax the log is read at: the backlog did not fit one frame. The
-// batch is the sender's scratch (its payloads alias the shard's records) and
-// is good until the next call; it may also end early at a segment boundary
-// of the log, and the next call picks up from there.
-func (p *peerSender) nextBatch(shard int, sent uint64, limit, sizeCap int) (us []protoUpdate, retransmits int64, cut bool) {
+// by the BatchMax the log is read at: the backlog did not fit the frame.
+// The batch is the sender's scratch (its payloads alias the shard's
+// records) and is good until the next call; it may also end early at a
+// segment boundary of the log, and the next call picks up from there.
+func (p *peerSender) nextBatch(shard int, sent uint64, limit, used, sizeCap int) (us []protoUpdate, retransmits int64, cut bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := &p.cursors[shard]
 	sent = max(sent, c.lastAcked)
 	var more bool
 	p.batch, more = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch)
-	us = p.batch[:cutBatch(p.batch, limit, sizeCap)]
+	us = p.batch[:cutBatch(p.batch, limit, used, sizeCap)]
 	if len(us) == 0 {
 		return nil, 0, false
 	}
@@ -327,8 +330,10 @@ func (p *peerSender) dialAndServe() bool {
 // hello ack, then stream each update beyond the peer's delivered count once,
 // in seq order per shard, and after the batches a hello when drained posted
 // the question. Each drain pass is started by a kick and paced: it waits out
-// paceWait since the link's last batch frame. A fresh connection starts each
-// shard at its lastAcked, so nothing sent only on a dead connection is lost;
+// paceWait since the link's last batch frame, and writes one frame holding
+// every shard's updates — more only when they do not fit one. A fresh
+// connection starts each shard at its lastAcked, and its runs from the zero
+// state, so nothing sent only on a dead connection is lost;
 // the live one never resends, because TCP delivers what it accepted in order
 // or the connection dies. Nothing is sent until the ack confirms the peer
 // speaks our protocol version and shard count; a mismatch latches the link
@@ -365,7 +370,8 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		enc.Reset()
 		enc.BeginFrame()
 		appendHello(enc, cfg.ID, cfg.Shards)
-		return p.node.writeEnc(conn, enc, cfg.MaxFrame, nil)
+		_, err := p.node.writeEnc(conn, enc, cfg.MaxFrame, nil)
+		return err
 	}
 	if hello() != nil {
 		return false
@@ -430,9 +436,12 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		return false
 	}
 
-	// sent[shard] is the last seq written on this connection. nextBatch never
-	// starts below the shard's lastAcked, so zero means "from there".
-	sent := make([]uint64, len(p.cursors))
+	// runs[shard] is what this connection has carried of the shard — the
+	// seq and stamp of the last update written on it — and each section is
+	// encoded against it, as the peer decodes against its own copy. nextBatch
+	// never starts below the shard's lastAcked, so seq zero means "from
+	// there".
+	runs := make([]runState, len(p.cursors))
 	// lastFrame is when the last batch frame left (zero: none yet on this
 	// connection); pace is made by the first pass that must wait, and is
 	// reset only once received from, so its channel never holds a stale tick.
@@ -444,48 +453,73 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		}
 	}()
 	for {
-		for si := range sent {
-			for {
-				us, re, cut := p.nextBatch(si, sent[si], BatchMax, cfg.MaxFrame-64)
+		// A pass writes one frame with a section per shard that has updates
+		// to send, and another only while some shard's backlog did not fit.
+		for {
+			enc.Reset()
+			enc.BeginFrame()
+			enc.Uvarint(tBatch)
+			body := enc.Len()
+			var (
+				updates, payload int
+				firstShard       int // of the frame's first update
+				firstSeq         uint64
+				cut              bool
+			)
+			for si := range runs {
+				us, re, c := p.nextBatch(si, runs[si].seq, BatchMax, enc.Len()-body, cfg.MaxFrame-64)
 				if len(us) == 0 {
-					break
+					continue
+				}
+				if updates == 0 {
+					firstShard, firstSeq = si, us[0].Seq
 				}
 				p.node.retransmits.Add(re)
-				enc.Reset()
-				enc.BeginFrame()
-				appendBatch(enc, tBatch, si, us[0].Origin, us)
-				// Only a backlog that did not fit one frame — a catch-up after
-				// a reconnect, a peer that fell behind — is offered to the
-				// compressor. A live frame, which empties the shard's backlog,
-				// leaves raw: the latency-sensitive path never touches the
-				// compressor.
-				bulk := z
-				if !cut {
-					bulk = nil
+				// The batch aliases nextBatch's scratch: it is encoded before
+				// the next shard's is read.
+				enc.Uvarint(uint64(si))
+				appendRun(enc, &runs[si], us)
+				updates += len(us)
+				for _, u := range us {
+					payload += len(u.Payload)
 				}
-				if err := p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk); err != nil {
-					var fse *wire.FrameSizeError
-					if errors.As(err, &fse) && len(us) == 1 {
-						// nextBatch always takes the first update alone when
-						// it cannot share a frame, so an EndFrame oversize on
-						// a singleton means this exact update can never
-						// travel: retrying or reconnecting would hot-loop
-						// forever on the same frame. Latch and fail-stop the
-						// link.
-						p.fail(fmt.Errorf("cluster: r%d→r%d shard %d update seq %d undeliverable: %w",
-							cfg.ID, p.peer, si, us[0].Seq, err))
-					}
-					// Close before waiting: a shaped write can fail (link
-					// cut) while the TCP stream is healthy, and the answer
-					// reader only exits once the connection is gone.
-					conn.Close()
-					<-connDead
-					return true
-				}
-				sent[si] = us[len(us)-1].Seq
-				p.node.batchFrames.Add(1)
-				lastFrame = time.Now()
+				cut = cut || c
 			}
+			if updates == 0 {
+				break
+			}
+			// Only a frame that leaves some shard's backlog behind — a
+			// catch-up after a reconnect, a peer that fell behind — is offered
+			// to the compressor. A live frame, which empties every backlog,
+			// leaves raw: the latency-sensitive path never touches the
+			// compressor.
+			bulk := z
+			if !cut {
+				bulk = nil
+			}
+			wrote, err := p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk)
+			if err != nil {
+				var fse *wire.FrameSizeError
+				if errors.As(err, &fse) && updates == 1 {
+					// cutBatch sends an update that cannot share a frame alone,
+					// so an EndFrame oversize on a singleton means this exact
+					// update can never travel: retrying or reconnecting would
+					// hot-loop forever on the same frame. Latch and fail-stop
+					// the link.
+					p.fail(fmt.Errorf("cluster: r%d→r%d shard %d update seq %d undeliverable: %w",
+						cfg.ID, p.peer, firstShard, firstSeq, err))
+				}
+				// Close before waiting: a shaped write can fail (link
+				// cut) while the TCP stream is healthy, and the answer
+				// reader only exits once the connection is gone.
+				conn.Close()
+				<-connDead
+				return true
+			}
+			p.node.batchFrames.Add(1)
+			p.node.batchBytes.Add(int64(wrote))
+			p.node.batchPayloadBytes.Add(int64(payload))
+			lastFrame = time.Now()
 		}
 		// The question travels behind every batch written so far, and the
 		// peer reads in order, so its answer counts them all.

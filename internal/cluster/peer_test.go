@@ -29,7 +29,8 @@ import (
 // loop: an update over the frame limit fails EndFrame identically on every
 // future connection, so the old treat-it-as-connection-death path redialed
 // forever. The sender must latch the terminal error, stop reconnecting, and
-// surface the condition in Stats.
+// surface the condition in Stats, also when the pass that meets the update
+// has another shard's updates to send.
 func TestOversizedUpdateFailStopsLink(t *testing.T) {
 	nodes := startClusterWith(t, "lww", 2, func(cfg *Config) { cfg.MaxFrame = 2048 })
 
@@ -62,6 +63,52 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 	time.Sleep(300 * time.Millisecond) // several dialBackoffMax periods
 	if got := nodes[0].Stats().Reconnects; got != base {
 		t.Fatalf("failed link kept reconnecting: %d -> %d", base, got)
+	}
+
+	// Another shard with updates pending in the same pass, on either side of
+	// the oversized update's shard: the frame carries the other shard's
+	// updates and the one ahead of the oversized update, which waits for a
+	// frame of its own, fails it alone, and latches.
+	for big := 0; big < 2; big++ {
+		t.Run(fmt.Sprintf("oversized in shard %d", big), func(t *testing.T) {
+			sharded := func(cfg *Config) { cfg.MaxFrame, cfg.Shards = 2048, 2 }
+			r0, r1 := bootNode(t, 0, 2, sharded), bootNode(t, 1, 2, sharded)
+			keys := keysOfEachShard(r0.router)
+			for i, v := range []string{"small", strings.Repeat("v", 4096), "small"} {
+				for si, k := range keys {
+					if si == big || i != 1 {
+						if _, err := r0.Do(k, model.Write(model.Value(v))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for r0.Stats().FailedLinks == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("oversized update never fail-stopped the link")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if err := r0.allPeers()[0].failure(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard %d update seq 2 undeliverable", big)) {
+				t.Fatalf("latched error %v, want shard %d's update seq 2 undeliverable", err, big)
+			}
+			want := []uint64{2, 2}
+			want[big] = 1
+			held := func() []uint64 { return []uint64{r1.shards[0].logLen(0), r1.shards[1].logLen(0)} }
+			for !slices.Equal(held(), want) {
+				if time.Now().After(deadline) {
+					t.Fatalf("r1 holds %v of r0's updates per shard, want %v: all but the oversized one and what follows it", held(), want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if st := r0.Stats(); st.BatchFrames != 1 {
+				t.Fatalf("r0 wrote %d batch frames, want the one that carried both shards", st.BatchFrames)
+			}
+		})
 	}
 }
 
@@ -99,6 +146,7 @@ func silentPeer(t *testing.T) (net.Listener, <-chan uint64) {
 			go func(c net.Conn) {
 				defer c.Close()
 				fr := wire.NewFrameReader(c)
+				runs := make([]runState, 1)
 				for {
 					b, err := fr.ReadFrame(wire.DefaultMaxFrame)
 					if err != nil {
@@ -113,12 +161,14 @@ func silentPeer(t *testing.T) (net.Listener, <-chan uint64) {
 							return
 						}
 					case tBatch:
-						_, us, err := decodeBatch(r, nil)
+						secs, err := readBatch(r, runs, 0, nil)
 						if err != nil {
 							return
 						}
-						for _, u := range us {
-							arrivals <- u.Seq
+						for _, sec := range secs {
+							for _, u := range sec.us {
+								arrivals <- u.Seq
+							}
 						}
 					}
 				}
@@ -630,7 +680,7 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 				ref.offer(u)
 			case r < 85: // the sender drains one frame
 				limit, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
-				got, re, cut := p.nextBatch(0, sent, limit, sizeCap)
+				got, re, cut := p.nextBatch(0, sent, limit, 0, sizeCap)
 				refLimit := limit
 				if room := seglog.SegmentLen - int(max(sent, ref.lastAcked)%seglog.SegmentLen); room < limit {
 					refLimit = room
@@ -739,7 +789,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 			defer readers.Done()
 			p := newPeerSender(s.n, peerOrigin, "unused")
 			for sent := uint64(0); sent < n; {
-				us, _, _ := p.nextBatch(0, sent, BatchMax, 1<<20)
+				us, _, _ := p.nextBatch(0, sent, BatchMax, 0, 1<<20)
 				if !verify(who, self, sent, us) {
 					return
 				}
@@ -779,7 +829,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 				t.Errorf("range chunk after %d updates: type %d, err %v", got, typ, err)
 				return
 			}
-			_, us, err := decodeBatch(r, nil)
+			_, us, err := decodeRange(r, nil)
 			if err != nil || !verify("the range server", peerOrigin, got, us) {
 				t.Errorf("range chunk after %d updates: %d updates, err %v", got, len(us), err)
 				return
@@ -810,24 +860,28 @@ func TestCutBatch(t *testing.T) {
 		return us
 	}
 	for _, tc := range []struct {
-		name           string
-		run            []protoUpdate
-		limit, sizeCap int
-		want           int
+		name                 string
+		run                  []protoUpdate
+		limit, used, sizeCap int
+		want                 int
 	}{
-		{"empty run", nil, 64, 1000, 0},
-		{"whole run fits", run(10, 10, 10), 64, 1000, 3},
-		{"limit cuts", run(10, 10, 10, 10), 2, 1000, 2},
-		{"limit of one", run(10, 10), 1, 1000, 1},
-		{"size cap cuts before the update that overflows", run(68, 68, 68), 64, 250, 2},
-		{"size cap reached exactly", run(68, 68), 64, 200, 2},
-		{"each update is budgeted 32 bytes over its payload", run(0, 0, 0, 0), 64, 100, 3},
-		{"oversized first update travels alone", run(5000, 10), 64, 1000, 1},
-		{"oversized later update waits for its own frame", run(10, 5000, 10), 64, 1000, 1},
-		{"a lone oversized update is still taken", run(5000), 64, 1000, 1},
+		{"empty run", nil, 64, 0, 1000, 0},
+		{"whole run fits", run(10, 10, 10), 64, 0, 1000, 3},
+		{"limit cuts", run(10, 10, 10, 10), 2, 0, 1000, 2},
+		{"limit of one", run(10, 10), 1, 0, 1000, 1},
+		{"size cap cuts before the update that overflows", run(68, 68, 68), 64, 0, 250, 2},
+		{"size cap reached exactly", run(68, 68), 64, 0, 200, 2},
+		{"each update is budgeted 32 bytes over its payload", run(0, 0, 0, 0), 64, 0, 100, 3},
+		{"oversized first update travels alone", run(5000, 10), 64, 0, 1000, 1},
+		{"oversized later update waits for its own frame", run(10, 5000, 10), 64, 0, 1000, 1},
+		{"a lone oversized update is still taken", run(5000), 64, 0, 1000, 1},
+		{"a later section shares what the frame has left", run(68, 68, 68), 64, 50, 250, 2},
+		{"a later section fills the frame exactly", run(68, 68), 64, 100, 300, 2},
+		{"a later section's update that does not fit waits", run(68), 64, 200, 250, 0},
+		{"an oversized update waits for an empty frame", run(5000), 64, 1, 1000, 0},
 	} {
-		if got := cutBatch(tc.run, tc.limit, tc.sizeCap); got != tc.want {
-			t.Errorf("%s: cutBatch(%d updates, limit %d, cap %d) = %d, want %d", tc.name, len(tc.run), tc.limit, tc.sizeCap, got, tc.want)
+		if got := cutBatch(tc.run, tc.limit, tc.used, tc.sizeCap); got != tc.want {
+			t.Errorf("%s: cutBatch(%d updates, limit %d, used %d, cap %d) = %d, want %d", tc.name, len(tc.run), tc.limit, tc.used, tc.sizeCap, got, tc.want)
 		}
 	}
 }
@@ -917,29 +971,34 @@ func rawDial(t *testing.T, nd *Node) (send func(build func(*wire.Writer)), recv 
 func TestProtocolVersionMismatchRefused(t *testing.T) {
 	nd := bootNode(t, 1, 3, nil)
 
-	// Acceptor side, hello: a hand-written version-5 frame.
-	send, recv := rawDial(t, nd)
-	send(func(w *wire.Writer) {
-		w.Uvarint(tHello)
-		w.Uvarint(0) // from
-		w.Uvarint(5) // version
-		w.Uvarint(1) // v5: codec, compression, shards
-		w.Uvarint(1)
-		w.Uvarint(1)
-	})
-	typ, r := recv()
-	if typ != tHelloAck {
-		t.Fatalf("v5 hello answered with frame type %d, want the node's hello ack", typ)
-	}
-	if a, err := decodeHelloAck(r); err != nil || a.Version != protoVersion {
-		t.Fatalf("hello ack = (%+v, %v), want version %d", a, err, protoVersion)
-	}
-	if typ, _ := recv(); typ != 0 {
-		t.Fatalf("refused hello's connection stayed open: got frame type %d", typ)
+	// Acceptor side, hello: a hand-written version-5 frame, and the hello of
+	// the version before this one.
+	for _, hello := range [][]uint64{
+		{5, 1, 1, 1}, // v5: codec, compression, shards
+		{protoVersion - 1, 1},
+	} {
+		send, recv := rawDial(t, nd)
+		send(func(w *wire.Writer) {
+			w.Uvarint(tHello)
+			w.Uvarint(0) // from
+			for _, v := range hello {
+				w.Uvarint(v)
+			}
+		})
+		typ, r := recv()
+		if typ != tHelloAck {
+			t.Fatalf("v%d hello answered with frame type %d, want the node's hello ack", hello[0], typ)
+		}
+		if a, err := decodeHelloAck(r); err != nil || a.Version != protoVersion {
+			t.Fatalf("hello ack = (%+v, %v), want version %d", a, err, protoVersion)
+		}
+		if typ, _ := recv(); typ != 0 {
+			t.Fatalf("refused v%d hello's connection stayed open: got frame type %d", hello[0], typ)
+		}
 	}
 
 	// Acceptor side, join: likewise, and the joiner is not admitted.
-	send, recv = rawDial(t, nd)
+	send, recv := rawDial(t, nd)
 	send(func(w *wire.Writer) {
 		w.Uvarint(tJoin)
 		w.Uvarint(0) // from
@@ -949,7 +1008,7 @@ func TestProtocolVersionMismatchRefused(t *testing.T) {
 		w.Uvarint(1) // v5: codec, compression
 		w.Uvarint(1)
 	})
-	typ, r = recv()
+	typ, r := recv()
 	if typ != tJoinAck {
 		t.Fatalf("v5 join answered with frame type %d, want the node's join ack", typ)
 	}
@@ -1024,10 +1083,10 @@ func TestProtocolVersionMismatchRefused(t *testing.T) {
 }
 
 // TestReplicationRejectsForeignOrigin: a link carries its dialer's own
-// broadcasts and nothing else. A connection whose hello said r1 may not
-// ship a batch of r2's — applied, it would land in r2's seq domain without
-// r2 ever having sent it — and nobody may say hello as the acceptor itself
-// or as a replica outside the population.
+// broadcasts and nothing else. Nobody may say hello as the acceptor itself
+// or as a replica outside the population. A run names no origin, so what a
+// connection whose hello said r1 ships lands in r1's seq domain and nowhere
+// else, and a section for a shard the node does not have hangs up.
 func TestReplicationRejectsForeignOrigin(t *testing.T) {
 	nd := bootNode(t, 0, 3, nil)
 	for _, from := range []model.ReplicaID{0, 3} {
@@ -1048,8 +1107,9 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 		src.Do("k", model.Write("v"))
 		return append([]byte(nil), src.PendingMessage()...)
 	}
+	runs := make([]runState, 2)
 	send(func(w *wire.Writer) {
-		appendBatch(w, tBatch, 0, 1, []protoUpdate{{Origin: 1, Seq: 1, Lamport: 1, Payload: payload(1)}})
+		appendBatchFrame(w, runs, section{0, []protoUpdate{{Seq: 1, Lamport: 1, Payload: payload(1)}}})
 	})
 	send(func(w *wire.Writer) { appendHello(w, 1, 1) })
 	if typ, r := recv(); typ != tHelloAck {
@@ -1058,13 +1118,18 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 		t.Fatalf("the question after the dialer's own batch answered %+v (err %v), want delivered [1]", a, err)
 	}
 	send(func(w *wire.Writer) {
-		appendBatch(w, tBatch, 0, 2, []protoUpdate{{Origin: 2, Seq: 1, Lamport: 2, Payload: payload(2)}})
+		appendBatchFrame(w, runs, section{1, []protoUpdate{{Seq: 1, Lamport: 2, Payload: payload(1)}}})
 	})
 	if typ, _ := recv(); typ != 0 {
-		t.Fatalf("a batch of r2's on r1's link answered with frame type %d, want a hang-up", typ)
+		t.Fatalf("a section for shard 1 of a one-shard node answered with frame type %d, want a hang-up", typ)
 	}
 	if st := nd.Stats(); st.Receives != 1 {
 		t.Fatalf("node recorded %d receives, want only the dialer's own update", st.Receives)
+	}
+	for _, ev := range nd.History().Events {
+		if ev.Kind == model.ActReceive && (ev.Origin != 1 || ev.Seq != 1) {
+			t.Fatalf("the update r1's link carried was received as r%d's seq %d", ev.Origin, ev.Seq)
+		}
 	}
 }
 
@@ -1090,7 +1155,8 @@ func ackingPeer(t *testing.T) net.Listener {
 				defer conn.Close()
 				var (
 					r         wire.Reader
-					us        []protoUpdate
+					secs      []section
+					runs      = make([]runState, 1)
 					delivered = []uint64{0}
 				)
 				fr, w := wire.NewFrameReader(conn), wire.NewWriter()
@@ -1103,10 +1169,10 @@ func ackingPeer(t *testing.T) net.Listener {
 					switch r.Uvarint() {
 					case tHello:
 					case tBatch:
-						if _, us, err = decodeBatch(&r, us); err != nil || len(us) == 0 {
+						if secs, err = readBatch(&r, runs, 0, secs); err != nil {
 							return
 						}
-						delivered[0] = us[len(us)-1].Seq
+						delivered[0] = runs[0].seq
 						continue
 					default:
 						return

@@ -16,8 +16,9 @@ import (
 //
 // Replication connections are directional: the broadcasting node dials its
 // peer and opens with tHello; the acceptor answers tHelloAck, its delivered
-// count per shard; the dialer then streams tBatch frames, each naming the
-// shard whose seq domain it belongs to, in seq order per shard, and the
+// count per shard; the dialer then streams tBatch frames, each holding a
+// section per shard it has updates of — the shard's index and a run in seq
+// order, encoded against what the connection carried before — and the
 // acceptor applies them and writes nothing back. When the dialer's
 // quiescence check asks what the acceptor delivered, the dialer repeats its
 // tHello behind the batches and the acceptor answers it with a fresh
@@ -35,7 +36,7 @@ const (
 	tStats       = 6  // {}
 	tHistory     = 8  // {shard}
 	tHelloAck    = 10 // {version, shards, delivered × shards}
-	tBatch       = 11 // {shard, origin, count, (seq, lamport, payload)...}
+	tBatch       = 11 // {(shard, run)...}: see appendRun
 	tStatsResp   = 12 // {stats}
 	tHistoryResp = 13 // {history}
 )
@@ -43,18 +44,20 @@ const (
 // protoVersion is the one protocol version this build speaks. A hello or
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
-// format change bumps it: 12 acknowledges no batch (a sender learns what
-// its peer delivered from the answer to a repeated hello) and carries the
-// store's options in a stats reply; 11 catches a joiner up with one digest
-// and one unasked stream per shard, where 10 had it request each range and
-// ack each chunk; 10 sends a request id mod 128 and a reply's presence fields
-// as one flag byte (and the causal store's updates without the fields
-// their type implies); 9 put a uvarint length in front of every frame,
-// where 8 had four big-endian bytes.
-const protoVersion = 12
+// format change bumps it: 13 carries every shard's updates of a pace in one
+// batch frame, as runs with implied seqs, delta stamps and no origin
+// (appendRun), and range chunks as such runs too; 12 acknowledges no batch
+// (a sender learns what its peer delivered from the answer to a repeated
+// hello) and carries the store's options in a stats reply; 11 catches a
+// joiner up with one digest and one unasked stream per shard, where 10 had
+// it request each range and ack each chunk; 10 sends a request id mod 128
+// and a reply's presence fields as one flag byte (and the causal store's
+// updates without the fields their type implies); 9 put a uvarint length
+// in front of every frame, where 8 had four big-endian bytes.
+const protoVersion = 13
 
-// BatchMax caps how many updates coalesce into one tBatch frame or one
-// anti-entropy chunk. The deterministic wire and sync tables
+// BatchMax caps how many updates of one shard coalesce into one tBatch
+// section or one anti-entropy chunk. The deterministic wire and sync tables
 // (cmd/loadgen -wirebench, -syncbench) are cut at it too.
 const BatchMax = 64
 
@@ -63,7 +66,7 @@ const BatchMax = 64
 const historyMaxFrame = 64 << 20
 
 // protoUpdate is the decoded view of one broadcast update: of an entry of a
-// tBatch or tRangeResp frame (decodeBatch; Payload aliases the frame), or
+// tBatch or tRangeResp run (decodeRun; Payload aliases the frame), or
 // of the send or receive record a shard holds it in (eventLog.update; Payload
 // aliases the record). Nothing stores one: a node keeps the record, and an
 // 8-byte position of it per update. Lamport, read from a record, is the
@@ -144,48 +147,99 @@ func decodeHelloAck(r *wire.Reader) (helloAck, error) {
 	return a, r.End()
 }
 
-// appendBatch encodes a run of one origin's updates in one shard: a tBatch
-// (a replication link only ever carries its dialer's own broadcasts) or,
-// behind typ tRangeResp, an anti-entropy chunk — one body, so sync traffic
-// differs from live replication in its type tag alone.
-func appendBatch(w *wire.Writer, typ uint64, shard int, origin model.ReplicaID, us []protoUpdate) {
-	w.Uvarint(typ)
-	w.Uvarint(uint64(shard))
-	w.Uvarint(uint64(origin))
+// runState is what one connection has carried of one shard's seq domain:
+// the seq and the Lamport stamp of the last update in it, zero before the
+// first. Both ends of a replication connection keep one per shard, from
+// zero on each new connection (serve, serveReplication), so a run costs
+// only what the one before it does not imply; a range chunk starts from
+// the zero state.
+type runState struct {
+	seq, lamport uint64
+}
+
+// appendRun encodes a run of one origin's updates with contiguous seqs —
+// what a shard's log hands a link or a donor — as it follows st, and
+// advances st past it:
+//
+//	run = count, seqGap, (stampDelta, payload)...
+//
+// seqGap is the first seq less st.seq+1, and each stampDelta the update's
+// stamp less the one before it (st.lamport for the first), both modulo
+// 2⁶⁴: a run never carries a per-update seq, an origin or an absolute
+// stamp, and anything decodes back exactly.
+func appendRun(w *wire.Writer, st *runState, us []protoUpdate) {
 	w.Uvarint(uint64(len(us)))
+	w.Uvarint(us[0].Seq - st.seq - 1)
 	for _, u := range us {
-		w.Uvarint(u.Seq)
-		w.Uvarint(u.Lamport)
+		w.Uvarint(u.Lamport - st.lamport)
+		st.lamport = u.Lamport
 		w.Uvarint(uint64(len(u.Payload)))
 		w.Raw(u.Payload)
 	}
+	st.seq = us[len(us)-1].Seq
 }
 
-// decodeBatch decodes a tBatch or tRangeResp body into us[:0] — the receiving
-// handler's own scratch, reused frame after frame — and returns it. Payloads
-// are subslices of the frame buffer (zero-copy): the shard's turn copies
-// each before anything keeps it.
-func decodeBatch(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdate, err error) {
-	shard = r.Uvarint()
-	origin := model.ReplicaID(r.Uvarint())
+// decodeRun decodes a run of origin's updates that follows st into us[:0] —
+// the receiving handler's own scratch, reused run after run — returns it,
+// and advances st past it. Payloads are subslices of the frame buffer
+// (zero-copy): the shard's turn copies each before anything keeps it. A
+// run holds at least one update.
+func decodeRun(r *wire.Reader, st *runState, origin model.ReplicaID, us []protoUpdate) ([]protoUpdate, error) {
 	n := r.Uvarint()
+	first := st.seq + r.Uvarint() + 1
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	// Each update costs at least two bytes (its stamp delta, its payload's
+	// length); beyond that the count is corrupt and would allocate
+	// unboundedly.
+	if n == 0 || n > uint64(r.Remaining()/2) {
+		return nil, fmt.Errorf("cluster: implausible run of %d updates", n)
+	}
+	us = slices.Grow(us[:0], int(n))
+	lamport := st.lamport
+	for i := uint64(0); i < n; i++ {
+		lamport += r.Uvarint()
+		us = append(us, protoUpdate{Origin: origin, Seq: first + i, Lamport: lamport, Payload: r.Bytes()})
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	st.seq, st.lamport = first+n-1, lamport
+	return us, nil
+}
+
+// decodeSection decodes the next section of a tBatch body — a shard and its
+// run — through runs, the connection's state of each shard, into us[:0]. A
+// shard past runs, which the receiver does not have, is an error.
+func decodeSection(r *wire.Reader, runs []runState, origin model.ReplicaID, us []protoUpdate) (shard int, _ []protoUpdate, err error) {
+	s := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	// Each update costs at least three bytes (seq, lamport, length), but the
-	// guard that matters is one value per remaining byte: beyond that the
-	// count is corrupt and would allocate unboundedly.
-	if n > uint64(r.Remaining()) {
-		return 0, nil, fmt.Errorf("cluster: implausible update count %d", n)
+	if s >= uint64(len(runs)) {
+		return 0, nil, fmt.Errorf("cluster: batch section for shard %d of %d", s, len(runs))
 	}
-	us = slices.Grow(us[:0], int(n))
-	for i := uint64(0); i < n; i++ {
-		us = append(us, protoUpdate{
-			Origin:  origin,
-			Seq:     r.Uvarint(),
-			Lamport: r.Uvarint(),
-			Payload: r.Bytes(),
-		})
+	us, err = decodeRun(r, &runs[s], origin, us)
+	return int(s), us, err
+}
+
+// appendRange encodes an anti-entropy chunk of origin's updates in one
+// shard: a tRangeResp whose run starts from the zero state.
+func appendRange(w *wire.Writer, shard int, origin model.ReplicaID, us []protoUpdate) {
+	w.Uvarint(tRangeResp)
+	w.Uvarint(uint64(shard))
+	w.Uvarint(uint64(origin))
+	appendRun(w, &runState{}, us)
+}
+
+// decodeRange decodes a tRangeResp body whose type tag has already been
+// read into us[:0], as decodeRun does.
+func decodeRange(r *wire.Reader, us []protoUpdate) (shard uint64, _ []protoUpdate, err error) {
+	shard = r.Uvarint()
+	origin := model.ReplicaID(r.Uvarint())
+	if us, err = decodeRun(r, &runState{}, origin, us); err != nil {
+		return 0, nil, err
 	}
 	if err := r.End(); err != nil {
 		return 0, nil, err

@@ -18,7 +18,7 @@ import (
 //	per shard:
 //	joiner → tDigest    {shard, per-origin count+root}
 //	donor  → tDigestResp{shard, per-origin count+root+prefixRoot(joiner count)}
-//	donor  → tRangeResp {shard, origin, (seq, lamport, payload)...}  (chunked:
+//	donor  → tRangeResp {shard, origin, run}  (chunked, each run from zero:
 //	                    every range the digests show the joiner lacks)
 //
 // Gossip frames (tGossip/tGossipAck) are a single request/response exchange
@@ -32,7 +32,7 @@ const (
 	tDigestResp = 19 // {shard, count, (origin, count, root, prefixRoot)...}
 	// 20 and 21 carried the Merkle tree walk of versions before 8, and 22
 	// the range request of versions before 11; retired.
-	tRangeResp = 23 // {shard, origin, count, (seq, lamport, payload)...}
+	tRangeResp = 23 // {shard, origin, run}: see appendRun
 	// 24 is tCompressed, the compression envelope — see compress.go.
 )
 

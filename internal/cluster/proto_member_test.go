@@ -129,12 +129,12 @@ func TestRangeRoundTrip(t *testing.T) {
 		{Origin: 1, Seq: 42, Lamport: 91, Payload: nil},
 	}
 	w := wire.NewWriter()
-	appendBatch(w, tRangeResp, 5, 1, us)
+	appendRange(w, 5, 1, us)
 	r := wire.NewReader(w.Bytes())
 	if typ := r.Uvarint(); typ != tRangeResp {
 		t.Fatalf("type = %d, want tRangeResp", typ)
 	}
-	shard, got, err := decodeBatch(r, nil)
+	shard, got, err := decodeRange(r, nil)
 	if err != nil || shard != 5 || len(got) != len(us) {
 		t.Fatalf("range resp: shard %d, %d updates, err %v", shard, len(got), err)
 	}
@@ -151,7 +151,8 @@ func TestRangeRespImplausibleCountRejected(t *testing.T) {
 	w.Uvarint(0)       // shard
 	w.Uvarint(1)       // origin
 	w.Uvarint(1 << 40) // absurd count
-	if _, us, err := decodeBatch(wire.NewReader(w.Bytes()), nil); err == nil {
+	w.Uvarint(0)       // seq gap
+	if _, us, err := decodeRange(wire.NewReader(w.Bytes()), nil); err == nil {
 		t.Fatalf("decoded %d updates from implausible count", len(us))
 	}
 }

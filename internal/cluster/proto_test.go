@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -95,28 +96,85 @@ func sameUpdates(t *testing.T, got, want []protoUpdate) {
 	}
 }
 
+// section is one shard's run in a tBatch frame.
+type section struct {
+	shard int
+	us    []protoUpdate
+}
+
+// appendBatchFrame encodes a tBatch holding the given sections, in order,
+// each against runs — the sending connection's state of each shard — which
+// it advances, as a link's drain pass does.
+func appendBatchFrame(w *wire.Writer, runs []runState, secs ...section) {
+	w.Uvarint(tBatch)
+	for _, sec := range secs {
+		w.Uvarint(uint64(sec.shard))
+		appendRun(w, &runs[sec.shard], sec.us)
+	}
+}
+
+// readBatch decodes the body of a tBatch frame of origin's link, whose type
+// tag r has read, the way serveReplication does: section by section through
+// runs, the receiving connection's state of each shard, which it advances.
+// It returns the sections in secs[:0], reusing each one's update slice, so a
+// peer that reads frame after frame with one secs allocates nothing.
+func readBatch(r *wire.Reader, runs []runState, origin model.ReplicaID, secs []section) ([]section, error) {
+	secs = secs[:0]
+	for more := true; more; more = r.Remaining() > 0 {
+		if len(secs) < cap(secs) {
+			secs = secs[:len(secs)+1]
+		} else {
+			secs = append(secs, section{})
+		}
+		sec := &secs[len(secs)-1]
+		var err error
+		if sec.shard, sec.us, err = decodeSection(r, runs, origin, sec.us); err != nil {
+			return nil, err
+		}
+	}
+	return secs, nil
+}
+
 // TestShardBatchRoundTrip pins the shard-multiplexed replication frame: a
-// tBatch carries the shard index ahead of the update body.
+// tBatch holds a section per shard, each its index ahead of its run, and a
+// run decodes against what the connection carried of that shard before —
+// the first one on a connection from zero, so it reads absolute.
 func TestShardBatchRoundTrip(t *testing.T) {
-	us := []protoUpdate{
+	a := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
 		{Origin: 2, Seq: 2, Lamport: 11, Payload: nil},
 	}
-	w := wire.NewWriter()
-	appendBatch(w, tBatch, 3, 2, us)
-	r := wire.NewReader(w.Bytes())
-	if typ := r.Uvarint(); typ != tBatch {
-		t.Fatalf("type = %d, want tBatch", typ)
+	b := []protoUpdate{{Origin: 2, Seq: 7, Lamport: 4, Payload: []byte("beta")}}
+	c := []protoUpdate{{Origin: 2, Seq: 3, Lamport: 40, Payload: []byte{0, 1, 2, 255}}}
+	send, recv := make([]runState, 4), make([]runState, 4)
+	for _, frame := range [][]section{{{3, a}, {0, b}}, {{3, c}}} {
+		w := wire.NewWriter()
+		appendBatchFrame(w, send, frame...)
+		r := wire.NewReader(w.Bytes())
+		if typ := r.Uvarint(); typ != tBatch {
+			t.Fatalf("type = %d, want tBatch", typ)
+		}
+		got, err := readBatch(r, recv, 2, nil)
+		if err != nil || len(got) != len(frame) {
+			t.Fatalf("decoded %d sections, err %v; want %d", len(got), err, len(frame))
+		}
+		for i := range frame {
+			if got[i].shard != frame[i].shard {
+				t.Fatalf("section %d is shard %d, want %d", i, got[i].shard, frame[i].shard)
+			}
+			sameUpdates(t, got[i].us, frame[i].us)
+		}
 	}
-	shard, got, err := decodeBatch(r, nil)
-	if err != nil || shard != 3 {
-		t.Fatalf("shard %d, err %v; want shard 3", shard, err)
+	if !slices.Equal(send, recv) || recv[3] != (runState{seq: 3, lamport: 40}) {
+		t.Fatalf("run state: sender %v, receiver %v; want both at shard 3 seq 3 stamp 40", send, recv)
 	}
-	sameUpdates(t, got, us)
 }
 
-// TestBatchRoundTrip pins the one body tBatch and tRangeResp share: the two
-// frames differ in their type tag only, and decodeBatch reads either.
+// TestBatchRoundTrip pins the one run codec tBatch and tRangeResp share: a
+// range chunk is a run from the zero state behind its shard and origin, so
+// its run bytes are a first tBatch section's, and it implies each seq and
+// stamp as that section does: the run costs its count, a seq gap, and per
+// update a stamp delta and the payload.
 func TestBatchRoundTrip(t *testing.T) {
 	us := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
@@ -124,30 +182,49 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Origin: 2, Seq: 3, Lamport: 12, Payload: []byte{0, 1, 2, 255}},
 	}
 	batch, chunk := wire.NewWriter(), wire.NewWriter()
-	appendBatch(batch, tBatch, 3, 2, us)
-	appendBatch(chunk, tRangeResp, 3, 2, us)
-	if !bytes.Equal(batch.Bytes()[1:], chunk.Bytes()[1:]) {
-		t.Fatalf("tBatch %x and tRangeResp %x do not share one body", batch.Bytes(), chunk.Bytes())
+	appendBatchFrame(batch, make([]runState, 4), section{3, us})
+	appendRange(chunk, 3, 2, us)
+	// tBatch: type, shard, run; tRangeResp: type, shard, origin, run.
+	if run := batch.Bytes()[2:]; !bytes.Equal(run, chunk.Bytes()[3:]) {
+		t.Fatalf("tBatch %x and tRangeResp %x do not share one run", batch.Bytes(), chunk.Bytes())
+	} else if len(run) != 2+3*2+9 {
+		t.Fatalf("a run of 3 updates with 9 payload bytes is %d bytes (%x), want 17: a count, a seq gap, and per update a stamp delta and a length", len(run), run)
 	}
-	for _, w := range []*wire.Writer{batch, chunk} {
-		r := wire.NewReader(w.Bytes())
-		r.Uvarint() // type
-		shard, got, err := decodeBatch(r, nil)
-		if err != nil || shard != 3 {
-			t.Fatalf("shard %d, err %v; want shard 3", shard, err)
-		}
-		sameUpdates(t, got, us)
+	r := wire.NewReader(chunk.Bytes())
+	r.Uvarint() // type
+	shard, got, err := decodeRange(r, nil)
+	if err != nil || shard != 3 {
+		t.Fatalf("shard %d, err %v; want shard 3", shard, err)
 	}
+	sameUpdates(t, got, us)
+	r = wire.NewReader(batch.Bytes())
+	r.Uvarint()
+	secs, err := readBatch(r, make([]runState, 4), 2, nil)
+	if err != nil || len(secs) != 1 || secs[0].shard != 3 {
+		t.Fatalf("batch: %+v, err %v; want one section of shard 3", secs, err)
+	}
+	sameUpdates(t, secs[0].us, us)
 }
 
 func TestBatchImplausibleCountRejected(t *testing.T) {
+	for _, count := range []uint64{0, 1 << 40} {
+		w := wire.NewWriter()
+		w.Uvarint(0)     // shard
+		w.Uvarint(count) // no run holds none, and none this many
+		w.Uvarint(0)     // seq gap
+		w.Raw([]byte{1, 0, 1, 0})
+		r := wire.NewReader(w.Bytes())
+		if secs, err := readBatch(r, make([]runState, 1), 3, nil); err == nil {
+			t.Fatalf("decoded %+v from a run of %d", secs, count)
+		}
+	}
+	// A section for a shard the receiver does not have.
 	w := wire.NewWriter()
-	w.Uvarint(0)       // shard
-	w.Uvarint(3)       // origin
-	w.Uvarint(1 << 40) // absurd count
+	appendBatchFrame(w, make([]runState, 3), section{2, []protoUpdate{{Seq: 1, Lamport: 1}}})
 	r := wire.NewReader(w.Bytes())
-	if _, us, err := decodeBatch(r, nil); err == nil {
-		t.Fatalf("decoded %d updates from implausible count", len(us))
+	r.Uvarint()
+	if secs, err := readBatch(r, make([]runState, 2), 3, nil); err == nil {
+		t.Fatalf("decoded %+v for shard 2 of 2", secs)
 	}
 }
 
@@ -183,8 +260,8 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, err := decodeDigest(r, false); return err }},
 		{"digest-resp", body(func(w *wire.Writer) { appendDigest(w, tDigestResp, 2, ds) }),
 			func(r *wire.Reader) error { _, _, err := decodeDigest(r, true); return err }},
-		{"range-resp", body(func(w *wire.Writer) { appendBatch(w, tRangeResp, 2, 1, us) }),
-			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
+		{"range-resp", body(func(w *wire.Writer) { appendRange(w, 2, 1, us) }),
+			func(r *wire.Reader) error { _, _, err := decodeRange(r, nil); return err }},
 		{"stats-req", []byte{},
 			func(r *wire.Reader) error { return r.End() }},
 		{"history-req", body(func(w *wire.Writer) { appendHistoryReq(w, 3) }),
@@ -193,8 +270,8 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, _, err := decodeRequest(r); return err }},
 		{"response", body(func(w *wire.Writer) { appendResponse(w, 9, model.Response{OK: true, Values: []model.Value{"v"}}) }),
 			func(r *wire.Reader) error { _, _, err := decodeResponse(r); return err }},
-		{"batch", body(func(w *wire.Writer) { appendBatch(w, tBatch, 3, 1, us) }),
-			func(r *wire.Reader) error { _, _, err := decodeBatch(r, nil); return err }},
+		{"batch", body(func(w *wire.Writer) { appendBatchFrame(w, make([]runState, 4), section{3, us}) }),
+			func(r *wire.Reader) error { _, err := readBatch(r, make([]runState, 4), 1, nil); return err }},
 		{"stats", body(func(w *wire.Writer) {
 			w.Uvarint(tStatsResp)
 			appendStats(w, Stats{Node: 1, Store: "lww", Shards: 2, ShardOps: []int64{3, 4}})
@@ -387,7 +464,8 @@ func TestStatsBinaryRoundTrip(t *testing.T) {
 	s := Stats{
 		Node: 1, Store: "lww",
 		Ops: 100, Sends: 40, Receives: 38, Events: 178,
-		BytesOut: 4096, FramesOut: 52, BatchFrames: 31, Retransmits: 2, Reconnects: 1,
+		BytesOut: 4096, FramesOut: 52, BatchFrames: 31, BatchBytes: 2900, BatchPayloadBytes: 2100,
+		Retransmits: 2, Reconnects: 1,
 		DupFrames: 3, GapFrames: 4, Violations: 0, Quiesced: true,
 	}
 	w := wire.NewWriter()
@@ -450,10 +528,13 @@ func TestGoldenWireVectors(t *testing.T) {
 		{"hello", enc(func(w *wire.Writer) { appendHello(w, 2, 8) })},
 		{"hello_ack", enc(func(w *wire.Writer) { appendHelloAck(w, []uint64{17, 0, 9, 2}) })},
 		{"batch", enc(func(w *wire.Writer) {
-			appendBatch(w, tBatch, 3, 1, []protoUpdate{
-				{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
-				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
-			})
+			runs := []runState{{seq: 3, lamport: 290}, {}, {}, {seq: 6, lamport: 280}}
+			appendBatchFrame(w, runs,
+				section{0, []protoUpdate{{Origin: 1, Seq: 4, Lamport: 299, Payload: []byte{0x0f}}}},
+				section{3, []protoUpdate{
+					{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
+					{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
+				}})
 		})},
 		{"request", encodeRequest(77, "k000042", model.Write("0123456789abcdef"))},
 		{"response_write", enc(func(w *wire.Writer) { appendResponse(w, 77, model.OKResponse()) })},
@@ -484,14 +565,14 @@ func TestGoldenWireVectors(t *testing.T) {
 			})
 		})},
 		{"range_resp", enc(func(w *wire.Writer) {
-			appendBatch(w, tRangeResp, 3, 1, []protoUpdate{
+			appendRange(w, 3, 1, []protoUpdate{
 				{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
 				{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
 			})
 		})},
 		{"compressed_envelope", func() []byte {
 			raw := enc(func(w *wire.Writer) {
-				appendBatch(w, tRangeResp, 3, 1, []protoUpdate{
+				appendRange(w, 3, 1, []protoUpdate{
 					{Origin: 1, Seq: 7, Lamport: 300, Payload: bytes.Repeat([]byte("abcdefgh"), 128)},
 				})
 			})
@@ -530,47 +611,93 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch throws arbitrary bytes at the batch decoder: it must
-// never panic or over-allocate, and everything it accepts must re-encode to
-// an equivalent batch (decode∘encode fixed point).
+// FuzzDecodeBatch throws two arbitrary frame bodies at the batch decoder,
+// in sequence over one connection's run state, as serveReplication reads
+// them: it must never panic or over-allocate, and every frame it accepts
+// must re-encode, against the same state, to the same sections
+// (decode∘encode fixed point). Then a round trip of two frames generated
+// from seed — random shards, seqs and stamps, over state the first frame
+// leaves — must decode to what was encoded.
 func FuzzDecodeBatch(f *testing.F) {
-	seed := func(f2 func(w *wire.Writer)) []byte {
+	const shards = 4
+	body := func(runs []runState, secs ...section) []byte {
 		w := wire.NewWriter()
-		f2(w)
-		return w.Bytes()
+		appendBatchFrame(w, runs, secs...)
+		return w.Bytes()[1:] // bodies only: the caller strips the type tag
 	}
-	f.Add(seed(func(w *wire.Writer) {
-		appendBatch(w, tBatch, 0, 0, []protoUpdate{{Origin: 0, Seq: 1, Lamport: 1, Payload: []byte("p")}})
-	})[1:]) // bodies only: the caller strips the type tag
-	f.Add(seed(func(w *wire.Writer) {
-		appendBatch(w, tRangeResp, 3, 2, []protoUpdate{
-			{Origin: 2, Seq: 1, Lamport: 5, Payload: nil},
-			{Origin: 2, Seq: 2, Lamport: 6, Payload: bytes.Repeat([]byte{7}, 100)},
-		})
-	})[1:])
-	f.Add(seed(func(w *wire.Writer) {
-		w.Uvarint(0)
-		w.Uvarint(1)
-		w.Uvarint(1 << 40) // implausible count
-	}))
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		shard, us, err := decodeBatch(wire.NewReader(b), nil)
-		if err != nil || len(us) == 0 {
-			return
+	runs := make([]runState, shards)
+	first := body(runs, section{0, []protoUpdate{{Seq: 1, Lamport: 1, Payload: []byte("p")}}})
+	second := body(runs,
+		section{0, []protoUpdate{{Seq: 2, Lamport: 5, Payload: nil}}},
+		section{3, []protoUpdate{
+			{Seq: 40, Lamport: 6, Payload: nil},
+			{Seq: 41, Lamport: 9, Payload: bytes.Repeat([]byte{7}, 100)},
+		}})
+	f.Add(first, second, uint64(1))
+	f.Add(second, first, uint64(2))
+	f.Add([]byte{0, 1 << 6, 0, 0}, []byte{}, uint64(3)) // an implausible count
+	f.Add([]byte{}, []byte{0x00}, uint64(4))
+	f.Add([]byte{shards, 1, 0, 1, 0}, first, uint64(5)) // a shard out of range
+	f.Fuzz(func(t *testing.T, a, b []byte, seed uint64) {
+		recv, enc := make([]runState, shards), make([]runState, shards)
+		for _, frame := range [][]byte{a, b} {
+			before := slices.Clone(recv)
+			secs, err := readBatch(wire.NewReader(frame), recv, 1, nil)
+			if err != nil {
+				copy(recv, before) // the connection would hang up; keep reading from the state before
+				continue
+			}
+			copy(enc, before)
+			w := wire.NewWriter()
+			appendBatchFrame(w, enc, secs...)
+			r := wire.NewReader(w.Bytes())
+			r.Uvarint()
+			again, err := readBatch(r, before, 1, nil)
+			if err != nil || len(again) != len(secs) {
+				t.Fatalf("re-encoded frame decodes to %d sections (want %d), err %v", len(again), len(secs), err)
+			}
+			for i := range secs {
+				if again[i].shard != secs[i].shard {
+					t.Fatalf("section %d re-decodes as shard %d, want %d", i, again[i].shard, secs[i].shard)
+				}
+				sameUpdates(t, again[i].us, secs[i].us)
+			}
+			if !slices.Equal(before, recv) || !slices.Equal(enc, recv) {
+				t.Fatalf("run state after the re-encoded frame %v (sender %v), want %v", before, enc, recv)
+			}
 		}
-		w := wire.NewWriter()
-		appendBatch(w, tBatch, int(shard), us[0].Origin, us)
-		r := wire.NewReader(w.Bytes())
-		if typ := r.Uvarint(); typ != tBatch {
-			t.Fatalf("re-encode type = %d", typ)
+
+		rng := rand.New(rand.NewSource(int64(seed)))
+		send, got := slices.Clone(recv), slices.Clone(recv)
+		for k := 0; k < 2; k++ {
+			var secs []section
+			for n := 1 + rng.Intn(shards); n > 0; n-- {
+				sec := section{shard: rng.Intn(shards)}
+				seq, lamport := rng.Uint64(), rng.Uint64()
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					sec.us = append(sec.us, protoUpdate{Origin: 1, Seq: seq, Lamport: lamport, Payload: make([]byte, rng.Intn(8))})
+					seq, lamport = seq+1, lamport+uint64(rng.Intn(300))
+				}
+				secs = append(secs, sec)
+			}
+			w := wire.NewWriter()
+			appendBatchFrame(w, send, secs...)
+			r := wire.NewReader(w.Bytes())
+			r.Uvarint()
+			dec, err := readBatch(r, got, 1, nil)
+			if err != nil || len(dec) != len(secs) {
+				t.Fatalf("generated frame %d decodes to %d sections (want %d), err %v", k, len(dec), len(secs), err)
+			}
+			for i := range secs {
+				if dec[i].shard != secs[i].shard {
+					t.Fatalf("generated section %d decodes as shard %d, want %d", i, dec[i].shard, secs[i].shard)
+				}
+				sameUpdates(t, dec[i].us, secs[i].us)
+			}
 		}
-		shard2, again, err := decodeBatch(r, nil)
-		if err != nil || shard2 != shard {
-			t.Fatalf("re-encoded batch decodes to shard %d (want %d), err %v", shard2, shard, err)
+		if !slices.Equal(send, got) {
+			t.Fatalf("run state after the generated frames: sender %v, receiver %v", send, got)
 		}
-		sameUpdates(t, again, us)
 	})
 }
 

@@ -49,8 +49,8 @@ func frameLen(build func(*wire.Writer)) int64 {
 // chunks cut by cutBatch (up to chunkMax updates within maxFrame).
 func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chunks, bytes int64) {
 	for rest := us[from:]; len(rest) > 0; {
-		chunk := rest[:cutBatch(rest, chunkMax, maxFrame-64)]
-		bytes += frameLen(func(w *wire.Writer) { appendBatch(w, tRangeResp, 0, 0, chunk) })
+		chunk := rest[:cutBatch(rest, chunkMax, 0, maxFrame-64)]
+		bytes += frameLen(func(w *wire.Writer) { appendRange(w, 0, 0, chunk) })
 		pulled += int64(len(chunk))
 		chunks++
 		rest = rest[len(chunk):]
