@@ -31,11 +31,13 @@ bench:
 # record's head, which a client's request is copied into once. An inflated
 # frame allocates only compress/flate's own (InflateTo: 1 B in 1 alloc). The
 # last row is the pin of a whole write over TCP, request frame to reply:
-# 0 allocations, and no bytes but the records and what the node keeps.
+# 0 allocations, and no bytes but the records and what the node keeps. A
+# batch frame's trip through a connection's LZ stream, both ends
+# (BenchmarkStream), allocates nothing either.
 allocs:
 	$(GO) test ./internal/cluster -run '^$$' -bench '^Benchmark(DoInLoop|ApplyUpdate|InflateTo)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/store/causal -run '^$$' -bench '^Benchmark(CausalWrite|CausalReceive)$$' -benchtime 200000x -cpu 1 -benchmem
-	$(GO) test ./internal/wire -run '^$$' -bench '^BenchmarkReadFrame$$' -benchtime 200000x -cpu 1 -benchmem
+	$(GO) test ./internal/wire -run '^$$' -bench '^Benchmark(ReadFrame|Stream)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/cluster -run '^TestWriteOverTCPAllocatesOnlyWhatItKeeps$$' -count 1 -v
 
 # The benchmark under benchmark/ is its own module, so `go build ./...` and
@@ -46,8 +48,10 @@ allocs:
 # next to the code are run by nothing else either, so each gets one
 # iteration here: enough to keep them compiling and passing their own checks
 # (BenchmarkReplicatedWrite among them: on a three-node loopback cluster a
-# write reads 2 frames/write and ≈64 wire-B/write (≈70 before protocol
-# version 13 implied each update's seq and stamp), and its durable leg, every
+# write reads 2 frames/write and ≈18 wire-B/write (≈64 before protocol
+# version 14 coded batch frames through the link's LZ stream, which carries
+# each write's repeated value as a back-reference; ≈70 before 13 implied
+# each update's seq and stamp), and its durable leg, every
 # node journaling to an fsynced file, 1.00 wal-writes/write and 1.00
 # commits/write — the origin's; a receiver commits only when asked, or per
 # block of staged receives, +0.004. Each write waits out the link's 200 µs
@@ -105,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReusedFrameBuffer -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReader -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzStreamDecode -fuzztime 10s
 	$(GO) test ./internal/abstract -run '^$$' -fuzz FuzzUnmarshalExecution -fuzztime 10s
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzRecoverTail -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
@@ -142,11 +147,16 @@ durability:
 # connection, that every frame a node writes is one Write (the fault
 # transport shapes per Write), that a busy link sends a shard's log once
 # per pace, in one frame per pass with a section per shard, and that a
-# reconnect starts each shard's run state afresh at both ends.
+# reconnect starts each shard's run state and the link's LZ stream afresh at
+# both ends. Last, a loadgen chaos run whose schedule opens a dup window on
+# a busy link: the emulator once repeated frames a TCP connection never
+# repeats, and the copy decoded as the frames after it (the audit found
+# receives sorted before their sends).
 chaos:
 	$(GO) test ./internal/fault -count=1
 	$(GO) test ./internal/store/storetest -run 'TestRegisteredStoresConform/.*/Chaos' -count=1
 	$(GO) test -race ./internal/cluster ./internal/supervisor ./cmd/loadgen -run 'Chaos|Supervisor|Restart|LiveLinkNeverResends|ReplicatedWriteIsOneFramePerPeer|BusyLinkPacesFrames|DrainedAnswersAfterApply|FailedJournalNeverAnswers|ObeysLinkCut|ClientAnsweredOverCutNetwork|EveryFrameIsOneWrite|BatchFrameCarriesEveryShard|ReconnectStartsRunsAfresh' -count=1
+	$(GO) run ./cmd/loadgen -chaos -seed 2 -ops 200 -clients 3
 
 # The dynamic-membership battery: the hash-chain forest and view unit suites,
 # the join/leave/rejoin protocol tests (anti-entropy catch-up, divergence

@@ -264,20 +264,25 @@ func run(w io.Writer, cfg config) error {
 	done := len(lats)
 	// Per batch frame, the updates the cluster received through one (all it
 	// received but what joiners pulled in range chunks); per such update, the
-	// batch bytes that were not store payload: the replication metadata
-	// Theorem 12 bounds from below, framing included.
-	perBatch, metaPerUpdate := interface{}("-"), interface{}("-")
+	// batch bytes as encoded that were not store payload: the replication
+	// metadata Theorem 12 bounds from below, framing included. The stream
+	// column is what the links' LZ streams (and, on cut frames, the
+	// compression envelope) left of the batch frames on the wire.
+	perBatch, metaPerUpdate, stream := interface{}("-"), interface{}("-"), interface{}("-")
 	if batched := agg.Receives - agg.SyncPulled; agg.BatchFrames > 0 && batched > 0 {
 		perBatch = float64(batched) / float64(agg.BatchFrames)
-		metaPerUpdate = float64(agg.BatchBytes-agg.BatchPayloadBytes) / float64(batched)
+		metaPerUpdate = float64(agg.BatchRawBytes-agg.BatchPayloadBytes) / float64(batched)
+	}
+	if agg.BatchRawBytes > 0 {
+		stream = 100 * float64(agg.BatchBytes) / float64(agg.BatchRawBytes)
 	}
 	t := bench.NewTable(fmt.Sprintf("loadgen: %s, %d nodes, seed %d", storeName, len(cfg.nodes), cfg.seed),
 		"clients", "ops", "errors", "samples", "ops/sec", "p50 ms", "p95 ms", "p99 ms", "max ms",
-		"wire KB", "frames", "updates/batch frame", "meta B/update", "retransmits", "reconnects", "dup frames")
+		"wire KB", "frames", "updates/batch frame", "meta B/update", "stream %", "retransmits", "reconnects", "dup frames")
 	t.AddRow(cfg.clients, done, errs, len(lats),
 		float64(done)/elapsed.Seconds(),
 		pct(0.50), pct(0.95), pct(0.99), pct(1.0),
-		float64(agg.BytesOut)/1024.0, agg.FramesOut, perBatch, metaPerUpdate,
+		float64(agg.BytesOut)/1024.0, agg.FramesOut, perBatch, metaPerUpdate, stream,
 		agg.Retransmits, agg.Reconnects, agg.DupFrames)
 	if err := out.Emit(t); err != nil {
 		return err

@@ -91,7 +91,7 @@ func TestRunJSONEmitsValidBenchTables(t *testing.T) {
 	}
 
 	load := tables[0]
-	for _, col := range []string{"ops/sec", "p50 ms", "p95 ms", "p99 ms", "wire KB", "frames", "updates/batch frame", "meta B/update", "retransmits"} {
+	for _, col := range []string{"ops/sec", "p50 ms", "p95 ms", "p99 ms", "wire KB", "frames", "updates/batch frame", "meta B/update", "stream %", "retransmits"} {
 		found := false
 		for _, c := range load.Columns {
 			if c == col {

@@ -166,7 +166,7 @@ func BenchmarkInflateTo(b *testing.B) {
 	for _, n := range []int{2, 64} {
 		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
 			var raw, comp wire.Writer
-			appendBatchFrame(&raw, make([]runState, 1), section{0, us[:n]})
+			appendBatchFrame(&raw, newSendingEnd(1), section{0, us[:n]})
 			wire.DeflateTo(&comp, raw.Bytes())
 			var buf []byte
 			b.SetBytes(int64(raw.Len()))

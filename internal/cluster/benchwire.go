@@ -34,24 +34,28 @@ func NewBenchUpdates(payloads [][]byte) BenchUpdates {
 
 // EncodeBatched runs the replication send path: tBatch frames of one
 // shard-0 section of up to batch updates each, encoded against the run state
-// the frames before carried, as on one connection, and built in one pooled
-// writer with the frame header patched in place — byte-for-byte what a link
-// writes after its hello ack, before compression. Returns total wire bytes
-// (headers included) and frames.
+// the frames before carried and coded through one LZ stream, as on one
+// connection, and built in one pooled writer with the frame header patched
+// in place — byte-for-byte what a link writes after its hello ack, before
+// the compression envelope. Returns total wire bytes (headers included) and
+// frames.
 func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 	if batch < 1 {
 		batch = 1
 	}
-	enc := wire.GetWriter()
+	enc, raw := wire.GetWriter(), wire.GetWriter()
 	defer wire.PutWriter(enc)
+	defer wire.PutWriter(raw)
 	var run runState
+	var lz wire.StreamEncoder
 	for off := 0; off < len(us); {
 		end := min(off+batch, len(us))
+		raw.Reset()
+		raw.Uvarint(0)
+		appendRun(raw, &run, us[off:end])
 		enc.Reset()
 		enc.BeginFrame()
-		enc.Uvarint(tBatch)
-		enc.Uvarint(0)
-		appendRun(enc, &run, us[off:end])
+		appendBatch(enc, &lz, raw.Bytes())
 		frame, err := enc.EndFrame(historyMaxFrame)
 		if err != nil {
 			return bytes, frames // unreachable for sane payloads

@@ -307,10 +307,13 @@ func (c Config) withDefaults() Config {
 // and Quiesced agrees with the counters it is reported next to. BatchFrames
 // counts the replication batch frames among FramesOut: a paced link carries
 // everything its shards logged in a pace in one, a section per shard, so the
-// updates applied per batch frame show the pacing at work. BatchBytes is
-// what those frames took on the wire, and BatchPayloadBytes the store
-// payloads they carried: the rest is replication metadata — framing, shard
-// sections, runs' counts and stamps.
+// updates applied per batch frame show the pacing at work. BatchRawBytes is
+// what those frames hold as encoded, before the connection's LZ stream and
+// the compression envelope, and BatchPayloadBytes the store payloads among
+// them: the rest is replication metadata — framing, shard sections, runs'
+// counts and stamps. BatchBytes is what the frames took on the wire, so
+// BatchBytes/BatchRawBytes is what the stream (and, on a cut frame, the
+// envelope) left of them.
 type Stats struct {
 	Node  model.ReplicaID `json:"node"`
 	Store string          `json:"store"`
@@ -330,9 +333,10 @@ type Stats struct {
 	GapFrames   int64         `json:"gap_frames"`
 	Violations  int           `json:"violations"`
 	Quiesced    bool          `json:"quiesced"`
-	// BatchBytes and BatchPayloadBytes split the batch frames' wire bytes
-	// into the store payloads and the rest (see above).
+	// BatchBytes, BatchRawBytes and BatchPayloadBytes are the batch frames
+	// as written, as encoded, and the store payloads in them (see above).
 	BatchBytes        int64 `json:"batch_bytes,omitempty"`
+	BatchRawBytes     int64 `json:"batch_raw_bytes,omitempty"`
 	BatchPayloadBytes int64 `json:"batch_payload_bytes,omitempty"`
 	// Members is how many nodes this node's membership view currently
 	// considers alive (including itself).
@@ -371,6 +375,7 @@ func (s *Stats) Add(o Stats) {
 	s.FramesOut += o.FramesOut
 	s.BatchFrames += o.BatchFrames
 	s.BatchBytes += o.BatchBytes
+	s.BatchRawBytes += o.BatchRawBytes
 	s.BatchPayloadBytes += o.BatchPayloadBytes
 	s.Retransmits += o.Retransmits
 	s.Reconnects += o.Reconnects
@@ -429,8 +434,9 @@ type Node struct {
 	reconnects  atomic.Int64
 	dupFrames   atomic.Int64
 	gapFrames   atomic.Int64
-	// The batch frames' wire bytes, and the store payloads among them.
-	batchBytes, batchPayloadBytes atomic.Int64
+	// The batch frames' wire bytes, their bytes as encoded, and the store
+	// payloads among them.
+	batchBytes, batchRawBytes, batchPayloadBytes atomic.Int64
 
 	// restored counts events replayed from restored histories at boot.
 	restored int64
@@ -730,6 +736,7 @@ func (n *Node) Stats() Stats {
 	s.FramesOut = n.framesOut.Load()
 	s.BatchFrames = n.batchFrames.Load()
 	s.BatchBytes = n.batchBytes.Load()
+	s.BatchRawBytes = n.batchRawBytes.Load()
 	s.BatchPayloadBytes = n.batchPayloadBytes.Load()
 	s.Retransmits = n.retransmits.Load()
 	s.Reconnects = n.reconnects.Load()
@@ -967,10 +974,12 @@ func (n *Node) answerHello(conn net.Conn, from model.ReplicaID) bool {
 }
 
 // serveReplication applies the update stream of the peer whose opening hello
-// was h, and writes nothing back but the answers to its later hellos. Each
-// section of a tBatch — a shard and a run of h.From's updates, decoded
-// against what this connection carried of the shard before — applies in one
-// turn of that shard, on this goroutine. A later tHello is the sender's
+// was h, and writes nothing back but the answers to its later hellos. A
+// tBatch decodes through the connection's LZ stream to its sections, and
+// each section — a shard and a run of h.From's updates, decoded against what
+// this connection carried of the shard before — applies in one turn of that
+// shard, on this goroutine. A frame the stream refuses hangs up, and the
+// reconnect resends from the hello ack. A later tHello is the sender's
 // question — what have you delivered? — and is answered by answerHello: the
 // connection is read in order and each batch is applied before the next
 // frame is read, so the answer covers every batch the sender wrote before
@@ -981,13 +990,16 @@ func (n *Node) answerHello(conn net.Conn, from model.ReplicaID) bool {
 // nothing: the sender still owes what it sent to the next incarnation.
 func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 	// Everything a frame needs is built once per connection and reused: the
-	// receive buffer and the decoded run, whose payloads alias that buffer
+	// receive buffer, the stream's history a batch frame's sections decode
+	// into, and the decoded run, whose payloads alias that history
 	// (applyUpdate copies each before anything keeps it). runs is the
-	// connection's state of each shard, as the sender keeps its own.
+	// connection's state of each shard and lz its stream, both from empty,
+	// as the sender keeps its own.
 	var (
-		r    wire.Reader
-		us   []protoUpdate
-		runs = make([]runState, len(n.shards))
+		r, sections wire.Reader
+		us          []protoUpdate
+		runs        = make([]runState, len(n.shards))
+		lz          wire.StreamDecoder
 	)
 	for {
 		b, err := recvFrame(fr, n.cfg.MaxFrame)
@@ -997,9 +1009,14 @@ func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 		r.Reset(b)
 		switch r.Uvarint() {
 		case tBatch:
-			for more := true; more; more = r.Remaining() > 0 {
+			body, err := decodeBatchBody(&r, &lz, n.cfg.MaxFrame)
+			if err != nil {
+				return
+			}
+			sections.Reset(body)
+			for more := true; more; more = sections.Remaining() > 0 {
 				var shard int
-				if shard, us, err = decodeSection(&r, runs, h.From, us); err != nil {
+				if shard, us, err = decodeSection(&sections, runs, h.From, us); err != nil {
 					return
 				}
 				if _, err := n.shards[shard].applyRun(us, false); err != nil {

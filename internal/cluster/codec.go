@@ -212,6 +212,7 @@ func appendStats(w *wire.Writer, s Stats) {
 	}
 	w.Uvarint(q)
 	w.Varint(s.BatchBytes)
+	w.Varint(s.BatchRawBytes)
 	w.Varint(s.BatchPayloadBytes)
 	w.Varint(int64(s.Members))
 	w.Varint(s.SyncPulled)
@@ -250,6 +251,7 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.Violations = int(r.Varint())
 	s.Quiesced = r.Uvarint() == 1
 	s.BatchBytes = r.Varint()
+	s.BatchRawBytes = r.Varint()
 	s.BatchPayloadBytes = r.Varint()
 	s.Members = int(r.Varint())
 	s.SyncPulled = r.Varint()

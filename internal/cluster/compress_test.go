@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net"
 	"slices"
 	"testing"
@@ -152,7 +153,7 @@ func TestCompressShrinkFailKeepsCallerBuffer(t *testing.T) {
 		var enc *wire.Writer
 		for inner := target; inner > 0; inner-- {
 			w := wire.GetWriter()
-			appendBatchFrame(w, make([]runState, 1), section{0, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}}})
+			appendBatchFrame(w, newSendingEnd(1), section{0, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 300, Payload: junk[:inner]}}})
 			if w.Len() == target {
 				enc = w
 				break
@@ -209,14 +210,21 @@ func (c *recordingConn) SetWriteDeadline(time.Time) error { return nil }
 // leaves in its envelope the way a raw frame leaves — header and payload in
 // one Write, where they used to take two — with the same bytes the two
 // writes carried (the envelope behind its length header), and BytesOut
-// counts exactly those bytes.
+// counts exactly those bytes. The payloads are seeded random letters, which
+// the connection's stream finds nothing to refer back to and DEFLATE still
+// codes in fewer bits, so the stream-coded frame clears the floor.
 func TestCompressedFrameIsOneWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	us := make([]protoUpdate, 16)
 	for i := range us {
-		us[i] = protoUpdate{Origin: 1, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: bytes.Repeat([]byte("abcdefgh"), 8)}
+		p := make([]byte, 64)
+		for j := range p {
+			p[j] = byte('a' + rng.Intn(26))
+		}
+		us[i] = protoUpdate{Origin: 1, Seq: uint64(i + 1), Lamport: uint64(i + 1), Payload: p}
 	}
 	var payload wire.Writer
-	appendBatchFrame(&payload, make([]runState, 1), section{0, us})
+	appendBatchFrame(&payload, newSendingEnd(1), section{0, us})
 	if payload.Len() < compressFloor {
 		t.Fatalf("a %d-byte batch does not clear the %d-byte floor", payload.Len(), compressFloor)
 	}

@@ -419,13 +419,22 @@ func TestHistoryFrameIsTheLogVerbatim(t *testing.T) {
 		t.Fatalf("history reply of %d bytes differs from the %d-byte reference encoding of History()", len(body), want.Len())
 	}
 
+	// The allocation counter is the process's: the node above is closed
+	// first, and the best of three snapshots counts, since a goroutine still
+	// winding down (an earlier test's) can add to one reading but hardly to
+	// all three.
+	conn.Close()
+	nd.Close()
 	const events = 64 << 10
 	s := looseShard(t, "lww")
 	for i := 0; i < events; i++ {
 		recordStep(t, s, i, []byte(benchValue))
 	}
 	var h encodedHistory
-	taken := allocBytes(func() { h = s.events.snapshot(History{}) })
+	taken := math.Inf(1)
+	for range 3 {
+		taken = min(taken, allocBytes(func() { h = s.events.snapshot(History{}) }))
+	}
 	if h.n != events {
 		t.Fatalf("snapshot holds %d events, recorded %d", h.n, events)
 	}

@@ -133,15 +133,18 @@ type recordedBatch struct {
 	conn       int
 	secs       []section
 	compressed bool // it left in a compression envelope
+	// rawLen is the frame's body as encoded, and streamLen the stream bytes
+	// it was coded to.
+	rawLen, streamLen int
 }
 
 // batches reads the recorded writes as replication links of origin's with
 // the given shard count, and returns their tBatch frames in order, each
-// decoded by readBatch through its connection's run state, from zero on
-// each connection, as the peer reads them. The caller holds rt.mu.
+// decoded by readBatch through its connection's stream and run state, from
+// empty on each connection, as the peer reads them. The caller holds rt.mu.
 func (rt *recordingTransport) batches(t *testing.T, origin model.ReplicaID, shards int) []recordedBatch {
 	t.Helper()
-	runs := map[int][]runState{}
+	ends := map[int]*receivingEnd{}
 	var out []recordedBatch
 	for i, w := range rt.writes {
 		_, h := binary.Uvarint(w)
@@ -158,12 +161,22 @@ func (rt *recordingTransport) batches(t *testing.T, origin model.ReplicaID, shar
 		if r.Uvarint() != tBatch {
 			continue
 		}
-		if runs[b.conn] == nil {
-			runs[b.conn] = make([]runState, shards)
+		if ends[b.conn] == nil {
+			ends[b.conn] = newReceivingEnd(shards)
 		}
+		body := *r
+		b.rawLen, b.streamLen = int(body.Uvarint()), body.Remaining()
 		var err error
-		if b.secs, err = readBatch(r, runs[b.conn], origin, nil); err != nil {
+		if b.secs, err = readBatch(r, ends[b.conn], origin, nil); err != nil {
 			t.Fatalf("write %d: %v", i, err)
+		}
+		// The sections' payloads are views of the connection's stream,
+		// which its next frame overwrites.
+		for si := range b.secs {
+			b.secs[si].us = slices.Clone(b.secs[si].us)
+			for ui := range b.secs[si].us {
+				b.secs[si].us[ui].Payload = slices.Clone(b.secs[si].us[ui].Payload)
+			}
 		}
 		out = append(out, b)
 	}
@@ -179,11 +192,14 @@ func (b recordedBatch) updates() int {
 	return n
 }
 
-// TestOnlyCutBatchesAreCompressed: a batch frame is offered to the
-// compressor only when cutBatch cut it. A backlog longer than BatchMax,
-// written before the link is up, leaves its first frame in a tCompressed
-// envelope; the live frames of a later burst, paced to carry several
-// updates each and well past the compression floor, leave raw.
+// TestOnlyCutBatchesAreCompressed: every batch frame goes through the
+// connection's LZ stream, and only one that cutBatch cut is offered to the
+// compressor too. A backlog longer than BatchMax, written before the link
+// is up, leaves its first frame in a tCompressed envelope; the live frames
+// of a later burst, paced to carry several updates each and well past the
+// compression floor, leave without one. Every frame, cut or live, is
+// stream-coded to fewer bytes than its sections: each value repeats what
+// the link carried before.
 func TestOnlyCutBatchesAreCompressed(t *testing.T) {
 	rt := &recordingTransport{}
 	r0 := bootNode(t, 0, 2, func(cfg *Config) { cfg.Transport = rt })
@@ -227,6 +243,9 @@ func TestOnlyCutBatchesAreCompressed(t *testing.T) {
 	var sent, multi, live int
 	for _, b := range rt.batches(t, 0, 1) {
 		updates := b.updates()
+		if b.streamLen >= b.rawLen {
+			t.Errorf("frame of %d updates (write %d) coded %d bytes of sections to %d stream bytes, want fewer", updates, b.write, b.rawLen, b.streamLen)
+		}
 		if b.write < catchUp {
 			if updates == BatchMax && b.compressed {
 				cutCompressed = true
@@ -291,9 +310,9 @@ func checkRuns(t *testing.T, bs []recordedBatch, want []uint64) {
 // 20 ms, a write every 20 µs or so, alternating between a key of each
 // shard. Its link then writes at most ⌈elapsed / batchPace⌉ + 1 batch
 // frames — one per pass — and some frame carries both shards' sections.
-// Decoded through the connection's run state, the frames carry each shard's
-// updates once and in order, the pair converges, and the stats count the
-// frames' bytes and payload bytes.
+// Decoded through the connection's stream and run state, the frames carry
+// each shard's updates once and in order, the pair converges, and the stats
+// count the frames' bytes, as written and as encoded, and payload bytes.
 func TestBatchFrameCarriesEveryShard(t *testing.T) {
 	const shards = 2
 	rt := &recordingTransport{}
@@ -371,12 +390,14 @@ func TestBatchFrameCarriesEveryShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// BatchBytes counts the frames as written, BatchPayloadBytes the store
-	// payloads in their sections.
+	// BatchBytes counts the frames as written, BatchRawBytes as encoded —
+	// type and sections behind their header, before the stream — and
+	// BatchPayloadBytes the store payloads in their sections.
 	rt.mu.Lock()
-	var wrote, payload int64
+	var wrote, raw, payload int64
 	for _, b := range rt.batches(t, 0, shards) {
 		wrote += int64(len(rt.writes[b.write]))
+		raw += int64(1 + b.rawLen + wire.FrameHeaderLen(1+b.rawLen))
 		for _, sec := range b.secs {
 			for _, u := range sec.us {
 				payload += int64(len(u.Payload))
@@ -384,19 +405,20 @@ func TestBatchFrameCarriesEveryShard(t *testing.T) {
 		}
 	}
 	rt.mu.Unlock()
-	if st := r0.Stats(); st.BatchBytes != wrote || st.BatchPayloadBytes != payload {
-		t.Fatalf("stats count %d batch bytes carrying %d payload bytes, the recorded frames are %d carrying %d",
-			st.BatchBytes, st.BatchPayloadBytes, wrote, payload)
+	if st := r0.Stats(); st.BatchBytes != wrote || st.BatchRawBytes != raw || st.BatchPayloadBytes != payload {
+		t.Fatalf("stats count %d batch bytes, %d as encoded, carrying %d payload bytes; the recorded frames are %d, %d as encoded, carrying %d",
+			st.BatchBytes, st.BatchRawBytes, st.BatchPayloadBytes, wrote, raw, payload)
 	}
 }
 
 // TestReconnectStartsRunsAfresh: both ends of a replication connection keep
-// each shard's run state from zero, so the first section a new connection
-// carries reads absolute. r0 writes to both shards, its link is broken
-// (breakConn), and it writes again: the new connection's first frame,
-// decoded from the zero state, starts each shard right after what r1
-// reported holding, r1 counts no duplicate and no gap, and the pair
-// converges.
+// each shard's run state from zero and the LZ stream from empty, so the
+// first section a new connection carries reads absolute and refers to
+// nothing a dead connection carried. r0 writes to both shards, its link is
+// broken (breakConn), and it writes again values that repeat the first
+// round's: the new connection's first frame, decoded from the zero state
+// and an empty stream, starts each shard right after what r1 reported
+// holding, r1 counts no duplicate and no gap, and the pair converges.
 func TestReconnectStartsRunsAfresh(t *testing.T) {
 	const shards = 2
 	rt := &recordingTransport{}
@@ -410,7 +432,8 @@ func TestReconnectStartsRunsAfresh(t *testing.T) {
 	write := func(round int) {
 		t.Helper()
 		for i := 0; i < 10; i++ {
-			if _, err := r0.Do(keys[i%shards], model.Write(model.Value(fmt.Sprintf("r%d-%d", round, i)))); err != nil {
+			v := fmt.Sprintf("%s-%d-%d", strings.Repeat("again", 4), i, round)
+			if _, err := r0.Do(keys[i%shards], model.Write(model.Value(v))); err != nil {
 				t.Fatal(err)
 			}
 		}

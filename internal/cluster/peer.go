@@ -331,9 +331,10 @@ func (p *peerSender) dialAndServe() bool {
 // in seq order per shard, and after the batches a hello when drained posted
 // the question. Each drain pass is started by a kick and paced: it waits out
 // paceWait since the link's last batch frame, and writes one frame holding
-// every shard's updates — more only when they do not fit one. A fresh
-// connection starts each shard at its lastAcked, and its runs from the zero
-// state, so nothing sent only on a dead connection is lost;
+// every shard's updates — more only when they do not fit one — coded
+// through the connection's LZ stream. A fresh connection starts each shard
+// at its lastAcked, and its runs and its stream from empty, so nothing sent
+// only on a dead connection is lost or referred to;
 // the live one never resends, because TCP delivers what it accepted in order
 // or the connection dies. Nothing is sent until the ack confirms the peer
 // speaks our protocol version and shard count; a mismatch latches the link
@@ -440,8 +441,14 @@ func (p *peerSender) serve(conn net.Conn) bool {
 	// seq and stamp of the last update written on it — and each section is
 	// encoded against it, as the peer decodes against its own copy. nextBatch
 	// never starts below the shard's lastAcked, so seq zero means "from
-	// there".
+	// there". lz is the connection's stream under the batch frames, which
+	// the peer decodes with its own: empty, like runs, on every new
+	// connection, and gone with it. A frame's sections are built in raw and
+	// then coded through lz into enc.
 	runs := make([]runState, len(p.cursors))
+	var lz wire.StreamEncoder
+	raw := wire.GetWriter()
+	defer wire.PutWriter(raw)
 	// lastFrame is when the last batch frame left (zero: none yet on this
 	// connection); pace is made by the first pass that must wait, and is
 	// reset only once received from, so its channel never holds a stale tick.
@@ -456,10 +463,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		// A pass writes one frame with a section per shard that has updates
 		// to send, and another only while some shard's backlog did not fit.
 		for {
-			enc.Reset()
-			enc.BeginFrame()
-			enc.Uvarint(tBatch)
-			body := enc.Len()
+			raw.Reset()
 			var (
 				updates, payload int
 				firstShard       int // of the frame's first update
@@ -467,7 +471,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				cut              bool
 			)
 			for si := range runs {
-				us, re, c := p.nextBatch(si, runs[si].seq, BatchMax, enc.Len()-body, cfg.MaxFrame-64)
+				us, re, c := p.nextBatch(si, runs[si].seq, BatchMax, raw.Len(), cfg.MaxFrame-64)
 				if len(us) == 0 {
 					continue
 				}
@@ -477,8 +481,8 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				p.node.retransmits.Add(re)
 				// The batch aliases nextBatch's scratch: it is encoded before
 				// the next shard's is read.
-				enc.Uvarint(uint64(si))
-				appendRun(enc, &runs[si], us)
+				raw.Uvarint(uint64(si))
+				appendRun(raw, &runs[si], us)
 				updates += len(us)
 				for _, u := range us {
 					payload += len(u.Payload)
@@ -497,12 +501,30 @@ func (p *peerSender) serve(conn net.Conn) bool {
 			if !cut {
 				bulk = nil
 			}
-			wrote, err := p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk)
+			// The frame limit holds for the frame as encoded, type and
+			// sections, as the peer's decoder holds rawLen to it, and for the
+			// frame as coded: rawLen and the stream's one unpaid literal
+			// header add a few bytes (at most 7 under the default limit),
+			// which cutBatch's 64 bytes of headroom cover, so only a lone
+			// update can fail either.
+			rawFrame := 1 + raw.Len()
+			var (
+				wrote int
+				err   error
+			)
+			if rawFrame > cfg.MaxFrame {
+				err = &wire.FrameSizeError{Size: rawFrame, Max: cfg.MaxFrame}
+			} else {
+				enc.Reset()
+				enc.BeginFrame()
+				appendBatch(enc, &lz, raw.Bytes())
+				wrote, err = p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk)
+			}
 			if err != nil {
 				var fse *wire.FrameSizeError
 				if errors.As(err, &fse) && updates == 1 {
 					// cutBatch sends an update that cannot share a frame alone,
-					// so an EndFrame oversize on a singleton means this exact
+					// so an oversize on a singleton means this exact
 					// update can never travel: retrying or reconnecting would
 					// hot-loop forever on the same frame. Latch and fail-stop
 					// the link.
@@ -518,6 +540,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 			}
 			p.node.batchFrames.Add(1)
 			p.node.batchBytes.Add(int64(wrote))
+			p.node.batchRawBytes.Add(int64(rawFrame + wire.FrameHeaderLen(rawFrame)))
 			p.node.batchPayloadBytes.Add(int64(payload))
 			lastFrame = time.Now()
 		}

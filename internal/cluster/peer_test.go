@@ -146,7 +146,7 @@ func silentPeer(t *testing.T) (net.Listener, <-chan uint64) {
 			go func(c net.Conn) {
 				defer c.Close()
 				fr := wire.NewFrameReader(c)
-				runs := make([]runState, 1)
+				rx := newReceivingEnd(1)
 				for {
 					b, err := fr.ReadFrame(wire.DefaultMaxFrame)
 					if err != nil {
@@ -161,7 +161,7 @@ func silentPeer(t *testing.T) (net.Listener, <-chan uint64) {
 							return
 						}
 					case tBatch:
-						secs, err := readBatch(r, runs, 0, nil)
+						secs, err := readBatch(r, rx, 0, nil)
 						if err != nil {
 							return
 						}
@@ -1107,9 +1107,9 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 		src.Do("k", model.Write("v"))
 		return append([]byte(nil), src.PendingMessage()...)
 	}
-	runs := make([]runState, 2)
+	tx := newSendingEnd(2)
 	send(func(w *wire.Writer) {
-		appendBatchFrame(w, runs, section{0, []protoUpdate{{Seq: 1, Lamport: 1, Payload: payload(1)}}})
+		appendBatchFrame(w, tx, section{0, []protoUpdate{{Seq: 1, Lamport: 1, Payload: payload(1)}}})
 	})
 	send(func(w *wire.Writer) { appendHello(w, 1, 1) })
 	if typ, r := recv(); typ != tHelloAck {
@@ -1118,7 +1118,7 @@ func TestReplicationRejectsForeignOrigin(t *testing.T) {
 		t.Fatalf("the question after the dialer's own batch answered %+v (err %v), want delivered [1]", a, err)
 	}
 	send(func(w *wire.Writer) {
-		appendBatchFrame(w, runs, section{1, []protoUpdate{{Seq: 1, Lamport: 2, Payload: payload(1)}}})
+		appendBatchFrame(w, tx, section{1, []protoUpdate{{Seq: 1, Lamport: 2, Payload: payload(1)}}})
 	})
 	if typ, _ := recv(); typ != 0 {
 		t.Fatalf("a section for shard 1 of a one-shard node answered with frame type %d, want a hang-up", typ)
@@ -1156,7 +1156,7 @@ func ackingPeer(t *testing.T) net.Listener {
 				var (
 					r         wire.Reader
 					secs      []section
-					runs      = make([]runState, 1)
+					rx        = newReceivingEnd(1)
 					delivered = []uint64{0}
 				)
 				fr, w := wire.NewFrameReader(conn), wire.NewWriter()
@@ -1169,10 +1169,10 @@ func ackingPeer(t *testing.T) net.Listener {
 					switch r.Uvarint() {
 					case tHello:
 					case tBatch:
-						if secs, err = readBatch(&r, runs, 0, secs); err != nil {
+						if secs, err = readBatch(&r, rx, 0, secs); err != nil {
 							return
 						}
-						delivered[0] = runs[0].seq
+						delivered[0] = rx.runs[0].seq
 						continue
 					default:
 						return

@@ -18,12 +18,12 @@ import (
 // peer and opens with tHello; the acceptor answers tHelloAck, its delivered
 // count per shard; the dialer then streams tBatch frames, each holding a
 // section per shard it has updates of — the shard's index and a run in seq
-// order, encoded against what the connection carried before — and the
-// acceptor applies them and writes nothing back. When the dialer's
-// quiescence check asks what the acceptor delivered, the dialer repeats its
-// tHello behind the batches and the acceptor answers it with a fresh
-// tHelloAck, in the opening layout. Client connections skip the hello and
-// speak request/response pairs. The
+// order, encoded against what the connection carried before — coded through
+// the connection's LZ stream, and the acceptor applies them and writes
+// nothing back. When the dialer's quiescence check asks what the acceptor
+// delivered, the dialer repeats its tHello behind the batches and the
+// acceptor answers it with a fresh tHelloAck, in the opening layout. Client
+// connections skip the hello and speak request/response pairs. The
 // membership and anti-entropy frames are in proto_member.go, the
 // compression envelope in compress.go; DESIGN.md §5.6 has the whole table.
 //
@@ -36,7 +36,7 @@ const (
 	tStats       = 6  // {}
 	tHistory     = 8  // {shard}
 	tHelloAck    = 10 // {version, shards, delivered × shards}
-	tBatch       = 11 // {(shard, run)...}: see appendRun
+	tBatch       = 11 // {rawLen, stream}: {(shard, run)...} coded, see appendBatch
 	tStatsResp   = 12 // {stats}
 	tHistoryResp = 13 // {history}
 )
@@ -44,7 +44,10 @@ const (
 // protoVersion is the one protocol version this build speaks. A hello or
 // join announcing any other version is answered (so the other end learns
 // ours) and then refused; the dialer latches the mismatch as terminal. A
-// format change bumps it: 13 carries every shard's updates of a pace in one
+// format change bumps it: 14 codes every batch frame's sections through an
+// LZ stream each replication connection keeps from empty at both ends
+// (appendBatch), so what a link carried in the last 32 KiB crosses it as a
+// back-reference; 13 carries every shard's updates of a pace in one
 // batch frame, as runs with implied seqs, delta stamps and no origin
 // (appendRun), and range chunks as such runs too; 12 acknowledges no batch
 // (a sender learns what its peer delivered from the answer to a repeated
@@ -54,7 +57,7 @@ const (
 // and a reply's presence fields as one flag byte (and the causal store's
 // updates without the fields their type implies); 9 put a uvarint length
 // in front of every frame, where 8 had four big-endian bytes.
-const protoVersion = 13
+const protoVersion = 14
 
 // BatchMax caps how many updates of one shard coalesce into one tBatch
 // section or one anti-entropy chunk. The deterministic wire and sync tables
@@ -66,7 +69,8 @@ const BatchMax = 64
 const historyMaxFrame = 64 << 20
 
 // protoUpdate is the decoded view of one broadcast update: of an entry of a
-// tBatch or tRangeResp run (decodeRun; Payload aliases the frame), or
+// tBatch or tRangeResp run (decodeRun; Payload aliases the frame, or the
+// tBatch body the connection's stream decoded it to), or
 // of the send or receive record a shard holds it in (eventLog.update; Payload
 // aliases the record). Nothing stores one: a node keeps the record, and an
 // 8-byte position of it per update. Lamport, read from a record, is the
@@ -209,9 +213,10 @@ func decodeRun(r *wire.Reader, st *runState, origin model.ReplicaID, us []protoU
 	return us, nil
 }
 
-// decodeSection decodes the next section of a tBatch body — a shard and its
-// run — through runs, the connection's state of each shard, into us[:0]. A
-// shard past runs, which the receiver does not have, is an error.
+// decodeSection decodes the next section of a tBatch body (decodeBatchBody)
+// — a shard and its run — through runs, the connection's state of each
+// shard, into us[:0]. A shard past runs, which the receiver does not have,
+// is an error.
 func decodeSection(r *wire.Reader, runs []runState, origin model.ReplicaID, us []protoUpdate) (shard int, _ []protoUpdate, err error) {
 	s := r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -222,6 +227,36 @@ func decodeSection(r *wire.Reader, runs []runState, origin model.ReplicaID, us [
 	}
 	us, err = decodeRun(r, &runs[s], origin, us)
 	return int(s), us, err
+}
+
+// appendBatch appends a tBatch frame whose sections body holds — each a
+// shard's index and its run (appendRun), encoded against the connection's
+// run state — coded through lz, the connection's stream:
+//
+//	tBatch rawLen stream-bytes
+//
+// The stream bytes decode to body's rawLen bytes against everything the
+// connection's stream carried before (wire.StreamEncoder), so what the link
+// carried in the last wire.StreamWindow bytes costs a back-reference. They
+// are at most wire.StreamBound(rawLen) bytes.
+func appendBatch(w *wire.Writer, lz *wire.StreamEncoder, body []byte) {
+	w.Uvarint(tBatch)
+	w.Uvarint(uint64(len(body)))
+	lz.Encode(w, body)
+}
+
+// decodeBatchBody decodes the rest of a tBatch frame whose type tag r has
+// read through lz, the receiving connection's stream, back to the frame's
+// sections (decodeSection reads them). The body is a view of lz's history,
+// valid until the connection's next frame, as a frame's bytes are. A rawLen
+// above maxFrame, or stream bytes that do not decode to exactly rawLen
+// bytes, is an error, and the connection hangs up.
+func decodeBatchBody(r *wire.Reader, lz *wire.StreamDecoder, maxFrame int) ([]byte, error) {
+	rawLen := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return lz.Decode(r.Fixed(r.Remaining()), rawLen, maxFrame)
 }
 
 // appendRange encodes an anti-entropy chunk of origin's updates in one

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -102,23 +103,63 @@ type section struct {
 	us    []protoUpdate
 }
 
+// sendingEnd is what the sending end of one replication connection keeps of
+// it, as serve does: each shard's run state and the stream under the batch
+// frames, both from empty.
+type sendingEnd struct {
+	runs []runState
+	lz   wire.StreamEncoder
+}
+
+func newSendingEnd(shards int) *sendingEnd { return &sendingEnd{runs: make([]runState, shards)} }
+
+// receivingEnd is what the receiving end of one replication connection keeps
+// of it, as serveReplication does.
+type receivingEnd struct {
+	runs     []runState
+	lz       wire.StreamDecoder
+	sections wire.Reader
+}
+
+func newReceivingEnd(shards int) *receivingEnd { return &receivingEnd{runs: make([]runState, shards)} }
+
 // appendBatchFrame encodes a tBatch holding the given sections, in order,
-// each against runs — the sending connection's state of each shard — which
-// it advances, as a link's drain pass does.
-func appendBatchFrame(w *wire.Writer, runs []runState, secs ...section) {
-	w.Uvarint(tBatch)
+// each against tx's state of its shard, and codes them through tx's stream,
+// advancing both, as a link's drain pass does.
+func appendBatchFrame(w *wire.Writer, tx *sendingEnd, secs ...section) {
+	raw := wire.NewWriter()
+	appendSections(raw, tx.runs, secs...)
+	appendBatch(w, &tx.lz, raw.Bytes())
+}
+
+// appendSections encodes the body of a tBatch, as its stream decodes to it:
+// the given sections, in order, each against runs, which it advances.
+func appendSections(w *wire.Writer, runs []runState, secs ...section) {
 	for _, sec := range secs {
 		w.Uvarint(uint64(sec.shard))
 		appendRun(w, &runs[sec.shard], sec.us)
 	}
 }
 
-// readBatch decodes the body of a tBatch frame of origin's link, whose type
-// tag r has read, the way serveReplication does: section by section through
-// runs, the receiving connection's state of each shard, which it advances.
-// It returns the sections in secs[:0], reusing each one's update slice, so a
-// peer that reads frame after frame with one secs allocates nothing.
-func readBatch(r *wire.Reader, runs []runState, origin model.ReplicaID, secs []section) ([]section, error) {
+// readBatch decodes the rest of a tBatch frame of origin's link, whose type
+// tag r has read, the way serveReplication does: through rx's stream to the
+// frame's body, then section by section through rx's state of each shard,
+// advancing both. It returns the sections in secs[:0], reusing each one's
+// update slice, so a peer that reads frame after frame with one rx and one
+// secs allocates nothing. The sections' payloads are views of rx's stream,
+// valid until its next frame.
+func readBatch(r *wire.Reader, rx *receivingEnd, origin model.ReplicaID, secs []section) ([]section, error) {
+	body, err := decodeBatchBody(r, &rx.lz, 0)
+	if err != nil {
+		return nil, err
+	}
+	rx.sections.Reset(body)
+	return readSections(&rx.sections, rx.runs, origin, secs)
+}
+
+// readSections decodes a tBatch body section by section through runs, as
+// readBatch does once the stream has decoded it.
+func readSections(r *wire.Reader, runs []runState, origin model.ReplicaID, secs []section) ([]section, error) {
 	secs = secs[:0]
 	for more := true; more; more = r.Remaining() > 0 {
 		if len(secs) < cap(secs) {
@@ -146,7 +187,7 @@ func TestShardBatchRoundTrip(t *testing.T) {
 	}
 	b := []protoUpdate{{Origin: 2, Seq: 7, Lamport: 4, Payload: []byte("beta")}}
 	c := []protoUpdate{{Origin: 2, Seq: 3, Lamport: 40, Payload: []byte{0, 1, 2, 255}}}
-	send, recv := make([]runState, 4), make([]runState, 4)
+	send, recv := newSendingEnd(4), newReceivingEnd(4)
 	for _, frame := range [][]section{{{3, a}, {0, b}}, {{3, c}}} {
 		w := wire.NewWriter()
 		appendBatchFrame(w, send, frame...)
@@ -165,8 +206,8 @@ func TestShardBatchRoundTrip(t *testing.T) {
 			sameUpdates(t, got[i].us, frame[i].us)
 		}
 	}
-	if !slices.Equal(send, recv) || recv[3] != (runState{seq: 3, lamport: 40}) {
-		t.Fatalf("run state: sender %v, receiver %v; want both at shard 3 seq 3 stamp 40", send, recv)
+	if !slices.Equal(send.runs, recv.runs) || recv.runs[3] != (runState{seq: 3, lamport: 40}) {
+		t.Fatalf("run state: sender %v, receiver %v; want both at shard 3 seq 3 stamp 40", send.runs, recv.runs)
 	}
 }
 
@@ -174,21 +215,27 @@ func TestShardBatchRoundTrip(t *testing.T) {
 // range chunk is a run from the zero state behind its shard and origin, so
 // its run bytes are a first tBatch section's, and it implies each seq and
 // stamp as that section does: the run costs its count, a seq gap, and per
-// update a stamp delta and the payload.
+// update a stamp delta and the payload. A connection's first batch frame,
+// whose body repeats nothing, goes through the stream as that body in one
+// literal run: its type, rawLen, the literal's header, the body.
 func TestBatchRoundTrip(t *testing.T) {
 	us := []protoUpdate{
 		{Origin: 2, Seq: 1, Lamport: 10, Payload: []byte("alpha")},
 		{Origin: 2, Seq: 2, Lamport: 11, Payload: nil},
 		{Origin: 2, Seq: 3, Lamport: 12, Payload: []byte{0, 1, 2, 255}},
 	}
-	batch, chunk := wire.NewWriter(), wire.NewWriter()
-	appendBatchFrame(batch, make([]runState, 4), section{3, us})
+	body, batch, chunk := wire.NewWriter(), wire.NewWriter(), wire.NewWriter()
+	appendSections(body, make([]runState, 4), section{3, us})
+	appendBatchFrame(batch, newSendingEnd(4), section{3, us})
 	appendRange(chunk, 3, 2, us)
-	// tBatch: type, shard, run; tRangeResp: type, shard, origin, run.
-	if run := batch.Bytes()[2:]; !bytes.Equal(run, chunk.Bytes()[3:]) {
-		t.Fatalf("tBatch %x and tRangeResp %x do not share one run", batch.Bytes(), chunk.Bytes())
+	// A tBatch body: shard, run; tRangeResp: type, shard, origin, run.
+	if run := body.Bytes()[1:]; !bytes.Equal(run, chunk.Bytes()[3:]) {
+		t.Fatalf("tBatch body %x and tRangeResp %x do not share one run", body.Bytes(), chunk.Bytes())
 	} else if len(run) != 2+3*2+9 {
 		t.Fatalf("a run of 3 updates with 9 payload bytes is %d bytes (%x), want 17: a count, a seq gap, and per update a stamp delta and a length", len(run), run)
+	}
+	if want := append([]byte{tBatch, byte(body.Len()), byte(body.Len() << 1)}, body.Bytes()...); !bytes.Equal(batch.Bytes(), want) {
+		t.Fatalf("a connection's first tBatch is %x, want %x: its body as one literal run", batch.Bytes(), want)
 	}
 	r := wire.NewReader(chunk.Bytes())
 	r.Uvarint() // type
@@ -199,7 +246,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	sameUpdates(t, got, us)
 	r = wire.NewReader(batch.Bytes())
 	r.Uvarint()
-	secs, err := readBatch(r, make([]runState, 4), 2, nil)
+	secs, err := readBatch(r, newReceivingEnd(4), 2, nil)
 	if err != nil || len(secs) != 1 || secs[0].shard != 3 {
 		t.Fatalf("batch: %+v, err %v; want one section of shard 3", secs, err)
 	}
@@ -214,17 +261,25 @@ func TestBatchImplausibleCountRejected(t *testing.T) {
 		w.Uvarint(0)     // seq gap
 		w.Raw([]byte{1, 0, 1, 0})
 		r := wire.NewReader(w.Bytes())
-		if secs, err := readBatch(r, make([]runState, 1), 3, nil); err == nil {
+		if secs, err := readSections(r, make([]runState, 1), 3, nil); err == nil {
 			t.Fatalf("decoded %+v from a run of %d", secs, count)
 		}
 	}
 	// A section for a shard the receiver does not have.
 	w := wire.NewWriter()
-	appendBatchFrame(w, make([]runState, 3), section{2, []protoUpdate{{Seq: 1, Lamport: 1}}})
+	appendBatchFrame(w, newSendingEnd(3), section{2, []protoUpdate{{Seq: 1, Lamport: 1}}})
 	r := wire.NewReader(w.Bytes())
 	r.Uvarint()
-	if secs, err := readBatch(r, make([]runState, 2), 3, nil); err == nil {
+	if secs, err := readBatch(r, newReceivingEnd(2), 3, nil); err == nil {
 		t.Fatalf("decoded %+v for shard 2 of 2", secs)
+	}
+	// A body declared past the frame limit, refused before it is decoded.
+	w = wire.NewWriter()
+	w.Uvarint(wire.DefaultMaxFrame + 1)
+	w.Raw([]byte{2, 0})
+	var fse *wire.FrameSizeError
+	if secs, err := readBatch(wire.NewReader(w.Bytes()), newReceivingEnd(1), 3, nil); !errors.As(err, &fse) {
+		t.Fatalf("decoded %+v, err %v, from a body of %d bytes", secs, err, wire.DefaultMaxFrame+1)
 	}
 }
 
@@ -270,8 +325,8 @@ func TestStrictDecoders(t *testing.T) {
 			func(r *wire.Reader) error { _, _, _, err := decodeRequest(r); return err }},
 		{"response", body(func(w *wire.Writer) { appendResponse(w, 9, model.Response{OK: true, Values: []model.Value{"v"}}) }),
 			func(r *wire.Reader) error { _, _, err := decodeResponse(r); return err }},
-		{"batch", body(func(w *wire.Writer) { appendBatchFrame(w, make([]runState, 4), section{3, us}) }),
-			func(r *wire.Reader) error { _, err := readBatch(r, make([]runState, 4), 1, nil); return err }},
+		{"batch", body(func(w *wire.Writer) { appendBatchFrame(w, newSendingEnd(4), section{3, us}) }),
+			func(r *wire.Reader) error { _, err := readBatch(r, newReceivingEnd(4), 1, nil); return err }},
 		{"stats", body(func(w *wire.Writer) {
 			w.Uvarint(tStatsResp)
 			appendStats(w, Stats{Node: 1, Store: "lww", Shards: 2, ShardOps: []int64{3, 4}})
@@ -464,7 +519,7 @@ func TestStatsBinaryRoundTrip(t *testing.T) {
 	s := Stats{
 		Node: 1, Store: "lww",
 		Ops: 100, Sends: 40, Receives: 38, Events: 178,
-		BytesOut: 4096, FramesOut: 52, BatchFrames: 31, BatchBytes: 2900, BatchPayloadBytes: 2100,
+		BytesOut: 4096, FramesOut: 52, BatchFrames: 31, BatchBytes: 2900, BatchRawBytes: 4100, BatchPayloadBytes: 2100,
 		Retransmits: 2, Reconnects: 1,
 		DupFrames: 3, GapFrames: 4, Violations: 0, Quiesced: true,
 	}
@@ -527,14 +582,18 @@ func TestGoldenWireVectors(t *testing.T) {
 	}{
 		{"hello", enc(func(w *wire.Writer) { appendHello(w, 2, 8) })},
 		{"hello_ack", enc(func(w *wire.Writer) { appendHelloAck(w, []uint64{17, 0, 9, 2}) })},
+		// Two batch frames of one connection, back to back: the second
+		// carries again what the first did, as a back-reference.
 		{"batch", enc(func(w *wire.Writer) {
-			runs := []runState{{seq: 3, lamport: 290}, {}, {}, {seq: 6, lamport: 280}}
-			appendBatchFrame(w, runs,
+			tx := &sendingEnd{runs: []runState{{seq: 3, lamport: 290}, {}, {}, {seq: 6, lamport: 280}}}
+			appendBatchFrame(w, tx,
 				section{0, []protoUpdate{{Origin: 1, Seq: 4, Lamport: 299, Payload: []byte{0x0f}}}},
 				section{3, []protoUpdate{
-					{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte{0xca, 0xfe}},
+					{Origin: 1, Seq: 7, Lamport: 300, Payload: []byte("key-0042=cafe")},
 					{Origin: 1, Seq: 8, Lamport: 301, Payload: []byte{0xba, 0xbe, 0x00}},
 				}})
+			appendBatchFrame(w, tx,
+				section{3, []protoUpdate{{Origin: 1, Seq: 9, Lamport: 302, Payload: []byte("key-0042=babe")}}})
 		})},
 		{"request", encodeRequest(77, "k000042", model.Write("0123456789abcdef"))},
 		{"response_write", enc(func(w *wire.Writer) { appendResponse(w, 77, model.OKResponse()) })},
@@ -611,19 +670,20 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch throws two arbitrary frame bodies at the batch decoder,
-// in sequence over one connection's run state, as serveReplication reads
-// them: it must never panic or over-allocate, and every frame it accepts
-// must re-encode, against the same state, to the same sections
-// (decode∘encode fixed point). Then a round trip of two frames generated
-// from seed — random shards, seqs and stamps, over state the first frame
-// leaves — must decode to what was encoded.
+// FuzzDecodeBatch throws two arbitrary tBatch bodies — what a frame's
+// stream decodes to — at the section decoder, in sequence over one
+// connection's run state, as serveReplication reads them: it must never
+// panic or over-allocate, and every body it accepts must re-encode, against
+// the same state, to the same sections (decode∘encode fixed point). Then two
+// frames generated from seed — random shards, seqs, stamps and payloads,
+// over the state the bodies leave — must round-trip whole, through one
+// connection's stream.
 func FuzzDecodeBatch(f *testing.F) {
 	const shards = 4
 	body := func(runs []runState, secs ...section) []byte {
 		w := wire.NewWriter()
-		appendBatchFrame(w, runs, secs...)
-		return w.Bytes()[1:] // bodies only: the caller strips the type tag
+		appendSections(w, runs, secs...)
+		return w.Bytes()
 	}
 	runs := make([]runState, shards)
 	first := body(runs, section{0, []protoUpdate{{Seq: 1, Lamport: 1, Payload: []byte("p")}}})
@@ -642,19 +702,15 @@ func FuzzDecodeBatch(f *testing.F) {
 		recv, enc := make([]runState, shards), make([]runState, shards)
 		for _, frame := range [][]byte{a, b} {
 			before := slices.Clone(recv)
-			secs, err := readBatch(wire.NewReader(frame), recv, 1, nil)
+			secs, err := readSections(wire.NewReader(frame), recv, 1, nil)
 			if err != nil {
 				copy(recv, before) // the connection would hang up; keep reading from the state before
 				continue
 			}
 			copy(enc, before)
-			w := wire.NewWriter()
-			appendBatchFrame(w, enc, secs...)
-			r := wire.NewReader(w.Bytes())
-			r.Uvarint()
-			again, err := readBatch(r, before, 1, nil)
+			again, err := readSections(wire.NewReader(body(enc, secs...)), before, 1, nil)
 			if err != nil || len(again) != len(secs) {
-				t.Fatalf("re-encoded frame decodes to %d sections (want %d), err %v", len(again), len(secs), err)
+				t.Fatalf("re-encoded body decodes to %d sections (want %d), err %v", len(again), len(secs), err)
 			}
 			for i := range secs {
 				if again[i].shard != secs[i].shard {
@@ -663,19 +719,23 @@ func FuzzDecodeBatch(f *testing.F) {
 				sameUpdates(t, again[i].us, secs[i].us)
 			}
 			if !slices.Equal(before, recv) || !slices.Equal(enc, recv) {
-				t.Fatalf("run state after the re-encoded frame %v (sender %v), want %v", before, enc, recv)
+				t.Fatalf("run state after the re-encoded body %v (sender %v), want %v", before, enc, recv)
 			}
 		}
 
 		rng := rand.New(rand.NewSource(int64(seed)))
-		send, got := slices.Clone(recv), slices.Clone(recv)
+		send, got := &sendingEnd{runs: slices.Clone(recv)}, &receivingEnd{runs: slices.Clone(recv)}
 		for k := 0; k < 2; k++ {
 			var secs []section
 			for n := 1 + rng.Intn(shards); n > 0; n-- {
 				sec := section{shard: rng.Intn(shards)}
 				seq, lamport := rng.Uint64(), rng.Uint64()
 				for i := 1 + rng.Intn(4); i > 0; i-- {
-					sec.us = append(sec.us, protoUpdate{Origin: 1, Seq: seq, Lamport: lamport, Payload: make([]byte, rng.Intn(8))})
+					p := make([]byte, rng.Intn(8))
+					if len(a) > 0 {
+						p = append(p, a[:rng.Intn(len(a))]...) // bytes an earlier frame may carry too
+					}
+					sec.us = append(sec.us, protoUpdate{Origin: 1, Seq: seq, Lamport: lamport, Payload: p})
 					seq, lamport = seq+1, lamport+uint64(rng.Intn(300))
 				}
 				secs = append(secs, sec)
@@ -695,8 +755,8 @@ func FuzzDecodeBatch(f *testing.F) {
 				sameUpdates(t, dec[i].us, secs[i].us)
 			}
 		}
-		if !slices.Equal(send, got) {
-			t.Fatalf("run state after the generated frames: sender %v, receiver %v", send, got)
+		if !slices.Equal(send.runs, got.runs) {
+			t.Fatalf("run state after the generated frames: sender %v, receiver %v", send.runs, got.runs)
 		}
 	})
 }

@@ -612,14 +612,14 @@ func TestReplicationBuffersNeverReachTheHistory(t *testing.T) {
 	if ack, err := rawRoundTrip(conn, fr, frame(func(w *wire.Writer) { appendHello(w, 0, 1) })); err != nil || ack[0] != tHelloAck {
 		t.Fatalf("hello answered %x, err %v", ack, err)
 	}
-	runs := make([]runState, 1)
+	tx := newSendingEnd(1)
 	for b := 0; b < 2; b++ {
 		var us []protoUpdate
 		for i := 0; i < perBatch; i++ {
 			seq := uint64(b*perBatch + i + 1)
 			us = append(us, protoUpdate{Origin: 0, Seq: seq, Lamport: seq, Payload: payloads[seq-1]})
 		}
-		if _, err := conn.Write(frame(func(w *wire.Writer) { appendBatchFrame(w, runs, section{0, us}) })); err != nil {
+		if _, err := conn.Write(frame(func(w *wire.Writer) { appendBatchFrame(w, tx, section{0, us}) })); err != nil {
 			t.Fatal(err)
 		}
 	}

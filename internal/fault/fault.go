@@ -51,7 +51,8 @@ const (
 	KindLinkRestore Kind = "link-restore"
 	// KindLinkDelay delays frames on From→To (DelaySteps ticks each).
 	KindLinkDelay Kind = "link-delay"
-	// KindLinkDup duplicates every frame on From→To.
+	// KindLinkDup duplicates every frame on From→To. Only the simulator
+	// duplicates; Netem ignores it, since no TCP connection can.
 	KindLinkDup Kind = "link-dup"
 	// KindLinkReorder swaps adjacent messages on From→To. Only the
 	// simulator reorders; Netem ignores it, since no TCP connection can.

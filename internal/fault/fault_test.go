@@ -168,9 +168,10 @@ func pipeFrames(t *testing.T, conn net.Conn) <-chan []byte {
 }
 
 // TestShapedConnDupAndReorder: the emulator shapes a connection only as TCP
-// can be shaped. Dup repeats a frame in place, and an open reorder window
-// changes nothing — frames arrive in the order they were written, which is
-// the premise of a link's cumulative acks.
+// can be shaped. An open dup or reorder window changes nothing — each frame
+// arrives once, in the order it was written, which is the premise of a
+// link's cumulative acks and of the state both ends of a connection keep
+// (a repeated frame would decode as the frames after it).
 func TestShapedConnDupAndReorder(t *testing.T) {
 	em := NewNetem(2)
 	a, b := net.Pipe()
@@ -200,8 +201,9 @@ func TestShapedConnDupAndReorder(t *testing.T) {
 
 	em.Apply(Directive{Kind: KindLinkDup, From: 0, To: 1}, time.Millisecond)
 	write("u1")
+	write("u1b")
 	expect("u1")
-	expect("u1")
+	expect("u1b")
 	em.Apply(Directive{Kind: KindLinkClear, From: 0, To: 1}, time.Millisecond)
 
 	em.Apply(Directive{Kind: KindLinkReorder, From: 0, To: 1}, time.Millisecond)

@@ -3,8 +3,8 @@ package fault
 // Link is the state of one directed link: whether it is cut, and the
 // shaping window open on it. Delay and jitter are in ticks; each engine
 // reads them in its own terms (Netem as wall time, the simulator as a
-// stall), and reads only what it can enforce: Netem never reorders, the
-// simulator never times bytes.
+// stall), and reads only what it can enforce: Netem never duplicates or
+// reorders, the simulator never times bytes.
 type Link struct {
 	Cut bool
 	// Delay is the per-frame delay in ticks, and Jitter the width of the

@@ -23,10 +23,12 @@ var ErrLinkCut = errors.New("fault: link cut")
 // Directives mutate them; the data path only reads them. Its Listen and
 // Dial make it the nodes' transport (cluster.Transport), so every
 // connection between two nodes is shaped in both directions. It models only
-// what can happen to a TCP connection: a cut kills it, delay, jitter and a
-// rate cap slow it, and dup repeats frames (the receiver's duplicate rule,
-// which reconnect races reach too). A connection never reorders or loses a
-// frame and lives on, so KindLinkReorder is the simulator's alone. Crash
+// what can happen to a TCP connection: a cut kills it, and delay, jitter and
+// a rate cap slow it. A connection never repeats, reorders or loses a frame
+// and lives on, so KindLinkDup and KindLinkReorder are the simulator's
+// alone: a repeated frame would also decode, against the connection's state,
+// as frames the sender never wrote. A receiver still meets duplicates, from
+// the reconnect that resends what a dead connection carried. Crash
 // and restart directives are not Netem's business either — process
 // lifecycle belongs to the supervisor applying the schedule.
 type Netem struct {
@@ -170,10 +172,11 @@ const jitterStream = -7003
 // frames the local endpoint sends in the direction from→to. A node writes
 // every frame in one Write (cluster's writeEnc), so each Write is shaped as
 // one frame by the link's current faults: a cut fails the write synchronously
-// (the sender's reconnect recovers after the link is restored),
+// (the sender's reconnect recovers after the link is restored), and
 // delay/jitter/rate stamp the frame with a delivery deadline and a
 // background writer ships it, in write order, when the deadline arrives —
-// the caller's write path never sleeps — and dup enqueues the frame twice.
+// the caller's write path never sleeps. Dup and reorder windows change
+// nothing.
 // The first frame of a
 // connection (the replication hello) always passes unshaped so a connection
 // can at least identify itself. Reads pass through untouched — the reverse
@@ -208,8 +211,7 @@ type shapedConn struct {
 }
 
 // Write stamps the frame b with a delivery deadline and hands a copy to
-// the background writer: a cut fails, dup doubles, delay/jitter/rate pick
-// the deadline. Only a cut link fails synchronously; everything else
+// the background writer: a cut fails, delay/jitter/rate pick the deadline. Only a cut link fails synchronously; everything else
 // reports b fully written immediately — a later delivery failure is
 // indistinguishable from a connection loss, which the cluster's
 // reliability layer already absorbs (unacked updates are resent on a
@@ -228,9 +230,6 @@ func (c *shapedConn) Write(b []byte) (int, error) {
 	}
 	frame := slices.Clone(b) // the caller reuses b once Write returns
 	c.push(frame, lk, tick, first)
-	if lk.Dup && !first {
-		c.push(frame, lk, tick, first)
-	}
 	return len(b), nil
 }
 

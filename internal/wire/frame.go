@@ -38,13 +38,7 @@ func (e *FrameSizeError) Error() string {
 // uvarint(n), one byte per started seven bits of n. A frame is its header
 // and its payload, nothing else, so this is all a caller measuring wire
 // bytes adds to a payload.
-func FrameHeaderLen(n int) int {
-	h := 1
-	for ; n >= 0x80; n >>= 7 {
-		h++
-	}
-	return h
-}
+func FrameHeaderLen(n int) int { return uvarintLen(uint64(n)) }
 
 // FramePayload returns the payload of a whole frame as EndFrame returns it:
 // the bytes behind its header.

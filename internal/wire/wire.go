@@ -11,7 +11,8 @@
 //
 //   - OWNS: varint/string/clock encoding (Writer, Reader), length-delimited
 //     framing and its size limits (frame.go), DEFLATE streams (compress.go),
-//     and the tree's one non-test use of unsafe, Reader.StringView.
+//     the LZ stream codec a connection's frames go through (stream.go), and
+//     the tree's one non-test use of unsafe, Reader.StringView.
 //   - MUST NOT: know any frame type, message layout or protocol version —
 //     those belong to the package that defines the message — or touch a
 //     socket beyond the io.Reader/io.Writer it is handed.
