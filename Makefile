@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench allocs bench-smoke flake figures json loc fuzz chaos chaos-search durability membership livecheck shard batteries-check ci
+.PHONY: build test verify bench allocs bench-smoke compare flake figures json loc fuzz chaos chaos-search durability membership livecheck shard batteries-check ci
 
 build:
 	$(GO) build ./...
@@ -33,12 +33,18 @@ bench:
 # last row is the pin of a whole write over TCP, request frame to reply:
 # 0 allocations, and no bytes but the records and what the node keeps. A
 # batch frame's trip through a connection's LZ stream, both ends
-# (BenchmarkStream), allocates nothing either.
+# (BenchmarkStream), allocates nothing either: each end's buffers start at
+# the first frame's size and double to full size, once per connection
+# (amortized over 200000 frames, 1 B/op). Last, the time WaitQuiesced takes
+# to see a three-node cluster quiesce once a write at every node has been
+# delivered (BenchmarkQuiesce, ms/quiesce): about a round trip, where two
+# 10 ms sleeps between sweeps once made it ≈21 ms (≈0.4 ms now, -cpu 1).
 allocs:
 	$(GO) test ./internal/cluster -run '^$$' -bench '^Benchmark(DoInLoop|ApplyUpdate|InflateTo)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/store/causal -run '^$$' -bench '^Benchmark(CausalWrite|CausalReceive)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/wire -run '^$$' -bench '^Benchmark(ReadFrame|Stream)$$' -benchtime 200000x -cpu 1 -benchmem
 	$(GO) test ./internal/cluster -run '^TestWriteOverTCPAllocatesOnlyWhatItKeeps$$' -count 1 -v
+	$(GO) test ./internal/cluster -run '^$$' -bench '^BenchmarkQuiesce$$' -benchtime 200x -cpu 1
 
 # The benchmark under benchmark/ is its own module, so `go build ./...` and
 # `go test ./...` never compile it: an interface change in the main module
@@ -62,6 +68,17 @@ bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/...
+
+# The paired A/B comparison every speed claim is made with: both trees'
+# benchmark/run.sh, alternated, PAIRS pairs per workload on seeds SEED…,
+# the ref checked out by git clone into .bench_build/ref; a gated metric
+# worse than its BENCHMARK.json bound fails the target.
+REF ?= HEAD~1
+WORKLOADS ?= mixed-small-closed
+PAIRS ?= 10
+SEED ?= 1
+compare:
+	$(GO) run ./cmd/benchpair -ref $(REF) -workloads $(WORKLOADS) -pairs $(PAIRS) -seed $(SEED)
 
 # Timing flakes hide at -count=1. Repeat the networked packages — real
 # sockets, child processes, goroutines racing test assertions, the

@@ -240,12 +240,10 @@ func run(w io.Writer, cfg config) error {
 	}
 	quiesce := func() error {
 		return cluster.PollQuiesced(func() (bool, error) {
-			for _, c := range control {
-				if s, err := c.Stats(); err != nil || !s.Quiesced {
-					return false, err
-				}
-			}
-			return true, nil
+			return cluster.SweepAll(control, func(c *cluster.Client) (bool, error) {
+				s, err := c.Stats()
+				return s.Quiesced, err
+			})
 		}, cfg.quiesceTimeout)
 	}
 	convergence := cluster.Settle(quiesce, st, cluster.Doers(control), checkObjs)

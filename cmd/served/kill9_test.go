@@ -100,13 +100,9 @@ func settle(t *testing.T, child *servedProc, c *cluster.Client, peers []*cluster
 	t.Helper()
 	quiesce := func() error {
 		return cluster.PollQuiesced(func() (bool, error) {
-			for _, nd := range peers {
-				if !nd.Quiesced() {
-					return false, nil
-				}
-			}
+			all, _ := cluster.SweepAll(peers, func(nd *cluster.Node) (bool, error) { return nd.Quiesced(), nil })
 			s, err := c.Stats()
-			return err == nil && s.Quiesced, nil
+			return all && err == nil && s.Quiesced, nil
 		}, 30*time.Second)
 	}
 	doers := append([]cluster.Doer{c}, cluster.Doers(peers)...)

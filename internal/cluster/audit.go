@@ -21,42 +21,113 @@ import (
 // replica reported quiescence — until two sweeps in a row are clean: one can
 // race an update in flight between a sender and the receiving shard's turn,
 // two cannot, since a receiver's delivered counts are read only after
-// application and only ever raise a sender's cursor. The first sweep after
-// traffic reads false: it is the one that asks every sender's peers what
-// they delivered (Node.Quiesced). It returns quiesced's
-// error at once, and an error when timeout passes first.
+// application and only ever raise a sender's cursor. That takes the second
+// sweep to start after the first has ended, and nothing more, so a clean
+// sweep is followed by the next at once. The first sweep after traffic reads
+// false: it is the one that asks every sender's peers what they delivered
+// (Node.Quiesced), and a poller that cannot see the answers arrive waits
+// 10 ms after it before sweeping again. It returns quiesced's error at once,
+// and an error when timeout passes first.
 func PollQuiesced(quiesced func() (bool, error), timeout time.Duration) error {
+	return pollQuiesced(quiesced, time.Sleep, timeout)
+}
+
+// pollQuiesced is PollQuiesced with the wait after a dirty sweep given:
+// wait(d) returns once the answers that sweep asked for are in, or when d
+// has passed — 10 ms, or what is left of the timeout if that is less.
+func pollQuiesced(sweep func() (bool, error), wait func(time.Duration), timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	clean := 0
 	for time.Now().Before(deadline) {
-		all, err := quiesced()
+		all, err := sweep()
 		if err != nil {
 			return err
 		}
-		if !all {
-			clean = 0
-		} else if clean++; clean >= 2 {
-			return nil
+		if all {
+			if clean++; clean >= 2 {
+				return nil
+			}
+			continue
 		}
-		time.Sleep(10 * time.Millisecond)
+		clean = 0
+		wait(min(10*time.Millisecond, time.Until(deadline)))
 	}
 	return fmt.Errorf("cluster did not quiesce within %v", timeout)
 }
 
-// WaitQuiesced is PollQuiesced over in-process nodes; false on timeout.
+// WaitQuiesced is PollQuiesced over in-process nodes, where the answers can
+// be seen arriving: after a dirty sweep it waits until every link that
+// sweep asked has read the answer to its question (awaitAnswers), so
+// quiescence costs about one round trip after the last delivery, not a
+// fixed sleep, and leaves no question behind to be answered after later
+// traffic. The 10 ms bound on the wait covers a link whose peer is down or
+// slow. False on timeout.
 func WaitQuiesced(nodes []*Node, timeout time.Duration) bool {
-	return PollQuiesced(func() (bool, error) { return sweepQuiesced(nodes), nil }, timeout) == nil
+	var asked []*peerSender
+	sweep := func() (bool, error) {
+		var all bool
+		all, asked = sweepAsking(nodes, asked[:0])
+		return all, nil
+	}
+	return pollQuiesced(sweep, func(d time.Duration) { awaitAnswers(asked, d) }, timeout) == nil
 }
 
-// sweepQuiesced is one sweep over in-process nodes: it asks every node, not
-// only up to the first that is not quiesced, so each sweep after traffic
-// asks every link that is behind, and the next reads all the answers.
-func sweepQuiesced(nodes []*Node) bool {
+// SweepAll is one quiescence sweep over a cluster's nodes, in-process or
+// remote: it asks every node, not only up to the first that is not
+// quiesced, so each sweep after traffic asks every link that is behind, and
+// the next reads all the answers. It stops at the first error.
+func SweepAll[T any](nodes []T, quiesced func(T) (bool, error)) (bool, error) {
 	all := true
 	for _, n := range nodes {
-		all = n.Quiesced() && all
+		q, err := quiesced(n)
+		if err != nil {
+			return false, err
+		}
+		all = q && all
 	}
+	return all, nil
+}
+
+// sweepQuiesced is SweepAll over in-process nodes.
+func sweepQuiesced(nodes []*Node) bool {
+	all, _ := sweepAsking(nodes, nil)
 	return all
+}
+
+// sweepAsking is sweepQuiesced, appending to asked every link it asked.
+func sweepAsking(nodes []*Node, asked []*peerSender) (bool, []*peerSender) {
+	all, _ := SweepAll(nodes, func(n *Node) (bool, error) {
+		var s Stats
+		s, asked = n.stats(asked)
+		return s.Quiesced, nil
+	})
+	return all, asked
+}
+
+// awaitAnswers waits until no link in asked has a question posted or
+// unanswered, or until d has passed. With no link asked — the sweep was
+// dirty for another reason: a pending broadcast, a member not linked yet —
+// it waits d, as there is no answer to wait for.
+func awaitAnswers(asked []*peerSender, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	if len(asked) == 0 {
+		<-t.C
+		return
+	}
+	for _, p := range asked {
+		for {
+			wake := p.node.answerWait() // before the check: an answer after it closes wake
+			if !p.questioned() {
+				break
+			}
+			select {
+			case <-wake:
+			case <-t.C:
+				return
+			}
+		}
+	}
 }
 
 // QuiesceNodes is Settle's quiesce step over in-process nodes; its error

@@ -438,6 +438,12 @@ type Node struct {
 	// payloads among them.
 	batchBytes, batchRawBytes, batchPayloadBytes atomic.Int64
 
+	// answerWake is closed, and dropped, by the next answer any of the
+	// node's links reads (answered); a quiescence sweep waiting on its
+	// questions makes it (answerWait). nil while nobody waits.
+	answerMu   sync.Mutex
+	answerWake chan struct{}
+
 	// restored counts events replayed from restored histories at boot.
 	restored int64
 	// failure holds the error that fail-stopped the node (fail), if any.
@@ -697,6 +703,13 @@ func (n *Node) viewLinked() bool {
 // drained what its peer delivered (peerSender.drained), at the cost of one
 // small frame each way.
 func (n *Node) Stats() Stats {
+	s, _ := n.stats(nil)
+	return s
+}
+
+// stats is Stats, and appends to asked each link its verdict asked — the
+// links drained found behind: what a sweep waits on (awaitAnswers).
+func (n *Node) stats(asked []*peerSender) (Stats, []*peerSender) {
 	k := len(n.shards)
 	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Options: store.OptionsOf(n.cfg.Store), Shards: k,
 		ShardOps: make([]int64, k), ShardSends: make([]int64, k),
@@ -749,12 +762,39 @@ func (n *Node) Stats() Stats {
 		if p.failed.Load() {
 			s.FailedLinks++
 		}
-		if !closed && !p.drained() {
+		if closed {
+			continue
+		}
+		if !p.drained() {
 			quiesced = false
+			asked = append(asked, p)
 		}
 	}
 	s.Quiesced = !closed && quiesced && n.viewLinked()
-	return s
+	return s, asked
+}
+
+// answerWait returns a channel the next answer any of the node's links
+// reads closes.
+func (n *Node) answerWait() <-chan struct{} {
+	n.answerMu.Lock()
+	defer n.answerMu.Unlock()
+	if n.answerWake == nil {
+		n.answerWake = make(chan struct{})
+	}
+	return n.answerWake
+}
+
+// answered wakes every sweep waiting on an answer from one of the node's
+// links. A link reads an answer only when asked, so this costs nothing on
+// the replication path.
+func (n *Node) answered() {
+	n.answerMu.Lock()
+	if n.answerWake != nil {
+		close(n.answerWake)
+		n.answerWake = nil
+	}
+	n.answerMu.Unlock()
 }
 
 // Violations returns the §4 property violations the node's checkers

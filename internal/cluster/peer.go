@@ -117,6 +117,11 @@ type peerSender struct {
 	// count behind the log, and serve writes a hello behind the batches it
 	// has written, which the peer answers with a fresh hello ack.
 	ask atomic.Bool
+	// unanswered counts the questions serve wrote whose answers the answer
+	// reader has not processed yet. A new connection's opening ack zeroes
+	// it: a question on a dead connection is never answered, and that ack
+	// is fresher than any answer to it.
+	unanswered atomic.Int64
 }
 
 func newPeerSender(n *Node, peer model.ReplicaID, addr string) *peerSender {
@@ -157,6 +162,12 @@ func (p *peerSender) drained() bool {
 		}
 	}
 	return true
+}
+
+// questioned reports whether a question of the link is posted, or written
+// and not answered yet.
+func (p *peerSender) questioned() bool {
+	return p.ask.Load() || p.unanswered.Load() > 0
 }
 
 // errLostHistory fail-stops a node whose peer reports holding more of the
@@ -421,9 +432,13 @@ func (p *peerSender) serve(conn net.Conn) bool {
 			for si, d := range a.Delivered {
 				p.ack(si, d)
 			}
-			if i == 0 {
+			if i > 0 {
+				p.unanswered.Add(-1)
+			} else {
+				p.unanswered.Store(0)
 				close(acked)
 			}
+			p.node.answered()
 		}
 	}()
 
@@ -545,11 +560,17 @@ func (p *peerSender) serve(conn net.Conn) bool {
 			lastFrame = time.Now()
 		}
 		// The question travels behind every batch written so far, and the
-		// peer reads in order, so its answer counts them all.
-		if p.ask.Swap(false) && hello() != nil {
-			conn.Close()
-			<-connDead
-			return true
+		// peer reads in order, so its answer counts them all. It is counted
+		// unanswered before the posted flag drops, so that a sweep waiting
+		// for it (awaitAnswers) sees it outstanding until it is answered.
+		if p.ask.Load() {
+			p.unanswered.Add(1)
+			p.ask.Store(false)
+			if hello() != nil {
+				conn.Close()
+				<-connDead
+				return true
+			}
 		}
 		select {
 		case <-p.done:

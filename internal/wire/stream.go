@@ -26,14 +26,17 @@ const StreamWindow = 32 << 10
 // of it; what the bodies are is their caller's business.
 const (
 	streamMinMatch = 4
-	// streamHashBits sizes the encoder's table of 4-byte sequences: 4 K
+	// streamHashBits sizes the encoder's full table of 4-byte sequences: 4 K
 	// positions of 4 bytes, small enough to stay in a core's near cache
-	// between one frame and the next.
-	streamHashBits = 12
-	// streamMinCap is the history's first capacity: StreamWindow of kept
-	// bytes and as many new ones before the history slides — a copy of the
-	// window and, at the encoder, a pass over its table, once per 32 KiB the
-	// stream carries.
+	// between one frame and the next. A table starts at streamMinHashBits
+	// and grows with the history, a slot per 4 bytes of it, to the full size.
+	streamHashBits    = 12
+	streamMinHashBits = 8
+	// streamMinCap is the capacity a history grows to before it slides:
+	// StreamWindow of kept bytes and as many new ones — a copy of the window
+	// and, at the encoder, a pass over its table, once per 32 KiB the
+	// stream carries. A history starts at its first body's size and doubles
+	// on the way, so a stream that carries little holds little.
 	streamMinCap = 2 * StreamWindow
 )
 
@@ -54,19 +57,26 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// makeRoom readies hist to take n more bytes: when they do not fit its
-// capacity it keeps only the last StreamWindow bytes (moved to the front),
-// and when they still do not fit it moves them to a larger array, of
-// streamMinCap or of StreamWindow + n bytes, whichever is more. It returns
-// the new history and how many bytes slid off its front.
+// makeRoom readies hist to take n more bytes. When they do not fit its
+// capacity, a history below streamMinCap moves whole to an array of twice
+// its capacity (up to streamMinCap) or of the bytes it must hold, whichever
+// is more; a history of streamMinCap or more keeps only its last
+// StreamWindow bytes (moved to the front), and when n still does not fit,
+// moves them to an array of StreamWindow + n bytes. Both ends of a stream
+// call it with the same sizes, so their histories slide alike; either keeps
+// every byte of the last StreamWindow the stream carried. It returns the
+// new history and how many bytes slid off its front.
 func makeRoom(hist []byte, n int) ([]byte, int) {
 	if len(hist)+n <= cap(hist) {
 		return hist, 0
 	}
-	shift := max(len(hist)-StreamWindow, 0)
+	shift := 0
+	if cap(hist) >= streamMinCap {
+		shift = max(len(hist)-StreamWindow, 0)
+	}
 	keep := len(hist) - shift
 	if keep+n > cap(hist) {
-		grown := make([]byte, keep, max(streamMinCap, keep+n))
+		grown := make([]byte, keep, max(min(2*cap(hist), streamMinCap), keep+n))
 		copy(grown, hist[shift:])
 		return grown, shift
 	}
@@ -76,29 +86,51 @@ func makeRoom(hist []byte, n int) ([]byte, int) {
 
 // StreamEncoder is the sending end of an LZ stream: it codes each body
 // against the bodies before it. Its history and its table of 4-byte
-// sequences are built on the first body and reused for every later one,
-// so a connection's encoder allocates nothing per body once they exist
-// (only a body larger than any before grows the history). The zero value
-// is the empty stream. It is not safe for concurrent use.
+// sequences are built on the first body, sized to it, and grow with what
+// the stream carries to their full sizes, which every later body reuses:
+// a connection's encoder allocates nothing per body once they exist (only a
+// body larger than any before grows the history). The zero value is the
+// empty stream. It is not safe for concurrent use.
 type StreamEncoder struct {
 	hist []byte
 	// table maps the hash of 4 bytes to the last position they were seen
-	// at, + 1 (0: none). A probe checks the history for the same bytes.
+	// at, + 1 (0: none). A probe checks the history for the same bytes. Its
+	// size is the encoder's alone: the decoder never sees it.
 	table []uint32
+	// shift is 32 less the table's bits: a hash is the top bits of a product.
+	shift uint8
 }
 
 func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
 
-func hash4(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - streamHashBits) }
+func hash4(u uint32, shift uint8) uint32 { return (u * 0x1e35a7bd) >> shift }
+
+// growTable sizes the table to the history's capacity: a slot per 4 bytes
+// of it, from 1<<streamMinHashBits to 1<<streamHashBits slots. A grown
+// table keeps every position the old one held: a slot's hash is the top
+// bits of the same product, so each old slot moves to one new one.
+func (e *StreamEncoder) growTable() {
+	bits := streamMinHashBits
+	for bits < streamHashBits && 4<<bits < cap(e.hist) {
+		bits++
+	}
+	if len(e.table) >= 1<<bits {
+		return
+	}
+	old := e.table
+	e.table, e.shift = make([]uint32, 1<<bits), uint8(32-bits)
+	for _, v := range old {
+		if v > 0 && int(v)-1+streamMinMatch <= len(e.hist) {
+			e.table[hash4(load32(e.hist, int(v)-1), e.shift)] = v
+		}
+	}
+}
 
 // Encode appends the tokens of body to w: body follows everything the
 // stream carried before, and a decoder that decoded those bodies decodes
 // it back from the appended bytes and len(body). At most StreamBound(len(
 // body)) bytes are appended. body must not alias w's buffer.
 func (e *StreamEncoder) Encode(w *Writer, body []byte) {
-	if e.table == nil {
-		e.table = make([]uint32, 1<<streamHashBits)
-	}
 	var shift int
 	e.hist, shift = makeRoom(e.hist, len(body))
 	if shift > 0 {
@@ -107,6 +139,7 @@ func (e *StreamEncoder) Encode(w *Writer, body []byte) {
 			e.table[i] = v - min(v, uint32(shift))
 		}
 	}
+	e.growTable()
 	start := len(e.hist)
 	e.hist = append(e.hist, body...)
 	h := e.hist
@@ -120,7 +153,7 @@ func (e *StreamEncoder) Encode(w *Writer, body []byte) {
 	skip := 64
 	for s+streamMinMatch <= end {
 		cur := load32(h, s)
-		slot := &e.table[hash4(cur)]
+		slot := &e.table[hash4(cur, e.shift)]
 		cand := int(*slot) - 1
 		*slot = uint32(s + 1)
 		if cand < 0 || s-cand > StreamWindow || load32(h, cand) != cur {
@@ -166,7 +199,7 @@ func (e *StreamEncoder) Encode(w *Writer, body []byte) {
 			if i+streamMinMatch > end {
 				break
 			}
-			e.table[hash4(load32(h, i))] = uint32(i + 1)
+			e.table[hash4(load32(h, i), e.shift)] = uint32(i + 1)
 		}
 	}
 	if end > lit {

@@ -191,6 +191,39 @@ func TestStreamDecoderRefuses(t *testing.T) {
 	}
 }
 
+// TestStreamHoldsWhatItCarried: each end's buffers start at the first
+// body's size and grow with what the stream carries, so a link that carried
+// one small frame holds a few KiB, not the 144 KiB of full-size buffers;
+// after StreamWindow and more they are at full size. A decoder whose history
+// starts at full size, as every decoder's did before, decodes the same
+// stream: the sizes decide when a history slides, never what a
+// back-reference may reach.
+func TestStreamHoldsWhatItCarried(t *testing.T) {
+	body := bytes.Join(mixedFrames(7, 3), nil)[:200]
+	var enc StreamEncoder
+	var dec StreamDecoder
+	full := StreamDecoder{hist: make([]byte, 0, streamMinCap)}
+	w := NewWriter()
+	frames := append([][]byte{body}, mixedFrames(8, 2000)...)
+	for i, f := range frames {
+		w.Reset()
+		enc.Encode(w, f)
+		for _, d := range []*StreamDecoder{&dec, &full} {
+			got, err := d.Decode(w.Bytes(), uint64(len(f)), 0)
+			if err != nil || !bytes.Equal(got, f) {
+				t.Fatalf("frame %d: decoded %x, %v; want %x", i, got, err, f)
+			}
+		}
+		if held := cap(enc.hist) + 4*cap(enc.table) + cap(dec.hist); i == 0 && held > 8<<10 {
+			t.Fatalf("an encoder and a decoder that carried one 200 B body hold %d B, want at most 8 KiB", held)
+		}
+	}
+	if cap(enc.hist) != streamMinCap || len(enc.table) != 1<<streamHashBits || cap(dec.hist) != streamMinCap {
+		t.Fatalf("after %d frames: encoder history %d B and table %d slots, decoder history %d B; want %d, %d, %d",
+			len(frames), cap(enc.hist), len(enc.table), cap(dec.hist), streamMinCap, 1<<streamHashBits, streamMinCap)
+	}
+}
+
 // TestStreamDecodeAllocatesNothing: once a connection's history exists,
 // neither end allocates per body.
 func TestStreamDecodeAllocatesNothing(t *testing.T) {
