@@ -46,7 +46,6 @@ func main() {
 	workloads := flag.String("workloads", "", "comma-separated workloads (default: every one in BENCHMARK.json)")
 	pairs := flag.Int("pairs", 10, "pairs of runs per workload")
 	seed := flag.Int64("seed", 1, "seed of the first pair; pair i runs seed+i")
-	seconds := flag.Float64("seconds", 0, "timed window of each run (default: BENCHMARK.json's run_seconds)")
 	jsonOut := cli.JSONFlag(flag.CommandLine)
 	flag.Parse()
 	if *ref == "" || *pairs < 1 || flag.NArg() > 0 {
@@ -74,7 +73,7 @@ func main() {
 			}
 		}
 		cfg := config{spec: spec, refDir: refDir, changeDir: changeDir, ref: *ref, change: *change,
-			pairs: *pairs, seed: *seed, seconds: *seconds, progress: os.Stderr}
+			pairs: *pairs, seed: *seed, progress: os.Stderr}
 		if *workloads != "" {
 			cfg.workloads = strings.Split(*workloads, ",")
 		}
@@ -88,8 +87,7 @@ func main() {
 
 // spec is what benchpair reads of BENCHMARK.json.
 type spec struct {
-	RunSeconds float64 `json:"run_seconds"`
-	Workloads  []struct {
+	Workloads []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metricSpec `json:"end_to_end"`
@@ -146,7 +144,6 @@ type config struct {
 	workloads         []string
 	pairs             int
 	seed              int64
-	seconds           float64 // 0: the spec's run_seconds
 	progress          io.Writer
 }
 
@@ -173,10 +170,6 @@ func compare(out bench.Output, cfg config) error {
 			workloads = append(workloads, w.Name)
 		}
 	}
-	seconds := cfg.seconds
-	if seconds <= 0 {
-		seconds = cfg.spec.RunSeconds
-	}
 	var worse []string
 	for _, w := range workloads {
 		var ps []pair
@@ -193,7 +186,7 @@ func compare(out bench.Output, cfg config) error {
 				slices.Reverse(sides)
 			}
 			for _, s := range sides {
-				r, err := runTree(s.dir, w, p.seed, seconds)
+				r, err := runTree(s.dir, w, p.seed)
 				switch {
 				case err != nil:
 					p.void = fmt.Sprintf("seed %d: %s: %v", p.seed, s.name, err)
@@ -208,7 +201,7 @@ func compare(out bench.Output, cfg config) error {
 			fmt.Fprintf(cfg.progress, "benchpair: %s pair %d/%d seed %d %s\n", w, i+1, cfg.pairs, p.seed, orDone(p.void))
 			ps = append(ps, p)
 		}
-		t, bad := table(w, cfg, seconds, ps)
+		t, bad := table(w, cfg, ps)
 		if err := out.Emit(t); err != nil {
 			return err
 		}
@@ -228,9 +221,8 @@ func orDone(void string) string {
 }
 
 // runTree runs one workload once in a tree and parses what it printed.
-func runTree(dir, workload string, seed int64, seconds float64) (run, error) {
-	cmd := exec.Command("bash", "benchmark/run.sh", "-workload", workload,
-		"-seed", strconv.FormatInt(seed, 10), "-seconds", strconv.FormatFloat(seconds, 'g', -1, 64))
+func runTree(dir, workload string, seed int64) (run, error) {
+	cmd := exec.Command("bash", "benchmark/run.sh", "-workload", workload, "-seed", strconv.FormatInt(seed, 10))
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -266,12 +258,12 @@ func lastLine(b []byte) string {
 // table reports one workload's valid pairs, metric by metric, in
 // BENCHMARK.json's order and then any the spec does not declare; it also
 // returns the gated metrics worse than their bound.
-func table(workload string, cfg config, seconds float64, ps []pair) (*bench.Table, []string) {
+func table(workload string, cfg config, ps []pair) (*bench.Table, []string) {
 	change := cfg.change
 	if change == "" {
 		change = "the working tree"
 	}
-	t := bench.NewTable(fmt.Sprintf("benchpair %s: %s against %s, %g s runs", workload, cfg.ref, change, seconds),
+	t := bench.NewTable(fmt.Sprintf("benchpair %s: %s against %s", workload, cfg.ref, change),
 		"metric", "unit", "ref", "change", "ratio", "lower", "ref IQR", "bound", "verdict", "gain")
 	var valid []pair
 	var voids []string

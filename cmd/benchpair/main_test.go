@@ -15,7 +15,6 @@ import (
 
 // testSpec declares two gated metrics and one ungated, as BENCHMARK.json does.
 var testSpec = spec{
-	RunSeconds: 20,
 	Workloads: []struct {
 		Name string `json:"name"`
 	}{{"w1"}},
@@ -25,14 +24,14 @@ var testSpec = spec{
 
 // fakeTree is a tree whose benchmark/run.sh prints what the real one does,
 // scripted: setup_s is setup + seed/1000, alloc_bytes_per_op is alloc, and
-// throughput is 1000. Each run appends "<name> <workload> <seed> <seconds>"
+// throughput is 1000. Each run appends "<name> <workload> <seed>"
 // to log. Seed voidSeed prints correct:false, and seed failSeed exits 1.
 func fakeTree(t *testing.T, name, log string, setup, alloc float64, voidSeed, failSeed int) string {
 	t.Helper()
 	dir := t.TempDir()
 	script := fmt.Sprintf(`set -eu
 seed=$4
-echo "%s $2 $seed $6" >> %q
+echo "%s $2 $seed" >> %q
 if [ "$seed" = %d ]; then echo "benchmark: the cluster did not converge" >&2; exit 1; fi
 correct=true
 if [ "$seed" = %d ]; then correct=false; fi
@@ -104,9 +103,9 @@ func TestComparePairsAlternateAndVoid(t *testing.T) {
 		if i%2 == 1 {
 			first, second = second, first
 		}
-		want = append(want, fmt.Sprintf("%s w1 %d 20", first, seed))
+		want = append(want, fmt.Sprintf("%s w1 %d", first, seed))
 		if seed != 4 && seed != 7 { // a void first run voids the pair at once
-			want = append(want, fmt.Sprintf("%s w1 %d 20", second, seed))
+			want = append(want, fmt.Sprintf("%s w1 %d", second, seed))
 		}
 	}
 	if got := strings.Split(strings.TrimSpace(string(runs)), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {

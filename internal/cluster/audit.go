@@ -56,20 +56,15 @@ func pollQuiesced(sweep func() (bool, error), wait func(time.Duration), timeout 
 }
 
 // WaitQuiesced is PollQuiesced over in-process nodes, where the answers can
-// be seen arriving: after a dirty sweep it waits until every link that
-// sweep asked has read the answer to its question (awaitAnswers), so
-// quiescence costs about one round trip after the last delivery, not a
-// fixed sleep, and leaves no question behind to be answered after later
-// traffic. The 10 ms bound on the wait covers a link whose peer is down or
-// slow. False on timeout.
+// be seen arriving: after a dirty sweep it waits until every link the sweep
+// asked has read the answer to its question (awaitAnswers), so quiescence
+// costs about one round trip after the last delivery, not a fixed sleep, and
+// leaves no question behind to be answered after later traffic. The 10 ms
+// bound on the wait covers a link whose peer is down or slow. False on
+// timeout.
 func WaitQuiesced(nodes []*Node, timeout time.Duration) bool {
-	var asked []*peerSender
-	sweep := func() (bool, error) {
-		var all bool
-		all, asked = sweepAsking(nodes, asked[:0])
-		return all, nil
-	}
-	return pollQuiesced(sweep, func(d time.Duration) { awaitAnswers(asked, d) }, timeout) == nil
+	sweep := func() (bool, error) { return sweepQuiesced(nodes), nil }
+	return pollQuiesced(sweep, func(d time.Duration) { awaitAnswers(nodes, d) }, timeout) == nil
 }
 
 // SweepAll is one quiescence sweep over a cluster's nodes, in-process or
@@ -90,43 +85,38 @@ func SweepAll[T any](nodes []T, quiesced func(T) (bool, error)) (bool, error) {
 
 // sweepQuiesced is SweepAll over in-process nodes.
 func sweepQuiesced(nodes []*Node) bool {
-	all, _ := sweepAsking(nodes, nil)
+	all, _ := SweepAll(nodes, func(n *Node) (bool, error) { return n.Quiesced(), nil })
 	return all
 }
 
-// sweepAsking is sweepQuiesced, appending to asked every link it asked.
-func sweepAsking(nodes []*Node, asked []*peerSender) (bool, []*peerSender) {
-	all, _ := SweepAll(nodes, func(n *Node) (bool, error) {
-		var s Stats
-		s, asked = n.stats(asked)
-		return s.Quiesced, nil
-	})
-	return all, asked
-}
-
-// awaitAnswers waits until no link in asked has a question posted or
-// unanswered, or until d has passed. With no link asked — the sweep was
-// dirty for another reason: a pending broadcast, a member not linked yet —
-// it waits d, as there is no answer to wait for.
-func awaitAnswers(asked []*peerSender, d time.Duration) {
+// awaitAnswers waits until no link of nodes has a question posted or
+// unanswered (peerSender.questioned), or until d has passed. With no link
+// asked since the last wait (peerSender.sought) — the sweep was dirty for
+// another reason: a pending broadcast, a member not linked yet — it waits d,
+// as there is no answer to wait for.
+func awaitAnswers(nodes []*Node, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	if len(asked) == 0 {
-		<-t.C
-		return
-	}
-	for _, p := range asked {
-		for {
-			wake := p.node.answerWait() // before the check: an answer after it closes wake
-			if !p.questioned() {
-				break
-			}
-			select {
-			case <-wake:
-			case <-t.C:
-				return
+	asked := false
+	for _, n := range nodes {
+		for _, p := range n.allPeers() {
+			asked = p.sought.Swap(false) || asked
+			for {
+				wake := n.answerWait() // before the check: an answer after it closes wake
+				if !p.questioned() {
+					break
+				}
+				asked = true
+				select {
+				case <-wake:
+				case <-t.C:
+					return
+				}
 			}
 		}
+	}
+	if !asked {
+		<-t.C
 	}
 }
 

@@ -703,13 +703,6 @@ func (n *Node) viewLinked() bool {
 // drained what its peer delivered (peerSender.drained), at the cost of one
 // small frame each way.
 func (n *Node) Stats() Stats {
-	s, _ := n.stats(nil)
-	return s
-}
-
-// stats is Stats, and appends to asked each link its verdict asked — the
-// links drained found behind: what a sweep waits on (awaitAnswers).
-func (n *Node) stats(asked []*peerSender) (Stats, []*peerSender) {
 	k := len(n.shards)
 	s := Stats{Node: n.cfg.ID, Store: n.cfg.Store.Name(), Options: store.OptionsOf(n.cfg.Store), Shards: k,
 		ShardOps: make([]int64, k), ShardSends: make([]int64, k),
@@ -762,16 +755,12 @@ func (n *Node) stats(asked []*peerSender) (Stats, []*peerSender) {
 		if p.failed.Load() {
 			s.FailedLinks++
 		}
-		if closed {
-			continue
-		}
-		if !p.drained() {
+		if !closed && !p.drained() {
 			quiesced = false
-			asked = append(asked, p)
 		}
 	}
 	s.Quiesced = !closed && quiesced && n.viewLinked()
-	return s, asked
+	return s
 }
 
 // answerWait returns a channel the next answer any of the node's links

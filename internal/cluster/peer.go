@@ -122,6 +122,10 @@ type peerSender struct {
 	// it: a question on a dead connection is never answered, and that ack
 	// is fresher than any answer to it.
 	unanswered atomic.Int64
+	// sought is posted with ask and taken by the next quiescence wait
+	// (awaitAnswers): it tells a link the sweep asked, whose answer may
+	// already be in, from a sweep that asked no link at all.
+	sought atomic.Bool
 }
 
 func newPeerSender(n *Node, peer model.ReplicaID, addr string) *peerSender {
@@ -157,6 +161,7 @@ func (p *peerSender) drained() bool {
 	for si := range p.cursors {
 		if p.cursors[si].lastAcked < p.node.shards[si].logLen(p.node.cfg.ID) {
 			p.ask.Store(true)
+			p.sought.Store(true)
 			p.nudge()
 			return false
 		}
@@ -561,12 +566,14 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		}
 		// The question travels behind every batch written so far, and the
 		// peer reads in order, so its answer counts them all. It is counted
-		// unanswered before the posted flag drops, so that a sweep waiting
-		// for it (awaitAnswers) sees it outstanding until it is answered.
+		// unanswered before it is taken, so that a sweep waiting for it
+		// (awaitAnswers) never sees the link unquestioned in between, and
+		// taken by a swap, so that a question posted meanwhile is not lost.
 		if p.ask.Load() {
 			p.unanswered.Add(1)
-			p.ask.Store(false)
-			if hello() != nil {
+			if !p.ask.Swap(false) {
+				p.unanswered.Add(-1)
+			} else if hello() != nil {
 				conn.Close()
 				<-connDead
 				return true

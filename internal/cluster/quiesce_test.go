@@ -101,12 +101,11 @@ func TestDownPeerBoundsTheWait(t *testing.T) {
 	if _, err := r0.Do("x", model.Write("unheard")); err != nil {
 		t.Fatal(err)
 	}
-	all, asked := sweepAsking([]*Node{r0}, nil)
-	if all || len(asked) != 1 {
-		t.Fatalf("a sweep over r0 read %v and asked %d links, want false and its one link", all, len(asked))
+	if sweepQuiesced([]*Node{r0}) || !r0.allPeers()[0].questioned() {
+		t.Fatal("a sweep over r0 read quiesced or left its one link unasked, want it dirty and asking")
 	}
 	start := time.Now()
-	awaitAnswers(asked, 10*time.Millisecond)
+	awaitAnswers([]*Node{r0}, 10*time.Millisecond)
 	if waited := time.Since(start); waited < 10*time.Millisecond || waited > time.Second {
 		t.Fatalf("the wait on a down peer's answer took %v, want the 10 ms interval", waited)
 	}
