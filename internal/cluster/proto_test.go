@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/model"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -643,6 +644,22 @@ func TestGoldenWireVectors(t *testing.T) {
 			wire.PutWriter(env)
 			return b
 		}()},
+		// Every field distinct and non-zero, so that two fields swapped in
+		// the codec change the bytes.
+		{"stats", enc(func(w *wire.Writer) {
+			appendStats(w, Stats{
+				Node: 2, Store: "kbuffer", Options: store.Options{K: 3},
+				Ops: 101, Sends: 102, Receives: 103, Events: 306,
+				BytesOut: 70001, FramesOut: 105, BatchFrames: 106,
+				Retransmits: 7, Reconnects: 8, DupFrames: 9, GapFrames: 10,
+				Violations: 11, Quiesced: true,
+				BatchBytes: 5012, BatchRawBytes: 6013, BatchPayloadBytes: 4014,
+				Members: 3, SyncPulled: 15, SyncServed: 16, FailedLinks: 17,
+				Shards:   2,
+				ShardOps: []int64{60, 41}, ShardSends: []int64{62, 40},
+				ShardReceives: []int64{64, 39}, ShardEvents: []int64{186, 120},
+			})
+		})},
 	}
 	dir := filepath.Join("testdata", "golden")
 	update := os.Getenv("UPDATE_GOLDEN") != ""
