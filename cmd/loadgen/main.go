@@ -391,7 +391,7 @@ func drive(seed int64, clients, ops int, mutate float64, objs []model.ObjectID, 
 // verdict is a run's error once its tables are out: the first failed audit
 // verdict, a live checker that disagrees with the audit, a §4 violation the
 // store does not declare, then divergence.
-func verdict(audits []cluster.ShardAudit, liveDisagrees error, st store.Store, violations int, convergence error) error {
+func verdict(audits []cluster.ShardAudit, liveDisagrees error, st store.Store, violations int64, convergence error) error {
 	for _, a := range audits {
 		if err := a.Err(); err != nil {
 			return err

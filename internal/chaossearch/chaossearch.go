@@ -391,7 +391,7 @@ load:
 	m := sup.Metrics()
 	audits, err := cluster.AuditShards(1, sup.Histories, cfg.Store.Types())
 	if err == nil {
-		err = cmp.Or(audits[0].Err(), cluster.PropertyErr(cfg.Store, int(m.Violations)))
+		err = cmp.Or(audits[0].Err(), cluster.PropertyErr(cfg.Store, m.Violations))
 	}
 	if err != nil {
 		return fault.Metrics{}, fmt.Errorf("chaossearch: %w", err)

@@ -314,7 +314,7 @@ func AuditShards(shards int, fetch func(shard int) ([]History, error), types spe
 // write-propagating property by design — the K-buffer store's visible reads,
 // the GSP sequencer's receive-driven commits — in which case the count is a
 // figure to report, not a failure.
-func PropertyErr(st store.Store, violations int) error {
+func PropertyErr(st store.Store, violations int64) error {
 	if c := store.ConformanceOf(st); c.ViolatesInvisibleReads || c.ViolatesOpDrivenMessages {
 		return nil
 	}

@@ -242,8 +242,8 @@ func benchReplicatedWrite(b *testing.B, durable, stream bool) {
 	// may ask a question, and its answer is a frame and a commit.
 	wrote := func() (frames, bytes, walWrites, commits int64) {
 		for _, nd := range nodes {
-			frames += nd.framesOut.Load()
-			bytes += nd.bytesOut.Load()
+			frames += nd.count[cFramesOut].Load()
+			bytes += nd.count[cBytesOut].Load()
 		}
 		for _, j := range storage.journals {
 			if j != nil {

@@ -304,37 +304,35 @@ func (c Config) withDefaults() Config {
 // over the wire (cmd/loadgen aggregates them into its report). The snapshot is
 // coherent: each shard's fields are captured in one turn, so Events always
 // equals Ops+Sends+Receives for a node that did not restore a prior history,
-// and Quiesced agrees with the counters it is reported next to. BatchFrames
-// counts the replication batch frames among FramesOut: a paced link carries
-// everything its shards logged in a pace in one, a section per shard, so the
-// updates applied per batch frame show the pacing at work. BatchRawBytes is
-// what those frames hold as encoded, before the connection's LZ stream and
-// the compression envelope, and BatchPayloadBytes the store payloads among
-// them: the rest is replication metadata — framing, shard sections, runs'
-// counts and stamps. BatchBytes is what the frames took on the wire, so
-// BatchBytes/BatchRawBytes is what the stream (and, on a cut frame, the
-// envelope) left of them.
+// and Quiesced agrees with the counters it is reported next to.
+//
+// Each field from Ops to FailedLinks is an entry of the table counters
+// (counters.go), in the order the stats reply carries it; the entry says
+// whether Add sums it over nodes or it describes one node. A counter is
+// added as its field, its entry, and the place that bumps (Node.count) or
+// computes (Node.Stats) it.
 type Stats struct {
 	Node  model.ReplicaID `json:"node"`
 	Store string          `json:"store"`
 	// Options is what the store was built with (store.OptionsOf), so a
 	// driver opens the store this node runs, knobs included.
-	Options     store.Options `json:"options"`
-	Ops         int64         `json:"ops"`
-	Sends       int64         `json:"sends"`
-	Receives    int64         `json:"receives"`
-	Events      int64         `json:"events"`
-	BytesOut    int64         `json:"bytes_out"`
-	FramesOut   int64         `json:"frames_out,omitempty"`
-	BatchFrames int64         `json:"batch_frames,omitempty"`
-	Retransmits int64         `json:"retransmits"`
-	Reconnects  int64         `json:"reconnects"`
-	DupFrames   int64         `json:"dup_frames"`
-	GapFrames   int64         `json:"gap_frames"`
-	Violations  int           `json:"violations"`
-	Quiesced    bool          `json:"quiesced"`
-	// BatchBytes, BatchRawBytes and BatchPayloadBytes are the batch frames
-	// as written, as encoded, and the store payloads in them (see above).
+	Options  store.Options `json:"options"`
+	Ops      int64         `json:"ops"`
+	Sends    int64         `json:"sends"`
+	Receives int64         `json:"receives"`
+	Events   int64         `json:"events"`
+	BytesOut int64         `json:"bytes_out"`
+	// BatchFrames counts the replication batch frames among FramesOut.
+	FramesOut   int64 `json:"frames_out,omitempty"`
+	BatchFrames int64 `json:"batch_frames,omitempty"`
+	Retransmits int64 `json:"retransmits"`
+	Reconnects  int64 `json:"reconnects"`
+	DupFrames   int64 `json:"dup_frames"`
+	GapFrames   int64 `json:"gap_frames"`
+	Violations  int64 `json:"violations"`
+	Quiesced    bool  `json:"quiesced"`
+	// The batch frames' bytes on the wire, as encoded (before the link's LZ
+	// stream and the compression envelope), and the store payloads in them.
 	BatchBytes        int64 `json:"batch_bytes,omitempty"`
 	BatchRawBytes     int64 `json:"batch_raw_bytes,omitempty"`
 	BatchPayloadBytes int64 `json:"batch_payload_bytes,omitempty"`
@@ -343,19 +341,13 @@ type Stats struct {
 	Members int `json:"members,omitempty"`
 	// SyncPulled counts updates this node applied from anti-entropy range
 	// pulls while joining; SyncServed counts updates it shipped to joiners.
-	// The pair is the byte-range evidence that a join moved only the
-	// missing ranges, not the whole log.
 	SyncPulled int64 `json:"sync_pulled,omitempty"`
 	SyncServed int64 `json:"sync_served,omitempty"`
-	// FailedLinks counts replication links that fail-stopped on a terminal
-	// sender error (an update the frame limit can never carry). A non-zero
-	// value means some peer will not converge through this node's direct
-	// link; the node itself keeps serving.
+	// FailedLinks counts replication links fail-stopped on a terminal sender
+	// error (an update the frame limit can never carry); the node serves on.
 	FailedLinks int64 `json:"failed_links,omitempty"`
-	// Shards is the node's shard count; the per-shard slices below (one
-	// entry per shard, indexed by shard) break the aggregate counters down
-	// so load balance across shards is observable. Each aggregate is the sum
-	// of its slice — on an unsharded node, its one entry.
+	// Shards is the node's shard count; the per-shard slices below (indexed
+	// by shard) break the aggregate counters down, each the sum of its slice.
 	Shards        int     `json:"shards,omitempty"`
 	ShardOps      []int64 `json:"shard_ops,omitempty"`
 	ShardSends    []int64 `json:"shard_sends,omitempty"`
@@ -364,26 +356,14 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s — the sum over the nodes of a cluster,
-// or over the incarnations of one. What describes a single node (Node, Store,
-// Options, Quiesced, Members, the per-shard breakdown) is left alone.
+// or over the incarnations of one. The identity, the shard breakdown and the
+// entries that describe one node are left alone.
 func (s *Stats) Add(o Stats) {
-	s.Ops += o.Ops
-	s.Sends += o.Sends
-	s.Receives += o.Receives
-	s.Events += o.Events
-	s.BytesOut += o.BytesOut
-	s.FramesOut += o.FramesOut
-	s.BatchFrames += o.BatchFrames
-	s.BatchBytes += o.BatchBytes
-	s.BatchRawBytes += o.BatchRawBytes
-	s.BatchPayloadBytes += o.BatchPayloadBytes
-	s.Retransmits += o.Retransmits
-	s.Reconnects += o.Reconnects
-	s.DupFrames += o.DupFrames
-	s.GapFrames += o.GapFrames
-	s.Violations += o.Violations
-	s.SyncPulled += o.SyncPulled
-	s.SyncServed += o.SyncServed
+	for _, c := range counters {
+		if !c.oneNode {
+			*c.field(s) += *c.field(&o)
+		}
+	}
 	s.FailedLinks += o.FailedLinks
 }
 
@@ -410,9 +390,7 @@ type Node struct {
 	// dynamic flips once membership is in play (Join config, Leave, or a
 	// tJoin/tGossip heard) and starts the gossip loop; static clusters
 	// never pay for it.
-	dynamic    atomic.Bool
-	syncPulled atomic.Int64
-	syncServed atomic.Int64
+	dynamic atomic.Bool
 
 	// peers is written only by connect and disconnectPeer, under peerMu;
 	// each republishes peerList, the same senders as an immutable snapshot
@@ -425,18 +403,11 @@ type Node struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // accepted connections
 
-	// Transport counters, bumped where the event happens (a link's sender, a
-	// shard's turn) and kept on the node, so they outlive links and only grow.
-	bytesOut    atomic.Int64
-	framesOut   atomic.Int64
-	batchFrames atomic.Int64
-	retransmits atomic.Int64
-	reconnects  atomic.Int64
-	dupFrames   atomic.Int64
-	gapFrames   atomic.Int64
-	// The batch frames' wire bytes, their bytes as encoded, and the store
-	// payloads among them.
-	batchBytes, batchRawBytes, batchPayloadBytes atomic.Int64
+	// count holds the counters bumped where the event happens (a link's
+	// sender, a shard's turn, a join's sync), indexed by their constants in
+	// counters. Kept on the node, they outlive links and only grow; the
+	// entries Stats computes instead stay zero.
+	count [numCounters]atomic.Int64
 
 	// answerWake is closed, and dropped, by the next answer any of the
 	// node's links reads (answered); a quiescence sweep waiting on its
@@ -674,14 +645,14 @@ func (n *Node) Quiesced() bool {
 	return n.Stats().Quiesced
 }
 
-// viewLinked reports whether every member this node's view considers alive
+// viewLinked reports whether every member the view considers alive (alive)
 // has a replication link. Without it a node could report quiescence while
 // still holding updates a known-but-not-yet-linked joiner lacks — the
 // drained() condition is vacuous for a link that does not exist yet.
-func (n *Node) viewLinked() bool {
+func (n *Node) viewLinked(alive []membership.Member) bool {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	for _, m := range n.view.Alive() {
+	for _, m := range alive {
 		if m.ID == int(n.cfg.ID) || m.ID < 0 || m.ID >= n.cfg.N {
 			continue
 		}
@@ -718,7 +689,7 @@ func (n *Node) Stats() Stats {
 		}
 		counts(i, sh)
 		s.ShardEvents[i] = int64(sh.events.len())
-		s.Violations += len(sh.checker.Violations())
+		s.Violations += int64(len(sh.checker.Violations()))
 		quiesced = quiesced && sh.replica.PendingMessage() == nil
 		sh.turn.Unlock()
 	}
@@ -738,19 +709,13 @@ func (n *Node) Stats() Stats {
 		s.Receives += s.ShardReceives[i]
 		s.Events += s.ShardEvents[i]
 	}
-	s.BytesOut = n.bytesOut.Load()
-	s.FramesOut = n.framesOut.Load()
-	s.BatchFrames = n.batchFrames.Load()
-	s.BatchBytes = n.batchBytes.Load()
-	s.BatchRawBytes = n.batchRawBytes.Load()
-	s.BatchPayloadBytes = n.batchPayloadBytes.Load()
-	s.Retransmits = n.retransmits.Load()
-	s.Reconnects = n.reconnects.Load()
-	s.DupFrames = n.dupFrames.Load()
-	s.GapFrames = n.gapFrames.Load()
-	s.SyncPulled = n.syncPulled.Load()
-	s.SyncServed = n.syncServed.Load()
-	s.Members = len(n.view.Alive())
+	for i, c := range counters { // the count of what is computed here is 0
+		if c.field != nil {
+			*c.field(&s) += n.count[i].Load()
+		}
+	}
+	alive := n.view.Alive()
+	s.Members = len(alive)
 	for _, p := range n.allPeers() {
 		if p.failed.Load() {
 			s.FailedLinks++
@@ -759,7 +724,7 @@ func (n *Node) Stats() Stats {
 			quiesced = false
 		}
 	}
-	s.Quiesced = !closed && quiesced && n.viewLinked()
+	s.Quiesced = !closed && quiesced && n.viewLinked(alive)
 	return s
 }
 

@@ -185,38 +185,27 @@ func decodeHistory(r *wire.Reader) (History, error) {
 	return h, r.End()
 }
 
-// appendStats appends a stats snapshot's binary encoding, field by field in
-// declaration order. The layout changes when Stats changes; that is safe
-// because stats frames are never persisted and travel only on a client
-// connection, which exchanges no protocol version: a client reads the stats
-// of a node built from the same source.
+// appendStats appends a stats snapshot's binary encoding: identity, the
+// table counters in order, then the shard breakdown. The layout changes when
+// Stats changes; that is safe because stats frames are never persisted and
+// travel only on a client connection, which exchanges no protocol version: a
+// client reads the stats of a node built from the same source.
 func appendStats(w *wire.Writer, s Stats) {
 	w.Uvarint(uint64(s.Node))
 	w.String(s.Store)
 	w.Varint(int64(s.Options.K))
-	w.Varint(s.Ops)
-	w.Varint(s.Sends)
-	w.Varint(s.Receives)
-	w.Varint(s.Events)
-	w.Varint(s.BytesOut)
-	w.Varint(s.FramesOut)
-	w.Varint(s.BatchFrames)
-	w.Varint(s.Retransmits)
-	w.Varint(s.Reconnects)
-	w.Varint(s.DupFrames)
-	w.Varint(s.GapFrames)
-	w.Varint(int64(s.Violations))
-	q := uint64(0)
-	if s.Quiesced {
-		q = 1
+	for i, c := range counters {
+		if i == cSyncPulled {
+			w.Varint(int64(s.Members))
+		}
+		if c.flag == nil {
+			w.Varint(*c.field(&s))
+		} else if *c.flag(&s) {
+			w.Uvarint(1)
+		} else {
+			w.Uvarint(0)
+		}
 	}
-	w.Uvarint(q)
-	w.Varint(s.BatchBytes)
-	w.Varint(s.BatchRawBytes)
-	w.Varint(s.BatchPayloadBytes)
-	w.Varint(int64(s.Members))
-	w.Varint(s.SyncPulled)
-	w.Varint(s.SyncServed)
 	w.Varint(s.FailedLinks)
 	w.Varint(int64(s.Shards))
 	shardSlice := func(vs []int64) {
@@ -237,25 +226,16 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.Node = model.ReplicaID(r.Uvarint())
 	s.Store = r.String()
 	s.Options.K = int(r.Varint())
-	s.Ops = r.Varint()
-	s.Sends = r.Varint()
-	s.Receives = r.Varint()
-	s.Events = r.Varint()
-	s.BytesOut = r.Varint()
-	s.FramesOut = r.Varint()
-	s.BatchFrames = r.Varint()
-	s.Retransmits = r.Varint()
-	s.Reconnects = r.Varint()
-	s.DupFrames = r.Varint()
-	s.GapFrames = r.Varint()
-	s.Violations = int(r.Varint())
-	s.Quiesced = r.Uvarint() == 1
-	s.BatchBytes = r.Varint()
-	s.BatchRawBytes = r.Varint()
-	s.BatchPayloadBytes = r.Varint()
-	s.Members = int(r.Varint())
-	s.SyncPulled = r.Varint()
-	s.SyncServed = r.Varint()
+	for i, c := range counters {
+		if i == cSyncPulled {
+			s.Members = int(r.Varint())
+		}
+		if c.flag == nil {
+			*c.field(&s) = r.Varint()
+		} else {
+			*c.flag(&s) = r.Uvarint() == 1
+		}
+	}
 	s.FailedLinks = r.Varint()
 	s.Shards = int(r.Varint())
 	for _, vs := range []*[]int64{&s.ShardOps, &s.ShardSends, &s.ShardReceives, &s.ShardEvents} {

@@ -141,8 +141,8 @@ func (n *Node) writeEnc(conn net.Conn, enc *wire.Writer, maxFrame int, z *wire.D
 		}
 	}
 	nBytes, err := conn.Write(frame)
-	n.bytesOut.Add(int64(nBytes))
-	n.framesOut.Add(1)
+	n.count[cBytesOut].Add(int64(nBytes))
+	n.count[cFramesOut].Add(1)
 	return nBytes, err
 }
 

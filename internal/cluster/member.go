@@ -433,7 +433,7 @@ func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRa
 		if err != nil {
 			return err
 		}
-		n.syncPulled.Add(applied)
+		n.count[cSyncPulled].Add(applied)
 	}
 	// End-to-end integrity: the prefix we now hold over the donor's count
 	// must reproduce the donor's root, or something shipped wrong.
@@ -557,12 +557,12 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 		}
 		// Count before the write: the joiner may finish, and a caller read
 		// this node's Stats, before this goroutine runs again.
-		n.syncServed.Add(int64(len(us)))
+		n.count[cSyncServed].Add(int64(len(us)))
 		enc.Reset()
 		enc.BeginFrame()
 		appendRange(enc, s.idx, origin, us)
 		if _, err := n.writeEnc(conn, enc, n.cfg.MaxFrame, z); err != nil { // a bulk frame
-			n.syncServed.Add(-int64(len(us)))
+			n.count[cSyncServed].Add(-int64(len(us)))
 			return false
 		}
 	}

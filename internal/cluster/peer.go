@@ -337,7 +337,7 @@ func (p *peerSender) dialAndServe() bool {
 		return false
 	}
 	if p.dials.Add(1) > 1 {
-		p.node.reconnects.Add(1)
+		p.node.count[cReconnects].Add(1)
 	}
 	return p.serve(conn)
 }
@@ -498,7 +498,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				if updates == 0 {
 					firstShard, firstSeq = si, us[0].Seq
 				}
-				p.node.retransmits.Add(re)
+				p.node.count[cRetransmits].Add(re)
 				// The batch aliases nextBatch's scratch: it is encoded before
 				// the next shard's is read.
 				raw.Uvarint(uint64(si))
@@ -558,10 +558,10 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				<-connDead
 				return true
 			}
-			p.node.batchFrames.Add(1)
-			p.node.batchBytes.Add(int64(wrote))
-			p.node.batchRawBytes.Add(int64(rawFrame + wire.FrameHeaderLen(rawFrame)))
-			p.node.batchPayloadBytes.Add(int64(payload))
+			p.node.count[cBatchFrames].Add(1)
+			p.node.count[cBatchBytes].Add(int64(wrote))
+			p.node.count[cBatchRawBytes].Add(int64(rawFrame + wire.FrameHeaderLen(rawFrame)))
+			p.node.count[cBatchPayloadBytes].Add(int64(payload))
 			lastFrame = time.Now()
 		}
 		// The question travels behind every batch written so far, and the

@@ -516,46 +516,6 @@ func TestHistoryBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatsBinaryRoundTrip(t *testing.T) {
-	s := Stats{
-		Node: 1, Store: "lww",
-		Ops: 100, Sends: 40, Receives: 38, Events: 178,
-		BytesOut: 4096, FramesOut: 52, BatchFrames: 31, BatchBytes: 2900, BatchRawBytes: 4100, BatchPayloadBytes: 2100,
-		Retransmits: 2, Reconnects: 1,
-		DupFrames: 3, GapFrames: 4, Violations: 0, Quiesced: true,
-	}
-	w := wire.NewWriter()
-	appendStats(w, s)
-	got, err := decodeStats(wire.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gj, _ := json.Marshal(got)
-	wj, _ := json.Marshal(s)
-	if !bytes.Equal(gj, wj) {
-		t.Fatalf("stats:\n got %s\nwant %s", gj, wj)
-	}
-
-	// A sharded node's stats carry the per-shard breakdowns and must survive
-	// the round trip too.
-	s.Shards = 2
-	s.ShardOps = []int64{60, 40}
-	s.ShardSends = []int64{25, 15}
-	s.ShardReceives = []int64{20, 18}
-	s.ShardEvents = []int64{105, 73}
-	w = wire.NewWriter()
-	appendStats(w, s)
-	got, err = decodeStats(wire.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gj, _ = json.Marshal(got)
-	wj, _ = json.Marshal(s)
-	if !bytes.Equal(gj, wj) {
-		t.Fatalf("sharded stats:\n got %s\nwant %s", gj, wj)
-	}
-}
-
 // testHash is a fixed 32-byte value for frames that carry hashes: SHA-256
 // over origin, seq and payload length as big-endian uint64s, then the
 // payload — the layout the golden digest vector was generated with.

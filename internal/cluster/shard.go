@@ -362,9 +362,9 @@ func (s *shard) applyUpdate(u protoUpdate) bool {
 	next := uint64(log.Len()) + 1
 	switch {
 	case u.Seq < next:
-		s.n.dupFrames.Add(1)
+		s.n.count[cDupFrames].Add(1)
 	case u.Seq > next:
-		s.n.gapFrames.Add(1)
+		s.n.count[cGapFrames].Add(1)
 	default:
 		// u.Payload aliases the receiving connection's frame buffer, which
 		// the next frame overwrites. The record is the history-owned copy:
