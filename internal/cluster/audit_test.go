@@ -18,17 +18,17 @@ import (
 )
 
 // TestSettleSurfacesAgedReads pins Settle's order on a store that withholds
-// what it received until reads elapse: quiesce (Q), K rounds of reads (r) of
-// the one object at the two replicas, quiesce again, and only then the
-// convergence reads — and on every other store one quiescence and the
-// convergence reads alone.
+// what it received until reads elapse: quiesce (Q), K − 1 rounds of reads
+// (r) of the one object at the two replicas, quiesce again, and only then
+// the convergence reads, the K-th round — and on every other store one
+// quiescence and the convergence reads alone.
 func TestSettleSurfacesAgedReads(t *testing.T) {
 	for _, tc := range []struct {
 		store string
 		k     int
 		want  string
 	}{
-		{"kbuffer", 3, "Q" + "rr" + "rr" + "rr" + "Q" + "rr"},
+		{"kbuffer", 3, "Q" + "rr" + "rr" + "Q" + "rr"},
 		{"lww", 0, "Q" + "rr"},
 	} {
 		st, err := store.Open(tc.store, spec.MVRTypes(), store.Options{K: tc.k})

@@ -20,12 +20,13 @@ func (s *Store) Options() store.Options { return store.Options{K: s.k} }
 
 // Conformance implements store.ConformanceReporter: reads age the withheld
 // queue (visible reads by design), a received update surfaces only after K
-// local reads, so K+1 read rounds expose everything, and held payloads
+// local reads, so K read rounds expose everything — a read ages the queue
+// before it evaluates, so the K-th sees what it exposes — and held payloads
 // deduplicate only at exposure time.
 func (s *Store) Conformance() store.Conformance {
 	return store.Conformance{
 		ViolatesInvisibleReads: true,
-		ConvergenceReadRounds:  s.k + 1,
+		ConvergenceReadRounds:  s.k,
 		TransientDeliveryState: true,
 	}
 }

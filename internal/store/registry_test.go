@@ -48,14 +48,14 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 }
 
 // TestStoreTraits pins what the drivers read off each store's Conformance:
-// the K-buffer store makes reads visible, needs K+1 read rounds (4 at
+// the K-buffer store makes reads visible, needs K read rounds (3 at
 // K = 3) and holds redeliveries until exposure; gsp violates op-driven
 // messages and orders its deliveries; the per-update causal store needs a
 // send per update; statesync converges through loss; and the other stores
 // declare none of it.
 func TestStoreTraits(t *testing.T) {
 	want := map[string]store.Conformance{
-		"kbuffer":          {ViolatesInvisibleReads: true, ConvergenceReadRounds: 4, TransientDeliveryState: true},
+		"kbuffer":          {ViolatesInvisibleReads: true, ConvergenceReadRounds: 3, TransientDeliveryState: true},
 		"gsp":              {ViolatesOpDrivenMessages: true, OrdersDeliveries: true},
 		"causal-perupdate": {MaxSendsToDrain: 4},
 		"statesync":        {ConvergesUnderLoss: true},

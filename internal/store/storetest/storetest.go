@@ -33,7 +33,12 @@ func mutate(i int) (model.ObjectID, model.Operation) {
 // before convergence is asserted, less the one the convergence check's own
 // reads make (store.Conformance.ConvergenceReadRounds).
 func surface(c *sim.Cluster, objs []model.ObjectID) {
-	for round := 1; round < store.ConformanceOf(c.Store()).ConvergenceReadRounds; round++ {
+	surfaceRounds(c, objs, store.ConformanceOf(c.Store()).ConvergenceReadRounds)
+}
+
+// surfaceRounds is surface for a store that needs rounds read rounds.
+func surfaceRounds(c *sim.Cluster, objs []model.ObjectID, rounds int) {
+	for round := 1; round < rounds; round++ {
 		for r := 0; r < c.N(); r++ {
 			for _, obj := range objs {
 				c.Do(model.ReplicaID(r), obj, model.Read())
@@ -304,18 +309,26 @@ func runRest(t *testing.T, factory func() store.Store, claims store.Conformance)
 		// only the declared rounds surface them. Reads of one object make a
 		// round one read per replica, so no other object's reads age what
 		// is withheld: a store that declares fewer rounds than it needs
-		// diverges here.
-		c := sim.NewCluster(factory(), 3, 0)
-		objs := []model.ObjectID{"obj0"}
-		c.Partition([]model.ReplicaID{0}, []model.ReplicaID{1, 2})
-		for i := 0; i < max(claims.ConvergenceReadRounds, 1); i++ {
-			c.Do(1, objs[0], model.Write(model.Value(fmt.Sprintf("w%d", i))))
-			c.Send(1)
+		// diverges here, and one that declares more than one round must
+		// diverge with one round fewer, or it declares a spare.
+		rounds := max(claims.ConvergenceReadRounds, 1)
+		converges := func(rounds int) error {
+			c := sim.NewCluster(factory(), 3, 0)
+			objs := []model.ObjectID{"obj0"}
+			c.Partition([]model.ReplicaID{0}, []model.ReplicaID{1, 2})
+			for i := 0; i < max(claims.ConvergenceReadRounds, 1); i++ {
+				c.Do(1, objs[0], model.Write(model.Value(fmt.Sprintf("w%d", i))))
+				c.Send(1)
+			}
+			c.Quiesce()
+			surfaceRounds(c, objs, rounds)
+			return c.CheckConverged(objs)
 		}
-		c.Quiesce()
-		surface(c, objs)
-		if err := c.CheckConverged(objs); err != nil {
+		if err := converges(rounds); err != nil {
 			t.Fatal(err)
+		}
+		if rounds > 1 && converges(rounds-1) == nil {
+			t.Fatalf("converged after %d read rounds, one fewer than the %d declared", rounds-1, rounds)
 		}
 	})
 	runChaos(t, factory)
