@@ -338,7 +338,7 @@ type Stats struct {
 	BatchPayloadBytes int64 `json:"batch_payload_bytes,omitempty"`
 	// Members is how many nodes this node's membership view currently
 	// considers alive (including itself).
-	Members int `json:"members,omitempty"`
+	Members int64 `json:"members,omitempty"`
 	// SyncPulled counts updates this node applied from anti-entropy range
 	// pulls while joining; SyncServed counts updates it shipped to joiners.
 	SyncPulled int64 `json:"sync_pulled,omitempty"`
@@ -715,7 +715,7 @@ func (n *Node) Stats() Stats {
 		}
 	}
 	alive := n.view.Alive()
-	s.Members = len(alive)
+	s.Members = int64(len(alive))
 	for _, p := range n.allPeers() {
 		if p.failed.Load() {
 			s.FailedLinks++

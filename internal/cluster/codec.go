@@ -194,10 +194,7 @@ func appendStats(w *wire.Writer, s Stats) {
 	w.Uvarint(uint64(s.Node))
 	w.String(s.Store)
 	w.Varint(int64(s.Options.K))
-	for i, c := range counters {
-		if i == cSyncPulled {
-			w.Varint(int64(s.Members))
-		}
+	for _, c := range counters {
 		if c.flag == nil {
 			w.Varint(*c.field(&s))
 		} else if *c.flag(&s) {
@@ -226,10 +223,7 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.Node = model.ReplicaID(r.Uvarint())
 	s.Store = r.String()
 	s.Options.K = int(r.Varint())
-	for i, c := range counters {
-		if i == cSyncPulled {
-			s.Members = int(r.Varint())
-		}
+	for _, c := range counters {
 		if c.flag == nil {
 			*c.field(&s) = r.Varint()
 		} else {

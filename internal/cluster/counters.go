@@ -19,6 +19,7 @@ const (
 	cBatchBytes
 	cBatchRawBytes
 	cBatchPayloadBytes
+	cMembers
 	cSyncPulled
 	cSyncServed
 	numCounters
@@ -52,6 +53,7 @@ var counters = [numCounters]counter{
 	cBatchBytes:        {field: func(s *Stats) *int64 { return &s.BatchBytes }},
 	cBatchRawBytes:     {field: func(s *Stats) *int64 { return &s.BatchRawBytes }},
 	cBatchPayloadBytes: {field: func(s *Stats) *int64 { return &s.BatchPayloadBytes }},
+	cMembers:           {field: func(s *Stats) *int64 { return &s.Members }, oneNode: true},
 	cSyncPulled:        {field: func(s *Stats) *int64 { return &s.SyncPulled }},
 	cSyncServed:        {field: func(s *Stats) *int64 { return &s.SyncServed }},
 }
