@@ -364,7 +364,6 @@ func (s *Stats) Add(o Stats) {
 			*c.field(s) += *c.field(&o)
 		}
 	}
-	s.FailedLinks += o.FailedLinks
 }
 
 // Node is one replica of a TCP-backed cluster. Its keyspace is split

@@ -203,7 +203,6 @@ func appendStats(w *wire.Writer, s Stats) {
 			w.Uvarint(0)
 		}
 	}
-	w.Varint(s.FailedLinks)
 	w.Varint(int64(s.Shards))
 	shardSlice := func(vs []int64) {
 		w.Uvarint(uint64(len(vs)))
@@ -230,7 +229,6 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 			*c.flag(&s) = r.Uvarint() == 1
 		}
 	}
-	s.FailedLinks = r.Varint()
 	s.Shards = int(r.Varint())
 	for _, vs := range []*[]int64{&s.ShardOps, &s.ShardSends, &s.ShardReceives, &s.ShardEvents} {
 		n := r.Uvarint()

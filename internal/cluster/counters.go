@@ -22,6 +22,7 @@ const (
 	cMembers
 	cSyncPulled
 	cSyncServed
+	cFailedLinks
 	numCounters
 )
 
@@ -56,4 +57,5 @@ var counters = [numCounters]counter{
 	cMembers:           {field: func(s *Stats) *int64 { return &s.Members }, oneNode: true},
 	cSyncPulled:        {field: func(s *Stats) *int64 { return &s.SyncPulled }},
 	cSyncServed:        {field: func(s *Stats) *int64 { return &s.SyncServed }},
+	cFailedLinks:       {field: func(s *Stats) *int64 { return &s.FailedLinks }},
 }
