@@ -36,6 +36,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/store/causal"
 )
 
 func main() {
@@ -414,7 +415,7 @@ func theorem6(out bench.Output, seed int64, parallel int) error {
 // compute on parallel workers (core.ForEachCell) and render in input order.
 func theorem12(out bench.Output, seed int64, parallel int) error {
 	dense := func() store.Store { return mvr("causal") }
-	sparse := func() store.Store { return mvr("causal-sparse") }
+	sparse := func() store.Store { return causal.NewWithOptions(spec.MVRTypes(), causal.Options{SparseDeps: true}) }
 
 	one, err := core.RunMessageLowerBound(dense(), core.LowerBoundConfig{N: 5, S: 4, K: 16, Seed: seed})
 	if err != nil {
@@ -526,7 +527,7 @@ func convergence(out bench.Output, seed int64) error {
 	stores := []store.Store{
 		mvr("causal"),
 		cli.MustStore("causal", mixed, store.Options{}),
-		mvr("causal-perupdate"),
+		causal.NewWithOptions(spec.MVRTypes(), causal.Options{PerUpdateMessages: true}),
 		mvr("lww"),
 	}
 	for _, st := range stores {

@@ -43,7 +43,7 @@ func TestRunLivebenchDeterministic(t *testing.T) {
 		name, violations := row[col["store"]], row[col["violations"]]
 		peak, events := row[col["peak tracked"]], row[col["events"]]
 		switch name {
-		case "causal", "causal-perupdate", "causal-sparse", "kbuffer", "statesync":
+		case "causal", "kbuffer", "statesync":
 			if violations != "0" {
 				t.Errorf("%s: %s live violations on a causally safe store", name, violations)
 			}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/store/causal"
 )
 
 func main() {
@@ -45,16 +46,15 @@ func main() {
 }
 
 func run(w io.Writer, n, s, k int, seed int64, parallel int, jsonOut bool, sweep, encoding string) error {
-	var storeName string
+	var opts causal.Options
 	switch encoding {
 	case "dense":
-		storeName = "causal"
 	case "sparse":
-		storeName = "causal-sparse"
+		opts.SparseDeps = true
 	default:
 		return fmt.Errorf("unknown encoding %q", encoding)
 	}
-	factory := func() store.Store { return cli.MustStore(storeName, spec.MVRTypes(), store.Options{}) }
+	factory := func() store.Store { return causal.NewWithOptions(spec.MVRTypes(), opts) }
 	out := cli.Output(w, jsonOut)
 
 	switch sweep {

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 func TestRunEveryStore(t *testing.T) {
-	for _, name := range []string{"causal", "causal-sparse", "causal-perupdate", "lww", "kbuffer", "gsp", "statesync"} {
+	for _, name := range store.Names() {
 		var sb strings.Builder
 		if err := run(&sb, name, 3, 120, 3, 7, 2, sim.Faults{}, 1, 1, false); err != nil {
 			t.Fatalf("%s: %v", name, err)

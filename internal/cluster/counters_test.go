@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -135,5 +136,23 @@ func FuzzStatsRoundTrip(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		roundTrip(t, statsFrom(rng.Intn(9), func() int64 { return int64(rng.Uint64()) }))
+	})
+}
+
+// TestNodeStatsAllocations pins what a snapshot of a quiesced three-node
+// mesh's stats allocates, unsharded and at four shards: the Stats value the
+// counter table's accessors move to the heap, its four per-shard slices and
+// the view's member snapshot. Sorting the snapshot allocates nothing;
+// sort.Slice's reflect swapper cost three allocations a call.
+func TestNodeStatsAllocations(t *testing.T) {
+	forShards(t, func(t *testing.T, shards int) {
+		nodes := startClusterWith(t, "causal", 3, func(c *Config) { c.Shards = shards })
+		writeN(t, nodes[0], 8, "stats")
+		if !WaitQuiesced(nodes, 20*time.Second) {
+			t.Fatal("cluster did not quiesce")
+		}
+		if allocs := testing.AllocsPerRun(200, func() { _ = nodes[0].Stats() }); allocs > 6 {
+			t.Fatalf("Node.Stats allocates %.0f times a call, want at most 6", allocs)
+		}
 	})
 }

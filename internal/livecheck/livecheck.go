@@ -129,10 +129,11 @@ type Options struct {
 	// Types assigns object types for the rval check; the zero value types
 	// every object as MVR, matching the engines' default workloads.
 	Types spec.Types
-	// MaxViolations caps how many violations are retained in full (the
-	// total count is always exact). Default 16.
-	MaxViolations int
 }
+
+// maxViolationsKept caps how many violations a Checker retains in full; the
+// total count is always exact.
+const maxViolationsKept = 16
 
 // Verdict is a point-in-time snapshot of the checker: counters, the flagged
 // violations, and the bounded-state accounting that BENCH_LIVECHECK tracks.
@@ -143,7 +144,7 @@ type Verdict struct {
 	Receives int64 `json:"receives"`
 
 	Violations int         `json:"violations"`
-	First      []Violation `json:"first,omitempty"` // up to MaxViolations, in detection order
+	First      []Violation `json:"first,omitempty"` // up to maxViolationsKept, in detection order
 
 	// TrackedDots is the current bounded state: live mint records + pending
 	// out-of-order observations + maximal-set entries. PeakTracked is its
@@ -206,7 +207,6 @@ type Checker struct {
 	types    spec.Types
 	observed []bool
 	full     bool
-	maxViol  int
 
 	events, dos, sends, receives int64
 
@@ -239,7 +239,6 @@ func New(n int, opts Options) *Checker {
 		n:           n,
 		types:       opts.Types,
 		observed:    make([]bool, n),
-		maxViol:     opts.MaxViolations,
 		frontier:    make([][]uint64, n),
 		covered:     make([][]uint64, n),
 		minted:      make([]uint64, n),
@@ -250,9 +249,6 @@ func New(n int, opts Options) *Checker {
 		maximal:     make([]map[model.ObjectID][]maxEntry, n),
 		sendHigh:    make([]uint64, n),
 		recvHigh:    make([][]uint64, n),
-	}
-	if c.maxViol <= 0 {
-		c.maxViol = 16
 	}
 	if opts.Observed == nil {
 		for i := range c.observed {
@@ -346,7 +342,7 @@ func (c *Checker) Err() error {
 
 func (c *Checker) flag(v Violation) {
 	c.violations++
-	if len(c.kept) < c.maxViol {
+	if len(c.kept) < maxViolationsKept {
 		c.kept = append(c.kept, v)
 	}
 }

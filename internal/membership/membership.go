@@ -18,8 +18,9 @@
 package membership
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -101,7 +102,7 @@ func (v *View) Members() []Member {
 		out = append(out, m)
 	}
 	v.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Member) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -156,7 +156,7 @@ func clockedPair(opts Options) (src, dst *Replica) {
 // the caller's, its version takes the one it overwrites' place, and the
 // message is encoded into the replica's own buffer.
 func TestWriteAllocatesNoClock(t *testing.T) {
-	for _, opts := range []Options{{}, {SparseDeps: true}} {
+	for _, opts := range variants {
 		src, _ := clockedPair(opts)
 		write := model.Write("0123456789abcdef")
 		do := func() {
@@ -175,7 +175,7 @@ func TestWriteAllocatesNoClock(t *testing.T) {
 // and the value its version keeps is a view of the payload, which the
 // replica is given to keep; so receiving it allocates nothing.
 func TestReadyReceiveAllocatesNothing(t *testing.T) {
-	for _, opts := range []Options{{}, {SparseDeps: true}} {
+	for _, opts := range variants {
 		src, dst := clockedPair(opts)
 		payloads := make([][]byte, allocRuns+2) // AllocsPerRun runs once more to warm up
 		for i := range payloads {
@@ -233,7 +233,7 @@ func (ws *waitingStream) next() [2][]byte {
 // still waiting, so once warm, receiving it and then the update that
 // releases it allocates nothing.
 func TestWaitingReceiveAllocatesNothing(t *testing.T) {
-	for _, opts := range []Options{{}, {SparseDeps: true}} {
+	for _, opts := range variants {
 		ws := newWaitingStream(opts)
 		pairs := make([][2][]byte, allocRuns+1) // AllocsPerRun runs once more to warm up
 		for i := range pairs {

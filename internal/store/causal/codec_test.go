@@ -65,7 +65,7 @@ func TestUpdateBytesOnWire(t *testing.T) {
 // third: the receiver gets back exactly the update its origin applied — the
 // dependency entry of the origin, which the wire does not carry, included.
 func TestUpdateRoundTrip(t *testing.T) {
-	for _, opts := range []Options{{}, {SparseDeps: true}} {
+	for _, opts := range variants {
 		st := NewWithOptions(eachType, opts)
 		r0 := st.NewReplica(0, 3).(*Replica)
 		src := st.NewReplica(1, 3).(*Replica)

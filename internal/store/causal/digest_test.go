@@ -111,7 +111,7 @@ func randomOp(rng *rand.Rand, typ spec.ObjectType) model.Operation {
 // outbox, or it proves less than it claims.
 func TestAppendStateDigestMatchesLegacyRenderer(t *testing.T) {
 	types, objs := mixedTypes()
-	for _, opts := range []Options{{}, {PerUpdateMessages: true}} {
+	for _, opts := range variants {
 		st := NewWithOptions(types, opts)
 		const n = 3
 		var reps []store.Replica
@@ -155,7 +155,7 @@ func TestAppendStateDigestMatchesLegacyRenderer(t *testing.T) {
 func TestApplyOrderIsTheDotsApplied(t *testing.T) {
 	types, objs := mixedTypes()
 	sawMixed := false
-	for _, opts := range []Options{{}, {PerUpdateMessages: true}} {
+	for _, opts := range variants {
 		st := NewWithOptions(types, opts)
 		const n = 3
 		var reps []store.Replica

@@ -40,7 +40,7 @@ func FuzzReceive(f *testing.F) {
 	f.Add(hostileCount(4096, 4096-16))
 	f.Add(hostileCount(4096, uint64(4096/len(minimalUpdate()))-1))
 	// A genuine payload of each mutator kind, dense and sparse.
-	for _, opts := range []Options{{}, {SparseDeps: true}} {
+	for _, opts := range variants {
 		src := NewWithOptions(eachType, opts).NewReplica(0, 3)
 		for _, m := range eachKind {
 			src.Do(m.obj, m.op)
@@ -54,7 +54,7 @@ func FuzzReceive(f *testing.F) {
 	f.Add(rawUpdate(1, 0, 0, 0))
 	f.Add(rawUpdate(1, 1, 1, 5, 1)) // sparse: one entry, at index 5
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, opts := range []Options{{}, {SparseDeps: true}} {
+		for _, opts := range variants {
 			st := NewWithOptions(eachType, opts)
 			r := st.NewReplica(1, 3)
 			before := r.StateDigest()

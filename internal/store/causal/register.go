@@ -5,28 +5,12 @@ import (
 	"repro/internal/store"
 )
 
-// The causal store registers itself and its two ablation variants
-// (DESIGN.md §5: dependency encoding and outbox batching) so binaries
-// address them by name instead of duplicating constructor switches.
+// The causal store registers itself so binaries address it by name instead
+// of duplicating constructor switches. Its ablations (Options: sparse
+// dependency clocks, per-update messages) are not registered stores: the
+// experiments that measure them build them with NewWithOptions.
 func init() {
 	store.Register("causal", func(types spec.Types, _ store.Options) store.Store {
 		return New(types)
 	})
-	store.Register("causal-sparse", func(types spec.Types, _ store.Options) store.Store {
-		return NewWithOptions(types, Options{SparseDeps: true})
-	})
-	store.Register("causal-perupdate", func(types spec.Types, _ store.Options) store.Store {
-		return NewWithOptions(types, Options{PerUpdateMessages: true})
-	})
-}
-
-// Conformance implements store.ConformanceReporter: the store claims the
-// full contract, except that per-update batching needs one send per queued
-// update to drain the outbox.
-func (s *Store) Conformance() store.Conformance {
-	var c store.Conformance
-	if s.opts.PerUpdateMessages {
-		c.MaxSendsToDrain = 4
-	}
-	return c
 }

@@ -107,9 +107,6 @@ type Conformance struct {
 	// received updates surface only as local reads elapse (the K-buffer
 	// store) needs more.
 	ConvergenceReadRounds int
-	// MaxSendsToDrain bounds consecutive sends needed to empty the outbox
-	// (0 means one; per-update batching needs one send per update).
-	MaxSendsToDrain int
 	// TransientDeliveryState: redelivery is tolerated but not
 	// digest-identical (the K-buffer holds duplicate payloads until
 	// exposure).

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRegistryHasEveryStore(t *testing.T) {
-	want := []string{"causal", "causal-perupdate", "causal-sparse", "gsp", "kbuffer", "lww", "statesync"}
+	want := []string{"causal", "gsp", "kbuffer", "lww", "statesync"}
 	got := store.Names()
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("registered names = %v, want %v", got, want)
@@ -50,15 +50,13 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 // TestStoreTraits pins what the drivers read off each store's Conformance:
 // the K-buffer store makes reads visible, needs K read rounds (3 at
 // K = 3) and holds redeliveries until exposure; gsp violates op-driven
-// messages and orders its deliveries; the per-update causal store needs a
-// send per update; statesync converges through loss; and the other stores
-// declare none of it.
+// messages and orders its deliveries; statesync converges through loss;
+// and the other stores declare none of it.
 func TestStoreTraits(t *testing.T) {
 	want := map[string]store.Conformance{
-		"kbuffer":          {ViolatesInvisibleReads: true, ConvergenceReadRounds: 3, TransientDeliveryState: true},
-		"gsp":              {ViolatesOpDrivenMessages: true, OrdersDeliveries: true},
-		"causal-perupdate": {MaxSendsToDrain: 4},
-		"statesync":        {ConvergesUnderLoss: true},
+		"kbuffer":   {ViolatesInvisibleReads: true, ConvergenceReadRounds: 3, TransientDeliveryState: true},
+		"gsp":       {ViolatesOpDrivenMessages: true, OrdersDeliveries: true},
+		"statesync": {ConvergesUnderLoss: true},
 	}
 	for _, name := range store.Names() {
 		st, err := store.Open(name, spec.MVRTypes(), store.Options{K: 3})

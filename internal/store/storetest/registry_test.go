@@ -15,9 +15,9 @@ import (
 	_ "repro/internal/store/statesync"
 )
 
-// TestRegisteredStoresConform sweeps the registry: every registered name —
-// including ablation variants — gets the full conformance battery, held to
-// the store's own Conformance declaration.
+// TestRegisteredStoresConform sweeps the registry: every registered name
+// gets the full conformance battery, held to the store's own Conformance
+// declaration.
 func TestRegisteredStoresConform(t *testing.T) {
 	storetest.RunRegistered(t, store.Options{})
 }

@@ -95,13 +95,9 @@ func Run(t *testing.T, factory func() store.Store) {
 			obj, op := mutate(i)
 			r.Do(obj, op)
 		}
-		sends := 0
-		for r.PendingMessage() != nil {
-			r.OnSend()
-			sends++
-			if sends > 4*max(claims.MaxSendsToDrain, 1) {
-				t.Fatalf("outbox never drained after %d sends", sends)
-			}
+		r.OnSend()
+		if r.PendingMessage() != nil {
+			t.Fatal("a message still pending after one send: the send did not relay every queued write")
 		}
 	})
 	t.Run("StateDigestDeterministic", func(t *testing.T) {
