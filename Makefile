@@ -28,7 +28,12 @@ bench:
 # (DoInLoop/write, CausalWrite), and so does a received update (ApplyUpdate,
 # CausalReceive, its waiting leg included): the store keeps its value as a
 # view of the record it is handed — the receive record's payload, or the do
-# record's head, which a client's request is copied into once. An inflated
+# record's head, which a client's request is copied into once. DoInLoop's
+# rows also read the bytes of records the history keeps per operation
+# (history-B/op) and, in the journal leg, the bytes the journal writes
+# (journal-B/op): a write of a 16-byte value keeps 62.6 B of records, 15 B
+# fewer than with its send whole (77.6 B), since the send leaves out the
+# value its do record holds. An inflated
 # frame allocates only compress/flate's own (InflateTo: 1 B in 1 alloc). The
 # last row is the pin of a whole write over TCP, request frame to reply:
 # 0 allocations, and no bytes but the records and what the node keeps. A
@@ -132,6 +137,7 @@ fuzz:
 	$(GO) test ./internal/durable -run '^$$' -fuzz FuzzRecoverTail -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeEventBinary -fuzztime 10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzEventDecoder -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeDigest -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecompressFrame -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzStatsRoundTrip -fuzztime 10s

@@ -208,8 +208,10 @@ func (tcpTransport) Dial(_, _ model.ReplicaID, addr string) (net.Conn, error) {
 // shard, before the node serves anything: journal persists one recorded
 // event before it returns — ev and its Frontier are valid only for the call
 // (a do event's Frontier is the shard's live frontier, which the next do
-// moves on), so a journal that keeps the event clones the frontier, while
-// ev.Payload is the history's own immutable copy and may be kept as it is —
+// moves on), and so is a send's Payload (the store's message, which the
+// history keeps split around the write's value when the send follows its
+// do), so a journal that keeps the event clones them, while a receive's
+// Payload is the history's own immutable copy and may be kept as it is —
 // restore is the recovered history of the previous incarnation (nil on first
 // boot), and closeLog (nil for none) is invoked after the shard's last turn,
 // so no journal call follows it. shard/shards name which of the node's shard
@@ -359,9 +361,10 @@ type Stats struct {
 // or over the incarnations of one. The identity, the shard breakdown and the
 // entries that describe one node are left alone.
 func (s *Stats) Add(o Stats) {
-	for _, c := range counters {
-		if !c.oneNode {
-			*c.field(s) += *c.field(&o)
+	for i, c := range counters {
+		if f, _ := s.counter(i); f != nil && !c.oneNode {
+			of, _ := o.counter(i)
+			*f += *of
 		}
 	}
 }
@@ -644,22 +647,22 @@ func (n *Node) Quiesced() bool {
 	return n.Stats().Quiesced
 }
 
-// viewLinked reports whether every member the view considers alive (alive)
-// has a replication link. Without it a node could report quiescence while
-// still holding updates a known-but-not-yet-linked joiner lacks — the
-// drained() condition is vacuous for a link that does not exist yet.
-func (n *Node) viewLinked(alive []membership.Member) bool {
+// viewLinked reports whether every member the view considers alive has a
+// replication link. Without it a node could report quiescence while still
+// holding updates a known-but-not-yet-linked joiner lacks — the drained()
+// condition is vacuous for a link that does not exist yet. It takes peerMu
+// before the view's lock, which the walk holds.
+func (n *Node) viewLinked() bool {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	for _, m := range alive {
-		if m.ID == int(n.cfg.ID) || m.ID < 0 || m.ID >= n.cfg.N {
-			continue
+	linked := true
+	n.view.EachAlive(func(m membership.Member) bool {
+		if m.ID != int(n.cfg.ID) && m.ID >= 0 && m.ID < n.cfg.N {
+			_, linked = n.peers[model.ReplicaID(m.ID)]
 		}
-		if _, ok := n.peers[model.ReplicaID(m.ID)]; !ok {
-			return false
-		}
-	}
-	return true
+		return linked
+	})
+	return linked
 }
 
 // Stats snapshots the node's counters. Each shard's slice of the snapshot
@@ -708,13 +711,12 @@ func (n *Node) Stats() Stats {
 		s.Receives += s.ShardReceives[i]
 		s.Events += s.ShardEvents[i]
 	}
-	for i, c := range counters { // the count of what is computed here is 0
-		if c.field != nil {
-			*c.field(&s) += n.count[i].Load()
+	for i := range counters { // the count of what is computed here is 0
+		if f, _ := s.counter(i); f != nil {
+			*f += n.count[i].Load()
 		}
 	}
-	alive := n.view.Alive()
-	s.Members = int64(len(alive))
+	s.Members = int64(n.view.AliveCount())
 	for _, p := range n.allPeers() {
 		if p.failed.Load() {
 			s.FailedLinks++
@@ -723,7 +725,7 @@ func (n *Node) Stats() Stats {
 			quiesced = false
 		}
 	}
-	s.Quiesced = !closed && quiesced && n.viewLinked(alive)
+	s.Quiesced = !closed && quiesced && n.viewLinked()
 	return s
 }
 

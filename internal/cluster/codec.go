@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/model"
@@ -21,17 +23,38 @@ import (
 //	do      = object opKind opArg opDelta rvalFlags rvalCount
 //	          [nValues value*] dotOrigin dotSeq [nFrontier frontier*]
 //	transfer= origin seq [payload]          (send and receive)
+//	short   = shortSend lamport origin seq back at rest
 //
 // rvalFlags packs presence bits (OK, Values non-nil); the frontier and
 // payload fields carry their own presence bits so nil round-trips as nil.
 // The encoding is versioned from outside — connections by protoVersion,
 // journal records by a tag byte per record — so this layout itself carries
 // no version byte.
+//
+// short is a send record in a shard's log that leaves out the argument of
+// the do record just before it: the payload is rest[:at] ‖ arg ‖ rest[at:],
+// arg being that do's Op.Arg, and back the do record's byte distance before
+// this one in their block. The log writes it (eventLog.append) only when the
+// do is the record just before the send, in the same block, with a non-empty
+// argument the payload holds, and the short form is the shorter; so a
+// write's value is kept once at its origin. Random access finds the do by
+// back (eventLog.update); reading in order finds it as the record before
+// (EventDecoder). A standalone record never refers to another:
+// AppendEventBinary writes the full form only, and DecodeEventBinary refuses
+// the short one.
 
 const (
 	rvalOK        = 1 << 0
 	rvalHasValues = 1 << 1
 )
+
+// shortSend is the kind field of a send record in short form: a value no
+// model.Action takes.
+const shortSend = 0x20
+
+// errShortSendAlone reports a send record in short form that does not follow
+// a do record it can take its argument from.
+var errShortSendAlone = errors.New("cluster: a send record in short form follows no do record with an argument")
 
 // AppendEventBinary appends ev's binary encoding to w. It is exported for
 // internal/durable, whose journal records hold events in this encoding.
@@ -108,10 +131,80 @@ func appendDoTail(w *wire.Writer, ev Event) {
 	}
 }
 
+// appendShortSend appends send event ev's record in short form, when it is
+// shorter than the full one: arg is the argument of the do record before it
+// — non-empty, a substring of ev.Payload — and back that record's distance
+// before this one. It reports whether it appended anything.
+func appendShortSend(w *wire.Writer, ev Event, arg []byte, back int) bool {
+	at := bytes.Index(ev.Payload, arg)
+	if at < 0 {
+		return false
+	}
+	rest := len(ev.Payload) - len(arg)
+	short := wire.UvarintLen(uint64(back)) + wire.UvarintLen(uint64(at)) + wire.UvarintLen(uint64(rest)) + rest
+	if full := 1 + wire.UvarintLen(uint64(len(ev.Payload))) + len(ev.Payload); short >= full {
+		return false
+	}
+	w.Uvarint(shortSend)
+	w.Uvarint(ev.Lamport)
+	w.Uvarint(uint64(ev.Origin))
+	w.Uvarint(ev.Seq)
+	w.Uvarint(uint64(back))
+	w.Uvarint(uint64(at))
+	w.Uvarint(uint64(rest))
+	w.Raw(ev.Payload[:at])
+	w.Raw(ev.Payload[at+len(arg):])
+	return true
+}
+
+// readShortSend reads the fields of a short send record behind its stamp —
+// origin and seq into u, then back and the payload's pieces before and after
+// the argument, views of r's buffer. ok is false for a record r cannot read
+// or whose argument lies past its payload.
+func readShortSend(r *wire.Reader, u *protoUpdate) (back int, before, after []byte, ok bool) {
+	u.Origin = model.ReplicaID(r.Uvarint())
+	u.Seq = r.Uvarint()
+	back = int(r.Uvarint())
+	at := r.Uvarint()
+	rest := r.Bytes()
+	if r.Err() != nil || at > uint64(len(rest)) {
+		return 0, nil, nil, false
+	}
+	return back, rest[:at], rest[at:], true
+}
+
 // DecodeEventBinary decodes one event encoded by AppendEventBinary. Byte
 // fields are copied out of the reader's buffer: decoded events outlive the
-// frame or record they arrived in.
+// frame or record they arrived in. A send record in short form, which only a
+// shard's log holds, is refused: it refers to the record before it (see
+// EventDecoder).
 func DecodeEventBinary(r *wire.Reader) (Event, error) {
+	return decodeEvent(r, "")
+}
+
+// EventDecoder decodes a shard's records in the order the log holds them —
+// a history snapshot or reply, a journal — resolving a send record in short
+// form against the do record just before it. The zero value is ready; use
+// one decoder per sequence of records.
+type EventDecoder struct {
+	arg model.Value // the last record's Op.Arg, if it was a do; "" otherwise
+}
+
+// Decode decodes the next record of the sequence, as DecodeEventBinary
+// does, but for a send in short form. After an error the decoder starts
+// afresh: the next record may not refer to the one before.
+func (d *EventDecoder) Decode(r *wire.Reader) (Event, error) {
+	ev, err := decodeEvent(r, d.arg)
+	d.arg = ""
+	if err == nil && ev.Kind == model.ActDo {
+		d.arg = ev.Op.Arg
+	}
+	return ev, err
+}
+
+// decodeEvent decodes one record; arg is the argument of the do record just
+// before it, "" if there is none, which a send in short form must have.
+func decodeEvent(r *wire.Reader, arg model.Value) (Event, error) {
 	var ev Event
 	ev.Kind = model.Action(r.Uvarint())
 	ev.Lamport = r.Uvarint()
@@ -153,6 +246,21 @@ func DecodeEventBinary(r *wire.Reader) (Event, error) {
 			// message, and restore tells the two apart.
 			ev.Payload = append([]byte{}, r.Bytes()...)
 		}
+	case shortSend:
+		var u protoUpdate
+		_, before, after, ok := readShortSend(r, &u)
+		if !ok {
+			if err := r.Err(); err != nil {
+				return ev, err
+			}
+			return ev, fmt.Errorf("cluster: short send's argument offset is past its payload")
+		}
+		if arg == "" {
+			return ev, errShortSendAlone
+		}
+		ev.Kind, ev.Origin, ev.Seq = model.ActSend, u.Origin, u.Seq
+		ev.Payload = make([]byte, 0, len(before)+len(arg)+len(after))
+		ev.Payload = append(append(append(ev.Payload, before...), arg...), after...)
 	default:
 		if err := r.Err(); err != nil {
 			return ev, err
@@ -173,8 +281,9 @@ func decodeHistory(r *wire.Reader) (History, error) {
 	if n > uint64(r.Remaining()) {
 		return h, fmt.Errorf("cluster: implausible event count %d", n)
 	}
+	var dec EventDecoder
 	for i := uint64(0); i < n; i++ {
-		ev, err := DecodeEventBinary(r)
+		ev, err := dec.Decode(r)
 		if err != nil {
 			return h, err
 		}
@@ -194,10 +303,10 @@ func appendStats(w *wire.Writer, s Stats) {
 	w.Uvarint(uint64(s.Node))
 	w.String(s.Store)
 	w.Varint(int64(s.Options.K))
-	for _, c := range counters {
-		if c.flag == nil {
-			w.Varint(*c.field(&s))
-		} else if *c.flag(&s) {
+	for i := range counters {
+		if f, flag := s.counter(i); f != nil {
+			w.Varint(*f)
+		} else if *flag {
 			w.Uvarint(1)
 		} else {
 			w.Uvarint(0)
@@ -222,11 +331,11 @@ func decodeStats(r *wire.Reader) (Stats, error) {
 	s.Node = model.ReplicaID(r.Uvarint())
 	s.Store = r.String()
 	s.Options.K = int(r.Varint())
-	for _, c := range counters {
-		if c.flag == nil {
-			*c.field(&s) = r.Varint()
+	for i := range counters {
+		if f, flag := s.counter(i); f != nil {
+			*f = r.Varint()
 		} else {
-			*c.flag(&s) = r.Uvarint() == 1
+			*flag = r.Uvarint() == 1
 		}
 	}
 	s.Shards = int(r.Varint())

@@ -1,5 +1,7 @@
 package cluster
 
+import "fmt"
+
 // The counters of a stats reply, one constant per entry of counters, in the
 // order the reply carries them.
 const (
@@ -26,36 +28,67 @@ const (
 	numCounters
 )
 
-// A counter is one numeric field of Stats: an int64 (field), a varint on
-// the wire, or a flag, a uvarint 0 or 1. Stats.Add sums it over nodes unless
-// it describes one node (oneNode).
+// A counter is one numeric field of Stats: an int64, a varint on the wire,
+// or a flag, a bool and a uvarint 0 or 1 (Stats.counter). Stats.Add sums it
+// over nodes unless it describes one node (oneNode).
 type counter struct {
-	field   func(*Stats) *int64
-	flag    func(*Stats) *bool
 	oneNode bool
 }
 
 // counters is every numeric field of Stats but the identity and Shards:
 // Stats.Add, the stats reply's codec and Node.Stats are loops over it.
 var counters = [numCounters]counter{
-	cOps:               {field: func(s *Stats) *int64 { return &s.Ops }},
-	cSends:             {field: func(s *Stats) *int64 { return &s.Sends }},
-	cReceives:          {field: func(s *Stats) *int64 { return &s.Receives }},
-	cEvents:            {field: func(s *Stats) *int64 { return &s.Events }},
-	cBytesOut:          {field: func(s *Stats) *int64 { return &s.BytesOut }},
-	cFramesOut:         {field: func(s *Stats) *int64 { return &s.FramesOut }},
-	cBatchFrames:       {field: func(s *Stats) *int64 { return &s.BatchFrames }},
-	cRetransmits:       {field: func(s *Stats) *int64 { return &s.Retransmits }},
-	cReconnects:        {field: func(s *Stats) *int64 { return &s.Reconnects }},
-	cDupFrames:         {field: func(s *Stats) *int64 { return &s.DupFrames }},
-	cGapFrames:         {field: func(s *Stats) *int64 { return &s.GapFrames }},
-	cViolations:        {field: func(s *Stats) *int64 { return &s.Violations }},
-	cQuiesced:          {flag: func(s *Stats) *bool { return &s.Quiesced }, oneNode: true},
-	cBatchBytes:        {field: func(s *Stats) *int64 { return &s.BatchBytes }},
-	cBatchRawBytes:     {field: func(s *Stats) *int64 { return &s.BatchRawBytes }},
-	cBatchPayloadBytes: {field: func(s *Stats) *int64 { return &s.BatchPayloadBytes }},
-	cMembers:           {field: func(s *Stats) *int64 { return &s.Members }, oneNode: true},
-	cSyncPulled:        {field: func(s *Stats) *int64 { return &s.SyncPulled }},
-	cSyncServed:        {field: func(s *Stats) *int64 { return &s.SyncServed }},
-	cFailedLinks:       {field: func(s *Stats) *int64 { return &s.FailedLinks }},
+	cQuiesced: {oneNode: true},
+	cMembers:  {oneNode: true},
+}
+
+// counter returns the field of s that counter c is: an int64 field, or for a
+// flag a bool field, the other result nil. It is a switch, not a table of
+// accessor closures, so a Stats the caller holds stays where it is: a
+// closure's call hides what it does with s, and every Stats it was handed
+// moved to the heap.
+func (s *Stats) counter(c int) (*int64, *bool) {
+	switch c {
+	case cOps:
+		return &s.Ops, nil
+	case cSends:
+		return &s.Sends, nil
+	case cReceives:
+		return &s.Receives, nil
+	case cEvents:
+		return &s.Events, nil
+	case cBytesOut:
+		return &s.BytesOut, nil
+	case cFramesOut:
+		return &s.FramesOut, nil
+	case cBatchFrames:
+		return &s.BatchFrames, nil
+	case cRetransmits:
+		return &s.Retransmits, nil
+	case cReconnects:
+		return &s.Reconnects, nil
+	case cDupFrames:
+		return &s.DupFrames, nil
+	case cGapFrames:
+		return &s.GapFrames, nil
+	case cViolations:
+		return &s.Violations, nil
+	case cQuiesced:
+		return nil, &s.Quiesced
+	case cBatchBytes:
+		return &s.BatchBytes, nil
+	case cBatchRawBytes:
+		return &s.BatchRawBytes, nil
+	case cBatchPayloadBytes:
+		return &s.BatchPayloadBytes, nil
+	case cMembers:
+		return &s.Members, nil
+	case cSyncPulled:
+		return &s.SyncPulled, nil
+	case cSyncServed:
+		return &s.SyncServed, nil
+	case cFailedLinks:
+		return &s.FailedLinks, nil
+	}
+	panic(fmt.Sprintf("cluster: no counter %d", c))
 }

@@ -91,18 +91,21 @@ func TestStatsAddSumsEveryCounter(t *testing.T) {
 	sum := a
 	sum.Add(b)
 	for i, c := range counters {
+		sf, sflag := sum.counter(i)
+		af, aflag := a.counter(i)
+		bf, bflag := b.counter(i)
 		switch {
-		case c.flag != nil:
-			if !c.oneNode || *c.flag(&sum) != *c.flag(&a) {
-				t.Errorf("flag %d: %v after adding %v to %v; a flag describes one node", i, *c.flag(&sum), *c.flag(&b), *c.flag(&a))
+		case sflag != nil:
+			if !c.oneNode || *sflag != *aflag {
+				t.Errorf("flag %d: %v after adding %v to %v; a flag describes one node", i, *sflag, *bflag, *aflag)
 			}
 		case c.oneNode:
-			if *c.field(&sum) != *c.field(&a) {
-				t.Errorf("counter %d describes one node, but Add made %d of it into %d", i, *c.field(&a), *c.field(&sum))
+			if *sf != *af {
+				t.Errorf("counter %d describes one node, but Add made %d of it into %d", i, *af, *sf)
 			}
 		default:
-			if want := *c.field(&a) + *c.field(&b); *c.field(&sum) != want {
-				t.Errorf("counter %d: %d, want the sum %d", i, *c.field(&sum), want)
+			if want := *af + *bf; *sf != want {
+				t.Errorf("counter %d: %d, want the sum %d", i, *sf, want)
 			}
 		}
 	}
@@ -140,10 +143,11 @@ func FuzzStatsRoundTrip(f *testing.F) {
 }
 
 // TestNodeStatsAllocations pins what a snapshot of a quiesced three-node
-// mesh's stats allocates, unsharded and at four shards: the Stats value the
-// counter table's accessors move to the heap, its four per-shard slices and
-// the view's member snapshot. Sorting the snapshot allocates nothing;
-// sort.Slice's reflect swapper cost three allocations a call.
+// mesh's stats allocates, unsharded and at four shards: its four per-shard
+// slices. The Stats value stays on the stack (the counter table's accessors
+// were closures, which moved it to the heap: one allocation), and the view
+// is counted and walked, not copied (a member snapshot: one more; sorting
+// it with sort.Slice's reflect swapper cost three more).
 func TestNodeStatsAllocations(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		nodes := startClusterWith(t, "causal", 3, func(c *Config) { c.Shards = shards })
@@ -151,8 +155,32 @@ func TestNodeStatsAllocations(t *testing.T) {
 		if !WaitQuiesced(nodes, 20*time.Second) {
 			t.Fatal("cluster did not quiesce")
 		}
-		if allocs := testing.AllocsPerRun(200, func() { _ = nodes[0].Stats() }); allocs > 6 {
-			t.Fatalf("Node.Stats allocates %.0f times a call, want at most 6", allocs)
+		if allocs := testing.AllocsPerRun(200, func() { _ = nodes[0].Stats() }); allocs > 4 {
+			t.Fatalf("Node.Stats allocates %.0f times a call, want at most 4", allocs)
 		}
 	})
+}
+
+// TestStatsCodecAllocations pins the stats reply's codec: encoding into a
+// writer that has grown allocates nothing, and decoding allocates only what
+// the decoded Stats holds — its store name and its four per-shard slices.
+// (The counter table's accessor closures moved the Stats value of each to
+// the heap: one allocation more apiece.)
+func TestStatsCodecAllocations(t *testing.T) {
+	s := distinctStats(4, 1)
+	w := wire.NewWriter()
+	appendStats(w, s)
+	if allocs := testing.AllocsPerRun(200, func() { w.Reset(); appendStats(w, s) }); allocs != 0 {
+		t.Errorf("appendStats allocates %.0f times a call, want 0", allocs)
+	}
+	b := w.Bytes()
+	var r wire.Reader
+	if allocs := testing.AllocsPerRun(200, func() {
+		r.Reset(b)
+		if _, err := decodeStats(&r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 5 {
+		t.Errorf("decodeStats allocates %.0f times a call, want 5: the store name and four per-shard slices", allocs)
+	}
 }

@@ -92,7 +92,7 @@ func (s lendingStorage) Open(id model.ReplicaID, n int, storeName string, shard,
 }
 
 // memStorage is the tests' JournalStorage that keeps nothing on disk (the
-// Supervisor's, in internal/supervisor, is the same over DecodeEventBinary):
+// Supervisor's, in internal/supervisor, is the same over EventDecoder):
 // each (node, shard) journal is the list of records committed to it, which
 // outlives the incarnation committing them, and OpenJournal hands it back as
 // the history to restore. A staged record is the history's own immutable
@@ -354,7 +354,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 	// The journal's record of update i holds the payload at its tail.
 	tail := func(rec, payload []byte) bool { return &rec[len(rec)-len(payload)] == &payload[0] }
 	for i := range us {
-		kept := s.events.update(s.updates[0].At(i)).Payload
+		kept := s.updatePayload(0, uint64(i+1))
 		if !bytes.Equal(kept, frame[i]) {
 			t.Fatalf("update %d holds %q, sent %q", i+1, kept, frame[i])
 		}
@@ -371,7 +371,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 			t.Errorf("the journal was staged a second copy of update %d", i+1)
 		}
 	}
-	mine := s.events.update(s.updates[s.n.cfg.ID].At(0)).Payload
+	mine := s.updatePayload(int(s.n.cfg.ID), 1) // "w" is too short to leave out: the send is whole
 	if !inBlocks(blocks, mine) {
 		t.Error("the shard's own broadcast is held outside the history's records")
 	}

@@ -547,10 +547,11 @@ func digestResp(s *shard, ds []originDigest) ([]originDigest, error) {
 // kill -9 cuts off, the restarted join's digest shows missing again.
 func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from, to uint64, z *wire.Deflater) bool {
 	var us []protoUpdate // the chunk being sent, read back out of the log
+	var payloads []byte  // the payloads the log rebuilds for it
 	enc := wire.GetWriter()
 	defer wire.PutWriter(enc)
 	for at := from; at < to; at = us[len(us)-1].Seq {
-		us, _ = s.logRun(origin, at, us)
+		us, _ = s.logRun(origin, at, us, &payloads)
 		us = us[:cutBatch(us, int(min(BatchMax, to-at)), 0, n.cfg.MaxFrame-64)]
 		if len(us) == 0 {
 			return false

@@ -85,10 +85,12 @@ type peerSender struct {
 	cursors []linkCursor // one per shard; index = shard
 	// batch is where nextBatch has the shard's log read a batch back out of
 	// its records: each is encoded into the frame before the next shard's is
-	// read, so one scratch serves every shard for the life of the link.
-	batch   []protoUpdate
-	conn    net.Conn // live connection, nil while dialing
-	failErr error    // terminal error, set once before failed flips
+	// read, so one scratch serves every shard for the life of the link;
+	// payloads holds the payloads the log rebuilds for it (logRun).
+	batch    []protoUpdate
+	payloads []byte
+	conn     net.Conn // live connection, nil while dialing
+	failErr  error    // terminal error, set once before failed flips
 
 	// failed latches a terminal sender condition: the next update can never
 	// travel (an update over the frame limit fails EndFrame identically on
@@ -227,7 +229,7 @@ func (p *peerSender) nextBatch(shard int, sent uint64, limit, used, sizeCap int)
 	c := &p.cursors[shard]
 	sent = max(sent, c.lastAcked)
 	var more bool
-	p.batch, more = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch)
+	p.batch, more = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch, &p.payloads)
 	us = p.batch[:cutBatch(p.batch, limit, used, sizeCap)]
 	if len(us) == 0 {
 		return nil, 0, false

@@ -436,21 +436,23 @@ func encodeRequest(reqID uint64, obj model.ObjectID, op model.Operation) []byte 
 }
 
 // appendHistory is the reference encoding of a history, from decoded events:
-// identity, then the event count, then each event, then the shard identity.
-// A node frames its encoded log instead (encodedHistory.appendTo); the two
-// must agree byte for byte (TestHistoryFrameIsTheLogVerbatim).
+// identity, then the event count, then each event's record, then the shard
+// identity. The records are those a serving shard writes for the events — a
+// do record opened with room for a frontier of h.N entries, then closed; a
+// send that follows its do in short form where the shard writes one — so a
+// node's framing of its log (encodedHistory.appendTo) must agree with it byte
+// for byte (TestHistoryFrameIsTheLogVerbatim).
 func appendHistory(w *wire.Writer, h History) error {
-	w.Uvarint(uint64(h.Node))
-	w.Uvarint(uint64(h.N))
-	w.String(h.Store)
-	w.Uvarint(uint64(len(h.Events)))
+	var l eventLog
 	for _, ev := range h.Events {
-		if err := AppendEventBinary(w, ev); err != nil {
+		if ev.Kind == model.ActDo {
+			l.openDo(ev.Lamport, ev.Object, ev.Op, h.N)
+		}
+		if _, _, _, err := l.append(ev); err != nil {
 			return err
 		}
 	}
-	w.Uvarint(uint64(h.Shard))
-	w.Uvarint(uint64(h.Shards))
+	l.snapshot(h).appendTo(w)
 	return nil
 }
 

@@ -105,12 +105,15 @@ type shard struct {
 	// the whole node — shards share the fate of their disk.
 	jerr error
 	// What waits on the next commit: how many bytes of records are staged
-	// in the journal, the events owed to Config.Tap, and the shard's own
-	// updates minted since, which links must not read before their records
-	// are durable. Each is emptied by commit and reused.
+	// in the journal, the events owed to Config.Tap, and where the records of
+	// the shard's own updates minted since start, which links must not read
+	// before the records are durable. Each is emptied by commit and reused.
 	stagedBytes int
 	taps        []livecheck.Event
-	unpublished []ownUpdate
+	unpublished []seglog.Pos
+	// scratch is where updatePayload rebuilds a payload its record holds in
+	// pieces (a send in short form, eventlog.go), reused call after call.
+	scratch []byte
 	// updates indexes every broadcast update this shard has, per origin in seq
 	// order: updates[o].At(i) is where, in events, the send or receive record
 	// of origin o's update i+1 starts, so its length is the origin's
@@ -125,21 +128,13 @@ type shard struct {
 	logMu   sync.RWMutex
 	updates []seglog.Log[seglog.Pos]
 	// tree is the hash-chain forest over updates, backing digest exchange with
-	// joiners. The shard alone owns it: noteUpdate hashes each update after
-	// its record, and restore rebuilds it that way.
+	// joiners. The shard alone owns it: each update is hashed in the turn that
+	// records it (noteUpdate, mintSend), and restore rebuilds it that way.
 	tree *membership.Forest
 
 	ops      atomic.Int64
 	sends    atomic.Int64
 	receives atomic.Int64
-}
-
-// ownUpdate is one of the shard's own broadcasts, recorded and waiting for
-// commit to publish it (noteUpdate).
-type ownUpdate struct {
-	seq     uint64
-	at      seglog.Pos
-	payload []byte
 }
 
 func newShard(n *Node, idx int) *shard {
@@ -175,14 +170,16 @@ func (s *shard) lock() error {
 // the history's copy, so the event is encoded once — in the journal, if
 // there is one; the record is durable, and the event tapped, at the turn's
 // next commit. A journal failure fail-stops the node. It returns the
-// history's own copy of ev.Payload and where the event's record starts
-// (eventLog.append): ev.Payload itself may be connection memory or the
-// store's lent message, so the copy is the only slice a caller may pass on.
-// ev.Frontier may be the shard's live frontier: it is encoded and shown to a
-// per-event journal, and only the tap, which keeps it, is given a copy. A do
-// event closes the record openDo opened, if one is open, and its Object and
-// Op.Arg are then that head's views, which the journal and the tap may keep.
-// Runs in a turn (or in restore, before the node serves).
+// history's own copy of ev.Payload, when the record holds it whole, and where
+// the event's record starts (eventLog.append): ev.Payload itself may be
+// connection memory or the store's lent message, so the copy is the only
+// slice a caller may pass on. A send in short form holds no whole copy:
+// eventLog.update rebuilds it. ev.Frontier, and the payload of a send, may
+// be lent: they are encoded and shown to a per-event journal for the call,
+// and only the tap, which keeps the frontier, is given a copy. A do event
+// closes the record openDo opened, if one is open, and its Object and Op.Arg
+// are then that head's views, which the journal and the tap may keep. Runs
+// in a turn (or in restore, before the node serves).
 func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	s.logMu.Lock() // an append writes the block table logRun reads outside a turn
 	rec, payload, at, err := s.events.append(ev)
@@ -190,7 +187,9 @@ func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	if err != nil {
 		panic(err) // the shard built ev itself: only a bug gives it an unknown kind
 	}
-	ev.Payload = payload
+	if payload != nil {
+		ev.Payload = payload
+	}
 	if s.journal != nil && s.jerr == nil {
 		if err := s.journal.stage(ev, rec); err != nil {
 			s.failStop(fmt.Errorf("cluster: journal r%d shard %d event %d: %w", s.n.cfg.ID, s.idx, s.events.len()-1, err))
@@ -235,9 +234,11 @@ func (s *shard) commit() {
 	if len(s.unpublished) == 0 {
 		return
 	}
-	for _, u := range s.unpublished {
-		s.noteUpdateInTurn(s.n.cfg.ID, u.seq, u.at, u.payload)
+	s.logMu.Lock()
+	for _, at := range s.unpublished {
+		s.updates[s.n.cfg.ID].Append(at)
 	}
+	s.logMu.Unlock()
 	s.unpublished = s.unpublished[:0]
 	for _, ps := range s.n.allPeers() {
 		ps.nudge()
@@ -327,11 +328,14 @@ func (s *shard) broadcastPending() {
 }
 
 // mintSend turns the replica's next pending message, if it has one, into a
-// recorded send event and the next update of the shard's own log, published
-// by the next commit — so no link can read an update before its record is
-// durable. The record is the copy of the message: it is written before
-// OnSend lets the store reuse its outbox, and what it returns is all the
-// update log is shown.
+// recorded send event, hashed into the forest, and the next update of the
+// shard's own log, published by the next commit — so no link can read an
+// update before its record is durable. The record is the copy of the message
+// — with the do record before it, when the send leaves out the write's value
+// (eventLog.append): it is written, and the message hashed whole, before
+// OnSend lets the store reuse its outbox, and where the record starts is all
+// the update log is shown. Every forest query runs in a turn, and the turn
+// that mints an update commits it before it ends.
 func (s *shard) mintSend() bool {
 	p := s.replica.PendingMessage()
 	if p == nil {
@@ -339,12 +343,15 @@ func (s *shard) mintSend() bool {
 	}
 	seq := uint64(s.updates[s.n.cfg.ID].Len()+len(s.unpublished)) + 1
 	s.lamport++
-	payload, at := s.record(Event{
+	_, at := s.record(Event{
 		Kind: model.ActSend, Lamport: s.lamport,
 		Origin: s.n.cfg.ID, Seq: seq, Payload: p,
 	})
+	if err := s.hash(s.n.cfg.ID, seq, p); err != nil {
+		s.failStop(err)
+	}
 	s.checker.OnSend()
-	s.unpublished = append(s.unpublished, ownUpdate{seq: seq, at: at, payload: payload})
+	s.unpublished = append(s.unpublished, at)
 	return true
 }
 
@@ -421,15 +428,20 @@ func (s *shard) applyRun(us []protoUpdate, durable bool) (int64, error) {
 	return int64(log.Len() - before), s.jerr
 }
 
-// noteUpdate indexes one broadcast update — its record starts at `at` in
-// events, and payload is that record's — under its origin and hashes it into
-// the forest, after the update's event is recorded: a receive in the turn
-// that records it, the shard's own broadcast at the commit that makes its
-// record durable, so a link never reads an update ahead of the journal.
+// noteUpdate indexes one received or restored update — its record starts at
+// `at` in events, and payload is the update's — under its origin and hashes
+// it into the forest, after the update's event is recorded. (The shard's own
+// broadcast is hashed as it is minted and indexed at the commit that makes
+// its record durable, so a link never reads it ahead of the journal.)
 func (s *shard) noteUpdate(origin model.ReplicaID, seq uint64, at seglog.Pos, payload []byte) error {
 	s.logMu.Lock()
 	s.updates[origin].Append(at)
 	s.logMu.Unlock()
+	return s.hash(origin, seq, payload)
+}
+
+// hash appends origin's update seq, whose payload is given, to the forest.
+func (s *shard) hash(origin model.ReplicaID, seq uint64, payload []byte) error {
 	if err := s.tree.Append(int(origin), seq, payload); err != nil {
 		return fmt.Errorf("cluster: r%d shard %d forest append: %w", s.n.cfg.ID, s.idx, err)
 	}
@@ -450,9 +462,12 @@ func (s *shard) logLen(origin model.ReplicaID) uint64 {
 // contiguous in the index, so a run ends with the log, at BatchMax or at a
 // segment boundary; more reports that it did not end with the log. The
 // payloads alias the records, which are safe to read without the lock: a
-// later append never touches them.
-func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) (_ []protoUpdate, more bool) {
+// later append never touches them; a payload rebuilt from a send in short
+// form aliases *buf, the caller's other scratch, emptied here, so every
+// payload of the run is good until the caller's next call.
+func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate, buf *[]byte) (_ []protoUpdate, more bool) {
 	run = run[:0]
+	*buf = (*buf)[:0]
 	s.logMu.RLock()
 	defer s.logMu.RUnlock()
 	log := &s.updates[origin]
@@ -460,16 +475,18 @@ func (s *shard) logRun(origin model.ReplicaID, seq uint64, run []protoUpdate) (_
 		return run, false
 	}
 	for _, at := range log.Chunk(int(seq), min(log.Len(), int(seq)+BatchMax)) {
-		run = append(run, s.events.update(at))
+		run = append(run, s.events.update(at, buf))
 	}
 	return run, int(seq)+len(run) < log.Len()
 }
 
 // updatePayload is the forest's membership.Source: the payload of origin's
-// update seq, read back out of its record. Runs in a turn, like every
-// forest query.
+// update seq, read back out of its record — a slice of it, or, for a send in
+// short form, rebuilt in the shard's scratch, good until the next call. Runs
+// in a turn, like every forest query.
 func (s *shard) updatePayload(origin int, seq uint64) []byte {
-	return s.events.update(s.updates[origin].At(int(seq - 1))).Payload
+	s.scratch = s.scratch[:0]
+	return s.events.update(s.updates[origin].At(int(seq-1)), &s.scratch).Payload
 }
 
 // noteUpdateInTurn is noteUpdate for a turn's steps, latching a
@@ -496,19 +513,24 @@ func (s *shard) restore(h *History) error {
 		// from the journal, and re-journaling them would duplicate the log.
 		// As in record and do, the new history's copies of the payload, the
 		// object and the argument are the ones the store and the update log
-		// are shown; h's are let go with h.
+		// are shown; h's are let go with h. A send that follows its do is
+		// written in short form again, so the forest hashes h's payload.
 		rec, payload, at, err := s.events.append(ev)
 		if err != nil {
 			return fmt.Errorf("cluster: restored event %d: %w", i, err)
 		}
 		switch ev.Kind {
 		case model.ActDo:
-			s.checker.CheckDo(doHeadViews(rec))
+			obj, op, _ := doHeadViews(rec)
+			s.checker.CheckDo(obj, op)
 		case model.ActSend:
 			if ev.Origin != s.n.cfg.ID {
 				return fmt.Errorf("cluster: restored send event %d claims origin r%d", i, ev.Origin)
 			}
 			s.checker.OnSend()
+			if payload == nil {
+				payload = ev.Payload
+			}
 			if err := s.noteUpdate(ev.Origin, ev.Seq, at, payload); err != nil {
 				return err
 			}

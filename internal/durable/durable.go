@@ -501,12 +501,15 @@ var (
 // one read syscall per buffer-full rather than two per record, and one
 // payload buffer grown to the largest record rather than one per record.
 // Recovery reads every file of a directory through one (reset), so neither
-// buffer is paid per file.
+// buffer is paid per file, and decodes the records in their order through
+// one decoder, so a send record that leaves out its do's argument finds it
+// in the record before (cluster.EventDecoder), files apart or not.
 type recordReader struct {
 	r       *bufio.Reader
 	good    int64   // offset just past the last intact record
 	hdr     [8]byte // scratch for a record's header and
 	payload []byte  // payload, grown to the largest record read
+	dec     cluster.EventDecoder
 }
 
 // recoverBuffer is the read-ahead buffer recovery reads a directory through.
@@ -561,7 +564,7 @@ func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	// The decoder copies what it keeps, so the payload buffer is free to be
 	// overwritten by the next record.
 	er := wire.NewReader(data[1:])
-	if ev, err = cluster.DecodeEventBinary(er); err != nil || er.Remaining() != 0 {
+	if ev, err = rr.dec.Decode(er); err != nil || er.Remaining() != 0 {
 		return 0, cluster.Event{}, errTorn
 	}
 	rr.good += int64(len(rr.hdr)) + int64(size)
@@ -678,7 +681,9 @@ func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Even
 // firstIndex returns the event index of the first record in the file at
 // path, or false if it has no intact first record. It reads that record
 // alone: a header-sized buffer (bufio's smallest, 16 bytes), then the
-// payload straight into its own.
+// payload straight into its own. A file never opens with a send record that
+// refers to the do before it: a node stages the two in one turn and commits
+// them together, and a seal starts a file only between commits.
 func firstIndex(path string) (uint64, bool) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -39,6 +39,8 @@ func fuzzLog(tb testing.TB) (sealed, wal []byte, events []cluster.Event) {
 // cut short just where the wal begins (covered, so repaired), both files
 // torn at once, a long wal — a crash before the rename — behind an intact
 // segment, and an intact record of journal format 0x01 at the wal's tail.
+// Last, a write's do and its send in short form, whole, with the send torn,
+// and the send alone, with no do before it to take the value from.
 func fuzzSeeds(tb testing.TB) [][2][]byte {
 	events := sampleEvents(8)
 	rec := func(index uint64, ev cluster.Event) []byte {
@@ -55,6 +57,8 @@ func fuzzSeeds(tb testing.TB) [][2][]byte {
 	flipped3 := append([]byte(nil), rec3...)
 	flipped3[len(flipped3)-2] ^= 0x40
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	do6, send7 := shortPair(tb, 6)
+	_, send6 := shortPair(tb, 5)
 	return [][2][]byte{
 		{{}, {}},                                   // clean EOF at a record boundary
 		{rec6, {}},                                 // one more intact record
@@ -76,6 +80,9 @@ func fuzzSeeds(tb testing.TB) [][2][]byte {
 		{rec6[:len(rec6)/2], {0}},                  // both files torn
 		{join(rec6, rec(7, events[7])), {}},        // a wal past its seal threshold
 		{legacyRecord(tb, 6, events[6]), {}},       // an earlier format: must surface FormatError
+		{join(do6, send7), {}},                     // a write, its send in short form
+		{join(do6, send7[:len(send7)-1]), {}},      // the short send torn: the do stays
+		{send6, {}},                                // a short send behind a receive: unreadable
 	}
 }
 

@@ -118,6 +118,32 @@ func (v *View) Alive() []Member {
 	return out
 }
 
+// AliveCount returns how many records are currently considered members.
+func (v *View) AliveCount() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n := 0
+	for _, m := range v.members {
+		if !m.Left {
+			n++
+		}
+	}
+	return n
+}
+
+// EachAlive calls yield with each record currently considered a member, in
+// no particular order and copying nothing, until yield returns false. The
+// view stays locked meanwhile, so yield must not call back into it.
+func (v *View) EachAlive(yield func(Member) bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, m := range v.members {
+		if !m.Left && !yield(m) {
+			return
+		}
+	}
+}
+
 // String renders the view compactly for logs: "0@:7000 1@:7001 2!left(3)".
 func (v *View) String() string {
 	s := ""

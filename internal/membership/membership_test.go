@@ -34,6 +34,38 @@ func TestViewMergeEpochRules(t *testing.T) {
 	}
 }
 
+// TestAliveCountAndWalkMatchAlive: the count and the walk see the members
+// Alive copies out, a walk stops when told to, and neither allocates.
+func TestAliveCountAndWalkMatchAlive(t *testing.T) {
+	v := NewView()
+	v.MergeAll([]Member{{ID: 0, Epoch: 1}, {ID: 1, Epoch: 1, Left: true}, {ID: 2, Epoch: 3}, {ID: 4, Epoch: 1}})
+	alive := v.Alive()
+	if got := v.AliveCount(); got != len(alive) || got != 3 {
+		t.Fatalf("AliveCount = %d, Alive holds %d, want 3", got, len(alive))
+	}
+	seen := map[int]bool{}
+	v.EachAlive(func(m Member) bool { seen[m.ID] = true; return true })
+	for _, m := range alive {
+		if !seen[m.ID] {
+			t.Errorf("EachAlive skipped r%d", m.ID)
+		}
+	}
+	if len(seen) != len(alive) {
+		t.Errorf("EachAlive yielded %d members, Alive holds %d", len(seen), len(alive))
+	}
+	calls := 0
+	v.EachAlive(func(Member) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("a walk told to stop went on: %d calls", calls)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		n := v.AliveCount()
+		v.EachAlive(func(m Member) bool { n -= m.ID; return true })
+	}); allocs != 0 {
+		t.Errorf("counting and walking the view allocate %.0f times, want 0", allocs)
+	}
+}
+
 // TestViewMergeConvergent checks the semilattice property operationally:
 // merging the same records in random orders always converges to the same
 // view.

@@ -37,6 +37,26 @@ type Pos struct {
 	block, off uint32
 }
 
+// Back returns the position n bytes before p in p's block: where a record
+// that lies n bytes ahead of the one at p starts. n must not exceed p's
+// offset in its block.
+func (p Pos) Back(n int) Pos {
+	if n < 0 || uint32(n) > p.off {
+		panic("seglog: Back past the start of a block")
+	}
+	return Pos{p.block, p.off - uint32(n)}
+}
+
+// Distance returns how many bytes the record at q starts before p, and
+// whether q lies at or before p in p's block; records in two blocks have no
+// distance.
+func (p Pos) Distance(q Pos) (int, bool) {
+	if p.block != q.block || q.off > p.off {
+		return 0, false
+	}
+	return int(p.off - q.off), true
+}
+
 // Len returns the number of records appended.
 func (l *Blocks) Len() int { return l.n }
 
@@ -102,6 +122,21 @@ func (l *Blocks) Close(tail []byte) ([]byte, Pos) {
 	l.blocks[last] = b
 	l.n++
 	return b[from:len(b):len(b)], Pos{uint32(last), uint32(from)}
+}
+
+// End returns where the next record starts if Append places it in the last
+// block, and how many bytes it may be for that: the last block's spare
+// capacity (0, and the zero Pos, for an empty log). A record no longer than
+// that is placed there, so a record may be encoded against where it will
+// lie — a distance back to a record before it (Pos.Distance) — before it is
+// appended. It must not be called while a record is open.
+func (l *Blocks) End() (Pos, int) {
+	last := len(l.blocks) - 1
+	if last < 0 {
+		return Pos{}, 0
+	}
+	b := l.blocks[last]
+	return Pos{uint32(last), uint32(len(b))}, cap(b) - len(b)
 }
 
 // spare returns the index of a last block with at least n bytes of spare

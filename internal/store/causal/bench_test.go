@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/seglog"
@@ -128,6 +129,54 @@ func BenchmarkCausalReceive(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkReceiveBacklog is a receiver holding a backlog of B updates that
+// all wait on one missing dependency: replica 0's B writes, each depending on
+// a write of replica 2's that replica 0 had and the receiver has not, arrive
+// first, and that write last, releasing them all. It reports what a waiting
+// receive costs at B (ns/wait) and what the release of all B costs
+// (ms/release); each round starts from fresh replicas, minted off the clock.
+// A receive that rescans the whole buffer costs O(B) each, so the backlog
+// O(B²): ns/wait grows with B. This is the store's side of a receiver that
+// falls behind one origin (ROADMAP item 27), which BenchmarkSettleBacklog
+// times on a whole cluster.
+func BenchmarkReceiveBacklog(b *testing.B) {
+	for _, backlog := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("B=%d", backlog), func(b *testing.B) {
+			var waiting, release time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := New(spec.MVRTypes())
+				src, other, dst := st.NewReplica(0, 3), st.NewReplica(2, 3), st.NewReplica(1, 3)
+				other.Do("j", model.Write("0123456789abcdef"))
+				dep := slices.Clone(other.PendingMessage())
+				other.OnSend()
+				src.Receive(slices.Clone(dep))
+				updates := make([][]byte, backlog)
+				for j := range updates {
+					src.Do(model.ObjectID(fmt.Sprintf("k%02d", j%64)), model.Write("0123456789abcdef"))
+					updates[j] = slices.Clone(src.PendingMessage())
+					src.OnSend()
+				}
+				b.StartTimer()
+				start := time.Now()
+				for _, u := range updates {
+					dst.Receive(u)
+				}
+				mid := time.Now()
+				dst.Receive(dep)
+				waiting += mid.Sub(start)
+				release += time.Since(mid)
+				b.StopTimer()
+				if got := dst.(*Replica).BufferedUpdates(); got != 0 {
+					b.Fatalf("%d of %d updates still waiting after their dependency arrived", got, backlog)
+				}
+			}
+			b.ReportMetric(float64(waiting.Nanoseconds())/float64(b.N*backlog), "ns/wait")
+			b.ReportMetric(float64(release.Nanoseconds())/1e6/float64(b.N), "ms/release")
+		})
 	}
 }
 

@@ -146,15 +146,16 @@ func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, sh
 	return journal, restored, nil, nil, nil
 }
 
-// decoded returns what (node, shard) has committed so far, decoded: one
-// event per record.
+// decoded returns what (node, shard) has committed so far, decoded in order:
+// one event per record.
 func (m *memStorage) decoded(id model.ReplicaID, shard int) ([]cluster.Event, error) {
 	m.mu.Lock()
 	recs := m.logs[[2]int{int(id), shard}]
 	m.mu.Unlock()
 	events := make([]cluster.Event, len(recs))
+	var dec cluster.EventDecoder
 	for i, rec := range recs {
-		ev, err := cluster.DecodeEventBinary(wire.NewReader(rec))
+		ev, err := dec.Decode(wire.NewReader(rec))
 		if err != nil {
 			return nil, fmt.Errorf("supervisor: r%d's journaled event %d: %w", id, i, err)
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/wire"
 
 	_ "repro/internal/store/causal"
 )
@@ -531,4 +534,73 @@ func TestSupervisorChurnScheduleAuditsClean(t *testing.T) {
 		auditClean(t, shards, sup.Histories)
 		noViolations(t, sup.Nodes()...)
 	})
+}
+
+// TestMemStorageRestoresShortSends: the in-memory journal keeps the records
+// a node's history holds — each write's send leaving out the value its do
+// record holds — and a restart decodes them, in order, back to the history
+// the node recorded.
+func TestMemStorageRestoresShortSends(t *testing.T) {
+	sup, err := New(cluster.Config{Store: openCausal(t), Seed: 3}, 3, fault.NewNetem(3), 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	values := 0
+	// The messages the writes broadcast, as a replica of the store alone
+	// makes them: a reference no decoder of the node's records had a hand in.
+	twin := openCausal(t).NewReplica(0, 3)
+	var sent [][]byte
+	for i := 0; i < 40; i++ {
+		key, value := model.ObjectID(fmt.Sprintf("k%d", i%4)), model.Value(strings.Repeat(string(rune('a'+i%26)), 1+7*i))
+		values += len(value)
+		if _, err := sup.Do(0, key, model.Write(value)); err != nil {
+			t.Fatal(err)
+		}
+		twin.Do(key, model.Write(value))
+		sent = append(sent, slices.Clone(twin.PendingMessage()))
+		twin.OnSend()
+	}
+	before := sup.Nodes()[0].History()
+	mem := sup.base.Storage.(*memStorage)
+	mem.mu.Lock()
+	recs := mem.logs[[2]int{0, 0}]
+	mem.mu.Unlock()
+	kept, full := 0, 0
+	for i, rec := range recs {
+		kept += len(rec)
+		var w wire.Writer
+		if err := cluster.AppendEventBinary(&w, before.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+		full += w.Len()
+	}
+	if len(recs) != len(before.Events) || full-kept < values-3*40 {
+		t.Fatalf("%d records of %d B for %d events, whose sends carry %d B of written values again in %d B",
+			len(recs), kept, len(before.Events), values, full)
+	}
+	if err := sup.crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.restart(0); err != nil {
+		t.Fatal(err)
+	}
+	after := sup.Nodes()[0].History()
+	if len(after.Events) < len(before.Events) {
+		t.Fatalf("restored %d events, recorded %d", len(after.Events), len(before.Events))
+	}
+	for i, ev := range before.Events {
+		if got := after.Events[i]; !reflect.DeepEqual(got, ev) {
+			t.Fatalf("event %d restored as\n%#v\nrecorded\n%#v", i, got, ev)
+		}
+	}
+	var sends [][]byte
+	for _, ev := range after.Events {
+		if ev.Kind == model.ActSend {
+			sends = append(sends, ev.Payload)
+		}
+	}
+	if !reflect.DeepEqual(sends, sent) {
+		t.Fatalf("the restored sends carry %d messages that differ from the %d the store broadcast", len(sends), len(sent))
+	}
 }

@@ -38,7 +38,7 @@ func (e *FrameSizeError) Error() string {
 // uvarint(n), one byte per started seven bits of n. A frame is its header
 // and its payload, nothing else, so this is all a caller measuring wire
 // bytes adds to a payload.
-func FrameHeaderLen(n int) int { return uvarintLen(uint64(n)) }
+func FrameHeaderLen(n int) int { return UvarintLen(uint64(n)) }
 
 // FramePayload returns the payload of a whole frame as EndFrame returns it:
 // the bytes behind its header.

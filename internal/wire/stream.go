@@ -45,11 +45,11 @@ const (
 // header of the literal run it ends, so only the last literal run's
 // header is not paid for.
 func StreamBound(n int) int {
-	return n + uvarintLen(uint64(n)<<1)
+	return n + UvarintLen(uint64(n)<<1)
 }
 
-// uvarintLen is the length of x's uvarint: a byte per started seven bits.
-func uvarintLen(x uint64) int {
+// UvarintLen is the length of x's uvarint: a byte per started seven bits.
+func UvarintLen(x uint64) int {
 	n := 1
 	for ; x >= 0x80; x >>= 7 {
 		n++
@@ -172,9 +172,9 @@ func (e *StreamEncoder) Encode(w *Writer, body []byte) {
 		// A match pays for its own token and for the header of the literal
 		// run it ends; one that cannot is left to that run.
 		dist := s - cand
-		cost := uvarintLen(uint64(m-streamMinMatch)<<1|1) + uvarintLen(uint64(dist-1))
+		cost := UvarintLen(uint64(m-streamMinMatch)<<1|1) + UvarintLen(uint64(dist-1))
 		if n := s - lit; n > 0 {
-			cost += uvarintLen(uint64(n) << 1)
+			cost += UvarintLen(uint64(n) << 1)
 		}
 		if cost > m {
 			s = probe + 1
