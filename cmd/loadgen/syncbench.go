@@ -41,7 +41,7 @@ func runSyncbench(w io.Writer, cfg benchArgs) error {
 			st.Name(), cfg.seed, len(payloads), cluster.BatchMax),
 		"prefix %", "have", "pulled", "chunks", "digest B", "pull B", "full B", "saved %")
 	for _, pc := range syncbenchPrefixes {
-		row := cluster.SyncCost(payloads, len(payloads)*pc/100, cluster.BatchMax, 0)
+		row := cluster.SyncCost(payloads, len(payloads)*pc/100)
 		saved := int64(0)
 		if row.FullBytes > 0 {
 			saved = 100 - row.PulledBytes*100/row.FullBytes

@@ -55,9 +55,11 @@ func wirebenchWorkload(st store.Store, ops int, objects int, seed int64) (payloa
 	return payloads, events
 }
 
-// journalBench appends the event sequence to a throwaway durable log and
-// returns total on-disk bytes and allocations per append. The sequence is
-// shorter than a seal interval, so wal.log holds every record.
+// journalBench journals the event sequence to a throwaway durable log as a
+// shard does (cluster.StageJournal: the records its log holds, one commit
+// per operation) and returns total on-disk bytes and allocations per event.
+// The sequence is shorter than a seal interval, so wal.log holds every
+// record.
 func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64, err error) {
 	measure := func(dir string) (int64, error) {
 		l, _, err := durable.Open(dir, durable.Meta{Node: 0, N: 3, Store: "bench"},
@@ -65,11 +67,9 @@ func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64,
 		if err != nil {
 			return 0, err
 		}
-		for _, ev := range events {
-			if err := l.Append(ev); err != nil {
-				l.Close()
-				return 0, err
-			}
+		if err := cluster.StageJournal(events, l); err != nil {
+			l.Close()
+			return 0, err
 		}
 		if err := l.Close(); err != nil {
 			return 0, err
@@ -132,11 +132,11 @@ func runWirebench(w io.Writer, cfg benchArgs) error {
 	// Bulk transfers: anti-entropy range chunks and the history download
 	// frame, as encoded versus as sent, wrapped in the compression envelope.
 	// Same chunking either way — the envelope is the only delta.
-	rBytes, rFrames := us.EncodeRange(cluster.BatchMax, 0, false)
-	rAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cluster.BatchMax, 0, false) }) / nOps
-	rcBytes, rcFrames := us.EncodeRange(cluster.BatchMax, 0, true)
-	us.EncodeRange(cluster.BatchMax, 0, true) // warm the flate pools before counting
-	rcAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(cluster.BatchMax, 0, true) }) / nOps
+	rBytes, rFrames := us.EncodeRange(false)
+	rAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(false) }) / nOps
+	rcBytes, rcFrames := us.EncodeRange(true)
+	us.EncodeRange(true) // warm the flate pools before counting
+	rcAllocs := testing.AllocsPerRun(10, func() { us.EncodeRange(true) }) / nOps
 	hBytes, err := cluster.EncodeHistoryFrame(events, false)
 	if err != nil {
 		return err

@@ -21,6 +21,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
+	"repro/internal/wire"
 )
 
 // TestMain doubles as the served entrypoint for the kill -9 harness: when
@@ -237,7 +238,7 @@ func TestKill9Recovery(t *testing.T) {
 	}
 	// Converge and audit across the process boundary.
 	settle(t, child, c, []*cluster.Node{r1, r2}, "x", "y")
-	h0, err := c.History()
+	h0, err := c.ShardHistory(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +337,9 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A frame limit two of the padded updates below cannot share: batches
-		// and range chunks carry one update each.
 		cfg := cluster.Config{
 			ID: model.ReplicaID(id), N: 3, Store: st, Listen: "127.0.0.1:0",
-			Shards:   shards,
-			MaxFrame: 512,
+			Shards: shards,
 		}
 		if mut != nil {
 			mut(&cfg)
@@ -368,8 +366,10 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 	if err := donor.Connect(map[model.ReplicaID]string{2: r2.Addr()}); err != nil {
 		t.Fatal(err)
 	}
+	// Values of half the frame limit: two updates never share a frame, so
+	// batches and range chunks carry one update each.
 	for i := 0; i < writes; i++ {
-		if _, err := r2.Do(objs[i%len(objs)], model.Write(model.Value(fmt.Sprintf("v%d.%s", i, strings.Repeat("-", 200))))); err != nil {
+		if _, err := r2.Do(objs[i%len(objs)], model.Write(model.Value(fmt.Sprintf("v%d.%s", i, strings.Repeat("-", wire.DefaultMaxFrame/2))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -466,10 +466,12 @@ func testKill9MidSyncJoin(t *testing.T, shards int) {
 	// holds, so the second pull serves exactly the rest. Fewer means
 	// journaled updates were lost; more, that the restart re-pulled updates
 	// the first incarnation already journaled.
-	if pulled2 := donor.Stats().SyncServed - served1; pulled2 != int64(writes-restored) {
+	pulled2 := donor.Stats().SyncServed - served1
+	if pulled2 != int64(writes-restored) {
 		t.Fatalf("second pull served %d updates, want %d (restored %d of %d; the first served %d)",
 			pulled2, writes-restored, restored, writes, served1)
 	}
+	t.Logf("the pulls served %d one-update chunks: %d before the kill, %d after", served1+pulled2, served1, pulled2)
 
 	settle(t, child, c, []*cluster.Node{donor}, objs...)
 	for _, m := range donor.Membership() {

@@ -382,12 +382,12 @@ func BenchmarkNextBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				us, _, _ = p.nextBatch(0, uint64(depth-32), 64, 0, 1<<20)
+				us, _, _ = p.nextBatch(0, uint64(depth-32), 64, 0)
 			}
 			if len(us) != 32 {
 				b.Fatalf("batch of %d, want the 32 unsent updates", len(us))
 			}
-			if allocs := testing.AllocsPerRun(100, func() { p.nextBatch(0, uint64(depth-32), 64, 0, 1<<20) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { p.nextBatch(0, uint64(depth-32), 64, 0) }); allocs != 0 {
 				b.Fatalf("nextBatch allocates %.0f times per batch", allocs)
 			}
 		})

@@ -56,7 +56,7 @@ func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 		enc.Reset()
 		enc.BeginFrame()
 		appendBatch(enc, &lz, raw.Bytes())
-		frame, err := enc.EndFrame(historyMaxFrame)
+		frame, err := enc.EndFrame(wire.DefaultMaxFrame)
 		if err != nil {
 			return bytes, frames // unreachable for sane payloads
 		}
@@ -68,22 +68,16 @@ func (us BenchUpdates) EncodeBatched(batch int) (bytes, frames int64) {
 }
 
 // EncodeRange runs the anti-entropy donor path: tRangeResp chunks of up to
-// chunkMax updates cut by cutBatch, as serveRange cuts them, as encoded
+// BatchMax updates cut by cutBatch, as serveRange cuts them, as encoded
 // (compress false) or as sent, behind the tCompressed envelope (compress
 // follows maybeCompressPayload's gates, so sub-floor or incompressible
 // chunks ship raw there too). Returns total wire bytes (headers included)
 // and frames.
-func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes, frames int64) {
-	if chunkMax < 1 {
-		chunkMax = 1
-	}
-	if maxFrame <= 0 {
-		maxFrame = wire.DefaultMaxFrame
-	}
+func (us BenchUpdates) EncodeRange(compress bool) (bytes, frames int64) {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	for rest := []protoUpdate(us); len(rest) > 0; {
-		n := cutBatch(rest, chunkMax, 0, maxFrame-64)
+		n := cutBatch(rest, BatchMax, 0)
 		w.Reset()
 		appendRange(w, 0, rest[0].Origin, rest[:n])
 		bytes += wireLen(w, compress)
@@ -98,17 +92,44 @@ func (us BenchUpdates) EncodeRange(chunkMax, maxFrame int, compress bool) (bytes
 // frame, built the way a node builds it: the events recorded into a log, the
 // log's blocks framed. Returns the frame's wire length, header included.
 func EncodeHistoryFrame(events []Event, compress bool) (int64, error) {
-	var log eventLog
-	for _, ev := range events {
-		if _, _, _, err := log.append(ev); err != nil {
-			return 0, err
-		}
+	log, err := recordEvents(events, nil)
+	if err != nil {
+		return 0, err
 	}
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.Uvarint(tHistoryResp)
 	log.snapshot(History{Node: 0, N: 1, Store: "bench"}).appendTo(w)
 	return wireLen(w, compress), nil
+}
+
+// StageJournal writes events to j as a shard's turns journal them: each
+// recorded into the shard's log (a write's send in short form behind its
+// do), the log's record staged, and one commit per turn — an operation's do
+// and the sends it made pending. The records are the ones EncodeHistoryFrame
+// frames.
+func StageJournal(events []Event, j Journal) error {
+	_, err := recordEvents(events, j)
+	return err
+}
+
+// recordEvents records events into a log as a shard's turns record them
+// and, when j is non-nil, stages each record to j, committing at the end of
+// each turn: before the next do, and after the last event.
+func recordEvents(events []Event, j Journal) (*eventLog, error) {
+	log := new(eventLog)
+	for i, ev := range events {
+		rec, _, _, err := log.append(ev)
+		if err == nil && j != nil {
+			if err = j.Stage(rec); err == nil && (i+1 == len(events) || events[i+1].Kind == model.ActDo) {
+				err = j.Commit()
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return log, nil
 }
 
 // wireLen is the wire length, header included, of the bulk frame whose

@@ -22,7 +22,6 @@ import (
 type Client struct {
 	mu        sync.Mutex
 	conn      net.Conn
-	maxFrame  int
 	nextReq   uint64 // the last request's id, counted mod reqIDs
 	opTimeout time.Duration
 	err       error // the failure that closed conn, or nil
@@ -30,7 +29,7 @@ type Client struct {
 	// leaves in one conn.Write (the shape of the node's writeEnc), and is
 	// reused for the next. fr reads every reply into its storage, one after
 	// another (the decoders copy the values out); a history transfer can run
-	// to historyMaxFrame, too much to keep, so History drops the storage
+	// to historyMaxFrame, too much to keep, so ShardHistory drops the storage
 	// after it. r is the reader roundTrip hands back, reused the same way.
 	req *wire.Writer
 	fr  *wire.FrameReader
@@ -51,7 +50,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func newClient(conn net.Conn) *Client {
-	return &Client{conn: conn, maxFrame: wire.DefaultMaxFrame, req: wire.NewWriter(), fr: wire.NewFrameReader(conn)}
+	return &Client{conn: conn, req: wire.NewWriter(), fr: wire.NewFrameReader(conn)}
 }
 
 // SetOpTimeout bounds each subsequent operation's full round trip (write
@@ -95,7 +94,7 @@ func (c *Client) roundTrip(replyMax int, want uint64) (*wire.Reader, error) {
 		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	frame, err := c.req.EndFrame(c.maxFrame)
+	frame, err := c.req.EndFrame(wire.DefaultMaxFrame)
 	if err == nil {
 		_, err = c.conn.Write(frame)
 	}
@@ -129,7 +128,7 @@ func (c *Client) Do(obj model.ObjectID, op model.Operation) (model.Response, err
 	c.nextReq = (c.nextReq + 1) % reqIDs
 	id := c.nextReq
 	appendRequest(c.request(), id, obj, op)
-	r, err := c.roundTrip(c.maxFrame, tResponse)
+	r, err := c.roundTrip(wire.DefaultMaxFrame, tResponse)
 	if err != nil {
 		return model.Response{}, err
 	}
@@ -148,7 +147,7 @@ func (c *Client) Stats() (Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.request().Uvarint(tStats)
-	r, err := c.roundTrip(c.maxFrame, tStatsResp)
+	r, err := c.roundTrip(wire.DefaultMaxFrame, tStatsResp)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -157,12 +156,6 @@ func (c *Client) Stats() (Stats, error) {
 		return Stats{}, c.fail(fmt.Errorf("cluster: bad stats frame: %w", err))
 	}
 	return s, nil
-}
-
-// History downloads the node's recorded local history for auditing (shard
-// 0's projection on a sharded node — see ShardHistory).
-func (c *Client) History() (History, error) {
-	return c.ShardHistory(0)
 }
 
 // ShardHistory downloads one shard's recorded local history.

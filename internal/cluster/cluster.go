@@ -157,9 +157,6 @@ type Config struct {
 	// admits the node or a permanent refusal (divergent or lost history)
 	// aborts it.
 	Join map[model.ReplicaID]string
-	// MaxFrame bounds replication and request frames (wire.DefaultMaxFrame
-	// if zero); history transfers use the larger historyMaxFrame.
-	MaxFrame int
 }
 
 // Transport opens the node's connections. Listen opens the node's one
@@ -290,9 +287,6 @@ func openJournal(st NodeStorage, cfg Config, shard int) (journal, *History, func
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
@@ -720,6 +714,7 @@ func (n *Node) Stats() Stats {
 	for _, p := range n.allPeers() {
 		if p.failed.Load() {
 			s.FailedLinks++
+			quiesced = false // a failed link is not drained: it will never send what it owes
 		}
 		if !closed && !p.drained() {
 			quiesced = false
@@ -894,7 +889,7 @@ func (n *Node) serveConn(conn net.Conn) {
 	// fr is this connection's one frame reader: every frame the handler
 	// reads lands in its storage, overwriting the one before (recvFrame).
 	fr := wire.NewFrameReader(conn)
-	first, err := recvFrame(fr, n.cfg.MaxFrame)
+	first, err := recvFrame(fr, wire.DefaultMaxFrame)
 	if err != nil {
 		return
 	}
@@ -997,14 +992,14 @@ func (n *Node) serveReplication(conn net.Conn, h hello, fr *wire.FrameReader) {
 		lz          wire.StreamDecoder
 	)
 	for {
-		b, err := recvFrame(fr, n.cfg.MaxFrame)
+		b, err := recvFrame(fr, wire.DefaultMaxFrame)
 		if err != nil {
 			return
 		}
 		r.Reset(b)
 		switch r.Uvarint() {
 		case tBatch:
-			body, err := decodeBatchBody(&r, &lz, n.cfg.MaxFrame)
+			body, err := decodeBatchBody(&r, &lz)
 			if err != nil {
 				return
 			}
@@ -1036,7 +1031,7 @@ func (n *Node) serveClient(conn net.Conn, first []byte, fr *wire.FrameReader) {
 			return
 		}
 		var err error
-		if frame, err = recvFrame(fr, n.cfg.MaxFrame); err != nil {
+		if frame, err = recvFrame(fr, wire.DefaultMaxFrame); err != nil {
 			return
 		}
 	}
@@ -1052,7 +1047,7 @@ func (n *Node) answer(conn net.Conn, frame []byte) bool {
 	if r.Err() != nil {
 		return false
 	}
-	maxFrame := n.cfg.MaxFrame
+	maxFrame := wire.DefaultMaxFrame
 	var bulk *wire.Deflater // set for a bulk reply: the compressor to offer it to
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)

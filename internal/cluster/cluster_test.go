@@ -225,7 +225,7 @@ func TestClientRequestResponse(t *testing.T) {
 	if s.Node != 0 || s.Store != "lww" || s.Ops < 2 || s.Sends < 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	h, err := c1.History()
+	h, err := c1.ShardHistory(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestClientRequestResponse(t *testing.T) {
 	}
 
 	// Both histories together must form a well-formed execution.
-	h0, err := c0.History()
+	h0, err := c0.ShardHistory(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,3 +260,45 @@ func TestRestartWithoutHistoryFailStops(t *testing.T) {
 		t.Fatalf("r1b was streamed into the gap: %d gap frames, %d receives", st.GapFrames, st.Receives)
 	}
 }
+
+// TestRestartWithoutHistoryFailedLinkNotQuiesced: r1 restarts empty on its
+// own address and writes 15 before it links, more than the 10 of its
+// updates r0 holds, so r1b does not fail-stop, and r0 accepts seqs 11 to 15
+// of a log whose first 10 it holds different updates for. r0's link to r1
+// has failed, on the count r1b's hello ack regressed to, and will never
+// send r1b r0's updates: the pair has diverged, and neither r0 nor the pair
+// may read as quiesced. r0 used to report quiesced all the same, since a
+// failed link reads as drained.
+func TestRestartWithoutHistoryFailedLinkNotQuiesced(t *testing.T) {
+	r0 := bootNode(t, 0, 2, nil)
+	r1 := bootNode(t, 1, 2, nil)
+	if err := r0.Connect(map[model.ReplicaID]string{1: r1.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	writeN(t, r0, 10, "a")
+	writeN(t, r1, 10, "b")
+	if !WaitQuiesced([]*Node{r0, r1}, 10*time.Second) {
+		t.Fatal("the pair never quiesced")
+	}
+	addr := r1.Addr()
+	r1.Close()
+	r1b := bootNode(t, 1, 2, func(cfg *Config) { cfg.Listen = addr })
+	writeN(t, r1b, 15, "d")
+	if err := r1b.Connect(map[model.ReplicaID]string{0: r0.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); r0.Stats().FailedLinks != 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("r0 never stopped its link to the peer that lost what it acknowledged: %+v", r0.Stats())
+		}
+	}
+	if WaitQuiesced([]*Node{r0, r1b}, time.Second) {
+		t.Fatalf("the pair reads as quiesced over r0's failed link: r0 %+v", r0.Stats())
+	}
+	if st := r0.Stats(); st.Quiesced {
+		t.Fatalf("r0 reports quiesced with %d failed links", st.FailedLinks)
+	}
+}

@@ -78,9 +78,6 @@ func decompressFrame(b []byte, maxFrame int) (frame, buf []byte, err error) {
 	if algo != wire.CompFlate {
 		return nil, b, fmt.Errorf("cluster: unknown compression algorithm %d in envelope", algo)
 	}
-	if maxFrame <= 0 {
-		maxFrame = wire.DefaultMaxFrame
-	}
 	if rawLen > uint64(maxFrame) {
 		return nil, b, &wire.FrameSizeError{Size: int(rawLen), Max: maxFrame}
 	}
@@ -151,7 +148,7 @@ func (n *Node) sendFrame(conn net.Conn, build func(*wire.Writer)) bool {
 	w := wire.GetWriter()
 	w.BeginFrame()
 	build(w)
-	_, err := n.writeEnc(conn, w, n.cfg.MaxFrame, nil)
+	_, err := n.writeEnc(conn, w, wire.DefaultMaxFrame, nil)
 	wire.PutWriter(w)
 	return err == nil
 }

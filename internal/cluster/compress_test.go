@@ -30,7 +30,7 @@ func TestMaybeCompressPayloadGates(t *testing.T) {
 	if len(payload) >= len(big) {
 		t.Fatalf("envelope %d bytes did not beat raw %d", len(payload), len(big))
 	}
-	got, _, err := decompressFrame(append([]byte(nil), payload...), 0)
+	got, _, err := decompressFrame(append([]byte(nil), payload...), wire.DefaultMaxFrame)
 	wire.PutWriter(env)
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("envelope did not round-trip: err %v", err)
@@ -42,11 +42,11 @@ func TestMaybeCompressPayloadGates(t *testing.T) {
 func TestDecompressFramePassthrough(t *testing.T) {
 	w := wire.NewWriter()
 	appendHelloAck(w, []uint64{42})
-	got, _, err := decompressFrame(w.Bytes(), 0)
+	got, _, err := decompressFrame(w.Bytes(), wire.DefaultMaxFrame)
 	if err != nil || !bytes.Equal(got, w.Bytes()) {
 		t.Fatalf("passthrough mangled frame: %x err %v", got, err)
 	}
-	if got, _, err := decompressFrame(nil, 0); err != nil || len(got) != 0 {
+	if got, _, err := decompressFrame(nil, wire.DefaultMaxFrame); err != nil || len(got) != 0 {
 		t.Fatalf("empty frame: %x err %v", got, err)
 	}
 }
@@ -61,20 +61,20 @@ func TestDecompressFrameHostileEnvelopes(t *testing.T) {
 		build(w)
 		return w.Bytes()
 	}
-	if _, _, err := decompressFrame(env(func(w *wire.Writer) { w.Uvarint(wire.CompFlate) }), 0); err == nil {
+	if _, _, err := decompressFrame(env(func(w *wire.Writer) { w.Uvarint(wire.CompFlate) }), wire.DefaultMaxFrame); err == nil {
 		t.Fatal("truncated envelope header accepted")
 	}
 	if _, _, err := decompressFrame(env(func(w *wire.Writer) {
 		w.Uvarint(99)
 		w.Uvarint(10)
-	}), 0); err == nil {
+	}), wire.DefaultMaxFrame); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	var fse *wire.FrameSizeError
 	_, _, err := decompressFrame(env(func(w *wire.Writer) {
 		w.Uvarint(wire.CompFlate)
 		w.Uvarint(1 << 40) // declared inflated size far past any frame limit
-	}), 1<<20)
+	}), wire.DefaultMaxFrame)
 	if !errors.As(err, &fse) {
 		t.Fatalf("oversize declaration error = %v, want FrameSizeError", err)
 	}
@@ -82,7 +82,7 @@ func TestDecompressFrameHostileEnvelopes(t *testing.T) {
 		w.Uvarint(wire.CompFlate)
 		w.Uvarint(16)
 		w.Raw([]byte{0xff, 0xff, 0xff}) // not a deflate stream
-	}), 0); err == nil {
+	}), wire.DefaultMaxFrame); err == nil {
 		t.Fatal("corrupt deflate body accepted")
 	}
 }
@@ -244,7 +244,7 @@ func TestCompressedFrameIsOneWrite(t *testing.T) {
 	enc := wire.NewWriter()
 	enc.BeginFrame()
 	enc.Raw(payload.Bytes())
-	wrote, err := nd.writeEnc(conn, enc, nd.cfg.MaxFrame, new(wire.Deflater))
+	wrote, err := nd.writeEnc(conn, enc, wire.DefaultMaxFrame, new(wire.Deflater))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // recordingTransport is plain TCP that records the bytes of every Write on
@@ -128,7 +129,7 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 		typ, _ := binary.Uvarint(w[h:])
 		seen[typ] = true
 		if typ == tCompressed {
-			inner, _, err := decompressFrame(w[h:], 0)
+			inner, _, err := decompressFrame(w[h:], wire.DefaultMaxFrame)
 			if err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}

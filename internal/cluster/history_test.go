@@ -132,7 +132,7 @@ func TestClientHistoryFailsWhenNodeClosesMidRequest(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		h, err := c.History()
+		h, err := c.ShardHistory(0)
 		got <- result{h, err}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request reach the busy shard

@@ -119,7 +119,7 @@ func (n *Node) exchangeGossip(id int, addr string) bool {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendGossip(w, n.cfg.ID, n.view.Members()) }) {
 		return false
 	}
-	typ, r, err := readTyped(conn, wire.NewFrameReader(conn), n.cfg.MaxFrame, writeTimeout)
+	typ, r, err := readTyped(conn, wire.NewFrameReader(conn), writeTimeout)
 	if err != nil || typ != tGossipAck {
 		return false
 	}
@@ -142,7 +142,7 @@ func (n *Node) serveGossip(conn net.Conn, ms []membership.Member, fr *wire.Frame
 	replied := n.sendFrame(conn, func(w *wire.Writer) { appendGossipAck(w, n.view.Members()) })
 	n.ensureLinks()
 	if replied {
-		readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
+		readTyped(conn, fr, writeTimeout)
 	}
 }
 
@@ -287,7 +287,7 @@ func (n *Node) joinVia(seedID model.ReplicaID, addr string) error {
 	}) {
 		return errors.New("cluster: join announce write failed")
 	}
-	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
+	typ, r, err := readTyped(conn, fr, writeTimeout)
 	if err != nil {
 		return err
 	}
@@ -336,7 +336,7 @@ func (n *Node) catchUp(conn net.Conn, fr *wire.FrameReader, s *shard) error {
 	if !n.sendFrame(conn, func(w *wire.Writer) { appendDigest(w, tDigest, s.idx, local) }) {
 		return errors.New("cluster: digest write failed")
 	}
-	typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
+	typ, r, err := readTyped(conn, fr, writeTimeout)
 	if err != nil {
 		return err
 	}
@@ -414,7 +414,7 @@ func owedRanges(joiner model.ReplicaID, shard int, asked, answered []originDiges
 func (n *Node) pullRange(conn net.Conn, fr *wire.FrameReader, s *shard, o owedRange) error {
 	var us []protoUpdate // each chunk, decoded
 	for at := o.From; at < o.To; {
-		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, writeTimeout)
+		typ, r, err := readTyped(conn, fr, writeTimeout)
 		if err != nil {
 			return err
 		}
@@ -474,7 +474,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 	z := wire.GetDeflater() // compresses every range chunk this conversation serves
 	defer wire.PutDeflater(z)
 	for _, s := range n.shards {
-		typ, r, err := readTyped(conn, fr, n.cfg.MaxFrame, 0)
+		typ, r, err := readTyped(conn, fr, 0)
 		if err != nil || typ != tDigest {
 			return
 		}
@@ -496,7 +496,7 @@ func (n *Node) serveJoin(conn net.Conn, j joinReq, fr *wire.FrameReader) {
 			}
 		}
 	}
-	if _, err := recvFrame(fr, n.cfg.MaxFrame); err == nil {
+	if _, err := recvFrame(fr, wire.DefaultMaxFrame); err == nil {
 		return // the joiner had nothing left to say
 	}
 	if j.Addr != "" {
@@ -552,7 +552,7 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 	defer wire.PutWriter(enc)
 	for at := from; at < to; at = us[len(us)-1].Seq {
 		us, _ = s.logRun(origin, at, us, &payloads)
-		us = us[:cutBatch(us, int(min(BatchMax, to-at)), 0, n.cfg.MaxFrame-64)]
+		us = us[:cutBatch(us, int(min(BatchMax, to-at)), 0)]
 		if len(us) == 0 {
 			return false
 		}
@@ -562,7 +562,7 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 		enc.Reset()
 		enc.BeginFrame()
 		appendRange(enc, s.idx, origin, us)
-		if _, err := n.writeEnc(conn, enc, n.cfg.MaxFrame, z); err != nil { // a bulk frame
+		if _, err := n.writeEnc(conn, enc, wire.DefaultMaxFrame, z); err != nil { // a bulk frame
 			n.count[cSyncServed].Add(-int64(len(us)))
 			return false
 		}
@@ -576,11 +576,11 @@ func (n *Node) serveRange(conn net.Conn, s *shard, origin model.ReplicaID, from,
 // readTyped reads one frame of conn through its frame reader fr (with an
 // optional read deadline) — see recvFrame for its lifetime — and peels its
 // type tag.
-func readTyped(conn net.Conn, fr *wire.FrameReader, maxFrame int, deadline time.Duration) (uint64, *wire.Reader, error) {
+func readTyped(conn net.Conn, fr *wire.FrameReader, deadline time.Duration) (uint64, *wire.Reader, error) {
 	if deadline > 0 {
 		conn.SetReadDeadline(time.Now().Add(deadline))
 	}
-	b, err := recvFrame(fr, maxFrame)
+	b, err := recvFrame(fr, wire.DefaultMaxFrame)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -472,21 +472,22 @@ func TestJoinDigestUnansweredHangsUp(t *testing.T) {
 // to link back to the joiner before the digests, so its live link
 // delivered the same writes during the pull; the joiner, which stopped
 // reading a range when its log reached the donor's count, read the chunks
-// still in flight as the next shard's digest answer and gave up. 400
-// writes of 200-byte values under a 512-byte frame limit make every chunk
-// one update, over four shards.
+// still in flight as the next shard's digest answer and gave up. 1024
+// writes of 200-byte values, 256 to each of four shards, make every
+// shard's range four full BatchMax chunks.
 func TestJoinThroughWritingDonor(t *testing.T) {
-	const shards, k = 4, 400
-	small := func(cfg *Config) { cfg.Shards, cfg.MaxFrame = shards, 512 }
-	donor := bootNode(t, 0, 2, small)
-	objects := shardedObjects(t, shards, 3)
+	const shards, chunks = 4, 4
+	const k = shards * chunks * BatchMax
+	sharded := func(cfg *Config) { cfg.Shards = shards }
+	donor := bootNode(t, 0, 2, sharded)
+	keys := keysOfEachShard(donor.router)
 	for i := 0; i < k; i++ {
 		v := model.Value(fmt.Sprintf("%04d%s", i, strings.Repeat("-", 196)))
-		if _, err := donor.Do(objects[i%len(objects)], model.Write(v)); err != nil {
+		if _, err := donor.Do(keys[i%shards], model.Write(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	joiner := bootNode(t, 1, 2, small)
+	joiner := bootNode(t, 1, 2, sharded)
 	if err := joiner.joinVia(0, donor.Addr()); err != nil {
 		t.Fatalf("the first join attempt failed: %v", err)
 	}
@@ -627,11 +628,11 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 	}
 	fr := wire.NewFrameReader(conn)
 	send(func(w *wire.Writer) { appendJoin(w, joinReq{From: as, Shards: uint64(len(nd.shards))}) })
-	if typ, _, err := readTyped(conn, fr, 0, 0); err != nil || typ != tJoinAck {
+	if typ, _, err := readTyped(conn, fr, 0); err != nil || typ != tJoinAck {
 		t.Fatalf("join answered with type %d, err %v", typ, err)
 	}
 	send(func(w *wire.Writer) { appendDigest(w, tDigest, 0, []originDigest{{Origin: origin}}) })
-	typ, r, err := readTyped(conn, fr, 0, 0)
+	typ, r, err := readTyped(conn, fr, 0)
 	if err != nil || typ != tDigestResp {
 		t.Fatalf("digest answered with type %d, err %v", typ, err)
 	}
@@ -645,7 +646,7 @@ func pullRange(t *testing.T, nd *Node, as, origin model.ReplicaID, count uint64)
 		}
 		raw = append([]byte(nil), raw...)
 		frames = append(frames, raw)
-		b, _, err := decompressFrame(append([]byte(nil), raw...), 0)
+		b, _, err := decompressFrame(append([]byte(nil), raw...), wire.DefaultMaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}

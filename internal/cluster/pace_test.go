@@ -151,7 +151,7 @@ func (rt *recordingTransport) batches(t *testing.T, origin model.ReplicaID, shar
 		frame := w[h:]
 		b := recordedBatch{write: i, conn: rt.conns[i]}
 		if typ, _ := binary.Uvarint(frame); typ == tCompressed {
-			inner, _, err := decompressFrame(frame, 0)
+			inner, _, err := decompressFrame(frame, wire.DefaultMaxFrame)
 			if err != nil {
 				t.Fatal(err)
 			}

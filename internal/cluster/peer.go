@@ -27,19 +27,24 @@ type linkCursor struct {
 	maxSent   uint64 // highest seq ever written, on any connection (retransmit accounting)
 }
 
+// frameBudget is what cutBatch lets a frame's sections hold: the frame
+// limit less 64 bytes for the frame's type, its batch header and the coding
+// around them.
+const frameBudget = wire.DefaultMaxFrame - 64
+
 // cutBatch is the chunking rule, stated once: how many updates from the
 // head of run join a frame whose sections already hold used bytes. At most
-// limit, and no more than fit sizeCap (callers pass MaxFrame-64) at a
-// budget of payload plus 32 bytes of generous varint headroom each — a
-// section's own header included. An update that does not fit what is left
-// waits for the next frame; but the first update of an empty frame always
-// travels, so an oversized single payload still goes, alone (and fails the
-// frame limit at write time, exactly as it would unbatched).
-func cutBatch(run []protoUpdate, limit, used, sizeCap int) int {
+// limit, and no more than fit frameBudget at a cost of payload plus 32
+// bytes of generous varint headroom each — a section's own header included.
+// An update that does not fit what is left waits for the next frame; but
+// the first update of an empty frame always travels, so an oversized single
+// payload still goes, alone (and fails the frame limit at write time,
+// exactly as it would unbatched).
+func cutBatch(run []protoUpdate, limit, used int) int {
 	size := used
 	for i := range run {
 		cost := len(run[i].Payload) + 32
-		if (i > 0 || used > 0) && (i >= limit || size+cost > sizeCap) {
+		if (i > 0 || used > 0) && (i >= limit || size+cost > frameBudget) {
 			return i
 		}
 		size += cost
@@ -223,14 +228,14 @@ func (p *peerSender) ack(shard int, cum uint64) {
 // The batch is the sender's scratch (its payloads alias the shard's
 // records) and is good until the next call; it may also end early at a
 // segment boundary of the log, and the next call picks up from there.
-func (p *peerSender) nextBatch(shard int, sent uint64, limit, used, sizeCap int) (us []protoUpdate, retransmits int64, cut bool) {
+func (p *peerSender) nextBatch(shard int, sent uint64, limit, used int) (us []protoUpdate, retransmits int64, cut bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := &p.cursors[shard]
 	sent = max(sent, c.lastAcked)
 	var more bool
 	p.batch, more = p.node.shards[shard].logRun(p.node.cfg.ID, sent, p.batch, &p.payloads)
-	us = p.batch[:cutBatch(p.batch, limit, used, sizeCap)]
+	us = p.batch[:cutBatch(p.batch, limit, used)]
 	if len(us) == 0 {
 		return nil, 0, false
 	}
@@ -389,7 +394,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		enc.Reset()
 		enc.BeginFrame()
 		appendHello(enc, cfg.ID, cfg.Shards)
-		_, err := p.node.writeEnc(conn, enc, cfg.MaxFrame, nil)
+		_, err := p.node.writeEnc(conn, enc, wire.DefaultMaxFrame, nil)
 		return err
 	}
 	if hello() != nil {
@@ -405,7 +410,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 		fr := wire.NewFrameReader(conn) // the connection's only reader; answers decode to integers
 		var r wire.Reader
 		for i := 0; ; i++ {
-			b, err := recvFrame(fr, cfg.MaxFrame)
+			b, err := recvFrame(fr, wire.DefaultMaxFrame)
 			r.Reset(b)
 			if err != nil || r.Uvarint() != tHelloAck {
 				return
@@ -493,7 +498,7 @@ func (p *peerSender) serve(conn net.Conn) bool {
 				cut              bool
 			)
 			for si := range runs {
-				us, re, c := p.nextBatch(si, runs[si].seq, BatchMax, raw.Len(), cfg.MaxFrame-64)
+				us, re, c := p.nextBatch(si, runs[si].seq, BatchMax, raw.Len())
 				if len(us) == 0 {
 					continue
 				}
@@ -526,21 +531,20 @@ func (p *peerSender) serve(conn net.Conn) bool {
 			// The frame limit holds for the frame as encoded, type and
 			// sections, as the peer's decoder holds rawLen to it, and for the
 			// frame as coded: rawLen and the stream's one unpaid literal
-			// header add a few bytes (at most 7 under the default limit),
-			// which cutBatch's 64 bytes of headroom cover, so only a lone
-			// update can fail either.
+			// header add a few bytes (at most 7), which cutBatch's 64 bytes
+			// of headroom cover, so only a lone update can fail either.
 			rawFrame := 1 + raw.Len()
 			var (
 				wrote int
 				err   error
 			)
-			if rawFrame > cfg.MaxFrame {
-				err = &wire.FrameSizeError{Size: rawFrame, Max: cfg.MaxFrame}
+			if rawFrame > wire.DefaultMaxFrame {
+				err = &wire.FrameSizeError{Size: rawFrame, Max: wire.DefaultMaxFrame}
 			} else {
 				enc.Reset()
 				enc.BeginFrame()
 				appendBatch(enc, &lz, raw.Bytes())
-				wrote, err = p.node.writeEnc(conn, enc, cfg.MaxFrame, bulk)
+				wrote, err = p.node.writeEnc(conn, enc, wire.DefaultMaxFrame, bulk)
 			}
 			if err != nil {
 				var fse *wire.FrameSizeError

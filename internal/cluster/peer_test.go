@@ -30,9 +30,11 @@ import (
 // future connection, so the old treat-it-as-connection-death path redialed
 // forever. The sender must latch the terminal error, stop reconnecting, and
 // surface the condition in Stats, also when the pass that meets the update
-// has another shard's updates to send.
+// has another shard's updates to send. The oversized update is a write of
+// a value as long as the frame limit: its section cannot fit the frame.
 func TestOversizedUpdateFailStopsLink(t *testing.T) {
-	nodes := startClusterWith(t, "lww", 2, func(cfg *Config) { cfg.MaxFrame = 2048 })
+	oversized := strings.Repeat("v", wire.DefaultMaxFrame)
+	nodes := startClusterWith(t, "lww", 2, nil)
 
 	// A small write proves the link works before the poison update.
 	if _, err := nodes[0].Do("x", model.Write("small")); err != nil {
@@ -40,7 +42,7 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 	}
 	// The oversized write succeeds locally (the frame limit is a transport
 	// bound, not a store bound) but its broadcast can never travel.
-	if _, err := nodes[0].Do("x", model.Write(model.Value(strings.Repeat("v", 4096)))); err != nil {
+	if _, err := nodes[0].Do("x", model.Write(model.Value(oversized))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,10 +73,10 @@ func TestOversizedUpdateFailStopsLink(t *testing.T) {
 	// frame of its own, fails it alone, and latches.
 	for big := 0; big < 2; big++ {
 		t.Run(fmt.Sprintf("oversized in shard %d", big), func(t *testing.T) {
-			sharded := func(cfg *Config) { cfg.MaxFrame, cfg.Shards = 2048, 2 }
+			sharded := func(cfg *Config) { cfg.Shards = 2 }
 			r0, r1 := bootNode(t, 0, 2, sharded), bootNode(t, 1, 2, sharded)
 			keys := keysOfEachShard(r0.router)
-			for i, v := range []string{"small", strings.Repeat("v", 4096), "small"} {
+			for i, v := range []string{"small", oversized, "small"} {
 				for si, k := range keys {
 					if si == big || i != 1 {
 						if _, err := r0.Do(k, model.Write(model.Value(v))); err != nil {
@@ -626,14 +628,14 @@ func (q *refQueue) ack(cum uint64) {
 	q.queue = q.queue[:copy(q.queue, q.queue[n:])]
 }
 
-func (q *refQueue) nextBatch(sent uint64, max, sizeCap int) (us []protoUpdate, retransmits int64) {
-	size := 0
+func (q *refQueue) nextBatch(sent uint64, max, used int) (us []protoUpdate, retransmits int64) {
+	size := used
 	for _, u := range q.queue {
 		if u.Seq <= sent {
 			continue
 		}
 		cost := len(u.Payload) + 32
-		if len(us) > 0 && (len(us) >= max || size+cost > sizeCap) {
+		if (len(us) > 0 || used > 0) && (len(us) >= max || size+cost > frameBudget) {
 			break
 		}
 		if u.Seq <= q.maxSent {
@@ -678,14 +680,17 @@ func TestLinkCursorMatchesScanningReference(t *testing.T) {
 				noteRecorded(t, s, u.Origin, u.Lamport, u.Payload)
 				all = append(all, u)
 				ref.offer(u)
-			case r < 85: // the sender drains one frame
-				limit, sizeCap := 1+rng.Intn(8), 100+rng.Intn(600)
-				got, re, cut := p.nextBatch(0, sent, limit, 0, sizeCap)
+			case r < 85: // the sender drains one frame: on odd steps a whole one, on even ones what another shard's section left of it
+				limit, used := 1+rng.Intn(8), frameBudget-100-rng.Intn(600)
+				if step%2 == 1 {
+					used = 0
+				}
+				got, re, cut := p.nextBatch(0, sent, limit, used)
 				refLimit := limit
 				if room := seglog.SegmentLen - int(max(sent, ref.lastAcked)%seglog.SegmentLen); room < limit {
 					refLimit = room
 				}
-				want, wantRe := ref.nextBatch(sent, refLimit, sizeCap)
+				want, wantRe := ref.nextBatch(sent, refLimit, used)
 				if re != wantRe || len(got) != len(want) {
 					t.Fatalf("seed %d step %d: batch of %d (%d retransmits), reference %d (%d)", seed, step, len(got), re, len(want), wantRe)
 				}
@@ -789,7 +794,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 			defer readers.Done()
 			p := newPeerSender(s.n, peerOrigin, "unused")
 			for sent := uint64(0); sent < n; {
-				us, _, _ := p.nextBatch(0, sent, BatchMax, 0, 1<<20)
+				us, _, _ := p.nextBatch(0, sent, BatchMax, 0)
 				if !verify(who, self, sent, us) {
 					return
 				}
@@ -824,7 +829,7 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 		defer readers.Done()
 		fr := wire.NewFrameReader(joiner)
 		for got := uint64(0); got < n; {
-			typ, r, err := readTyped(joiner, fr, 0, 30*time.Second)
+			typ, r, err := readTyped(joiner, fr, 30*time.Second)
 			if err != nil || typ != tRangeResp {
 				t.Errorf("range chunk after %d updates: type %d, err %v", got, typ, err)
 				return
@@ -850,7 +855,8 @@ func TestLogReadersRaceTheLoop(t *testing.T) {
 	}
 }
 
-// TestCutBatch pins the chunking rule every sender of updates shares.
+// TestCutBatch pins the chunking rule every sender of updates shares. A
+// quarter is the payload of an update that costs a quarter of frameBudget.
 func TestCutBatch(t *testing.T) {
 	run := func(sizes ...int) []protoUpdate {
 		us := make([]protoUpdate, len(sizes))
@@ -859,29 +865,30 @@ func TestCutBatch(t *testing.T) {
 		}
 		return us
 	}
+	const quarter = frameBudget/4 - 32
 	for _, tc := range []struct {
-		name                 string
-		run                  []protoUpdate
-		limit, used, sizeCap int
-		want                 int
+		name        string
+		run         []protoUpdate
+		limit, used int
+		want        int
 	}{
-		{"empty run", nil, 64, 0, 1000, 0},
-		{"whole run fits", run(10, 10, 10), 64, 0, 1000, 3},
-		{"limit cuts", run(10, 10, 10, 10), 2, 0, 1000, 2},
-		{"limit of one", run(10, 10), 1, 0, 1000, 1},
-		{"size cap cuts before the update that overflows", run(68, 68, 68), 64, 0, 250, 2},
-		{"size cap reached exactly", run(68, 68), 64, 0, 200, 2},
-		{"each update is budgeted 32 bytes over its payload", run(0, 0, 0, 0), 64, 0, 100, 3},
-		{"oversized first update travels alone", run(5000, 10), 64, 0, 1000, 1},
-		{"oversized later update waits for its own frame", run(10, 5000, 10), 64, 0, 1000, 1},
-		{"a lone oversized update is still taken", run(5000), 64, 0, 1000, 1},
-		{"a later section shares what the frame has left", run(68, 68, 68), 64, 50, 250, 2},
-		{"a later section fills the frame exactly", run(68, 68), 64, 100, 300, 2},
-		{"a later section's update that does not fit waits", run(68), 64, 200, 250, 0},
-		{"an oversized update waits for an empty frame", run(5000), 64, 1, 1000, 0},
+		{"empty run", nil, 64, 0, 0},
+		{"whole run fits", run(10, 10, 10), 64, 0, 3},
+		{"limit cuts", run(10, 10, 10, 10), 2, 0, 2},
+		{"limit of one", run(10, 10), 1, 0, 1},
+		{"the budget cuts before the update that overflows", run(quarter+1, quarter+1, quarter+1, quarter+1), 64, 0, 3},
+		{"the budget reached exactly", run(quarter, quarter, quarter, quarter), 64, 0, 4},
+		{"each update is budgeted 32 bytes over its payload", run(0, 0, 0, 0), 64, frameBudget - 100, 3},
+		{"oversized first update travels alone", run(frameBudget, 10), 64, 0, 1},
+		{"oversized later update waits for its own frame", run(10, frameBudget, 10), 64, 0, 1},
+		{"a lone oversized update is still taken", run(frameBudget), 64, 0, 1},
+		{"a later section shares what the frame has left", run(68, 68, 68), 64, frameBudget - 200, 2},
+		{"a later section fills the frame exactly", run(68, 68), 64, frameBudget - 200, 2},
+		{"a later section's update that does not fit waits", run(68), 64, frameBudget - 50, 0},
+		{"an oversized update waits for an empty frame", run(frameBudget), 64, 1, 0},
 	} {
-		if got := cutBatch(tc.run, tc.limit, tc.used, tc.sizeCap); got != tc.want {
-			t.Errorf("%s: cutBatch(%d updates, limit %d, used %d, cap %d) = %d, want %d", tc.name, len(tc.run), tc.limit, tc.used, tc.sizeCap, got, tc.want)
+		if got := cutBatch(tc.run, tc.limit, tc.used); got != tc.want {
+			t.Errorf("%s: cutBatch(%d updates, limit %d, used %d) = %d, want %d", tc.name, len(tc.run), tc.limit, tc.used, got, tc.want)
 		}
 	}
 }
@@ -954,7 +961,7 @@ func rawDial(t *testing.T, nd *Node) (send func(build func(*wire.Writer)), recv 
 	}
 	fr := wire.NewFrameReader(conn)
 	recv = func() (uint64, *wire.Reader) {
-		typ, r, err := readTyped(conn, fr, 0, 0)
+		typ, r, err := readTyped(conn, fr, 0)
 		if err != nil {
 			return 0, nil
 		}
@@ -1036,7 +1043,7 @@ func TestProtocolVersionMismatchRefused(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				typ, _, err := readTyped(c, wire.NewFrameReader(c), 0, 0)
+				typ, _, err := readTyped(c, wire.NewFrameReader(c), 0)
 				if err != nil {
 					return
 				}

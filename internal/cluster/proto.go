@@ -249,14 +249,14 @@ func appendBatch(w *wire.Writer, lz *wire.StreamEncoder, body []byte) {
 // read through lz, the receiving connection's stream, back to the frame's
 // sections (decodeSection reads them). The body is a view of lz's history,
 // valid until the connection's next frame, as a frame's bytes are. A rawLen
-// above maxFrame, or stream bytes that do not decode to exactly rawLen
-// bytes, is an error, and the connection hangs up.
-func decodeBatchBody(r *wire.Reader, lz *wire.StreamDecoder, maxFrame int) ([]byte, error) {
+// above wire.DefaultMaxFrame, or stream bytes that do not decode to exactly
+// rawLen bytes, is an error, and the connection hangs up.
+func decodeBatchBody(r *wire.Reader, lz *wire.StreamDecoder) ([]byte, error) {
 	rawLen := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return lz.Decode(r.Fixed(r.Remaining()), rawLen, maxFrame)
+	return lz.Decode(r.Fixed(r.Remaining()), rawLen, wire.DefaultMaxFrame)
 }
 
 // appendRange encodes an anti-entropy chunk of origin's updates in one

@@ -150,7 +150,7 @@ func appendSections(w *wire.Writer, runs []runState, secs ...section) {
 // secs allocates nothing. The sections' payloads are views of rx's stream,
 // valid until its next frame.
 func readBatch(r *wire.Reader, rx *receivingEnd, origin model.ReplicaID, secs []section) ([]section, error) {
-	body, err := decodeBatchBody(r, &rx.lz, 0)
+	body, err := decodeBatchBody(r, &rx.lz)
 	if err != nil {
 		return nil, err
 	}

@@ -37,42 +37,15 @@ type SyncCostRow struct {
 	FullBytes int64
 }
 
-// frameLen measures one frame built by an appender, header included.
-func frameLen(build func(*wire.Writer)) int64 {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	build(w)
-	return int64(w.Len() + wire.FrameHeaderLen(w.Len()))
-}
-
-// rangeCost is what serveRange puts on the wire for us[from:]: tRangeResp
-// chunks cut by cutBatch (up to chunkMax updates within maxFrame).
-func rangeCost(us []protoUpdate, from int, chunkMax, maxFrame int) (pulled, chunks, bytes int64) {
-	for rest := us[from:]; len(rest) > 0; {
-		chunk := rest[:cutBatch(rest, chunkMax, 0, maxFrame-64)]
-		bytes += frameLen(func(w *wire.Writer) { appendRange(w, 0, 0, chunk) })
-		pulled += int64(len(chunk))
-		chunks++
-		rest = rest[len(chunk):]
-	}
-	return pulled, chunks, bytes
-}
-
 // SyncCost computes the catch-up cost table entry for a joiner holding the
 // first prefix updates of a donor log made of the given payloads (origin
-// 0, consecutive sequence numbers — the BenchUpdates shape). chunkMax and
-// maxFrame correspond to BatchMax and Config.MaxFrame.
-func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame int) SyncCostRow {
-	if chunkMax < 1 {
-		chunkMax = 1
-	}
-	if maxFrame <= 0 {
-		maxFrame = wire.DefaultMaxFrame
-	}
+// 0, consecutive sequence numbers — the BenchUpdates shape), its range
+// transfer cut as serveRange cuts it (EncodeRange).
+func SyncCost(payloads [][]byte, prefix int) SyncCostRow {
 	if prefix > len(payloads) {
 		prefix = len(payloads)
 	}
-	us := []protoUpdate(NewBenchUpdates(payloads))
+	us := NewBenchUpdates(payloads)
 
 	donor := membership.NewForest(1)
 	joiner := membership.NewForest(1)
@@ -90,9 +63,15 @@ func SyncCost(payloads [][]byte, prefix, chunkMax, maxFrame int) SyncCostRow {
 		Origin: model.ReplicaID(0), Count: donor.Count(0), Root: donor.Root(0),
 		PrefixRoot: joiner.Root(0),
 	}}
-	row.DigestBytes = frameLen(func(w *wire.Writer) { appendDigest(w, tDigest, 0, jd) }) +
-		frameLen(func(w *wire.Writer) { appendDigest(w, tDigestResp, 0, dd) })
-	row.Pulled, row.Chunks, row.PulledBytes = rangeCost(us, prefix, chunkMax, maxFrame)
-	_, _, row.FullBytes = rangeCost(us, 0, chunkMax, maxFrame)
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	appendDigest(w, tDigest, 0, jd)
+	row.DigestBytes = wireLen(w, false)
+	w.Reset()
+	appendDigest(w, tDigestResp, 0, dd)
+	row.DigestBytes += wireLen(w, false)
+	row.Pulled = int64(len(us) - prefix)
+	row.PulledBytes, row.Chunks = us[prefix:].EncodeRange(false)
+	row.FullBytes, _ = us.EncodeRange(false)
 	return row
 }

@@ -8,22 +8,22 @@ import (
 // TestSyncCostModel pins the shape of the deterministic catch-up cost
 // table: a full-prefix joiner pulls nothing, an empty joiner's pull costs
 // what a full transfer costs, costs shrink monotonically as the prefix
-// grows, and batching cuts the chunk count.
+// grows, and batching cuts the chunk count and the bytes.
 func TestSyncCostModel(t *testing.T) {
 	payloads := make([][]byte, 100)
 	for i := range payloads {
 		payloads[i] = []byte(fmt.Sprintf("payload-%04d", i))
 	}
 
-	full := SyncCost(payloads, 0, 16, 0)
+	full := SyncCost(payloads, 0)
 	if full.Pulled != 100 || full.PulledBytes != full.FullBytes {
 		t.Fatalf("empty joiner must pull everything: %+v", full)
 	}
-	if full.Chunks != 100/16+1 {
-		t.Fatalf("batch-16 chunking: %d chunks for 100 updates, want %d", full.Chunks, 100/16+1)
+	if want := int64((100 + BatchMax - 1) / BatchMax); full.Chunks != want {
+		t.Fatalf("BatchMax chunking: %d chunks for 100 updates, want %d", full.Chunks, want)
 	}
 
-	done := SyncCost(payloads, 100, 16, 0)
+	done := SyncCost(payloads, 100)
 	if done.Pulled != 0 || done.Chunks != 0 || done.PulledBytes != 0 {
 		t.Fatalf("full-prefix joiner must pull nothing: %+v", done)
 	}
@@ -33,7 +33,7 @@ func TestSyncCostModel(t *testing.T) {
 
 	prev := full
 	for _, p := range []int{25, 50, 90} {
-		row := SyncCost(payloads, p, 16, 0)
+		row := SyncCost(payloads, p)
 		if row.Pulled != int64(100-p) {
 			t.Fatalf("prefix %d: pulled %d, want %d", p, row.Pulled, 100-p)
 		}
@@ -46,16 +46,21 @@ func TestSyncCostModel(t *testing.T) {
 		prev = row
 	}
 
-	unbatched := SyncCost(payloads, 0, 1, 0)
-	if unbatched.Chunks != 100 {
-		t.Fatalf("JSON-floor chunking: %d chunks, want 100", unbatched.Chunks)
+	// Per-update framing: a chunk for each update, the sum of one-update rows.
+	var unbatched int64
+	for _, p := range payloads {
+		row := SyncCost([][]byte{p}, 0)
+		if row.Chunks != 1 {
+			t.Fatalf("a one-update log pulled in %d chunks", row.Chunks)
+		}
+		unbatched += row.PulledBytes
 	}
-	if unbatched.PulledBytes <= full.PulledBytes {
-		t.Fatal("per-update framing should cost more bytes than batch-16")
+	if unbatched <= full.PulledBytes {
+		t.Fatalf("per-update framing costs %d bytes, no more than BatchMax chunks' %d", unbatched, full.PulledBytes)
 	}
 
 	// Determinism: same inputs, same row.
-	if a, b := SyncCost(payloads, 50, 16, 0), SyncCost(payloads, 50, 16, 0); a != b {
+	if a, b := SyncCost(payloads, 50), SyncCost(payloads, 50); a != b {
 		t.Fatalf("SyncCost not deterministic: %+v vs %+v", a, b)
 	}
 }

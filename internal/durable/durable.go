@@ -34,8 +34,9 @@
 //     read), the next index is taken, a later one is corruption — an append
 //     can tear, it cannot skip. Names only order the files; indices decide
 //     contiguity.
-//   - A record that cannot be read — short header, short payload, CRC
-//     mismatch, undecodable event — is a torn append at the tail of wal.log:
+//   - A record whose framing fails — short header, short payload, CRC
+//     mismatch, an index or body that does not fill the payload — is a torn
+//     append at the tail of wal.log:
 //     the file is truncated at the last good record and recovery stops
 //     there, so the log is a prefix of what the node recorded, never a
 //     fabrication. In a sealed file it is corruption and fails recovery,
@@ -43,11 +44,13 @@
 //     file is cut back to its last good record and recovery continues from
 //     the next file. Silent truncation is therefore bounded by one seal
 //     interval, and damage in the sealed prefix is loud.
-//   - An intact record of an earlier journal format is neither: its update
-//     payloads are in a layout this build's stores do not decode. Open
-//     refuses the directory with a FormatError, wherever the record sits,
-//     before it replays, truncates or writes anything — as it does a
-//     directory holding the snap.log of a build that sealed by copying.
+//   - An intact record this build cannot read is neither: its framing holds,
+//     but its body is of another journal format (the earlier one, whose
+//     update payloads are in a layout this build's stores do not decode, or
+//     a later one), or its event does not decode. Open refuses the directory
+//     with a FormatError, wherever the record sits, before it replays,
+//     truncates or writes anything — as it does a directory holding the
+//     snap.log of a build that sealed by copying.
 //
 // The recovered history is what cluster.JournalStorage.OpenJournal hands the
 // node to replay (Storage, in storage.go, is that seam's implementation), so
@@ -135,10 +138,12 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("durable: %s corrupt at offset %d: %s", e.File, e.Offset, e.Reason)
 }
 
-// FormatError reports a data directory written by a build of an earlier
-// journal format: File holds, at Offset, an intact record in format
-// legacyJournalTag, whose update payloads no store of this build decodes.
-// Open returns it before replaying, truncating or writing anything.
+// FormatError reports a data directory written by a build of another
+// journal format: File holds, at Offset, an intact record — its length,
+// CRC, index and body framing sound — that this build cannot read: one in
+// format legacyJournalTag, whose update payloads no store of this build
+// decodes, or in a format or with an event this build does not know. Open
+// returns it before replaying, truncating or writing anything.
 type FormatError struct {
 	File   string
 	Offset int64
@@ -146,9 +151,9 @@ type FormatError struct {
 
 // Error implements error.
 func (e *FormatError) Error() string {
-	return fmt.Sprintf("durable: %s holds a record of journal format 0x%02x at offset %d, written by a build "+
-		"of protocol version 9 or earlier; this build reads format 0x%02x only and does not replay the directory",
-		e.File, legacyJournalTag, e.Offset, journalBinaryTag)
+	return fmt.Sprintf("durable: %s holds a record this build cannot read at offset %d: of journal format 0x%02x, written by a build "+
+		"of protocol version 9 or earlier, or of a later build; this build reads format 0x%02x only and does not replay the directory",
+		e.File, e.Offset, legacyJournalTag, journalBinaryTag)
 }
 
 // Meta identifies whose history a data directory holds. It is written on
@@ -448,8 +453,8 @@ func checkMeta(dir string, meta Meta) error {
 // body's format, cluster's binary event encoding, and is the one byte a
 // future format would change. 0x02 holds the causal store's updates without
 // the fields their type implies; legacyJournalTag, 0x01, held them with every
-// field, and a record in it is refused (FormatError). A body opening with
-// anything else is damage.
+// field. An intact record in any format but this one is refused
+// (FormatError).
 const (
 	journalBinaryTag = 0x02
 	legacyJournalTag = 0x01
@@ -489,12 +494,13 @@ func rd32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// errTorn marks every way a record can be damaged: short header, short
-// payload, implausible length, CRC mismatch, unknown body tag, undecodable
-// event. errLegacy marks an intact record in legacyJournalTag's format.
+// errTorn marks every way a record's framing can fail: short header, short
+// payload, implausible length, CRC mismatch, an index or body that does not
+// fill the payload. errFormat marks an intact record this build cannot read:
+// its body tag is not journalBinaryTag, or its event does not decode.
 var (
 	errTorn   = errors.New("durable: torn record")
-	errLegacy = errors.New("durable: record of an earlier journal format")
+	errFormat = errors.New("durable: record of another journal format")
 )
 
 // recordReader reads framed records through one buffer, so recovery costs
@@ -526,8 +532,8 @@ func (rr *recordReader) reset(f io.Reader) {
 }
 
 // next reads one record. It returns io.EOF at a clean record boundary,
-// errTorn for damage and errLegacy for a record of the earlier format; in
-// every case good is the last boundary before the record.
+// errTorn for damage and errFormat for an intact record this build cannot
+// read; in every case good is the last boundary before the record.
 func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -555,17 +561,14 @@ func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
 	if rd.Err() != nil || rd.Remaining() != 0 {
 		return 0, ev, errTorn
 	}
-	if len(data) > 0 && data[0] == legacyJournalTag {
-		return 0, ev, errLegacy
-	}
 	if len(data) == 0 || data[0] != journalBinaryTag {
-		return 0, ev, errTorn
+		return 0, ev, errFormat
 	}
 	// The decoder copies what it keeps, so the payload buffer is free to be
 	// overwritten by the next record.
 	er := wire.NewReader(data[1:])
 	if ev, err = rr.dec.Decode(er); err != nil || er.Remaining() != 0 {
-		return 0, cluster.Event{}, errTorn
+		return 0, cluster.Event{}, errFormat
 	}
 	rr.good += int64(len(rr.hdr)) + int64(size)
 	return index, ev, nil
@@ -625,7 +628,7 @@ func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
 // through rr; next is the path of the file after it. Per record: an index
 // below the count so far repeats a record already read and is skipped, the
 // next index is taken, and one past it is corruption — an append can tear,
-// it cannot skip. A record of the earlier journal format fails recovery
+// it cannot skip. An intact record this build cannot read fails recovery
 // with a FormatError.
 //
 // A record that cannot be read ends the file. In wal.log it is a torn
@@ -651,7 +654,7 @@ func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Even
 		if err == io.EOF {
 			return events, nil
 		}
-		if err == errLegacy {
+		if err == errFormat {
 			return nil, &FormatError{File: name, Offset: offset}
 		}
 		if err != nil {

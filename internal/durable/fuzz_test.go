@@ -40,7 +40,8 @@ func fuzzLog(tb testing.TB) (sealed, wal []byte, events []cluster.Event) {
 // torn at once, a long wal — a crash before the rename — behind an intact
 // segment, and an intact record of journal format 0x01 at the wal's tail.
 // Last, a write's do and its send in short form, whole, with the send torn,
-// and the send alone, with no do before it to take the value from.
+// and the send alone, with no do before it to take the value from: an
+// intact record this build cannot read, so a FormatError.
 func fuzzSeeds(tb testing.TB) [][2][]byte {
 	events := sampleEvents(8)
 	rec := func(index uint64, ev cluster.Event) []byte {
@@ -82,7 +83,7 @@ func fuzzSeeds(tb testing.TB) [][2][]byte {
 		{legacyRecord(tb, 6, events[6]), {}},       // an earlier format: must surface FormatError
 		{join(do6, send7), {}},                     // a write, its send in short form
 		{join(do6, send7[:len(send7)-1]), {}},      // the short send torn: the do stays
-		{send6, {}},                                // a short send behind a receive: unreadable
+		{send6, {}},                                // a short send behind a receive: intact, unreadable: FormatError
 	}
 }
 
