@@ -152,11 +152,12 @@ fuzz:
 # receive is staged and committed only before something reports it, so a
 # receiver that crashes holding staged receives recovers the committed
 # prefix and is resent the rest; a restart that lost its history
-# fail-stops), and the kill -9 harness (a real served child process
+# fail-stops), the refusals under it too (a refused Open or restore writes
+# nothing to the data directory), and the kill -9 harness (a real served child process
 # SIGKILL'd mid-load and restarted on the same -data-dir).
 durability:
 	$(GO) test ./internal/durable -count=1
-	$(GO) test -race ./internal/durable -run 'CommitWindow' -count=1
+	$(GO) test -race ./internal/durable -run 'CommitWindow|RefusedOpen|RestoreRefusals' -count=1
 	$(GO) test -race ./internal/cluster -run 'CommitWindow|RestartWithoutHistory' -count=1
 	$(GO) test -race ./cmd/served -run 'Kill9|ParsePeers|WriteJSON|AdminServer' -count=1
 	$(GO) test -race ./cmd/loadgen -run 'TestRunChaosDiskBacked' -count=1

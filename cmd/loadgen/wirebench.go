@@ -62,8 +62,8 @@ func wirebenchWorkload(st store.Store, ops int, objects int, seed int64) (payloa
 // record.
 func journalBench(events []cluster.Event) (diskBytes int64, allocsPerOp float64, err error) {
 	measure := func(dir string) (int64, error) {
-		l, _, err := durable.Open(dir, durable.Meta{Node: 0, N: 3, Store: "bench"},
-			durable.Options{NoSync: true})
+		l, err := durable.Open(dir, durable.Meta{Node: 0, N: 3, Store: "bench"},
+			durable.Options{NoSync: true}, func([]byte) error { return nil })
 		if err != nil {
 			return 0, err
 		}

@@ -281,29 +281,24 @@ type shardStorage struct {
 	group *durable.GroupCommitter
 }
 
-func (s *shardStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (cluster.Journal, *cluster.History, error) {
+func (s *shardStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, replay func(rec []byte) error) (cluster.Journal, error) {
 	dir := s.dir
 	var opts durable.Options
 	if shards > 1 {
 		dir = filepath.Join(s.dir, fmt.Sprintf("shard-%03d", shard))
 		opts.Group = s.group
 	}
-	l, hist, err := durable.Open(dir, durable.Meta{Node: id, N: n, Store: storeName, Shard: shard, Shards: shards}, opts)
+	l, err := durable.Open(dir, durable.Meta{Node: id, N: n, Store: storeName, Shard: shard, Shards: shards}, opts, replay)
 	if err != nil {
-		return nil, nil, err
+		return nil, err // not a nil *durable.Log in a non-nil Journal
 	}
-	return l, hist, nil
+	return l, nil
 }
 
 // Open is cluster.NodeStorage's per-event journal, which the node does not
 // use: it opens staged journals through OpenJournal.
 func (s *shardStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
-	j, hist, err := s.OpenJournal(id, n, storeName, shard, shards)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	l := j.(*durable.Log)
-	return l.Append, hist, nil, l.Close, nil
+	return cluster.OpenPerEvent(s, id, n, storeName, shard, shards)
 }
 
 // writeJSON marshals v to a buffer before touching the ResponseWriter, so a

@@ -73,13 +73,13 @@ type fileStorage struct {
 	journals []*fileJournal // by node; one shard each
 }
 
-func (s *fileStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (Journal, *History, error) {
+func (s *fileStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, _ func([]byte) error) (Journal, error) {
 	j, err := openFileJournal(filepath.Join(s.dir, fmt.Sprintf("journal-r%d", id)), true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.journals[id] = j
-	return j, nil, nil
+	return j, nil
 }
 
 func (s *fileStorage) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {

@@ -110,8 +110,8 @@ type Config struct {
 	// must not promise delivery. A Storage that implements JournalStorage is
 	// staged; one that has only NodeStorage's per-event Open journals each
 	// event as it is staged, which is stronger than needed (see
-	// NodeStorage). The restored history is replayed into the fresh replica
-	// before anything is served: the Lamport clock and sequence counters
+	// NodeStorage). What a shard restores is recorded again, in order, into
+	// the fresh replica before anything is served: the Lamport clock and sequence counters
 	// resume where they left off, and every past broadcast is re-offered to
 	// the peers (receivers deduplicate by cumulative sequence number).
 	// Replayed events are not re-journaled. The Supervisor threads Storage
@@ -127,7 +127,7 @@ type Config struct {
 	// sharded consumer must keep one checker per shard
 	// (livecheck.ShardSet). Events replayed from Storage are not re-tapped
 	// (their first recording was); sends
-	// re-minted during restore are new events and are. The callback runs in
+	// re-minted as a shard opens are new events and are. The callback runs in
 	// the recording shard's turn: it must return quickly and must not call
 	// back into the node. The event is the tap's to keep, Frontier
 	// included: a do event's frontier is an immutable copy, cloned only when
@@ -202,26 +202,22 @@ func (tcpTransport) Dial(_, _ model.ReplicaID, addr string) (net.Conn, error) {
 
 // NodeStorage provides per-incarnation durable storage for a node's recorded
 // history, one event at a time. Open is called once per incarnation and
-// shard, before the node serves anything: journal persists one recorded
-// event before it returns — ev and its Frontier are valid only for the call
-// (a do event's Frontier is the shard's live frontier, which the next do
-// moves on), and so is a send's Payload (the store's message, which the
-// history keeps split around the write's value when the send follows its
-// do), so a journal that keeps the event clones them, while a receive's
-// Payload is the history's own immutable copy and may be kept as it is —
-// restore is the recovered history of the previous incarnation (nil on first
-// boot), and closeLog (nil for none) is invoked after the shard's last turn,
-// so no journal call follows it. shard/shards name which of the node's shard
-// logs to open. tree is ignored (implementations return nil): the shard alone
-// owns its forest and rebuilds it from restore.
+// shard (shard/shards name which log), before the node serves anything.
+// journal persists one recorded event before it returns. ev is valid only
+// for the call — a do's Frontier is the shard's live frontier, a send's
+// Payload the store's message — so a journal that keeps it clones them; a
+// receive's Payload is the history's own immutable copy. restore is the
+// previous incarnation's history (nil on first boot); closeLog (nil for
+// none) runs after the shard's last turn, so no journal call follows it;
+// tree is ignored (implementations return nil): the shard owns its forest.
 //
 // A storage that also implements JournalStorage is opened through that
-// instead. One that does not is journaled event by event: each staged event
-// is handed to journal at once and a commit costs nothing, which is stronger
+// instead (its Open is OpenPerEvent). One that does not is journaled event
+// by event, each staged event handed to journal at once, which is stronger
 // than Config.Storage requires. Only the frozen benchmark/trace.go's wrapper
-// still relies on that, and its durable.* rows time this per-event path; the
-// interface, its forest result and the per-event path go with the next
-// benchmark PR (ROADMAP item 1(c)).
+// relies on that (its durable.* rows time this path); the interface, its
+// forest result, OpenPerEvent and the per-event path go with ROADMAP item
+// 1(c).
 type NodeStorage interface {
 	Open(id model.ReplicaID, n int, storeName string, shard, shards int) (journal func(Event) error, restore *History, tree *membership.Forest, closeLog func() error, err error)
 }
@@ -229,18 +225,20 @@ type NodeStorage interface {
 // JournalStorage is what a Config.Storage implements to be opened as staged
 // journals (durable.Storage does). OpenJournal is called in place of
 // NodeStorage's Open: once per incarnation and shard, before the node serves
-// anything, with restore as Open's.
+// anything. Before it returns, it hands replay each record the journal
+// holds, in commit order and valid for the call only, and an error from
+// replay refuses the open. A storage never decodes a record; the shard does.
 type JournalStorage interface {
-	OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (j Journal, restore *History, err error)
+	OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, replay func(rec []byte) error) (Journal, error)
 }
 
 // A Journal is one shard's log, written at the commit points Config.Storage
 // lists. Stage and Commit run in the shard's turns, one at a time; Close
 // runs after the shard's last turn.
 type Journal interface {
-	// Stage appends one event's record: its AppendEventBinary encoding, the
-	// history's own immutable copy, which the journal may keep. Nothing staged
-	// need be durable before the next Commit.
+	// Stage appends one event's record, the history's own immutable copy,
+	// which the journal may keep. Nothing staged need be durable before the
+	// next Commit.
 	Stage(rec []byte) error
 	// Commit makes every record staged so far durable, in the order staged,
 	// before it returns.
@@ -248,6 +246,37 @@ type Journal interface {
 	// Close releases the log. Records staged after the last Commit — only a
 	// fail-stopping node leaves any — are dropped, as a crash would drop them.
 	Close() error
+}
+
+// OpenPerEvent is NodeStorage's Open over a JournalStorage: it decodes what
+// js replays into the History to restore (nil if none), and journals each
+// event alone, staged — as a record of its own, which Stage may keep — and
+// committed.
+func OpenPerEvent(js JournalStorage, id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
+	h := &History{Node: id, N: n, Store: storeName}
+	var dec EventDecoder
+	j, err := js.OpenJournal(id, n, storeName, shard, shards, func(rec []byte) error {
+		ev, err := dec.decodeRecord(rec)
+		h.Events = append(h.Events, ev) // dropped with h on an error
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if len(h.Events) == 0 {
+		h = nil
+	}
+	journal := func(ev Event) error {
+		var w wire.Writer
+		if err := AppendEventBinary(&w, ev); err != nil {
+			return err
+		}
+		if err := j.Stage(w.Bytes()); err != nil {
+			return err
+		}
+		return j.Commit()
+	}
+	return journal, h, nil, j.Close, nil
 }
 
 // journal is a shard's log as the shard drives it: a staged Journal, or a
@@ -269,22 +298,6 @@ type perEvent func(Event) error
 
 func (j perEvent) stage(ev Event, _ []byte) error { return j(ev) }
 func (perEvent) commit() error                    { return nil }
-
-// openJournal opens shard's log in st, staged when st can stage.
-func openJournal(st NodeStorage, cfg Config, shard int) (journal, *History, func() error, error) {
-	if js, ok := st.(JournalStorage); ok {
-		j, restored, err := js.OpenJournal(cfg.ID, cfg.N, cfg.Store.Name(), shard, cfg.Shards)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return staged{j}, restored, j.Close, nil
-	}
-	fn, restored, _, closeLog, err := st.Open(cfg.ID, cfg.N, cfg.Store.Name(), shard, cfg.Shards)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return perEvent(fn), restored, closeLog, nil
-}
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
@@ -411,7 +424,7 @@ type Node struct {
 	answerMu   sync.Mutex
 	answerWake chan struct{}
 
-	// restored counts events replayed from restored histories at boot.
+	// restored counts the events replayed from Storage at boot.
 	restored int64
 	// failure holds the error that fail-stopped the node (fail), if any.
 	failure atomic.Pointer[error]
@@ -465,21 +478,13 @@ func NewNode(cfg Config) (*Node, error) {
 	for i := range n.shards {
 		s := newShard(n, i)
 		n.shards[i] = s
-		var restored *History
 		if cfg.Storage != nil {
-			var err error
-			s.journal, restored, s.closeJournal, err = openJournal(cfg.Storage, cfg, i)
+			replayed, err := s.open(cfg.Storage)
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("cluster: open storage for r%d shard %d: %w", cfg.ID, i, err)
-			}
-		}
-		if restored != nil {
-			if err := s.restore(restored); err != nil {
 				closeAll()
 				return nil, err
 			}
-			n.restored += int64(len(restored.Events))
+			n.restored += int64(replayed)
 		}
 	}
 
@@ -508,8 +513,8 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Restored returns how many events NewNode replayed from restored
-// histories (all shards). Informational; stable after NewNode.
+// Restored returns how many events NewNode replayed from Storage (all
+// shards). Informational; stable after NewNode.
 func (n *Node) Restored() int64 { return n.restored }
 
 // fail fail-stops the node on err: the first such error is the one Err

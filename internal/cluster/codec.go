@@ -56,8 +56,8 @@ const shortSend = 0x20
 // a do record it can take its argument from.
 var errShortSendAlone = errors.New("cluster: a send record in short form follows no do record with an argument")
 
-// AppendEventBinary appends ev's binary encoding to w. It is exported for
-// internal/durable, whose journal records hold events in this encoding.
+// AppendEventBinary appends ev's binary encoding to w, in the full form. It
+// is exported for benchmark/, which times it; no storage encodes an event.
 func AppendEventBinary(w *wire.Writer, ev Event) error {
 	switch ev.Kind {
 	case model.ActDo:
@@ -198,6 +198,17 @@ func (d *EventDecoder) Decode(r *wire.Reader) (Event, error) {
 	d.arg = ""
 	if err == nil && ev.Kind == model.ActDo {
 		d.arg = ev.Op.Arg
+	}
+	return ev, err
+}
+
+// decodeRecord decodes rec, one whole record of d's sequence as a journal
+// holds it, and refuses trailing bytes.
+func (d *EventDecoder) decodeRecord(rec []byte) (Event, error) {
+	r := wire.NewReader(rec)
+	ev, err := d.Decode(r)
+	if err == nil {
+		err = r.End()
 	}
 	return ev, err
 }

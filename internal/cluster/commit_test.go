@@ -52,8 +52,8 @@ func (g *gatedCommits) open() {
 	g.mu.Unlock()
 }
 
-func (g *gatedCommits) OpenJournal(model.ReplicaID, int, string, int, int) (Journal, *History, error) {
-	return &gatedJournal{g: g}, nil, nil
+func (g *gatedCommits) OpenJournal(model.ReplicaID, int, string, int, int, func([]byte) error) (Journal, error) {
+	return &gatedJournal{g: g}, nil
 }
 
 func (g *gatedCommits) Open(model.ReplicaID, int, string, int, int) (func(Event) error, *History, *membership.Forest, func() error, error) {

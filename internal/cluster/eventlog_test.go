@@ -92,10 +92,9 @@ func (s lendingStorage) Open(id model.ReplicaID, n int, storeName string, shard,
 }
 
 // memStorage is the tests' JournalStorage that keeps nothing on disk (the
-// Supervisor's, in internal/supervisor, is the same over EventDecoder):
-// each (node, shard) journal is the list of records committed to it, which
-// outlives the incarnation committing them, and OpenJournal hands it back as
-// the history to restore. A staged record is the history's own immutable
+// Supervisor's, in internal/supervisor, is the same): each (node, shard)
+// journal is the list of records committed to it, which outlives the
+// incarnation committing them, and OpenJournal hands it back to replay. A staged record is the history's own immutable
 // copy (Journal.Stage), so the list holds no copy of its own.
 type memStorage struct {
 	mu   sync.Mutex
@@ -131,32 +130,18 @@ func (j *memJournal) Close() error {
 	return nil
 }
 
-func (m *memStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (Journal, *History, error) {
-	var restored *History
-	if events, err := m.decoded(id, shard); err != nil {
-		return nil, nil, err
-	} else if len(events) > 0 {
-		restored = &History{Node: id, N: n, Store: storeName, Events: events}
+func (m *memStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, replay func(rec []byte) error) (Journal, error) {
+	for _, rec := range m.records(id, shard) {
+		if err := replay(rec); err != nil {
+			return nil, err
+		}
 	}
-	return &memJournal{m: m, key: [2]int{int(id), shard}}, restored, nil
+	return &memJournal{m: m, key: [2]int{int(id), shard}}, nil
 }
 
-// Open is NodeStorage's per-event journal over the same records: each event
-// is encoded, staged and committed alone.
+// Open is NodeStorage's per-event journal over the same records.
 func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(Event) error, *History, *membership.Forest, func() error, error) {
-	j, restored, err := m.OpenJournal(id, n, storeName, shard, shards)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	journal := func(ev Event) error {
-		var w wire.Writer // a record of its own: the list keeps it
-		if err := AppendEventBinary(&w, ev); err != nil {
-			return err
-		}
-		j.Stage(w.Bytes())
-		return j.Commit()
-	}
-	return journal, restored, nil, nil, nil
+	return OpenPerEvent(m, id, n, storeName, shard, shards)
 }
 
 // records returns what (node, shard) has committed so far.
@@ -337,7 +322,7 @@ func TestPayloadStoredOnce(t *testing.T) {
 	st := &retainingStore{Store: openCausal(t)}
 	mem := &memStorage{}
 	s := looseShardOf(t, st)
-	j, _, err := mem.OpenJournal(s.n.cfg.ID, s.n.cfg.N, st.Name(), 0, 1)
+	j, err := mem.OpenJournal(s.n.cfg.ID, s.n.cfg.N, st.Name(), 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,14 +479,14 @@ func liveHeap() uint64 {
 }
 
 // TestRestoreKeepsOneCopy: a restored shard hands its store views of the
-// records it rebuilt its history from, as a serving shard does, so once the
-// decoded History it restored from is dropped, the values written — each
+// records it rebuilt its history from, as a serving shard does, so once each
+// event decoded from the journal is dropped, the values written — each
 // key's one, kept by the store — live only in the history's blocks. The
 // live heap beyond those blocks stays under a tenth of the values' bytes
 // (before, the store pinned the decoded strings, a second copy of each).
 func TestRestoreKeepsOneCopy(t *testing.T) {
 	const writes, valueLen = 1000, 4 << 10
-	var journal wire.Writer // the history, encoded as a journal holds it
+	var journal [][]byte // the history, encoded as a journal holds it
 	{
 		twin := openCausal(t).NewReplica(1, 3)
 		value := make([]byte, valueLen)
@@ -517,27 +502,19 @@ func TestRestoreKeepsOneCopy(t *testing.T) {
 				{Kind: model.ActSend, Lamport: uint64(2*i + 2), Origin: 1, Seq: uint64(i + 1), Payload: twin.PendingMessage()},
 			}
 			for _, ev := range evs {
-				if err := AppendEventBinary(&journal, ev); err != nil {
+				var w wire.Writer
+				if err := AppendEventBinary(&w, ev); err != nil {
 					t.Fatal(err)
 				}
+				journal = append(journal, w.Bytes())
 			}
 			twin.OnSend()
 		}
 	}
+	mem := &memStorage{logs: map[[2]int][][]byte{{1, 0}: journal}}
 	s := looseShard(t, "causal")
 	base := liveHeap()
-	restore := func() error { // h lives for the call only
-		h := History{Node: 1, N: 3}
-		for r := wire.NewReader(journal.Bytes()); r.Remaining() > 0; {
-			ev, err := DecodeEventBinary(r)
-			if err != nil {
-				return err
-			}
-			h.Events = append(h.Events, ev)
-		}
-		return s.restore(&h)
-	}
-	if err := restore(); err != nil {
+	if _, err := s.open(mem); err != nil {
 		t.Fatal(err)
 	}
 	retained := float64(liveHeap()) - float64(base)
@@ -554,5 +531,5 @@ func TestRestoreKeepsOneCopy(t *testing.T) {
 		t.Errorf("beyond its history blocks, a restored shard keeps %.0f B, more than a tenth of the %.0f B of values it holds", retained, values)
 	}
 	runtime.KeepAlive(s)
-	runtime.KeepAlive(journal.Bytes())
+	runtime.KeepAlive(mem)
 }

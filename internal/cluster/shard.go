@@ -129,7 +129,7 @@ type shard struct {
 	updates []seglog.Log[seglog.Pos]
 	// tree is the hash-chain forest over updates, backing digest exchange with
 	// joiners. The shard alone owns it: each update is hashed in the turn that
-	// records it (noteUpdate, mintSend), and restore rebuilds it that way.
+	// records it (noteUpdate, mintSend), and replay rebuilds it that way.
 	tree *membership.Forest
 
 	ops      atomic.Int64
@@ -179,7 +179,7 @@ func (s *shard) lock() error {
 // and only the tap, which keeps the frontier, is given a copy. A do event
 // closes the record openDo opened, if one is open, and its Object and Op.Arg
 // are then that head's views, which the journal and the tap may keep. Runs
-// in a turn (or in restore, before the node serves).
+// in a turn (or in open, before the node serves).
 func (s *shard) record(ev Event) ([]byte, seglog.Pos) {
 	s.logMu.Lock() // an append writes the block table logRun reads outside a turn
 	rec, payload, at, err := s.events.append(ev)
@@ -498,66 +498,91 @@ func (s *shard) noteUpdateInTurn(origin model.ReplicaID, seq uint64, at seglog.P
 	}
 }
 
-// restore replays a previous incarnation's history into the fresh replica
-// before the node serves anything, so before any turn; no locking needed.
-// See Config.Storage.
-func (s *shard) restore(h *History) error {
-	if h.Node != s.n.cfg.ID {
-		return fmt.Errorf("cluster: restoring r%d's history into r%d", h.Node, s.n.cfg.ID)
-	}
-	if h.N != s.n.cfg.N {
-		return fmt.Errorf("cluster: restored history is for a cluster of %d, node configured for %d", h.N, s.n.cfg.N)
-	}
-	for i, ev := range h.Events {
-		// Replayed events are appended verbatim, NOT via record: they came
-		// from the journal, and re-journaling them would duplicate the log.
-		// As in record and do, the new history's copies of the payload, the
-		// object and the argument are the ones the store and the update log
-		// are shown; h's are let go with h. A send that follows its do is
-		// written in short form again, so the forest hashes h's payload.
-		rec, payload, at, err := s.events.append(ev)
+// open opens the shard's log in st and replays what it restores into the
+// fresh replica, before the node serves anything (so before any turn; no
+// locking needed): the records a JournalStorage hands back, decoded in
+// order, or the History a per-event NodeStorage decoded. It returns how
+// many events it replayed. See Config.Storage.
+func (s *shard) open(st NodeStorage) (replayed int, err error) {
+	cfg := s.n.cfg
+	replay := func(ev Event, err error) error {
+		if err == nil {
+			err = s.replay(ev)
+		}
 		if err != nil {
-			return fmt.Errorf("cluster: restored event %d: %w", i, err)
+			return fmt.Errorf("cluster: restored event %d: %w", replayed, err)
 		}
-		switch ev.Kind {
-		case model.ActDo:
-			obj, op, _ := doHeadViews(rec)
-			s.checker.CheckDo(obj, op)
-		case model.ActSend:
-			if ev.Origin != s.n.cfg.ID {
-				return fmt.Errorf("cluster: restored send event %d claims origin r%d", i, ev.Origin)
-			}
-			s.checker.OnSend()
-			if payload == nil {
-				payload = ev.Payload
-			}
-			if err := s.noteUpdate(ev.Origin, ev.Seq, at, payload); err != nil {
-				return err
-			}
-		case model.ActReceive:
-			if payload == nil {
-				return fmt.Errorf("cluster: restored receive event %d has no payload (history predates payload recording)", i)
-			}
-			if int(ev.Origin) < 0 || int(ev.Origin) >= s.n.cfg.N {
-				return fmt.Errorf("cluster: restored receive event %d has origin r%d outside cluster", i, ev.Origin)
-			}
-			s.checker.CheckReceive(payload)
-			if err := s.noteUpdate(ev.Origin, ev.Seq, at, payload); err != nil {
-				return err
+		replayed++
+		return nil
+	}
+	if js, ok := st.(JournalStorage); ok {
+		var dec EventDecoder
+		var j Journal
+		if j, err = js.OpenJournal(cfg.ID, cfg.N, cfg.Store.Name(), s.idx, cfg.Shards, func(rec []byte) error {
+			return replay(dec.decodeRecord(rec))
+		}); err == nil {
+			s.journal, s.closeJournal = staged{j}, j.Close
+		}
+	} else {
+		var fn func(Event) error
+		var h *History
+		if fn, h, _, s.closeJournal, err = st.Open(cfg.ID, cfg.N, cfg.Store.Name(), s.idx, cfg.Shards); err == nil {
+			s.journal = perEvent(fn)
+			for i := 0; h != nil && i < len(h.Events) && err == nil; i++ {
+				err = replay(h.Events[i], nil)
 			}
 		}
-		if ev.Lamport > s.lamport {
-			s.lamport = ev.Lamport
-		}
+	}
+	if err != nil {
+		return 0, fmt.Errorf("cluster: open storage for r%d shard %d: %w", cfg.ID, s.idx, err)
 	}
 	// A message pending at crash time was never recorded as sent: mint its
 	// send event now (the history stays well-formed — the send follows
 	// every restored event) at the end of the shard's own log. Minted events
 	// are new, so they go through record and reach the journal.
-	for s.mintSend() {
+	for replayed > 0 && s.mintSend() {
 	}
 	s.commit()
-	return s.jerr
+	return replayed, s.jerr
+}
+
+// replay records a previous incarnation's event again through the live
+// path's eventLog.append — a send behind its do in short form again exactly
+// where the two share a block — and replays it into the replica, the update
+// log and the forest, but not the journal, which holds it, nor the tap. The
+// log's copies are the ones the store and the update log are shown; ev's
+// are let go, but for a short send's payload, which the forest hashes.
+func (s *shard) replay(ev Event) error {
+	rec, payload, at, err := s.events.append(ev)
+	if err != nil {
+		return err
+	}
+	switch ev.Kind {
+	case model.ActDo:
+		obj, op, _ := doHeadViews(rec)
+		s.checker.CheckDo(obj, op)
+	case model.ActSend:
+		if ev.Origin != s.n.cfg.ID {
+			return fmt.Errorf("cluster: a send claims origin r%d", ev.Origin)
+		}
+		s.checker.OnSend()
+		if payload == nil {
+			payload = ev.Payload
+		}
+	case model.ActReceive:
+		if payload == nil {
+			return fmt.Errorf("cluster: a receive has no payload (history predates payload recording)")
+		}
+		if int(ev.Origin) < 0 || int(ev.Origin) >= s.n.cfg.N {
+			return fmt.Errorf("cluster: a receive has origin r%d outside cluster", ev.Origin)
+		}
+		s.checker.CheckReceive(payload)
+	}
+	s.lamport = max(s.lamport, ev.Lamport)
+	if ev.Kind == model.ActDo {
+		return nil
+	}
+	return s.noteUpdate(ev.Origin, ev.Seq, at, payload)
 }
 
 // snapshot captures this shard's recorded history in one turn, still

@@ -167,7 +167,7 @@ var valueLens = []int{1, 2, 16, 100, 256, 300, 7}
 func TestShortSendRoundTrips(t *testing.T) {
 	s := looseShard(t, "causal")
 	mem := &memStorage{}
-	j, _, err := mem.OpenJournal(s.n.cfg.ID, s.n.cfg.N, "causal", 0, 1)
+	j, err := mem.OpenJournal(s.n.cfg.ID, s.n.cfg.N, "causal", 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +305,16 @@ func TestShortSendStaysInItsBlock(t *testing.T) {
 func TestRestoreRecompacts(t *testing.T) {
 	src := looseShard(t, "causal")
 	ref := writeMix(t, src, 400, valueLens)
-	var events []Event
+	var recs [][]byte
 	for _, ev := range ref {
-		events = append(events, standalone(t, ev))
+		var w wire.Writer
+		if err := AppendEventBinary(&w, ev); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, w.Bytes())
 	}
 	s := looseShard(t, "causal")
-	if err := s.restore(&History{Node: s.n.cfg.ID, N: s.n.cfg.N, Events: events}); err != nil {
+	if _, err := s.open(&memStorage{logs: map[[2]int][][]byte{{int(s.n.cfg.ID), 0}: recs}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := countOf(logRecords(t, &s.events), shortSend), countOf(logRecords(t, &src.events), shortSend); got < want-2 {

@@ -13,7 +13,8 @@ import (
 )
 
 // What an append and a recovery cost as the history behind them grows. The
-// write path must be flat in it; recovery is linear (it replays everything).
+// write path must be flat in it; recovery is linear in time (it replays
+// everything) and flat in memory: it keeps nothing per record.
 //
 //	go test ./internal/durable -run '^$' -bench . -benchmem -benchtime 8192x
 
@@ -40,16 +41,16 @@ func benchEvent(i int) cluster.Event {
 var benchPayload = bytes.Repeat([]byte("v"), 256)
 
 // openWithHistory returns a log in a fresh directory that already holds n
-// events, written through Append at the default seal cadence.
+// events, written through appendEvent at the default seal cadence.
 func openWithHistory(tb testing.TB, n int) (*Log, string) {
 	tb.Helper()
 	dir := tb.TempDir()
-	l, _, err := Open(dir, testMeta(), Options{NoSync: true})
+	l, _, err := openHistory(dir, testMeta(), Options{NoSync: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := l.Append(benchEvent(i)); err != nil {
+		if err := appendEvent(l, benchEvent(i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -90,7 +91,7 @@ func BenchmarkAppend(b *testing.B) {
 				at := n + i
 				ev := events[at%len(events)]
 				ev.Seq = uint64(at/3 + 1)
-				if err := l.Append(ev); err != nil {
+				if err := appendEvent(l, ev); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,12 +113,13 @@ func BenchmarkOpen(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				l, hist, err := Open(dir, testMeta(), Options{NoSync: true})
+				replayed := 0
+				l, err := Open(dir, testMeta(), Options{NoSync: true}, func([]byte) error { replayed++; return nil })
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(hist.Events) != n {
-					b.Fatalf("recovered %d events, want %d", len(hist.Events), n)
+				if replayed != n {
+					b.Fatalf("replayed %d records, want %d", replayed, n)
 				}
 				l.Close()
 			}
@@ -162,7 +164,7 @@ func TestAppendCostIndependentOfHistory(t *testing.T) {
 			runtime.ReadMemStats(&m0)
 			w0, _ := bytesWritten()
 			for _, ev := range events {
-				if err := l.Append(ev); err != nil {
+				if err := appendEvent(l, ev); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -190,4 +192,66 @@ func TestAppendCostIndependentOfHistory(t *testing.T) {
 	if largeDisk > 1.25*smallDisk {
 		t.Errorf("an append writes %.0f B behind 256 k events, %.0f B behind 1 k: the write path grows with history", largeDisk, smallDisk)
 	}
+}
+
+// TestOpenKeepsNothingPerRecord is BenchmarkOpen's memory claim, held
+// deterministically: Open, with a replay that keeps nothing, allocates the
+// same count and the same bytes over 8 k records as over 1 k. The records
+// are all in one wal (a seal interval past both), so what a file costs to
+// open — paid once per sealEvery records — is the same in both; what grows
+// with the records is only what recovery keeps per record, which must be
+// nothing.
+func TestOpenKeepsNothingPerRecord(t *testing.T) {
+	opts := Options{NoSync: true, sealEvery: 1 << 20}
+	measure := func(records int) (allocs, size uint64) {
+		dir := t.TempDir()
+		l, err := Open(dir, testMeta(), opts, func([]byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < records; i++ {
+			if err := appendEvent(l, benchEvent(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		open := func() {
+			replayed := 0
+			l, err := Open(dir, testMeta(), opts, func([]byte) error { replayed++; return nil })
+			if err != nil || replayed != records {
+				t.Fatalf("Open replayed %d records of %d: %v", replayed, records, err)
+			}
+			l.Close()
+		}
+		return allocCost(10, open)
+	}
+	smallAllocs, smallBytes := measure(1 << 10)
+	largeAllocs, largeBytes := measure(8 << 10)
+	t.Logf("Open over 1 k records: %d allocations, %d B; over 8 k: %d, %d B", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if largeAllocs != smallAllocs || largeBytes != smallBytes {
+		t.Errorf("Open allocates %d times and %d B over 8 k records, %d and %d B over 1 k: recovery keeps something per record",
+			largeAllocs, largeBytes, smallAllocs, smallBytes)
+	}
+}
+
+// allocCost returns the fewest allocations and the fewest bytes fn made in
+// one of runs runs, after a warm-up run: the runtime's own background
+// allocation lands in a run now and then, and the cheapest run is the one it
+// missed.
+func allocCost(runs int, fn func()) (allocs, size uint64) {
+	fn()
+	for i := 0; i < runs; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		if a, b := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; i == 0 {
+			allocs, size = a, b
+		} else {
+			allocs, size = min(allocs, a), min(size, b)
+		}
+	}
+	return allocs, size
 }

@@ -42,15 +42,15 @@ func (c crashable) Commit() error {
 	return c.Log.Commit()
 }
 
-func (s *loggedStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (cluster.Journal, *cluster.History, error) {
-	j, hist, err := s.Storage.OpenJournal(id, n, storeName, shard, shards)
+func (s *loggedStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, replay func([]byte) error) (cluster.Journal, error) {
+	j, err := s.Storage.OpenJournal(id, n, storeName, shard, shards, replay)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.mu.Lock()
 	s.logs = append(s.logs, j.(*Log))
 	s.mu.Unlock()
-	return crashable{j.(*Log), s}, hist, nil
+	return crashable{j.(*Log), s}, nil
 }
 
 // journalCounts is what a node's logs did, summed: wal writes, fsyncs, and

@@ -7,20 +7,18 @@
 // is written exactly once:
 //
 //   - wal.log is append-only. Each record frames one event's record — the
-//     cluster.AppendEventBinary bytes the node's history already holds, not
-//     a second encoding of the event — behind a 4-byte length and a CRC-32C
-//     of the payload. The node stages each do/send/receive record (Stage) in
-//     the shard's turn that records it, and Commit writes everything staged
-//     with one write and makes it durable with one fsync (or one
-//     GroupCommitter round). The node commits at the points where a record
-//     could become visible outside it (cluster.Config.Storage lists them):
-//     before a client's response or its own new update leaves, and before a
-//     hello ack or a join digest answer reports a count. So any event a peer
-//     holds an ack for, or a client a response to, is durable — the
-//     crash-window invariant, now across process death — and a crash loses
-//     at most receives nobody was told of, which their senders still owe.
-//     Append is Stage and Commit of one event, for callers that hold an
-//     Event.
+//     bytes the node's history already holds, not a second encoding of the
+//     event — behind a 4-byte length and a CRC-32C of the payload. The node
+//     stages each do/send/receive record (Stage) in the shard's turn that
+//     records it, and Commit writes everything staged with one write and
+//     makes it durable with one fsync (or one GroupCommitter round). The
+//     node commits at the points where a record could become visible
+//     outside it (cluster.Config.Storage lists them): before a client's
+//     response or its own new update leaves, and before a hello ack or a
+//     join digest answer reports a count. So any event a peer holds an ack
+//     for, or a client a response to, is durable — the crash-window
+//     invariant, now across process death — and a crash loses at most
+//     receives nobody was told of, which their senders still owe.
 //   - A seal is a rename. Once a commit brings the wal to sealEvery new
 //     records — every one of them already fsynced — it is renamed
 //     seg-<index of its first new event>.log, the directory is fsynced, and
@@ -31,41 +29,42 @@
 //   - Recovery (Open) reads an ordered file list — the segments sorted by
 //     name, then the wal — under one rule per record: an index below the
 //     count so far is skipped (a repeated record is a copy of one already
-//     read), the next index is taken, a later one is corruption — an append
-//     can tear, it cannot skip. Names only order the files; indices decide
+//     read), the next index is handed to the caller's replay, in a buffer
+//     the next record reuses, a later one is corruption — an append can
+//     tear, it cannot skip. Names only order the files; indices decide
 //     contiguity.
 //   - A record whose framing fails — short header, short payload, CRC
 //     mismatch, an index or body that does not fill the payload — is a torn
-//     append at the tail of wal.log:
-//     the file is truncated at the last good record and recovery stops
-//     there, so the log is a prefix of what the node recorded, never a
-//     fabrication. In a sealed file it is corruption and fails recovery,
-//     unless the next file still supplies that event index; then the sealed
-//     file is cut back to its last good record and recovery continues from
-//     the next file. Silent truncation is therefore bounded by one seal
-//     interval, and damage in the sealed prefix is loud.
+//     append at the tail of wal.log: the file is cut back to the last good
+//     record and recovery stops there, so the log is a prefix of what the
+//     node recorded, never a fabrication. In a sealed file it is corruption
+//     and fails recovery, unless the next file still supplies that event
+//     index; then the sealed file is cut back to its last good record and
+//     recovery continues from the next file. Silent truncation is therefore
+//     bounded by one seal interval, and damage in the sealed prefix is loud.
 //   - An intact record this build cannot read is neither: its framing holds,
-//     but its body is of another journal format (the earlier one, whose
-//     update payloads are in a layout this build's stores do not decode, or
-//     a later one), or its event does not decode. Open refuses the directory
-//     with a FormatError, wherever the record sits, before it replays,
-//     truncates or writes anything — as it does a directory holding the
-//     snap.log of a build that sealed by copying.
+//     but its body's tag names another journal format (the earlier one,
+//     whose update payloads are in a layout this build's stores do not
+//     decode, or a later one), or replay refuses it. Open refuses the
+//     directory with a FormatError, wherever the record sits — as it does a
+//     directory holding the snap.log of a build that sealed by copying.
+//   - A refused Open writes nothing: each cut, a first open's meta.json and
+//     the removal of a leftover temporary wait until replay has accepted
+//     every record.
 //
-// The recovered history is what cluster.JournalStorage.OpenJournal hands the
-// node to replay (Storage, in storage.go, is that seam's implementation), so
-// the restart path is the same code the in-process supervisor exercises.
+// Open is what cluster.JournalStorage.OpenJournal runs (Storage, in
+// storage.go), so the restart path is the code the supervisor exercises.
 //
 // Contract:
 //
 //   - OWNS: the data directory — meta.json, wal.log, seg-*.log — their
 //     record framing, fsync ordering and recovery rules, and the
 //     group-commit coordinator shard logs share.
-//   - MUST NOT: dial, listen or know a frame type; decide what an event
-//     means (it frames the records cluster encodes, and decodes them only to
-//     hand recovery a History); or
-//     repair damage by guessing — a record it cannot read is torn or
-//     corrupt, never reinterpreted.
+//   - MUST NOT: dial, listen or know a frame type; encode or decode an
+//     event (it frames the records cluster hands it and hands them back,
+//     checking only framing, contiguity and format tag); or repair damage by
+//     guessing — a record it cannot read is torn or corrupt, never
+//     reinterpreted.
 //   - MUST NOT import: anything above internal/cluster (cmd/..., the
 //     simulator, the stores).
 package durable
@@ -142,19 +141,27 @@ func (e *CorruptionError) Error() string {
 // journal format: File holds, at Offset, an intact record — its length,
 // CRC, index and body framing sound — that this build cannot read: one in
 // format legacyJournalTag, whose update payloads no store of this build
-// decodes, or in a format or with an event this build does not know. Open
-// returns it before replaying, truncating or writing anything.
+// decodes, one in a format this build does not know, or one Open's replay
+// refused, with Err, its error, as the cause. Open returns it having
+// truncated and written nothing.
 type FormatError struct {
 	File   string
 	Offset int64
+	Err    error
 }
 
 // Error implements error.
 func (e *FormatError) Error() string {
-	return fmt.Sprintf("durable: %s holds a record this build cannot read at offset %d: of journal format 0x%02x, written by a build "+
-		"of protocol version 9 or earlier, or of a later build; this build reads format 0x%02x only and does not replay the directory",
-		e.File, e.Offset, legacyJournalTag, journalBinaryTag)
+	why := fmt.Sprintf("of journal format 0x%02x, written by a build of protocol version 9 or earlier, or of a later build; "+
+		"this build reads format 0x%02x only", legacyJournalTag, journalBinaryTag)
+	if e.Err != nil {
+		why = e.Err.Error()
+	}
+	return fmt.Sprintf("durable: %s holds a record this build cannot read at offset %d: %s; the directory is left as it is", e.File, e.Offset, why)
 }
+
+// Unwrap returns the replay's error, if replay refused the record.
+func (e *FormatError) Unwrap() error { return e.Err }
 
 // Meta identifies whose history a data directory holds. It is written on
 // first open and verified on every reopen.
@@ -205,7 +212,6 @@ type Options struct {
 // the open wal, and the records staged since the last commit, framed.
 type Log struct {
 	dir  string
-	meta Meta
 	opts Options
 
 	mu       sync.Mutex
@@ -224,41 +230,57 @@ type Log struct {
 
 var _ cluster.Journal = (*Log)(nil)
 
-// Open opens (or initializes) the data directory and recovers the event
-// history it holds. The returned history is nil when the directory holds no
-// events yet (a fresh boot); otherwise it is exactly what the node replays.
-// The caller must Close the log after the node has shut down.
-func Open(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
+// Open opens (or initializes) the data directory and recovers the records it
+// holds: before it returns, it hands replay each one — the bytes Stage was
+// handed, valid for the call only — in index order. An error from replay
+// refuses the directory (FormatError). A refused Open writes nothing: the
+// cuts recovery makes and a first open's meta.json wait until every record
+// has been accepted. The caller must Close the log after the node has shut
+// down.
+func Open(dir string, meta Meta, opts Options, replay func(rec []byte) error) (*Log, error) {
 	if opts.sealEvery <= 0 {
 		opts.sealEvery = sealEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("durable: %w", err)
+		return nil, fmt.Errorf("durable: %w", err)
 	}
-	if err := checkMeta(dir, meta); err != nil {
-		return nil, nil, err
+	newMeta, err := checkMeta(dir, meta)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapName)); err == nil {
-		return nil, nil, &FormatError{File: snapName}
+		return nil, &FormatError{File: snapName}
 	}
 
-	events, walCount, err := recoverDir(dir)
-	if err != nil {
-		return nil, nil, err
+	rc := recovery{dir: dir, replay: replay, rr: newRecordReader(nil, recoverBuffer), cuts: map[string]int64{}}
+	files := logFiles(dir)
+	for i, name := range files {
+		next := "" // no file: covers nothing
+		if i+1 < len(files) {
+			next = filepath.Join(dir, files[i+1])
+		}
+		if err := rc.file(name, next); err != nil {
+			return nil, err
+		}
+	}
+	for name, off := range rc.cuts {
+		if err := truncateAt(filepath.Join(dir, name), off); err != nil {
+			return nil, fmt.Errorf("durable: truncate torn %s: %w", name, err)
+		}
+	}
+	if newMeta {
+		if err := writeMeta(dir, meta); err != nil {
+			return nil, err
+		}
 	}
 	// A leftover meta.json.tmp is a rename that never happened; what it was
 	// to replace is still authoritative.
 	removeGlob(filepath.Join(dir, "*.tmp"))
-	l := &Log{dir: dir, meta: meta, opts: opts, count: len(events), walCount: walCount}
+	l := &Log{dir: dir, opts: opts, count: rc.count, walCount: rc.walCount}
 	if err := l.openWal(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	var hist *cluster.History
-	if len(events) > 0 {
-		hist = &cluster.History{Node: meta.Node, N: meta.N, Store: meta.Store, Events: events}
-	}
-	return l, hist, nil
+	return l, nil
 }
 
 // openWal opens wal.log for appending, creating it — and making the new
@@ -278,26 +300,9 @@ func (l *Log) openWal() error {
 	return nil
 }
 
-// Len returns the number of events currently in the log.
-func (l *Log) Len() int { return l.count }
-
-// Append persists one event: encode, Stage, Commit. It must complete before
-// the event's effects are acknowledged to any peer or client. An error means
-// the event may not be durable.
-func (l *Log) Append(ev cluster.Event) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	if err := cluster.AppendEventBinary(w, ev); err != nil {
-		return fmt.Errorf("durable: encode event: %w", err)
-	}
-	if err := l.Stage(w.Bytes()); err != nil {
-		return err
-	}
-	return l.Commit()
-}
-
-// Stage frames rec — one event in cluster's binary encoding — as the log's
-// next record, behind what is already staged, for the next Commit to write.
+// Stage frames rec — one event's record, as the node's history holds it — as
+// the log's next record, behind what is already staged, for the next Commit
+// to write.
 // It copies rec and writes nothing: a staged record is not durable, and a
 // crash or a Close before the Commit drops it.
 func (l *Log) Stage(rec []byte) error {
@@ -413,40 +418,44 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// checkMeta verifies (or initializes) the directory's identity file.
-func checkMeta(dir string, meta Meta) error {
-	path := filepath.Join(dir, metaName)
-	meta = meta.canon()
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		var have Meta
-		if err := json.Unmarshal(data, &have); err != nil {
-			return &CorruptionError{File: metaName, Reason: err.Error()}
-		}
-		if have.canon() != meta {
-			return fmt.Errorf("%w: directory holds r%d/%d/%s (shard %d/%d), node is r%d/%d/%s (shard %d/%d)",
-				ErrMetaMismatch, have.Node, have.N, have.Store, have.Shard, have.Shards,
-				meta.Node, meta.N, meta.Store, meta.Shard, meta.Shards)
-		}
-		return nil
-	case os.IsNotExist(err):
-		data, err := json.Marshal(meta)
-		if err != nil {
-			return fmt.Errorf("durable: %w", err)
-		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("durable: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return fmt.Errorf("durable: %w", err)
-		}
-		syncDir(dir)
-		return nil
-	default:
+// checkMeta verifies the directory's identity file, and reports whether it
+// has none yet, for writeMeta to write once recovery has accepted the
+// directory.
+func checkMeta(dir string, meta Meta) (missing bool, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, metaName))
+	if os.IsNotExist(err) {
+		return true, nil
+	} else if err != nil {
+		return false, fmt.Errorf("durable: %w", err)
+	}
+	var have Meta
+	if err := json.Unmarshal(data, &have); err != nil {
+		return false, &CorruptionError{File: metaName, Reason: err.Error()}
+	}
+	if meta = meta.canon(); have.canon() != meta {
+		return false, fmt.Errorf("%w: directory holds r%d/%d/%s (shard %d/%d), node is r%d/%d/%s (shard %d/%d)",
+			ErrMetaMismatch, have.Node, have.N, have.Store, have.Shard, have.Shards,
+			meta.Node, meta.N, meta.Store, meta.Shard, meta.Shards)
+	}
+	return false, nil
+}
+
+// writeMeta writes the directory's identity file, through a rename.
+func writeMeta(dir string, meta Meta) error {
+	data, err := json.Marshal(meta.canon())
+	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
+	path := filepath.Join(dir, metaName)
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	syncDir(dir)
+	return nil
 }
 
 // journalBinaryTag is the first body byte of every record: it names the
@@ -496,8 +505,8 @@ func rd32(b []byte) uint32 {
 
 // errTorn marks every way a record's framing can fail: short header, short
 // payload, implausible length, CRC mismatch, an index or body that does not
-// fill the payload. errFormat marks an intact record this build cannot read:
-// its body tag is not journalBinaryTag, or its event does not decode.
+// fill the payload. errFormat marks an intact record whose body tag is not
+// journalBinaryTag.
 var (
 	errTorn   = errors.New("durable: torn record")
 	errFormat = errors.New("durable: record of another journal format")
@@ -507,15 +516,12 @@ var (
 // one read syscall per buffer-full rather than two per record, and one
 // payload buffer grown to the largest record rather than one per record.
 // Recovery reads every file of a directory through one (reset), so neither
-// buffer is paid per file, and decodes the records in their order through
-// one decoder, so a send record that leaves out its do's argument finds it
-// in the record before (cluster.EventDecoder), files apart or not.
+// buffer is paid per file.
 type recordReader struct {
 	r       *bufio.Reader
 	good    int64   // offset just past the last intact record
 	hdr     [8]byte // scratch for a record's header and
 	payload []byte  // payload, grown to the largest record read
-	dec     cluster.EventDecoder
 }
 
 // recoverBuffer is the read-ahead buffer recovery reads a directory through.
@@ -531,47 +537,43 @@ func (rr *recordReader) reset(f io.Reader) {
 	rr.good = 0
 }
 
-// next reads one record. It returns io.EOF at a clean record boundary,
-// errTorn for damage and errFormat for an intact record this build cannot
-// read; in every case good is the last boundary before the record.
-func (rr *recordReader) next() (index uint64, ev cluster.Event, err error) {
+// next reads one record: its index, and rec, the event's record behind the
+// body's tag, a slice of the payload buffer valid until the next call. It
+// returns io.EOF at a clean record boundary, errTorn for damage and
+// errFormat for an intact record of another journal format; in every case
+// good is the last boundary before the record.
+func (rr *recordReader) next() (index uint64, rec []byte, err error) {
 	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
 		if err == io.EOF {
-			return 0, ev, io.EOF
+			return 0, nil, io.EOF
 		}
-		return 0, ev, errTorn // short header
+		return 0, nil, errTorn // short header
 	}
 	size := rd32(rr.hdr[0:4])
 	if size > maxRecord {
-		return 0, ev, errTorn // implausible length (corrupted prefix)
+		return 0, nil, errTorn // implausible length (corrupted prefix)
 	}
 	if cap(rr.payload) < int(size) {
 		rr.payload = make([]byte, size)
 	}
 	rr.payload = rr.payload[:size]
 	if _, err := io.ReadFull(rr.r, rr.payload); err != nil {
-		return 0, ev, errTorn // short payload
+		return 0, nil, errTorn // short payload
 	}
 	if crc32.Checksum(rr.payload, castagnoli) != rd32(rr.hdr[4:8]) {
-		return 0, ev, errTorn // bit rot or a torn overwrite
+		return 0, nil, errTorn // bit rot or a torn overwrite
 	}
 	rd := wire.NewReader(rr.payload)
 	index = rd.Uvarint()
 	data := rd.Bytes()
 	if rd.Err() != nil || rd.Remaining() != 0 {
-		return 0, ev, errTorn
+		return 0, nil, errTorn
 	}
 	if len(data) == 0 || data[0] != journalBinaryTag {
-		return 0, ev, errFormat
-	}
-	// The decoder copies what it keeps, so the payload buffer is free to be
-	// overwritten by the next record.
-	er := wire.NewReader(data[1:])
-	if ev, err = rr.dec.Decode(er); err != nil || er.Remaining() != 0 {
-		return 0, cluster.Event{}, errFormat
+		return 0, nil, errFormat
 	}
 	rr.good += int64(len(rr.hdr)) + int64(size)
-	return index, ev, nil
+	return index, data[1:], nil
 }
 
 // truncateAt cuts the file at path back to a record boundary and makes the
@@ -603,80 +605,75 @@ func logFiles(dir string) []string {
 	return files
 }
 
-// recoverDir reads dir's record files in order into the contiguous event
-// sequence 0..k-1 and reports how many of those events the wal supplied.
-func recoverDir(dir string) (events []cluster.Event, walCount int, err error) {
-	files := logFiles(dir)
-	rr := newRecordReader(nil, recoverBuffer)
-	for i, name := range files {
-		next := "" // no file: covers nothing
-		if i+1 < len(files) {
-			next = filepath.Join(dir, files[i+1])
-		}
-		sealed := len(events)
-		if events, err = recoverFile(rr, dir, name, next, events); err != nil {
-			return nil, 0, err
-		}
-		if name == walName {
-			walCount = len(events) - sealed
-		}
-	}
-	return events, walCount, nil
+// recovery is one Open's pass over a directory's record files: the event
+// sequence 0..count-1 it has handed replay so far, and the cuts it owes the
+// files — the record boundary each is to be truncated back to — which Open
+// makes only once the whole directory has been accepted.
+type recovery struct {
+	dir      string
+	replay   func(rec []byte) error
+	rr       *recordReader
+	count    int // events handed to replay
+	walCount int // of those, how many the wal supplied
+	cuts     map[string]int64
 }
 
-// recoverFile extends events with the records of dir's file name, read
-// through rr; next is the path of the file after it. Per record: an index
-// below the count so far repeats a record already read and is skipped, the
-// next index is taken, and one past it is corruption — an append can tear,
-// it cannot skip. An intact record this build cannot read fails recovery
+// file replays the records of the directory's file name; next is the path
+// of the file after it. Per record: an index below the count so far repeats
+// a record already read and is skipped, the next index is handed to replay,
+// and one past it is corruption — an append can tear, it cannot skip. An
+// intact record of another format, or one replay refuses, fails recovery
 // with a FormatError.
 //
 // A record that cannot be read ends the file. In wal.log it is a torn
-// append: the file is truncated at the last good boundary and recovery ends
-// with the prefix before it, never an invention. In a sealed file it is
+// append: the file is owed a cut at the last good boundary and recovery
+// ends with the prefix before it, never an invention. In a sealed file it is
 // repaired if — and only if — the next file still supplies every event from
 // that record onward, so that nothing the damaged region held is lost: a
 // next file whose first index is at or below the damage. Then the sealed
-// file is cut back to its last good boundary and recovery continues from the
-// next file. Any other unreadable sealed record fails loudly rather than
+// file is owed a cut at its last good boundary and recovery continues from
+// the next file. Any other unreadable sealed record fails loudly rather than
 // truncating away events nothing can supply.
-func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Event) ([]cluster.Event, error) {
-	path := filepath.Join(dir, name)
-	f, err := os.Open(path)
+func (rc *recovery) file(name, next string) error {
+	f, err := os.Open(filepath.Join(rc.dir, name))
 	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	defer f.Close()
-	rr.reset(f)
+	rc.rr.reset(f)
 	for {
-		offset := rr.good
-		index, ev, err := rr.next()
+		offset := rc.rr.good
+		index, rec, err := rc.rr.next()
 		if err == io.EOF {
-			return events, nil
+			return nil
 		}
 		if err == errFormat {
-			return nil, &FormatError{File: name, Offset: offset}
+			return &FormatError{File: name, Offset: offset}
 		}
 		if err != nil {
 			if name != walName {
-				if first, ok := firstIndex(next); !ok || first > uint64(len(events)) {
-					return nil, &CorruptionError{File: name, Offset: offset,
-						Reason: fmt.Sprintf("unreadable record at event %d, which the next file does not cover", len(events))}
+				if first, ok := firstIndex(next); !ok || first > uint64(rc.count) {
+					return &CorruptionError{File: name, Offset: offset,
+						Reason: fmt.Sprintf("unreadable record at event %d, which the next file does not cover", rc.count)}
 				}
 			}
-			if err := truncateAt(path, offset); err != nil {
-				return nil, fmt.Errorf("durable: truncate torn %s: %w", name, err)
-			}
-			return events, nil
+			rc.cuts[name] = offset
+			return nil
 		}
 		switch {
-		case index < uint64(len(events)):
+		case index < uint64(rc.count):
 			// The sealed copy is authoritative.
-		case index == uint64(len(events)):
-			events = append(events, ev)
+		case index == uint64(rc.count):
+			if err := rc.replay(rec); err != nil {
+				return &FormatError{File: name, Offset: offset, Err: err}
+			}
+			rc.count++
+			if name == walName {
+				rc.walCount++
+			}
 		default:
-			return nil, &CorruptionError{File: name, Offset: offset,
-				Reason: fmt.Sprintf("record index %d skips past %d (gap cannot come from a torn append)", index, len(events))}
+			return &CorruptionError{File: name, Offset: offset,
+				Reason: fmt.Sprintf("record index %d skips past %d (gap cannot come from a torn append)", index, rc.count)}
 		}
 	}
 }
@@ -684,9 +681,7 @@ func recoverFile(rr *recordReader, dir, name, next string, events []cluster.Even
 // firstIndex returns the event index of the first record in the file at
 // path, or false if it has no intact first record. It reads that record
 // alone: a header-sized buffer (bufio's smallest, 16 bytes), then the
-// payload straight into its own. A file never opens with a send record that
-// refers to the do before it: a node stages the two in one turn and commits
-// them together, and a seal starts a file only between commits.
+// payload straight into its own.
 func firstIndex(path string) (uint64, bool) {
 	f, err := os.Open(path)
 	if err != nil {

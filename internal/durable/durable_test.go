@@ -36,6 +36,43 @@ func encodeTestRecord(index uint64, ev cluster.Event) ([]byte, error) {
 	return appendRecord(nil, index, w.Bytes())
 }
 
+// openHistory is Open with a replay that decodes each record in order, as a
+// shard does, into the History a test compares: nil when the directory
+// holds no events.
+func openHistory(dir string, meta Meta, opts Options) (*Log, *cluster.History, error) {
+	var dec cluster.EventDecoder
+	var events []cluster.Event
+	l, err := Open(dir, meta, opts, func(rec []byte) error {
+		r := wire.NewReader(rec)
+		ev, err := dec.Decode(r)
+		if err == nil {
+			err = r.End()
+		}
+		if err == nil {
+			events = append(events, ev)
+		}
+		return err
+	})
+	if err != nil || len(events) == 0 {
+		return l, nil, err
+	}
+	return l, &cluster.History{Node: meta.Node, N: meta.N, Store: meta.Store, Events: events}, nil
+}
+
+// appendEvent makes one event durable as its standalone record: encode,
+// Stage (which copies it), Commit.
+func appendEvent(l *Log, ev cluster.Event) error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	if err := cluster.AppendEventBinary(w, ev); err != nil {
+		return err
+	}
+	if err := l.Stage(w.Bytes()); err != nil {
+		return err
+	}
+	return l.Commit()
+}
+
 // sampleEvents synthesizes a plausible mixed history: do, send, and receive
 // events with the field shapes real nodes record.
 func sampleEvents(n int) []cluster.Event {
@@ -89,7 +126,7 @@ func testMeta() Meta { return Meta{Node: 0, N: 3, Store: "causal"} }
 
 func writeLog(t *testing.T, dir string, events []cluster.Event, opts Options) {
 	t.Helper()
-	l, hist, err := Open(dir, testMeta(), opts)
+	l, hist, err := openHistory(dir, testMeta(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +134,7 @@ func writeLog(t *testing.T, dir string, events []cluster.Event, opts Options) {
 		t.Fatalf("fresh dir recovered %d events", len(hist.Events))
 	}
 	for _, ev := range events {
-		if err := l.Append(ev); err != nil {
+		if err := appendEvent(l, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +148,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	events := sampleEvents(20)
 	writeLog(t, dir, events, Options{})
 
-	l, hist, err := Open(dir, testMeta(), Options{})
+	l, hist, err := openHistory(dir, testMeta(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,14 +164,14 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	// The log keeps appending where recovery left off.
 	extra := sampleEvents(23)[20:]
 	for _, ev := range extra {
-		if err := l.Append(ev); err != nil {
+		if err := appendEvent(l, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, hist2, err := Open(dir, testMeta(), Options{})
+	_, hist2, err := openHistory(dir, testMeta(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +186,7 @@ func TestMetaMismatchRejected(t *testing.T) {
 		{Node: 0, N: 4, Store: "causal"},
 		{Node: 0, N: 3, Store: "lww"},
 	} {
-		if _, _, err := Open(dir, wrong, Options{}); !errors.Is(err, ErrMetaMismatch) {
+		if _, _, err := openHistory(dir, wrong, Options{}); !errors.Is(err, ErrMetaMismatch) {
 			t.Fatalf("meta %+v: err = %v, want ErrMetaMismatch", wrong, err)
 		}
 	}
@@ -194,7 +231,7 @@ func TestTornTailTruncatesToPrefix(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, walName), walBytes[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, hist, err := Open(dir, testMeta(), Options{NoSync: true})
+		l, hist, err := openHistory(dir, testMeta(), Options{NoSync: true})
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -206,14 +243,14 @@ func TestTornTailTruncatesToPrefix(t *testing.T) {
 		eventsEqual(t, got, want)
 
 		// Appending after recovery must continue the sequence...
-		if err := l.Append(events[len(want)]); err != nil {
+		if err := appendEvent(l, events[len(want)]); err != nil {
 			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 		// ...and a second recovery sees it (truncation was physical).
-		l2, hist2, err := Open(dir, testMeta(), Options{NoSync: true})
+		l2, hist2, err := openHistory(dir, testMeta(), Options{NoSync: true})
 		if err != nil {
 			t.Fatalf("cut at %d: reopen: %v", cut, err)
 		}
@@ -247,7 +284,7 @@ func TestCorruptTailBitFlip(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, walName), corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, hist, err := Open(dir, testMeta(), Options{NoSync: true})
+		_, hist, err := openHistory(dir, testMeta(), Options{NoSync: true})
 		if err != nil {
 			t.Fatalf("flip at %d: %v", flip, err)
 		}
@@ -277,7 +314,7 @@ func TestIndexGapIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ce *CorruptionError
-	if _, _, err := Open(dir, testMeta(), Options{}); !errors.As(err, &ce) {
+	if _, _, err := openHistory(dir, testMeta(), Options{}); !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CorruptionError", err)
 	}
 }
@@ -306,7 +343,7 @@ func dirNames(t *testing.T, dir string) []string {
 func TestSealIsARename(t *testing.T) {
 	const every, seals, rest = 128, 4, 6
 	dir := t.TempDir()
-	l, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	l, _, err := openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +366,7 @@ func TestSealIsARename(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Append(ev); err != nil {
+		if err := appendEvent(l, ev); err != nil {
 			t.Fatal(err)
 		}
 		if !sealing {
@@ -372,7 +409,7 @@ func TestSealIsARename(t *testing.T) {
 		t.Fatalf("appending %d bytes of records wrote %d bytes: a record is written more than once", recordBytes, wrote)
 	}
 
-	l, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	l, hist, err := openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +428,7 @@ func TestSealIsARename(t *testing.T) {
 func TestSealRefusesExistingSegment(t *testing.T) {
 	const every = 8
 	dir := t.TempDir()
-	l, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	l, _, err := openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +445,7 @@ func TestSealRefusesExistingSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 		walBytes += int64(len(rec))
-		err = l.Append(ev)
+		err = appendEvent(l, ev)
 		if i < every-1 && err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -445,7 +482,7 @@ func TestReadOnlySealedSegmentsRecover(t *testing.T) {
 		f.Close()
 		t.Skip("file modes do not bind this user (root)")
 	}
-	l, hist, err := Open(dir, testMeta(), Options{NoSync: true})
+	l, hist, err := openHistory(dir, testMeta(), Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("open with read-only segments: %v", err)
 	}
@@ -468,7 +505,7 @@ func TestRecoveryCostIndependentOfSegments(t *testing.T) {
 		files = len(logFiles(dir))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		l, hist, err := Open(dir, testMeta(), opts)
+		l, hist, err := openHistory(dir, testMeta(), opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -587,7 +624,7 @@ func readDir(t *testing.T, dir string) map[string]string {
 func requireRefused(t *testing.T, dir, file string, opts Options) {
 	t.Helper()
 	before := readDir(t, dir)
-	l, hist, err := Open(dir, testMeta(), opts)
+	l, hist, err := openHistory(dir, testMeta(), opts)
 	var fe *FormatError
 	if !errors.As(err, &fe) || fe.File != file || l != nil || hist != nil {
 		t.Fatalf("Open = (%v, %v, %v), want a FormatError in %s", l, hist, err, file)
@@ -692,7 +729,7 @@ func TestDamagedSealedSegmentIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ce *CorruptionError
-	if _, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every}); !errors.As(err, &ce) || ce.File != name {
+	if _, _, err := openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every}); !errors.As(err, &ce) || ce.File != name {
 		t.Fatalf("err = %v, want a CorruptionError in %s", err, name)
 	}
 	if after, err := os.ReadFile(path); err != nil || len(after) != len(seg) {
@@ -709,7 +746,7 @@ func TestLeftoversRemovedOnOpen(t *testing.T) {
 	writeLog(t, dir, events, Options{NoSync: true})
 	leftover := metaName + ".tmp"
 	writeFiles(t, dir, map[string][]byte{leftover: []byte("half-written garbage")})
-	_, hist, err := Open(dir, testMeta(), Options{NoSync: true})
+	_, hist, err := openHistory(dir, testMeta(), Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,7 +766,7 @@ type sealCrash struct{}
 // as the "kill -9" left it, never closed.
 func crashDuringSeal(t *testing.T, dir string, every int, events []cluster.Event, crashAt func(appended int) bool) int {
 	t.Helper()
-	l, _, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	l, _, err := openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +788,7 @@ func crashDuringSeal(t *testing.T, dir string, every int, events []cluster.Event
 		}()
 		for _, ev := range events {
 			appended++
-			if err := l.Append(ev); err != nil {
+			if err := appendEvent(l, ev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -780,20 +817,20 @@ func TestCrashInSealWindow(t *testing.T) {
 	}
 	// No Close: the "process" died. The on-disk state is what recovery gets.
 
-	l, hist, err := Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	l, hist, err := openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 	if err != nil {
 		t.Fatalf("recovery from mid-seal crash: %v", err)
 	}
 	eventsEqual(t, hist.Events, events[:appended])
 	for _, ev := range events[appended:] {
-		if err := l.Append(ev); err != nil {
+		if err := appendEvent(l, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, hist, err = Open(dir, testMeta(), Options{NoSync: true, sealEvery: every})
+	_, hist, err = openHistory(dir, testMeta(), Options{NoSync: true, sealEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -885,7 +922,7 @@ func TestDiskBackedSupervisorAuditsClean(t *testing.T) {
 	// the journal IS the history, not a lossy shadow of it.
 	sup.Close()
 	for i := 0; i < n; i++ {
-		_, hist, err := Open(filepath.Join(dataDir, fmt.Sprintf("node%d", i)),
+		_, hist, err := openHistory(filepath.Join(dataDir, fmt.Sprintf("node%d", i)),
 			Meta{Node: model.ReplicaID(i), N: n, Store: "causal"}, Options{})
 		if err != nil {
 			t.Fatalf("reopen node%d: %v", i, err)

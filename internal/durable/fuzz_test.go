@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/cluster"
@@ -88,12 +89,13 @@ func fuzzSeeds(tb testing.TB) [][2][]byte {
 }
 
 // FuzzRecoverTail appends arbitrary bytes after a valid wal and after a
-// valid first segment, and opens the log. Recovery must never panic, never
+// valid first segment, and opens the log, decoding what Open replays in
+// order, as a shard does (openHistory). Recovery must never panic, never
 // lose or rewrite the sealed prefix nor lose what the intact wal holds, fail
-// only with CorruptionError or FormatError, take every event index from
-// exactly one file, and be idempotent: a second Open of the recovered
-// (physically truncated) files sees exactly the same events, and the log
-// stays appendable.
+// only with CorruptionError or FormatError and then leave every file as it
+// was, take every event index from exactly one file, and be idempotent: a
+// second Open of the recovered (physically truncated) files sees exactly the
+// same events, and the log stays appendable.
 func FuzzRecoverTail(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s[0], s[1])
@@ -106,12 +108,16 @@ func FuzzRecoverTail(f *testing.F) {
 			walName:                   append(wal, walTail...),
 		})
 		opts := Options{NoSync: true, sealEvery: 3}
-		l, hist, err := Open(dir, testMeta(), opts)
+		before := readDir(t, dir)
+		l, hist, err := openHistory(dir, testMeta(), opts)
 		if err != nil {
 			var ce *CorruptionError
 			var fe *FormatError
 			if !errors.As(err, &ce) && !errors.As(err, &fe) {
 				t.Fatalf("Open: %v (neither a CorruptionError nor a FormatError)", err)
+			}
+			if !maps.Equal(readDir(t, dir), before) {
+				t.Fatalf("Open refused the directory (%v) but changed it", err)
 			}
 			return
 		}
@@ -127,13 +133,13 @@ func FuzzRecoverTail(f *testing.F) {
 		}
 		recovered := len(hist.Events)
 		requireEachIndexOnce(t, dir, recovered)
-		if err := l.Append(sampleEvents(1)[0]); err != nil {
+		if err := appendEvent(l, sampleEvents(1)[0]); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		l2, hist2, err := Open(dir, testMeta(), opts)
+		l2, hist2, err := openHistory(dir, testMeta(), opts)
 		if err != nil {
 			t.Fatalf("reopen after recovery must be clean: %v", err)
 		}

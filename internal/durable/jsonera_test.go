@@ -103,7 +103,7 @@ func TestZeroFilledTailTruncates(t *testing.T) {
 	dir := t.TempDir()
 	good := withTail(t, dir, walName, events[:6], make([]byte, 64))
 	opts := Options{NoSync: true}
-	l, hist, err := Open(dir, testMeta(), opts)
+	l, hist, err := openHistory(dir, testMeta(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,13 @@ func TestZeroFilledTailTruncates(t *testing.T) {
 	if wal, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(wal, good) {
 		t.Fatalf("the wal holds %d B after recovery, want the %d B of its intact records (%v)", len(wal), len(good), err)
 	}
-	if err := l.Append(events[6]); err != nil {
+	if err := appendEvent(l, events[6]); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, hist, err = Open(dir, testMeta(), opts)
+	_, hist, err = openHistory(dir, testMeta(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestShortSendsReopen(t *testing.T) {
 	if saved := fullBytes(t, recorded) - int(wal.Size()); saved < values-3*writes {
 		t.Fatalf("the journal holds %d B, %d B less than every send whole, which repeats %d B of values", wal.Size(), saved, values)
 	}
-	l, hist, err := Open(filepath.Join(dir, "node0"), testMeta(), Options{NoSync: true})
+	l, hist, err := openHistory(filepath.Join(dir, "node0"), testMeta(), Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

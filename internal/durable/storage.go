@@ -36,10 +36,10 @@ var (
 )
 
 // OpenJournal implements cluster.JournalStorage: it opens node id's log for
-// one shard under Dir and returns it, with any recovered history. The node
+// one shard under Dir, handing replay each record it recovers. The node
 // stages each event's record in it and commits at its commit points, then
 // closes it after that shard's last turn.
-func (s *Storage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (cluster.Journal, *cluster.History, error) {
+func (s *Storage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, replay func(rec []byte) error) (cluster.Journal, error) {
 	dir := filepath.Join(s.Dir, fmt.Sprintf("node%d", id))
 	opts := s.Opts
 	if shards > 1 {
@@ -49,22 +49,15 @@ func (s *Storage) OpenJournal(id model.ReplicaID, n int, storeName string, shard
 			opts.Group = s.group
 		}
 	}
-	l, hist, err := Open(dir, Meta{Node: id, N: n, Store: storeName, Shard: shard, Shards: shards}, opts)
+	l, err := Open(dir, Meta{Node: id, N: n, Store: storeName, Shard: shard, Shards: shards}, opts, replay)
 	if err != nil {
-		return nil, nil, err
+		return nil, err // not a nil *Log in a non-nil Journal
 	}
-	return l, hist, nil
+	return l, nil
 }
 
 // Open implements cluster.NodeStorage, the per-event journal a wrapper that
-// only knows that interface opens: the log OpenJournal opens, handed each
-// event to encode and commit alone (Log.Append), with no forest (the shard
-// builds its own; see cluster.NodeStorage).
+// only knows that interface opens (see cluster.OpenPerEvent).
 func (s *Storage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
-	j, hist, err := s.OpenJournal(id, n, storeName, shard, shards)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	l := j.(*Log)
-	return l.Append, hist, nil, l.Close, nil
+	return cluster.OpenPerEvent(s, id, n, storeName, shard, shards)
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/membership"
 	"repro/internal/model"
-	"repro/internal/wire"
 )
 
 // The emulator is the Transport every supervised node listens and dials
@@ -81,9 +80,9 @@ type Supervisor struct {
 
 // memStorage is the JournalStorage of a cluster that keeps nothing on disk:
 // each (node, shard) journal is the list of records committed to it, which
-// outlives the incarnation committing them, and OpenJournal hands it back as
-// the history to restore. A staged record is the history's own immutable
-// copy (Journal.Stage), so the list holds no copy of its own.
+// outlives the incarnation committing them, and OpenJournal hands it back,
+// record by record, to replay. A staged record is the history's own
+// immutable copy (Journal.Stage), so the list holds no copy of its own.
 type memStorage struct {
 	mu   sync.Mutex
 	logs map[[2]int][][]byte // (node, shard) → committed records
@@ -118,50 +117,22 @@ func (j *memJournal) Close() error {
 	return nil
 }
 
-func (m *memStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int) (cluster.Journal, *cluster.History, error) {
-	var restored *cluster.History
-	if events, err := m.decoded(id, shard); err != nil {
-		return nil, nil, err
-	} else if len(events) > 0 {
-		restored = &cluster.History{Node: id, N: n, Store: storeName, Events: events}
-	}
-	return &memJournal{m: m, key: [2]int{int(id), shard}}, restored, nil
-}
-
-// Open is NodeStorage's per-event journal over the same records: each event
-// is encoded, staged and committed alone.
-func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
-	j, restored, err := m.OpenJournal(id, n, storeName, shard, shards)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	journal := func(ev cluster.Event) error {
-		var w wire.Writer // a record of its own: the list keeps it
-		if err := cluster.AppendEventBinary(&w, ev); err != nil {
-			return err
-		}
-		j.Stage(w.Bytes())
-		return j.Commit()
-	}
-	return journal, restored, nil, nil, nil
-}
-
-// decoded returns what (node, shard) has committed so far, decoded in order:
-// one event per record.
-func (m *memStorage) decoded(id model.ReplicaID, shard int) ([]cluster.Event, error) {
+func (m *memStorage) OpenJournal(id model.ReplicaID, n int, storeName string, shard, shards int, replay func(rec []byte) error) (cluster.Journal, error) {
+	key := [2]int{int(id), shard}
 	m.mu.Lock()
-	recs := m.logs[[2]int{int(id), shard}]
+	recs := m.logs[key]
 	m.mu.Unlock()
-	events := make([]cluster.Event, len(recs))
-	var dec cluster.EventDecoder
-	for i, rec := range recs {
-		ev, err := dec.Decode(wire.NewReader(rec))
-		if err != nil {
-			return nil, fmt.Errorf("supervisor: r%d's journaled event %d: %w", id, i, err)
+	for _, rec := range recs {
+		if err := replay(rec); err != nil {
+			return nil, err
 		}
-		events[i] = ev
 	}
-	return events, nil
+	return &memJournal{m: m, key: key}, nil
+}
+
+// Open is NodeStorage's per-event journal over the same records.
+func (m *memStorage) Open(id model.ReplicaID, n int, storeName string, shard, shards int) (func(cluster.Event) error, *cluster.History, *membership.Forest, func() error, error) {
+	return cluster.OpenPerEvent(m, id, n, storeName, shard, shards)
 }
 
 // New boots an n-node full-mesh cluster of base.Store replicas on

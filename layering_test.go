@@ -182,6 +182,47 @@ func TestImportLayering(t *testing.T) {
 	}
 }
 
+// TestEventCodecOwner pins the event codec to one owner: no non-test file
+// outside internal/cluster names AppendEventBinary, DecodeEventBinary or
+// EventDecoder. A journal frames, keeps and hands back the records a shard
+// stages (cluster.JournalStorage), and the shard decodes what it restores,
+// so neither internal/durable nor a storage above it ever encodes or decodes
+// an event. The frozen benchmark/ times the codec and is the one exception;
+// an exception no file needs any more fails too.
+func TestEventCodecOwner(t *testing.T) {
+	codec := []string{"AppendEventBinary", "DecodeEventBinary", "EventDecoder"}
+	exceptions := map[string]string{
+		"benchmark/layers.go": "the frozen benchmark times the codec (the next benchmark PR)",
+	}
+	for _, file := range nonTestFiles(t) {
+		if strings.HasPrefix(file, "internal/cluster/") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var named []string
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(codec, sel.Sel.Name) && !slices.Contains(named, sel.Sel.Name) {
+				named = append(named, sel.Sel.Name)
+			}
+			return true
+		})
+		if len(named) == 0 {
+			continue
+		}
+		if _, ok := exceptions[file]; ok {
+			delete(exceptions, file)
+			continue
+		}
+		t.Errorf("%s names %s: only internal/cluster encodes or decodes an event", file, strings.Join(named, ", "))
+	}
+	for file, why := range exceptions {
+		t.Errorf("exception %s (%s) no longer names the codec: delete it", file, why)
+	}
+}
+
 // TestStringViewCallers pins who views memory as a string. What
 // wire.Reader.StringView returns is only as immutable as the buffer under
 // it, so every non-test function that calls it is listed here with that
